@@ -47,12 +47,11 @@ func main() {
 	vocab := flag.Int("vocab", 64, "vocabulary size (ignored for -task chars)")
 	devices := flag.Int("devices", 4, "NVMe devices")
 	dir := flag.String("dir", "", "directory for file-backed SSDs (empty = in-memory)")
-	schedOn := flag.Bool("sched", false, "enable the NVMe transfer scheduler (duplex queues + class priorities + coalescing)")
 	schedClasses := flag.String("sched-classes", "", "scheduler priority order: comma-separated permutation of fetch,opt-read,writeback,write-behind (empty = default)")
 	adaptiveDepth := flag.Bool("adaptive-depth", false, "let a feedback loop pick the effective pipeline depth from per-step stall profiles")
 	mode := flag.String("mode", "optimized", "gradient offloading: serialized, naive or optimized")
-	optSched := flag.String("opt-schedule", "sync", "optimizer scheduling: sync, readiness or async")
-	asyncTopK := flag.Int("async-topk", 0, "async schedule: groups updated synchronously per step (0 = half)")
+	optSched := flag.String("opt-schedule", "streaming", "optimizer scheduling: streaming (updates joined in-step) or async (bounded-staleness tail)")
+	asyncTopK := flag.Int("async-topk", 0, "async schedule: groups updated in-step (0 = half)")
 	maxStaleness := flag.Int("max-staleness", 0, "async schedule: max steps a deferred update may lag (0 = 1)")
 	importEvery := flag.Int("importance-every", 0, "async schedule: recompute the importance partition every N steps (0 = every step)")
 	task := flag.String("task", "progression", "training task: progression, copy, uniform or chars")
@@ -136,7 +135,6 @@ func main() {
 		ImportanceEvery: *importEvery,
 		Devices:         *devices,
 		Dir:             *dir,
-		Sched:           *schedOn,
 		SchedClasses:    *schedClasses,
 		AdaptiveDepth:   *adaptiveDepth,
 		LRSchedule:      opt.WarmupCosine(*lr, *steps/10, *steps, *lr/10),

@@ -33,7 +33,7 @@ type Mode int
 // knob: Readiness issues each chunk's state read at gradient arrival,
 // depth-bounded by the prefetch window (reads no longer wait their turn in
 // the update chain); AsyncTopK keeps only the top-k most important chunks
-// in-step and defers the tail to a background applier (the deferred chunks
+// in-step and defers the tail behind them across steps (the deferred chunks
 // are returned, not scheduled).
 const (
 	Serialized Mode = iota

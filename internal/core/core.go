@@ -36,12 +36,13 @@ type Options struct {
 	// GradMode selects the active-gradient-offloading schedule; the default
 	// is the optimized pipeline of Fig. 3b.
 	GradMode agoffload.Mode
-	// OptSchedule selects the optimizer scheduling mode: sync (default),
-	// readiness (state reads issued at gradient arrival, bit-identical),
-	// or async (importance-partitioned deferred Adam with bounded
-	// staleness). AsyncTopK, MaxStaleness and ImportanceEvery tune the
-	// async mode; zero values take the engine defaults (half the groups,
-	// 1 step, every step).
+	// OptSchedule selects the optimizer scheduling mode: streaming (default:
+	// every update streams through the read-ahead → Adam → write-behind
+	// state pipeline and is joined in-step, bit-identical to a serialized
+	// optimizer) or async (importance-partitioned deferred Adam with bounded
+	// staleness on the same pipeline). AsyncTopK, MaxStaleness and
+	// ImportanceEvery tune the async mode; zero values take the engine
+	// defaults (half the groups, 1 step, every step).
 	OptSchedule     opt.ScheduleMode
 	AsyncTopK       int
 	MaxStaleness    int
@@ -50,12 +51,10 @@ type Options struct {
 	// when non-empty.
 	Devices int
 	Dir     string
-	// Sched enables the NVMe transfer scheduler: per-device duplex queues
-	// with class-priority dispatch and coalescing instead of FCFS.
-	// SchedClasses overrides the priority order as a comma-separated
-	// permutation of fetch,opt-read,writeback,write-behind. The scheduler
-	// reorders I/O only, never data — trajectories are bit-identical.
-	Sched        bool
+	// SchedClasses overrides the NVMe transfer scheduler's priority order
+	// as a comma-separated permutation of
+	// fetch,opt-read,writeback,write-behind. The scheduler reorders I/O
+	// only, never data — trajectories are bit-identical.
 	SchedClasses string
 	// AdaptiveDepth lets a per-window feedback loop choose the effective
 	// activation pipeline depth between 1 and PipelineDepth from the step's
@@ -110,7 +109,6 @@ func Init(opts Options) (*Session, error) {
 		ImportanceEvery:  opts.ImportanceEvery,
 		Devices:          opts.Devices,
 		Dir:              opts.Dir,
-		Sched:            opts.Sched,
 		SchedClasses:     opts.SchedClasses,
 		AdaptiveDepth:    opts.AdaptiveDepth,
 		HostMemory:       opts.HostMemory,

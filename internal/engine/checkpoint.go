@@ -81,5 +81,6 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	}
 	e.model.SetStep(ck.ModelStep)
 	e.prevGrads = nil
+	e.optErr = nil // every group's state was just rewritten whole
 	return nil
 }

@@ -80,12 +80,11 @@ func (dp *DataParallel) TrainStep(shards []Batch) (float64, error) {
 	losses := make([]float64, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	noop := func(nn.ParamGroup) error { return nil }
 	for i := range dp.replicas {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			losses[i], _, _, errs[i] = dp.replicas[i].runBatch(shards[i].Tokens, shards[i].Targets, groups[i], noop)
+			losses[i], _, _, errs[i] = dp.replicas[i].runBatch(shards[i].Tokens, shards[i].Targets, false)
 		}(i)
 	}
 	wg.Wait()

@@ -118,16 +118,16 @@ type Config struct {
 	// global: the global norm is only known after all gradients arrive,
 	// which would re-serialize the optimizer (§IV-C's whole point).
 	ClipGroupNorm float64
-	// OptSchedule selects the optimizer scheduling mode: ScheduleSync
-	// (default, each handler streams its own state inline),
-	// ScheduleReadiness (state reads issued at gradient arrival,
-	// bit-identical), or ScheduleAsync (importance-partitioned async Adam
-	// with bounded staleness). The non-sync modes are incompatible with
-	// DynamicLossScale and DelayedUpdate.
+	// OptSchedule selects the optimizer scheduling mode. The zero value,
+	// ScheduleStreaming, streams every group's update through the optimizer
+	// state pipeline (read-ahead → Adam → write-behind) and joins it before
+	// the step returns. ScheduleAsync rides the same stages but lets an
+	// importance-chosen tail of groups lag by a bounded number of steps; it
+	// is incompatible with DynamicLossScale and DelayedUpdate.
 	OptSchedule opt.ScheduleMode
 	// AsyncTopK is the number of important parameter groups (top-k by
 	// gradient L2 norm) updated synchronously in-step in ScheduleAsync mode;
-	// the rest drain on the background applier. 0 means half the groups
+	// the rest drain behind them across steps. 0 means half the groups
 	// (rounded up).
 	AsyncTopK int
 	// MaxStaleness bounds, in steps, how far behind a deferred group's
@@ -150,15 +150,10 @@ type Config struct {
 	// compute (for ablation benchmarks; values are unaffected either way).
 	// It subsumes the old DisablePrefetch knob: both directions degrade.
 	DisablePipeline bool
-	// Sched enables the NVMe transfer scheduler: duplex per-device queues
-	// with priority-class dequeue, so critical-path fetches stop queuing
-	// behind bulk write-behind and optimizer spills. Off, the array runs
-	// FCFS. Scheduling reorders I/O timing only — trajectories are
-	// bit-identical in both modes.
-	Sched bool
-	// SchedClasses, when non-empty, overrides the scheduler's priority
-	// order (see nvme.ParseClassOrder; default
-	// "fetch,opt-read,writeback,write-behind").
+	// SchedClasses, when non-empty, overrides the priority order of the NVMe
+	// array's duplex per-device lanes (see nvme.ParseClassOrder; default
+	// "fetch,opt-read,writeback,write-behind"). Scheduling reorders I/O
+	// timing only — trajectories are bit-identical under every order.
 	SchedClasses string
 	// AdaptiveDepth enables the pipeline-depth feedback controller: the
 	// effective read-ahead/write-behind window starts at 1 and moves
@@ -178,6 +173,15 @@ type Config struct {
 	// Metrics, when non-nil, receives per-step instrument updates
 	// (tokens/s, stage wall times, tier bytes, NVMe and pool counters).
 	Metrics *obs.Registry
+
+	// Test oracles, settable only from this package's tests: the baselines
+	// the bit-identity matrices and the BENCH_sched / BENCH_optimizer rows
+	// compare the one production path against. oracleFCFS opens the array
+	// with a single arrival-ordered lane per device; oracleInlineOpt runs
+	// every group update as a synchronous UpdateGroup on the step goroutine
+	// instead of through the state pipeline.
+	oracleFCFS      bool
+	oracleInlineOpt bool
 }
 
 // Stats counts the engine's data movement.
@@ -227,23 +231,28 @@ type Engine struct {
 	pipe      *offloadPipeline
 	fetchCh   []chan error
 	fetchLive []bool
-	// stepChs are the per-submission optimizer result channels, one per
-	// param group, reused every step (each is drained before the step ends,
-	// so reuse never observes a stale value). pendingScr is the matching
-	// slice scratch. Engine steps are serial, so neither needs locking.
-	stepChs    []chan error
-	pendingScr []chan error
+	// states is the optimizer state pipeline (opt.StatePipeline): every
+	// group update of a training step streams through its read-ahead → Adam
+	// → write-behind stages, and GradMode only decides when the step
+	// goroutine submits to it and waits on it. nil under the inline-sync test
+	// oracle. serialized collects the groups a Serialized step updates after
+	// backward; accumScale is the gradient-averaging factor of the step in
+	// progress; one backs TrainStep's single micro-batch. optErr latches the
+	// first failed optimizer update: the stored state no longer matches any
+	// step, so further steps are refused until a checkpoint is restored.
+	states     *opt.StatePipeline
+	serialized []nn.ParamGroup
+	accumScale float32
+	one        [1]Batch
+	optErr     error
 
-	// Optimizer scheduling (see opt/schedule_async.go). pref is the
-	// readiness-ordered state prefetcher (ScheduleReadiness, nil otherwise);
-	// applier and the per-group deferred slots implement the
-	// importance-partitioned async mode (ScheduleAsync, nil otherwise). The
-	// partition fields are owned by the step goroutine: asyncImportant names
-	// the groups updating in-step under the current partition, asyncNorms
-	// collects this step's gradient norms, and asyncRouted reports whether a
-	// partition has been committed yet (before that, everything is sync).
-	pref           *opt.StatePrefetcher
-	applier        *opt.AsyncApplier
+	// Async optimizer scheduling (OptSchedule == ScheduleAsync, nil/zero
+	// otherwise): the per-group deferred slots and the importance partition.
+	// The partition fields are owned by the step goroutine: asyncImportant
+	// names the groups updating in-step under the current partition,
+	// asyncNorms collects this step's gradient norms, and asyncRouted reports
+	// whether a partition has been committed yet (before that, every group
+	// updates in-step).
 	deferreds      []*opt.DeferredUpdate
 	deferredByName map[string]*opt.DeferredUpdate
 	asyncImportant map[string]bool
@@ -257,7 +266,7 @@ type Engine struct {
 	deferredGroupsN int
 	deferredBytesN  int64
 	stalenessPeakN  int
-	prefLaunchedN   int
+	submittedN      int
 	// Per-step read-ahead telemetry: backward waits on fetches that missed
 	// their deadline. Owned by the step goroutine; the adaptive depth
 	// controller's raise signal.
@@ -331,9 +340,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	ncfg.Devices = cfg.Devices
 	ncfg.Dir = cfg.Dir
-	if cfg.Sched {
-		ncfg.Sched = true
-	}
+	// Duplex priority lanes always: reads never queue behind writes.
+	ncfg.Sched = !cfg.oracleFCFS
 	if cfg.SchedClasses != "" {
 		order, err := nvme.ParseClassOrder(cfg.SchedClasses)
 		if err != nil {
@@ -406,18 +414,21 @@ func New(cfg Config) (*Engine, error) {
 			return nil, errors.Join(err, a.Close())
 		}
 	}
-	if cfg.OptSchedule != opt.ScheduleSync {
-		if cfg.DynamicLossScale {
-			err := fmt.Errorf("engine: %v optimizer scheduling is incompatible with dynamic loss scaling (a skipped step cannot be unwound from the schedule)", cfg.OptSchedule)
-			return nil, errors.Join(err, a.Close())
-		}
-		if cfg.DelayedUpdate {
-			err := fmt.Errorf("engine: %v optimizer scheduling is incompatible with the delayed update (both reschedule the same updates)", cfg.OptSchedule)
-			return nil, errors.Join(err, a.Close())
-		}
-	}
 	switch cfg.OptSchedule {
-	case opt.ScheduleSync, opt.ScheduleReadiness, opt.ScheduleAsync:
+	case opt.ScheduleStreaming:
+	case opt.ScheduleAsync:
+		var err error
+		switch {
+		case cfg.DynamicLossScale:
+			err = fmt.Errorf("engine: async optimizer scheduling is incompatible with dynamic loss scaling (a skipped step cannot be unwound from the schedule)")
+		case cfg.DelayedUpdate:
+			err = fmt.Errorf("engine: async optimizer scheduling is incompatible with the delayed update (both reschedule the same updates)")
+		case cfg.oracleInlineOpt:
+			err = fmt.Errorf("engine: async optimizer scheduling needs the state pipeline")
+		}
+		if err != nil {
+			return nil, errors.Join(err, a.Close())
+		}
 	default:
 		err := fmt.Errorf("engine: unknown optimizer schedule %v", cfg.OptSchedule)
 		return nil, errors.Join(err, a.Close())
@@ -456,28 +467,14 @@ func New(cfg Config) (*Engine, error) {
 			return nil, errors.Join(err, a.Close())
 		}
 	}
-	// Background goroutines (writers, state prefetcher, async applier)
+	// Background goroutines (offload writers, optimizer state pipeline)
 	// start last so no construction-error path has to stop them: every
 	// earlier failure closes just the array.
-	switch cfg.OptSchedule {
-	case opt.ScheduleReadiness:
-		// The prefetch window reuses the activation pipeline depth (min 1 —
-		// even the synchronous-activation configuration gets one read of
-		// overlap).
-		pdepth := e.depth
-		if pdepth < 1 {
-			pdepth = 1
-		}
-		e.pref = opt.NewStatePrefetcher(e.optimizer, pdepth, len(e.groups))
-		for _, g := range e.groups {
-			e.pref.Register(g)
-		}
-	case opt.ScheduleAsync:
+	if cfg.OptSchedule == opt.ScheduleAsync {
 		// Every group gets a preallocated deferred slot: the importance
 		// partition shifts over training, so sizing for the current tail
 		// would re-allocate (and blow the steady-state alloc budget) on
 		// every partition change.
-		e.applier = opt.NewAsyncApplier(e.optimizer, len(e.groups))
 		e.deferreds = make([]*opt.DeferredUpdate, 0, len(e.groups))
 		e.deferredByName = make(map[string]*opt.DeferredUpdate, len(e.groups))
 		e.asyncImportant = make(map[string]bool, len(e.groups))
@@ -488,6 +485,16 @@ func New(cfg Config) (*Engine, error) {
 			e.deferredByName[g.Name] = d
 			e.asyncNorms[g.Name] = 0
 		}
+	}
+	e.serialized = make([]nn.ParamGroup, 0, len(e.groups))
+	if !cfg.oracleInlineOpt {
+		// The state window reuses the activation pipeline depth (min 1 — the
+		// synchronous-activation configuration streams one group at a time).
+		window := e.depth
+		if window < 1 {
+			window = 1
+		}
+		e.states = opt.NewStatePipeline(e.optimizer, window, e.groups)
 	}
 	if e.depth > 0 {
 		// One writer serializes a depth-1 window exactly like the old inline
@@ -518,14 +525,12 @@ func (e *Engine) currentScale() float64 {
 // LossScale reports the active loss scale (for tests and telemetry).
 func (e *Engine) LossScale() float64 { return e.currentScale() }
 
-// Close stops the offload pipeline's writer goroutines, the optimizer
-// scheduling goroutines (state prefetcher / async applier), and releases
-// the NVMe array. Call FlushAsync first when the pending deferred updates'
-// results matter.
+// Close stops the offload pipeline's writer goroutines and the optimizer
+// state pipeline, and releases the NVMe array. Call FlushAsync first when
+// the pending deferred updates' results matter.
 func (e *Engine) Close() error {
 	e.pipe.close()
-	e.pref.Close()
-	e.applier.Close()
+	e.states.Close()
 	return e.array.Close()
 }
 
@@ -551,159 +556,15 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// gradJob hands one parameter group's gradients to the optimizer pipeline.
-type gradJob struct {
-	group nn.ParamGroup
-	errCh chan error
-}
-
 // TrainStep runs one synchronous training iteration and returns the loss.
 // Regardless of GradMode, the parameters after TrainStep are identical —
 // active gradient offloading changes when updates run, not what they
 // compute (no staleness, §IV-C).
 func (e *Engine) TrainStep(tokens, targets [][]int) (float64, error) {
-	m := e.model
-	m.ZeroGrads()
-	e.pipe.resetStepCounters()
-	e.resetOptSchedCounters()
-	if !e.cfg.DelayedUpdate {
-		if err := e.beginStep(); err != nil {
-			return 0, err
-		}
-	}
-	stepStart := time.Now()
-	stepSp := e.tracer.StartSpan(obs.LaneStep, labelStep)
-	defer stepSp.End()
-
-	groups := e.groups // embedding, block0..N-1, head
-
-	// Optimizer pipeline for the Optimized mode: handlers run on a worker
-	// goroutine, overlapping the remaining backward computation. Naive
-	// runs handlers inline (strictly serialized per tensor); Serialized
-	// defers them all past backward.
-	var (
-		jobs     chan gradJob
-		pending  []chan error
-		deferred []nn.ParamGroup
-		workerWG sync.WaitGroup
-	)
-	if e.cfg.GradMode == agoffload.Optimized {
-		jobs = make(chan gradJob, len(groups))
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for j := range jobs {
-				j.errCh <- e.updateGroup(j.group)
-			}
-		}()
-	}
-	pending = e.pendingScr[:0]
-	defer func() { e.pendingScr = pending[:0] }()
-	submit := func(g nn.ParamGroup) error {
-		if e.cfg.DelayedUpdate {
-			return nil // handled after backward, one step late
-		}
-		if e.applier != nil {
-			if handled, err := e.maybeDefer(g); handled || err != nil {
-				return err
-			}
-		}
-		e.launchPrefetch(g)
-		switch e.cfg.GradMode {
-		case agoffload.Optimized:
-			errCh := e.stepCh(len(pending))
-			jobs <- gradJob{group: g, errCh: errCh}
-			pending = append(pending, errCh)
-			return nil
-		case agoffload.Naive:
-			return e.updateGroup(g)
-		default:
-			deferred = append(deferred, g)
-			return nil
-		}
-	}
-	finish := func() error {
-		if jobs != nil {
-			close(jobs)
-			workerWG.Wait()
-			for _, ch := range pending {
-				if err := <-ch; err != nil {
-					return err
-				}
-			}
-		}
-		// Dynamic loss scaling: every gradient is resident now (serialized
-		// mode); skip the whole update on overflow.
-		if e.scaler != nil && gradsOverflow(deferred) {
-			e.scaler.OnOverflow()
-			if err := e.optimizer.CancelStep(); err != nil {
-				return err
-			}
-			e.mu.Lock()
-			e.stats.SkippedSteps++
-			e.mu.Unlock()
-			deferred = nil
-			return nil
-		}
-		for _, g := range deferred {
-			if err := e.updateGroup(g); err != nil {
-				return err
-			}
-		}
-		if e.scaler != nil {
-			e.scaler.OnGoodStep()
-		}
-		return nil
-	}
-	fail := func(err error) (float64, error) {
-		// Don't apply a partial serialized update for a failed step; the
-		// already-submitted Optimized handlers are drained either way, and
-		// so are any abandoned readiness prefetches.
-		deferred = nil
-		ferr := finish()
-		if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-			ferr = derr
-		}
-		if ferr != nil {
-			return 0, fmt.Errorf("%w (and optimizer drain failed: %v)", err, ferr)
-		}
-		return 0, err
-	}
-
-	loss, fwdDur, bwdDur, err := e.runBatch(tokens, targets, groups, submit)
-	if err != nil {
-		return fail(err)
-	}
-
-	drainStart := time.Now()
-	ferr := finish()
-	if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-		ferr = derr
-	}
-	if ferr != nil {
-		return 0, ferr
-	}
-	if e.cfg.DelayedUpdate {
-		if err := e.applyDelayed(groups); err != nil {
-			return 0, err
-		}
-	}
-	e.refreshPartition()
-	drain := time.Since(drainStart)
-	e.mu.Lock()
-	e.stats.Steps++
-	e.mu.Unlock()
-	e.noteStep(fwdDur, bwdDur, drain, time.Since(stepStart), countTokens(tokens))
-	return loss, nil
-}
-
-// stepCh returns the i'th reusable optimizer result channel, growing the
-// set on first use.
-func (e *Engine) stepCh(i int) chan error {
-	for len(e.stepChs) <= i {
-		e.stepChs = append(e.stepChs, make(chan error, 1))
-	}
-	return e.stepChs[i]
+	e.one[0] = Batch{Tokens: tokens, Targets: targets}
+	loss, err := e.trainStep(e.one[:])
+	e.one[0] = Batch{}
+	return loss, err
 }
 
 // countTokens sums the sequence lengths of one batch.
@@ -736,28 +597,44 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 	if e.scaler != nil {
 		return 0, fmt.Errorf("engine: gradient accumulation with dynamic loss scaling is unsupported (use a static LossScale)")
 	}
-	if e.applier != nil {
+	if e.deferreds != nil {
 		return 0, fmt.Errorf("engine: gradient accumulation with async optimizer scheduling is unsupported")
 	}
-	m := e.model
-	m.ZeroGrads()
+	return e.trainStep(micro)
+}
+
+// trainStep is one optimizer step over micro (TrainStep is the one-batch
+// case): every micro-batch runs forward and backward, and the last one's
+// backward hands each completed group to the optimizer per GradMode.
+func (e *Engine) trainStep(micro []Batch) (float64, error) {
+	if e.optErr != nil {
+		return 0, fmt.Errorf("engine: optimizer state is inconsistent after a failed update (restore a checkpoint to continue): %w", e.optErr)
+	}
+	e.model.ZeroGrads()
 	e.pipe.resetStepCounters()
 	e.resetOptSchedCounters()
-	if err := e.beginStep(); err != nil {
-		return 0, err
+	if !e.cfg.DelayedUpdate {
+		if err := e.beginStep(); err != nil {
+			return 0, err
+		}
 	}
 	stepStart := time.Now()
 	stepSp := e.tracer.StartSpan(obs.LaneStep, labelStep)
 	defer stepSp.End()
-	groups := e.groups
 
+	e.accumScale = float32(1) / float32(len(micro))
 	var totalLoss float64
 	var fwdTotal, bwdTotal time.Duration
 	tokenCount := 0
-	noop := func(nn.ParamGroup) error { return nil }
-	for _, b := range micro[:len(micro)-1] {
-		loss, fwdDur, bwdDur, err := e.runBatch(b.Tokens, b.Targets, groups, noop)
+	for i, b := range micro {
+		loss, fwdDur, bwdDur, err := e.runBatch(b.Tokens, b.Targets, i == len(micro)-1)
 		if err != nil {
+			// Don't apply a partial serialized update for a failed step; the
+			// updates already streaming are joined either way.
+			e.serialized = e.serialized[:0]
+			if werr := e.waitStates(); werr != nil {
+				return 0, fmt.Errorf("%w (and optimizer drain failed: %v)", err, werr)
+			}
 			return 0, err
 		}
 		totalLoss += loss
@@ -766,93 +643,116 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 		tokenCount += countTokens(b.Tokens)
 	}
 
-	// Final micro-batch: hand each completed group to the optimizer with
-	// its gradients averaged over the micro-batches.
-	var (
-		jobs     chan gradJob
-		pending  []chan error
-		deferred []nn.ParamGroup
-		workerWG sync.WaitGroup
-	)
-	if e.cfg.GradMode == agoffload.Optimized {
-		jobs = make(chan gradJob, len(groups))
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for j := range jobs {
-				j.errCh <- e.updateGroup(j.group)
-			}
-		}()
-	}
-	pending = e.pendingScr[:0]
-	defer func() { e.pendingScr = pending[:0] }()
-	scale := float32(1) / float32(len(micro))
-	submit := func(g nn.ParamGroup) error {
-		for _, p := range g.Params {
-			p.G.Scale(scale)
-		}
-		e.launchPrefetch(g)
-		switch e.cfg.GradMode {
-		case agoffload.Optimized:
-			errCh := e.stepCh(len(pending))
-			jobs <- gradJob{group: g, errCh: errCh}
-			pending = append(pending, errCh)
-			return nil
-		case agoffload.Naive:
-			return e.updateGroup(g)
-		default:
-			deferred = append(deferred, g)
-			return nil
-		}
-	}
-	finish := func() error {
-		if jobs != nil {
-			close(jobs)
-			workerWG.Wait()
-			for _, ch := range pending {
-				if err := <-ch; err != nil {
-					return err
-				}
-			}
-		}
-		for _, g := range deferred {
-			if err := e.updateGroup(g); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	last := micro[len(micro)-1]
-	loss, fwdDur, bwdDur, err := e.runBatch(last.Tokens, last.Targets, groups, submit)
-	if err != nil {
-		ferr := finish()
-		if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-			ferr = derr
-		}
-		if ferr != nil {
-			return 0, fmt.Errorf("%w (and optimizer drain failed: %v)", err, ferr)
-		}
+	drainStart := time.Now()
+	if err := e.finishStep(); err != nil {
 		return 0, err
 	}
-	totalLoss += loss
-	fwdTotal += fwdDur
-	bwdTotal += bwdDur
-	tokenCount += countTokens(last.Tokens)
-	drainStart := time.Now()
-	ferr := finish()
-	if derr := e.pref.DrainLive(); derr != nil && ferr == nil {
-		ferr = derr
+	if e.cfg.DelayedUpdate {
+		if err := e.applyDelayed(e.groups); err != nil {
+			return 0, err
+		}
 	}
-	if ferr != nil {
-		return 0, ferr
-	}
+	e.refreshPartition()
 	drain := time.Since(drainStart)
 	e.mu.Lock()
 	e.stats.Steps++
 	e.mu.Unlock()
 	e.noteStep(fwdTotal, bwdTotal, drain, time.Since(stepStart), tokenCount)
 	return totalLoss / float64(len(micro)), nil
+}
+
+// gradsReady hands one group's completed gradients (averaged over the
+// step's micro-batches) to the optimizer. GradMode decides only when the
+// update is submitted to the state pipeline and when it is waited for:
+// Optimized submits now and waits at the end of the step, Naive submits and
+// waits here, Serialized holds the group back until finishStep.
+func (e *Engine) gradsReady(g nn.ParamGroup) error {
+	if e.cfg.DelayedUpdate {
+		return nil // handled after backward, one step late
+	}
+	if e.accumScale != 1 {
+		for _, p := range g.Params {
+			p.G.Scale(e.accumScale)
+		}
+	}
+	if e.deferreds != nil {
+		if handled, err := e.maybeDefer(g); handled || err != nil {
+			return err
+		}
+	}
+	switch e.cfg.GradMode {
+	case agoffload.Optimized:
+		return e.submitUpdate(g)
+	case agoffload.Naive:
+		if err := e.submitUpdate(g); err != nil {
+			return err
+		}
+		return e.waitStates()
+	default:
+		e.serialized = append(e.serialized, g)
+		return nil
+	}
+}
+
+// submitUpdate starts g's optimizer update on the state pipeline; under the
+// inline-sync oracle it runs the whole update here instead.
+func (e *Engine) submitUpdate(g nn.ParamGroup) error {
+	if e.states == nil {
+		return e.optFailed(e.optimizer.UpdateGroup(g))
+	}
+	e.submittedN++
+	return e.states.Submit(g)
+}
+
+// waitStates is the optimizer half of the step barrier: every submitted
+// update, its write included, is joined.
+func (e *Engine) waitStates() error {
+	if e.states == nil {
+		return nil
+	}
+	return e.optFailed(e.states.Wait())
+}
+
+// optFailed latches the first optimizer-update failure (see optErr).
+func (e *Engine) optFailed(err error) error {
+	if err != nil && e.optErr == nil {
+		e.optErr = err
+	}
+	return err
+}
+
+// finishStep drains the optimizer after backward: it joins the updates
+// already streaming, then — Serialized mode — validates the gradients
+// (dynamic loss scaling skips the whole update on overflow) and streams the
+// held-back groups through the same pipeline.
+func (e *Engine) finishStep() error {
+	if err := e.waitStates(); err != nil {
+		return err
+	}
+	held := e.serialized
+	e.serialized = e.serialized[:0]
+	if e.scaler != nil && gradsOverflow(held) {
+		e.scaler.OnOverflow()
+		if err := e.optimizer.CancelStep(); err != nil {
+			return err
+		}
+		e.mu.Lock()
+		e.stats.SkippedSteps++
+		e.mu.Unlock()
+		return nil
+	}
+	for _, g := range held {
+		if err := e.submitUpdate(g); err != nil {
+			return errors.Join(err, e.waitStates())
+		}
+	}
+	if err := e.waitStates(); err != nil {
+		return err
+	}
+	if e.scaler != nil {
+		e.scaler.OnGoodStep()
+	}
+	return nil
 }
 
 // beginStep advances the optimizer, applies the learning-rate schedule and
@@ -869,30 +769,10 @@ func (e *Engine) beginStep() error {
 		// error to keep the hot path clean.
 		_ = e.optimizer.SetGradScale(s)
 	}
-	if e.applier != nil {
+	if e.deferreds != nil {
 		return e.stalenessBarrier()
 	}
 	return nil
-}
-
-// updateGroup routes one group's synchronous update through the readiness
-// prefetcher when that schedule is enabled; otherwise it hits the optimizer
-// directly, exactly as before.
-func (e *Engine) updateGroup(g nn.ParamGroup) error {
-	if e.pref != nil {
-		return e.pref.UpdateGroup(g)
-	}
-	return e.optimizer.UpdateGroup(g)
-}
-
-// launchPrefetch issues the group's readiness-ordered state read the moment
-// its gradient lands in backward. No-op outside readiness scheduling.
-func (e *Engine) launchPrefetch(g nn.ParamGroup) {
-	if e.pref == nil {
-		return
-	}
-	e.pref.Launch(g.Name)
-	e.prefLaunchedN++
 }
 
 // resetOptSchedCounters clears the per-step scheduling telemetry.
@@ -900,15 +780,15 @@ func (e *Engine) resetOptSchedCounters() {
 	e.deferredGroupsN = 0
 	e.deferredBytesN = 0
 	e.stalenessPeakN = 0
-	e.prefLaunchedN = 0
+	e.submittedN = 0
 	e.fetchStallsN = 0
 	e.fetchStallWaitN = 0
 }
 
 // maybeDefer routes a group under async scheduling: important groups (and
 // every group until the first partition is computed) fall through to the
-// synchronous path, unimportant groups are staged and handed to the
-// background applier. Returns handled=true when the group was deferred.
+// in-step path, unimportant groups are staged and queued behind them on the
+// state pipeline. Returns handled=true when the group was deferred.
 // Either way the group's previous deferred apply is joined first, so a slot
 // is never reused (or raced by a sync update) while in flight.
 func (e *Engine) maybeDefer(g nn.ParamGroup) (bool, error) {
@@ -916,7 +796,7 @@ func (e *Engine) maybeDefer(g nn.ParamGroup) (bool, error) {
 		e.asyncNorms[g.Name] = gradNorm(g)
 	}
 	d := e.deferredByName[g.Name]
-	if err := d.Wait(); err != nil {
+	if err := e.optFailed(d.Wait()); err != nil {
 		return true, err
 	}
 	if !e.asyncRouted || e.asyncImportant[g.Name] {
@@ -925,7 +805,7 @@ func (e *Engine) maybeDefer(g nn.ParamGroup) (bool, error) {
 	if err := e.optimizer.StageDeferred(d, g); err != nil {
 		return true, err
 	}
-	e.applier.Submit(d)
+	e.states.SubmitDeferred(d)
 	e.deferredGroupsN++
 	e.deferredBytesN += d.DeferredBytes()
 	return true, nil
@@ -956,7 +836,7 @@ func gradNorm(g nn.ParamGroup) float64 {
 // sampled this step. Called at the end of a successful TrainStep so the new
 // partition routes the *next* step's gradients.
 func (e *Engine) refreshPartition() {
-	if e.applier == nil || !e.importanceDue() {
+	if e.deferreds == nil || !e.importanceDue() {
 		return
 	}
 	for name := range e.asyncImportant {
@@ -980,10 +860,10 @@ func (e *Engine) refreshPartition() {
 
 // stalenessBarrier enforces MaxStaleness at the top of step t: any deferred
 // update staged at step d with t-d > MaxStaleness is force-joined. Younger
-// updates are deliberately NOT installed early even when the applier has
+// updates are deliberately NOT installed early even when the pipeline has
 // finished — installs happen only at this fixed lag (or when the group is
 // re-staged), so the trajectory depends on step arithmetic alone, never on
-// applier timing, and training stays bit-reproducible across thread counts
+// pipeline timing, and training stays bit-reproducible across thread counts
 // and reruns. The post-barrier peak staleness (≤ MaxStaleness by
 // construction) is recorded for telemetry.
 func (e *Engine) stalenessBarrier() error {
@@ -995,7 +875,7 @@ func (e *Engine) stalenessBarrier() error {
 		}
 		age := t - d.Step()
 		if age > e.maxStaleness {
-			if err := d.Wait(); err != nil {
+			if err := e.optFailed(d.Wait()); err != nil {
 				return err
 			}
 			continue
@@ -1012,25 +892,23 @@ func (e *Engine) stalenessBarrier() error {
 // their results. It is a no-op outside async scheduling; checkpointing and
 // weight export call it so persisted state reflects all staged gradients.
 func (e *Engine) FlushAsync() error {
-	if e.applier == nil {
-		return nil
-	}
 	var joined error
 	for _, d := range e.deferreds {
-		if err := d.Wait(); err != nil {
+		if err := e.optFailed(d.Wait()); err != nil {
 			joined = errors.Join(joined, err)
 		}
 	}
 	return joined
 }
 
-// runBatch executes one forward/backward pass, accumulating gradients and
-// handing each completed group to submit in gradient-arrival order. The
-// returned durations are the forward and backward stage wall times.
-func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submit func(nn.ParamGroup) error) (loss float64, fwdDur, bwdDur time.Duration, err error) {
+// runBatch executes one forward/backward pass, accumulating gradients.
+// When apply is set (the step's last micro-batch) each completed group is
+// handed to the optimizer in gradient-arrival order. The returned durations
+// are the forward and backward stage wall times.
+func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fwdDur, bwdDur time.Duration, err error) {
 	m := e.model
-	m.NextStep() // fresh dropout masks; recomputation below replays them
-	groupOf := func(block int) nn.ParamGroup { return groups[block+1] }
+	m.NextStep()       // fresh dropout masks; recomputation below replays them
+	groups := e.groups // embedding, block0..N-1, head
 	fail := func(err error) (float64, time.Duration, time.Duration, error) {
 		// The step barrier holds on failure too: join every in-flight
 		// write-behind offload (each returns its slot token and releases its
@@ -1200,8 +1078,10 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 	dh.RoundFP16InPlace()
 	// The head group's gradients are complete: its handler fires first
 	// (gradients arrive with decreasing block index, §IV-C).
-	if err := submit(groups[len(groups)-1]); err != nil {
-		return fail(err)
+	if apply {
+		if err := e.gradsReady(groups[len(groups)-1]); err != nil {
+			return fail(err)
+		}
 	}
 
 	// Pipelined data transfer (the Ratel_hook prefetching of Fig. 4),
@@ -1332,8 +1212,10 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 		}
 		dx.RoundFP16InPlace()
 		dh = dx
-		if err := submit(groupOf(i)); err != nil {
-			return fail(err)
+		if apply {
+			if err := e.gradsReady(groups[i+1]); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	sp = tr.StartSpan(obs.LaneCompute, labelEmbedBwd)
@@ -1342,8 +1224,10 @@ func (e *Engine) runBatch(tokens, targets [][]int, groups []nn.ParamGroup, submi
 	if err != nil {
 		return fail(err)
 	}
-	if err := submit(groups[0]); err != nil {
-		return fail(err)
+	if apply {
+		if err := e.gradsReady(groups[0]); err != nil {
+			return fail(err)
+		}
 	}
 	bwdDur = time.Since(bwdStart)
 	tr.Instant(obs.LaneStep, labelBwdEnd)

@@ -13,9 +13,11 @@ import (
 // state streaming (BENCH_optimizer.json): a wide-ish model over a short
 // sequence, everything recomputed so the only SSD traffic is the 26 B/param
 // state round-trip, on a Table III-shaped throttled array (same 1/200
-// scaling argument as BENCH_overlap.json). The synchronous optimized
-// schedule serializes each group's read->adam->write on the handler worker;
-// the variants move that state traffic off the critical path.
+// scaling argument as BENCH_overlap.json). The inline-sync oracle
+// serializes each group's read->adam->write on the step goroutine at
+// gradient arrival; the streaming pipeline overlaps the three stages with
+// each other and with backward, and async moves the tail's state traffic
+// off the step altogether.
 func optimizerBenchConfig(mut func(*Config)) Config {
 	cfg := Config{
 		Model:    nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 21},
@@ -32,16 +34,17 @@ func optimizerBenchConfig(mut func(*Config)) Config {
 }
 
 // BenchmarkTrainStepOptSchedule compares the optimizer scheduling modes on
-// the state-streaming-bound step: sync (the baseline drain), readiness
-// (state reads issued at gradient arrival, bit-identical), and async at two
-// staleness bounds (tail partition deferred to the background applier).
+// the state-streaming-bound step: sync (the inline-sync test oracle, the
+// baseline drain), streaming (the production state pipeline, bit-identical
+// to it), and async at two staleness bounds (tail partition deferred behind
+// the in-step groups on the same pipeline).
 func BenchmarkTrainStepOptSchedule(b *testing.B) {
 	variants := []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"sync", func(c *Config) {}},
-		{"readiness", func(c *Config) { c.OptSchedule = opt.ScheduleReadiness }},
+		{"sync", func(c *Config) { c.oracleInlineOpt = true }},
+		{"streaming", func(c *Config) {}},
 		{"async-s1", func(c *Config) {
 			c.OptSchedule = opt.ScheduleAsync
 			c.AsyncTopK = 2
@@ -85,7 +88,7 @@ func BenchmarkTrainStepOptSchedule(b *testing.B) {
 }
 
 // TestOptimizerBenchValues pins the benchmark's comparability claim: on the
-// throttled bench config, the readiness variant follows the sync variant's
+// throttled bench config, the streaming variant follows the sync oracle's
 // trajectory bit-for-bit, and the async variants respect their staleness
 // bounds.
 func TestOptimizerBenchValues(t *testing.T) {
@@ -109,11 +112,11 @@ func TestOptimizerBenchValues(t *testing.T) {
 		}
 		return losses, e
 	}
-	syncLoss, _ := run(func(c *Config) {})
-	readyLoss, _ := run(func(c *Config) { c.OptSchedule = opt.ScheduleReadiness })
+	syncLoss, _ := run(func(c *Config) { c.oracleInlineOpt = true })
+	streamLoss, _ := run(func(c *Config) {})
 	for i := range syncLoss {
-		if syncLoss[i] != readyLoss[i] {
-			t.Fatalf("readiness loss[%d] = %v differs from sync %v", i, readyLoss[i], syncLoss[i])
+		if syncLoss[i] != streamLoss[i] {
+			t.Fatalf("streaming loss[%d] = %v differs from sync %v", i, streamLoss[i], syncLoss[i])
 		}
 	}
 	for _, s := range []int{1, 2} {

@@ -4,17 +4,45 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"ratel/internal/agoffload"
+	"ratel/internal/nn"
 	"ratel/internal/opt"
 )
 
-// TestReadinessBitIdenticalMatrix is the readiness mode's exactness claim:
+// inlineOracle is the reference every bit-identity matrix compares the
+// streaming state pipeline against: a Serialized optimizer stage whose
+// group updates run one at a time as synchronous UpdateGroup calls on the
+// step goroutine, over the FCFS single-lane array.
+func inlineOracle(cfg Config) Config {
+	cfg.GradMode = agoffload.Serialized
+	cfg.oracleInlineOpt = true
+	cfg.oracleFCFS = true
+	return cfg
+}
+
+func sameTrajectory(t *testing.T, what string, refLoss, loss []float64, refSnap, snap []float32) {
+	t.Helper()
+	for i := range refLoss {
+		if refLoss[i] != loss[i] {
+			t.Fatalf("%s: loss[%d] = %v, oracle %v", what, i, loss[i], refLoss[i])
+		}
+	}
+	for i := range refSnap {
+		if refSnap[i] != snap[i] {
+			t.Fatalf("%s: parameter %d differs from the oracle", what, i)
+		}
+	}
+}
+
+// TestReadinessBitIdenticalMatrix is the state pipeline's exactness claim:
 // for every gradient-offloading schedule and a mixed swap tier, training
-// with readiness-ordered state reads is bit-identical to the synchronous
-// optimizer schedule — same losses, same parameters, only the fetch timing
-// differs.
+// with state read ahead at gradient arrival and written behind is
+// bit-identical to the Serialized inline-sync oracle — same losses, same
+// parameters, only the timing of the state I/O differs.
 func TestReadinessBitIdenticalMatrix(t *testing.T) {
 	cases := []struct {
 		name string
@@ -28,30 +56,95 @@ func TestReadinessBitIdenticalMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sync := newEngine(t, tc.cfg)
-			syncLoss := trainK(t, sync, 4)
-			syncSnap := paramsSnapshot(sync.Model())
-
-			rcfg := tc.cfg
-			rcfg.OptSchedule = opt.ScheduleReadiness
-			ready := newEngine(t, rcfg)
-			readyLoss := trainK(t, ready, 4)
-			readySnap := paramsSnapshot(ready.Model())
-
-			for i := range syncLoss {
-				if syncLoss[i] != readyLoss[i] {
-					t.Fatalf("loss[%d]: sync %v vs readiness %v", i, syncLoss[i], readyLoss[i])
-				}
+			oracle := newEngine(t, inlineOracle(tc.cfg))
+			refLoss := trainK(t, oracle, 4)
+			if oracle.states != nil {
+				t.Fatal("inline-sync oracle built a state pipeline")
 			}
-			for i := range syncSnap {
-				if syncSnap[i] != readySnap[i] {
-					t.Fatalf("parameter %d differs under readiness scheduling", i)
-				}
-			}
-			if m := ready.LastStepMetrics(); m.PrefetchedReads == 0 {
-				t.Error("readiness mode issued no prefetched state reads")
+
+			piped := newEngine(t, tc.cfg)
+			loss := trainK(t, piped, 4)
+			sameTrajectory(t, tc.name, refLoss, loss, paramsSnapshot(oracle.Model()), paramsSnapshot(piped.Model()))
+			if m := piped.LastStepMetrics(); m.PrefetchedReads != len(piped.groups) {
+				t.Errorf("pipeline read ahead %d groups' state in the last step, want %d", m.PrefetchedReads, len(piped.groups))
 			}
 		})
+	}
+}
+
+// TestStreamingBitIdentityMatrix extends the claim over the activation
+// tiers, both step entry points and both array modes, and through a
+// checkpoint: {all-SSD, mixed, recompute-only} × {TrainStep,
+// TrainStepAccum} × {FCFS oracle lanes, duplex lanes}, each compared with
+// the inline-sync oracle step for step and then saved, loaded into a fresh
+// engine and continued.
+func TestStreamingBitIdentityMatrix(t *testing.T) {
+	tiers := []struct {
+		name string
+		swap map[int]Tier
+	}{
+		{"all-ssd", map[int]Tier{0: SwapSSD, 1: SwapSSD, 2: SwapSSD}},
+		{"mixed", map[int]Tier{0: SwapSSD, 1: SwapHost}},
+		{"recompute", nil},
+	}
+	const steps, resumeAt = 4, 2
+	for _, tier := range tiers {
+		for _, accum := range []bool{false, true} {
+			step := func(e *Engine, s int) float64 {
+				t.Helper()
+				var loss float64
+				var err error
+				tokens, targets := data(e.cfg.Model, int64(s))
+				if accum {
+					t2, g2 := data(e.cfg.Model, int64(100+s))
+					loss, err = e.TrainStepAccum([]Batch{{Tokens: tokens, Targets: targets}, {Tokens: t2, Targets: g2}})
+				} else {
+					loss, err = e.TrainStep(tokens, targets)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return loss
+			}
+			base := Config{GradMode: agoffload.Optimized, Swap: tier.swap}
+			oracle := newEngine(t, inlineOracle(base))
+			var refLoss []float64
+			for s := 0; s < steps; s++ {
+				refLoss = append(refLoss, step(oracle, s))
+			}
+			refSnap := paramsSnapshot(oracle.Model())
+
+			for _, fcfs := range []bool{true, false} {
+				name := tier.name + map[bool]string{false: "/step", true: "/accum"}[accum] +
+					map[bool]string{false: "/duplex", true: "/fcfs"}[fcfs]
+				t.Run(name, func(t *testing.T) {
+					cfg := base
+					cfg.oracleFCFS = fcfs
+					e := newEngine(t, cfg)
+					var loss []float64
+					var ckpt bytes.Buffer
+					for s := 0; s < steps; s++ {
+						if s == resumeAt {
+							if err := e.SaveCheckpoint(&ckpt); err != nil {
+								t.Fatal(err)
+							}
+						}
+						loss = append(loss, step(e, s))
+					}
+					sameTrajectory(t, name, refLoss, loss, refSnap, paramsSnapshot(e.Model()))
+
+					resumed := newEngine(t, cfg)
+					if err := resumed.LoadCheckpoint(&ckpt); err != nil {
+						t.Fatal(err)
+					}
+					loss = loss[:resumeAt]
+					for s := resumeAt; s < steps; s++ {
+						loss = append(loss, step(resumed, s))
+					}
+					sameTrajectory(t, name+" resumed", refLoss, loss, refSnap, paramsSnapshot(resumed.Model()))
+				})
+			}
+		}
 	}
 }
 
@@ -116,9 +209,9 @@ func TestAsyncStalenessBound(t *testing.T) {
 	}
 }
 
-// TestAsyncApplierFaultSurfaces: a device failure hit by the background
-// applier's state stream must surface as a training (or flush) error, not
-// vanish into the background goroutine.
+// TestAsyncApplierFaultSurfaces: a device failure hit by a deferred
+// update's state stream must surface as a training (or flush) error, not
+// vanish into the pipeline's goroutines.
 func TestAsyncApplierFaultSurfaces(t *testing.T) {
 	e := newEngine(t, Config{GradMode: agoffload.Optimized,
 		OptSchedule: opt.ScheduleAsync, AsyncTopK: 1, MaxStaleness: 1})
@@ -147,6 +240,160 @@ func TestAsyncApplierFaultSurfaces(t *testing.T) {
 	}
 	for d := 0; d < 3; d++ {
 		e.Array().InjectFault(d, nil)
+	}
+}
+
+// TestStatePipelineFaultPerStage lands an injected device fault in each
+// stage of the optimizer state pipeline — the first group's read-ahead, its
+// write-behind, and mid-window with later groups' state already read — and
+// checks the unhappy path end to end: the step returns the device error, no
+// wire buffer stays out of the pool, the engine refuses to train on the
+// half-updated state until a checkpoint is restored, the restored run
+// continues bit-identically to one that never faulted, and Close leaves no
+// goroutine behind.
+func TestStatePipelineFaultPerStage(t *testing.T) {
+	// One device and recompute-only tiers: the step's only chunk operations
+	// are the optimizer's, all on device 0 and — untimed and small — inline
+	// on the issuing goroutine, so the countdown is exact. Serialized mode
+	// submits the groups in order after backward: head first.
+	base := Config{GradMode: agoffload.Serialized, Devices: 1}
+	chunks := func(g nn.ParamGroup) int { return (12*g.NumParams() + 4095) / 4096 }
+	cases := []struct {
+		name  string
+		depth int
+		after func(groups []nn.ParamGroup) int // chunk ops that succeed first
+	}{
+		// Window 1 runs one group's read → Adam → write at a time.
+		{"read-ahead", 1, func([]nn.ParamGroup) int { return 0 }},
+		{"write-behind", 1, func(gs []nn.ParamGroup) int { return chunks(gs[len(gs)-1]) }},
+		// Window 3: the head's whole round trip and the next group's read
+		// succeed; the fault lands while up to three groups are in flight.
+		{"mid-window", 3, func(gs []nn.ParamGroup) int {
+			return 2*chunks(gs[len(gs)-1]) + chunks(gs[len(gs)-2]) + 1
+		}},
+	}
+	const warm = 2
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			cfg := base
+			cfg.Model = miniConfig()
+			cfg.PipelineDepth = tc.depth
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trainK(t, e, warm)
+			var ckpt bytes.Buffer
+			if err := e.SaveCheckpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			saved := ckpt.Bytes()
+
+			boom := errors.New("media failure")
+			tokens, targets := data(cfg.Model, warm)
+			e.Array().InjectFaultAfter(0, tc.after(e.groups), boom)
+			if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
+				t.Fatalf("TrainStep with a %s fault = %v, want %v", tc.name, err, boom)
+			}
+			if now, peak := e.states.Buffered(); now != 0 || peak > tc.depth {
+				t.Fatalf("after the failed step %d wire buffers are still out (peak %d, window %d)", now, peak, tc.depth)
+			}
+			e.Array().InjectFault(0, nil)
+			if _, err := e.TrainStep(tokens, targets); err == nil || !errors.Is(err, boom) {
+				t.Fatalf("TrainStep on half-updated optimizer state = %v, want a refusal naming the fault", err)
+			}
+
+			// Restoring a checkpoint makes the state whole again; from there
+			// the run matches one that never faulted.
+			if err := e.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
+				t.Fatal(err)
+			}
+			clean := newEngine(t, cfg)
+			if err := clean.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
+				t.Fatal(err)
+			}
+			var loss, refLoss []float64
+			for s := warm; s < warm+2; s++ {
+				tokens, targets := data(cfg.Model, int64(s))
+				l, err := e.TrainStep(tokens, targets)
+				if err != nil {
+					t.Fatalf("TrainStep after restore: %v", err)
+				}
+				r, err := clean.TrainStep(tokens, targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loss, refLoss = append(loss, l), append(refLoss, r)
+			}
+			sameTrajectory(t, tc.name, refLoss, loss, paramsSnapshot(clean.Model()), paramsSnapshot(e.Model()))
+
+			if err := clean.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; runtime.NumGoroutine() > baseline; i++ {
+				if i > 1000 {
+					t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestStatePipelineWindowBound: whatever the gradient schedule, at most
+// window (= pipeline depth) groups' optimizer state is buffered at once.
+func TestStatePipelineWindowBound(t *testing.T) {
+	for _, depth := range []int{1, 2, 3} {
+		for _, mode := range []agoffload.Mode{agoffload.Serialized, agoffload.Optimized} {
+			e := newEngine(t, Config{GradMode: mode, PipelineDepth: depth,
+				Swap: map[int]Tier{0: SwapSSD, 2: SwapSSD}})
+			trainK(t, e, 3)
+			now, peak := e.states.Buffered()
+			if now != 0 || peak < 1 || peak > depth {
+				t.Fatalf("%v depth %d: %d buffers held after the step, peak %d", mode, depth, now, peak)
+			}
+		}
+	}
+}
+
+// TestStatePipelineAddsNoAllocs: a steady-state step through the state
+// pipeline allocates no more than the same step under the inline-sync
+// oracle — the pipeline has no per-step channel, goroutine or closure.
+// Exact and machine-independent; make test-procs reruns it at GOMAXPROCS
+// 1, 2 and 4.
+func TestStatePipelineAddsNoAllocs(t *testing.T) {
+	allocs := func(cfg Config, accum bool) float64 {
+		e := newEngine(t, cfg)
+		tokens, targets := data(e.cfg.Model, 1)
+		step := func() {
+			var err error
+			if accum {
+				_, err = e.TrainStepAccum([]Batch{{Tokens: tokens, Targets: targets}, {Tokens: tokens, Targets: targets}})
+			} else {
+				_, err = e.TrainStep(tokens, targets)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		return testing.AllocsPerRun(5, step)
+	}
+	for _, accum := range []bool{false, true} {
+		base := Config{GradMode: agoffload.Optimized}
+		oracle := base
+		oracle.oracleInlineOpt = true
+		piped, inline := allocs(base, accum), allocs(oracle, accum)
+		t.Logf("accum=%v GOMAXPROCS=%d: pipeline %.0f allocs/step, inline oracle %.0f", accum, runtime.GOMAXPROCS(0), piped, inline)
+		if piped > inline {
+			t.Fatalf("accum=%v: the state pipeline allocates %.0f/step, the inline oracle %.0f", accum, piped, inline)
+		}
 	}
 }
 
@@ -183,7 +430,8 @@ func TestAsyncCheckpointFlushes(t *testing.T) {
 func TestOptScheduleConfigErrors(t *testing.T) {
 	bad := []Config{
 		{GradMode: agoffload.Serialized, OptSchedule: opt.ScheduleAsync, DynamicLossScale: true, LossScale: 1024},
-		{GradMode: agoffload.Optimized, OptSchedule: opt.ScheduleReadiness, DelayedUpdate: true},
+		{GradMode: agoffload.Optimized, OptSchedule: opt.ScheduleAsync, DelayedUpdate: true},
+		{GradMode: agoffload.Optimized, OptSchedule: opt.ScheduleAsync, oracleInlineOpt: true},
 		{GradMode: agoffload.Optimized, OptSchedule: opt.ScheduleMode(99)},
 	}
 	for i, cfg := range bad {
@@ -196,17 +444,19 @@ func TestOptScheduleConfigErrors(t *testing.T) {
 	}
 }
 
-// TestOptSchedSteadyStateAllocs extends the zero-allocation pin to the new
-// schedules: after warm-up both readiness and async TrainSteps must stay
-// under the same budget as the synchronous path.
+// TestOptSchedSteadyStateAllocs extends the zero-allocation pin to the
+// optimizer schedules: after warm-up a step whose updates stream through
+// the state pipeline ("readiness": state read ahead at gradient arrival),
+// and an async one, stay under the budget — the pipeline adds no per-step
+// channel, goroutine or closure. make test-procs reruns it at GOMAXPROCS 1,
+// 2 and 4.
 func TestOptSchedSteadyStateAllocs(t *testing.T) {
 	modes := []struct {
 		name string
 		cfg  Config
 	}{
 		{"readiness", Config{GradMode: agoffload.Optimized,
-			Swap:        map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD},
-			OptSchedule: opt.ScheduleReadiness}},
+			Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}}},
 		{"async", Config{GradMode: agoffload.Optimized,
 			Swap:        map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD},
 			OptSchedule: opt.ScheduleAsync, AsyncTopK: 2, MaxStaleness: 2}},

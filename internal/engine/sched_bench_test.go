@@ -7,17 +7,17 @@ import (
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
-	"ratel/internal/opt"
 )
 
 // BenchmarkTrainStepSched isolates the transfer scheduler's win on a mixed
 // activation+optimizer trace (BENCH_sched.json): the Table III per-device
-// throttle shape of BenchmarkTrainStepOverlap, but with the readiness
-// optimizer schedule so state reads are issued at gradient arrival — during
-// backward they contend with the activation read-ahead, and the drain's
-// writebacks contend with the write-behind spill. Under FCFS each device
-// serves that mix through one arrival-ordered queue, so a critical fetch
-// queues behind whatever bulk writeback got there first; the scheduler's
+// throttle shape of BenchmarkTrainStepOverlap, with the optimizer's state
+// pipeline issuing state reads at gradient arrival — during backward they
+// contend with the activation read-ahead, and the write-behind of the
+// state contends with the activation spill. The fcfs rows are the test
+// oracle (Config.oracleFCFS): each device serves that mix through one
+// arrival-ordered queue, so a critical fetch queues behind whatever bulk
+// writeback got there first; the production array's
 // duplex lanes dispatch the directions independently (the P5510's
 // 6.5/3.8 GB/s full-duplex shape), priorities keep critical fetches and
 // opt-reads ahead of bulk writes within a lane, and adjacent-stripe
@@ -36,8 +36,7 @@ func schedBenchConfig(mut func(*Config)) Config {
 		Swap: map[int]Tier{
 			0: SwapSSD, 1: SwapSSD, 2: SwapSSD, 3: SwapSSD, 4: SwapSSD, 5: SwapSSD,
 		},
-		Devices:     3,
-		OptSchedule: opt.ScheduleReadiness,
+		Devices: 3,
 		SSD: &nvme.Config{
 			ReadBW:     overlapReadBW,
 			WriteBW:    overlapWriteBW,
@@ -55,11 +54,11 @@ func BenchmarkTrainStepSched(b *testing.B) {
 		name string
 		mut  func(*Config)
 	}{
-		{"fcfs", func(c *Config) {}},
-		{"sched", func(c *Config) { c.Sched = true }},
-		{"fcfs-depth1", func(c *Config) { c.PipelineDepth = 1 }},
-		{"sched-depth1", func(c *Config) { c.Sched = true; c.PipelineDepth = 1 }},
-		{"sched-adaptive", func(c *Config) { c.Sched = true; c.AdaptiveDepth = true }},
+		{"fcfs", func(c *Config) { c.oracleFCFS = true }},
+		{"sched", func(c *Config) {}},
+		{"fcfs-depth1", func(c *Config) { c.oracleFCFS = true; c.PipelineDepth = 1 }},
+		{"sched-depth1", func(c *Config) { c.PipelineDepth = 1 }},
+		{"sched-adaptive", func(c *Config) { c.AdaptiveDepth = true }},
 	}
 	var refLoss float64
 	for _, v := range variants {

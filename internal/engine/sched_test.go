@@ -67,10 +67,13 @@ func TestCacheRoundTripAllocs(t *testing.T) {
 
 // TestSchedBitIdentityMatrix pins the scheduler's exactness claim across
 // the engine's operating modes: for every optimizer schedule and a mixed
-// swap-tier layout, turning the transfer scheduler (and the adaptive depth
-// controller) on must leave the training trajectory bit-identical — the
-// scheduler reorders I/O, never data. Comparisons are within one
-// OptSchedule mode; the async schedule differs from sync by design.
+// swap-tier layout, the duplex priority lanes (under the default and an
+// inverted class order, and with the adaptive depth controller) must leave
+// the training trajectory bit-identical to the FCFS single-lane oracle —
+// the scheduler reorders I/O, never data. "sync" is the inline-sync
+// optimizer oracle and "readiness" the streaming state pipeline, and those
+// two are also held to one trajectory; async differs from them by design
+// and is compared within itself.
 func TestSchedBitIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throttled-array matrix in -short mode")
@@ -91,8 +94,8 @@ func TestSchedBitIdentityMatrix(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"sync", func(c *Config) {}},
-		{"readiness", func(c *Config) { c.OptSchedule = opt.ScheduleReadiness }},
+		{"sync", func(c *Config) { c.oracleInlineOpt = true }},
+		{"readiness", func(c *Config) {}},
 		{"async", func(c *Config) {
 			c.OptSchedule = opt.ScheduleAsync
 			c.AsyncTopK = 2
@@ -103,14 +106,12 @@ func TestSchedBitIdentityMatrix(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"fcfs", func(c *Config) {}},
-		{"sched", func(c *Config) { c.Sched = true }},
+		{"fcfs", func(c *Config) { c.oracleFCFS = true }},
+		{"sched", func(c *Config) {}},
 		{"sched-inverted", func(c *Config) {
-			c.Sched = true
 			c.SchedClasses = "write-behind,writeback,opt-read,fetch"
 		}},
 		{"sched-adaptive", func(c *Config) {
-			c.Sched = true
 			c.AdaptiveDepth = true
 			c.DepthWindow = 1
 		}},
@@ -143,28 +144,34 @@ func TestSchedBitIdentityMatrix(t *testing.T) {
 		}
 		return losses, flat
 	}
+	// One reference per trajectory: "sync" and "readiness" share the exact
+	// one (whichever runs first sets it), async has its own.
+	type trajectory struct {
+		loss []float64
+		flat []float32
+	}
+	refs := map[bool]*trajectory{false: {}, true: {}}
 	for _, sched := range schedules {
 		t.Run(sched.name, func(t *testing.T) {
-			var refLoss []float64
-			var refFlat []float32
+			ref := refs[sched.name == "async"]
 			for _, arr := range arrays {
 				cfg := base
 				sched.mut(&cfg)
 				arr.mut(&cfg)
 				losses, flat := run(cfg)
-				if refLoss == nil {
-					refLoss, refFlat = losses, flat
+				if ref.loss == nil {
+					ref.loss, ref.flat = losses, flat
 					continue
 				}
-				for s := range refLoss {
-					if losses[s] != refLoss[s] {
+				for s := range ref.loss {
+					if losses[s] != ref.loss[s] {
 						t.Fatalf("%s: loss[%d] = %v differs from fcfs %v (scheduler changed values)",
-							arr.name, s, losses[s], refLoss[s])
+							arr.name, s, losses[s], ref.loss[s])
 					}
 				}
-				for i := range refFlat {
-					if flat[i] != refFlat[i] {
-						t.Fatalf("%s: param %d = %v differs from fcfs %v", arr.name, i, flat[i], refFlat[i])
+				for i := range ref.flat {
+					if flat[i] != ref.flat[i] {
+						t.Fatalf("%s: param %d = %v differs from fcfs %v", arr.name, i, flat[i], ref.flat[i])
 					}
 				}
 			}
@@ -185,7 +192,14 @@ func TestAdaptiveDepthConverges(t *testing.T) {
 	}
 	tr := obs.NewTracer(obs.DefaultCapacity)
 	cfg := overlapConfig(func(c *Config) {
-		c.Sched = true
+		// The controller under test governs the activation window only. The
+		// inline-sync optimizer oracle holds the rest of the step at the
+		// shape the 15% verdict threshold below was calibrated on: with the
+		// streaming state pipeline the drain falls from ~53 ms to ~8 ms, the
+		// wall halves, and the same ~8 ms of read-ahead wait on this
+		// read-bandwidth-bound backward sits at 13–15% of it — on the
+		// threshold, whatever the depth.
+		c.oracleInlineOpt = true
 		c.AdaptiveDepth = true // PipelineDepth left 0: adaptive ceiling applies
 		c.Tracer = tr
 	})

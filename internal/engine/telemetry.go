@@ -110,13 +110,13 @@ type StepMetrics struct {
 	// Flow is the step's byte-flow ledger delta: bytes moved per
 	// (edge, purpose) cell during this step (see obs.FlowLedger).
 	Flow obs.FlowSnapshot
-	// Optimizer-scheduling profile (zero under the sync schedule).
-	// DeferredGroups/DeferredBytes count this step's updates handed to the
-	// async applier and the optimizer traffic they moved off the step;
-	// StalenessPeak is the oldest still-pending deferred update (in steps)
-	// observed after the staleness barrier — ≤ MaxStaleness by construction.
-	// PrefetchedReads counts readiness-ordered state reads issued during
-	// backward.
+	// Optimizer-scheduling profile. DeferredGroups/DeferredBytes count this
+	// step's updates deferred under async scheduling and the optimizer
+	// traffic they moved off the step; StalenessPeak is the oldest
+	// still-pending deferred update (in steps) observed after the staleness
+	// barrier — ≤ MaxStaleness by construction. PrefetchedReads counts the
+	// state reads the pipeline's read-ahead stage issued for in-step
+	// updates.
 	DeferredGroups  int
 	DeferredBytes   int64
 	StalenessPeak   int
@@ -188,9 +188,9 @@ type instruments struct {
 	schedWriteBehindWaitMS  *obs.Gauge
 	schedWriteBehindQueuePk *obs.Gauge
 
-	// Optimizer-scheduling health (readiness/async modes): groups and bytes
-	// deferred to the background applier last step, the post-barrier peak
-	// staleness, and the readiness reads issued during backward.
+	// Optimizer-scheduling health: groups and bytes deferred under async
+	// scheduling last step, the post-barrier peak staleness, and the state
+	// reads the pipeline's read-ahead stage issued.
 	optDeferredGroups  *obs.Gauge
 	optDeferredBytes   *obs.Gauge
 	optStalenessPeak   *obs.Gauge
@@ -368,7 +368,7 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	m.DeferredGroups = e.deferredGroupsN
 	m.DeferredBytes = e.deferredBytesN
 	m.StalenessPeak = e.stalenessPeakN
-	m.PrefetchedReads = e.prefLaunchedN
+	m.PrefetchedReads = e.submittedN
 	e.prevKernelParams, e.prevKernelBusy = kp, kb
 
 	// Fold this step's byte flow out of the cumulative ledger; the delta

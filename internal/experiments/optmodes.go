@@ -24,8 +24,9 @@ func init() {
 // optmodesExperiment compares the optimizer scheduling modes twice over:
 // the discrete-event simulator prices a paper-scale iteration under each
 // agoffload schedule (the mode-comparison figure data), and the real mini
-// engine runs the same fine-tune under each OptSchedule to report the
-// exactness matrix — readiness bit-identical to sync, async within
+// engine runs the same fine-tune under a serialized optimizer stage, the
+// default streaming state pipeline, and the async schedule to report the
+// exactness matrix — streaming bit-identical to serialized, async within
 // convergence tolerance at bounded staleness.
 func optmodesExperiment(w io.Writer) error {
 	// ---- Simulated mode comparison (13B on the evaluation server) ----
@@ -75,9 +76,8 @@ func optmodesExperiment(w io.Writer) error {
 		cfg  engine.Config
 	}
 	engVariants := []engVariant{
-		{"sync schedule", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2}},
-		{"readiness schedule", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
-			OptSchedule: opt.ScheduleReadiness}},
+		{"serialized optimizer stage", engine.Config{Model: modelCfg, GradMode: agoffload.Serialized, Devices: 2}},
+		{"streaming pipeline (default)", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2}},
 		{"async top-2, staleness 1", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
 			OptSchedule: opt.ScheduleAsync, AsyncTopK: 2, MaxStaleness: 1}},
 		{"async top-2, staleness 3", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
@@ -133,12 +133,12 @@ func optmodesExperiment(w io.Writer) error {
 		}
 		switch {
 		case diff == 0:
-			fmt.Fprintln(w, "  == bit-identical to sync")
+			fmt.Fprintln(w, "  == bit-identical to serialized")
 		default:
 			fmt.Fprintf(w, "  != %d/%d params differ, loss drift %+.2f%% (bounded staleness)\n",
 				diff, len(flat), 100*(last-refLoss)/math.Abs(refLoss))
 		}
 	}
-	fmt.Fprintf(w, "\nreadiness reorders state reads only (same updates, earlier fetches): bit-exact.\nasync defers the unimportant partition at most MaxStaleness steps: small, bounded drift.\n")
+	fmt.Fprintf(w, "\nthe streaming pipeline moves when state is read and written (read-ahead, write-behind), never what an update computes: bit-exact.\nasync defers the unimportant partition at most MaxStaleness steps: small, bounded drift.\n")
 	return nil
 }

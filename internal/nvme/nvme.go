@@ -65,10 +65,11 @@ type Config struct {
 	// Sched enables the priority-aware transfer scheduler: duplex per-device
 	// queues (reads dispatch independently of writes), class-priority
 	// dequeue with anti-starvation aging, and coalescing of adjacent stripe
-	// submissions. Off, devices run a single FCFS queue — arrival order,
-	// reads behind writes — which is the contention baseline the scheduler
-	// exists to beat. Either way transfers complete before the API call
-	// returns, so stored data is identical in both modes.
+	// submissions. The training engine always sets it. Off, devices run a
+	// single FCFS queue — arrival order, reads behind writes — the
+	// contention baseline tests compare against. Either way transfers
+	// complete before the API call returns, so stored data is identical in
+	// both modes.
 	Sched bool
 	// SchedOrder, when non-nil, overrides the dequeue priority (must name
 	// every class exactly once; see ParseClassOrder). Default:
@@ -910,12 +911,19 @@ type memBackend struct {
 	data []byte
 }
 
+// ensure extends the device to n bytes, growing the backing array
+// geometrically so a run of fresh chunk allocations costs amortized O(1)
+// copies rather than one whole-device copy per chunk.
 func (m *memBackend) ensure(n int64) {
-	if int64(len(m.data)) < n {
-		grown := make([]byte, n)
+	if int64(len(m.data)) >= n {
+		return
+	}
+	if int64(cap(m.data)) < n {
+		grown := make([]byte, len(m.data), max(n, 2*int64(cap(m.data))))
 		copy(grown, m.data)
 		m.data = grown
 	}
+	m.data = m.data[:n]
 }
 
 func (m *memBackend) ReadAt(p []byte, off int64) error {

@@ -14,13 +14,14 @@ import (
 // Transfer scheduler: every throttled object transfer is split into one item
 // per device stride and enqueued on that device's I/O lane, where a
 // persistent dispatcher goroutine (started at Open, joined at Close) drains
-// items one at a time. With Config.Sched off the device has a single lane
-// and the dispatcher serves items strictly in arrival order — the FCFS
-// baseline, where a critical-path fetch queues behind bulk write-behind.
-// With Sched on, each device has two lanes (reads and writes dispatch
-// independently, matching the P5510's full-duplex 6.5/3.8 GB/s shape) and
-// each lane dequeues by priority class with an anti-starvation aging bound,
-// coalescing adjacent stripe chunks into one throttled submission.
+// items one at a time. With Config.Sched on — the engine always sets it —
+// each device has two lanes (reads and writes dispatch independently,
+// matching the P5510's full-duplex 6.5/3.8 GB/s shape) and each lane
+// dequeues by priority class with an anti-starvation aging bound,
+// coalescing adjacent stripe chunks into one throttled submission. With it
+// off the device has a single lane served strictly in arrival order — FCFS,
+// where a critical-path fetch queues behind bulk write-behind: the baseline
+// this package's tests and the engine's test oracle compare against.
 //
 // The scheduler reorders only the *timing* of I/O, never its data: a
 // transfer still completes before Put/Get/ReadInto returns, chunk buffers
@@ -415,7 +416,7 @@ func (a *Array) runItem(ln *ioLane, it *schedItem) {
 	wait := int64(time.Since(it.enq))
 	sc.waitNS.Add(wait)
 	foldMax(&sc.maxWaitNS, wait)
-	x.done(a.runStride(ln, x, it.w))
+	x.done(a.runStride(ln, it))
 }
 
 // runStride moves the chunks of one phase-stride class (indexes congruent
@@ -425,7 +426,8 @@ func (a *Array) runItem(ln *ioLane, it *schedItem) {
 // them out) are coalesced into one throttled submission: the bandwidth
 // charge is the run's byte sum but the per-op access latency is paid once,
 // the way a single larger NVMe command would.
-func (a *Array) runStride(ln *ioLane, x *xfer, w int) error {
+func (a *Array) runStride(ln *ioLane, it *schedItem) error {
+	x, w := it.x, it.w
 	obj, buf, write := x.obj, x.buf, x.write
 	dev := obj.chunks[w].dev
 	devSpan := x.tr.StartSpan(x.lane, a.devLabels[dev])
@@ -442,19 +444,19 @@ func (a *Array) runStride(ln *ioLane, x *xfer, w int) error {
 		}
 		devBytes += int64(c.n)
 		if !a.schedOn {
-			a.throttleLane(ln, c.n, x.bw, 1)
+			a.throttleLane(ln, it.enq, c.n, x.bw)
 			continue
 		}
 		if runOps > 0 && c.off == runEndOff && runOps < coalesceMax {
 			runBytes += c.n
 			runOps++
 		} else {
-			a.flushRun(ln, x, runBytes, runOps)
+			a.flushRun(ln, it, runBytes, runOps)
 			runBytes, runOps = c.n, 1
 		}
 		runEndOff = c.off + int64(stripe)
 	}
-	a.flushRun(ln, x, runBytes, runOps)
+	a.flushRun(ln, it, runBytes, runOps)
 	a.statMu.Lock()
 	a.perDevBytes[dev] += devBytes
 	a.statMu.Unlock()
@@ -462,35 +464,41 @@ func (a *Array) runStride(ln *ioLane, x *xfer, w int) error {
 }
 
 // flushRun submits one coalesced run to the lane throttle.
-func (a *Array) flushRun(ln *ioLane, x *xfer, runBytes, runOps int) {
+func (a *Array) flushRun(ln *ioLane, it *schedItem, runBytes, runOps int) {
 	if runOps == 0 {
 		return
 	}
-	a.throttleLane(ln, runBytes, x.bw, 1)
+	a.throttleLane(ln, it.enq, runBytes, it.x.bw)
 	if runOps > 1 {
-		a.sched[x.class].coalesced.Add(int64(runOps - 1))
+		a.sched[it.x.class].coalesced.Add(int64(runOps - 1))
 	}
 }
 
-// throttleLane sleeps so the lane sustains at most bw, plus ops per-op
-// access latencies. The sub-nanosecond remainder of each charge is carried
-// forward (ln.carry), so streams of tiny or sub-microsecond transfers pay
-// their true cost instead of rounding down to free. Dispatcher-owned state;
-// no locking.
-func (a *Array) throttleLane(ln *ioLane, n int, bw units.BytesPerSecond, ops int) {
+// throttleLane charges one submission of n bytes (one per-op access
+// latency) to the lane and sleeps until the lane's modeled busy interval
+// ends. The charge starts where the lane became free, or when the item was
+// enqueued if that is later — never at the dispatcher's wake-up: a sleep
+// that overshoots (timer granularity, or a compute kernel holding the one
+// P) leaves the slot in the past, and the backlog behind it is then charged
+// without sleeping until the lane has caught up. A backlogged lane so
+// sustains the configured bandwidth whatever the timer does, and never
+// exceeds it: N transfers queued at time t never finish before
+// t + bytes/bw + N·OpLatency. The sub-nanosecond remainder of each charge
+// is carried forward (ln.carry), so streams of tiny transfers pay their true
+// cost instead of rounding down to free. Dispatcher-owned state; no locking.
+func (a *Array) throttleLane(ln *ioLane, enq time.Time, n int, bw units.BytesPerSecond) {
 	lat := a.cfg.OpLatency
 	if bw <= 0 && lat <= 0 {
 		return
 	}
-	total := ln.carry + units.TransferNanos(units.Bytes(n), bw) + float64(lat)*float64(ops)
+	total := ln.carry + units.TransferNanos(units.Bytes(n), bw) + float64(lat)
 	dur := time.Duration(total)
 	ln.carry = total - float64(dur)
-	now := time.Now()
-	if ln.slot.Before(now) {
-		ln.slot = now
+	if ln.slot.Before(enq) {
+		ln.slot = enq
 	}
 	ln.slot = ln.slot.Add(dur)
-	if wait := ln.slot.Sub(now); wait > 0 {
+	if wait := time.Until(ln.slot); wait > 0 {
 		time.Sleep(wait)
 	}
 }

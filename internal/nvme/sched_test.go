@@ -29,8 +29,8 @@ func TestParseClassOrder(t *testing.T) {
 		t.Fatalf("empty order: %v, %v", got, err)
 	}
 	for _, bad := range []string{
-		"fetch",                                    // too few
-		"fetch,fetch,writeback,write-behind",       // duplicate
+		"fetch",                              // too few
+		"fetch,fetch,writeback,write-behind", // duplicate
 		"fetch,opt-read,writeback,activation-dump", // unknown name
 	} {
 		if _, err := ParseClassOrder(bad); err == nil {
@@ -290,7 +290,7 @@ func TestThrottleLaneSubMicrosecondCarry(t *testing.T) {
 	a := &Array{cfg: Config{}}
 	ln := newIOLane()
 	charge := func() {
-		a.throttleLane(ln, 1, units.BytesPerSecond(3_000_000_000), 0)
+		a.throttleLane(ln, time.Time{}, 1, units.BytesPerSecond(3_000_000_000))
 		if ln.carry < 0 || ln.carry >= 1 {
 			t.Fatalf("carry %v out of [0,1)", ln.carry)
 		}
@@ -309,6 +309,85 @@ func TestThrottleLaneSubMicrosecondCarry(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		charge()
+	}
+}
+
+// queuedReads writes n objects of size bytes on a one-device array, then
+// reads them all at once from n goroutines — a backlogged read lane — and
+// returns the time from just before the first read was issued until the
+// last one returned.
+func queuedReads(t *testing.T, cfg Config, n, size int) time.Duration {
+	t.Helper()
+	cfg.Devices = 1
+	cfg.StripeSize = size
+	a, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	keys := make([]string, n)
+	bufs := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("obj%d", i)
+		bufs[i] = make([]byte, size)
+		if err := a.Put(keys[i], bufs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = a.ReadIntoClass(keys[i], bufs[i], ClassOptRead)
+		}(i)
+	}
+	wg.Wait()
+	el := time.Since(start)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return el
+}
+
+// TestThrottleNeverExceedsConfigured is the one-sided, exact half of the
+// pacing rule: N transfers queued at time t never all finish before
+// t + bytes/bw + N·OpLatency, however the lane catches up after a late
+// wake-up. Holds on the FCFS lane and on the duplex lanes.
+func TestThrottleNeverExceedsConfigured(t *testing.T) {
+	const n, size = 16, 16 << 10
+	const bw, lat = units.BytesPerSecond(64 << 20), 200 * time.Microsecond
+	floor := time.Duration(units.TransferNanos(units.Bytes(n*size), bw)) + n*lat
+	for _, sched := range []bool{false, true} {
+		for rep := 0; rep < 3; rep++ {
+			if el := queuedReads(t, Config{Sched: sched, ReadBW: bw, OpLatency: lat}, n, size); el < floor {
+				t.Fatalf("sched=%v: %d queued reads finished in %v, before the modeled floor %v", sched, n, el, floor)
+			}
+		}
+	}
+}
+
+// TestThrottleBackloggedLaneSustainsBandwidth is the loose other half: a
+// backlogged lane of 16 KiB items sustains at least 0.7× the configured
+// bandwidth. Each item is ~0.8 ms of modeled time, about what one
+// time.Sleep overshoots by on a busy host; a throttle that restarts the
+// busy interval at every wake-up loses that much per item and lands near
+// half the configured rate.
+func TestThrottleBackloggedLaneSustainsBandwidth(t *testing.T) {
+	const n, size = 48, 16 << 10
+	const bw = units.BytesPerSecond(20 << 20)
+	ideal := time.Duration(units.TransferNanos(units.Bytes(n*size), bw))
+	for _, sched := range []bool{false, true} {
+		el := queuedReads(t, Config{Sched: sched, ReadBW: bw}, n, size)
+		t.Logf("sched=%v: %d×%d B in %v (ideal %v, %.2f× configured)", sched, n, size, el, ideal, float64(ideal)/float64(el))
+		if float64(ideal) < 0.7*float64(el) {
+			t.Fatalf("sched=%v: backlogged lane sustained %.2f× the configured bandwidth, want >= 0.7×",
+				sched, float64(ideal)/float64(el))
+		}
 	}
 }
 

@@ -158,6 +158,10 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 // OutOfCoreAdam keeps fp32 master weights and Adam moments in a Store and
 // updates one parameter group at a time — the paper's CPU optimizer
 // operating on model states homed on NVMe.
+//
+// A group's state is ONE store object, P32 | M | V back to back as raw
+// little-endian fp32 (12 bytes per parameter), so a group update is one
+// striped read and one striped write rather than three of each.
 type OutOfCoreAdam struct {
 	cfg       AdamConfig
 	store     Store
@@ -172,27 +176,22 @@ type OutOfCoreAdam struct {
 	tracer     *obs.Tracer       // optional: records per-chunk Adam spans
 	flows      *obs.FlowLedger   // optional: per-edge/purpose byte accounting
 	adamLabels map[string]string // group -> "group/opt-adam", precomputed
-	keys       map[string]groupKeys
+	keys       map[string]string // group -> state object key, precomputed
 
-	// scr is the UpdateGroup scratch: state and gradient staging plus the
-	// byte codec buffer, sized to the largest group seen and reused for the
-	// optimizer's lifetime. scrMu serializes UpdateGroup — the engine's
-	// pipeline runs group updates on one worker, so the lock is uncontended
-	// and exists only to keep concurrent misuse safe.
+	// scr is the update scratch: decoded state and gradient staging plus the
+	// wire buffer of the synchronous paths, sized to the largest group seen
+	// and reused for the optimizer's lifetime. scrMu serializes its users —
+	// UpdateGroup, the state pipeline's Adam stage and the checkpoint paths
+	// never overlap in the engine, so the lock is uncontended and exists
+	// only to keep concurrent misuse safe.
 	scrMu sync.Mutex
 	scr   struct {
 		p32, m, v, grad []float32
-		enc             []byte
+		wire            []byte
 	}
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
 	kernelNanos  atomic.Int64 // wall-clock spent inside the Adam kernel
-}
-
-// groupKeys are a group's precomputed store keys (the hot path must not
-// Sprintf per transfer).
-type groupKeys struct {
-	p32, m, v string
 }
 
 // KernelStats reports cumulative CPU-optimizer kernel work: parameters
@@ -204,14 +203,14 @@ func (o *OutOfCoreAdam) KernelStats() (params int64, busy time.Duration) {
 	return o.kernelParams.Load(), time.Duration(o.kernelNanos.Load())
 }
 
-// SetTracer installs a wall-clock span tracer: every UpdateGroup records
+// SetTracer installs a wall-clock span tracer: every group update records
 // one span per parameter group (the paper's per-tensor optimizer chunk) on
 // obs.LaneAdam around the Adam kernel, named after the simulator's
 // "<group>/opt-adam" task labels so measured and simulated timelines join
 // by name. Call before training starts.
 func (o *OutOfCoreAdam) SetTracer(tr *obs.Tracer) { o.tracer = tr }
 
-// SetFlowLedger installs a byte-flow ledger: every UpdateGroup credits
+// SetFlowLedger installs a byte-flow ledger: every group update credits
 // its gradient staging (fp16 wire bytes, compute→host), its fp16
 // parameter install (host→compute), and the fp32 codec traffic of the
 // state stream (3 tensors each way). The host↔NVMe bytes themselves are
@@ -221,7 +220,7 @@ func (o *OutOfCoreAdam) SetTracer(tr *obs.Tracer) { o.tracer = tr }
 func (o *OutOfCoreAdam) SetFlowLedger(l *obs.FlowLedger) { o.flows = l }
 
 // adamLabel returns the group's precomputed span label (built at InitGroup
-// so the UpdateGroup hot path never concatenates).
+// so the update hot path never concatenates).
 func (o *OutOfCoreAdam) adamLabel(group string) string {
 	if l, ok := o.adamLabels[group]; ok {
 		return l
@@ -255,26 +254,36 @@ func NewOutOfCoreAdam(store Store, cfg AdamConfig, prefix string) *OutOfCoreAdam
 // Step reports the number of completed optimizer steps.
 func (o *OutOfCoreAdam) Step() int { return o.step }
 
-func (o *OutOfCoreAdam) key(group, kind string) string {
-	return o.prefix + "/" + group + "/" + kind
-}
-
-// groupKeysFor returns the group's precomputed keys, building and caching
-// them on first use.
-func (o *OutOfCoreAdam) groupKeysFor(group string) groupKeys {
-	if ks, ok := o.keys[group]; ok {
-		return ks
+// stateKey returns the group's store key, building and caching it on first
+// use (the hot path must not concatenate per transfer).
+func (o *OutOfCoreAdam) stateKey(group string) string {
+	if k, ok := o.keys[group]; ok {
+		return k
 	}
 	if o.keys == nil {
-		o.keys = make(map[string]groupKeys)
+		o.keys = make(map[string]string)
 	}
-	ks := groupKeys{
-		p32: o.key(group, "p32"),
-		m:   o.key(group, "m"),
-		v:   o.key(group, "v"),
+	k := o.prefix + "/" + group + "/state"
+	o.keys[group] = k
+	return k
+}
+
+// wireBytes is the size of a group's state object: three fp32 tensors.
+func wireBytes(n int) int { return 12 * n }
+
+// scratch sizes the decoded-state scratch for an n-parameter group. Caller
+// holds scrMu.
+func (o *OutOfCoreAdam) scratch(n int) (p32, m, v []float32) {
+	return scrF32(&o.scr.p32, n), scrF32(&o.scr.m, n), scrF32(&o.scr.v, n)
+}
+
+// scratchWire returns the synchronous paths' wire buffer, sized to an
+// n-parameter group. Caller holds scrMu.
+func (o *OutOfCoreAdam) scratchWire(n int) []byte {
+	if nb := wireBytes(n); cap(o.scr.wire) < nb {
+		o.scr.wire = make([]byte, nb)
 	}
-	o.keys[group] = ks
-	return ks
+	return o.scr.wire[:wireBytes(n)]
 }
 
 // InitGroup seeds the store with the group's fp32 masters (from the current
@@ -288,30 +297,23 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 		o.adamLabels = make(map[string]string)
 	}
 	o.adamLabels[g.Name] = g.Name + "/opt-adam"
-	ks := o.groupKeysFor(g.Name) // precompute store keys off the hot path
+	key := o.stateKey(g.Name) // precompute the store key off the hot path
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	n := g.NumParams()
-	flat := scrF32(&o.scr.p32, n)
+	p32, m, v := o.scratch(n)
 	off := 0
 	for _, p := range g.Params {
-		off += copy(flat[off:], p.W.Data)
+		off += copy(p32[off:], p.W.Data)
 	}
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
+	for i := range m {
+		m[i], v[i] = 0, 0
 	}
-	buf := o.scr.enc[:4*n]
-	if err := o.saveFP32(buf, ks.p32, flat); err != nil {
+	wire := o.scratchWire(n)
+	if err := encodeState(wire, p32, m, v); err != nil {
 		return fmt.Errorf("opt: init %s: %w", g.Name, err)
 	}
-	zero := scrF32(&o.scr.m, n)
-	for i := range zero {
-		zero[i] = 0
-	}
-	if err := o.saveFP32(buf, ks.m, zero); err != nil {
-		return fmt.Errorf("opt: init %s: %w", g.Name, err)
-	}
-	if err := o.saveFP32(buf, ks.v, zero); err != nil {
+	if err := o.writeState(key, wire); err != nil {
 		return fmt.Errorf("opt: init %s: %w", g.Name, err)
 	}
 	for _, p := range g.Params {
@@ -324,85 +326,53 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 // iteration before the group updates.
 func (o *OutOfCoreAdam) BeginStep() { o.step++ }
 
-// StateWire is one group's optimizer state in wire form: the raw
-// little-endian fp32 bytes of the masters and both Adam moments, exactly as
-// the store holds them (4*NumParams bytes each). The readiness-ordered
-// prefetcher fills one from the store ahead of the update and the optimizer
-// decodes it through the same codec path a direct load uses, so a prefetched
-// update is bit-identical to a synchronous one.
-type StateWire struct {
-	P32, M, V []byte
-}
-
-// UpdateGroup is the active-gradient-offloading handler body: it consumes
-// the group's gradients (rounded to fp16, as they arrive over PCIe),
-// streams P32+OS32 in from the store, applies Adam, streams the updated
-// state back, and installs the new fp16 working weights.
+// UpdateGroup is the active-gradient-offloading handler body as one
+// synchronous call on the caller's goroutine: it consumes the group's
+// gradients (rounded to fp16, as they arrive over PCIe), reads P32+OS32
+// from the store, applies Adam, writes the updated state back, and installs
+// the new fp16 working weights. The engine's training path streams the same
+// three stages through a StatePipeline instead; the values are identical.
 func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
-	return o.applyGroup(g, nil)
-}
-
-// UpdateGroupWire is UpdateGroup consuming state the readiness prefetcher
-// already read: wire holds the group's raw store bytes, so the only
-// difference from UpdateGroup is *when* the store read happened — the
-// decoded values, and therefore the update, are bit-identical.
-func (o *OutOfCoreAdam) UpdateGroupWire(g nn.ParamGroup, wire *StateWire) error {
-	return o.applyGroup(g, wire)
-}
-
-// applyGroup runs one group update. wire, when non-nil, supplies the state
-// bytes (prefetched); nil streams them from the store inline.
-func (o *OutOfCoreAdam) applyGroup(g nn.ParamGroup, wire *StateWire) error {
 	if o.step < 1 {
 		return fmt.Errorf("opt: UpdateGroup(%s) before BeginStep", g.Name)
 	}
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	ks := o.groupKeysFor(g.Name)
 	n := g.NumParams()
-	p32 := scrF32(&o.scr.p32, n)
-	m := scrF32(&o.scr.m, n)
-	v := scrF32(&o.scr.v, n)
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
+	key := o.stateKey(g.Name)
+	wire := o.scratchWire(n)
+	if err := o.readState(key, wire, g.Name); err != nil {
+		return err
 	}
-	buf := o.scr.enc[:4*n]
-	if wire != nil {
-		if err := decodeWire(wire.P32, p32, g.Name, "p32"); err != nil {
-			return err
-		}
-		if err := decodeWire(wire.M, m, g.Name, "m"); err != nil {
-			return err
-		}
-		if err := decodeWire(wire.V, v, g.Name, "v"); err != nil {
-			return err
-		}
-	} else {
-		if err := o.loadFP32Into(p32, buf, ks.p32, g.Name, "p32"); err != nil {
-			return err
-		}
-		if err := o.loadFP32Into(m, buf, ks.m, g.Name, "m"); err != nil {
-			return err
-		}
-		if err := o.loadFP32Into(v, buf, ks.v, g.Name, "v"); err != nil {
-			return err
-		}
+	grad := scrF32(&o.scr.grad, n)
+	if err := o.stageGrads(grad, g); err != nil {
+		return err
 	}
-	// Three fp32 state tensors decoded from their wire form (P32, M, V).
-	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(3*4*n))
+	p32, err := o.adamWire(wire, o.cfg, o.step, grad, g.Name, o.adamLabel(g.Name))
+	if err != nil {
+		return err
+	}
+	if err := o.writeState(key, wire); err != nil {
+		return err
+	}
+	return o.installP16(g, p32)
+}
 
+// stageGrads fills dst with the group's gradients as the optimizer consumes
+// them: rounded to fp16 (G16, the form they cross PCIe in), unscaled in
+// fp32, and clipped to the per-group norm.
+func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup) error {
 	inv := 1.0
 	if o.gradScale > 0 {
 		inv = 1 / o.gradScale
 	}
-	grad := scrF32(&o.scr.grad, n)
 	idx := 0
 	for _, p := range g.Params {
 		if inv == 1 {
 			// G16 boundary, unscaled: stage through the chunked fp16
 			// round kernel (vectorized where available, bit-identical to
 			// the scalar path per element).
-			if err := tensor.RoundFP16Into(grad[idx:idx+len(p.G.Data)], p.G.Data); err != nil {
+			if err := tensor.RoundFP16Into(dst[idx:idx+len(p.G.Data)], p.G.Data); err != nil {
 				return fmt.Errorf("opt: stage grad %s: %w", g.Name, err)
 			}
 			idx += len(p.G.Data)
@@ -413,46 +383,61 @@ func (o *OutOfCoreAdam) applyGroup(g nn.ParamGroup, wire *StateWire) error {
 			// magnitude), then unscale in fp32. The unscale multiply is
 			// float64 — a float32 vector multiply would change bits, so
 			// the scaled path stays scalar.
-			grad[idx] = float32(float64(tensor.RoundFP16(gv)) * inv)
+			dst[idx] = float32(float64(tensor.RoundFP16(gv)) * inv)
 			idx++
 		}
 	}
 	// Gradients crossed the compute→host boundary in fp16 (G16).
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*n))
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*len(dst)))
 	if o.clipNorm > 0 {
 		var sq float64
-		for _, gv := range grad {
+		for _, gv := range dst {
 			sq += float64(gv) * float64(gv)
 		}
 		if norm := math.Sqrt(sq); norm > o.clipNorm {
 			scale := float32(o.clipNorm / norm)
-			for i := range grad {
-				grad[i] *= scale
+			for i := range dst {
+				dst[i] *= scale
 			}
 		}
 	}
-	sp := o.tracer.StartSpan(obs.LaneAdam, o.adamLabel(g.Name))
+	return nil
+}
+
+// adamWire is the compute stage of a group update on state in wire form:
+// decode P32|M|V from wire into the scratch, apply Adam at (cfg, step) with
+// grad, and re-encode in place. It returns the scratch slice holding the
+// new masters, valid until the next scratch user, for the caller's fp16
+// install. Caller holds scrMu.
+func (o *OutOfCoreAdam) adamWire(wire []byte, cfg AdamConfig, step int, grad []float32, group, label string) ([]float32, error) {
+	n := len(grad)
+	p32, m, v := o.scratch(n)
+	if err := decodeState(wire, p32, m, v); err != nil {
+		return nil, fmt.Errorf("opt: decode %s: %w", group, err)
+	}
+	// Three fp32 state tensors decoded from their wire form (P32, M, V).
+	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(wireBytes(n)))
+	sp := o.tracer.StartSpan(obs.LaneAdam, label)
 	kernelStart := time.Now()
-	if err := AdamStep(o.cfg, o.step, p32, m, v, grad); err != nil {
-		sp.End()
-		return fmt.Errorf("opt: update %s: %w", g.Name, err)
-	}
+	err := AdamStep(cfg, step, p32, m, v, grad)
 	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
-	o.kernelParams.Add(int64(n))
 	sp.End()
-	if err := o.saveFP32(buf, ks.p32, p32); err != nil {
-		return err
+	if err != nil {
+		return nil, fmt.Errorf("opt: update %s: %w", group, err)
 	}
-	if err := o.saveFP32(buf, ks.m, m); err != nil {
-		return err
-	}
-	if err := o.saveFP32(buf, ks.v, v); err != nil {
-		return err
+	o.kernelParams.Add(int64(n))
+	if err := encodeState(wire, p32, m, v); err != nil {
+		return nil, fmt.Errorf("opt: encode %s: %w", group, err)
 	}
 	// Three fp32 state tensors re-encoded to their wire form.
-	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(3*4*n))
-	// Install P16 = fp16(P32) working copies through the chunked round
-	// kernel (bit-identical to the scalar loop per element).
+	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(wireBytes(n)))
+	return p32, nil
+}
+
+// installP16 writes P16 = fp16(P32) into the group's working tensors
+// through the chunked round kernel (bit-identical to the scalar loop per
+// element).
+func (o *OutOfCoreAdam) installP16(g nn.ParamGroup, p32 []float32) error {
 	off := 0
 	for _, p := range g.Params {
 		if err := tensor.RoundFP16Into(p.W.Data, p32[off:off+len(p.W.Data)]); err != nil {
@@ -461,7 +446,7 @@ func (o *OutOfCoreAdam) applyGroup(g nn.ParamGroup, wire *StateWire) error {
 		off += len(p.W.Data)
 	}
 	// Fresh fp16 working weights cross back to the compute tier.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*n))
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*off))
 	return nil
 }
 
@@ -475,59 +460,75 @@ func scrF32(s *[]float32, n int) []float32 {
 	return (*s)[:n]
 }
 
-// decodeWire decodes one prefetched state tensor from its wire bytes.
-func decodeWire(src []byte, dst []float32, group, kind string) error {
-	if err := tensor.FromFP32Bytes(src, dst); err != nil {
-		return fmt.Errorf("opt: decode prefetched %s/%s: %w", group, kind, err)
+// decodeState splits a state object into its three tensors; wire must be
+// exactly wireBytes(len(p32)) long.
+func decodeState(wire []byte, p32, m, v []float32) error {
+	nb := 4 * len(p32)
+	if len(wire) != 3*nb {
+		return fmt.Errorf("state object is %d bytes, want %d", len(wire), 3*nb)
 	}
-	return nil
-}
-
-// loadFP32Into streams one state tensor into dst, using the store's in-place
-// read path when available (buf is the shared byte staging buffer, exactly
-// 4*len(dst) bytes).
-func (o *OutOfCoreAdam) loadFP32Into(dst []float32, buf []byte, key, group, kind string) error {
-	if o.readInto != nil {
-		var err error
-		if o.readClass != nil {
-			err = o.readClass.ReadIntoClass(key, buf, nvme.ClassOptRead)
-		} else {
-			err = o.readInto.ReadInto(key, buf)
-		}
-		if err != nil {
-			return fmt.Errorf("opt: load %s/%s: %w", group, kind, err)
-		}
-		if err := tensor.FromFP32Bytes(buf, dst); err != nil {
-			return fmt.Errorf("opt: decode %s/%s: %w", group, kind, err)
-		}
-		return nil
-	}
-	b, err := o.store.Get(key)
-	if err != nil {
-		return fmt.Errorf("opt: load %s/%s: %w", group, kind, err)
-	}
-	if err := tensor.FromFP32Bytes(b, dst); err != nil {
-		return fmt.Errorf("opt: decode %s/%s: %w", group, kind, err)
-	}
-	return nil
-}
-
-// saveFP32 encodes vals into buf and writes it to the store. Safe because
-// Store.Put must not retain its argument.
-func (o *OutOfCoreAdam) saveFP32(buf []byte, key string, vals []float32) error {
-	if err := tensor.ToFP32BytesInto(buf, vals); err != nil {
+	if err := tensor.FromFP32Bytes(wire[:nb], p32); err != nil {
 		return err
 	}
-	if o.putClass != nil {
-		return o.putClass.PutClass(key, buf, nvme.ClassWriteback)
+	if err := tensor.FromFP32Bytes(wire[nb:2*nb], m); err != nil {
+		return err
 	}
-	return o.store.Put(key, buf)
+	return tensor.FromFP32Bytes(wire[2*nb:], v)
+}
+
+// encodeState is decodeState's inverse.
+func encodeState(wire []byte, p32, m, v []float32) error {
+	nb := 4 * len(p32)
+	if len(wire) != 3*nb {
+		return fmt.Errorf("state object is %d bytes, want %d", len(wire), 3*nb)
+	}
+	if err := tensor.ToFP32BytesInto(wire[:nb], p32); err != nil {
+		return err
+	}
+	if err := tensor.ToFP32BytesInto(wire[nb:2*nb], m); err != nil {
+		return err
+	}
+	return tensor.ToFP32BytesInto(wire[2*nb:], v)
+}
+
+// readState reads a group's state object into dst at the optimizer-read
+// priority, using the store's in-place path when it has one.
+func (o *OutOfCoreAdam) readState(key string, dst []byte, group string) error {
+	var err error
+	switch {
+	case o.readClass != nil:
+		err = o.readClass.ReadIntoClass(key, dst, nvme.ClassOptRead)
+	case o.readInto != nil:
+		err = o.readInto.ReadInto(key, dst)
+	default:
+		var b []byte
+		if b, err = o.store.Get(key); err == nil && len(b) != len(dst) {
+			err = fmt.Errorf("object is %d bytes, want %d", len(b), len(dst))
+		}
+		if err == nil {
+			copy(dst, b)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("opt: load %s: %w", group, err)
+	}
+	return nil
+}
+
+// writeState writes a group's state object at the writeback priority. Safe
+// on reusable buffers because Store.Put must not retain its argument.
+func (o *OutOfCoreAdam) writeState(key string, wire []byte) error {
+	if o.putClass != nil {
+		return o.putClass.PutClass(key, wire, nvme.ClassWriteback)
+	}
+	return o.store.Put(key, wire)
 }
 
 // MasterWeights returns the group's current fp32 masters (a copy), for
-// checkpointing and tests.
+// tests and inspection.
 func (o *OutOfCoreAdam) MasterWeights(group string, n int) ([]float32, error) {
-	return o.loadFP32(group, "p32", n)
+	st, err := o.ExportGroup(group, n)
+	return st.P32, err
 }
 
 // GroupState is the full optimizer state of one parameter group: fp32
@@ -536,18 +537,20 @@ type GroupState struct {
 	P32, M, V []float32
 }
 
-// ExportGroup extracts a group's state for checkpointing.
+// ExportGroup extracts a group's state for checkpointing. It streams
+// through the persistent wire scratch under scrMu exactly like UpdateGroup —
+// the only allocations are the result's own slices, so checkpoint traffic
+// stays off the steady-state alloc budget.
 func (o *OutOfCoreAdam) ExportGroup(group string, n int) (GroupState, error) {
-	var st GroupState
-	var err error
-	if st.P32, err = o.loadFP32(group, "p32", n); err != nil {
+	st := GroupState{P32: make([]float32, n), M: make([]float32, n), V: make([]float32, n)}
+	o.scrMu.Lock()
+	defer o.scrMu.Unlock()
+	wire := o.scratchWire(n)
+	if err := o.readState(o.stateKey(group), wire, group); err != nil {
 		return GroupState{}, err
 	}
-	if st.M, err = o.loadFP32(group, "m", n); err != nil {
-		return GroupState{}, err
-	}
-	if st.V, err = o.loadFP32(group, "v", n); err != nil {
-		return GroupState{}, err
+	if err := decodeState(wire, st.P32, st.M, st.V); err != nil {
+		return GroupState{}, fmt.Errorf("opt: decode %s: %w", group, err)
 	}
 	return st, nil
 }
@@ -560,20 +563,13 @@ func (o *OutOfCoreAdam) ImportGroup(g nn.ParamGroup, st GroupState) error {
 		return fmt.Errorf("opt: import %s: state sizes %d/%d/%d for %d params",
 			g.Name, len(st.P32), len(st.M), len(st.V), n)
 	}
-	ks := o.groupKeysFor(g.Name)
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
-	}
-	buf := o.scr.enc[:4*n]
-	if err := o.saveFP32(buf, ks.p32, st.P32); err != nil {
+	wire := o.scratchWire(n)
+	if err := encodeState(wire, st.P32, st.M, st.V); err != nil {
 		return fmt.Errorf("opt: import %s: %w", g.Name, err)
 	}
-	if err := o.saveFP32(buf, ks.m, st.M); err != nil {
-		return fmt.Errorf("opt: import %s: %w", g.Name, err)
-	}
-	if err := o.saveFP32(buf, ks.v, st.V); err != nil {
+	if err := o.writeState(o.stateKey(g.Name), wire); err != nil {
 		return fmt.Errorf("opt: import %s: %w", g.Name, err)
 	}
 	off := 0
@@ -593,22 +589,4 @@ func (o *OutOfCoreAdam) SetStep(step int) error {
 	}
 	o.step = step
 	return nil
-}
-
-// loadFP32 returns one state tensor as a fresh caller-owned slice. It
-// streams through the persistent scratch under scrMu exactly like
-// UpdateGroup — the only allocation is the result itself, so checkpoint and
-// export traffic stays off the steady-state alloc budget.
-func (o *OutOfCoreAdam) loadFP32(group, kind string, n int) ([]float32, error) {
-	out := make([]float32, n)
-	o.scrMu.Lock()
-	defer o.scrMu.Unlock()
-	if cap(o.scr.enc) < 4*n {
-		o.scr.enc = make([]byte, 4*n)
-	}
-	buf := o.scr.enc[:4*n]
-	if err := o.loadFP32Into(out, buf, o.key(group, kind), group, kind); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -1,0 +1,292 @@
+package opt
+
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"ratel/internal/nn"
+	"ratel/internal/nvme"
+	"ratel/internal/obs"
+	"ratel/internal/tensor"
+)
+
+// StatePipeline streams group updates through three persistent stages, so
+// the SSD reads, the CPU Adam and the SSD writes of the model states overlap
+// each other as well as the backward pass (§IV-C):
+//
+//	Submit ─▶ read-ahead ─▶ Adam ─▶ write-behind ─▶ Wait
+//	          ClassOptRead  decode·AdamStep·encode  ClassWriteback
+//	          pooled buffer  fp16 install           buffer recycled
+//
+// Read-ahead issues a group's state read the moment the group is submitted,
+// into a pooled nvme.Buffers wire buffer; the Adam stage runs the same
+// decode → AdamStep → encode → fp16-install path as UpdateGroup, in place on
+// that buffer; write-behind puts it back and recycles it. At most depth
+// groups hold a buffer at once (the window), and Wait joins every write
+// before the step returns, so failures and durability are those of the
+// synchronous UpdateGroup. Values are bit-identical to it: a group's state
+// is read only after its previous write was joined (Wait, or the deferred
+// slot's own Wait), and groups share no state.
+//
+// Submit, SubmitDeferred, Wait and Close belong to one goroutine (the
+// engine's step goroutine). The optimizer's Store must be safe for
+// concurrent use — nvme.Array is; the bare MemStore map is not.
+type StatePipeline struct {
+	o *OutOfCoreAdam
+
+	// readQ carries in-step jobs and deferQ staged asynchronous ones; each
+	// holds every registered group, so submitting never blocks the backward
+	// pass. Read-ahead serves readQ first: a deferred update has steps of
+	// slack, an in-step one is what Wait blocks on.
+	readQ, deferQ chan *groupJob
+	// adamQ and writeQ hold at most the window, so a stage never blocks
+	// handing a job on.
+	adamQ, writeQ chan *groupJob
+	// window holds one token per group that may own a wire buffer: taken by
+	// read-ahead before it picks a job, returned when the job retires.
+	window chan struct{}
+	stop   chan struct{}
+
+	readers, adam, writers sync.WaitGroup
+	stopOnce               sync.Once
+
+	jobs    map[string]*groupJob // the in-step job of each registered group
+	pending []*groupJob          // submitted since the last Wait, in order
+
+	buffered     atomic.Int64 // wire buffers held right now
+	peakBuffered atomic.Int64
+}
+
+// groupJob is one group's trip through the pipeline. One per registered
+// group (and one inside every DeferredUpdate), preallocated and reused, so
+// a step allocates nothing here.
+type groupJob struct {
+	g     nn.ParamGroup
+	n     int // g.NumParams()
+	key   string
+	label string // Adam span label, precomputed
+
+	// step and cfg are the optimizer step and hyperparameters captured at
+	// submit time.
+	step int
+	cfg  AdamConfig
+	// grads, when non-nil, is the staged gradient snapshot a deferred update
+	// carries; nil stages the group's live gradients inside the Adam stage.
+	// p16, when non-nil, receives the fp16 working weights instead of the
+	// group's tensors (a deferred update installs them later, on the step
+	// goroutine).
+	grads, p16 []float32
+
+	buf     []byte // pooled wire buffer, owned between read-ahead and retire
+	done    chan error
+	pending bool // owned by the submitting goroutine
+}
+
+func (o *OutOfCoreAdam) newJob(g nn.ParamGroup, label string) groupJob {
+	return groupJob{g: g, n: g.NumParams(), key: o.stateKey(g.Name), label: label, done: make(chan error, 1)}
+}
+
+// NewStatePipeline starts the stage goroutines for the given groups. depth
+// is the window: how many groups' state may be buffered at once (minimum 1,
+// which degenerates to one group's read → Adam → write at a time). Each I/O
+// stage runs depth workers so the whole window can be on the device lanes
+// in either direction.
+func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *StatePipeline {
+	if depth < 1 {
+		depth = 1
+	}
+	p := &StatePipeline{
+		o:      o,
+		readQ:  make(chan *groupJob, len(groups)),
+		deferQ: make(chan *groupJob, len(groups)),
+		adamQ:  make(chan *groupJob, depth),
+		writeQ: make(chan *groupJob, depth),
+		window: make(chan struct{}, depth),
+		stop:   make(chan struct{}),
+		jobs:   make(map[string]*groupJob, len(groups)),
+	}
+	p.pending = make([]*groupJob, 0, len(groups))
+	for _, g := range groups {
+		j := o.newJob(g, o.adamLabel(g.Name))
+		p.jobs[g.Name] = &j
+	}
+	p.readers.Add(depth)
+	p.writers.Add(depth)
+	for i := 0; i < depth; i++ {
+		go p.readAhead()
+		go p.writeBehind()
+	}
+	p.adam.Add(1)
+	go p.adamStage()
+	return p
+}
+
+// Submit enqueues the group's update for the current optimizer step. It
+// never blocks; the read is issued as soon as the window has room.
+func (p *StatePipeline) Submit(g nn.ParamGroup) error {
+	j := p.jobs[g.Name]
+	switch {
+	case j == nil:
+		return fmt.Errorf("opt: Submit(%s): group not registered with the pipeline", g.Name)
+	case p.o.step < 1:
+		return fmt.Errorf("opt: Submit(%s) before BeginStep", g.Name)
+	case j.pending:
+		return fmt.Errorf("opt: Submit(%s): previous update still in flight", g.Name)
+	}
+	j.step, j.cfg = p.o.step, p.o.cfg
+	j.pending = true
+	p.pending = append(p.pending, j)
+	p.readQ <- j
+	// Hand the CPU to read-ahead now: the backward pass never blocks between
+	// submissions, so on a fully loaded host (GOMAXPROCS=1) the read would
+	// otherwise not reach the device until the next preemption tick.
+	runtime.Gosched()
+	return nil
+}
+
+// SubmitDeferred enqueues a staged asynchronous update (StageDeferred). It
+// is joined by the slot's own Wait, not by the pipeline's.
+func (p *StatePipeline) SubmitDeferred(d *DeferredUpdate) { p.deferQ <- &d.job }
+
+// Wait is the step barrier: it joins every update submitted since the last
+// Wait — its write included — and returns the first error. Deferred updates
+// are not waited for.
+func (p *StatePipeline) Wait() error {
+	var first error
+	for _, j := range p.pending {
+		if err := <-j.done; err != nil && first == nil {
+			first = err
+		}
+		j.pending = false
+	}
+	p.pending = p.pending[:0]
+	return first
+}
+
+// Buffered reports how many groups hold a wire buffer right now — zero
+// after Wait once no deferred update is in flight — and the most that ever
+// did at once, which never exceeds the window.
+func (p *StatePipeline) Buffered() (now, peak int) {
+	return int(p.buffered.Load()), int(p.peakBuffered.Load())
+}
+
+// Close joins the stage goroutines, stage by stage, so every job already
+// past read-ahead still retires (its buffer recycled, its waiter woken).
+// Call Wait — and DeferredUpdate.Wait for results that matter — first:
+// jobs still queued for read-ahead are abandoned. Idempotent and nil-safe.
+func (p *StatePipeline) Close() {
+	if p == nil {
+		return
+	}
+	p.stopOnce.Do(func() {
+		close(p.stop)
+		p.readers.Wait()
+		close(p.adamQ)
+		p.adam.Wait()
+		close(p.writeQ)
+		p.writers.Wait()
+	})
+}
+
+// next blocks for the next job to read, in-step jobs first; nil on Close.
+func (p *StatePipeline) next() *groupJob {
+	select {
+	case j := <-p.readQ:
+		return j
+	default:
+	}
+	select {
+	case j := <-p.readQ:
+		return j
+	case j := <-p.deferQ:
+		return j
+	case <-p.stop:
+		return nil
+	}
+}
+
+func (p *StatePipeline) readAhead() {
+	defer p.readers.Done()
+	for {
+		// The token comes first, so which job to read is decided as late as
+		// possible and a full window holds jobs in their queues, not here.
+		select {
+		case p.window <- struct{}{}:
+		case <-p.stop:
+			return
+		}
+		j := p.next()
+		if j == nil {
+			return
+		}
+		j.buf = nvme.Buffers.Get(wireBytes(j.n))
+		for n := p.buffered.Add(1); ; {
+			if peak := p.peakBuffered.Load(); n <= peak || p.peakBuffered.CompareAndSwap(peak, n) {
+				break
+			}
+		}
+		if err := p.o.readState(j.key, j.buf, j.g.Name); err != nil {
+			p.retire(j, err)
+			continue
+		}
+		p.adamQ <- j
+	}
+}
+
+func (p *StatePipeline) adamStage() {
+	defer p.adam.Done()
+	for j := range p.adamQ {
+		if err := p.o.applyJob(j); err != nil {
+			p.retire(j, err)
+			continue
+		}
+		p.writeQ <- j
+	}
+}
+
+func (p *StatePipeline) writeBehind() {
+	defer p.writers.Done()
+	for j := range p.writeQ {
+		p.retire(j, p.o.writeState(j.key, j.buf))
+	}
+}
+
+// retire ends a job's trip, however far it got: the wire buffer goes back
+// to the pool, the window token is returned, and the waiter gets err.
+func (p *StatePipeline) retire(j *groupJob, err error) {
+	nvme.Buffers.Put(j.buf)
+	j.buf = nil
+	p.buffered.Add(-1)
+	<-p.window
+	j.done <- err
+}
+
+// applyJob is the Adam stage of one job, on the optimizer's shared scratch.
+func (o *OutOfCoreAdam) applyJob(j *groupJob) error {
+	o.scrMu.Lock()
+	defer o.scrMu.Unlock()
+	grad := j.grads
+	if grad == nil {
+		grad = scrF32(&o.scr.grad, j.n)
+		if err := o.stageGrads(grad, j.g); err != nil {
+			return err
+		}
+	}
+	p32, err := o.adamWire(j.buf, j.cfg, j.step, grad, j.g.Name, j.label)
+	if err != nil {
+		return err
+	}
+	if j.p16 == nil {
+		return o.installP16(j.g, p32)
+	}
+	if err := tensor.RoundFP16Into(j.p16, p32); err != nil {
+		return fmt.Errorf("opt: async install %s: %w", j.g.Name, err)
+	}
+	// The fp16 install crosses back to the compute tier when the step
+	// goroutine copies it in at the staleness barrier; credit it where the
+	// bytes are produced.
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*len(p32)))
+	return nil
+}

@@ -1,34 +1,16 @@
-// Optimizer scheduling modes on top of OutOfCoreAdam (ROADMAP item 3).
-//
-// The synchronous schedule streams each group's state inline with its
-// update, so the optimizer drain is a serialized read→adam→write chain.
-// This file adds the two schedules that break that chain:
-//
-//   - StatePrefetcher (GreedySnake-style): a persistent reader goroutine
-//     issues group state reads in gradient-arrival order, as soon as each
-//     gradient lands in backward, depth-bounded through nvme.Buffers. The
-//     update consumes the prefetched wire bytes through the same codec
-//     path a direct load uses, so results are bit-identical to the
-//     synchronous schedule — only the fetch timing changes.
-//
-//   - AsyncApplier (ZenFlow-style): unimportant groups' updates are staged
-//     (gradient snapshot + captured step/hyperparameters) and drained by a
-//     background goroutine with its own scratch; the new fp16 working
-//     weights land in a staging buffer and are installed on the step
-//     goroutine at the engine's bounded-staleness barrier, never
-//     concurrently with compute.
+// Asynchronous optimizer scheduling on top of the state pipeline
+// (ZenFlow-style): unimportant groups' updates are staged (gradient
+// snapshot + captured step/hyperparameters) and ride the same read-ahead →
+// Adam → write-behind stages behind the in-step groups; the new fp16
+// working weights land in a staging buffer and are installed on the step
+// goroutine at the engine's bounded-staleness barrier, never concurrently
+// with compute.
 package opt
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"time"
 
 	"ratel/internal/nn"
-	"ratel/internal/nvme"
-	"ratel/internal/obs"
-	"ratel/internal/tensor"
 )
 
 // ScheduleMode selects how the engine schedules optimizer work relative to
@@ -37,18 +19,14 @@ type ScheduleMode int
 
 // Optimizer scheduling modes.
 const (
-	// ScheduleSync is the baseline: every group's handler streams its own
-	// state inline (read, adam, write) in gradient-arrival order.
-	ScheduleSync ScheduleMode = iota
-	// ScheduleReadiness issues each group's state read as soon as its
-	// gradient arrives in backward, reordered by readiness and overlapped
-	// with the remaining backward compute and with other groups' updates.
-	// Bit-identical to ScheduleSync: same updates, different fetch order.
-	ScheduleReadiness
+	// ScheduleStreaming is the default: every group's update streams through
+	// the state pipeline and is joined before the step returns, so training
+	// is bit-identical to a serialized optimizer stage.
+	ScheduleStreaming ScheduleMode = iota
 	// ScheduleAsync partitions groups by gradient-norm importance: the
-	// important partition updates synchronously in-step, the tail drains on
-	// a background applier under a bounded-staleness barrier. Changes the
-	// training trajectory (boundedly); validated by a convergence test, not
+	// important partition updates in-step, the tail drains behind it across
+	// steps under a bounded-staleness barrier. Changes the training
+	// trajectory (boundedly); validated by a convergence test, not
 	// bit-equality.
 	ScheduleAsync
 )
@@ -56,10 +34,8 @@ const (
 // String names the mode.
 func (m ScheduleMode) String() string {
 	switch m {
-	case ScheduleSync:
-		return "sync"
-	case ScheduleReadiness:
-		return "readiness"
+	case ScheduleStreaming:
+		return "streaming"
 	case ScheduleAsync:
 		return "async"
 	}
@@ -69,477 +45,83 @@ func (m ScheduleMode) String() string {
 // ParseScheduleMode parses a -opt-schedule flag value.
 func ParseScheduleMode(s string) (ScheduleMode, error) {
 	switch s {
-	case "sync":
-		return ScheduleSync, nil
-	case "readiness":
-		return ScheduleReadiness, nil
+	case "streaming":
+		return ScheduleStreaming, nil
 	case "async":
 		return ScheduleAsync, nil
 	}
-	return 0, fmt.Errorf("opt: unknown schedule mode %q (want sync, readiness or async)", s)
-}
-
-// stateFetch is one group's in-flight (or completed) state prefetch. One
-// struct per registered group, preallocated and reused every step.
-type stateFetch struct {
-	name  string
-	keys  groupKeys
-	n     int
-	label string // "<group>/opt-pread" span label, precomputed
-	ready chan error
-	wire  StateWire // buffers from nvme.Buffers while live
-	live  bool
-}
-
-// StatePrefetcher reorders OutOfCoreAdam state reads by readiness: Launch
-// enqueues a group's fetch the moment its gradient lands, a single
-// persistent reader goroutine streams the state into pooled buffers
-// (depth-bounded), and UpdateGroup consumes the bytes through
-// UpdateGroupWire. Launch and UpdateGroup run on the engine's step/worker
-// goroutines; per-fetch handoff synchronizes through each fetch's ready
-// channel, and the engine's job channel orders Launch before the matching
-// consume.
-type StatePrefetcher struct {
-	o        *OutOfCoreAdam
-	depth    int
-	queue    chan *stateFetch
-	sem      chan struct{} // depth tokens: bounds unconsumed fetched state
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-	byName   map[string]*stateFetch
-	// fifo holds launched fetches in launch order until DrainLive resets it
-	// at the end of the step. Reader processing is FIFO, so draining in this
-	// order can never deadlock against the depth tokens.
-	fifo []*stateFetch
-}
-
-// NewStatePrefetcher starts the reader goroutine. depth bounds how many
-// groups' fetched state may sit unconsumed (minimum 1); maxGroups sizes the
-// launch queue so Launch never blocks the backward pass. The optimizer's
-// Store must be safe for concurrent use — the reader fetches one group's
-// state while the step goroutine writes another's back (nvme.Array is
-// synchronized; the bare MemStore test map is not).
-func NewStatePrefetcher(o *OutOfCoreAdam, depth, maxGroups int) *StatePrefetcher {
-	if depth < 1 {
-		depth = 1
-	}
-	if maxGroups < 1 {
-		maxGroups = 1
-	}
-	p := &StatePrefetcher{
-		o:      o,
-		depth:  depth,
-		queue:  make(chan *stateFetch, maxGroups),
-		sem:    make(chan struct{}, depth),
-		byName: make(map[string]*stateFetch),
-		fifo:   make([]*stateFetch, 0, maxGroups),
-	}
-	p.wg.Add(1)
-	go p.reader()
-	return p
-}
-
-// Register preallocates the fetch slot for one parameter group; call once
-// per group before training starts.
-func (p *StatePrefetcher) Register(g nn.ParamGroup) {
-	p.byName[g.Name] = &stateFetch{
-		name:  g.Name,
-		keys:  p.o.groupKeysFor(g.Name),
-		n:     g.NumParams(),
-		label: g.Name + "/opt-pread",
-		ready: make(chan error, 1),
-	}
-}
-
-// Launch enqueues the group's state fetch. Non-blocking (the queue holds
-// every registered group); a group already in flight is left alone.
-func (p *StatePrefetcher) Launch(group string) {
-	f := p.byName[group]
-	if f == nil || f.live {
-		return
-	}
-	f.live = true
-	p.fifo = append(p.fifo, f)
-	p.queue <- f
-}
-
-// UpdateGroup applies one group's optimizer update, consuming its
-// prefetched state when a fetch is in flight and falling back to the
-// synchronous load otherwise. Bit-identical either way.
-func (p *StatePrefetcher) UpdateGroup(g nn.ParamGroup) error {
-	f := p.byName[g.Name]
-	if f == nil || !f.live {
-		return p.o.UpdateGroup(g)
-	}
-	f.live = false
-	if err := <-f.ready; err != nil {
-		p.release(f)
-		return err
-	}
-	err := p.o.UpdateGroupWire(g, &f.wire)
-	p.release(f)
-	return err
-}
-
-// DrainLive consumes every launched-but-unapplied fetch (the failure-path
-// cleanup: a failed step abandons its remaining updates) and resets the
-// launch-order list; in the normal path it is a cheap per-step reset. It
-// must only run while no worker goroutine is consuming fetches.
-func (p *StatePrefetcher) DrainLive() error {
-	if p == nil {
-		return nil
-	}
-	var first error
-	for _, f := range p.fifo {
-		if !f.live {
-			continue
-		}
-		f.live = false
-		if err := <-f.ready; err != nil && first == nil {
-			first = err
-		}
-		p.release(f)
-	}
-	p.fifo = p.fifo[:0]
-	return first
-}
-
-// Close drains any abandoned fetches and joins the reader goroutine.
-// Idempotent and nil-safe.
-func (p *StatePrefetcher) Close() {
-	if p == nil {
-		return
-	}
-	p.stopOnce.Do(func() {
-		close(p.queue)
-		_ = p.DrainLive()
-	})
-	p.wg.Wait()
-}
-
-// reader is the persistent fetch goroutine: strictly FIFO over the launch
-// queue, holding at most depth groups' state in pooled buffers.
-func (p *StatePrefetcher) reader() {
-	defer p.wg.Done()
-	for f := range p.queue {
-		p.sem <- struct{}{} // wait for a consumed slot before buffering more
-		start := p.o.tracer.Now()
-		err := p.fetch(f)
-		p.o.tracer.RecordSpan(obs.LanePrefetch, f.label, start, p.o.tracer.Now())
-		f.ready <- err
-	}
-}
-
-// fetch streams one group's three state tensors into pooled wire buffers.
-// All-or-nothing: on error the buffers go straight back to the pool.
-func (p *StatePrefetcher) fetch(f *stateFetch) error {
-	nb := 4 * f.n
-	f.wire.P32 = nvme.Buffers.Get(nb)
-	f.wire.M = nvme.Buffers.Get(nb)
-	f.wire.V = nvme.Buffers.Get(nb)
-	if err := p.readOne(f.keys.p32, f.wire.P32, f.name, "p32"); err != nil {
-		p.putBufs(f)
-		return err
-	}
-	if err := p.readOne(f.keys.m, f.wire.M, f.name, "m"); err != nil {
-		p.putBufs(f)
-		return err
-	}
-	if err := p.readOne(f.keys.v, f.wire.V, f.name, "v"); err != nil {
-		p.putBufs(f)
-		return err
-	}
-	return nil
-}
-
-// readOne reads one state object into dst, preferring the store's in-place
-// path.
-func (p *StatePrefetcher) readOne(key string, dst []byte, group, kind string) error {
-	if p.o.readInto != nil {
-		var err error
-		if p.o.readClass != nil {
-			err = p.o.readClass.ReadIntoClass(key, dst, nvme.ClassOptRead)
-		} else {
-			err = p.o.readInto.ReadInto(key, dst)
-		}
-		if err != nil {
-			return fmt.Errorf("opt: prefetch %s/%s: %w", group, kind, err)
-		}
-		return nil
-	}
-	b, err := p.o.store.Get(key)
-	if err != nil {
-		return fmt.Errorf("opt: prefetch %s/%s: %w", group, kind, err)
-	}
-	if len(b) != len(dst) {
-		return fmt.Errorf("opt: prefetch %s/%s: object %d bytes, want %d", group, kind, len(b), len(dst))
-	}
-	copy(dst, b)
-	return nil
-}
-
-// release returns a consumed fetch's buffers to the pool and frees its
-// depth token.
-func (p *StatePrefetcher) release(f *stateFetch) {
-	p.putBufs(f)
-	<-p.sem
-}
-
-// putBufs recycles whatever wire buffers the fetch holds.
-func (p *StatePrefetcher) putBufs(f *stateFetch) {
-	if f.wire.P32 != nil {
-		nvme.Buffers.Put(f.wire.P32)
-		f.wire.P32 = nil
-	}
-	if f.wire.M != nil {
-		nvme.Buffers.Put(f.wire.M)
-		f.wire.M = nil
-	}
-	if f.wire.V != nil {
-		nvme.Buffers.Put(f.wire.V)
-		f.wire.V = nil
-	}
+	return 0, fmt.Errorf("opt: unknown schedule mode %q (want streaming or async)", s)
 }
 
 // DeferredUpdate is one group's staged asynchronous update: the gradient
 // snapshot and captured optimizer step/hyperparameters at defer time, plus
-// the fp16 staging the background apply writes its result into. One struct
+// the fp16 staging the pipeline's Adam stage writes its result into. One
 // per group, preallocated and reused; the pending flag (owned by the step
-// goroutine) serializes reuse, and the done channel carries the handoff
-// from the applier goroutine.
+// goroutine) serializes reuse.
 type DeferredUpdate struct {
-	group nn.ParamGroup
-	name  string
-	n     int
-	keys  groupKeys
-	label string // "<group>/opt-adam-async" span label, precomputed
-
-	step  int        // optimizer step the staged gradient belongs to
-	cfg   AdamConfig // hyperparameters at stage time (pins the scheduled LR)
-	grads []float32  // fp16-rounded, unscaled, clipped gradient snapshot
-	p16   []float32  // fp16 working weights the apply produced, pre-install
-
-	done    chan error
-	pending bool
+	job groupJob
 }
 
 // NewDeferred preallocates the deferred-update slot for one parameter
-// group: staging sized to the group, the result channel, and precomputed
-// store keys and span label, so deferring never allocates or touches
-// shared maps.
+// group: staging sized to the group, the result channel, and the
+// precomputed store key and span label, so deferring never allocates or
+// touches shared maps.
 func (o *OutOfCoreAdam) NewDeferred(g nn.ParamGroup) *DeferredUpdate {
-	n := g.NumParams()
-	return &DeferredUpdate{
-		group: g,
-		name:  g.Name,
-		n:     n,
-		keys:  o.groupKeysFor(g.Name),
-		label: g.Name + "/opt-adam-async",
-		grads: make([]float32, n),
-		p16:   make([]float32, n),
-		done:  make(chan error, 1),
-	}
+	d := &DeferredUpdate{job: o.newJob(g, g.Name+"/opt-adam-async")}
+	d.job.grads = make([]float32, d.job.n)
+	d.job.p16 = make([]float32, d.job.n)
+	return d
 }
 
-// Pending reports whether a background apply of this update is in flight.
-func (d *DeferredUpdate) Pending() bool { return d.pending }
+// Pending reports whether an apply of this update is in flight.
+func (d *DeferredUpdate) Pending() bool { return d.job.pending }
 
 // Step is the optimizer step the staged gradient belongs to; the weights'
 // staleness at step t is t - Step().
-func (d *DeferredUpdate) Step() int { return d.step }
-
-// Name is the parameter group this slot serves.
-func (d *DeferredUpdate) Name() string { return d.name }
+func (d *DeferredUpdate) Step() int { return d.job.step }
 
 // DeferredBytes is the optimizer traffic one deferred update moves off the
 // step's critical path: the 12 B/param state read, 14 B/param state+P16
 // write-back, and the 2 B/param fp16 gradient snapshot.
-func (d *DeferredUpdate) DeferredBytes() int64 { return 28 * int64(d.n) }
+func (d *DeferredUpdate) DeferredBytes() int64 { return 28 * int64(d.job.n) }
 
-// Wait blocks until the background apply finishes, installs the fresh fp16
-// working weights into the group's tensors, and clears the pending mark.
-// Must run on the step goroutine (the installed weights are read by
-// compute).
+// Wait blocks until the apply finishes — write included — installs the
+// fresh fp16 working weights into the group's tensors, and clears the
+// pending mark. A failed apply installs nothing. Must run on the step
+// goroutine (the installed weights are read by compute).
 func (d *DeferredUpdate) Wait() error {
-	if !d.pending {
+	if !d.job.pending {
 		return nil
 	}
-	err := <-d.done
-	d.pending = false
+	err := <-d.job.done
+	d.job.pending = false
 	if err != nil {
 		return err
 	}
-	d.install()
+	off := 0
+	for _, p := range d.job.g.Params {
+		off += copy(p.W.Data, d.job.p16[off:off+p.W.Numel()])
+	}
 	return nil
 }
 
-// install copies the staged fp16 working weights into the model tensors.
-func (d *DeferredUpdate) install() {
-	off := 0
-	for _, p := range d.group.Params {
-		copy(p.W.Data, d.p16[off:off+p.W.Numel()])
-		off += p.W.Numel()
-	}
-}
-
-// StageDeferred captures everything a background apply of g's update needs:
-// the fp16-rounded, unscaled and clipped gradient, the optimizer step the
+// StageDeferred captures everything a later apply of g's update needs: the
+// fp16-rounded, unscaled and clipped gradient, the optimizer step the
 // gradient belongs to, and the hyperparameters at stage time (so the
 // learning-rate schedule applies to the step that produced the gradient,
-// not the step the apply lands in). The G16 staging is bit-identical to the
-// synchronous handler's. d must be idle.
+// not the step the apply lands in). The G16 staging is the in-step path's
+// own. d must be idle; hand it to StatePipeline.SubmitDeferred next.
 func (o *OutOfCoreAdam) StageDeferred(d *DeferredUpdate, g nn.ParamGroup) error {
 	if o.step < 1 {
 		return fmt.Errorf("opt: StageDeferred(%s) before BeginStep", g.Name)
 	}
-	if d.pending {
+	if d.job.pending {
 		return fmt.Errorf("opt: StageDeferred(%s): previous deferred update still in flight", g.Name)
 	}
-	inv := 1.0
-	if o.gradScale > 0 {
-		inv = 1 / o.gradScale
-	}
-	grad := d.grads
-	idx := 0
-	for _, p := range g.Params {
-		if inv == 1 {
-			if err := tensor.RoundFP16Into(grad[idx:idx+len(p.G.Data)], p.G.Data); err != nil {
-				return fmt.Errorf("opt: stage deferred grad %s: %w", g.Name, err)
-			}
-			idx += len(p.G.Data)
-			continue
-		}
-		for _, gv := range p.G.Data {
-			grad[idx] = float32(float64(tensor.RoundFP16(gv)) * inv)
-			idx++
-		}
-	}
-	// Gradients crossed the compute→host boundary in fp16 (G16), same as
-	// the synchronous handler — only the apply is deferred.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*d.n))
-	if o.clipNorm > 0 {
-		var sq float64
-		for _, gv := range grad {
-			sq += float64(gv) * float64(gv)
-		}
-		if norm := math.Sqrt(sq); norm > o.clipNorm {
-			scale := float32(o.clipNorm / norm)
-			for i := range grad {
-				grad[i] *= scale
-			}
-		}
-	}
-	d.step = o.step
-	d.cfg = o.cfg
-	d.pending = true
-	return nil
-}
-
-// AsyncApplier drains DeferredUpdates on a background goroutine. It owns
-// its own state scratch — a background apply never contends with an
-// in-step update on the optimizer's scratch lock, and the store keys of a
-// deferred group are disjoint from every concurrently-updating group (the
-// engine's partition routing guarantees it).
-type AsyncApplier struct {
-	o        *OutOfCoreAdam
-	jobs     chan *DeferredUpdate
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-	scr      struct {
-		p32, m, v []float32
-		enc       []byte
-	}
-}
-
-// NewAsyncApplier starts the applier goroutine; maxQueue sizes the job
-// channel (the engine passes its group count, so Submit never blocks the
-// backward pass). The optimizer's Store must be safe for concurrent use —
-// the applier round-trips deferred groups' state while the step goroutine
-// streams the in-step groups' (nvme.Array is synchronized; the bare
-// MemStore test map is not).
-func NewAsyncApplier(o *OutOfCoreAdam, maxQueue int) *AsyncApplier {
-	if maxQueue < 1 {
-		maxQueue = 1
-	}
-	a := &AsyncApplier{o: o, jobs: make(chan *DeferredUpdate, maxQueue)}
-	a.wg.Add(1)
-	go a.run()
-	return a
-}
-
-// Submit hands a staged update to the applier. Jobs apply strictly in
-// submission order, so two defers of the same group (serialized by the
-// pending flag) can never reorder.
-func (a *AsyncApplier) Submit(d *DeferredUpdate) { a.jobs <- d }
-
-// Close stops the applier after finishing queued jobs. Idempotent and
-// nil-safe; flush pending updates (DeferredUpdate.Wait) before closing if
-// their results matter.
-func (a *AsyncApplier) Close() {
-	if a == nil {
-		return
-	}
-	a.stopOnce.Do(func() { close(a.jobs) })
-	a.wg.Wait()
-}
-
-// run drains the job queue until Close.
-func (a *AsyncApplier) run() {
-	defer a.wg.Done()
-	for d := range a.jobs {
-		d.done <- a.apply(d)
-	}
-}
-
-// apply runs one deferred group update against the store using the
-// applier's own scratch: stream P32+OS32 in, Adam at the captured
-// step/hyperparameters, stream back, and round the new fp16 working
-// weights into the staging buffer for the step goroutine to install.
-func (a *AsyncApplier) apply(d *DeferredUpdate) error {
-	o := a.o
-	n := d.n
-	p32 := scrF32(&a.scr.p32, n)
-	m := scrF32(&a.scr.m, n)
-	v := scrF32(&a.scr.v, n)
-	if cap(a.scr.enc) < 4*n {
-		a.scr.enc = make([]byte, 4*n)
-	}
-	buf := a.scr.enc[:4*n]
-	if err := o.loadFP32Into(p32, buf, d.keys.p32, d.name, "p32"); err != nil {
+	if err := o.stageGrads(d.job.grads, g); err != nil {
 		return err
 	}
-	if err := o.loadFP32Into(m, buf, d.keys.m, d.name, "m"); err != nil {
-		return err
-	}
-	if err := o.loadFP32Into(v, buf, d.keys.v, d.name, "v"); err != nil {
-		return err
-	}
-	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(3*4*n))
-	sp := o.tracer.StartSpan(obs.LaneAdam, d.label)
-	kernelStart := time.Now()
-	if err := AdamStep(d.cfg, d.step, p32, m, v, d.grads); err != nil {
-		sp.End()
-		return fmt.Errorf("opt: async update %s: %w", d.name, err)
-	}
-	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
-	o.kernelParams.Add(int64(n))
-	sp.End()
-	if err := o.saveFP32(buf, d.keys.p32, p32); err != nil {
-		return err
-	}
-	if err := o.saveFP32(buf, d.keys.m, m); err != nil {
-		return err
-	}
-	if err := o.saveFP32(buf, d.keys.v, v); err != nil {
-		return err
-	}
-	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(3*4*n))
-	if err := tensor.RoundFP16Into(d.p16, p32); err != nil {
-		return fmt.Errorf("opt: async install %s: %w", d.name, err)
-	}
-	// The fp16 install crosses back to the compute tier when the step
-	// goroutine copies it in at the staleness barrier; credit it where the
-	// bytes are produced.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*n))
+	d.job.step, d.job.cfg = o.step, o.cfg
+	d.job.pending = true
 	return nil
 }
