@@ -24,8 +24,10 @@ race:
 test-nosimd:
 	RATEL_NOSIMD=1 go test -count=1 ./internal/tensor/... ./internal/nn ./internal/opt ./internal/engine
 
-# Core-count matrix: the allocation pins and the optimizer state pipeline's
-# tests under GOMAXPROCS 1, 2 and 4, uncached. A pin that holds on one core
+# Core-count matrix: the allocation pins (every test named *Alloc*: codec
+# Into paths, cache round trip, step pins, the matmuls' packed-panel pin
+# TestMatMulIntoAllocs) and the optimizer state pipeline's tests under
+# GOMAXPROCS 1, 2 and 4, uncached. A pin that holds on one core
 # count only (the seed's TestCacheRoundTripAllocs did) is not a pin.
 .PHONY: test-procs
 test-procs:
@@ -36,10 +38,13 @@ test-procs:
 			./internal/opt ./internal/engine ./internal/tensor || exit 1; \
 	done
 
-# Static analysis over the whole module.
+# Static analysis over the whole module, plus the tensor packages as a
+# non-amd64 build sees them: the portable dispatch file must define every
+# entry point the amd64 one does (asmdecl already checks the amd64 frames).
 .PHONY: vet
 vet:
 	go vet ./...
+	GOOS=linux GOARCH=arm64 go vet ./internal/tensor/...
 
 # Repo-specific analyzers (slotlife, xferown, atomicmix, gojoin, simdet,
 # unitsafe, spanpair, poolcapture, errdrop, simddispatch, metrichygiene —
@@ -83,10 +88,13 @@ bench-gate:
 		go run ./cmd/ratelbench -tol 0 diff $$f $$f || exit 1; \
 	done
 
-# Kernel micro-benchmarks (BENCH_kernels.json is a committed snapshot).
+# Kernel micro-benchmarks (BENCH_kernels.json is a committed snapshot):
+# square matmuls, the three matmul variants at every BENCHMARK.json
+# workload's Linear and attention shapes on 1 and NumCPU threads, the fp16
+# codec and Adam.
 .PHONY: bench-kernels
 bench-kernels:
-	go test -bench 'BenchmarkMatMul_|BenchmarkAdamStep_|BenchmarkFP16' -benchmem ./internal/tensor ./internal/opt
+	go test -run '^$$' -bench 'BenchmarkMatMul_|BenchmarkGEMMShapes|BenchmarkAdamStep_|BenchmarkFP16' -benchmem ./internal/tensor ./internal/opt
 
 # Data-path benchmarks (BENCH_datapath.json is a committed snapshot).
 .PHONY: bench-datapath

@@ -5,7 +5,7 @@
 // archiving (EXPERIMENTS.md provenance).
 //
 // The "tune" subcommand instead calibrates the CPU kernels on this
-// machine: it sweeps the matmul tile sizes and the element-wise grain and
+// machine: it sweeps the element-wise grain and
 // writes a JSON profile (default ratel-tune.json, or the -tune-out path)
 // that the engine applies at startup when RATEL_TUNE_PROFILE names it.
 // Tuning is result-neutral — it changes kernel speed, never kernel output.
@@ -31,14 +31,13 @@ import (
 func main() {
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 	tuneOut := flag.String("tune-out", "ratel-tune.json", "profile path the tune subcommand writes")
-	tuneDim := flag.Int("tune-dim", 0, "matmul dimension the tune sweep times (0 = default 512)")
 	tol := flag.Float64("tol", 0.10, "relative tolerance for the diff subcommand (0.10 = 10%)")
 	flag.Parse()
 	args := flag.Args()
 
 	if len(args) < 1 {
 		fmt.Println("usage: ratelbench [-out dir] <experiment-id>...|all")
-		fmt.Println("       ratelbench [-tune-out file] [-tune-dim n] tune")
+		fmt.Println("       ratelbench [-tune-out file] tune")
 		fmt.Println("       ratelbench [-tol frac] diff <old.json> <new.json>")
 		fmt.Println("available experiments:")
 		for _, e := range experiments.All() {
@@ -47,7 +46,7 @@ func main() {
 		return
 	}
 	if args[0] == "tune" {
-		if err := runTune(*tuneOut, *tuneDim); err != nil {
+		if err := runTune(*tuneOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -94,9 +93,9 @@ func runOne(id, outDir string) error {
 	return experiments.Run(id, w)
 }
 
-func runTune(out string, dim int) error {
+func runTune(out string) error {
 	fmt.Printf("calibrating kernels (simd level %s)\n", simd.Level())
-	t, err := profile.TuneKernels(profile.TuneConfig{Dim: dim}, func(format string, a ...any) {
+	t, err := profile.TuneKernels(profile.TuneConfig{}, func(format string, a ...any) {
 		fmt.Printf("  "+format+"\n", a...)
 	})
 	if err != nil {
@@ -105,7 +104,7 @@ func runTune(out string, dim int) error {
 	if err := t.Save(out); err != nil {
 		return err
 	}
-	fmt.Printf("best: kBlock=%d jBlock=%d elemGrain=%d\n", t.MatMulKBlock, t.MatMulJBlock, t.ElemGrain)
+	fmt.Printf("best: elemGrain=%d\n", t.ElemGrain)
 	fmt.Printf("wrote %s — apply with %s=%s\n", out, profile.TuneEnvVar, out)
 	return nil
 }

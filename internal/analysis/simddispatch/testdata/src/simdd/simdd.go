@@ -14,6 +14,16 @@ func directGenericCall(c, b []float32) {
 	simd.AxpyGeneric(c, b, 2) // want `direct call to simd.AxpyGeneric bypasses the kernel dispatch`
 }
 
+func tileEntryPointsAreFine(c, a, bp []float32) {
+	simd.GemmPanel(c, simd.GemmNR, a, 1, simd.GemmMR, simd.GemmMR, bp, simd.GemmNR, 1, bp, false)
+	simd.DotRow(c[:simd.DotRowTile], a, bp, len(a))
+}
+
+func directTileReferenceCalls(c, a, bp []float32) {
+	simd.GemmPanelGeneric(c, simd.GemmNR, a, 1, simd.GemmMR, simd.GemmMR, bp, simd.GemmNR, 1, false) // want `direct call to simd.GemmPanelGeneric bypasses the kernel dispatch`
+	simd.DotRowGeneric(c, a, bp, len(a))                                                             // want `direct call to simd.DotRowGeneric bypasses the kernel dispatch`
+}
+
 func directCodecCalls(dst []byte, src []float32) {
 	simd.F16EncodeGeneric(dst, src) // want `direct call to simd.F16EncodeGeneric bypasses the kernel dispatch`
 	simd.F16RoundGeneric(src)       // want `direct call to simd.F16RoundGeneric bypasses the kernel dispatch`

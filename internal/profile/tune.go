@@ -12,13 +12,18 @@ import (
 	"ratel/internal/tensor/simd"
 )
 
-// Kernel calibration (the `ratelbench tune` subcommand): the matmul tile
-// sizes and the element-wise grain trade cache residency against
-// scheduling overhead, and the best settings are machine-specific — cache
-// sizes, SIMD width, and core count all move the optimum. Because every
-// tiling choice is bit-identical (tiles only reorder *independent* output
-// work, never an accumulation; see tensor.SetTiling), a profile measured
-// once can be applied on every later run without affecting results.
+// Kernel calibration (the `ratelbench tune` subcommand): the element-wise
+// grain trades chunk-dispatch overhead against load balance, and the best
+// setting is machine-specific — core count and memory bandwidth move the
+// optimum. Because every grain is bit-identical (chunks only partition
+// *independent* output work, never an accumulation; see
+// tensor.SetElemGrain), a profile measured once can be applied on every
+// later run without affecting results.
+//
+// The matmul blocking is not in the profile: the packed-panel depth and the
+// a·bᵀ row panel are constants sized to L1 (EXPERIMENTS.md "Register-tiled
+// GEMM" has the sweep that retired matmul_k_block / matmul_j_block). A
+// profile written before that still loads; its two tile fields are ignored.
 //
 // The profile is a small JSON file. RATEL_TUNE_PROFILE names the file to
 // load at engine startup (unset → built-in defaults); `ratelbench tune`
@@ -31,23 +36,17 @@ const TuningVersion = 1
 // Tuning is a machine-specific kernel calibration profile.
 type Tuning struct {
 	Version   int    `json:"version"`
-	SIMDLevel string `json:"simd_level"`          // dispatch level when measured (informational)
-	Threads   int    `json:"threads"`             // pool parallelism when measured (informational)
-	CreatedAt string `json:"created_at"`          // RFC 3339 UTC
-	SweepDim  int    `json:"sweep_dim,omitempty"` // matmul dimension the sweep timed
+	SIMDLevel string `json:"simd_level"` // dispatch level when measured (informational)
+	Threads   int    `json:"threads"`    // pool parallelism when measured (informational)
+	CreatedAt string `json:"created_at"` // RFC 3339 UTC
 
-	MatMulKBlock int `json:"matmul_k_block"` // tensor.SetTiling k: MatMul/TMatMul k-panel rows
-	MatMulJBlock int `json:"matmul_j_block"` // tensor.SetTiling j: MatMulT column tile
-	ElemGrain    int `json:"elem_grain"`     // tensor.SetElemGrain: min elements per chunk
+	ElemGrain int `json:"elem_grain"` // tensor.SetElemGrain: min elements per chunk
 }
 
 // Apply installs the profile's settings into the tensor package. The
 // settings are result-neutral, so a stale or foreign profile can cost
 // speed but never correctness.
 func (t Tuning) Apply() error {
-	if err := tensor.SetTiling(t.MatMulKBlock, t.MatMulJBlock); err != nil {
-		return fmt.Errorf("profile: tuning: %w", err)
-	}
 	if err := tensor.SetElemGrain(t.ElemGrain); err != nil {
 		return fmt.Errorf("profile: tuning: %w", err)
 	}
@@ -78,8 +77,8 @@ func LoadTuning(path string) (Tuning, error) {
 	if t.Version != TuningVersion {
 		return Tuning{}, fmt.Errorf("profile: tuning %s has version %d, want %d", path, t.Version, TuningVersion)
 	}
-	if t.MatMulKBlock < 1 || t.MatMulJBlock < 1 || t.ElemGrain < 1 {
-		return Tuning{}, fmt.Errorf("profile: tuning %s has non-positive tile sizes", path)
+	if t.ElemGrain < 1 {
+		return Tuning{}, fmt.Errorf("profile: tuning %s has a non-positive element grain", path)
 	}
 	return t, nil
 }
@@ -119,10 +118,6 @@ func loadStartupTuning(path string) (string, error) {
 
 // TuneConfig sizes the calibration sweep.
 type TuneConfig struct {
-	// Dim is the square matmul dimension timed per candidate tile
-	// (default 512 — big enough that tiling matters, small enough that
-	// the full sweep stays in seconds).
-	Dim int
 	// ElemN is the element count timed per grain candidate (default 1<<20).
 	ElemN int
 	// Repeats is the timing repetitions per candidate; best-of is kept
@@ -131,9 +126,6 @@ type TuneConfig struct {
 }
 
 func (c *TuneConfig) fill() {
-	if c.Dim <= 0 {
-		c.Dim = 512
-	}
 	if c.ElemN <= 0 {
 		c.ElemN = 1 << 20
 	}
@@ -142,88 +134,38 @@ func (c *TuneConfig) fill() {
 	}
 }
 
-// tuneCandidates returns the swept settings. Exposed as data (not
-// hard-coded in the loop) so tests can assert coverage.
-func tuneCandidates() (kBlocks, jBlocks, grains []int) {
-	return []int{64, 128, 256, 512, 1024},
-		[]int{16, 32, 64, 128, 256},
-		[]int{1 << 10, 1 << 12, 1 << 14, 1 << 16}
+// tuneCandidates returns the swept grains. Exposed as data (not hard-coded
+// in the loop) so tests can assert coverage.
+func tuneCandidates() []int {
+	return []int{1 << 10, 1 << 12, 1 << 14, 1 << 16}
 }
 
-// TuneKernels sweeps the matmul tile sizes and the element-wise grain on
-// this machine and returns the fastest settings found. The current tensor
-// settings are restored before returning — callers opt in via Apply. logf
-// (optional) receives one line per candidate with its best time.
+// TuneKernels sweeps the element-wise grain on this machine and returns
+// the fastest setting found. The current setting is restored before
+// returning — callers opt in via Apply. logf (optional) receives one line
+// per candidate with its best time.
 func TuneKernels(cfg TuneConfig, logf func(format string, a ...any)) (Tuning, error) {
 	cfg.fill()
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	oldK, oldJ := tensor.Tiling()
 	oldGrain := tensor.ElemGrain()
-	defer func() {
-		_ = tensor.SetTiling(oldK, oldJ)
-		_ = tensor.SetElemGrain(oldGrain)
-	}()
+	defer func() { _ = tensor.SetElemGrain(oldGrain) }()
 
-	rng := rand.New(rand.NewSource(1))
-	a := tensor.New(cfg.Dim, cfg.Dim)
-	b := tensor.New(cfg.Dim, cfg.Dim)
-	a.RandInit(rng, 1)
-	b.RandInit(rng, 1)
 	elems := tensor.New(1, cfg.ElemN)
-	elems.RandInit(rng, 1)
+	elems.RandInit(rand.New(rand.NewSource(1)), 1)
 
 	best := Tuning{
 		Version:   TuningVersion,
 		SIMDLevel: simd.Level(),
 		Threads:   tensor.Parallelism(),
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		SweepDim:  cfg.Dim,
 	}
-	kBlocks, jBlocks, grains := tuneCandidates()
 
-	// k-tile: times MatMul (the axpy-panel kernel streams b in k-row
-	// panels, so kBlock controls its cache footprint).
+	// Times the fp16 round-trip (the densest element-wise kernel the
+	// training step runs).
 	bestD := time.Duration(0)
-	for _, k := range kBlocks {
-		if err := tensor.SetTiling(k, oldJ); err != nil {
-			return Tuning{}, err
-		}
-		d := timeBest(cfg.Repeats, func() error { _, err := tensor.MatMul(a, b); return err })
-		if d < 0 {
-			return Tuning{}, fmt.Errorf("profile: tune: matmul failed at kBlock=%d", k)
-		}
-		logf("tune matmul kBlock=%-5d %v", k, d)
-		if best.MatMulKBlock == 0 || d < bestD {
-			best.MatMulKBlock, bestD = k, d
-		}
-	}
-	if err := tensor.SetTiling(oldK, oldJ); err != nil {
-		return Tuning{}, err
-	}
-
-	// j-tile: times MatMulT (the dot kernel walks jBlock rows of bT per
-	// pass over a's row).
-	bestD = 0
-	for _, j := range jBlocks {
-		if err := tensor.SetTiling(best.MatMulKBlock, j); err != nil {
-			return Tuning{}, err
-		}
-		d := timeBest(cfg.Repeats, func() error { _, err := tensor.MatMulT(a, b); return err })
-		if d < 0 {
-			return Tuning{}, fmt.Errorf("profile: tune: matmulT failed at jBlock=%d", j)
-		}
-		logf("tune matmulT jBlock=%-5d %v", j, d)
-		if best.MatMulJBlock == 0 || d < bestD {
-			best.MatMulJBlock, bestD = j, d
-		}
-	}
-
-	// Element-wise grain: times the fp16 round-trip (the densest
-	// element-wise kernel the training step runs).
-	bestD = 0
-	for _, g := range grains {
+	for _, g := range tuneCandidates() {
 		if err := tensor.SetElemGrain(g); err != nil {
 			return Tuning{}, err
 		}

@@ -14,12 +14,8 @@ import (
 // tests sharing the process.
 func restoreTensorSettings(t *testing.T) {
 	t.Helper()
-	k, j := tensor.Tiling()
 	g := tensor.ElemGrain()
 	t.Cleanup(func() {
-		if err := tensor.SetTiling(k, j); err != nil {
-			t.Fatal(err)
-		}
 		if err := tensor.SetElemGrain(g); err != nil {
 			t.Fatal(err)
 		}
@@ -32,26 +28,26 @@ func restoreTensorSettings(t *testing.T) {
 func TestTuneKernelsSweepAndRoundtrip(t *testing.T) {
 	restoreTensorSettings(t)
 	var lines int
-	tuning, err := TuneKernels(TuneConfig{Dim: 48, ElemN: 1 << 12, Repeats: 1},
+	pre := tensor.ElemGrain()
+	tuning, err := TuneKernels(TuneConfig{ElemN: 1 << 12, Repeats: 1},
 		func(string, ...any) { lines++ })
 	if err != nil {
 		t.Fatal(err)
 	}
-	kBlocks, jBlocks, grains := tuneCandidates()
-	if lines != len(kBlocks)+len(jBlocks)+len(grains) {
-		t.Errorf("logf called %d times, want %d", lines, len(kBlocks)+len(jBlocks)+len(grains))
+	grains := tuneCandidates()
+	if lines != len(grains) {
+		t.Errorf("logf called %d times, want %d", lines, len(grains))
 	}
-	if !contains(kBlocks, tuning.MatMulKBlock) || !contains(jBlocks, tuning.MatMulJBlock) || !contains(grains, tuning.ElemGrain) {
-		t.Errorf("tuning picked values outside the candidate sets: %+v", tuning)
+	if !contains(grains, tuning.ElemGrain) {
+		t.Errorf("tuning picked a value outside the candidate set: %+v", tuning)
 	}
 	if tuning.Version != TuningVersion || tuning.SIMDLevel == "" || tuning.Threads < 1 || tuning.CreatedAt == "" {
 		t.Errorf("metadata incomplete: %+v", tuning)
 	}
 
-	// The sweep must restore the pre-sweep settings.
-	preK, preJ := tensor.Tiling()
-	if wantK, wantJ := tensor.Tiling(); preK != wantK || preJ != wantJ {
-		t.Errorf("sweep leaked tiling %d,%d", preK, preJ)
+	// The sweep must restore the pre-sweep setting.
+	if g := tensor.ElemGrain(); g != pre {
+		t.Errorf("sweep leaked grain %d, want %d", g, pre)
 	}
 
 	path := filepath.Join(t.TempDir(), "tune.json")
@@ -68,9 +64,6 @@ func TestTuneKernelsSweepAndRoundtrip(t *testing.T) {
 
 	if err := loaded.Apply(); err != nil {
 		t.Fatal(err)
-	}
-	if k, j := tensor.Tiling(); k != loaded.MatMulKBlock || j != loaded.MatMulJBlock {
-		t.Errorf("Apply set tiling %d,%d, want %d,%d", k, j, loaded.MatMulKBlock, loaded.MatMulJBlock)
 	}
 	if g := tensor.ElemGrain(); g != loaded.ElemGrain {
 		t.Errorf("Apply set grain %d, want %d", g, loaded.ElemGrain)
@@ -90,10 +83,10 @@ func contains(s []int, v int) bool {
 func TestLoadTuningRejectsBadProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
-		"missing":  "", // never written
-		"garbage":  "not json",
-		"version":  `{"version": 99, "matmul_k_block": 1, "matmul_j_block": 1, "elem_grain": 1}`,
-		"zeroTile": `{"version": 1, "matmul_k_block": 0, "matmul_j_block": 64, "elem_grain": 4096}`,
+		"missing":   "", // never written
+		"garbage":   "not json",
+		"version":   `{"version": 99, "elem_grain": 1}`,
+		"zeroGrain": `{"version": 1, "elem_grain": 0}`,
 	}
 	for name, body := range cases {
 		path := filepath.Join(dir, name+".json")
@@ -105,6 +98,29 @@ func TestLoadTuningRejectsBadProfiles(t *testing.T) {
 		if _, err := LoadTuning(path); err == nil {
 			t.Errorf("LoadTuning accepted %s profile", name)
 		}
+	}
+}
+
+// TestLoadTuningAcceptsRetiredTileFields: a profile written while the
+// matmul tiles were tunable still loads and applies; the retired fields
+// are ignored whatever they hold.
+func TestLoadTuningAcceptsRetiredTileFields(t *testing.T) {
+	restoreTensorSettings(t)
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"version": 1, "simd_level": "avx2-fma-f16c", "threads": 1, "created_at": "2026-08-08T00:00:00Z",
+		"sweep_dim": 512, "matmul_k_block": 256, "matmul_j_block": 0, "elem_grain": 1024}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadTuning(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Apply(); err != nil {
+		t.Fatal(err)
+	}
+	if g := tensor.ElemGrain(); g != 1024 {
+		t.Errorf("old profile applied grain %d, want 1024", g)
 	}
 }
 
@@ -120,7 +136,7 @@ func TestStartupTuning(t *testing.T) {
 
 	// Valid profile → applied.
 	good := Tuning{Version: TuningVersion, SIMDLevel: "generic", Threads: 1,
-		CreatedAt: "2026-01-01T00:00:00Z", MatMulKBlock: 96, MatMulJBlock: 24, ElemGrain: 2048}
+		CreatedAt: "2026-01-01T00:00:00Z", ElemGrain: 2048}
 	path := filepath.Join(t.TempDir(), "tune.json")
 	if err := good.Save(path); err != nil {
 		t.Fatal(err)
@@ -128,9 +144,6 @@ func TestStartupTuning(t *testing.T) {
 	got, err := loadStartupTuning(path)
 	if err != nil || got != path {
 		t.Fatalf("loadStartupTuning(%q) = (%q, %v)", path, got, err)
-	}
-	if k, j := tensor.Tiling(); k != 96 || j != 24 {
-		t.Errorf("startup tuning applied tiling %d,%d, want 96,24", k, j)
 	}
 	if g := tensor.ElemGrain(); g != 2048 {
 		t.Errorf("startup tuning applied grain %d, want 2048", g)

@@ -138,3 +138,89 @@ func benchmarkFP16Codec(b *testing.B, n int) {
 
 func BenchmarkFP16Codec_64K(b *testing.B) { benchmarkFP16Codec(b, 1<<16) }
 func BenchmarkFP16Codec_1M(b *testing.B)  { benchmarkFP16Codec(b, 1<<20) }
+
+// BenchmarkGEMMShapes times the three matmul variants at the shapes the
+// engine actually runs — each BENCHMARK.json workload's Linear GEMMs
+// (tokens x h x {3h, h, 4h} and tokens x 4h x h) and its per-head attention
+// GEMMs (seq x seq x dh and seq x dh x seq) — on one thread and on NumCPU
+// threads. Sub-benchmark names read workload/variant/MxKxN/threads with
+// (M, K, N) the logical product dimensions: c[M,N] = Σ_K.
+func BenchmarkGEMMShapes(b *testing.B) {
+	workloads := []struct {
+		name                    string
+		tokens, hidden, seq, dh int
+	}{
+		{"io_mixed", 128, 32, 64, 16},
+		{"opt_stream", 128, 64, 64, 16},
+		{"compute", 256, 256, 128, 32},
+		{"accum_ckpt_file", 128, 128, 64, 32},
+	}
+	variants := []struct {
+		name string
+		// operands builds a, b for the logical (m, k, n).
+		operands func(rng *rand.Rand, m, k, n int) (a, b *Tensor)
+		into     func(c, a, b *Tensor) error
+		// linear maps a Linear layer (in, out) at `tokens` rows to the
+		// variant's logical (m, k, n): forward, input-gradient and
+		// weight-gradient GEMMs respectively.
+		linear func(tokens, in, out int) (m, k, n int)
+		// attention is the variant's per-head shape.
+		attention func(seq, dh int) (m, k, n int)
+	}{
+		{"MatMul",
+			func(rng *rand.Rand, m, k, n int) (*Tensor, *Tensor) {
+				return randTensor(rng, m, k), randTensor(rng, k, n)
+			},
+			MatMulInto,
+			func(t, in, out int) (int, int, int) { return t, in, out },
+			func(seq, dh int) (int, int, int) { return seq, seq, dh }},
+		{"MatMulT",
+			func(rng *rand.Rand, m, k, n int) (*Tensor, *Tensor) {
+				return randTensor(rng, m, k), randTensor(rng, n, k)
+			},
+			MatMulTInto,
+			func(t, in, out int) (int, int, int) { return t, out, in },
+			func(seq, dh int) (int, int, int) { return seq, dh, seq }},
+		{"TMatMul",
+			func(rng *rand.Rand, m, k, n int) (*Tensor, *Tensor) {
+				return randTensor(rng, k, m), randTensor(rng, k, n)
+			},
+			TMatMulInto,
+			func(t, in, out int) (int, int, int) { return in, t, out },
+			func(seq, dh int) (int, int, int) { return seq, seq, dh }},
+	}
+
+	old := Parallelism()
+	defer SetParallelism(old)
+	rng := rand.New(rand.NewSource(4))
+	for _, w := range workloads {
+		h := w.hidden
+		for _, v := range variants {
+			shapes := [][3]int{}
+			for _, l := range [][2]int{{h, 3 * h}, {h, h}, {h, 4 * h}, {4 * h, h}} {
+				m, k, n := v.linear(w.tokens, l[0], l[1])
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+			m, k, n := v.attention(w.seq, w.dh)
+			shapes = append(shapes, [3]int{m, k, n})
+			for _, s := range shapes {
+				m, k, n := s[0], s[1], s[2]
+				x, y := v.operands(rng, m, k, n)
+				c := New(m, n)
+				flops := 2 * float64(m) * float64(k) * float64(n)
+				for _, threads := range []int{1, runtime.NumCPU()} {
+					b.Run(fmt.Sprintf("%s/%s/%dx%dx%d/%dt", w.name, v.name, m, k, n, threads), func(b *testing.B) {
+						SetParallelism(threads)
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if err := v.into(c, x, y); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+					})
+				}
+			}
+		}
+	}
+}

@@ -2,9 +2,6 @@
 
 package simd
 
-// archLevel names the amd64 vector kernel set.
-const archLevel = "avx2-fma-f16c"
-
 // archAvailable checks CPUID for AVX2 + FMA + F16C and XGETBV for OS
 // YMM-state support — the full feature set the assembly kernels assume.
 // The kernels are selected as one tier: a machine with AVX2 but no F16C
@@ -32,15 +29,19 @@ func archAvailable() bool {
 	return ebx7&avx2 != 0
 }
 
-// installArch points the dispatch at the AVX2 kernels.
-func installArch() {
-	axpyImpl = axpyAVX2
-	dotImpl = dotAVX2
-	f16EncodeImpl = f16EncodeAVX2
-	f16DecodeImpl = f16DecodeAVX2
-	f16RoundImpl = f16RoundAVX2
-	addImpl = addAVX2
-	scaleImpl = scaleAVX2
+// archKernels is the AVX2 kernel set.
+func archKernels() kernels {
+	return kernels{
+		level:     "avx2-fma-f16c",
+		axpy:      axpyAVX2,
+		dot:       dotAVX2,
+		dotRow:    dotRowAVX2,
+		f16Encode: f16EncodeAVX2,
+		f16Decode: f16DecodeAVX2,
+		f16Round:  f16RoundAVX2,
+		add:       addAVX2,
+		scale:     scaleAVX2,
+	}
 }
 
 // The AVX2 wrappers run the 8-lane assembly body over the largest
@@ -72,6 +73,66 @@ func dotAVX2(a, b []float32) float32 {
 		s += a[p] * b[p]
 	}
 	return s
+}
+
+// GemmPanel computes GemmNR columns of a matrix product for m rows, m a
+// positive multiple of GemmMR:
+//
+//	c[i*ldc+j] = Σ_p a[i*ars+p*aps] · b[p*ldb+j]   p in [0, kc), kc >= 1
+//
+// starting from zero, or from the values already in c when accumulate is
+// set (the next k-block of the same sum). a is addressed by a row stride and
+// a p stride, so one kernel serves a·b (ars = k, aps = 1) and aᵀ·b
+// (ars = 1, aps = m). The vector path packs the kc x GemmNR panel of b into
+// bp (at least kc*GemmNR floats of caller-owned scratch) once and sweeps
+// GemmMR-row tiles of c over it, each held in registers for the whole sweep.
+// Every element is bit-identical to zeroing it and calling Axpy on its row
+// once per p in increasing order: the tile does not change the arithmetic,
+// only where c lives between the steps.
+//
+// The selected set picks the body by a static call, not through a func value
+// like the other entry points: bp lives on the caller's stack, and an
+// argument to a func value escapes to the heap.
+func GemmPanel(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, kc int, bp []float32, accumulate bool) {
+	if !Active() {
+		GemmPanelGeneric(c, ldc, a, ars, aps, m, b, ldb, kc, accumulate)
+		return
+	}
+	// The four extents the assembly bodies touch.
+	_ = c[(m-1)*ldc+GemmNR-1]
+	_ = a[(m-1)*ars+(kc-1)*aps]
+	_ = b[(kc-1)*ldb+GemmNR-1]
+	_ = bp[kc*GemmNR-1]
+	packPanelAsm(&bp[0], &b[0], ldb, kc)
+	for i := 0; i < m; i += GemmMR {
+		gemmTileAsm(&c[i*ldc], ldc, &a[i*ars], ars, aps, &bp[0], kc, accumulate)
+	}
+}
+
+// dotRowAVX2 runs whole tiles of cells through dotTileAsm and the ragged
+// last cells through dotAVX2. A tiled cell is finished exactly as dotAVX2
+// finishes its own: the len(a) mod 8 tail is added unfused, in order.
+func dotRowAVX2(c, a, b []float32, ldb int) {
+	k := len(a)
+	n := k &^ 7
+	tiled := 0
+	if tiles := len(c) / DotRowTile; n > 0 && tiles > 0 {
+		tiled = tiles * DotRowTile
+		_ = b[(tiled-1)*ldb+k-1]
+		dotTileAsm(&c[0], &a[0], &b[0], ldb, n, tiles)
+		if n < k {
+			for j := 0; j < tiled; j++ {
+				s, brow := c[j], b[j*ldb:j*ldb+k]
+				for p := n; p < k; p++ {
+					s += a[p] * brow[p]
+				}
+				c[j] = s
+			}
+		}
+	}
+	for j := tiled; j < len(c); j++ {
+		c[j] = dotAVX2(a, b[j*ldb:j*ldb+k])
+	}
 }
 
 func f16EncodeAVX2(dst []byte, src []float32) {
@@ -133,6 +194,15 @@ func axpyAsm(c, b *float32, n int, a float32)
 
 //go:noescape
 func dotAsm(a, b *float32, n int) float32
+
+//go:noescape
+func packPanelAsm(dst, src *float32, ld, kc int)
+
+//go:noescape
+func gemmTileAsm(c *float32, ldc int, a *float32, ars, aps int, bp *float32, kc int, acc bool)
+
+//go:noescape
+func dotTileAsm(out, a, b *float32, ldb, n, tiles int)
 
 //go:noescape
 func f16EncAsm(dst *byte, src *float32, n int)

@@ -95,6 +95,28 @@ func DotGeneric(a, b []float32) float32 {
 	return s
 }
 
+// GemmPanelGeneric is the reference panel: each of the m rows is zeroed
+// (unless accumulating) and updated by AxpyGeneric once per p, in
+// increasing p, straight from b.
+func GemmPanelGeneric(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, kc int, accumulate bool) {
+	for i := 0; i < m; i++ {
+		crow := c[i*ldc : i*ldc+GemmNR]
+		if !accumulate {
+			clear(crow)
+		}
+		for p := 0; p < kc; p++ {
+			AxpyGeneric(crow, b[p*ldb:p*ldb+GemmNR], a[i*ars+p*aps])
+		}
+	}
+}
+
+// DotRowGeneric is the reference row of a·bᵀ: one DotGeneric per cell.
+func DotRowGeneric(c, a, b []float32, ldb int) {
+	for j := range c {
+		c[j] = DotGeneric(a, b[j*ldb:j*ldb+len(a)])
+	}
+}
+
 // F16EncodeGeneric packs src as little-endian binary16 into dst
 // (2*len(src) bytes), round-to-nearest-even.
 func F16EncodeGeneric(dst []byte, src []float32) {

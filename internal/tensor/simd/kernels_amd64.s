@@ -4,7 +4,7 @@
 
 // AVX2/FMA/F16C kernel bodies. Contracts shared by every kernel:
 //   - n is a positive multiple of 8 (the Go wrappers guarantee it and
-//     finish ragged tails scalar-side).
+//     finish ragged tails scalar-side); the GEMM tile and its pack take kc >= 1.
 //   - Loads and stores are unaligned (VMOVUPS/VMOVDQU): callers slice at
 //     arbitrary offsets.
 //   - Lane assignment is a pure function of element index, so results are
@@ -161,6 +161,247 @@ dotReduce:
 	VHADDPS X0, X0, X0
 	VZEROUPPER
 	MOVSS X0, ret+24(FP)
+	RET
+
+// func gemmTileAsm(c *float32, ldc int, a *float32, ars, aps int, bp *float32, kc int, acc bool)
+// One 4x16 tile of c (row stride ldc) held in Y0-Y7 across the whole
+// k-sweep: c[i][j] (+)= sum over p in [0,kc) of a[i*ars+p*aps] * bp[p*16+j],
+// from zero, or from the stored tile when acc is set (the next k-block of the
+// same chain: a float32 store and reload is lossless). Per element this is
+// exactly the chain axpyAsm performs when it is called once per p on the
+// element's row — the same VFMADD231PS with b as the multiplicand vector, the
+// broadcast a as the multiplier and c as the addend, in increasing p — so
+// the tile is bit-identical to the axpy formulation; only the loads and
+// stores of c between the steps are gone. bp is a packed panel: kc rows of
+// 16 contiguous floats. The p loop is unrolled by two; strides arrive in
+// elements and are scaled to bytes here.
+TEXT ·gemmTileAsm(SB), NOSPLIT, $0-57
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $2, R8
+	MOVQ a+16(FP), SI
+	MOVQ ars+24(FP), R9
+	SHLQ $2, R9
+	MOVQ aps+32(FP), R10
+	SHLQ $2, R10
+	MOVQ bp+40(FP), BX
+	MOVQ kc+48(FP), CX
+	LEAQ (SI)(R9*1), R11  // a rows 1..3
+	LEAQ (SI)(R9*2), R12
+	LEAQ (R11)(R9*2), R13
+	LEAQ (DI)(R8*2), DX   // c row 2
+	MOVBLZX acc+56(FP), AX
+	TESTQ AX, AX
+	JZ   gtZero
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS 32(DI)(R8*1), Y3
+	VMOVUPS (DX), Y4
+	VMOVUPS 32(DX), Y5
+	VMOVUPS (DX)(R8*1), Y6
+	VMOVUPS 32(DX)(R8*1), Y7
+	JMP  gtLoop2
+
+gtZero:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+gtLoop2:
+	CMPQ CX, $2
+	JLT  gtTail
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (R11), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (R12), Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VBROADCASTSS (R13), Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+	VMOVUPS 64(BX), Y8
+	VMOVUPS 96(BX), Y9
+	VBROADCASTSS (SI)(R10*1), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (R11)(R10*1), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (R12)(R10*1), Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VBROADCASTSS (R13)(R10*1), Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+	LEAQ (SI)(R10*2), SI
+	LEAQ (R11)(R10*2), R11
+	LEAQ (R12)(R10*2), R12
+	LEAQ (R13)(R10*2), R13
+	ADDQ $128, BX
+	SUBQ $2, CX
+	JMP  gtLoop2
+
+gtTail:
+	TESTQ CX, CX
+	JZ   gtStore
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	VBROADCASTSS (SI), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (R11), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (R12), Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VBROADCASTSS (R13), Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+
+gtStore:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y4, (DX)
+	VMOVUPS Y5, 32(DX)
+	VMOVUPS Y6, (DX)(R8*1)
+	VMOVUPS Y7, 32(DX)(R8*1)
+	VZEROUPPER
+	RET
+
+// func packPanelAsm(dst, src *float32, ld, kc int)
+// Gathers the 16-column panel gemmTileAsm sweeps: kc rows of 16 floats, ld
+// apart in src, contiguous in dst. kc >= 1.
+TEXT ·packPanelAsm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ld+16(FP), R8
+	SHLQ $2, R8
+	MOVQ kc+24(FP), CX
+
+ppRow:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ R8, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  ppRow
+	VZEROUPPER
+	RET
+
+// func dotTileAsm(out, a, b *float32, ldb, n, tiles int)
+// tiles consecutive 1x3 tiles of dot products: out[j] = a . b[j*ldb:] over
+// the first n elements, for j in [0, 3*tiles). One load of a's 32-element
+// block feeds three rows of b, and the loop over tiles stays in assembly so
+// short rows (attention's k = 32) do not pay a call per tile. Every cell
+// keeps dotAsm's arithmetic exactly: four 8-lane accumulators filled
+// round-robin by 32-element block, the n mod 32 tail blocks all into the
+// first accumulator, then (acc0+acc1)+(acc2+acc3), high half onto low half,
+// and two pairwise horizontal adds. The horizontal adds of the three cells
+// share instructions (VHADDPS adds adjacent pairs of both its sources), which
+// changes which register a partial sum sits in, never its operands or their
+// order.
+TEXT ·dotTileAsm(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), BX
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DI
+	MOVQ ldb+24(FP), R8
+	SHLQ $2, R8
+	MOVQ n+32(FP), CX
+	MOVQ tiles+40(FP), R11
+	MOVQ CX, DX
+	ANDQ $-32, DX
+
+dtTile:
+	LEAQ (DI)(R8*1), R9
+	LEAQ (DI)(R8*2), R10
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	XORQ AX, AX
+
+dt32:
+	CMPQ AX, DX
+	JGE  dt8
+	VMOVUPS (SI)(AX*4), Y12
+	VMOVUPS 32(SI)(AX*4), Y13
+	VMOVUPS 64(SI)(AX*4), Y14
+	VMOVUPS 96(SI)(AX*4), Y15
+	VFMADD231PS (DI)(AX*4), Y12, Y0
+	VFMADD231PS 32(DI)(AX*4), Y13, Y1
+	VFMADD231PS 64(DI)(AX*4), Y14, Y2
+	VFMADD231PS 96(DI)(AX*4), Y15, Y3
+	VFMADD231PS (R9)(AX*4), Y12, Y4
+	VFMADD231PS 32(R9)(AX*4), Y13, Y5
+	VFMADD231PS 64(R9)(AX*4), Y14, Y6
+	VFMADD231PS 96(R9)(AX*4), Y15, Y7
+	VFMADD231PS (R10)(AX*4), Y12, Y8
+	VFMADD231PS 32(R10)(AX*4), Y13, Y9
+	VFMADD231PS 64(R10)(AX*4), Y14, Y10
+	VFMADD231PS 96(R10)(AX*4), Y15, Y11
+	ADDQ $32, AX
+	JMP  dt32
+
+dt8:
+	CMPQ AX, CX
+	JGE  dtReduce
+	VMOVUPS (SI)(AX*4), Y12
+	VFMADD231PS (DI)(AX*4), Y12, Y0
+	VFMADD231PS (R9)(AX*4), Y12, Y4
+	VFMADD231PS (R10)(AX*4), Y12, Y8
+	ADDQ $8, AX
+	JMP  dt8
+
+dtReduce:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VADDPS Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPS X5, X4, X4
+	VADDPS Y9, Y8, Y8
+	VADDPS Y11, Y10, Y10
+	VADDPS Y10, Y8, Y8
+	VEXTRACTF128 $1, Y8, X9
+	VADDPS X9, X8, X8
+	VHADDPS X4, X0, X0
+	VHADDPS X8, X8, X8
+	VHADDPS X8, X0, X0
+	VMOVLPS X0, (BX)
+	VEXTRACTPS $2, X0, 8(BX)
+	ADDQ $12, BX
+	LEAQ (R10)(R8*1), DI
+	DECQ R11
+	JNZ  dtTile
+	VZEROUPPER
 	RET
 
 // func f16EncAsm(dst *byte, src *float32, n int)

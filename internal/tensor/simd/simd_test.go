@@ -256,6 +256,106 @@ func TestAxpyDotToleranceAndDeterminism(t *testing.T) {
 	}
 }
 
+// onBothPaths runs f on the selected kernel set and, when that is the vector
+// set, again with the dispatch pinned to the generic one.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run(Level(), f)
+	if Active() {
+		restore := ForceGeneric()
+		defer restore()
+		t.Run(Level(), f)
+	}
+}
+
+// TestGemmPanelBitIdenticalToAxpy: on either path a panel is, element for
+// element, the chain Axpy performs on a zeroed row — for a·b and aᵀ·b
+// addressing, odd and even depths, one and several row tiles, a sweep split
+// into two accumulating calls — and it writes nothing outside its
+// m x GemmNR cells.
+func TestGemmPanelBitIdenticalToAxpy(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		const ldc, ldb = GemmNR + 5, GemmNR + 3
+		for _, m := range []int{GemmMR, 3 * GemmMR} {
+			for _, kc := range []int{1, 2, 3, 7, 64, 255, 256} {
+				a := make([]float32, m*kc)
+				b := make([]float32, kc*ldb)
+				bp := make([]float32, kc*GemmNR)
+				for i := range a {
+					a[i] = rng.Float32()*2 - 1
+				}
+				for i := range b {
+					b[i] = rng.Float32()*2 - 1
+				}
+				for _, tr := range []bool{false, true} {
+					ars, aps := kc, 1 // a is [m,kc]
+					if tr {
+						ars, aps = 1, m // a is [kc,m], read transposed
+					}
+					want := make([]float32, m*ldc)
+					got := make([]float32, m*ldc)
+					for i := range got {
+						got[i] = 7 // dirty, and a guard beyond column GemmNR
+						if i%ldc >= GemmNR {
+							want[i] = 7
+						}
+					}
+					for i := 0; i < m; i++ {
+						for p := 0; p < kc; p++ {
+							Axpy(want[i*ldc:i*ldc+GemmNR], b[p*ldb:p*ldb+GemmNR], a[i*ars+p*aps])
+						}
+					}
+					k1 := kc / 2
+					if k1 > 0 {
+						GemmPanel(got, ldc, a, ars, aps, m, b, ldb, k1, bp, false)
+						GemmPanel(got, ldc, a[k1*aps:], ars, aps, m, b[k1*ldb:], ldb, kc-k1, bp, true)
+					} else {
+						GemmPanel(got, ldc, a, ars, aps, m, b, ldb, kc, bp, false)
+					}
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("m=%d kc=%d transposed=%v: c[%d,%d] = %v, axpy chain %v", m, kc, tr, i/ldc, i%ldc, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestDotRowBitIdenticalToDot: every cell of a DotRow is the Dot of its two
+// rows, bit for bit, whichever of the tiled, tail-block, scalar-tail and
+// ragged-cell paths it took.
+func TestDotRowBitIdenticalToDot(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(48))
+		for _, k := range []int{1, 7, 8, 9, 31, 32, 33, 40, 64, 71, 257} {
+			for _, n := range []int{1, 2, 3, 4, 5, 7, 12} {
+				ldb := k + 3
+				a := make([]float32, k)
+				b := make([]float32, n*ldb)
+				for i := range a {
+					a[i] = rng.Float32()*2 - 1
+				}
+				for i := range b {
+					b[i] = rng.Float32()*2 - 1
+				}
+				got := make([]float32, n+1)
+				got[n] = 7 // guard
+				DotRow(got[:n], a, b, ldb)
+				for j := 0; j < n; j++ {
+					if want := Dot(a, b[j*ldb:j*ldb+k]); math.Float32bits(got[j]) != math.Float32bits(want) {
+						t.Fatalf("k=%d n=%d: cell %d = %v, Dot %v", k, n, j, got[j], want)
+					}
+				}
+				if got[n] != 7 {
+					t.Fatalf("k=%d n=%d: DotRow wrote past its row", k, n)
+				}
+			}
+		}
+	})
+}
+
 // TestForceGeneric pins and restores the dispatch.
 func TestForceGeneric(t *testing.T) {
 	if !Active() {

@@ -5,25 +5,29 @@
 // G16 accounting assumes.
 //
 // Kernels are cache-blocked and run on the shared worker pool
-// (internal/tensor/pool), sharding only independent outputs — matmul row
-// panels, softmax rows, element-wise chunks — never reductions. Each output
-// element is therefore produced by exactly one goroutine with the same
-// per-element arithmetic as the serial kernel, so results are bit-identical
-// across thread counts and runs: the engine's correctness suite still
-// compares runs bit-for-bit. Parallelism is sized by RATEL_THREADS /
-// runtime.GOMAXPROCS and adjustable via SetParallelism; small tensors fall
-// back to the serial path and pay no scheduling overhead.
+// (internal/tensor/pool), sharding only independent outputs — matmul column
+// panels and rows, softmax rows, element-wise chunks — never reductions.
+// Each output element is therefore produced by exactly one goroutine with
+// the same per-element arithmetic as the serial kernel, so results are
+// bit-identical across thread counts and runs: the engine's correctness
+// suite still compares runs bit-for-bit. Parallelism is sized by
+// RATEL_THREADS / runtime.GOMAXPROCS and adjustable via SetParallelism;
+// small tensors fall back to the serial path and pay no scheduling overhead.
 //
 // Inner loops dispatch through internal/tensor/simd: AVX2/FMA/F16C
 // microkernels when the CPU supports them (RATEL_NOSIMD=1 pins the
-// portable reference). The fp16 codec and element-wise kernels are
-// bit-identical to the reference on every path; the matmul family uses
-// FMA on the vector path, which changes rounding versus the scalar
-// reference — deterministic on a given machine at any thread count and
-// tile size, but not bit-portable across machines with different feature
-// sets (DESIGN.md §11). Matmul tile sizes and the element-wise grain are
-// tunable per machine (SetTiling/SetElemGrain, `ratelbench tune`);
-// retiling never changes results, only cache behaviour.
+// portable reference). The three matmuls run on register-tiled kernels
+// there — MatMul and TMatMul on a 4x16 GEMM tile over packed column panels
+// of b, MatMulT on a 1x3 tile of dot products — which are bit-identical to
+// the BLAS-1 formulation they replaced (one simd.Axpy per row and p, one
+// simd.Dot per cell) and still fall back to it on ragged edges and on the
+// generic path. The fp16 codec and element-wise kernels are bit-identical
+// to the reference on every path; the matmul family uses FMA on the vector
+// path, which changes rounding versus the scalar reference — deterministic
+// on a given machine at any thread count, but not bit-portable across
+// machines with different feature sets (DESIGN.md §11). The matmul blocking
+// is fixed (constants sized to L1); the element-wise grain is tunable per
+// machine (SetElemGrain, `ratelbench tune`) and never changes results.
 package tensor
 
 import (
@@ -95,37 +99,10 @@ func (t *Tensor) RandInit(rng *rand.Rand, std float64) {
 	}
 }
 
-// kBlock is the MatMul k-tile: one tile of B (kBlock x n panel) stays
-// cache-resident while a row panel of A sweeps it. Tunable via SetTiling;
-// any value yields bit-identical results (the accumulation order over p
-// is increasing regardless of blocking).
-var kBlock = 256
-
-// jBlock is the MatMulT column tile: a jBlock-row panel of B is reused
-// across every row of the A panel before moving on. Tunable via
-// SetTiling; results are independent of its value.
-var jBlock = 64
-
-// SetTiling sets the matmul tile sizes (the MatMul k-tile and the MatMulT
-// column tile). Values < 1 are rejected. Tiling affects only cache
-// behaviour, never results; it is applied at startup (engine init loads
-// the `ratelbench tune` calibration profile) and must not be changed
-// while kernels are running.
-func SetTiling(k, j int) error {
-	if k < 1 || j < 1 {
-		return fmt.Errorf("tensor: tile sizes %d/%d, want >= 1", k, j)
-	}
-	kBlock, jBlock = k, j
-	return nil
-}
-
-// Tiling reports the current matmul tile sizes (kBlock, jBlock).
-func Tiling() (k, j int) { return kBlock, jBlock }
-
 // SetElemGrain sets the minimum elements per pool chunk for element-wise
-// kernels. Values < 1 are rejected. Like tiling, it affects scheduling
-// only — element-wise outputs are independent, so results are identical
-// for any grain.
+// kernels. Values < 1 are rejected. It affects scheduling only —
+// element-wise outputs are independent, so results are identical for any
+// grain.
 func SetElemGrain(n int) error {
 	if n < 1 {
 		return fmt.Errorf("tensor: element grain %d, want >= 1", n)
@@ -139,10 +116,10 @@ func ElemGrain() int { return elemGrain }
 
 // MatMul computes c = a·b for rank-2 tensors [m,k]x[k,n].
 //
-// Rows of c are sharded across the worker pool; within a row the inner
-// accumulation order is increasing p regardless of blocking or thread
-// count, so the result is bit-identical to the serial kernel. Zero entries
-// of a are NOT skipped: 0·NaN and 0·Inf must propagate as NaN.
+// Column panels of c are sharded across the worker pool; every element
+// accumulates in increasing p regardless of blocking or thread count, so
+// the result is bit-identical to the serial kernel. Zero entries of a are
+// NOT skipped: 0·NaN and 0·Inf must propagate as NaN.
 func MatMul(a, b *Tensor) (*Tensor, error) {
 	m, _, err := a.Dims2()
 	if err != nil {
@@ -178,36 +155,97 @@ func MatMulInto(c, a, b *Tensor) error {
 	if err := checkDst(c, m, n, "matmul"); err != nil {
 		return err
 	}
-	cd, ad, bd := c.Data, a.Data, b.Data
-	work := int64(m) * int64(k) * int64(n)
-	if pool.InlineWork(work) {
-		matMulPanel(cd, ad, bd, k, n, 0, m)
-		return nil
-	}
-	parallelRows(m, work, func(lo, hi int) { matMulPanel(cd, ad, bd, k, n, lo, hi) })
+	gemm(c.Data, a.Data, b.Data, k, 1, m, k, n)
 	return nil
 }
 
-// matMulPanel computes rows [lo,hi) of c = a·b (zero, then accumulate in
-// increasing p, one simd.Axpy row update per (i,p)). Named rather than a
-// closure so the serial path allocates nothing.
-func matMulPanel(cd, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := cd[i*n : (i+1)*n]
-		for j := range crow {
-			crow[j] = 0
+// The GEMM driver under MatMul and TMatMul. Both are
+//
+//	c[i,j] = Σ_p a[i*ars+p*aps] · b[p*n+j]
+//
+// with (ars, aps) = (k, 1) for a·b and (1, m) for aᵀ·b, and every element
+// is one chain: from zero, one fused multiply-add per p in increasing p
+// (unfused in the n mod 8 tail columns and on the generic path) — what
+// simd.Axpy does to the element's row when called once per p. The driver
+// chooses only where c lives between the steps.
+//
+// With the vector kernels active, a column panel of b (gemmKC x simd.GemmNR)
+// is packed into a contiguous stack buffer — weights with a 4 KiB row stride
+// would otherwise put every row of the panel in the same cache set — and
+// every full simd.GemmMR-row tile of the panel runs through the tile kernel
+// (simd.GemmPanel), which keeps the tile of c in registers across the
+// k-block. The rows and
+// columns that do not fill a tile go through gemmEdge, the Axpy loops on
+// sub-slices. With the vector kernels inactive nothing fills a tile:
+// the whole product is edge and runs the row loops as it always has.
+
+// gemmKC is the depth of a packed panel: gemmKC x simd.GemmNR floats are
+// 16 KiB, a third of L1 next to the streaming rows of a. Deeper products
+// continue the chains block by block, which rounds nothing.
+const gemmKC = 256
+
+// gemm computes c[m,n] from the strided a and row-major b [k,n], sharding
+// column panels across the pool: a panel is packed by exactly one
+// participant, and each element still has one owner and one chain, so the
+// result is bit-identical at any thread count.
+func gemm(cd, ad, bd []float32, ars, aps, m, k, n int) {
+	work := int64(m) * int64(k) * int64(n)
+	if pool.InlineWork(work) {
+		gemmCols(cd, ad, bd, ars, aps, m, k, n, 0, n)
+		return
+	}
+	panels := (n + simd.GemmNR - 1) / simd.GemmNR
+	parallelFor(panels, 1, work, func(lo, hi int) {
+		gemmCols(cd, ad, bd, ars, aps, m, k, n, lo*simd.GemmNR, min(hi*simd.GemmNR, n))
+	})
+}
+
+// gemmCols computes columns [j0,j1) of c: tiles where rows and columns fill
+// them, edges elsewhere. Named rather than a closure so the serial path
+// allocates nothing.
+func gemmCols(cd, ad, bd []float32, ars, aps, m, k, n, j0, j1 int) {
+	mt, jt := 0, j0 // tiles cover rows [0,mt) of columns [j0,jt)
+	if simd.Active() && m >= simd.GemmMR && k > 0 {
+		mt = m - m%simd.GemmMR
+		jt = j1 - (j1-j0)%simd.GemmNR
+	}
+	if jt > j0 {
+		gemmTiles(cd, ad, bd, ars, aps, mt, k, n, j0, jt)
+	}
+	gemmEdge(cd, ad, bd, ars, aps, k, n, mt, m, j0, jt)
+	gemmEdge(cd, ad, bd, ars, aps, k, n, 0, m, jt, j1)
+}
+
+// gemmTiles computes rows [0,mt) x columns [j0,jt) of c, both whole numbers
+// of tiles: one simd.GemmPanel per column panel and k-block, which packs the
+// panel of b into the stack buffer and sweeps the row tiles over it.
+func gemmTiles(cd, ad, bd []float32, ars, aps, mt, k, n, j0, jt int) {
+	var bp [gemmKC * simd.GemmNR]float32
+	for j := j0; j < jt; j += simd.GemmNR {
+		for p0 := 0; p0 < k; p0 += gemmKC {
+			simd.GemmPanel(cd[j:], n, ad[p0*aps:], ars, aps, mt, bd[p0*n+j:], n, min(gemmKC, k-p0), bp[:], p0 > 0)
 		}
 	}
-	for p0 := 0; p0 < k; p0 += kBlock {
-		p1 := p0 + kBlock
-		if p1 > k {
-			p1 = k
-		}
-		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
+}
+
+// gemmEdge computes rows [i0,i1) x columns [j0,j1) of c the way the whole
+// product was computed before the tile existed: zero, then one simd.Axpy
+// per (i,p) in increasing p, a gemmKC-row block of b at a time so the block
+// stays cache-resident while the rows sweep it. It is the ragged-edge path
+// and the whole of the generic path.
+func gemmEdge(cd, ad, bd []float32, ars, aps, k, n, i0, i1, j0, j1 int) {
+	if i0 >= i1 || j0 >= j1 {
+		return
+	}
+	for i := i0; i < i1; i++ {
+		clear(cd[i*n+j0 : i*n+j1])
+	}
+	for p0 := 0; p0 < k; p0 += gemmKC {
+		p1 := min(p0+gemmKC, k)
+		for i := i0; i < i1; i++ {
+			crow := cd[i*n+j0 : i*n+j1]
 			for p := p0; p < p1; p++ {
-				simd.Axpy(crow, bd[p*n:(p+1)*n], arow[p])
+				simd.Axpy(crow, bd[p*n+j0:p*n+j1], ad[i*ars+p*aps])
 			}
 		}
 	}
@@ -262,31 +300,31 @@ func MatMulTInto(c, a, b *Tensor) error {
 	return nil
 }
 
-// matMulTPanel computes rows [lo,hi) of c = a·bᵀ, writing every cell
-// (one simd.Dot per cell).
+// dotPanelFloats is how much of b matMulTPanel keeps hot: the rows of b one
+// sweep of a's rows reuses add up to at most 24 KiB, so they stay in L1
+// whatever k is (a fixed row count cannot: 16 rows fit at k = 256 and are
+// 64 KiB at k = 1024). The count is a multiple of simd.DotRowTile, so only
+// the last panel has ragged cells.
+const dotPanelFloats = 6144
+
+// matMulTPanel computes rows [lo,hi) of c = a·bᵀ, writing every cell: one
+// simd.DotRow per row of a and panel of b rows.
 func matMulTPanel(cd, ad, bd []float32, k, n, lo, hi int) {
+	jBlock := max(dotPanelFloats/max(k, 1)/simd.DotRowTile, 1) * simd.DotRowTile
 	for j0 := 0; j0 < n; j0 += jBlock {
-		j1 := j0 + jBlock
-		if j1 > n {
-			j1 = n
-		}
+		j1 := min(j0+jBlock, n)
 		for i := lo; i < hi; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
-			for j := j0; j < j1; j++ {
-				crow[j] = simd.Dot(arow, bd[j*k:(j+1)*k])
-			}
+			simd.DotRow(cd[i*n+j0:i*n+j1], ad[i*k:(i+1)*k], bd[j0*k:], k)
 		}
 	}
 }
 
 // TMatMul computes c = aᵀ·b for [k,m]x[k,n].
 //
-// Output rows (columns of a) are sharded across the pool; each participant
-// sweeps the full k extent for its row panel, keeping the panel of c
-// cache-resident, and accumulates in increasing p — the serial order — so
-// the result is bit-identical at any thread count. Zero entries of a are
-// NOT skipped (NaN/Inf propagation).
+// The same GEMM driver as MatMul with a read by columns: column panels of c
+// are sharded across the pool and every element accumulates in increasing
+// p — the serial order — so the result is bit-identical at any thread
+// count. Zero entries of a are NOT skipped (NaN/Inf propagation).
 func TMatMul(a, b *Tensor) (*Tensor, error) {
 	_, m, err := a.Dims2()
 	if err != nil {
@@ -320,32 +358,8 @@ func TMatMulInto(c, a, b *Tensor) error {
 	if err := checkDst(c, m, n, "tmatmul"); err != nil {
 		return err
 	}
-	cd, ad, bd := c.Data, a.Data, b.Data
-	work := int64(m) * int64(k) * int64(n)
-	if pool.InlineWork(work) {
-		tMatMulPanel(cd, ad, bd, k, m, n, 0, m)
-		return nil
-	}
-	parallelRows(m, work, func(lo, hi int) { tMatMulPanel(cd, ad, bd, k, m, n, lo, hi) })
+	gemm(c.Data, a.Data, b.Data, 1, m, m, k, n)
 	return nil
-}
-
-// tMatMulPanel computes rows [lo,hi) of c = aᵀ·b (zero, then accumulate in
-// increasing p).
-func tMatMulPanel(cd, ad, bd []float32, k, m, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		crow := cd[i*n : (i+1)*n]
-		for j := range crow {
-			crow[j] = 0
-		}
-	}
-	for p := 0; p < k; p++ {
-		arow := ad[p*m : (p+1)*m]
-		brow := bd[p*n : (p+1)*n]
-		for i := lo; i < hi; i++ {
-			simd.Axpy(cd[i*n:(i+1)*n], brow, arow[i])
-		}
-	}
 }
 
 // checkDst validates that a caller-owned destination has the exact rank-2
