@@ -28,14 +28,22 @@ test-nosimd:
 # Into paths, cache round trip, step pins, the matmuls' packed-panel pin
 # TestMatMulIntoAllocs) and the optimizer state pipeline's tests under
 # GOMAXPROCS 1, 2 and 4, uncached. A pin that holds on one core
-# count only (the seed's TestCacheRoundTripAllocs did) is not a pin.
+# count only (the seed's TestCacheRoundTripAllocs did) is not a pin. A
+# pattern that no longer matches any test fails the target instead of
+# silently shrinking the matrix.
+TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity
+TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/tensor
 .PHONY: test-procs
 test-procs:
+	@for pat in $(TEST_PROCS_PATTERNS); do \
+		go test -list "$$pat" $(TEST_PROCS_PKGS) | grep -q '^Test' || \
+			{ echo "test-procs: pattern '$$pat' matches no test" >&2; exit 1; }; \
+	done
 	@for p in 1 2 4; do \
 		echo "test-procs: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p go test -count=1 \
-			-run 'Alloc|Pipeline|Prefetcher|AsyncApplier|ReadinessBitIdentical|StreamingBitIdentity' \
-			./internal/opt ./internal/engine ./internal/tensor || exit 1; \
+			-run "$$(echo $(TEST_PROCS_PATTERNS) | tr ' ' '|')" \
+			$(TEST_PROCS_PKGS) || exit 1; \
 	done
 
 # Static analysis over the whole module, plus the tensor packages as a
@@ -110,19 +118,29 @@ bench-overlap:
 
 # Transfer-scheduler benchmark: the FCFS single-lane test oracle vs the
 # production duplex/priority/coalescing lanes on a mixed
-# activation+optimizer trace at Table III-shaped device throttles, plus the
-# adaptive-depth variant (BENCH_sched.json is a committed snapshot).
+# activation+optimizer trace at Table III-shaped device throttles, at the
+# default depth and at depth 1 (BENCH_sched.json is a committed snapshot).
 .PHONY: bench-sched
 bench-sched:
 	go test -run '^$$' -bench 'BenchmarkTrainStepSched' -benchtime=30x -benchmem ./internal/engine
 
 # Optimizer scheduling benchmark: the inline-sync test oracle vs the
-# production streaming state pipeline vs importance-partitioned async Adam
-# at staleness 1 and 2, under the same Table III-shaped device throttles
-# (BENCH_optimizer.json is a committed snapshot).
+# production streaming state pipeline under the same Table III-shaped
+# device throttles (BENCH_optimizer.json is a committed snapshot).
 .PHONY: bench-optimizer
 bench-optimizer:
 	go test -run '^$$' -bench 'BenchmarkTrainStepOptSchedule' -benchtime=15x -benchmem ./internal/engine
+
+# Line budget of the three data-path packages (ROADMAP item 6): non-test
+# Go lines per package and their sum against the target.
+LOC_TARGET = 4350
+.PHONY: loc
+loc:
+	@total=0; for d in internal/engine internal/nvme internal/opt; do \
+		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
+		printf '%-16s %5d\n' $$d $$n; total=$$((total + n)); \
+	done; \
+	printf '%-16s %5d  (target <= $(LOC_TARGET))\n' total $$total
 
 # Every benchmark in the module at measurement settings.
 .PHONY: bench

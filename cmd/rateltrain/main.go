@@ -47,13 +47,7 @@ func main() {
 	vocab := flag.Int("vocab", 64, "vocabulary size (ignored for -task chars)")
 	devices := flag.Int("devices", 4, "NVMe devices")
 	dir := flag.String("dir", "", "directory for file-backed SSDs (empty = in-memory)")
-	schedClasses := flag.String("sched-classes", "", "scheduler priority order: comma-separated permutation of fetch,opt-read,writeback,write-behind (empty = default)")
-	adaptiveDepth := flag.Bool("adaptive-depth", false, "let a feedback loop pick the effective pipeline depth from per-step stall profiles")
 	mode := flag.String("mode", "optimized", "gradient offloading: serialized, naive or optimized")
-	optSched := flag.String("opt-schedule", "streaming", "optimizer scheduling: streaming (updates joined in-step) or async (bounded-staleness tail)")
-	asyncTopK := flag.Int("async-topk", 0, "async schedule: groups updated in-step (0 = half)")
-	maxStaleness := flag.Int("max-staleness", 0, "async schedule: max steps a deferred update may lag (0 = 1)")
-	importEvery := flag.Int("importance-every", 0, "async schedule: recompute the importance partition every N steps (0 = every step)")
 	task := flag.String("task", "progression", "training task: progression, copy, uniform or chars")
 	dropout := flag.Float64("dropout", 0, "dropout probability")
 	lr := flag.Float64("lr", 1e-3, "base learning rate (warmup-cosine schedule)")
@@ -77,10 +71,6 @@ func main() {
 		gm = agoffload.Optimized
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
-	}
-	sched, serr := opt.ParseScheduleMode(*optSched)
-	if serr != nil {
-		fail(serr)
 	}
 
 	// Resolve the data source.
@@ -128,18 +118,12 @@ func main() {
 			Vocab: vocabSize, Seq: *seq, Hidden: *hidden, Heads: *heads,
 			Layers: *layers, Batch: *batch, Seed: *seed, Dropout: *dropout,
 		},
-		GradMode:        gm,
-		OptSchedule:     sched,
-		AsyncTopK:       *asyncTopK,
-		MaxStaleness:    *maxStaleness,
-		ImportanceEvery: *importEvery,
-		Devices:         *devices,
-		Dir:             *dir,
-		SchedClasses:    *schedClasses,
-		AdaptiveDepth:   *adaptiveDepth,
-		LRSchedule:      opt.WarmupCosine(*lr, *steps/10, *steps, *lr/10),
-		Tracer:          tracer,
-		Metrics:         registry,
+		GradMode:   gm,
+		Devices:    *devices,
+		Dir:        *dir,
+		LRSchedule: opt.WarmupCosine(*lr, *steps/10, *steps, *lr/10),
+		Tracer:     tracer,
+		Metrics:    registry,
 	})
 	if err != nil {
 		fail(err)
@@ -257,12 +241,6 @@ func main() {
 			}
 			fmt.Printf("step %4d  eval loss %.4f\n", step, eval)
 		}
-	}
-	// Join in-flight deferred optimizer updates (async scheduling) before
-	// the checkpoint and the traffic summary, so both cover every staged
-	// gradient and the summary stays byte-identical across runs.
-	if err := sess.FlushAsync(); err != nil {
-		fail(err)
 	}
 	if *checkpoint != "" {
 		f, err := os.Create(*checkpoint)

@@ -19,7 +19,6 @@ package agoffload
 
 import (
 	"fmt"
-	"sort"
 
 	"ratel/internal/sim"
 	"ratel/internal/units"
@@ -28,19 +27,15 @@ import (
 // Mode selects the gradient-offloading schedule.
 type Mode int
 
-// Scheduling modes, in increasing order of overlap. Readiness and AsyncTopK
-// are the optimizer-scheduling counterparts of the engine's OptSchedule
-// knob: Readiness issues each chunk's state read at gradient arrival,
-// depth-bounded by the prefetch window (reads no longer wait their turn in
-// the update chain); AsyncTopK keeps only the top-k most important chunks
-// in-step and defers the tail behind them across steps (the deferred chunks
-// are returned, not scheduled).
+// Scheduling modes, in increasing order of overlap. Readiness is the
+// simulator counterpart of the engine's optimizer state pipeline: it issues
+// each chunk's state read at gradient arrival, depth-bounded by the
+// prefetch window (reads no longer wait their turn in the update chain).
 const (
 	Serialized Mode = iota
 	Naive
 	Optimized
 	Readiness
-	AsyncTopK
 )
 
 // String names the mode.
@@ -54,8 +49,6 @@ func (m Mode) String() string {
 		return "optimized"
 	case Readiness:
 		return "readiness"
-	case AsyncTopK:
-		return "async-topk"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -90,17 +83,13 @@ type Rates struct {
 	AdamParamsPerSec float64
 }
 
-// Options tunes the optimizer-scheduling modes. Zero values take the
-// engine's defaults.
+// Options tunes the optimizer schedule. Zero values take the engine's
+// defaults.
 type Options struct {
 	// Depth bounds the readiness prefetch window: at most Depth state reads
 	// may run ahead of the update chain (0 = 2, the engine's default
 	// pipeline depth).
 	Depth int
-	// TopK is the number of chunks the AsyncTopK mode keeps in-step,
-	// ranked by parameter count — the simulator's stand-in for the
-	// engine's gradient-norm importance (0 = half the chunks, rounded up).
-	TopK int
 	// Duplex routes state reads onto sim.SSDRead and write-backs onto
 	// sim.SSDWrite instead of the shared simplex sim.SSDBus — the
 	// simulator counterpart of the NVMe transfer scheduler's per-device
@@ -120,24 +109,16 @@ func (o Options) ssdResources() (sim.ResourceID, sim.ResourceID) {
 // Schedule appends the optimizer tasks for all chunks to a schedule.
 // Task IDs are assigned from nextID upward; it returns the tasks, the next
 // free ID, and the IDs of the final write-backs (the iteration's optimizer
-// completion set). Readiness/AsyncTopK run with default Options; use
-// ScheduleWith to tune them or to observe the deferred tail.
+// completion set). Readiness runs with default Options; use ScheduleWith
+// to tune it.
 func Schedule(mode Mode, chunks []Chunk, nextID int, r Rates) (tasks []sim.Task, next int, finals []int, err error) {
-	tasks, next, finals, _, err = ScheduleWith(mode, chunks, nextID, r, Options{})
-	return tasks, next, finals, err
+	return ScheduleWith(mode, chunks, nextID, r, Options{})
 }
 
-// ScheduleWith is Schedule with scheduling options. In AsyncTopK mode the
-// chunks outside the top-k partition are returned in deferred instead of
-// being scheduled — their handler traffic rides on a background applier
-// outside the iteration's critical path; every other mode returns a nil
-// deferred slice.
-func ScheduleWith(mode Mode, chunks []Chunk, nextID int, r Rates, o Options) (tasks []sim.Task, next int, finals []int, deferred []Chunk, err error) {
+// ScheduleWith is Schedule with scheduling options.
+func ScheduleWith(mode Mode, chunks []Chunk, nextID int, r Rates, o Options) (tasks []sim.Task, next int, finals []int, err error) {
 	if r.AdamParamsPerSec <= 0 {
-		return nil, 0, nil, nil, fmt.Errorf("agoffload: non-positive Adam rate %v", r.AdamParamsPerSec)
-	}
-	if mode == AsyncTopK {
-		chunks, deferred = partitionTopK(chunks, o.TopK)
+		return nil, 0, nil, fmt.Errorf("agoffload: non-positive Adam rate %v", r.AdamParamsPerSec)
 	}
 	depth := o.Depth
 	if depth <= 0 {
@@ -165,7 +146,7 @@ func ScheduleWith(mode Mode, chunks []Chunk, nextID int, r Rates, o Options) (ta
 	computeIDs := make([]int, 0, len(chunks)) // per-chunk updates (Readiness depth bound)
 	for i, c := range chunks {
 		if c.Params <= 0 {
-			return nil, 0, nil, nil, fmt.Errorf("agoffload: chunk %d (%s) has %d params", i, c.Label, c.Params)
+			return nil, 0, nil, fmt.Errorf("agoffload: chunk %d (%s) has %d params", i, c.Label, c.Params)
 		}
 		deps := func(extra ...int) []int {
 			var d []int
@@ -243,36 +224,7 @@ func ScheduleWith(mode Mode, chunks []Chunk, nextID int, r Rates, o Options) (ta
 			finals = append(finals, computeID)
 		}
 	}
-	return tasks, id, finals, deferred, nil
-}
-
-// partitionTopK splits chunks into the top-k by parameter count (kept
-// in-step, original order preserved) and the deferred tail. k <= 0 keeps
-// half the chunks, rounded up.
-func partitionTopK(chunks []Chunk, k int) (kept, deferred []Chunk) {
-	if k <= 0 {
-		k = (len(chunks) + 1) / 2
-	}
-	if k >= len(chunks) {
-		return chunks, nil
-	}
-	// Rank by parameter count without disturbing the arrival order of the
-	// kept partition: select the k-th largest as a threshold.
-	ranked := append([]Chunk(nil), chunks...)
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Params > ranked[j].Params })
-	keep := make(map[string]int, k)
-	for _, c := range ranked[:k] {
-		keep[c.Label]++
-	}
-	for _, c := range chunks {
-		if keep[c.Label] > 0 {
-			keep[c.Label]--
-			kept = append(kept, c)
-		} else {
-			deferred = append(deferred, c)
-		}
-	}
-	return kept, deferred
+	return tasks, id, finals, nil
 }
 
 // ChunksForBlocks builds one chunk per (label, params) pair with the given

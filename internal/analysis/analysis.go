@@ -42,11 +42,6 @@ type Analyzer struct {
 	// units package that defines the helpers it steers callers toward.
 	Exclude []string
 
-	// Aliases are retired analyzer names this analyzer answers for:
-	// existing //ratelvet:ignore comments naming an alias keep suppressing
-	// the successor's diagnostics (xferown aliases the retired bufreuse).
-	Aliases []string
-
 	// IncludeTests runs the analyzer on the test variant of each package
 	// (_test.go files compiled into the package), not just the plain build.
 	// atomicmix needs it: a plain write in a test races the same as one in
@@ -55,11 +50,6 @@ type Analyzer struct {
 
 	// Run executes the analyzer on one package.
 	Run func(*Pass) error
-}
-
-// Names returns the analyzer's name plus all aliases.
-func (a *Analyzer) Names() []string {
-	return append([]string{a.Name}, a.Aliases...)
 }
 
 // AppliesTo reports whether the analyzer's scope covers a package path.

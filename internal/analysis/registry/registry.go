@@ -18,8 +18,7 @@ import (
 )
 
 // All returns the full analyzer set in stable (alphabetical) order.
-// bufreuse is retired: xferown supersedes it (and answers for its name in
-// //ratelvet:ignore comments via the alias mechanism).
+// bufreuse is retired: xferown supersedes it.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicmix.Analyzer,

@@ -25,16 +25,11 @@ func (f Finding) String() string {
 // findings sorted by position, suppressed ones flagged rather than dropped.
 // Malformed suppression comments are returned as findings from the
 // pseudo-analyzer "ratelvet" regardless of which analyzers ran; those are
-// never suppressible. Suppressions naming an analyzer's retired alias count
-// for the successor.
+// never suppressible.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	known := make(map[string]bool, len(analyzers))
-	aliases := make(map[string][]string, len(analyzers))
 	for _, a := range analyzers {
-		for _, n := range a.Names() {
-			known[n] = true
-		}
-		aliases[a.Name] = a.Names()
+		known[a.Name] = true
 	}
 
 	var raw []Diagnostic
@@ -65,12 +60,8 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 
 	var out []Finding
 	for _, d := range raw {
-		names := aliases[d.Analyzer]
-		if names == nil {
-			names = []string{d.Analyzer}
-		}
 		// The suppression hygiene checks cannot themselves be suppressed.
-		sup := d.Analyzer != "ratelvet" && set.suppressed(pkg.Fset, names, d.Pos)
+		sup := d.Analyzer != "ratelvet" && set.suppressed(pkg.Fset, d.Analyzer, d.Pos)
 		out = append(out, Finding{
 			Analyzer:   d.Analyzer,
 			Position:   pkg.Fset.Position(d.Pos),

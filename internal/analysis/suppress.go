@@ -96,15 +96,12 @@ func newSuppressionSet(pkg *Package, known map[string]bool, report func(Diagnost
 func strconv(s string) string { return "\"" + s + "\"" }
 
 // suppressed reports whether a diagnostic at pos is covered by an ignore
-// comment naming any of the analyzer's accepted names (its own plus
-// retired aliases).
-func (set suppressionSet) suppressed(fset *token.FileSet, names []string, pos token.Pos) bool {
+// comment naming the analyzer.
+func (set suppressionSet) suppressed(fset *token.FileSet, name string, pos token.Pos) bool {
 	p := fset.Position(pos)
 	for _, a := range set.byFileLine[p.Filename][p.Line] {
-		for _, n := range names {
-			if a == n {
-				return true
-			}
+		if a == name {
+			return true
 		}
 	}
 	return false

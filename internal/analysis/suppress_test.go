@@ -78,38 +78,6 @@ func b() int {
 	}
 }
 
-// A suppression naming a retired alias keeps silencing the successor.
-func TestSuppressionViaAliasStillCounts(t *testing.T) {
-	aliased := *fakeAnalyzer
-	aliased.Aliases = []string{"oldfake"}
-	dir := t.TempDir()
-	fn := filepath.Join(dir, "p.go")
-	src := `package p
-func a() int {
-	return 1 //ratelvet:ignore oldfake suppression predates the rename
-}
-`
-	if err := os.WriteFile(fn, []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := analysis.CheckPackage("p", dir, []string{fn}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := analysis.Run(pkg, []*analysis.Analyzer{&aliased})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if f.Analyzer == "ratelvet" {
-			t.Errorf("alias must be a known name, got %v", f)
-		}
-		if f.Analyzer == "fake" && !f.Suppressed {
-			t.Errorf("alias suppression must cover the successor's finding: %v", f)
-		}
-	}
-}
-
 func TestSuppressionWithoutReasonIsRejected(t *testing.T) {
 	findings := check(t, `package p
 func a() int {

@@ -25,26 +25,6 @@ func doublePut() {
 	nvme.Buffers.Put(buf) // want `pooled buffer "buf" used after BufPool.Put released it`
 }
 
-func useAfterPutFrom(a *nvme.Array) error {
-	buf := nvme.Buffers.Get(4096)
-	if err := a.PutFrom("k", buf); err != nil {
-		return err
-	}
-	buf[0] = 1 // want `pooled buffer "buf" used after Array.PutFrom released it`
-	return nil
-}
-
-func useAfterPutFromClass(a *nvme.Array) error {
-	// The scheduler's class-tagged hand-off releases exactly like PutFrom:
-	// the class routes the queue, the buffer still changes owner.
-	buf := nvme.Buffers.Get(4096)
-	if err := a.PutFromClass("k", buf, nvme.ClassWriteBehind); err != nil {
-		return err
-	}
-	buf[0] = 1 // want `pooled buffer "buf" used after Array.PutFromClass released it`
-	return nil
-}
-
 func capturedInClosureAfterPut() func() byte {
 	buf := nvme.Buffers.Get(4096)
 	nvme.Buffers.Put(buf)

@@ -1,13 +1,12 @@
 // Package xferown guards the buffer-ownership protocol of the offload data
 // path with the CFG/dataflow substrate (DESIGN.md §13): a buffer handed to
-// (*nvme.BufPool).Put or (*nvme.Array).PutFrom — or queued to a writer
-// goroutine over a channel — is ownership-transferred, and any later read,
-// write, or re-release through the old variable on any path is a
-// use-after-transfer. It supersedes the retired straight-line bufreuse
-// analyzer (kept as an alias so existing suppressions stay valid) and sees
-// what that one could not: releases that only happen on one branch, loop
-// back edges carrying a released buffer into the next iteration, and
-// deferred releases that are in fact safe.
+// (*nvme.BufPool).Put — or queued to a writer goroutine over a channel — is
+// ownership-transferred, and any later read, write, or re-release through
+// the old variable on any path is a use-after-transfer. It supersedes the
+// retired straight-line bufreuse analyzer and sees what that one could
+// not: releases that only happen on one branch, loop back edges carrying a
+// released buffer into the next iteration, and deferred releases that are
+// in fact safe.
 package xferown
 
 import (
@@ -21,14 +20,13 @@ const nvmePkg = "ratel/internal/nvme"
 
 // Analyzer is the xferown check.
 var Analyzer = &analysis.Analyzer{
-	Name:    "xferown",
-	Aliases: []string{"bufreuse"},
+	Name: "xferown",
 	Doc: `pooled buffers must not be used after ownership transfers
 
 Tracks each buffer variable through the function's control-flow graph with
-an owned/released lattice. (*BufPool).Put and (*Array).PutFrom release
-ownership to the pool; sending the buffer (or a struct carrying it) on a
-channel transfers it to the consuming goroutine. Any use after a transfer
+an owned/released lattice. (*BufPool).Put releases ownership to the pool;
+sending the buffer (or a struct carrying it) on a channel transfers it to
+the consuming goroutine. Any use after a transfer
 — on every path or just one — is flagged, including uses a straight-line
 scan cannot see (loop back edges, branch merges). Reassigning the variable
 (e.g. from a fresh Get) clears the taint; a buffer captured live by a
@@ -62,8 +60,8 @@ func run(pass *analysis.Pass) error {
 // tracker is the per-function dataflow client.
 type tracker struct {
 	pass *analysis.Pass
-	// via records, per variable, how ownership left: "BufPool.Put",
-	// "Array.PutFrom", or "" for a channel send.
+	// via records, per variable, how ownership left: "BufPool.Put", or ""
+	// for a channel send.
 	via map[*types.Var]string
 	// reported dedupes findings per ident (Visit replays blocks once, but a
 	// capture check may revisit an ident the closure's own frame also saw).
@@ -97,7 +95,7 @@ func mentionsTransfer(info *types.Info, body *ast.BlockStmt) bool {
 		case *ast.SendStmt:
 			found = true
 		case *ast.CallExpr:
-			if _, _, ok := releaseCall(info, n); ok {
+			if _, ok := releaseCall(info, n); ok {
 				found = true
 			}
 		}
@@ -114,9 +112,9 @@ func (tr *tracker) transfer(_ *analysis.Block, n ast.Node, st analysis.State) {
 	analysis.InspectShallow(n, func(m ast.Node) {
 		switch m := m.(type) {
 		case *ast.CallExpr:
-			if v, via, ok := releaseCall(info, m); ok {
+			if v, ok := releaseCall(info, m); ok {
 				st.Set(v, analysis.Released)
-				tr.via[v] = via
+				tr.via[v] = "BufPool.Put"
 			}
 		case *ast.SendStmt:
 			for _, v := range sentVars(info, m.Value) {
@@ -270,39 +268,19 @@ func (tr *tracker) checkUse(id *ast.Ident, st analysis.State) {
 	}
 }
 
-// releaseCall recognizes the two pool ownership-transfer entry points and
-// resolves the released argument to a bare variable.
-func releaseCall(info *types.Info, call *ast.CallExpr) (*types.Var, string, bool) {
+// releaseCall recognizes (*BufPool).Put, the pool's ownership-transfer
+// entry point, and resolves the released argument to a bare variable.
+func releaseCall(info *types.Info, call *ast.CallExpr) (*types.Var, bool) {
 	fn := analysis.CalleeFunc(info, call)
-	if fn == nil || analysis.FuncPkgPath(fn) != nvmePkg {
-		return nil, "", false
+	if fn == nil || analysis.FuncPkgPath(fn) != nvmePkg || fn.Name() != "Put" || len(call.Args) == 0 {
+		return nil, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil, "", false
+	if !ok || sig.Recv() == nil || !analysis.NamedType(sig.Recv().Type(), nvmePkg, "BufPool") {
+		return nil, false
 	}
-	var argIdx int
-	var via string
-	switch {
-	case fn.Name() == "Put" && analysis.NamedType(sig.Recv().Type(), nvmePkg, "BufPool"):
-		argIdx, via = 0, "BufPool.Put"
-	case fn.Name() == "PutFrom" && analysis.NamedType(sig.Recv().Type(), nvmePkg, "Array"):
-		argIdx, via = 1, "Array.PutFrom"
-	case fn.Name() == "PutFromClass" && analysis.NamedType(sig.Recv().Type(), nvmePkg, "Array"):
-		// The class-tagged variant the transfer scheduler adds: same
-		// borrowed-buffer hand-off, the class only routes the queue.
-		argIdx, via = 1, "Array.PutFromClass"
-	default:
-		return nil, "", false
-	}
-	if len(call.Args) <= argIdx {
-		return nil, "", false
-	}
-	v := analysis.UsedVar(info, call.Args[argIdx])
-	if v == nil {
-		return nil, "", false
-	}
-	return v, via, true
+	v := analysis.UsedVar(info, call.Args[0])
+	return v, v != nil
 }
 
 // isGetCall reports whether e is a (*BufPool).Get call — the ownership

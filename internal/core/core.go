@@ -36,30 +36,10 @@ type Options struct {
 	// GradMode selects the active-gradient-offloading schedule; the default
 	// is the optimized pipeline of Fig. 3b.
 	GradMode agoffload.Mode
-	// OptSchedule selects the optimizer scheduling mode: streaming (default:
-	// every update streams through the read-ahead → Adam → write-behind
-	// state pipeline and is joined in-step, bit-identical to a serialized
-	// optimizer) or async (importance-partitioned deferred Adam with bounded
-	// staleness on the same pipeline). AsyncTopK, MaxStaleness and
-	// ImportanceEvery tune the async mode; zero values take the engine
-	// defaults (half the groups, 1 step, every step).
-	OptSchedule     opt.ScheduleMode
-	AsyncTopK       int
-	MaxStaleness    int
-	ImportanceEvery int
 	// Devices is the NVMe array width (1 if zero); Dir backs it with files
 	// when non-empty.
 	Devices int
 	Dir     string
-	// SchedClasses overrides the NVMe transfer scheduler's priority order
-	// as a comma-separated permutation of
-	// fetch,opt-read,writeback,write-behind. The scheduler reorders I/O
-	// only, never data — trajectories are bit-identical.
-	SchedClasses string
-	// AdaptiveDepth lets a per-window feedback loop choose the effective
-	// activation pipeline depth between 1 and PipelineDepth from the step's
-	// stall profile, instead of a hand-tuned static knob.
-	AdaptiveDepth bool
 	// HostMemory caps pinned host staging (0 = unlimited).
 	HostMemory units.Bytes
 	// Rates describes the hardware the activation planner should optimize
@@ -103,14 +83,8 @@ func Init(opts Options) (*Session, error) {
 		Model:            opts.Model,
 		Adam:             opts.Adam,
 		GradMode:         opts.GradMode,
-		OptSchedule:      opts.OptSchedule,
-		AsyncTopK:        opts.AsyncTopK,
-		MaxStaleness:     opts.MaxStaleness,
-		ImportanceEvery:  opts.ImportanceEvery,
 		Devices:          opts.Devices,
 		Dir:              opts.Dir,
-		SchedClasses:     opts.SchedClasses,
-		AdaptiveDepth:    opts.AdaptiveDepth,
 		HostMemory:       opts.HostMemory,
 		LRSchedule:       opts.LRSchedule,
 		LossScale:        opts.LossScale,
@@ -189,11 +163,6 @@ func (s *Session) Flows() obs.FlowSnapshot { return s.eng.Flows() }
 // FlightRecords returns the engine's crash-ring of recent step records,
 // oldest first — the payload of a flight-recorder dump.
 func (s *Session) FlightRecords() []obs.StepRecord { return s.eng.FlightRecords() }
-
-// FlushAsync joins every in-flight deferred optimizer update (async
-// scheduling only; a no-op otherwise). Call it before reading final
-// weights or traffic totals so they reflect all staged gradients.
-func (s *Session) FlushAsync() error { return s.eng.FlushAsync() }
 
 // SaveCheckpoint writes the session's full training state (fp32 masters and
 // optimizer moments) to w; restoring and continuing is bit-identical to an

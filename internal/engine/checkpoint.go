@@ -22,13 +22,10 @@ type checkpoint struct {
 
 const checkpointVersion = 1
 
-// SaveCheckpoint writes the engine's full training state to w. Under async
-// optimizer scheduling every in-flight deferred update is joined first, so
-// the persisted state reflects all staged gradients.
+// SaveCheckpoint writes the engine's full training state to w. Every update
+// is joined before its step returns, so between steps the stored state is
+// complete and nothing needs flushing first.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
-	if err := e.FlushAsync(); err != nil {
-		return fmt.Errorf("engine: flush deferred updates before checkpoint: %w", err)
-	}
 	ck := checkpoint{
 		Version:   checkpointVersion,
 		Step:      e.optimizer.Step(),
@@ -51,11 +48,6 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 // LoadCheckpoint restores training state saved by SaveCheckpoint into this
 // engine, which must have the same model configuration.
 func (e *Engine) LoadCheckpoint(r io.Reader) error {
-	// Join in-flight deferred updates before importing: a background apply
-	// landing after the import would resurrect pre-restore state.
-	if err := e.FlushAsync(); err != nil {
-		return fmt.Errorf("engine: flush deferred updates before restore: %w", err)
-	}
 	var ck checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
 		return fmt.Errorf("engine: decode checkpoint: %w", err)

@@ -196,10 +196,10 @@ func TestBlobArenaRingSlots(t *testing.T) {
 	}
 }
 
-// TestPutFromRecyclesIntoPool: ownership of a PutFrom buffer transfers to
-// the store, which recycles it — the next same-class Get returns the same
-// backing array.
-func TestPutFromRecyclesIntoPool(t *testing.T) {
+// TestPutThenRecycleIntoPool: PutClass only borrows its buffer, so the
+// caller may recycle it the moment the call returns — the next same-class
+// Get returns the same backing array and the stored bytes are unaffected.
+func TestPutThenRecycleIntoPool(t *testing.T) {
 	a, err := nvme.Open(nvme.Config{Devices: 2, StripeSize: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +211,10 @@ func TestPutFromRecyclesIntoPool(t *testing.T) {
 		b[i] = byte(i)
 	}
 	want := append([]byte(nil), b...)
-	if err := a.PutFrom("k", b); err != nil {
+	if err := a.PutClass("k", b, nvme.ClassWriteBehind); err != nil {
 		t.Fatal(err)
 	}
+	nvme.Buffers.Put(b)
 	got := nvme.Buffers.Get(8192)
 	if &got[0] != &b[0] {
 		// Another test may have raced a buffer into the class; the pool is
@@ -225,6 +226,9 @@ func TestPutFromRecyclesIntoPool(t *testing.T) {
 		nvme.Buffers.Put(got)
 		got = got2
 	}
+	for i := range got {
+		got[i] = 0xff // the recycled buffer's next owner scribbles on it
+	}
 	nvme.Buffers.Put(got)
 
 	back := make([]byte, 8192)
@@ -232,6 +236,6 @@ func TestPutFromRecyclesIntoPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, want) {
-		t.Fatal("stored bytes differ after PutFrom recycled the buffer")
+		t.Fatal("stored bytes differ after the put buffer was recycled")
 	}
 }

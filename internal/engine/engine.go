@@ -118,27 +118,6 @@ type Config struct {
 	// global: the global norm is only known after all gradients arrive,
 	// which would re-serialize the optimizer (§IV-C's whole point).
 	ClipGroupNorm float64
-	// OptSchedule selects the optimizer scheduling mode. The zero value,
-	// ScheduleStreaming, streams every group's update through the optimizer
-	// state pipeline (read-ahead → Adam → write-behind) and joins it before
-	// the step returns. ScheduleAsync rides the same stages but lets an
-	// importance-chosen tail of groups lag by a bounded number of steps; it
-	// is incompatible with DynamicLossScale and DelayedUpdate.
-	OptSchedule opt.ScheduleMode
-	// AsyncTopK is the number of important parameter groups (top-k by
-	// gradient L2 norm) updated synchronously in-step in ScheduleAsync mode;
-	// the rest drain behind them across steps. 0 means half the groups
-	// (rounded up).
-	AsyncTopK int
-	// MaxStaleness bounds, in steps, how far behind a deferred group's
-	// installed weights may lag in ScheduleAsync mode: a step whose start
-	// would exceed the bound blocks on the backlogged applies first. 0 means
-	// 1 (the classic one-step-stale async update).
-	MaxStaleness int
-	// ImportanceEvery is the importance-partition recompute cadence in
-	// steps for ScheduleAsync mode; 0 means every step. The first step
-	// always updates fully synchronously (no norms observed yet).
-	ImportanceEvery int
 	// PipelineDepth bounds the activation I/O window in each direction:
 	// forward may have up to this many write-behind offloads in flight while
 	// compute proceeds, and backward read-ahead launches the fetch for block
@@ -147,24 +126,9 @@ type Config struct {
 	// step barrier makes every depth bit-identical to the synchronous path.
 	PipelineDepth int
 	// DisablePipeline runs all activation I/O synchronously inline with
-	// compute (for ablation benchmarks; values are unaffected either way).
-	// It subsumes the old DisablePrefetch knob: both directions degrade.
+	// compute, in both directions (the reference the overlap benchmarks
+	// compare against; values are unaffected either way).
 	DisablePipeline bool
-	// SchedClasses, when non-empty, overrides the priority order of the NVMe
-	// array's duplex per-device lanes (see nvme.ParseClassOrder; default
-	// "fetch,opt-read,writeback,write-behind"). Scheduling reorders I/O
-	// timing only — trajectories are bit-identical under every order.
-	SchedClasses string
-	// AdaptiveDepth enables the pipeline-depth feedback controller: the
-	// effective read-ahead/write-behind window starts at 1 and moves
-	// between 1 and PipelineDepth per decision window, driven by fetch- and
-	// pool-stall counts (and the obs.Attribute verdict when tracing is on).
-	// With PipelineDepth zero the ceiling is adaptiveDepthCeiling. Depth is
-	// timing, never values.
-	AdaptiveDepth bool
-	// DepthWindow is the adaptive controller's decision window in steps;
-	// DefaultDepthWindow if zero.
-	DepthWindow int
 	// Tracer, when non-nil, records wall-clock spans for every training
 	// stage (forward/backward kernels, activation offload and prefetch,
 	// NVMe device I/O, CPU-optimizer chunks). Tracing never changes
@@ -179,9 +143,12 @@ type Config struct {
 	// compare the one production path against. oracleFCFS opens the array
 	// with a single arrival-ordered lane per device; oracleInlineOpt runs
 	// every group update as a synchronous UpdateGroup on the step goroutine
-	// instead of through the state pipeline.
-	oracleFCFS      bool
-	oracleInlineOpt bool
+	// instead of through the state pipeline; oracleSchedOrder, when non-empty,
+	// overrides the priority order of the array's lanes (scheduling reorders
+	// I/O timing only, so every order trains the same trajectory).
+	oracleFCFS       bool
+	oracleInlineOpt  bool
+	oracleSchedOrder []nvme.Class
 }
 
 // Stats counts the engine's data movement.
@@ -221,13 +188,10 @@ type Engine struct {
 	blobLen int
 	// depth is the resolved activation I/O window (0 = synchronous); pipe is
 	// the write-behind offload pipeline, nil when depth is 0 (see
-	// pipeline.go). depthCtl, when non-nil, adapts the *effective* window
-	// between 1 and depth (see depthctl.go). fetchCh/fetchLive are the
-	// per-block read-ahead result channels and their in-flight marks,
-	// preallocated so backward's launch path allocates no channels or maps
-	// per step.
+	// pipeline.go). fetchCh/fetchLive are the per-block read-ahead result
+	// channels and their in-flight marks, preallocated so backward's launch
+	// path allocates no channels or maps per step.
 	depth     int
-	depthCtl  *depthController
 	pipe      *offloadPipeline
 	fetchCh   []chan error
 	fetchLive []bool
@@ -246,30 +210,11 @@ type Engine struct {
 	one        [1]Batch
 	optErr     error
 
-	// Async optimizer scheduling (OptSchedule == ScheduleAsync, nil/zero
-	// otherwise): the per-group deferred slots and the importance partition.
-	// The partition fields are owned by the step goroutine: asyncImportant
-	// names the groups updating in-step under the current partition,
-	// asyncNorms collects this step's gradient norms, and asyncRouted reports
-	// whether a partition has been committed yet (before that, every group
-	// updates in-step).
-	deferreds      []*opt.DeferredUpdate
-	deferredByName map[string]*opt.DeferredUpdate
-	asyncImportant map[string]bool
-	asyncNorms     map[string]float64
-	asyncRouted    bool
-	asyncK         int
-	maxStaleness   int
-	importEvery    int
-	// Per-step optimizer-scheduling telemetry, owned by the step goroutine
-	// and folded into StepMetrics at noteStep.
-	deferredGroupsN int
-	deferredBytesN  int64
-	stalenessPeakN  int
-	submittedN      int
+	// submittedN counts the updates this step handed to the state pipeline
+	// (one state read-ahead each), folded into StepMetrics at noteStep.
+	submittedN int
 	// Per-step read-ahead telemetry: backward waits on fetches that missed
-	// their deadline. Owned by the step goroutine; the adaptive depth
-	// controller's raise signal.
+	// their deadline. Owned by the step goroutine.
 	fetchStallsN    int
 	fetchStallWaitN time.Duration
 
@@ -315,9 +260,9 @@ type hostAct struct {
 // seeded with the initial fp32 masters.
 func New(cfg Config) (*Engine, error) {
 	// Kernel calibration first: RATEL_TUNE_PROFILE installs this machine's
-	// measured tile sizes and grain before any kernel runs. Tuning is
-	// result-neutral (tiles never reorder an accumulation), so this cannot
-	// change what the engine computes — only how fast.
+	// measured parallel grain before any kernel runs. Tuning is
+	// result-neutral (the grain never reorders an accumulation), so this
+	// cannot change what the engine computes — only how fast.
 	if _, err := profile.ApplyStartupTuning(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -342,12 +287,8 @@ func New(cfg Config) (*Engine, error) {
 	ncfg.Dir = cfg.Dir
 	// Duplex priority lanes always: reads never queue behind writes.
 	ncfg.Sched = !cfg.oracleFCFS
-	if cfg.SchedClasses != "" {
-		order, err := nvme.ParseClassOrder(cfg.SchedClasses)
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		ncfg.SchedOrder = order
+	if len(cfg.oracleSchedOrder) > 0 {
+		ncfg.SchedOrder = cfg.oracleSchedOrder
 	}
 	a, err := nvme.Open(ncfg)
 	if err != nil {
@@ -379,17 +320,9 @@ func New(cfg Config) (*Engine, error) {
 	e.depth = cfg.PipelineDepth
 	if e.depth == 0 {
 		e.depth = DefaultPipelineDepth
-		if cfg.AdaptiveDepth {
-			// No explicit depth to respect: give the controller headroom to
-			// find operating points past the static default.
-			e.depth = adaptiveDepthCeiling
-		}
 	}
 	if cfg.DisablePipeline {
 		e.depth = 0
-	}
-	if cfg.AdaptiveDepth && e.depth > 0 {
-		e.depthCtl = newDepthController(e.depth, cfg.DepthWindow)
 	}
 	e.arena.init(e.depth + 1)
 	e.fetchCh = make([]chan error, len(m.Blocks))
@@ -412,39 +345,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.ClipGroupNorm > 0 {
 		if err := e.optimizer.SetClipNorm(cfg.ClipGroupNorm); err != nil {
 			return nil, errors.Join(err, a.Close())
-		}
-	}
-	switch cfg.OptSchedule {
-	case opt.ScheduleStreaming:
-	case opt.ScheduleAsync:
-		var err error
-		switch {
-		case cfg.DynamicLossScale:
-			err = fmt.Errorf("engine: async optimizer scheduling is incompatible with dynamic loss scaling (a skipped step cannot be unwound from the schedule)")
-		case cfg.DelayedUpdate:
-			err = fmt.Errorf("engine: async optimizer scheduling is incompatible with the delayed update (both reschedule the same updates)")
-		case cfg.oracleInlineOpt:
-			err = fmt.Errorf("engine: async optimizer scheduling needs the state pipeline")
-		}
-		if err != nil {
-			return nil, errors.Join(err, a.Close())
-		}
-	default:
-		err := fmt.Errorf("engine: unknown optimizer schedule %v", cfg.OptSchedule)
-		return nil, errors.Join(err, a.Close())
-	}
-	if cfg.OptSchedule == opt.ScheduleAsync {
-		e.asyncK = cfg.AsyncTopK
-		if e.asyncK <= 0 {
-			e.asyncK = (len(e.groups) + 1) / 2
-		}
-		e.maxStaleness = cfg.MaxStaleness
-		if e.maxStaleness <= 0 {
-			e.maxStaleness = 1
-		}
-		e.importEvery = cfg.ImportanceEvery
-		if e.importEvery <= 0 {
-			e.importEvery = 1
 		}
 	}
 	if cfg.DynamicLossScale {
@@ -470,22 +370,6 @@ func New(cfg Config) (*Engine, error) {
 	// Background goroutines (offload writers, optimizer state pipeline)
 	// start last so no construction-error path has to stop them: every
 	// earlier failure closes just the array.
-	if cfg.OptSchedule == opt.ScheduleAsync {
-		// Every group gets a preallocated deferred slot: the importance
-		// partition shifts over training, so sizing for the current tail
-		// would re-allocate (and blow the steady-state alloc budget) on
-		// every partition change.
-		e.deferreds = make([]*opt.DeferredUpdate, 0, len(e.groups))
-		e.deferredByName = make(map[string]*opt.DeferredUpdate, len(e.groups))
-		e.asyncImportant = make(map[string]bool, len(e.groups))
-		e.asyncNorms = make(map[string]float64, len(e.groups))
-		for _, g := range e.groups {
-			d := e.optimizer.NewDeferred(g)
-			e.deferreds = append(e.deferreds, d)
-			e.deferredByName[g.Name] = d
-			e.asyncNorms[g.Name] = 0
-		}
-	}
 	e.serialized = make([]nn.ParamGroup, 0, len(e.groups))
 	if !cfg.oracleInlineOpt {
 		// The state window reuses the activation pipeline depth (min 1 — the
@@ -526,8 +410,8 @@ func (e *Engine) currentScale() float64 {
 func (e *Engine) LossScale() float64 { return e.currentScale() }
 
 // Close stops the offload pipeline's writer goroutines and the optimizer
-// state pipeline, and releases the NVMe array. Call FlushAsync first when
-// the pending deferred updates' results matter.
+// state pipeline, and releases the NVMe array. Nothing is in flight between
+// steps, so there is nothing to flush first.
 func (e *Engine) Close() error {
 	e.pipe.close()
 	e.states.Close()
@@ -597,9 +481,6 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 	if e.scaler != nil {
 		return 0, fmt.Errorf("engine: gradient accumulation with dynamic loss scaling is unsupported (use a static LossScale)")
 	}
-	if e.deferreds != nil {
-		return 0, fmt.Errorf("engine: gradient accumulation with async optimizer scheduling is unsupported")
-	}
 	return e.trainStep(micro)
 }
 
@@ -612,11 +493,9 @@ func (e *Engine) trainStep(micro []Batch) (float64, error) {
 	}
 	e.model.ZeroGrads()
 	e.pipe.resetStepCounters()
-	e.resetOptSchedCounters()
+	e.submittedN, e.fetchStallsN, e.fetchStallWaitN = 0, 0, 0
 	if !e.cfg.DelayedUpdate {
-		if err := e.beginStep(); err != nil {
-			return 0, err
-		}
+		e.beginStep()
 	}
 	stepStart := time.Now()
 	stepSp := e.tracer.StartSpan(obs.LaneStep, labelStep)
@@ -652,7 +531,6 @@ func (e *Engine) trainStep(micro []Batch) (float64, error) {
 			return 0, err
 		}
 	}
-	e.refreshPartition()
 	drain := time.Since(drainStart)
 	e.mu.Lock()
 	e.stats.Steps++
@@ -673,11 +551,6 @@ func (e *Engine) gradsReady(g nn.ParamGroup) error {
 	if e.accumScale != 1 {
 		for _, p := range g.Params {
 			p.G.Scale(e.accumScale)
-		}
-	}
-	if e.deferreds != nil {
-		if handled, err := e.maybeDefer(g); handled || err != nil {
-			return err
 		}
 	}
 	switch e.cfg.GradMode {
@@ -756,10 +629,8 @@ func (e *Engine) finishStep() error {
 }
 
 // beginStep advances the optimizer, applies the learning-rate schedule and
-// the current gradient unscale factor. Under async scheduling it also runs
-// the staleness barrier: deferred updates older than MaxStaleness are joined
-// before the new step's gradients can overwrite their groups.
-func (e *Engine) beginStep() error {
+// the current gradient unscale factor.
+func (e *Engine) beginStep() {
 	e.optimizer.BeginStep()
 	if e.cfg.LRSchedule != nil {
 		e.optimizer.SetLR(e.cfg.LRSchedule(e.optimizer.Step()))
@@ -769,136 +640,6 @@ func (e *Engine) beginStep() error {
 		// error to keep the hot path clean.
 		_ = e.optimizer.SetGradScale(s)
 	}
-	if e.deferreds != nil {
-		return e.stalenessBarrier()
-	}
-	return nil
-}
-
-// resetOptSchedCounters clears the per-step scheduling telemetry.
-func (e *Engine) resetOptSchedCounters() {
-	e.deferredGroupsN = 0
-	e.deferredBytesN = 0
-	e.stalenessPeakN = 0
-	e.submittedN = 0
-	e.fetchStallsN = 0
-	e.fetchStallWaitN = 0
-}
-
-// maybeDefer routes a group under async scheduling: important groups (and
-// every group until the first partition is computed) fall through to the
-// in-step path, unimportant groups are staged and queued behind them on the
-// state pipeline. Returns handled=true when the group was deferred.
-// Either way the group's previous deferred apply is joined first, so a slot
-// is never reused (or raced by a sync update) while in flight.
-func (e *Engine) maybeDefer(g nn.ParamGroup) (bool, error) {
-	if e.importanceDue() {
-		e.asyncNorms[g.Name] = gradNorm(g)
-	}
-	d := e.deferredByName[g.Name]
-	if err := e.optFailed(d.Wait()); err != nil {
-		return true, err
-	}
-	if !e.asyncRouted || e.asyncImportant[g.Name] {
-		return false, nil
-	}
-	if err := e.optimizer.StageDeferred(d, g); err != nil {
-		return true, err
-	}
-	e.states.SubmitDeferred(d)
-	e.deferredGroupsN++
-	e.deferredBytesN += d.DeferredBytes()
-	return true, nil
-}
-
-// importanceDue reports whether this step recomputes the importance
-// partition (every ImportanceEvery steps; step 1 is always due).
-func (e *Engine) importanceDue() bool {
-	return e.optimizer.Step()%e.importEvery == 0 || !e.asyncRouted
-}
-
-// gradNorm is the L2 norm of a group's gradients, used to rank groups for
-// the importance partition.
-func gradNorm(g nn.ParamGroup) float64 {
-	var sum float64
-	for _, p := range g.Params {
-		if p.G == nil {
-			continue
-		}
-		for _, v := range p.G.Data {
-			sum += float64(v) * float64(v)
-		}
-	}
-	return math.Sqrt(sum)
-}
-
-// refreshPartition recomputes the top-k importance partition from the norms
-// sampled this step. Called at the end of a successful TrainStep so the new
-// partition routes the *next* step's gradients.
-func (e *Engine) refreshPartition() {
-	if e.deferreds == nil || !e.importanceDue() {
-		return
-	}
-	for name := range e.asyncImportant {
-		delete(e.asyncImportant, name)
-	}
-	for rank := 0; rank < e.asyncK && rank < len(e.groups); rank++ {
-		best := -1
-		var bestNorm float64
-		for i, g := range e.groups {
-			if e.asyncImportant[g.Name] {
-				continue
-			}
-			if n := e.asyncNorms[g.Name]; best < 0 || n > bestNorm {
-				best, bestNorm = i, n
-			}
-		}
-		e.asyncImportant[e.groups[best].Name] = true
-	}
-	e.asyncRouted = true
-}
-
-// stalenessBarrier enforces MaxStaleness at the top of step t: any deferred
-// update staged at step d with t-d > MaxStaleness is force-joined. Younger
-// updates are deliberately NOT installed early even when the pipeline has
-// finished — installs happen only at this fixed lag (or when the group is
-// re-staged), so the trajectory depends on step arithmetic alone, never on
-// pipeline timing, and training stays bit-reproducible across thread counts
-// and reruns. The post-barrier peak staleness (≤ MaxStaleness by
-// construction) is recorded for telemetry.
-func (e *Engine) stalenessBarrier() error {
-	t := e.optimizer.Step()
-	peak := 0
-	for _, d := range e.deferreds {
-		if !d.Pending() {
-			continue
-		}
-		age := t - d.Step()
-		if age > e.maxStaleness {
-			if err := e.optFailed(d.Wait()); err != nil {
-				return err
-			}
-			continue
-		}
-		if age > peak {
-			peak = age
-		}
-	}
-	e.stalenessPeakN = peak
-	return nil
-}
-
-// FlushAsync joins every in-flight deferred optimizer update, installing
-// their results. It is a no-op outside async scheduling; checkpointing and
-// weight export call it so persisted state reflects all staged gradients.
-func (e *Engine) FlushAsync() error {
-	var joined error
-	for _, d := range e.deferreds {
-		if err := e.optFailed(d.Wait()); err != nil {
-			joined = errors.Join(joined, err)
-		}
-	}
-	return joined
 }
 
 // runBatch executes one forward/backward pass, accumulating gradients.
@@ -920,13 +661,6 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		return 0, fwdDur, bwdDur, err
 	}
 	tr := e.tracer
-	// The effective activation I/O window for this step: the adaptive
-	// controller's current choice, or the static depth. Stable for the whole
-	// step — the controller only moves between steps (noteStep).
-	effDepth := e.depth
-	if e.depthCtl != nil {
-		effDepth = e.depthCtl.depth()
-	}
 
 	// ---------- Forward ----------
 	fwdStart := time.Now()
@@ -976,13 +710,6 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 					return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
 				}
 				e.pipe.submit(offloadJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, res: res})
-				if e.depthCtl != nil {
-					// Adaptive window: hold write-behind to the effective
-					// depth even though the ring could buffer more.
-					if err := e.pipe.limit(effDepth); err != nil {
-						return fail(fmt.Errorf("engine: offload block %d activations: %w", i, err))
-					}
-				}
 			} else {
 				// Synchronous fallback (DisablePipeline): host staging, then
 				// the NVMe store inline. Put borrows the blob only for the
@@ -1123,8 +850,8 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			}
 		}
 	}()
-	// Stagger the window instead of issuing all depth fetches at once: on the
-	// half-duplex device model concurrent reads fair-queue per device, so a
+	// Stagger the window instead of issuing all depth fetches at once:
+	// concurrent reads fair-queue on each device's read lane, so a
 	// full-depth burst delays the one fetch backward is about to block on by
 	// the whole batch. Launch only the first-needed fetch up front and refill
 	// the window after each consume — in-flight reads still reach depth
@@ -1147,8 +874,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 					// Read-ahead missed its deadline — backward is now blocked
 					// on the fetch. The wait lands on the stall lane so
 					// bottleneck attribution can tell "stalled-on-readahead"
-					// from plain NVMe-read occupancy, and is counted for the
-					// adaptive depth controller.
+					// from plain NVMe-read occupancy.
 					stallStart := time.Now()
 					sp = tr.StartSpan(obs.LaneStall, e.labels[i].fetchStall)
 					err = <-e.fetchCh[i]
@@ -1198,9 +924,8 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			e.recomputedN.Add(1)
 		}
 		// Refill the read-ahead window now that block i's slot is consumed;
-		// these fetches overlap block i's backward compute. The window is the
-		// effective depth — the adaptive controller's choice when enabled.
-		for nextFetch >= i-effDepth && nextFetch >= 0 {
+		// these fetches overlap block i's backward compute.
+		for nextFetch >= i-e.depth && nextFetch >= 0 {
 			launch(nextFetch)
 			nextFetch--
 		}

@@ -6,7 +6,6 @@ import (
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
-	"ratel/internal/opt"
 )
 
 // optimizerBenchConfig shapes a step whose cost is dominated by optimizer
@@ -16,8 +15,7 @@ import (
 // scaling argument as BENCH_overlap.json). The inline-sync oracle
 // serializes each group's read->adam->write on the step goroutine at
 // gradient arrival; the streaming pipeline overlaps the three stages with
-// each other and with backward, and async moves the tail's state traffic
-// off the step altogether.
+// each other and with backward.
 func optimizerBenchConfig(mut func(*Config)) Config {
 	cfg := Config{
 		Model:    nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 21},
@@ -33,11 +31,10 @@ func optimizerBenchConfig(mut func(*Config)) Config {
 	return cfg
 }
 
-// BenchmarkTrainStepOptSchedule compares the optimizer scheduling modes on
-// the state-streaming-bound step: sync (the inline-sync test oracle, the
-// baseline drain), streaming (the production state pipeline, bit-identical
-// to it), and async at two staleness bounds (tail partition deferred behind
-// the in-step groups on the same pipeline).
+// BenchmarkTrainStepOptSchedule compares the optimizer schedule with its
+// oracle on the state-streaming-bound step: sync (the inline-sync test
+// oracle, the baseline drain) and streaming (the production state pipeline,
+// bit-identical to it).
 func BenchmarkTrainStepOptSchedule(b *testing.B) {
 	variants := []struct {
 		name string
@@ -45,16 +42,6 @@ func BenchmarkTrainStepOptSchedule(b *testing.B) {
 	}{
 		{"sync", func(c *Config) { c.oracleInlineOpt = true }},
 		{"streaming", func(c *Config) {}},
-		{"async-s1", func(c *Config) {
-			c.OptSchedule = opt.ScheduleAsync
-			c.AsyncTopK = 2
-			c.MaxStaleness = 1
-		}},
-		{"async-s2", func(c *Config) {
-			c.OptSchedule = opt.ScheduleAsync
-			c.AsyncTopK = 2
-			c.MaxStaleness = 2
-		}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -77,25 +64,20 @@ func BenchmarkTrainStepOptSchedule(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if err := e.FlushAsync(); err != nil {
-				b.Fatal(err)
-			}
 			m := e.LastStepMetrics()
 			b.ReportMetric(float64(m.OptimizerDrain.Microseconds()), "drain-µs/step")
-			b.ReportMetric(float64(m.DeferredGroups), "deferred-groups/step")
 		})
 	}
 }
 
 // TestOptimizerBenchValues pins the benchmark's comparability claim: on the
 // throttled bench config, the streaming variant follows the sync oracle's
-// trajectory bit-for-bit, and the async variants respect their staleness
-// bounds.
+// trajectory bit-for-bit.
 func TestOptimizerBenchValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throttled-array training in -short mode")
 	}
-	run := func(mut func(*Config)) ([]float64, *Engine) {
+	run := func(mut func(*Config)) []float64 {
 		e, err := New(optimizerBenchConfig(mut))
 		if err != nil {
 			t.Fatal(err)
@@ -110,27 +92,13 @@ func TestOptimizerBenchValues(t *testing.T) {
 			}
 			losses = append(losses, loss)
 		}
-		return losses, e
+		return losses
 	}
-	syncLoss, _ := run(func(c *Config) { c.oracleInlineOpt = true })
-	streamLoss, _ := run(func(c *Config) {})
+	syncLoss := run(func(c *Config) { c.oracleInlineOpt = true })
+	streamLoss := run(func(c *Config) {})
 	for i := range syncLoss {
 		if syncLoss[i] != streamLoss[i] {
 			t.Fatalf("streaming loss[%d] = %v differs from sync %v", i, streamLoss[i], syncLoss[i])
-		}
-	}
-	for _, s := range []int{1, 2} {
-		s := s
-		_, e := run(func(c *Config) {
-			c.OptSchedule = opt.ScheduleAsync
-			c.AsyncTopK = 2
-			c.MaxStaleness = s
-		})
-		if m := e.LastStepMetrics(); m.StalenessPeak > s {
-			t.Fatalf("async-s%d staleness peak %d exceeds bound", s, m.StalenessPeak)
-		}
-		if err := e.FlushAsync(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

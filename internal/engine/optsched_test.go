@@ -3,14 +3,12 @@ package engine
 import (
 	"bytes"
 	"errors"
-	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
-	"ratel/internal/opt"
 )
 
 // inlineOracle is the reference every bit-identity matrix compares the
@@ -125,6 +123,11 @@ func TestStreamingBitIdentityMatrix(t *testing.T) {
 					var ckpt bytes.Buffer
 					for s := 0; s < steps; s++ {
 						if s == resumeAt {
+							// Every update joined its step: the checkpoint needs
+							// no flush before it.
+							if now, _ := e.states.Buffered(); now != 0 || e.pipe.outstanding != 0 {
+								t.Fatalf("between steps %d state buffers and %d offloads are in flight", now, e.pipe.outstanding)
+							}
 							if err := e.SaveCheckpoint(&ckpt); err != nil {
 								t.Fatal(err)
 							}
@@ -145,101 +148,6 @@ func TestStreamingBitIdentityMatrix(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestAsyncConvergence is the async mode's regression bound: with the tail
-// partition deferred at bounded staleness, the loss trajectory must track
-// the synchronous baseline closely and end within tolerance.
-func TestAsyncConvergence(t *testing.T) {
-	const steps = 10
-	sync := newEngine(t, Config{GradMode: agoffload.Optimized})
-	syncLoss := trainK(t, sync, steps)
-
-	async := newEngine(t, Config{GradMode: agoffload.Optimized,
-		OptSchedule: opt.ScheduleAsync, AsyncTopK: 2, MaxStaleness: 2})
-	asyncLoss := trainK(t, async, steps)
-	if err := async.FlushAsync(); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range asyncLoss {
-		if math.IsNaN(asyncLoss[i]) || math.IsInf(asyncLoss[i], 0) {
-			t.Fatalf("async loss[%d] = %v", i, asyncLoss[i])
-		}
-	}
-	ref, got := syncLoss[steps-1], asyncLoss[steps-1]
-	if drift := math.Abs(got-ref) / math.Abs(ref); drift > 0.05 {
-		t.Fatalf("async final loss %v drifted %.1f%% from sync %v (tolerance 5%%)",
-			got, 100*drift, ref)
-	}
-}
-
-// TestAsyncStalenessBound: the post-barrier peak staleness reported each
-// step must never exceed MaxStaleness, and the async mode must actually
-// defer work (the bound is vacuous otherwise).
-func TestAsyncStalenessBound(t *testing.T) {
-	for _, maxStale := range []int{1, 2} {
-		e := newEngine(t, Config{GradMode: agoffload.Optimized,
-			OptSchedule: opt.ScheduleAsync, AsyncTopK: 1, MaxStaleness: maxStale})
-		cfg := e.cfg.Model
-		deferredSeen := false
-		for s := 0; s < 8; s++ {
-			tokens, targets := data(cfg, int64(s))
-			if _, err := e.TrainStep(tokens, targets); err != nil {
-				t.Fatal(err)
-			}
-			m := e.LastStepMetrics()
-			if m.StalenessPeak > maxStale {
-				t.Fatalf("S=%d step %d: staleness peak %d exceeds bound", maxStale, s, m.StalenessPeak)
-			}
-			if m.DeferredGroups > 0 {
-				deferredSeen = true
-				if m.DeferredBytes <= 0 {
-					t.Fatalf("S=%d step %d: %d groups deferred but zero bytes credited", maxStale, s, m.DeferredGroups)
-				}
-			}
-		}
-		if !deferredSeen {
-			t.Fatalf("S=%d: async mode never deferred a group", maxStale)
-		}
-		if err := e.FlushAsync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestAsyncApplierFaultSurfaces: a device failure hit by a deferred
-// update's state stream must surface as a training (or flush) error, not
-// vanish into the pipeline's goroutines.
-func TestAsyncApplierFaultSurfaces(t *testing.T) {
-	e := newEngine(t, Config{GradMode: agoffload.Optimized,
-		OptSchedule: opt.ScheduleAsync, AsyncTopK: 1, MaxStaleness: 1})
-	cfg := e.cfg.Model
-	// Two clean steps establish the partition and start deferring.
-	for s := 0; s < 2; s++ {
-		tokens, targets := data(cfg, int64(s))
-		if _, err := e.TrainStep(tokens, targets); err != nil {
-			t.Fatal(err)
-		}
-	}
-	boom := errors.New("media failure")
-	for d := 0; d < 3; d++ {
-		e.Array().InjectFault(d, boom)
-	}
-	var err error
-	for s := 2; s < 6 && err == nil; s++ {
-		tokens, targets := data(cfg, int64(s))
-		_, err = e.TrainStep(tokens, targets)
-	}
-	if err == nil {
-		err = e.FlushAsync()
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("applier fault did not surface: %v", err)
-	}
-	for d := 0; d < 3; d++ {
-		e.Array().InjectFault(d, nil)
 	}
 }
 
@@ -331,8 +239,13 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 			if err := clean.Close(); err != nil {
 				t.Fatal(err)
 			}
+			// Close straight after a step, nothing flushed first: no update
+			// is abandoned mid-flight and no buffer stays out.
 			if err := e.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if now, _ := e.states.Buffered(); now != 0 {
+				t.Fatalf("%d wire buffers still out after Close", now)
 			}
 			for i := 0; runtime.NumGoroutine() > baseline; i++ {
 				if i > 1000 {
@@ -345,16 +258,22 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 }
 
 // TestStatePipelineWindowBound: whatever the gradient schedule, at most
-// window (= pipeline depth) groups' optimizer state is buffered at once.
+// window (= pipeline depth) groups' optimizer state is buffered at once,
+// and none after any step.
 func TestStatePipelineWindowBound(t *testing.T) {
 	for _, depth := range []int{1, 2, 3} {
 		for _, mode := range []agoffload.Mode{agoffload.Serialized, agoffload.Optimized} {
 			e := newEngine(t, Config{GradMode: mode, PipelineDepth: depth,
 				Swap: map[int]Tier{0: SwapSSD, 2: SwapSSD}})
-			trainK(t, e, 3)
-			now, peak := e.states.Buffered()
-			if now != 0 || peak < 1 || peak > depth {
-				t.Fatalf("%v depth %d: %d buffers held after the step, peak %d", mode, depth, now, peak)
+			for s := 0; s < 3; s++ {
+				tokens, targets := data(e.cfg.Model, int64(s))
+				if _, err := e.TrainStep(tokens, targets); err != nil {
+					t.Fatal(err)
+				}
+				now, peak := e.states.Buffered()
+				if now != 0 || peak < 1 || peak > depth {
+					t.Fatalf("%v depth %d step %d: %d buffers held after the step, peak %d", mode, depth, s, now, peak)
+				}
 			}
 		}
 	}
@@ -397,88 +316,30 @@ func TestStatePipelineAddsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestAsyncCheckpointFlushes: SaveCheckpoint joins in-flight deferred
-// updates, so a checkpoint taken mid-training restores to the same
-// parameters the flushed engine holds.
-func TestAsyncCheckpointFlushes(t *testing.T) {
-	e := newEngine(t, Config{GradMode: agoffload.Optimized,
-		OptSchedule: opt.ScheduleAsync, AsyncTopK: 1, MaxStaleness: 2})
-	trainK(t, e, 4)
-	var buf bytes.Buffer
-	if err := e.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Post-save, nothing is pending: the snapshot covered every staged update.
-	m := e.LastStepMetrics()
-	if m.Step == 0 {
-		t.Fatal("no steps recorded")
-	}
-	restored := newEngine(t, Config{GradMode: agoffload.Optimized})
-	if err := restored.LoadCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	a, b := paramsSnapshot(e.Model()), paramsSnapshot(restored.Model())
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("restored parameter %d differs from checkpointed engine", i)
-		}
-	}
-}
-
-// TestOptScheduleConfigErrors: the incompatible and malformed knob
-// combinations fail at construction, not mid-training.
-func TestOptScheduleConfigErrors(t *testing.T) {
-	bad := []Config{
-		{GradMode: agoffload.Serialized, OptSchedule: opt.ScheduleAsync, DynamicLossScale: true, LossScale: 1024},
-		{GradMode: agoffload.Optimized, OptSchedule: opt.ScheduleAsync, DelayedUpdate: true},
-		{GradMode: agoffload.Optimized, OptSchedule: opt.ScheduleAsync, oracleInlineOpt: true},
-		{GradMode: agoffload.Optimized, OptSchedule: opt.ScheduleMode(99)},
-	}
-	for i, cfg := range bad {
-		cfg.Model = miniConfig()
-		cfg.Devices = 2
-		if e, err := New(cfg); err == nil {
-			e.Close()
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 // TestOptSchedSteadyStateAllocs extends the zero-allocation pin to the
-// optimizer schedules: after warm-up a step whose updates stream through
-// the state pipeline ("readiness": state read ahead at gradient arrival),
-// and an async one, stay under the budget — the pipeline adds no per-step
+// optimizer schedule: after warm-up a step whose updates stream through the
+// state pipeline ("readiness": state read ahead at gradient arrival) over a
+// mixed swap layout stays under the budget — the pipeline adds no per-step
 // channel, goroutine or closure. make test-procs reruns it at GOMAXPROCS 1,
 // 2 and 4.
 func TestOptSchedSteadyStateAllocs(t *testing.T) {
-	modes := []struct {
-		name string
-		cfg  Config
-	}{
-		{"readiness", Config{GradMode: agoffload.Optimized,
-			Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}}},
-		{"async", Config{GradMode: agoffload.Optimized,
-			Swap:        map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD},
-			OptSchedule: opt.ScheduleAsync, AsyncTopK: 2, MaxStaleness: 2}},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			e := newEngine(t, m.cfg)
-			tokens, targets := data(e.cfg.Model, 1)
-			for i := 0; i < 3; i++ {
-				if _, err := e.TrainStep(tokens, targets); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("readiness", func(t *testing.T) {
+		e := newEngine(t, Config{GradMode: agoffload.Optimized,
+			Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}})
+		tokens, targets := data(e.cfg.Model, 1)
+		for i := 0; i < 3; i++ {
+			if _, err := e.TrainStep(tokens, targets); err != nil {
+				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := e.TrainStep(tokens, targets); err != nil {
-					t.Fatal(err)
-				}
-			})
-			t.Logf("%s steady-state allocs/step = %.0f (budget %d)", m.name, allocs, steadyStateAllocBudget)
-			if allocs > steadyStateAllocBudget {
-				t.Fatalf("%s TrainStep allocates %.0f/step, budget %d", m.name, allocs, steadyStateAllocBudget)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := e.TrainStep(tokens, targets); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
+		t.Logf("steady-state allocs/step = %.0f (budget %d)", allocs, steadyStateAllocBudget)
+		if allocs > steadyStateAllocBudget {
+			t.Fatalf("TrainStep allocates %.0f/step, budget %d", allocs, steadyStateAllocBudget)
+		}
+	})
 }

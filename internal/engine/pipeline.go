@@ -30,6 +30,10 @@ import (
 // (write-behind in forward, read-ahead in backward).
 const DefaultPipelineDepth = 2
 
+// EffectiveDepth reports the activation I/O window in force: the resolved
+// static depth (Config.PipelineDepth or the default; 0 = synchronous).
+func (e *Engine) EffectiveDepth() int { return e.depth }
+
 // offloadJob is one block's activation blob on its way to the NVMe array.
 // The blob is an arena slot buffer: the writer owns it (and the slot token)
 // until the Put returns, then releases the reservation and returns the
@@ -73,12 +77,8 @@ type offloadPipeline struct {
 	stopOnce sync.Once
 
 	// Step-local accounting, owned by the engine's step goroutine.
-	// poolStalls is the subset of stalls caused by host-staging exhaustion
-	// (reserveStaged backpressure) — the adaptive depth controller's lower
-	// signal, kept separate from ring-slot waits.
 	outstanding int
 	stalls      int
-	poolStalls  int
 	stallWait   time.Duration
 	queuePeak   int
 }
@@ -185,24 +185,6 @@ func (p *offloadPipeline) submit(j offloadJob) {
 	runtime.Gosched()
 }
 
-// limit drains in-flight write-behind until at most max jobs remain — the
-// adaptive depth controller's forward-side window. The waits are not
-// counted as stalls: they are imposed by the controller, not by flow
-// control, and counting them would teach the controller to read its own
-// throttling as congestion.
-func (p *offloadPipeline) limit(max int) error {
-	if p == nil {
-		return nil
-	}
-	var joined error
-	for p.outstanding > max {
-		if err := p.waitOne(); err != nil {
-			joined = errors.Join(joined, err)
-		}
-	}
-	return joined
-}
-
 // waitOne blocks until any in-flight write retires and returns its error —
 // the reservation-backpressure primitive: when the host pool is full, the
 // forward loop waits for one queued blob's staging footprint to be
@@ -239,7 +221,6 @@ func (p *offloadPipeline) resetStepCounters() {
 		return
 	}
 	p.stalls = 0
-	p.poolStalls = 0
 	p.stallWait = 0
 	p.queuePeak = 0
 }
@@ -277,7 +258,6 @@ func (e *Engine) reserveStaged(n int, stallLabel string) (*memctl.Reservation, e
 		werr := e.pipe.waitOne()
 		e.tracer.RecordSpan(obs.LaneStall, stallLabel, tstart, e.tracer.Now())
 		e.pipe.stalls++
-		e.pipe.poolStalls++
 		e.pipe.stallWait += time.Since(start)
 		if werr != nil {
 			return nil, werr

@@ -25,8 +25,7 @@ import (
 // per stripe. The model is wider than the overlap bench (hidden 32) so
 // optimizer-state traffic rivals activation traffic — the mix under test.
 // The depth-1 pair pins the scheduler's effect on the overlap bench's
-// depth-1 pathology, and the adaptive variant finds its depth by feedback
-// instead of the hand-set knob. All variants share one bit-identical
+// depth-1 pathology. All variants share one bit-identical
 // training trajectory (asserted at warm-up): the scheduler reorders I/O,
 // never data.
 func schedBenchConfig(mut func(*Config)) Config {
@@ -58,7 +57,6 @@ func BenchmarkTrainStepSched(b *testing.B) {
 		{"sched", func(c *Config) {}},
 		{"fcfs-depth1", func(c *Config) { c.oracleFCFS = true; c.PipelineDepth = 1 }},
 		{"sched-depth1", func(c *Config) { c.PipelineDepth = 1 }},
-		{"sched-adaptive", func(c *Config) { c.AdaptiveDepth = true }},
 	}
 	var refLoss float64
 	for _, v := range variants {
@@ -70,7 +68,7 @@ func BenchmarkTrainStepSched(b *testing.B) {
 			defer e.Close()
 			tokens, targets := data(e.cfg.Model, 9)
 			var loss float64
-			for i := 0; i < 4; i++ { // warm-up covers two adaptive windows
+			for i := 0; i < 4; i++ {
 				if loss, err = e.TrainStep(tokens, targets); err != nil {
 					b.Fatal(err)
 				}

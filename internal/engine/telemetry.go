@@ -101,7 +101,7 @@ type StepMetrics struct {
 	FetchStalls    int
 	FetchStallWait time.Duration
 	// EffectiveDepth is the activation I/O window in force this step (the
-	// adaptive controller's choice when enabled, the static depth otherwise).
+	// resolved static depth; 0 = synchronous).
 	EffectiveDepth int
 	// Sched is the NVMe transfer scheduler's per-class step delta:
 	// dispatched stride items, their summed queue wait, and the cumulative
@@ -110,16 +110,8 @@ type StepMetrics struct {
 	// Flow is the step's byte-flow ledger delta: bytes moved per
 	// (edge, purpose) cell during this step (see obs.FlowLedger).
 	Flow obs.FlowSnapshot
-	// Optimizer-scheduling profile. DeferredGroups/DeferredBytes count this
-	// step's updates deferred under async scheduling and the optimizer
-	// traffic they moved off the step; StalenessPeak is the oldest
-	// still-pending deferred update (in steps) observed after the staleness
-	// barrier — ≤ MaxStaleness by construction. PrefetchedReads counts the
-	// state reads the pipeline's read-ahead stage issued for in-step
-	// updates.
-	DeferredGroups  int
-	DeferredBytes   int64
-	StalenessPeak   int
+	// PrefetchedReads counts the state reads the optimizer pipeline's
+	// read-ahead stage issued this step.
 	PrefetchedReads int
 }
 
@@ -171,8 +163,8 @@ type instruments struct {
 	offloadStallMS *obs.Gauge
 	offloadQueue   *obs.Gauge
 
-	// Read-ahead health and the adaptive window: cumulative fetch stalls,
-	// the last step's summed fetch wait, and the effective pipeline depth.
+	// Read-ahead health: cumulative fetch stalls, the last step's summed
+	// fetch wait, and the pipeline depth in force.
 	fetchStalls  *obs.Counter
 	fetchStallMS *obs.Gauge
 	pipelineEff  *obs.Gauge
@@ -188,12 +180,7 @@ type instruments struct {
 	schedWriteBehindWaitMS  *obs.Gauge
 	schedWriteBehindQueuePk *obs.Gauge
 
-	// Optimizer-scheduling health: groups and bytes deferred under async
-	// scheduling last step, the post-barrier peak staleness, and the state
-	// reads the pipeline's read-ahead stage issued.
-	optDeferredGroups  *obs.Gauge
-	optDeferredBytes   *obs.Gauge
-	optStalenessPeak   *obs.Gauge
+	// State reads the optimizer pipeline's read-ahead stage issued last step.
 	optPrefetchedReads *obs.Gauge
 
 	nvmeReadBytes  *obs.Gauge
@@ -279,9 +266,6 @@ func makeInstruments(r *obs.Registry) instruments {
 		schedWriteBehindWaitMS:  r.Gauge("nvme.sched_write_behind_wait_ms"),
 		schedWriteBehindQueuePk: r.Gauge("nvme.sched_write_behind_queue_peak"),
 
-		optDeferredGroups:  r.Gauge("engine.opt_deferred_groups"),
-		optDeferredBytes:   r.Gauge("engine.opt_deferred_bytes"),
-		optStalenessPeak:   r.Gauge("engine.opt_staleness_peak"),
 		optPrefetchedReads: r.Gauge("engine.opt_prefetched_reads"),
 
 		nvmeReadBytes:  r.Gauge("nvme.read_bytes"),
@@ -351,7 +335,7 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	}
 	m.FetchStalls = e.fetchStallsN
 	m.FetchStallWait = e.fetchStallWaitN
-	m.EffectiveDepth = e.EffectiveDepth()
+	m.EffectiveDepth = e.depth
 	// Per-class scheduler delta vs the previous step's cumulative snapshot.
 	// QueuePeak is the class's lifetime high-water mark — a peak can't be
 	// differenced, and the lifetime value is what a postmortem wants.
@@ -365,9 +349,6 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 		}
 	}
 	e.prevSched = sched
-	m.DeferredGroups = e.deferredGroupsN
-	m.DeferredBytes = e.deferredBytesN
-	m.StalenessPeak = e.stalenessPeakN
 	m.PrefetchedReads = e.submittedN
 	e.prevKernelParams, e.prevKernelBusy = kp, kb
 
@@ -408,16 +389,6 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 		Flow:           m.Flow,
 	})
 
-	// Feed the adaptive depth controller after the record is cut, so the
-	// recorded EffectiveDepth is the one this step actually ran at.
-	if e.depthCtl != nil {
-		poolStalls := 0
-		if e.pipe != nil {
-			poolStalls = e.pipe.poolStalls
-		}
-		e.depthCtl.observe(m.FetchStallWait, m.Wall, poolStalls, e.tracer)
-	}
-
 	ins := &e.ins
 	ins.steps.Add(1)
 	ins.tokens.Add(int64(tokens))
@@ -454,9 +425,6 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	ins.schedWriteBehindWaitMS.Set(float64(m.Sched[nvme.ClassWriteBehind].Wait) / float64(time.Millisecond))
 	ins.schedWriteBehindQueuePk.Set(float64(m.Sched[nvme.ClassWriteBehind].QueuePeak))
 
-	ins.optDeferredGroups.Set(float64(m.DeferredGroups))
-	ins.optDeferredBytes.Set(float64(m.DeferredBytes))
-	ins.optStalenessPeak.Set(float64(m.StalenessPeak))
 	ins.optPrefetchedReads.Set(float64(m.PrefetchedReads))
 
 	ssd := e.array.Stats()

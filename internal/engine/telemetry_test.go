@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"ratel/internal/agoffload"
@@ -154,6 +156,15 @@ func TestRegistryUpdatedPerStep(t *testing.T) {
 		if _, ok := snap[name]; !ok {
 			t.Fatalf("%s missing from snapshot %v", name, snap)
 		}
+	}
+	// The exported metric surface is a committed list: adding, renaming or
+	// removing an instrument has to change testdata/metrics.golden too.
+	golden, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(reg.Names(), "\n") + "\n"; got != string(golden) {
+		t.Fatalf("registered metric names differ from testdata/metrics.golden:\n%s", got)
 	}
 }
 

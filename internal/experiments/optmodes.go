@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"ratel/internal/agoffload"
 	"ratel/internal/data"
@@ -12,22 +11,19 @@ import (
 	"ratel/internal/itersim"
 	"ratel/internal/model"
 	"ratel/internal/nn"
-	"ratel/internal/opt"
 	"ratel/internal/strategy"
 	"ratel/internal/units"
 )
 
 func init() {
-	register("optmodes", "Optimizer scheduling modes: simulated iteration comparison + real mini-engine exactness/convergence", optmodesExperiment)
+	register("optmodes", "Optimizer scheduling modes: simulated iteration comparison + real mini-engine exactness", optmodesExperiment)
 }
 
 // optmodesExperiment compares the optimizer scheduling modes twice over:
 // the discrete-event simulator prices a paper-scale iteration under each
 // agoffload schedule (the mode-comparison figure data), and the real mini
-// engine runs the same fine-tune under a serialized optimizer stage, the
-// default streaming state pipeline, and the async schedule to report the
-// exactness matrix — streaming bit-identical to serialized, async within
-// convergence tolerance at bounded staleness.
+// engine runs the same fine-tune under a serialized optimizer stage and the
+// default streaming state pipeline to report that the two are bit-identical.
 func optmodesExperiment(w io.Writer) error {
 	// ---- Simulated mode comparison (13B on the evaluation server) ----
 	cfg, err := model.ByName("13B")
@@ -45,11 +41,9 @@ func optmodesExperiment(w io.Writer) error {
 		{"optimized (Fig. 3b)", agoffload.Optimized, agoffload.Options{}},
 		{"readiness depth-2", agoffload.Readiness, agoffload.Options{Depth: 2}},
 		{"readiness depth-4", agoffload.Readiness, agoffload.Options{Depth: 4}},
-		{"async top-half", agoffload.AsyncTopK, agoffload.Options{}},
-		{"async top-quarter", agoffload.AsyncTopK, agoffload.Options{TopK: (cfg.Layers + 2) / 4}},
 	}
 	fmt.Fprintf(w, "simulated iteration, %s batch 32 on the evaluation server (12 SSDs)\n", cfg.Name)
-	fmt.Fprintf(w, "%-24s %10s %12s %16s\n", "schedule", "iter (s)", "opt tail (s)", "deferred params")
+	fmt.Fprintf(w, "%-24s %10s %12s\n", "schedule", "iter (s)", "opt tail (s)")
 	var baseline units.Seconds
 	for i, v := range simVariants {
 		p := strategy.Ratel
@@ -63,12 +57,12 @@ func optmodesExperiment(w io.Writer) error {
 		if i == 0 {
 			baseline = rep.Makespan
 		}
-		fmt.Fprintf(w, "%-24s %10.2f %12.2f %16d   (%.2fx vs serialized)\n",
-			v.name, float64(rep.Makespan), float64(rep.OptimizerTail), rep.DeferredParams,
+		fmt.Fprintf(w, "%-24s %10.2f %12.2f   (%.2fx vs serialized)\n",
+			v.name, float64(rep.Makespan), float64(rep.OptimizerTail),
 			float64(baseline)/float64(rep.Makespan))
 	}
 
-	// ---- Real mini-engine exactness/convergence matrix ----
+	// ---- Real mini-engine exactness ----
 	modelCfg := nn.Config{Vocab: 48, Seq: 12, Hidden: 16, Heads: 2, Layers: 3, Batch: 4, Seed: 12}
 	const steps = 12
 	type engVariant struct {
@@ -78,14 +72,9 @@ func optmodesExperiment(w io.Writer) error {
 	engVariants := []engVariant{
 		{"serialized optimizer stage", engine.Config{Model: modelCfg, GradMode: agoffload.Serialized, Devices: 2}},
 		{"streaming pipeline (default)", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2}},
-		{"async top-2, staleness 1", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
-			OptSchedule: opt.ScheduleAsync, AsyncTopK: 2, MaxStaleness: 1}},
-		{"async top-2, staleness 3", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
-			OptSchedule: opt.ScheduleAsync, AsyncTopK: 2, MaxStaleness: 3}},
 	}
 	fmt.Fprintln(w)
 	var ref []float32
-	var refLoss float64
 	for vi, v := range engVariants {
 		e, err := engine.New(v.cfg)
 		if err != nil {
@@ -109,10 +98,6 @@ func optmodesExperiment(w io.Writer) error {
 			}
 			last = loss
 		}
-		if err := e.FlushAsync(); err != nil {
-			e.Close()
-			return err
-		}
 		var flat []float32
 		for _, p := range e.Model().Params() {
 			flat = append(flat, p.W.Data...)
@@ -121,7 +106,7 @@ func optmodesExperiment(w io.Writer) error {
 
 		fmt.Fprintf(w, "%-28s loss %.4f -> %.4f", v.name, first, last)
 		if vi == 0 {
-			ref, refLoss = flat, last
+			ref = flat
 			fmt.Fprintln(w, "  [reference]")
 			continue
 		}
@@ -131,14 +116,11 @@ func optmodesExperiment(w io.Writer) error {
 				diff++
 			}
 		}
-		switch {
-		case diff == 0:
-			fmt.Fprintln(w, "  == bit-identical to serialized")
-		default:
-			fmt.Fprintf(w, "  != %d/%d params differ, loss drift %+.2f%% (bounded staleness)\n",
-				diff, len(flat), 100*(last-refLoss)/math.Abs(refLoss))
+		if diff != 0 {
+			return fmt.Errorf("optmodes: %s: %d/%d params differ from the serialized optimizer stage", v.name, diff, len(flat))
 		}
+		fmt.Fprintln(w, "  == bit-identical to serialized")
 	}
-	fmt.Fprintf(w, "\nthe streaming pipeline moves when state is read and written (read-ahead, write-behind), never what an update computes: bit-exact.\nasync defers the unimportant partition at most MaxStaleness steps: small, bounded drift.\n")
+	fmt.Fprintf(w, "\nthe streaming pipeline moves when state is read and written (read-ahead, write-behind), never what an update computes: bit-exact.\n")
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 )
 
 func init() {
-	register("sched", "Transfer scheduler: simulated simplex vs duplex SSD lanes + real mini-engine exactness across scheduler configurations", schedExperiment)
+	register("sched", "Transfer scheduler: simulated simplex vs duplex SSD lanes + real mini-engine exactness across activation I/O windows", schedExperiment)
 }
 
 // schedExperiment evaluates the transfer scheduler twice over, mirroring
@@ -32,13 +32,12 @@ func init() {
 // exactly where the paper lives (one or two consumer SSDs, where the
 // array is the bottleneck) and vanishes at the 12-SSD evaluation server
 // whose array outruns the traffic. The real mini engine — whose array
-// always runs the duplex priority lanes — then runs one fine-tune under
-// every scheduler configuration (default classes, an inverted class order,
-// the adaptive depth controller) and diffs the trajectories
-// param-for-param: the scheduler reorders I/O, never data, so every row
-// must report bit-identical. (The FCFS single-lane array survives only as a
-// test oracle; TestSchedBitIdentityMatrix pins the same identity against
-// it.)
+// always runs the duplex priority lanes — then runs one fine-tune at every
+// activation I/O window (the default depth, depth 1, synchronous) and diffs
+// the trajectories param-for-param: the window and the scheduler move when
+// I/O happens, never data, so every row must report bit-identical. (The
+// FCFS single-lane array and an inverted class order survive only as test
+// oracles; TestSchedBitIdentityMatrix pins the same identity against them.)
 func schedExperiment(w io.Writer) error {
 	// ---- Simulated simplex vs duplex iteration (13B, readiness depth-2) ----
 	cfg, err := model.ByName("13B")
@@ -65,7 +64,7 @@ func schedExperiment(w io.Writer) error {
 			ssds, float64(iter[0]), float64(iter[1]), float64(iter[0])/float64(iter[1]))
 	}
 
-	// ---- Real mini-engine scheduler-configuration exactness matrix ----
+	// ---- Real mini-engine I/O-window exactness matrix ----
 	modelCfg := nn.Config{Vocab: 48, Seq: 12, Hidden: 16, Heads: 2, Layers: 3, Batch: 4, Seed: 12}
 	const steps = 8
 	baseCfg := func() engine.Config {
@@ -81,11 +80,9 @@ func schedExperiment(w io.Writer) error {
 		name string
 		mut  func(*engine.Config)
 	}{
-		{"sched (default classes)", func(c *engine.Config) {}},
-		{"sched (inverted classes)", func(c *engine.Config) {
-			c.SchedClasses = "write-behind,writeback,opt-read,fetch"
-		}},
-		{"sched + adaptive depth", func(c *engine.Config) { c.AdaptiveDepth = true }},
+		{"sched (default depth)", func(c *engine.Config) {}},
+		{"sched (depth 1)", func(c *engine.Config) { c.PipelineDepth = 1 }},
+		{"sched (synchronous I/O)", func(c *engine.Config) { c.DisablePipeline = true }},
 	}
 	fmt.Fprintln(w)
 	var ref []float32
@@ -110,10 +107,6 @@ func schedExperiment(w io.Writer) error {
 				return err
 			}
 		}
-		if err := e.FlushAsync(); err != nil {
-			e.Close()
-			return err
-		}
 		var flat []float32
 		for _, p := range e.Model().Params() {
 			flat = append(flat, p.W.Data...)
@@ -133,12 +126,12 @@ func schedExperiment(w io.Writer) error {
 			}
 		}
 		if diff == 0 && last == refLoss {
-			fmt.Fprintln(w, "  == bit-identical to the default order")
+			fmt.Fprintln(w, "  == bit-identical to the default depth")
 		} else {
-			fmt.Fprintf(w, "  != %d/%d params differ from the default order — scheduler changed values\n",
+			fmt.Fprintf(w, "  != %d/%d params differ from the default depth — I/O timing changed values\n",
 				diff, len(flat))
 		}
 	}
-	fmt.Fprintf(w, "\nthe scheduler reorders I/O, never data: every configuration lands the same trajectory.\n")
+	fmt.Fprintf(w, "\nthe scheduler and the window reorder I/O, never data: every configuration lands the same trajectory.\n")
 	return nil
 }

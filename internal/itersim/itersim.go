@@ -42,11 +42,6 @@ type Report struct {
 	// optimizer pipeline still runs (zero when fully hidden, §IV-C).
 	OptimizerTail units.Seconds
 
-	// DeferredParams counts parameters whose updates the AsyncTopK gradient
-	// mode moved off the iteration's critical path onto the background
-	// applier (zero in every other mode).
-	DeferredParams int64
-
 	// Activation decision actually simulated.
 	AG2M       units.Bytes
 	AlphaBytes units.Bytes
@@ -355,7 +350,6 @@ func simulate(p strategy.Policy, cfg model.Config, batch int, srv hw.Server, nSh
 	backwardTasks := len(b.tasks)
 
 	// ---------- Optimizer ----------
-	var deferredParams int64
 	switch p.Optimizer {
 	case strategy.OptCPU:
 		var labels []string
@@ -381,7 +375,7 @@ func simulate(p strategy.Policy, cfg model.Config, batch int, srv hw.Server, nSh
 		if err != nil {
 			return Report{}, err
 		}
-		tasks, next, _, deferred, err := agoffload.ScheduleWith(p.GradMode, chunks, b.next, agoffload.Rates{
+		tasks, next, _, err := agoffload.ScheduleWith(p.GradMode, chunks, b.next, agoffload.Rates{
 			BWS2M: ssdRead, BWM2S: ssdWrite, AdamParamsPerSec: r.adam,
 		}, p.OptSched)
 		if err != nil {
@@ -389,9 +383,6 @@ func simulate(p strategy.Policy, cfg model.Config, batch int, srv hw.Server, nSh
 		}
 		b.tasks = append(b.tasks, tasks...)
 		b.next = next
-		for _, c := range deferred {
-			deferredParams += c.Params
-		}
 	case strategy.OptGPU:
 		if statesOnSSD {
 			// G10-style: stream 12 bytes/param in, update on GPU, stream
@@ -421,7 +412,6 @@ func simulate(p strategy.Policy, cfg model.Config, batch int, srv hw.Server, nSh
 		Policy: p.Name, Model: cfg.Name, Batch: batch, GPUs: 1,
 		AG2M: d.ag2m, AlphaBytes: d.alpha, FLOPr: d.flopr,
 		Makespan: res.Makespan, Result: res,
-		DeferredParams: deferredParams,
 	}
 	for id := 0; id < forwardTasks; id++ {
 		if sp, ok := res.Spans[id]; ok && sp.Task.Resource == sim.GPUCompute && sp.End > rep.ForwardEnd {

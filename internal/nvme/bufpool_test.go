@@ -86,20 +86,27 @@ func TestBufPoolBoundsRetention(t *testing.T) {
 	}
 }
 
-func TestPutFromTransfersOwnership(t *testing.T) {
+// TestPutThenRecycle: Put only borrows its buffer, so recycling it right
+// after the call neither loses it from the pool nor disturbs the stored
+// bytes.
+func TestPutThenRecycle(t *testing.T) {
 	a := openMem(t, 2)
 	data := []byte("spilled optimizer state bytes......")
 	buf := Buffers.Get(len(data))
 	copy(buf, data)
 	before := Buffers.Stats()
-	if err := a.PutFrom("k", buf); err != nil {
+	if err := a.PutClass("k", buf, ClassWriteback); err != nil {
 		t.Fatal(err)
 	}
+	Buffers.Put(buf)
 	// The buffer is back in the pool: a same-class Get reuses it.
 	again := Buffers.Get(len(data))
+	for i := range again {
+		again[i] = 0xff
+	}
 	after := Buffers.Stats()
 	if after.Hits+after.Steals <= before.Hits+before.Steals {
-		t.Fatalf("PutFrom did not recycle the buffer: %+v -> %+v", before, after)
+		t.Fatalf("the put buffer was not recycled: %+v -> %+v", before, after)
 	}
 	Buffers.Put(again)
 	got, err := a.Get("k")
@@ -107,7 +114,7 @@ func TestPutFromTransfersOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("PutFrom corrupted data")
+		t.Fatal("recycling the put buffer corrupted stored data")
 	}
 }
 

@@ -72,7 +72,7 @@ type Config struct {
 	// both modes.
 	Sched bool
 	// SchedOrder, when non-nil, overrides the dequeue priority (must name
-	// every class exactly once; see ParseClassOrder). Default:
+	// every class exactly once). Default:
 	// fetch > opt-read > writeback > write-behind.
 	SchedOrder []Class
 	// SchedAging bounds how long a low-priority transfer can be starved by
@@ -384,7 +384,7 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 
 // Put stores data under key, replacing any previous object. data is
 // borrowed only for the duration of the call and never retained, so callers
-// may recycle it immediately after Put returns (see PutFrom).
+// may recycle it immediately after Put returns.
 //
 // Overwriting a key with an object of the same size reuses the existing
 // chunk layout in place — no chunk free/realloc churn on the steady-state
@@ -502,23 +502,6 @@ func (a *Array) PutClass(key string, data []byte, class Class) error {
 	return nil
 }
 
-// PutFrom stores data under key and then recycles data into the shared
-// buffer pool (Buffers). Ownership of data transfers to the array at the
-// call: the caller must not read, write, or retain data afterwards — even
-// when PutFrom returns an error, the buffer is gone. It is the write half of
-// the borrowed-buffer protocol (ReadInto is the read half); pair it with
-// Buffers.Get so steady-state spills allocate nothing.
-func (a *Array) PutFrom(key string, data []byte) error {
-	return a.PutFromClass(key, data, ClassWriteback)
-}
-
-// PutFromClass is PutFrom with an explicit scheduler traffic class.
-func (a *Array) PutFromClass(key string, data []byte, class Class) error {
-	err := a.PutClass(key, data, class)
-	Buffers.Put(data)
-	return err
-}
-
 // Size reports the stored size of key.
 func (a *Array) Size(key string) (units.Bytes, error) {
 	a.mu.RLock()
@@ -538,45 +521,17 @@ func (a *Array) Has(key string) bool {
 	return ok
 }
 
-// Get reads the object stored under key. It schedules as
-// ClassCriticalFetch; use GetClass to tag other traffic.
+// Get reads the object stored under key into a fresh buffer. It schedules
+// as ClassCriticalFetch, like ReadInto.
 func (a *Array) Get(key string) ([]byte, error) {
-	return a.GetClass(key, ClassCriticalFetch)
-}
-
-// GetClass is Get with an explicit scheduler traffic class.
-func (a *Array) GetClass(key string, class Class) ([]byte, error) {
-	if class >= NumClasses {
-		return nil, fmt.Errorf("nvme: get %q: invalid class %d", key, class)
-	}
-	a.mu.RLock()
-	obj, ok := a.objs[key]
-	a.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	dst := make([]byte, obj.size)
-	o := a.obsv.Load()
-	var opStart time.Time
-	if o != nil {
-		opStart = time.Now()
-	}
-	sp := a.tracer.Load().StartSpan(obs.LaneNVMeRead, key)
-	if err := a.transfer(obj, dst, false, class); err != nil {
-		sp.End()
+	size, err := a.Size(key)
+	if err != nil {
 		return nil, err
 	}
-	sp.End()
-	if o != nil {
-		o.note(key, int64(obj.size), false, time.Since(opStart))
-	}
-	if err := a.verify(key, obj, dst); err != nil {
+	dst := make([]byte, size)
+	if err := a.ReadInto(key, dst); err != nil {
 		return nil, err
 	}
-	a.statMu.Lock()
-	a.bytesRead += int64(obj.size)
-	a.readOps++
-	a.statMu.Unlock()
 	return dst, nil
 }
 

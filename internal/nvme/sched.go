@@ -2,7 +2,6 @@ package nvme
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,43 +70,6 @@ func (c Class) String() string {
 		return classNames[c]
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
-}
-
-// ParseClass resolves a flag-facing class name.
-func ParseClass(s string) (Class, error) {
-	for i, n := range classNames {
-		if s == n {
-			return Class(i), nil
-		}
-	}
-	return 0, fmt.Errorf("nvme: unknown transfer class %q (want one of %s)", s, strings.Join(classNames[:], ", "))
-}
-
-// ParseClassOrder parses a comma-separated priority order, e.g.
-// "fetch,opt-read,writeback,write-behind". It must name every class exactly
-// once. An empty string yields the default order.
-func ParseClassOrder(s string) ([]Class, error) {
-	if s == "" {
-		return DefaultSchedOrder(), nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != NumClasses {
-		return nil, fmt.Errorf("nvme: class order %q: want %d classes, got %d", s, NumClasses, len(parts))
-	}
-	var seen [NumClasses]bool
-	order := make([]Class, 0, NumClasses)
-	for _, p := range parts {
-		c, err := ParseClass(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		if seen[c] {
-			return nil, fmt.Errorf("nvme: class order %q names %q twice", s, c)
-		}
-		seen[c] = true
-		order = append(order, c)
-	}
-	return order, nil
 }
 
 // DefaultSchedOrder returns the default priority order.

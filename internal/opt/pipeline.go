@@ -8,8 +8,6 @@ import (
 
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
-	"ratel/internal/obs"
-	"ratel/internal/tensor"
 )
 
 // StatePipeline streams group updates through three persistent stages, so
@@ -27,20 +25,18 @@ import (
 // groups hold a buffer at once (the window), and Wait joins every write
 // before the step returns, so failures and durability are those of the
 // synchronous UpdateGroup. Values are bit-identical to it: a group's state
-// is read only after its previous write was joined (Wait, or the deferred
-// slot's own Wait), and groups share no state.
+// is read only after its previous write was joined (Wait), and groups share
+// no state.
 //
-// Submit, SubmitDeferred, Wait and Close belong to one goroutine (the
+// Submit, Wait and Close belong to one goroutine (the
 // engine's step goroutine). The optimizer's Store must be safe for
 // concurrent use — nvme.Array is; the bare MemStore map is not.
 type StatePipeline struct {
 	o *OutOfCoreAdam
 
-	// readQ carries in-step jobs and deferQ staged asynchronous ones; each
-	// holds every registered group, so submitting never blocks the backward
-	// pass. Read-ahead serves readQ first: a deferred update has steps of
-	// slack, an in-step one is what Wait blocks on.
-	readQ, deferQ chan *groupJob
+	// readQ holds every registered group, so submitting never blocks the
+	// backward pass.
+	readQ chan *groupJob
 	// adamQ and writeQ hold at most the window, so a stage never blocks
 	// handing a job on.
 	adamQ, writeQ chan *groupJob
@@ -60,8 +56,7 @@ type StatePipeline struct {
 }
 
 // groupJob is one group's trip through the pipeline. One per registered
-// group (and one inside every DeferredUpdate), preallocated and reused, so
-// a step allocates nothing here.
+// group, preallocated and reused, so a step allocates nothing here.
 type groupJob struct {
 	g     nn.ParamGroup
 	n     int // g.NumParams()
@@ -72,20 +67,10 @@ type groupJob struct {
 	// submit time.
 	step int
 	cfg  AdamConfig
-	// grads, when non-nil, is the staged gradient snapshot a deferred update
-	// carries; nil stages the group's live gradients inside the Adam stage.
-	// p16, when non-nil, receives the fp16 working weights instead of the
-	// group's tensors (a deferred update installs them later, on the step
-	// goroutine).
-	grads, p16 []float32
 
 	buf     []byte // pooled wire buffer, owned between read-ahead and retire
 	done    chan error
 	pending bool // owned by the submitting goroutine
-}
-
-func (o *OutOfCoreAdam) newJob(g nn.ParamGroup, label string) groupJob {
-	return groupJob{g: g, n: g.NumParams(), key: o.stateKey(g.Name), label: label, done: make(chan error, 1)}
 }
 
 // NewStatePipeline starts the stage goroutines for the given groups. depth
@@ -100,7 +85,6 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 	p := &StatePipeline{
 		o:      o,
 		readQ:  make(chan *groupJob, len(groups)),
-		deferQ: make(chan *groupJob, len(groups)),
 		adamQ:  make(chan *groupJob, depth),
 		writeQ: make(chan *groupJob, depth),
 		window: make(chan struct{}, depth),
@@ -109,8 +93,10 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 	}
 	p.pending = make([]*groupJob, 0, len(groups))
 	for _, g := range groups {
-		j := o.newJob(g, o.adamLabel(g.Name))
-		p.jobs[g.Name] = &j
+		p.jobs[g.Name] = &groupJob{
+			g: g, n: g.NumParams(), key: o.stateKey(g.Name),
+			label: o.adamLabel(g.Name), done: make(chan error, 1),
+		}
 	}
 	p.readers.Add(depth)
 	p.writers.Add(depth)
@@ -146,13 +132,8 @@ func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 	return nil
 }
 
-// SubmitDeferred enqueues a staged asynchronous update (StageDeferred). It
-// is joined by the slot's own Wait, not by the pipeline's.
-func (p *StatePipeline) SubmitDeferred(d *DeferredUpdate) { p.deferQ <- &d.job }
-
 // Wait is the step barrier: it joins every update submitted since the last
-// Wait — its write included — and returns the first error. Deferred updates
-// are not waited for.
+// Wait — its write included — and returns the first error.
 func (p *StatePipeline) Wait() error {
 	var first error
 	for _, j := range p.pending {
@@ -166,16 +147,16 @@ func (p *StatePipeline) Wait() error {
 }
 
 // Buffered reports how many groups hold a wire buffer right now — zero
-// after Wait once no deferred update is in flight — and the most that ever
-// did at once, which never exceeds the window.
+// after Wait — and the most that ever did at once, which never exceeds the
+// window.
 func (p *StatePipeline) Buffered() (now, peak int) {
 	return int(p.buffered.Load()), int(p.peakBuffered.Load())
 }
 
 // Close joins the stage goroutines, stage by stage, so every job already
 // past read-ahead still retires (its buffer recycled, its waiter woken).
-// Call Wait — and DeferredUpdate.Wait for results that matter — first:
-// jobs still queued for read-ahead are abandoned. Idempotent and nil-safe.
+// Call Wait first: jobs still queued for read-ahead are abandoned.
+// Idempotent and nil-safe.
 func (p *StatePipeline) Close() {
 	if p == nil {
 		return
@@ -190,35 +171,20 @@ func (p *StatePipeline) Close() {
 	})
 }
 
-// next blocks for the next job to read, in-step jobs first; nil on Close.
-func (p *StatePipeline) next() *groupJob {
-	select {
-	case j := <-p.readQ:
-		return j
-	default:
-	}
-	select {
-	case j := <-p.readQ:
-		return j
-	case j := <-p.deferQ:
-		return j
-	case <-p.stop:
-		return nil
-	}
-}
-
 func (p *StatePipeline) readAhead() {
 	defer p.readers.Done()
 	for {
-		// The token comes first, so which job to read is decided as late as
-		// possible and a full window holds jobs in their queues, not here.
+		// The token comes first, so a full window holds jobs in the queue,
+		// not here.
 		select {
 		case p.window <- struct{}{}:
 		case <-p.stop:
 			return
 		}
-		j := p.next()
-		if j == nil {
+		var j *groupJob
+		select {
+		case j = <-p.readQ:
+		case <-p.stop:
 			return
 		}
 		j.buf = nvme.Buffers.Get(wireBytes(j.n))
@@ -267,26 +233,13 @@ func (p *StatePipeline) retire(j *groupJob, err error) {
 func (o *OutOfCoreAdam) applyJob(j *groupJob) error {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	grad := j.grads
-	if grad == nil {
-		grad = scrF32(&o.scr.grad, j.n)
-		if err := o.stageGrads(grad, j.g); err != nil {
-			return err
-		}
+	grad := scrF32(&o.scr.grad, j.n)
+	if err := o.stageGrads(grad, j.g); err != nil {
+		return err
 	}
 	p32, err := o.adamWire(j.buf, j.cfg, j.step, grad, j.g.Name, j.label)
 	if err != nil {
 		return err
 	}
-	if j.p16 == nil {
-		return o.installP16(j.g, p32)
-	}
-	if err := tensor.RoundFP16Into(j.p16, p32); err != nil {
-		return fmt.Errorf("opt: async install %s: %w", j.g.Name, err)
-	}
-	// The fp16 install crosses back to the compute tier when the step
-	// goroutine copies it in at the staleness barrier; credit it where the
-	// bytes are produced.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*len(p32)))
-	return nil
+	return o.installP16(j.g, p32)
 }

@@ -141,7 +141,8 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 // TestPipelineWindowBound: with writes held at the store, exactly depth
 // groups' reads are issued and no more — at most depth groups' state is
 // buffered at once, seen from the store's side (reads started minus writes
-// finished) and from the pipeline's own high-water mark.
+// finished) and from the pipeline's own high-water mark — and none once
+// Wait returns.
 func TestPipelineWindowBound(t *testing.T) {
 	const depth = 2
 	m := buildModel(t)
@@ -204,6 +205,21 @@ func TestPipelineWindowBound(t *testing.T) {
 	}
 	if now, pk := p.Buffered(); now != 0 || pk != depth {
 		t.Fatalf("pipeline buffered now=%d peak=%d, want 0 and %d", now, pk, depth)
+	}
+	// Every Wait, not just the first, leaves nothing buffered.
+	for step := 2; step <= 3; step++ {
+		o.BeginStep()
+		for _, g := range groups {
+			if err := p.Submit(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if now, pk := p.Buffered(); now != 0 || pk != depth {
+			t.Fatalf("step %d: pipeline buffered now=%d peak=%d after Wait, want 0 and %d", step, now, pk, depth)
+		}
 	}
 }
 

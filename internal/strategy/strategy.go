@@ -94,8 +94,8 @@ type Policy struct {
 	Optimizer OptimizerPlace
 	// GradMode applies when Optimizer == OptCPU.
 	GradMode agoffload.Mode
-	// OptSched tunes the Readiness/AsyncTopK gradient modes (prefetch
-	// depth, in-step top-k); the zero value takes the defaults.
+	// OptSched tunes the Readiness gradient mode (prefetch depth, duplex
+	// SSD resources); the zero value takes the defaults.
 	OptSched agoffload.Options
 	Act      ActPolicy
 

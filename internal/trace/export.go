@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -35,38 +34,11 @@ func WriteCSV(res sim.Result, w io.Writer) error {
 	return cw.Error()
 }
 
-// jsonSpan is the bespoke span record WriteSpansJSON emits.
-type jsonSpan struct {
-	ID       int     `json:"id"`
-	Label    string  `json:"label"`
-	Resource string  `json:"resource"`
-	Start    float64 `json:"start_s"`
-	End      float64 `json:"end_s"`
-}
-
 // WriteJSON exports the timeline in the Chrome trace-event format
 // (Perfetto / chrome://tracing loadable): complete events with
-// microsecond timestamps, one thread per resource. For the flat
-// span-array schema this function used to emit, use WriteSpansJSON.
+// microsecond timestamps, one thread per resource.
 func WriteJSON(res sim.Result, w io.Writer) error {
 	return WriteChrome(ChromeFromSim(res), w)
-}
-
-// WriteSpansJSON exports the timeline as a flat JSON span array
-// (id/label/resource/start_s/end_s) for external plotting scripts that
-// consume the pre-Chrome schema.
-func WriteSpansJSON(res sim.Result, w io.Writer) error {
-	spans := sortedSpans(res)
-	out := make([]jsonSpan, 0, len(spans))
-	for _, s := range spans {
-		out = append(out, jsonSpan{
-			ID: s.Task.ID, Label: s.Task.Label, Resource: string(s.Task.Resource),
-			Start: float64(s.Start), End: float64(s.End),
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 func sortedSpans(res sim.Result) []sim.Span {

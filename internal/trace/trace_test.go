@@ -145,26 +145,6 @@ func TestWriteJSONIsChromeTraceFormat(t *testing.T) {
 	}
 }
 
-func TestWriteSpansJSONKeepsLegacySchema(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteSpansJSON(timeline(t), &buf); err != nil {
-		t.Fatal(err)
-	}
-	var spans []map[string]interface{}
-	if err := json.Unmarshal([]byte(buf.String()), &spans); err != nil {
-		t.Fatalf("invalid json: %v", err)
-	}
-	if len(spans) != 4 {
-		t.Fatalf("json has %d spans, want 4", len(spans))
-	}
-	if spans[0]["label"] != "fwd" || spans[0]["resource"] != "gpu" {
-		t.Errorf("first span = %v, want fwd on gpu", spans[0])
-	}
-	if _, ok := spans[0]["start_s"]; !ok {
-		t.Error("legacy schema missing start_s")
-	}
-}
-
 func TestWriteEngineJSON(t *testing.T) {
 	spans := []obs.Span{
 		{Lane: obs.LaneCompute, Name: "block0/bwd", Start: 0, End: 3 * time.Millisecond},
