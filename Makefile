@@ -78,12 +78,12 @@ suppress-gate:
 		exit 1; \
 	fi
 
-# Tier-2 umbrella: static analysis + repo analyzers + race detector +
-# portable-fallback pass + core-count matrix + one-iteration benchmark smoke
-# (benchmarks must at least run) + the end-to-end harness's own smoke +
-# snapshot-integrity gate.
+# Tier-2 umbrella: static analysis + repo analyzers + suppression and
+# line-budget ratchets + race detector + portable-fallback pass + core-count
+# matrix + one-iteration benchmark smoke (benchmarks must at least run) + the
+# end-to-end harness's own smoke + snapshot-integrity gate.
 .PHONY: check
-check: vet lint suppress-gate race test-nosimd test-procs bench-smoke bench-e2e-smoke bench-gate
+check: vet lint suppress-gate loc-gate race test-nosimd test-procs bench-smoke bench-e2e-smoke bench-gate
 
 # Snapshot-integrity gate: every committed BENCH_*.json must parse and
 # self-diff clean at zero tolerance, so the diff tool and the snapshot
@@ -109,12 +109,12 @@ bench-kernels:
 bench-datapath:
 	go test -run '^$$' -bench 'BenchmarkCacheRoundTrip|BenchmarkTrainStep_Swap' -benchtime=100x -benchmem ./internal/engine
 
-# Activation I/O overlap benchmark: synchronous vs write-behind/read-ahead
-# at depth 1 and 3 under Table III-shaped device throttles
-# (BENCH_overlap.json is a committed snapshot).
+# Activation I/O overlap benchmark: no overlap (the oracleSyncIO test hook)
+# vs write-behind/read-ahead at depth 1 and 3 under Table III-shaped device
+# throttles, on one core (BENCH_overlap.json is a committed snapshot).
 .PHONY: bench-overlap
 bench-overlap:
-	go test -run '^$$' -bench 'BenchmarkTrainStepOverlap' -benchtime=15x -benchmem ./internal/engine
+	go test -run '^$$' -bench 'BenchmarkTrainStepOverlap' -benchtime=15x -benchmem -cpu 1 ./internal/engine
 
 # Transfer-scheduler benchmark: the FCFS single-lane test oracle vs the
 # production duplex/priority/coalescing lanes on a mixed
@@ -132,15 +132,31 @@ bench-optimizer:
 	go test -run '^$$' -bench 'BenchmarkTrainStepOptSchedule' -benchtime=15x -benchmem ./internal/engine
 
 # Line budget of the three data-path packages (ROADMAP item 6): non-test
-# Go lines per package and their sum against the target.
+# Go lines per package and their sum against the target. LOC_COUNT counts
+# the package directory in the shell variable $$d.
 LOC_TARGET = 4350
+LOC_PKGS = internal/engine internal/nvme internal/opt
+LOC_COUNT = ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | wc -l
 .PHONY: loc
 loc:
-	@total=0; for d in internal/engine internal/nvme internal/opt; do \
-		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
+	@total=0; for d in $(LOC_PKGS); do \
+		n=$$($(LOC_COUNT)); \
 		printf '%-16s %5d\n' $$d $$n; total=$$((total + n)); \
 	done; \
 	printf '%-16s %5d  (target <= $(LOC_TARGET))\n' total $$total
+
+# Line-budget ratchet: the three-package total may not grow past the
+# committed baseline (loc-baseline.txt). Delete code freely and lower the
+# baseline; raising it requires the justification in review.
+.PHONY: loc-gate
+loc-gate:
+	@total=0; for d in $(LOC_PKGS); do total=$$((total + $$($(LOC_COUNT)))); done; \
+	base=$$(cat loc-baseline.txt); \
+	echo "loc-gate: $$total non-test lines, baseline $$base"; \
+	if [ "$$total" -gt "$$base" ]; then \
+		echo "loc-gate: total $$total exceeds the committed baseline $$base — delete the difference or justify raising loc-baseline.txt" >&2; \
+		exit 1; \
+	fi
 
 # Every benchmark in the module at measurement settings.
 .PHONY: bench

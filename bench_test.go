@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"time"
 
 	"ratel"
 	"ratel/internal/agoffload"
@@ -399,48 +398,6 @@ func BenchmarkNVMeMirror(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := a.Put("k", payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEnginePrefetch measures the full-duplex activation I/O pipeline
-// on a latency-throttled array (Ratel_hook's pipelined data transfer,
-// Fig. 4). At mini scale the optimizer's model-state I/O dominates the
-// step, so the two variants run close — the isolated overlap effect is
-// measured by BenchmarkTrainStepOverlap (BENCH_overlap.json); this
-// benchmark documents that the pipeline itself adds no measurable overhead
-// and never changes values (TestPipelineEquivalenceMatrix).
-func BenchmarkEnginePrefetch(b *testing.B) {
-	for _, disable := range []bool{true, false} {
-		name := "pipeline-on"
-		if disable {
-			name = "pipeline-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			e, err := engine.New(engine.Config{
-				Model:           nn.Config{Vocab: 32, Seq: 16, Hidden: 32, Heads: 4, Layers: 4, Batch: 4, Seed: 1},
-				GradMode:        agoffload.Serialized,
-				Swap:            map[int]engine.Tier{0: engine.SwapSSD, 1: engine.SwapSSD, 2: engine.SwapSSD, 3: engine.SwapSSD},
-				Devices:         2,
-				SSD:             &nvme.Config{OpLatency: time.Millisecond, StripeSize: 1 << 16},
-				DisablePipeline: disable,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			tokens := make([][]int, 4)
-			targets := make([][]int, 4)
-			for i := range tokens {
-				tokens[i] = make([]int, 16)
-				targets[i] = make([]int, 16)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.TrainStep(tokens, targets); err != nil {
 					b.Fatal(err)
 				}
 			}

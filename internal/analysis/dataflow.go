@@ -160,8 +160,12 @@ func (f *Flow) Fixpoint() []State {
 		in[i] = State{}
 	}
 	work := []*Block{f.CFG.Entry}
-	queued := make([]bool, n)
-	queued[f.CFG.Entry.Index] = true
+	// reached marks blocks queued at least once: a block whose entry state
+	// is still empty when control first reaches it (nothing tracked yet —
+	// an acquire inside a loop body) must run too, or everything it
+	// acquires is invisible.
+	queued, reached := make([]bool, n), make([]bool, n)
+	queued[f.CFG.Entry.Index], reached[f.CFG.Entry.Index] = true, true
 	sweeps := 0
 	for len(work) > 0 {
 		blk := work[0]
@@ -175,9 +179,9 @@ func (f *Flow) Fixpoint() []State {
 			f.Transfer(blk, node, out)
 		}
 		for _, s := range blk.Succs {
-			if in[s.Index].joinInto(out) && !queued[s.Index] {
+			if (in[s.Index].joinInto(out) || !reached[s.Index]) && !queued[s.Index] {
 				work = append(work, s)
-				queued[s.Index] = true
+				queued[s.Index], reached[s.Index] = true, true
 			}
 		}
 	}

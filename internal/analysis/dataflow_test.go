@@ -145,6 +145,27 @@ func f(n int) {
 	}
 }
 
+// An acquire that first happens inside a loop body: control reaches the
+// loop with nothing tracked, and the body must still run — an empty entry
+// state is not "unreached". The leak on the early return shows at the exit.
+func TestFixpointReachesBlocksWithEmptyState(t *testing.T) {
+	c, _ := buildFrom(t, `
+func f(n int, bad bool) {
+	for i := 0; i < n; i++ {
+		acquire(x)
+		if bad {
+			return
+		}
+		release(x)
+	}
+}`)
+	flow := &Flow{CFG: c, Transfer: transferForTest}
+	in := flow.Fixpoint()
+	if got := in[c.Exit.Index].Get("x"); got != MaybeReleased {
+		t.Fatalf("at exit x = %v, want maybe-released (held on the early return, released on the loop's own exit)", got)
+	}
+}
+
 // Visit reports the state each node executes in, before its own transfer.
 func TestVisitSeesPreState(t *testing.T) {
 	c, _ := buildFrom(t, `

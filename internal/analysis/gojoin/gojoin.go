@@ -147,13 +147,6 @@ func check(pass *analysis.Pass, cfg *analysis.CFG, body *ast.BlockStmt, g *ast.G
 	var partial, unjoinedSig *signal
 	for i := range signals {
 		s := &signals[i]
-		// A local handle copied out of a field (ch := e.fetchCh[i]) is
-		// joined wherever the underlying field is.
-		if isLocal(pass, s.v) {
-			if base := aliasOf(pass, body, s.v); base != nil {
-				s.v = base
-			}
-		}
 		switch s.kind {
 		case "range":
 			// Termination obligation: a range worker needs its input closed,
@@ -536,10 +529,7 @@ func closedChan(info *types.Info, call *ast.CallExpr) *types.Var {
 	return resolveVar(info, call.Args[0])
 }
 
-// resolveVar maps an expression to the variable or field it names. An
-// index expression resolves to its base: the engine keeps per-block
-// channels in slice fields (e.fetchCh[i]), and join edges are tracked at
-// the granularity of the slice that holds them.
+// resolveVar maps an expression to the variable or field it names.
 func resolveVar(info *types.Info, e ast.Expr) *types.Var {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -559,52 +549,8 @@ func resolveVar(info *types.Info, e ast.Expr) *types.Var {
 		if v, ok := info.Uses[e.Sel].(*types.Var); ok {
 			return v
 		}
-	case *ast.IndexExpr:
-		return resolveVar(info, e.X)
 	}
 	return nil
-}
-
-// aliasOf resolves a local variable initialized from a field or
-// package-level variable (ch := e.fetchCh[i]) back to that variable, so
-// package-wide joins on the underlying channel count. Only single-value
-// definitions are followed, and only when the result is nonlocal.
-func aliasOf(pass *analysis.Pass, body *ast.BlockStmt, v *types.Var) *types.Var {
-	info := pass.TypesInfo
-	var base *types.Var
-	ast.Inspect(body, func(n ast.Node) bool {
-		if base != nil {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, l := range n.Lhs {
-				if resolveVar(info, l) != v {
-					continue
-				}
-				if r := resolveVar(info, n.Rhs[i]); r != nil && !isLocal(pass, r) {
-					base = r
-				}
-			}
-		case *ast.ValueSpec:
-			if len(n.Names) != len(n.Values) {
-				return true
-			}
-			for i, name := range n.Names {
-				if resolveVar(info, name) != v {
-					continue
-				}
-				if r := resolveVar(info, n.Values[i]); r != nil && !isLocal(pass, r) {
-					base = r
-				}
-			}
-		}
-		return base == nil
-	})
-	return base
 }
 
 func isChan(info *types.Info, e ast.Expr) bool {

@@ -150,25 +150,6 @@ func leakDrain() chan int {
 	return ch
 }
 
-// A per-slot channel copied into a local before the spawn: the send on ch
-// aliases f.chans[i], and the drain's receive joins it.
-type fetcher struct {
-	chans []chan error
-}
-
-func (f *fetcher) launch(i int) {
-	ch := f.chans[i]
-	go func() {
-		ch <- nil
-	}()
-}
-
-func (f *fetcher) drain() {
-	for i := range f.chans {
-		<-f.chans[i]
-	}
-}
-
 // The array scheduler's persistent-dispatcher shape: per-device workers
 // parked on a condition variable, signalling a field WaitGroup whose only
 // Wait lives in close. The Done in the worker body plus the package-level

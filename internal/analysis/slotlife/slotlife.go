@@ -1,13 +1,15 @@
 // Package slotlife guards the ring-arena slot-token protocol of the
-// write-behind pipeline (DESIGN.md §10): a token taken with acquireSlot
-// must leave the function exactly once on every path — either returned
-// with releaseSlot (the encode/reserve failure idiom) or handed to the
-// writer goroutines with submit. Double releases corrupt the token channel
-// (a slot with two tokens admits two concurrent writes into one arena
-// slot); a leaked token deadlocks the next step's acquireSlot. Both only
-// happen on the paths AST checks cannot see — error returns, branch
-// merges, panic exits — which is exactly where the CFG/dataflow substrate
-// (DESIGN.md §13) looks.
+// activation I/O window (DESIGN.md §10): a token taken with acquireSlot
+// must leave the function exactly once on every path — either handed to
+// the window's workers with submit (forward: the encoded blob's write;
+// backward: a read-ahead launch) or returned with releaseSlot (backward:
+// the fetched blob consumed; either direction: a finished join or a
+// failure path). Double releases corrupt the token channel (a slot with
+// two tokens admits two concurrent transfers into one arena slot); a
+// leaked token deadlocks the step barrier, which takes every token. Both
+// only happen on the paths AST checks cannot see — error returns, branch
+// merges, loop bodies, panic exits — which is exactly where the
+// CFG/dataflow substrate (DESIGN.md §13) looks.
 package slotlife
 
 import (
@@ -29,7 +31,7 @@ slot, ...}) both give the token up; reaching any exit — including the
 panic exit through the defer chain — while the token is still held is a
 leak, and releasing twice (or releasing after submit) is a double release.
 Exactness: recognition is by method name (acquireSlot/releaseSlot/submit
-— the engine's pipeline types are unexported, so the protocol is the
+— the engine's window types are unexported, so the protocol is the
 name); only bare-identifier slot variables are tracked, and a slot
 variable captured by a closure or handed to a goroutine escapes the
 analysis. Implicit runtime panics are not modeled; explicit panic paths

@@ -1,18 +1,19 @@
 // Package slotd is slotlife's golden testdata. The pipe type mirrors the
-// engine's offloadPipeline protocol surface (recognition is by method
+// engine's activation-window protocol surface (recognition is by method
 // name — the real types are unexported).
 package slotd
 
 type job struct {
 	slot int
+	read bool
 	key  string
 }
 
 type pipe struct{}
 
-func (p *pipe) acquireSlot(slot int, label string) {}
-func (p *pipe) releaseSlot(slot int)               {}
-func (p *pipe) submit(j job)                       {}
+func (p *pipe) acquireSlot(slot int, label string) error { return nil }
+func (p *pipe) releaseSlot(slot int)                     {}
+func (p *pipe) submit(j job)                             {}
 
 func bad() bool { return false }
 
@@ -121,4 +122,47 @@ func reassignWhileHeld(p *pipe) {
 	p.acquireSlot(slot, "stall")
 	slot = 2 // want `slot variable "slot" reassigned while its token is still held`
 	p.releaseSlot(slot)
+}
+
+// The read direction, as backward runs it: a launch takes the slot's token
+// and hands it to a worker with submit; the consume takes it back — the
+// join — and returns it with releaseSlot once the blob is decoded, whether
+// the fetch or the decode failed or not. Both sit in the per-block loop.
+func readDirectionIsFine(p *pipe, blocks int, decode func() error) error {
+	for i := blocks - 1; i >= 0; i-- {
+		next := (i + 2) % 3
+		if err := p.acquireSlot(next, "fetch-stall"); err != nil {
+			p.releaseSlot(next)
+			return err
+		}
+		p.submit(job{slot: next, read: true, key: "k"})
+
+		slot := i % 3
+		err := p.acquireSlot(slot, "fetch-stall")
+		if err == nil {
+			err = decode()
+		}
+		p.releaseSlot(slot)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// The consume path's decode failure returns with the token still held: the
+// failure path's barrier takes every token and deadlocks on this one.
+func consumeLeaksOnDecodeError(p *pipe, blocks int, decode func() error) error {
+	for i := blocks - 1; i >= 0; i-- {
+		slot := i % 3
+		if err := p.acquireSlot(slot, "fetch-stall"); err != nil { // want `slot token "slot" is not released on every path`
+			p.releaseSlot(slot)
+			return err
+		}
+		if err := decode(); err != nil {
+			return err
+		}
+		p.releaseSlot(slot)
+	}
+	return nil
 }

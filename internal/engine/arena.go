@@ -16,17 +16,16 @@ import (
 // relies on the pipeline's window discipline rather than locking:
 //
 //   - Forward (write-behind): block i encodes into slot(i) and hands the
-//     blob to the offload queue. The slot's buffer stays in flight until the
-//     writer goroutine finishes the NVMe Put and returns the slot token, and
-//     the window bounds in-flight writes to depth — so by the time block
+//     blob to the activation window. The slot's buffer stays in flight until
+//     a worker finishes the NVMe Put and returns the slot token, and the
+//     window bounds in-flight writes to depth — so by the time block
 //     i+len(slots) wants the same slot, the engine has waited on that exact
 //     token (a recorded stall when the window is full). All writes drain at
 //     the forward/backward barrier, so backward starts with every slot free.
 //   - Backward (read-ahead): the fetch for block i-depth launches only when
 //     block i is consumed, so launched-but-unconsumed fetches span at most
 //     blocks i-depth..i — depth+1 consecutive indices, which map to
-//     distinct slots. The sync fallback (depth 0) touches one slot at a
-//     time.
+//     distinct slots.
 //   - The slot's BlockCache is revived by decode and consumed by Backward
 //     before the next block's cache is decoded; Backward retains nothing
 //     from the cache after it returns, so ring reuse is safe at any depth.
@@ -53,11 +52,8 @@ type arenaSlot struct {
 }
 
 // init sizes the ring. Must be called before slotBuf/cacheFor; the engine
-// calls it once at construction (depth+1 slots, minimum 2).
+// calls it once at construction (depth+1 slots).
 func (ar *blobArena) init(nslots int) {
-	if nslots < 2 {
-		nslots = 2
-	}
 	ar.slots = make([]arenaSlot, nslots)
 }
 
@@ -86,15 +82,15 @@ func (ar *blobArena) cacheFor(i int, g geometry) *nn.BlockCache {
 	return s.cache
 }
 
-// encode packs c into blob through the arena's tensor-list scratch — the
-// allocation-free form of encodeCacheInto.
+// encode packs c into blob, which must be exactly geometry.blobBytes()
+// long, through the arena's tensor-list scratch.
 func (ar *blobArena) encode(blob []byte, c *nn.BlockCache) error {
 	ar.ts = appendCacheTensors(ar.ts[:0], c)
 	return encodeTensors(blob, ar.ts)
 }
 
-// decode revives c from blob with input installed as the block input — the
-// allocation-free form of decodeCacheInto.
+// decode revives c — a cache built by newBlockCache — from blob, installing
+// input as the block input.
 func (ar *blobArena) decode(c *nn.BlockCache, blob []byte, input *tensor.Tensor) error {
 	c.X = input
 	ar.ts = appendCacheTensors(ar.ts[:0], c)

@@ -28,13 +28,7 @@ func appendCacheTensors(ts []*tensor.Tensor, c *nn.BlockCache) []*tensor.Tensor 
 	return append(ts, c.Attn.Ctx, c.AttnY, c.Res1, c.LN2Out, c.FC1Out, c.GeluOut)
 }
 
-// cacheTensors lists a block cache's tensors in serialization order.
-func cacheTensors(c *nn.BlockCache) []*tensor.Tensor {
-	ts := make([]*tensor.Tensor, 0, 8+len(c.Attn.Probs)*len(c.Attn.Probs[0]))
-	return appendCacheTensors(ts, c)
-}
-
-// cacheShapes mirrors cacheTensors for decoding.
+// cacheShapes mirrors appendCacheTensors for sizing.
 func (g geometry) cacheShapes() [][]int {
 	n := g.batch * g.seq
 	shapes := [][]int{{n, g.hidden}, {n, 3 * g.hidden}}
@@ -63,7 +57,7 @@ func (g geometry) blobBytes() int {
 }
 
 // newBlockCache allocates an empty block cache with every serialized tensor
-// shaped per the geometry — the ring entries decodeCacheInto revives. X and
+// shaped per the geometry — the ring entries blobArena.decode revives. X and
 // Y are left nil: X is installed per decode, Y is never serialized.
 func newBlockCache(g geometry) *nn.BlockCache {
 	n := g.batch * g.seq
@@ -86,27 +80,11 @@ func newBlockCache(g geometry) *nn.BlockCache {
 	return c
 }
 
-// encodeCache packs a block cache's activations as binary16 — the A16 bytes
-// the engine offloads. Every tensor is already on the fp16 grid, so the
-// encoding is lossless. The blob is preallocated at its exact size; the
-// steady-state path avoids even that by encoding into an arena buffer with
-// encodeCacheInto.
-func encodeCache(c *nn.BlockCache, g geometry) []byte {
-	out := make([]byte, g.blobBytes())
-	// The length is exact by construction, so the Into error is impossible.
-	_ = encodeCacheInto(out, c, g)
-	return out
-}
-
-// encodeCacheInto packs the cache into dst, which must be exactly
-// g.blobBytes() long. dst is fully overwritten, so dirty reused buffers
-// encode the same bits as fresh ones.
-func encodeCacheInto(dst []byte, c *nn.BlockCache, g geometry) error {
-	return encodeTensors(dst, cacheTensors(c))
-}
-
-// encodeTensors packs ts as fp16 into dst, which must hold exactly the
-// tensors' combined encoded size.
+// encodeTensors packs ts as binary16 into dst — the A16 bytes the engine
+// offloads — which must hold exactly the tensors' combined encoded size.
+// Every cache tensor is already on the fp16 grid, so the encoding is
+// lossless; dst is fully overwritten, so dirty reused buffers encode the
+// same bits as fresh ones.
 func encodeTensors(dst []byte, ts []*tensor.Tensor) error {
 	off := 0
 	for _, t := range ts {
@@ -125,27 +103,8 @@ func encodeTensors(dst []byte, ts []*tensor.Tensor) error {
 	return nil
 }
 
-// decodeCache restores a block cache from its fp16 bytes and the saved
-// block input, allocating fresh tensors. The engine's backward path decodes
-// into a reusable ring with decodeCacheInto instead.
-func decodeCache(blob []byte, input *tensor.Tensor, g geometry) (*nn.BlockCache, error) {
-	c := newBlockCache(g)
-	if err := decodeCacheInto(c, blob, input, g); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// decodeCacheInto revives c — a cache built by newBlockCache(g) — from its
-// fp16 bytes, installing input as the block input. Every serialized tensor
-// is fully overwritten, so ring entries carry no state between blocks.
-func decodeCacheInto(c *nn.BlockCache, blob []byte, input *tensor.Tensor, g geometry) error {
-	c.X = input
-	return decodeTensors(blob, cacheTensors(c))
-}
-
 // decodeTensors unpacks fp16 blob bytes into ts, fully overwriting each
-// tensor.
+// tensor, so ring entries carry no state between blocks.
 func decodeTensors(blob []byte, ts []*tensor.Tensor) error {
 	off := 0
 	for _, t := range ts {

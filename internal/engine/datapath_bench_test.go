@@ -18,7 +18,7 @@ import (
 func BenchmarkCacheRoundTrip(b *testing.B) {
 	g := geometry{batch: 2, seq: 64, hidden: 128, heads: 4}
 	src := newBlockCache(g)
-	for i, tt := range cacheTensors(src) {
+	for i, tt := range appendCacheTensors(nil, src) {
 		for j := range tt.Data {
 			tt.Data[j] = tensor.RoundFP16(float32((i+j)%17) * 0.125)
 		}

@@ -45,30 +45,31 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodedCacheNeverAliasesBlob: decodeCacheInto copies, never aliases —
+// TestDecodedCacheNeverAliasesBlob: blobArena.decode copies, never aliases —
 // poisoning the source blob after decode must not disturb the revived
 // cache. This is the invariant that makes recycling fetch buffers safe
 // while the previous block's cache is still being consumed.
 func TestDecodedCacheNeverAliasesBlob(t *testing.T) {
 	g := geometry{batch: 2, seq: 4, hidden: 8, heads: 2}
 	src := newBlockCache(g)
-	for i, tt := range cacheTensors(src) {
+	for i, tt := range appendCacheTensors(nil, src) {
 		for j := range tt.Data {
 			tt.Data[j] = tensor.RoundFP16(float32(i+1) * float32(j%7) * 0.25)
 		}
 	}
+	var ar blobArena
 	blob := make([]byte, g.blobBytes())
-	if err := encodeCacheInto(blob, src, g); err != nil {
+	if err := ar.encode(blob, src); err != nil {
 		t.Fatal(err)
 	}
 
 	input := tensor.New(g.batch*g.seq, g.hidden)
 	dst := newBlockCache(g)
-	if err := decodeCacheInto(dst, blob, input, g); err != nil {
+	if err := ar.decode(dst, blob, input); err != nil {
 		t.Fatal(err)
 	}
 	want := make([][]float32, 0)
-	for _, tt := range cacheTensors(dst) {
+	for _, tt := range appendCacheTensors(nil, dst) {
 		want = append(want, append([]float32(nil), tt.Data...))
 	}
 
@@ -76,7 +77,7 @@ func TestDecodedCacheNeverAliasesBlob(t *testing.T) {
 	for i := range blob {
 		blob[i] = 0xFF
 	}
-	for i, tt := range cacheTensors(dst) {
+	for i, tt := range appendCacheTensors(nil, dst) {
 		for j, v := range tt.Data {
 			if v != want[i][j] {
 				t.Fatalf("cache tensor %d[%d] changed after blob poison: %v vs %v", i, j, v, want[i][j])
@@ -187,12 +188,6 @@ func TestBlobArenaRingSlots(t *testing.T) {
 		if ar.blobReuses.Load() == 0 || ar.ringReuses.Load() == 0 {
 			t.Fatal("arena reuse counters did not advance")
 		}
-	}
-	// init clamps degenerate ring sizes to the 2-slot minimum.
-	var ar blobArena
-	ar.init(1)
-	if len(ar.slots) != 2 {
-		t.Fatalf("init(1) made %d slots, want the 2-slot minimum", len(ar.slots))
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,12 +122,8 @@ type Config struct {
 	// compute proceeds, and backward read-ahead launches the fetch for block
 	// i-depth when block i is consumed. 0 means DefaultPipelineDepth;
 	// negative is rejected. Depth changes only timing, never values — the
-	// step barrier makes every depth bit-identical to the synchronous path.
+	// step barrier makes every depth bit-identical to recomputation.
 	PipelineDepth int
-	// DisablePipeline runs all activation I/O synchronously inline with
-	// compute, in both directions (the reference the overlap benchmarks
-	// compare against; values are unaffected either way).
-	DisablePipeline bool
 	// Tracer, when non-nil, records wall-clock spans for every training
 	// stage (forward/backward kernels, activation offload and prefetch,
 	// NVMe device I/O, CPU-optimizer chunks). Tracing never changes
@@ -139,16 +134,20 @@ type Config struct {
 	Metrics *obs.Registry
 
 	// Test oracles, settable only from this package's tests: the baselines
-	// the bit-identity matrices and the BENCH_sched / BENCH_optimizer rows
-	// compare the one production path against. oracleFCFS opens the array
-	// with a single arrival-ordered lane per device; oracleInlineOpt runs
-	// every group update as a synchronous UpdateGroup on the step goroutine
-	// instead of through the state pipeline; oracleSchedOrder, when non-empty,
-	// overrides the priority order of the array's lanes (scheduling reorders
-	// I/O timing only, so every order trains the same trajectory).
+	// the bit-identity matrices and the BENCH_sched / BENCH_optimizer /
+	// BENCH_overlap rows compare the one production path against. oracleFCFS
+	// opens the array with a single arrival-ordered lane per device;
+	// oracleInlineOpt runs every group update as a synchronous UpdateGroup on
+	// the step goroutine instead of through the state pipeline;
+	// oracleSchedOrder, when non-empty, overrides the priority order of the
+	// array's lanes (scheduling reorders I/O timing only, so every order
+	// trains the same trajectory); oracleSyncIO runs the activation window
+	// with no overlap — every transfer is joined as soon as it is submitted
+	// and every fetch is launched at its consume.
 	oracleFCFS       bool
 	oracleInlineOpt  bool
 	oracleSchedOrder []nvme.Class
+	oracleSyncIO     bool
 }
 
 // Stats counts the engine's data movement.
@@ -186,15 +185,10 @@ type Engine struct {
 	// blobLen is the fixed fp16 size of one block's activation blob.
 	arena   blobArena
 	blobLen int
-	// depth is the resolved activation I/O window (0 = synchronous); pipe is
-	// the write-behind offload pipeline, nil when depth is 0 (see
-	// pipeline.go). fetchCh/fetchLive are the per-block read-ahead result
-	// channels and their in-flight marks, preallocated so backward's launch
-	// path allocates no channels or maps per step.
-	depth     int
-	pipe      *offloadPipeline
-	fetchCh   []chan error
-	fetchLive []bool
+	// depth is the resolved activation I/O window; win moves SwapSSD blobs
+	// between the ring and the array in both directions (see pipeline.go).
+	depth int
+	win   *actWindow
 	// states is the optimizer state pipeline (opt.StatePipeline): every
 	// group update of a training step streams through its read-ahead → Adam
 	// → write-behind stages, and GradMode only decides when the step
@@ -213,10 +207,6 @@ type Engine struct {
 	// submittedN counts the updates this step handed to the state pipeline
 	// (one state read-ahead each), folded into StepMetrics at noteStep.
 	submittedN int
-	// Per-step read-ahead telemetry: backward waits on fetches that missed
-	// their deadline. Owned by the step goroutine.
-	fetchStallsN    int
-	fetchStallWaitN time.Duration
 
 	// Telemetry (see telemetry.go). tracer may be nil; ins instruments are
 	// detached no-ops when Config.Metrics is nil. flows and flight are
@@ -316,20 +306,12 @@ func New(cfg Config) (*Engine, error) {
 	// Resolve the activation I/O window: the ring needs depth+1 slots so a
 	// block can encode while depth earlier blobs are still in flight (and so
 	// backward's depth read-aheads never collide with the block being
-	// consumed). The synchronous configuration keeps the minimum 2-slot ring.
+	// consumed).
 	e.depth = cfg.PipelineDepth
 	if e.depth == 0 {
 		e.depth = DefaultPipelineDepth
 	}
-	if cfg.DisablePipeline {
-		e.depth = 0
-	}
 	e.arena.init(e.depth + 1)
-	e.fetchCh = make([]chan error, len(m.Blocks))
-	for i := range e.fetchCh {
-		e.fetchCh[i] = make(chan error, 1)
-	}
-	e.fetchLive = make([]bool, len(m.Blocks))
 	a.SetTracer(cfg.Tracer)
 	e.optimizer.SetTracer(cfg.Tracer)
 	// Byte-flow and latency observers: the array credits host↔NVMe bytes
@@ -367,31 +349,16 @@ func New(cfg Config) (*Engine, error) {
 			return nil, errors.Join(err, a.Close())
 		}
 	}
-	// Background goroutines (offload writers, optimizer state pipeline)
-	// start last so no construction-error path has to stop them: every
-	// earlier failure closes just the array.
+	// Background goroutines (activation window workers, optimizer state
+	// pipeline) start last so no construction-error path has to stop them:
+	// every earlier failure closes just the array.
 	e.serialized = make([]nn.ParamGroup, 0, len(e.groups))
 	if !cfg.oracleInlineOpt {
-		// The state window reuses the activation pipeline depth (min 1 — the
-		// synchronous-activation configuration streams one group at a time).
-		window := e.depth
-		if window < 1 {
-			window = 1
-		}
-		e.states = opt.NewStatePipeline(e.optimizer, window, e.groups)
+		// The state window reuses the activation window depth.
+		e.states = opt.NewStatePipeline(e.optimizer, e.depth, e.groups)
 	}
-	if e.depth > 0 {
-		// One writer serializes a depth-1 window exactly like the old inline
-		// path. Deeper windows get one writer per in-flight blob up to the
-		// array width: each blob stripes across every device, so fewer
-		// writers than devices leaves aggregate write bandwidth idle between
-		// blob boundaries.
-		writers := e.depth
-		if writers > cfg.Devices {
-			writers = cfg.Devices
-		}
-		e.pipe = newOffloadPipeline(a, cfg.Tracer, len(e.arena.slots), writers, len(m.Blocks))
-	}
+	e.win = newActWindow(a, cfg.Tracer, len(e.arena.slots), e.depth)
+	e.win.syncIO = cfg.oracleSyncIO
 	return e, nil
 }
 
@@ -409,11 +376,11 @@ func (e *Engine) currentScale() float64 {
 // LossScale reports the active loss scale (for tests and telemetry).
 func (e *Engine) LossScale() float64 { return e.currentScale() }
 
-// Close stops the offload pipeline's writer goroutines and the optimizer
-// state pipeline, and releases the NVMe array. Nothing is in flight between
+// Close stops the activation window's workers and the optimizer state
+// pipeline, and releases the NVMe array. Nothing is in flight between
 // steps, so there is nothing to flush first.
 func (e *Engine) Close() error {
-	e.pipe.close()
+	e.win.close()
 	e.states.Close()
 	return e.array.Close()
 }
@@ -492,8 +459,8 @@ func (e *Engine) trainStep(micro []Batch) (float64, error) {
 		return 0, fmt.Errorf("engine: optimizer state is inconsistent after a failed update (restore a checkpoint to continue): %w", e.optErr)
 	}
 	e.model.ZeroGrads()
-	e.pipe.resetStepCounters()
-	e.submittedN, e.fetchStallsN, e.fetchStallWaitN = 0, 0, 0
+	e.win.resetStepCounters()
+	e.submittedN = 0
 	if !e.cfg.DelayedUpdate {
 		e.beginStep()
 	}
@@ -651,11 +618,11 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	m.NextStep()       // fresh dropout masks; recomputation below replays them
 	groups := e.groups // embedding, block0..N-1, head
 	fail := func(err error) (float64, time.Duration, time.Duration, error) {
-		// The step barrier holds on failure too: join every in-flight
-		// write-behind offload (each returns its slot token and releases its
-		// reservation regardless of outcome) so no write — and no write
-		// error — outlives this step.
-		if derr := e.pipe.barrier(); derr != nil {
+		// The step barrier holds on failure too: join every transfer in
+		// flight (each returns its slot token and releases its reservation
+		// regardless of outcome) so no transfer — and no transfer error —
+		// outlives this step.
+		if derr := e.win.barrier(); derr != nil {
 			err = errors.Join(err, derr)
 		}
 		return 0, fwdDur, bwdDur, err
@@ -682,57 +649,32 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		}
 		switch e.cfg.Swap[i] {
 		case SwapSSD:
-			if e.pipe != nil {
-				// Write-behind offload: encode into block i's ring slot and
-				// queue the blob for the writer goroutines — block i+1's
-				// compute proceeds while the NVMe Put is in flight. The slot
-				// token bounds reuse (a full window stalls here, recorded on
-				// the stall lane) and the reservation pins the host staging
-				// footprint until the write retires.
-				if e.pipe.errored() {
-					// Fail fast: stop feeding the window; fail's barrier
-					// carries the write error out.
-					return fail(fmt.Errorf("engine: offload block %d activations: earlier write-behind failed", i))
-				}
-				slot := e.arena.slotIndex(i)
-				e.pipe.acquireSlot(slot, e.labels[i].stall)
-				sp = tr.StartSpan(obs.LaneOffload, e.labels[i].offload)
-				blob := e.arena.slotBuf(i, e.blobLen)
-				if err := e.arena.encode(blob, c); err != nil {
-					sp.End()
-					e.pipe.releaseSlot(slot)
-					return fail(err)
-				}
-				sp.End()
-				res, err := e.reserveStaged(len(blob), e.labels[i].stall)
-				if err != nil {
-					e.pipe.releaseSlot(slot)
-					return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
-				}
-				e.pipe.submit(offloadJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, res: res})
-			} else {
-				// Synchronous fallback (DisablePipeline): host staging, then
-				// the NVMe store inline. Put borrows the blob only for the
-				// call, so the slot serves every step.
-				sp = tr.StartSpan(obs.LaneOffload, e.labels[i].offload)
-				blob := e.arena.slotBuf(i, e.blobLen)
-				if err := e.arena.encode(blob, c); err != nil {
-					sp.End()
-					return fail(err)
-				}
-				res, err := e.hostPool.Reserve(units.Bytes(len(blob)))
-				if err != nil {
-					sp.End()
-					return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
-				}
-				if err := e.array.PutClass(e.labels[i].actKey, blob, nvme.ClassWriteBehind); err != nil {
-					sp.End()
-					res.Release()
-					return fail(fmt.Errorf("engine: offload block %d activations: %w", i, err))
-				}
-				res.Release() // staged through, now resident on SSD
-				sp.End()
+			// Write-behind offload: encode into block i's ring slot and queue
+			// the blob for the window's workers — block i+1's compute proceeds
+			// while the NVMe Put is in flight. Taking the slot's token bounds
+			// reuse (a full window stalls here, recorded on the stall lane) and
+			// surfaces the error of the write that last used the slot; the
+			// reservation pins the host staging footprint until the write
+			// retires.
+			slot := e.arena.slotIndex(i)
+			if err := e.win.acquireSlot(slot, e.labels[i].stall, &e.win.offload); err != nil {
+				e.win.releaseSlot(slot)
+				return fail(fmt.Errorf("engine: offload activations: %w", err))
 			}
+			sp = tr.StartSpan(obs.LaneOffload, e.labels[i].offload)
+			blob := e.arena.slotBuf(i, e.blobLen)
+			if err := e.arena.encode(blob, c); err != nil {
+				sp.End()
+				e.win.releaseSlot(slot)
+				return fail(err)
+			}
+			sp.End()
+			res, err := e.reserveStaged(slot, len(blob), e.labels[i].stall)
+			if err != nil {
+				e.win.releaseSlot(slot)
+				return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
+			}
+			e.win.submit(ioJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, res: res})
 			e.actOffload.Add(int64(e.blobLen))
 			// Ledger: the cache was fp16-encoded and staged through host
 			// memory on its way to NVMe (the array credits the NVMe write).
@@ -788,7 +730,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	// here (head forward and the loss overlapped the tail writes), so any
 	// write error surfaces before backward and backward starts with all ring
 	// slots free for read-ahead.
-	if err := e.pipe.barrier(); err != nil {
+	if err := e.win.barrier(); err != nil {
 		return fail(fmt.Errorf("engine: offload activations: %w", err))
 	}
 	fwdDur = time.Since(fwdStart)
@@ -817,82 +759,59 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	// backward computation. Read-ahead changes only timing, never values.
 	// Each fetch reads into its block's ring slot: launched-but-unconsumed
 	// fetches span at most depth+1 consecutive block indices, which map to
-	// distinct slots (see blobArena). Result channels are preallocated per
-	// block, so a launch allocates only its fetch goroutine.
-	launch := func(i int) {
-		if i < 0 || e.cfg.Swap[i] != SwapSSD || e.depth == 0 {
-			return
-		}
-		ch := e.fetchCh[i]
-		e.fetchLive[i] = true
-		label := e.labels[i].prefetch
-		key := e.labels[i].actKey
-		buf := e.arena.slotBuf(i, e.blobLen)
-		go func() {
-			start := tr.Now()
-			err := e.array.ReadInto(key, buf)
-			tr.RecordSpan(obs.LanePrefetch, label, start, tr.Now())
-			ch <- err
-		}()
-		// Hand the CPU to the fetch goroutine now — same single-core hand-off
-		// as offloadPipeline.submit: backward compute never blocks between
-		// launches, so without a yield the read would not reach the device
-		// until the next preemption tick.
-		runtime.Gosched()
+	// distinct slots (see blobArena), so a launch finds its slot's token home.
+	//
+	// The window is staggered instead of issuing all depth fetches at once:
+	// concurrent reads fair-queue on each device's read lane, so a full-depth
+	// burst delays the one fetch backward is about to block on by the whole
+	// batch. A block's consume launches only a fetch nothing has launched yet
+	// (the first-needed one), and the window refills after each consume —
+	// in-flight reads still reach depth during block compute, but the head of
+	// the queue is never contended.
+	ahead := e.depth
+	if e.cfg.oracleSyncIO {
+		ahead = 0
 	}
-	// On any exit, wait out in-flight fetches (consumed fetches clear their
-	// mark, so this only drains leftovers after an error).
-	defer func() {
-		for i, live := range e.fetchLive {
-			if live {
-				<-e.fetchCh[i]
-				e.fetchLive[i] = false
-			}
-		}
-	}()
-	// Stagger the window instead of issuing all depth fetches at once:
-	// concurrent reads fair-queue on each device's read lane, so a
-	// full-depth burst delays the one fetch backward is about to block on by
-	// the whole batch. Launch only the first-needed fetch up front and refill
-	// the window after each consume — in-flight reads still reach depth
-	// during block compute, but the head of the queue is never contended.
 	nextFetch := len(m.Blocks) - 1
-	launch(nextFetch)
-	nextFetch--
+	refill := func(lo int) error {
+		for ; nextFetch >= lo && nextFetch >= 0; nextFetch-- {
+			if e.cfg.Swap[nextFetch] != SwapSSD {
+				continue
+			}
+			l := &e.labels[nextFetch]
+			slot := e.arena.slotIndex(nextFetch)
+			if err := e.win.acquireSlot(slot, l.fetchStall, &e.win.fetch); err != nil {
+				e.win.releaseSlot(slot)
+				return err
+			}
+			e.win.submit(ioJob{slot: slot, read: true, key: l.actKey, label: l.prefetch, blob: e.arena.slotBuf(nextFetch, e.blobLen)})
+		}
+		return nil
+	}
 
 	for i := len(m.Blocks) - 1; i >= 0; i-- {
 		var c *nn.BlockCache
 		switch e.cfg.Swap[i] {
 		case SwapSSD:
+			if err := refill(i); err != nil {
+				return fail(err)
+			}
+			// Taking the token joins block i's fetch. Finding it home means
+			// read-ahead won: the blob was resident before backward needed it.
+			// Blocking means it missed its deadline; the wait lands on the
+			// stall lane so bottleneck attribution can tell
+			// "stalled-on-readahead" from plain NVMe-read occupancy.
+			slot := e.arena.slotIndex(i)
 			blob := e.arena.slotBuf(i, e.blobLen)
-			if e.fetchLive[i] {
-				select {
-				case err = <-e.fetchCh[i]:
-					// Read-ahead won: the blob was resident before backward
-					// needed it.
-				default:
-					// Read-ahead missed its deadline — backward is now blocked
-					// on the fetch. The wait lands on the stall lane so
-					// bottleneck attribution can tell "stalled-on-readahead"
-					// from plain NVMe-read occupancy.
-					stallStart := time.Now()
-					sp = tr.StartSpan(obs.LaneStall, e.labels[i].fetchStall)
-					err = <-e.fetchCh[i]
-					sp.End()
-					e.fetchStallsN++
-					e.fetchStallWaitN += time.Since(stallStart)
-				}
-				e.fetchLive[i] = false
+			err = e.win.acquireSlot(slot, e.labels[i].fetchStall, &e.win.fetch)
+			if err == nil {
+				c = e.arena.cacheFor(i, e.geom)
+				err = e.arena.decode(c, blob, inputs[i])
 			} else {
-				sp = tr.StartSpan(obs.LanePrefetch, e.labels[i].fetch)
-				err = e.array.ReadInto(e.labels[i].actKey, blob)
-				sp.End()
+				err = fmt.Errorf("engine: fetch block %d activations: %w", i, err)
 			}
+			e.win.releaseSlot(slot)
 			if err != nil {
-				return fail(fmt.Errorf("engine: fetch block %d activations: %w", i, err))
-			}
-			c = e.arena.cacheFor(i, e.geom)
-			if err = e.arena.decode(c, blob, inputs[i]); err != nil {
 				return fail(err)
 			}
 			e.actFetched.Add(int64(len(blob)))
@@ -925,9 +844,8 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		}
 		// Refill the read-ahead window now that block i's slot is consumed;
 		// these fetches overlap block i's backward compute.
-		for nextFetch >= i-e.depth && nextFetch >= 0 {
-			launch(nextFetch)
-			nextFetch--
+		if err := refill(i - ahead); err != nil {
+			return fail(err)
 		}
 		sp = tr.StartSpan(obs.LaneCompute, e.labels[i].bwd)
 		dx, err := m.Blocks[i].Backward(c, dh)

@@ -293,9 +293,12 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := encodeCache(c, e.geom)
-	got, err := decodeCache(blob, x, e.geom)
-	if err != nil {
+	blob := make([]byte, e.blobLen)
+	if err := e.arena.encode(blob, c); err != nil {
+		t.Fatal(err)
+	}
+	got := newBlockCache(e.geom)
+	if err := e.arena.decode(got, blob, x); err != nil {
 		t.Fatal(err)
 	}
 	pairs := [][2]*tensor.Tensor{
@@ -320,10 +323,10 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Corrupted blobs are rejected.
-	if _, err := decodeCache(blob[:len(blob)-2], x, e.geom); err == nil {
+	if err := e.arena.decode(got, blob[:len(blob)-2], x); err == nil {
 		t.Error("truncated blob accepted")
 	}
-	if _, err := decodeCache(append(blob, 0, 0), x, e.geom); err == nil {
+	if err := e.arena.decode(got, append(blob, 0, 0), x); err == nil {
 		t.Error("oversized blob accepted")
 	}
 }

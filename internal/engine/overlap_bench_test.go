@@ -12,7 +12,8 @@ import (
 // BenchmarkTrainStepOverlap isolates the full-duplex activation I/O
 // pipeline's overlap win (BENCH_overlap.json): one optimizer step with
 // every block's activations swapped through a bandwidth-throttled array,
-// synchronous vs write-behind/read-ahead at depth 1 and depth 3.
+// no overlap (the oracleSyncIO test hook: every transfer joined where it is
+// submitted) vs write-behind/read-ahead at depth 1 and depth 3.
 //
 // The throttle keeps Table III's per-device shape — an Intel P5510 moves
 // 6.5 GB/s reads against 3.8 GB/s writes, ratio 1.71 — scaled down 1/200:
@@ -53,7 +54,7 @@ func BenchmarkTrainStepOverlap(b *testing.B) {
 		name string
 		mut  func(*Config)
 	}{
-		{"sync", func(c *Config) { c.DisablePipeline = true }},
+		{"sync", func(c *Config) { c.oracleSyncIO = true }},
 		{"depth1", func(c *Config) { c.PipelineDepth = 1 }},
 		{"depth3", func(c *Config) { c.PipelineDepth = 3 }},
 	}
@@ -106,7 +107,7 @@ func TestOverlapBenchValues(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"sync", func(c *Config) { c.DisablePipeline = true }},
+		{"sync", func(c *Config) { c.oracleSyncIO = true }},
 		{"depth1", func(c *Config) { c.PipelineDepth = 1 }},
 		{"depth3", func(c *Config) { c.PipelineDepth = 3 }},
 	} {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ratel/internal/memctl"
@@ -13,17 +12,19 @@ import (
 	"ratel/internal/units"
 )
 
-// This file is the write-behind half of the full-duplex activation I/O
-// pipeline (§IV-C/§IV-D, Fig. 4): forward-pass SSD offloads are encoded
-// into ring-arena slots and drained by persistent writer goroutines while
-// the compute loop moves on to the next block. The window is bounded two
-// ways — by the ring's slot tokens (at most depth blobs in flight) and by
-// host-pool reservations (each queued blob pins its staging footprint until
-// the NVMe write retires). A full window stalls the compute loop, and the
-// stall is recorded on obs.LaneStall. All in-flight writes join a strict
-// barrier at the forward/backward boundary and on every failure path, so
-// every error surfaces before the step's result is reported and no buffer
-// or reservation outlives its step.
+// This file is the activation I/O window (§IV-C/§IV-D, Fig. 4): the one
+// mechanism that moves block activations between the ring arena and the
+// NVMe array, behind forward compute (write-behind) and ahead of backward
+// compute (read-ahead). A job borrows a ring slot's blob buffer together
+// with the slot's token; a persistent worker does the transfer, stores its
+// outcome in the slot and returns the token. Taking a slot's token is
+// therefore the join, in both directions: it blocks until the slot's
+// transfer has retired and yields that transfer's error. Forward takes it to
+// reuse the slot (a full window stalls there), backward takes it to consume
+// the fetched blob (a late read-ahead stalls there), and barrier takes every
+// token — at the forward/backward boundary and on every failure path — so no
+// transfer, error, buffer or reservation outlives its step. Stalls are
+// recorded on obs.LaneStall and counted per direction.
 
 // DefaultPipelineDepth is the activation I/O window used when
 // Config.PipelineDepth is zero: up to 2 blobs in flight per direction
@@ -31,234 +32,200 @@ import (
 const DefaultPipelineDepth = 2
 
 // EffectiveDepth reports the activation I/O window in force: the resolved
-// static depth (Config.PipelineDepth or the default; 0 = synchronous).
+// static depth (Config.PipelineDepth or the default).
 func (e *Engine) EffectiveDepth() int { return e.depth }
 
-// offloadJob is one block's activation blob on its way to the NVMe array.
-// The blob is an arena slot buffer: the writer owns it (and the slot token)
-// until the Put returns, then releases the reservation and returns the
-// token so the slot can be re-encoded.
-type offloadJob struct {
+// ioJob is one block's activation blob on its way to the NVMe array or back
+// (read). The blob is an arena slot buffer: the worker owns it, and the
+// slot's token, until the transfer returns. A write also carries the blob's
+// host staging reservation, released when the Put retires.
+type ioJob struct {
 	slot  int
+	read  bool
 	key   string
-	label string // precomputed write-span label
+	label string // precomputed transfer-span label
 	blob  []byte
 	res   *memctl.Reservation
 }
 
-// offloadPipeline drains offloadJobs onto the NVMe array. Writer goroutines
-// are spawned once at engine construction and live until Close; per-step
-// state (outstanding jobs, stall accounting) belongs to the engine's step
-// goroutine. A nil *offloadPipeline is the synchronous configuration: every
-// method is nil-safe and a no-op.
-type offloadPipeline struct {
+// stallCount is one direction's flow-control accounting for the step in
+// progress: how often, and for how long, the step goroutine blocked on a
+// slot token.
+type stallCount struct {
+	n    int
+	wait time.Duration
+}
+
+// actWindow runs ioJobs against the NVMe array. Its workers are spawned once
+// at engine construction and live until close; the per-step accounting
+// belongs to the engine's step goroutine.
+type actWindow struct {
 	array  *nvme.Array
 	tracer *obs.Tracer
 
-	// jobs is the per-step offload queue. Its capacity equals the slot
-	// count, and submissions are bounded by slot tokens, so a send never
-	// blocks; flow control happens at token acquisition, where the stall is
-	// observable, not silently inside the channel.
-	jobs chan offloadJob
-	// results carries one completion per submitted job. Its capacity is the
-	// maximum number of offloads in a barrier window (one per model block),
-	// NOT the slot count: the step goroutine only drains results at the
-	// barrier or under pool backpressure, so a smaller buffer would block a
-	// writer mid-step — and a blocked writer strands queued jobs that still
-	// hold their slot tokens, deadlocking acquireSlot against the writer.
-	results chan error
-	// slotTok holds one token per arena slot. A slot's token is absent
-	// exactly while a write from that slot is in flight; acquireSlot blocks
-	// (and records the stall) until the writer returns it.
+	// jobs is the transfer queue. Its capacity equals the slot count, and a
+	// submission needs the slot's token, so a send never blocks; flow control
+	// happens at token acquisition, where the stall is observable.
+	jobs chan ioJob
+	// slotTok holds one token per arena slot; a slot's token is absent
+	// exactly while a job (or the step goroutine) owns the slot. slotErr is
+	// the outcome of the slot's last transfer, written by the worker before
+	// it returns the token and taken by whoever takes the token next.
 	slotTok []chan struct{}
-	// hasErr is the fail-fast flag: writers set it so the forward loop can
-	// stop encoding before the barrier formally surfaces the error.
-	hasErr   atomic.Bool
+	slotErr []error
+	// syncIO is the oracleSyncIO test hook: every submit joins its own
+	// transfer before returning.
+	syncIO   bool
 	stopOnce sync.Once
+	wg       sync.WaitGroup
 
-	// Step-local accounting, owned by the engine's step goroutine.
-	outstanding int
-	stalls      int
-	stallWait   time.Duration
-	queuePeak   int
+	// Step-local accounting, owned by the engine's step goroutine. queuePeak
+	// is the deepest write-behind backlog seen.
+	offload, fetch stallCount
+	queuePeak      int
 }
 
-// newOffloadPipeline starts the writer goroutines. writers scales with the
-// window: one writer serializes depth-1 exactly like the old inline path,
-// two keep a deeper window's device throttle slots saturated. maxJobs is
-// the most offloads a single barrier window can submit (the model's block
-// count); it sizes results so a writer can always retire without waiting
-// on the step goroutine.
-func newOffloadPipeline(a *nvme.Array, tr *obs.Tracer, nslots, writers, maxJobs int) *offloadPipeline {
-	if maxJobs < nslots {
-		maxJobs = nslots
-	}
-	p := &offloadPipeline{
+// newActWindow starts one worker per in-flight transfer the window allows
+// (depth): fewer would leave device bandwidth idle between blob boundaries.
+func newActWindow(a *nvme.Array, tr *obs.Tracer, nslots, workers int) *actWindow {
+	w := &actWindow{
 		array:   a,
 		tracer:  tr,
-		jobs:    make(chan offloadJob, nslots),
-		results: make(chan error, maxJobs),
+		jobs:    make(chan ioJob, nslots),
 		slotTok: make([]chan struct{}, nslots),
+		slotErr: make([]error, nslots),
 	}
-	for i := range p.slotTok {
-		p.slotTok[i] = make(chan struct{}, 1)
-		p.slotTok[i] <- struct{}{}
+	for i := range w.slotTok {
+		w.slotTok[i] = make(chan struct{}, 1)
+		w.slotTok[i] <- struct{}{}
 	}
-	for w := 0; w < writers; w++ {
-		go p.writer()
+	w.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go w.worker()
 	}
-	return p
+	return w
 }
 
-// writer drains the offload queue until the pipeline is closed. Every job
-// releases its reservation and returns its slot token no matter how the
-// write went — the error travels on results, never by poisoning a buffer.
-func (p *offloadPipeline) writer() {
-	for j := range p.jobs {
-		start := p.tracer.Now()
-		// Write-behind is the least urgent traffic class: a whole
-		// forward+backward separates the Put from the blob's next read.
-		err := p.array.PutClass(j.key, j.blob, nvme.ClassWriteBehind)
-		p.tracer.RecordSpan(obs.LaneOffload, j.label, start, p.tracer.Now())
-		j.res.Release()
-		p.slotTok[j.slot] <- struct{}{}
-		if err != nil {
-			p.hasErr.Store(true)
+// worker runs transfers until the window is closed. Every job returns its
+// slot token (and a write releases its reservation) no matter how the
+// transfer went — the error travels in slotErr, never by poisoning a buffer.
+func (w *actWindow) worker() {
+	defer w.wg.Done()
+	for j := range w.jobs {
+		start := w.tracer.Now()
+		var err error
+		if j.read {
+			err = w.array.ReadInto(j.key, j.blob)
+			w.tracer.RecordSpan(obs.LanePrefetch, j.label, start, w.tracer.Now())
+		} else {
+			// Write-behind is the least urgent traffic class: a whole
+			// forward+backward separates the Put from the blob's next read.
+			err = w.array.PutClass(j.key, j.blob, nvme.ClassWriteBehind)
+			w.tracer.RecordSpan(obs.LaneOffload, j.label, start, w.tracer.Now())
+			j.res.Release()
 		}
-		p.results <- err
+		w.slotErr[j.slot] = err
+		w.slotTok[j.slot] <- struct{}{}
 	}
 }
 
-// close stops the writer goroutines. Idempotent; in-flight jobs finish
-// first (the channel drains before the workers exit their range loop).
-func (p *offloadPipeline) close() {
-	if p == nil {
-		return
-	}
-	p.stopOnce.Do(func() { close(p.jobs) })
+// close stops the workers and waits for them to exit. Idempotent; nothing
+// is in flight between steps, so there is nothing to drain first.
+func (w *actWindow) close() {
+	w.stopOnce.Do(func() { close(w.jobs) })
+	w.wg.Wait()
 }
 
-// errored reports the fail-fast flag: some in-flight write has already
-// failed, so the forward loop should stop feeding the window and let the
-// barrier surface the error.
-func (p *offloadPipeline) errored() bool { return p != nil && p.hasErr.Load() }
-
-// acquireSlot takes slot's token, blocking while a previous write from the
-// same ring slot is still in flight. A blocked acquisition is the window's
-// flow control working; the wait is recorded on obs.LaneStall and counted
-// for StepMetrics.
-func (p *offloadPipeline) acquireSlot(slot int, stallLabel string) {
+// acquireSlot takes slot's token — the join: it blocks while the slot's
+// transfer is in flight and returns that transfer's error (once; taking it
+// clears it). The caller owns the slot until it gives the token up with
+// submit or releaseSlot, whatever the error. A blocked acquisition is the
+// window's flow control working; the wait is recorded on obs.LaneStall and
+// counted in st, the caller's direction.
+func (w *actWindow) acquireSlot(slot int, stallLabel string, st *stallCount) error {
 	select {
-	case <-p.slotTok[slot]:
-		return
+	case <-w.slotTok[slot]:
 	default:
+		start := time.Now()
+		tstart := w.tracer.Now()
+		<-w.slotTok[slot]
+		w.tracer.RecordSpan(obs.LaneStall, stallLabel, tstart, w.tracer.Now())
+		st.n++
+		st.wait += time.Since(start)
 	}
-	start := time.Now()
-	tstart := p.tracer.Now()
-	<-p.slotTok[slot]
-	p.tracer.RecordSpan(obs.LaneStall, stallLabel, tstart, p.tracer.Now())
-	p.stalls++
-	p.stallWait += time.Since(start)
-}
-
-// releaseSlot returns a token taken by acquireSlot without submitting a
-// write — the encode-failure path.
-func (p *offloadPipeline) releaseSlot(slot int) {
-	p.slotTok[slot] <- struct{}{}
-}
-
-// submit queues one blob for write-behind. The caller must hold the job's
-// slot token (acquireSlot); the send never blocks because outstanding jobs
-// are bounded by the token count, which equals the queue capacity.
-func (p *offloadPipeline) submit(j offloadJob) {
-	p.jobs <- j
-	p.outstanding++
-	if l := len(p.jobs); l > p.queuePeak {
-		p.queuePeak = l
-	}
-	// Hand the CPU to a writer right away. The compute loop never blocks
-	// between submissions, so on a fully loaded host (GOMAXPROCS=1) a woken
-	// writer otherwise waits for the ~10ms async-preemption tick before its
-	// first device op — long enough to push the whole write train past the
-	// end of forward compute. The writer parks on the device throttle almost
-	// immediately, returning the CPU to compute.
-	runtime.Gosched()
-}
-
-// waitOne blocks until any in-flight write retires and returns its error —
-// the reservation-backpressure primitive: when the host pool is full, the
-// forward loop waits for one queued blob's staging footprint to be
-// released before retrying.
-func (p *offloadPipeline) waitOne() error {
-	err := <-p.results
-	p.outstanding--
+	err := w.slotErr[slot]
+	w.slotErr[slot] = nil
 	return err
 }
 
-// barrier joins every in-flight write: it blocks until the queue is empty
-// and returns all their errors joined. This is the strict step barrier —
+// releaseSlot returns a token taken by acquireSlot without starting a
+// transfer: a consumed fetch, a finished join, or a failure path.
+func (w *actWindow) releaseSlot(slot int) {
+	w.slotTok[slot] <- struct{}{}
+}
+
+// submit queues one transfer. The caller must hold the job's slot token
+// (acquireSlot) and hands it to the worker; the send never blocks because
+// queued jobs are bounded by the token count, which equals the queue
+// capacity.
+func (w *actWindow) submit(j ioJob) {
+	w.jobs <- j
+	if l := len(w.jobs); !j.read && l > w.queuePeak {
+		w.queuePeak = l
+	}
+	// Hand the CPU to a worker right away. The compute loop never blocks
+	// between submissions, so on a fully loaded host (GOMAXPROCS=1) a woken
+	// worker otherwise waits for the ~10ms async-preemption tick before its
+	// first device op — long enough to push a whole write train past the end
+	// of forward compute, or a read past its consume. The worker parks on
+	// the device throttle almost immediately, returning the CPU to compute.
+	runtime.Gosched()
+	if w.syncIO {
+		// Wait the transfer out; its error stays in the slot for the next
+		// acquireSlot or barrier, exactly as for a pipelined transfer.
+		w.slotTok[j.slot] <- <-w.slotTok[j.slot]
+	}
+}
+
+// barrier joins every transfer in flight: it takes and returns every slot's
+// token and returns the errors joined. This is the strict step barrier —
 // runBatch calls it at the forward/backward boundary and on every failure
-// path, so no write (and no error) outlives its step. Idempotent: with
-// nothing outstanding it returns nil immediately.
-func (p *offloadPipeline) barrier() error {
-	if p == nil {
-		return nil
-	}
+// path, holding no token itself. Idempotent: with nothing in flight it
+// returns nil without blocking.
+func (w *actWindow) barrier() error {
 	var joined error
-	for p.outstanding > 0 {
-		if err := p.waitOne(); err != nil {
-			joined = errors.Join(joined, err)
-		}
+	for slot, tok := range w.slotTok {
+		<-tok
+		joined = errors.Join(joined, w.slotErr[slot])
+		w.slotErr[slot] = nil
+		tok <- struct{}{}
 	}
-	p.hasErr.Store(false)
 	return joined
 }
 
-// resetStepCounters zeroes the per-step stall accounting; TrainStep and
-// TrainStepAccum call it once per optimizer step.
-func (p *offloadPipeline) resetStepCounters() {
-	if p == nil {
-		return
-	}
-	p.stalls = 0
-	p.stallWait = 0
-	p.queuePeak = 0
+// resetStepCounters zeroes the per-step stall accounting; trainStep calls it
+// once per optimizer step.
+func (w *actWindow) resetStepCounters() {
+	w.offload, w.fetch, w.queuePeak = stallCount{}, stallCount{}, 0
 }
 
-// freeSlots counts available slot tokens (all of them, between steps — the
-// invariant the fault-injection tests pin).
-func (p *offloadPipeline) freeSlots() int {
-	if p == nil {
-		return 0
-	}
-	n := 0
-	for _, tok := range p.slotTok {
-		n += len(tok)
-	}
-	return n
-}
-
-// reserveStaged reserves a queued blob's host staging footprint, treating a
-// full pool as backpressure rather than failure while writes are in flight:
-// each retired write releases its reservation, so waiting for one and
-// retrying makes progress. Only when nothing is in flight (or the error is
-// not an OOM) does the failure surface — the same hard-OOM semantics as the
-// synchronous path.
-func (e *Engine) reserveStaged(n int, stallLabel string) (*memctl.Reservation, error) {
-	for {
+// reserveStaged reserves the host staging footprint of the blob encoded in
+// slot, treating a full pool as backpressure rather than failure while
+// writes are in flight: each retired write releases its reservation, so
+// joining the oldest one and retrying makes progress. The ring orders them —
+// the slots after slot hold the window's writes from oldest to newest. Only
+// when none is left in flight (or the error is not an OOM) does the failure
+// surface.
+func (e *Engine) reserveStaged(slot, n int, stallLabel string) (*memctl.Reservation, error) {
+	nslots := len(e.win.slotTok)
+	for k := 1; ; k++ {
 		res, err := e.hostPool.Reserve(units.Bytes(n))
-		if err == nil {
-			return res, nil
+		if err == nil || !errors.Is(err, memctl.ErrOOM) || k == nslots {
+			return res, err
 		}
-		if !errors.Is(err, memctl.ErrOOM) || e.pipe == nil || e.pipe.outstanding == 0 {
-			return nil, err
-		}
-		start := time.Now()
-		tstart := e.tracer.Now()
-		werr := e.pipe.waitOne()
-		e.tracer.RecordSpan(obs.LaneStall, stallLabel, tstart, e.tracer.Now())
-		e.pipe.stalls++
-		e.pipe.stallWait += time.Since(start)
+		oldest := (slot + k) % nslots
+		werr := e.win.acquireSlot(oldest, stallLabel, &e.win.offload)
+		e.win.releaseSlot(oldest)
 		if werr != nil {
 			return nil, werr
 		}

@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,26 +15,33 @@ import (
 )
 
 // pipelineIdle asserts the invariants the step barrier guarantees between
-// steps, successful or failed: no write in flight, every ring-slot token
-// home, no leaked host-pool reservation, no live read-ahead.
+// steps, successful or failed: every ring-slot token home (so no transfer in
+// flight, in either direction), every transfer error taken, no leaked
+// host-pool reservation.
 func pipelineIdle(t *testing.T, e *Engine) {
 	t.Helper()
-	if e.pipe == nil {
-		t.Fatal("engine has no pipeline (DisablePipeline set?)")
-	}
-	if e.pipe.outstanding != 0 {
-		t.Fatalf("%d offload writes still outstanding after the step barrier", e.pipe.outstanding)
-	}
-	if free, want := e.pipe.freeSlots(), len(e.pipe.slotTok); free != want {
-		t.Fatalf("%d of %d ring-slot tokens home after the step barrier", free, want)
+	for slot, tok := range e.win.slotTok {
+		if len(tok) != 1 {
+			t.Fatalf("ring-slot %d token not home after the step barrier", slot)
+		}
+		if err := e.win.slotErr[slot]; err != nil {
+			t.Fatalf("ring-slot %d still carries %v after the step barrier", slot, err)
+		}
 	}
 	if used := e.hostPool.Used(); used != 0 {
 		t.Fatalf("host pool still holds %v after the step barrier", used)
 	}
-	for i, live := range e.fetchLive {
-		if live {
-			t.Fatalf("block %d read-ahead still marked live after the step", i)
+}
+
+// goroutinesBack asserts the engine is back to the goroutines it was built
+// with (base, counted between steps): a step, failed or not, spawns none.
+func goroutinesBack(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() != base; i++ {
+		if i > 1000 {
+			t.Fatalf("%d goroutines after the step, %d before it", runtime.NumGoroutine(), base)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -51,34 +60,29 @@ func poisonPool(blobLen int) {
 	}
 }
 
-// TestPipelineWriteFaultBarrier injects a device fault that fires on the
-// second activation write of a step — squarely mid-pipeline, with block 0's
-// blob already retired and later blocks still computing. The step barrier
-// must surface the device error, and every slot token, reservation, and
-// read-ahead mark must be back home; after the fault clears (and the shared
-// pool is poisoned, to prove the returned buffers carry no poison into
-// values), training resumes.
-func TestPipelineWriteFaultBarrier(t *testing.T) {
-	// One device: every chunk op lands on it, so the countdown is exact. A
-	// mini blob (3360 bytes) is one 4096-byte stripe chunk, and Serialized
-	// mode does no optimizer I/O until after backward — so from the step's
-	// start, chunk ops 0,1,2 are exactly the three activation writes.
-	e := newEngine(t, Config{
-		GradMode: agoffload.Serialized,
-		Swap:     map[int]Tier{0: SwapSSD, 1: SwapSSD, 2: SwapSSD},
-		Devices:  1,
-		Tracer:   obs.NewTracer(0),
-	})
+// faultedStep is the fault tests' common harness: one clean step (so every
+// lazily started goroutine exists), then a step with the fault armed, which
+// must return the device error with the window idle and no goroutine
+// spawned; after the fault clears (and the shared pool is poisoned, to prove
+// the returned buffers carry no poison into values) training resumes.
+func faultedStep(t *testing.T, e *Engine, boom error, arm func()) error {
+	t.Helper()
 	tokens, targets := data(e.cfg.Model, 3)
-
-	boom := errors.New("flash wear-out")
-	e.Array().InjectFaultAfter(0, 1, boom) // first write lands, second fails
-	if _, err := e.TrainStep(tokens, targets); err == nil || !errors.Is(err, boom) {
-		t.Fatalf("TrainStep with mid-pipeline write fault = %v, want %v", err, boom)
+	if _, err := e.TrainStep(tokens, targets); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	arm()
+	_, stepErr := e.TrainStep(tokens, targets)
+	if !errors.Is(stepErr, boom) {
+		t.Fatalf("TrainStep with the fault armed = %v, want %v", stepErr, boom)
 	}
 	pipelineIdle(t, e)
+	goroutinesBack(t, base)
 
-	e.Array().InjectFault(0, nil)
+	for dev := 0; dev < e.cfg.Devices; dev++ {
+		e.Array().InjectFault(dev, nil)
+	}
 	poisonPool(e.blobLen)
 	loss, err := e.TrainStep(tokens, targets)
 	if err != nil {
@@ -88,40 +92,124 @@ func TestPipelineWriteFaultBarrier(t *testing.T) {
 		t.Fatalf("recovered step loss = %v", loss)
 	}
 	pipelineIdle(t, e)
+	goroutinesBack(t, base)
+	return stepErr
+}
+
+// allSSD swaps every one of n blocks to the SSD tier.
+func allSSD(n int) map[int]Tier {
+	swap := make(map[int]Tier, n)
+	for i := 0; i < n; i++ {
+		swap[i] = SwapSSD
+	}
+	return swap
+}
+
+// TestPipelineWriteFaultBarrier injects a device fault into the forward
+// pass's write-behind traffic and checks each place the error can surface.
+//
+// One device, so every chunk op lands on it and the countdown is exact: a
+// mini blob (3360 bytes) is one 4096-byte stripe chunk, and Serialized mode
+// does no optimizer I/O until after backward — so from the step's start,
+// chunk op k is exactly block k's activation write.
+func TestPipelineWriteFaultBarrier(t *testing.T) {
+	boom := errors.New("flash wear-out")
+
+	// Squarely mid-pipeline: block 0's blob retires, block 1's write fails
+	// while block 2 is still computing. Three blocks on a three-slot ring
+	// reuse no slot, so the forward/backward barrier surfaces the error.
+	t.Run("barrier", func(t *testing.T) {
+		e := newEngine(t, Config{
+			GradMode: agoffload.Serialized,
+			Swap:     allSSD(3),
+			Devices:  1,
+			Tracer:   obs.NewTracer(0),
+		})
+		faultedStep(t, e, boom, func() { e.Array().InjectFaultAfter(0, 1, boom) })
+	})
+
+	// Six blocks on a two-slot ring: block 1's failed write sits in slot 1,
+	// and block 3 reuses that slot. Taking the token there is the join, so
+	// the step ends at block 3 — blocks 0..2 were queued, nothing after.
+	t.Run("reuse", func(t *testing.T) {
+		model := miniConfig()
+		model.Layers = 6
+		e := newEngine(t, Config{
+			Model:         model,
+			GradMode:      agoffload.Serialized,
+			Swap:          allSSD(6),
+			Devices:       1,
+			PipelineDepth: 1,
+		})
+		var before units.Bytes
+		faultedStep(t, e, boom, func() {
+			before = e.Stats().ActBytesOffload
+			e.Array().InjectFaultAfter(0, 1, boom)
+		})
+		// The recovered step offloaded all six blocks; what is left over is
+		// the faulted step's.
+		queued := e.Stats().ActBytesOffload - before - units.Bytes(6*e.blobLen)
+		if max := units.Bytes(3 * e.blobLen); queued > max {
+			t.Fatalf("faulted step queued %v of activations, want at most %v: the error surfaced later than the failed slot's reuse", queued, max)
+		}
+	})
+
+	// A one-blob staging pool makes every block join its predecessor's write
+	// before reserving. Two devices, each blob one chunk on each: device 1
+	// fails at once while device 0 is slow, so block 0's failed write is
+	// still in flight when block 1 runs out of pool — the error surfaces
+	// inside the backpressure join.
+	t.Run("backpressure", func(t *testing.T) {
+		e := newEngine(t, Config{
+			GradMode:   agoffload.Serialized,
+			Swap:       allSSD(3),
+			Devices:    2,
+			HostMemory: units.Bytes(geometryOf(miniConfig()).blobBytes()),
+			SSD:        &nvme.Config{StripeSize: 2048, OpLatency: 10 * time.Millisecond},
+		})
+		err := faultedStep(t, e, boom, func() { e.Array().InjectFault(1, boom) })
+		if !strings.Contains(err.Error(), "host staging for block 1") {
+			t.Fatalf("fault surfaced as %q, want it from block 1's backpressure join", err)
+		}
+	})
 }
 
 // TestPipelineReadFaultBarrier arms the countdown past the forward's three
-// writes so the first backward read-ahead fails mid-flight. The fetch error
-// must surface from TrainStep, and the deferred drain must leave no live
-// read-ahead or leaked reservation behind.
+// writes so a backward read-ahead fails: the first one, which backward is
+// about to block on, or the second, launched together with the third while
+// block 2's backward runs (depth 2). The fetch error must surface from
+// TrainStep at the failed block's consume, and the failure-path barrier
+// must join the read still in flight.
 func TestPipelineReadFaultBarrier(t *testing.T) {
-	e := newEngine(t, Config{
-		GradMode: agoffload.Serialized,
-		Swap:     map[int]Tier{0: SwapSSD, 1: SwapSSD, 2: SwapSSD},
-		Devices:  1,
-	})
-	tokens, targets := data(e.cfg.Model, 3)
-
 	boom := errors.New("uncorrectable read")
-	e.Array().InjectFaultAfter(0, 3, boom) // ops 0..2: forward writes; op 3: first read
-	if _, err := e.TrainStep(tokens, targets); err == nil || !errors.Is(err, boom) {
-		t.Fatalf("TrainStep with mid-pipeline read fault = %v, want %v", err, boom)
+	for _, tc := range []struct {
+		name  string
+		after int // chunk ops that succeed first: 3 writes, then reads
+	}{
+		{"first", 3},
+		{"mid-window", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, Config{
+				GradMode: agoffload.Serialized,
+				Swap:     allSSD(3),
+				Devices:  1,
+				// Slow enough that the mid-window case's two reads overlap.
+				SSD: &nvme.Config{OpLatency: time.Millisecond},
+			})
+			err := faultedStep(t, e, boom, func() { e.Array().InjectFaultAfter(0, tc.after, boom) })
+			if !strings.Contains(err.Error(), "fetch block") {
+				t.Fatalf("fault surfaced as %q, want it from a block's fetch", err)
+			}
+		})
 	}
-	pipelineIdle(t, e)
-
-	e.Array().InjectFault(0, nil)
-	poisonPool(e.blobLen)
-	if _, err := e.TrainStep(tokens, targets); err != nil {
-		t.Fatalf("TrainStep after fault cleared: %v", err)
-	}
-	pipelineIdle(t, e)
 }
 
 // TestPipelineWindowStall pins the ring's flow control: a depth-1 window
 // over three SSD blocks with a slow device must block block 2's encode on
 // block 0's in-flight write. The stall is observable — counted in
 // StepMetrics and recorded on the stall lane — and values stay identical to
-// an unthrottled synchronous run.
+// an unthrottled run with no overlap (the oracleSyncIO hook).
 func TestPipelineWindowStall(t *testing.T) {
 	swap := map[int]Tier{0: SwapSSD, 1: SwapSSD, 2: SwapSSD}
 	tr := obs.NewTracer(0)
@@ -132,7 +220,7 @@ func TestPipelineWindowStall(t *testing.T) {
 		SSD:           &nvme.Config{OpLatency: time.Millisecond},
 		Tracer:        tr,
 	})
-	ref := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, DisablePipeline: true})
+	ref := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, oracleSyncIO: true})
 
 	slowLoss := trainK(t, slow, 2)
 	refLoss := trainK(t, ref, 2)
@@ -182,7 +270,7 @@ func TestPipelinePoolBackpressure(t *testing.T) {
 		HostMemory: units.Bytes(blob), // exactly one blob in flight
 		SSD:        &nvme.Config{OpLatency: time.Millisecond},
 	})
-	ref := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, DisablePipeline: true})
+	ref := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, oracleSyncIO: true})
 
 	tightLoss := trainK(t, tight, 2)
 	refLoss := trainK(t, ref, 2)
@@ -208,18 +296,34 @@ func TestPipelineDepthValidation(t *testing.T) {
 	}
 }
 
-// TestPipelineDefaultDepth: the zero Config gets DefaultPipelineDepth and a
-// matching ring; DisablePipeline gets no pipeline at all.
+// TestPipelineDefaultDepth: the zero Config gets DefaultPipelineDepth, a
+// matching ring and one worker per in-flight transfer.
 func TestPipelineDefaultDepth(t *testing.T) {
-	on := newEngine(t, Config{GradMode: agoffload.Optimized})
-	if on.depth != DefaultPipelineDepth || on.pipe == nil {
-		t.Fatalf("default engine: depth %d, pipe %v", on.depth, on.pipe != nil)
+	e := newEngine(t, Config{GradMode: agoffload.Optimized})
+	if e.depth != DefaultPipelineDepth || e.EffectiveDepth() != DefaultPipelineDepth {
+		t.Fatalf("default engine: depth %d", e.depth)
 	}
-	if len(on.arena.slots) != DefaultPipelineDepth+1 {
-		t.Fatalf("ring has %d slots, want depth+1 = %d", len(on.arena.slots), DefaultPipelineDepth+1)
+	if len(e.arena.slots) != DefaultPipelineDepth+1 || len(e.win.slotTok) != len(e.arena.slots) {
+		t.Fatalf("ring has %d slots and %d tokens, want depth+1 = %d", len(e.arena.slots), len(e.win.slotTok), DefaultPipelineDepth+1)
 	}
-	off := newEngine(t, Config{GradMode: agoffload.Optimized, DisablePipeline: true})
-	if off.depth != 0 || off.pipe != nil {
-		t.Fatalf("DisablePipeline engine: depth %d, pipe %v", off.depth, off.pipe != nil)
+}
+
+// TestStepSpawnsNoGoroutine: the activation window's workers are built with
+// the engine, so a steady-state swap step — write-behind, read-ahead and
+// the optimizer's state pipeline all busy — starts no goroutine.
+func TestStepSpawnsNoGoroutine(t *testing.T) {
+	e := newEngine(t, Config{
+		GradMode: agoffload.Optimized,
+		Swap:     map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD},
+		SSD:      &nvme.Config{OpLatency: 100 * time.Microsecond},
+	})
+	trainK(t, e, 1)
+	base := runtime.NumGoroutine()
+	for s := 0; s < 5; s++ {
+		trainK(t, e, 1)
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("step %d: %d goroutines, %d before it", s, n, base)
+		}
 	}
+	pipelineIdle(t, e)
 }

@@ -25,7 +25,6 @@ type blockLabels struct {
 	offload    string // "blockN/act-offload"   lane offload (SSD tier)
 	pin        string // "blockN/act-pin"       lane offload (host tier)
 	prefetch   string // "blockN/act-prefetch"  lane prefetch
-	fetch      string // "blockN/act-fetch"     lane prefetch (sync fallback)
 	write      string // "blockN/act-write"     lane offload (async Put wall)
 	stall      string // "blockN/offload-stall" lane stall (window/pool full)
 	fetchStall string // "blockN/fetch-stall"   lane stall (read-ahead missed)
@@ -43,7 +42,6 @@ func makeBlockLabels(layers int) []blockLabels {
 			offload:    p + "/act-offload",
 			pin:        p + "/act-pin",
 			prefetch:   p + "/act-prefetch",
-			fetch:      p + "/act-fetch",
 			write:      p + "/act-write",
 			stall:      p + "/offload-stall",
 			fetchStall: p + "/fetch-stall",
@@ -326,15 +324,11 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	if wall > 0 {
 		m.TokensPerSec = float64(tokens) / wall.Seconds()
 	}
-	if e.pipe != nil {
-		// The step barrier has passed: the pipeline is idle, so its step
-		// counters are stable until the next TrainStep resets them.
-		m.OffloadStalls = e.pipe.stalls
-		m.OffloadStallWait = e.pipe.stallWait
-		m.OffloadQueuePeak = e.pipe.queuePeak
-	}
-	m.FetchStalls = e.fetchStallsN
-	m.FetchStallWait = e.fetchStallWaitN
+	// The step barrier has passed: the window is idle, so its step counters
+	// are stable until the next step resets them.
+	m.OffloadStalls, m.OffloadStallWait = e.win.offload.n, e.win.offload.wait
+	m.OffloadQueuePeak = e.win.queuePeak
+	m.FetchStalls, m.FetchStallWait = e.win.fetch.n, e.win.fetch.wait
 	m.EffectiveDepth = e.depth
 	// Per-class scheduler delta vs the previous step's cumulative snapshot.
 	// QueuePeak is the class's lifetime high-water mark — a peak can't be

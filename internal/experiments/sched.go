@@ -82,7 +82,6 @@ func schedExperiment(w io.Writer) error {
 	}{
 		{"sched (default depth)", func(c *engine.Config) {}},
 		{"sched (depth 1)", func(c *engine.Config) { c.PipelineDepth = 1 }},
-		{"sched (synchronous I/O)", func(c *engine.Config) { c.DisablePipeline = true }},
 	}
 	fmt.Fprintln(w)
 	var ref []float32

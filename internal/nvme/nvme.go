@@ -75,9 +75,6 @@ type Config struct {
 	// every class exactly once). Default:
 	// fetch > opt-read > writeback > write-behind.
 	SchedOrder []Class
-	// SchedAging bounds how long a low-priority transfer can be starved by
-	// higher classes before it is served anyway; DefaultSchedAging if zero.
-	SchedAging time.Duration
 }
 
 // ErrCorrupt is returned when a checksummed object fails verification.
@@ -286,17 +283,13 @@ func Open(cfg Config) (*Array, error) {
 			seen[c] = true
 		}
 	}
-	aging := cfg.SchedAging
-	if aging == 0 {
-		aging = DefaultSchedAging
-	}
 	a := &Array{
 		cfg:         cfg,
 		objs:        make(map[string]object),
 		perDevBytes: make([]int64, cfg.Devices),
 		schedOn:     cfg.Sched,
 		classOrder:  order,
-		aging:       aging,
+		aging:       DefaultSchedAging,
 	}
 	for i := 0; i < cfg.Devices; i++ {
 		var b backend
@@ -403,103 +396,85 @@ func (a *Array) PutClass(key string, data []byte, class Class) error {
 		return fmt.Errorf("nvme: put %q: invalid class %d", key, class)
 	}
 	a.mu.RLock()
-	old, ok := a.objs[key]
+	obj, ok := a.objs[key]
 	a.mu.RUnlock()
-	if ok && old.size == len(data) {
-		obj := old
-		if a.cfg.Checksums {
-			obj.crc = crc32.Checksum(data, crcTable)
-		}
-		o := a.obsv.Load()
-		var opStart time.Time
-		if o != nil {
-			opStart = time.Now()
-		}
-		sp := a.tracer.Load().StartSpan(obs.LaneNVMeWrite, key)
-		err := a.transfer(obj, data, true, class)
-		sp.End()
-		if err != nil {
+	// A same-size overwrite keeps the object's chunks (the steady state of
+	// every training step); anything else is stored on fresh ones.
+	fresh := !ok || obj.size != len(data)
+	if fresh {
+		if err := a.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
-		if o != nil {
-			o.note(key, int64(len(data)), true, time.Since(opStart))
+		var err error
+		if obj, err = a.allocObject(len(data)); err != nil {
+			return fmt.Errorf("nvme: put %q: %w", key, err)
 		}
-		a.mu.Lock()
-		a.objs[key] = obj
-		a.mu.Unlock()
-		a.statMu.Lock()
-		a.bytesWritten += int64(len(data))
-		a.writeOps++
-		a.statMu.Unlock()
-		return nil
 	}
-	if err := a.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	stripe := a.cfg.StripeSize
-	n := (len(data) + stripe - 1) / stripe
-	obj := object{size: len(data), chunks: make([]chunkRef, 0, n)}
 	if a.cfg.Checksums {
 		obj.crc = crc32.Checksum(data, crcTable)
 	}
-
-	a.mu.Lock()
-	start := a.nextRR
-	a.nextRR = (a.nextRR + n) % len(a.devs)
-	a.mu.Unlock()
-
-	// Allocate chunks round-robin, then write them with one worker per
-	// device so striping yields real parallel bandwidth.
-	for i := 0; i < n; i++ {
-		dev := (start + i) % len(a.devs)
-		lo := i * stripe
-		hi := lo + stripe
-		if hi > len(data) {
-			hi = len(data)
-		}
-		off, err := a.allocChunk(dev)
-		if err != nil {
-			a.releaseChunks(obj)
-			return fmt.Errorf("nvme: put %q: %w", key, err)
-		}
-		ref := chunkRef{dev: dev, off: off, n: hi - lo, mirrorDev: -1}
-		if a.cfg.Mirror {
-			mdev := (dev + 1) % len(a.devs)
-			moff, err := a.allocChunk(mdev)
-			if err != nil {
-				a.releaseChunks(obj)
-				a.devs[dev].release(off)
-				return fmt.Errorf("nvme: put %q mirror: %w", key, err)
-			}
-			ref.mirrorDev, ref.mirrorOff = mdev, moff
-		}
-		obj.chunks = append(obj.chunks, ref)
-	}
-
 	o := a.obsv.Load()
 	var opStart time.Time
 	if o != nil {
 		opStart = time.Now()
 	}
 	sp := a.tracer.Load().StartSpan(obs.LaneNVMeWrite, key)
-	if err := a.transfer(obj, data, true, class); err != nil {
-		sp.End()
-		a.releaseChunks(obj)
+	err := a.transfer(obj, data, true, class)
+	sp.End()
+	if err != nil {
+		if fresh {
+			a.releaseChunks(obj)
+		}
 		return err
 	}
-	sp.End()
 	if o != nil {
 		o.note(key, int64(len(data)), true, time.Since(opStart))
 	}
 	a.mu.Lock()
 	a.objs[key] = obj
 	a.mu.Unlock()
-
 	a.statMu.Lock()
 	a.bytesWritten += int64(len(data))
 	a.writeOps++
 	a.statMu.Unlock()
 	return nil
+}
+
+// allocObject lays out a new object of size bytes: stripe-sized chunks
+// allocated round-robin across the devices (each with its RAID-1 copy on
+// the next device when mirroring), so striping yields real parallel
+// bandwidth. On failure every chunk already taken is returned.
+func (a *Array) allocObject(size int) (object, error) {
+	stripe := a.cfg.StripeSize
+	n := (size + stripe - 1) / stripe
+	obj := object{size: size, chunks: make([]chunkRef, 0, n)}
+
+	a.mu.Lock()
+	start := a.nextRR
+	a.nextRR = (a.nextRR + n) % len(a.devs)
+	a.mu.Unlock()
+
+	for i := 0; i < n; i++ {
+		dev := (start + i) % len(a.devs)
+		off, err := a.allocChunk(dev)
+		if err != nil {
+			a.releaseChunks(obj)
+			return object{}, err
+		}
+		ref := chunkRef{dev: dev, off: off, n: min(stripe, size-i*stripe), mirrorDev: -1}
+		if a.cfg.Mirror {
+			mdev := (dev + 1) % len(a.devs)
+			moff, err := a.allocChunk(mdev)
+			if err != nil {
+				a.releaseChunks(obj)
+				a.devs[dev].release(off)
+				return object{}, fmt.Errorf("mirror: %w", err)
+			}
+			ref.mirrorDev, ref.mirrorOff = mdev, moff
+		}
+		obj.chunks = append(obj.chunks, ref)
+	}
+	return obj, nil
 }
 
 // Size reports the stored size of key.
