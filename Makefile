@@ -126,10 +126,12 @@ bench-sched:
 
 # Optimizer scheduling benchmark: the inline-sync test oracle vs the
 # production streaming state pipeline under the same Table III-shaped
-# device throttles (BENCH_optimizer.json is a committed snapshot).
+# device throttles, on one core; the timed loop starts and ends at a join, so
+# the write-back that trails each step is inside it (BENCH_optimizer.json is
+# a committed snapshot).
 .PHONY: bench-optimizer
 bench-optimizer:
-	go test -run '^$$' -bench 'BenchmarkTrainStepOptSchedule' -benchtime=15x -benchmem ./internal/engine
+	go test -run '^$$' -bench 'BenchmarkTrainStepOptSchedule' -benchtime=15x -benchmem -cpu 1 ./internal/engine
 
 # Line budget of the three data-path packages (ROADMAP item 6): non-test
 # Go lines per package and their sum against the target. LOC_COUNT counts

@@ -11,8 +11,9 @@
 //	rateltrain -debug-addr :6060                      # metrics (expvar + /metrics) + pprof
 //
 // The engine keeps a flight recorder — a bounded ring of the last steps'
-// timing, stalls and byte flows — at all times. On SIGQUIT, a panic, or a
-// training-step error, rateltrain dumps it (with the recent span timeline
+// timing, stalls and byte flows — at all times. On SIGQUIT, a panic, or an
+// error from a training step or from Close (where the last step's optimizer
+// write-back reports), rateltrain dumps it (with the recent span timeline
 // and a metrics snapshot, when those are enabled) to the -flight path as a
 // JSON postmortem whose "trace" field is a Chrome trace-event array.
 package main
@@ -57,7 +58,7 @@ func main() {
 	evalEvery := flag.Int("eval-every", 0, "report a held-out evaluation loss every N steps")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (open in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve live metrics on this address (expvar at /debug/vars, OpenMetrics at /metrics, pprof at /debug/pprof)")
-	flightOut := flag.String("flight", "ratel-flight.json", "flight-recorder dump path (written on SIGQUIT, panic or step error)")
+	flightOut := flag.String("flight", "ratel-flight.json", "flight-recorder dump path (written on SIGQUIT, panic, step or close error)")
 	reportEvery := flag.Int("report-every", 0, "with -trace, print a bottleneck-attribution line every N steps")
 	flag.Parse()
 
@@ -128,7 +129,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	defer sess.Close()
 
 	// The flight recorder is always on inside the engine; this dumps it.
 	// Safe to call from the signal goroutine mid-step — the ring, the span
@@ -296,6 +296,13 @@ func main() {
 			fail(err)
 		}
 		fmt.Printf("sample: %q\n", corpus.Decode(out))
+	}
+
+	// The optimizer's write-back trails each step, so the last step's fails —
+	// if it fails — here (or at the checkpoint above) rather than in TrainStep.
+	if err := sess.Close(); err != nil {
+		dumpFlight("close-error")
+		fail(err)
 	}
 }
 

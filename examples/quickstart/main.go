@@ -33,7 +33,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sess.Close()
 
 	pl := sess.Plan()
 	fmt.Printf("activation plan: %v — swap %v across %d layers, recompute %.2f GFLOP/iter\n",
@@ -63,6 +62,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("greedy continuation of [10 11 12 13]: %v\n", out[4:])
+
+	// Close reports what the last step left in flight: its optimizer
+	// write-back trails the step and fails, if it fails, here.
+	if err := sess.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // batch builds a fixed synthetic copy-task batch: predict the same sequence

@@ -28,7 +28,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer e.Close()
 		loader, err := data.NewLoader(data.Progression, modelCfg.Batch, modelCfg.Seq, modelCfg.Vocab, 9)
 		if err != nil {
 			log.Fatal(err)
@@ -49,6 +48,10 @@ func main() {
 		var flat []float32
 		for _, p := range e.Model().Params() {
 			flat = append(flat, p.W.Data...)
+		}
+		// The last step's optimizer write-back trails it and reports here.
+		if err := e.Close(); err != nil {
+			log.Fatal(err)
 		}
 		return flat
 	}

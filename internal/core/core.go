@@ -172,7 +172,9 @@ func (s *Session) SaveCheckpoint(w io.Writer) error { return s.eng.SaveCheckpoin
 // LoadCheckpoint restores training state saved by SaveCheckpoint.
 func (s *Session) LoadCheckpoint(r io.Reader) error { return s.eng.LoadCheckpoint(r) }
 
-// Close releases the NVMe array.
+// Close releases the NVMe array. The optimizer's write-back trails each
+// step, so the last step's failure — if it failed — is returned here: check
+// the result.
 func (s *Session) Close() error { return s.eng.Close() }
 
 // --- Analytical surface ---

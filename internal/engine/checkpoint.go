@@ -22,10 +22,14 @@ type checkpoint struct {
 
 const checkpointVersion = 1
 
-// SaveCheckpoint writes the engine's full training state to w. Every update
-// is joined before its step returns, so between steps the stored state is
-// complete and nothing needs flushing first.
+// SaveCheckpoint writes the engine's full training state to w. It joins the
+// trailing write-back first and, if that or an earlier update failed, writes
+// nothing and returns optErr: a checkpoint never holds torn state. A
+// step-goroutine call.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
+	if e.joinWriteBack(); e.optErr != nil {
+		return e.optErr
+	}
 	ck := checkpoint{
 		Version:   checkpointVersion,
 		Step:      e.optimizer.Step(),
@@ -46,7 +50,9 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 }
 
 // LoadCheckpoint restores training state saved by SaveCheckpoint into this
-// engine, which must have the same model configuration.
+// engine, which must have the same model configuration. It joins the
+// trailing write-back first, so none lands on top of the restored state. A
+// step-goroutine call.
 func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	var ck checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
@@ -59,6 +65,7 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	if len(ck.Groups) != len(groups) {
 		return fmt.Errorf("engine: checkpoint has %d groups, model has %d", len(ck.Groups), len(groups))
 	}
+	e.joinWriteBack()
 	for _, g := range groups {
 		st, ok := ck.Groups[g.Name]
 		if !ok {

@@ -196,8 +196,8 @@ type Engine struct {
 	// oracle. serialized collects the groups a Serialized step updates after
 	// backward; accumScale is the gradient-averaging factor of the step in
 	// progress; one backs TrainStep's single micro-batch. optErr latches the
-	// first failed optimizer update: the stored state no longer matches any
-	// step, so further steps are refused until a checkpoint is restored.
+	// first failed optimizer update or write-back: the stored state matches no
+	// step, so steps and checkpoints are refused until a checkpoint is restored.
 	states     *opt.StatePipeline
 	serialized []nn.ParamGroup
 	accumScale float32
@@ -376,26 +376,32 @@ func (e *Engine) currentScale() float64 {
 // LossScale reports the active loss scale (for tests and telemetry).
 func (e *Engine) LossScale() float64 { return e.currentScale() }
 
-// Close stops the activation window's workers and the optimizer state
-// pipeline, and releases the NVMe array. Nothing is in flight between
-// steps, so there is nothing to flush first.
+// Close joins the optimizer's trailing write-back, stops the activation
+// window's workers and the state pipeline, and releases the NVMe array. The
+// last step's write-back reports here: the result is the latched optimizer
+// failure (optErr) joined with the array's. A step-goroutine call.
 func (e *Engine) Close() error {
+	e.joinWriteBack()
 	e.win.close()
 	e.states.Close()
-	return e.array.Close()
+	return errors.Join(e.optErr, e.array.Close())
 }
 
 // Model exposes the underlying model (its weights are the P16 working
 // copies).
 func (e *Engine) Model() *nn.Model { return e.model }
 
-// Array exposes the NVMe substrate for inspection and fault injection.
+// Array exposes the NVMe substrate for inspection and fault injection. Raw
+// access can see write-back still in flight; Stats().SSD is the joined view.
 func (e *Engine) Array() *nvme.Array { return e.array }
 
 // Stats returns a snapshot of the engine's counters. The per-block
 // data-movement counts live in atomics (the hot loops never take e.mu) and
-// are folded into the snapshot here.
+// are folded into the snapshot here. It joins the trailing write-back first,
+// so Stats then Flows reconcile exactly: a step-goroutine call, unlike the
+// never-blocking LastStepMetrics, FlightRecords and metrics registry.
 func (e *Engine) Stats() Stats {
+	e.joinWriteBack()
 	e.mu.Lock()
 	s := e.stats
 	e.mu.Unlock()
@@ -456,7 +462,7 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 // backward hands each completed group to the optimizer per GradMode.
 func (e *Engine) trainStep(micro []Batch) (float64, error) {
 	if e.optErr != nil {
-		return 0, fmt.Errorf("engine: optimizer state is inconsistent after a failed update (restore a checkpoint to continue): %w", e.optErr)
+		return 0, e.optErr
 	}
 	e.model.ZeroGrads()
 	e.win.resetStepCounters()
@@ -545,7 +551,7 @@ func (e *Engine) submitUpdate(g nn.ParamGroup) error {
 }
 
 // waitStates is the optimizer half of the step barrier: every submitted
-// update, its write included, is joined.
+// update is joined on "Adam applied, P16 installed"; its write-back trails.
 func (e *Engine) waitStates() error {
 	if e.states == nil {
 		return nil
@@ -553,10 +559,19 @@ func (e *Engine) waitStates() error {
 	return e.optFailed(e.states.Wait())
 }
 
-// optFailed latches the first optimizer-update failure (see optErr).
+// joinWriteBack joins the write-back trailing the last step; a failure
+// latches. Every method that reads stored state or array counters starts
+// with it, so no caller has a flush precondition.
+func (e *Engine) joinWriteBack() {
+	if e.states != nil {
+		e.optFailed(e.states.Flush())
+	}
+}
+
+// optFailed latches the first optimizer failure (see optErr) and returns err.
 func (e *Engine) optFailed(err error) error {
 	if err != nil && e.optErr == nil {
-		e.optErr = err
+		e.optErr = fmt.Errorf("engine: optimizer state is inconsistent after a failed update (restore a checkpoint to continue): %w", err)
 	}
 	return err
 }

@@ -43,7 +43,13 @@ func newEngine(t *testing.T, cfg Config) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
+	// Close is where the last step's trailing write-back reports: every test
+	// built on newEngine asserts it succeeded (a second Close is fine).
+	t.Cleanup(func() {
+		if err := e.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
 	return e
 }
 
@@ -58,10 +64,15 @@ func paramsSnapshot(m *nn.Model) []float32 {
 
 func trainK(t *testing.T, e *Engine, steps int) []float64 {
 	t.Helper()
-	cfg := e.cfg.Model
+	return trainFrom(t, e, 0, steps)
+}
+
+// trainFrom runs n steps on the batches of steps from, from+1, ...
+func trainFrom(t *testing.T, e *Engine, from, n int) []float64 {
+	t.Helper()
 	var losses []float64
-	for s := 0; s < steps; s++ {
-		tokens, targets := data(cfg, int64(s))
+	for s := from; s < from+n; s++ {
+		tokens, targets := data(e.cfg.Model, int64(s))
 		loss, err := e.TrainStep(tokens, targets)
 		if err != nil {
 			t.Fatal(err)
@@ -175,6 +186,7 @@ func TestLossDecreases(t *testing.T) {
 func TestMasterWeightsStayFP32(t *testing.T) {
 	e := newEngine(t, Config{GradMode: agoffload.Optimized})
 	trainK(t, e, 3)
+	e.Stats() // joins the trailing write-back: the optimizer is read raw below
 	groups := e.Model().ParamGroups()
 	g := groups[1] // block0
 	masters, err := e.optimizer.MasterWeights(g.Name, g.NumParams())
@@ -200,15 +212,23 @@ func TestMasterWeightsStayFP32(t *testing.T) {
 }
 
 // TestSSDFaultPropagates: a failing device surfaces as a training error
-// when activations are offloaded.
+// when activations are offloaded — and, the failed optimizer updates having
+// latched, again from Close (so not newEngine, whose cleanup wants a clean
+// Close).
 func TestSSDFaultPropagates(t *testing.T) {
-	e := newEngine(t, Config{GradMode: agoffload.Serialized, Swap: map[int]Tier{0: SwapSSD}})
+	e, err := New(Config{Model: miniConfig(), Devices: 3, GradMode: agoffload.Serialized, Swap: map[int]Tier{0: SwapSSD}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := e.cfg.Model
 	tokens, targets := data(cfg, 1)
 	boom := errors.New("media failure")
 	e.Array().InjectFault(0, boom)
 	if _, err := e.TrainStep(tokens, targets); err == nil || !errors.Is(err, boom) {
 		t.Fatalf("TrainStep with failed device = %v, want media failure", err)
+	}
+	if err := e.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close after the failed update = %v, want the latched media failure", err)
 	}
 }
 

@@ -11,15 +11,17 @@ import (
 // TestFlowLedgerReconcilesWithNVMe is the ledger's ground-truth check: the
 // host_nvme_read / host_nvme_write rows are fed from the same call sites
 // that maintain the array's own byte counters, so over any training window
-// the two accountings must agree exactly.
+// the two accountings must agree exactly. Stats() is the joined view of the
+// array: it waits out the optimizer's trailing write-back, so the Flows()
+// read after it sees the same transfers.
 func TestFlowLedgerReconcilesWithNVMe(t *testing.T) {
 	swap := map[int]Tier{0: SwapSSD, 1: SwapSSD}
 	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, Metrics: obs.NewRegistry()})
 
-	stats0 := e.Array().Stats()
+	stats0 := e.Stats().SSD
 	flows0 := e.Flows()
 	trainK(t, e, 3)
-	stats1 := e.Array().Stats()
+	stats1 := e.Stats().SSD
 	flows1 := e.Flows()
 
 	d := flows1.Sub(flows0)
@@ -56,7 +58,11 @@ func TestFlowLedgerReconcilesWithNVMe(t *testing.T) {
 }
 
 // TestStepMetricsFlowDelta checks the per-step flow snapshot carried on
-// StepMetrics: deltas reset each step and cover the expected purposes.
+// StepMetrics: deltas reset each step and cover the expected purposes. A
+// step's delta counts the write-back that retired during it, so the
+// identity that holds exactly is over a window closed by a join: N
+// steady-state steps move N times one step's bytes, and the per-step deltas
+// add up to that give or take the write-back in flight at either end.
 func TestStepMetricsFlowDelta(t *testing.T) {
 	swap := map[int]Tier{0: SwapSSD}
 	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, Metrics: obs.NewRegistry()})
@@ -75,12 +81,46 @@ func TestStepMetricsFlowDelta(t *testing.T) {
 	if m.Flow.Purpose(obs.FlowParams) <= 0 || m.Flow.Purpose(obs.FlowGrads) <= 0 {
 		t.Errorf("step moved no param/grad wire bytes: %+v", m.Flow)
 	}
-	// A steady-state delta is per-step, not cumulative: two consecutive
-	// steps over identical shapes move identical byte counts.
-	first := m.Flow
+
+	// One step's bytes, from a window of one step with a join at both ends.
+	e.Stats()
+	flows0 := e.Flows()
 	trainK(t, e, 1)
-	if second := e.LastStepMetrics().Flow; second != first {
-		t.Errorf("per-step flow delta drifted: step n %+v, step n+1 %+v", first, second)
+	e.Stats()
+	flows1 := e.Flows()
+	perStep := flows1.Sub(flows0)
+
+	const n = 3
+	var sum obs.FlowSnapshot
+	for s := 0; s < n; s++ {
+		trainK(t, e, 1)
+		d := e.LastStepMetrics().Flow
+		for _, edge := range obs.FlowEdges() {
+			for _, p := range obs.FlowPurposes() {
+				sum.Cells[edge][p] += d.Get(edge, p)
+				// Every cell but the trailing one is per-step exactly.
+				trailing := edge == obs.EdgeHostNVMeWrite && p == obs.FlowOptState
+				if got, want := d.Get(edge, p), perStep.Get(edge, p); !trailing && got != want {
+					t.Errorf("step %d: %s/%s delta = %d, want %d every step", s, edge, p, got, want)
+				}
+			}
+		}
+	}
+	e.Stats()
+	window := e.Flows().Sub(flows1)
+	for _, edge := range obs.FlowEdges() {
+		for _, p := range obs.FlowPurposes() {
+			if got, want := window.Get(edge, p), n*perStep.Get(edge, p); got != want {
+				t.Errorf("%s/%s over %d joined steps = %d, want %d", edge, p, n, got, want)
+			}
+		}
+	}
+	// A step's delta runs from the previous step's return to its own, so the
+	// n deltas hold the write-back that trailed into the window and lack what
+	// trailed out of it: each at most one step's.
+	writeBack := perStep.Get(obs.EdgeHostNVMeWrite, obs.FlowOptState)
+	if off := sum.Get(obs.EdgeHostNVMeWrite, obs.FlowOptState) - n*writeBack; off < -writeBack || off > writeBack {
+		t.Errorf("the per-step deltas are %d write-back bytes off the joined window, want within one step's %d", off, writeBack)
 	}
 }
 
@@ -131,9 +171,14 @@ func TestStageHistogramsPopulated(t *testing.T) {
 	if got := snap["engine.step_wall_ns.count"]; got != 3 {
 		t.Errorf("step_wall count = %v, want 3", got)
 	}
-	// Flow gauges mirror the cumulative ledger.
+	// Flow gauges mirror the cumulative ledger as of the step's return: equal
+	// on an edge nothing trails on, and behind the ledger by at most the
+	// write-back that was still in flight on the NVMe write edge.
 	flows := e.Flows()
-	if got := snap["flow.host_nvme_write_bytes"]; got != float64(flows.Edge(obs.EdgeHostNVMeWrite)) {
-		t.Errorf("flow gauge %v != ledger %v", got, flows.Edge(obs.EdgeHostNVMeWrite))
+	if got := snap["flow.codec_encode_bytes"]; got != float64(flows.Edge(obs.EdgeCodecEncode)) {
+		t.Errorf("flow gauge %v != ledger %v", got, flows.Edge(obs.EdgeCodecEncode))
+	}
+	if got := snap["flow.host_nvme_write_bytes"]; got <= 0 || got > float64(flows.Edge(obs.EdgeHostNVMeWrite)) {
+		t.Errorf("flow gauge %v, ledger %v", got, flows.Edge(obs.EdgeHostNVMeWrite))
 	}
 }

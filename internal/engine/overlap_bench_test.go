@@ -80,6 +80,10 @@ func BenchmarkTrainStepOverlap(b *testing.B) {
 			} else if loss != refLoss {
 				b.Fatalf("%s warm-up loss %v != sync %v (pipeline changed values)", v.name, loss, refLoss)
 			}
+			// The timed loop starts and ends at a join (Stats): the state
+			// write-back trails each step, and a loop that left its last
+			// step's behind would time N steps but only N-1 write-backs.
+			e.Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -87,6 +91,7 @@ func BenchmarkTrainStepOverlap(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			e.Stats()
 			b.StopTimer()
 			m := e.LastStepMetrics()
 			b.ReportMetric(float64(m.OffloadStalls), "stalls/step")

@@ -72,6 +72,7 @@ func faultedStep(t *testing.T, e *Engine, boom error, arm func()) error {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
+	e.Stats() // joins the clean step's write-back: the countdown starts at this step's first chunk op
 	arm()
 	_, stepErr := e.TrainStep(tokens, targets)
 	if !errors.Is(stepErr, boom) {

@@ -72,9 +72,10 @@ type StepMetrics struct {
 	// gradient-accumulation step they span every micro-batch.
 	Forward, Backward time.Duration
 	// OptimizerDrain is the wall time after backward finished during which
-	// the step still waited on the optimizer pipeline — the live
-	// counterpart of the simulator's OptimizerTail (zero when active
-	// gradient offloading fully hides the optimizer, §IV-C).
+	// the step still waited for Adam to be applied and P16 installed (not for
+	// the write-back, which trails the step) — the live counterpart of the
+	// simulator's OptimizerTail (zero when active gradient offloading fully
+	// hides the optimizer, §IV-C).
 	OptimizerDrain time.Duration
 	// Wall is the full step duration.
 	Wall time.Duration
@@ -105,8 +106,10 @@ type StepMetrics struct {
 	// dispatched stride items, their summed queue wait, and the cumulative
 	// queue-depth peak, indexed per nvme class / obs.SchedClassNames.
 	Sched obs.SchedSample
-	// Flow is the step's byte-flow ledger delta: bytes moved per
-	// (edge, purpose) cell during this step (see obs.FlowLedger).
+	// Flow is the byte-flow ledger delta over this step's wall time: bytes
+	// moved per (edge, purpose) cell (see obs.FlowLedger). Like Sched and the
+	// registry's NVMe write bandwidth it counts the write-back that retired
+	// during the step — the previous step's tail in, this step's out.
 	Flow obs.FlowSnapshot
 	// PrefetchedReads counts the state reads the optimizer pipeline's
 	// read-ahead stage issued this step.
@@ -178,8 +181,9 @@ type instruments struct {
 	schedWriteBehindWaitMS  *obs.Gauge
 	schedWriteBehindQueuePk *obs.Gauge
 
-	// State reads the optimizer pipeline's read-ahead stage issued last step.
-	optPrefetchedReads *obs.Gauge
+	// State reads the optimizer pipeline's read-ahead stage issued last step,
+	// and the groups whose write-back was still in flight when it returned.
+	optPrefetchedReads, optWritebackLive *obs.Gauge
 
 	nvmeReadBytes  *obs.Gauge
 	nvmeWriteBytes *obs.Gauge
@@ -265,6 +269,7 @@ func makeInstruments(r *obs.Registry) instruments {
 		schedWriteBehindQueuePk: r.Gauge("nvme.sched_write_behind_queue_peak"),
 
 		optPrefetchedReads: r.Gauge("engine.opt_prefetched_reads"),
+		optWritebackLive:   r.Gauge("engine.opt_writeback_inflight"),
 
 		nvmeReadBytes:  r.Gauge("nvme.read_bytes"),
 		nvmeWriteBytes: r.Gauge("nvme.write_bytes"),
@@ -324,8 +329,6 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	if wall > 0 {
 		m.TokensPerSec = float64(tokens) / wall.Seconds()
 	}
-	// The step barrier has passed: the window is idle, so its step counters
-	// are stable until the next step resets them.
 	m.OffloadStalls, m.OffloadStallWait = e.win.offload.n, e.win.offload.wait
 	m.OffloadQueuePeak = e.win.queuePeak
 	m.FetchStalls, m.FetchStallWait = e.win.fetch.n, e.win.fetch.wait
@@ -420,6 +423,10 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	ins.schedWriteBehindQueuePk.Set(float64(m.Sched[nvme.ClassWriteBehind].QueuePeak))
 
 	ins.optPrefetchedReads.Set(float64(m.PrefetchedReads))
+	if e.states != nil {
+		live, _ := e.states.Buffered()
+		ins.optWritebackLive.Set(float64(live))
+	}
 
 	ssd := e.array.Stats()
 	ins.nvmeReadBytes.Set(float64(ssd.BytesRead))

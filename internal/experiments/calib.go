@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -25,7 +26,7 @@ func init() {
 // iteration through the discrete-event simulator with rates calibrated
 // from the run itself — the report shows where the analytical model and
 // the living engine agree and where they drift.
-func calibExperiment(w io.Writer) error {
+func calibExperiment(w io.Writer) (err error) {
 	modelCfg := nn.Config{Vocab: 48, Seq: 12, Hidden: 16, Heads: 2, Layers: 3, Batch: 4, Seed: 5}
 	const steps = 8
 
@@ -38,7 +39,8 @@ func calibExperiment(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer e.Close()
+	// The last step's optimizer write-back reports at Close.
+	defer func() { err = errors.Join(err, e.Close()) }()
 	loader, err := data.NewLoader(data.Progression, modelCfg.Batch, modelCfg.Seq, modelCfg.Vocab, 42)
 	if err != nil {
 		return err
@@ -203,7 +205,7 @@ func calibExperiment(w io.Writer) error {
 // no overlap at all) and full overlap max(C, W) (every write behind
 // compute). The measured forward wall should land between them; where it
 // lands is the overlap the window actually recovered.
-func calibForwardOverlap(w io.Writer) error {
+func calibForwardOverlap(w io.Writer) (err error) {
 	mcfg := nn.Config{Vocab: 64, Seq: 96, Hidden: 16, Heads: 2, Layers: 4, Batch: 2, Seed: 5}
 	const steps = 4
 	tr := obs.NewTracer(obs.DefaultCapacity)
@@ -225,7 +227,8 @@ func calibForwardOverlap(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer e.Close()
+	// The last step's optimizer write-back reports at Close.
+	defer func() { err = errors.Join(err, e.Close()) }()
 	loader, err := data.NewLoader(data.Progression, mcfg.Batch, mcfg.Seq, mcfg.Vocab, 42)
 	if err != nil {
 		return err

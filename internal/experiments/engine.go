@@ -69,7 +69,10 @@ func engineExperiment(w io.Writer) error {
 			flat = append(flat, p.W.Data...)
 		}
 		st := e.Stats()
-		e.Close()
+		// The last step's optimizer write-back reports at Close.
+		if err := e.Close(); err != nil {
+			return err
+		}
 
 		fmt.Fprintf(w, "%-42s loss %.4f -> %.4f", v.name, losses[0], losses[len(losses)-1])
 		if vi == 0 {

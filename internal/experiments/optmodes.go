@@ -102,7 +102,10 @@ func optmodesExperiment(w io.Writer) error {
 		for _, p := range e.Model().Params() {
 			flat = append(flat, p.W.Data...)
 		}
-		e.Close()
+		// The last step's optimizer write-back reports at Close.
+		if err := e.Close(); err != nil {
+			return err
+		}
 
 		fmt.Fprintf(w, "%-28s loss %.4f -> %.4f", v.name, first, last)
 		if vi == 0 {

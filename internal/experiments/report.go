@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -25,7 +26,7 @@ func init() {
 // the report must say so — per-stage verdicts from the span timeline, the
 // byte-flow ledger split by edge and purpose, ledger-vs-array
 // reconciliation, latency quantiles, and measured-vs-configured bandwidth.
-func reportExperiment(w io.Writer) error {
+func reportExperiment(w io.Writer) (err error) {
 	mcfg := nn.Config{Vocab: 64, Seq: 96, Hidden: 16, Heads: 2, Layers: 4, Batch: 2, Seed: 5}
 	swap := map[int]engine.Tier{
 		0: engine.SwapSSD, 1: engine.SwapSSD, 2: engine.SwapSSD, 3: engine.SwapSSD,
@@ -46,7 +47,8 @@ func reportExperiment(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer e.Close()
+	// The last step's optimizer write-back reports at Close.
+	defer func() { err = errors.Join(err, e.Close()) }()
 	loader, err := data.NewLoader(data.Progression, mcfg.Batch, mcfg.Seq, mcfg.Vocab, 42)
 	if err != nil {
 		return err
@@ -58,7 +60,10 @@ func reportExperiment(w io.Writer) error {
 		return err
 	}
 	tr.Reset()
-	stats0 := e.Array().Stats()
+	// Stats is the joined view of the array: it waits out the optimizer's
+	// trailing write-back, so the ledger read after it counts the same
+	// transfers and the reconciliation below is exact.
+	stats0 := e.Stats().SSD
 	flows0 := e.Flows()
 	for s := 0; s < steps; s++ {
 		tokens, targets = loader.Next()
@@ -66,9 +71,9 @@ func reportExperiment(w io.Writer) error {
 			return err
 		}
 	}
+	stats := e.Stats().SSD
 	spans := tr.Spans()
 	flow := e.Flows().Sub(flows0)
-	stats := e.Array().Stats()
 
 	// ---- Per-stage bottleneck verdicts ----
 	// Each flight record carries the step's window on the tracer timeline;

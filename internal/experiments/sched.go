@@ -110,7 +110,10 @@ func schedExperiment(w io.Writer) error {
 		for _, p := range e.Model().Params() {
 			flat = append(flat, p.W.Data...)
 		}
-		e.Close()
+		// The last step's optimizer write-back reports at Close.
+		if err := e.Close(); err != nil {
+			return err
+		}
 
 		fmt.Fprintf(w, "%-26s loss %.4f", v.name, last)
 		if vi == 0 {

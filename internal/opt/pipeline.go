@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,23 +15,29 @@ import (
 // the SSD reads, the CPU Adam and the SSD writes of the model states overlap
 // each other as well as the backward pass (§IV-C):
 //
-//	Submit ─▶ read-ahead ─▶ Adam ─▶ write-behind ─▶ Wait
-//	          ClassOptRead  decode·AdamStep·encode  ClassWriteback
-//	          pooled buffer  fp16 install           buffer recycled
+//	Submit ─▶ read-ahead ─▶ Adam ─▶ applied ─▶ Wait
+//	          ClassOptRead   └────▶ write-behind ─▶ written ─▶ Flush, next read-ahead
+//	          pooled buffer         ClassWriteback, buffer recycled
 //
 // Read-ahead issues a group's state read the moment the group is submitted,
 // into a pooled nvme.Buffers wire buffer; the Adam stage runs the same
 // decode → AdamStep → encode → fp16-install path as UpdateGroup, in place on
 // that buffer; write-behind puts it back and recycles it. At most depth
-// groups hold a buffer at once (the window), and Wait joins every write
-// before the step returns, so failures and durability are those of the
-// synchronous UpdateGroup. Values are bit-identical to it: a group's state
-// is read only after its previous write was joined (Wait), and groups share
-// no state.
+// groups hold a buffer at once (the window), the write included.
 //
-// Submit, Wait and Close belong to one goroutine (the
-// engine's step goroutine). The optimizer's Store must be safe for
-// concurrent use — nvme.Array is; the bare MemStore map is not.
+// An update has two joins, each a one-slot token per group whose taking is
+// the join. applied (Adam ran and P16 is installed, or the update failed) is
+// what Wait, the step barrier, takes: the next forward needs the weights,
+// not the state back in the store. written holds the outcome of the group's
+// last write-back and is home when none is in flight; read-ahead takes it
+// before reading the group again — read-after-write per group under any lane
+// order, and an update over a failed write fails with its error instead of
+// reading torn state — and Flush takes and returns every group's. Values are
+// bit-identical to UpdateGroup's: same bytes, later durability.
+//
+// Submit, Wait, Flush and Close belong to one goroutine (the engine's step
+// goroutine). The optimizer's Store must be safe for concurrent use —
+// nvme.Array is; the bare MemStore map is not.
 type StatePipeline struct {
 	o *OutOfCoreAdam
 
@@ -48,8 +55,8 @@ type StatePipeline struct {
 	readers, adam, writers sync.WaitGroup
 	stopOnce               sync.Once
 
-	jobs    map[string]*groupJob // the in-step job of each registered group
-	pending []*groupJob          // submitted since the last Wait, in order
+	jobs  map[string]*groupJob // the job of each registered group
+	order []*groupJob          // the same jobs in registration order, for the joins
 
 	buffered     atomic.Int64 // wire buffers held right now
 	peakBuffered atomic.Int64
@@ -68,9 +75,10 @@ type groupJob struct {
 	step int
 	cfg  AdamConfig
 
-	buf     []byte // pooled wire buffer, owned between read-ahead and retire
-	done    chan error
-	pending bool // owned by the submitting goroutine
+	buf []byte // pooled wire buffer, owned between read-ahead and retire
+	// The two join tokens (see StatePipeline), each home with the outcome of
+	// the stage it names except while an update is on its way there.
+	applied, written chan error
 }
 
 // NewStatePipeline starts the stage goroutines for the given groups. depth
@@ -91,12 +99,15 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 		stop:   make(chan struct{}),
 		jobs:   make(map[string]*groupJob, len(groups)),
 	}
-	p.pending = make([]*groupJob, 0, len(groups))
 	for _, g := range groups {
-		p.jobs[g.Name] = &groupJob{
-			g: g, n: g.NumParams(), key: o.stateKey(g.Name),
-			label: o.adamLabel(g.Name), done: make(chan error, 1),
+		j := &groupJob{
+			g: g, n: g.NumParams(), key: o.stateKey(g.Name), label: o.adamLabel(g.Name),
+			applied: make(chan error, 1), written: make(chan error, 1),
 		}
+		j.applied <- nil
+		j.written <- nil
+		p.jobs[g.Name] = j
+		p.order = append(p.order, j)
 	}
 	p.readers.Add(depth)
 	p.writers.Add(depth)
@@ -109,8 +120,9 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 	return p
 }
 
-// Submit enqueues the group's update for the current optimizer step. It
-// never blocks; the read is issued as soon as the window has room.
+// Submit enqueues the group's update for the current optimizer step, taking
+// its applied token. It never blocks; the read is issued as soon as the
+// window has room and the group's previous write-back has retired.
 func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 	j := p.jobs[g.Name]
 	switch {
@@ -118,12 +130,17 @@ func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 		return fmt.Errorf("opt: Submit(%s): group not registered with the pipeline", g.Name)
 	case p.o.step < 1:
 		return fmt.Errorf("opt: Submit(%s) before BeginStep", g.Name)
-	case j.pending:
+	}
+	select {
+	case err := <-j.applied:
+		if err != nil { // a failed update nobody waited for: reported, not dropped
+			j.applied <- nil
+			return fmt.Errorf("opt: Submit(%s): previous update failed: %w", g.Name, err)
+		}
+	default:
 		return fmt.Errorf("opt: Submit(%s): previous update still in flight", g.Name)
 	}
 	j.step, j.cfg = p.o.step, p.o.cfg
-	j.pending = true
-	p.pending = append(p.pending, j)
 	p.readQ <- j
 	// Hand the CPU to read-ahead now: the backward pass never blocks between
 	// submissions, so on a fully loaded host (GOMAXPROCS=1) the read would
@@ -132,31 +149,40 @@ func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 	return nil
 }
 
-// Wait is the step barrier: it joins every update submitted since the last
-// Wait — its write included — and returns the first error.
+// Wait is the step barrier: it takes and returns every group's applied token
+// and returns the failures joined. Write-back may still be in flight.
 func (p *StatePipeline) Wait() error {
-	var first error
-	for _, j := range p.pending {
-		if err := <-j.done; err != nil && first == nil {
-			first = err
-		}
-		j.pending = false
+	var joined error
+	for _, j := range p.order {
+		joined = errors.Join(joined, <-j.applied)
+		j.applied <- nil
 	}
-	p.pending = p.pending[:0]
-	return first
+	return joined
+}
+
+// Flush is Wait plus the same join on written: nothing is in flight when it
+// returns, the store holds every group's last update, and the failures — of
+// write-backs that trailed an earlier Wait too — are returned joined, once.
+func (p *StatePipeline) Flush() error {
+	joined := p.Wait()
+	for _, j := range p.order {
+		joined = errors.Join(joined, <-j.written)
+		j.written <- nil
+	}
+	return joined
 }
 
 // Buffered reports how many groups hold a wire buffer right now — zero
-// after Wait — and the most that ever did at once, which never exceeds the
+// after Flush — and the most that ever did at once, which never exceeds the
 // window.
 func (p *StatePipeline) Buffered() (now, peak int) {
 	return int(p.buffered.Load()), int(p.peakBuffered.Load())
 }
 
 // Close joins the stage goroutines, stage by stage, so every job already
-// past read-ahead still retires (its buffer recycled, its waiter woken).
-// Call Wait first: jobs still queued for read-ahead are abandoned.
-// Idempotent and nil-safe.
+// past read-ahead still retires (its buffer recycled, its tokens home).
+// Call Flush first: jobs still queued for read-ahead are abandoned, and only
+// Flush reports a write-back's failure. Idempotent and nil-safe.
 func (p *StatePipeline) Close() {
 	if p == nil {
 		return
@@ -187,14 +213,22 @@ func (p *StatePipeline) readAhead() {
 		case <-p.stop:
 			return
 		}
+		// The read-after-write join: the group's previous write-back, which
+		// may trail the step that submitted it, retires before this read is
+		// issued, and its failure fails this update.
+		err := <-j.written
 		j.buf = nvme.Buffers.Get(wireBytes(j.n))
 		for n := p.buffered.Add(1); ; {
 			if peak := p.peakBuffered.Load(); n <= peak || p.peakBuffered.CompareAndSwap(peak, n) {
 				break
 			}
 		}
-		if err := p.o.readState(j.key, j.buf, j.g.Name); err != nil {
-			p.retire(j, err)
+		if err == nil {
+			err = p.o.readState(j.key, j.buf, j.g.Name)
+		}
+		if err != nil {
+			p.retire(j, nil)
+			j.applied <- err
 			continue
 		}
 		p.adamQ <- j
@@ -205,28 +239,35 @@ func (p *StatePipeline) adamStage() {
 	defer p.adam.Done()
 	for j := range p.adamQ {
 		if err := p.o.applyJob(j); err != nil {
-			p.retire(j, err)
+			p.retire(j, nil)
+			j.applied <- err
 			continue
 		}
 		p.writeQ <- j
+		j.applied <- nil
 	}
 }
 
 func (p *StatePipeline) writeBehind() {
 	defer p.writers.Done()
 	for j := range p.writeQ {
-		p.retire(j, p.o.writeState(j.key, j.buf))
+		err := p.o.writeState(j.key, j.buf)
+		if err != nil {
+			err = fmt.Errorf("opt: write back %s: %w", j.g.Name, err)
+		}
+		p.retire(j, err)
 	}
 }
 
 // retire ends a job's trip, however far it got: the wire buffer goes back
-// to the pool, the window token is returned, and the waiter gets err.
+// to the pool, the window token is returned, and the written token goes home
+// carrying the write-back's outcome (nil when the update failed before it).
 func (p *StatePipeline) retire(j *groupJob, err error) {
 	nvme.Buffers.Put(j.buf)
 	j.buf = nil
 	p.buffered.Add(-1)
 	<-p.window
-	j.done <- err
+	j.written <- err
 }
 
 // applyJob is the Adam stage of one job, on the optimizer's shared scratch.

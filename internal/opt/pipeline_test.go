@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,8 +114,16 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 			if err := p.Wait(); err != nil {
 				t.Fatal(err)
 			}
+			if _, peak := p.Buffered(); peak > depth {
+				t.Fatalf("depth %d: peak %d buffers after step %d", depth, peak, step)
+			}
 		}
+		// The working weights are the oracle's as soon as Wait returns; the
+		// stored state is once the trailing write-back is joined.
 		sameParams(t, modelSync, modelPipe, "pipelined")
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		for _, g := range groups {
 			a, err := sync.ExportGroup(g.Name, g.NumParams())
 			if err != nil {
@@ -131,7 +140,7 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 			}
 		}
 		if now, peak := p.Buffered(); now != 0 || peak > depth {
-			t.Fatalf("depth %d: %d buffers held after Wait, peak %d", depth, now, peak)
+			t.Fatalf("depth %d: %d buffers held after Flush, peak %d", depth, now, peak)
 		}
 		p.Close()
 		p.Close() // idempotent
@@ -141,8 +150,8 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 // TestPipelineWindowBound: with writes held at the store, exactly depth
 // groups' reads are issued and no more — at most depth groups' state is
 // buffered at once, seen from the store's side (reads started minus writes
-// finished) and from the pipeline's own high-water mark — and none once
-// Wait returns.
+// finished) and from the pipeline's own high-water mark, after every Wait —
+// and none once Flush returns. (Wait alone leaves the write-back in flight.)
 func TestPipelineWindowBound(t *testing.T) {
 	const depth = 2
 	m := buildModel(t)
@@ -200,14 +209,13 @@ func TestPipelineWindowBound(t *testing.T) {
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if peak != depth {
-		t.Fatalf("store saw %d groups' state outstanding at once, want exactly the window %d", peak, depth)
+	if _, pk := p.Buffered(); pk != depth {
+		t.Fatalf("pipeline buffered peak=%d after Wait, want %d", pk, depth)
 	}
-	if now, pk := p.Buffered(); now != 0 || pk != depth {
-		t.Fatalf("pipeline buffered now=%d peak=%d, want 0 and %d", now, pk, depth)
-	}
-	// Every Wait, not just the first, leaves nothing buffered.
-	for step := 2; step <= 3; step++ {
+	// Every step, not just the first, stays inside the window with the
+	// previous step's write-back trailing into it, and every Flush leaves
+	// nothing buffered.
+	for step := 2; step <= 4; step++ {
 		o.BeginStep()
 		for _, g := range groups {
 			if err := p.Submit(g); err != nil {
@@ -217,27 +225,50 @@ func TestPipelineWindowBound(t *testing.T) {
 		if err := p.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if now, pk := p.Buffered(); now != 0 || pk != depth {
-			t.Fatalf("step %d: pipeline buffered now=%d peak=%d after Wait, want 0 and %d", step, now, pk, depth)
+		if _, pk := p.Buffered(); pk != depth {
+			t.Fatalf("step %d: pipeline buffered peak=%d after Wait, want %d", step, pk, depth)
 		}
+		if step%2 == 1 {
+			continue // an unflushed step: the next one runs into its write-back
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if now, pk := p.Buffered(); now != 0 || pk != depth {
+			t.Fatalf("step %d: pipeline buffered now=%d peak=%d after Flush, want 0 and %d", step, now, pk, depth)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak != depth || outstanding != 0 {
+		t.Fatalf("store saw %d groups' state outstanding at once and %d after Flush, want exactly the window %d and 0", peak, outstanding, depth)
 	}
 }
 
 // TestPipelineFaultPerStage injects a store failure into each stage — the
 // read-ahead of the first group, the read-ahead of a group mid-window with
-// later groups already read, and the write-behind — and checks the barrier
-// returns it, every wire buffer went back to the pool, the groups that did
-// not fail were still updated exactly, and Close leaves no goroutine.
+// later groups already read, and the write-behind — and checks the join that
+// owns the stage returns it: Wait for a read-ahead, and for a write-back,
+// which trails Wait, whichever comes first of Flush and the group's next
+// Submit+Wait (then failing at the read-after-write join, nothing read).
+// Either way it is reported once, every wire buffer went back to the pool,
+// the groups that did not fail were still updated exactly, and Close leaves
+// no goroutine.
 func TestPipelineFaultPerStage(t *testing.T) {
 	boom := errors.New("media failure")
 	cases := []struct {
 		name   string
 		victim int // index of the group whose transfer fails
 		write  bool
+		resub  bool // write only: the first join is the victim's next update
 	}{
-		{"read-ahead/first", 0, false},
-		{"read-ahead/mid-window", 2, false},
-		{"write-behind", 1, true},
+		{"read-ahead/first", 0, false, false},
+		{"read-ahead/mid-window", 2, false, false},
+		{"write-behind", 1, true, false},
+		{"write-behind-then-update", 1, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,16 +281,21 @@ func TestPipelineFaultPerStage(t *testing.T) {
 			initGroups(t, ref, modelRef)
 			groups := initGroups(t, o, m)
 			victimKey := o.stateKey(groups[tc.victim].Name)
-			fail := func(key string) error {
-				if key == victimKey {
+			var victimReads atomic.Int32
+			store.beforeRead = func(key string) error {
+				if key != victimKey {
+					return nil
+				}
+				if victimReads.Add(1); !tc.write {
 					return boom
 				}
 				return nil
 			}
-			if tc.write {
-				store.beforePut = fail
-			} else {
-				store.beforeRead = fail
+			store.beforePut = func(key string) error {
+				if key == victimKey && tc.write {
+					return boom
+				}
+				return nil
 			}
 
 			p := NewStatePipeline(o, 2, groups)
@@ -272,16 +308,40 @@ func TestPipelineFaultPerStage(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := p.Wait(); !errors.Is(err, boom) {
-				t.Fatalf("Wait = %v, want %v", err, boom)
+			err := p.Wait()
+			if tc.write {
+				// Adam was applied and the weights installed: the barrier is
+				// clean, the failure is the trailing write-back's.
+				if err != nil {
+					t.Fatalf("Wait = %v with only a write-back failing", err)
+				}
+				if tc.resub {
+					o.BeginStep()
+					if err := p.Submit(groups[tc.victim]); err != nil {
+						t.Fatal(err)
+					}
+					err = p.Wait()
+					if n := victimReads.Load(); n != 1 {
+						t.Fatalf("the victim's state was read %d times, want once: the update over a failed write-back must not read it", n)
+					}
+				} else {
+					err = p.Flush()
+				}
+			}
+			if !errors.Is(err, boom) {
+				t.Fatalf("first join = %v, want %v", err, boom)
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatalf("Flush after the failure was reported = %v, want it reported once", err)
 			}
 			if now, _ := p.Buffered(); now != 0 {
 				t.Fatalf("%d wire buffers not returned to the pool", now)
 			}
-			// Every other group's update went through untouched by the fault.
+			// Every other group's update went through untouched by the fault
+			// (and a write-back victim's weights were installed before it).
 			refGroups := modelRef.ParamGroups()
 			for i, g := range refGroups {
-				if i == tc.victim {
+				if i == tc.victim && !tc.write {
 					continue
 				}
 				if err := ref.UpdateGroup(g); err != nil {
@@ -295,7 +355,7 @@ func TestPipelineFaultPerStage(t *testing.T) {
 					}
 				}
 			}
-			// The barrier left the pipeline reusable: the next Wait is clean.
+			// The joins left the pipeline reusable: the next ones are clean.
 			store.beforeRead, store.beforePut = nil, nil
 			if err := p.Wait(); err != nil {
 				t.Fatalf("idle Wait = %v", err)
@@ -311,10 +371,86 @@ func TestPipelineFaultPerStage(t *testing.T) {
 	}
 }
 
+// TestPipelineReadAfterWrite is the per-group order the written token keeps
+// once write-back trails the barrier: with one group's write-back held at
+// the store, Wait returns, the next step's updates of every other group run
+// to completion, and the held group's state is not read again until its
+// write has retired. Without the token the second read races the write.
+func TestPipelineReadAfterWrite(t *testing.T) {
+	m := buildModel(t)
+	store := &lockedStore{m: MemStore{}}
+	o := NewOutOfCoreAdam(store, DefaultAdam(), "r")
+	groups := initGroups(t, o, m)
+	heldKey := o.stateKey(groups[0].Name)
+
+	release := make(chan struct{})
+	var writing, readDuringWrite atomic.Bool
+	store.beforePut = func(key string) error {
+		if key == heldKey && writing.CompareAndSwap(false, true) {
+			<-release
+			writing.Store(false)
+		}
+		return nil
+	}
+	store.beforeRead = func(key string) error {
+		if key == heldKey && writing.Load() {
+			readDuringWrite.Store(true)
+		}
+		return nil
+	}
+
+	p := NewStatePipeline(o, 2, groups)
+	defer p.Close()
+	// The held group is submitted last: an update waiting at the join keeps
+	// its window token, so one submitted first would hold the others back too.
+	order := append(append([]nn.ParamGroup(nil), groups[1:]...), groups[0])
+	step := func() {
+		t.Helper()
+		setGrads(m, int64(o.Step()+1))
+		o.BeginStep()
+		for _, g := range order {
+			if err := p.Submit(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step()
+	if err := p.Wait(); err != nil { // applied everywhere; group 0's write is held
+		t.Fatal(err)
+	}
+	if now, _ := p.Buffered(); now < 1 {
+		t.Fatal("no write-back in flight after Wait: the test holds nothing")
+	}
+	step()
+	// Every other group's second update finishes behind the held write; the
+	// held group's waits at the read-after-write join.
+	for _, g := range groups[1:] {
+		j := p.jobs[g.Name]
+		j.applied <- <-j.applied
+	}
+	// Nothing can say the held group's read is not about to be issued, so
+	// give a read that does not wait for the token time to happen.
+	time.Sleep(20 * time.Millisecond)
+	if len(p.jobs[groups[0].Name].applied) != 0 {
+		t.Fatal("the held group's second update was applied before its first write-back retired")
+	}
+	close(release)
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if readDuringWrite.Load() {
+		t.Fatal("a group's state was read while its previous write-back was in flight")
+	}
+	if now, _ := p.Buffered(); now != 0 {
+		t.Fatalf("%d buffers held after Flush", now)
+	}
+}
+
 // TestPipelineSubmitErrors: misuse fails at Submit, not inside a stage.
 func TestPipelineSubmitErrors(t *testing.T) {
 	m := buildModel(t)
-	o := NewOutOfCoreAdam(&lockedStore{m: MemStore{}}, DefaultAdam(), "x")
+	store := &lockedStore{m: MemStore{}}
+	o := NewOutOfCoreAdam(store, DefaultAdam(), "x")
 	groups := initGroups(t, o, m)
 	p := NewStatePipeline(o, 1, groups[:1])
 	defer p.Close()
@@ -326,14 +462,32 @@ func TestPipelineSubmitErrors(t *testing.T) {
 		t.Error("Submit of an unregistered group accepted")
 	}
 	setGrads(m, 1)
+	release := make(chan struct{})
+	store.beforeRead = func(string) error { <-release; return nil }
 	if err := p.Submit(groups[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(groups[0]); err == nil {
 		t.Error("second Submit of an in-flight group accepted")
 	}
-	if err := p.Wait(); err != nil {
+	close(release)
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	// An update nobody waited for that failed is reported by the next Submit.
+	boom := errors.New("media failure")
+	store.beforeRead = func(string) error { return boom }
+	if err := p.Submit(groups[0]); err != nil {
+		t.Fatal(err)
+	}
+	for len(p.jobs[groups[0].Name].applied) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := p.Submit(groups[0]); !errors.Is(err, boom) {
+		t.Errorf("Submit over an unjoined failed update = %v, want %v", err, boom)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush after Submit reported the failure = %v", err)
 	}
 }
 
