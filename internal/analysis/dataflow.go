@@ -1,7 +1,7 @@
 package analysis
 
 // Forward dataflow over a CFG (DESIGN.md §13). The lattice is a small
-// abstract-ownership domain shared by the protocol analyzers:
+// abstract-ownership domain for the protocol analyzers:
 //
 //	        Escaped            (top: crossed a goroutine/closure boundary)
 //	           |
@@ -9,15 +9,11 @@ package analysis
 //	       /        \
 //	   Owned      Released
 //	       \        /
-//	       Borrowed            (usable, but this frame must not release)
-//	           |
 //	        Bottom             (untracked / unreachable)
 //
-// Join is the least upper bound along that diagram with one asymmetry:
-// Owned ⊔ Borrowed = Owned, because a value that is owned on any path must
-// be released on every path — treating it as borrowed would hide a leak.
-// Analyzers give their own meaning to the points (slotlife reads Owned as
-// "token held", xferown as "buffer usable"); the runner only joins.
+// Join is the least upper bound along that diagram. Analyzers give their
+// own meaning to the points (slotlife reads Owned as "token held"); the
+// runner only joins.
 
 import "go/ast"
 
@@ -27,9 +23,6 @@ type Val uint8
 const (
 	// Bottom: not tracked on this path (or path unreachable).
 	Bottom Val = iota
-	// Borrowed: usable, but ownership belongs to another frame — this
-	// function must not release it.
-	Borrowed
 	// Owned: this frame holds the value and is responsible for exactly one
 	// release.
 	Owned
@@ -47,8 +40,6 @@ func (v Val) String() string {
 	switch v {
 	case Bottom:
 		return "bottom"
-	case Borrowed:
-		return "borrowed"
 	case Owned:
 		return "owned"
 	case Released:
@@ -75,26 +66,8 @@ func JoinVal(a, b Val) Val {
 	if a == Escaped || b == Escaped {
 		return Escaped
 	}
-	// Order the pair so a <= b numerically; the remaining distinct pairs
-	// over {Borrowed, Owned, Released, MaybeReleased} are few.
-	if a > b {
-		a, b = b, a
-	}
-	switch {
-	case a == Borrowed && b == Owned:
-		return Owned // owned-on-any-path must be released on every path
-	case a == Borrowed && b == Released:
-		return MaybeReleased
-	case a == Borrowed && b == MaybeReleased:
-		return MaybeReleased
-	case a == Owned && b == Released:
-		return MaybeReleased
-	case a == Owned && b == MaybeReleased:
-		return MaybeReleased
-	case a == Released && b == MaybeReleased:
-		return MaybeReleased
-	}
-	return Escaped // unreachable
+	// Two distinct points of {Owned, Released, MaybeReleased}.
+	return MaybeReleased
 }
 
 // State maps tracked keys (typically *types.Var) to lattice points. Keys
@@ -145,7 +118,7 @@ type Flow struct {
 	Transfer func(blk *Block, n ast.Node, st State)
 }
 
-// maxFixpointSweeps bounds full-graph sweeps. The lattice has height 4 per
+// maxFixpointSweeps bounds full-graph sweeps. The lattice has height 3 per
 // key, so honest transfers converge in a handful of sweeps; this is a
 // backstop against a buggy analyzer, not a tuning knob.
 const maxFixpointSweeps = 64

@@ -6,7 +6,7 @@ import (
 )
 
 // All lattice points, for exhaustive law checks.
-var allVals = []Val{Bottom, Borrowed, Owned, Released, MaybeReleased, Escaped}
+var allVals = []Val{Bottom, Owned, Released, MaybeReleased, Escaped}
 
 func TestJoinLaws(t *testing.T) {
 	for _, a := range allVals {
@@ -35,8 +35,6 @@ func TestJoinLaws(t *testing.T) {
 func TestJoinProtocolPoints(t *testing.T) {
 	cases := []struct{ a, b, want Val }{
 		{Owned, Released, MaybeReleased},
-		{Owned, Borrowed, Owned}, // owned-on-any-path must stay owned
-		{Borrowed, Released, MaybeReleased},
 		{Released, MaybeReleased, MaybeReleased},
 		{Owned, MaybeReleased, MaybeReleased},
 	}

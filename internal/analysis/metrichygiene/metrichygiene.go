@@ -20,7 +20,7 @@ import (
 const obsPkg = "ratel/internal/obs"
 
 // nameRE is the canonical metric-name shape: snake_case segments joined by
-// dots, starting with a letter ("engine.step_wall_ns", "nvme.buf_hits").
+// dots, starting with a letter ("engine.step_wall_ns", "nvme.read_bytes").
 var nameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$`)
 
 // Analyzer is the metrichygiene check.

@@ -14,11 +14,9 @@ import (
 	"ratel/internal/analysis/slotlife"
 	"ratel/internal/analysis/spanpair"
 	"ratel/internal/analysis/unitsafe"
-	"ratel/internal/analysis/xferown"
 )
 
 // All returns the full analyzer set in stable (alphabetical) order.
-// bufreuse is retired: xferown supersedes it.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicmix.Analyzer,
@@ -31,6 +29,5 @@ func All() []*analysis.Analyzer {
 		slotlife.Analyzer,
 		spanpair.Analyzer,
 		unitsafe.Analyzer,
-		xferown.Analyzer,
 	}
 }

@@ -127,7 +127,7 @@ func TestLoadRejectsMalformed(t *testing.T) {
 // tolerance 0 (the make bench-gate contract).
 func TestCommittedSnapshotsLoad(t *testing.T) {
 	for _, path := range []string{
-		"../../BENCH_kernels.json", "../../BENCH_datapath.json", "../../BENCH_overlap.json",
+		"../../BENCH_kernels.json", "../../BENCH_overlap.json",
 	} {
 		snap, err := LoadFile(path)
 		if err != nil {

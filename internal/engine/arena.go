@@ -3,6 +3,7 @@ package engine
 import (
 	"sync/atomic"
 
+	"ratel/internal/memctl"
 	"ratel/internal/nn"
 	"ratel/internal/tensor"
 )
@@ -31,12 +32,13 @@ import (
 //     from the cache after it returns, so ring reuse is safe at any depth.
 type blobArena struct {
 	slots []arenaSlot
+	host  []hostBlob // by block; only SwapHost blocks allocate
 	// ts is the codec's tensor-list scratch: encode and decode both run on
 	// the engine's step goroutine, never concurrently, so one slice serves
 	// every block of every step.
 	ts []*tensor.Tensor
 
-	// blobReuses counts slot-buffer uses served without allocating;
+	// blobReuses counts slot- and host-buffer uses served without allocating;
 	// ringReuses counts cache revivals into an existing ring entry. Exposed
 	// via the metrics registry (engine.blob_reuses / engine.ring_reuses).
 	blobReuses atomic.Int64
@@ -51,10 +53,20 @@ type arenaSlot struct {
 	cache *nn.BlockCache
 }
 
-// init sizes the ring. Must be called before slotBuf/cacheFor; the engine
-// calls it once at construction (depth+1 slots).
-func (ar *blobArena) init(nslots int) {
+// hostBlob is one block's SwapHost cache, written by forward and read by
+// backward on the step goroutine. The blob allocates on first use and stays
+// with the block while it is in the tier; res, the host-pool reservation, is
+// non-nil exactly while the blob holds this step's cache.
+type hostBlob struct {
+	blob []byte
+	res  *memctl.Reservation
+}
+
+// init sizes the ring and the host tier. Must be called before any other
+// method; the engine calls it once at construction (depth+1 slots).
+func (ar *blobArena) init(nslots, nblocks int) {
 	ar.slots = make([]arenaSlot, nslots)
+	ar.host = make([]hostBlob, nblocks)
 }
 
 // slotIndex maps a block to its ring slot.
@@ -62,13 +74,31 @@ func (ar *blobArena) slotIndex(i int) int { return i % len(ar.slots) }
 
 // slotBuf returns block i's ring buffer of n bytes.
 func (ar *blobArena) slotBuf(i, n int) []byte {
-	s := &ar.slots[ar.slotIndex(i)]
-	if s.blob == nil {
-		s.blob = make([]byte, n)
+	return ar.keep(&ar.slots[ar.slotIndex(i)].blob, n)
+}
+
+// hostBuf returns block i's host-tier blob of n bytes.
+func (ar *blobArena) hostBuf(i, n int) []byte { return ar.keep(&ar.host[i].blob, n) }
+
+// keep returns the owner's buffer *b, allocating its n bytes on first use.
+func (ar *blobArena) keep(b *[]byte, n int) []byte {
+	if *b == nil {
+		*b = make([]byte, n)
 	} else {
 		ar.blobReuses.Add(1)
 	}
-	return s.blob
+	return *b
+}
+
+// releaseHost releases every host-tier reservation still held — the failure
+// path's half of "no reservation outlives its step".
+func (ar *blobArena) releaseHost() {
+	for i := range ar.host {
+		if h := &ar.host[i]; h.res != nil {
+			h.res.Release()
+			h.res = nil
+		}
+	}
 }
 
 // cacheFor returns block i's ring cache, allocating it on first use.

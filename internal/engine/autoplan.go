@@ -103,5 +103,13 @@ func (e *Engine) ProfileAndPlan(tokens [][]int, rates HWRates) (plan.Plan, map[i
 	return pl, swap, nil
 }
 
-// SetSwap installs a block placement chosen by ProfileAndPlan.
-func (e *Engine) SetSwap(swap map[int]Tier) { e.cfg.Swap = swap }
+// SetSwap installs a block placement chosen by ProfileAndPlan, between
+// steps. Blocks that left the host tier give their blob up.
+func (e *Engine) SetSwap(swap map[int]Tier) {
+	e.cfg.Swap = swap
+	for i := range e.arena.host {
+		if swap[i] != SwapHost {
+			e.arena.host[i].blob = nil
+		}
+	}
+}

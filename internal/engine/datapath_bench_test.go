@@ -32,7 +32,7 @@ func BenchmarkCacheRoundTrip(b *testing.B) {
 	defer a.Close()
 
 	var ar blobArena
-	ar.init(DefaultPipelineDepth + 1)
+	ar.init(DefaultPipelineDepth+1, 0)
 	n := g.blobBytes()
 	b.SetBytes(int64(n))
 	b.ReportAllocs()

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"bytes"
 	"testing"
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
-	"ratel/internal/nvme"
 	"ratel/internal/tensor"
 )
 
@@ -26,8 +24,8 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 		Swap:     map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD},
 	})
 	tokens, targets := data(e.cfg.Model, 1)
-	// Warm-up: first steps populate the arena, the buffer pool, the
-	// attention scratch, and the optimizer's store objects.
+	// Warm-up: first steps populate the arena, the attention scratch, and
+	// the optimizer's store objects.
 	for i := 0; i < 3; i++ {
 		if _, err := e.TrainStep(tokens, targets); err != nil {
 			t.Fatal(err)
@@ -89,10 +87,11 @@ func TestDecodedCacheNeverAliasesBlob(t *testing.T) {
 	}
 }
 
-// TestPoisonedPoolBuffersAreTransparent: dirtying every buffer in the
-// shared nvme pool between steps must not change training — all pooled
-// buffers are fully overwritten before they are read, so recycled garbage
-// can never leak into values.
+// TestPoisonedPoolBuffersAreTransparent: dirtying every buffer the
+// activation path owns (ring slots and host-tier blobs; the optimizer's
+// window buffers have their own twin, opt.TestPipelineWindowOwnsItsBuffers)
+// between steps must not change training — every buffer is fully overwritten
+// before it is read, so a previous owner's bytes can never leak into values.
 func TestPoisonedPoolBuffersAreTransparent(t *testing.T) {
 	swap := map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapHost}
 	ref := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap})
@@ -107,20 +106,9 @@ func TestPoisonedPoolBuffersAreTransparent(t *testing.T) {
 		}
 		refLoss = append(refLoss, l)
 
-		// Churn the shared pool: claim a spread of sizes, fill with garbage,
-		// recycle. Any consumer trusting recycled contents now reads trash.
-		var bufs [][]byte
-		for _, n := range []int{poisoned.blobLen, poisoned.blobLen, 512, 4096} {
-			b := nvme.Buffers.Get(n)
-			bufs = append(bufs, b)
+		if n := poisonArena(poisoned); step > 0 && n != 3 {
+			t.Fatalf("step %d: poisoned %d buffers, want block 0's ring slot and two host blobs", step, n)
 		}
-		for _, b := range bufs {
-			for i := range b {
-				b[i] = 0xAB
-			}
-			nvme.Buffers.Put(b)
-		}
-
 		l, err = poisoned.TrainStep(tokens, targets)
 		if err != nil {
 			t.Fatal(err)
@@ -129,12 +117,12 @@ func TestPoisonedPoolBuffersAreTransparent(t *testing.T) {
 	}
 	for i := range refLoss {
 		if refLoss[i] != poiLoss[i] {
-			t.Fatalf("loss[%d] differs with poisoned pool buffers: %v vs %v", i, refLoss[i], poiLoss[i])
+			t.Fatalf("loss[%d] differs with poisoned buffers: %v vs %v", i, refLoss[i], poiLoss[i])
 		}
 	}
 	pa, pb := paramsSnapshot(ref.Model()), paramsSnapshot(poisoned.Model())
 	if !floatsEqual(pa, pb) {
-		t.Fatal("poisoned pool buffers changed trained parameters")
+		t.Fatal("poisoned buffers changed trained parameters")
 	}
 }
 
@@ -159,7 +147,7 @@ func TestBlobArenaRingSlots(t *testing.T) {
 	n := g.blobBytes()
 	for _, nslots := range []int{2, 3, 4} {
 		var ar blobArena
-		ar.init(nslots)
+		ar.init(nslots, 0)
 		if got := len(ar.slots); got != nslots {
 			t.Fatalf("init(%d) made %d slots", nslots, got)
 		}
@@ -188,49 +176,5 @@ func TestBlobArenaRingSlots(t *testing.T) {
 		if ar.blobReuses.Load() == 0 || ar.ringReuses.Load() == 0 {
 			t.Fatal("arena reuse counters did not advance")
 		}
-	}
-}
-
-// TestPutThenRecycleIntoPool: PutClass only borrows its buffer, so the
-// caller may recycle it the moment the call returns — the next same-class
-// Get returns the same backing array and the stored bytes are unaffected.
-func TestPutThenRecycleIntoPool(t *testing.T) {
-	a, err := nvme.Open(nvme.Config{Devices: 2, StripeSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	b := nvme.Buffers.Get(8192)
-	for i := range b {
-		b[i] = byte(i)
-	}
-	want := append([]byte(nil), b...)
-	if err := a.PutClass("k", b, nvme.ClassWriteBehind); err != nil {
-		t.Fatal(err)
-	}
-	nvme.Buffers.Put(b)
-	got := nvme.Buffers.Get(8192)
-	if &got[0] != &b[0] {
-		// Another test may have raced a buffer into the class; the pool is
-		// shared. Retry once before declaring the recycle broken.
-		got2 := nvme.Buffers.Get(8192)
-		if &got2[0] != &b[0] {
-			t.Skip("pool order perturbed by concurrent tests")
-		}
-		nvme.Buffers.Put(got)
-		got = got2
-	}
-	for i := range got {
-		got[i] = 0xff // the recycled buffer's next owner scribbles on it
-	}
-	nvme.Buffers.Put(got)
-
-	back := make([]byte, 8192)
-	if err := a.ReadInto("k", back); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, want) {
-		t.Fatal("stored bytes differ after the put buffer was recycled")
 	}
 }

@@ -174,7 +174,6 @@ type Engine struct {
 	hostPool  *memctl.Pool
 	geom      geometry
 
-	hostActs  map[int]*hostAct
 	prevGrads map[string][]float32 // pending gradients in DelayedUpdate mode
 	scaler    *opt.LossScaler      // dynamic loss scaling, nil when static/off
 
@@ -240,12 +239,6 @@ type Engine struct {
 	lastStep StepMetrics
 }
 
-// hostAct is a block cache pinned in main memory (SwapHost tier).
-type hostAct struct {
-	blob []byte
-	res  *memctl.Reservation
-}
-
 // New builds the engine: model, NVMe array, and the out-of-core optimizer
 // seeded with the initial fp32 masters.
 func New(cfg Config) (*Engine, error) {
@@ -294,7 +287,6 @@ func New(cfg Config) (*Engine, error) {
 		optimizer: opt.NewOutOfCoreAdam(a, cfg.Adam, "states"),
 		hostPool:  memctl.NewPool("host", cfg.HostMemory),
 		geom:      geometryOf(cfg.Model),
-		hostActs:  make(map[int]*hostAct),
 		groups:    m.ParamGroups(),
 		tracer:    cfg.Tracer,
 		labels:    makeBlockLabels(len(m.Blocks)),
@@ -311,7 +303,7 @@ func New(cfg Config) (*Engine, error) {
 	if e.depth == 0 {
 		e.depth = DefaultPipelineDepth
 	}
-	e.arena.init(e.depth + 1)
+	e.arena.init(e.depth+1, len(m.Blocks))
 	a.SetTracer(cfg.Tracer)
 	e.optimizer.SetTracer(cfg.Tracer)
 	// Byte-flow and latency observers: the array credits host↔NVMe bytes
@@ -635,11 +627,12 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	fail := func(err error) (float64, time.Duration, time.Duration, error) {
 		// The step barrier holds on failure too: join every transfer in
 		// flight (each returns its slot token and releases its reservation
-		// regardless of outcome) so no transfer — and no transfer error —
-		// outlives this step.
+		// regardless of outcome) and release the host tier's reservations, so
+		// no transfer, transfer error or reservation outlives this step.
 		if derr := e.win.barrier(); derr != nil {
 			err = errors.Join(err, derr)
 		}
+		e.arena.releaseHost()
 		return 0, fwdDur, bwdDur, err
 	}
 	tr := e.tracer
@@ -676,51 +669,30 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 				e.win.releaseSlot(slot)
 				return fail(fmt.Errorf("engine: offload activations: %w", err))
 			}
-			sp = tr.StartSpan(obs.LaneOffload, e.labels[i].offload)
 			blob := e.arena.slotBuf(i, e.blobLen)
-			if err := e.arena.encode(blob, c); err != nil {
-				sp.End()
+			if err := e.stashCache(blob, c, e.labels[i].offload); err != nil {
 				e.win.releaseSlot(slot)
 				return fail(err)
 			}
-			sp.End()
 			res, err := e.reserveStaged(slot, len(blob), e.labels[i].stall)
 			if err != nil {
 				e.win.releaseSlot(slot)
 				return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
 			}
 			e.win.submit(ioJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, res: res})
-			e.actOffload.Add(int64(e.blobLen))
-			// Ledger: the cache was fp16-encoded and staged through host
-			// memory on its way to NVMe (the array credits the NVMe write).
-			e.flows.Add(obs.EdgeCodecEncode, obs.FlowActivations, int64(e.blobLen))
-			e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(e.blobLen))
+			e.actOffload.Add(int64(len(blob)))
 		case SwapHost:
-			// Pin the cache in main memory until backward consumes it. The
-			// blob outlives this call, so it comes from the shared buffer
-			// pool and returns there when backward decodes it.
-			sp = tr.StartSpan(obs.LaneOffload, e.labels[i].pin)
-			blob := nvme.Buffers.Get(e.blobLen)
-			if err := e.arena.encode(blob, c); err != nil {
-				sp.End()
-				nvme.Buffers.Put(blob)
+			// Pin the cache in main memory until backward consumes it: the
+			// block's own blob holds the bytes, the reservation charges them
+			// to the host pool for exactly that long.
+			h := &e.arena.host[i]
+			if err := e.stashCache(e.arena.hostBuf(i, e.blobLen), c, e.labels[i].pin); err != nil {
 				return fail(err)
 			}
-			res, err := e.hostPool.Reserve(units.Bytes(len(blob)))
-			sp.End()
-			if err != nil {
-				nvme.Buffers.Put(blob)
+			if h.res, err = e.hostPool.Reserve(units.Bytes(e.blobLen)); err != nil {
 				return fail(fmt.Errorf("engine: host tier for block %d: %w", i, err))
 			}
-			if stale := e.hostActs[i]; stale != nil {
-				// Left over from a failed step: recycle before overwriting.
-				stale.res.Release()
-				nvme.Buffers.Put(stale.blob)
-			}
-			e.hostActs[i] = &hostAct{blob: blob, res: res}
-			e.actHost.Add(int64(len(blob)))
-			e.flows.Add(obs.EdgeCodecEncode, obs.FlowActivations, int64(len(blob)))
-			e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(len(blob)))
+			e.actHost.Add(int64(e.blobLen))
 		}
 		// The live cache is dropped either way: swapped blocks restore it
 		// from their tier, the rest recompute from the saved block input.
@@ -817,11 +789,9 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			// stall lane so bottleneck attribution can tell
 			// "stalled-on-readahead" from plain NVMe-read occupancy.
 			slot := e.arena.slotIndex(i)
-			blob := e.arena.slotBuf(i, e.blobLen)
 			err = e.win.acquireSlot(slot, e.labels[i].fetchStall, &e.win.fetch)
 			if err == nil {
-				c = e.arena.cacheFor(i, e.geom)
-				err = e.arena.decode(c, blob, inputs[i])
+				c, err = e.reviveCache(i, e.arena.slotBuf(i, e.blobLen), inputs[i])
 			} else {
 				err = fmt.Errorf("engine: fetch block %d activations: %w", i, err)
 			}
@@ -829,25 +799,16 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			if err != nil {
 				return fail(err)
 			}
-			e.actFetched.Add(int64(len(blob)))
-			e.flows.Add(obs.EdgeCodecDecode, obs.FlowActivations, int64(len(blob)))
-			e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(len(blob)))
 		case SwapHost:
-			ha := e.hostActs[i]
-			if ha == nil {
+			h := &e.arena.host[i]
+			if h.res == nil {
 				return fail(fmt.Errorf("engine: block %d host-tier cache missing", i))
 			}
-			c = e.arena.cacheFor(i, e.geom)
-			if err = e.arena.decode(c, ha.blob, inputs[i]); err != nil {
+			if c, err = e.reviveCache(i, h.blob, inputs[i]); err != nil {
 				return fail(err)
 			}
-			blobLen := len(ha.blob)
-			ha.res.Release()
-			nvme.Buffers.Put(ha.blob)
-			delete(e.hostActs, i)
-			e.actFetched.Add(int64(blobLen))
-			e.flows.Add(obs.EdgeCodecDecode, obs.FlowActivations, int64(blobLen))
-			e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(blobLen))
+			h.res.Release()
+			h.res = nil
 		default:
 			sp = tr.StartSpan(obs.LaneCompute, e.labels[i].recompute)
 			c, err = m.Blocks[i].Recompute(inputs[i])
@@ -890,6 +851,34 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	bwdDur = time.Since(bwdStart)
 	tr.Instant(obs.LaneStep, labelBwdEnd)
 	return loss, fwdDur, bwdDur, nil
+}
+
+// stashCache is the swap tiers' shared forward half: it fp16-encodes c into
+// blob — a ring slot bound for NVMe (the array credits that write) or a
+// host-tier blob — and credits the encode and the staging through host memory.
+func (e *Engine) stashCache(blob []byte, c *nn.BlockCache, label string) error {
+	sp := e.tracer.StartSpan(obs.LaneOffload, label)
+	err := e.arena.encode(blob, c)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	e.flows.Add(obs.EdgeCodecEncode, obs.FlowActivations, int64(len(blob)))
+	e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(len(blob)))
+	return nil
+}
+
+// reviveCache is the shared backward half: it decodes blob, from either
+// tier, into block i's ring cache with input installed, and credits it.
+func (e *Engine) reviveCache(i int, blob []byte, input *tensor.Tensor) (*nn.BlockCache, error) {
+	c := e.arena.cacheFor(i, e.geom)
+	if err := e.arena.decode(c, blob, input); err != nil {
+		return nil, err
+	}
+	e.actFetched.Add(int64(len(blob)))
+	e.flows.Add(obs.EdgeCodecDecode, obs.FlowActivations, int64(len(blob)))
+	e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(len(blob)))
+	return c, nil
 }
 
 // applyDelayed implements the one-step delayed update: apply last

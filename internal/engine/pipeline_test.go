@@ -17,7 +17,7 @@ import (
 // pipelineIdle asserts the invariants the step barrier guarantees between
 // steps, successful or failed: every ring-slot token home (so no transfer in
 // flight, in either direction), every transfer error taken, no leaked
-// host-pool reservation.
+// host-pool reservation — staging or host tier.
 func pipelineIdle(t *testing.T, e *Engine) {
 	t.Helper()
 	for slot, tok := range e.win.slotTok {
@@ -26,6 +26,11 @@ func pipelineIdle(t *testing.T, e *Engine) {
 		}
 		if err := e.win.slotErr[slot]; err != nil {
 			t.Fatalf("ring-slot %d still carries %v after the step barrier", slot, err)
+		}
+	}
+	for i := range e.arena.host {
+		if e.arena.host[i].res != nil {
+			t.Fatalf("block %d still holds its host-tier reservation after the step barrier", i)
 		}
 	}
 	if used := e.hostPool.Used(); used != 0 {
@@ -45,26 +50,34 @@ func goroutinesBack(t *testing.T, base int) {
 	}
 }
 
-// poisonPool dirties a spread of shared-pool buffers, the datapath_test
-// harness: any consumer trusting recycled contents now reads trash.
-func poisonPool(blobLen int) {
-	var bufs [][]byte
-	for _, n := range []int{blobLen, blobLen, 512, 4096} {
-		bufs = append(bufs, nvme.Buffers.Get(n))
-	}
-	for _, b := range bufs {
+// poisonArena dirties every buffer the activation path owns — ring slots and
+// host-tier blobs — and reports how many there were. Call between steps,
+// when the step goroutine holds them all: any consumer trusting a buffer's
+// previous contents now reads trash.
+func poisonArena(e *Engine) int {
+	n := 0
+	poison := func(b []byte) {
+		if b != nil {
+			n++
+		}
 		for i := range b {
 			b[i] = 0xAB
 		}
-		nvme.Buffers.Put(b)
 	}
+	for i := range e.arena.slots {
+		poison(e.arena.slots[i].blob)
+	}
+	for i := range e.arena.host {
+		poison(e.arena.host[i].blob)
+	}
+	return n
 }
 
 // faultedStep is the fault tests' common harness: one clean step (so every
 // lazily started goroutine exists), then a step with the fault armed, which
 // must return the device error with the window idle and no goroutine
-// spawned; after the fault clears (and the shared pool is poisoned, to prove
-// the returned buffers carry no poison into values) training resumes.
+// spawned; after the fault clears (and the engine's buffers are poisoned, to
+// prove a failed step's bytes carry into no value) training resumes.
 func faultedStep(t *testing.T, e *Engine, boom error, arm func()) error {
 	t.Helper()
 	tokens, targets := data(e.cfg.Model, 3)
@@ -84,7 +97,7 @@ func faultedStep(t *testing.T, e *Engine, boom error, arm func()) error {
 	for dev := 0; dev < e.cfg.Devices; dev++ {
 		e.Array().InjectFault(dev, nil)
 	}
-	poisonPool(e.blobLen)
+	poisonArena(e)
 	loss, err := e.TrainStep(tokens, targets)
 	if err != nil {
 		t.Fatalf("TrainStep after fault cleared: %v", err)
@@ -287,6 +300,99 @@ func TestPipelinePoolBackpressure(t *testing.T) {
 		t.Fatalf("one-blob staging pool over 3 slow writes recorded no stalls: %+v", m)
 	}
 	pipelineIdle(t, tight)
+}
+
+// TestHostTierRecoversAfterFailedStep: a step that fails after forward pinned
+// every host-tier blob releases their reservations with the rest of the
+// step, so a HostMemory sized exactly to the host tier — the split
+// ProfileAndPlan's MemAvail is designed for — keeps training afterwards
+// instead of failing every later step out of memory.
+func TestHostTierRecoversAfterFailedStep(t *testing.T) {
+	model := miniConfig()
+	e := newEngine(t, Config{
+		GradMode:   agoffload.Optimized,
+		Swap:       map[int]Tier{0: SwapHost, 1: SwapHost, 2: SwapHost},
+		HostMemory: units.Bytes(model.Layers * geometryOf(model).blobBytes()),
+	})
+	tokens, targets := data(model, 1)
+	if _, err := e.TrainStep(tokens, targets); err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]int{append([]int(nil), targets[0]...), targets[1]}
+	bad[0][0] = model.Vocab + 5
+	if _, err := e.TrainStep(tokens, bad); err == nil || !strings.Contains(err.Error(), "out of vocabulary") {
+		t.Fatalf("TrainStep with a bad target = %v, want the vocabulary error", err)
+	}
+	pipelineIdle(t, e)
+	for step := 0; step < 3; step++ {
+		if _, err := e.TrainStep(tokens, targets); err != nil {
+			t.Fatalf("clean step %d after the failed one: %v", step, err)
+		}
+		pipelineIdle(t, e)
+	}
+}
+
+// TestPipelineBuffersAllocatedOnce: every activation buffer has one
+// structural owner — a host-tier block its blob, a ring slot its blob — so
+// the buffers a warm engine uses at step 3 are the ones it uses at step 8,
+// past any count a shared free list would retain, and SetSwap drops exactly
+// the blobs of blocks that left the host tier.
+func TestPipelineBuffersAllocatedOnce(t *testing.T) {
+	const hostBlocks = 16
+	model := miniConfig()
+	model.Layers = hostBlocks + 2
+	swap := map[int]Tier{hostBlocks: SwapSSD, hostBlocks + 1: SwapSSD}
+	for i := 0; i < hostBlocks; i++ {
+		swap[i] = SwapHost
+	}
+	e := newEngine(t, Config{Model: model, GradMode: agoffload.Optimized, Swap: swap})
+	bases := func() []*byte {
+		var out []*byte
+		base := func(b []byte) {
+			if b == nil {
+				out = append(out, nil)
+			} else {
+				out = append(out, &b[0])
+			}
+		}
+		for i := range e.arena.host {
+			base(e.arena.host[i].blob)
+		}
+		for i := range e.arena.slots {
+			base(e.arena.slots[i].blob)
+		}
+		return out
+	}
+	trainK(t, e, 3)
+	warm := bases()
+	owned := map[*byte]bool{}
+	for i, b := range warm[:hostBlocks] {
+		if b == nil || owned[b] {
+			t.Fatalf("host-tier block %d has no blob of its own after 3 steps", i)
+		}
+		owned[b] = true
+	}
+	trainFrom(t, e, 3, 5)
+	for i, b := range bases() {
+		if b != warm[i] {
+			t.Fatalf("buffer %d moved between step 3 and step 8: the data path allocated", i)
+		}
+	}
+	// Per step a host-tier block asks for its blob once (forward) and an SSD
+	// block for its slot three times (encode, fetch launch, consume).
+	if got, want := e.arena.blobReuses.Load(), int64(8*(hostBlocks+3*2)-model.Layers); got != want {
+		t.Fatalf("blob_reuses = %d after 8 steps, want %d (every use but each buffer's first)", got, want)
+	}
+
+	delete(swap, 0)
+	e.SetSwap(swap)
+	for i := range e.arena.host {
+		if gone := e.arena.host[i].blob == nil; gone != (i == 0 || i >= hostBlocks) {
+			t.Fatalf("after SetSwap moved block 0 out of the host tier, block %d blob dropped = %v", i, gone)
+		}
+	}
+	trainFrom(t, e, 8, 1)
+	pipelineIdle(t, e)
 }
 
 // TestPipelineDepthValidation: a negative window is a configuration error,

@@ -31,7 +31,7 @@ func TestCacheRoundTripAllocs(t *testing.T) {
 	}
 	defer a.Close()
 	var ar blobArena
-	ar.init(DefaultPipelineDepth + 1)
+	ar.init(DefaultPipelineDepth+1, 0)
 	n := g.blobBytes()
 	iter := 0
 	cycle := func() {

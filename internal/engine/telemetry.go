@@ -200,12 +200,9 @@ type instruments struct {
 	poolWorker    *obs.Gauge
 	poolStolen    *obs.Gauge
 
-	// Buffer-reuse health: the nvme buffer pool's hit/miss/steal counters
-	// and the arena's blob/ring revival counts. A healthy steady state shows
-	// misses and steals flat while hits and reuses climb.
-	bufHits    *obs.Gauge
-	bufMisses  *obs.Gauge
-	bufSteals  *obs.Gauge
+	// Buffer-reuse health: the arena's blob/ring revival counts. Every
+	// buffer is allocated once, so a steady state shows both climbing by a
+	// constant per step.
 	blobReuses *obs.Gauge
 	ringReuses *obs.Gauge
 
@@ -286,9 +283,6 @@ func makeInstruments(r *obs.Registry) instruments {
 		poolWorker:    r.Gauge("pool.worker_chunks"),
 		poolStolen:    r.Gauge("pool.stolen_chunks"),
 
-		bufHits:    r.Gauge("nvme.buf_hits"),
-		bufMisses:  r.Gauge("nvme.buf_misses"),
-		bufSteals:  r.Gauge("nvme.buf_steals"),
 		blobReuses: r.Gauge("engine.blob_reuses"),
 		ringReuses: r.Gauge("engine.ring_reuses"),
 
@@ -450,10 +444,6 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	ins.poolWorker.Set(float64(ps.WorkerChunks))
 	ins.poolStolen.Set(float64(ps.StolenChunks))
 
-	bs := nvme.Buffers.Stats()
-	ins.bufHits.Set(float64(bs.Hits))
-	ins.bufMisses.Set(float64(bs.Misses))
-	ins.bufSteals.Set(float64(bs.Steals))
 	ins.blobReuses.Set(float64(e.arena.blobReuses.Load()))
 	ins.ringReuses.Set(float64(e.arena.ringReuses.Load()))
 

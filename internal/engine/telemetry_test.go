@@ -150,13 +150,6 @@ func TestRegistryUpdatedPerStep(t *testing.T) {
 			t.Fatalf("%s = %v, want > 0 (snapshot %v)", name, snap[name], snap)
 		}
 	}
-	// The shared nvme pool counters must at least be exported (hits can be
-	// zero in an SSD-only config that never touches host-pinned blobs).
-	for _, name := range []string{"nvme.buf_hits", "nvme.buf_misses", "nvme.buf_steals"} {
-		if _, ok := snap[name]; !ok {
-			t.Fatalf("%s missing from snapshot %v", name, snap)
-		}
-	}
 	// The exported metric surface is a committed list: adding, renaming or
 	// removing an instrument has to change testdata/metrics.golden too.
 	golden, err := os.ReadFile("testdata/metrics.golden")

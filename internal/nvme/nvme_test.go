@@ -598,3 +598,73 @@ func TestTracerRecordsIO(t *testing.T) {
 		t.Error("spans recorded after SetTracer(nil)")
 	}
 }
+
+// TestPutThenRecycle: Put only borrows its buffer, so the caller may
+// scribble on it the moment the call returns without disturbing the stored
+// bytes.
+func TestPutThenRecycle(t *testing.T) {
+	a := openMem(t, 2)
+	data := []byte("spilled optimizer state bytes......")
+	buf := make([]byte, len(data))
+	copy(buf, data)
+	if err := a.PutClass("k", buf, ClassWriteback); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xff // the buffer's next use
+	}
+	got, err := a.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("reusing the put buffer corrupted stored data")
+	}
+}
+
+// TestPutSameSizeReusesChunks pins the overwrite fast path: a same-size Put
+// keeps the exact chunk layout (no free/realloc churn), while a different
+// size reallocates.
+func TestPutSameSizeReusesChunks(t *testing.T) {
+	a, err := Open(Config{Devices: 3, StripeSize: 64, Checksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	first := bytes.Repeat([]byte{7}, 500)
+	if err := a.Put("k", first); err != nil {
+		t.Fatal(err)
+	}
+	layout := append([]chunkRef(nil), a.objs["k"].chunks...)
+
+	second := bytes.Repeat([]byte{9}, 500)
+	if err := a.Put("k", second); err != nil {
+		t.Fatal(err)
+	}
+	obj := a.objs["k"]
+	if len(obj.chunks) != len(layout) {
+		t.Fatalf("chunk count changed: %d -> %d", len(layout), len(obj.chunks))
+	}
+	for i, c := range obj.chunks {
+		if c != layout[i] {
+			t.Fatalf("chunk %d moved: %+v -> %+v", i, layout[i], c)
+		}
+	}
+	got, err := a.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, second) {
+		t.Fatal("fast-path overwrite returned stale data")
+	}
+
+	// Different size falls back to realloc and still round-trips.
+	third := bytes.Repeat([]byte{4}, 130)
+	if err := a.Put("k", third); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := a.Get("k"); err != nil || !bytes.Equal(got, third) {
+		t.Fatalf("resize overwrite: %v", err)
+	}
+}

@@ -37,13 +37,12 @@ type StepRecord struct {
 
 	// FetchStalls / FetchStallWait isolate the read-ahead misses (backward
 	// blocked on an activation fetch) from the write-behind backpressure
-	// counted in Stalls — the signal the adaptive depth controller and
-	// postmortems key on.
+	// counted in Stalls — the signal postmortems key on.
 	FetchStalls    int64
 	FetchStallWait time.Duration
 
-	// EffectiveDepth is the pipeline depth in force during the step (equal
-	// to the configured depth when the adaptive controller is off).
+	// EffectiveDepth is the pipeline depth in force during the step: the
+	// resolved static depth (Config.PipelineDepth or the default).
 	EffectiveDepth int
 
 	// Sched is the NVMe transfer scheduler's per-class activity this step

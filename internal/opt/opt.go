@@ -93,32 +93,21 @@ func adamChunk(cfg AdamConfig, b1c, b2c float64, p32, m, v, grad []float32) {
 
 // Store is the storage the out-of-core optimizer streams model states
 // through; *nvme.Array satisfies it. Put must not retain data after it
-// returns — the optimizer encodes into reusable scratch buffers. Get returns
-// a buffer the caller owns.
+// returns and ReadInto fills dst, which must be exactly the stored object's
+// size — the optimizer streams through buffers it owns and reuses.
 type Store interface {
 	Put(key string, data []byte) error
-	Get(key string) ([]byte, error)
-}
-
-// ReadIntoStore is the optional allocation-free read path: stores that
-// implement it (nvme.Array, MemStore) let the optimizer stream state into
-// its own scratch buffer instead of allocating per Get. dst must be exactly
-// the stored object's size.
-type ReadIntoStore interface {
 	ReadInto(key string, dst []byte) error
 }
 
-// classedStore / classedReadStore are the optional traffic-classed paths:
-// stores backed by the NVMe transfer scheduler (*nvme.Array) expose them so
-// the optimizer's state streams carry their true priority — reads ahead of
-// the Adam sweep are latency-sensitive (ClassOptRead), state writebacks are
-// not (ClassWriteback). Stores without classes (MemStore) fall back to the
-// plain Put/ReadInto paths; the bytes moved are identical either way.
+// classedStore is the optional traffic-classed path: a store backed by the
+// NVMe transfer scheduler (*nvme.Array) exposes it so the optimizer's state
+// streams carry their true priority — reads ahead of the Adam sweep are
+// latency-sensitive (ClassOptRead), state writebacks are not
+// (ClassWriteback). Stores without classes (MemStore) take the plain
+// Put/ReadInto; the bytes moved are identical either way.
 type classedStore interface {
 	PutClass(key string, data []byte, class nvme.Class) error
-}
-
-type classedReadStore interface {
 	ReadIntoClass(key string, dst []byte, class nvme.Class) error
 }
 
@@ -130,15 +119,6 @@ type MemStore map[string][]byte
 func (s MemStore) Put(key string, data []byte) error {
 	s[key] = append([]byte(nil), data...)
 	return nil
-}
-
-// Get returns a copy of the stored bytes.
-func (s MemStore) Get(key string) ([]byte, error) {
-	b, ok := s[key]
-	if !ok {
-		return nil, fmt.Errorf("opt: memstore: missing %q", key)
-	}
-	return append([]byte(nil), b...), nil
 }
 
 // ReadInto copies the stored bytes into dst, which must have the object's
@@ -165,9 +145,7 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 type OutOfCoreAdam struct {
 	cfg       AdamConfig
 	store     Store
-	readInto  ReadIntoStore    // store's optional in-place read path, nil if absent
-	putClass  classedStore     // store's optional classed write path, nil if absent
-	readClass classedReadStore // store's optional classed read path, nil if absent
+	classed   classedStore // store's optional traffic-classed path, nil if absent
 	prefix    string
 	step      int
 	gradScale float64 // loss-scale divisor; 0 or 1 means unscaled
@@ -245,9 +223,7 @@ func (o *OutOfCoreAdam) SetClipNorm(n float64) error {
 // namespaces its keys.
 func NewOutOfCoreAdam(store Store, cfg AdamConfig, prefix string) *OutOfCoreAdam {
 	o := &OutOfCoreAdam{cfg: cfg, store: store, prefix: prefix}
-	o.readInto, _ = store.(ReadIntoStore)
-	o.putClass, _ = store.(classedStore)
-	o.readClass, _ = store.(classedReadStore)
+	o.classed, _ = store.(classedStore)
 	return o
 }
 
@@ -492,22 +468,13 @@ func encodeState(wire []byte, p32, m, v []float32) error {
 }
 
 // readState reads a group's state object into dst at the optimizer-read
-// priority, using the store's in-place path when it has one.
+// priority.
 func (o *OutOfCoreAdam) readState(key string, dst []byte, group string) error {
 	var err error
-	switch {
-	case o.readClass != nil:
-		err = o.readClass.ReadIntoClass(key, dst, nvme.ClassOptRead)
-	case o.readInto != nil:
-		err = o.readInto.ReadInto(key, dst)
-	default:
-		var b []byte
-		if b, err = o.store.Get(key); err == nil && len(b) != len(dst) {
-			err = fmt.Errorf("object is %d bytes, want %d", len(b), len(dst))
-		}
-		if err == nil {
-			copy(dst, b)
-		}
+	if o.classed != nil {
+		err = o.classed.ReadIntoClass(key, dst, nvme.ClassOptRead)
+	} else {
+		err = o.store.ReadInto(key, dst)
 	}
 	if err != nil {
 		return fmt.Errorf("opt: load %s: %w", group, err)
@@ -518,8 +485,8 @@ func (o *OutOfCoreAdam) readState(key string, dst []byte, group string) error {
 // writeState writes a group's state object at the writeback priority. Safe
 // on reusable buffers because Store.Put must not retain its argument.
 func (o *OutOfCoreAdam) writeState(key string, wire []byte) error {
-	if o.putClass != nil {
-		return o.putClass.PutClass(key, wire, nvme.ClassWriteback)
+	if o.classed != nil {
+		return o.classed.PutClass(key, wire, nvme.ClassWriteback)
 	}
 	return o.store.Put(key, wire)
 }

@@ -507,56 +507,3 @@ func TestGradScaleUnscalesInOptimizer(t *testing.T) {
 		t.Error("cancel below zero accepted")
 	}
 }
-
-// getOnlyStore hides a store's ReadInto method, forcing the optimizer onto
-// the allocating Get path.
-type getOnlyStore struct{ s Store }
-
-func (g getOnlyStore) Put(key string, data []byte) error { return g.s.Put(key, data) }
-func (g getOnlyStore) Get(key string) ([]byte, error)    { return g.s.Get(key) }
-
-// TestReadIntoMatchesGet: the scratch-buffered ReadInto fast path and the
-// allocating Get fallback drive bit-identical updates — the pooled spill
-// path changes no values.
-func TestReadIntoMatchesGet(t *testing.T) {
-	modelA := buildModel(t)
-	modelB := buildModel(t)
-
-	fast := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "fast")
-	slow := NewOutOfCoreAdam(getOnlyStore{MemStore{}}, DefaultAdam(), "slow")
-	for _, g := range modelA.ParamGroups() {
-		if err := fast.InitGroup(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, g := range modelB.ParamGroups() {
-		if err := slow.InitGroup(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for step := 1; step <= 3; step++ {
-		setGrads(modelA, int64(step))
-		setGrads(modelB, int64(step))
-		fast.BeginStep()
-		slow.BeginStep()
-		for _, g := range modelA.ParamGroups() {
-			if err := fast.UpdateGroup(g); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, g := range modelB.ParamGroups() {
-			if err := slow.UpdateGroup(g); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	pa, pb := modelA.Params(), modelB.Params()
-	for i := range pa {
-		for j := range pa[i].W.Data {
-			if pa[i].W.Data[j] != pb[i].W.Data[j] {
-				t.Fatalf("param %s[%d]: ReadInto %v vs Get %v",
-					pa[i].Name, j, pa[i].W.Data[j], pb[i].W.Data[j])
-			}
-		}
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"ratel/internal/nn"
-	"ratel/internal/nvme"
 )
 
 // StatePipeline streams group updates through three persistent stages, so
@@ -17,13 +16,14 @@ import (
 //
 //	Submit ─▶ read-ahead ─▶ Adam ─▶ applied ─▶ Wait
 //	          ClassOptRead   └────▶ write-behind ─▶ written ─▶ Flush, next read-ahead
-//	          pooled buffer         ClassWriteback, buffer recycled
+//	          window buffer         ClassWriteback, buffer back in the window
 //
 // Read-ahead issues a group's state read the moment the group is submitted,
-// into a pooled nvme.Buffers wire buffer; the Adam stage runs the same
+// into one of the window's wire buffers; the Adam stage runs the same
 // decode → AdamStep → encode → fp16-install path as UpdateGroup, in place on
-// that buffer; write-behind puts it back and recycles it. At most depth
-// groups hold a buffer at once (the window), the write included.
+// that buffer; write-behind puts it back to the store and returns the buffer
+// to the window. The window is the depth buffers allocated at construction,
+// so at most depth groups hold one at once, the write included.
 //
 // An update has two joins, each a one-slot token per group whose taking is
 // the join. applied (Adam ran and P16 is installed, or the update failed) is
@@ -47,9 +47,10 @@ type StatePipeline struct {
 	// adamQ and writeQ hold at most the window, so a stage never blocks
 	// handing a job on.
 	adamQ, writeQ chan *groupJob
-	// window holds one token per group that may own a wire buffer: taken by
-	// read-ahead before it picks a job, returned when the job retires.
-	window chan struct{}
+	// window holds the wire buffers, each the largest group's wire size, and
+	// a buffer is its own token: read-ahead receives one before it picks a
+	// job, retire sends it back. Whoever holds the buffer may touch it.
+	window chan []byte
 	stop   chan struct{}
 
 	readers, adam, writers sync.WaitGroup
@@ -75,7 +76,7 @@ type groupJob struct {
 	step int
 	cfg  AdamConfig
 
-	buf []byte // pooled wire buffer, owned between read-ahead and retire
+	buf []byte // window buffer cut to wireBytes(n), held between read-ahead and retire
 	// The two join tokens (see StatePipeline), each home with the outcome of
 	// the stage it names except while an update is on its way there.
 	applied, written chan error
@@ -95,11 +96,13 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 		readQ:  make(chan *groupJob, len(groups)),
 		adamQ:  make(chan *groupJob, depth),
 		writeQ: make(chan *groupJob, depth),
-		window: make(chan struct{}, depth),
+		window: make(chan []byte, depth),
 		stop:   make(chan struct{}),
 		jobs:   make(map[string]*groupJob, len(groups)),
 	}
+	largest := 0
 	for _, g := range groups {
+		largest = max(largest, g.NumParams())
 		j := &groupJob{
 			g: g, n: g.NumParams(), key: o.stateKey(g.Name), label: o.adamLabel(g.Name),
 			applied: make(chan error, 1), written: make(chan error, 1),
@@ -108,6 +111,9 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 		j.written <- nil
 		p.jobs[g.Name] = j
 		p.order = append(p.order, j)
+	}
+	for i := 0; i < depth; i++ {
+		p.window <- make([]byte, wireBytes(largest))
 	}
 	p.readers.Add(depth)
 	p.writers.Add(depth)
@@ -200,10 +206,11 @@ func (p *StatePipeline) Close() {
 func (p *StatePipeline) readAhead() {
 	defer p.readers.Done()
 	for {
-		// The token comes first, so a full window holds jobs in the queue,
+		// The buffer comes first, so an empty window holds jobs in the queue,
 		// not here.
+		var buf []byte
 		select {
-		case p.window <- struct{}{}:
+		case buf = <-p.window:
 		case <-p.stop:
 			return
 		}
@@ -211,13 +218,14 @@ func (p *StatePipeline) readAhead() {
 		select {
 		case j = <-p.readQ:
 		case <-p.stop:
+			p.window <- buf
 			return
 		}
 		// The read-after-write join: the group's previous write-back, which
 		// may trail the step that submitted it, retires before this read is
 		// issued, and its failure fails this update.
 		err := <-j.written
-		j.buf = nvme.Buffers.Get(wireBytes(j.n))
+		j.buf = buf[:wireBytes(j.n)] // exact length, as the Into codecs require
 		for n := p.buffered.Add(1); ; {
 			if peak := p.peakBuffered.Load(); n <= peak || p.peakBuffered.CompareAndSwap(peak, n) {
 				break
@@ -260,13 +268,13 @@ func (p *StatePipeline) writeBehind() {
 }
 
 // retire ends a job's trip, however far it got: the wire buffer goes back
-// to the pool, the window token is returned, and the written token goes home
-// carrying the write-back's outcome (nil when the update failed before it).
+// to the window and the written token goes home carrying the write-back's
+// outcome (nil when the update failed before it).
 func (p *StatePipeline) retire(j *groupJob, err error) {
-	nvme.Buffers.Put(j.buf)
+	buf := j.buf[:cap(j.buf)]
 	j.buf = nil
 	p.buffered.Add(-1)
-	<-p.window
+	p.window <- buf
 	j.written <- err
 }
 

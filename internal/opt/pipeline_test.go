@@ -22,6 +22,9 @@ type lockedStore struct {
 	// beforeRead / beforePut, when set, run at the start of every ReadInto /
 	// Put outside the lock; a non-nil error fails the transfer.
 	beforeRead, beforePut func(key string) error
+	// readBuf, when set, sees the buffer of every ReadInto before it is
+	// filled.
+	readBuf func(key string, dst []byte)
 }
 
 func (s *lockedStore) Put(key string, data []byte) error {
@@ -35,13 +38,10 @@ func (s *lockedStore) Put(key string, data []byte) error {
 	return s.m.Put(key, data)
 }
 
-func (s *lockedStore) Get(key string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Get(key)
-}
-
 func (s *lockedStore) ReadInto(key string, dst []byte) error {
+	if s.readBuf != nil {
+		s.readBuf(key, dst)
+	}
 	if s.beforeRead != nil {
 		if err := s.beforeRead(key); err != nil {
 			return err
@@ -81,8 +81,40 @@ func sameParams(t *testing.T, want, got *nn.Model, what string) {
 	}
 }
 
+// sameStoredState asserts the two optimizers' stores hold bit-identical
+// P32, M and V for every group.
+func sameStoredState(t *testing.T, want, got *OutOfCoreAdam, groups []nn.ParamGroup) {
+	t.Helper()
+	for _, g := range groups {
+		a, err := want.ExportGroup(g.Name, g.NumParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.ExportGroup(g.Name, g.NumParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.P32 {
+			if a.P32[i] != b.P32[i] || a.M[i] != b.M[i] || a.V[i] != b.V[i] {
+				t.Fatalf("stored state of %s differs at %d", g.Name, i)
+			}
+		}
+	}
+}
+
+// goroutinesBack asserts a closed pipeline left no goroutine behind.
+func goroutinesBack(t *testing.T, baseline int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i > 1000 {
+			t.Fatalf("%d goroutines after Close, %d before the pipeline started", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestPrefetcherBitIdentity: streaming updates through the pipeline —
-// state read ahead into pooled buffers, written behind — produces
+// state read ahead into the window's buffers, written behind — produces
 // bit-identical parameters and stored state to the synchronous UpdateGroup,
 // at every window. The pipeline changes when the bytes move, not what the
 // update computes.
@@ -124,21 +156,7 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for _, g := range groups {
-			a, err := sync.ExportGroup(g.Name, g.NumParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := piped.ExportGroup(g.Name, g.NumParams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range a.P32 {
-				if a.P32[i] != b.P32[i] || a.M[i] != b.M[i] || a.V[i] != b.V[i] {
-					t.Fatalf("depth %d: stored state of %s differs at %d", depth, g.Name, i)
-				}
-			}
-		}
+		sameStoredState(t, sync, piped, groups)
 		if now, peak := p.Buffered(); now != 0 || peak > depth {
 			t.Fatalf("depth %d: %d buffers held after Flush, peak %d", depth, now, peak)
 		}
@@ -254,7 +272,7 @@ func TestPipelineWindowBound(t *testing.T) {
 // owns the stage returns it: Wait for a read-ahead, and for a write-back,
 // which trails Wait, whichever comes first of Flush and the group's next
 // Submit+Wait (then failing at the read-after-write join, nothing read).
-// Either way it is reported once, every wire buffer went back to the pool,
+// Either way it is reported once, every wire buffer went back to the window,
 // the groups that did not fail were still updated exactly, and Close leaves
 // no goroutine.
 func TestPipelineFaultPerStage(t *testing.T) {
@@ -335,7 +353,7 @@ func TestPipelineFaultPerStage(t *testing.T) {
 				t.Fatalf("Flush after the failure was reported = %v, want it reported once", err)
 			}
 			if now, _ := p.Buffered(); now != 0 {
-				t.Fatalf("%d wire buffers not returned to the pool", now)
+				t.Fatalf("%d wire buffers not returned to the window", now)
 			}
 			// Every other group's update went through untouched by the fault
 			// (and a write-back victim's weights were installed before it).
@@ -361,12 +379,7 @@ func TestPipelineFaultPerStage(t *testing.T) {
 				t.Fatalf("idle Wait = %v", err)
 			}
 			p.Close()
-			for i := 0; runtime.NumGoroutine() > baseline; i++ {
-				if i > 1000 {
-					t.Fatalf("%d goroutines after Close, %d before the pipeline started", runtime.NumGoroutine(), baseline)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			goroutinesBack(t, baseline)
 		})
 	}
 }
@@ -446,6 +459,114 @@ func TestPipelineReadAfterWrite(t *testing.T) {
 	}
 }
 
+// TestPipelineWindowOwnsItsBuffers: the window is the depth buffers made at
+// construction and nothing else. Groups of different sizes share them, each
+// through a slice of exactly its own wire length; what a previous owner left
+// in a buffer reaches no value (the store poisons every buffer's full
+// capacity as it is handed over — an idle pipeline's readers each hold one,
+// so that is where a test can reach them); the same depth buffers serve step
+// 3 and step 8; and a Close straight after a step whose write-back failed,
+// with writes still in flight, leaves every buffer home and no goroutine.
+func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
+	const depth = 2
+	baseline := runtime.NumGoroutine()
+	modelRef, m := buildModel(t), buildModel(t)
+	ref := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "o")
+	store := &lockedStore{m: MemStore{}}
+	o := NewOutOfCoreAdam(store, DefaultAdam(), "o")
+	refGroups := initGroups(t, ref, modelRef)
+	groups := initGroups(t, o, m)
+	largest, wireLen := 0, map[string]int{}
+	for _, g := range groups {
+		largest = max(largest, g.NumParams())
+		wireLen[o.stateKey(g.Name)] = wireBytes(g.NumParams())
+	}
+	if small := wireBytes(groups[len(groups)-1].NumParams()); small == wireBytes(largest) {
+		t.Fatal("the test needs groups of different sizes")
+	}
+
+	var mu sync.Mutex
+	buffers := map[*byte]bool{}
+	var misuse string
+	store.readBuf = func(key string, dst []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(dst) != wireLen[key] || cap(dst) != wireBytes(largest) {
+			misuse = key
+		}
+		full := dst[:cap(dst)]
+		buffers[&full[0]] = true
+		for i := range full {
+			full[i] = 0xAB
+		}
+	}
+	p := NewStatePipeline(o, depth, groups)
+	var warm map[*byte]bool
+	for step := 1; step <= 8; step++ {
+		setGrads(modelRef, int64(step))
+		setGrads(m, int64(step))
+		ref.BeginStep()
+		o.BeginStep()
+		for i, g := range groups {
+			if err := ref.UpdateGroup(refGroups[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Submit(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if step == 3 {
+			mu.Lock()
+			warm, buffers = buffers, map[*byte]bool{}
+			mu.Unlock()
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if misuse != "" {
+		t.Fatalf("%s was read into a buffer that is not its exact wire length cut from a largest-group buffer", misuse)
+	}
+	if len(warm) != depth || len(buffers) != depth {
+		t.Fatalf("the pipeline read into %d buffers by step 3 and %d after it, want the window's %d", len(warm), len(buffers), depth)
+	}
+	for b := range buffers {
+		if !warm[b] {
+			t.Fatal("a buffer used after step 3 is not one of the window's: the pipeline allocated")
+		}
+	}
+	mu.Unlock()
+	sameParams(t, modelRef, m, "pipelined")
+	sameStoredState(t, ref, o, groups)
+
+	boom := errors.New("media failure")
+	victim := o.stateKey(groups[0].Name)
+	store.beforePut = func(key string) error {
+		if key == victim {
+			return boom
+		}
+		return nil
+	}
+	o.BeginStep()
+	for _, g := range groups {
+		if err := p.Submit(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatalf("Wait = %v with only a write-back failing", err)
+	}
+	p.Close()
+	if len(p.window) != depth {
+		t.Fatalf("%d of %d buffers home after Close", len(p.window), depth)
+	}
+	goroutinesBack(t, baseline)
+}
+
 // TestPipelineSubmitErrors: misuse fails at Submit, not inside a stage.
 func TestPipelineSubmitErrors(t *testing.T) {
 	m := buildModel(t)
@@ -513,7 +634,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ { // warm the scratch and the buffer pool
+	for i := 0; i < 3; i++ { // warm the scratch and the store's objects
 		step()
 	}
 	if allocs := testing.AllocsPerRun(20, step); allocs > 0 {
@@ -537,12 +658,6 @@ func (s *inPlaceStore) Put(key string, data []byte) error {
 	}
 	s.m[key] = append([]byte(nil), data...)
 	return nil
-}
-
-func (s *inPlaceStore) Get(key string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return MemStore(s.m).Get(key)
 }
 
 func (s *inPlaceStore) ReadInto(key string, dst []byte) error {

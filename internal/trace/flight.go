@@ -32,7 +32,7 @@ type FlightStep struct {
 	StallNS   int64 `json:"offload_stall_wait_ns"`
 	// Fetch stalls (backward blocked on a read-ahead miss) are broken out
 	// from the write-behind stalls above; EffDepth is the pipeline depth in
-	// force (varies per step under the adaptive controller).
+	// force (the engine's resolved static depth).
 	FetchStalls  int64                     `json:"fetch_stalls"`
 	FetchStallNS int64                     `json:"fetch_stall_wait_ns"`
 	EffDepth     int                       `json:"effective_depth"`
