@@ -26,12 +26,13 @@ test-nosimd:
 
 # Core-count matrix: the allocation pins (every test named *Alloc*: codec
 # Into paths, cache round trip, step pins, the matmuls' packed-panel pin
-# TestMatMulIntoAllocs) and the optimizer state pipeline's tests under
+# TestMatMulIntoAllocs, the GELU lookup's TestGELUAllocs), the optimizer state
+# pipeline's tests and the Adam wire walk's equivalence test under
 # GOMAXPROCS 1, 2 and 4, uncached. A pin that holds on one core
 # count only (the seed's TestCacheRoundTripAllocs did) is not a pin. A
 # pattern that no longer matches any test fails the target instead of
 # silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity
+TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/tensor
 .PHONY: test-procs
 test-procs:
@@ -99,10 +100,13 @@ bench-gate:
 # Kernel micro-benchmarks (BENCH_kernels.json is a committed snapshot):
 # square matmuls, the three matmul variants at every BENCHMARK.json
 # workload's Linear and attention shapes on 1 and NumCPU threads, the fp16
-# codec and Adam.
+# codec and Adam; then, on one core, the kernels that run inline at every
+# workload's size — the GELU tables against the scalar formula and the Adam
+# wire walk against decode + AdamStep + encode.
 .PHONY: bench-kernels
 bench-kernels:
 	go test -run '^$$' -bench 'BenchmarkMatMul_|BenchmarkGEMMShapes|BenchmarkAdamStep_|BenchmarkFP16' -benchmem ./internal/tensor ./internal/opt
+	go test -run '^$$' -bench 'BenchmarkGELU|BenchmarkAdamWire' -benchmem -cpu 1 ./internal/tensor ./internal/opt
 
 # Activation I/O overlap benchmark: no overlap (the oracleSyncIO test hook)
 # vs write-behind/read-ahead at depth 1 and 3 under Table III-shaped device

@@ -54,7 +54,7 @@ type BlockCache struct {
 	LN2Out  *tensor.Tensor
 	FC1Out  *tensor.Tensor
 	GeluOut *tensor.Tensor
-	Y       *tensor.Tensor // block output
+	Y       *tensor.Tensor // block output; nil in a recomputed cache
 }
 
 // ActivationBytes is the fp16 footprint of the cache's saved tensors, the
@@ -83,30 +83,10 @@ func (c *BlockCache) ActivationBytes() int64 {
 
 // Forward runs the block and returns its output and cache.
 func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, *BlockCache, error) {
-	c := &BlockCache{X: x}
-	var err error
-	if c.LN1Out, err = b.LN1.Forward(x); err != nil {
+	c, err := b.Recompute(x)
+	if err != nil {
 		return nil, nil, err
 	}
-	if c.AttnY, c.Attn, err = b.Attn.Forward(c.LN1Out, b.batch, b.seq); err != nil {
-		return nil, nil, err
-	}
-	if b.Drop.Active() {
-		b.Drop.Apply(c.AttnY, b.site)
-	}
-	c.Res1 = x.Clone()
-	if err := tensor.AddInPlace(c.Res1, c.AttnY); err != nil {
-		return nil, nil, err
-	}
-	roundGrid(c.Res1)
-	if c.LN2Out, err = b.LN2.Forward(c.Res1); err != nil {
-		return nil, nil, err
-	}
-	if c.FC1Out, err = b.FC1.Forward(c.LN2Out); err != nil {
-		return nil, nil, err
-	}
-	c.GeluOut = tensor.GELU(c.FC1Out)
-	roundGrid(c.GeluOut)
 	fc2, err := b.FC2.Forward(c.GeluOut)
 	if err != nil {
 		return nil, nil, err
@@ -123,10 +103,36 @@ func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, *BlockCache, error) {
 }
 
 // Recompute rebuilds the cache from the block input (activation
-// recomputation, §II).
+// recomputation, §II). It is Forward up to GeluOut, the last tensor Backward
+// reads: the FC2 product, the MLP's dropout and the second residual produce
+// only Y, which a recomputed cache leaves nil. Dropout is counter-based, so
+// stopping before site+1 leaves no generator state behind.
 func (b *Block) Recompute(x *tensor.Tensor) (*BlockCache, error) {
-	_, c, err := b.Forward(x)
-	return c, err
+	c := &BlockCache{X: x}
+	var err error
+	if c.LN1Out, err = b.LN1.Forward(x); err != nil {
+		return nil, err
+	}
+	if c.AttnY, c.Attn, err = b.Attn.Forward(c.LN1Out, b.batch, b.seq); err != nil {
+		return nil, err
+	}
+	if b.Drop.Active() {
+		b.Drop.Apply(c.AttnY, b.site)
+	}
+	c.Res1 = x.Clone()
+	if err := tensor.AddInPlace(c.Res1, c.AttnY); err != nil {
+		return nil, err
+	}
+	roundGrid(c.Res1)
+	if c.LN2Out, err = b.LN2.Forward(c.Res1); err != nil {
+		return nil, err
+	}
+	if c.FC1Out, err = b.FC1.Forward(c.LN2Out); err != nil {
+		return nil, err
+	}
+	c.GeluOut = tensor.GELU(c.FC1Out)
+	roundGrid(c.GeluOut)
+	return c, nil
 }
 
 // Backward propagates dy through the block using the cache, accumulating

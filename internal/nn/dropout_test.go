@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"ratel/internal/tensor"
@@ -138,6 +140,58 @@ func TestDropoutRecomputeEquivalence(t *testing.T) {
 		for i := range g {
 			if g[i] != gradsRec[name][i] {
 				t.Fatalf("gradient %s[%d] differs with dropout + recompute", name, i)
+			}
+		}
+	}
+}
+
+// TestRecomputeStopsWhereBackwardStopsReading: with dropout active, the cache
+// Recompute builds equals the one Forward saved, bit for bit, on every tensor
+// Backward reads — and carries no block output, which it never computed.
+func TestRecomputeStopsWhereBackwardStopsReading(t *testing.T) {
+	cfg := dropConfig(0.2)
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RoundParamsFP16()
+	m.SetStep(3)
+	x := tensor.New(cfg.Batch*cfg.Seq, cfg.Hidden)
+	x.RandInit(rand.New(rand.NewSource(17)), 1)
+	x.RoundFP16InPlace()
+	b := m.Blocks[1]
+	if !b.Drop.Active() {
+		t.Fatal("dropout inactive: the test would not cover the mask replay")
+	}
+	_, fwd, err := b.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := b.Recompute(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Y != nil {
+		t.Error("recomputed cache carries a block output")
+	}
+	pairs := map[string][2]*tensor.Tensor{
+		"X": {fwd.X, rec.X}, "LN1Out": {fwd.LN1Out, rec.LN1Out},
+		"Attn.QKV": {fwd.Attn.QKV, rec.Attn.QKV}, "Attn.Ctx": {fwd.Attn.Ctx, rec.Attn.Ctx},
+		"Res1": {fwd.Res1, rec.Res1}, "LN2Out": {fwd.LN2Out, rec.LN2Out},
+		"FC1Out": {fwd.FC1Out, rec.FC1Out}, "GeluOut": {fwd.GeluOut, rec.GeluOut},
+	}
+	for bi, heads := range fwd.Attn.Probs {
+		for hi, p := range heads {
+			pairs[fmt.Sprintf("Attn.Probs[%d][%d]", bi, hi)] = [2]*tensor.Tensor{p, rec.Attn.Probs[bi][hi]}
+		}
+	}
+	for name, pr := range pairs {
+		if len(pr[0].Data) == 0 || len(pr[0].Data) != len(pr[1].Data) {
+			t.Fatalf("%s: %d vs %d elements", name, len(pr[0].Data), len(pr[1].Data))
+		}
+		for i := range pr[0].Data {
+			if math.Float32bits(pr[0].Data[i]) != math.Float32bits(pr[1].Data[i]) {
+				t.Fatalf("%s[%d] differs between forward and recomputed cache", name, i)
 			}
 		}
 	}

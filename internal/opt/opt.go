@@ -10,6 +10,7 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -54,16 +55,14 @@ func AdamStep(cfg AdamConfig, t int, p32, m, v, grad []float32) error {
 	if t < 1 {
 		return fmt.Errorf("opt: step %d, want >= 1", t)
 	}
-	b1c := 1 - math.Pow(cfg.Beta1, float64(t))
-	b2c := 1 - math.Pow(cfg.Beta2, float64(t))
-	// ~20 scalar ops per element (sqrt included).
-	work := 20 * int64(len(p32))
+	k := newAdamCoef(cfg, t)
+	work := adamWork(len(p32))
 	if pool.InlineWork(work) {
-		adamChunk(cfg, b1c, b2c, p32, m, v, grad)
+		adamChunk(k, p32, m, v, grad)
 		return nil
 	}
 	pool.ForWork(len(p32), adamChunkGrain, work, func(lo, hi int) {
-		adamChunk(cfg, b1c, b2c, p32[lo:hi], m[lo:hi], v[lo:hi], grad[lo:hi])
+		adamChunk(k, p32[lo:hi], m[lo:hi], v[lo:hi], grad[lo:hi])
 	})
 	return nil
 }
@@ -73,23 +72,69 @@ func AdamStep(cfg AdamConfig, t int, p32, m, v, grad []float32) error {
 // floating-point work.
 const adamChunkGrain = 8192
 
-// adamChunk is the serial Adam kernel over one contiguous chunk of state.
-func adamChunk(cfg AdamConfig, b1c, b2c float64, p32, m, v, grad []float32) {
-	for i := range p32 {
-		g := float64(grad[i])
-		mi := cfg.Beta1*float64(m[i]) + (1-cfg.Beta1)*g
-		vi := cfg.Beta2*float64(v[i]) + (1-cfg.Beta2)*g*g
-		m[i], v[i] = float32(mi), float32(vi)
-		mhat := mi / b1c
-		vhat := vi / b2c
-		p := float64(p32[i])
-		p -= cfg.LR * mhat / (math.Sqrt(vhat) + cfg.Eps)
-		if cfg.WeightDecay != 0 {
-			p -= cfg.LR * cfg.WeightDecay * float64(p32[i])
-		}
-		p32[i] = float32(p)
+// adamWork estimates an n-parameter update for the pool: ~20 scalar ops per
+// element (sqrt included).
+func adamWork(n int) int64 { return 20 * int64(n) }
+
+// adamCoef is one update's scalars: the hyperparameters, the products of
+// them every element shares, and step t's bias corrections.
+type adamCoef struct {
+	b1, omb1, b2, omb2 float64 // beta, 1 - beta
+	b1c, b2c           float64
+	lr, eps, wd, lrwd  float64
+}
+
+func newAdamCoef(cfg AdamConfig, t int) adamCoef {
+	return adamCoef{
+		b1: cfg.Beta1, omb1: 1 - cfg.Beta1, b2: cfg.Beta2, omb2: 1 - cfg.Beta2,
+		b1c: 1 - math.Pow(cfg.Beta1, float64(t)), b2c: 1 - math.Pow(cfg.Beta2, float64(t)),
+		lr: cfg.LR, eps: cfg.Eps, wd: cfg.WeightDecay, lrwd: cfg.LR * cfg.WeightDecay,
 	}
 }
+
+// update is Adam's arithmetic for one element, written once: adamChunk
+// applies it to decoded slices, adamWireChunk to a state object's bytes, and
+// the two are bit-identical because this is all either computes. The
+// gradient arrives widened so the body fits the compiler's inlining budget.
+func (k *adamCoef) update(p, m, v float32, g float64) (float32, float32, float32) {
+	mi := k.b1*float64(m) + k.omb1*g
+	vi := k.b2*float64(v) + k.omb2*g*g
+	pf := float64(p) - k.lr*(mi/k.b1c)/(math.Sqrt(vi/k.b2c)+k.eps)
+	if k.wd != 0 {
+		pf -= k.lrwd * float64(p)
+	}
+	return float32(pf), float32(mi), float32(vi)
+}
+
+// adamChunk is the serial Adam kernel over one contiguous chunk of state.
+func adamChunk(k adamCoef, p32, m, v, grad []float32) {
+	for i := range p32 {
+		p32[i], m[i], v[i] = k.update(p32[i], m[i], v[i], float64(grad[i]))
+	}
+}
+
+// adamWireChunk is the same kernel over parameters [lo,hi) of a state object
+// in wire form, which is little-endian fp32: each element's P32, M and V are
+// loaded from the object's three planes, updated and stored back, so the
+// object is walked once and never staged. The new masters also land in p32
+// for the fp16 install.
+func adamWireChunk(k adamCoef, wire []byte, p32, grad []float32, lo, hi int) {
+	nb := len(wire) / 3
+	pw, mw, vw := wire[4*lo:4*hi], wire[nb+4*lo:nb+4*hi], wire[2*nb+4*lo:2*nb+4*hi]
+	ps := p32[lo:hi]
+	for i, g := range grad[lo:hi] {
+		p, m, v := k.update(loadF32(pw), loadF32(mw), loadF32(vw), float64(g))
+		storeF32(pw, p)
+		storeF32(mw, m)
+		storeF32(vw, v)
+		ps[i] = p
+		pw, mw, vw = pw[4:], mw[4:], vw[4:]
+	}
+}
+
+func loadF32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
+
+func storeF32(b []byte, f float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(f)) }
 
 // Store is the storage the out-of-core optimizer streams model states
 // through; *nvme.Array satisfies it. Put must not retain data after it
@@ -156,16 +201,17 @@ type OutOfCoreAdam struct {
 	adamLabels map[string]string // group -> "group/opt-adam", precomputed
 	keys       map[string]string // group -> state object key, precomputed
 
-	// scr is the update scratch: decoded state and gradient staging plus the
-	// wire buffer of the synchronous paths, sized to the largest group seen
-	// and reused for the optimizer's lifetime. scrMu serializes its users —
-	// UpdateGroup, the state pipeline's Adam stage and the checkpoint paths
-	// never overlap in the engine, so the lock is uncontended and exists
-	// only to keep concurrent misuse safe.
+	// scr is the update scratch: the staged gradient, the new masters on
+	// their way to the fp16 install, and the wire buffer of the synchronous
+	// paths, sized to the largest group seen and reused for the optimizer's
+	// lifetime. scrMu serializes its users — UpdateGroup, the state
+	// pipeline's Adam stage and the checkpoint paths never overlap in the
+	// engine, so the lock is uncontended and exists only to keep concurrent
+	// misuse safe.
 	scrMu sync.Mutex
 	scr   struct {
-		p32, m, v, grad []float32
-		wire            []byte
+		p32, grad []float32
+		wire      []byte
 	}
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
@@ -173,10 +219,11 @@ type OutOfCoreAdam struct {
 }
 
 // KernelStats reports cumulative CPU-optimizer kernel work: parameters
-// updated and wall-clock spent in the Adam kernel (excluding state
-// streaming). Their quotient is the live Adam params/s rate the metrics
-// registry exports and the calibration report compares against
-// agoffload.MeasureAdamRate.
+// updated and wall-clock spent in the Adam kernel — the walk over the state
+// object, so its fp32 loads and stores are inside and the store's I/O is
+// not. Their quotient is the live Adam params/s rate the metrics registry
+// exports and the calibration report compares against
+// agoffload.MeasureAdamRate (AdamStep on decoded slices, a little faster).
 func (o *OutOfCoreAdam) KernelStats() (params int64, busy time.Duration) {
 	return o.kernelParams.Load(), time.Duration(o.kernelNanos.Load())
 }
@@ -247,27 +294,11 @@ func (o *OutOfCoreAdam) stateKey(group string) string {
 // wireBytes is the size of a group's state object: three fp32 tensors.
 func wireBytes(n int) int { return 12 * n }
 
-// scratch sizes the decoded-state scratch for an n-parameter group. Caller
-// holds scrMu.
-func (o *OutOfCoreAdam) scratch(n int) (p32, m, v []float32) {
-	return scrF32(&o.scr.p32, n), scrF32(&o.scr.m, n), scrF32(&o.scr.v, n)
-}
-
-// scratchWire returns the synchronous paths' wire buffer, sized to an
-// n-parameter group. Caller holds scrMu.
-func (o *OutOfCoreAdam) scratchWire(n int) []byte {
-	if nb := wireBytes(n); cap(o.scr.wire) < nb {
-		o.scr.wire = make([]byte, nb)
-	}
-	return o.scr.wire[:wireBytes(n)]
-}
-
 // InitGroup seeds the store with the group's fp32 masters (from the current
 // working weights) and zero moments, and rounds the working weights to fp16
-// (the P16 copies the GPU computes with). State flattens and encodes through
-// the optimizer's scratch buffers — the same ones UpdateGroup streams
-// through — so initialization warms them to the largest group's size
-// instead of allocating per call.
+// (the P16 copies the GPU computes with). The state object is built in the
+// wire scratch — the one UpdateGroup streams through — so initialization
+// warms it to the largest group's size instead of allocating per call.
 func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	if o.adamLabels == nil {
 		o.adamLabels = make(map[string]string)
@@ -276,19 +307,16 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	key := o.stateKey(g.Name) // precompute the store key off the hot path
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	n := g.NumParams()
-	p32, m, v := o.scratch(n)
+	wire := scratch(&o.scr.wire, wireBytes(g.NumParams()))
 	off := 0
 	for _, p := range g.Params {
-		off += copy(p32[off:], p.W.Data)
+		end := off + 4*len(p.W.Data)
+		if err := tensor.ToFP32BytesInto(wire[off:end], p.W.Data); err != nil {
+			return fmt.Errorf("opt: init %s: %w", g.Name, err)
+		}
+		off = end
 	}
-	for i := range m {
-		m[i], v[i] = 0, 0
-	}
-	wire := o.scratchWire(n)
-	if err := encodeState(wire, p32, m, v); err != nil {
-		return fmt.Errorf("opt: init %s: %w", g.Name, err)
-	}
+	clear(wire[off:]) // M and V start at +0, which is four zero bytes
 	if err := o.writeState(key, wire); err != nil {
 		return fmt.Errorf("opt: init %s: %w", g.Name, err)
 	}
@@ -316,11 +344,11 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	defer o.scrMu.Unlock()
 	n := g.NumParams()
 	key := o.stateKey(g.Name)
-	wire := o.scratchWire(n)
+	wire := scratch(&o.scr.wire, wireBytes(n))
 	if err := o.readState(key, wire, g.Name); err != nil {
 		return err
 	}
-	grad := scrF32(&o.scr.grad, n)
+	grad := scratch(&o.scr.grad, n)
 	if err := o.stageGrads(grad, g); err != nil {
 		return err
 	}
@@ -381,31 +409,30 @@ func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup) error {
 }
 
 // adamWire is the compute stage of a group update on state in wire form:
-// decode P32|M|V from wire into the scratch, apply Adam at (cfg, step) with
-// grad, and re-encode in place. It returns the scratch slice holding the
-// new masters, valid until the next scratch user, for the caller's fp16
-// install. Caller holds scrMu.
+// apply Adam at (cfg, step >= 1) with grad to the P32|M|V object in place,
+// one walk over its bytes (adamWireChunk), sharded like AdamStep. It returns
+// the scratch slice holding the new masters, valid until the next scratch
+// user, for the caller's fp16 install. Caller holds scrMu.
 func (o *OutOfCoreAdam) adamWire(wire []byte, cfg AdamConfig, step int, grad []float32, group, label string) ([]float32, error) {
 	n := len(grad)
-	p32, m, v := o.scratch(n)
-	if err := decodeState(wire, p32, m, v); err != nil {
-		return nil, fmt.Errorf("opt: decode %s: %w", group, err)
+	if len(wire) != wireBytes(n) {
+		return nil, fmt.Errorf("opt: decode %s: state object is %d bytes, want %d", group, len(wire), wireBytes(n))
 	}
-	// Three fp32 state tensors decoded from their wire form (P32, M, V).
-	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(wireBytes(n)))
+	k := newAdamCoef(cfg, step)
+	p32 := scratch(&o.scr.p32, n)
 	sp := o.tracer.StartSpan(obs.LaneAdam, label)
 	kernelStart := time.Now()
-	err := AdamStep(cfg, step, p32, m, v, grad)
+	if work := adamWork(n); pool.InlineWork(work) {
+		adamWireChunk(k, wire, p32, grad, 0, n)
+	} else {
+		pool.ForWork(n, adamChunkGrain, work, func(lo, hi int) { adamWireChunk(k, wire, p32, grad, lo, hi) })
+	}
 	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
 	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("opt: update %s: %w", group, err)
-	}
 	o.kernelParams.Add(int64(n))
-	if err := encodeState(wire, p32, m, v); err != nil {
-		return nil, fmt.Errorf("opt: encode %s: %w", group, err)
-	}
-	// Three fp32 state tensors re-encoded to their wire form.
+	// The three fp32 state tensors still cross the codec in both directions
+	// (P32, M, V from their wire form and back), inside that one walk.
+	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(wireBytes(n)))
 	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(wireBytes(n)))
 	return p32, nil
 }
@@ -426,45 +453,14 @@ func (o *OutOfCoreAdam) installP16(g nn.ParamGroup, p32 []float32) error {
 	return nil
 }
 
-// scrF32 returns a scratch slice of length n backed by *s, growing the
-// backing array when the group is larger than any seen before. Contents are
-// unspecified; every caller fully overwrites its slice.
-func scrF32(s *[]float32, n int) []float32 {
+// scratch returns one of o.scr's slices at length n, growing its backing
+// array when the group is larger than any seen before. Contents are
+// unspecified; every caller fully overwrites its slice. Caller holds scrMu.
+func scratch[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]float32, n)
+		*s = make([]T, n)
 	}
 	return (*s)[:n]
-}
-
-// decodeState splits a state object into its three tensors; wire must be
-// exactly wireBytes(len(p32)) long.
-func decodeState(wire []byte, p32, m, v []float32) error {
-	nb := 4 * len(p32)
-	if len(wire) != 3*nb {
-		return fmt.Errorf("state object is %d bytes, want %d", len(wire), 3*nb)
-	}
-	if err := tensor.FromFP32Bytes(wire[:nb], p32); err != nil {
-		return err
-	}
-	if err := tensor.FromFP32Bytes(wire[nb:2*nb], m); err != nil {
-		return err
-	}
-	return tensor.FromFP32Bytes(wire[2*nb:], v)
-}
-
-// encodeState is decodeState's inverse.
-func encodeState(wire []byte, p32, m, v []float32) error {
-	nb := 4 * len(p32)
-	if len(wire) != 3*nb {
-		return fmt.Errorf("state object is %d bytes, want %d", len(wire), 3*nb)
-	}
-	if err := tensor.ToFP32BytesInto(wire[:nb], p32); err != nil {
-		return err
-	}
-	if err := tensor.ToFP32BytesInto(wire[nb:2*nb], m); err != nil {
-		return err
-	}
-	return tensor.ToFP32BytesInto(wire[2*nb:], v)
 }
 
 // readState reads a group's state object into dst at the optimizer-read
@@ -512,12 +508,14 @@ func (o *OutOfCoreAdam) ExportGroup(group string, n int) (GroupState, error) {
 	st := GroupState{P32: make([]float32, n), M: make([]float32, n), V: make([]float32, n)}
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire := o.scratchWire(n)
+	wire := scratch(&o.scr.wire, wireBytes(n))
 	if err := o.readState(o.stateKey(group), wire, group); err != nil {
 		return GroupState{}, err
 	}
-	if err := decodeState(wire, st.P32, st.M, st.V); err != nil {
-		return GroupState{}, fmt.Errorf("opt: decode %s: %w", group, err)
+	for i, dst := range [][]float32{st.P32, st.M, st.V} { // the object's three planes
+		if err := tensor.FromFP32Bytes(wire[4*n*i:4*n*(i+1)], dst); err != nil {
+			return GroupState{}, fmt.Errorf("opt: decode %s: %w", group, err)
+		}
 	}
 	return st, nil
 }
@@ -532,9 +530,11 @@ func (o *OutOfCoreAdam) ImportGroup(g nn.ParamGroup, st GroupState) error {
 	}
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire := o.scratchWire(n)
-	if err := encodeState(wire, st.P32, st.M, st.V); err != nil {
-		return fmt.Errorf("opt: import %s: %w", g.Name, err)
+	wire := scratch(&o.scr.wire, wireBytes(n))
+	for i, src := range [][]float32{st.P32, st.M, st.V} {
+		if err := tensor.ToFP32BytesInto(wire[4*n*i:4*n*(i+1)], src); err != nil {
+			return fmt.Errorf("opt: import %s: %w", g.Name, err)
+		}
 	}
 	if err := o.writeState(o.stateKey(g.Name), wire); err != nil {
 		return fmt.Errorf("opt: import %s: %w", g.Name, err)

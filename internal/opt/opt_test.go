@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
 	"ratel/internal/tensor"
+	"ratel/internal/tensor/pool"
 )
 
 func TestAdamStepMatchesReference(t *testing.T) {
@@ -505,5 +508,103 @@ func TestGradScaleUnscalesInOptimizer(t *testing.T) {
 	}
 	if err := ooc.CancelStep(); err == nil {
 		t.Error("cancel below zero accepted")
+	}
+}
+
+// stagedAdamWire is the staged form adamWire replaced, kept as its
+// reference (and BenchmarkAdamWire's baseline): decode the state object's
+// three planes into slices, AdamStep, encode back.
+func stagedAdamWire(wire []byte, cfg AdamConfig, step int, p32, m, v, grad []float32) error {
+	nb := 4 * len(p32)
+	for i, t := range [][]float32{p32, m, v} {
+		if err := tensor.FromFP32Bytes(wire[i*nb:(i+1)*nb], t); err != nil {
+			return err
+		}
+	}
+	if err := AdamStep(cfg, step, p32, m, v, grad); err != nil {
+		return err
+	}
+	for i, t := range [][]float32{p32, m, v} {
+		if err := tensor.ToFP32BytesInto(wire[i*nb:(i+1)*nb], t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestAdamWireBitIdenticalToStaged: UpdateGroup's single walk over the wire
+// buffer leaves the store object and the installed fp16 weights bit-identical
+// to decode → AdamStep → encode, at sizes around the chunk grain and the
+// pool's serial cutoff, with weight decay, loss-scale unscaling and clipping
+// on and off, serial and sharded (make test-procs repeats it at GOMAXPROCS 1,
+// 2 and 4).
+func TestAdamWireBitIdenticalToStaged(t *testing.T) {
+	old := tensor.Parallelism()
+	defer tensor.SetParallelism(old)
+	sizes := []int{0, 1, 7, adamChunkGrain - 1, adamChunkGrain, adamChunkGrain + 1, pool.SerialCutoff + 1}
+	for _, n := range sizes {
+		for _, variant := range []struct{ decay, scaleClip bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			for _, threads := range []int{1, 2, 4} {
+				tensor.SetParallelism(threads)
+				cfg := DefaultAdam()
+				if variant.decay {
+					cfg.WeightDecay = 0.01
+				}
+				store := MemStore{}
+				o := NewOutOfCoreAdam(store, cfg, "w")
+				if variant.scaleClip {
+					if err := o.SetGradScale(1024); err != nil {
+						t.Fatal(err)
+					}
+					if err := o.SetClipNorm(0.5); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rng := rand.New(rand.NewSource(int64(n) + 1))
+				w, gr := tensor.New(n), tensor.New(n)
+				w.RandInit(rng, 0.5)
+				g := nn.ParamGroup{Name: "g", Params: []nn.Param{{Name: "g.w", W: w, G: gr}}}
+				if err := o.InitGroup(g); err != nil {
+					t.Fatal(err)
+				}
+				key := o.stateKey(g.Name)
+				p32, m, v, grad := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+				for step := 1; step <= 3; step++ {
+					gr.RandInit(rng, 300)
+					want := append([]byte(nil), store[key]...)
+					if err := o.stageGrads(grad, g); err != nil {
+						t.Fatal(err)
+					}
+					if err := stagedAdamWire(want, cfg, step, p32, m, v, grad); err != nil {
+						t.Fatal(err)
+					}
+					o.BeginStep()
+					if err := o.UpdateGroup(g); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(store[key], want) {
+						t.Fatalf("n=%d %+v threads=%d step %d: state object differs from the staged update", n, variant, threads, step)
+					}
+					for i := range p32 {
+						if math.Float32bits(w.Data[i]) != math.Float32bits(tensor.RoundFP16(p32[i])) {
+							t.Fatalf("n=%d %+v threads=%d step %d: installed weight %d differs", n, variant, threads, step, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdamWireRejectsShortObject: a state object of the wrong size is the
+// error it was from the codec, never an out-of-range walk.
+func TestAdamWireRejectsShortObject(t *testing.T) {
+	o := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "w")
+	grad := make([]float32, 3)
+	for _, nb := range []int{0, 35, 37} {
+		_, err := o.adamWire(make([]byte, nb), o.cfg, 1, grad, "g", "g/opt-adam")
+		if want := fmt.Sprintf("opt: decode g: state object is %d bytes, want 36", nb); err == nil || err.Error() != want {
+			t.Errorf("%d-byte object: err = %v, want %q", nb, err, want)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 //
 // Read-ahead issues a group's state read the moment the group is submitted,
 // into one of the window's wire buffers; the Adam stage runs the same
-// decode → AdamStep → encode → fp16-install path as UpdateGroup, in place on
+// stage-gradients → Adam walk → fp16-install path as UpdateGroup, in place on
 // that buffer; write-behind puts it back to the store and returns the buffer
 // to the window. The window is the depth buffers allocated at construction,
 // so at most depth groups hold one at once, the write included.
@@ -282,7 +282,7 @@ func (p *StatePipeline) retire(j *groupJob, err error) {
 func (o *OutOfCoreAdam) applyJob(j *groupJob) error {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	grad := scrF32(&o.scr.grad, j.n)
+	grad := scratch(&o.scr.grad, j.n)
 	if err := o.stageGrads(grad, j.g); err != nil {
 		return err
 	}

@@ -139,6 +139,18 @@ func benchmarkFP16Codec(b *testing.B, n int) {
 func BenchmarkFP16Codec_64K(b *testing.B) { benchmarkFP16Codec(b, 1<<16) }
 func BenchmarkFP16Codec_1M(b *testing.B)  { benchmarkFP16Codec(b, 1<<20) }
 
+// benchWorkloads is the geometry of the four BENCHMARK.json workloads, for
+// the benchmarks that time a kernel at the sizes the engine runs it at.
+var benchWorkloads = []struct {
+	name                    string
+	tokens, hidden, seq, dh int
+}{
+	{"io_mixed", 128, 32, 64, 16},
+	{"opt_stream", 128, 64, 64, 16},
+	{"compute", 256, 256, 128, 32},
+	{"accum_ckpt_file", 128, 128, 64, 32},
+}
+
 // BenchmarkGEMMShapes times the three matmul variants at the shapes the
 // engine actually runs — each BENCHMARK.json workload's Linear GEMMs
 // (tokens x h x {3h, h, 4h} and tokens x 4h x h) and its per-head attention
@@ -146,15 +158,6 @@ func BenchmarkFP16Codec_1M(b *testing.B)  { benchmarkFP16Codec(b, 1<<20) }
 // threads. Sub-benchmark names read workload/variant/MxKxN/threads with
 // (M, K, N) the logical product dimensions: c[M,N] = Σ_K.
 func BenchmarkGEMMShapes(b *testing.B) {
-	workloads := []struct {
-		name                    string
-		tokens, hidden, seq, dh int
-	}{
-		{"io_mixed", 128, 32, 64, 16},
-		{"opt_stream", 128, 64, 64, 16},
-		{"compute", 256, 256, 128, 32},
-		{"accum_ckpt_file", 128, 128, 64, 32},
-	}
 	variants := []struct {
 		name string
 		// operands builds a, b for the logical (m, k, n).
@@ -193,7 +196,7 @@ func BenchmarkGEMMShapes(b *testing.B) {
 	old := Parallelism()
 	defer SetParallelism(old)
 	rng := rand.New(rand.NewSource(4))
-	for _, w := range workloads {
+	for _, w := range benchWorkloads {
 		h := w.hidden
 		for _, v := range variants {
 			shapes := [][3]int{}
@@ -223,4 +226,62 @@ func BenchmarkGEMMShapes(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkGELU and BenchmarkGELUBackward time the public kernels (table
+// lookups) at each BENCHMARK.json workload's FC1 output (tokens x 4·hidden,
+// on the fp16 grid as the engine's are) on one thread, against the scalar
+// float64 formula the tables are filled from — the kernel before the tables,
+// and still the path of an off-grid element.
+func benchmarkGELU(b *testing.B, kernel func(x, dy *Tensor), formula func(x, dy, out []float32)) {
+	old := Parallelism()
+	defer SetParallelism(old)
+	SetParallelism(1)
+	rng := rand.New(rand.NewSource(6))
+	for _, w := range benchWorkloads {
+		x := randTensor(rng, w.tokens, 4*w.hidden)
+		x.RoundFP16InPlace()
+		dy := randTensor(rng, w.tokens, 4*w.hidden)
+		out := New(w.tokens, 4*w.hidden)
+		shape := fmt.Sprintf("%s/%dx%d", w.name, w.tokens, 4*w.hidden)
+		melems := func(b *testing.B) {
+			b.ReportMetric(float64(len(x.Data))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melem/s")
+		}
+		b.Run(shape+"/kernel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				kernel(x, dy)
+			}
+			melems(b)
+		})
+		b.Run(shape+"/formula", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				formula(x.Data, dy.Data, out.Data)
+			}
+			melems(b)
+		})
+	}
+}
+
+func BenchmarkGELU(b *testing.B) {
+	benchmarkGELU(b,
+		func(x, _ *Tensor) { GELU(x) },
+		func(x, _, out []float32) {
+			for i, v := range x {
+				out[i] = geluScalar(v)
+			}
+		})
+}
+
+func BenchmarkGELUBackward(b *testing.B) {
+	benchmarkGELU(b,
+		func(x, dy *Tensor) {
+			if _, err := GELUBackward(x, dy); err != nil {
+				b.Fatal(err)
+			}
+		},
+		func(x, dy, out []float32) {
+			for i, v := range x {
+				out[i] = dy[i] * geluGradScalar(v)
+			}
+		})
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"ratel/internal/tensor/pool"
 	"ratel/internal/tensor/simd"
@@ -433,60 +434,99 @@ func scaleChunk(d []float32, s float32, lo, hi int) {
 }
 
 // GELU applies the tanh-approximated GELU elementwise, returning a new
-// tensor.
+// tensor. An element is one table load (see geluTab), so the loop streams
+// memory and runs inline on the caller like the byte codecs: at the largest
+// engine shape (256 x 1024) two threads did not beat it, and at the next
+// (128 x 512) they lost to it (EXPERIMENTS.md, "GELU as a table").
 func GELU(x *Tensor) *Tensor {
+	geluTab.once.Do(buildGELUTab)
 	y := New(x.Shape...)
-	xd, yd := x.Data, y.Data
-	// ~20 scalar ops per element (tanh), so parallelize by op count.
-	work := 20 * int64(len(xd))
-	if pool.InlineWork(work) {
-		geluChunk(xd, yd, 0, len(xd))
-		return y
+	xd := x.Data
+	yd := y.Data[:len(xd)] // equal lengths, stated for the bounds checker
+	for i, v := range xd {
+		if h, ok := normalHalf(v); ok {
+			yd[i] = geluTab.y[h]
+		} else {
+			yd[i] = geluScalar(v)
+		}
 	}
-	parallelFor(len(xd), elemGrain, work, func(lo, hi int) { geluChunk(xd, yd, lo, hi) })
 	return y
 }
 
-func geluChunk(xd, yd []float32, lo, hi int) {
-	xs, ys := xd[lo:hi], yd[lo:hi]
-	for i, v := range xs {
-		ys[i] = geluScalar(v)
+// GELUBackward computes dx = dy * gelu'(x), inline like GELU.
+func GELUBackward(x, dy *Tensor) (*Tensor, error) {
+	if len(x.Data) != len(dy.Data) {
+		return nil, fmt.Errorf("tensor: gelu backward size %d vs %d", len(x.Data), len(dy.Data))
+	}
+	geluTab.once.Do(buildGELUTab)
+	dx := New(x.Shape...)
+	xd := x.Data
+	dyd, dxd := dy.Data[:len(xd)], dx.Data[:len(xd)]
+	for i, v := range xd {
+		if h, ok := normalHalf(v); ok {
+			dxd[i] = dyd[i] * geluTab.dy[h]
+		} else {
+			dxd[i] = dyd[i] * geluGradScalar(v)
+		}
+	}
+	return dx, nil
+}
+
+// geluTab holds gelu and gelu' at every binary16 value, indexed by the bit
+// pattern. The engine's GELU inputs are on the fp16 grid (nn rounds every
+// forward tensor onto it), so the function has 65,536 possible arguments
+// and each is evaluated once, by the scalar formulas below: a lookup returns
+// the bits the formula would, on every path and at any thread count
+// (DESIGN.md §11, "exact by enumeration"). An element normalHalf turns away
+// — the grid switched off in the gradient checks, a NaN, a stray zero — is
+// evaluated by the formula directly, so the 4,096 entries of the zeros,
+// subnormals and non-finite values are filled but never read. 512 KiB,
+// filled on first use.
+var geluTab struct {
+	once  sync.Once
+	y, dy [1 << 16]float32
+}
+
+func buildGELUTab() {
+	for h := range geluTab.y {
+		v := HalfToFloat32(uint16(h))
+		geluTab.y[h], geluTab.dy[h] = geluScalar(v), geluGradScalar(v)
 	}
 }
 
+// normalHalf returns the binary16 bits of v when v is a normal binary16
+// value (2^-14 <= |v| <= 65504 with the low 13 mantissa bits clear), decided
+// on the integer bits alone. That is every element of a grid tensor but the
+// zeros, subnormals (|v| < 6.2e-5) and non-finite values, which are rare
+// enough to leave to the formula.
+func normalHalf(v float32) (h uint16, ok bool) {
+	const (
+		minNormal = 0x38800000       // 2^-14, the smallest normal half
+		overMax   = 0x47800000       // 2^16, past the largest (65504)
+		rebias    = (127 - 15) << 23 // float32 exponent bias over binary16's
+	)
+	b := math.Float32bits(v)
+	a := b &^ (1 << 31)
+	ok = a-minNormal < overMax-minNormal && b&0x1fff == 0
+	return uint16(b>>16&0x8000 | (a-rebias)>>13), ok
+}
+
+// geluScalar is the definition: tanh-approximated GELU in float64.
 func geluScalar(v float32) float32 {
 	const c = 0.7978845608028654 // sqrt(2/pi)
 	x := float64(v)
 	return float32(0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x))))
 }
 
-// GELUBackward computes dx = dy * gelu'(x).
-func GELUBackward(x, dy *Tensor) (*Tensor, error) {
-	if len(x.Data) != len(dy.Data) {
-		return nil, fmt.Errorf("tensor: gelu backward size %d vs %d", len(x.Data), len(dy.Data))
-	}
-	dx := New(x.Shape...)
-	xd, dyd, dxd := x.Data, dy.Data, dx.Data
-	work := 30 * int64(len(xd))
-	if pool.InlineWork(work) {
-		geluBackwardChunk(xd, dyd, dxd, 0, len(xd))
-		return dx, nil
-	}
-	parallelFor(len(xd), elemGrain, work, func(lo, hi int) { geluBackwardChunk(xd, dyd, dxd, lo, hi) })
-	return dx, nil
-}
-
-func geluBackwardChunk(xd, dyd, dxd []float32, lo, hi int) {
+// geluGradScalar is its derivative, rounded to float32 before it meets dy.
+func geluGradScalar(v float32) float32 {
 	const c = 0.7978845608028654
-	for i := lo; i < hi; i++ {
-		xf := float64(xd[i])
-		u := c * (xf + 0.044715*xf*xf*xf)
-		tanh := math.Tanh(u)
-		sech2 := 1 - tanh*tanh
-		du := c * (1 + 3*0.044715*xf*xf)
-		g := 0.5*(1+tanh) + 0.5*xf*sech2*du
-		dxd[i] = dyd[i] * float32(g)
-	}
+	xf := float64(v)
+	u := c * (xf + 0.044715*xf*xf*xf)
+	tanh := math.Tanh(u)
+	sech2 := 1 - tanh*tanh
+	du := c * (1 + 3*0.044715*xf*xf)
+	return float32(0.5*(1+tanh) + 0.5*xf*sech2*du)
 }
 
 // SoftmaxRows applies a numerically-stable softmax to each row in place.
