@@ -56,8 +56,8 @@ vet:
 	GOOS=linux GOARCH=arm64 go vet ./internal/tensor/...
 
 # Repo-specific analyzers (slotlife, atomicmix, gojoin, simdet, unitsafe,
-# spanpair, poolcapture, errdrop, simddispatch, metrichygiene — see
-# DESIGN.md §8 and §13), followed by the suppression audit so every
+# spanpair, poolcapture, errdrop, simddispatch — see DESIGN.md §8 and
+# §13), followed by the suppression audit so every
 # //ratelvet:ignore and its reason is visible in the lint output. Also
 # runs as a vet tool:
 #   go build -o bin/ratelvet ./cmd/ratelvet && go vet -vettool=bin/ratelvet ./...
@@ -132,14 +132,17 @@ bench-sched:
 bench-optimizer:
 	go test -run '^$$' -bench 'BenchmarkTrainStepOptSchedule' -benchtime=15x -benchmem -cpu 1 ./internal/engine
 
-# Line budget of the three data-path packages (ROADMAP item 6): non-test
+# Line budget of the three data-path packages (ROADMAP item 5): non-test
 # Go lines per package and their sum against the target, then — ungated —
-# the non-test lines of the analyzers that guard them. LOC_COUNT counts the
-# package directory in the shell variable $$d.
+# the non-test lines of the analyzers that guard them and of the whole
+# module, so a line that was moved rather than deleted shows in the same
+# output. LOC_COUNT counts the package directory in the shell variable $$d.
 LOC_TARGET = 4350
 LOC_PKGS = internal/engine internal/nvme internal/opt
 LOC_COUNT = ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | wc -l
-LOC_ANALYZERS = find internal/analysis cmd/ratelvet -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
+LOC_UNDER = -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
+LOC_ANALYZERS = find internal/analysis cmd/ratelvet $(LOC_UNDER)
+LOC_MODULE = find . $(LOC_UNDER)
 .PHONY: loc
 loc:
 	@total=0; for d in $(LOC_PKGS); do \
@@ -147,7 +150,8 @@ loc:
 		printf '%-16s %5d\n' $$d $$n; total=$$((total + n)); \
 	done; \
 	printf '%-16s %5d  (target <= $(LOC_TARGET))\n' total $$total; \
-	printf '%-16s %5d  (internal/analysis + cmd/ratelvet)\n' analyzers $$($(LOC_ANALYZERS))
+	printf '%-16s %5d  (internal/analysis + cmd/ratelvet)\n' analyzers $$($(LOC_ANALYZERS)); \
+	printf '%-16s %5d  (every non-test .go file)\n' module $$($(LOC_MODULE))
 
 # Line-budget ratchet: the three-package total may not grow past the
 # committed baseline (loc-baseline.txt). Delete code freely and lower the

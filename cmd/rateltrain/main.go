@@ -231,7 +231,7 @@ func main() {
 				a := obs.Attribute(tracer.Spans(), r.Start, r.End)
 				fmt.Printf("step %4d  bound %s (%.0f%% of step, stalls %.0f%%), moved %d bytes (%d stalls, %v waiting)\n",
 					step, a.Bound, 100*a.BoundFraction, 100*a.StallFraction(),
-					r.Flow.Total(), r.Stalls, r.StallWait.Round(time.Microsecond))
+					r.Flow.Total(), r.OffloadStalls, r.OffloadStallWait.Round(time.Microsecond))
 			}
 		}
 		if *evalEvery > 0 && step%*evalEvery == 0 {

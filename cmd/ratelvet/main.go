@@ -1,6 +1,6 @@
-// Command ratelvet runs the repo's domain-specific static analyzers
+// Command ratelvet runs the repo's nine domain-specific static analyzers
 // (slotlife, atomicmix, gojoin, simdet, unitsafe, spanpair, poolcapture,
-// errdrop, ... — see DESIGN.md §8 and §13).
+// errdrop, simddispatch — see DESIGN.md §8 and §13).
 //
 // Standalone (loads test variants too, so analyzers with IncludeTests see
 // _test.go files):

@@ -47,20 +47,21 @@ func main() {
 	}
 	fmt.Printf("best advantage: %.2fx (paper: up to 2.17x)\n", cost.BestAdvantage(sweep, baseline))
 
-	// And the real thing at mini scale: two engine replicas fine-tuning
-	// data-parallel shards with an averaged all-reduce and one synchronous
-	// optimizer pass (§V-G's setup, minus the GPUs).
-	fmt.Println("\nreal data-parallel fine-tune (2 replicas, mini model):")
+	// And the real thing at mini scale: the two data-parallel shards of each
+	// global batch go through one engine as one gradient-accumulation step —
+	// the arithmetic of §V-G's averaged all-reduce followed by one optimizer
+	// pass, on the engine's one step path (what the extra GPUs add is
+	// throughput, which the simulation above scales).
+	fmt.Println("\nreal fine-tune over 2 data-parallel shards per step (mini model):")
 	cfg := engine.Config{
 		Model:    nn.Config{Vocab: 48, Seq: 12, Hidden: 16, Heads: 2, Layers: 3, Batch: 4, Seed: 2},
 		GradMode: agoffload.Optimized,
 		Devices:  2,
 	}
-	dp, err := engine.NewDataParallel(cfg, 2)
+	e, err := engine.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer dp.Close()
 	a, err := data.NewLoader(data.Progression, cfg.Model.Batch, cfg.Model.Seq, cfg.Model.Vocab, 1)
 	if err != nil {
 		log.Fatal(err)
@@ -72,13 +73,17 @@ func main() {
 	for step := 1; step <= 15; step++ {
 		ta, ga := a.Next()
 		tb, gb := b.Next()
-		loss, err := dp.TrainStep([]engine.Batch{{Tokens: ta, Targets: ga}, {Tokens: tb, Targets: gb}})
+		loss, err := e.TrainStepAccum([]engine.Batch{{Tokens: ta, Targets: ga}, {Tokens: tb, Targets: gb}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if step%5 == 0 || step == 1 {
 			fmt.Printf("  step %2d  loss %.4f\n", step, loss)
 		}
+	}
+	// Close is where the last step's trailing write-back reports.
+	if err := e.Close(); err != nil {
+		log.Fatal(err)
 	}
 }
 

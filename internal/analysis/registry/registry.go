@@ -7,7 +7,6 @@ import (
 	"ratel/internal/analysis/atomicmix"
 	"ratel/internal/analysis/errdrop"
 	"ratel/internal/analysis/gojoin"
-	"ratel/internal/analysis/metrichygiene"
 	"ratel/internal/analysis/poolcapture"
 	"ratel/internal/analysis/simddispatch"
 	"ratel/internal/analysis/simdet"
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 		atomicmix.Analyzer,
 		errdrop.Analyzer,
 		gojoin.Analyzer,
-		metrichygiene.Analyzer,
 		poolcapture.Analyzer,
 		simddispatch.Analyzer,
 		simdet.Analyzer,

@@ -153,9 +153,9 @@ func (s *Session) Model() *nn.Model { return s.eng.Model() }
 // Stats reports the session's data-movement counters.
 func (s *Session) Stats() engine.Stats { return s.eng.Stats() }
 
-// LastStepMetrics reports the wall-clock profile of the most recent
-// optimizer step (zero value before the first TrainStep).
-func (s *Session) LastStepMetrics() engine.StepMetrics { return s.eng.LastStepMetrics() }
+// LastStepMetrics reports the record of the most recent optimizer step — the
+// newest of FlightRecords (zero value before the first TrainStep).
+func (s *Session) LastStepMetrics() obs.StepRecord { return s.eng.LastStepMetrics() }
 
 // Flows reports the cumulative byte-flow ledger (every edge x purpose).
 func (s *Session) Flows() obs.FlowSnapshot { return s.eng.Flows() }

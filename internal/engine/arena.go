@@ -6,6 +6,7 @@ import (
 	"ratel/internal/memctl"
 	"ratel/internal/nn"
 	"ratel/internal/tensor"
+	"ratel/internal/units"
 )
 
 // blobArena is the engine's steady-state swap memory: every buffer the
@@ -55,11 +56,11 @@ type arenaSlot struct {
 
 // hostBlob is one block's SwapHost cache, written by forward and read by
 // backward on the step goroutine. The blob allocates on first use and stays
-// with the block while it is in the tier; res, the host-pool reservation, is
-// non-nil exactly while the blob holds this step's cache.
+// with the block while it is in the tier; pinned is set exactly while the
+// blob holds this step's cache and its bytes are charged to the host pool.
 type hostBlob struct {
-	blob []byte
-	res  *memctl.Reservation
+	blob   []byte
+	pinned bool
 }
 
 // init sizes the ring and the host tier. Must be called before any other
@@ -90,13 +91,13 @@ func (ar *blobArena) keep(b *[]byte, n int) []byte {
 	return *b
 }
 
-// releaseHost releases every host-tier reservation still held — the failure
-// path's half of "no reservation outlives its step".
-func (ar *blobArena) releaseHost() {
+// releaseHost frees every host-tier blob still charged to pool — the failure
+// path's half of "no host-pool charge outlives its step".
+func (ar *blobArena) releaseHost(pool *memctl.Pool) {
 	for i := range ar.host {
-		if h := &ar.host[i]; h.res != nil {
-			h.res.Release()
-			h.res = nil
+		if h := &ar.host[i]; h.pinned {
+			pool.Free(units.Bytes(len(h.blob)))
+			h.pinned = false
 		}
 	}
 }

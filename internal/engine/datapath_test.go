@@ -10,12 +10,12 @@ import (
 
 // steadyStateAllocBudget is the regression ceiling for steady-state
 // TrainStep allocations on the mixed-swap mini config: the measured value,
-// 243 at GOMAXPROCS 1, 2 and 4, on both kernel sets and under the race
+// 240 at GOMAXPROCS 1, 2 and 4, on both kernel sets and under the race
 // detector, plus 5. The unpooled data path allocated 1835 per step. The
 // margin is deliberately smaller than one leak: a kernel that hands stack
 // scratch to the simd dispatch table's indirect call costs 2 allocations per
 // call (12 per step here), which the old budget of 367 let through.
-const steadyStateAllocBudget = 248
+const steadyStateAllocBudget = 245
 
 // TestTrainStepSteadyStateAllocs pins the zero-allocation claim: after
 // warm-up, a swap-mode TrainStep must stay under the regression budget.

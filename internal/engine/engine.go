@@ -204,23 +204,26 @@ type Engine struct {
 	optErr     error
 
 	// submittedN counts the updates this step handed to the state pipeline
-	// (one state read-ahead each), folded into StepMetrics at noteStep.
+	// (one state read-ahead each), folded into the step record at noteStep.
 	submittedN int
 
-	// Telemetry (see telemetry.go). tracer may be nil; ins instruments are
-	// detached no-ops when Config.Metrics is nil. flows and flight are
-	// always on: both are fixed-size atomic structures whose update paths
-	// allocate nothing, so byte accounting and postmortem history never
-	// need opting into.
+	// Telemetry (see telemetry.go). tracer may be nil; ins holds one registry
+	// handle per row of the metrics table, detached no-ops when Config.Metrics
+	// is nil. flows and flight are always on: both are fixed-size atomic
+	// structures whose update paths allocate nothing, so byte accounting and
+	// postmortem history never need opting into. step is the last step's
+	// record and ssd/prevSSD the array counters at the last two noteSteps;
+	// like the other prev* snapshots they belong to the step goroutine.
 	tracer           *obs.Tracer
 	labels           []blockLabels
-	ins              instruments
+	ins              []any
 	flows            *obs.FlowLedger
 	flight           *obs.FlightRecorder
+	step             obs.StepRecord
 	prevFlow         obs.FlowSnapshot
 	prevKernelParams int64
 	prevKernelBusy   time.Duration
-	prevSSD          nvme.Stats
+	ssd, prevSSD     nvme.Stats
 	prevSched        nvme.SchedStats
 
 	// Per-block data-movement counters, updated inside the hot
@@ -234,9 +237,8 @@ type Engine struct {
 	actFetched  atomic.Int64
 	recomputedN atomic.Int64
 
-	mu       sync.Mutex
-	stats    Stats
-	lastStep StepMetrics
+	mu    sync.Mutex
+	stats Stats
 }
 
 // New builds the engine: model, NVMe array, and the out-of-core optimizer
@@ -290,7 +292,7 @@ func New(cfg Config) (*Engine, error) {
 		groups:    m.ParamGroups(),
 		tracer:    cfg.Tracer,
 		labels:    makeBlockLabels(len(m.Blocks)),
-		ins:       makeInstruments(cfg.Metrics),
+		ins:       make([]any, len(metrics)),
 		flows:     obs.NewFlowLedger(),
 		flight:    obs.NewFlightRecorder(0),
 	}
@@ -306,15 +308,19 @@ func New(cfg Config) (*Engine, error) {
 	e.arena.init(e.depth+1, len(m.Blocks))
 	a.SetTracer(cfg.Tracer)
 	e.optimizer.SetTracer(cfg.Tracer)
+	// The one registration site: every row of the metrics table, once.
+	for i, row := range metrics {
+		e.ins[i] = row.kind(cfg.Metrics, row.name)
+	}
 	// Byte-flow and latency observers: the array credits host↔NVMe bytes
 	// per key namespace and feeds the transfer-latency histograms; the
 	// optimizer credits its staging and codec traffic. The worker pool's
 	// job histogram is process-wide, so it is only installed when this
 	// engine actually exports metrics.
-	a.SetObservers(e.ins.nvmeReadNS, e.ins.nvmeWritNS, e.flows, classifyFlowKey)
+	a.SetObservers(e.ins[rowNVMeReadNS].(*obs.Histogram), e.ins[rowNVMeWriteNS].(*obs.Histogram), e.flows, classifyFlowKey)
 	e.optimizer.SetFlowLedger(e.flows)
 	if cfg.Metrics != nil {
-		pool.Default().SetJobHistogram(e.ins.poolJobNS)
+		pool.Default().SetJobHistogram(e.ins[rowPoolJobNS].(*obs.Histogram))
 	}
 	if cfg.ClipGroupNorm > 0 {
 		if err := e.optimizer.SetClipNorm(cfg.ClipGroupNorm); err != nil {
@@ -349,7 +355,7 @@ func New(cfg Config) (*Engine, error) {
 		// The state window reuses the activation window depth.
 		e.states = opt.NewStatePipeline(e.optimizer, e.depth, e.groups)
 	}
-	e.win = newActWindow(a, cfg.Tracer, len(e.arena.slots), e.depth)
+	e.win = newActWindow(a, e.hostPool, cfg.Tracer, len(e.arena.slots), e.depth)
 	e.win.syncIO = cfg.oracleSyncIO
 	return e, nil
 }
@@ -497,9 +503,6 @@ func (e *Engine) trainStep(micro []Batch) (float64, error) {
 		}
 	}
 	drain := time.Since(drainStart)
-	e.mu.Lock()
-	e.stats.Steps++
-	e.mu.Unlock()
 	e.noteStep(fwdTotal, bwdTotal, drain, time.Since(stepStart), tokenCount)
 	return totalLoss / float64(len(micro)), nil
 }
@@ -626,13 +629,13 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	groups := e.groups // embedding, block0..N-1, head
 	fail := func(err error) (float64, time.Duration, time.Duration, error) {
 		// The step barrier holds on failure too: join every transfer in
-		// flight (each returns its slot token and releases its reservation
-		// regardless of outcome) and release the host tier's reservations, so
-		// no transfer, transfer error or reservation outlives this step.
+		// flight (each frees its staged bytes and returns its slot token
+		// regardless of outcome) and free the host tier's pinned blobs, so no
+		// transfer, transfer error or host-pool charge outlives this step.
 		if derr := e.win.barrier(); derr != nil {
 			err = errors.Join(err, derr)
 		}
-		e.arena.releaseHost()
+		e.arena.releaseHost(e.hostPool)
 		return 0, fwdDur, bwdDur, err
 	}
 	tr := e.tracer
@@ -662,7 +665,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			// while the NVMe Put is in flight. Taking the slot's token bounds
 			// reuse (a full window stalls here, recorded on the stall lane) and
 			// surfaces the error of the write that last used the slot; the
-			// reservation pins the host staging footprint until the write
+			// staged bytes stay charged to the host pool until the write
 			// retires.
 			slot := e.arena.slotIndex(i)
 			if err := e.win.acquireSlot(slot, e.labels[i].stall, &e.win.offload); err != nil {
@@ -674,24 +677,24 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 				e.win.releaseSlot(slot)
 				return fail(err)
 			}
-			res, err := e.reserveStaged(slot, len(blob), e.labels[i].stall)
-			if err != nil {
+			staged := units.Bytes(len(blob))
+			if err := e.reserveStaged(slot, staged, e.labels[i].stall); err != nil {
 				e.win.releaseSlot(slot)
 				return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
 			}
-			e.win.submit(ioJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, res: res})
+			e.win.submit(ioJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, staged: staged})
 			e.actOffload.Add(int64(len(blob)))
 		case SwapHost:
 			// Pin the cache in main memory until backward consumes it: the
-			// block's own blob holds the bytes, the reservation charges them
-			// to the host pool for exactly that long.
-			h := &e.arena.host[i]
+			// block's own blob holds the bytes, charged to the host pool for
+			// exactly that long.
 			if err := e.stashCache(e.arena.hostBuf(i, e.blobLen), c, e.labels[i].pin); err != nil {
 				return fail(err)
 			}
-			if h.res, err = e.hostPool.Reserve(units.Bytes(e.blobLen)); err != nil {
+			if err := e.hostPool.Alloc(units.Bytes(e.blobLen)); err != nil {
 				return fail(fmt.Errorf("engine: host tier for block %d: %w", i, err))
 			}
+			e.arena.host[i].pinned = true
 			e.actHost.Add(int64(e.blobLen))
 		}
 		// The live cache is dropped either way: swapped blocks restore it
@@ -801,14 +804,14 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			}
 		case SwapHost:
 			h := &e.arena.host[i]
-			if h.res == nil {
+			if !h.pinned {
 				return fail(fmt.Errorf("engine: block %d host-tier cache missing", i))
 			}
 			if c, err = e.reviveCache(i, h.blob, inputs[i]); err != nil {
 				return fail(err)
 			}
-			h.res.Release()
-			h.res = nil
+			e.hostPool.Free(units.Bytes(len(h.blob)))
+			h.pinned = false
 		default:
 			sp = tr.StartSpan(obs.LaneCompute, e.labels[i].recompute)
 			c, err = m.Blocks[i].Recompute(inputs[i])

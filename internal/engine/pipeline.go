@@ -23,7 +23,7 @@ import (
 // reuse the slot (a full window stalls there), backward takes it to consume
 // the fetched blob (a late read-ahead stalls there), and barrier takes every
 // token — at the forward/backward boundary and on every failure path — so no
-// transfer, error, buffer or reservation outlives its step. Stalls are
+// transfer, error, buffer or host-pool charge outlives its step. Stalls are
 // recorded on obs.LaneStall and counted per direction.
 
 // DefaultPipelineDepth is the activation I/O window used when
@@ -37,15 +37,15 @@ func (e *Engine) EffectiveDepth() int { return e.depth }
 
 // ioJob is one block's activation blob on its way to the NVMe array or back
 // (read). The blob is an arena slot buffer: the worker owns it, and the
-// slot's token, until the transfer returns. A write also carries the blob's
-// host staging reservation, released when the Put retires.
+// slot's token, until the transfer returns. staged is what a write charged
+// the host pool for its blob, freed when the Put retires (0 for a read).
 type ioJob struct {
-	slot  int
-	read  bool
-	key   string
-	label string // precomputed transfer-span label
-	blob  []byte
-	res   *memctl.Reservation
+	slot   int
+	read   bool
+	key    string
+	label  string // precomputed transfer-span label
+	blob   []byte
+	staged units.Bytes
 }
 
 // stallCount is one direction's flow-control accounting for the step in
@@ -61,6 +61,7 @@ type stallCount struct {
 // belongs to the engine's step goroutine.
 type actWindow struct {
 	array  *nvme.Array
+	host   *memctl.Pool
 	tracer *obs.Tracer
 
 	// jobs is the transfer queue. Its capacity equals the slot count, and a
@@ -87,9 +88,10 @@ type actWindow struct {
 
 // newActWindow starts one worker per in-flight transfer the window allows
 // (depth): fewer would leave device bandwidth idle between blob boundaries.
-func newActWindow(a *nvme.Array, tr *obs.Tracer, nslots, workers int) *actWindow {
+func newActWindow(a *nvme.Array, host *memctl.Pool, tr *obs.Tracer, nslots, workers int) *actWindow {
 	w := &actWindow{
 		array:   a,
+		host:    host,
 		tracer:  tr,
 		jobs:    make(chan ioJob, nslots),
 		slotTok: make([]chan struct{}, nslots),
@@ -106,9 +108,9 @@ func newActWindow(a *nvme.Array, tr *obs.Tracer, nslots, workers int) *actWindow
 	return w
 }
 
-// worker runs transfers until the window is closed. Every job returns its
-// slot token (and a write releases its reservation) no matter how the
-// transfer went — the error travels in slotErr, never by poisoning a buffer.
+// worker runs transfers until the window is closed. Every job frees its
+// staged bytes and then returns its slot token no matter how the transfer
+// went — the error travels in slotErr, never by poisoning a buffer.
 func (w *actWindow) worker() {
 	defer w.wg.Done()
 	for j := range w.jobs {
@@ -122,9 +124,9 @@ func (w *actWindow) worker() {
 			// forward+backward separates the Put from the blob's next read.
 			err = w.array.PutClass(j.key, j.blob, nvme.ClassWriteBehind)
 			w.tracer.RecordSpan(obs.LaneOffload, j.label, start, w.tracer.Now())
-			j.res.Release()
 		}
 		w.slotErr[j.slot] = err
+		w.host.Free(j.staged)
 		w.slotTok[j.slot] <- struct{}{}
 	}
 }
@@ -209,25 +211,25 @@ func (w *actWindow) resetStepCounters() {
 	w.offload, w.fetch, w.queuePeak = stallCount{}, stallCount{}, 0
 }
 
-// reserveStaged reserves the host staging footprint of the blob encoded in
-// slot, treating a full pool as backpressure rather than failure while
-// writes are in flight: each retired write releases its reservation, so
-// joining the oldest one and retrying makes progress. The ring orders them —
-// the slots after slot hold the window's writes from oldest to newest. Only
-// when none is left in flight (or the error is not an OOM) does the failure
-// surface.
-func (e *Engine) reserveStaged(slot, n int, stallLabel string) (*memctl.Reservation, error) {
+// reserveStaged charges the host pool the n staging bytes of the blob encoded
+// in slot (the write's ioJob carries them as staged), treating a full pool as
+// backpressure rather than failure while writes are in flight: each retired
+// write frees its bytes, so joining the oldest one and retrying makes
+// progress. The ring orders them — the slots after slot hold the window's
+// writes from oldest to newest. Only when none is left in flight (or the
+// error is not an OOM) does the failure surface.
+func (e *Engine) reserveStaged(slot int, n units.Bytes, stallLabel string) error {
 	nslots := len(e.win.slotTok)
 	for k := 1; ; k++ {
-		res, err := e.hostPool.Reserve(units.Bytes(n))
+		err := e.hostPool.Alloc(n)
 		if err == nil || !errors.Is(err, memctl.ErrOOM) || k == nslots {
-			return res, err
+			return err
 		}
 		oldest := (slot + k) % nslots
 		werr := e.win.acquireSlot(oldest, stallLabel, &e.win.offload)
 		e.win.releaseSlot(oldest)
 		if werr != nil {
-			return nil, werr
+			return werr
 		}
 	}
 }

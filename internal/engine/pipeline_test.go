@@ -29,7 +29,7 @@ func pipelineIdle(t *testing.T, e *Engine) {
 		}
 	}
 	for i := range e.arena.host {
-		if e.arena.host[i].res != nil {
+		if e.arena.host[i].pinned {
 			t.Fatalf("block %d still holds its host-tier reservation after the step barrier", i)
 		}
 	}

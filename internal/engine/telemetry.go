@@ -63,270 +63,199 @@ const (
 	labelBwdEnd   = "backward-end"
 )
 
-// StepMetrics is the wall-clock profile of one optimizer step (one
-// TrainStep, or one TrainStepAccum across all its micro-batches).
-type StepMetrics struct {
-	// Step is the optimizer step this snapshot describes.
-	Step int
-	// Forward and Backward are the summed stage wall times; in a
-	// gradient-accumulation step they span every micro-batch.
-	Forward, Backward time.Duration
-	// OptimizerDrain is the wall time after backward finished during which
-	// the step still waited for Adam to be applied and P16 installed (not for
-	// the write-back, which trails the step) — the live counterpart of the
-	// simulator's OptimizerTail (zero when active gradient offloading fully
-	// hides the optimizer, §IV-C).
-	OptimizerDrain time.Duration
-	// Wall is the full step duration.
-	Wall time.Duration
-	// Tokens is the number of tokens consumed; TokensPerSec = Tokens/Wall.
-	Tokens       int
-	TokensPerSec float64
-	// AdamParams and AdamBusy are the CPU-optimizer kernel work done
-	// during the step; their quotient is the live Adam params/s rate.
-	AdamParams int64
-	AdamBusy   time.Duration
-	// OffloadStalls counts times this step's compute loop blocked on
-	// pipeline flow control (write-behind window full, or host staging pool
-	// waiting on an in-flight write); OffloadStallWait is the summed wait.
-	// Zero means the pipeline fully hid the activation offload I/O.
-	OffloadStalls    int
-	OffloadStallWait time.Duration
-	// OffloadQueuePeak is the deepest the offload queue got this step.
-	OffloadQueuePeak int
-	// FetchStalls counts backward read-ahead misses (the compute loop
-	// blocked waiting for an activation fetch); FetchStallWait is the summed
-	// wait. Disjoint from OffloadStalls — this is the read direction.
-	FetchStalls    int
-	FetchStallWait time.Duration
-	// EffectiveDepth is the activation I/O window in force this step (the
-	// resolved static depth; 0 = synchronous).
-	EffectiveDepth int
-	// Sched is the NVMe transfer scheduler's per-class step delta:
-	// dispatched stride items, their summed queue wait, and the cumulative
-	// queue-depth peak, indexed per nvme class / obs.SchedClassNames.
-	Sched obs.SchedSample
-	// Flow is the byte-flow ledger delta over this step's wall time: bytes
-	// moved per (edge, purpose) cell (see obs.FlowLedger). Like Sched and the
-	// registry's NVMe write bandwidth it counts the write-back that retired
-	// during the step — the previous step's tail in, this step's out.
-	Flow obs.FlowSnapshot
-	// PrefetchedReads counts the state reads the optimizer pipeline's
-	// read-ahead stage issued this step.
-	PrefetchedReads int
-}
+// StepMetrics is the one description of a step, obs.StepRecord, under the
+// name the benchmark harness and older callers use.
+type StepMetrics = obs.StepRecord
 
-// AdamParamsPerSec is the step's measured CPU-optimizer throughput
-// (0 when no optimizer work ran).
-func (m StepMetrics) AdamParamsPerSec() float64 {
-	if m.AdamBusy <= 0 {
-		return 0
-	}
-	return float64(m.AdamParams) / m.AdamBusy.Seconds()
-}
-
-// LastStepMetrics returns the most recent step's wall-clock profile
-// (zero value before the first step).
-func (e *Engine) LastStepMetrics() StepMetrics {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastStep
-}
+// LastStepMetrics returns the most recent step's record — the flight ring's
+// newest entry (zero value before the first step).
+func (e *Engine) LastStepMetrics() StepMetrics { return e.flight.Last() }
 
 // Tracer returns the engine's span tracer (nil when tracing is off).
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// instruments holds the engine's registry handles, created once at New so
-// per-step updates are plain atomic stores. With Config.Metrics == nil the
-// handles are detached no-ops (see obs.Registry).
-type instruments struct {
-	steps  *obs.Counter
-	tokens *obs.Counter
+// metric is one /metrics instrument: its exported name, its kind, and the
+// accessor noteStep refreshes it from (nil: something else feeds it). An
+// accessor reads only what the Engine keeps between steps — the step record,
+// the ssd/prevSSD snapshots, prevFlow (the cumulative ledger once noteStep
+// has folded the step out of it), the atomics — so the refresh loop hands it
+// nothing that could escape.
+type metric struct {
+	name string
+	kind func(r *obs.Registry, name string) any
+	get  func(e *Engine) float64
+}
 
-	tokensPerSec *obs.Gauge
-	forwardMS    *obs.Gauge
-	backwardMS   *obs.Gauge
-	drainMS      *obs.Gauge
-	stepMS       *obs.Gauge
-	adamRate     *obs.Gauge
+// A row's kind is the registry constructor that makes its handle — once, at
+// New, so per-step updates are plain atomic stores; with Config.Metrics nil
+// the handles are detached no-ops (see obs.Registry). The handle's type says
+// what noteStep does with the row's value: a counter adds it to the running
+// total, a gauge replaces the last value, a histogram records one sample.
+func counter(r *obs.Registry, name string) any   { return r.Counter(name) }
+func gauge(r *obs.Registry, name string) any     { return r.Gauge(name) }
+func histogram(r *obs.Registry, name string) any { return r.Histogram(name) }
 
-	actOffload *obs.Gauge
-	actHost    *obs.Gauge
-	actFetched *obs.Gauge
-	recomputed *obs.Gauge
-	skipped    *obs.Gauge
+// The three histograms something other than noteStep feeds sit at fixed rows
+// so New can hand them to their feeders: the array (NVMe object transfer
+// times, via SetObservers) and the worker pool (job latencies).
+const (
+	rowNVMeReadNS = iota
+	rowNVMeWriteNS
+	rowPoolJobNS
+)
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// bytesPerSec is the NVMe bandwidth a byte delta over the step's wall is.
+func bytesPerSec(delta units.Bytes, wall time.Duration) float64 {
+	if wall <= 0 {
+		return 0
+	}
+	return float64(units.BytesPerSecond(float64(delta) / wall.Seconds()))
+}
+
+// metrics is the engine's whole exported metric surface, said once: New
+// registers every row, noteStep refreshes every row with an accessor, and
+// testdata/metrics.golden pins the names.
+var metrics = [...]metric{
+	// Latency histograms (log2-bucketed, nanosecond samples).
+	rowNVMeReadNS:  {"nvme.read_ns", histogram, nil},
+	rowNVMeWriteNS: {"nvme.write_ns", histogram, nil},
+	rowPoolJobNS:   {"pool.job_ns", histogram, nil},
+	{"engine.step_wall_ns", histogram, func(e *Engine) float64 { return float64(e.step.Wall) }},
+	{"engine.forward_ns", histogram, func(e *Engine) float64 { return float64(e.step.Forward) }},
+	{"engine.backward_ns", histogram, func(e *Engine) float64 { return float64(e.step.Backward) }},
+	{"engine.optimizer_drain_ns", histogram, func(e *Engine) float64 { return float64(e.step.OptimizerDrain) }},
+
+	{"engine.steps", counter, func(*Engine) float64 { return 1 }},
+	{"engine.tokens", counter, func(e *Engine) float64 { return float64(e.step.Tokens) }},
+	{"engine.tokens_per_sec", gauge, func(e *Engine) float64 { return e.step.TokensPerSec }},
+	{"engine.forward_ms", gauge, func(e *Engine) float64 { return ms(e.step.Forward) }},
+	{"engine.backward_ms", gauge, func(e *Engine) float64 { return ms(e.step.Backward) }},
+	{"engine.optimizer_drain_ms", gauge, func(e *Engine) float64 { return ms(e.step.OptimizerDrain) }},
+	{"engine.step_ms", gauge, func(e *Engine) float64 { return ms(e.step.Wall) }},
+	{"engine.adam_params_per_sec", gauge, func(e *Engine) float64 { return e.step.AdamParamsPerSec() }},
+
+	{"engine.act_offload_bytes", gauge, func(e *Engine) float64 { return float64(e.actOffload.Load()) }},
+	{"engine.act_host_bytes", gauge, func(e *Engine) float64 { return float64(e.actHost.Load()) }},
+	{"engine.act_fetched_bytes", gauge, func(e *Engine) float64 { return float64(e.actFetched.Load()) }},
+	{"engine.recomputed_blocks", gauge, func(e *Engine) float64 { return float64(e.recomputedN.Load()) }},
+	{"engine.skipped_steps", gauge, func(e *Engine) float64 {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return float64(e.stats.SkippedSteps)
+	}},
 
 	// Pipeline flow-control health: cumulative stalls, the last step's
-	// summed stall wait and offload-queue peak, and the NVMe array's
+	// summed stall wait and offload-queue peak, and (below) the NVMe array's
 	// per-direction in-flight high-water marks. A well-planned window shows
 	// stalls flat at zero while the in-flight peaks sit at the queue depth.
-	offloadStalls  *obs.Counter
-	offloadStallMS *obs.Gauge
-	offloadQueue   *obs.Gauge
+	{"engine.offload_stalls", counter, func(e *Engine) float64 { return float64(e.step.OffloadStalls) }},
+	{"engine.offload_stall_ms", gauge, func(e *Engine) float64 { return ms(e.step.OffloadStallWait) }},
+	{"engine.offload_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.OffloadQueuePeak) }},
 
 	// Read-ahead health: cumulative fetch stalls, the last step's summed
 	// fetch wait, and the pipeline depth in force.
-	fetchStalls  *obs.Counter
-	fetchStallMS *obs.Gauge
-	pipelineEff  *obs.Gauge
+	{"engine.fetch_stalls", counter, func(e *Engine) float64 { return float64(e.step.FetchStalls) }},
+	{"engine.fetch_stall_ms", gauge, func(e *Engine) float64 { return ms(e.step.FetchStallWait) }},
+	{"engine.pipeline_depth_effective", gauge, func(e *Engine) float64 { return float64(e.step.EffectiveDepth) }},
 
 	// NVMe transfer-scheduler per-class health: last step's summed queue
 	// wait and the cumulative queue-depth peak, one pair per traffic class.
-	schedFetchWaitMS        *obs.Gauge
-	schedFetchQueuePeak     *obs.Gauge
-	schedOptReadWaitMS      *obs.Gauge
-	schedOptReadQueuePeak   *obs.Gauge
-	schedWritebackWaitMS    *obs.Gauge
-	schedWritebackQueuePk   *obs.Gauge
-	schedWriteBehindWaitMS  *obs.Gauge
-	schedWriteBehindQueuePk *obs.Gauge
+	{"nvme.sched_fetch_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassCriticalFetch].Wait) }},
+	{"nvme.sched_fetch_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassCriticalFetch].QueuePeak) }},
+	{"nvme.sched_opt_read_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassOptRead].Wait) }},
+	{"nvme.sched_opt_read_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassOptRead].QueuePeak) }},
+	{"nvme.sched_writeback_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassWriteback].Wait) }},
+	{"nvme.sched_writeback_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassWriteback].QueuePeak) }},
+	{"nvme.sched_write_behind_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassWriteBehind].Wait) }},
+	{"nvme.sched_write_behind_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassWriteBehind].QueuePeak) }},
 
 	// State reads the optimizer pipeline's read-ahead stage issued last step,
 	// and the groups whose write-back was still in flight when it returned.
-	optPrefetchedReads, optWritebackLive *obs.Gauge
+	{"engine.opt_prefetched_reads", gauge, func(e *Engine) float64 { return float64(e.step.PrefetchedReads) }},
+	{"engine.opt_writeback_inflight", gauge, func(e *Engine) float64 {
+		if e.states == nil {
+			return 0
+		}
+		live, _ := e.states.Buffered()
+		return float64(live)
+	}},
 
-	nvmeReadBytes  *obs.Gauge
-	nvmeWriteBytes *obs.Gauge
-	nvmeReadBW     *obs.Gauge
-	nvmeWriteBW    *obs.Gauge
-	nvmeReadOps    *obs.Gauge
-	nvmeWriteOps   *obs.Gauge
-	nvmeReadPeak   *obs.Gauge
-	nvmeWritePeak  *obs.Gauge
+	{"nvme.read_bytes", gauge, func(e *Engine) float64 { return float64(e.ssd.BytesRead) }},
+	{"nvme.write_bytes", gauge, func(e *Engine) float64 { return float64(e.ssd.BytesWritten) }},
+	{"nvme.read_bytes_per_sec", gauge, func(e *Engine) float64 {
+		return bytesPerSec(e.ssd.BytesRead-e.prevSSD.BytesRead, e.step.Wall)
+	}},
+	{"nvme.write_bytes_per_sec", gauge, func(e *Engine) float64 {
+		return bytesPerSec(e.ssd.BytesWritten-e.prevSSD.BytesWritten, e.step.Wall)
+	}},
+	{"nvme.read_ops", gauge, func(e *Engine) float64 { return float64(e.ssd.ReadOps) }},
+	{"nvme.write_ops", gauge, func(e *Engine) float64 { return float64(e.ssd.WriteOps) }},
+	{"nvme.reads_in_flight_peak", gauge, func(e *Engine) float64 { return float64(e.ssd.PeakReadsInFlight) }},
+	{"nvme.writes_in_flight_peak", gauge, func(e *Engine) float64 { return float64(e.ssd.PeakWritesInFlight) }},
 
-	poolJobs      *obs.Gauge
-	poolInline    *obs.Gauge
-	poolSubmitter *obs.Gauge
-	poolWorker    *obs.Gauge
-	poolStolen    *obs.Gauge
+	{"pool.jobs", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().Jobs) }},
+	{"pool.inline_runs", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().InlineRuns) }},
+	{"pool.submitter_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().SubmitterChunks) }},
+	{"pool.worker_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().WorkerChunks) }},
+	{"pool.stolen_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().StolenChunks) }},
 
 	// Buffer-reuse health: the arena's blob/ring revival counts. Every
 	// buffer is allocated once, so a steady state shows both climbing by a
 	// constant per step.
-	blobReuses *obs.Gauge
-	ringReuses *obs.Gauge
-
-	// Latency histograms (log2-bucketed, nanosecond samples): per-stage
-	// step latencies, NVMe object transfer times (fed by the array via
-	// SetObservers), and pool job latencies (fed by the worker pool).
-	stepWallNS *obs.Histogram
-	forwardNS  *obs.Histogram
-	backwardNS *obs.Histogram
-	drainNS    *obs.Histogram
-	nvmeReadNS *obs.Histogram
-	nvmeWritNS *obs.Histogram
-	poolJobNS  *obs.Histogram
+	{"engine.blob_reuses", gauge, func(e *Engine) float64 { return float64(e.arena.blobReuses.Load()) }},
+	{"engine.ring_reuses", gauge, func(e *Engine) float64 { return float64(e.arena.ringReuses.Load()) }},
 
 	// Byte-flow gauges: the ledger's cumulative per-edge and per-purpose
-	// totals, refreshed once per step from one snapshot.
-	flowComputeHost *obs.Gauge
-	flowNVMeRead    *obs.Gauge
-	flowNVMeWrite   *obs.Gauge
-	flowEncode      *obs.Gauge
-	flowDecode      *obs.Gauge
-	flowActs        *obs.Gauge
-	flowParams      *obs.Gauge
-	flowGrads       *obs.Gauge
-	flowOptState    *obs.Gauge
+	// totals, all from the one snapshot noteStep took.
+	{"flow.compute_host_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Edge(obs.EdgeComputeHost)) }},
+	{"flow.host_nvme_read_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Edge(obs.EdgeHostNVMeRead)) }},
+	{"flow.host_nvme_write_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Edge(obs.EdgeHostNVMeWrite)) }},
+	{"flow.codec_encode_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Edge(obs.EdgeCodecEncode)) }},
+	{"flow.codec_decode_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Edge(obs.EdgeCodecDecode)) }},
+	{"flow.activations_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Purpose(obs.FlowActivations)) }},
+	{"flow.params_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Purpose(obs.FlowParams)) }},
+	{"flow.grads_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Purpose(obs.FlowGrads)) }},
+	{"flow.opt_state_bytes", gauge, func(e *Engine) float64 { return float64(e.prevFlow.Purpose(obs.FlowOptState)) }},
 }
 
-func makeInstruments(r *obs.Registry) instruments {
-	return instruments{
-		steps:  r.Counter("engine.steps"),
-		tokens: r.Counter("engine.tokens"),
-
-		tokensPerSec: r.Gauge("engine.tokens_per_sec"),
-		forwardMS:    r.Gauge("engine.forward_ms"),
-		backwardMS:   r.Gauge("engine.backward_ms"),
-		drainMS:      r.Gauge("engine.optimizer_drain_ms"),
-		stepMS:       r.Gauge("engine.step_ms"),
-		adamRate:     r.Gauge("engine.adam_params_per_sec"),
-
-		actOffload: r.Gauge("engine.act_offload_bytes"),
-		actHost:    r.Gauge("engine.act_host_bytes"),
-		actFetched: r.Gauge("engine.act_fetched_bytes"),
-		recomputed: r.Gauge("engine.recomputed_blocks"),
-		skipped:    r.Gauge("engine.skipped_steps"),
-
-		offloadStalls:  r.Counter("engine.offload_stalls"),
-		offloadStallMS: r.Gauge("engine.offload_stall_ms"),
-		offloadQueue:   r.Gauge("engine.offload_queue_peak"),
-
-		fetchStalls:  r.Counter("engine.fetch_stalls"),
-		fetchStallMS: r.Gauge("engine.fetch_stall_ms"),
-		pipelineEff:  r.Gauge("engine.pipeline_depth_effective"),
-
-		schedFetchWaitMS:        r.Gauge("nvme.sched_fetch_wait_ms"),
-		schedFetchQueuePeak:     r.Gauge("nvme.sched_fetch_queue_peak"),
-		schedOptReadWaitMS:      r.Gauge("nvme.sched_opt_read_wait_ms"),
-		schedOptReadQueuePeak:   r.Gauge("nvme.sched_opt_read_queue_peak"),
-		schedWritebackWaitMS:    r.Gauge("nvme.sched_writeback_wait_ms"),
-		schedWritebackQueuePk:   r.Gauge("nvme.sched_writeback_queue_peak"),
-		schedWriteBehindWaitMS:  r.Gauge("nvme.sched_write_behind_wait_ms"),
-		schedWriteBehindQueuePk: r.Gauge("nvme.sched_write_behind_queue_peak"),
-
-		optPrefetchedReads: r.Gauge("engine.opt_prefetched_reads"),
-		optWritebackLive:   r.Gauge("engine.opt_writeback_inflight"),
-
-		nvmeReadBytes:  r.Gauge("nvme.read_bytes"),
-		nvmeWriteBytes: r.Gauge("nvme.write_bytes"),
-		nvmeReadBW:     r.Gauge("nvme.read_bytes_per_sec"),
-		nvmeWriteBW:    r.Gauge("nvme.write_bytes_per_sec"),
-		nvmeReadOps:    r.Gauge("nvme.read_ops"),
-		nvmeWriteOps:   r.Gauge("nvme.write_ops"),
-		nvmeReadPeak:   r.Gauge("nvme.reads_in_flight_peak"),
-		nvmeWritePeak:  r.Gauge("nvme.writes_in_flight_peak"),
-
-		poolJobs:      r.Gauge("pool.jobs"),
-		poolInline:    r.Gauge("pool.inline_runs"),
-		poolSubmitter: r.Gauge("pool.submitter_chunks"),
-		poolWorker:    r.Gauge("pool.worker_chunks"),
-		poolStolen:    r.Gauge("pool.stolen_chunks"),
-
-		blobReuses: r.Gauge("engine.blob_reuses"),
-		ringReuses: r.Gauge("engine.ring_reuses"),
-
-		stepWallNS: r.Histogram("engine.step_wall_ns"),
-		forwardNS:  r.Histogram("engine.forward_ns"),
-		backwardNS: r.Histogram("engine.backward_ns"),
-		drainNS:    r.Histogram("engine.optimizer_drain_ns"),
-		nvmeReadNS: r.Histogram("nvme.read_ns"),
-		nvmeWritNS: r.Histogram("nvme.write_ns"),
-		poolJobNS:  r.Histogram("pool.job_ns"),
-
-		flowComputeHost: r.Gauge("flow.compute_host_bytes"),
-		flowNVMeRead:    r.Gauge("flow.host_nvme_read_bytes"),
-		flowNVMeWrite:   r.Gauge("flow.host_nvme_write_bytes"),
-		flowEncode:      r.Gauge("flow.codec_encode_bytes"),
-		flowDecode:      r.Gauge("flow.codec_decode_bytes"),
-		flowActs:        r.Gauge("flow.activations_bytes"),
-		flowParams:      r.Gauge("flow.params_bytes"),
-		flowGrads:       r.Gauge("flow.grads_bytes"),
-		flowOptState:    r.Gauge("flow.opt_state_bytes"),
-	}
-}
-
-// noteStep finalizes one optimizer step's telemetry: it snapshots the
-// step profile for LastStepMetrics and refreshes the metrics registry.
+// noteStep finalizes one optimizer step's telemetry: it counts the step,
+// builds its record once — the flight ring's entry, LastStepMetrics and the
+// accessors' source are that one value — and refreshes the metrics registry.
 func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
+	e.mu.Lock()
+	e.stats.Steps++
+	ordinal := e.stats.Steps
+	e.mu.Unlock()
 	kp, kb := e.optimizer.KernelStats()
-	m := StepMetrics{
-		Step:           e.optimizer.Step(),
-		Forward:        fwd,
-		Backward:       bwd,
-		OptimizerDrain: drain,
-		Wall:           wall,
-		Tokens:         tokens,
-		AdamParams:     kp - e.prevKernelParams,
-		AdamBusy:       kb - e.prevKernelBusy,
+	// Offsets are on the tracer timeline when available (so dumps join
+	// records to spans).
+	end := e.tracer.Now()
+	m := &e.step
+	*m = obs.StepRecord{
+		Step:             ordinal,
+		Start:            max(end-wall, 0),
+		End:              end,
+		Forward:          fwd,
+		Backward:         bwd,
+		OptimizerDrain:   drain,
+		Wall:             wall,
+		Tokens:           tokens,
+		AdamParams:       kp - e.prevKernelParams,
+		AdamBusy:         kb - e.prevKernelBusy,
+		OffloadStalls:    e.win.offload.n,
+		OffloadStallWait: e.win.offload.wait,
+		OffloadQueuePeak: e.win.queuePeak,
+		FetchStalls:      e.win.fetch.n,
+		FetchStallWait:   e.win.fetch.wait,
+		EffectiveDepth:   e.depth,
+		PrefetchedReads:  e.submittedN,
 	}
+	e.prevKernelParams, e.prevKernelBusy = kp, kb
 	if wall > 0 {
 		m.TokensPerSec = float64(tokens) / wall.Seconds()
 	}
-	m.OffloadStalls, m.OffloadStallWait = e.win.offload.n, e.win.offload.wait
-	m.OffloadQueuePeak = e.win.queuePeak
-	m.FetchStalls, m.FetchStallWait = e.win.fetch.n, e.win.fetch.wait
-	m.EffectiveDepth = e.depth
 	// Per-class scheduler delta vs the previous step's cumulative snapshot.
 	// QueuePeak is the class's lifetime high-water mark — a peak can't be
 	// differenced, and the lifetime value is what a postmortem wants.
@@ -340,127 +269,33 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 		}
 	}
 	e.prevSched = sched
-	m.PrefetchedReads = e.submittedN
-	e.prevKernelParams, e.prevKernelBusy = kp, kb
-
 	// Fold this step's byte flow out of the cumulative ledger; the delta
-	// rides on StepMetrics and the flight record, the running totals on
-	// the flow gauges below. All value types — nothing here allocates.
+	// rides on the record, the running totals (prevFlow, from here on) feed
+	// the flow gauges. All value types — nothing here allocates.
 	flow := e.flows.Snapshot()
 	m.Flow = flow.Sub(e.prevFlow)
 	e.prevFlow = flow
 
-	e.mu.Lock()
-	e.lastStep = m
-	e.mu.Unlock()
+	// Flight recorder: the last K steps' records survive for postmortem
+	// dumps even when span tracing is off.
+	e.flight.Record(*m)
 
-	// Flight recorder: the last K steps' profiles survive for postmortem
-	// dumps even when span tracing is off. Offsets are on the tracer
-	// timeline when available (so dumps join records to spans).
-	endOff := e.tracer.Now()
-	startOff := endOff - wall
-	if startOff < 0 {
-		startOff = 0
+	e.prevSSD, e.ssd = e.ssd, e.array.Stats()
+	for i := range metrics {
+		row := &metrics[i]
+		if row.get == nil {
+			continue
+		}
+		v := row.get(e)
+		switch h := e.ins[i].(type) {
+		case *obs.Counter:
+			h.Add(int64(v))
+		case *obs.Gauge:
+			h.Set(v)
+		case *obs.Histogram:
+			h.Record(int64(v))
+		}
 	}
-	e.flight.Record(obs.StepRecord{
-		Step:           m.Step,
-		Start:          startOff,
-		End:            endOff,
-		Wall:           wall,
-		Forward:        fwd,
-		Backward:       bwd,
-		OptimizerDrain: drain,
-		Tokens:         tokens,
-		Stalls:         int64(m.OffloadStalls),
-		StallWait:      m.OffloadStallWait,
-		FetchStalls:    int64(m.FetchStalls),
-		FetchStallWait: m.FetchStallWait,
-		EffectiveDepth: m.EffectiveDepth,
-		Sched:          m.Sched,
-		Flow:           m.Flow,
-	})
-
-	ins := &e.ins
-	ins.steps.Add(1)
-	ins.tokens.Add(int64(tokens))
-	ins.tokensPerSec.Set(m.TokensPerSec)
-	ins.forwardMS.Set(float64(fwd) / float64(time.Millisecond))
-	ins.backwardMS.Set(float64(bwd) / float64(time.Millisecond))
-	ins.drainMS.Set(float64(drain) / float64(time.Millisecond))
-	ins.stepMS.Set(float64(wall) / float64(time.Millisecond))
-	ins.adamRate.Set(m.AdamParamsPerSec())
-
-	ins.actOffload.Set(float64(e.actOffload.Load()))
-	ins.actHost.Set(float64(e.actHost.Load()))
-	ins.actFetched.Set(float64(e.actFetched.Load()))
-	ins.recomputed.Set(float64(e.recomputedN.Load()))
-	e.mu.Lock()
-	skipped := e.stats.SkippedSteps
-	e.mu.Unlock()
-	ins.skipped.Set(float64(skipped))
-
-	ins.offloadStalls.Add(int64(m.OffloadStalls))
-	ins.offloadStallMS.Set(float64(m.OffloadStallWait) / float64(time.Millisecond))
-	ins.offloadQueue.Set(float64(m.OffloadQueuePeak))
-
-	ins.fetchStalls.Add(int64(m.FetchStalls))
-	ins.fetchStallMS.Set(float64(m.FetchStallWait) / float64(time.Millisecond))
-	ins.pipelineEff.Set(float64(m.EffectiveDepth))
-
-	ins.schedFetchWaitMS.Set(float64(m.Sched[nvme.ClassCriticalFetch].Wait) / float64(time.Millisecond))
-	ins.schedFetchQueuePeak.Set(float64(m.Sched[nvme.ClassCriticalFetch].QueuePeak))
-	ins.schedOptReadWaitMS.Set(float64(m.Sched[nvme.ClassOptRead].Wait) / float64(time.Millisecond))
-	ins.schedOptReadQueuePeak.Set(float64(m.Sched[nvme.ClassOptRead].QueuePeak))
-	ins.schedWritebackWaitMS.Set(float64(m.Sched[nvme.ClassWriteback].Wait) / float64(time.Millisecond))
-	ins.schedWritebackQueuePk.Set(float64(m.Sched[nvme.ClassWriteback].QueuePeak))
-	ins.schedWriteBehindWaitMS.Set(float64(m.Sched[nvme.ClassWriteBehind].Wait) / float64(time.Millisecond))
-	ins.schedWriteBehindQueuePk.Set(float64(m.Sched[nvme.ClassWriteBehind].QueuePeak))
-
-	ins.optPrefetchedReads.Set(float64(m.PrefetchedReads))
-	if e.states != nil {
-		live, _ := e.states.Buffered()
-		ins.optWritebackLive.Set(float64(live))
-	}
-
-	ssd := e.array.Stats()
-	ins.nvmeReadBytes.Set(float64(ssd.BytesRead))
-	ins.nvmeWriteBytes.Set(float64(ssd.BytesWritten))
-	ins.nvmeReadOps.Set(float64(ssd.ReadOps))
-	ins.nvmeWriteOps.Set(float64(ssd.WriteOps))
-	ins.nvmeReadPeak.Set(float64(ssd.PeakReadsInFlight))
-	ins.nvmeWritePeak.Set(float64(ssd.PeakWritesInFlight))
-	if wall > 0 {
-		readDelta := ssd.BytesRead - e.prevSSD.BytesRead
-		writeDelta := ssd.BytesWritten - e.prevSSD.BytesWritten
-		ins.nvmeReadBW.Set(float64(units.BytesPerSecond(float64(readDelta) / wall.Seconds())))
-		ins.nvmeWriteBW.Set(float64(units.BytesPerSecond(float64(writeDelta) / wall.Seconds())))
-	}
-	e.prevSSD = ssd
-
-	ps := pool.DefaultStats()
-	ins.poolJobs.Set(float64(ps.Jobs))
-	ins.poolInline.Set(float64(ps.InlineRuns))
-	ins.poolSubmitter.Set(float64(ps.SubmitterChunks))
-	ins.poolWorker.Set(float64(ps.WorkerChunks))
-	ins.poolStolen.Set(float64(ps.StolenChunks))
-
-	ins.blobReuses.Set(float64(e.arena.blobReuses.Load()))
-	ins.ringReuses.Set(float64(e.arena.ringReuses.Load()))
-
-	ins.stepWallNS.RecordDuration(wall)
-	ins.forwardNS.RecordDuration(fwd)
-	ins.backwardNS.RecordDuration(bwd)
-	ins.drainNS.RecordDuration(drain)
-
-	ins.flowComputeHost.Set(float64(flow.Edge(obs.EdgeComputeHost)))
-	ins.flowNVMeRead.Set(float64(flow.Edge(obs.EdgeHostNVMeRead)))
-	ins.flowNVMeWrite.Set(float64(flow.Edge(obs.EdgeHostNVMeWrite)))
-	ins.flowEncode.Set(float64(flow.Edge(obs.EdgeCodecEncode)))
-	ins.flowDecode.Set(float64(flow.Edge(obs.EdgeCodecDecode)))
-	ins.flowActs.Set(float64(flow.Purpose(obs.FlowActivations)))
-	ins.flowParams.Set(float64(flow.Purpose(obs.FlowParams)))
-	ins.flowGrads.Set(float64(flow.Purpose(obs.FlowGrads)))
-	ins.flowOptState.Set(float64(flow.Purpose(obs.FlowOptState)))
 }
 
 // Flows returns the engine's cumulative byte-flow ledger snapshot: bytes

@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ratel/internal/agoffload"
+	"ratel/internal/nvme"
 	"ratel/internal/obs"
+	"ratel/internal/tensor/pool"
+	"ratel/internal/trace"
 	"ratel/internal/units"
 )
 
@@ -152,12 +159,188 @@ func TestRegistryUpdatedPerStep(t *testing.T) {
 	}
 	// The exported metric surface is a committed list: adding, renaming or
 	// removing an instrument has to change testdata/metrics.golden too.
+	if got := reg.Names(); !slices.Equal(got, goldenMetricNames(t)) {
+		t.Fatalf("registered metric names differ from testdata/metrics.golden:\n%s", strings.Join(got, "\n"))
+	}
+	// Exported names are lower snake_case under one layer prefix, so every
+	// exporter (expvar, OpenMetrics, the flight dump) can carry them as-is.
+	shape := regexp.MustCompile(`^[a-z]+\.[a-z0-9]+(_[a-z0-9]+)*$`)
+	for _, name := range reg.Names() {
+		if !shape.MatchString(name) {
+			t.Errorf("metric name %q is not layer.snake_case", name)
+		}
+	}
+}
+
+// goldenMetricNames reads the committed metric surface.
+func goldenMetricNames(t *testing.T) []string {
+	t.Helper()
 	golden, err := os.ReadFile("testdata/metrics.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(reg.Names(), "\n") + "\n"; got != string(golden) {
-		t.Fatalf("registered metric names differ from testdata/metrics.golden:\n%s", got)
+	return strings.Fields(string(golden))
+}
+
+// TestEveryMetricRowRefreshed: the per-step refresh is one loop over the
+// metrics table, so a row with the wrong accessor is the bug left to make.
+// On a throttled mixed-swap engine that stalls in both directions every
+// instrument in the golden list moves, bar the few that are zero here by
+// construction; and under the inline-sync oracle, where no write-back trails
+// the step, the byte gauges equal Stats() and Flows() exactly.
+func TestEveryMetricRowRefreshed(t *testing.T) {
+	zeroHere := map[string]bool{
+		"engine.offload_queue_peak": true, // two SSD blocks never queue behind each other; TestPipelineWindowStall
+		"engine.skipped_steps":      true, // no loss scaler; TestFlightRingSurvivesStepRewinds
+		// The mini model's kernels all run inline on the step goroutine.
+		"pool.jobs": true, "pool.job_ns": true, "pool.stolen_chunks": true,
+		"pool.submitter_chunks": true, "pool.worker_chunks": true,
+	}
+	for _, inline := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		e := newEngine(t, Config{
+			Model:           miniConfigWith(4),
+			GradMode:        agoffload.Optimized,
+			Swap:            map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}, // block 3 recomputes
+			PipelineDepth:   1,
+			SSD:             &nvme.Config{OpLatency: time.Millisecond},
+			Metrics:         reg,
+			oracleInlineOpt: inline,
+		})
+		trainK(t, e, 3)
+		snap := reg.Snapshot()
+		if !inline {
+			for _, name := range goldenMetricNames(t) {
+				v, isGauge := snap[name]
+				if !isGauge {
+					v = snap[name+".count"]
+				}
+				if v == 0 && !zeroHere[name] {
+					t.Errorf("%s = 0 after 3 steps: its row is not refreshed", name)
+				}
+			}
+			ps := pool.DefaultStats()
+			for name, want := range map[string]int64{"pool.jobs": ps.Jobs, "pool.inline_runs": ps.InlineRuns,
+				"pool.submitter_chunks": ps.SubmitterChunks, "pool.worker_chunks": ps.WorkerChunks, "pool.stolen_chunks": ps.StolenChunks} {
+				if snap[name] != float64(want) {
+					t.Errorf("%s = %v, pool counter %d", name, snap[name], want)
+				}
+			}
+			continue
+		}
+		st, flows := e.Stats(), e.Flows()
+		for name, want := range map[string]int64{
+			"engine.act_offload_bytes":   int64(st.ActBytesOffload),
+			"engine.act_host_bytes":      int64(st.ActBytesHost),
+			"engine.act_fetched_bytes":   int64(st.ActBytesFetched),
+			"engine.recomputed_blocks":   int64(st.RecomputedBlocks),
+			"nvme.read_bytes":            int64(st.SSD.BytesRead),
+			"nvme.write_bytes":           int64(st.SSD.BytesWritten),
+			"nvme.read_ops":              st.SSD.ReadOps,
+			"nvme.write_ops":             st.SSD.WriteOps,
+			"flow.compute_host_bytes":    flows.Edge(obs.EdgeComputeHost),
+			"flow.host_nvme_read_bytes":  flows.Edge(obs.EdgeHostNVMeRead),
+			"flow.host_nvme_write_bytes": flows.Edge(obs.EdgeHostNVMeWrite),
+			"flow.codec_encode_bytes":    flows.Edge(obs.EdgeCodecEncode),
+			"flow.codec_decode_bytes":    flows.Edge(obs.EdgeCodecDecode),
+			"flow.activations_bytes":     flows.Purpose(obs.FlowActivations),
+			"flow.params_bytes":          flows.Purpose(obs.FlowParams),
+			"flow.grads_bytes":           flows.Purpose(obs.FlowGrads),
+			"flow.opt_state_bytes":       flows.Purpose(obs.FlowOptState),
+		} {
+			if snap[name] != float64(want) || want == 0 {
+				t.Errorf("%s = %v, engine counter %d (want equal and non-zero)", name, snap[name], want)
+			}
+		}
+	}
+}
+
+// TestStepRecordSaidOnce: one value describes a step. After a plain step, an
+// accumulation step and a failed-then-recovered step the flight ring's newest
+// entry is LastStepMetrics(), field for field, and a failed step adds none.
+func TestStepRecordSaidOnce(t *testing.T) {
+	cfg := miniConfig()
+	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD, 1: SwapHost}})
+	ringIs := func(when string, n int) {
+		t.Helper()
+		recs := e.FlightRecords()
+		if len(recs) != n {
+			t.Fatalf("%s: flight ring has %d records, want %d", when, len(recs), n)
+		}
+		last := StepMetrics{}
+		if n > 0 {
+			last = recs[n-1]
+		}
+		if got := e.LastStepMetrics(); got != last || got.Step != n {
+			t.Fatalf("%s: LastStepMetrics = %+v, ring's newest entry = %+v, want equal and Step %d", when, got, last, n)
+		}
+	}
+	ringIs("before the first step", 0)
+	tokens, targets := data(cfg, 1)
+	if _, err := e.TrainStep(tokens, targets); err != nil {
+		t.Fatal(err)
+	}
+	ringIs("plain step", 1)
+	if _, err := e.TrainStepAccum([]Batch{{tokens, targets}, {tokens, targets}}); err != nil {
+		t.Fatal(err)
+	}
+	ringIs("accumulation step", 2)
+	bad := [][]int{append([]int(nil), targets[0]...), targets[1]}
+	bad[0][0] = cfg.Vocab + 5
+	if _, err := e.TrainStep(tokens, bad); err == nil {
+		t.Fatal("TrainStep with an out-of-vocabulary target succeeded")
+	}
+	ringIs("failed step", 2)
+	if _, err := e.TrainStep(tokens, targets); err != nil {
+		t.Fatal(err)
+	}
+	ringIs("recovered step", 3)
+}
+
+// TestFlightRingSurvivesStepRewinds: a record is numbered with the engine's
+// own step ordinal, not the optimizer's step — which a loss-scale overflow
+// cancels and a checkpoint load rewinds — so after both the ring is still
+// strictly increasing and the postmortem built from it loads.
+func TestFlightRingSurvivesStepRewinds(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := newEngine(t, Config{
+		GradMode:         agoffload.Serialized,
+		LossScale:        1 << 24, // every early step overflows and is skipped
+		DynamicLossScale: true,
+		Metrics:          reg,
+	})
+	var ck bytes.Buffer
+	if err := e.SaveCheckpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	trainK(t, e, 6)
+	skipped := e.Stats().SkippedSteps
+	if skipped == 0 {
+		t.Fatal("no overflow skips despite a 2^24 initial scale")
+	}
+	if got := reg.Snapshot()["engine.skipped_steps"]; got != float64(skipped) {
+		t.Errorf("engine.skipped_steps = %v, Stats %d", got, skipped)
+	}
+	if err := e.LoadCheckpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	trainK(t, e, 1)
+
+	recs := e.FlightRecords()
+	if len(recs) != 7 {
+		t.Fatalf("flight ring has %d records, want 7", len(recs))
+	}
+	for i, r := range recs {
+		if r.Step != i+1 {
+			t.Errorf("record %d numbered %d, want %d", i, r.Step, i+1)
+		}
+	}
+	var dump bytes.Buffer
+	if err := trace.WriteFlightDump(trace.BuildFlightDump("test", recs, nil, nil), &dump); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.ReadFlightDump(&dump); err != nil {
+		t.Fatalf("the engine's own postmortem does not load: %v", err)
 	}
 }
 

@@ -117,26 +117,3 @@ func (p *Pool) ResetPeak() {
 	defer p.mu.Unlock()
 	p.peak = p.used
 }
-
-// Reservation is an RAII-style allocation that frees itself exactly once.
-type Reservation struct {
-	pool *Pool
-	n    units.Bytes
-	once sync.Once
-}
-
-// Reserve allocates n bytes and returns a handle that releases them.
-func (p *Pool) Reserve(n units.Bytes) (*Reservation, error) {
-	if err := p.Alloc(n); err != nil {
-		return nil, err
-	}
-	return &Reservation{pool: p, n: n}, nil
-}
-
-// Release frees the reservation; extra calls are no-ops.
-func (r *Reservation) Release() {
-	r.once.Do(func() { r.pool.Free(r.n) })
-}
-
-// Bytes reports the reservation size.
-func (r *Reservation) Bytes() units.Bytes { return r.n }

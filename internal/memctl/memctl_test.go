@@ -87,29 +87,6 @@ func TestResetPeak(t *testing.T) {
 	}
 }
 
-func TestReservationReleasesOnce(t *testing.T) {
-	p := NewPool("m", 100)
-	r, err := p.Reserve(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Bytes() != 40 {
-		t.Errorf("Bytes = %v", r.Bytes())
-	}
-	r.Release()
-	r.Release() // second release is a no-op, not a panic
-	if got := p.Used(); got != 0 {
-		t.Errorf("Used after release = %v, want 0", got)
-	}
-}
-
-func TestReserveFailurePropagates(t *testing.T) {
-	p := NewPool("m", 10)
-	if _, err := p.Reserve(11); !errors.Is(err, ErrOOM) {
-		t.Errorf("Reserve over capacity = %v, want ErrOOM", err)
-	}
-}
-
 func TestConcurrentAllocFree(t *testing.T) {
 	p := NewPool("m", 1_000_000)
 	var wg sync.WaitGroup

@@ -18,38 +18,74 @@ type FlightRecorder struct {
 	next uint64
 }
 
-// StepRecord is one step's entry in the flight ring. Start/End are
-// offsets on the engine tracer's timeline (or zero when untraced) so a
-// dump can join records to spans.
+// StepRecord is the one description of an optimizer step (one TrainStep,
+// or one TrainStepAccum across all its micro-batches): the engine builds it
+// once per step and the same value is the flight ring's entry, the engine's
+// LastStepMetrics and the source of the per-step /metrics refresh.
 type StepRecord struct {
-	Step  int
-	Start time.Duration
-	End   time.Duration
-
-	Wall           time.Duration
-	Forward        time.Duration
-	Backward       time.Duration
+	// Step is the engine's own step ordinal (Stats.Steps): strictly
+	// increasing, counting skipped steps — unlike the optimizer's step, which
+	// a loss-scale overflow or a checkpoint load rewinds.
+	Step int
+	// Start and End are offsets on the engine tracer's timeline (zero when
+	// untraced) so a dump can join records to spans.
+	Start, End time.Duration
+	// Forward and Backward are the summed stage wall times; in a
+	// gradient-accumulation step they span every micro-batch.
+	Forward, Backward time.Duration
+	// OptimizerDrain is the wall time after backward finished during which
+	// the step still waited for Adam to be applied and P16 installed (not for
+	// the write-back, which trails the step) — the live counterpart of the
+	// simulator's OptimizerTail (zero when active gradient offloading fully
+	// hides the optimizer, §IV-C).
 	OptimizerDrain time.Duration
-	Tokens         int
-
-	Stalls    int64         // pipeline stall events this step
-	StallWait time.Duration // time spent in those stalls
-
-	// FetchStalls / FetchStallWait isolate the read-ahead misses (backward
-	// blocked on an activation fetch) from the write-behind backpressure
-	// counted in Stalls — the signal postmortems key on.
-	FetchStalls    int64
+	// Wall is the full step duration.
+	Wall time.Duration
+	// Tokens is the number of tokens consumed; TokensPerSec = Tokens/Wall.
+	Tokens       int
+	TokensPerSec float64
+	// AdamParams and AdamBusy are the CPU-optimizer kernel work done
+	// during the step; their quotient is the live Adam params/s rate.
+	AdamParams int64
+	AdamBusy   time.Duration
+	// OffloadStalls counts times this step's compute loop blocked on
+	// pipeline flow control (write-behind window full, or host staging pool
+	// waiting on an in-flight write); OffloadStallWait is the summed wait.
+	// Zero means the pipeline fully hid the activation offload I/O.
+	OffloadStalls    int
+	OffloadStallWait time.Duration
+	// OffloadQueuePeak is the deepest the offload queue got this step.
+	OffloadQueuePeak int
+	// FetchStalls counts backward read-ahead misses (the compute loop
+	// blocked waiting for an activation fetch); FetchStallWait is the summed
+	// wait. Disjoint from OffloadStalls — this is the read direction, the
+	// signal postmortems key on.
+	FetchStalls    int
 	FetchStallWait time.Duration
-
-	// EffectiveDepth is the pipeline depth in force during the step: the
-	// resolved static depth (Config.PipelineDepth or the default).
+	// EffectiveDepth is the activation I/O window in force this step: the
+	// resolved static depth (Config.PipelineDepth or the default), never 0.
 	EffectiveDepth int
-
-	// Sched is the NVMe transfer scheduler's per-class activity this step
-	// (zero when the array ran unscheduled or saw no queued traffic).
+	// Sched is the NVMe transfer scheduler's per-class step delta:
+	// dispatched stride items, their summed queue wait, and the cumulative
+	// queue-depth peak, indexed per nvme class / SchedClassNames.
 	Sched SchedSample
+	// Flow is the byte-flow ledger delta over this step's wall time: bytes
+	// moved per (edge, purpose) cell (see FlowLedger). Like Sched and the
+	// registry's NVMe write bandwidth it counts the write-back that retired
+	// during the step — the previous step's tail in, this step's out.
+	Flow FlowSnapshot
+	// PrefetchedReads counts the state reads the optimizer pipeline's
+	// read-ahead stage issued this step.
+	PrefetchedReads int
+}
 
-	Flow FlowSnapshot // ledger delta for this step
+// AdamParamsPerSec is the step's measured CPU-optimizer throughput
+// (0 when no optimizer work ran).
+func (r StepRecord) AdamParamsPerSec() float64 {
+	if r.AdamBusy <= 0 {
+		return 0
+	}
+	return float64(r.AdamParams) / r.AdamBusy.Seconds()
 }
 
 // DefaultFlightDepth is the ring size NewFlightRecorder uses for
@@ -73,6 +109,19 @@ func (f *FlightRecorder) Record(r StepRecord) {
 	f.buf[f.next%uint64(len(f.buf))] = r
 	f.next++
 	f.mu.Unlock()
+}
+
+// Last returns the newest record (the zero value before the first).
+func (f *FlightRecorder) Last() StepRecord {
+	if f == nil {
+		return StepRecord{}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.next == 0 {
+		return StepRecord{}
+	}
+	return f.buf[(f.next-1)%uint64(len(f.buf))]
 }
 
 // Records returns the retained step records, oldest first (a copy).

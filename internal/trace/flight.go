@@ -106,9 +106,9 @@ func flightStep(r obs.StepRecord) FlightStep {
 		BackwrdNS:    int64(r.Backward),
 		DrainNS:      int64(r.OptimizerDrain),
 		Tokens:       r.Tokens,
-		Stalls:       r.Stalls,
-		StallNS:      int64(r.StallWait),
-		FetchStalls:  r.FetchStalls,
+		Stalls:       int64(r.OffloadStalls),
+		StallNS:      int64(r.OffloadStallWait),
+		FetchStalls:  int64(r.FetchStalls),
 		FetchStallNS: int64(r.FetchStallWait),
 		EffDepth:     r.EffectiveDepth,
 		Sched:        schedMap(r.Sched),

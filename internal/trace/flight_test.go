@@ -24,7 +24,7 @@ func sampleSteps() []obs.StepRecord {
 			Step: 2, Start: 10 * time.Millisecond, End: 21 * time.Millisecond,
 			Wall: 11 * time.Millisecond, Forward: 4 * time.Millisecond,
 			Backward: 6 * time.Millisecond, OptimizerDrain: time.Millisecond,
-			Tokens: 64, Stalls: 1, StallWait: 2 * time.Millisecond, Flow: flow,
+			Tokens: 64, OffloadStalls: 1, OffloadStallWait: 2 * time.Millisecond, Flow: flow,
 		},
 	}
 }
