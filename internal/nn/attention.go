@@ -7,6 +7,7 @@ import (
 
 	"ratel/internal/tensor"
 	"ratel/internal/tensor/pool"
+	"ratel/internal/tensor/simd"
 )
 
 // Attention is multi-head causal self-attention.
@@ -17,23 +18,22 @@ type Attention struct {
 	QKV   *Linear // [d, 3d]
 	Out   *Linear // [d, d]
 
-	// scratch holds one headScratch per (batch, head) task, allocated on
-	// first use and reused for the layer's lifetime: per-head temporaries
-	// dominated steady-state allocation churn. Forward and Backward never run
-	// concurrently on one layer, and each task touches only its own entry, so
-	// no locking is needed.
+	// scratch holds one headScratch per (batch, head) backward task, allocated
+	// on first use and reused for the layer's lifetime: per-head temporaries
+	// dominated steady-state allocation churn. Backward never runs concurrently
+	// with itself on one layer, and each task touches only its own entry, so no
+	// locking is needed.
 	scratch    []headScratch
 	scratchSeq int
 }
 
-// headScratch is one attention task's reusable temporaries. Every tensor is
-// fully overwritten on each use (the Into kernels zero-or-write every cell,
-// and dscores is explicitly zeroed before its causal fill), so reuse is
+// headScratch is one attention task's reusable backward temporaries. Both are
+// written on and below the diagonal only, every such cell on each use: dprobs'
+// upper triangle is never read, and dscores' is the +0 of its allocation for
+// the layer's lifetime, which is what lets its products skip it. So reuse is
 // bit-transparent.
 type headScratch struct {
-	q, k, v, out     *tensor.Tensor // [seq, dh]
-	dout, dv, dq, dk *tensor.Tensor // [seq, dh]
-	dprobs, dscores  *tensor.Tensor // [seq, seq]
+	dprobs, dscores *tensor.Tensor // [seq, seq]
 }
 
 // scratchFor returns the per-task scratch table for the given geometry,
@@ -42,15 +42,9 @@ func (a *Attention) scratchFor(batch, seq int) []headScratch {
 	if a.scratch != nil && a.scratchSeq == seq && len(a.scratch) == batch*a.Heads {
 		return a.scratch
 	}
-	dh := a.Dim / a.Heads
 	ws := make([]headScratch, batch*a.Heads)
 	for i := range ws {
-		ws[i] = headScratch{
-			q: tensor.New(seq, dh), k: tensor.New(seq, dh), v: tensor.New(seq, dh),
-			out: tensor.New(seq, dh), dout: tensor.New(seq, dh),
-			dv: tensor.New(seq, dh), dq: tensor.New(seq, dh), dk: tensor.New(seq, dh),
-			dprobs: tensor.New(seq, seq), dscores: tensor.New(seq, seq),
-		}
+		ws[i] = headScratch{dprobs: tensor.New(seq, seq), dscores: tensor.New(seq, seq)}
 	}
 	a.scratch, a.scratchSeq = ws, seq
 	return ws
@@ -90,147 +84,136 @@ func (a *Attention) Forward(x *tensor.Tensor, batch, seq int) (*tensor.Tensor, *
 	if err != nil {
 		return nil, nil, err
 	}
-	dh := d / a.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-
-	cache := &AttnCache{QKV: qkv, Probs: make([][]*tensor.Tensor, batch)}
-	for bi := 0; bi < batch; bi++ {
-		cache.Probs[bi] = make([]*tensor.Tensor, a.Heads)
-	}
-	ctx := tensor.New(n, d)
-	ws := a.scratchFor(batch, seq)
-	// Each (batch, head) task writes disjoint column slices of ctx, its own
-	// cache.Probs cell, and its own scratch entry, so heads fan out across
-	// the worker pool with bit-identical results at any thread count.
-	err = a.forEachHead(batch, seq, func(bi, h int) error {
-		w := &ws[bi*a.Heads+h]
-		q, k, v := w.q, w.k, w.v
-		for s := 0; s < seq; s++ {
-			row := qkv.Data[(bi*seq+s)*3*d : (bi*seq+s+1)*3*d]
-			copy(q.Data[s*dh:(s+1)*dh], row[h*dh:(h+1)*dh])
-			copy(k.Data[s*dh:(s+1)*dh], row[d+h*dh:d+(h+1)*dh])
-			copy(v.Data[s*dh:(s+1)*dh], row[2*d+h*dh:2*d+(h+1)*dh])
-		}
-		// scores is the one per-head tensor that survives the task: it is
-		// retained as cache.Probs[bi][h], so it cannot come from scratch.
-		scores := tensor.New(seq, seq)
-		if err := tensor.MatMulTInto(scores, q, k); err != nil {
-			return err
-		}
-		scores.Scale(scale)
-		applyCausalMask(scores, seq)
-		if err := tensor.SoftmaxRows(scores); err != nil {
-			return err
-		}
-		roundGrid(scores)
-		cache.Probs[bi][h] = scores
-		if err := tensor.MatMulInto(w.out, scores, v); err != nil {
-			return err
-		}
-		for s := 0; s < seq; s++ {
-			copy(ctx.Data[(bi*seq+s)*d+h*dh:(bi*seq+s)*d+(h+1)*dh], w.out.Data[s*dh:(s+1)*dh])
-		}
-		return nil
-	})
+	cache, err := a.attend(qkv, batch, seq)
 	if err != nil {
 		return nil, nil, err
 	}
-	roundGrid(ctx)
-	cache.Ctx = ctx
-	y, err := a.Out.Forward(ctx)
+	y, err := a.Out.Forward(cache.Ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	return y, cache, nil
 }
 
-func applyCausalMask(scores *tensor.Tensor, seq int) {
-	negInf := float32(math.Inf(-1))
-	for i := 0; i < seq; i++ {
-		for j := i + 1; j < seq; j++ {
-			scores.Data[i*seq+j] = negInf
-		}
+// attend is attention between the two projections: from qkv [b*s, 3d], every
+// head's causal probabilities and the context they weigh out of v, on the
+// fp16 grid.
+func (a *Attention) attend(qkv *tensor.Tensor, batch, seq int) (*AttnCache, error) {
+	d := a.Dim
+	dh := d / a.Heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+
+	cache := &AttnCache{QKV: qkv, Probs: make([][]*tensor.Tensor, batch), Ctx: tensor.New(batch*seq, d)}
+	for bi := 0; bi < batch; bi++ {
+		cache.Probs[bi] = make([]*tensor.Tensor, a.Heads)
 	}
+	// Each (batch, head) task writes its own column window of Ctx and its own
+	// Probs cell, so heads fan out across the worker pool with bit-identical
+	// results at any thread count. A head's q, k and v are read where they lie
+	// in qkv, and its context is written where it belongs in Ctx: nothing is
+	// gathered and nothing is scattered. (Gathering k for the dot-product
+	// kernel, whose b rows are then a whole [tokens, 3d] stride apart, was
+	// measured and bought nothing: EXPERIMENTS.md, "Causal attention on
+	// views".)
+	err := a.forEachHead(batch, seq, func(bi, h int) error {
+		q, k, v := headWindows(qkv, bi, h, seq, d, dh)
+		// scores is the one per-head tensor that survives the task: it is
+		// retained as Probs[bi][h], so it cannot come from scratch. Only its
+		// causal half is ever computed; the other half is the +0 of its
+		// allocation, which is what the masked cells' softmax comes to.
+		scores := tensor.New(seq, seq)
+		if err := tensor.MatMulTView(scores.View(), q, k, true); err != nil {
+			return err
+		}
+		for i := 0; i < seq; i++ {
+			row := scores.Data[i*seq : i*seq+i+1]
+			simd.Scale(row, scale)
+			tensor.SoftmaxRow(row)
+			roundGridRow(row)
+		}
+		cache.Probs[bi][h] = scores
+		return tensor.MatMulView(cache.Ctx.Window(bi*seq, seq, h*dh, dh), scores.View(), v, true)
+	})
+	if err != nil {
+		return nil, err
+	}
+	roundGrid(cache.Ctx)
+	return cache, nil
+}
+
+// headWindows returns head h of batch element bi as windows onto a
+// [batch*seq, 3d] tensor laid out q | k | v: the head's queries, keys and
+// values in forward, their gradients in backward.
+func headWindows(t *tensor.Tensor, bi, h, seq, d, dh int) (q, k, v tensor.View) {
+	return t.Window(bi*seq, seq, h*dh, dh), t.Window(bi*seq, seq, d+h*dh, dh), t.Window(bi*seq, seq, 2*d+h*dh, dh)
 }
 
 // Backward propagates dy through attention given the layer input x and the
 // forward cache, returning dx.
 func (a *Attention) Backward(x *tensor.Tensor, cache *AttnCache, dy *tensor.Tensor, batch, seq int) (*tensor.Tensor, error) {
-	d := a.Dim
-	dh := d / a.Heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-
 	dctx, err := a.Out.Backward(cache.Ctx, dy)
 	if err != nil {
 		return nil, err
 	}
-	dqkv := tensor.New(batch*seq, 3*d)
-	ws := a.scratchFor(batch, seq)
-	// Each (batch, head) task writes disjoint column slices of dqkv and its
-	// own scratch entry; the parameter-gradient accumulations (Out.Backward
-	// above, QKV.Backward below) stay outside the parallel region.
-	err = a.forEachHead(batch, seq, func(bi, h int) error {
-		w := &ws[bi*a.Heads+h]
-		// Re-slice q, k, v for this head.
-		q, k, v := w.q, w.k, w.v
-		for s := 0; s < seq; s++ {
-			row := cache.QKV.Data[(bi*seq+s)*3*d : (bi*seq+s+1)*3*d]
-			copy(q.Data[s*dh:(s+1)*dh], row[h*dh:(h+1)*dh])
-			copy(k.Data[s*dh:(s+1)*dh], row[d+h*dh:d+(h+1)*dh])
-			copy(v.Data[s*dh:(s+1)*dh], row[2*d+h*dh:2*d+(h+1)*dh])
-		}
-		probs := cache.Probs[bi][h]
-
-		dout := w.dout
-		for s := 0; s < seq; s++ {
-			copy(dout.Data[s*dh:(s+1)*dh], dctx.Data[(bi*seq+s)*d+h*dh:(bi*seq+s)*d+(h+1)*dh])
-		}
-		// dV = probsᵀ·dout, dprobs = dout·vᵀ.
-		dv := w.dv
-		if err := tensor.TMatMulInto(dv, probs, dout); err != nil {
-			return err
-		}
-		dprobs := w.dprobs
-		if err := tensor.MatMulTInto(dprobs, dout, v); err != nil {
-			return err
-		}
-		// Softmax backward per row: ds = (dp - Σ dp∘p) ∘ p, then the
-		// 1/sqrt(dh) scale. Only the causal (lower) triangle is filled; the
-		// explicit Zero restores the upper triangle the matmuls below read,
-		// which a fresh allocation used to provide implicitly.
-		dscores := w.dscores
-		dscores.Zero()
-		for i := 0; i < seq; i++ {
-			var dot float64
-			for j := 0; j <= i; j++ {
-				dot += float64(dprobs.Data[i*seq+j]) * float64(probs.Data[i*seq+j])
-			}
-			for j := 0; j <= i; j++ {
-				p := probs.Data[i*seq+j]
-				dscores.Data[i*seq+j] = (dprobs.Data[i*seq+j] - float32(dot)) * p * scale
-			}
-		}
-		// dQ = dscores·k, dK = dscoresᵀ·q.
-		dq := w.dq
-		if err := tensor.MatMulInto(dq, dscores, k); err != nil {
-			return err
-		}
-		dk := w.dk
-		if err := tensor.TMatMulInto(dk, dscores, q); err != nil {
-			return err
-		}
-		for s := 0; s < seq; s++ {
-			row := dqkv.Data[(bi*seq+s)*3*d : (bi*seq+s+1)*3*d]
-			copy(row[h*dh:(h+1)*dh], dq.Data[s*dh:(s+1)*dh])
-			copy(row[d+h*dh:d+(h+1)*dh], dk.Data[s*dh:(s+1)*dh])
-			copy(row[2*d+h*dh:2*d+(h+1)*dh], dv.Data[s*dh:(s+1)*dh])
-		}
-		return nil
-	})
+	dqkv, err := a.attendBackward(cache, dctx, batch, seq)
 	if err != nil {
 		return nil, err
 	}
 	return a.QKV.Backward(x, dqkv)
+}
+
+// attendBackward is attend's backward: from the context gradient dctx
+// [b*s, d], the gradient of qkv [b*s, 3d].
+func (a *Attention) attendBackward(cache *AttnCache, dctx *tensor.Tensor, batch, seq int) (*tensor.Tensor, error) {
+	d := a.Dim
+	dh := d / a.Heads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+
+	dqkv := tensor.New(batch*seq, 3*d)
+	ws := a.scratchFor(batch, seq)
+	// Each (batch, head) task writes its own column windows of dqkv and its
+	// own scratch entry; the parameter-gradient accumulations (the two
+	// Linear.Backward calls around this) stay outside the parallel region.
+	// Every [seq, seq] matrix here is lower-triangular by construction —
+	// probs by the mask, dscores because its upper half is never written —
+	// and every product says so, so none of them visits the other half.
+	err := a.forEachHead(batch, seq, func(bi, h int) error {
+		w := &ws[bi*a.Heads+h]
+		q, k, v := headWindows(cache.QKV, bi, h, seq, d, dh)
+		dq, dk, dv := headWindows(dqkv, bi, h, seq, d, dh)
+		dout := dctx.Window(bi*seq, seq, h*dh, dh)
+		probs := cache.Probs[bi][h]
+
+		// dV = probsᵀ·dout, dprobs = dout·vᵀ.
+		if err := tensor.TMatMulView(dv, probs.View(), dout, true); err != nil {
+			return err
+		}
+		dprobs, dscores := w.dprobs.Data, w.dscores.Data
+		if err := tensor.MatMulTView(w.dprobs.View(), dout, v, true); err != nil {
+			return err
+		}
+		// Softmax backward per row: ds = (dp - Σ dp∘p) ∘ p, then the
+		// 1/sqrt(dh) scale, over the causal prefix.
+		for i := 0; i < seq; i++ {
+			var dot float64
+			for j := 0; j <= i; j++ {
+				dot += float64(dprobs[i*seq+j]) * float64(probs.Data[i*seq+j])
+			}
+			for j := 0; j <= i; j++ {
+				p := probs.Data[i*seq+j]
+				dscores[i*seq+j] = (dprobs[i*seq+j] - float32(dot)) * p * scale
+			}
+		}
+		// dQ = dscores·k, dK = dscoresᵀ·q.
+		if err := tensor.MatMulView(dq, w.dscores.View(), k, true); err != nil {
+			return err
+		}
+		return tensor.TMatMulView(dk, w.dscores.View(), q, true)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dqkv, nil
 }
 
 // forEachHead runs fn for every (batch, head) pair, fanning tasks out
@@ -240,8 +223,9 @@ func (a *Attention) Backward(x *tensor.Tensor, cache *AttnCache, dy *tensor.Tens
 func (a *Attention) forEachHead(batch, seq int, fn func(bi, h int) error) error {
 	tasks := batch * a.Heads
 	dh := a.Dim / a.Heads
-	// Per head: two seq x seq x dh matmuls dominate (~4*seq*seq*dh ops).
-	work := int64(tasks) * 4 * int64(seq) * int64(seq) * int64(dh)
+	// Per head: two causal seq x seq x dh matmuls dominate, each half of the
+	// square's 2*seq*seq*dh ops.
+	work := int64(tasks) * 2 * int64(seq) * int64(seq) * int64(dh)
 	if work < pool.SerialCutoff || pool.Default().Limit() <= 1 {
 		// Serial path: no error slice or dispatch closure; the first failing
 		// task short-circuits the rest (their outputs are scratch).

@@ -102,7 +102,7 @@ func (b *Block) decodeStep(x, kCache, vCache *tensor.Tensor, pos int) (*tensor.T
 			}
 			scores[j] = s * scale
 		}
-		softmaxRow(scores[:pos+1])
+		tensor.SoftmaxRow(scores[:pos+1])
 		for j := 0; j <= pos; j++ {
 			scores[j] = tensor.RoundFP16(scores[j])
 		}
@@ -148,27 +148,6 @@ func (b *Block) decodeStep(x, kCache, vCache *tensor.Tensor, pos int) (*tensor.T
 	}
 	roundGrid(y)
 	return y, nil
-}
-
-// softmaxRow applies a numerically-stable softmax to one row in place, with
-// the same accumulation order as tensor.SoftmaxRows.
-func softmaxRow(row []float32) {
-	max := row[0]
-	for _, v := range row {
-		if v > max {
-			max = v
-		}
-	}
-	var sum float64
-	for j, v := range row {
-		e := math.Exp(float64(v - max))
-		row[j] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for j := range row {
-		row[j] *= inv
-	}
 }
 
 // GenerateCached continues a prompt greedily using the KV cache — O(n) per

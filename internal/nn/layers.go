@@ -17,6 +17,7 @@ import (
 
 	"ratel/internal/tensor"
 	"ratel/internal/tensor/pool"
+	"ratel/internal/tensor/simd"
 )
 
 // Linear is a dense layer y = x·W + b with gradient accumulators.
@@ -74,11 +75,11 @@ func (l *Linear) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The bias gradient is a reduction over rows, so it stays off the pool
+	// and keeps its order: each DB[j] is one chain of float32 adds in
+	// increasing i, a whole row of chains advanced per step.
 	for i := 0; i < rows; i++ {
-		row := dy.Data[i*cols : (i+1)*cols]
-		for j, v := range row {
-			l.DB.Data[j] += v
-		}
+		simd.Add(l.DB.Data, dy.Data[i*cols:(i+1)*cols])
 	}
 	dx, err := tensor.MatMulT(dy, l.W)
 	if err != nil {

@@ -1,6 +1,9 @@
 package nn
 
-import "ratel/internal/tensor"
+import (
+	"ratel/internal/tensor"
+	"ratel/internal/tensor/simd"
+)
 
 // fp16Grid controls whether forward tensors are rounded onto the fp16 grid
 // (the engine's mixed-precision discipline, on by default). The numerical
@@ -18,5 +21,13 @@ func SetFP16Grid(on bool) (previous bool) {
 func roundGrid(t *tensor.Tensor) {
 	if fp16Grid {
 		t.RoundFP16InPlace()
+	}
+}
+
+// roundGridRow is roundGrid for a slice of a tensor: attention rounds each
+// causal prefix of its probabilities rather than the whole square.
+func roundGridRow(row []float32) {
+	if fp16Grid {
+		simd.F16Round(row)
 	}
 }

@@ -10,7 +10,6 @@
 package opt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -22,6 +21,7 @@ import (
 	"ratel/internal/obs"
 	"ratel/internal/tensor"
 	"ratel/internal/tensor/pool"
+	"ratel/internal/tensor/simd"
 )
 
 // AdamConfig holds the Adam hyperparameters. A non-zero WeightDecay selects
@@ -58,11 +58,11 @@ func AdamStep(cfg AdamConfig, t int, p32, m, v, grad []float32) error {
 	k := newAdamCoef(cfg, t)
 	work := adamWork(len(p32))
 	if pool.InlineWork(work) {
-		adamChunk(k, p32, m, v, grad)
+		simd.Adam(k, p32, m, v, grad)
 		return nil
 	}
 	pool.ForWork(len(p32), adamChunkGrain, work, func(lo, hi int) {
-		adamChunk(k, p32[lo:hi], m[lo:hi], v[lo:hi], grad[lo:hi])
+		simd.Adam(k, p32[lo:hi], m[lo:hi], v[lo:hi], grad[lo:hi])
 	})
 	return nil
 }
@@ -76,65 +76,25 @@ const adamChunkGrain = 8192
 // element (sqrt included).
 func adamWork(n int) int64 { return 20 * int64(n) }
 
-// adamCoef is one update's scalars: the hyperparameters, the products of
-// them every element shares, and step t's bias corrections.
-type adamCoef struct {
-	b1, omb1, b2, omb2 float64 // beta, 1 - beta
-	b1c, b2c           float64
-	lr, eps, wd, lrwd  float64
-}
-
-func newAdamCoef(cfg AdamConfig, t int) adamCoef {
-	return adamCoef{
-		b1: cfg.Beta1, omb1: 1 - cfg.Beta1, b2: cfg.Beta2, omb2: 1 - cfg.Beta2,
-		b1c: 1 - math.Pow(cfg.Beta1, float64(t)), b2c: 1 - math.Pow(cfg.Beta2, float64(t)),
-		lr: cfg.LR, eps: cfg.Eps, wd: cfg.WeightDecay, lrwd: cfg.LR * cfg.WeightDecay,
+// newAdamCoef gathers one update's scalars for the kernel: the
+// hyperparameters, the products of them every element shares, and step t's
+// bias corrections.
+func newAdamCoef(cfg AdamConfig, t int) simd.AdamCoef {
+	return simd.AdamCoef{
+		B1: cfg.Beta1, OmB1: 1 - cfg.Beta1, B2: cfg.Beta2, OmB2: 1 - cfg.Beta2,
+		B1c: 1 - math.Pow(cfg.Beta1, float64(t)), B2c: 1 - math.Pow(cfg.Beta2, float64(t)),
+		LR: cfg.LR, Eps: cfg.Eps, WD: cfg.WeightDecay, LRWD: cfg.LR * cfg.WeightDecay,
 	}
 }
 
-// update is Adam's arithmetic for one element, written once: adamChunk
-// applies it to decoded slices, adamWireChunk to a state object's bytes, and
-// the two are bit-identical because this is all either computes. The
-// gradient arrives widened so the body fits the compiler's inlining budget.
-func (k *adamCoef) update(p, m, v float32, g float64) (float32, float32, float32) {
-	mi := k.b1*float64(m) + k.omb1*g
-	vi := k.b2*float64(v) + k.omb2*g*g
-	pf := float64(p) - k.lr*(mi/k.b1c)/(math.Sqrt(vi/k.b2c)+k.eps)
-	if k.wd != 0 {
-		pf -= k.lrwd * float64(p)
-	}
-	return float32(pf), float32(mi), float32(vi)
-}
-
-// adamChunk is the serial Adam kernel over one contiguous chunk of state.
-func adamChunk(k adamCoef, p32, m, v, grad []float32) {
-	for i := range p32 {
-		p32[i], m[i], v[i] = k.update(p32[i], m[i], v[i], float64(grad[i]))
-	}
-}
-
-// adamWireChunk is the same kernel over parameters [lo,hi) of a state object
-// in wire form, which is little-endian fp32: each element's P32, M and V are
-// loaded from the object's three planes, updated and stored back, so the
-// object is walked once and never staged. The new masters also land in p32
-// for the fp16 install.
-func adamWireChunk(k adamCoef, wire []byte, p32, grad []float32, lo, hi int) {
+// adamWireChunk runs the kernel over parameters [lo,hi) of a state object in
+// wire form: its P32, M and V planes are updated where they lie, so the object
+// is walked once and never staged. The new masters also land in p32 for the
+// fp16 install.
+func adamWireChunk(k simd.AdamCoef, wire []byte, p32, grad []float32, lo, hi int) {
 	nb := len(wire) / 3
-	pw, mw, vw := wire[4*lo:4*hi], wire[nb+4*lo:nb+4*hi], wire[2*nb+4*lo:2*nb+4*hi]
-	ps := p32[lo:hi]
-	for i, g := range grad[lo:hi] {
-		p, m, v := k.update(loadF32(pw), loadF32(mw), loadF32(vw), float64(g))
-		storeF32(pw, p)
-		storeF32(mw, m)
-		storeF32(vw, v)
-		ps[i] = p
-		pw, mw, vw = pw[4:], mw[4:], vw[4:]
-	}
+	simd.AdamWire(k, wire[4*lo:4*hi], wire[nb+4*lo:nb+4*hi], wire[2*nb+4*lo:2*nb+4*hi], grad[lo:hi], p32[lo:hi])
 }
-
-func loadF32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
-
-func storeF32(b []byte, f float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(f)) }
 
 // Store is the storage the out-of-core optimizer streams model states
 // through; *nvme.Array satisfies it. Put must not retain data after it
@@ -223,7 +183,7 @@ type OutOfCoreAdam struct {
 // object, so its fp32 loads and stores are inside and the store's I/O is
 // not. Their quotient is the live Adam params/s rate the metrics registry
 // exports and the calibration report compares against
-// agoffload.MeasureAdamRate (AdamStep on decoded slices, a little faster).
+// agoffload.MeasureAdamRate (AdamStep: the same kernel on decoded slices).
 func (o *OutOfCoreAdam) KernelStats() (params int64, busy time.Duration) {
 	return o.kernelParams.Load(), time.Duration(o.kernelNanos.Load())
 }

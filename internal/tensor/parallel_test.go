@@ -148,8 +148,32 @@ func TestKernelsBitIdenticalAcrossThreads(t *testing.T) {
 	b := randTensor(rng, 300, 257)
 	x := randTensor(rng, 301, 513)
 
+	// The view products at an attention-like shape big enough to shard: a
+	// lower-triangular [seq,seq] against [seq,dh] windows of wider storage.
+	const seq, dh = 300, 64
+	tri := randTensor(rng, seq, seq)
+	for i := 0; i < seq; i++ {
+		clear(tri.Data[i*seq+i+1 : (i+1)*seq])
+	}
+	wide := randTensor(rng, seq, 3*dh)
+	q, k := wide.Window(0, seq, 0, dh), wide.Window(0, seq, dh, dh)
+	views := func() []*Tensor {
+		mv, tv, dv := New(seq, 2*dh), New(seq, 2*dh), New(seq, seq)
+		for _, err := range []error{
+			MatMulView(mv.Window(0, seq, dh, dh), tri.View(), q, true),
+			TMatMulView(tv.Window(0, seq, dh, dh), tri.View(), q, true),
+			MatMulTView(dv.View(), q, k, true),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return []*Tensor{mv, tv, dv}
+	}
+
 	SetParallelism(1)
 	mmSerial, _ := MatMul(a, b)
+	viewsSerial := views()
 	smSerial := x.Clone()
 	if err := SoftmaxRows(smSerial); err != nil {
 		t.Fatal(err)
@@ -171,6 +195,13 @@ func TestKernelsBitIdenticalAcrossThreads(t *testing.T) {
 		for i := range mmSerial.Data {
 			if math.Float32bits(mm.Data[i]) != math.Float32bits(mmSerial.Data[i]) {
 				t.Fatalf("MatMul threads=%d: element %d differs bitwise", th, i)
+			}
+		}
+		for n, v := range views() {
+			for i := range v.Data {
+				if math.Float32bits(v.Data[i]) != math.Float32bits(viewsSerial[n].Data[i]) {
+					t.Fatalf("%s threads=%d: element %d differs bitwise", []string{"MatMulView", "TMatMulView", "MatMulTView"}[n], th, i)
+				}
 			}
 		}
 		for i := range smSerial.Data {

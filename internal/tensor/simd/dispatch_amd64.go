@@ -41,6 +41,8 @@ func archKernels() kernels {
 		f16Round:  f16RoundAVX2,
 		add:       addAVX2,
 		scale:     scaleAVX2,
+		adam:      adamAVX2,
+		adamWire:  adamWireAVX2,
 	}
 }
 
@@ -75,35 +77,47 @@ func dotAVX2(a, b []float32) float32 {
 	return s
 }
 
-// GemmPanel computes GemmNR columns of a matrix product for m rows, m a
-// positive multiple of GemmMR:
-//
-//	c[i*ldc+j] = Σ_p a[i*ars+p*aps] · b[p*ldb+j]   p in [0, kc), kc >= 1
-//
-// starting from zero, or from the values already in c when accumulate is
-// set (the next k-block of the same sum). a is addressed by a row stride and
-// a p stride, so one kernel serves a·b (ars = k, aps = 1) and aᵀ·b
-// (ars = 1, aps = m). The vector path packs the kc x GemmNR panel of b into
-// bp (at least kc*GemmNR floats of caller-owned scratch) once and sweeps
-// GemmMR-row tiles of c over it, each held in registers for the whole sweep.
-// Every element is bit-identical to zeroing it and calling Axpy on its row
-// once per p in increasing order: the tile does not change the arithmetic,
-// only where c lives between the steps.
-//
-// The selected set picks the body by a static call, not through a func value
-// like the other entry points: bp lives on the caller's stack, and an
-// argument to a func value escapes to the heap.
-func GemmPanel(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, kc int, bp []float32, accumulate bool) {
+// PackPanel and GemmTiles are the two halves of a GEMM column panel: the
+// caller packs GemmNR columns of a k-block of b once and sweeps GemmMR-row
+// tiles of c over the packed rows — all of them over the whole block in one
+// call, or, when the tiles need different stretches of it, a call per tile.
+// Both pick their body by a static call on the selected set, not through a
+// func value like the other entry points: bp lives on the caller's stack,
+// and an argument to a func value escapes to the heap.
+
+// PackPanel copies the kc x GemmNR panel at b (rows ldb apart) into bp as kc
+// contiguous rows of GemmNR floats; kc >= 1 and bp holds at least kc*GemmNR.
+func PackPanel(bp, b []float32, ldb, kc int) {
 	if !Active() {
-		GemmPanelGeneric(c, ldc, a, ars, aps, m, b, ldb, kc, accumulate)
+		PackPanelGeneric(bp, b, ldb, kc)
 		return
 	}
-	// The four extents the assembly bodies touch.
-	_ = c[(m-1)*ldc+GemmNR-1]
-	_ = a[(m-1)*ars+(kc-1)*aps]
 	_ = b[(kc-1)*ldb+GemmNR-1]
 	_ = bp[kc*GemmNR-1]
 	packPanelAsm(&bp[0], &b[0], ldb, kc)
+}
+
+// GemmTiles computes GemmNR columns of a matrix product for m rows, m a
+// positive multiple of GemmMR, against kc packed rows of b:
+//
+//	c[i*ldc+j] = Σ_p a[i*ars+p*aps] · bp[p*GemmNR+j]   p in [0, kc), kc >= 1
+//
+// starting from zero, or from the values already in c when accumulate is
+// set (the next stretch of the same sum). a is addressed by a row stride and
+// a p stride, so one kernel serves a·b (aps = 1) and aᵀ·b (ars = 1). The
+// vector path holds each GemmMR x GemmNR tile of c in registers for its
+// whole sweep. Every element is bit-identical to zeroing it and calling Axpy
+// on its row once per p in increasing order: the tile does not change the
+// arithmetic, only where c lives between the steps.
+func GemmTiles(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, kc int, accumulate bool) {
+	if !Active() {
+		GemmTilesGeneric(c, ldc, a, ars, aps, m, bp, kc, accumulate)
+		return
+	}
+	// The three extents the assembly body touches.
+	_ = c[(m-1)*ldc+GemmNR-1]
+	_ = a[(m-1)*ars+(kc-1)*aps]
+	_ = bp[kc*GemmNR-1]
 	for i := 0; i < m; i += GemmMR {
 		gemmTileAsm(&c[i*ldc], ldc, &a[i*ars], ars, aps, &bp[0], kc, accumulate)
 	}
@@ -187,7 +201,32 @@ func scaleAVX2(d []float32, s float32) {
 	}
 }
 
-// Assembly bodies (kernels_amd64.s). n is always a positive multiple of 8.
+// The Adam wrappers run the 4-lane float64 body over the largest
+// multiple-of-4 prefix and the reference over the rest. Little-endian fp32 is
+// the wire form, so on amd64 the planes of a state object are updated where
+// they lie; decoded slices enter the same body through a float32-typed alias
+// of its symbol, with the masters' second destination pointed at p itself.
+
+func adamAVX2(k AdamCoef, p, m, v, grad []float32) {
+	n := len(grad) &^ 3
+	if n > 0 {
+		_, _, _ = p[n-1], m[n-1], v[n-1]
+		adamSliceAsm(&p[0], &m[0], &v[0], &grad[0], &p[0], n, &k)
+	}
+	AdamGeneric(k, p[n:], m[n:], v[n:], grad[n:])
+}
+
+func adamWireAVX2(k AdamCoef, p, m, v []byte, grad, out []float32) {
+	n := len(grad) &^ 3
+	if n > 0 {
+		_, _, _, _ = p[4*n-1], m[4*n-1], v[4*n-1], out[n-1]
+		adamAsm(&p[0], &m[0], &v[0], &grad[0], &out[0], n, &k)
+	}
+	AdamWireGeneric(k, p[4*n:], m[4*n:], v[4*n:], grad[n:], out[n:])
+}
+
+// Assembly bodies (kernels_amd64.s). n is always a positive multiple of 8
+// (of 4 for the Adam body).
 
 //go:noescape
 func axpyAsm(c, b *float32, n int, a float32)
@@ -218,6 +257,12 @@ func addAsm(a, b *float32, n int)
 
 //go:noescape
 func scaleAsm(d *float32, n int, s float32)
+
+//go:noescape
+func adamAsm(p, m, v *byte, grad, out *float32, n int, k *AdamCoef)
+
+//go:noescape
+func adamSliceAsm(p, m, v, grad, out *float32, n int, k *AdamCoef)
 
 // cpuid executes CPUID with the given leaf/subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -10,8 +10,11 @@ func archAvailable() bool { return false }
 
 func archKernels() kernels { return generic }
 
-// GemmPanel is the reference on every call and leaves bp unused (see
-// dispatch_amd64.go for the contract).
-func GemmPanel(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, kc int, bp []float32, accumulate bool) {
-	GemmPanelGeneric(c, ldc, a, ars, aps, m, b, ldb, kc, accumulate)
+// PackPanel and GemmTiles are the references on every call (see
+// dispatch_amd64.go for the contracts).
+
+func PackPanel(bp, b []float32, ldb, kc int) { PackPanelGeneric(bp, b, ldb, kc) }
+
+func GemmTiles(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, kc int, accumulate bool) {
+	GemmTilesGeneric(c, ldc, a, ars, aps, m, bp, kc, accumulate)
 }

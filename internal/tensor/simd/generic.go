@@ -95,17 +95,25 @@ func DotGeneric(a, b []float32) float32 {
 	return s
 }
 
-// GemmPanelGeneric is the reference panel: each of the m rows is zeroed
-// (unless accumulating) and updated by AxpyGeneric once per p, in
-// increasing p, straight from b.
-func GemmPanelGeneric(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, kc int, accumulate bool) {
+// PackPanelGeneric is the reference pack: kc rows of GemmNR floats, ldb apart
+// in b, contiguous in bp.
+func PackPanelGeneric(bp, b []float32, ldb, kc int) {
+	for p := 0; p < kc; p++ {
+		copy(bp[p*GemmNR:(p+1)*GemmNR], b[p*ldb:p*ldb+GemmNR])
+	}
+}
+
+// GemmTilesGeneric is the reference tile sweep: each of the m rows is zeroed
+// (unless accumulating) and updated by AxpyGeneric once per p, in increasing
+// p, from the packed rows.
+func GemmTilesGeneric(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, kc int, accumulate bool) {
 	for i := 0; i < m; i++ {
 		crow := c[i*ldc : i*ldc+GemmNR]
 		if !accumulate {
 			clear(crow)
 		}
 		for p := 0; p < kc; p++ {
-			AxpyGeneric(crow, b[p*ldb:p*ldb+GemmNR], a[i*ars+p*aps])
+			AxpyGeneric(crow, bp[p*GemmNR:(p+1)*GemmNR], a[i*ars+p*aps])
 		}
 	}
 }
@@ -153,3 +161,58 @@ func ScaleGeneric(d []float32, s float32) {
 		d[i] *= s
 	}
 }
+
+// AdamCoef is one Adam update's scalars: the hyperparameters, the products
+// of them every element shares, and the step's bias corrections (1 - beta^t).
+// The assembly kernel reads the fields by offset: keep them ten float64s in
+// this order.
+type AdamCoef struct {
+	B1, OmB1, B2, OmB2 float64 // beta, 1 - beta
+	B1c, B2c           float64
+	LR, Eps, WD, LRWD  float64 // WD != 0 selects decoupled decay by LRWD = LR*WD
+}
+
+// update is Adam's arithmetic for one element, written once: the definition
+// the generic kernels apply and the AVX2 body transcribes, one correctly
+// rounded float64 operation per operator, in this order. Every product that
+// feeds an add or a subtract goes through an explicit conversion, which the
+// language defines as a rounding point: without one a compiler may fuse
+// x*y + z into a single rounding (arm64 does, amd64 may at GOAMD64=v3), and
+// "assembly ≡ reference" would depend on build flags. The gradient arrives
+// widened so the body fits the compiler's inlining budget.
+func (k *AdamCoef) update(p, m, v float32, g float64) (float32, float32, float32) {
+	mi := float64(k.B1*float64(m)) + float64(k.OmB1*g)
+	vi := float64(k.B2*float64(v)) + float64(k.OmB2*g*g)
+	pf := float64(p) - k.LR*(mi/k.B1c)/(math.Sqrt(vi/k.B2c)+k.Eps)
+	if k.WD != 0 {
+		pf -= float64(k.LRWD * float64(p))
+	}
+	return float32(pf), float32(mi), float32(vi)
+}
+
+// AdamGeneric is the reference update over decoded slices.
+func AdamGeneric(k AdamCoef, p, m, v, grad []float32) {
+	for i, g := range grad {
+		p[i], m[i], v[i] = k.update(p[i], m[i], v[i], float64(g))
+	}
+}
+
+// AdamWireGeneric is the reference update over the three little-endian fp32
+// planes of a state object, each element loaded, updated and stored back, the
+// new master also written to out.
+func AdamWireGeneric(k AdamCoef, p, m, v []byte, grad, out []float32) {
+	// Advancing the planes instead of indexing them lets the compiler drop the
+	// per-element bounds checks.
+	for i, g := range grad {
+		pn, mn, vn := k.update(loadF32(p), loadF32(m), loadF32(v), float64(g))
+		storeF32(p, pn)
+		storeF32(m, mn)
+		storeF32(v, vn)
+		out[i] = pn
+		p, m, v = p[4:], m[4:], v[4:]
+	}
+}
+
+func loadF32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
+
+func storeF32(b []byte, f float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(f)) }

@@ -586,6 +586,84 @@ scaleDone:
 	VZEROUPPER
 	RET
 
+// func adamAsm(p, m, v *byte, grad, out *float32, n int, k *AdamCoef)
+// AdamCoef.Update for n elements, four float64 lanes at a time: p, m and v
+// are planes of little-endian fp32 updated in place, grad is read, and the
+// new masters are also stored to out. Each lane executes the reference's
+// operations in the reference's order, every one a correctly rounded IEEE
+// double operation with no fusion (VMULPD, VADDPD, VDIVPD, VSQRTPD, VSUBPD
+// are the packed forms of what the compiler emits for the scalar source),
+// between an exact widening (VCVTPS2PD) and the same round-to-nearest
+// narrowing (VCVTPD2PS), so the result is the reference's bit for bit. Weight
+// decay is the reference's branch, taken or not for the whole call: k.WD is
+// tested as bits with the sign shifted out, which is "!= 0" for every value
+// including NaN. (The gradient parameter is not named g: that is the
+// assembler's name for the goroutine register.)
+TEXT ·adamAsm(SB), NOSPLIT, $0-56
+	MOVQ p+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ grad+24(FP), BX
+	MOVQ out+32(FP), R9
+	MOVQ n+40(FP), CX
+	MOVQ k+48(FP), R8
+	VBROADCASTSD 0(R8), Y6    // B1
+	VBROADCASTSD 8(R8), Y7    // OmB1
+	VBROADCASTSD 16(R8), Y8   // B2
+	VBROADCASTSD 24(R8), Y9   // OmB2
+	VBROADCASTSD 32(R8), Y10  // B1c
+	VBROADCASTSD 40(R8), Y11  // B2c
+	VBROADCASTSD 48(R8), Y12  // LR
+	VBROADCASTSD 56(R8), Y13  // Eps
+	VBROADCASTSD 72(R8), Y14  // LRWD
+	MOVQ 64(R8), R10          // WD
+	SHLQ $1, R10              // zero iff WD is +0 or -0
+	XORQ AX, AX
+
+adam4:
+	VCVTPS2PD (DI)(AX*4), Y0  // p
+	VCVTPS2PD (SI)(AX*4), Y1  // m
+	VCVTPS2PD (DX)(AX*4), Y2  // v
+	VCVTPS2PD (BX)(AX*4), Y3  // g
+	VMULPD Y6, Y1, Y1         // B1*m
+	VMULPD Y7, Y3, Y4         // OmB1*g
+	VADDPD Y4, Y1, Y1         // mi
+	VMULPD Y8, Y2, Y2         // B2*v
+	VMULPD Y9, Y3, Y4         // OmB2*g
+	VMULPD Y3, Y4, Y4         // (OmB2*g)*g
+	VADDPD Y4, Y2, Y2         // vi
+	VDIVPD Y10, Y1, Y3        // mi/B1c
+	VMULPD Y3, Y12, Y3        // LR*(mi/B1c)
+	VDIVPD Y11, Y2, Y4        // vi/B2c
+	VSQRTPD Y4, Y4
+	VADDPD Y13, Y4, Y4        // sqrt(vi/B2c) + Eps
+	VDIVPD Y4, Y3, Y3
+	VSUBPD Y3, Y0, Y3         // pf = p - LR*(mi/B1c)/(sqrt(vi/B2c)+Eps)
+	TESTQ R10, R10
+	JZ   adamStore
+	VMULPD Y0, Y14, Y4        // LRWD*p
+	VSUBPD Y4, Y3, Y3
+
+adamStore:
+	VCVTPD2PSY Y3, X3
+	VCVTPD2PSY Y1, X1
+	VCVTPD2PSY Y2, X2
+	VMOVUPS X3, (DI)(AX*4)
+	VMOVUPS X3, (R9)(AX*4)
+	VMOVUPS X1, (SI)(AX*4)
+	VMOVUPS X2, (DX)(AX*4)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  adam4
+	VZEROUPPER
+	RET
+
+// func adamSliceAsm(p, m, v, grad, out *float32, n int, k *AdamCoef)
+// adamAsm under the signature the decoded-slice caller needs: the frames are
+// identical, so this is a jump.
+TEXT ·adamSliceAsm(SB), NOSPLIT, $0-56
+	JMP ·adamAsm(SB)
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

@@ -1,10 +1,11 @@
 // Package simd holds the data-parallel microkernels under the tensor
 // package's hot inner loops: the fp32 matmul kernels — the register tiles
-// the three matmuls run on (GemmPanel: 16 columns of a·b or aᵀ·b in 4x16
-// tiles against a packed panel of b; DotRow: a row of a·bᵀ in 1x3 tiles of
+// the three matmuls run on (PackPanel + GemmTiles: 4x16 tiles of a·b or
+// aᵀ·b against a packed panel of b; DotRow: a row of a·bᵀ in 1x3 tiles of
 // dot products) and the BLAS-1 pair they are defined by and fall back to on
 // ragged edges (Axpy row update, Dot product) — the fp16 pack/unpack codec,
-// and the element-wise add/scale chunks. Each kernel exists twice:
+// the element-wise add/scale chunks, and the optimizer's Adam update. Each
+// kernel exists twice:
 //
 //   - A portable pure-Go reference (the *Generic functions), which is the
 //     semantic contract: what the kernel computes, bit for bit.
@@ -12,21 +13,23 @@
 //     when the CPU and OS support it.
 //
 // Dispatch is through one table of function values resolved once at init
-// (GemmPanel, whose caller keeps a stack buffer out of the heap, branches
-// on the selected set instead), so the per-call cost is one indirect call.
+// (PackPanel and GemmTiles, whose caller keeps a stack buffer out of the heap,
+// branch on the selected set instead), so the per-call cost is one indirect
+// call.
 // Selection is feature-gated (CPUID: AVX2 + FMA + F16C, plus OS YMM state
 // via XGETBV) and can be vetoed with the RATEL_NOSIMD=1 environment
 // variable, which pins every kernel to the portable reference — the escape
 // hatch for debugging and for covering the fallback path in CI.
 //
 // Exactness contract (DESIGN.md §11): the fp16 codec kernels (F16Encode,
-// F16Decode, F16Round) and the element-wise kernels (Add, Scale) are
+// F16Decode, F16Round), the element-wise kernels (Add, Scale) and the Adam
+// kernels (Adam, AdamWire: float64 lanes, no fusion on either path) are
 // bit-identical to their Generic references — the vector bodies perform
 // the same per-element operation with no reassociation, and the assembly
 // canonicalizes NaN results to match the software reference. The matmul
 // kernels (Axpy, Dot) use FMA and, for Dot, multiple accumulators, so
 // they differ from the reference in rounding; they are tolerance-tested.
-// The tiles add no third answer: on either path GemmPanel is bit-identical
+// The tiles add no third answer: on either path GemmTiles is bit-identical
 // to Axpy applied per row and p, and DotRow to Dot applied per cell — same
 // instruction, operands and order for every element, only the loads and
 // stores between the steps differ. All kernels are deterministic: the same
@@ -43,8 +46,8 @@ import "os"
 // kernels is the dispatch table: one resolved implementation per entry
 // point, plus the name of the set. Selection, ForceGeneric and its restore
 // all copy the table as one value, so a kernel added here cannot be left
-// pinned (or unpinned) by a hand-kept list. GemmPanel follows the table
-// through its level.
+// pinned (or unpinned) by a hand-kept list. PackPanel and GemmTiles follow
+// the table through its level.
 type kernels struct {
 	level     string
 	axpy      func(c, b []float32, a float32)
@@ -55,6 +58,8 @@ type kernels struct {
 	f16Round  func(d []float32)
 	add       func(a, b []float32)
 	scale     func(d []float32, s float32)
+	adam      func(k AdamCoef, p, m, v, grad []float32)
+	adamWire  func(k AdamCoef, p, m, v []byte, grad, out []float32)
 }
 
 // generic is the portable reference set.
@@ -68,6 +73,8 @@ var generic = kernels{
 	f16Round:  F16RoundGeneric,
 	add:       AddGeneric,
 	scale:     ScaleGeneric,
+	adam:      AdamGeneric,
+	adamWire:  AdamWireGeneric,
 }
 
 // active is the selected set. It is written at init and by ForceGeneric in
@@ -118,7 +125,7 @@ func Axpy(c, b []float32, a float32) { active.axpy(c, b, a) }
 // the end, so it is tolerance-tested against the sequential reference.
 func Dot(a, b []float32) float32 { return active.dot(a, b) }
 
-// GemmMR x GemmNR is the register tile of GemmPanel (dispatch_*.go).
+// GemmMR x GemmNR is the register tile of GemmTiles (dispatch_*.go).
 const (
 	GemmMR = 4
 	GemmNR = 16
@@ -153,3 +160,19 @@ func Add(a, b []float32) { active.add(a, b) }
 
 // Scale computes d[i] *= s. Bit-identical to ScaleGeneric.
 func Scale(d []float32, s float32) { active.scale(d, s) }
+
+// Adam applies one Adam update (AdamCoef.update) to every element of the
+// decoded state slices p, m and v, in place; the four slices have equal
+// length. Bit-identical to AdamGeneric on finite state (a NaN keeps its
+// class, not necessarily its payload). The coefficients travel by value: a
+// pointer passed through the dispatch table would escape.
+func Adam(k AdamCoef, p, m, v, grad []float32) { active.adam(k, p, m, v, grad) }
+
+// AdamWire is Adam over state in wire form: p, m and v are the three planes
+// of a state object, 4*len(grad) bytes of little-endian fp32 each, updated in
+// place, and the new masters also land in out (len(grad) values) for the
+// fp16 install. Bit-identical to AdamWireGeneric, and to Adam on the decoded
+// planes.
+func AdamWire(k AdamCoef, p, m, v []byte, grad, out []float32) {
+	active.adamWire(k, p, m, v, grad, out)
+}

@@ -267,11 +267,25 @@ func onBothPaths(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// TestGemmPanelBitIdenticalToAxpy: on either path a panel is, element for
-// element, the chain Axpy performs on a zeroed row — for a·b and aᵀ·b
-// addressing, odd and even depths, one and several row tiles, a sweep split
-// into two accumulating calls — and it writes nothing outside its
-// m x GemmNR cells.
+// gemmPanel packs a panel and sweeps m/GemmMR row tiles over it — in one
+// call or tile by tile, which must not matter: what the GEMM driver does per
+// column panel and k-block.
+func gemmPanel(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, kc int, bp []float32, accumulate bool) {
+	PackPanel(bp, b, ldb, kc)
+	if kc%2 == 0 {
+		GemmTiles(c, ldc, a, ars, aps, m, bp, kc, accumulate)
+		return
+	}
+	for i := 0; i < m; i += GemmMR {
+		GemmTiles(c[i*ldc:], ldc, a[i*ars:], ars, aps, GemmMR, bp, kc, accumulate)
+	}
+}
+
+// TestGemmPanelBitIdenticalToAxpy: on either path a packed panel swept by
+// tiles is, element for element, the chain Axpy performs on a zeroed row —
+// for a·b and aᵀ·b addressing, odd and even depths, one and several row
+// tiles, a sweep split into two accumulating calls — and it writes nothing
+// outside its m x GemmNR cells.
 func TestGemmPanelBitIdenticalToAxpy(t *testing.T) {
 	onBothPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
@@ -307,10 +321,10 @@ func TestGemmPanelBitIdenticalToAxpy(t *testing.T) {
 					}
 					k1 := kc / 2
 					if k1 > 0 {
-						GemmPanel(got, ldc, a, ars, aps, m, b, ldb, k1, bp, false)
-						GemmPanel(got, ldc, a[k1*aps:], ars, aps, m, b[k1*ldb:], ldb, kc-k1, bp, true)
+						gemmPanel(got, ldc, a, ars, aps, m, b, ldb, k1, bp, false)
+						gemmPanel(got, ldc, a[k1*aps:], ars, aps, m, b[k1*ldb:], ldb, kc-k1, bp, true)
 					} else {
-						GemmPanel(got, ldc, a, ars, aps, m, b, ldb, kc, bp, false)
+						gemmPanel(got, ldc, a, ars, aps, m, b, ldb, kc, bp, false)
 					}
 					for i := range got {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -380,4 +394,126 @@ func TestNoSIMDEnvParsing(t *testing.T) {
 			t.Errorf("noSIMDEnv(%q) = %v, want %v", v, got, want)
 		}
 	}
+}
+
+// adamTestCoef is step t of the default Adam configuration, with or without
+// decoupled weight decay.
+func adamTestCoef(t int, wd float64) AdamCoef {
+	const b1, b2, lr = 0.9, 0.999, 1e-3
+	return AdamCoef{
+		B1: b1, OmB1: 1 - b1, B2: b2, OmB2: 1 - b2,
+		B1c: 1 - math.Pow(b1, float64(t)), B2c: 1 - math.Pow(b2, float64(t)),
+		LR: lr, Eps: 1e-8, WD: wd, LRWD: lr * wd,
+	}
+}
+
+// adamTestState fills n elements of state and gradient from classes that
+// reach every corner of the formula: signed zeros, fp32 subnormals, a fresh
+// group (m = v = 0) with and without a gradient, the 6.5e4 scale of a
+// loss-scaled fp16 gradient, the 1e-30 scale where v underflows to a
+// subnormal, and ordinary values.
+func adamTestState(rng *rand.Rand, n int) (p, m, v, g []float32) {
+	p, m, v, g = make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+	negZero := float32(math.Copysign(0, -1))
+	sub := math.Float32frombits(0x00000123)
+	for i := range p {
+		sign := float32(1 - 2*rng.Intn(2))
+		p[i] = sign * rng.Float32()
+		switch rng.Intn(8) {
+		case 0: // fresh state, zero gradient: 0/(0+eps)
+			g[i] = []float32{0, negZero}[rng.Intn(2)]
+		case 1: // fresh state
+			g[i] = sign * rng.Float32()
+		case 2:
+			p[i], m[i], v[i], g[i] = negZero, negZero, 0, sub
+		case 3:
+			p[i], m[i], v[i], g[i] = sub, -sub, sub, -sub
+		case 4:
+			m[i], v[i], g[i] = sign*6.5e4*rng.Float32(), 4e9*rng.Float32(), -sign*6.5e4*rng.Float32()
+		case 5:
+			m[i], v[i], g[i] = sign*1e-30*rng.Float32(), 1e-38*rng.Float32(), sign*1e-30*rng.Float32()
+		default:
+			m[i], v[i], g[i] = float32(rng.NormFloat64())*0.01, rng.Float32()*1e-3, float32(rng.NormFloat64())*0.1
+		}
+	}
+	return p, m, v, g
+}
+
+// sameFloat is bit equality, except that two NaNs are equal whatever their
+// payloads: which operand's payload an operation propagates depends on
+// operand order, which the vector body does not promise to share.
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// TestAdamBitIdenticalToReference: on either path, over decoded slices and
+// over wire planes, whole or cut at any chunk boundary, the kernel leaves
+// exactly what AdamCoef.update leaves element by element — at lengths around
+// the 4-lane body and the optimizer's chunk grain, with and without weight
+// decay, over every value class above and, by class, over non-finite state.
+// What it can catch is a wrong operand, constant, order, branch or tail: a
+// last-place float64 difference (a fused multiply-add) survives the float32
+// narrowing about once in 2^29 elements, so that the body fuses nothing rests
+// on its instruction list, not on this table.
+func TestAdamBitIdenticalToReference(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(49))
+		nan, inf := float32(math.NaN()), float32(math.Inf(1))
+		lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8191, 8192, 8193}
+		for _, n := range lengths {
+			for _, wd := range []float64{0, 0.01} {
+				for _, nonFinite := range []bool{false, true} {
+					k := adamTestCoef(1+rng.Intn(50), wd)
+					p, m, v, g := adamTestState(rng, n)
+					if nonFinite {
+						for i, x := range []float32{nan, inf, -inf, nan, inf} {
+							if i < n {
+								[][]float32{p, m, v, g, g}[i][i] = x
+							}
+						}
+					}
+					wantP, wantM, wantV := make([]float32, n), make([]float32, n), make([]float32, n)
+					for i := range p {
+						wantP[i], wantM[i], wantV[i] = k.update(p[i], m[i], v[i], float64(g[i]))
+					}
+					// Cut points: none, then a few that leave the body's
+					// 4-element groups misaligned on both sides.
+					for _, cut := range []int{0, 1, n / 3, n - 2} {
+						if cut < 0 || cut > n {
+							continue
+						}
+						sp, sm, sv := append([]float32(nil), p...), append([]float32(nil), m...), append([]float32(nil), v...)
+						Adam(k, sp[:cut], sm[:cut], sv[:cut], g[:cut])
+						Adam(k, sp[cut:], sm[cut:], sv[cut:], g[cut:])
+
+						wire := make([]byte, 12*n)
+						wp, wm, wv := wire[:4*n], wire[4*n:8*n], wire[8*n:]
+						for i := range p {
+							storeF32(wp[4*i:], p[i])
+							storeF32(wm[4*i:], m[i])
+							storeF32(wv[4*i:], v[i])
+						}
+						out := make([]float32, n)
+						AdamWire(k, wp[:4*cut], wm[:4*cut], wv[:4*cut], g[:cut], out[:cut])
+						AdamWire(k, wp[4*cut:], wm[4*cut:], wv[4*cut:], g[cut:], out[cut:])
+
+						for i := 0; i < n; i++ {
+							if !sameFloat(sp[i], wantP[i]) || !sameFloat(sm[i], wantM[i]) || !sameFloat(sv[i], wantV[i]) {
+								t.Fatalf("Adam n=%d wd=%v cut=%d: element %d (p,m,v,g = %g,%g,%g,%g) = (%g,%g,%g), reference (%g,%g,%g)",
+									n, wd, cut, i, p[i], m[i], v[i], g[i], sp[i], sm[i], sv[i], wantP[i], wantM[i], wantV[i])
+							}
+							gp, gm, gv := loadF32(wp[4*i:]), loadF32(wm[4*i:]), loadF32(wv[4*i:])
+							if !sameFloat(gp, wantP[i]) || !sameFloat(gm, wantM[i]) || !sameFloat(gv, wantV[i]) || !sameFloat(out[i], wantP[i]) {
+								t.Fatalf("AdamWire n=%d wd=%v cut=%d: element %d = (%g,%g,%g) out %g, reference (%g,%g,%g)",
+									n, wd, cut, i, gp, gm, gv, out[i], wantP[i], wantM[i], wantV[i])
+							}
+							if !nonFinite && (wantP[i] != wantP[i] || wantV[i] < 0) {
+								t.Fatalf("n=%d element %d: finite state produced p=%g v=%g", n, i, wantP[i], wantV[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	})
 }

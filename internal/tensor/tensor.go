@@ -156,97 +156,259 @@ func MatMulInto(c, a, b *Tensor) error {
 	if err := checkDst(c, m, n, "matmul"); err != nil {
 		return err
 	}
-	gemm(c.Data, a.Data, b.Data, k, 1, m, k, n)
+	gemm(product{m: m, k: k, n: n, ldc: n, ars: k, aps: 1, ldb: n}, c.Data, a.Data, b.Data)
 	return nil
 }
 
-// The GEMM driver under MatMul and TMatMul. Both are
+// View is a rank-2 window onto row-major storage: Rows x Cols elements, row i
+// at Data[i*Stride : i*Stride+Cols]. The view products below read and write
+// operands where they lie — one head's columns of a [tokens, 3d] activation,
+// a head's columns of the context — instead of through gathered copies.
+type View struct {
+	Data               []float32
+	Rows, Cols, Stride int
+}
+
+// Window is rows [row0, row0+rows) x columns [col0, col0+cols) of the rank-2
+// tensor t as a View sharing its storage. Like a slice expression it panics
+// when the window does not lie inside t.
+func (t *Tensor) Window(row0, rows, col0, cols int) View {
+	if len(t.Shape) != 2 || row0 < 0 || rows < 0 || col0 < 0 || cols < 0 || row0+rows > t.Shape[0] || col0+cols > t.Shape[1] {
+		panic(fmt.Sprintf("tensor: window rows [%d,+%d) cols [%d,+%d) of shape %v", row0, rows, col0, cols, t.Shape))
+	}
+	return View{Data: t.Data[row0*t.Shape[1]+col0:], Rows: rows, Cols: cols, Stride: t.Shape[1]}
+}
+
+// View is the whole of the rank-2 tensor t as a window.
+func (t *Tensor) View() View { return t.Window(0, t.Shape[0], 0, t.Shape[1]) }
+
+// checkViews validates the operands of a view product: each window must lie
+// inside its storage, and with lower set the product's triangular matrix tri
+// must be square.
+func checkViews(op string, lower bool, tri View, vs ...View) error {
+	for _, v := range vs {
+		if v.Rows < 0 || v.Cols < 0 || v.Stride < v.Cols || (v.Rows > 0 && len(v.Data) < (v.Rows-1)*v.Stride+v.Cols) {
+			return fmt.Errorf("tensor: %s: view %dx%d stride %d over %d values", op, v.Rows, v.Cols, v.Stride, len(v.Data))
+		}
+	}
+	if lower && tri.Rows != tri.Cols {
+		return fmt.Errorf("tensor: %s: lower-triangular operand is %dx%d, want square", op, tri.Rows, tri.Cols)
+	}
+	return nil
+}
+
+// The view products are the three matmuls on windows, with one addition:
+// lower declares that the product's square matrix — a for MatMulView and
+// TMatMulView, c for MatMulTView — is lower-triangular BY CONSTRUCTION (a
+// causal attention matrix), and the kernels then leave its upper triangle
+// alone. For a, the terms whose coefficient lies above the diagonal are
+// skipped; the caller guarantees those elements hold +0 (the tiles still
+// read the few next to the diagonal). For c, only cells on and below the
+// diagonal are computed and written. Every element that is computed is the
+// same chain as in the full product, and skipping a +0 coefficient leaves a
+// chain unchanged when the other factor is finite, so on finite data the
+// result is bit-identical to the full product (DESIGN.md §11, "exact by
+// structure"). The skip is decided by index, never by value: a zero that
+// merely happens to be there is multiplied like any other number, and the
+// plain matmuls skip nothing. c must not overlap a or b.
+
+// MatMulView computes c = a·b for a [m,k], b [k,n], c [m,n]. With lower, a
+// is square lower-triangular and row i sums p <= i only.
+func MatMulView(c, a, b View, lower bool) error {
+	if err := checkViews("matmul", lower, a, c, a, b); err != nil {
+		return err
+	}
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
+		return fmt.Errorf("tensor: matmul views %dx%d = %dx%d · %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	gemm(product{m: a.Rows, k: a.Cols, n: b.Cols, ldc: c.Stride, ars: a.Stride, aps: 1, ldb: b.Stride, tri: trailingZeros.when(lower)}, c.Data, a.Data, b.Data)
+	return nil
+}
+
+// TMatMulView computes c = aᵀ·b for a [k,m], b [k,n], c [m,n]. With lower, a
+// is square lower-triangular as stored, so aᵀ is upper-triangular and row i
+// sums p >= i only.
+func TMatMulView(c, a, b View, lower bool) error {
+	if err := checkViews("tmatmul", lower, a, c, a, b); err != nil {
+		return err
+	}
+	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
+		return fmt.Errorf("tensor: tmatmul views %dx%d = (%dx%d)ᵀ · %dx%d", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	gemm(product{m: a.Cols, k: a.Rows, n: b.Cols, ldc: c.Stride, ars: 1, aps: a.Stride, ldb: b.Stride, tri: leadingZeros.when(lower)}, c.Data, a.Data, b.Data)
+	return nil
+}
+
+// MatMulTView computes c = a·bᵀ for a [m,k], b [n,k], c [m,n]. With lower, c
+// is square and only its cells j <= i are computed; the rest of c is not
+// touched.
+func MatMulTView(c, a, b View, lower bool) error {
+	if err := checkViews("matmulT", lower, c, c, a, b); err != nil {
+		return err
+	}
+	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
+		return fmt.Errorf("tensor: matmulT views %dx%d = %dx%d · (%dx%d)ᵀ", c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	dotRows(product{m: a.Rows, k: a.Cols, n: b.Rows, ldc: c.Stride, ars: a.Stride, aps: 1, ldb: b.Stride, tri: trailingZeros.when(lower)}, c.Data, a.Data, b.Data)
+	return nil
+}
+
+// The GEMM driver under MatMul and TMatMul, contiguous or on views. Both are
 //
-//	c[i,j] = Σ_p a[i*ars+p*aps] · b[p*n+j]
+//	c[i*ldc+j] = Σ_p a[i*ars+p*aps] · b[p*ldb+j]
 //
-// with (ars, aps) = (k, 1) for a·b and (1, m) for aᵀ·b, and every element
-// is one chain: from zero, one fused multiply-add per p in increasing p
-// (unfused in the n mod 8 tail columns and on the generic path) — what
-// simd.Axpy does to the element's row when called once per p. The driver
-// chooses only where c lives between the steps.
+// with (ars, aps) = (row stride, 1) for a·b and (1, row stride) for aᵀ·b,
+// and every element is one chain: from zero, one fused multiply-add per p in
+// increasing p (unfused in the n mod 8 tail columns and on the generic path)
+// — what simd.Axpy does to the element's row when called once per p. The
+// driver chooses only where c lives between the steps, and, for a triangular
+// a, which p a row visits at all.
 //
 // With the vector kernels active, a column panel of b (gemmKC x simd.GemmNR)
 // is packed into a contiguous stack buffer — weights with a 4 KiB row stride
 // would otherwise put every row of the panel in the same cache set — and
 // every full simd.GemmMR-row tile of the panel runs through the tile kernel
-// (simd.GemmPanel), which keeps the tile of c in registers across the
-// k-block. The rows and
-// columns that do not fill a tile go through gemmEdge, the Axpy loops on
-// sub-slices. With the vector kernels inactive nothing fills a tile:
-// the whole product is edge and runs the row loops as it always has.
+// (simd.GemmTiles), which keeps the tile of c in registers across its part of
+// the k-block. The rows and columns that do not fill a tile go through
+// gemmEdge, the Axpy loops on sub-slices. With the vector kernels inactive
+// nothing fills a tile: the whole product is edge and runs the row loops as
+// it always has.
+
+// product is one matrix product's geometry, shared by the GEMM driver and
+// the dot-product driver (dotRows, where b is [n,k], aps is 1 and tri is c's
+// shape rather than a's).
+type product struct {
+	m, k, n            int // c is [m,n]; every element sums over k
+	ldc, ars, aps, ldb int // row stride of c, row and p strides of a, row stride of b
+	tri                triangle
+}
+
+// triangle is the structural zero pattern of the square a of a product: which
+// coefficients a[i,p] are zero by construction, as a function of (i, p) alone.
+type triangle int8
+
+const (
+	noZeros       triangle = iota
+	trailingZeros          // a[i,p] = +0 for p > i: a lower-triangular a
+	leadingZeros           // a[i,p] = +0 for p < i: a lower-triangular matrix read transposed
+)
+
+// when is t if the caller declared its matrix triangular, noZeros otherwise.
+func (t triangle) when(declared bool) triangle {
+	if declared {
+		return t
+	}
+	return noZeros
+}
+
+// work is the product's multiply-add count, the pool's cost estimate: half
+// the square's when a triangle is skipped.
+func (g product) work() int64 {
+	w := int64(g.m) * int64(g.k) * int64(g.n)
+	if g.tri != noZeros {
+		w /= 2
+	}
+	return w
+}
+
+// span is the range of p that rows [i0,i1) of the product visit: all of
+// [0,k) but the part where every one of those rows has a structural zero.
+func (g product) span(i0, i1 int) (lo, hi int) {
+	switch g.tri {
+	case trailingZeros:
+		return 0, i1
+	case leadingZeros:
+		return i0, g.k
+	}
+	return 0, g.k
+}
 
 // gemmKC is the depth of a packed panel: gemmKC x simd.GemmNR floats are
 // 16 KiB, a third of L1 next to the streaming rows of a. Deeper products
 // continue the chains block by block, which rounds nothing.
 const gemmKC = 256
 
-// gemm computes c[m,n] from the strided a and row-major b [k,n], sharding
-// column panels across the pool: a panel is packed by exactly one
-// participant, and each element still has one owner and one chain, so the
-// result is bit-identical at any thread count.
-func gemm(cd, ad, bd []float32, ars, aps, m, k, n int) {
-	work := int64(m) * int64(k) * int64(n)
+// gemm computes c[m,n] from the strided a and b [k,n], sharding column
+// panels across the pool: a panel is packed by exactly one participant, and
+// each element still has one owner and one chain, so the result is
+// bit-identical at any thread count.
+func gemm(g product, cd, ad, bd []float32) {
+	work := g.work()
 	if pool.InlineWork(work) {
-		gemmCols(cd, ad, bd, ars, aps, m, k, n, 0, n)
+		gemmCols(g, cd, ad, bd, 0, g.n)
 		return
 	}
-	panels := (n + simd.GemmNR - 1) / simd.GemmNR
+	panels := (g.n + simd.GemmNR - 1) / simd.GemmNR
 	parallelFor(panels, 1, work, func(lo, hi int) {
-		gemmCols(cd, ad, bd, ars, aps, m, k, n, lo*simd.GemmNR, min(hi*simd.GemmNR, n))
+		gemmCols(g, cd, ad, bd, lo*simd.GemmNR, min(hi*simd.GemmNR, g.n))
 	})
 }
 
 // gemmCols computes columns [j0,j1) of c: tiles where rows and columns fill
 // them, edges elsewhere. Named rather than a closure so the serial path
 // allocates nothing.
-func gemmCols(cd, ad, bd []float32, ars, aps, m, k, n, j0, j1 int) {
+func gemmCols(g product, cd, ad, bd []float32, j0, j1 int) {
 	mt, jt := 0, j0 // tiles cover rows [0,mt) of columns [j0,jt)
-	if simd.Active() && m >= simd.GemmMR && k > 0 {
-		mt = m - m%simd.GemmMR
+	if simd.Active() && g.m >= simd.GemmMR && g.k > 0 {
+		mt = g.m - g.m%simd.GemmMR
 		jt = j1 - (j1-j0)%simd.GemmNR
 	}
 	if jt > j0 {
-		gemmTiles(cd, ad, bd, ars, aps, mt, k, n, j0, jt)
+		gemmTiles(g, cd, ad, bd, mt, j0, jt)
 	}
-	gemmEdge(cd, ad, bd, ars, aps, k, n, mt, m, j0, jt)
-	gemmEdge(cd, ad, bd, ars, aps, k, n, 0, m, jt, j1)
+	gemmEdge(g, cd, ad, bd, mt, g.m, j0, jt)
+	gemmEdge(g, cd, ad, bd, 0, g.m, jt, j1)
 }
 
 // gemmTiles computes rows [0,mt) x columns [j0,jt) of c, both whole numbers
-// of tiles: one simd.GemmPanel per column panel and k-block, which packs the
-// panel of b into the stack buffer and sweeps the row tiles over it.
-func gemmTiles(cd, ad, bd []float32, ars, aps, mt, k, n, j0, jt int) {
+// of tiles. Per column panel and k-block it packs the panel of b into the
+// stack buffer once and sweeps the row tiles over it, each over the part of
+// its span that lies in the block: a tile starts from zero in the block
+// where its span starts and continues its chains in the later ones. Without
+// structural zeros every tile's span is the whole of k and one call sweeps
+// them all; with them each tile has its own stretch of the block and its own
+// call (the per-call cost is 2–8 % of a Linear-sized product, which is why
+// the plain matmuls do not pay it).
+func gemmTiles(g product, cd, ad, bd []float32, mt, j0, jt int) {
 	var bp [gemmKC * simd.GemmNR]float32
+	rows := simd.GemmMR // rows that share a span, hence a call
+	if g.tri == noZeros {
+		rows = mt
+	}
 	for j := j0; j < jt; j += simd.GemmNR {
-		for p0 := 0; p0 < k; p0 += gemmKC {
-			simd.GemmPanel(cd[j:], n, ad[p0*aps:], ars, aps, mt, bd[p0*n+j:], n, min(gemmKC, k-p0), bp[:], p0 > 0)
+		for p0 := 0; p0 < g.k; p0 += gemmKC {
+			p1 := min(p0+gemmKC, g.k)
+			simd.PackPanel(bp[:], bd[p0*g.ldb+j:], g.ldb, p1-p0)
+			for i := 0; i < mt; i += rows {
+				lo, hi := g.span(i, i+rows)
+				q0, q1 := max(lo, p0), min(hi, p1)
+				if q0 < q1 {
+					simd.GemmTiles(cd[i*g.ldc+j:], g.ldc, ad[i*g.ars+q0*g.aps:], g.ars, g.aps, rows, bp[(q0-p0)*simd.GemmNR:], q1-q0, q0 > lo)
+				}
+			}
 		}
 	}
 }
 
 // gemmEdge computes rows [i0,i1) x columns [j0,j1) of c the way the whole
 // product was computed before the tile existed: zero, then one simd.Axpy
-// per (i,p) in increasing p, a gemmKC-row block of b at a time so the block
-// stays cache-resident while the rows sweep it. It is the ragged-edge path
-// and the whole of the generic path.
-func gemmEdge(cd, ad, bd []float32, ars, aps, k, n, i0, i1, j0, j1 int) {
+// per (i,p) in increasing p over the row's span, a gemmKC-row block of b at a
+// time so the block stays cache-resident while the rows sweep it. It is the
+// ragged-edge path and the whole of the generic path.
+func gemmEdge(g product, cd, ad, bd []float32, i0, i1, j0, j1 int) {
 	if i0 >= i1 || j0 >= j1 {
 		return
 	}
 	for i := i0; i < i1; i++ {
-		clear(cd[i*n+j0 : i*n+j1])
+		clear(cd[i*g.ldc+j0 : i*g.ldc+j1])
 	}
-	for p0 := 0; p0 < k; p0 += gemmKC {
-		p1 := min(p0+gemmKC, k)
+	for p0 := 0; p0 < g.k; p0 += gemmKC {
+		p1 := min(p0+gemmKC, g.k)
 		for i := i0; i < i1; i++ {
-			crow := cd[i*n+j0 : i*n+j1]
-			for p := p0; p < p1; p++ {
-				simd.Axpy(crow, bd[p*n+j0:p*n+j1], ad[i*ars+p*aps])
+			lo, hi := g.span(i, i+1)
+			crow := cd[i*g.ldc+j0 : i*g.ldc+j1]
+			for p := max(lo, p0); p < min(hi, p1); p++ {
+				simd.Axpy(crow, bd[p*g.ldb+j0:p*g.ldb+j1], ad[i*g.ars+p*g.aps])
 			}
 		}
 	}
@@ -291,31 +453,44 @@ func MatMulTInto(c, a, b *Tensor) error {
 	if err := checkDst(c, m, n, "matmulT"); err != nil {
 		return err
 	}
-	cd, ad, bd := c.Data, a.Data, b.Data
-	work := int64(m) * int64(k) * int64(n)
-	if pool.InlineWork(work) {
-		matMulTPanel(cd, ad, bd, k, n, 0, m)
-		return nil
-	}
-	parallelRows(m, work, func(lo, hi int) { matMulTPanel(cd, ad, bd, k, n, lo, hi) })
+	dotRows(product{m: m, k: k, n: n, ldc: n, ars: k, aps: 1, ldb: k}, c.Data, a.Data, b.Data)
 	return nil
 }
 
-// dotPanelFloats is how much of b matMulTPanel keeps hot: the rows of b one
+// dotRows is the driver under MatMulT, contiguous or on views: every cell of
+// c = a·bᵀ it computes is one simd.Dot of a row of a and a row of b, and the
+// rows of c are sharded across the pool.
+func dotRows(g product, cd, ad, bd []float32) {
+	work := g.work()
+	if pool.InlineWork(work) {
+		dotPanel(g, cd, ad, bd, 0, g.m)
+		return
+	}
+	parallelRows(g.m, work, func(lo, hi int) { dotPanel(g, cd, ad, bd, lo, hi) })
+}
+
+// dotPanelFloats is how much of b dotPanel keeps hot: the rows of b one
 // sweep of a's rows reuses add up to at most 24 KiB, so they stay in L1
 // whatever k is (a fixed row count cannot: 16 rows fit at k = 256 and are
 // 64 KiB at k = 1024). The count is a multiple of simd.DotRowTile, so only
 // the last panel has ragged cells.
 const dotPanelFloats = 6144
 
-// matMulTPanel computes rows [lo,hi) of c = a·bᵀ, writing every cell: one
-// simd.DotRow per row of a and panel of b rows.
-func matMulTPanel(cd, ad, bd []float32, k, n, lo, hi int) {
-	jBlock := max(dotPanelFloats/max(k, 1)/simd.DotRowTile, 1) * simd.DotRowTile
-	for j0 := 0; j0 < n; j0 += jBlock {
-		j1 := min(j0+jBlock, n)
+// dotPanel computes rows [lo,hi) of c = a·bᵀ: one simd.DotRow per row of a
+// and panel of b rows, writing every cell — or, for a lower-triangular c,
+// every cell up to the diagonal (how a row's cells group into tiles does not
+// change a cell: each is the Dot of its two rows).
+func dotPanel(g product, cd, ad, bd []float32, lo, hi int) {
+	jBlock := max(dotPanelFloats/max(g.k, 1)/simd.DotRowTile, 1) * simd.DotRowTile
+	for j0 := 0; j0 < g.n; j0 += jBlock {
 		for i := lo; i < hi; i++ {
-			simd.DotRow(cd[i*n+j0:i*n+j1], ad[i*k:(i+1)*k], bd[j0*k:], k)
+			j1 := min(j0+jBlock, g.n)
+			if g.tri == trailingZeros {
+				j1 = min(j1, i+1)
+			}
+			if j0 < j1 {
+				simd.DotRow(cd[i*g.ldc+j0:i*g.ldc+j1], ad[i*g.ars:i*g.ars+g.k], bd[j0*g.ldb:], g.ldb)
+			}
 		}
 	}
 }
@@ -359,7 +534,7 @@ func TMatMulInto(c, a, b *Tensor) error {
 	if err := checkDst(c, m, n, "tmatmul"); err != nil {
 		return err
 	}
-	gemm(c.Data, a.Data, b.Data, 1, m, m, k, n)
+	gemm(product{m: m, k: k, n: n, ldc: n, ars: 1, aps: m, ldb: n}, c.Data, a.Data, b.Data)
 	return nil
 }
 
@@ -529,9 +704,9 @@ func geluGradScalar(v float32) float32 {
 	return float32(0.5*(1+tanh) + 0.5*xf*sech2*du)
 }
 
-// SoftmaxRows applies a numerically-stable softmax to each row in place.
-// Rows are independent and sharded across the pool; per-row arithmetic is
-// unchanged, so results are bit-identical at any thread count.
+// SoftmaxRows applies SoftmaxRow to each row in place. Rows are independent
+// and sharded across the pool; per-row arithmetic is unchanged, so results
+// are bit-identical at any thread count.
 func SoftmaxRows(x *Tensor) error {
 	m, n, err := x.Dims2()
 	if err != nil {
@@ -549,23 +724,32 @@ func SoftmaxRows(x *Tensor) error {
 
 func softmaxRowsChunk(xd []float32, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		row := xd[i*n : (i+1)*n]
-		max := row[0]
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
+		SoftmaxRow(xd[i*n : (i+1)*n])
+	}
+}
+
+// SoftmaxRow applies a numerically-stable softmax to one non-empty row in
+// place: the maximum, exp and the sum in float64 in increasing index, one
+// float32 multiply by the reciprocal. It is the softmax everywhere — causal
+// attention hands it a row's prefix up to the diagonal, which is the masked
+// row exactly: a masked cell is exp(-Inf) = 0 in the sum and 0 after the
+// scale.
+func SoftmaxRow(row []float32) {
+	max := row[0]
+	for _, v := range row {
+		if v > max {
+			max = v
 		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - max))
-			row[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range row {
-			row[j] *= inv
-		}
+	}
+	var sum float64
+	for j, v := range row {
+		e := math.Exp(float64(v - max))
+		row[j] = float32(e)
+		sum += e
+	}
+	inv := float32(1 / sum)
+	for j := range row {
+		row[j] *= inv
 	}
 }
 
