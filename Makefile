@@ -28,13 +28,14 @@ test-nosimd:
 # Into paths, cache round trip, step pins, the matmuls' packed-panel pin
 # TestMatMulIntoAllocs, the GELU lookup's TestGELUAllocs), the optimizer state
 # pipeline's tests, the Adam wire walk's and the Adam kernel's equivalence
-# tests, and the causal-attention equivalence tests (the view products against
+# tests, the causal-attention equivalence tests (the view products against
 # the contiguous full products, attention against its full-square reference)
-# under GOMAXPROCS 1, 2 and 4, uncached. A pin that holds on one core
-# count only (the seed's TestCacheRoundTripAllocs did) is not a pin. A
-# pattern that no longer matches any test fails the target instead of
-# silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical
+# and the tier-against-tier tests (tiles, whole matmuls and a loss trace under
+# every vector level the machine has) under GOMAXPROCS 1, 2 and 4, uncached.
+# A pin that holds on one core count only (the seed's
+# TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
+# matches any test fails the target instead of silently shrinking the matrix.
+TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:
@@ -101,15 +102,18 @@ bench-gate:
 
 # Kernel micro-benchmarks (BENCH_kernels.json is a committed snapshot):
 # square matmuls, the three matmul variants at every BENCHMARK.json
-# workload's Linear and attention shapes on 1 and NumCPU threads, the fp16
-# codec and Adam; then, on one core, the kernels that run inline at every
-# workload's size — the GELU tables against the scalar formula, the Adam
-# wire walk against decode + AdamStep + encode — and one attention layer's
-# forward + backward at every workload's geometry.
+# workload's Linear and attention shapes on 1 and NumCPU threads (and on one
+# thread pinned to each vector level below the selected one), the fp16
+# codec and Adam; then, on one core, the measured FMA ceiling the matmul rows
+# are read against (BenchmarkFMAPeak: ymm, and zmm where the machine has it),
+# the kernels that run inline at every workload's size — the GELU tables
+# against the scalar formula, the Adam wire walk against decode + AdamStep +
+# encode — and one attention layer's forward + backward at every workload's
+# geometry.
 .PHONY: bench-kernels
 bench-kernels:
 	go test -run '^$$' -bench 'BenchmarkMatMul_|BenchmarkGEMMShapes|BenchmarkAdamStep_|BenchmarkFP16' -benchmem ./internal/tensor ./internal/opt
-	go test -run '^$$' -bench 'BenchmarkGELU|BenchmarkAdamWire|BenchmarkAttention' -benchmem -cpu 1 ./internal/tensor ./internal/opt ./internal/nn
+	go test -run '^$$' -bench 'BenchmarkFMAPeak|BenchmarkGELU|BenchmarkAdamWire|BenchmarkAttention' -benchmem -cpu 1 ./internal/tensor/... ./internal/opt ./internal/nn
 
 # Activation I/O overlap benchmark: no overlap (the oracleSyncIO test hook)
 # vs write-behind/read-ahead at depth 1 and 3 under Table III-shaped device

@@ -15,14 +15,14 @@ func directGenericCall(c, b []float32) {
 }
 
 func tileEntryPointsAreFine(c, a, bp []float32) {
-	simd.PackPanel(bp, c, simd.GemmNR, 1)
-	simd.GemmTiles(c, simd.GemmNR, a, 1, simd.GemmMR, simd.GemmMR, bp, 1, false)
+	simd.PackPanel(bp, c, simd.GemmNR, 1, simd.GemmNR)
+	simd.GemmTiles(c, simd.GemmNR, a, 1, simd.GemmMR, simd.GemmMR, bp, simd.GemmNR, 1, false)
 	simd.DotRow(c[:simd.DotRowTile], a, bp, len(a))
 }
 
 func directTileReferenceCalls(c, a, bp []float32) {
-	simd.GemmTilesGeneric(c, simd.GemmNR, a, 1, simd.GemmMR, simd.GemmMR, bp, 1, false) // want `direct call to simd.GemmTilesGeneric bypasses the kernel dispatch`
-	simd.DotRowGeneric(c, a, bp, len(a))                                                // want `direct call to simd.DotRowGeneric bypasses the kernel dispatch`
+	simd.GemmTilesGeneric(c, simd.GemmNR, a, 1, simd.GemmMR, simd.GemmMR, bp, simd.GemmNR, 1, false) // want `direct call to simd.GemmTilesGeneric bypasses the kernel dispatch`
+	simd.DotRowGeneric(c, a, bp, len(a))                                                             // want `direct call to simd.DotRowGeneric bypasses the kernel dispatch`
 }
 
 func directCodecCalls(dst []byte, src []float32) {

@@ -649,6 +649,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		return fail(err)
 	}
 	inputs := make([]*tensor.Tensor, len(m.Blocks))
+	var lastCache *nn.BlockCache
 	h := x
 	for i, b := range m.Blocks {
 		inputs[i] = h
@@ -698,7 +699,12 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			e.actHost.Add(int64(e.blobLen))
 		}
 		// The live cache is dropped either way: swapped blocks restore it
-		// from their tier, the rest recompute from the saved block input.
+		// from their tier, the rest recompute from the saved block input. But
+		// not the last block's, which backward wants a head forward from now
+		// with no other cache live: recomputing that one lowers no peak.
+		if i == len(m.Blocks)-1 && e.cfg.Swap[i] == Recompute {
+			lastCache = c
+		}
 		h = y
 	}
 	sp = tr.StartSpan(obs.LaneCompute, labelHeadFwd)
@@ -813,6 +819,10 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			e.hostPool.Free(units.Bytes(len(h.blob)))
 			h.pinned = false
 		default:
+			if i == len(m.Blocks)-1 {
+				c = lastCache // forward's own, kept across the head
+				break
+			}
 			sp = tr.StartSpan(obs.LaneCompute, e.labels[i].recompute)
 			c, err = m.Blocks[i].Recompute(inputs[i])
 			sp.End()

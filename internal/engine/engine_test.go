@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"ratel/internal/nn"
 	"ratel/internal/opt"
 	"ratel/internal/tensor"
+	"ratel/internal/tensor/simd"
 	"ratel/internal/units"
 )
 
@@ -139,8 +141,55 @@ func TestOffloadTransparency(t *testing.T) {
 	if st.RecomputedBlocks != 0 {
 		t.Errorf("offload engine recomputed %d blocks", st.RecomputedBlocks)
 	}
-	if recompute.Stats().RecomputedBlocks != 9 {
-		t.Errorf("recompute engine recomputed %d blocks, want 9", recompute.Stats().RecomputedBlocks)
+	// Two of the three blocks per step: the last block's cache is the one
+	// forward just built, kept across the head instead of rebuilt.
+	if recompute.Stats().RecomputedBlocks != 6 {
+		t.Errorf("recompute engine recomputed %d blocks, want 6", recompute.Stats().RecomputedBlocks)
+	}
+}
+
+// TestLossTraceTiersBitIdentical: which vector kernels the machine selects
+// decides speed only. Three steps at a configuration whose products fill the
+// GEMM tile's full and half panels and whose Linear depths sit on the long side
+// of the dot tile's length rule (attention's on the short side) trace the
+// same loss bits and leave the same parameters under every vector level this
+// machine has.
+func TestLossTraceTiersBitIdentical(t *testing.T) {
+	levels := simd.Levels()[1:]
+	if len(levels) < 2 {
+		t.Skip("fewer than two vector levels on this machine")
+	}
+	var wantLoss []float64
+	var wantParams []float32
+	for _, level := range levels {
+		restore := simd.ForceLevel(level)
+		e := newEngine(t, Config{
+			Model:    nn.Config{Vocab: 48, Seq: 16, Hidden: 64, Heads: 2, Layers: 2, Batch: 2, Seed: 77},
+			GradMode: agoffload.Optimized,
+			Swap:     map[int]Tier{0: SwapSSD},
+		})
+		loss := trainK(t, e, 3)
+		// Close joins every goroutine that runs kernels before the level
+		// changes under them.
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		restore()
+		params := paramsSnapshot(e.Model())
+		if wantLoss == nil {
+			wantLoss, wantParams = loss, params
+			continue
+		}
+		for i := range loss {
+			if math.Float64bits(loss[i]) != math.Float64bits(wantLoss[i]) {
+				t.Fatalf("loss[%d] = %v on %s, %v on %s", i, loss[i], level, wantLoss[i], levels[0])
+			}
+		}
+		for i := range params {
+			if math.Float32bits(params[i]) != math.Float32bits(wantParams[i]) {
+				t.Fatalf("parameter %d = %v on %s, %v on %s", i, params[i], level, wantParams[i], levels[0])
+			}
+		}
 	}
 }
 

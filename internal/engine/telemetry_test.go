@@ -46,7 +46,9 @@ func TestTracingIsTransparent(t *testing.T) {
 // every lane the step exercises, with the precomputed label scheme.
 func TestTraceCoversAllStages(t *testing.T) {
 	tr := obs.NewTracer(obs.DefaultCapacity)
-	swap := map[int]Tier{0: SwapSSD, 1: SwapHost} // block 2 recomputes
+	// Block 1 recomputes. (A Recompute tier on the last block would show no
+	// recompute span: its cache is kept from forward.)
+	swap := map[int]Tier{0: SwapSSD, 2: SwapHost}
 	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, Tracer: tr})
 	trainK(t, e, 1)
 
@@ -63,11 +65,11 @@ func TestTraceCoversAllStages(t *testing.T) {
 		{obs.LaneCompute, "block2/fwd"},
 		{obs.LaneCompute, labelHeadFwd},
 		{obs.LaneCompute, labelHeadBwd},
-		{obs.LaneCompute, "block2/recompute"},
+		{obs.LaneCompute, "block1/recompute"},
 		{obs.LaneCompute, "block0/bwd"},
 		{obs.LaneCompute, labelEmbedBwd},
 		{obs.LaneOffload, "block0/act-offload"},
-		{obs.LaneOffload, "block1/act-pin"},
+		{obs.LaneOffload, "block2/act-pin"},
 		{obs.LanePrefetch, "block0/act-prefetch"},
 		{obs.LaneNVMeWrite, "act/block0"},
 		{obs.LaneNVMeRead, "act/block0"},
@@ -82,8 +84,8 @@ func TestTraceCoversAllStages(t *testing.T) {
 			t.Errorf("no span %q on lane %q (have %v)", w.name, w.lane, names[w.lane])
 		}
 	}
-	// Recomputed block 2 must not have prefetch or offload spans.
-	if n := names[obs.LanePrefetch]["block2/act-prefetch"]; n != 0 {
+	// Recomputed block 1 must not have prefetch or offload spans.
+	if n := names[obs.LanePrefetch]["block1/act-prefetch"]; n != 0 {
 		t.Errorf("recomputed block got %d prefetch spans", n)
 	}
 }
@@ -201,7 +203,7 @@ func TestEveryMetricRowRefreshed(t *testing.T) {
 		e := newEngine(t, Config{
 			Model:           miniConfigWith(4),
 			GradMode:        agoffload.Optimized,
-			Swap:            map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}, // block 3 recomputes
+			Swap:            map[int]Tier{0: SwapSSD, 2: SwapSSD, 3: SwapHost}, // block 1 recomputes
 			PipelineDepth:   1,
 			SSD:             &nvme.Config{OpLatency: time.Millisecond},
 			Metrics:         reg,
@@ -350,7 +352,7 @@ func TestFlightRingSurvivesStepRewinds(t *testing.T) {
 func TestStatsAccumulateAcrossMicroBatches(t *testing.T) {
 	cfg := miniConfig()
 	const microN = 3
-	swap := map[int]Tier{0: SwapSSD, 1: SwapHost} // block 2 recomputes
+	swap := map[int]Tier{0: SwapSSD, 2: SwapHost} // block 1 recomputes
 	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, Metrics: obs.NewRegistry()})
 
 	// Baseline: one plain step's movement.

@@ -147,7 +147,7 @@ func attentionCase(rng *rand.Rand, batch, seq, dh, heads int) (a *Attention, qkv
 // probabilities (upper triangle exactly +0), the context and the qkv gradient
 // of the gather / full square / mask / scatter body it replaced, bit for bit;
 // at tile-aligned and ragged seq and head sizes and past one packed k-block,
-// on both kernel sets, serial and fanned out over heads, and on a second pass
+// on every kernel level, serial and fanned out over heads, and on a second pass
 // over the layer's reused scratch.
 func TestAttentionBitIdenticalToFullSquare(t *testing.T) {
 	old := tensor.Parallelism()
@@ -190,10 +190,10 @@ func TestAttentionBitIdenticalToFullSquare(t *testing.T) {
 			}
 		}
 	}
-	t.Run(simd.Level(), table)
-	if simd.Active() {
-		defer simd.ForceGeneric()()
-		t.Run(simd.Level(), table)
+	for _, level := range simd.Levels() {
+		restore := simd.ForceLevel(level)
+		t.Run(level, table)
+		restore()
 	}
 }
 

@@ -359,10 +359,7 @@ func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup) error {
 			sq += float64(gv) * float64(gv)
 		}
 		if norm := math.Sqrt(sq); norm > o.clipNorm {
-			scale := float32(o.clipNorm / norm)
-			for i := range dst {
-				dst[i] *= scale
-			}
+			simd.Scale(dst, float32(o.clipNorm/norm))
 		}
 	}
 	return nil
@@ -499,14 +496,7 @@ func (o *OutOfCoreAdam) ImportGroup(g nn.ParamGroup, st GroupState) error {
 	if err := o.writeState(o.stateKey(g.Name), wire); err != nil {
 		return fmt.Errorf("opt: import %s: %w", g.Name, err)
 	}
-	off := 0
-	for _, p := range g.Params {
-		if err := tensor.RoundFP16Into(p.W.Data, st.P32[off:off+len(p.W.Data)]); err != nil {
-			return fmt.Errorf("opt: import %s: %w", g.Name, err)
-		}
-		off += len(p.W.Data)
-	}
-	return nil
+	return o.installP16(g, st.P32)
 }
 
 // SetStep restores the optimizer step counter from a checkpoint.

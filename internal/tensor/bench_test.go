@@ -9,12 +9,26 @@ import (
 	"ratel/internal/tensor/simd"
 )
 
-// benchmarkMatMul measures square matmul four ways: the naive
+// pinnedLevels lists the vector kernel levels other than the selected one
+// (avx2-fma-f16c on a machine that selects avx512; every vector level under
+// RATEL_NOSIMD): the matmul benchmarks time them too, pinned, so a row on this
+// machine's kernels stands next to the same row on what a lesser machine runs.
+func pinnedLevels() []string {
+	var pinned []string
+	for _, level := range simd.Levels()[1:] {
+		if level != simd.Level() {
+			pinned = append(pinned, level)
+		}
+	}
+	return pinned
+}
+
+// benchmarkMatMul measures square matmul these ways: the naive
 // single-threaded reference, the cache-blocked kernel pinned to the
-// generic (no-SIMD) dispatch on one thread, the blocked kernel with the
-// selected dispatch on one thread, and the blocked kernel on the full
-// worker pool. The GFLOPS metric makes the scalar/SIMD/parallel
-// comparison directly readable in BENCH_kernels.json.
+// generic (no-SIMD) dispatch and to each other vector level on one thread, the blocked kernel with the selected dispatch on one
+// thread, and the blocked kernel on the full worker pool. The GFLOPS metric
+// makes the scalar/SIMD/parallel comparison directly readable in
+// BENCH_kernels.json.
 func benchmarkMatMul(b *testing.B, size int) {
 	rng := rand.New(rand.NewSource(1))
 	x := randTensor(rng, size, size)
@@ -30,18 +44,23 @@ func benchmarkMatMul(b *testing.B, size int) {
 		}
 		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 	})
-	b.Run("blocked-nosimd-1thread", func(b *testing.B) {
-		SetParallelism(1)
-		restore := simd.ForceGeneric()
-		defer restore()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := MatMul(x, y); err != nil {
-				b.Fatal(err)
+	pinned := map[string]string{"blocked-nosimd-1thread": "generic"}
+	for _, level := range pinnedLevels() {
+		pinned["blocked-"+level+"-1thread"] = level
+	}
+	for name, level := range pinned {
+		b.Run(name, func(b *testing.B) {
+			SetParallelism(1)
+			defer simd.ForceLevel(level)()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MatMul(x, y); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-	})
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
+	}
 	b.Run("blocked-1thread", func(b *testing.B) {
 		SetParallelism(1)
 		b.ResetTimer()
@@ -155,8 +174,10 @@ var benchWorkloads = []struct {
 // engine actually runs — each BENCHMARK.json workload's Linear GEMMs
 // (tokens x h x {3h, h, 4h} and tokens x 4h x h) and its per-head attention
 // GEMMs (seq x seq x dh and seq x dh x seq) — on one thread and on NumCPU
-// threads. Sub-benchmark names read workload/variant/MxKxN/threads with
-// (M, K, N) the logical product dimensions: c[M,N] = Σ_K.
+// threads, and on one thread pinned to each other vector level the machine
+// has. Sub-benchmark names read workload/variant/MxKxN/threads, or
+// .../1t@level for a pinned row, with (M, K, N) the logical product
+// dimensions: c[M,N] = Σ_K.
 func BenchmarkGEMMShapes(b *testing.B) {
 	variants := []struct {
 		name string
@@ -211,9 +232,24 @@ func BenchmarkGEMMShapes(b *testing.B) {
 				x, y := v.operands(rng, m, k, n)
 				c := New(m, n)
 				flops := 2 * float64(m) * float64(k) * float64(n)
-				for _, threads := range []int{1, runtime.NumCPU()} {
-					b.Run(fmt.Sprintf("%s/%s/%dx%dx%d/%dt", w.name, v.name, m, k, n, threads), func(b *testing.B) {
-						SetParallelism(threads)
+				runs := []struct {
+					threads int
+					level   string
+				}{{1, simd.Level()}, {runtime.NumCPU(), simd.Level()}}
+				for _, level := range pinnedLevels() {
+					runs = append(runs, struct {
+						threads int
+						level   string
+					}{1, level})
+				}
+				for _, r := range runs {
+					name := fmt.Sprintf("%s/%s/%dx%dx%d/%dt", w.name, v.name, m, k, n, r.threads)
+					if r.level != simd.Level() {
+						name += "@" + r.level
+					}
+					b.Run(name, func(b *testing.B) {
+						SetParallelism(r.threads)
+						defer simd.ForceLevel(r.level)()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
 							if err := v.into(c, x, y); err != nil {

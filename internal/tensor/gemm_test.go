@@ -38,8 +38,8 @@ func dotOracle(a, b []float32, m, k, n int) []float32 {
 
 // TestGEMMBitIdenticalToOracle is the exactness table: MatMul, MatMulT and
 // TMatMul against the axpy/dot oracles, bit for bit, over shapes that are
-// ragged against every blocking constant (the 4x16 tile, the 8-lane and
-// 32-element vector steps, the 256-deep packed panel), into dirty
+// ragged against every blocking constant (the 8x32 tile and its half panel,
+// the 8-lane and 32-element vector steps, the 256-deep packed panel), into dirty
 // destinations, with 0·NaN and 0·Inf planted, at parallelism 1 to 4. Under
 // RATEL_NOSIMD=1 (make test-nosimd) the same table runs on the generic
 // path.
@@ -47,7 +47,7 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
 
-	dims := []int{1, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33, 40, 129, 257, 300}
+	dims := []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 48, 129, 257, 300}
 	rng := rand.New(rand.NewSource(21))
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	triple, nans := 0, 0
@@ -137,6 +137,71 @@ func TestGEMMDeepKBlocks(t *testing.T) {
 		for i, w := range gemmOracle(x.Data, y.Data, 1, m, m, k, n) {
 			if math.Float32bits(c.Data[i]) != math.Float32bits(w) {
 				t.Fatalf("TMatMul k=%d: element %d = %v, oracle %v", k, i, c.Data[i], w)
+			}
+		}
+	}
+}
+
+// TestMatMulTiersBitIdentical: the vector levels are one answer at the level
+// of a whole product. The three matmuls on fp16-grid operands with signed
+// zeros and subnormals — what the engine's tensors hold — leave the same bits
+// under every vector level this machine has, at row counts around the tile's
+// eight, column counts around the panel's 32 and its half, and depths around
+// the packed block (from 257 on a chain continues through an accumulating
+// sweep). The reference is not in the comparison: it does not fuse.
+func TestMatMulTiersBitIdentical(t *testing.T) {
+	levels := simd.Levels()[1:]
+	if len(levels) < 2 {
+		t.Skip("fewer than two vector levels on this machine")
+	}
+	old := Parallelism()
+	defer SetParallelism(old)
+	SetParallelism(1)
+	rng := rand.New(rand.NewSource(23))
+	grid := func(rows, cols int) *Tensor {
+		x := New(rows, cols)
+		for i := range x.Data {
+			x.Data[i] = gridValue(rng)
+		}
+		return x
+	}
+	for _, m := range []int{7, 8, 9, 256} {
+		for _, n := range []int{31, 32, 33, 40, 768} {
+			for _, k := range []int{1, 255, 256, 257, 1024} {
+				x, y := grid(m, k), grid(k, n)
+				xt := &Tensor{Shape: []int{k, m}, Data: x.Data}
+				yt := &Tensor{Shape: []int{n, k}, Data: y.Data}
+				ops := []struct {
+					name string
+					into func(c *Tensor) error
+				}{
+					{"MatMul", func(c *Tensor) error { return MatMulInto(c, x, y) }},
+					{"TMatMul", func(c *Tensor) error { return TMatMulInto(c, xt, y) }},
+					{"MatMulT", func(c *Tensor) error { return MatMulTInto(c, x, yt) }},
+				}
+				for _, op := range ops {
+					var want *Tensor
+					for _, level := range levels {
+						restore := simd.ForceLevel(level)
+						c := New(m, n)
+						fillDirty(c)
+						err := op.into(c)
+						restore()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want == nil {
+							want = c
+							continue
+						}
+						for i := range c.Data {
+							if math.Float32bits(c.Data[i]) != math.Float32bits(want.Data[i]) {
+								t.Fatalf("%s m=%d k=%d n=%d: c[%d,%d] = %v (%#08x) on %s, %v (%#08x) on %s",
+									op.name, m, k, n, i/n, i%n, c.Data[i], math.Float32bits(c.Data[i]), level, want.Data[i], math.Float32bits(want.Data[i]), levels[0])
+							}
+						}
+					}
+				}
 			}
 		}
 	}

@@ -63,8 +63,7 @@ func RoundFP16Into(dst, src []float32) error {
 }
 
 func roundFP16IntoChunk(dst, src []float32, lo, hi int) {
-	copy(dst[lo:hi], src[lo:hi])
-	simd.F16Round(dst[lo:hi])
+	simd.F16RoundInto(dst[lo:hi], src[lo:hi])
 }
 
 // ToFP16Bytes encodes values as packed little-endian binary16.

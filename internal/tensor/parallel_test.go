@@ -138,11 +138,15 @@ func TestParallelKernelParity(t *testing.T) {
 
 // TestKernelsBitIdenticalAcrossThreads asserts the stronger determinism
 // policy: sharding only independent outputs keeps every kernel bit-identical
-// at any thread count (the engine's bit-for-bit suite depends on this).
+// at any thread count (the engine's bit-for-bit suite depends on this), on
+// every kernel level.
 func TestKernelsBitIdenticalAcrossThreads(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
+	onEveryLevel(t, kernelsBitIdenticalAcrossThreads)
+}
 
+func kernelsBitIdenticalAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randTensor(rng, 129, 300)
 	b := randTensor(rng, 300, 257)

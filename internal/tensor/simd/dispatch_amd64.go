@@ -2,37 +2,19 @@
 
 package simd
 
-// archAvailable checks CPUID for AVX2 + FMA + F16C and XGETBV for OS
-// YMM-state support — the full feature set the assembly kernels assume.
-// The kernels are selected as one tier: a machine with AVX2 but no F16C
-// (none shipped) would fall back to generic entirely.
-func archAvailable() bool {
+// archKernels is the vector sets this CPU and OS can run, lowest tier first.
+func archKernels() []kernels {
 	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	const f16c = 1 << 29
-	const fma = 1 << 12
-	if ecx1&(osxsave|avx|f16c|fma) != osxsave|avx|f16c|fma {
-		return false
+	var ebx7, xcr0 uint32
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
 	}
-	// OS must save/restore XMM and YMM state.
-	xcr0, _ := xgetbv()
-	if xcr0&0x6 != 0x6 {
-		return false
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0, _ = xgetbv()
 	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
-}
-
-// archKernels is the AVX2 kernel set.
-func archKernels() kernels {
-	return kernels{
-		level:     "avx2-fma-f16c",
+	avx2 := kernels{
+		tier:      tierAVX2,
 		axpy:      axpyAVX2,
 		dot:       dotAVX2,
 		dotRow:    dotRowAVX2,
@@ -44,6 +26,42 @@ func archKernels() kernels {
 		adam:      adamAVX2,
 		adamWire:  adamWireAVX2,
 	}
+	// The AVX-512 set is the AVX2 one but for the long rows of DotRow and,
+	// through the tier, the full panels of GemmTiles.
+	avx512 := avx2
+	avx512.tier, avx512.dotRow = tierAVX512, dotRowAVX512
+	// A tier is also the number of vector sets at or below it.
+	return []kernels{avx2, avx512}[:vectorTier(maxLeaf, ecx1, ebx7, xcr0)]
+}
+
+const cpuidOSXSAVE = 1 << 27 // leaf 1 ECX: XGETBV is usable
+
+// vectorTier is the feature gate as a function of what CPUID and XCR0
+// report: the highest tier whose instructions the CPU has and whose register
+// state the OS saves. The AVX2 tier needs AVX, FMA and F16C (leaf 1 ECX), AVX2
+// (leaf 7 EBX) and XCR0's XMM and YMM bits; the kernels are selected as one
+// set, so a machine with AVX2 but no F16C (none shipped) stays generic. The
+// AVX-512 tier needs all of that, AVX512F (leaf 7 EBX bit 16) and XCR0's
+// opmask and both ZMM bits — a CPU that has the instructions under an OS that
+// does not save the state would fault on the first one.
+func vectorTier(maxLeaf, ecx1, ebx7, xcr0 uint32) tier {
+	const (
+		fma     = 1 << 12
+		avx     = 1 << 28
+		f16c    = 1 << 29
+		avx2    = 1 << 5
+		avx512f = 1 << 16
+		ymmOS   = 0x06 // XCR0: SSE and AVX state
+		zmmOS   = 0xe6 // ... and opmask, ZMM0-15 upper halves, ZMM16-31
+	)
+	const leaf1 = cpuidOSXSAVE | avx | f16c | fma
+	if maxLeaf < 7 || ecx1&leaf1 != leaf1 || xcr0&ymmOS != ymmOS || ebx7&avx2 == 0 {
+		return tierGeneric
+	}
+	if ebx7&avx512f == 0 || xcr0&zmmOS != zmmOS {
+		return tierAVX2
+	}
+	return tierAVX512
 }
 
 // The AVX2 wrappers run the 8-lane assembly body over the largest
@@ -78,74 +96,120 @@ func dotAVX2(a, b []float32) float32 {
 }
 
 // PackPanel and GemmTiles are the two halves of a GEMM column panel: the
-// caller packs GemmNR columns of a k-block of b once and sweeps GemmMR-row
-// tiles of c over the packed rows — all of them over the whole block in one
+// caller packs nr columns of a k-block of b once — nr is GemmNR, or
+// GemmNRHalf for a product's last, narrower panel — and sweeps GemmMR-row
+// tiles of c over the packed rows, all of them over the whole block in one
 // call, or, when the tiles need different stretches of it, a call per tile.
-// Both pick their body by a static call on the selected set, not through a
+// Both pick their body by a static call on the selected tier, not through a
 // func value like the other entry points: bp lives on the caller's stack,
-// and an argument to a func value escapes to the heap.
+// and an argument to a func value escapes to the heap. The AVX-512 tile takes
+// the full panels; a half panel is one register column of the AVX2 tile, which
+// computes the same bits. The pack is a copy and has one body: 512-bit moves
+// measured the same.
 
-// PackPanel copies the kc x GemmNR panel at b (rows ldb apart) into bp as kc
-// contiguous rows of GemmNR floats; kc >= 1 and bp holds at least kc*GemmNR.
-func PackPanel(bp, b []float32, ldb, kc int) {
-	if !Active() {
-		PackPanelGeneric(bp, b, ldb, kc)
+// PackPanel copies the kc x nr panel at b (rows ldb apart) into bp as kc
+// contiguous rows of nr floats; kc >= 1 and bp holds at least kc*nr.
+func PackPanel(bp, b []float32, ldb, kc, nr int) {
+	if active.tier == tierGeneric {
+		PackPanelGeneric(bp, b, ldb, kc, nr)
 		return
 	}
-	_ = b[(kc-1)*ldb+GemmNR-1]
-	_ = bp[kc*GemmNR-1]
-	packPanelAsm(&bp[0], &b[0], ldb, kc)
+	_ = b[(kc-1)*ldb+nr-1]
+	_ = bp[kc*nr-1]
+	packPanelAsm(&bp[0], &b[0], ldb, kc, nr)
 }
 
-// GemmTiles computes GemmNR columns of a matrix product for m rows, m a
-// positive multiple of GemmMR, against kc packed rows of b:
+// GemmTiles computes nr columns of a matrix product for m rows, m a positive
+// multiple of GemmMR, against kc packed rows of b:
 //
-//	c[i*ldc+j] = Σ_p a[i*ars+p*aps] · bp[p*GemmNR+j]   p in [0, kc), kc >= 1
+//	c[i*ldc+j] = Σ_p a[i*ars+p*aps] · bp[p*nr+j]   p in [0, kc), kc >= 1
 //
 // starting from zero, or from the values already in c when accumulate is
 // set (the next stretch of the same sum). a is addressed by a row stride and
 // a p stride, so one kernel serves a·b (aps = 1) and aᵀ·b (ars = 1). The
-// vector path holds each GemmMR x GemmNR tile of c in registers for its
-// whole sweep. Every element is bit-identical to zeroing it and calling Axpy
-// on its row once per p in increasing order: the tile does not change the
-// arithmetic, only where c lives between the steps.
-func GemmTiles(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, kc int, accumulate bool) {
-	if !Active() {
-		GemmTilesGeneric(c, ldc, a, ars, aps, m, bp, kc, accumulate)
+// vector paths hold a tile of c in registers for its whole sweep. Every
+// element is bit-identical to zeroing it and calling Axpy on its row once per
+// p in increasing order: the tile does not change the arithmetic, only where
+// c lives between the steps — and so the levels agree with each other.
+func GemmTiles(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, nr, kc int, accumulate bool) {
+	if active.tier == tierGeneric {
+		GemmTilesGeneric(c, ldc, a, ars, aps, m, bp, nr, kc, accumulate)
 		return
 	}
-	// The three extents the assembly body touches.
-	_ = c[(m-1)*ldc+GemmNR-1]
+	// The three extents the assembly bodies touch.
+	_ = c[(m-1)*ldc+nr-1]
 	_ = a[(m-1)*ars+(kc-1)*aps]
-	_ = bp[kc*GemmNR-1]
-	for i := 0; i < m; i += GemmMR {
-		gemmTileAsm(&c[i*ldc], ldc, &a[i*ars], ars, aps, &bp[0], kc, accumulate)
+	_ = bp[kc*nr-1]
+	if active.tier == tierAVX512 && nr == GemmNR {
+		for i := 0; i < m; i += GemmMR {
+			gemmTile512Asm(&c[i*ldc], ldc, &a[i*ars], ars, aps, &bp[0], kc, accumulate)
+		}
+		return
+	}
+	const tileM, tileN = 4, 16 // gemmTileAsm's register tile
+	for i := 0; i < m; i += tileM {
+		for j := 0; j < nr; j += tileN {
+			gemmTileAsm(&c[i*ldc+j], ldc, &a[i*ars], ars, aps, &bp[j], nr, kc, accumulate)
+		}
 	}
 }
 
-// dotRowAVX2 runs whole tiles of cells through dotTileAsm and the ragged
-// last cells through dotAVX2. A tiled cell is finished exactly as dotAVX2
-// finishes its own: the len(a) mod 8 tail is added unfused, in order.
+// dotRowAVX2 runs whole tiles of three cells through dotTileAsm and the
+// ragged last cells through dotAVX2.
 func dotRowAVX2(c, a, b []float32, ldb int) {
+	const tile = 3
 	k := len(a)
 	n := k &^ 7
 	tiled := 0
-	if tiles := len(c) / DotRowTile; n > 0 && tiles > 0 {
-		tiled = tiles * DotRowTile
+	if tiles := len(c) / tile; n > 0 && tiles > 0 {
+		tiled = tiles * tile
 		_ = b[(tiled-1)*ldb+k-1]
 		dotTileAsm(&c[0], &a[0], &b[0], ldb, n, tiles)
-		if n < k {
-			for j := 0; j < tiled; j++ {
-				s, brow := c[j], b[j*ldb:j*ldb+k]
-				for p := n; p < k; p++ {
-					s += a[p] * brow[p]
-				}
-				c[j] = s
-			}
-		}
+		dotTails(c[:tiled], a, b, ldb, n)
 	}
 	for j := tiled; j < len(c); j++ {
 		c[j] = dotAVX2(a, b[j*ldb:j*ldb+k])
+	}
+}
+
+// dotTails finishes tiled cells exactly as dotAVX2 finishes its own: the
+// len(a) mod 8 elements from n on are added unfused, in order.
+func dotTails(c, a, b []float32, ldb, n int) {
+	k := len(a)
+	if n == k {
+		return
+	}
+	for j := range c {
+		s, brow := c[j], b[j*ldb:j*ldb+k]
+		for p := n; p < k; p++ {
+			s += a[p] * brow[p]
+		}
+		c[j] = s
+	}
+}
+
+// dotLongK is the row length from which the six-cell AVX-512 dot tile beats
+// the three-cell AVX2 one. It issues half the instructions per element but its
+// reduction (six cells, each taken apart into dotAsm's four accumulators) is
+// longer, and at attention's k = head dimension the reduction is most of a
+// cell: measured 0.90-0.97x at k = 32 and 48, 1.12-1.16x at 64, 1.25x at 96
+// and 128, 1.35-1.5x from 192 (EXPERIMENTS.md, "An AVX-512 tier").
+const dotLongK = 64
+
+// dotRowAVX512 runs long rows through whole six-cell tiles of dotTile512Asm
+// and everything else — short rows, the cells past the last whole tile —
+// through dotRowAVX2: a cell is the same bits whichever body computes it.
+func dotRowAVX512(c, a, b []float32, ldb int) {
+	k := len(a)
+	tiled := 0
+	if tiles := len(c) / DotRowTile; k >= dotLongK && tiles > 0 {
+		tiled = tiles * DotRowTile
+		_ = b[(tiled-1)*ldb+k-1]
+		dotTile512Asm(&c[0], &a[0], &b[0], ldb, k&^7, tiles)
+		dotTails(c[:tiled], a, b, ldb, k&^7)
+	}
+	if tiled < len(c) {
+		dotRowAVX2(c[tiled:], a, b[tiled*ldb:], ldb)
 	}
 }
 
@@ -171,14 +235,13 @@ func f16DecodeAVX2(dst []float32, src []byte) {
 	}
 }
 
-func f16RoundAVX2(d []float32) {
-	n := len(d) &^ 7
+func f16RoundAVX2(dst, src []float32) {
+	n := len(src) &^ 7
 	if n > 0 {
-		f16RoundAsm(&d[0], n)
+		_ = dst[n-1]
+		f16RoundAsm(&dst[0], &src[0], n)
 	}
-	for i := n; i < len(d); i++ {
-		d[i] = HalfToFloat32(Float32ToHalf(d[i]))
-	}
+	F16RoundIntoGeneric(dst[n:], src[n:])
 }
 
 func addAVX2(a, b []float32) {
@@ -235,13 +298,19 @@ func axpyAsm(c, b *float32, n int, a float32)
 func dotAsm(a, b *float32, n int) float32
 
 //go:noescape
-func packPanelAsm(dst, src *float32, ld, kc int)
+func packPanelAsm(dst, src *float32, ld, kc, nr int)
 
 //go:noescape
-func gemmTileAsm(c *float32, ldc int, a *float32, ars, aps int, bp *float32, kc int, acc bool)
+func gemmTileAsm(c *float32, ldc int, a *float32, ars, aps int, bp *float32, bps, kc int, acc bool)
 
 //go:noescape
 func dotTileAsm(out, a, b *float32, ldb, n, tiles int)
+
+//go:noescape
+func gemmTile512Asm(c *float32, ldc int, a *float32, ars, aps int, bp *float32, kc int, acc bool)
+
+//go:noescape
+func dotTile512Asm(out, a, b *float32, ldb, n, tiles int)
 
 //go:noescape
 func f16EncAsm(dst *byte, src *float32, n int)
@@ -250,7 +319,7 @@ func f16EncAsm(dst *byte, src *float32, n int)
 func f16DecAsm(dst *float32, src *byte, n int)
 
 //go:noescape
-func f16RoundAsm(d *float32, n int)
+func f16RoundAsm(dst, src *float32, n int)
 
 //go:noescape
 func addAsm(a, b *float32, n int)
@@ -263,6 +332,12 @@ func adamAsm(p, m, v *byte, grad, out *float32, n int, k *AdamCoef)
 
 //go:noescape
 func adamSliceAsm(p, m, v, grad, out *float32, n int, k *AdamCoef)
+
+// fmaPeakAsm and fmaPeak512Asm run iters rounds of twelve independent FMA
+// chains on ymm and zmm registers: BenchmarkFMAPeak's measured ceiling.
+func fmaPeakAsm(iters int)
+
+func fmaPeak512Asm(iters int)
 
 // cpuid executes CPUID with the given leaf/subleaf.
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

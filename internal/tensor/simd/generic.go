@@ -95,25 +95,25 @@ func DotGeneric(a, b []float32) float32 {
 	return s
 }
 
-// PackPanelGeneric is the reference pack: kc rows of GemmNR floats, ldb apart
-// in b, contiguous in bp.
-func PackPanelGeneric(bp, b []float32, ldb, kc int) {
+// PackPanelGeneric is the reference pack: kc rows of nr floats, ldb apart in
+// b, contiguous in bp.
+func PackPanelGeneric(bp, b []float32, ldb, kc, nr int) {
 	for p := 0; p < kc; p++ {
-		copy(bp[p*GemmNR:(p+1)*GemmNR], b[p*ldb:p*ldb+GemmNR])
+		copy(bp[p*nr:(p+1)*nr], b[p*ldb:p*ldb+nr])
 	}
 }
 
 // GemmTilesGeneric is the reference tile sweep: each of the m rows is zeroed
 // (unless accumulating) and updated by AxpyGeneric once per p, in increasing
 // p, from the packed rows.
-func GemmTilesGeneric(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, kc int, accumulate bool) {
+func GemmTilesGeneric(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, nr, kc int, accumulate bool) {
 	for i := 0; i < m; i++ {
-		crow := c[i*ldc : i*ldc+GemmNR]
+		crow := c[i*ldc : i*ldc+nr]
 		if !accumulate {
 			clear(crow)
 		}
 		for p := 0; p < kc; p++ {
-			AxpyGeneric(crow, bp[p*GemmNR:(p+1)*GemmNR], a[i*ars+p*aps])
+			AxpyGeneric(crow, bp[p*nr:(p+1)*nr], a[i*ars+p*aps])
 		}
 	}
 }
@@ -141,12 +141,16 @@ func F16DecodeGeneric(dst []float32, src []byte) {
 	}
 }
 
-// F16RoundGeneric rounds every element through binary16 in place.
-func F16RoundGeneric(d []float32) {
-	for i, v := range d {
-		d[i] = HalfToFloat32(Float32ToHalf(v))
+// F16RoundIntoGeneric writes every element of src, rounded through binary16,
+// to dst.
+func F16RoundIntoGeneric(dst, src []float32) {
+	for i, v := range src {
+		dst[i] = HalfToFloat32(Float32ToHalf(v))
 	}
 }
+
+// F16RoundGeneric rounds every element through binary16 in place.
+func F16RoundGeneric(d []float32) { F16RoundIntoGeneric(d, d) }
 
 // AddGeneric is the reference element-wise a[i] += b[i].
 func AddGeneric(a, b []float32) {

@@ -147,15 +147,21 @@ func TestCodecAllAlignmentsAndTails(t *testing.T) {
 				}
 			}
 
-			// Round in place at the offset.
+			// Round in place at the offset, and from the offset into a
+			// slice of its own.
 			gotR := append([]float32(nil), src...)
 			wantR := append([]float32(nil), src...)
+			intoR := make([]float32, n+1)
 			F16Round(gotR)
 			F16RoundGeneric(wantR)
+			F16RoundInto(intoR[:n], src)
 			for i := range gotR {
-				if math.Float32bits(gotR[i]) != math.Float32bits(wantR[i]) {
+				if math.Float32bits(gotR[i]) != math.Float32bits(wantR[i]) || math.Float32bits(intoR[i]) != math.Float32bits(wantR[i]) {
 					t.Fatalf("round n=%d off=%d: value %d differs", n, off, i)
 				}
+			}
+			if intoR[n] != 0 {
+				t.Fatalf("round n=%d off=%d wrote past dst end", n, off)
 			}
 
 			// Padding around the destination must be untouched.
@@ -256,79 +262,81 @@ func TestAxpyDotToleranceAndDeterminism(t *testing.T) {
 	}
 }
 
-// onBothPaths runs f on the selected kernel set and, when that is the vector
-// set, again with the dispatch pinned to the generic one.
-func onBothPaths(t *testing.T, f func(t *testing.T)) {
-	t.Run(Level(), f)
-	if Active() {
-		restore := ForceGeneric()
-		defer restore()
-		t.Run(Level(), f)
+// onEveryLevel runs f with the dispatch pinned to each kernel set this
+// machine has in turn, so the AVX2 bodies stay covered on a host that selects
+// AVX-512 and the references everywhere.
+func onEveryLevel(t *testing.T, f func(t *testing.T)) {
+	for _, level := range Levels() {
+		restore := ForceLevel(level)
+		t.Run(level, f)
+		restore()
 	}
 }
 
-// gemmPanel packs a panel and sweeps m/GemmMR row tiles over it — in one
-// call or tile by tile, which must not matter: what the GEMM driver does per
-// column panel and k-block.
-func gemmPanel(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, kc int, bp []float32, accumulate bool) {
-	PackPanel(bp, b, ldb, kc)
+// gemmPanel packs an nr-column panel and sweeps m/GemmMR row tiles over it —
+// in one call or tile by tile, which must not matter: what the GEMM driver
+// does per column panel and k-block.
+func gemmPanel(c []float32, ldc int, a []float32, ars, aps, m int, b []float32, ldb, nr, kc int, bp []float32, accumulate bool) {
+	PackPanel(bp, b, ldb, kc, nr)
 	if kc%2 == 0 {
-		GemmTiles(c, ldc, a, ars, aps, m, bp, kc, accumulate)
+		GemmTiles(c, ldc, a, ars, aps, m, bp, nr, kc, accumulate)
 		return
 	}
 	for i := 0; i < m; i += GemmMR {
-		GemmTiles(c[i*ldc:], ldc, a[i*ars:], ars, aps, GemmMR, bp, kc, accumulate)
+		GemmTiles(c[i*ldc:], ldc, a[i*ars:], ars, aps, GemmMR, bp, nr, kc, accumulate)
 	}
 }
 
-// TestGemmPanelBitIdenticalToAxpy: on either path a packed panel swept by
+// TestGemmPanelBitIdenticalToAxpy: on every level a packed panel swept by
 // tiles is, element for element, the chain Axpy performs on a zeroed row —
-// for a·b and aᵀ·b addressing, odd and even depths, one and several row
-// tiles, a sweep split into two accumulating calls — and it writes nothing
-// outside its m x GemmNR cells.
+// for a·b and aᵀ·b addressing, the full and the half panel, odd and even
+// depths, one and several row tiles, a sweep split into two accumulating
+// calls — and it writes nothing outside its m x nr cells.
 func TestGemmPanelBitIdenticalToAxpy(t *testing.T) {
-	onBothPaths(t, func(t *testing.T) {
+	onEveryLevel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		const ldc, ldb = GemmNR + 5, GemmNR + 3
-		for _, m := range []int{GemmMR, 3 * GemmMR} {
-			for _, kc := range []int{1, 2, 3, 7, 64, 255, 256} {
-				a := make([]float32, m*kc)
-				b := make([]float32, kc*ldb)
-				bp := make([]float32, kc*GemmNR)
-				for i := range a {
-					a[i] = rng.Float32()*2 - 1
-				}
-				for i := range b {
-					b[i] = rng.Float32()*2 - 1
-				}
-				for _, tr := range []bool{false, true} {
-					ars, aps := kc, 1 // a is [m,kc]
-					if tr {
-						ars, aps = 1, m // a is [kc,m], read transposed
+		for _, nr := range []int{GemmNR, GemmNRHalf} {
+			for _, m := range []int{GemmMR, 3 * GemmMR} {
+				for _, kc := range []int{1, 2, 3, 7, 64, 255, 256} {
+					a := make([]float32, m*kc)
+					b := make([]float32, kc*ldb)
+					bp := make([]float32, kc*nr)
+					for i := range a {
+						a[i] = rng.Float32()*2 - 1
 					}
-					want := make([]float32, m*ldc)
-					got := make([]float32, m*ldc)
-					for i := range got {
-						got[i] = 7 // dirty, and a guard beyond column GemmNR
-						if i%ldc >= GemmNR {
-							want[i] = 7
+					for i := range b {
+						b[i] = rng.Float32()*2 - 1
+					}
+					for _, tr := range []bool{false, true} {
+						ars, aps := kc, 1 // a is [m,kc]
+						if tr {
+							ars, aps = 1, m // a is [kc,m], read transposed
 						}
-					}
-					for i := 0; i < m; i++ {
-						for p := 0; p < kc; p++ {
-							Axpy(want[i*ldc:i*ldc+GemmNR], b[p*ldb:p*ldb+GemmNR], a[i*ars+p*aps])
+						want := make([]float32, m*ldc)
+						got := make([]float32, m*ldc)
+						for i := range got {
+							got[i] = 7 // dirty, and a guard beyond column nr
+							if i%ldc >= nr {
+								want[i] = 7
+							}
 						}
-					}
-					k1 := kc / 2
-					if k1 > 0 {
-						gemmPanel(got, ldc, a, ars, aps, m, b, ldb, k1, bp, false)
-						gemmPanel(got, ldc, a[k1*aps:], ars, aps, m, b[k1*ldb:], ldb, kc-k1, bp, true)
-					} else {
-						gemmPanel(got, ldc, a, ars, aps, m, b, ldb, kc, bp, false)
-					}
-					for i := range got {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("m=%d kc=%d transposed=%v: c[%d,%d] = %v, axpy chain %v", m, kc, tr, i/ldc, i%ldc, got[i], want[i])
+						for i := 0; i < m; i++ {
+							for p := 0; p < kc; p++ {
+								Axpy(want[i*ldc:i*ldc+nr], b[p*ldb:p*ldb+nr], a[i*ars+p*aps])
+							}
+						}
+						k1 := kc / 2
+						if k1 > 0 {
+							gemmPanel(got, ldc, a, ars, aps, m, b, ldb, nr, k1, bp, false)
+							gemmPanel(got, ldc, a[k1*aps:], ars, aps, m, b[k1*ldb:], ldb, nr, kc-k1, bp, true)
+						} else {
+							gemmPanel(got, ldc, a, ars, aps, m, b, ldb, nr, kc, bp, false)
+						}
+						for i := range got {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("nr=%d m=%d kc=%d transposed=%v: c[%d,%d] = %v, axpy chain %v", nr, m, kc, tr, i/ldc, i%ldc, got[i], want[i])
+							}
 						}
 					}
 				}
@@ -338,13 +346,14 @@ func TestGemmPanelBitIdenticalToAxpy(t *testing.T) {
 }
 
 // TestDotRowBitIdenticalToDot: every cell of a DotRow is the Dot of its two
-// rows, bit for bit, whichever of the tiled, tail-block, scalar-tail and
-// ragged-cell paths it took.
+// rows, bit for bit, whichever of the six-cell, three-cell, tail-block,
+// scalar-tail and ragged-cell paths it took — row lengths with every n mod 32
+// tail and both sides of every body's length rule, one to thirteen cells.
 func TestDotRowBitIdenticalToDot(t *testing.T) {
-	onBothPaths(t, func(t *testing.T) {
+	onEveryLevel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(48))
-		for _, k := range []int{1, 7, 8, 9, 31, 32, 33, 40, 64, 71, 257} {
-			for _, n := range []int{1, 2, 3, 4, 5, 7, 12} {
+		for _, k := range []int{1, 7, 8, 9, 24, 31, 32, 33, 40, 56, 64, 71, 72, 120, 127, 128, 129, 136, 152, 256, 257, 1024, 1031} {
+			for n := 1; n <= 13; n++ {
 				ldb := k + 3
 				a := make([]float32, k)
 				b := make([]float32, n*ldb)
@@ -370,19 +379,91 @@ func TestDotRowBitIdenticalToDot(t *testing.T) {
 	})
 }
 
-// TestForceGeneric pins and restores the dispatch.
-func TestForceGeneric(t *testing.T) {
-	if !Active() {
-		t.Skip("vector kernels not active")
+// TestTileTiersBitIdentical: the vector levels are one answer. The same
+// panel sweep and the same rows of dot products, on operands with signed
+// zeros, subnormals and fp16-grid values, leave the same bits under every
+// vector level this machine has (the reference rounds differently: it does not
+// fuse).
+func TestTileTiersBitIdentical(t *testing.T) {
+	levels := Levels()[1:]
+	if len(levels) < 2 {
+		t.Skip("fewer than two vector levels on this machine")
 	}
+	rng := rand.New(rand.NewSource(50))
+	special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), math.Float32frombits(0x80000123), 6.1035156e-05, -65504}
+	fill := func(d []float32) {
+		for i := range d {
+			if rng.Intn(4) == 0 {
+				d[i] = special[rng.Intn(len(special))]
+			} else {
+				d[i] = HalfToFloat32(Float32ToHalf(float32(rng.NormFloat64())))
+			}
+		}
+	}
+	const m, kc, cells = 2 * GemmMR, 300, 13
+	a, b := make([]float32, m*kc), make([]float32, kc*GemmNR)
+	rows := make([]float32, cells*kc)
+	fill(a)
+	fill(b)
+	fill(rows)
+	var want []float32
+	for _, level := range levels {
+		restore := ForceLevel(level)
+		got := make([]float32, m*GemmNR+cells)
+		bp := make([]float32, kc*GemmNR)
+		gemmPanel(got, GemmNR, a, kc, 1, m, b, GemmNR, GemmNR, kc-100, bp, false)
+		gemmPanel(got, GemmNR, a[kc-100:], kc, 1, m, b[(kc-100)*GemmNR:], GemmNR, GemmNR, 100, bp, true)
+		DotRow(got[m*GemmNR:], a[:kc], rows, kc)
+		restore()
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: value %d = %v (%#08x), %s has %v (%#08x)", level, i, got[i], math.Float32bits(got[i]), levels[0], want[i], math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestForceLevel pins each level this machine has, by name, and restores the
+// selection.
+func TestForceLevel(t *testing.T) {
+	selected := Level()
+	for _, level := range Levels() {
+		restore := ForceLevel(level)
+		if Level() != level || Active() != (level != "generic") {
+			restore()
+			t.Fatalf("ForceLevel(%q) selected %q (active %v)", level, Level(), Active())
+		}
+		restore()
+		if Level() != selected {
+			t.Fatalf("restore after ForceLevel(%q) left %q selected, want %q", level, Level(), selected)
+		}
+	}
+	if Levels()[0] != "generic" || Available() != (len(Levels()) > 1) {
+		t.Fatalf("Levels() = %v, Available() = %v", Levels(), Available())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ForceLevel accepted a level this machine does not have")
+		}
+	}()
+	ForceLevel("avx1024")
+}
+
+// TestForceGeneric: the same hook for the reference.
+func TestForceGeneric(t *testing.T) {
+	selected := Level()
 	restore := ForceGeneric()
 	if Active() || Level() != "generic" {
 		restore()
 		t.Fatal("ForceGeneric did not pin the generic kernels")
 	}
 	restore()
-	if !Active() {
-		t.Fatal("restore did not reselect the vector kernels")
+	if Level() != selected {
+		t.Fatal("restore did not reselect the previous kernels")
 	}
 }
 
@@ -456,7 +537,7 @@ func sameFloat(a, b float32) bool {
 // narrowing about once in 2^29 elements, so that the body fuses nothing rests
 // on its instruction list, not on this table.
 func TestAdamBitIdenticalToReference(t *testing.T) {
-	onBothPaths(t, func(t *testing.T) {
+	onEveryLevel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(49))
 		nan, inf := float32(math.NaN()), float32(math.Inf(1))
 		lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8191, 8192, 8193}

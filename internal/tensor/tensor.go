@@ -15,17 +15,18 @@
 // small tensors fall back to the serial path and pay no scheduling overhead.
 //
 // Inner loops dispatch through internal/tensor/simd: AVX2/FMA/F16C
-// microkernels when the CPU supports them (RATEL_NOSIMD=1 pins the
-// portable reference). The three matmuls run on register-tiled kernels
-// there — MatMul and TMatMul on a 4x16 GEMM tile over packed column panels
-// of b, MatMulT on a 1x3 tile of dot products — which are bit-identical to
-// the BLAS-1 formulation they replaced (one simd.Axpy per row and p, one
+// microkernels when the CPU supports them, with AVX-512 bodies for the two
+// FMA-bound tiles where it has those too (RATEL_NOSIMD=1 pins the portable
+// reference). The three matmuls run on register-tiled kernels there —
+// MatMul and TMatMul on an 8x32 GEMM tile over packed column panels of b,
+// MatMulT on a tile of three or six dot products — which are bit-identical
+// to the BLAS-1 formulation they replaced (one simd.Axpy per row and p, one
 // simd.Dot per cell) and still fall back to it on ragged edges and on the
 // generic path. The fp16 codec and element-wise kernels are bit-identical
 // to the reference on every path; the matmul family uses FMA on the vector
-// path, which changes rounding versus the scalar reference — deterministic
-// on a given machine at any thread count, but not bit-portable across
-// machines with different feature sets (DESIGN.md §11). The matmul blocking
+// paths, which changes rounding versus the scalar reference — the same bits
+// on every vector level and at any thread count, but not bit-portable
+// between a vector machine and a generic one (DESIGN.md §11). The matmul blocking
 // is fixed (constants sized to L1); the element-wise grain is tunable per
 // machine (SetElemGrain, `ratelbench tune`) and never changes results.
 package tensor
@@ -269,8 +270,11 @@ func MatMulTView(c, a, b View, lower bool) error {
 // would otherwise put every row of the panel in the same cache set — and
 // every full simd.GemmMR-row tile of the panel runs through the tile kernel
 // (simd.GemmTiles), which keeps the tile of c in registers across its part of
-// the k-block. The rows and columns that do not fill a tile go through
-// gemmEdge, the Axpy loops on sub-slices. With the vector kernels inactive
+// the k-block. A product's last panel may be the half-width one, so whatever
+// columns fill a half panel are tiled (attention's 16-wide heads). The rows
+// and columns that fill neither go through gemmEdge, the Axpy loops on
+// sub-slices: every panel boundary is a multiple of 8, so a column is fused
+// or not as Axpy alone would have it. With the vector kernels inactive
 // nothing fills a tile: the whole product is edge and runs the row loops as
 // it always has.
 
@@ -324,9 +328,16 @@ func (g product) span(i0, i1 int) (lo, hi int) {
 }
 
 // gemmKC is the depth of a packed panel: gemmKC x simd.GemmNR floats are
-// 16 KiB, a third of L1 next to the streaming rows of a. Deeper products
-// continue the chains block by block, which rounds nothing.
-const gemmKC = 256
+// 32 KiB, two thirds of a 48 KiB L1 next to the streaming rows of a. 128, 192
+// and 256 were measured on both vector levels at the engine's shapes: 256 was
+// best or tied on every one (a shallower block reloads and stores each tile of
+// c more often), by 1-10 % over 128. Deeper products continue the chains block
+// by block, which rounds nothing. gemmKCShallow is the depth class of the
+// products that are too small to pay for zeroing a buffer of that size.
+const (
+	gemmKC        = 256
+	gemmKCShallow = 64
+)
 
 // gemm computes c[m,n] from the strided a and b [k,n], sharding column
 // panels across the pool: a panel is packed by exactly one participant, and
@@ -345,13 +356,13 @@ func gemm(g product, cd, ad, bd []float32) {
 }
 
 // gemmCols computes columns [j0,j1) of c: tiles where rows and columns fill
-// them, edges elsewhere. Named rather than a closure so the serial path
+// them (whole panels, then at most one half panel), edges elsewhere. Named rather than a closure so the serial path
 // allocates nothing.
 func gemmCols(g product, cd, ad, bd []float32, j0, j1 int) {
 	mt, jt := 0, j0 // tiles cover rows [0,mt) of columns [j0,jt)
 	if simd.Active() && g.m >= simd.GemmMR && g.k > 0 {
 		mt = g.m - g.m%simd.GemmMR
-		jt = j1 - (j1-j0)%simd.GemmNR
+		jt = j1 - (j1-j0)%simd.GemmNRHalf
 	}
 	if jt > j0 {
 		gemmTiles(g, cd, ad, bd, mt, j0, jt)
@@ -361,29 +372,45 @@ func gemmCols(g product, cd, ad, bd []float32, j0, j1 int) {
 }
 
 // gemmTiles computes rows [0,mt) x columns [j0,jt) of c, both whole numbers
-// of tiles. Per column panel and k-block it packs the panel of b into the
-// stack buffer once and sweeps the row tiles over it, each over the part of
+// of tiles (the last panel possibly the half one), through a packed-panel
+// buffer on its stack. A Go variable is zeroed where it is declared, and
+// zeroing the full buffer is a tenth of a product as small as an attention
+// head's (64 x 64 x 16 is two microseconds of tile work): a product no deeper
+// than gemmKCShallow declares a buffer of that depth instead.
+func gemmTiles(g product, cd, ad, bd []float32, mt, j0, jt int) {
+	if g.k <= gemmKCShallow {
+		var bp [gemmKCShallow * simd.GemmNR]float32
+		gemmPanels(g, bp[:], cd, ad, bd, mt, j0, jt)
+		return
+	}
+	var bp [gemmKC * simd.GemmNR]float32
+	gemmPanels(g, bp[:], cd, ad, bd, mt, j0, jt)
+}
+
+// gemmPanels is gemmTiles on the buffer it was given, deep enough for
+// min(g.k, gemmKC) packed rows. Per column panel and k-block it packs the
+// panel of b once and sweeps the row tiles over it, each over the part of
 // its span that lies in the block: a tile starts from zero in the block
 // where its span starts and continues its chains in the later ones. Without
 // structural zeros every tile's span is the whole of k and one call sweeps
 // them all; with them each tile has its own stretch of the block and its own
 // call (the per-call cost is 2–8 % of a Linear-sized product, which is why
 // the plain matmuls do not pay it).
-func gemmTiles(g product, cd, ad, bd []float32, mt, j0, jt int) {
-	var bp [gemmKC * simd.GemmNR]float32
+func gemmPanels(g product, bp, cd, ad, bd []float32, mt, j0, jt int) {
 	rows := simd.GemmMR // rows that share a span, hence a call
 	if g.tri == noZeros {
 		rows = mt
 	}
 	for j := j0; j < jt; j += simd.GemmNR {
+		nr := min(simd.GemmNR, jt-j) // the last panel may be the half one
 		for p0 := 0; p0 < g.k; p0 += gemmKC {
 			p1 := min(p0+gemmKC, g.k)
-			simd.PackPanel(bp[:], bd[p0*g.ldb+j:], g.ldb, p1-p0)
+			simd.PackPanel(bp, bd[p0*g.ldb+j:], g.ldb, p1-p0, nr)
 			for i := 0; i < mt; i += rows {
 				lo, hi := g.span(i, i+rows)
 				q0, q1 := max(lo, p0), min(hi, p1)
 				if q0 < q1 {
-					simd.GemmTiles(cd[i*g.ldc+j:], g.ldc, ad[i*g.ars+q0*g.aps:], g.ars, g.aps, rows, bp[(q0-p0)*simd.GemmNR:], q1-q0, q0 > lo)
+					simd.GemmTiles(cd[i*g.ldc+j:], g.ldc, ad[i*g.ars+q0*g.aps:], g.ars, g.aps, rows, bp[(q0-p0)*nr:], nr, q1-q0, q0 > lo)
 				}
 			}
 		}

@@ -78,12 +78,13 @@ func (s *strided) requireUntouched(t *testing.T, what string, written func(i, j 
 	}
 }
 
-func onBothKernelSets(t *testing.T, f func(t *testing.T)) {
-	t.Run(simd.Level(), f)
-	if simd.Active() {
-		restore := simd.ForceGeneric()
-		defer restore()
-		t.Run(simd.Level(), f)
+// onEveryLevel runs f with the kernels pinned to each set this machine has
+// in turn: the reference, and every vector level up to the one it selects.
+func onEveryLevel(t *testing.T, f func(t *testing.T)) {
+	for _, level := range simd.Levels() {
+		restore := simd.ForceLevel(level)
+		t.Run(level, f)
+		restore()
 	}
 }
 
@@ -97,11 +98,11 @@ func onBothKernelSets(t *testing.T, f func(t *testing.T)) {
 // a triangular c, nothing above the diagonal). seq covers one row, ragged and
 // whole tiles, and more than one packed k-block; dh covers one ragged and one
 // whole column panel; inputs are on the fp16 grid with signed zeros and
-// subnormals; on both kernel sets, at one and several threads.
+// subnormals; on every kernel level, at one and several threads.
 func TestViewProductsBitIdenticalToContiguous(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
-	onBothKernelSets(t, func(t *testing.T) {
+	onEveryLevel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		grid := func() float32 { return gridValue(rng) }
 		for _, seq := range []int{1, 3, 4, 5, 64, 65, 128, 300} {
@@ -195,7 +196,7 @@ func requireSameBits(t *testing.T, op string, seq, dh int, lower bool, got, want
 // and what the causal mask used to overwrite. (A register tile decides per
 // tile, so the rows that share p's tile may go either way.)
 func TestViewProductsSkipByIndexOnly(t *testing.T) {
-	onBothKernelSets(t, func(t *testing.T) {
+	onEveryLevel(t, func(t *testing.T) {
 		nan := float32(math.NaN())
 		const seq, dh, p = 13, 16, 6
 		tileLo := p - p%simd.GemmMR
