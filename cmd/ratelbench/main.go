@@ -4,12 +4,6 @@
 // additionally writes each experiment's output to <dir>/<id>.txt for
 // archiving (EXPERIMENTS.md provenance).
 //
-// The "tune" subcommand instead calibrates the CPU kernels on this
-// machine: it sweeps the element-wise grain and
-// writes a JSON profile (default ratel-tune.json, or the -tune-out path)
-// that the engine applies at startup when RATEL_TUNE_PROFILE names it.
-// Tuning is result-neutral — it changes kernel speed, never kernel output.
-//
 // The "diff" subcommand compares two BENCH_*.json snapshots row by row
 // (matched on bench+variant) and exits non-zero when any metric regressed
 // beyond -tol; `make bench-gate` uses it as the snapshot-integrity gate.
@@ -24,30 +18,20 @@ import (
 
 	"ratel/internal/benchdiff"
 	"ratel/internal/experiments"
-	"ratel/internal/profile"
-	"ratel/internal/tensor/simd"
 )
 
 func main() {
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
-	tuneOut := flag.String("tune-out", "ratel-tune.json", "profile path the tune subcommand writes")
 	tol := flag.Float64("tol", 0.10, "relative tolerance for the diff subcommand (0.10 = 10%)")
 	flag.Parse()
 	args := flag.Args()
 
 	if len(args) < 1 {
 		fmt.Println("usage: ratelbench [-out dir] <experiment-id>...|all")
-		fmt.Println("       ratelbench [-tune-out file] tune")
 		fmt.Println("       ratelbench [-tol frac] diff <old.json> <new.json>")
 		fmt.Println("available experiments:")
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-10s %s\n", e.ID, e.Title)
-		}
-		return
-	}
-	if args[0] == "tune" {
-		if err := runTune(*tuneOut); err != nil {
-			fatal(err)
 		}
 		return
 	}
@@ -91,22 +75,6 @@ func runOne(id, outDir string) error {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 	return experiments.Run(id, w)
-}
-
-func runTune(out string) error {
-	fmt.Printf("calibrating kernels (simd level %s)\n", simd.Level())
-	t, err := profile.TuneKernels(profile.TuneConfig{}, func(format string, a ...any) {
-		fmt.Printf("  "+format+"\n", a...)
-	})
-	if err != nil {
-		return err
-	}
-	if err := t.Save(out); err != nil {
-		return err
-	}
-	fmt.Printf("best: elemGrain=%d\n", t.ElemGrain)
-	fmt.Printf("wrote %s — apply with %s=%s\n", out, profile.TuneEnvVar, out)
-	return nil
 }
 
 func runDiff(oldPath, newPath string, tol float64) error {

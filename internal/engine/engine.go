@@ -27,7 +27,6 @@ import (
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
 	"ratel/internal/opt"
-	"ratel/internal/profile"
 	"ratel/internal/tensor"
 	"ratel/internal/tensor/pool"
 	"ratel/internal/units"
@@ -244,13 +243,6 @@ type Engine struct {
 // New builds the engine: model, NVMe array, and the out-of-core optimizer
 // seeded with the initial fp32 masters.
 func New(cfg Config) (*Engine, error) {
-	// Kernel calibration first: RATEL_TUNE_PROFILE installs this machine's
-	// measured parallel grain before any kernel runs. Tuning is
-	// result-neutral (the grain never reorders an accumulation), so this
-	// cannot change what the engine computes — only how fast.
-	if _, err := profile.ApplyStartupTuning(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
 	if cfg.Devices < 1 {
 		cfg.Devices = 1
 	}

@@ -226,7 +226,7 @@ func (a *Attention) forEachHead(batch, seq int, fn func(bi, h int) error) error 
 	// Per head: two causal seq x seq x dh matmuls dominate, each half of the
 	// square's 2*seq*seq*dh ops.
 	work := int64(tasks) * 2 * int64(seq) * int64(seq) * int64(dh)
-	if work < pool.SerialCutoff || pool.Default().Limit() <= 1 {
+	if pool.InlineWork(work) {
 		// Serial path: no error slice or dispatch closure; the first failing
 		// task short-circuits the rest (their outputs are scratch).
 		for t := 0; t < tasks; t++ {

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 
 	"ratel/internal/tensor"
-	"ratel/internal/tensor/pool"
 	"ratel/internal/tensor/simd"
 )
 
@@ -131,22 +130,10 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("nn: %s: got %dx%d, want dim %d (%v)", ln.Name, n, d, ln.dim, err)
 	}
 	y := tensor.New(n, d)
-	// Rows normalize independently (the per-row statistics are local), so
-	// they shard across the worker pool bit-identically at any thread
-	// count. Backward stays serial: it accumulates DGamma/DBeta across
-	// rows, a reduction the determinism policy keeps off the pool.
-	work := 4 * int64(n) * int64(d)
-	if pool.InlineWork(work) {
-		ln.forwardRows(x, y, d, 0, n)
-	} else {
-		pool.ForWork(n, 1, work, func(lo, hi int) { ln.forwardRows(x, y, d, lo, hi) })
-	}
-	roundGrid(y)
-	return y, nil
-}
-
-func (ln *LayerNorm) forwardRows(x, y *tensor.Tensor, d, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	// Rows run inline, one after the other: sharded over two threads they
+	// won a coin flip's share of pairs at the widest workload and nothing
+	// below it (EXPERIMENTS.md, "Element-wise kernels run inline").
+	for i := 0; i < n; i++ {
 		row := x.Data[i*d : (i+1)*d]
 		var mean float64
 		for _, v := range row {
@@ -164,6 +151,8 @@ func (ln *LayerNorm) forwardRows(x, y *tensor.Tensor, d, lo, hi int) {
 			out[j] = float32((float64(v)-mean)*inv)*ln.Gamma.Data[j] + ln.Beta.Data[j]
 		}
 	}
+	roundGrid(y)
+	return y, nil
 }
 
 // Backward recomputes the row statistics from x (deterministically) and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ratel/internal/tensor"
+	"ratel/internal/tensor/pool"
 )
 
 func tinyConfig() Config {
@@ -385,5 +386,44 @@ func TestTiedModelTrainsAndGenerates(t *testing.T) {
 	}
 	if _, err := tied.Generate([]int{1, 2}, 2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestElementwiseKernelsNeverDispatch: the memory-bound kernels run inline on
+// the caller whatever the parallelism and however large the tensor — at four
+// threads a 1 Mi-element add, bias, scale and both fp16 rounds and a
+// 4096 x 256 LayerNorm leave the pool's job counter where it was
+// (EXPERIMENTS.md, "Element-wise kernels run inline"; make test-procs repeats
+// it at GOMAXPROCS 1, 2 and 4).
+func TestElementwiseKernelsNeverDispatch(t *testing.T) {
+	old := tensor.Parallelism()
+	defer tensor.SetParallelism(old)
+	tensor.SetParallelism(4)
+
+	rng := rand.New(rand.NewSource(9))
+	x, y, bias := tensor.New(1024, 1024), tensor.New(1024, 1024), tensor.New(1024)
+	x.RandInit(rng, 1)
+	y.RandInit(rng, 1)
+	rows := tensor.New(4096, 256)
+	rows.RandInit(rng, 1)
+	ln := NewLayerNorm("ln", 256)
+
+	before := pool.DefaultStats().Jobs
+	if err := tensor.AddInPlace(x, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := tensor.AddBias(x, bias); err != nil {
+		t.Fatal(err)
+	}
+	x.Scale(0.5)
+	x.RoundFP16InPlace()
+	if err := tensor.RoundFP16Into(y.Data, x.Data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ln.Forward(rows); err != nil {
+		t.Fatal(err)
+	}
+	if jobs := pool.DefaultStats().Jobs - before; jobs != 0 {
+		t.Errorf("element-wise kernels dispatched %d pool job(s) at parallelism 4, want 0", jobs)
 	}
 }

@@ -92,14 +92,3 @@ func Window(spans []Span) (from, to time.Duration) {
 	}
 	return from, to
 }
-
-// Filter returns the spans on lane, preserving order.
-func Filter(spans []Span, lane string) []Span {
-	var out []Span
-	for _, s := range spans {
-		if s.Lane == lane {
-			out = append(out, s)
-		}
-	}
-	return out
-}

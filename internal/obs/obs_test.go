@@ -166,9 +166,6 @@ func TestWindowLanesFilter(t *testing.T) {
 	if got := Lanes(spans); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Lanes = %v", got)
 	}
-	if got := Filter(spans, "a"); len(got) != 1 || got[0].Start != 1 {
-		t.Errorf("Filter = %v", got)
-	}
 	if from, to := Window(nil); from != 0 || to != 0 {
 		t.Errorf("empty Window = %v..%v", from, to)
 	}

@@ -11,7 +11,6 @@ import (
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
 	"ratel/internal/tensor"
-	"ratel/internal/tensor/pool"
 )
 
 func TestAdamStepMatchesReference(t *testing.T) {
@@ -534,14 +533,14 @@ func stagedAdamWire(wire []byte, cfg AdamConfig, step int, p32, m, v, grad []flo
 
 // TestAdamWireBitIdenticalToStaged: UpdateGroup's single walk over the wire
 // buffer leaves the store object and the installed fp16 weights bit-identical
-// to decode → AdamStep → encode, at sizes around the chunk grain and the
-// pool's serial cutoff, with weight decay, loss-scale unscaling and clipping
+// to decode → AdamStep → encode, at sizes around the chunk grain and one of
+// many chunks, with weight decay, loss-scale unscaling and clipping
 // on and off, serial and sharded (make test-procs repeats it at GOMAXPROCS 1,
 // 2 and 4).
 func TestAdamWireBitIdenticalToStaged(t *testing.T) {
 	old := tensor.Parallelism()
 	defer tensor.SetParallelism(old)
-	sizes := []int{0, 1, 7, adamChunkGrain - 1, adamChunkGrain, adamChunkGrain + 1, pool.SerialCutoff + 1}
+	sizes := []int{0, 1, 7, adamChunkGrain - 1, adamChunkGrain, adamChunkGrain + 1, 1<<17 + 1}
 	for _, n := range sizes {
 		for _, variant := range []struct{ decay, scaleClip bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 			for _, threads := range []int{1, 2, 4} {

@@ -79,7 +79,8 @@ func TestGEMMBitIdenticalToOracle(t *testing.T) {
 				// Below the pool's cutoff every setting runs the same serial
 				// call; above it each one carves the columns differently.
 				threads := []int{1 + triple%4}
-				if int64(m)*int64(k)*int64(n) >= pool.SerialCutoff {
+				SetParallelism(4)
+				if !pool.InlineWork(int64(m) * int64(k) * int64(n)) {
 					threads = []int{1, 2, 3, 4}
 				}
 				for _, tc := range cases {
@@ -238,7 +239,7 @@ func TestMatMulIntoAllocs(t *testing.T) {
 
 	SetParallelism(4)
 	work := int64(m) * int64(k) * int64(n)
-	dispatch := testing.AllocsPerRun(20, func() { parallelFor(n, 1, work, func(lo, hi int) {}) })
+	dispatch := testing.AllocsPerRun(20, func() { pool.ForWork(n, 1, work, func(lo, hi int) {}) })
 	for _, kn := range kernels {
 		// One more than the empty job: the kernel's closure captures its
 		// operands, the empty one captures nothing.

@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"math"
 
-	"ratel/internal/tensor/pool"
 	"ratel/internal/tensor/simd"
 )
 
 // Half-precision support: the engine stores every offloaded tensor (P16,
 // G16, A16) as IEEE-754 binary16 bytes, so offloaded footprints match the
 // paper's 2 bytes/element accounting and mixed-precision rounding is
-// exercised for real. The chunked kernels dispatch through
+// exercised for real. The kernels dispatch through
 // internal/tensor/simd (F16C on amd64, bit-identical to the portable
 // reference on every path); the scalar conversions below are thin
 // wrappers over the same reference.
@@ -29,41 +28,18 @@ func HalfToFloat32(h uint16) float32 { return simd.HalfToFloat32(h) }
 func RoundFP16(f float32) float32 { return HalfToFloat32(Float32ToHalf(f)) }
 
 // RoundFP16InPlace rounds every element of t through half precision.
-// Elements are independent, so chunks shard across the worker pool with
-// bit-identical results at any thread count.
-func (t *Tensor) RoundFP16InPlace() {
-	d := t.Data
-	work := 4 * int64(len(d))
-	if pool.InlineWork(work) {
-		roundFP16Chunk(d, 0, len(d))
-		return
-	}
-	parallelFor(len(d), elemGrain, work, func(lo, hi int) { roundFP16Chunk(d, lo, hi) })
-}
-
-func roundFP16Chunk(d []float32, lo, hi int) {
-	simd.F16Round(d[lo:hi])
-}
+func (t *Tensor) RoundFP16InPlace() { simd.F16Round(t.Data) }
 
 // RoundFP16Into writes dst[i] = RoundFP16(src[i]); the slices must have
-// equal length (they may alias only if identical). The chunked kernel the
+// equal length (they may alias only if identical). The kernel the
 // optimizer's P16 install and G16 staging paths use — bit-identical to
-// the scalar loop at any thread count.
+// the scalar loop.
 func RoundFP16Into(dst, src []float32) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("tensor: fp16 round %d values into %d", len(src), len(dst))
 	}
-	work := 4 * int64(len(dst))
-	if pool.InlineWork(work) {
-		roundFP16IntoChunk(dst, src, 0, len(dst))
-		return nil
-	}
-	parallelFor(len(dst), elemGrain, work, func(lo, hi int) { roundFP16IntoChunk(dst, src, lo, hi) })
+	simd.F16RoundInto(dst, src)
 	return nil
-}
-
-func roundFP16IntoChunk(dst, src []float32, lo, hi int) {
-	simd.F16RoundInto(dst[lo:hi], src[lo:hi])
 }
 
 // ToFP16Bytes encodes values as packed little-endian binary16.

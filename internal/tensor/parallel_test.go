@@ -137,9 +137,10 @@ func TestParallelKernelParity(t *testing.T) {
 }
 
 // TestKernelsBitIdenticalAcrossThreads asserts the stronger determinism
-// policy: sharding only independent outputs keeps every kernel bit-identical
-// at any thread count (the engine's bit-for-bit suite depends on this), on
-// every kernel level.
+// policy: sharding only independent outputs keeps every kernel that fans out
+// — the matmuls, contiguous and on views — bit-identical at any thread count
+// (the engine's bit-for-bit suite depends on this), on every kernel level.
+// The element-wise kernels run inline and have no second path to compare.
 func TestKernelsBitIdenticalAcrossThreads(t *testing.T) {
 	old := Parallelism()
 	defer SetParallelism(old)
@@ -150,7 +151,6 @@ func kernelsBitIdenticalAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randTensor(rng, 129, 300)
 	b := randTensor(rng, 300, 257)
-	x := randTensor(rng, 301, 513)
 
 	// The view products at an attention-like shape big enough to shard: a
 	// lower-triangular [seq,seq] against [seq,dh] windows of wider storage.
@@ -178,24 +178,10 @@ func kernelsBitIdenticalAcrossThreads(t *testing.T) {
 	SetParallelism(1)
 	mmSerial, _ := MatMul(a, b)
 	viewsSerial := views()
-	smSerial := x.Clone()
-	if err := SoftmaxRows(smSerial); err != nil {
-		t.Fatal(err)
-	}
-	geluSerial := GELU(x)
-	rndSerial := x.Clone()
-	rndSerial.RoundFP16InPlace()
 
 	for _, th := range []int{2, runtime.NumCPU()} {
 		SetParallelism(th)
 		mm, _ := MatMul(a, b)
-		sm := x.Clone()
-		if err := SoftmaxRows(sm); err != nil {
-			t.Fatal(err)
-		}
-		gelu := GELU(x)
-		rnd := x.Clone()
-		rnd.RoundFP16InPlace()
 		for i := range mmSerial.Data {
 			if math.Float32bits(mm.Data[i]) != math.Float32bits(mmSerial.Data[i]) {
 				t.Fatalf("MatMul threads=%d: element %d differs bitwise", th, i)
@@ -206,17 +192,6 @@ func kernelsBitIdenticalAcrossThreads(t *testing.T) {
 				if math.Float32bits(v.Data[i]) != math.Float32bits(viewsSerial[n].Data[i]) {
 					t.Fatalf("%s threads=%d: element %d differs bitwise", []string{"MatMulView", "TMatMulView", "MatMulTView"}[n], th, i)
 				}
-			}
-		}
-		for i := range smSerial.Data {
-			if math.Float32bits(sm.Data[i]) != math.Float32bits(smSerial.Data[i]) {
-				t.Fatalf("SoftmaxRows threads=%d: element %d differs bitwise", th, i)
-			}
-			if math.Float32bits(gelu.Data[i]) != math.Float32bits(geluSerial.Data[i]) {
-				t.Fatalf("GELU threads=%d: element %d differs bitwise", th, i)
-			}
-			if math.Float32bits(rnd.Data[i]) != math.Float32bits(rndSerial.Data[i]) {
-				t.Fatalf("RoundFP16InPlace threads=%d: element %d differs bitwise", th, i)
 			}
 		}
 	}

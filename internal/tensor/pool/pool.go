@@ -16,16 +16,13 @@
 //
 // Sizing: the default pool targets runtime.GOMAXPROCS(0) participants (the
 // scheduler's actual parallelism, which respects CPU-quota–aware deploys
-// better than the raw core count), overridable at process start with the
-// RATEL_THREADS environment variable and at runtime with SetLimit
+// better than the raw core count), adjustable at runtime with SetLimit
 // (tensor.SetParallelism forwards to it). A limit of 1 makes every job run
 // serially on the caller.
 package pool
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,7 +156,7 @@ type Stats struct {
 	// StolenChunks counts chunks a participant claimed outside its own
 	// segment. High values relative to the total mean chunk costs are
 	// uneven (or the pool is oversubscribed) and affinity is being traded
-	// for balance — the signal `ratelbench tune` uses to judge grain.
+	// for balance.
 	StolenChunks int64
 }
 
@@ -198,23 +195,12 @@ var (
 )
 
 // Default returns the process-wide pool, created on first use with
-// RATEL_THREADS participants if set and valid, else runtime.GOMAXPROCS(0)
-// — the scheduler's actual parallelism, which tracks CPU quotas and
-// GOMAXPROCS overrides where raw runtime.NumCPU() would oversubscribe.
+// runtime.GOMAXPROCS(0) participants — the scheduler's actual parallelism,
+// which tracks CPU quotas and GOMAXPROCS overrides where raw
+// runtime.NumCPU() would oversubscribe.
 func Default() *Pool {
-	defaultOnce.Do(func() {
-		defaultPool = New(envWorkers(os.Getenv("RATEL_THREADS"), runtime.GOMAXPROCS(0)))
-	})
+	defaultOnce.Do(func() { defaultPool = New(runtime.GOMAXPROCS(0)) })
 	return defaultPool
-}
-
-// envWorkers parses a RATEL_THREADS value, falling back for empty, bad, or
-// non-positive input.
-func envWorkers(s string, fallback int) int {
-	if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-		return n
-	}
-	return fallback
 }
 
 // SetLimit sets the number of participants per job, clamped to at least 1.
@@ -353,9 +339,9 @@ func Run(chunks int, run func(chunk int)) { Default().Run(chunks, run) }
 // For is Default().For.
 func For(n, grain int, body func(lo, hi int)) { Default().For(n, grain, body) }
 
-// SerialCutoff is the estimated scalar-op count below which ForWork runs
+// serialCutoff is the estimated scalar-op count below which ForWork runs
 // its body inline: a job this small finishes faster than its dispatch.
-const SerialCutoff = 1 << 17
+const serialCutoff = 1 << 17
 
 // ForWork shards [0,n) like For when the caller's estimated work (in
 // scalar ops) justifies parallel dispatch, and otherwise runs body(0, n)
@@ -364,13 +350,11 @@ func ForWork(n, grain int, work int64, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := Default()
-	if work < SerialCutoff || p.Limit() <= 1 {
-		p.stats.inlineRuns.Add(1)
+	if InlineWork(work) {
 		body(0, n)
 		return
 	}
-	p.For(n, grain, body)
+	Default().For(n, grain, body)
 }
 
 // InlineWork reports whether a job with the given estimated work (in
@@ -383,7 +367,7 @@ func ForWork(n, grain int, work int64, body func(lo, hi int)) {
 // the dispatch is real.
 func InlineWork(work int64) bool {
 	p := Default()
-	if work < SerialCutoff || p.Limit() <= 1 {
+	if work < serialCutoff || p.Limit() <= 1 {
 		p.stats.inlineRuns.Add(1)
 		return true
 	}
@@ -392,6 +376,3 @@ func InlineWork(work int64) bool {
 
 // DefaultStats is Default().Stats.
 func DefaultStats() Stats { return Default().Stats() }
-
-// ResetDefaultStats is Default().ResetStats.
-func ResetDefaultStats() { Default().ResetStats() }

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -178,7 +177,7 @@ func TestStatsCountChunks(t *testing.T) {
 // default pool's counters (ForWork always routes through Default()).
 func TestForWorkCountsInline(t *testing.T) {
 	before := DefaultStats()
-	ForWork(100, 1, 10 /* far under SerialCutoff */, func(lo, hi int) {})
+	ForWork(100, 1, 10 /* far under serialCutoff */, func(lo, hi int) {})
 	after := DefaultStats()
 	if after.InlineRuns != before.InlineRuns+1 {
 		t.Errorf("InlineRuns went %d -> %d, want +1", before.InlineRuns, after.InlineRuns)
@@ -294,20 +293,6 @@ func TestStolenChunksConservation(t *testing.T) {
 	st := p.Stats()
 	if total := st.SubmitterChunks + st.WorkerChunks; st.StolenChunks > total {
 		t.Errorf("StolenChunks %d exceeds total claimed %d", st.StolenChunks, total)
-	}
-}
-
-func TestEnvWorkers(t *testing.T) {
-	def := runtime.NumCPU()
-	for _, tc := range []struct {
-		in   string
-		want int
-	}{
-		{"", def}, {"junk", def}, {"0", def}, {"-3", def}, {"1", 1}, {"16", 16},
-	} {
-		if got := envWorkers(tc.in, def); got != tc.want {
-			t.Errorf("envWorkers(%q) = %d, want %d", tc.in, got, tc.want)
-		}
 	}
 }
 

@@ -4,15 +4,15 @@
 // offloaded tensors occupy exactly the 2 bytes/element the paper's A16/P16/
 // G16 accounting assumes.
 //
-// Kernels are cache-blocked and run on the shared worker pool
-// (internal/tensor/pool), sharding only independent outputs — matmul column
-// panels and rows, softmax rows, element-wise chunks — never reductions.
-// Each output element is therefore produced by exactly one goroutine with
-// the same per-element arithmetic as the serial kernel, so results are
-// bit-identical across thread counts and runs: the engine's correctness
-// suite still compares runs bit-for-bit. Parallelism is sized by
-// RATEL_THREADS / runtime.GOMAXPROCS and adjustable via SetParallelism;
-// small tensors fall back to the serial path and pay no scheduling overhead.
+// The matmuls are cache-blocked and run on the shared worker pool
+// (internal/tensor/pool), sharding only independent outputs — column panels
+// and rows — never reductions. Each output element is therefore produced by
+// exactly one goroutine with the same per-element arithmetic as the serial
+// kernel, so results are bit-identical across thread counts and runs: the
+// engine's correctness suite still compares runs bit-for-bit. Parallelism is
+// sized by runtime.GOMAXPROCS and adjustable via SetParallelism; small
+// products fall back to the serial path and pay no scheduling overhead. The
+// element-wise kernels run inline on the caller (see AddInPlace).
 //
 // Inner loops dispatch through internal/tensor/simd: AVX2/FMA/F16C
 // microkernels when the CPU supports them, with AVX-512 bodies for the two
@@ -27,8 +27,7 @@
 // paths, which changes rounding versus the scalar reference — the same bits
 // on every vector level and at any thread count, but not bit-portable
 // between a vector machine and a generic one (DESIGN.md §11). The matmul blocking
-// is fixed (constants sized to L1); the element-wise grain is tunable per
-// machine (SetElemGrain, `ratelbench tune`) and never changes results.
+// is fixed (constants sized to L1); nothing here is tunable.
 package tensor
 
 import (
@@ -100,21 +99,6 @@ func (t *Tensor) RandInit(rng *rand.Rand, std float64) {
 		t.Data[i] = float32(rng.NormFloat64() * std)
 	}
 }
-
-// SetElemGrain sets the minimum elements per pool chunk for element-wise
-// kernels. Values < 1 are rejected. It affects scheduling only —
-// element-wise outputs are independent, so results are identical for any
-// grain.
-func SetElemGrain(n int) error {
-	if n < 1 {
-		return fmt.Errorf("tensor: element grain %d, want >= 1", n)
-	}
-	elemGrain = n
-	return nil
-}
-
-// ElemGrain reports the current element-wise chunk grain.
-func ElemGrain() int { return elemGrain }
 
 // MatMul computes c = a·b for rank-2 tensors [m,k]x[k,n].
 //
@@ -350,7 +334,7 @@ func gemm(g product, cd, ad, bd []float32) {
 		return
 	}
 	panels := (g.n + simd.GemmNR - 1) / simd.GemmNR
-	parallelFor(panels, 1, work, func(lo, hi int) {
+	pool.ForWork(panels, 1, work, func(lo, hi int) {
 		gemmCols(g, cd, ad, bd, lo*simd.GemmNR, min(hi*simd.GemmNR, g.n))
 	})
 }
@@ -493,7 +477,7 @@ func dotRows(g product, cd, ad, bd []float32) {
 		dotPanel(g, cd, ad, bd, 0, g.m)
 		return
 	}
-	parallelRows(g.m, work, func(lo, hi int) { dotPanel(g, cd, ad, bd, lo, hi) })
+	pool.ForWork(g.m, 1, work, func(lo, hi int) { dotPanel(g, cd, ad, bd, lo, hi) })
 }
 
 // dotPanelFloats is how much of b dotPanel keeps hot: the rows of b one
@@ -578,22 +562,18 @@ func checkDst(c *Tensor, m, n int, op string) error {
 	return nil
 }
 
+// The element-wise kernels below (add, bias, scale, and the fp16 rounds in
+// half.go) run inline on the caller, like the byte codecs and GELU: they
+// stream memory, and at every workload's shapes two threads lost to one
+// (EXPERIMENTS.md, "Element-wise kernels run inline").
+
 // AddInPlace computes a += b elementwise.
 func AddInPlace(a, b *Tensor) error {
 	if len(a.Data) != len(b.Data) {
 		return fmt.Errorf("tensor: add size %d vs %d", len(a.Data), len(b.Data))
 	}
-	ad, bd := a.Data, b.Data
-	if pool.InlineWork(int64(len(ad))) {
-		addChunk(ad, bd, 0, len(ad))
-		return nil
-	}
-	parallelFor(len(ad), elemGrain, int64(len(ad)), func(lo, hi int) { addChunk(ad, bd, lo, hi) })
+	simd.Add(a.Data, b.Data)
 	return nil
-}
-
-func addChunk(ad, bd []float32, lo, hi int) {
-	simd.Add(ad[lo:hi], bd[lo:hi])
 }
 
 // AddBias adds bias (length n) to each row of x [m,n].
@@ -605,35 +585,14 @@ func AddBias(x, bias *Tensor) error {
 	if len(bias.Data) != n {
 		return fmt.Errorf("tensor: bias length %d for %d columns", len(bias.Data), n)
 	}
-	xd, bd := x.Data, bias.Data
-	work := int64(m) * int64(n)
-	if pool.InlineWork(work) {
-		addBiasRows(xd, bd, n, 0, m)
-		return nil
+	for i := 0; i < m; i++ {
+		simd.Add(x.Data[i*n:(i+1)*n], bias.Data)
 	}
-	parallelRows(m, work, func(lo, hi int) { addBiasRows(xd, bd, n, lo, hi) })
 	return nil
 }
 
-func addBiasRows(xd, bd []float32, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		simd.Add(xd[i*n:(i+1)*n], bd)
-	}
-}
-
 // Scale multiplies t by s in place.
-func (t *Tensor) Scale(s float32) {
-	d := t.Data
-	if pool.InlineWork(int64(len(d))) {
-		scaleChunk(d, s, 0, len(d))
-		return
-	}
-	parallelFor(len(d), elemGrain, int64(len(d)), func(lo, hi int) { scaleChunk(d, s, lo, hi) })
-}
-
-func scaleChunk(d []float32, s float32, lo, hi int) {
-	simd.Scale(d[lo:hi], s)
-}
+func (t *Tensor) Scale(s float32) { simd.Scale(t.Data, s) }
 
 // GELU applies the tanh-approximated GELU elementwise, returning a new
 // tensor. An element is one table load (see geluTab), so the loop streams
@@ -731,28 +690,16 @@ func geluGradScalar(v float32) float32 {
 	return float32(0.5*(1+tanh) + 0.5*xf*sech2*du)
 }
 
-// SoftmaxRows applies SoftmaxRow to each row in place. Rows are independent
-// and sharded across the pool; per-row arithmetic is unchanged, so results
-// are bit-identical at any thread count.
+// SoftmaxRows applies SoftmaxRow to each row in place, one after the other.
 func SoftmaxRows(x *Tensor) error {
 	m, n, err := x.Dims2()
 	if err != nil {
 		return err
 	}
-	xd := x.Data
-	work := 10 * int64(m) * int64(n)
-	if pool.InlineWork(work) {
-		softmaxRowsChunk(xd, n, 0, m)
-		return nil
+	for i := 0; i < m; i++ {
+		SoftmaxRow(x.Data[i*n : (i+1)*n])
 	}
-	parallelRows(m, work, func(lo, hi int) { softmaxRowsChunk(xd, n, lo, hi) })
 	return nil
-}
-
-func softmaxRowsChunk(xd []float32, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		SoftmaxRow(xd[i*n : (i+1)*n])
-	}
 }
 
 // SoftmaxRow applies a numerically-stable softmax to one non-empty row in
@@ -780,31 +727,9 @@ func SoftmaxRow(row []float32) {
 	}
 }
 
-// parallelRows shards rows [0,n) across the pool when the job is worth it
-// (work is an estimated scalar-op count), else runs body(0, n) inline.
-func parallelRows(n int, work int64, body func(lo, hi int)) {
-	parallelFor(n, 1, work, body)
-}
-
-// parallelElems shards a flat element range, costing each element one op.
-func parallelElems(n int, body func(lo, hi int)) {
-	parallelFor(n, elemGrain, int64(n), body)
-}
-
-// elemGrain is the minimum elements per chunk for element-wise kernels,
-// keeping chunk dispatch amortized over a useful block of work. Tunable
-// via SetElemGrain (per-machine calibration).
-var elemGrain = 4096
-
-// parallelFor is the kernels' pool entry: serial below pool.SerialCutoff
-// ops or at parallelism 1, sharded otherwise.
-func parallelFor(n, grain int, work int64, body func(lo, hi int)) {
-	pool.ForWork(n, grain, work, body)
-}
-
 // SetParallelism sets the worker-pool participant count the kernels use;
-// n < 1 is clamped to 1 (fully serial). The initial value comes from
-// RATEL_THREADS, else runtime.NumCPU.
+// n < 1 is clamped to 1 (fully serial). The initial value is
+// runtime.GOMAXPROCS.
 func SetParallelism(n int) { pool.Default().SetLimit(n) }
 
 // Parallelism reports the current kernel parallelism.

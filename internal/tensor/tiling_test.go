@@ -8,42 +8,6 @@ import (
 	"ratel/internal/tensor/simd"
 )
 
-// TestTilingBitIdentical pins the autotuning safety property: the
-// element-wise grain affects only chunk boundaries, never results, which is
-// what makes a machine's calibration profile (`ratelbench tune`) free to
-// pick any value. (The matmul blocking is no longer tunable: the packed
-// panel depth and the a·bᵀ row panel are constants, see EXPERIMENTS.md
-// "Register-tiled GEMM"; TestGEMMBitIdenticalToOracle covers it.)
-func TestTilingBitIdentical(t *testing.T) {
-	oldGrain := ElemGrain()
-	defer func() {
-		if err := SetElemGrain(oldGrain); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
-	x := randTensor(rand.New(rand.NewSource(3)), 301, 513)
-	wantRnd := x.Clone()
-	wantRnd.RoundFP16InPlace()
-
-	for _, grain := range []int{1, 63, 4096, 1 << 20} {
-		if err := SetElemGrain(grain); err != nil {
-			t.Fatal(err)
-		}
-		got := x.Clone()
-		got.RoundFP16InPlace()
-		for i := range wantRnd.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(wantRnd.Data[i]) {
-				t.Fatalf("RoundFP16InPlace grain=%d: element %d differs bitwise", grain, i)
-			}
-		}
-	}
-
-	if err := SetElemGrain(0); err == nil {
-		t.Error("SetElemGrain accepted zero")
-	}
-}
-
 // TestMatMulSIMDvsGenericTolerance compares the selected matmul kernels
 // against the pinned-generic dispatch: the FMA path may differ in
 // rounding but must stay within the documented tolerance. Skipped when
