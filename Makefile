@@ -32,13 +32,16 @@ test-nosimd:
 # the contiguous full products, attention against its full-square reference),
 # the tier-against-tier tests (tiles, whole matmuls and a loss trace under
 # every vector level the machine has), the thread-count tests of the kernels
-# that fan out (*AcrossThreads, TestParallelKernelParity) and the test that the
-# element-wise ones never do (TestElementwiseKernelsNeverDispatch) under
-# GOMAXPROCS 1, 2 and 4, uncached.
+# that fan out (*AcrossThreads, TestParallelKernelParity), the test that the
+# element-wise ones never do (TestElementwiseKernelsNeverDispatch) and the step
+# arena's tests (every test named *Arena*: the allocator's own, the poisoned,
+# failed-step, lifetime and bound tests, the four workload shapes on arena
+# tensors under every level with the heads fanned out) under GOMAXPROCS 1, 2
+# and 4, uncached.
 # A pin that holds on one core count only (the seed's
 # TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
 # matches any test fails the target instead of silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch
+TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:
@@ -87,10 +90,22 @@ suppress-gate:
 
 # Tier-2 umbrella: static analysis + repo analyzers + suppression and
 # line-budget ratchets + race detector + portable-fallback pass + core-count
-# matrix + one-iteration benchmark smoke (benchmarks must at least run) + the
-# end-to-end harness's own smoke + snapshot-integrity gate.
+# matrix + fuzz smoke + one-iteration benchmark smoke (benchmarks must at least
+# run) + the end-to-end harness's own smoke + snapshot-integrity gate.
 .PHONY: check
-check: vet lint suppress-gate loc-gate race test-nosimd test-procs bench-smoke bench-e2e-smoke bench-gate
+check: vet lint suppress-gate loc-gate race test-nosimd test-procs fuzz-smoke bench-smoke bench-e2e-smoke bench-gate
+
+# Fuzz smoke: ten seconds of the module's fuzz target — activation blobs of any
+# length and content against blobArena.decode into arena tensors between guard
+# words (ROADMAP item 6) — on one worker; the committed corpus is its f.Add
+# seeds and runs in tier-1. A failing input lands in
+# internal/engine/testdata/fuzz and fails `go test` from then on. Minimizing
+# each coverage-widening input is capped at a second: at the default minute
+# the first one found eats the whole smoke (19 executions in 10 s against
+# 20,000).
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzDecodeTensors$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1 ./internal/engine
 
 # Snapshot-integrity gate: every committed BENCH_*.json must parse and
 # self-diff clean at zero tolerance, so the diff tool and the snapshot

@@ -13,9 +13,10 @@ import (
 // activation path needs, allocated at most once (blob size is fixed by the
 // geometry) and reused for the rest of training.
 //
-// It is a ring of PipelineDepth+1 slots, each owning one blob buffer and
-// one reusable BlockCache; block i maps to slot i mod len(slots). Safety
-// relies on the pipeline's window discipline rather than locking:
+// It is a ring of PipelineDepth+1 slots, each one blob buffer; block i maps
+// to slot i mod len(slots). The ring holds bytes only: a blob is decoded into
+// tensors of the block's scope (Engine.reviveCache). Safety relies on the
+// pipeline's window discipline rather than locking:
 //
 //   - Forward (write-behind): block i encodes into slot(i) and hands the
 //     blob to the activation window. The slot's buffer stays in flight until
@@ -28,30 +29,13 @@ import (
 //     block i is consumed, so launched-but-unconsumed fetches span at most
 //     blocks i-depth..i — depth+1 consecutive indices, which map to
 //     distinct slots.
-//   - The slot's BlockCache is revived by decode and consumed by Backward
-//     before the next block's cache is decoded; Backward retains nothing
-//     from the cache after it returns, so ring reuse is safe at any depth.
 type blobArena struct {
-	slots []arenaSlot
+	slots [][]byte   // allocated on first use, kept for the engine's lifetime
 	host  []hostBlob // by block; only SwapHost blocks allocate
-	// ts is the codec's tensor-list scratch: encode and decode both run on
-	// the engine's step goroutine, never concurrently, so one slice serves
-	// every block of every step.
-	ts []*tensor.Tensor
 
-	// blobReuses counts slot- and host-buffer uses served without allocating;
-	// ringReuses counts cache revivals into an existing ring entry. Exposed
-	// via the metrics registry (engine.blob_reuses / engine.ring_reuses).
+	// blobReuses counts slot- and host-buffer uses served without allocating,
+	// exposed via the metrics registry (engine.blob_reuses).
 	blobReuses atomic.Int64
-	ringReuses atomic.Int64
-}
-
-// arenaSlot is one ring entry: a blob buffer and the BlockCache it decodes
-// into. Both allocate lazily on first use and persist for the engine's
-// lifetime.
-type arenaSlot struct {
-	blob  []byte
-	cache *nn.BlockCache
 }
 
 // hostBlob is one block's SwapHost cache, written by forward and read by
@@ -66,7 +50,7 @@ type hostBlob struct {
 // init sizes the ring and the host tier. Must be called before any other
 // method; the engine calls it once at construction (depth+1 slots).
 func (ar *blobArena) init(nslots, nblocks int) {
-	ar.slots = make([]arenaSlot, nslots)
+	ar.slots = make([][]byte, nslots)
 	ar.host = make([]hostBlob, nblocks)
 }
 
@@ -75,7 +59,7 @@ func (ar *blobArena) slotIndex(i int) int { return i % len(ar.slots) }
 
 // slotBuf returns block i's ring buffer of n bytes.
 func (ar *blobArena) slotBuf(i, n int) []byte {
-	return ar.keep(&ar.slots[ar.slotIndex(i)].blob, n)
+	return ar.keep(&ar.slots[ar.slotIndex(i)], n)
 }
 
 // hostBuf returns block i's host-tier blob of n bytes.
@@ -102,28 +86,16 @@ func (ar *blobArena) releaseHost(pool *memctl.Pool) {
 	}
 }
 
-// cacheFor returns block i's ring cache, allocating it on first use.
-func (ar *blobArena) cacheFor(i int, g geometry) *nn.BlockCache {
-	s := &ar.slots[ar.slotIndex(i)]
-	if s.cache == nil {
-		s.cache = newBlockCache(g)
-	} else {
-		ar.ringReuses.Add(1)
-	}
-	return s.cache
-}
-
-// encode packs c into blob, which must be exactly geometry.blobBytes()
-// long, through the arena's tensor-list scratch.
+// encode packs c into blob, which must be exactly geometry.blobBytes() long.
 func (ar *blobArena) encode(blob []byte, c *nn.BlockCache) error {
-	ar.ts = appendCacheTensors(ar.ts[:0], c)
-	return encodeTensors(blob, ar.ts)
+	ts := cacheTensors(c)
+	return encodeTensors(blob, ts[:])
 }
 
-// decode revives c — a cache built by newBlockCache — from blob, installing
-// input as the block input.
+// decode revives c — a cache shaped by geometry.shapeCache — from blob,
+// installing input as the block input.
 func (ar *blobArena) decode(c *nn.BlockCache, blob []byte, input *tensor.Tensor) error {
 	c.X = input
-	ar.ts = appendCacheTensors(ar.ts[:0], c)
-	return decodeTensors(blob, ar.ts)
+	ts := cacheTensors(c)
+	return decodeTensors(blob, ts[:])
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"ratel/internal/model"
+	"ratel/internal/nn"
 	"ratel/internal/plan"
 	"ratel/internal/units"
 )
@@ -34,10 +35,7 @@ func (e *Engine) ProfileAndPlan(tokens [][]int, rates HWRates) (plan.Plan, map[i
 	if err != nil {
 		return plan.Plan{}, nil, err
 	}
-	cfg := e.cfg.Model
-	t := int64(cfg.Batch) * int64(cfg.Seq)
-	h := int64(cfg.Hidden)
-	blockFLOPs := units.FLOPs(24*t*h*h + 4*t*int64(cfg.Seq)*h)
+	blockFLOPs := blockForwardFLOPs(e.cfg.Model)
 
 	var layers []model.LayerProfile
 	var flopf units.FLOPs
@@ -101,6 +99,20 @@ func (e *Engine) ProfileAndPlan(tokens [][]int, rates HWRates) (plan.Plan, map[i
 		}
 	}
 	return pl, swap, nil
+}
+
+// blockForwardFLOPs is what one block's forward executes, two per
+// multiply-add of its matrix products: 24·t·h² for the four projections
+// (t = batch·seq tokens; QKV 3h², out h², the MLP 4h² + 4h² multiply-adds a
+// token) and 2·t·seq·h for attention, whose two seq×seq products per head
+// compute the causal half only. A block's recompute costs the same but for
+// the FC2 product Recompute stops short of — and nothing at all for a
+// trailing Recompute block, whose cache the engine keeps across the head;
+// the plan charges neither difference yet (ROADMAP item 3).
+func blockForwardFLOPs(cfg nn.Config) units.FLOPs {
+	t := int64(cfg.Batch) * int64(cfg.Seq)
+	h := int64(cfg.Hidden)
+	return units.FLOPs(24*t*h*h + 2*t*int64(cfg.Seq)*h)
 }
 
 // SetSwap installs a block placement chosen by ProfileAndPlan, between

@@ -17,67 +17,40 @@ func geometryOf(cfg nn.Config) geometry {
 	return geometry{batch: cfg.Batch, seq: cfg.Seq, hidden: cfg.Hidden, heads: cfg.Heads}
 }
 
-// appendCacheTensors appends a block cache's tensors in serialization order
-// to ts, reusing its capacity — the engine's steady-state codec scratch.
-// The block output Y is excluded: backward never reads it.
-func appendCacheTensors(ts []*tensor.Tensor, c *nn.BlockCache) []*tensor.Tensor {
-	ts = append(ts, c.LN1Out, c.Attn.QKV)
-	for _, hs := range c.Attn.Probs {
-		ts = append(ts, hs...)
-	}
-	return append(ts, c.Attn.Ctx, c.AttnY, c.Res1, c.LN2Out, c.FC1Out, c.GeluOut)
-}
-
-// cacheShapes mirrors appendCacheTensors for sizing.
-func (g geometry) cacheShapes() [][]int {
-	n := g.batch * g.seq
-	shapes := [][]int{{n, g.hidden}, {n, 3 * g.hidden}}
-	for i := 0; i < g.batch*g.heads; i++ {
-		shapes = append(shapes, []int{g.seq, g.seq})
-	}
-	return append(shapes,
-		[]int{n, g.hidden},     // ctx
-		[]int{n, g.hidden},     // attnY
-		[]int{n, g.hidden},     // res1
-		[]int{n, g.hidden},     // ln2out
-		[]int{n, 4 * g.hidden}, // fc1out
-		[]int{n, 4 * g.hidden}, // geluout
-	)
+// cacheTensors lists a block cache's tensors in serialization order. The
+// block input X travels by reference and the output Y not at all: backward
+// never reads it.
+func cacheTensors(c *nn.BlockCache) [9]*tensor.Tensor {
+	return [...]*tensor.Tensor{c.LN1Out, c.Attn.QKV, c.Attn.Probs, c.Attn.Ctx, c.AttnY, c.Res1, c.LN2Out, c.FC1Out, c.GeluOut}
 }
 
 // blobBytes is the exact fp16 size of an encoded block cache — statically
 // known from the geometry, which is what lets the engine preallocate every
-// swap buffer once.
+// swap buffer once: the 16 hidden-widths a token's serialized tensors add up
+// to (QKV 3, FC1Out and GeluOut 4 each, the other five 1 each) and every
+// head's seq×seq probabilities.
 func (g geometry) blobBytes() int {
-	n := 0
-	for _, s := range g.cacheShapes() {
-		n += tensor.Numel(s...)
-	}
-	return 2 * n
+	return 2 * (g.batch*g.seq*16*g.hidden + g.batch*g.heads*g.seq*g.seq)
 }
 
-// newBlockCache allocates an empty block cache with every serialized tensor
-// shaped per the geometry — the ring entries blobArena.decode revives. X and
-// Y are left nil: X is installed per decode, Y is never serialized.
-func newBlockCache(g geometry) *nn.BlockCache {
+// shapeCache points every serialized tensor of c at a fresh tensor of its
+// geometry-fixed shape from a (nil: the heap), in serialization order — what
+// blobArena.decode revives into, every element overwritten. X and Y are left
+// alone: X is installed per decode, Y is never serialized.
+func (g geometry) shapeCache(c *nn.BlockCache, a *tensor.Arena) {
 	n := g.batch * g.seq
-	c := &nn.BlockCache{Attn: &nn.AttnCache{}}
-	c.LN1Out = tensor.New(n, g.hidden)
-	c.Attn.QKV = tensor.New(n, 3*g.hidden)
-	c.Attn.Probs = make([][]*tensor.Tensor, g.batch)
-	for bi := range c.Attn.Probs {
-		c.Attn.Probs[bi] = make([]*tensor.Tensor, g.heads)
-		for h := range c.Attn.Probs[bi] {
-			c.Attn.Probs[bi][h] = tensor.New(g.seq, g.seq)
-		}
+	if c.Attn == nil {
+		c.Attn = new(nn.AttnCache)
 	}
-	c.Attn.Ctx = tensor.New(n, g.hidden)
-	c.AttnY = tensor.New(n, g.hidden)
-	c.Res1 = tensor.New(n, g.hidden)
-	c.LN2Out = tensor.New(n, g.hidden)
-	c.FC1Out = tensor.New(n, 4*g.hidden)
-	c.GeluOut = tensor.New(n, 4*g.hidden)
-	return c
+	c.LN1Out = a.New(n, g.hidden)
+	c.Attn.QKV = a.New(n, 3*g.hidden)
+	c.Attn.Probs = a.New(g.batch*g.heads*g.seq, g.seq)
+	c.Attn.Ctx = a.New(n, g.hidden)
+	c.AttnY = a.New(n, g.hidden)
+	c.Res1 = a.New(n, g.hidden)
+	c.LN2Out = a.New(n, g.hidden)
+	c.FC1Out = a.New(n, 4*g.hidden)
+	c.GeluOut = a.New(n, 4*g.hidden)
 }
 
 // encodeTensors packs ts as binary16 into dst — the A16 bytes the engine
@@ -104,7 +77,7 @@ func encodeTensors(dst []byte, ts []*tensor.Tensor) error {
 }
 
 // decodeTensors unpacks fp16 blob bytes into ts, fully overwriting each
-// tensor, so ring entries carry no state between blocks.
+// tensor, so the dirty memory they were handed carries into no value.
 func decodeTensors(blob []byte, ts []*tensor.Tensor) error {
 	off := 0
 	for _, t := range ts {

@@ -12,13 +12,13 @@ import (
 // BenchmarkCacheRoundTrip measures the full activation swap cycle for one
 // block at a realistic blob size (~576 KiB of fp16): encode into a ring
 // slot, store on the striped array, read back into the adjacent slot, and
-// revive the ring cache. The steady-state path does all four stages
-// without allocating; the pre-arena path allocated the blob, the fetch
+// revive the cache in a block scope. The steady-state path does all four
+// stages without allocating; the pre-arena path allocated the blob, the fetch
 // buffer, and a fresh BlockCache every cycle.
 func BenchmarkCacheRoundTrip(b *testing.B) {
 	g := geometry{batch: 2, seq: 64, hidden: 128, heads: 4}
-	src := newBlockCache(g)
-	for i, tt := range appendCacheTensors(nil, src) {
+	src := newCache(g, nil)
+	for i, tt := range cacheTensors(src) {
 		for j := range tt.Data {
 			tt.Data[j] = tensor.RoundFP16(float32((i+j)%17) * 0.125)
 		}
@@ -34,6 +34,10 @@ func BenchmarkCacheRoundTrip(b *testing.B) {
 	var ar blobArena
 	ar.init(DefaultPipelineDepth+1, 0)
 	n := g.blobBytes()
+	var scope tensor.Arena
+	var revived nn.BlockCache
+	g.shapeCache(&revived, &scope) // the heap serves the first scope; Reset sizes the arena by it
+	scope.Reset()
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,10 +53,11 @@ func BenchmarkCacheRoundTrip(b *testing.B) {
 		if err := a.ReadInto("act/bench", fetch); err != nil {
 			b.Fatal(err)
 		}
-		c := ar.cacheFor(i, g)
-		if err := ar.decode(c, fetch, input); err != nil {
+		g.shapeCache(&revived, &scope)
+		if err := ar.decode(&revived, fetch, input); err != nil {
 			b.Fatal(err)
 		}
+		scope.Release()
 	}
 }
 

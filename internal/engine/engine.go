@@ -183,6 +183,21 @@ type Engine struct {
 	// blobLen is the fixed fp16 size of one block's activation blob.
 	arena   blobArena
 	blobLen int
+	// stepArena and blockArena are the step's working set (tensor.Arena): every
+	// tensor a micro-batch's forward and backward produce comes from one of
+	// them — stepArena what lives until the batch ends (block inputs and
+	// outputs, the gradients between blocks, embedding, head and loss),
+	// blockArena what lives for one block's pass (its cache — computed, or
+	// decoded into revived — and its temporaries; releaseBlock). runBatch
+	// resets both and installs them on the model for its own duration, so
+	// between steps (EvalLoss, ProfileAndPlan, Generate) the model allocates
+	// on the heap. inputs[i] is block i's input in the batch in progress.
+	// released is a test hook, called after every release of arena memory with
+	// the tensor on its way to the next block (nil at the top of a batch).
+	stepArena, blockArena tensor.Arena
+	inputs                []*tensor.Tensor
+	revived               nn.BlockCache
+	released              func(carried *tensor.Tensor)
 	// depth is the resolved activation I/O window; win moves SwapSSD blobs
 	// between the ring and the array in both directions (see pipeline.go).
 	depth int
@@ -282,6 +297,7 @@ func New(cfg Config) (*Engine, error) {
 		hostPool:  memctl.NewPool("host", cfg.HostMemory),
 		geom:      geometryOf(cfg.Model),
 		groups:    m.ParamGroups(),
+		inputs:    make([]*tensor.Tensor, len(m.Blocks)),
 		tracer:    cfg.Tracer,
 		labels:    makeBlockLabels(len(m.Blocks)),
 		ins:       make([]any, len(metrics)),
@@ -631,6 +647,14 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		return 0, fwdDur, bwdDur, err
 	}
 	tr := e.tracer
+	// The batch's working set: whatever the last batch left in the arenas —
+	// finished or failed, a kept cache included — is dead here (releaseBlock(nil)
+	// tells the test hook), and only here is either buffer (re)allocated.
+	e.stepArena.Reset()
+	e.blockArena.Reset()
+	e.releaseBlock(nil)
+	m.SetArena(&e.stepArena, &e.blockArena)
+	defer m.SetArena(nil, nil)
 
 	// ---------- Forward ----------
 	fwdStart := time.Now()
@@ -640,7 +664,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	if err != nil {
 		return fail(err)
 	}
-	inputs := make([]*tensor.Tensor, len(m.Blocks))
+	inputs := e.inputs
 	var lastCache *nn.BlockCache
 	h := x
 	for i, b := range m.Blocks {
@@ -693,9 +717,12 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		// The live cache is dropped either way: swapped blocks restore it
 		// from their tier, the rest recompute from the saved block input. But
 		// not the last block's, which backward wants a head forward from now
-		// with no other cache live: recomputing that one lowers no peak.
+		// with no other cache live: recomputing that one lowers no peak, so its
+		// scope simply stays open until its backward has run.
 		if i == len(m.Blocks)-1 && e.cfg.Swap[i] == Recompute {
 			lastCache = c
+		} else {
+			e.releaseBlock(y)
 		}
 		h = y
 	}
@@ -706,7 +733,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		return fail(err)
 	}
 	sp = tr.StartSpan(obs.LaneCompute, labelLoss)
-	loss, dlogits, err := nn.CrossEntropy(logits, targets)
+	loss, dlogits, err := m.CrossEntropy(logits, targets)
 	sp.End()
 	if err != nil {
 		return fail(err)
@@ -792,7 +819,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			slot := e.arena.slotIndex(i)
 			err = e.win.acquireSlot(slot, e.labels[i].fetchStall, &e.win.fetch)
 			if err == nil {
-				c, err = e.reviveCache(i, e.arena.slotBuf(i, e.blobLen), inputs[i])
+				c, err = e.reviveCache(e.arena.slotBuf(i, e.blobLen), inputs[i])
 			} else {
 				err = fmt.Errorf("engine: fetch block %d activations: %w", i, err)
 			}
@@ -805,7 +832,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			if !h.pinned {
 				return fail(fmt.Errorf("engine: block %d host-tier cache missing", i))
 			}
-			if c, err = e.reviveCache(i, h.blob, inputs[i]); err != nil {
+			if c, err = e.reviveCache(h.blob, inputs[i]); err != nil {
 				return fail(err)
 			}
 			e.hostPool.Free(units.Bytes(len(h.blob)))
@@ -836,6 +863,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		}
 		dx.RoundFP16InPlace()
 		dh = dx
+		e.releaseBlock(dh)
 		if apply {
 			if err := e.gradsReady(groups[i+1]); err != nil {
 				return fail(err)
@@ -858,6 +886,16 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	return loss, fwdDur, bwdDur, nil
 }
 
+// releaseBlock ends a block's scope: its cache and its temporaries are dead,
+// and what lives on — the block inputs and carried, the tensor on its way to
+// the next block — is the step arena's.
+func (e *Engine) releaseBlock(carried *tensor.Tensor) {
+	e.blockArena.Release()
+	if e.released != nil {
+		e.released(carried)
+	}
+}
+
 // stashCache is the swap tiers' shared forward half: it fp16-encodes c into
 // blob — a ring slot bound for NVMe (the array credits that write) or a
 // host-tier blob — and credits the encode and the staging through host memory.
@@ -874,9 +912,12 @@ func (e *Engine) stashCache(blob []byte, c *nn.BlockCache, label string) error {
 }
 
 // reviveCache is the shared backward half: it decodes blob, from either
-// tier, into block i's ring cache with input installed, and credits it.
-func (e *Engine) reviveCache(i int, blob []byte, input *tensor.Tensor) (*nn.BlockCache, error) {
-	c := e.arena.cacheFor(i, e.geom)
+// tier, into tensors of the block's scope with input installed, and credits
+// it. The cache lives where a recomputed or a kept one does, until the block's
+// backward has run; revived is the one BlockCache they are all revived in.
+func (e *Engine) reviveCache(blob []byte, input *tensor.Tensor) (*nn.BlockCache, error) {
+	c := &e.revived
+	e.geom.shapeCache(c, &e.blockArena)
 	if err := e.arena.decode(c, blob, input); err != nil {
 		return nil, err
 	}

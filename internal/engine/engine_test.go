@@ -295,6 +295,41 @@ func TestHostPoolLimit(t *testing.T) {
 	}
 }
 
+// TestBlockForwardFLOPsMatchItsProducts: what the planner charges a block is
+// two FLOPs per multiply-add of the matrix products one Block.Forward runs,
+// counted the way the kernels' drivers count their work (m·k·n, half of it for
+// a causal seq×seq square) — checked by hand for one small geometry and
+// against the sum at the benchmark's four.
+func TestBlockForwardFLOPsMatchItsProducts(t *testing.T) {
+	multiplyAdds := func(cfg nn.Config) int64 {
+		tok, h, s := int64(cfg.Batch*cfg.Seq), int64(cfg.Hidden), int64(cfg.Seq)
+		heads, dh := int64(cfg.Batch*cfg.Heads), h/int64(cfg.Heads)
+		return tok*h*3*h + // QKV: [tok,h]·[h,3h]
+			heads*(s*dh*s/2) + // scores: q·kᵀ, the cells on and below the diagonal
+			heads*(s*s*dh/2) + // context: P·v, P lower-triangular
+			tok*h*h + // output projection
+			tok*h*4*h + tok*4*h*h // FC1, FC2
+	}
+	// batch 2, seq 4, hidden 8, 2 heads: 8 tokens, 4 (batch, head) pairs of
+	// width 4. QKV 8·8·24 = 1536, scores 4·(4·4·4/2) = 128, context 128,
+	// out 8·8·8 = 512, FC1 and FC2 8·8·32 = 2048 each: 6400 multiply-adds.
+	small := nn.Config{Batch: 2, Seq: 4, Hidden: 8, Heads: 2}
+	if got, sum := blockForwardFLOPs(small), multiplyAdds(small); got != 12800 || sum != 6400 {
+		t.Fatalf("small geometry: planner charges %v FLOPs, products sum to %d multiply-adds; want 12800 and 6400", got, sum)
+	}
+	for _, cfg := range []nn.Config{
+		miniConfig(),
+		{Seq: 64, Hidden: 32, Heads: 2, Batch: 2},   // io_mixed
+		{Seq: 64, Hidden: 64, Heads: 4, Batch: 2},   // opt_stream
+		{Seq: 128, Hidden: 256, Heads: 8, Batch: 2}, // compute
+		{Seq: 64, Hidden: 128, Heads: 4, Batch: 2},  // accum_ckpt_file
+	} {
+		if got, want := blockForwardFLOPs(cfg), units.FLOPs(2*multiplyAdds(cfg)); got != want {
+			t.Errorf("%+v: planner charges %v FLOPs a block, its products execute %v", cfg, got, want)
+		}
+	}
+}
+
 // TestProfileAndPlan: the engine's profiling + Algorithm 1 integration
 // returns a consistent swap set.
 func TestProfileAndPlan(t *testing.T) {
@@ -366,13 +401,13 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 	if err := e.arena.encode(blob, c); err != nil {
 		t.Fatal(err)
 	}
-	got := newBlockCache(e.geom)
+	got := newCache(e.geom, nil)
 	if err := e.arena.decode(got, blob, x); err != nil {
 		t.Fatal(err)
 	}
 	pairs := [][2]*tensor.Tensor{
 		{c.LN1Out, got.LN1Out}, {c.Attn.QKV, got.Attn.QKV}, {c.Attn.Ctx, got.Attn.Ctx},
-		{c.AttnY, got.AttnY}, {c.Res1, got.Res1}, {c.LN2Out, got.LN2Out},
+		{c.Attn.Probs, got.Attn.Probs}, {c.AttnY, got.AttnY}, {c.Res1, got.Res1}, {c.LN2Out, got.LN2Out},
 		{c.FC1Out, got.FC1Out}, {c.GeluOut, got.GeluOut},
 	}
 	for k, pair := range pairs {
@@ -382,14 +417,8 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for bi := range c.Attn.Probs {
-		for h := range c.Attn.Probs[bi] {
-			for i := range c.Attn.Probs[bi][h].Data {
-				if c.Attn.Probs[bi][h].Data[i] != got.Attn.Probs[bi][h].Data[i] {
-					t.Fatal("probs differ after codec round trip")
-				}
-			}
-		}
+	if want := 2 * sumNumel(cacheTensors(got)); want != e.geom.blobBytes() {
+		t.Fatalf("blobBytes() = %d, the tensors of a shaped cache encode to %d", e.geom.blobBytes(), want)
 	}
 	// Corrupted blobs are rejected.
 	if err := e.arena.decode(got, blob[:len(blob)-2], x); err == nil {
@@ -398,6 +427,14 @@ func TestCacheCodecRoundTrip(t *testing.T) {
 	if err := e.arena.decode(got, append(blob, 0, 0), x); err == nil {
 		t.Error("oversized blob accepted")
 	}
+}
+
+func sumNumel(ts [9]*tensor.Tensor) int {
+	n := 0
+	for _, t := range ts {
+		n += t.Numel()
+	}
+	return n
 }
 
 // TestEngineMatchesPlainModel: the engine's first step equals a plain

@@ -65,7 +65,7 @@ func poisonArena(e *Engine) int {
 		}
 	}
 	for i := range e.arena.slots {
-		poison(e.arena.slots[i].blob)
+		poison(e.arena.slots[i])
 	}
 	for i := range e.arena.host {
 		poison(e.arena.host[i].blob)
@@ -359,7 +359,7 @@ func TestPipelineBuffersAllocatedOnce(t *testing.T) {
 			base(e.arena.host[i].blob)
 		}
 		for i := range e.arena.slots {
-			base(e.arena.slots[i].blob)
+			base(e.arena.slots[i])
 		}
 		return out
 	}

@@ -18,8 +18,8 @@ const cacheRoundTripAllocBudget = 8
 
 func TestCacheRoundTripAllocs(t *testing.T) {
 	g := geometry{batch: 2, seq: 64, hidden: 128, heads: 4}
-	src := newBlockCache(g)
-	for i, tt := range appendCacheTensors(nil, src) {
+	src := newCache(g, nil)
+	for i, tt := range cacheTensors(src) {
 		for j := range tt.Data {
 			tt.Data[j] = tensor.RoundFP16(float32((i+j)%17) * 0.125)
 		}
@@ -33,6 +33,8 @@ func TestCacheRoundTripAllocs(t *testing.T) {
 	var ar blobArena
 	ar.init(DefaultPipelineDepth+1, 0)
 	n := g.blobBytes()
+	var scope tensor.Arena
+	var revived nn.BlockCache
 	iter := 0
 	cycle := func() {
 		blob := ar.slotBuf(iter, n)
@@ -46,10 +48,11 @@ func TestCacheRoundTripAllocs(t *testing.T) {
 		if err := a.ReadInto("act/bench", fetch); err != nil {
 			t.Fatal(err)
 		}
-		c := ar.cacheFor(iter, g)
-		if err := ar.decode(c, fetch, input); err != nil {
+		g.shapeCache(&revived, &scope)
+		if err := ar.decode(&revived, fetch, input); err != nil {
 			t.Fatal(err)
 		}
+		scope.Reset()
 		iter++
 	}
 	for i := 0; i < 4; i++ { // warm the arena, buffer pool and xfer pool

@@ -201,11 +201,13 @@ var metrics = [...]metric{
 	{"pool.worker_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().WorkerChunks) }},
 	{"pool.stolen_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().StolenChunks) }},
 
-	// Buffer-reuse health: the arena's blob/ring revival counts. Every
-	// buffer is allocated once, so a steady state shows both climbing by a
-	// constant per step.
+	// Buffer-reuse health: every blob buffer is allocated once, so a steady
+	// state shows the reuse count climbing by a constant per step; and the
+	// step's working set (stepArena + blockArena): what it holds, and the
+	// high-water mark of the last micro-batch inside it.
 	{"engine.blob_reuses", gauge, func(e *Engine) float64 { return float64(e.arena.blobReuses.Load()) }},
-	{"engine.ring_reuses", gauge, func(e *Engine) float64 { return float64(e.arena.ringReuses.Load()) }},
+	{"engine.step_arena_bytes", gauge, func(e *Engine) float64 { return float64(e.stepArena.Cap() + e.blockArena.Cap()) }},
+	{"engine.step_arena_peak_bytes", gauge, func(e *Engine) float64 { return float64(e.stepArena.Peak() + e.blockArena.Peak()) }},
 
 	// Byte-flow gauges: the ledger's cumulative per-edge and per-purpose
 	// totals, all from the one snapshot noteStep took.

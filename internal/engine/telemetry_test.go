@@ -152,12 +152,16 @@ func TestRegistryUpdatedPerStep(t *testing.T) {
 	if got := snap["engine.act_offload_bytes"]; got != float64(st.ActBytesOffload) {
 		t.Fatalf("act_offload_bytes %v != stats %v", got, st.ActBytesOffload)
 	}
-	// Buffer-reuse counters: after 3 steps the SSD-swap block has revived
-	// its arena blob and ring cache at least once past the first step.
-	for _, name := range []string{"engine.blob_reuses", "engine.ring_reuses"} {
+	// After 3 steps the SSD-swap block has reused its arena blob at least
+	// once, and the step's working set is allocated and was all the last step
+	// needed.
+	for _, name := range []string{"engine.blob_reuses", "engine.step_arena_bytes", "engine.step_arena_peak_bytes"} {
 		if snap[name] <= 0 {
 			t.Fatalf("%s = %v, want > 0 (snapshot %v)", name, snap[name], snap)
 		}
+	}
+	if peak, held := snap["engine.step_arena_peak_bytes"], snap["engine.step_arena_bytes"]; peak > held {
+		t.Fatalf("step arena peak %v exceeds the %v it holds: the heap served a steady-state step", peak, held)
 	}
 	// The exported metric surface is a committed list: adding, renaming or
 	// removing an instrument has to change testdata/metrics.golden too.

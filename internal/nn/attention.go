@@ -18,36 +18,20 @@ type Attention struct {
 	QKV   *Linear // [d, 3d]
 	Out   *Linear // [d, d]
 
-	// scratch holds one headScratch per (batch, head) backward task, allocated
-	// on first use and reused for the layer's lifetime: per-head temporaries
-	// dominated steady-state allocation churn. Backward never runs concurrently
-	// with itself on one layer, and each task touches only its own entry, so no
-	// locking is needed.
-	scratch    []headScratch
-	scratchSeq int
+	// arena is where attend's Ctx and Probs and attendBackward's dqkv and
+	// per-head temporaries come from (Model.SetArena; nil is the heap), all
+	// allocated before the heads fan out: an Arena serves one goroutine.
+	arena *tensor.Arena
 }
 
-// headScratch is one attention task's reusable backward temporaries. Both are
-// written on and below the diagonal only, every such cell on each use: dprobs'
-// upper triangle is never read, and dscores' is the +0 of its allocation for
-// the layer's lifetime, which is what lets its products skip it. So reuse is
-// bit-transparent.
-type headScratch struct {
-	dprobs, dscores *tensor.Tensor // [seq, seq]
-}
-
-// scratchFor returns the per-task scratch table for the given geometry,
-// (re)allocating when batch or seq changed since the last call.
-func (a *Attention) scratchFor(batch, seq int) []headScratch {
-	if a.scratch != nil && a.scratchSeq == seq && len(a.scratch) == batch*a.Heads {
-		return a.scratch
+// clearAbove writes +0 above the diagonal of every seq×seq matrix stacked in
+// d. Attention computes only the causal half of such a matrix and its products
+// skip the other half as structural zeros (the tiles still read the few next
+// to the diagonal), which arena memory is not: whoever allocates one clears it.
+func clearAbove(d []float32, seq int) {
+	for r := 0; r*seq < len(d); r++ {
+		clear(d[r*seq+r%seq+1 : (r+1)*seq])
 	}
-	ws := make([]headScratch, batch*a.Heads)
-	for i := range ws {
-		ws[i] = headScratch{dprobs: tensor.New(seq, seq), dscores: tensor.New(seq, seq)}
-	}
-	a.scratch, a.scratchSeq = ws, seq
-	return ws
 }
 
 // NewAttention builds a causal multi-head attention layer.
@@ -68,8 +52,9 @@ func NewAttention(name string, dim, heads int, rng *rand.Rand) (*Attention, erro
 // recomputes when the planner chose recomputation).
 type AttnCache struct {
 	QKV *tensor.Tensor // [b*s, 3d]
-	// Probs[b][h] is the post-softmax causal attention matrix [s, s].
-	Probs [][]*tensor.Tensor
+	// Probs stacks the post-softmax causal attention matrices [s, s], head h
+	// of batch element b at rows (b*heads+h)*s: [b*heads*s, s].
+	Probs *tensor.Tensor
 	Ctx   *tensor.Tensor // [b*s, d] pre-projection context
 }
 
@@ -103,12 +88,10 @@ func (a *Attention) attend(qkv *tensor.Tensor, batch, seq int) (*AttnCache, erro
 	dh := d / a.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
 
-	cache := &AttnCache{QKV: qkv, Probs: make([][]*tensor.Tensor, batch), Ctx: tensor.New(batch*seq, d)}
-	for bi := 0; bi < batch; bi++ {
-		cache.Probs[bi] = make([]*tensor.Tensor, a.Heads)
-	}
+	cache := &AttnCache{QKV: qkv, Probs: a.arena.New(batch*a.Heads*seq, seq), Ctx: a.arena.New(batch*seq, d)}
+	clearAbove(cache.Probs.Data, seq)
 	// Each (batch, head) task writes its own column window of Ctx and its own
-	// Probs cell, so heads fan out across the worker pool with bit-identical
+	// matrix of Probs, so heads fan out across the worker pool with bit-identical
 	// results at any thread count. A head's q, k and v are read where they lie
 	// in qkv, and its context is written where it belongs in Ctx: nothing is
 	// gathered and nothing is scattered. (Gathering k for the dot-product
@@ -117,12 +100,8 @@ func (a *Attention) attend(qkv *tensor.Tensor, batch, seq int) (*AttnCache, erro
 	// views".)
 	err := a.forEachHead(batch, seq, func(bi, h int) error {
 		q, k, v := headWindows(qkv, bi, h, seq, d, dh)
-		// scores is the one per-head tensor that survives the task: it is
-		// retained as Probs[bi][h], so it cannot come from scratch. Only its
-		// causal half is ever computed; the other half is the +0 of its
-		// allocation, which is what the masked cells' softmax comes to.
-		scores := tensor.New(seq, seq)
-		if err := tensor.MatMulTView(scores.View(), q, k, true); err != nil {
+		scores := cache.Probs.Window((bi*a.Heads+h)*seq, seq, 0, seq)
+		if err := tensor.MatMulTView(scores, q, k, true); err != nil {
 			return err
 		}
 		for i := 0; i < seq; i++ {
@@ -131,8 +110,7 @@ func (a *Attention) attend(qkv *tensor.Tensor, batch, seq int) (*AttnCache, erro
 			tensor.SoftmaxRow(row)
 			roundGridRow(row)
 		}
-		cache.Probs[bi][h] = scores
-		return tensor.MatMulView(cache.Ctx.Window(bi*seq, seq, h*dh, dh), scores.View(), v, true)
+		return tensor.MatMulView(cache.Ctx.Window(bi*seq, seq, h*dh, dh), scores, v, true)
 	})
 	if err != nil {
 		return nil, err
@@ -169,27 +147,31 @@ func (a *Attention) attendBackward(cache *AttnCache, dctx *tensor.Tensor, batch,
 	dh := d / a.Heads
 	scale := float32(1 / math.Sqrt(float64(dh)))
 
-	dqkv := tensor.New(batch*seq, 3*d)
-	ws := a.scratchFor(batch, seq)
+	dqkv := a.arena.New(batch*seq, 3*d)
+	// A task's two temporaries, stacked like Probs and written on and below
+	// the diagonal only: dprobs' other half is never read, dscores' is skipped
+	// by its products.
+	dprobsAll, dscoresAll := a.arena.New(batch*a.Heads*seq, seq), a.arena.New(batch*a.Heads*seq, seq)
+	clearAbove(dscoresAll.Data, seq)
 	// Each (batch, head) task writes its own column windows of dqkv and its
-	// own scratch entry; the parameter-gradient accumulations (the two
+	// own matrices of the two; the parameter-gradient accumulations (the two
 	// Linear.Backward calls around this) stay outside the parallel region.
 	// Every [seq, seq] matrix here is lower-triangular by construction —
 	// probs by the mask, dscores because its upper half is never written —
 	// and every product says so, so none of them visits the other half.
 	err := a.forEachHead(batch, seq, func(bi, h int) error {
-		w := &ws[bi*a.Heads+h]
+		r0 := (bi*a.Heads + h) * seq
 		q, k, v := headWindows(cache.QKV, bi, h, seq, d, dh)
 		dq, dk, dv := headWindows(dqkv, bi, h, seq, d, dh)
 		dout := dctx.Window(bi*seq, seq, h*dh, dh)
-		probs := cache.Probs[bi][h]
+		probs, dp, ds := cache.Probs.Window(r0, seq, 0, seq), dprobsAll.Window(r0, seq, 0, seq), dscoresAll.Window(r0, seq, 0, seq)
 
 		// dV = probsᵀ·dout, dprobs = dout·vᵀ.
-		if err := tensor.TMatMulView(dv, probs.View(), dout, true); err != nil {
+		if err := tensor.TMatMulView(dv, probs, dout, true); err != nil {
 			return err
 		}
-		dprobs, dscores := w.dprobs.Data, w.dscores.Data
-		if err := tensor.MatMulTView(w.dprobs.View(), dout, v, true); err != nil {
+		dprobs, dscores := dp.Data, ds.Data
+		if err := tensor.MatMulTView(dp, dout, v, true); err != nil {
 			return err
 		}
 		// Softmax backward per row: ds = (dp - Σ dp∘p) ∘ p, then the
@@ -205,10 +187,10 @@ func (a *Attention) attendBackward(cache *AttnCache, dctx *tensor.Tensor, batch,
 			}
 		}
 		// dQ = dscores·k, dK = dscoresᵀ·q.
-		if err := tensor.MatMulView(dq, w.dscores.View(), k, true); err != nil {
+		if err := tensor.MatMulView(dq, ds, k, true); err != nil {
 			return err
 		}
-		return tensor.TMatMulView(dk, w.dscores.View(), q, true)
+		return tensor.TMatMulView(dk, ds, q, true)
 	})
 	if err != nil {
 		return nil, err

@@ -147,8 +147,9 @@ func attentionCase(rng *rand.Rand, batch, seq, dh, heads int) (a *Attention, qkv
 // probabilities (upper triangle exactly +0), the context and the qkv gradient
 // of the gather / full square / mask / scatter body it replaced, bit for bit;
 // at tile-aligned and ragged seq and head sizes and past one packed k-block,
-// on every kernel level, serial and fanned out over heads, and on a second pass
-// over the layer's reused scratch.
+// on every kernel level, serial and fanned out over heads, on the heap (pass
+// 0) and in an arena refilled with NaN before each pass: what lies above a
+// diagonal is +0 because attention wrote it, not because it was allocated so.
 func TestAttentionBitIdenticalToFullSquare(t *testing.T) {
 	old := tensor.Parallelism()
 	defer tensor.SetParallelism(old)
@@ -160,7 +161,8 @@ func TestAttentionBitIdenticalToFullSquare(t *testing.T) {
 				a, qkv, dctx := attentionCase(rng, batch, seq, dh, heads)
 				wantProbs, wantCtx := refAttend(t, qkv, batch, seq, a.Dim, heads)
 				wantDqkv := refAttendBackward(t, qkv, wantProbs, dctx, batch, seq, a.Dim, heads)
-				for pass, threads := range []int{1, 3, 1} {
+				var arena tensor.Arena
+				for pass, threads := range []int{1, 3, 1, 3} {
 					tensor.SetParallelism(threads)
 					where := fmt.Sprintf("seq %d dh %d pass %d", seq, dh, pass)
 					cache, err := a.attend(qkv, batch, seq)
@@ -168,23 +170,23 @@ func TestAttentionBitIdenticalToFullSquare(t *testing.T) {
 					requireBits(t, where+": Ctx", cache.Ctx, wantCtx)
 					for bi := range wantProbs {
 						for h := range wantProbs[bi] {
-							requireBits(t, where+": Probs", cache.Probs[bi][h], wantProbs[bi][h])
+							got := cache.Probs.Window((bi*heads+h)*seq, seq, 0, seq)
+							requireBits(t, where+": Probs", &tensor.Tensor{Data: got.Data[:seq*seq]}, wantProbs[bi][h])
 						}
 					}
 					dqkv, err := a.attendBackward(cache, dctx, batch, seq)
 					must(t, err)
 					requireBits(t, where+": dqkv", dqkv, wantDqkv)
-					// The scratch invariant the backward products rely on: what
-					// lies above dscores' diagonal is the +0 it was allocated
-					// with, after any number of uses.
-					for _, w := range a.scratch {
-						for i := 0; i < seq; i++ {
-							for j := i + 1; j < seq; j++ {
-								if math.Float32bits(w.dscores.Data[i*seq+j]) != 0 {
-									t.Fatalf("%s: dscores[%d,%d] = %v above the diagonal", where, i, j, w.dscores.Data[i*seq+j])
-								}
-							}
-						}
+					// The heap served pass 0 (and pass 1, the arena's first: it
+					// is sized by what that pass asked for); from here on every
+					// tensor is carved out of NaN.
+					a.arena = &arena
+					arena.Reset()
+					for i := range arena.Free() {
+						arena.Free()[i] = float32(math.NaN())
+					}
+					if pass >= 2 && (arena.Cap() == 0 || arena.Peak() != 0) {
+						t.Fatalf("%s: arena holds %d bytes, %d in use after Reset", where, arena.Cap(), arena.Peak())
 					}
 				}
 			}

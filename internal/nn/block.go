@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ratel/internal/tensor"
 )
@@ -22,6 +23,10 @@ type Block struct {
 	site  uint64
 	batch int
 	seq   int
+	// step is where the tensors that outlive a pass come from — Forward's y,
+	// Backward's dx — and scope where everything else it produces does, the
+	// layers' results included (Model.SetArena; nil is the heap).
+	step, scope *tensor.Arena
 }
 
 // NewBlock builds a block for fixed batch/sequence geometry.
@@ -63,19 +68,14 @@ func (c *BlockCache) ActivationBytes() int64 {
 	if c == nil {
 		return 0
 	}
+	ts := []*tensor.Tensor{c.X, c.LN1Out, c.AttnY, c.Res1, c.LN2Out, c.FC1Out, c.GeluOut}
+	if c.Attn != nil {
+		ts = append(ts, c.Attn.QKV, c.Attn.Probs, c.Attn.Ctx)
+	}
 	n := int64(0)
-	for _, t := range []*tensor.Tensor{c.X, c.LN1Out, c.AttnY, c.Res1, c.LN2Out, c.FC1Out, c.GeluOut} {
+	for _, t := range ts {
 		if t != nil {
 			n += 2 * int64(t.Numel())
-		}
-	}
-	if c.Attn != nil {
-		n += 2 * int64(c.Attn.QKV.Numel())
-		n += 2 * int64(c.Attn.Ctx.Numel())
-		for _, hs := range c.Attn.Probs {
-			for _, p := range hs {
-				n += 2 * int64(p.Numel())
-			}
 		}
 	}
 	return n
@@ -91,10 +91,8 @@ func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, *BlockCache, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if b.Drop.Active() {
-		b.Drop.Apply(fc2, b.site+1)
-	}
-	c.Y = c.Res1.Clone()
+	b.Drop.Apply(fc2, b.site+1) // a no-op unless dropout is active
+	c.Y = b.step.Clone(c.Res1)
 	if err := tensor.AddInPlace(c.Y, fc2); err != nil {
 		return nil, nil, err
 	}
@@ -116,10 +114,8 @@ func (b *Block) Recompute(x *tensor.Tensor) (*BlockCache, error) {
 	if c.AttnY, c.Attn, err = b.Attn.Forward(c.LN1Out, b.batch, b.seq); err != nil {
 		return nil, err
 	}
-	if b.Drop.Active() {
-		b.Drop.Apply(c.AttnY, b.site)
-	}
-	c.Res1 = x.Clone()
+	b.Drop.Apply(c.AttnY, b.site)
+	c.Res1 = b.scope.Clone(x)
 	if err := tensor.AddInPlace(c.Res1, c.AttnY); err != nil {
 		return nil, err
 	}
@@ -130,7 +126,7 @@ func (b *Block) Recompute(x *tensor.Tensor) (*BlockCache, error) {
 	if c.FC1Out, err = b.FC1.Forward(c.LN2Out); err != nil {
 		return nil, err
 	}
-	c.GeluOut = tensor.GELU(c.FC1Out)
+	c.GeluOut = tensor.GELU(b.scope, c.FC1Out)
 	roundGrid(c.GeluOut)
 	return c, nil
 }
@@ -144,14 +140,14 @@ func (b *Block) Backward(c *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 	// Residual 2: y = res1 + drop(fc2(gelu(fc1(ln2(res1))))).
 	dfc2 := dy
 	if b.Drop.Active() {
-		dfc2 = dy.Clone()
+		dfc2 = b.scope.Clone(dy)
 		b.Drop.Backward(dfc2, b.site+1)
 	}
 	dgelu, err := b.FC2.Backward(c.GeluOut, dfc2)
 	if err != nil {
 		return nil, err
 	}
-	dfc1, err := tensor.GELUBackward(c.FC1Out, dgelu)
+	dfc1, err := tensor.GELUBackward(b.scope, c.FC1Out, dgelu)
 	if err != nil {
 		return nil, err
 	}
@@ -169,15 +165,15 @@ func (b *Block) Backward(c *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 	// Residual 1: res1 = x + drop(attn(ln1(x))).
 	dattnY := dres1
 	if b.Drop.Active() {
-		dattnY = dres1.Clone()
+		dattnY = b.scope.Clone(dres1)
 		b.Drop.Backward(dattnY, b.site)
 	}
 	dln1, err := b.Attn.Backward(c.LN1Out, c.Attn, dattnY, b.batch, b.seq)
 	if err != nil {
 		return nil, err
 	}
-	dx, err := b.LN1.Backward(c.X, dln1)
-	if err != nil {
+	dx := b.step.New(c.X.Shape...)
+	if err := b.LN1.backwardInto(dx, c.X, dln1); err != nil {
 		return nil, err
 	}
 	if err := tensor.AddInPlace(dx, dres1); err != nil { // residual path
@@ -188,11 +184,5 @@ func (b *Block) Backward(c *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 
 // Params lists all block parameters in a stable order.
 func (b *Block) Params() []Param {
-	var ps []Param
-	ps = append(ps, b.LN1.Params()...)
-	ps = append(ps, b.Attn.Params()...)
-	ps = append(ps, b.LN2.Params()...)
-	ps = append(ps, b.FC1.Params()...)
-	ps = append(ps, b.FC2.Params()...)
-	return ps
+	return slices.Concat(b.LN1.Params(), b.Attn.Params(), b.LN2.Params(), b.FC1.Params(), b.FC2.Params())
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,13 +176,9 @@ func TestRecomputeStopsWhereBackwardStopsReading(t *testing.T) {
 	pairs := map[string][2]*tensor.Tensor{
 		"X": {fwd.X, rec.X}, "LN1Out": {fwd.LN1Out, rec.LN1Out},
 		"Attn.QKV": {fwd.Attn.QKV, rec.Attn.QKV}, "Attn.Ctx": {fwd.Attn.Ctx, rec.Attn.Ctx},
-		"Res1": {fwd.Res1, rec.Res1}, "LN2Out": {fwd.LN2Out, rec.LN2Out},
+		"Attn.Probs": {fwd.Attn.Probs, rec.Attn.Probs},
+		"Res1":       {fwd.Res1, rec.Res1}, "LN2Out": {fwd.LN2Out, rec.LN2Out},
 		"FC1Out": {fwd.FC1Out, rec.FC1Out}, "GeluOut": {fwd.GeluOut, rec.GeluOut},
-	}
-	for bi, heads := range fwd.Attn.Probs {
-		for hi, p := range heads {
-			pairs[fmt.Sprintf("Attn.Probs[%d][%d]", bi, hi)] = [2]*tensor.Tensor{p, rec.Attn.Probs[bi][hi]}
-		}
 	}
 	for name, pr := range pairs {
 		if len(pr[0].Data) == 0 || len(pr[0].Data) != len(pr[1].Data) {

@@ -41,7 +41,7 @@ func (m *Model) ForwardBackward(tokens, targets [][]int, recompute map[int]bool)
 	if err != nil {
 		return 0, err
 	}
-	loss, dlogits, err := CrossEntropy(logits, targets)
+	loss, dlogits, err := m.CrossEntropy(logits, targets)
 	if err != nil {
 		return 0, err
 	}

@@ -114,6 +114,6 @@ func (m *Model) EvalLoss(tokens, targets [][]int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	loss, _, err := CrossEntropy(logits, targets)
+	loss, _, err := m.CrossEntropy(logits, targets)
 	return loss, err
 }

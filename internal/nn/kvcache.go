@@ -136,7 +136,7 @@ func (b *Block) decodeStep(x, kCache, vCache *tensor.Tensor, pos int) (*tensor.T
 	if err != nil {
 		return nil, err
 	}
-	gelu := tensor.GELU(fc1)
+	gelu := tensor.GELU(nil, fc1)
 	roundGrid(gelu)
 	fc2, err := b.FC2.Forward(gelu)
 	if err != nil {

@@ -30,6 +30,9 @@ type Linear struct {
 	// steps. TMatMulInto fully overwrites it, so dirty reuse is
 	// bit-transparent; it never escapes the method.
 	dwScr *tensor.Tensor
+	// arena is where Forward's y and Backward's dx come from (Model.SetArena;
+	// nil is the heap). Both are fully overwritten by their Into kernels.
+	arena *tensor.Arena
 }
 
 // NewLinear initializes a linear layer with scaled-normal weights.
@@ -47,7 +50,7 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 
 // Forward computes y = x·W + b, rounded to the fp16 grid.
 func (l *Linear) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	y, err := tensor.MatMul(x, l.W)
+	y, err := tensor.MatMul(l.arena, x, l.W)
 	if err != nil {
 		return nil, fmt.Errorf("nn: %s: %w", l.Name, err)
 	}
@@ -80,7 +83,7 @@ func (l *Linear) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	for i := 0; i < rows; i++ {
 		simd.Add(l.DB.Data, dy.Data[i*cols:(i+1)*cols])
 	}
-	dx, err := tensor.MatMulT(dy, l.W)
+	dx, err := tensor.MatMulT(l.arena, dy, l.W)
 	if err != nil {
 		return nil, fmt.Errorf("nn: %s backward: %w", l.Name, err)
 	}
@@ -106,7 +109,8 @@ type LayerNorm struct {
 	DGamma, DBeta *tensor.Tensor
 	dim           int
 	eps           float64
-	xhat          []float64 // backward per-row scratch, fully rewritten each row
+	xhat          []float64     // backward per-row scratch, fully rewritten each row
+	arena         *tensor.Arena // of Forward's y and Backward's dx, every element written
 }
 
 // NewLayerNorm initializes gamma=1, beta=0.
@@ -129,23 +133,13 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil || d != ln.dim {
 		return nil, fmt.Errorf("nn: %s: got %dx%d, want dim %d (%v)", ln.Name, n, d, ln.dim, err)
 	}
-	y := tensor.New(n, d)
+	y := ln.arena.New(n, d)
 	// Rows run inline, one after the other: sharded over two threads they
 	// won a coin flip's share of pairs at the widest workload and nothing
 	// below it (EXPERIMENTS.md, "Element-wise kernels run inline").
 	for i := 0; i < n; i++ {
 		row := x.Data[i*d : (i+1)*d]
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= float64(d)
-		var varsum float64
-		for _, v := range row {
-			diff := float64(v) - mean
-			varsum += diff * diff
-		}
-		inv := 1 / math.Sqrt(varsum/float64(d)+ln.eps)
+		mean, inv := ln.rowStats(row)
 		out := y.Data[i*d : (i+1)*d]
 		for j, v := range row {
 			out[j] = float32((float64(v)-mean)*inv)*ln.Gamma.Data[j] + ln.Beta.Data[j]
@@ -155,14 +149,39 @@ func (ln *LayerNorm) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	return y, nil
 }
 
+// rowStats is one row's mean and reciprocal standard deviation, in float64 in
+// increasing index — the same chain in Forward and in Backward, which
+// recomputes them.
+func (ln *LayerNorm) rowStats(row []float32) (mean, inv float64) {
+	for _, v := range row {
+		mean += float64(v)
+	}
+	mean /= float64(len(row))
+	var varsum float64
+	for _, v := range row {
+		diff := float64(v) - mean
+		varsum += diff * diff
+	}
+	return mean, 1 / math.Sqrt(varsum/float64(len(row))+ln.eps)
+}
+
 // Backward recomputes the row statistics from x (deterministically) and
 // returns dx while accumulating DGamma/DBeta.
 func (ln *LayerNorm) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
+	dx := ln.arena.New(x.Shape...)
+	if err := ln.backwardInto(dx, x, dy); err != nil {
+		return nil, err
+	}
+	return dx, nil
+}
+
+// backwardInto is Backward into the caller's dx, shaped like x: a block's
+// input gradient outlives the scope the rest of its backward lives in.
+func (ln *LayerNorm) backwardInto(dx, x, dy *tensor.Tensor) error {
 	n, d, err := x.Dims2()
 	if err != nil || d != ln.dim {
-		return nil, fmt.Errorf("nn: %s backward: bad shape", ln.Name)
+		return fmt.Errorf("nn: %s backward: bad shape", ln.Name)
 	}
-	dx := tensor.New(n, d)
 	if len(ln.xhat) != d {
 		ln.xhat = make([]float64, d)
 	}
@@ -170,17 +189,7 @@ func (ln *LayerNorm) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
 	for i := 0; i < n; i++ {
 		row := x.Data[i*d : (i+1)*d]
 		dyr := dy.Data[i*d : (i+1)*d]
-		var mean float64
-		for _, v := range row {
-			mean += float64(v)
-		}
-		mean /= float64(d)
-		var varsum float64
-		for _, v := range row {
-			diff := float64(v) - mean
-			varsum += diff * diff
-		}
-		inv := 1 / math.Sqrt(varsum/float64(d)+ln.eps)
+		mean, inv := ln.rowStats(row)
 
 		var sumDyG, sumDyGX float64
 		for j := range row {
@@ -196,7 +205,7 @@ func (ln *LayerNorm) Backward(x, dy *tensor.Tensor) (*tensor.Tensor, error) {
 			dx.Data[i*d+j] = float32(inv * (dg - sumDyG/float64(d) - xhat[j]*sumDyGX/float64(d)))
 		}
 	}
-	return dx, nil
+	return nil
 }
 
 // Params lists the layer's parameters.

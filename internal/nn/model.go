@@ -53,10 +53,31 @@ type Model struct {
 	step uint64 // forward-pass counter driving dropout masks
 	drop *Dropout
 
+	// arena is where the step-lived tensors of Embed, the head and the loss
+	// come from (SetArena; nil is the heap); targets is the loss's flattened
+	// target list, reused across steps.
+	arena   *tensor.Arena
+	targets []int
+
 	// params caches the flat parameter list: the model's structure is fixed
 	// after construction, and per-step callers (ZeroGrads) must not rebuild
 	// the per-layer slices every iteration.
 	params []Param
+}
+
+// SetArena installs the allocators of a training pass on the model and its
+// layers: step for the tensors that live until the pass ends (embedding, block
+// inputs and outputs, head, loss, the gradients between blocks), block for
+// everything else a block's Forward, Recompute or Backward produces, its
+// cache included — which the caller may Release whenever no cache from it is
+// wanted any more. nil (the default) is the heap for either.
+func (m *Model) SetArena(step, block *tensor.Arena) {
+	m.arena, m.FinalLN.arena, m.Head.arena = step, step, step
+	for _, b := range m.Blocks {
+		b.step, b.scope = step, block
+		b.LN1.arena, b.LN2.arena, b.FC1.arena, b.FC2.arena = block, block, block, block
+		b.Attn.arena, b.Attn.QKV.arena, b.Attn.Out.arena = block, block, block
+	}
 }
 
 // NextStep advances the dropout counter; call once per training pass
@@ -111,7 +132,7 @@ func (m *Model) Embed(tokens [][]int) (*tensor.Tensor, error) {
 	if len(tokens) != cfg.Batch {
 		return nil, fmt.Errorf("nn: batch %d, want %d", len(tokens), cfg.Batch)
 	}
-	x := tensor.New(cfg.Batch*cfg.Seq, cfg.Hidden)
+	x := m.arena.New(cfg.Batch*cfg.Seq, cfg.Hidden)
 	for bi, row := range tokens {
 		if len(row) != cfg.Seq {
 			return nil, fmt.Errorf("nn: sequence %d has %d tokens, want %d", bi, len(row), cfg.Seq)
@@ -153,7 +174,7 @@ func (m *Model) HeadForward(x *tensor.Tensor) (lnOut, logits *tensor.Tensor, err
 		return nil, nil, err
 	}
 	if m.Cfg.TieEmbeddings {
-		logits, err = tensor.MatMulT(lnOut, m.TokEmb)
+		logits, err = tensor.MatMulT(m.arena, lnOut, m.TokEmb)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -173,14 +194,14 @@ func (m *Model) HeadBackward(x, lnOut, dlogits *tensor.Tensor) (*tensor.Tensor, 
 	var err error
 	if m.Cfg.TieEmbeddings {
 		// dTokEmb += dlogitsᵀ·lnOut; dln = dlogits·TokEmb.
-		demb, err := tensor.TMatMul(dlogits, lnOut)
+		demb, err := tensor.TMatMul(m.arena, dlogits, lnOut)
 		if err != nil {
 			return nil, err
 		}
 		if err := tensor.AddInPlace(m.DTokEmb, demb); err != nil {
 			return nil, err
 		}
-		if dln, err = tensor.MatMul(dlogits, m.TokEmb); err != nil {
+		if dln, err = tensor.MatMul(m.arena, dlogits, m.TokEmb); err != nil {
 			return nil, err
 		}
 	} else {
@@ -193,19 +214,20 @@ func (m *Model) HeadBackward(x, lnOut, dlogits *tensor.Tensor) (*tensor.Tensor, 
 
 // CrossEntropy computes the mean next-token loss and dlogits for targets
 // [batch][seq].
-func CrossEntropy(logits *tensor.Tensor, targets [][]int) (float64, *tensor.Tensor, error) {
+func (m *Model) CrossEntropy(logits *tensor.Tensor, targets [][]int) (float64, *tensor.Tensor, error) {
 	n, v, err := logits.Dims2()
 	if err != nil {
 		return 0, nil, err
 	}
-	flat := make([]int, 0, n)
+	flat := m.targets[:0]
 	for _, row := range targets {
 		flat = append(flat, row...)
 	}
+	m.targets = flat
 	if len(flat) != n {
 		return 0, nil, fmt.Errorf("nn: %d targets for %d positions", len(flat), n)
 	}
-	dlogits := tensor.New(n, v)
+	dlogits := m.arena.New(n, v)
 	var loss float64
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*v : (i+1)*v]
@@ -235,23 +257,14 @@ func CrossEntropy(logits *tensor.Tensor, targets [][]int) (float64, *tensor.Tens
 	return loss / float64(n), dlogits, nil
 }
 
-// Params lists every parameter in a stable order: embeddings, blocks, final
-// norm, head. The returned slice is cached and shared — treat it as
-// read-only.
+// Params lists every parameter in a stable order — embeddings, blocks, final
+// norm, head: the groups' parameters, group after group. The returned slice
+// is cached and shared — treat it as read-only.
 func (m *Model) Params() []Param {
 	if m.params == nil {
-		ps := []Param{
-			{"tok_emb", m.TokEmb, m.DTokEmb},
-			{"pos_emb", m.PosEmb, m.DPosEmb},
+		for _, g := range m.ParamGroups() {
+			m.params = append(m.params, g.Params...)
 		}
-		for _, b := range m.Blocks {
-			ps = append(ps, b.Params()...)
-		}
-		ps = append(ps, m.FinalLN.Params()...)
-		if !m.Cfg.TieEmbeddings {
-			ps = append(ps, m.Head.Params()...)
-		}
-		m.params = ps
 	}
 	return m.params
 }

@@ -289,10 +289,10 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("out-of-vocab token accepted")
 	}
 	logits := tensor.New(2, cfg.Vocab)
-	if _, _, err := CrossEntropy(logits, [][]int{{0, 1, 2}}); err == nil {
+	if _, _, err := new(Model).CrossEntropy(logits, [][]int{{0, 1, 2}}); err == nil {
 		t.Error("target count mismatch accepted")
 	}
-	if _, _, err := CrossEntropy(logits, [][]int{{99}, {0}}); err == nil {
+	if _, _, err := new(Model).CrossEntropy(logits, [][]int{{99}, {0}}); err == nil {
 		t.Error("out-of-vocab target accepted")
 	}
 }

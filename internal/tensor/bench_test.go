@@ -54,7 +54,7 @@ func benchmarkMatMul(b *testing.B, size int) {
 			defer simd.ForceLevel(level)()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := MatMul(x, y); err != nil {
+				if _, err := MatMul(nil, x, y); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,7 +65,7 @@ func benchmarkMatMul(b *testing.B, size int) {
 		SetParallelism(1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := MatMul(x, y); err != nil {
+			if _, err := MatMul(nil, x, y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,7 +75,7 @@ func benchmarkMatMul(b *testing.B, size int) {
 		SetParallelism(runtime.NumCPU())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := MatMul(x, y); err != nil {
+			if _, err := MatMul(nil, x, y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -300,7 +300,7 @@ func benchmarkGELU(b *testing.B, kernel func(x, dy *Tensor), formula func(x, dy,
 
 func BenchmarkGELU(b *testing.B) {
 	benchmarkGELU(b,
-		func(x, _ *Tensor) { GELU(x) },
+		func(x, _ *Tensor) { GELU(nil, x) },
 		func(x, _, out []float32) {
 			for i, v := range x {
 				out[i] = geluScalar(v)
@@ -311,7 +311,7 @@ func BenchmarkGELU(b *testing.B) {
 func BenchmarkGELUBackward(b *testing.B) {
 	benchmarkGELU(b,
 		func(x, dy *Tensor) {
-			if _, err := GELUBackward(x, dy); err != nil {
+			if _, err := GELUBackward(nil, x, dy); err != nil {
 				b.Fatal(err)
 			}
 		},

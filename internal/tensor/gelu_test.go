@@ -26,8 +26,8 @@ func checkGELUMatchesFormula(t *testing.T, xs []float32) {
 		if pin {
 			restore = simd.ForceGeneric()
 		}
-		y := GELU(x)
-		dx, err := GELUBackward(x, dy)
+		y := GELU(nil, x)
+		dx, err := GELUBackward(nil, x, dy)
 		restore()
 		if err != nil {
 			t.Fatal(err)
@@ -105,11 +105,11 @@ func TestGELUAllocs(t *testing.T) {
 		x.Data[i] = RoundFP16(float32(i%97)*0.05 - 2.4)
 	}
 	dy := x.Clone()
-	GELU(x) // builds the table
-	if allocs := testing.AllocsPerRun(20, func() { GELU(x) }); allocs != 3 {
+	GELU(nil, x) // builds the table
+	if allocs := testing.AllocsPerRun(20, func() { GELU(nil, x) }); allocs != 3 {
 		t.Errorf("GELU: %v allocs/run, want 3", allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { _, _ = GELUBackward(x, dy) }); allocs != 3 {
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = GELUBackward(nil, x, dy) }); allocs != 3 {
 		t.Errorf("GELUBackward: %v allocs/run, want 3", allocs)
 	}
 }

@@ -30,7 +30,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 	cases := []struct {
 		name  string
 		a, b  *Tensor
-		alloc func(a, b *Tensor) (*Tensor, error)
+		alloc func(ar *Arena, a, b *Tensor) (*Tensor, error)
 		into  func(c, a, b *Tensor) error
 	}{
 		{"MatMul", randT(rng, m, k), randT(rng, k, n), MatMul, MatMulInto},
@@ -38,7 +38,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 		{"TMatMul", randT(rng, k, m), randT(rng, k, n), TMatMul, TMatMulInto},
 	}
 	for _, tc := range cases {
-		want, err := tc.alloc(tc.a, tc.b)
+		want, err := tc.alloc(nil, tc.a, tc.b)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

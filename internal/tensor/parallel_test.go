@@ -113,20 +113,20 @@ func TestParallelKernelParity(t *testing.T) {
 		wantTMM := tMatMulRef(at, b)
 		for _, th := range threads {
 			SetParallelism(th)
-			got, err := MatMul(a, b)
+			got, err := MatMul(nil, a, b)
 			if err != nil {
 				t.Fatalf("%dx%dx%d threads=%d: %v", sh.m, sh.k, sh.n, th, err)
 			}
 			if d := maxRelDiff(t, got, wantMM); d > kernelParityTol {
 				t.Errorf("MatMul %dx%dx%d threads=%d: rel diff %g", sh.m, sh.k, sh.n, th, d)
 			}
-			if got, err = MatMulT(a, bt); err != nil {
+			if got, err = MatMulT(nil, a, bt); err != nil {
 				t.Fatal(err)
 			}
 			if d := maxRelDiff(t, got, wantMMT); d > kernelParityTol {
 				t.Errorf("MatMulT %dx%dx%d threads=%d: rel diff %g", sh.m, sh.k, sh.n, th, d)
 			}
-			if got, err = TMatMul(at, b); err != nil {
+			if got, err = TMatMul(nil, at, b); err != nil {
 				t.Fatal(err)
 			}
 			if d := maxRelDiff(t, got, wantTMM); d > kernelParityTol {
@@ -176,12 +176,12 @@ func kernelsBitIdenticalAcrossThreads(t *testing.T) {
 	}
 
 	SetParallelism(1)
-	mmSerial, _ := MatMul(a, b)
+	mmSerial, _ := MatMul(nil, a, b)
 	viewsSerial := views()
 
 	for _, th := range []int{2, runtime.NumCPU()} {
 		SetParallelism(th)
-		mm, _ := MatMul(a, b)
+		mm, _ := MatMul(nil, a, b)
 		for i := range mmSerial.Data {
 			if math.Float32bits(mm.Data[i]) != math.Float32bits(mmSerial.Data[i]) {
 				t.Fatalf("MatMul threads=%d: element %d differs bitwise", th, i)
@@ -209,7 +209,7 @@ func TestMatMulPropagatesNaNThroughZeros(t *testing.T) {
 	// column 1, so both outputs must come out NaN.
 	a, _ := FromData([]float32{0, 0}, 1, 2)
 	b, _ := FromData([]float32{nan, inf, 1, 2}, 2, 2)
-	c, err := MatMul(a, b)
+	c, err := MatMul(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestMatMulPropagatesNaNThroughZeros(t *testing.T) {
 
 	// TMatMul: aT has a zero column multiplying b's NaN/Inf rows.
 	at, _ := FromData([]float32{0, 0}, 2, 1) // aT is [k=2, m=1], all zero
-	ct, err := TMatMul(at, b)
+	ct, err := TMatMul(nil, at, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestMatMulPropagatesNaNThroughZeros(t *testing.T) {
 
 	// MatMulT's dot product never skipped zeros, but pin the behaviour too.
 	bt, _ := FromData([]float32{nan, 1}, 1, 2)
-	cmt, err := MatMulT(a, bt)
+	cmt, err := MatMulT(nil, a, bt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,12 +71,8 @@ func Numel(shape ...int) int {
 // Numel is the tensor's element count.
 func (t *Tensor) Numel() int { return len(t.Data) }
 
-// Clone deep-copies t.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
+// Clone deep-copies t onto the heap.
+func (t *Tensor) Clone() *Tensor { return (*Arena)(nil).Clone(t) }
 
 // Zero clears t in place.
 func (t *Tensor) Zero() {
@@ -100,13 +96,14 @@ func (t *Tensor) RandInit(rng *rand.Rand, std float64) {
 	}
 }
 
-// MatMul computes c = a·b for rank-2 tensors [m,k]x[k,n].
+// MatMul computes c = a·b for rank-2 tensors [m,k]x[k,n] into a tensor from
+// ar (nil: the heap), like MatMulT, TMatMul, GELU and GELUBackward below.
 //
 // Column panels of c are sharded across the worker pool; every element
 // accumulates in increasing p regardless of blocking or thread count, so
 // the result is bit-identical to the serial kernel. Zero entries of a are
 // NOT skipped: 0·NaN and 0·Inf must propagate as NaN.
-func MatMul(a, b *Tensor) (*Tensor, error) {
+func MatMul(ar *Arena, a, b *Tensor) (*Tensor, error) {
 	m, _, err := a.Dims2()
 	if err != nil {
 		return nil, err
@@ -115,7 +112,7 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := New(m, n)
+	c := ar.New(m, n)
 	if err := MatMulInto(c, a, b); err != nil {
 		return nil, err
 	}
@@ -430,7 +427,7 @@ func gemmEdge(g product, cd, ad, bd []float32, i0, i1, j0, j1 int) {
 // Rows of c are sharded across the pool; each dot product accumulates in
 // increasing p exactly as the serial kernel does, so the result is
 // bit-identical at any thread count.
-func MatMulT(a, b *Tensor) (*Tensor, error) {
+func MatMulT(ar *Arena, a, b *Tensor) (*Tensor, error) {
 	m, _, err := a.Dims2()
 	if err != nil {
 		return nil, err
@@ -439,7 +436,7 @@ func MatMulT(a, b *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := New(m, n)
+	c := ar.New(m, n)
 	if err := MatMulTInto(c, a, b); err != nil {
 		return nil, err
 	}
@@ -512,7 +509,7 @@ func dotPanel(g product, cd, ad, bd []float32, lo, hi int) {
 // are sharded across the pool and every element accumulates in increasing
 // p — the serial order — so the result is bit-identical at any thread
 // count. Zero entries of a are NOT skipped (NaN/Inf propagation).
-func TMatMul(a, b *Tensor) (*Tensor, error) {
+func TMatMul(ar *Arena, a, b *Tensor) (*Tensor, error) {
 	_, m, err := a.Dims2()
 	if err != nil {
 		return nil, err
@@ -521,7 +518,7 @@ func TMatMul(a, b *Tensor) (*Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := New(m, n)
+	c := ar.New(m, n)
 	if err := TMatMulInto(c, a, b); err != nil {
 		return nil, err
 	}
@@ -599,9 +596,9 @@ func (t *Tensor) Scale(s float32) { simd.Scale(t.Data, s) }
 // memory and runs inline on the caller like the byte codecs: at the largest
 // engine shape (256 x 1024) two threads did not beat it, and at the next
 // (128 x 512) they lost to it (EXPERIMENTS.md, "GELU as a table").
-func GELU(x *Tensor) *Tensor {
+func GELU(ar *Arena, x *Tensor) *Tensor {
 	geluTab.once.Do(buildGELUTab)
-	y := New(x.Shape...)
+	y := ar.New(x.Shape...)
 	xd := x.Data
 	yd := y.Data[:len(xd)] // equal lengths, stated for the bounds checker
 	for i, v := range xd {
@@ -615,12 +612,12 @@ func GELU(x *Tensor) *Tensor {
 }
 
 // GELUBackward computes dx = dy * gelu'(x), inline like GELU.
-func GELUBackward(x, dy *Tensor) (*Tensor, error) {
+func GELUBackward(ar *Arena, x, dy *Tensor) (*Tensor, error) {
 	if len(x.Data) != len(dy.Data) {
 		return nil, fmt.Errorf("tensor: gelu backward size %d vs %d", len(x.Data), len(dy.Data))
 	}
 	geluTab.once.Do(buildGELUTab)
-	dx := New(x.Shape...)
+	dx := ar.New(x.Shape...)
 	xd := x.Data
 	dyd, dxd := dy.Data[:len(xd)], dx.Data[:len(xd)]
 	for i, v := range xd {

@@ -10,7 +10,7 @@ import (
 func TestMatMul(t *testing.T) {
 	a, _ := FromData([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b, _ := FromData([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := MatMul(a, b)
+	c, err := MatMul(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,15 +25,15 @@ func TestMatMul(t *testing.T) {
 func TestMatMulShapesChecked(t *testing.T) {
 	a, _ := FromData([]float32{1, 2}, 1, 2)
 	b, _ := FromData([]float32{1, 2, 3}, 3, 1)
-	if _, err := MatMul(a, b); err == nil {
+	if _, err := MatMul(nil, a, b); err == nil {
 		t.Error("mismatched inner dims accepted")
 	}
-	if _, err := MatMul(New(2), b); err == nil {
+	if _, err := MatMul(nil, New(2), b); err == nil {
 		t.Error("rank-1 tensor accepted")
 	}
 }
 
-// TestTransposedVariants: MatMulT(a,b) == a·bᵀ and TMatMul(a,b) == aᵀ·b,
+// TestTransposedVariants: MatMulT(nil, a,b) == a·bᵀ and TMatMul(nil, a,b) == aᵀ·b,
 // verified against explicit transposition.
 func TestTransposedVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -48,11 +48,11 @@ func TestTransposedVariants(t *testing.T) {
 			bt.Data[j*3+i] = b.Data[i*5+j]
 		}
 	}
-	want, err := MatMul(a, bt)
+	want, err := MatMul(nil, a, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MatMulT(a, b)
+	got, err := MatMulT(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestTransposedVariants(t *testing.T) {
 	}
 	c := New(4, 3)
 	c.RandInit(rng, 1)
-	want2, _ := MatMul(at, New(4, 3))
+	want2, _ := MatMul(nil, at, New(4, 3))
 	_ = want2
-	got2, err := TMatMul(a, c)
+	got2, err := TMatMul(nil, a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := MatMul(at, c)
+	ref, err := MatMul(nil, at, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGELUGradientNumerically(t *testing.T) {
 	for i := range dy.Data {
 		dy.Data[i] = 1
 	}
-	dx, err := GELUBackward(x, dy)
+	dx, err := GELUBackward(nil, x, dy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,12 @@ func TestMatMulSIMDvsGenericTolerance(t *testing.T) {
 	b := randTensor(rng, 130, 67)
 	bt := randTensor(rng, 67, 130)
 
-	simdMM, _ := MatMul(a, b)
-	simdMMT, _ := MatMulT(a, bt)
+	simdMM, _ := MatMul(nil, a, b)
+	simdMMT, _ := MatMulT(nil, a, bt)
 
 	restore := simd.ForceGeneric()
-	genMM, _ := MatMul(a, b)
-	genMMT, _ := MatMulT(a, bt)
+	genMM, _ := MatMul(nil, a, b)
+	genMMT, _ := MatMulT(nil, a, bt)
 	restore()
 
 	if d := maxRelDiff(t, simdMM, genMM); d > kernelParityTol {
