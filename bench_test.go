@@ -356,28 +356,18 @@ func BenchmarkEngineSSDScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerate compares full-recompute generation against KV-cache
-// incremental decoding (identical outputs, different asymptotics).
+// BenchmarkGenerate is greedy generation by full forward passes.
 func BenchmarkGenerate(b *testing.B) {
 	m, err := nn.NewModel(nn.Config{Vocab: 64, Seq: 32, Hidden: 32, Heads: 4, Layers: 4, Batch: 1, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	prompt := []int{1, 2, 3, 4}
-	b.Run("full-forward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Generate(prompt, 24); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Generate(prompt, 24); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("kv-cache", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.GenerateCached(prompt, 24); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkNVMeMirror quantifies the RAID-1 write penalty.

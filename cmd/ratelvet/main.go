@@ -1,6 +1,6 @@
-// Command ratelvet runs the repo's nine domain-specific static analyzers
-// (slotlife, atomicmix, gojoin, simdet, unitsafe, spanpair, poolcapture,
-// errdrop, simddispatch — see DESIGN.md §8 and §13).
+// Command ratelvet runs the repo's eight domain-specific static analyzers
+// (atomicmix, errdrop, gojoin, poolcapture, simddispatch, simdet, spanpair,
+// unitsafe — see DESIGN.md §8), each a scan of the typed syntax tree.
 //
 // Standalone (loads test variants too, so analyzers with IncludeTests see
 // _test.go files):

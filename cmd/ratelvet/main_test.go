@@ -71,7 +71,7 @@ var y = 2 //ratelvet:ignore atomicmix guarded by mu, never touched concurrently
 	must(os.MkdirAll(filepath.Join(dir, "testdata", "src"), 0o777))
 	must(os.WriteFile(filepath.Join(dir, "testdata", "src", "b.go"), []byte(`package b
 
-//ratelvet:ignore slotlife golden fixture, must not count
+//ratelvet:ignore spanpair golden fixture, must not count
 var z = 3
 `), 0o666))
 
@@ -89,7 +89,7 @@ var z = 3
 			t.Errorf("audit output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "slotlife") {
+	if strings.Contains(out, "spanpair") {
 		t.Errorf("audit counted a testdata suppression:\n%s", out)
 	}
 }

@@ -84,23 +84,6 @@ type Pass struct {
 
 	// Report delivers one diagnostic. The driver installs it.
 	Report func(Diagnostic)
-
-	cfgs map[*ast.BlockStmt]*CFG
-}
-
-// FuncCFG returns the control-flow graph for a function body, building it
-// on first request and memoizing per pass (several analyzers walk the same
-// functions). body may be nil.
-func (p *Pass) FuncCFG(body *ast.BlockStmt) *CFG {
-	if c, ok := p.cfgs[body]; ok {
-		return c
-	}
-	if p.cfgs == nil {
-		p.cfgs = make(map[*ast.BlockStmt]*CFG)
-	}
-	c := BuildCFG(body)
-	p.cfgs[body] = c
-	return c
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -12,7 +12,7 @@ func TestGojoin(t *testing.T) {
 }
 
 func TestScope(t *testing.T) {
-	for _, pkg := range []string{"ratel/internal/engine", "ratel/internal/nvme", "ratel/internal/tensor/pool"} {
+	for _, pkg := range []string{"ratel/internal/engine", "ratel/internal/nvme", "ratel/internal/opt", "ratel/internal/tensor/pool"} {
 		if !gojoin.Analyzer.AppliesTo(pkg) {
 			t.Errorf("gojoin should cover %s", pkg)
 		}

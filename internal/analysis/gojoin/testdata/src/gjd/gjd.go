@@ -1,54 +1,11 @@
-// Package gjd is gojoin's golden testdata: every go statement needs a join
-// edge reachable from all non-panic exits.
+// Package gjd is gojoin's golden testdata: every go statement spawns a worker
+// whose completion signal is held in a field and joined somewhere in the
+// package; a function-local spawn is a finding whatever it does next.
 package gjd
 
 import "sync"
 
 func work() {}
-
-// Fan-out with a Wait on the only exit: clean.
-func wgJoined(n int) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	wg.Wait()
-}
-
-// The construction-error idiom gone wrong: the error return leaves before
-// Wait, so the goroutine outlives the call on exactly that path.
-func wgSkippedOnErrorPath(fail func() error) error {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // want `goroutine is not joined on every path: a return path skips wg.Wait`
-		defer wg.Done()
-		work()
-	}()
-	if err := fail(); err != nil {
-		return err
-	}
-	wg.Wait()
-	return nil
-}
-
-// A deferred Wait rides the exit chain and covers the error return: clean.
-func wgDeferredWaitIsFine(fail func() error) error {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	defer wg.Wait()
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	if err := fail(); err != nil {
-		return err
-	}
-	return nil
-}
 
 // No WaitGroup, no channel: nothing a caller could wait on.
 func fireAndForget() {
@@ -72,7 +29,7 @@ func (s *server) loop() {
 	close(s.done)
 }
 
-// The input channel is closed by Close and the done channel received
+// The input channel is closed by close and the done channel received
 // there: the worker terminates and joins at shutdown.
 func (s *server) start() {
 	go s.loop()
@@ -96,58 +53,6 @@ func (l *leaky) loop() {
 // Nothing in the package ever closes l.jobs: the worker can never exit.
 func (l *leaky) start() {
 	go l.loop() // want `worker goroutine ranges over "jobs" but nothing in the package closes it`
-}
-
-// Completion channel closed by the goroutine and received by the spawner:
-// a classic one-shot join.
-func doneReceivedIsFine() {
-	done := make(chan struct{})
-	go func() {
-		work()
-		close(done)
-	}()
-	<-done
-}
-
-// The spawner drops its only handle on the completion signal.
-func orphanDone() {
-	done := make(chan struct{})
-	go func() { // want `goroutine signals completion on "done" but nothing receives it`
-		work()
-		close(done)
-	}()
-}
-
-// Handing the WaitGroup to another function transfers the join duty.
-func spawnAndHandOff(join func(*sync.WaitGroup)) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	join(&wg)
-}
-
-// A declared worker ranging over a parameter: the spawn-site argument is
-// what must be closed, and it is.
-func drain(ch chan int) {
-	for v := range ch {
-		_ = v
-	}
-}
-
-func startDrain() {
-	ch := make(chan int)
-	go drain(ch)
-	ch <- 1
-	close(ch)
-}
-
-func leakDrain() chan int {
-	ch := make(chan int)
-	go drain(ch) // want `worker goroutine ranges over "ch" but nothing in the package closes it`
-	return ch
 }
 
 // The array scheduler's persistent-dispatcher shape: per-device workers
@@ -203,18 +108,95 @@ func (d *leakyDispatcher) loop() {
 	work()
 }
 
-// A select-style worker consumes via receive-with-ok inside its loop:
-// closing the input joins it, with no range-style close obligation.
-func recvLoopWorker() {
-	ch := make(chan int)
+// The kernel pool's shape: literal workers spawned by the constructor, a
+// select-style receive-with-ok inside the loop. Closing the field joins
+// them, with no range-style close obligation; the completion channel is
+// received at shutdown.
+type selectPool struct {
+	in   chan int
+	done chan struct{}
+}
+
+func newSelectPool() *selectPool {
+	p := &selectPool{in: make(chan int), done: make(chan struct{})}
 	go func() {
 		for {
-			_, ok := <-ch
-			if !ok {
+			if _, ok := <-p.in; !ok {
+				p.done <- struct{}{}
 				return
 			}
 		}
 	}()
+	return p
+}
+
+func (p *selectPool) close() {
+	close(p.in)
+	<-p.done
+}
+
+// A completion channel nobody receives.
+type orphan struct {
+	done chan struct{}
+}
+
+func (o *orphan) start() {
+	go func() { // want `goroutine signals completion on "done" but nothing receives it`
+		work()
+		close(o.done)
+	}()
+}
+
+// Function-local spawns. The Wait on the only exit, the deferred Wait and
+// the received done channel were clean while the analyzer walked every path
+// out of the function; a signal on a local counts for nothing now, so each
+// is a finding, like the one whose error return skips the Wait.
+func localWaitGroup(n int) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() { // want `a function-local signal does not count`
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
+}
+
+func localWaitSkippedOnErrorPath(fail func() error) error {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // want `goroutine has no join`
+		defer wg.Done()
+		work()
+	}()
+	if err := fail(); err != nil {
+		return err
+	}
+	wg.Wait()
+	return nil
+}
+
+func localDone() {
+	done := make(chan struct{})
+	go func() { // want `goroutine has no join`
+		work()
+		close(done)
+	}()
+	<-done
+}
+
+// A declared worker ranging over a parameter: the close happens on the
+// caller's local, which is no field either.
+func drain(ch chan int) {
+	for v := range ch {
+		_ = v
+	}
+}
+
+func startDrain() {
+	ch := make(chan int)
+	go drain(ch) // want `goroutine has no join`
 	ch <- 1
 	close(ch)
 }

@@ -10,7 +10,6 @@ import (
 	"ratel/internal/analysis/poolcapture"
 	"ratel/internal/analysis/simddispatch"
 	"ratel/internal/analysis/simdet"
-	"ratel/internal/analysis/slotlife"
 	"ratel/internal/analysis/spanpair"
 	"ratel/internal/analysis/unitsafe"
 )
@@ -24,7 +23,6 @@ func All() []*analysis.Analyzer {
 		poolcapture.Analyzer,
 		simddispatch.Analyzer,
 		simdet.Analyzer,
-		slotlife.Analyzer,
 		spanpair.Analyzer,
 		unitsafe.Analyzer,
 	}

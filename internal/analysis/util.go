@@ -86,40 +86,6 @@ func UsedVar(info *types.Info, e ast.Expr) *types.Var {
 	return nil
 }
 
-// InspectShallow walks one CFG node's own subtree the way the dataflow
-// analyzers need: function literals are reported to f but not descended
-// into (they are separate frames), a defer statement's subtree is skipped
-// entirely (its effects belong to the exit chain block, which holds the
-// same CallExpr), and a range statement contributes only its operand and
-// key/value (its body lives in other blocks).
-func InspectShallow(n ast.Node, f func(ast.Node)) {
-	if n == nil {
-		return
-	}
-	if r, ok := n.(*ast.RangeStmt); ok {
-		f(r)
-		InspectShallow(r.X, f)
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			return false
-		}
-		if _, ok := m.(*ast.DeferStmt); ok {
-			return false
-		}
-		f(m)
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if r, ok := m.(*ast.RangeStmt); ok && r != n {
-			InspectShallow(r, f)
-			return false
-		}
-		return true
-	})
-}
-
 // ReturnsError reports whether the call's results include an error.
 func ReturnsError(info *types.Info, call *ast.CallExpr) bool {
 	fn := CalleeFunc(info, call)

@@ -121,7 +121,10 @@ func Init(opts Options) (*Session, error) {
 		return nil, fmt.Errorf("core: profiling stage: %w", err)
 	}
 	s.plan = pl
-	eng.SetSwap(swap)
+	if err := eng.SetSwap(swap); err != nil {
+		eng.Close()
+		return nil, err
+	}
 	return s, nil
 }
 

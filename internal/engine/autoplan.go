@@ -115,13 +115,28 @@ func blockForwardFLOPs(cfg nn.Config) units.FLOPs {
 	return units.FLOPs(24*t*h*h + 2*t*int64(cfg.Seq)*h)
 }
 
+// validSwap rejects a placement naming a block the model does not have or a
+// tier that does not exist: either would silently train under another.
+func validSwap(swap map[int]Tier, layers int) error {
+	for i, t := range swap {
+		if i < 0 || i >= layers || !t.valid() {
+			return fmt.Errorf("engine: Swap[%d] = %v on a %d-block model", i, t, layers)
+		}
+	}
+	return nil
+}
+
 // SetSwap installs a block placement chosen by ProfileAndPlan, between
 // steps. Blocks that left the host tier give their blob up.
-func (e *Engine) SetSwap(swap map[int]Tier) {
+func (e *Engine) SetSwap(swap map[int]Tier) error {
+	if err := validSwap(swap, len(e.arena.host)); err != nil {
+		return err
+	}
 	e.cfg.Swap = swap
 	for i := range e.arena.host {
 		if swap[i] != SwapHost {
 			e.arena.host[i].blob = nil
 		}
 	}
+	return nil
 }

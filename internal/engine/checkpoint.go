@@ -50,8 +50,11 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 }
 
 // LoadCheckpoint restores training state saved by SaveCheckpoint into this
-// engine, which must have the same model configuration. It joins the
-// trailing write-back first, so none lands on top of the restored state. A
+// engine, which must have the same model configuration. The checkpoint is
+// validated whole before the first group is written, so a bad one leaves the
+// engine as it was; a device failure after that leaves state that matches no
+// step and latches optErr until a restore completes. It joins the trailing
+// write-back first, so none lands on top of the restored state. A
 // step-goroutine call.
 func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	var ck checkpoint
@@ -65,18 +68,20 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	if len(ck.Groups) != len(groups) {
 		return fmt.Errorf("engine: checkpoint has %d groups, model has %d", len(ck.Groups), len(groups))
 	}
-	e.joinWriteBack()
 	for _, g := range groups {
 		st, ok := ck.Groups[g.Name]
-		if !ok {
-			return fmt.Errorf("engine: checkpoint missing group %s", g.Name)
+		if n := g.NumParams(); !ok || len(st.P32) != n || len(st.M) != n || len(st.V) != n {
+			return fmt.Errorf("engine: checkpoint group %s missing or not of %d parameters", g.Name, n)
 		}
-		if err := e.optimizer.ImportGroup(g, st); err != nil {
-			return fmt.Errorf("engine: restore %s: %w", g.Name, err)
+	}
+	e.joinWriteBack()
+	for _, g := range groups {
+		if err := e.optimizer.ImportGroup(g, ck.Groups[g.Name]); err != nil {
+			return e.optFailed(fmt.Errorf("engine: restore %s: %w", g.Name, err))
 		}
 	}
 	if err := e.optimizer.SetStep(ck.Step); err != nil {
-		return err
+		return e.optFailed(err)
 	}
 	e.model.SetStep(ck.ModelStep)
 	e.prevGrads = nil

@@ -32,24 +32,23 @@ func BenchmarkCacheRoundTrip(b *testing.B) {
 	defer a.Close()
 
 	var ar blobArena
-	ar.init(DefaultPipelineDepth+1, 0)
-	n := g.blobBytes()
+	blobs := [2][]byte{make([]byte, g.blobBytes()), make([]byte, g.blobBytes())}
 	var scope tensor.Arena
 	var revived nn.BlockCache
 	g.shapeCache(&revived, &scope) // the heap serves the first scope; Reset sizes the arena by it
 	scope.Reset()
-	b.SetBytes(int64(n))
+	b.SetBytes(int64(g.blobBytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blob := ar.slotBuf(i, n)
+		blob := blobs[i%2]
 		if err := ar.encode(blob, src); err != nil {
 			b.Fatal(err)
 		}
 		if err := a.Put("act/bench", blob); err != nil {
 			b.Fatal(err)
 		}
-		fetch := ar.slotBuf(i+1, n)
+		fetch := blobs[(i+1)%2]
 		if err := a.ReadInto("act/bench", fetch); err != nil {
 			b.Fatal(err)
 		}

@@ -152,32 +152,33 @@ func floatsEqual(a, b []float32) bool {
 
 // TestBlobArenaRingSlots: within any window of ring-size consecutive
 // blocks, every block gets a distinct slot buffer (the pipeline overlap
-// argument), and block i+ringsize reuses block i's backing exactly.
+// argument), and block i+ringsize reuses block i's backing exactly. consume
+// on an idle window simply lends the block's slot.
 func TestBlobArenaRingSlots(t *testing.T) {
-	g := geometry{batch: 1, seq: 2, hidden: 4, heads: 1}
-	n := g.blobBytes()
 	for _, nslots := range []int{2, 3, 4} {
-		var ar blobArena
-		ar.init(nslots, 0)
-		if got := len(ar.slots); got != nslots {
-			t.Fatalf("init(%d) made %d slots", nslots, got)
+		model := miniConfig()
+		model.Layers = 2 * nslots
+		e := newEngine(t, Config{Model: model, PipelineDepth: nslots - 1})
+		if got := len(e.win.ring); got != nslots {
+			t.Fatalf("depth %d made %d slots", nslots-1, got)
 		}
-		bufs := make([]*byte, nslots)
-		for i := 0; i < nslots; i++ {
-			bufs[i] = &ar.slotBuf(i, n)[0]
-			for j := 0; j < i; j++ {
+		bufs := make([]*byte, 2*nslots)
+		for i := range bufs {
+			if err := e.win.consume(i, func(blob []byte) error { bufs[i] = &blob[0]; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			for j := max(0, i-nslots+1); j < i; j++ {
 				if bufs[i] == bufs[j] {
 					t.Fatalf("nslots=%d: blocks %d and %d share a slot buffer", nslots, j, i)
 				}
 			}
-		}
-		for i := 0; i < nslots; i++ {
-			if &ar.slotBuf(i+nslots, n)[0] != bufs[i] {
-				t.Fatalf("nslots=%d: block %d did not reuse block %d's slot buffer", nslots, i+nslots, i)
+			if i >= nslots && bufs[i] != bufs[i-nslots] {
+				t.Fatalf("nslots=%d: block %d did not reuse block %d's slot buffer", nslots, i, i-nslots)
 			}
 		}
-		if ar.blobReuses.Load() == 0 {
-			t.Fatal("arena reuse counter did not advance")
+		if got := e.arena.blobReuses.Load(); got != int64(nslots) {
+			t.Fatalf("blob_reuses = %d after every slot was used twice, want %d", got, nslots)
 		}
+		pipelineIdle(t, e)
 	}
 }

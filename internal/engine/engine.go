@@ -60,15 +60,13 @@ const (
 	SwapSSD
 )
 
+// valid reports whether t is one of the three placements.
+func (t Tier) valid() bool { return t >= Recompute && t <= SwapSSD }
+
 // String names the tier.
 func (t Tier) String() string {
-	switch t {
-	case Recompute:
-		return "recompute"
-	case SwapHost:
-		return "swap-host"
-	case SwapSSD:
-		return "swap-ssd"
+	if t.valid() {
+		return [...]string{"recompute", "swap-host", "swap-ssd"}[t]
 	}
 	return fmt.Sprintf("Tier(%d)", int(t))
 }
@@ -179,7 +177,7 @@ type Engine struct {
 	// groups caches ParamGroups at construction — group boundaries and the
 	// P/G tensors they reference are fixed for the model's lifetime.
 	groups []nn.ParamGroup
-	// arena and blobLen are the preallocated swap-path buffers (see arena.go);
+	// arena holds the host tier's blobs and the blob codec (see arena.go);
 	// blobLen is the fixed fp16 size of one block's activation blob.
 	arena   blobArena
 	blobLen int
@@ -198,8 +196,8 @@ type Engine struct {
 	inputs                []*tensor.Tensor
 	revived               nn.BlockCache
 	released              func(carried *tensor.Tensor)
-	// depth is the resolved activation I/O window; win moves SwapSSD blobs
-	// between the ring and the array in both directions (see pipeline.go).
+	// depth is the resolved activation I/O window; win owns the ring and moves
+	// SwapSSD blobs between it and the array in both directions (pipeline.go).
 	depth int
 	win   *actWindow
 	// states is the optimizer state pipeline (opt.StatePipeline): every
@@ -209,8 +207,9 @@ type Engine struct {
 	// oracle. serialized collects the groups a Serialized step updates after
 	// backward; accumScale is the gradient-averaging factor of the step in
 	// progress; one backs TrainStep's single micro-batch. optErr latches the
-	// first failed optimizer update or write-back: the stored state matches no
-	// step, so steps and checkpoints are refused until a checkpoint is restored.
+	// first failed optimizer update, write-back or restore: the stored state
+	// matches no step, so steps and checkpoints are refused until a checkpoint
+	// is restored whole.
 	states     *opt.StatePipeline
 	serialized []nn.ParamGroup
 	accumScale float32
@@ -268,6 +267,9 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := validSwap(cfg.Swap, len(m.Blocks)); err != nil {
+		return nil, err
+	}
 	ncfg := nvme.Config{StripeSize: 4096}
 	if cfg.SSD != nil {
 		ncfg = *cfg.SSD
@@ -305,15 +307,11 @@ func New(cfg Config) (*Engine, error) {
 		flight:    obs.NewFlightRecorder(0),
 	}
 	e.blobLen = e.geom.blobBytes()
-	// Resolve the activation I/O window: the ring needs depth+1 slots so a
-	// block can encode while depth earlier blobs are still in flight (and so
-	// backward's depth read-aheads never collide with the block being
-	// consumed).
 	e.depth = cfg.PipelineDepth
 	if e.depth == 0 {
 		e.depth = DefaultPipelineDepth
 	}
-	e.arena.init(e.depth+1, len(m.Blocks))
+	e.arena.host = make([]hostBlob, len(m.Blocks))
 	a.SetTracer(cfg.Tracer)
 	e.optimizer.SetTracer(cfg.Tracer)
 	// The one registration site: every row of the metrics table, once.
@@ -363,7 +361,7 @@ func New(cfg Config) (*Engine, error) {
 		// The state window reuses the activation window depth.
 		e.states = opt.NewStatePipeline(e.optimizer, e.depth, e.groups)
 	}
-	e.win = newActWindow(a, e.hostPool, cfg.Tracer, len(e.arena.slots), e.depth)
+	e.win = newActWindow(a, e.hostPool, cfg.Tracer, e.labels, e.blobLen, &e.arena.blobReuses, e.depth)
 	e.win.syncIO = cfg.oracleSyncIO
 	return e, nil
 }
@@ -574,7 +572,7 @@ func (e *Engine) joinWriteBack() {
 // optFailed latches the first optimizer failure (see optErr) and returns err.
 func (e *Engine) optFailed(err error) error {
 	if err != nil && e.optErr == nil {
-		e.optErr = fmt.Errorf("engine: optimizer state is inconsistent after a failed update (restore a checkpoint to continue): %w", err)
+		e.optErr = fmt.Errorf("engine: optimizer state is inconsistent after a failed update or restore (restore a checkpoint to continue): %w", err)
 	}
 	return err
 }
@@ -636,10 +634,9 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	m.NextStep()       // fresh dropout masks; recomputation below replays them
 	groups := e.groups // embedding, block0..N-1, head
 	fail := func(err error) (float64, time.Duration, time.Duration, error) {
-		// The step barrier holds on failure too: join every transfer in
-		// flight (each frees its staged bytes and returns its slot token
-		// regardless of outcome) and free the host tier's pinned blobs, so no
-		// transfer, transfer error or host-pool charge outlives this step.
+		// The step barrier holds on failure too: join every transfer in flight
+		// and free the host tier's pinned blobs, so no transfer, transfer error
+		// or host-pool charge outlives this step.
 		if derr := e.win.barrier(); derr != nil {
 			err = errors.Join(err, derr)
 		}
@@ -677,30 +674,13 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		}
 		switch e.cfg.Swap[i] {
 		case SwapSSD:
-			// Write-behind offload: encode into block i's ring slot and queue
-			// the blob for the window's workers — block i+1's compute proceeds
-			// while the NVMe Put is in flight. Taking the slot's token bounds
-			// reuse (a full window stalls here, recorded on the stall lane) and
-			// surfaces the error of the write that last used the slot; the
-			// staged bytes stay charged to the host pool until the write
-			// retires.
-			slot := e.arena.slotIndex(i)
-			if err := e.win.acquireSlot(slot, e.labels[i].stall, &e.win.offload); err != nil {
-				e.win.releaseSlot(slot)
-				return fail(fmt.Errorf("engine: offload activations: %w", err))
-			}
-			blob := e.arena.slotBuf(i, e.blobLen)
-			if err := e.stashCache(blob, c, e.labels[i].offload); err != nil {
-				e.win.releaseSlot(slot)
+			// Write-behind offload: encode into block i's ring slot; block i+1
+			// computes while one of the window's workers puts the blob.
+			stash := func(blob []byte) error { return e.stashCache(blob, c, e.labels[i].offload) }
+			if err := e.win.offload(i, stash); err != nil {
 				return fail(err)
 			}
-			staged := units.Bytes(len(blob))
-			if err := e.reserveStaged(slot, staged, e.labels[i].stall); err != nil {
-				e.win.releaseSlot(slot)
-				return fail(fmt.Errorf("engine: host staging for block %d: %w", i, err))
-			}
-			e.win.submit(ioJob{slot: slot, key: e.labels[i].actKey, label: e.labels[i].write, blob: blob, staged: staged})
-			e.actOffload.Add(int64(len(blob)))
+			e.actOffload.Add(int64(e.blobLen))
 		case SwapHost:
 			// Pin the cache in main memory until backward consumes it: the
 			// block's own blob holds the bytes, charged to the host pool for
@@ -768,15 +748,9 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		}
 	}
 
-	// Pipelined data transfer (the Ratel_hook prefetching of Fig. 4),
-	// generalized to depth-k read-ahead: the SSD fetch for block i-depth
-	// launches when block i is consumed, so up to depth reads overlap
-	// backward computation. Read-ahead changes only timing, never values.
-	// Each fetch reads into its block's ring slot: launched-but-unconsumed
-	// fetches span at most depth+1 consecutive block indices, which map to
-	// distinct slots (see blobArena), so a launch finds its slot's token home.
-	//
-	// The window is staggered instead of issuing all depth fetches at once:
+	// Depth-k read-ahead (the Ratel_hook prefetching of Fig. 4): the SSD fetch
+	// for block i-depth launches when block i is consumed. It changes only
+	// timing, never values, and is staggered instead of issued all at once:
 	// concurrent reads fair-queue on each device's read lane, so a full-depth
 	// burst delays the one fetch backward is about to block on by the whole
 	// batch. A block's consume launches only a fetch nothing has launched yet
@@ -790,16 +764,11 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	nextFetch := len(m.Blocks) - 1
 	refill := func(lo int) error {
 		for ; nextFetch >= lo && nextFetch >= 0; nextFetch-- {
-			if e.cfg.Swap[nextFetch] != SwapSSD {
-				continue
+			if e.cfg.Swap[nextFetch] == SwapSSD {
+				if err := e.win.prefetch(nextFetch); err != nil {
+					return err
+				}
 			}
-			l := &e.labels[nextFetch]
-			slot := e.arena.slotIndex(nextFetch)
-			if err := e.win.acquireSlot(slot, l.fetchStall, &e.win.fetch); err != nil {
-				e.win.releaseSlot(slot)
-				return err
-			}
-			e.win.submit(ioJob{slot: slot, read: true, key: l.actKey, label: l.prefetch, blob: e.arena.slotBuf(nextFetch, e.blobLen)})
 		}
 		return nil
 	}
@@ -811,20 +780,11 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			if err := refill(i); err != nil {
 				return fail(err)
 			}
-			// Taking the token joins block i's fetch. Finding it home means
-			// read-ahead won: the blob was resident before backward needed it.
-			// Blocking means it missed its deadline; the wait lands on the
-			// stall lane so bottleneck attribution can tell
-			// "stalled-on-readahead" from plain NVMe-read occupancy.
-			slot := e.arena.slotIndex(i)
-			err = e.win.acquireSlot(slot, e.labels[i].fetchStall, &e.win.fetch)
-			if err == nil {
-				c, err = e.reviveCache(e.arena.slotBuf(i, e.blobLen), inputs[i])
-			} else {
-				err = fmt.Errorf("engine: fetch block %d activations: %w", i, err)
+			revive := func(blob []byte) (err error) {
+				c, err = e.reviveCache(blob, inputs[i])
+				return err
 			}
-			e.win.releaseSlot(slot)
-			if err != nil {
+			if err := e.win.consume(i, revive); err != nil {
 				return fail(err)
 			}
 		case SwapHost:

@@ -361,7 +361,9 @@ func TestProfileAndPlan(t *testing.T) {
 		t.Errorf("PCIe-bound plan swapped %d blocks, want 0", len(swap))
 	}
 	// The swap set can be installed and trained with.
-	e.SetSwap(map[int]Tier{0: SwapSSD})
+	if err := e.SetSwap(map[int]Tier{0: SwapSSD}); err != nil {
+		t.Fatal(err)
+	}
 	tokens, targets := data(cfg, 6)
 	if _, err := e.TrainStep(tokens, targets); err != nil {
 		t.Fatal(err)

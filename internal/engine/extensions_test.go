@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +13,7 @@ import (
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
+	"ratel/internal/opt"
 	"ratel/internal/tensor"
 	"ratel/internal/units"
 )
@@ -346,6 +349,104 @@ func TestDropoutOffloadTransparency(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("dropout + offload training diverged from recompute")
+		}
+	}
+}
+
+// TestTornRestoreLatches: a device error in the middle of LoadCheckpoint
+// leaves the groups before it restored and the rest not — state that matches
+// no step. With the fault at every group in turn, the engine must refuse
+// steps and checkpoints until a restore completes, then continue
+// bit-identically to the run the checkpoint was taken from. A checkpoint with
+// a mis-sized or missing group is refused before anything is written.
+func TestTornRestoreLatches(t *testing.T) {
+	boom := errors.New("boom")
+	cfg := Config{Model: miniConfig(), GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD, 1: SwapHost}, Devices: 1}
+	ref := newEngine(t, cfg)
+	trainK(t, ref, 2)
+	var buf bytes.Buffer
+	if err := ref.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	wantLoss := trainFrom(t, ref, 2, 2)
+	want := paramsSnapshot(ref.Model())
+	tokens, targets := data(cfg.Model, 9)
+
+	tornAt := map[string]bool{}
+	for ops := 0; ; ops++ { // the device fails after ops more chunk writes
+		e := newEngine(t, cfg)
+		trainK(t, e, 3) // somewhere the checkpoint is not
+		e.Stats()       // joins the write-back: the countdown starts at the restore's first chunk
+		e.Array().InjectFaultAfter(0, ops, boom)
+		err := e.LoadCheckpoint(bytes.NewReader(saved))
+		e.Array().InjectFault(0, nil)
+		if err == nil {
+			break // the fault lay beyond the restore's last write
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("ops=%d: LoadCheckpoint = %v, want %v", ops, err, boom)
+		}
+		for _, g := range e.groups {
+			if strings.Contains(err.Error(), "restore "+g.Name+":") {
+				tornAt[g.Name] = true
+			}
+		}
+		if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
+			t.Fatalf("ops=%d: TrainStep on a half-restored engine = %v, want a refusal naming %v", ops, err, boom)
+		}
+		var torn bytes.Buffer
+		if err := e.SaveCheckpoint(&torn); !errors.Is(err, boom) || torn.Len() != 0 {
+			t.Fatalf("ops=%d: SaveCheckpoint on a half-restored engine = %v (%d bytes written)", ops, err, torn.Len())
+		}
+		if err := e.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
+			t.Fatalf("ops=%d: the good restore: %v", ops, err)
+		}
+		if got := trainFrom(t, e, 2, 2); got[0] != wantLoss[0] || got[1] != wantLoss[1] {
+			t.Fatalf("ops=%d: losses after the good restore %v, want %v", ops, got, wantLoss)
+		}
+		if !floatsEqual(paramsSnapshot(e.Model()), want) {
+			t.Fatalf("ops=%d: parameters diverged after the good restore", ops)
+		}
+	}
+	for _, g := range ref.groups {
+		if !tornAt[g.Name] {
+			t.Errorf("no fault landed in group %s's restore", g.Name)
+		}
+	}
+
+	// Bad checkpoints: nothing is written, so the engine trains on as it was.
+	last := ref.groups[len(ref.groups)-1].Name
+	for name, spoil := range map[string]func(groups map[string]opt.GroupState){
+		"short moments": func(groups map[string]opt.GroupState) {
+			st := groups[last]
+			st.M = st.M[1:]
+			groups[last] = st
+		},
+		"missing group": func(groups map[string]opt.GroupState) {
+			groups["stranger"] = groups[last]
+			delete(groups, last)
+		},
+	} {
+		var ck checkpoint
+		if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&ck); err != nil {
+			t.Fatal(err)
+		}
+		spoil(ck.Groups)
+		var enc bytes.Buffer
+		if err := gob.NewEncoder(&enc).Encode(ck); err != nil {
+			t.Fatal(err)
+		}
+		e, twin := newEngine(t, cfg), newEngine(t, cfg)
+		trainK(t, e, 1)
+		trainK(t, twin, 1)
+		if err := e.LoadCheckpoint(&enc); err == nil || !strings.Contains(err.Error(), last) {
+			t.Fatalf("%s: LoadCheckpoint = %v, want a refusal naming %s", name, err, last)
+		}
+		trainFrom(t, e, 1, 1)
+		trainFrom(t, twin, 1, 1)
+		if !floatsEqual(paramsSnapshot(e.Model()), paramsSnapshot(twin.Model())) {
+			t.Fatalf("%s: the refused checkpoint changed the engine", name)
 		}
 	}
 }

@@ -2,6 +2,11 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"runtime"
 	"strings"
@@ -9,24 +14,35 @@ import (
 	"time"
 
 	"ratel/internal/agoffload"
+	"ratel/internal/memctl"
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
 	"ratel/internal/units"
 )
 
 // pipelineIdle asserts the invariants the step barrier guarantees between
-// steps, successful or failed: every ring-slot token home (so no transfer in
-// flight, in either direction), every transfer error taken, no leaked
-// host-pool reservation — staging or host tier.
+// steps, successful or failed: every ring slot home (so no transfer in
+// flight, in either direction) with a buffer of its own, every transfer
+// error taken, no leaked host-pool reservation — staging or host tier.
 func pipelineIdle(t *testing.T, e *Engine) {
 	t.Helper()
-	for slot, tok := range e.win.slotTok {
+	for slot, tok := range e.win.ring {
 		if len(tok) != 1 {
-			t.Fatalf("ring-slot %d token not home after the step barrier", slot)
+			t.Fatalf("ring-slot %d not home after the step barrier", slot)
 		}
-		if err := e.win.slotErr[slot]; err != nil {
-			t.Fatalf("ring-slot %d still carries %v after the step barrier", slot, err)
+	}
+	owner := map[*byte]int{}
+	for slot, s := range ringSlots(e.win) {
+		if s.err != nil {
+			t.Fatalf("ring-slot %d still carries %v after the step barrier", slot, s.err)
 		}
+		if s.blob == nil {
+			continue
+		}
+		if other, dup := owner[&s.blob[0]]; dup || len(s.blob) != e.blobLen {
+			t.Fatalf("ring-slot %d holds %d bytes (blob %d), shared with slot %d: %v", slot, len(s.blob), e.blobLen, other, dup)
+		}
+		owner[&s.blob[0]] = slot
 	}
 	for i := range e.arena.host {
 		if e.arena.host[i].pinned {
@@ -64,13 +80,24 @@ func poisonArena(e *Engine) int {
 			b[i] = 0xAB
 		}
 	}
-	for i := range e.arena.slots {
-		poison(e.arena.slots[i])
+	for _, s := range ringSlots(e.win) {
+		poison(s.blob)
 	}
 	for i := range e.arena.host {
 		poison(e.arena.host[i].blob)
 	}
 	return n
+}
+
+// ringSlots peeks at the ring's slots (blob nil: never used). Call between
+// steps, when every slot is home.
+func ringSlots(w *actWindow) []ringSlot {
+	out := make([]ringSlot, len(w.ring))
+	for i, tok := range w.ring {
+		out[i] = <-tok
+		tok <- out[i]
+	}
+	return out
 }
 
 // faultedStep is the fault tests' common harness: one clean step (so every
@@ -358,8 +385,8 @@ func TestPipelineBuffersAllocatedOnce(t *testing.T) {
 		for i := range e.arena.host {
 			base(e.arena.host[i].blob)
 		}
-		for i := range e.arena.slots {
-			base(e.arena.slots[i])
+		for _, s := range ringSlots(e.win) {
+			base(s.blob)
 		}
 		return out
 	}
@@ -385,7 +412,9 @@ func TestPipelineBuffersAllocatedOnce(t *testing.T) {
 	}
 
 	delete(swap, 0)
-	e.SetSwap(swap)
+	if err := e.SetSwap(swap); err != nil {
+		t.Fatal(err)
+	}
 	for i := range e.arena.host {
 		if gone := e.arena.host[i].blob == nil; gone != (i == 0 || i >= hostBlocks) {
 			t.Fatalf("after SetSwap moved block 0 out of the host tier, block %d blob dropped = %v", i, gone)
@@ -403,6 +432,42 @@ func TestPipelineDepthValidation(t *testing.T) {
 	}
 }
 
+// TestSwapValidation: a placement naming a block the model lacks or a tier
+// that does not exist is refused by New and by SetSwap, which keeps the
+// placement it had; it used to train under some other placement.
+func TestSwapValidation(t *testing.T) {
+	good := map[int]Tier{0: SwapSSD, 1: SwapHost, 2: Recompute}
+	e := newEngine(t, Config{Swap: good})
+	for _, tc := range []struct {
+		name string
+		swap map[int]Tier
+		ok   bool
+	}{
+		{"every tier", good, true},
+		{"nil", nil, true},
+		{"block past the last", map[int]Tier{3: SwapSSD}, false},
+		{"negative block", map[int]Tier{-1: SwapHost}, false},
+		{"tier past the last", map[int]Tier{0: Tier(9)}, false},
+		{"negative tier", map[int]Tier{0: Tier(-1)}, false},
+	} {
+		built, err := New(Config{Model: miniConfig(), Swap: tc.swap})
+		if err == nil {
+			err = built.Close()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: New = %v, want accepted = %v", tc.name, err, tc.ok)
+		}
+		if err := e.SetSwap(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SetSwap(tc.swap); (err == nil) != tc.ok {
+			t.Errorf("%s: SetSwap = %v, want accepted = %v", tc.name, err, tc.ok)
+		} else if !tc.ok && len(e.cfg.Swap) != len(good) {
+			t.Errorf("%s: the refused placement was installed", tc.name)
+		}
+	}
+}
+
 // TestPipelineDefaultDepth: the zero Config gets DefaultPipelineDepth, a
 // matching ring and one worker per in-flight transfer.
 func TestPipelineDefaultDepth(t *testing.T) {
@@ -410,8 +475,8 @@ func TestPipelineDefaultDepth(t *testing.T) {
 	if e.depth != DefaultPipelineDepth || e.EffectiveDepth() != DefaultPipelineDepth {
 		t.Fatalf("default engine: depth %d", e.depth)
 	}
-	if len(e.arena.slots) != DefaultPipelineDepth+1 || len(e.win.slotTok) != len(e.arena.slots) {
-		t.Fatalf("ring has %d slots and %d tokens, want depth+1 = %d", len(e.arena.slots), len(e.win.slotTok), DefaultPipelineDepth+1)
+	if len(e.win.ring) != DefaultPipelineDepth+1 || cap(e.win.jobs) != len(e.win.ring) {
+		t.Fatalf("ring has %d slots and room for %d jobs, want depth+1 = %d", len(e.win.ring), cap(e.win.jobs), DefaultPipelineDepth+1)
 	}
 }
 
@@ -433,4 +498,134 @@ func TestStepSpawnsNoGoroutine(t *testing.T) {
 		}
 	}
 	pipelineIdle(t, e)
+}
+
+// TestSlotProtocolStaysInPipeline: the window's acquire and release — and the
+// ring they guard — have no user outside pipeline.go, so "every slot taken is
+// given up exactly once" is read off that one file's three methods.
+func TestSlotProtocolStaysInPipeline(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "pipeline.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if ok && (sel.Sel.Name == "acquire" || sel.Sel.Name == "release" || sel.Sel.Name == "ring") {
+					t.Errorf("%s uses .%s: the slot protocol belongs to pipeline.go", name, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// TestWindowProtocolUnderFailure drives the window's three methods directly,
+// between steps, with a failure injected at each internal stage, at depths 1
+// and 3. Whatever fails, the method has given its slot up and its error is
+// reported exactly once: the failure-path barrier finds nothing left, the
+// window is idle, no goroutine was spawned, and the engine trains on.
+func TestWindowProtocolUnderFailure(t *testing.T) {
+	boom := errors.New("boom")
+	fill := func(blob []byte) error { blob[0] = 1; return nil }
+	use := func([]byte) error { return nil }
+	failing := func([]byte) error { return boom }
+	// stored offloads block 0 and joins the write, so a fetch of it can start.
+	stored := func(t *testing.T, w *actWindow) {
+		t.Helper()
+		if err := errors.Join(w.offload(0, fill), w.barrier()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		want error
+		run  func(t *testing.T, e *Engine) error
+	}{
+		{"offload/acquire returns the last write's error", boom, func(t *testing.T, e *Engine) error {
+			e.Array().InjectFault(0, boom)
+			if err := e.win.offload(0, fill); err != nil { // fails in the worker
+				t.Fatal(err)
+			}
+			return e.win.offload(len(e.win.ring), fill) // the same slot
+		}},
+		{"prefetch/acquire returns the last write's error", boom, func(t *testing.T, e *Engine) error {
+			e.Array().InjectFault(0, boom)
+			if err := e.win.offload(0, fill); err != nil {
+				t.Fatal(err)
+			}
+			return e.win.prefetch(0)
+		}},
+		{"consume/acquire returns the fetch's error", boom, func(t *testing.T, e *Engine) error {
+			stored(t, e.win)
+			e.Array().InjectFault(0, boom)
+			if err := e.win.prefetch(0); err != nil {
+				t.Fatal(err)
+			}
+			return e.win.consume(0, use)
+		}},
+		{"offload/fill fails", boom, func(t *testing.T, e *Engine) error {
+			return e.win.offload(0, failing)
+		}},
+		{"offload/staging refused with no write to join", memctl.ErrOOM, func(t *testing.T, e *Engine) error {
+			held := e.cfg.HostMemory // the host tier, say, holds the whole pool
+			if err := e.hostPool.Alloc(held); err != nil {
+				t.Fatal(err)
+			}
+			defer e.hostPool.Free(held)
+			return e.win.offload(0, fill)
+		}},
+		{"consume/use fails", boom, func(t *testing.T, e *Engine) error {
+			stored(t, e.win)
+			if err := e.win.prefetch(0); err != nil {
+				t.Fatal(err)
+			}
+			return e.win.consume(0, failing)
+		}},
+		{"device fault mid-window", boom, func(t *testing.T, e *Engine) error {
+			e.Array().InjectFaultAfter(0, 1, boom) // the second write of a full ring
+			for block := range e.win.ring {
+				if err := e.win.offload(block, fill); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return e.win.barrier()
+		}},
+	} {
+		for _, depth := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/depth%d", tc.name, depth), func(t *testing.T) {
+				model := miniConfigWith(depth + 2)
+				e := newEngine(t, Config{
+					Model:         model,
+					GradMode:      agoffload.Serialized,
+					Swap:          allSSD(model.Layers),
+					Devices:       1,
+					PipelineDepth: depth,
+					HostMemory:    units.Bytes((depth + 1) * geometryOf(model).blobBytes()),
+				})
+				trainK(t, e, 1)
+				e.Stats() // joins the step's write-back: nothing but the window touches the device below
+				base := runtime.NumGoroutine()
+				if err := tc.run(t, e); !errors.Is(err, tc.want) {
+					t.Fatalf("got %v, want %v", err, tc.want)
+				}
+				for slot, tok := range e.win.ring { // every transfer above was joined: nothing to wait for
+					if len(tok) != 1 {
+						t.Fatalf("slot %d was taken and not given up", slot)
+					}
+				}
+				if err := e.win.barrier(); err != nil {
+					t.Fatalf("the failure-path barrier found %v: reported twice, or left in a slot", err)
+				}
+				pipelineIdle(t, e)
+				goroutinesBack(t, base)
+				e.Array().InjectFault(0, nil)
+				trainFrom(t, e, 1, 1)
+				pipelineIdle(t, e)
+			})
+		}
+	}
 }

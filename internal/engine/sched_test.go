@@ -31,20 +31,19 @@ func TestCacheRoundTripAllocs(t *testing.T) {
 	}
 	defer a.Close()
 	var ar blobArena
-	ar.init(DefaultPipelineDepth+1, 0)
-	n := g.blobBytes()
+	blobs := [2][]byte{make([]byte, g.blobBytes()), make([]byte, g.blobBytes())}
 	var scope tensor.Arena
 	var revived nn.BlockCache
 	iter := 0
 	cycle := func() {
-		blob := ar.slotBuf(iter, n)
+		blob := blobs[iter%2]
 		if err := ar.encode(blob, src); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.Put("act/bench", blob); err != nil {
 			t.Fatal(err)
 		}
-		fetch := ar.slotBuf(iter+1, n)
+		fetch := blobs[(iter+1)%2]
 		if err := a.ReadInto("act/bench", fetch); err != nil {
 			t.Fatal(err)
 		}

@@ -246,11 +246,11 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 		Tokens:           tokens,
 		AdamParams:       kp - e.prevKernelParams,
 		AdamBusy:         kb - e.prevKernelBusy,
-		OffloadStalls:    e.win.offload.n,
-		OffloadStallWait: e.win.offload.wait,
+		OffloadStalls:    e.win.offloadStall.n,
+		OffloadStallWait: e.win.offloadStall.wait,
 		OffloadQueuePeak: e.win.queuePeak,
-		FetchStalls:      e.win.fetch.n,
-		FetchStallWait:   e.win.fetch.wait,
+		FetchStalls:      e.win.fetchStall.n,
+		FetchStallWait:   e.win.fetchStall.wait,
 		EffectiveDepth:   e.depth,
 		PrefetchedReads:  e.submittedN,
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -117,4 +118,45 @@ func TestReadFlightDumpRejectsMalformed(t *testing.T) {
 		`{"reason":"x","steps":[{"step":2},{"step":1}]}`)); err == nil {
 		t.Error("out-of-order steps accepted")
 	}
+}
+
+// FuzzReadFlightDump feeds the postmortem reader documents of any content —
+// what a crash handler cut short, or a hand-edited dump, would hold. It must
+// never panic, and a dump it accepts must survive WriteFlightDump and be
+// accepted again: what the reader lets in, the tools can round-trip.
+func FuzzReadFlightDump(f *testing.F) {
+	spans := []obs.Span{
+		{Lane: obs.LaneCompute, Name: "block0/fwd", Start: 0, End: 4 * time.Millisecond},
+		{Lane: obs.LaneStall, Name: "block1/fetch-stall", Start: 4 * time.Millisecond, End: 5 * time.Millisecond},
+	}
+	for _, d := range []FlightDump{
+		BuildFlightDump("sigquit", sampleSteps(), spans, map[string]float64{"engine.steps": 2}),
+		BuildFlightDump("panic", sampleSteps(), nil, nil),
+		BuildFlightDump("empty", nil, nil, nil),
+	} {
+		var buf strings.Builder
+		if err := WriteFlightDump(d, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(buf.String()))
+		f.Add([]byte(buf.String()[:buf.Len()/2]))
+	}
+	f.Add([]byte("not json"))
+	f.Add([]byte(`{"reason":"x","steps":[{"step":1,"flow_bytes":{"bogus/edge":1}}]}`))
+	f.Add([]byte(`{"reason":"x","steps":[{"step":2},{"step":1}]}`))
+	f.Add([]byte(`{"steps":[{"step":1,"sched":{"nope":{}}}],"trace":[{"ph":"Q"}]}`))
+
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		d, err := ReadFlightDump(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFlightDump(d, &buf); err != nil {
+			t.Fatalf("an accepted dump does not re-encode: %v", err)
+		}
+		if _, err := ReadFlightDump(&buf); err != nil {
+			t.Fatalf("an accepted dump is refused after a round trip: %v", err)
+		}
+	})
 }
