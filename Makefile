@@ -26,7 +26,8 @@ test-nosimd:
 
 # Core-count matrix: the allocation pins (every test named *Alloc*: codec
 # Into paths, cache round trip, step pins, the matmuls' packed-panel pin
-# TestMatMulIntoAllocs, the GELU lookup's TestGELUAllocs), the optimizer state
+# TestMatMulIntoAllocs, the GELU lookup's TestGELUAllocs, the checkpoint's
+# TestSaveCheckpointAllocs: save and load independent of model size), the optimizer state
 # pipeline's tests, the Adam wire walk's and the Adam kernel's equivalence
 # tests, the causal-attention equivalence tests (the view products against
 # the contiguous full products, attention against its full-square reference),
@@ -96,10 +97,12 @@ check: vet lint suppress-gate loc-gate race test-nosimd test-procs fuzz-smoke be
 
 # Fuzz smoke: ten seconds of each of the module's fuzz targets (ROADMAP item
 # 6) — activation blobs of any length and content against blobArena.decode
-# into arena tensors between guard words, and postmortem documents of any
-# content against trace.ReadFlightDump, which must round-trip what it accepts
-# — on one worker; the committed corpus is their f.Add seeds and runs in
-# tier-1. A failing input lands in the package's testdata/fuzz and fails
+# into arena tensors between guard words, checkpoint streams against
+# LoadCheckpoint on one engine (an accepted one saves back to its bytes, a
+# refused one left the engine as its twin or latched it until the good
+# checkpoint is loaded), and postmortem documents of any content against
+# trace.ReadFlightDump, which must round-trip what it accepts — on one worker;
+# the committed corpus is their f.Add seeds and runs in tier-1. A failing input lands in the package's testdata/fuzz and fails
 # `go test` from then on. Minimizing each coverage-widening input is capped at
 # a second: at the default minute the first one found eats the whole smoke (19
 # executions in 10 s against 20,000).
@@ -107,6 +110,7 @@ FUZZ_SMOKE = go test -run '^$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 1
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(FUZZ_SMOKE) -fuzz '^FuzzDecodeTensors$$' ./internal/engine
+	$(FUZZ_SMOKE) -fuzz '^FuzzLoadCheckpoint$$' ./internal/engine
 	$(FUZZ_SMOKE) -fuzz '^FuzzReadFlightDump$$' ./internal/trace
 
 # Snapshot-integrity gate: every committed BENCH_*.json must parse and

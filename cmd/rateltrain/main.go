@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
@@ -53,7 +55,7 @@ func main() {
 	dropout := flag.Float64("dropout", 0, "dropout probability")
 	lr := flag.Float64("lr", 1e-3, "base learning rate (warmup-cosine schedule)")
 	seed := flag.Int64("seed", 1, "random seed")
-	checkpoint := flag.String("checkpoint", "", "write the final training state to this file")
+	checkpoint := flag.String("checkpoint", "", "write the final training state to this file (replaced atomically)")
 	resume := flag.String("resume", "", "restore training state from this file before training")
 	evalEvery := flag.Int("eval-every", 0, "report a held-out evaluation loss every N steps")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file (open in Perfetto)")
@@ -243,15 +245,9 @@ func main() {
 		}
 	}
 	if *checkpoint != "" {
-		f, err := os.Create(*checkpoint)
-		if err != nil {
+		if err := writeCheckpoint(*checkpoint, sess.SaveCheckpoint); err != nil {
 			fail(err)
 		}
-		if err := sess.SaveCheckpoint(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		f.Close()
 		fmt.Printf("checkpoint written to %s\n", *checkpoint)
 	}
 	st := sess.Stats()
@@ -304,6 +300,32 @@ func main() {
 		dumpFlight("close-error")
 		fail(err)
 	}
+}
+
+// writeCheckpoint replaces the checkpoint at path atomically: save writes
+// <path>.tmp in the same directory, which is synced, closed and only then
+// renamed over path. On any error the temporary file is removed and the
+// previous checkpoint, if there is one, is left as it was.
+func writeCheckpoint(path string, save func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = save(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return errors.Join(err, os.Remove(tmp))
+	}
+	return nil
 }
 
 func fail(err error) {

@@ -168,11 +168,19 @@ func (s *Session) Flows() obs.FlowSnapshot { return s.eng.Flows() }
 func (s *Session) FlightRecords() []obs.StepRecord { return s.eng.FlightRecords() }
 
 // SaveCheckpoint writes the session's full training state (fp32 masters and
-// optimizer moments) to w; restoring and continuing is bit-identical to an
-// uninterrupted run.
+// optimizer moments) to w: a format-2 checkpoint, each parameter group's
+// stored state object with its CRC-32C, streamed through one group's worth
+// of memory. Restoring and continuing is bit-identical to an uninterrupted
+// run. A save that fails part-way leaves w holding a prefix that
+// LoadCheckpoint refuses, so a caller replacing a file should write a
+// temporary one and rename it (as rateltrain -checkpoint does).
 func (s *Session) SaveCheckpoint(w io.Writer) error { return s.eng.SaveCheckpoint(w) }
 
-// LoadCheckpoint restores training state saved by SaveCheckpoint.
+// LoadCheckpoint restores training state saved by SaveCheckpoint, reading
+// exactly the checkpoint's bytes from r. A checkpoint of another format or
+// model, or with a corrupt header, is refused with the session untouched; a
+// corrupt or truncated state object after the first leaves the session
+// refusing to train or save until a checkpoint is restored whole.
 func (s *Session) LoadCheckpoint(r io.Reader) error { return s.eng.LoadCheckpoint(r) }
 
 // Close releases the NVMe array. The optimizer's write-back trails each

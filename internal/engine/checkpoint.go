@@ -1,89 +1,100 @@
 package engine
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
-
-	"ratel/internal/opt"
+	"slices"
 )
 
-// checkpoint is the serialized fine-tuning state: the optimizer step and
-// every parameter group's fp32 masters and Adam moments. The fp16 working
-// copies are rederived on load (P16 = fp16(P32)), so a restored run is
-// bit-identical to an uninterrupted one.
-type checkpoint struct {
-	Version int
-	Step    int
-	// ModelStep is the forward-pass counter driving dropout masks.
-	ModelStep uint64
-	Groups    map[string]opt.GroupState
-}
+// A checkpoint is the engine's state objects as the array stores them, behind
+// a header that says whose they are (format 2, little-endian; DESIGN §14):
+//
+//	magic "RATELCKP" | format u32 | groups u32 | optimizer step u64 | model step u64
+//	per group, the table of contents: params u64 | name length u16 | name
+//	CRC-32C of the header so far
+//	per group, opt.WriteGroupTo's record: its P32 | M | V object | CRC-32C of it
+//
+// P16 = fp16(P32) is rederived on load, so a restored run is bit-identical.
+const ckptMagic, ckptFormat = "RATELCKP", 2
 
-const checkpointVersion = 1
-
-// SaveCheckpoint writes the engine's full training state to w. It joins the
-// trailing write-back first and, if that or an earlier update failed, writes
-// nothing and returns optErr: a checkpoint never holds torn state. A
+// SaveCheckpoint writes the engine's full training state to w, each group's
+// object streamed through the optimizer's wire scratch. It joins the trailing
+// write-back first and, if that or an earlier update failed, writes nothing
+// and returns optErr: a checkpoint never holds torn state. A save that fails
+// part-way leaves a prefix in w, which LoadCheckpoint refuses. A
 // step-goroutine call.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	if e.joinWriteBack(); e.optErr != nil {
 		return e.optErr
 	}
-	ck := checkpoint{
-		Version:   checkpointVersion,
-		Step:      e.optimizer.Step(),
-		ModelStep: e.model.Step(),
-		Groups:    make(map[string]opt.GroupState),
+	if _, err := w.Write(e.header(e.optimizer.Step(), e.model.Step())); err != nil {
+		return fmt.Errorf("engine: write checkpoint: %w", err)
 	}
-	for _, g := range e.model.ParamGroups() {
-		st, err := e.optimizer.ExportGroup(g.Name, g.NumParams())
-		if err != nil {
+	for _, g := range e.groups {
+		if _, err := e.optimizer.WriteGroupTo(w, g.Name, g.NumParams()); err != nil {
 			return fmt.Errorf("engine: checkpoint %s: %w", g.Name, err)
 		}
-		ck.Groups[g.Name] = st
-	}
-	if err := gob.NewEncoder(w).Encode(ck); err != nil {
-		return fmt.Errorf("engine: encode checkpoint: %w", err)
 	}
 	return nil
 }
 
+// header lays out this model's checkpoint header at the given steps in
+// e.ckptScr and returns it.
+func (e *Engine) header(step int, modelStep uint64) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(append(e.ckptScr[:0], ckptMagic...), ckptFormat)
+	b = le.AppendUint32(b, uint32(len(e.groups)))
+	b = le.AppendUint64(le.AppendUint64(b, uint64(step)), modelStep)
+	for _, g := range e.groups {
+		b = append(le.AppendUint16(le.AppendUint64(b, uint64(g.NumParams())), uint16(len(g.Name))), g.Name...)
+	}
+	e.ckptScr = le.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+	return e.ckptScr
+}
+
 // LoadCheckpoint restores training state saved by SaveCheckpoint into this
-// engine, which must have the same model configuration. The checkpoint is
-// validated whole before the first group is written, so a bad one leaves the
-// engine as it was; a device failure after that leaves state that matches no
-// step and latches optErr until a restore completes. It joins the trailing
-// write-back first, so none lands on top of the restored state. A
+// engine of the same model, reading exactly the checkpoint's bytes from r.
+// Another format or model, a corrupt header, or a first group that is short
+// or fails its checksum leaves the engine as it was; a failure after the
+// first group's write latches optErr until a restore completes. It joins the
+// trailing write-back first, so none lands on the restored state. A
 // step-goroutine call.
 func (e *Engine) LoadCheckpoint(r io.Reader) error {
-	var ck checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return fmt.Errorf("engine: decode checkpoint: %w", err)
+	// The header is read into the scratch beside the one this model writes,
+	// and must be the same bytes once its steps are written into that one.
+	le := binary.LittleEndian
+	n := len(e.header(0, 0))
+	e.ckptScr = slices.Grow(e.ckptScr, n)
+	got := e.ckptScr[n : 2*n]
+	switch _, err := io.ReadFull(r, got); {
+	case err != nil:
+		return fmt.Errorf("engine: checkpoint header: %w", err)
+	case string(got[:8]) != ckptMagic && bytes.Contains(got, []byte("\ncheckpoint")):
+		return fmt.Errorf("engine: checkpoint is format 1 (gob), which is no longer read; this engine reads format %d", ckptFormat)
+	case string(got[:8]) != ckptMagic || le.Uint32(got[8:]) != ckptFormat:
+		return fmt.Errorf("engine: not a format-%d checkpoint (magic %q, format %d)", ckptFormat, got[:8], le.Uint32(got[8:]))
 	}
-	if ck.Version != checkpointVersion {
-		return fmt.Errorf("engine: checkpoint version %d, want %d", ck.Version, checkpointVersion)
-	}
-	groups := e.model.ParamGroups()
-	if len(ck.Groups) != len(groups) {
-		return fmt.Errorf("engine: checkpoint has %d groups, model has %d", len(ck.Groups), len(groups))
-	}
-	for _, g := range groups {
-		st, ok := ck.Groups[g.Name]
-		if n := g.NumParams(); !ok || len(st.P32) != n || len(st.M) != n || len(st.V) != n {
-			return fmt.Errorf("engine: checkpoint group %s missing or not of %d parameters", g.Name, n)
-		}
+	step, modelStep := int(le.Uint64(got[16:])), le.Uint64(got[24:])
+	if !bytes.Equal(got, e.header(step, modelStep)) || step < 0 {
+		return fmt.Errorf("engine: checkpoint header is not this model's (%d groups), or is corrupt", len(e.groups))
 	}
 	e.joinWriteBack()
-	for _, g := range groups {
-		if err := e.optimizer.ImportGroup(g, ck.Groups[g.Name]); err != nil {
-			return e.optFailed(fmt.Errorf("engine: restore %s: %w", g.Name, err))
+	for i, g := range e.groups {
+		if stored, err := e.optimizer.ImportWire(g, r); err != nil {
+			err = fmt.Errorf("engine: restore %s: %w", g.Name, err)
+			if stored || i > 0 {
+				return e.optFailed(err)
+			}
+			return err
 		}
 	}
-	if err := e.optimizer.SetStep(ck.Step); err != nil {
+	if err := e.optimizer.SetStep(step); err != nil {
 		return e.optFailed(err)
 	}
-	e.model.SetStep(ck.ModelStep)
+	e.model.SetStep(modelStep)
 	e.prevGrads = nil
 	e.optErr = nil // every group's state was just rewritten whole
 	return nil

@@ -215,6 +215,7 @@ type Engine struct {
 	accumScale float32
 	one        [1]Batch
 	optErr     error
+	ckptScr    []byte // checkpoint headers on their way to or from a stream
 
 	// submittedN counts the updates this step handed to the state pipeline
 	// (one state read-ahead each), folded into the step record at noteStep.

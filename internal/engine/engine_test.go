@@ -33,7 +33,7 @@ func data(cfg nn.Config, seed int64) (tokens, targets [][]int) {
 	return tokens, targets
 }
 
-func newEngine(t *testing.T, cfg Config) *Engine {
+func newEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	if cfg.Model.Vocab == 0 {
 		cfg.Model = miniConfig()
@@ -64,13 +64,13 @@ func paramsSnapshot(m *nn.Model) []float32 {
 	return out
 }
 
-func trainK(t *testing.T, e *Engine, steps int) []float64 {
+func trainK(t testing.TB, e *Engine, steps int) []float64 {
 	t.Helper()
 	return trainFrom(t, e, 0, steps)
 }
 
 // trainFrom runs n steps on the batches of steps from, from+1, ...
-func trainFrom(t *testing.T, e *Engine, from, n int) []float64 {
+func trainFrom(t testing.TB, e *Engine, from, n int) []float64 {
 	t.Helper()
 	var losses []float64
 	for s := from; s < from+n; s++ {

@@ -2,18 +2,19 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
-	"ratel/internal/opt"
 	"ratel/internal/tensor"
 	"ratel/internal/units"
 )
@@ -184,20 +185,135 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointErrors covers the failure paths.
+// TestCheckpointErrors covers the failure paths that are not a spoiled
+// checkpoint of the engine's own model (TestTornRestoreLatches): garbage,
+// another model's checkpoint, a gob checkpoint of format 1 and a format this
+// engine does not know are all refused before anything is written.
 func TestCheckpointErrors(t *testing.T) {
 	e := newEngine(t, Config{})
-	if err := e.LoadCheckpoint(strings.NewReader("garbage")); err == nil {
-		t.Error("garbage checkpoint accepted")
-	}
-	// A checkpoint from a differently-shaped model is rejected.
-	small := newEngine(t, Config{Model: miniConfigWith(2)})
-	var buf bytes.Buffer
-	if err := small.SaveCheckpoint(&buf); err != nil {
+	trainK(t, e, 1)
+	var own bytes.Buffer
+	if err := e.SaveCheckpoint(&own); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadCheckpoint(&buf); err == nil {
-		t.Error("mismatched checkpoint accepted")
+	small := newEngine(t, Config{Model: miniConfigWith(2)})
+	var other bytes.Buffer
+	if err := small.SaveCheckpoint(&other); err != nil {
+		t.Fatal(err)
+	}
+	gob, err := os.ReadFile("testdata/format1.ckpt") // saved by PR 28's engine
+	if err != nil {
+		t.Fatal(err)
+	}
+	format3 := append([]byte(nil), own.Bytes()...)
+	format3[8] = 3
+	for name, c := range map[string]struct {
+		ck   []byte
+		want string
+	}{
+		"garbage":       {[]byte("garbage"), "header"},
+		"other model":   {other.Bytes(), "groups"},
+		"format 1":      {gob, "format 1 (gob)"},
+		"future format": {format3, "format 3"},
+	} {
+		if err := e.LoadCheckpoint(bytes.NewReader(c.ck)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadCheckpoint = %v, want a refusal naming %q", name, err, c.want)
+		}
+		var now bytes.Buffer
+		if err := e.SaveCheckpoint(&now); err != nil || !bytes.Equal(now.Bytes(), own.Bytes()) {
+			t.Fatalf("%s: the refused checkpoint changed the engine (save: %v)", name, err)
+		}
+	}
+}
+
+// TestCheckpointLayout pins the format: a checkpoint is exactly the header
+// (fixed fields, table of contents, checksum) and each group's state object
+// as the array stores it followed by its CRC-32C; loading reads exactly that
+// many bytes and no more; and saving what was loaded gives the same bytes.
+func TestCheckpointLayout(t *testing.T) {
+	cfg := Config{GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD, 1: SwapHost}}
+	e := newEngine(t, cfg)
+	trainK(t, e, 2)
+	var buf bytes.Buffer
+	if err := e.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ck := buf.Bytes()
+	header, payload := ckptLayout(e)
+	size := ckptFixed + 4
+	for _, g := range e.groups {
+		size += (8 + 2 + len(g.Name)) + 12*g.NumParams() + 4
+	}
+	if len(ck) != size || payload[len(payload)-1]+12*e.groups[len(e.groups)-1].NumParams()+4 != size {
+		t.Fatalf("checkpoint is %d bytes, want header %d + Σ(entry + 12n + 4) = %d", len(ck), header, size)
+	}
+	if string(ck[:8]) != ckptMagic || binary.LittleEndian.Uint32(ck[8:]) != 2 ||
+		binary.LittleEndian.Uint64(ck[16:]) != 2 || binary.LittleEndian.Uint64(ck[24:]) != e.model.Step() {
+		t.Fatalf("fixed header % x", ck[:ckptFixed])
+	}
+	for i, g := range e.groups {
+		obj := make([]byte, 12*g.NumParams())
+		if err := e.Array().ReadInto("states/"+g.Name+"/state", obj); err != nil {
+			t.Fatal(err)
+		}
+		at := payload[i]
+		if !bytes.Equal(ck[at:at+len(obj)], obj) {
+			t.Fatalf("%s: payload is not the stored state object", g.Name)
+		}
+		if binary.LittleEndian.Uint32(ck[at+len(obj):]) != crc32.Checksum(obj, castagnoli) {
+			t.Fatalf("%s: the payload's CRC-32C is not its own", g.Name)
+		}
+	}
+
+	// Load from a stream that goes on past the checkpoint, then save.
+	r := bytes.NewReader(append(append([]byte(nil), ck...), "next"...))
+	fresh := newEngine(t, cfg)
+	if err := fresh.LoadCheckpoint(r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != len("next") {
+		t.Fatalf("LoadCheckpoint left %d bytes of the stream, want the 4 after the checkpoint", r.Len())
+	}
+	var again bytes.Buffer
+	if err := fresh.SaveCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), ck) {
+		t.Fatal("Save(Load(ck)) != ck")
+	}
+}
+
+// TestSaveCheckpointAllocs: saving and loading stream the state objects
+// through the optimizer's wire scratch and the header through the engine's,
+// so what they allocate does not grow with the model — equal on 2 and 6
+// layers — and is at most 2.
+func TestSaveCheckpointAllocs(t *testing.T) {
+	var save, load [2]float64
+	for i, layers := range []int{2, 6} {
+		e := newEngine(t, Config{Model: miniConfigWith(layers), GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD}})
+		trainK(t, e, 1)
+		var buf bytes.Buffer
+		if err := e.SaveCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ck := append([]byte(nil), buf.Bytes()...)
+		save[i] = testing.AllocsPerRun(10, func() {
+			buf.Reset()
+			if err := e.SaveCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var r bytes.Reader
+		load[i] = testing.AllocsPerRun(10, func() {
+			r.Reset(ck)
+			if err := e.LoadCheckpoint(&r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("allocs per save %v, per load %v on 2 and 6 layers", save, load)
+	if save[0] != save[1] || load[0] != load[1] || max(save[1], load[1]) > 2 {
+		t.Fatalf("allocs per save %v, per load %v on 2 and 6 layers: want equal and ≤ 2", save, load)
 	}
 }
 
@@ -415,40 +531,118 @@ func TestTornRestoreLatches(t *testing.T) {
 		}
 	}
 
-	// Bad checkpoints: nothing is written, so the engine trains on as it was.
-	last := ref.groups[len(ref.groups)-1].Name
-	for name, spoil := range map[string]func(groups map[string]opt.GroupState){
-		"short moments": func(groups map[string]opt.GroupState) {
-			st := groups[last]
-			st.M = st.M[1:]
-			groups[last] = st
-		},
-		"missing group": func(groups map[string]opt.GroupState) {
-			groups["stranger"] = groups[last]
-			delete(groups, last)
-		},
-	} {
-		var ck checkpoint
-		if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&ck); err != nil {
-			t.Fatal(err)
-		}
-		spoil(ck.Groups)
-		var enc bytes.Buffer
-		if err := gob.NewEncoder(&enc).Encode(ck); err != nil {
-			t.Fatal(err)
-		}
-		e, twin := newEngine(t, cfg), newEngine(t, cfg)
-		trainK(t, e, 1)
-		trainK(t, twin, 1)
-		if err := e.LoadCheckpoint(&enc); err == nil || !strings.Contains(err.Error(), last) {
-			t.Fatalf("%s: LoadCheckpoint = %v, want a refusal naming %s", name, err, last)
-		}
-		trainFrom(t, e, 1, 1)
-		trainFrom(t, twin, 1, 1)
-		if !floatsEqual(paramsSnapshot(e.Model()), paramsSnapshot(twin.Model())) {
-			t.Fatalf("%s: the refused checkpoint changed the engine", name)
+	// Bad checkpoints. A spoiled header, a table of contents that is not this
+	// model's, or a first group that is short or fails its checksum is refused
+	// before anything is written: the engine stays as it was. A later group's
+	// is found after the first write and latches like the device faults above.
+	e, twin := newEngine(t, cfg), newEngine(t, cfg)
+	trainK(t, e, 1)
+	trainK(t, twin, 1)
+	var own bytes.Buffer
+	if err := e.SaveCheckpoint(&own); err != nil {
+		t.Fatal(err)
+	}
+	untouched := func(what string) {
+		t.Helper()
+		var now bytes.Buffer
+		if err := e.SaveCheckpoint(&now); err != nil || !bytes.Equal(now.Bytes(), own.Bytes()) ||
+			!floatsEqual(paramsSnapshot(e.Model()), paramsSnapshot(twin.Model())) {
+			t.Fatalf("%s: the refused checkpoint changed the engine (save: %v)", what, err)
 		}
 	}
+	latched := func(what string) {
+		t.Helper()
+		if e.optErr == nil {
+			t.Fatalf("%s: a restore that failed after its first write did not latch", what)
+		}
+		var torn bytes.Buffer
+		if _, err := e.TrainStep(tokens, targets); err == nil {
+			t.Fatalf("%s: TrainStep on a half-restored engine succeeded", what)
+		}
+		if err := e.SaveCheckpoint(&torn); err == nil || torn.Len() != 0 {
+			t.Fatalf("%s: SaveCheckpoint on a half-restored engine = %v (%d bytes written)", what, err, torn.Len())
+		}
+		if err := e.LoadCheckpoint(bytes.NewReader(own.Bytes())); err != nil {
+			t.Fatalf("%s: the good restore: %v", what, err)
+		}
+		untouched(what + ", restored")
+	}
+	header, payload := ckptLayout(e)
+	for i := 0; i < header; i++ {
+		ck := append([]byte(nil), saved...)
+		ck[i] ^= 0x10
+		if err := e.LoadCheckpoint(bytes.NewReader(ck)); err == nil {
+			t.Fatalf("header byte %d flipped: accepted", i)
+		}
+		untouched(fmt.Sprintf("header byte %d flipped", i))
+	}
+	// The last group, one parameter short in the table of contents; and gone
+	// from it and from the payloads. Both headers are resealed, so they fail
+	// on their contents rather than on their checksums.
+	last := ref.groups[len(ref.groups)-1]
+	entry := header - 4 - (8 + 2 + len(last.Name))
+	short := append([]byte(nil), saved...)
+	binary.LittleEndian.PutUint64(short[entry:], uint64(last.NumParams()-1))
+	reseal(short, header)
+	missing := append([]byte(nil), saved[:entry+4]...)
+	binary.LittleEndian.PutUint32(missing[12:], uint32(len(ref.groups)-1))
+	reseal(missing, entry+4)
+	missing = append(missing, saved[header:payload[len(payload)-1]]...)
+	for name, ck := range map[string][]byte{"short group": short, "missing group": missing} {
+		if err := e.LoadCheckpoint(bytes.NewReader(ck)); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		untouched(name)
+	}
+	for i, g := range ref.groups {
+		flipped := append([]byte(nil), saved...)
+		flipped[payload[i]+5] ^= 1
+		for name, ck := range map[string][]byte{"flipped payload byte": flipped, "truncated payload": saved[:payload[i]+5]} {
+			what := fmt.Sprintf("%s in %s", name, g.Name)
+			err := e.LoadCheckpoint(bytes.NewReader(ck))
+			if err == nil || !strings.Contains(err.Error(), "restore "+g.Name+":") {
+				t.Fatalf("%s: LoadCheckpoint = %v, want a refusal naming the group", what, err)
+			}
+			if i == 0 {
+				untouched(what)
+			} else {
+				latched(what)
+			}
+		}
+	}
+	trainFrom(t, e, 1, 1)
+	trainFrom(t, twin, 1, 1)
+	if !floatsEqual(paramsSnapshot(e.Model()), paramsSnapshot(twin.Model())) {
+		t.Fatal("the refused checkpoints changed the engine")
+	}
+}
+
+// ckptFixed is the checkpoint header's fixed part: magic, format, group count
+// and the two steps. Every checksum in a checkpoint is a CRC-32C.
+const ckptFixed = 8 + 4 + 4 + 8 + 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ckptLayout is where a checkpoint of e's model puts things: the header's
+// length, table of contents and checksum included, and where each group's
+// state object starts.
+func ckptLayout(e *Engine) (header int, payload []int) {
+	header = ckptFixed + 4
+	for _, g := range e.groups {
+		header += 8 + 2 + len(g.Name)
+	}
+	off := header
+	for _, g := range e.groups {
+		payload = append(payload, off)
+		off += 12*g.NumParams() + 4
+	}
+	return header, payload
+}
+
+// reseal rewrites the checksum of a header of the given length to match its
+// contents, so a test's edit to them is refused on its merits.
+func reseal(ck []byte, header int) {
+	binary.LittleEndian.PutUint32(ck[header-4:], crc32.Checksum(ck[:header-4], castagnoli))
 }
 
 // TestDropoutCheckpointResume: the model's forward-pass counter rides in

@@ -1,13 +1,89 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
 	"testing"
 
+	"ratel/internal/agoffload"
 	"ratel/internal/nn"
 	"ratel/internal/tensor"
 )
+
+// FuzzLoadCheckpoint feeds LoadCheckpoint streams of any length and content —
+// a truncated file, a flipped bit, another model's or another format's
+// checkpoint — on one engine reused across inputs, and holds it to its
+// contract: no input panics; an accepted one saves back to the bytes it read
+// (the stream may go on past the checkpoint); a refused one either left the
+// engine bit-identical to its twin (refused before the first write) or
+// latched it, so every TrainStep and SaveCheckpoint refuses until the good
+// checkpoint is loaded, after which it trains exactly as the twin does.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg := Config{GradMode: agoffload.Optimized}
+	e, twin := newEngine(f, cfg), newEngine(f, cfg)
+	trainK(f, e, 2)
+	var buf bytes.Buffer
+	if err := e.SaveCheckpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	if err := twin.LoadCheckpoint(bytes.NewReader(good)); err != nil {
+		f.Fatal(err)
+	}
+	want := paramsSnapshot(twin.Model())
+	wantLoss := trainFrom(f, twin, 2, 1)[0]
+	wantNext := paramsSnapshot(twin.Model())
+	tokens, targets := data(e.cfg.Model, 2)
+
+	// The real checkpoint, its truncations at every group boundary, and a gob
+	// checkpoint of format 1.
+	f.Add(good)
+	header, payload := ckptLayout(e)
+	f.Add(good[:header])
+	for _, at := range payload[1:] {
+		f.Add(good[:at])
+	}
+	gob, err := os.ReadFile("testdata/format1.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gob)
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := bytes.NewReader(in)
+		err := e.LoadCheckpoint(r)
+		var out bytes.Buffer
+		switch {
+		case err == nil:
+			if err := e.SaveCheckpoint(&out); err != nil || !bytes.Equal(out.Bytes(), in[:len(in)-r.Len()]) {
+				t.Fatalf("an accepted checkpoint saves back to other bytes (%v)", err)
+			}
+		case e.optErr == nil:
+			if err := e.SaveCheckpoint(&out); err != nil || !bytes.Equal(out.Bytes(), good) || !floatsEqual(paramsSnapshot(e.Model()), want) {
+				t.Fatalf("a checkpoint refused before any write (%v) changed the engine", err)
+			}
+			return
+		default:
+			if _, err := e.TrainStep(tokens, targets); err == nil {
+				t.Fatal("a latched engine trained")
+			}
+			if err := e.SaveCheckpoint(&out); err == nil || out.Len() != 0 {
+				t.Fatalf("a latched engine saved %d bytes (%v)", out.Len(), err)
+			}
+		}
+		if err := e.LoadCheckpoint(bytes.NewReader(good)); err != nil {
+			t.Fatal(err)
+		}
+		if loss, err := e.TrainStep(tokens, targets); err != nil || loss != wantLoss || !floatsEqual(paramsSnapshot(e.Model()), wantNext) {
+			t.Fatalf("after the good checkpoint the engine trains differently from its twin (%v)", err)
+		}
+		if err := e.LoadCheckpoint(bytes.NewReader(good)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
 
 // FuzzDecodeTensors feeds blobArena.decode activation blobs of any length and
 // content — what a torn write, a short read or a corrupted device would hand

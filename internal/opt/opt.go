@@ -10,7 +10,10 @@
 package opt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -172,6 +175,7 @@ type OutOfCoreAdam struct {
 	scr   struct {
 		p32, grad []float32
 		wire      []byte
+		crc       [4]byte // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
 	}
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
@@ -444,59 +448,66 @@ func (o *OutOfCoreAdam) writeState(key string, wire []byte) error {
 	return o.store.Put(key, wire)
 }
 
-// MasterWeights returns the group's current fp32 masters (a copy), for
-// tests and inspection.
+// MasterWeights returns the group's current fp32 masters (a copy of its
+// object's P32 plane), for tests and inspection.
 func (o *OutOfCoreAdam) MasterWeights(group string, n int) ([]float32, error) {
-	st, err := o.ExportGroup(group, n)
-	return st.P32, err
+	o.scrMu.Lock()
+	defer o.scrMu.Unlock()
+	wire, p32 := scratch(&o.scr.wire, wireBytes(n)), make([]float32, n)
+	if err := o.readState(o.stateKey(group), wire, group); err != nil {
+		return nil, err
+	}
+	return p32, tensor.FromFP32Bytes(wire[:4*n], p32)
 }
 
-// GroupState is the full optimizer state of one parameter group: fp32
-// masters and Adam moments (P32 + OS32, Table II).
-type GroupState struct {
-	P32, M, V []float32
-}
+// castagnoli is the CRC-32C table of a checkpoint record's checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ExportGroup extracts a group's state for checkpointing. It streams
-// through the persistent wire scratch under scrMu exactly like UpdateGroup —
-// the only allocations are the result's own slices, so checkpoint traffic
-// stays off the steady-state alloc budget.
-func (o *OutOfCoreAdam) ExportGroup(group string, n int) (GroupState, error) {
-	st := GroupState{P32: make([]float32, n), M: make([]float32, n), V: make([]float32, n)}
+// WriteGroupTo writes the n-parameter group's checkpoint record to w — its
+// state object as stored, then the object's CRC-32C, which it returns —
+// through the wire scratch under scrMu, so a checkpoint holds one group's
+// state at a time whatever the model's size.
+func (o *OutOfCoreAdam) WriteGroupTo(w io.Writer, group string, n int) (crc uint32, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	wire := scratch(&o.scr.wire, wireBytes(n))
 	if err := o.readState(o.stateKey(group), wire, group); err != nil {
-		return GroupState{}, err
+		return 0, err
 	}
-	for i, dst := range [][]float32{st.P32, st.M, st.V} { // the object's three planes
-		if err := tensor.FromFP32Bytes(wire[4*n*i:4*n*(i+1)], dst); err != nil {
-			return GroupState{}, fmt.Errorf("opt: decode %s: %w", group, err)
-		}
+	crc = crc32.Checksum(wire, castagnoli)
+	binary.LittleEndian.PutUint32(o.scr.crc[:], crc)
+	if _, err := w.Write(wire); err != nil {
+		return 0, err
 	}
-	return st, nil
+	_, err = w.Write(o.scr.crc[:])
+	return crc, err
 }
 
-// ImportGroup restores a group's state from a checkpoint and installs the
-// fp16 working weights into the group's tensors.
-func (o *OutOfCoreAdam) ImportGroup(g nn.ParamGroup, st GroupState) error {
-	n := g.NumParams()
-	if len(st.P32) != n || len(st.M) != n || len(st.V) != n {
-		return fmt.Errorf("opt: import %s: state sizes %d/%d/%d for %d params",
-			g.Name, len(st.P32), len(st.M), len(st.V), n)
-	}
+// ImportWire restores g's state from the next WriteGroupTo record of r, read
+// through the wire scratch: the object is stored and P16 = fp16(P32)
+// installed only if it arrives whole and matches its CRC-32C. Unless stored,
+// the store and the model are as they were.
+func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire := scratch(&o.scr.wire, wireBytes(n))
-	for i, src := range [][]float32{st.P32, st.M, st.V} {
-		if err := tensor.ToFP32BytesInto(wire[4*n*i:4*n*(i+1)], src); err != nil {
-			return fmt.Errorf("opt: import %s: %w", g.Name, err)
-		}
+	n := g.NumParams()
+	wire, p32 := scratch(&o.scr.wire, wireBytes(n)), scratch(&o.scr.p32, n)
+	if _, err := io.ReadFull(r, wire); err != nil {
+		return false, err
+	}
+	if _, err := io.ReadFull(r, o.scr.crc[:]); err != nil {
+		return false, err
+	}
+	if crc, want := crc32.Checksum(wire, castagnoli), binary.LittleEndian.Uint32(o.scr.crc[:]); crc != want {
+		return false, fmt.Errorf("opt: import %s: state object fails its checksum (CRC-32C %08x, stored %08x)", g.Name, crc, want)
+	}
+	if err := tensor.FromFP32Bytes(wire[:4*n], p32); err != nil {
+		return false, err
 	}
 	if err := o.writeState(o.stateKey(g.Name), wire); err != nil {
-		return fmt.Errorf("opt: import %s: %w", g.Name, err)
+		return true, err
 	}
-	return o.installP16(g, st.P32)
+	return true, o.installP16(g, p32)
 }
 
 // SetStep restores the optimizer step counter from a checkpoint.

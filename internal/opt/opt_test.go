@@ -2,7 +2,9 @@ package opt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -255,11 +257,14 @@ func TestWeightDecayAppliesDecoupled(t *testing.T) {
 	}
 }
 
-// TestExportImportRoundTrip: optimizer state survives export/import exactly
-// and training continues identically.
+// TestExportImportRoundTrip: WriteGroupTo's record is the stored object
+// followed by the CRC-32C it returns, and ImportWire stores that object byte
+// for byte — NaN payloads included, which a comparison of floats would not
+// see — reading the record and nothing more; training continues identically.
 func TestExportImportRoundTrip(t *testing.T) {
 	m := buildModel(t)
-	ooc := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "a")
+	src := MemStore{}
+	ooc := NewOutOfCoreAdam(src, DefaultAdam(), "a")
 	for _, g := range m.ParamGroups() {
 		if err := ooc.InitGroup(g); err != nil {
 			t.Fatal(err)
@@ -273,27 +278,37 @@ func TestExportImportRoundTrip(t *testing.T) {
 		}
 	}
 
+	// A NaN with a payload as the first group's first master.
+	binary.LittleEndian.PutUint32(src[ooc.stateKey(m.ParamGroups()[0].Name)], 0x7fc01234)
+
 	m2 := buildModel(t)
-	ooc2 := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "b")
+	dst := MemStore{}
+	ooc2 := NewOutOfCoreAdam(dst, DefaultAdam(), "b")
 	for _, g := range m2.ParamGroups() {
 		if err := ooc2.InitGroup(g); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, g := range m.ParamGroups() {
-		st, err := ooc.ExportGroup(g.Name, g.NumParams())
+	for i, g := range m.ParamGroups() {
+		var wire bytes.Buffer
+		crc, err := ooc.WriteGroupTo(&wire, g.Name, g.NumParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dst nn.ParamGroup
-		for _, g2 := range m2.ParamGroups() {
-			if g2.Name == g.Name {
-				dst = g2
-			}
+		stored := src[ooc.stateKey(g.Name)]
+		if rec := wire.Bytes(); !bytes.Equal(rec[:len(rec)-4], stored) || binary.LittleEndian.Uint32(rec[len(stored):]) != crc {
+			t.Fatalf("%s: WriteGroupTo's record is not the stored object and its CRC", g.Name)
 		}
-		if err := ooc2.ImportGroup(dst, st); err != nil {
-			t.Fatal(err)
+		wire.WriteString("next")
+		if ok, err := ooc2.ImportWire(m2.ParamGroups()[i], &wire); err != nil || !ok || wire.String() != "next" {
+			t.Fatalf("%s: ImportWire = %v, %v, leaving %q", g.Name, ok, err, wire.String())
 		}
+		if !bytes.Equal(dst[ooc2.stateKey(g.Name)], stored) {
+			t.Fatalf("%s: the imported object differs from the exported one", g.Name)
+		}
+	}
+	if w := m2.ParamGroups()[0].Params[0].W.Data[0]; !math.IsNaN(float64(w)) {
+		t.Fatalf("P16 of the NaN master = %v, want NaN", w)
 	}
 	if err := ooc2.SetStep(ooc.Step()); err != nil {
 		t.Fatal(err)
@@ -315,19 +330,49 @@ func TestExportImportRoundTrip(t *testing.T) {
 	pa, pb := m.Params(), m2.Params()
 	for i := range pa {
 		for j := range pa[i].W.Data {
-			if pa[i].W.Data[j] != pb[i].W.Data[j] {
+			if math.Float32bits(pa[i].W.Data[j]) != math.Float32bits(pb[i].W.Data[j]) {
 				t.Fatalf("diverged after import at %s[%d]", pa[i].Name, j)
 			}
 		}
 	}
+	for _, g := range m.ParamGroups() {
+		if !bytes.Equal(src[ooc.stateKey(g.Name)], dst[ooc2.stateKey(g.Name)]) {
+			t.Fatalf("stored state of %s differs a step after import", g.Name)
+		}
+	}
 }
 
-func TestImportGroupValidatesSizes(t *testing.T) {
+// TestImportWireValidatesSizes: a record that is short — in its object or
+// its CRC — or whose object fails its CRC changes neither the stored state
+// nor the working weights, and says so.
+func TestImportWireValidatesSizes(t *testing.T) {
 	m := buildModel(t)
-	ooc := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "x")
+	store := MemStore{}
+	ooc := NewOutOfCoreAdam(store, DefaultAdam(), "x")
 	g := m.ParamGroups()[0]
-	if err := ooc.ImportGroup(g, GroupState{P32: []float32{1}}); err == nil {
-		t.Error("short state accepted")
+	if err := ooc.InitGroup(g); err != nil {
+		t.Fatal(err)
+	}
+	before, w0 := append([]byte(nil), store[ooc.stateKey(g.Name)]...), g.Params[0].W.Data[0]
+	obj := bytes.Repeat([]byte{0x3c}, 12*g.NumParams())
+	good := binary.LittleEndian.AppendUint32(append([]byte(nil), obj...), crc32.Checksum(obj, castagnoli))
+	for name, rec := range map[string][]byte{
+		"empty":         nil,
+		"short object":  obj[:len(obj)-1],
+		"no checksum":   obj,
+		"short crc":     good[:len(good)-1],
+		"flipped byte":  append([]byte{obj[0] ^ 1}, good[1:]...),
+		"crc of others": append(append([]byte(nil), obj...), 0, 0, 0, 0),
+	} {
+		if ok, err := ooc.ImportWire(g, bytes.NewReader(rec)); err == nil || ok {
+			t.Errorf("%s: ImportWire = %v, %v, want a refusal that stored nothing", name, ok, err)
+		}
+		if !bytes.Equal(store[ooc.stateKey(g.Name)], before) || g.Params[0].W.Data[0] != w0 {
+			t.Fatalf("%s: the refused import changed the state", name)
+		}
+	}
+	if ok, err := ooc.ImportWire(g, bytes.NewReader(good)); err != nil || !ok || !bytes.Equal(store[ooc.stateKey(g.Name)], obj) {
+		t.Fatalf("the good record: ImportWire = %v, %v", ok, err)
 	}
 	if err := ooc.SetStep(-1); err == nil {
 		t.Error("negative step accepted")
@@ -370,10 +415,11 @@ func TestSetLR(t *testing.T) {
 	}
 }
 
-func TestExportGroupMissing(t *testing.T) {
+func TestWriteGroupToMissing(t *testing.T) {
 	o := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "x")
-	if _, err := o.ExportGroup("ghost", 4); err == nil {
-		t.Error("export of missing group accepted")
+	var w bytes.Buffer
+	if _, err := o.WriteGroupTo(&w, "ghost", 4); err == nil || w.Len() != 0 {
+		t.Errorf("export of missing group = %v with %d bytes written", err, w.Len())
 	}
 }
 
