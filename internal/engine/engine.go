@@ -214,7 +214,8 @@ type Engine struct {
 	ckptScr    []byte // checkpoint headers on their way to or from a stream
 
 	// submittedN counts the updates this step handed to the state pipeline
-	// (one state read-ahead each), folded into the step record at noteStep.
+	// (one read-ahead of its state pieces each), folded into the step record
+	// at noteStep.
 	submittedN int
 
 	// Telemetry (see telemetry.go). tracer may be nil; ins holds one registry
@@ -338,6 +339,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.scaler = scaler
 	}
+	e.optimizer.SetWindow(e.depth, e.groups)
 	for _, g := range e.groups {
 		if err := e.optimizer.InitGroup(g); err != nil {
 			return nil, errors.Join(err, a.Close())

@@ -15,6 +15,7 @@ import (
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
+	"ratel/internal/nvme"
 	"ratel/internal/tensor"
 	"ratel/internal/units"
 )
@@ -226,6 +227,41 @@ func TestCheckpointErrors(t *testing.T) {
 	}
 }
 
+// TestCheckpointFormat2Fixture pins format 2 by bytes another engine wrote:
+// testdata/format2.ckpt was saved by the engine that stored each group's
+// state as one object, after three TrainSteps of the model below on the
+// batches of data(cfg, 0..2), and its next three losses were
+// format2NextLosses. This engine stores the block's 9,772 params as two
+// pieces; it loads the file, saves it back to the same bytes, and trains
+// the next three steps to the same bits.
+func TestCheckpointFormat2Fixture(t *testing.T) {
+	format2NextLosses := []uint64{0x4004c2d0037474f4, 0x4004db8764f3916b, 0x4004b2d57fafb17a}
+	ck, err := os.ReadFile("testdata/format2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, Config{Model: nn.Config{Vocab: 13, Seq: 6, Hidden: 28, Heads: 2, Layers: 1, Batch: 2, Seed: 77},
+		GradMode: agoffload.Optimized})
+	if err := e.LoadCheckpoint(bytes.NewReader(ck)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Array().ReadInto("states/block0/state/1", make([]byte, 12*(9772-8192))); err != nil {
+		t.Fatalf("block0's state is not two pieces: %v", err)
+	}
+	var again bytes.Buffer
+	if err := e.SaveCheckpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), ck) {
+		t.Fatal("Save(Load(format2.ckpt)) is not the file's bytes")
+	}
+	for i, loss := range trainFrom(t, e, 3, 3) {
+		if math.Float64bits(loss) != format2NextLosses[i] {
+			t.Fatalf("step %d after the restore: loss %#016x, the saving engine's %#016x", 3+i, math.Float64bits(loss), format2NextLosses[i])
+		}
+	}
+}
+
 // TestCheckpointLayout pins the format: a checkpoint is exactly the header
 // (fixed fields, table of contents, checksum) and each group's state object
 // as the array stores it followed by its CRC-32C; loading reads exactly that
@@ -252,10 +288,7 @@ func TestCheckpointLayout(t *testing.T) {
 		t.Fatalf("fixed header % x", ck[:ckptFixed])
 	}
 	for i, g := range e.groups {
-		obj := make([]byte, 12*g.NumParams())
-		if err := e.Array().ReadInto("states/"+g.Name+"/state", obj); err != nil {
-			t.Fatal(err)
-		}
+		obj := storedState(t, e, g)
 		at := payload[i]
 		if !bytes.Equal(ck[at:at+len(obj)], obj) {
 			t.Fatalf("%s: payload is not the stored state object", g.Name)
@@ -281,6 +314,21 @@ func TestCheckpointLayout(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), ck) {
 		t.Fatal("Save(Load(ck)) != ck")
 	}
+}
+
+// storedState reads back g's state from the array. Every group of the mini
+// model is smaller than one state piece can be, so its state is the one
+// piece states/<group>/state/0, and there is no second.
+func storedState(t *testing.T, e *Engine, g nn.ParamGroup) []byte {
+	t.Helper()
+	obj := make([]byte, 12*g.NumParams())
+	if err := e.Array().ReadInto("states/"+g.Name+"/state/0", obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Array().ReadInto("states/"+g.Name+"/state/1", obj); !errors.Is(err, nvme.ErrNotFound) {
+		t.Fatalf("%s: a second state piece: %v", g.Name, err)
+	}
+	return obj
 }
 
 // TestSaveCheckpointAllocs: saving and loading stream the state objects

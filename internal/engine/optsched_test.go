@@ -166,41 +166,141 @@ func TestStreamingBitIdentityMatrix(t *testing.T) {
 	}
 }
 
+// piecedConfig is a model whose optimizer state is cut into pieces: its
+// blocks' groups are 12,704 params — one full 8192-param piece and a short
+// one, with tensors straddling the cut — beside two one-piece groups.
+func piecedConfig() nn.Config {
+	return nn.Config{Vocab: 13, Seq: 6, Hidden: 32, Heads: 2, Layers: 2, Batch: 2, Seed: 77}
+}
+
+// TestStreamingBitIdentityPieces is TestStreamingBitIdentityMatrix's row for
+// a model whose largest group is not a multiple of the piece: over
+// {TrainStep, TrainStepAccum} × {duplex, throttled duplex} the pipeline
+// trains step for step like the inline-sync oracle, whose UpdateGroup walks
+// the same pieces one at a time; a checkpoint it saves is the oracle's bytes
+// at the same step, and loaded into a fresh engine it continues the same.
+func TestStreamingBitIdentityPieces(t *testing.T) {
+	const steps, resumeAt = 3, 1
+	for _, accum := range []bool{false, true} {
+		step := func(e *Engine, s int) float64 {
+			t.Helper()
+			tokens, targets := data(e.cfg.Model, int64(s))
+			var loss float64
+			var err error
+			if accum {
+				t2, g2 := data(e.cfg.Model, int64(100+s))
+				loss, err = e.TrainStepAccum([]Batch{{Tokens: tokens, Targets: targets}, {Tokens: t2, Targets: g2}})
+			} else {
+				loss, err = e.TrainStep(tokens, targets)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return loss
+		}
+		base := Config{Model: piecedConfig(), GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD}}
+		oracle := newEngine(t, inlineOracle(base))
+		var refLoss []float64
+		var refCkpt bytes.Buffer
+		for s := 0; s < steps; s++ {
+			if s == resumeAt {
+				if err := oracle.SaveCheckpoint(&refCkpt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refLoss = append(refLoss, step(oracle, s))
+		}
+		refSnap := paramsSnapshot(oracle.Model())
+		for _, lanes := range []string{"duplex", "throttled"} {
+			name := map[bool]string{false: "step", true: "accum"}[accum] + "/" + lanes
+			t.Run(name, func(t *testing.T) {
+				cfg := base
+				if lanes == "throttled" {
+					cfg.SSD = throttledSSD()
+				}
+				e := newEngine(t, cfg)
+				block := e.groups[1]
+				if err := e.Array().ReadInto("states/"+block.Name+"/state/1", make([]byte, 12*(block.NumParams()-8192))); err != nil {
+					t.Fatalf("%s (%d params) is not cut into a full piece and a short one: %v", block.Name, block.NumParams(), err)
+				}
+				var loss []float64
+				var ckpt bytes.Buffer
+				for s := 0; s < steps; s++ {
+					if s == resumeAt {
+						if err := e.SaveCheckpoint(&ckpt); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(ckpt.Bytes(), refCkpt.Bytes()) {
+							t.Fatal("checkpoint differs from the inline oracle's")
+						}
+					}
+					loss = append(loss, step(e, s))
+				}
+				sameTrajectory(t, name, refLoss, loss, refSnap, paramsSnapshot(e.Model()))
+
+				resumed := newEngine(t, cfg)
+				if err := resumed.LoadCheckpoint(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				loss = loss[:resumeAt]
+				for s := resumeAt; s < steps; s++ {
+					loss = append(loss, step(resumed, s))
+				}
+				sameTrajectory(t, name+" resumed", refLoss, loss, refSnap, paramsSnapshot(resumed.Model()))
+			})
+		}
+	}
+}
+
 // TestStatePipelineFaultPerStage lands an injected device fault in each
 // stage of the optimizer state pipeline — the first group's read-ahead, its
-// write-behind, and mid-window with later groups' state already read — and
-// checks the unhappy path end to end: the step returns the device error, no
-// wire buffer stays out of the pool, the engine refuses to train on the
-// half-updated state until a checkpoint is restored, the restored run
-// continues bit-identically to one that never faulted, and Close leaves no
-// goroutine behind. The cross-step stage — a write-back that fails after
-// its step returned — is TestStatePipelineFaultTrailingWrite.
+// write-behind, mid-window with later groups' state already read, and the
+// read-ahead and write-behind of a group's second piece — and checks the
+// unhappy path end to end: the step returns the device error, no wire buffer
+// stays out of the pool, the engine refuses to train on the half-updated
+// state until a checkpoint is restored, the restored run continues
+// bit-identically to one that never faulted, and Close leaves no goroutine
+// behind. The cross-step stage — a write-back that fails after its step
+// returned — is TestStatePipelineFaultTrailingWrite.
 func TestStatePipelineFaultPerStage(t *testing.T) {
 	// One device and recompute-only tiers: the step's only chunk operations
 	// are the optimizer's, all on device 0 and — untimed and small — inline
 	// on the issuing goroutine, so the countdown is exact. Serialized mode
 	// submits the groups in order after backward: head first.
 	base := Config{GradMode: agoffload.Serialized, Devices: 1}
+	// The pieced model's head is 8,512 params: a full 8192-param piece (24
+	// chunks) and a 320-param one (1 chunk). Its largest group is under two
+	// pieces, so window 1 is one piece buffer and the pieces go one at a time.
+	pieced := nn.Config{Vocab: 256, Seq: 6, Hidden: 32, Heads: 2, Layers: 1, Batch: 2, Seed: 77}
+	const fullPiece = 12 * 8192 / 4096
 	cases := []struct {
 		name  string
+		model nn.Config
 		depth int
 		after func(groups []nn.ParamGroup) int // chunk ops that succeed first
+		// ops, when set, is the state reads and writes that complete in the
+		// faulted step: where the countdown landed, counted.
+		ops [2]int64
 	}{
 		// Window 1 runs one group's read → Adam → write at a time.
-		{"read-ahead", 1, func([]nn.ParamGroup) int { return 0 }},
-		{"write-behind", 1, func(gs []nn.ParamGroup) int { return stateChunks(gs[len(gs)-1]) }},
+		{"read-ahead", miniConfig(), 1, func([]nn.ParamGroup) int { return 0 }, [2]int64{}},
+		{"write-behind", miniConfig(), 1, func(gs []nn.ParamGroup) int { return stateChunks(gs[len(gs)-1]) }, [2]int64{}},
 		// Window 3: the head's whole round trip and the next group's read
 		// succeed; the fault lands while up to three groups are in flight.
-		{"mid-window", 3, func(gs []nn.ParamGroup) int {
+		{"mid-window", miniConfig(), 3, func(gs []nn.ParamGroup) int {
 			return 2*stateChunks(gs[len(gs)-1]) + stateChunks(gs[len(gs)-2]) + 1
-		}},
+		}, [2]int64{}},
+		// The head's first piece makes its round trip; then its second
+		// piece's read fails, or that read succeeds and its write fails.
+		{"read-ahead/second-piece", pieced, 1, func([]nn.ParamGroup) int { return 2 * fullPiece }, [2]int64{1, 1}},
+		{"write-behind/second-piece", pieced, 1, func([]nn.ParamGroup) int { return 2*fullPiece + 1 }, [2]int64{2, 1}},
 	}
 	const warm = 2
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cfg := base
-			cfg.Model = miniConfig()
+			cfg.Model = tc.model
 			cfg.PipelineDepth = tc.depth
 			e, err := New(cfg)
 			if err != nil {
@@ -215,13 +315,18 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 
 			boom := errors.New("media failure")
 			tokens, targets := data(cfg.Model, warm)
+			before := e.Array().Stats()
 			e.Array().InjectFaultAfter(0, tc.after(e.groups), boom)
 			if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
 				t.Fatalf("TrainStep with a %s fault = %v, want %v", tc.name, err, boom)
 			}
-			e.Stats() // joins the write-back of the groups that got that far
-			if now, peak := e.states.Buffered(); now != 0 || peak > tc.depth {
-				t.Fatalf("after the failed step %d wire buffers are still out (peak %d, window %d)", now, peak, tc.depth)
+			e.Stats() // joins the write-back of the pieces that got that far
+			if after := e.Array().Stats(); tc.ops != [2]int64{} && [2]int64{after.ReadOps - before.ReadOps, after.WriteOps - before.WriteOps} != tc.ops {
+				t.Fatalf("the faulted step completed %d state reads and %d writes, want %v", after.ReadOps-before.ReadOps, after.WriteOps-before.WriteOps, tc.ops)
+			}
+			buffers, _ := e.states.Window()
+			if now, peak := e.states.Buffered(); now != 0 || peak > buffers {
+				t.Fatalf("after the failed step %d wire buffers are still out (peak %d, window %d)", now, peak, buffers)
 			}
 			e.Array().InjectFault(0, nil)
 			if _, err := e.TrainStep(tokens, targets); err == nil || !errors.Is(err, boom) {
@@ -488,16 +593,33 @@ func TestStatePipelineRestoreOverWriteBack(t *testing.T) {
 	}
 }
 
-// TestStatePipelineWindowBound: whatever the gradient schedule, at most
-// window (= pipeline depth) groups' optimizer state is buffered at once —
-// each step's write-back trailing into the next included — and none after a
-// join (Stats).
+// TestStatePipelineWindowBound: whatever the gradient schedule, the
+// optimizer state buffered at once — each step's write-back trailing into
+// the next included — is at most depth × 12 B × the largest group, counted
+// in bytes: the window's piece buffers hold no more, and the pieces holding
+// one never outnumber them. None is buffered after a join (Stats). The
+// pieced model's window is cut from the same bytes into more, smaller
+// buffers than there are groups in it.
 func TestStatePipelineWindowBound(t *testing.T) {
-	for _, depth := range []int{1, 2, 3} {
+	cases := []struct {
+		model nn.Config
+		depth int
+	}{{miniConfig(), 1}, {miniConfig(), 2}, {miniConfig(), 3}, {piecedConfig(), 2}}
+	for _, tc := range cases {
 		for _, mode := range []agoffload.Mode{agoffload.Serialized, agoffload.Optimized} {
+			depth := tc.depth
 			reg := obs.NewRegistry()
-			e := newEngine(t, Config{GradMode: mode, PipelineDepth: depth, Metrics: reg,
-				Swap: map[int]Tier{0: SwapSSD, 2: SwapSSD}, SSD: throttledSSD()})
+			e := newEngine(t, Config{Model: tc.model, GradMode: mode, PipelineDepth: depth, Metrics: reg,
+				Swap: map[int]Tier{0: SwapSSD, 1: SwapSSD}, SSD: throttledSSD()})
+			largest := 0
+			for _, g := range e.groups {
+				largest = max(largest, g.NumParams())
+			}
+			bound := depth * 12 * largest
+			buffers, bytes := e.states.Window()
+			if bytes > bound || buffers < depth {
+				t.Fatalf("%v depth %d: window of %d buffers, %d B, bound %d B", mode, depth, buffers, bytes, bound)
+			}
 			trailed := false
 			for s := 0; s < 4; s++ {
 				tokens, targets := data(e.cfg.Model, int64(s))
@@ -505,25 +627,28 @@ func TestStatePipelineWindowBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				now, peak := e.states.Buffered()
-				if peak < 1 || peak > depth {
-					t.Fatalf("%v depth %d step %d: peak %d buffers held", mode, depth, s, peak)
+				if peak < 1 || peak > buffers || peak*bytes/buffers > bound {
+					t.Fatalf("%v depth %d step %d: peak %d pieces of %d B held, bound %d B", mode, depth, s, peak, bytes/buffers, bound)
 				}
 				// The gauge is the same count as the step returned; write-back
 				// only retires between then and now.
-				if live := int(reg.Snapshot()["engine.opt_writeback_inflight"]); live < now || live > depth {
-					t.Fatalf("%v depth %d step %d: engine.opt_writeback_inflight = %d with %d in flight after it, window %d", mode, depth, s, live, now, depth)
+				if live := int(reg.Snapshot()["engine.opt_writeback_inflight"]); live < now || live > buffers {
+					t.Fatalf("%v depth %d step %d: engine.opt_writeback_inflight = %d with %d in flight after it, window %d", mode, depth, s, live, now, buffers)
 				}
 				trailed = trailed || now > 0
 				if s%2 == 0 {
 					continue // the next step runs into this one's write-back
 				}
 				e.Stats()
-				if now, peak := e.states.Buffered(); now != 0 || peak > depth {
-					t.Fatalf("%v depth %d step %d: %d buffers held after Stats, peak %d", mode, depth, s, now, peak)
+				if now, _ := e.states.Buffered(); now != 0 {
+					t.Fatalf("%v depth %d step %d: %d pieces buffered after Stats", mode, depth, s, now)
 				}
 			}
 			if !trailed {
 				t.Fatalf("%v depth %d: no step returned with write-back in flight; the bound was not tested across steps", mode, depth)
+			}
+			if tc.model == piecedConfig() && buffers <= depth {
+				t.Fatalf("the pieced model's window is %d buffers at depth %d: its state was not cut", buffers, depth)
 			}
 		}
 	}

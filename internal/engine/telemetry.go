@@ -171,8 +171,9 @@ var metrics = [...]metric{
 	{"nvme.sched_write_behind_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassWriteBehind].Wait) }},
 	{"nvme.sched_write_behind_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassWriteBehind].QueuePeak) }},
 
-	// State reads the optimizer pipeline's read-ahead stage issued last step,
-	// and the groups whose write-back was still in flight when it returned.
+	// Group updates the optimizer pipeline read ahead last step (each its
+	// pieces' reads), and the state pieces — not groups, not bytes — whose
+	// write-back was still in flight when it returned.
 	{"engine.opt_prefetched_reads", gauge, func(e *Engine) float64 { return float64(e.step.PrefetchedReads) }},
 	{"engine.opt_writeback_inflight", gauge, func(e *Engine) float64 {
 		if e.states == nil {

@@ -343,13 +343,6 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 // Checksums enabled, subsequent reads fail with ErrCorrupt).
 //
 // Put schedules as ClassWriteback; use PutClass to tag other traffic.
-//
-// It is kept out of line for the benchmark harness alone: the call keeps
-// bench/speed.go's speed-reference loop at the code alignment it had before
-// Config shrank, which otherwise reads an unchanged engine ~12 % slower
-// (ROADMAP item 1b).
-//
-//go:noinline
 func (a *Array) Put(key string, data []byte) error {
 	return a.PutClass(key, data, ClassWriteback)
 }
@@ -401,15 +394,23 @@ func (a *Array) PutClass(key string, data []byte, class Class) error {
 
 // allocObject lays out a new object of size bytes: stripe-sized chunks
 // allocated round-robin across the devices, so striping yields real
-// parallel bandwidth.
+// parallel bandwidth. The next object starts the smallest step of at least n
+// devices on that is coprime with the device count, so a run of equal
+// objects puts their short last chunks on every device in turn: stepping by
+// n itself would land all of them on the same few when n shares a factor
+// with the device count.
 func (a *Array) allocObject(size int) object {
 	stripe := a.cfg.StripeSize
 	n := (size + stripe - 1) / stripe
 	obj := object{size: size, chunks: make([]chunkRef, 0, n)}
 
+	step := n
+	for gcd(step, len(a.devs)) != 1 {
+		step++
+	}
 	a.mu.Lock()
 	start := a.nextRR
-	a.nextRR = (a.nextRR + n) % len(a.devs)
+	a.nextRR = (a.nextRR + step) % len(a.devs)
 	a.mu.Unlock()
 
 	for i := 0; i < n; i++ {
@@ -417,6 +418,13 @@ func (a *Array) allocObject(size int) object {
 		obj.chunks = append(obj.chunks, chunkRef{dev: dev, off: a.devs[dev].alloc(stripe), n: min(stripe, size-i*stripe)})
 	}
 	return obj
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // verify checks an object's checksum when enabled.

@@ -134,6 +134,28 @@ func TestStripingBalancesDevices(t *testing.T) {
 	}
 }
 
+// TestShortTailChunksSpread: objects of three chunks, the last one short, on
+// three devices — the chunk count a multiple of the device count — put their
+// tails on every device in turn, so each device's bytes are within one stripe
+// of every other's. Advancing the round-robin start by the chunk count alone
+// started every object on device 0 and put all 30 tails on device 2.
+func TestShortTailChunksSpread(t *testing.T) {
+	a := openMem(t, 3)
+	for i := 0; i < 30; i++ {
+		if err := a.Put(fmt.Sprintf("k%d", i), make([]byte, 2*64+10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := a.Stats()
+	lo, hi := st.PerDeviceBytes[0], st.PerDeviceBytes[0]
+	for _, b := range st.PerDeviceBytes {
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	if hi-lo > 64 {
+		t.Fatalf("per-device bytes %v: spread %d, more than one 64 B stripe", st.PerDeviceBytes, hi-lo)
+	}
+}
+
 func TestEmptyObject(t *testing.T) {
 	a := openMem(t, 2)
 	if err := a.Put("empty", nil); err != nil {

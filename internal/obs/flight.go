@@ -74,8 +74,8 @@ type StepRecord struct {
 	// registry's NVMe write bandwidth it counts the write-back that retired
 	// during the step — the previous step's tail in, this step's out.
 	Flow FlowSnapshot
-	// PrefetchedReads counts the state reads the optimizer pipeline's
-	// read-ahead stage issued this step.
+	// PrefetchedReads counts the group updates whose state the optimizer
+	// pipeline's read-ahead stage read this step, each as its pieces.
 	PrefetchedReads int
 }
 

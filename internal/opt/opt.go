@@ -1,12 +1,13 @@
 // Package opt implements the optimizer side of the paper's model-state
 // management: mixed-precision Adam with fp32 master weights and moments
 // (P32 + OS32, Table II), and an out-of-core variant that streams each
-// parameter group's state through a storage backend — the CPU optimizer
-// that active gradient offloading (§IV-C) drives.
+// parameter group's state through a storage backend, cut into equal pieces —
+// the CPU optimizer that active gradient offloading (§IV-C) drives.
 //
 // The out-of-core optimizer is exactly equivalent to the in-memory one for
-// any chunking: state round-trips through storage as raw little-endian
-// float32, and gradients are consumed in fp16 (G16) in both paths.
+// any piece size: state round-trips through storage as raw little-endian
+// float32, Adam is element-wise, per-group clipping is computed over the
+// whole group, and gradients are consumed in fp16 (G16) in both paths.
 package opt
 
 import (
@@ -15,6 +16,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,9 +149,12 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 // updates one parameter group at a time — the paper's CPU optimizer
 // operating on model states homed on NVMe.
 //
-// A group's state is ONE store object, P32 | M | V back to back as raw
-// little-endian fp32 (12 bytes per parameter), so a group update is one
-// striped read and one striped write rather than three of each.
+// A group's state is cut into pieces: contiguous parameter ranges of one
+// size (the last one holds the rest), each its own store object
+// "<prefix>/<group>/state/<k>" laid out P32 | M | V back to back as raw
+// little-endian fp32 (12 bytes per parameter). A piece is one striped read
+// and one striped write, and the unit StatePipeline streams; SetWindow sizes
+// it, and without it a group is one piece.
 type OutOfCoreAdam struct {
 	cfg       AdamConfig
 	store     Store
@@ -158,19 +163,20 @@ type OutOfCoreAdam struct {
 	step      int
 	gradScale float64 // loss-scale divisor; 0 or 1 means unscaled
 	clipNorm  float64 // per-group L2 clip; 0 disables
+	piece     int     // params per state piece (SetWindow); 0 = a group is one piece
 
-	tracer     *obs.Tracer       // optional: records per-chunk Adam spans
-	flows      *obs.FlowLedger   // optional: per-edge/purpose byte accounting
-	adamLabels map[string]string // group -> "group/opt-adam", precomputed
-	keys       map[string]string // group -> state object key, precomputed
+	tracer     *obs.Tracer        // optional: records per-piece Adam spans
+	flows      *obs.FlowLedger    // optional: per-edge/purpose byte accounting
+	adamLabels map[string]string  // group -> "group/opt-adam", precomputed
+	cuts       map[string][]piece // group -> its pieces, precomputed
 
 	// scr is the update scratch: the staged gradient, the new masters on
 	// their way to the fp16 install, and the wire buffer of the synchronous
-	// paths, sized to the largest group seen and reused for the optimizer's
-	// lifetime. scrMu serializes its users — UpdateGroup, the state
-	// pipeline's Adam stage and the checkpoint paths never overlap in the
-	// engine, so the lock is uncontended and exists only to keep concurrent
-	// misuse safe.
+	// paths, sized to the largest group (the checkpoint's gather and scatter)
+	// or piece seen and reused for the optimizer's lifetime. scrMu serializes
+	// its users — UpdateGroup, the state pipeline's Adam stage and the
+	// checkpoint paths never overlap in the engine, so the lock is uncontended
+	// and exists only to keep concurrent misuse safe.
 	scrMu sync.Mutex
 	scr   struct {
 		p32, grad []float32
@@ -193,10 +199,10 @@ func (o *OutOfCoreAdam) KernelStats() (params int64, busy time.Duration) {
 }
 
 // SetTracer installs a wall-clock span tracer: every group update records
-// one span per parameter group (the paper's per-tensor optimizer chunk) on
-// obs.LaneAdam around the Adam kernel, named after the simulator's
-// "<group>/opt-adam" task labels so measured and simulated timelines join
-// by name. Call before training starts.
+// one span per state piece on obs.LaneAdam around the Adam kernel, each
+// named after its group as the simulator's "<group>/opt-adam" task labels
+// are, so measured and simulated timelines join by name. Call before
+// training starts.
 func (o *OutOfCoreAdam) SetTracer(tr *obs.Tracer) { o.tracer = tr }
 
 // SetFlowLedger installs a byte-flow ledger: every group update credits
@@ -241,48 +247,100 @@ func NewOutOfCoreAdam(store Store, cfg AdamConfig, prefix string) *OutOfCoreAdam
 // Step reports the number of completed optimizer steps.
 func (o *OutOfCoreAdam) Step() int { return o.step }
 
-// stateKey returns the group's store key, building and caching it on first
-// use (the hot path must not concatenate per transfer).
-func (o *OutOfCoreAdam) stateKey(group string) string {
-	if k, ok := o.keys[group]; ok {
-		return k
+// piecesPerWindow is how many pieces a StatePipeline window's bytes are cut
+// into (EXPERIMENTS.md, "The state streams in pieces", has the sweep).
+const piecesPerWindow = 16
+
+// SetWindow sizes the state pieces for a StatePipeline window of depth
+// groups' state over groups: the window's bytes cut into piecesPerWindow
+// equal pieces, never smaller than one Adam grain nor larger than the
+// largest group. The pieces are the store layout, so call it before the
+// first InitGroup.
+func (o *OutOfCoreAdam) SetWindow(depth int, groups []nn.ParamGroup) {
+	largest := 0
+	for _, g := range groups {
+		largest = max(largest, g.NumParams())
 	}
-	if o.keys == nil {
-		o.keys = make(map[string]string)
-	}
-	k := o.prefix + "/" + group + "/state"
-	o.keys[group] = k
-	return k
+	o.piece = min(largest, max(adamChunkGrain, max(depth, 1)*largest/piecesPerWindow))
 }
 
-// wireBytes is the size of a group's state object: three fp32 tensors.
+// piece is params [lo, lo+n) of a group, stored as the object key.
+type piece struct {
+	key   string
+	lo, n int
+}
+
+// cut returns the n-param group's pieces in order, building and caching
+// them on first use (the hot path must not concatenate per transfer).
+func (o *OutOfCoreAdam) cut(group string, n int) []piece {
+	if ps, ok := o.cuts[group]; ok {
+		return ps
+	}
+	if o.cuts == nil {
+		o.cuts = make(map[string][]piece)
+	}
+	size := n
+	if o.piece > 0 {
+		size = min(n, o.piece)
+	}
+	var ps []piece
+	for lo := 0; len(ps) == 0 || lo < n; lo += size {
+		ps = append(ps, piece{o.prefix + "/" + group + "/state/" + strconv.Itoa(len(ps)), lo, min(size, n-lo)})
+	}
+	o.cuts[group] = ps
+	return ps
+}
+
+// wireBytes is the size of n params' state object: three fp32 tensors.
 func wireBytes(n int) int { return 12 * n }
 
+// overlap calls f for each of g's tensors that params [lo,hi) of the
+// group's flattened state cover: the tensor, its covered elements [a,b), and
+// at, where they start in the range.
+func overlap(g nn.ParamGroup, lo, hi int, f func(p nn.Param, a, b, at int) error) error {
+	off := 0
+	for _, p := range g.Params {
+		n := len(p.W.Data)
+		if a, b := max(lo, off), min(hi, off+n); a < b {
+			if err := f(p, a-off, b-off, a-lo); err != nil {
+				return err
+			}
+		}
+		if off += n; off >= hi {
+			break
+		}
+	}
+	return nil
+}
+
 // InitGroup seeds the store with the group's fp32 masters (from the current
-// working weights) and zero moments, and rounds the working weights to fp16
-// (the P16 copies the GPU computes with). The state object is built in the
-// wire scratch — the one UpdateGroup streams through — so initialization
-// warms it to the largest group's size instead of allocating per call.
+// working weights) and zero moments, piece by piece, and rounds the working
+// weights to fp16 (the P16 copies the GPU computes with). The pieces are
+// built in the wire scratch, which initialization warms to the largest
+// group's size — the checkpoint's gather needs that much — instead of
+// allocating later.
 func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	if o.adamLabels == nil {
 		o.adamLabels = make(map[string]string)
 	}
 	o.adamLabels[g.Name] = g.Name + "/opt-adam"
-	key := o.stateKey(g.Name) // precompute the store key off the hot path
+	n := g.NumParams()
+	pieces := o.cut(g.Name, n) // precompute the store keys off the hot path
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire := scratch(&o.scr.wire, wireBytes(g.NumParams()))
-	off := 0
-	for _, p := range g.Params {
-		end := off + 4*len(p.W.Data)
-		if err := tensor.ToFP32BytesInto(wire[off:end], p.W.Data); err != nil {
+	wire := scratch(&o.scr.wire, wireBytes(n))
+	for _, pc := range pieces {
+		obj := wire[:wireBytes(pc.n)]
+		err := overlap(g, pc.lo, pc.lo+pc.n, func(p nn.Param, a, b, at int) error {
+			return tensor.ToFP32BytesInto(obj[4*at:4*(at+b-a)], p.W.Data[a:b])
+		})
+		clear(obj[4*pc.n:]) // M and V start at +0, which is four zero bytes
+		if err == nil {
+			err = o.writeState(pc.key, obj)
+		}
+		if err != nil {
 			return fmt.Errorf("opt: init %s: %w", g.Name, err)
 		}
-		off = end
-	}
-	clear(wire[off:]) // M and V start at +0, which is four zero bytes
-	if err := o.writeState(key, wire); err != nil {
-		return fmt.Errorf("opt: init %s: %w", g.Name, err)
 	}
 	for _, p := range g.Params {
 		p.W.RoundFP16InPlace()
@@ -295,82 +353,117 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 func (o *OutOfCoreAdam) BeginStep() { o.step++ }
 
 // UpdateGroup is the active-gradient-offloading handler body as one
-// synchronous call on the caller's goroutine: it consumes the group's
-// gradients (rounded to fp16, as they arrive over PCIe), reads P32+OS32
-// from the store, applies Adam, writes the updated state back, and installs
-// the new fp16 working weights. The engine's training path streams the same
-// three stages through a StatePipeline instead; the values are identical.
+// synchronous call on the caller's goroutine: piece by piece it reads
+// P32+OS32 from the store, consumes the piece's gradients (rounded to fp16,
+// as they arrive over PCIe), applies Adam, writes the updated state back,
+// and installs the new fp16 working weights. The engine's training path
+// streams the same pieces through a StatePipeline instead; the values are
+// identical.
 func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	if o.step < 1 {
 		return fmt.Errorf("opt: UpdateGroup(%s) before BeginStep", g.Name)
 	}
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	n := g.NumParams()
-	key := o.stateKey(g.Name)
-	wire := scratch(&o.scr.wire, wireBytes(n))
-	if err := o.readState(key, wire, g.Name); err != nil {
-		return err
-	}
-	grad := scratch(&o.scr.grad, n)
-	if err := o.stageGrads(grad, g); err != nil {
-		return err
-	}
-	p32, err := o.adamWire(wire, o.cfg, o.step, grad, g.Name, o.adamLabel(g.Name))
-	if err != nil {
-		return err
-	}
-	if err := o.writeState(key, wire); err != nil {
-		return err
-	}
-	return o.installP16(g, p32)
-}
-
-// stageGrads fills dst with the group's gradients as the optimizer consumes
-// them: rounded to fp16 (G16, the form they cross PCIe in), unscaled in
-// fp32, and clipped to the per-group norm.
-func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup) error {
-	inv := 1.0
-	if o.gradScale > 0 {
-		inv = 1 / o.gradScale
-	}
-	idx := 0
-	for _, p := range g.Params {
-		if inv == 1 {
-			// G16 boundary, unscaled: stage through the chunked fp16
-			// round kernel (vectorized where available, bit-identical to
-			// the scalar path per element).
-			if err := tensor.RoundFP16Into(dst[idx:idx+len(p.G.Data)], p.G.Data); err != nil {
-				return fmt.Errorf("opt: stage grad %s: %w", g.Name, err)
-			}
-			idx += len(p.G.Data)
-			continue
+	clip, label := o.clipScale(g), o.adamLabel(g.Name)
+	for _, pc := range o.cut(g.Name, g.NumParams()) {
+		wire := scratch(&o.scr.wire, wireBytes(pc.n))
+		err := o.readState(pc.key, wire)
+		if err == nil {
+			err = o.applyTo(wire, g, pc.lo, o.cfg, o.step, clip, label)
 		}
-		for _, gv := range p.G.Data {
-			// G16 boundary: gradients cross PCIe in fp16 (at loss-scaled
-			// magnitude), then unscale in fp32. The unscale multiply is
-			// float64 — a float32 vector multiply would change bits, so
-			// the scaled path stays scalar.
-			dst[idx] = float32(float64(tensor.RoundFP16(gv)) * inv)
-			idx++
+		if err == nil {
+			err = o.writeState(pc.key, wire)
 		}
-	}
-	// Gradients crossed the compute→host boundary in fp16 (G16).
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*len(dst)))
-	if o.clipNorm > 0 {
-		var sq float64
-		for _, gv := range dst {
-			sq += float64(gv) * float64(gv)
-		}
-		if norm := math.Sqrt(sq); norm > o.clipNorm {
-			simd.Scale(dst, float32(o.clipNorm/norm))
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// adamWire is the compute stage of a group update on state in wire form:
-// apply Adam at (cfg, step >= 1) with grad to the P32|M|V object in place,
+// applyTo is the compute of one piece's update, in place on its state in
+// wire: stage params [lo, ...) of g's gradients, walk Adam over the piece
+// at (cfg, step), install their P16. Caller holds scrMu.
+func (o *OutOfCoreAdam) applyTo(wire []byte, g nn.ParamGroup, lo int, cfg AdamConfig, step int, clip float32, label string) error {
+	grad := scratch(&o.scr.grad, len(wire)/12)
+	if err := o.stageGrads(grad, g, lo, clip); err != nil {
+		return err
+	}
+	p32, err := o.adamWire(wire, cfg, step, grad, g.Name, label)
+	if err != nil {
+		return err
+	}
+	return o.installP16(g, lo, p32)
+}
+
+// unscale is the factor that divides the loss scale back out of a gradient.
+func (o *OutOfCoreAdam) unscale() float64 {
+	if o.gradScale > 0 {
+		return 1 / o.gradScale
+	}
+	return 1
+}
+
+// clipScale is the factor that rescales g's staged gradient to the
+// per-group clip norm: 1 when clipping is off or the norm is within it. The
+// norm is summed over the whole group in staging order, from the values
+// stageGrads stages, so every piece of the group is scaled alike and as the
+// whole group staged at once would be.
+func (o *OutOfCoreAdam) clipScale(g nn.ParamGroup) float32 {
+	if o.clipNorm <= 0 {
+		return 1
+	}
+	inv := o.unscale()
+	var sq float64
+	for _, p := range g.Params {
+		for _, gv := range p.G.Data {
+			v := float64(float32(float64(tensor.RoundFP16(gv)) * inv))
+			sq += v * v
+		}
+	}
+	if norm := math.Sqrt(sq); norm > o.clipNorm {
+		return float32(o.clipNorm / norm)
+	}
+	return 1
+}
+
+// stageGrads fills dst with params [lo, lo+len(dst)) of the group's
+// gradients as the optimizer consumes them: rounded to fp16 (G16, the form
+// they cross PCIe in), unscaled in fp32, and scaled by the group's clip
+// factor.
+func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup, lo int, clip float32) error {
+	inv := o.unscale()
+	err := overlap(g, lo, lo+len(dst), func(p nn.Param, a, b, at int) error {
+		out := dst[at : at+b-a]
+		if inv == 1 {
+			// G16 boundary, unscaled: stage through the chunked fp16 round
+			// kernel (vectorized where available, bit-identical to the
+			// scalar path per element).
+			return tensor.RoundFP16Into(out, p.G.Data[a:b])
+		}
+		for i, gv := range p.G.Data[a:b] {
+			// G16 boundary: gradients cross PCIe in fp16 (at loss-scaled
+			// magnitude), then unscale in fp32. The unscale multiply is
+			// float64 — a float32 vector multiply would change bits, so
+			// the scaled path stays scalar.
+			out[i] = float32(float64(tensor.RoundFP16(gv)) * inv)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("opt: stage grad %s: %w", g.Name, err)
+	}
+	// Gradients crossed the compute→host boundary in fp16 (G16).
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*len(dst)))
+	if clip != 1 {
+		simd.Scale(dst, clip)
+	}
+	return nil
+}
+
+// adamWire is the compute stage of a piece's update on state in wire form:
+// apply Adam at (cfg, step >= 1) with grad to the P32|M|V piece in place,
 // one walk over its bytes (adamWireChunk), sharded like AdamStep. It returns
 // the scratch slice holding the new masters, valid until the next scratch
 // user, for the caller's fp16 install. Caller holds scrMu.
@@ -398,19 +491,18 @@ func (o *OutOfCoreAdam) adamWire(wire []byte, cfg AdamConfig, step int, grad []f
 	return p32, nil
 }
 
-// installP16 writes P16 = fp16(P32) into the group's working tensors
-// through the chunked round kernel (bit-identical to the scalar loop per
-// element).
-func (o *OutOfCoreAdam) installP16(g nn.ParamGroup, p32 []float32) error {
-	off := 0
-	for _, p := range g.Params {
-		if err := tensor.RoundFP16Into(p.W.Data, p32[off:off+len(p.W.Data)]); err != nil {
-			return fmt.Errorf("opt: install %s: %w", g.Name, err)
-		}
-		off += len(p.W.Data)
+// installP16 writes P16 = fp16(P32) into params [lo, lo+len(p32)) of the
+// group's working tensors through the chunked round kernel (bit-identical to
+// the scalar loop per element).
+func (o *OutOfCoreAdam) installP16(g nn.ParamGroup, lo int, p32 []float32) error {
+	err := overlap(g, lo, lo+len(p32), func(p nn.Param, a, b, at int) error {
+		return tensor.RoundFP16Into(p.W.Data[a:b], p32[at:at+b-a])
+	})
+	if err != nil {
+		return fmt.Errorf("opt: install %s: %w", g.Name, err)
 	}
 	// Fresh fp16 working weights cross back to the compute tier.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*off))
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*len(p32)))
 	return nil
 }
 
@@ -424,9 +516,9 @@ func scratch[T any](s *[]T, n int) []T {
 	return (*s)[:n]
 }
 
-// readState reads a group's state object into dst at the optimizer-read
-// priority.
-func (o *OutOfCoreAdam) readState(key string, dst []byte, group string) error {
+// readState reads one of a group's state pieces into dst at the
+// optimizer-read priority.
+func (o *OutOfCoreAdam) readState(key string, dst []byte) error {
 	var err error
 	if o.classed != nil {
 		err = o.classed.ReadIntoClass(key, dst, nvme.ClassOptRead)
@@ -434,13 +526,13 @@ func (o *OutOfCoreAdam) readState(key string, dst []byte, group string) error {
 		err = o.store.ReadInto(key, dst)
 	}
 	if err != nil {
-		return fmt.Errorf("opt: load %s: %w", group, err)
+		return fmt.Errorf("opt: load %s: %w", key, err)
 	}
 	return nil
 }
 
-// writeState writes a group's state object at the writeback priority. Safe
-// on reusable buffers because Store.Put must not retain its argument.
+// writeState writes a state piece at the writeback priority. Safe on
+// reusable buffers because Store.Put must not retain its argument.
 func (o *OutOfCoreAdam) writeState(key string, wire []byte) error {
 	if o.classed != nil {
 		return o.classed.PutClass(key, wire, nvme.ClassWriteback)
@@ -449,65 +541,106 @@ func (o *OutOfCoreAdam) writeState(key string, wire []byte) error {
 }
 
 // MasterWeights returns the group's current fp32 masters (a copy of its
-// object's P32 plane), for tests and inspection.
+// pieces' P32 planes), for tests and inspection.
 func (o *OutOfCoreAdam) MasterWeights(group string, n int) ([]float32, error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire, p32 := scratch(&o.scr.wire, wireBytes(n)), make([]float32, n)
-	if err := o.readState(o.stateKey(group), wire, group); err != nil {
-		return nil, err
+	p32 := make([]float32, n)
+	for _, pc := range o.cut(group, n) {
+		wire := scratch(&o.scr.wire, wireBytes(pc.n))
+		if err := o.readState(pc.key, wire); err != nil {
+			return nil, err
+		}
+		if err := tensor.FromFP32Bytes(wire[:4*pc.n], p32[pc.lo:pc.lo+pc.n]); err != nil {
+			return nil, err
+		}
 	}
-	return p32, tensor.FromFP32Bytes(wire[:4*n], p32)
+	return p32, nil
 }
 
 // castagnoli is the CRC-32C table of a checkpoint record's checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// planes calls f for each plane of each piece of the n-param group as the
+// pieces lie back to back in wire — piece k's P32, M or V plane — in the
+// order of the group's whole P32 | M | V object: every piece's P32, then
+// every M, then every V.
+func (o *OutOfCoreAdam) planes(wire []byte, group string, n int, f func(plane []byte) error) error {
+	for plane := 0; plane < 3; plane++ {
+		for _, pc := range o.cut(group, n) {
+			at := wireBytes(pc.lo) + 4*pc.n*plane
+			if err := f(wire[at : at+4*pc.n]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // WriteGroupTo writes the n-parameter group's checkpoint record to w — its
-// state object as stored, then the object's CRC-32C, which it returns —
-// through the wire scratch under scrMu, so a checkpoint holds one group's
-// state at a time whatever the model's size.
+// state as one P32 | M | V object, gathered from the pieces as stored, then
+// the object's CRC-32C, which it returns — through the wire scratch under
+// scrMu, so a checkpoint holds one group's state at a time whatever the
+// model's size and the record does not depend on the piece size.
 func (o *OutOfCoreAdam) WriteGroupTo(w io.Writer, group string, n int) (crc uint32, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	wire := scratch(&o.scr.wire, wireBytes(n))
-	if err := o.readState(o.stateKey(group), wire, group); err != nil {
+	for _, pc := range o.cut(group, n) {
+		if err := o.readState(pc.key, wire[wireBytes(pc.lo):wireBytes(pc.lo+pc.n)]); err != nil {
+			return 0, err
+		}
+	}
+	err = o.planes(wire, group, n, func(plane []byte) error {
+		crc = crc32.Update(crc, castagnoli, plane)
+		_, err := w.Write(plane)
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	crc = crc32.Checksum(wire, castagnoli)
 	binary.LittleEndian.PutUint32(o.scr.crc[:], crc)
-	if _, err := w.Write(wire); err != nil {
-		return 0, err
-	}
 	_, err = w.Write(o.scr.crc[:])
 	return crc, err
 }
 
-// ImportWire restores g's state from the next WriteGroupTo record of r, read
-// through the wire scratch: the object is stored and P16 = fp16(P32)
-// installed only if it arrives whole and matches its CRC-32C. Unless stored,
-// the store and the model are as they were.
+// ImportWire restores g's state from the next WriteGroupTo record of r,
+// scattered into its pieces in the wire scratch: the pieces are stored and
+// P16 = fp16(P32) installed only if the record arrives whole and matches its
+// CRC-32C. Unless stored, the store and the model are as they were.
 func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	n := g.NumParams()
-	wire, p32 := scratch(&o.scr.wire, wireBytes(n)), scratch(&o.scr.p32, n)
-	if _, err := io.ReadFull(r, wire); err != nil {
+	wire := scratch(&o.scr.wire, wireBytes(n))
+	var crc uint32
+	err = o.planes(wire, g.Name, n, func(plane []byte) error {
+		_, err := io.ReadFull(r, plane)
+		crc = crc32.Update(crc, castagnoli, plane)
+		return err
+	})
+	if err != nil {
 		return false, err
 	}
 	if _, err := io.ReadFull(r, o.scr.crc[:]); err != nil {
 		return false, err
 	}
-	if crc, want := crc32.Checksum(wire, castagnoli), binary.LittleEndian.Uint32(o.scr.crc[:]); crc != want {
+	if want := binary.LittleEndian.Uint32(o.scr.crc[:]); crc != want {
 		return false, fmt.Errorf("opt: import %s: state object fails its checksum (CRC-32C %08x, stored %08x)", g.Name, crc, want)
 	}
-	if err := tensor.FromFP32Bytes(wire[:4*n], p32); err != nil {
-		return false, err
+	for _, pc := range o.cut(g.Name, n) {
+		obj, p32 := wire[wireBytes(pc.lo):wireBytes(pc.lo+pc.n)], scratch(&o.scr.p32, pc.n)
+		if err := tensor.FromFP32Bytes(obj[:4*pc.n], p32); err != nil {
+			return pc.lo > 0, err
+		}
+		if err := o.writeState(pc.key, obj); err != nil {
+			return true, err
+		}
+		if err := o.installP16(g, pc.lo, p32); err != nil {
+			return true, err
+		}
 	}
-	if err := o.writeState(o.stateKey(g.Name), wire); err != nil {
-		return true, err
-	}
-	return true, o.installP16(g, p32)
+	return true, nil
 }
 
 // SetStep restores the optimizer step counter from a checkpoint.

@@ -617,7 +617,7 @@ func TestAdamWireBitIdenticalToStaged(t *testing.T) {
 				for step := 1; step <= 3; step++ {
 					gr.RandInit(rng, 300)
 					want := append([]byte(nil), store[key]...)
-					if err := o.stageGrads(grad, g); err != nil {
+					if err := o.stageGrads(grad, g, 0, o.clipScale(g)); err != nil {
 						t.Fatal(err)
 					}
 					if err := stagedAdamWire(want, cfg, step, p32, m, v, grad); err != nil {

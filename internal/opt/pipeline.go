@@ -18,22 +18,29 @@ import (
 //	          ClassOptRead   └────▶ write-behind ─▶ written ─▶ Flush, next read-ahead
 //	          window buffer         ClassWriteback, buffer back in the window
 //
-// Read-ahead issues a group's state read the moment the group is submitted,
-// into one of the window's wire buffers; the Adam stage runs the same
-// stage-gradients → Adam walk → fp16-install path as UpdateGroup, in place on
-// that buffer; write-behind puts it back to the store and returns the buffer
-// to the window. The window is the depth buffers allocated at construction,
-// so at most depth groups hold one at once, the write included.
+// The unit of every stage is a state piece (OutOfCoreAdam): Submit enqueues
+// the group's pieces in order. Read-ahead issues a piece's state read as
+// soon as the window has a buffer for it; the Adam stage runs the same
+// stage-gradients → Adam walk → fp16-install path as UpdateGroup on the
+// piece, in place on that buffer; write-behind puts it back to the store and
+// returns the buffer to the window. The window is the byte budget of depth
+// whole groups — depth × the largest group's state — cut into as many
+// piece-sized buffers as fit, allocated at construction, with one read-ahead
+// and one write-behind worker per buffer so the whole window can be on the
+// device lanes in either direction. A group's last writes therefore share
+// the lanes with the next step's first reads instead of holding a whole
+// group's buffer until they retire.
 //
-// An update has two joins, each a one-slot token per group whose taking is
-// the join. applied (Adam ran and P16 is installed, or the update failed) is
-// what Wait, the step barrier, takes: the next forward needs the weights,
-// not the state back in the store. written holds the outcome of the group's
-// last write-back and is home when none is in flight; read-ahead takes it
-// before reading the group again — read-after-write per group under any lane
-// order, and an update over a failed write fails with its error instead of
-// reading torn state — and Flush takes and returns every group's. Values are
-// bit-identical to UpdateGroup's: same bytes, later durability.
+// An update has two joins, each a one-slot token per piece whose taking is
+// the join. applied (Adam ran and the piece's P16 is installed, or the
+// update failed) is what Wait, the step barrier, takes: the next forward
+// needs the weights, not the state back in the store. written holds the
+// outcome of the piece's last write-back and is home when none is in
+// flight; read-ahead takes it before reading the piece again —
+// read-after-write per piece under any lane order, and an update over a
+// failed write fails with its error instead of reading torn state — and
+// Flush takes and returns every piece's. Values are bit-identical to
+// UpdateGroup's: same bytes, later durability.
 //
 // Submit, Wait, Flush and Close belong to one goroutine (the engine's step
 // goroutine). The optimizer's Store must be safe for concurrent use —
@@ -41,40 +48,49 @@ import (
 type StatePipeline struct {
 	o *OutOfCoreAdam
 
-	// readQ holds every registered group, so submitting never blocks the
+	// readQ holds every registered piece, so submitting never blocks the
 	// backward pass.
-	readQ chan *groupJob
+	readQ chan *pieceJob
 	// adamQ and writeQ hold at most the window, so a stage never blocks
 	// handing a job on.
-	adamQ, writeQ chan *groupJob
-	// window holds the wire buffers, each the largest group's wire size, and
+	adamQ, writeQ chan *pieceJob
+	// window holds the wire buffers, each the largest piece's wire size, and
 	// a buffer is its own token: read-ahead receives one before it picks a
 	// job, retire sends it back. Whoever holds the buffer may touch it.
-	window chan []byte
-	stop   chan struct{}
+	window   chan []byte
+	bufBytes int // each window buffer's size
+	stop     chan struct{}
 
 	readers, adam, writers sync.WaitGroup
 	stopOnce               sync.Once
 
 	jobs  map[string]*groupJob // the job of each registered group
-	order []*groupJob          // the same jobs in registration order, for the joins
+	order []*pieceJob          // every group's pieces in registration order, for the joins
 
 	buffered     atomic.Int64 // wire buffers held right now
 	peakBuffered atomic.Int64
 }
 
-// groupJob is one group's trip through the pipeline. One per registered
-// group, preallocated and reused, so a step allocates nothing here.
+// groupJob is one group's trip through the pipeline, as its pieces. One per
+// registered group, preallocated and reused, so a step allocates nothing
+// here.
 type groupJob struct {
 	g     nn.ParamGroup
-	n     int // g.NumParams()
-	key   string
 	label string // Adam span label, precomputed
 
-	// step and cfg are the optimizer step and hyperparameters captured at
-	// submit time.
+	// step, cfg and clip are the optimizer step, the hyperparameters and the
+	// group's clip factor captured at submit time.
 	step int
 	cfg  AdamConfig
+	clip float32
+
+	pieces []pieceJob
+}
+
+// pieceJob is one piece's trip.
+type pieceJob struct {
+	piece
+	grp *groupJob
 
 	buf []byte // window buffer cut to wireBytes(n), held between read-ahead and retire
 	// The two join tokens (see StatePipeline), each home with the outcome of
@@ -82,42 +98,51 @@ type groupJob struct {
 	applied, written chan error
 }
 
-// NewStatePipeline starts the stage goroutines for the given groups. depth
-// is the window: how many groups' state may be buffered at once (minimum 1,
-// which degenerates to one group's read → Adam → write at a time). Each I/O
-// stage runs depth workers so the whole window can be on the device lanes
-// in either direction.
+// NewStatePipeline starts the stage goroutines for the given groups, whose
+// state o has cut into pieces. depth is the window in whole groups (minimum
+// 1): it holds ⌊depth × largest group ÷ piece⌋ piece buffers, with one
+// read-ahead and one write-behind worker each.
 func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *StatePipeline {
-	if depth < 1 {
-		depth = 1
+	home := func() chan error { c := make(chan error, 1); c <- nil; return c }
+	// size is the largest piece: every group's first.
+	largest, size, pieces := 0, 0, 0
+	jobs := make([]groupJob, len(groups))
+	for i, g := range groups {
+		cut := o.cut(g.Name, g.NumParams())
+		largest, size, pieces = max(largest, g.NumParams()), max(size, cut[0].n), pieces+len(cut)
+		j := &jobs[i]
+		j.g, j.label = g, o.adamLabel(g.Name)
+		for _, pc := range cut {
+			j.pieces = append(j.pieces, pieceJob{piece: pc, grp: j, applied: home(), written: home()})
+		}
+	}
+	buffers := max(depth, 1)
+	if size > 0 {
+		buffers = buffers * largest / size
 	}
 	p := &StatePipeline{
-		o:      o,
-		readQ:  make(chan *groupJob, len(groups)),
-		adamQ:  make(chan *groupJob, depth),
-		writeQ: make(chan *groupJob, depth),
-		window: make(chan []byte, depth),
-		stop:   make(chan struct{}),
-		jobs:   make(map[string]*groupJob, len(groups)),
+		o:        o,
+		readQ:    make(chan *pieceJob, pieces),
+		adamQ:    make(chan *pieceJob, buffers),
+		writeQ:   make(chan *pieceJob, buffers),
+		window:   make(chan []byte, buffers),
+		bufBytes: wireBytes(size),
+		stop:     make(chan struct{}),
+		jobs:     make(map[string]*groupJob, len(groups)),
 	}
-	largest := 0
-	for _, g := range groups {
-		largest = max(largest, g.NumParams())
-		j := &groupJob{
-			g: g, n: g.NumParams(), key: o.stateKey(g.Name), label: o.adamLabel(g.Name),
-			applied: make(chan error, 1), written: make(chan error, 1),
+	for i := range jobs {
+		j := &jobs[i]
+		p.jobs[j.g.Name] = j
+		for k := range j.pieces {
+			p.order = append(p.order, &j.pieces[k])
 		}
-		j.applied <- nil
-		j.written <- nil
-		p.jobs[g.Name] = j
-		p.order = append(p.order, j)
 	}
-	for i := 0; i < depth; i++ {
-		p.window <- make([]byte, wireBytes(largest))
+	for i := 0; i < buffers; i++ {
+		p.window <- make([]byte, p.bufBytes)
 	}
-	p.readers.Add(depth)
-	p.writers.Add(depth)
-	for i := 0; i < depth; i++ {
+	p.readers.Add(buffers)
+	p.writers.Add(buffers)
+	for i := 0; i < buffers; i++ {
 		go p.readAhead()
 		go p.writeBehind()
 	}
@@ -126,9 +151,10 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 	return p
 }
 
-// Submit enqueues the group's update for the current optimizer step, taking
-// its applied token. It never blocks; the read is issued as soon as the
-// window has room and the group's previous write-back has retired.
+// Submit enqueues the group's update for the current optimizer step, piece
+// by piece in order, taking every piece's applied token. It never blocks;
+// each read is issued as soon as the window has a buffer and the piece's
+// previous write-back has retired.
 func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 	j := p.jobs[g.Name]
 	switch {
@@ -137,52 +163,68 @@ func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 	case p.o.step < 1:
 		return fmt.Errorf("opt: Submit(%s) before BeginStep", g.Name)
 	}
-	select {
-	case err := <-j.applied:
-		if err != nil { // a failed update nobody waited for: reported, not dropped
-			j.applied <- nil
-			return fmt.Errorf("opt: Submit(%s): previous update failed: %w", g.Name, err)
+	// Only this goroutine takes applied tokens, so ones home now stay home.
+	for i := range j.pieces {
+		if len(j.pieces[i].applied) == 0 {
+			return fmt.Errorf("opt: Submit(%s): previous update still in flight", g.Name)
 		}
-	default:
-		return fmt.Errorf("opt: Submit(%s): previous update still in flight", g.Name)
 	}
-	j.step, j.cfg = p.o.step, p.o.cfg
-	p.readQ <- j
+	var failed error
+	for i := range j.pieces {
+		failed = errors.Join(failed, <-j.pieces[i].applied)
+	}
+	if failed != nil { // a failed update nobody waited for: reported, not dropped
+		for i := range j.pieces {
+			j.pieces[i].applied <- nil
+		}
+		return fmt.Errorf("opt: Submit(%s): previous update failed: %w", g.Name, failed)
+	}
+	j.step, j.cfg, j.clip = p.o.step, p.o.cfg, p.o.clipScale(g)
+	for i := range j.pieces {
+		p.readQ <- &j.pieces[i]
+	}
 	// Hand the CPU to read-ahead now: the backward pass never blocks between
-	// submissions, so on a fully loaded host (GOMAXPROCS=1) the read would
+	// submissions, so on a fully loaded host (GOMAXPROCS=1) the reads would
 	// otherwise not reach the device until the next preemption tick.
 	runtime.Gosched()
 	return nil
 }
 
-// Wait is the step barrier: it takes and returns every group's applied token
-// and returns the failures joined. Write-back may still be in flight.
+// Wait is the step barrier: it takes and returns every piece's applied
+// token and returns the failures joined. Write-back may still be in flight.
 func (p *StatePipeline) Wait() error {
 	var joined error
-	for _, j := range p.order {
-		joined = errors.Join(joined, <-j.applied)
-		j.applied <- nil
+	for _, pc := range p.order {
+		joined = errors.Join(joined, <-pc.applied)
+		pc.applied <- nil
 	}
 	return joined
 }
 
 // Flush is Wait plus the same join on written: nothing is in flight when it
-// returns, the store holds every group's last update, and the failures — of
+// returns, the store holds every piece's last update, and the failures — of
 // write-backs that trailed an earlier Wait too — are returned joined, once.
 func (p *StatePipeline) Flush() error {
 	joined := p.Wait()
-	for _, j := range p.order {
-		joined = errors.Join(joined, <-j.written)
-		j.written <- nil
+	for _, pc := range p.order {
+		joined = errors.Join(joined, <-pc.written)
+		pc.written <- nil
 	}
 	return joined
 }
 
-// Buffered reports how many groups hold a wire buffer right now — zero
-// after Flush — and the most that ever did at once, which never exceeds the
-// window.
+// Buffered reports how many pieces — not groups, not bytes — hold a wire
+// buffer right now, zero after Flush, and the most that ever did at once,
+// which never exceeds the window's buffers.
 func (p *StatePipeline) Buffered() (now, peak int) {
 	return int(p.buffered.Load()), int(p.peakBuffered.Load())
+}
+
+// Window reports the window's piece buffers and their bytes in all, which
+// never exceed depth × 12 B × the largest group: a piece holds its bytes in
+// one buffer, so the state buffered at once is at most peak × bytes/buffers.
+func (p *StatePipeline) Window() (buffers, bytes int) {
+	return cap(p.window), cap(p.window) * p.bufBytes
 }
 
 // Close joins the stage goroutines, stage by stage, so every job already
@@ -214,81 +256,75 @@ func (p *StatePipeline) readAhead() {
 		case <-p.stop:
 			return
 		}
-		var j *groupJob
+		var pc *pieceJob
 		select {
-		case j = <-p.readQ:
+		case pc = <-p.readQ:
 		case <-p.stop:
 			p.window <- buf
 			return
 		}
-		// The read-after-write join: the group's previous write-back, which
+		// The read-after-write join: the piece's previous write-back, which
 		// may trail the step that submitted it, retires before this read is
 		// issued, and its failure fails this update.
-		err := <-j.written
-		j.buf = buf[:wireBytes(j.n)] // exact length, as the Into codecs require
+		err := <-pc.written
+		pc.buf = buf[:wireBytes(pc.n)] // exact length, as the Into codecs require
 		for n := p.buffered.Add(1); ; {
 			if peak := p.peakBuffered.Load(); n <= peak || p.peakBuffered.CompareAndSwap(peak, n) {
 				break
 			}
 		}
 		if err == nil {
-			err = p.o.readState(j.key, j.buf, j.g.Name)
+			err = p.o.readState(pc.key, pc.buf)
 		}
 		if err != nil {
-			p.retire(j, nil)
-			j.applied <- err
+			p.retire(pc, nil)
+			pc.applied <- err
 			continue
 		}
-		p.adamQ <- j
+		p.adamQ <- pc
 	}
 }
 
 func (p *StatePipeline) adamStage() {
 	defer p.adam.Done()
-	for j := range p.adamQ {
-		if err := p.o.applyJob(j); err != nil {
-			p.retire(j, nil)
-			j.applied <- err
+	for pc := range p.adamQ {
+		if err := p.o.applyPiece(pc); err != nil {
+			p.retire(pc, nil)
+			pc.applied <- err
 			continue
 		}
-		p.writeQ <- j
-		j.applied <- nil
+		p.writeQ <- pc
+		pc.applied <- nil
 	}
 }
 
 func (p *StatePipeline) writeBehind() {
 	defer p.writers.Done()
-	for j := range p.writeQ {
-		err := p.o.writeState(j.key, j.buf)
+	for pc := range p.writeQ {
+		err := p.o.writeState(pc.key, pc.buf)
 		if err != nil {
-			err = fmt.Errorf("opt: write back %s: %w", j.g.Name, err)
+			err = fmt.Errorf("opt: write back %s: %w", pc.key, err)
 		}
-		p.retire(j, err)
+		p.retire(pc, err)
 	}
 }
 
-// retire ends a job's trip, however far it got: the wire buffer goes back
+// retire ends a piece's trip, however far it got: the wire buffer goes back
 // to the window and the written token goes home carrying the write-back's
 // outcome (nil when the update failed before it).
-func (p *StatePipeline) retire(j *groupJob, err error) {
-	buf := j.buf[:cap(j.buf)]
-	j.buf = nil
+func (p *StatePipeline) retire(pc *pieceJob, err error) {
+	buf := pc.buf[:cap(pc.buf)]
+	pc.buf = nil
 	p.buffered.Add(-1)
 	p.window <- buf
-	j.written <- err
+	pc.written <- err
 }
 
-// applyJob is the Adam stage of one job, on the optimizer's shared scratch.
-func (o *OutOfCoreAdam) applyJob(j *groupJob) error {
+// applyPiece is the Adam stage of one piece, on the optimizer's shared
+// scratch.
+func (o *OutOfCoreAdam) applyPiece(pc *pieceJob) error {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	grad := scratch(&o.scr.grad, j.n)
-	if err := o.stageGrads(grad, j.g); err != nil {
-		return err
-	}
-	p32, err := o.adamWire(j.buf, j.cfg, j.step, grad, j.g.Name, j.label)
-	if err != nil {
-		return err
-	}
-	return o.installP16(j.g, p32)
+	j := pc.grp
+	return o.applyTo(pc.buf, j.g, pc.lo, j.cfg, j.step, j.clip, j.label)
 }

@@ -2,7 +2,11 @@ package opt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,6 +14,7 @@ import (
 	"time"
 
 	"ratel/internal/nn"
+	"ratel/internal/tensor"
 )
 
 // lockedStore guards a MemStore with a mutex for the pipeline tests: the
@@ -59,6 +64,10 @@ func (s *lockedStore) drop(key string) {
 	s.mu.Unlock()
 }
 
+// stateKey is the store key of the group's first state piece: its whole
+// state unless SetWindow cut it finer.
+func (o *OutOfCoreAdam) stateKey(group string) string { return o.cuts[group][0].key }
+
 func initGroups(t *testing.T, o *OutOfCoreAdam, m *nn.Model) []nn.ParamGroup {
 	t.Helper()
 	groups := m.ParamGroups()
@@ -98,6 +107,187 @@ func sameStoredState(t *testing.T, want, got *OutOfCoreAdam, groups []nn.ParamGr
 			t.Fatalf("stored state of %s differs", g.Name)
 		}
 	}
+}
+
+// pieceGroups builds groups of the given sizes from seed, each of tensors of
+// 5000 params and then 7001, so tensors straddle the piece boundaries that
+// fall every adamChunkGrain params once SetWindow has cut the groups.
+func pieceGroups(seed int64, sizes ...int) []nn.ParamGroup {
+	rng := rand.New(rand.NewSource(seed))
+	groups := make([]nn.ParamGroup, len(sizes))
+	for i, n := range sizes {
+		groups[i].Name = fmt.Sprintf("g%d", i)
+		for lo := 0; lo < n; {
+			m := min(n-lo, 5000+2001*min(lo, 1))
+			w := tensor.New(m)
+			w.RandInit(rng, 0.5)
+			groups[i].Params = append(groups[i].Params, nn.Param{Name: fmt.Sprintf("g%d.%d", i, lo), W: w, G: tensor.New(m)})
+			lo += m
+		}
+	}
+	return groups
+}
+
+// setGroupGrads draws every gradient of groups from seed at scale.
+func setGroupGrads(groups []nn.ParamGroup, seed int64, scale float64) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, g := range groups {
+		for _, p := range g.Params {
+			p.G.RandInit(rng, scale)
+		}
+	}
+}
+
+// windowed returns an optimizer over store whose state SetWindow cut for a
+// window of depth over groups, with every group initialized.
+func windowed(t *testing.T, store Store, cfg AdamConfig, depth int, groups []nn.ParamGroup) *OutOfCoreAdam {
+	t.Helper()
+	o := NewOutOfCoreAdam(store, cfg, "p")
+	o.SetWindow(depth, groups)
+	for _, g := range groups {
+		if err := o.InitGroup(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o
+}
+
+// TestPipelinePieceBoundariesBitIdentical: groups of 1, P−1, P, P+1 and
+// 3P+1 params, cut into pieces of P = adamChunkGrain with tensors straddling
+// the cuts, are updated through the StatePipeline and through UpdateGroup
+// exactly as the whole-group reference — flat slices staged in one pass,
+// clipped by the whole group's norm, AdamStep — computes them: every stored
+// piece is the reference's P32 | M | V of its range, WriteGroupTo's record is
+// the reference's whole object, and the installed P16 is fp16 of the
+// reference's masters, with weight decay, static loss scaling and per-group
+// clipping each on and off (make test-procs repeats it at GOMAXPROCS 1, 2
+// and 4).
+func TestPipelinePieceBoundariesBitIdentical(t *testing.T) {
+	const P = adamChunkGrain
+	sizes := []int{1, P - 1, P, P + 1, 3*P + 1}
+	for variant := 0; variant < 8; variant++ {
+		v := struct{ decay, scale, clip bool }{variant&1 != 0, variant&2 != 0, variant&4 != 0}
+		cfg, inv, clip := DefaultAdam(), 1.0, 0.0
+		if v.decay {
+			cfg.WeightDecay = 0.01
+		}
+		if v.scale {
+			inv = 1.0 / 1024
+		}
+		if v.clip {
+			clip = 0.5
+		}
+		setup := func(o *OutOfCoreAdam) {
+			if err := errors.Join(o.SetGradScale(1/inv), o.SetClipNorm(clip)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The reference: each group's state as flat slices.
+		refGroups := pieceGroups(7, sizes...)
+		type flat struct{ p, m, v []float32 }
+		ref := make([]flat, len(refGroups))
+		for i, g := range refGroups {
+			n := g.NumParams()
+			ref[i] = flat{make([]float32, 0, n), make([]float32, n), make([]float32, n)}
+			for _, p := range g.Params {
+				ref[i].p = append(ref[i].p, p.W.Data...)
+			}
+		}
+		storeUpd, storePipe := MemStore{}, &lockedStore{m: MemStore{}}
+		upd, pipe := pieceGroups(7, sizes...), pieceGroups(7, sizes...)
+		oUpd, oPipe := windowed(t, storeUpd, cfg, 2, upd), windowed(t, storePipe, cfg, 2, pipe)
+		if oUpd.piece != P {
+			t.Fatalf("piece = %d params, want %d", oUpd.piece, P)
+		}
+		setup(oUpd)
+		setup(oPipe)
+		p := NewStatePipeline(oPipe, 2, pipe)
+		for step := 1; step <= 3; step++ {
+			for _, gs := range [][]nn.ParamGroup{refGroups, upd, pipe} {
+				setGroupGrads(gs, int64(step), 300)
+			}
+			for i, g := range refGroups {
+				grad := make([]float32, 0, len(ref[i].p))
+				for _, q := range g.Params {
+					for _, gv := range q.G.Data {
+						grad = append(grad, float32(float64(tensor.RoundFP16(gv))*inv))
+					}
+				}
+				var sq float64
+				for _, gv := range grad {
+					sq += float64(gv) * float64(gv)
+				}
+				if norm := math.Sqrt(sq); clip > 0 && norm > clip {
+					for j := range grad {
+						grad[j] *= float32(clip / norm)
+					}
+				}
+				if err := AdamStep(cfg, step, ref[i].p, ref[i].m, ref[i].v, grad); err != nil {
+					t.Fatal(err)
+				}
+			}
+			oUpd.BeginStep()
+			oPipe.BeginStep()
+			for i := range upd {
+				if err := oUpd.UpdateGroup(upd[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Submit(pipe[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range ref {
+				n := len(r.p)
+				for path, o := range map[string]*OutOfCoreAdam{"UpdateGroup": oUpd, "pipeline": oPipe} {
+					what := fmt.Sprintf("%+v step %d n=%d %s", v, step, n, path)
+					stored := storeUpd
+					gs := upd
+					if o == oPipe {
+						stored, gs = storePipe.m, pipe
+					}
+					for k, lo := 0, 0; lo < n; k, lo = k+1, lo+P {
+						hi := min(n, lo+P)
+						key := fmt.Sprintf("p/%s/state/%d", gs[i].Name, k)
+						if want := encodeState(r.p[lo:hi], r.m[lo:hi], r.v[lo:hi]); !bytes.Equal(stored[key], want) {
+							t.Fatalf("%s: piece %s differs from the reference's params [%d,%d)", what, key, lo, hi)
+						}
+					}
+					var rec bytes.Buffer
+					if _, err := o.WriteGroupTo(&rec, gs[i].Name, n); err != nil {
+						t.Fatal(err)
+					}
+					if want := encodeState(r.p, r.m, r.v); !bytes.Equal(rec.Bytes()[:len(want)], want) {
+						t.Fatalf("%s: WriteGroupTo's record is not the reference's whole object", what)
+					}
+					off := 0
+					for _, q := range gs[i].Params {
+						for j, w := range q.W.Data {
+							if math.Float32bits(w) != math.Float32bits(tensor.RoundFP16(r.p[off+j])) {
+								t.Fatalf("%s: installed weight %d differs", what, off+j)
+							}
+						}
+						off += len(q.W.Data)
+					}
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// encodeState is a state object of the given planes: P32 | M | V as raw
+// little-endian fp32.
+func encodeState(planes ...[]float32) []byte {
+	var out []byte
+	for _, plane := range planes {
+		for _, x := range plane {
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(x))
+		}
+	}
+	return out
 }
 
 // goroutinesBack asserts a closed pipeline left no goroutine behind.
@@ -163,86 +353,78 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 	}
 }
 
-// TestPipelineWindowBound: with writes held at the store, exactly depth
-// groups' reads are issued and no more — at most depth groups' state is
-// buffered at once, seen from the store's side (reads started minus writes
-// finished) and from the pipeline's own high-water mark, after every Wait —
-// and none once Flush returns. (Wait alone leaves the write-back in flight.)
+// TestPipelineWindowBound: with writes held at the store, exactly the
+// window's buffers' worth of piece reads is issued and no more — the state
+// buffered at once, seen from the store's side (bytes of reads started minus
+// writes finished) and from the pipeline's own high-water mark, stays within
+// depth × 12 B × the largest group after every Wait, each step's write-back
+// trailing into the next included — and none once Flush returns. (Wait alone
+// leaves the write-back in flight.)
 func TestPipelineWindowBound(t *testing.T) {
-	const depth = 2
-	m := buildModel(t)
+	const depth, P = 2, adamChunkGrain
 	store := &lockedStore{m: MemStore{}}
-	o := NewOutOfCoreAdam(store, DefaultAdam(), "w")
-	groups := initGroups(t, o, m)
-	if len(groups) <= depth+1 {
-		t.Fatalf("need more than %d groups, have %d", depth+1, len(groups))
+	groups := pieceGroups(3, 3*P+1, 2*P, P+1, 5, P-1, 2*P+7)
+	o := windowed(t, store, DefaultAdam(), depth, groups)
+	bound := depth * wireBytes(3*P+1)
+	pieceBytes := map[string]int{}
+	for _, g := range groups {
+		for _, pc := range o.cut(g.Name, g.NumParams()) {
+			pieceBytes[pc.key] = wireBytes(pc.n)
+		}
+	}
+	p := NewStatePipeline(o, depth, groups)
+	defer p.Close()
+	buffers, windowBytes := p.Window()
+	if buffers != 6 || windowBytes != 6*wireBytes(P) || windowBytes > bound {
+		t.Fatalf("window of %d buffers, %d B: want ⌊%d B ÷ %d B⌋ = 6 piece buffers", buffers, windowBytes, bound, wireBytes(P))
+	}
+	if len(pieceBytes) <= buffers+1 {
+		t.Fatalf("need more than %d pieces, have %d", buffers+1, len(pieceBytes))
 	}
 
 	var mu sync.Mutex
-	outstanding, peak := 0, 0
+	outstanding, reads, peakBytes, peakReads := 0, 0, 0, 0
 	windowFull := make(chan struct{})
 	release := make(chan struct{})
 	var fullOnce, releaseOnce sync.Once
-	store.beforeRead = func(string) error {
+	store.readBuf = func(_ string, dst []byte) {
 		mu.Lock()
-		outstanding++
-		if outstanding > peak {
-			peak = outstanding
-		}
-		if outstanding == depth {
+		defer mu.Unlock()
+		outstanding, reads = outstanding+len(dst), reads+1
+		peakBytes, peakReads = max(peakBytes, outstanding), max(peakReads, reads)
+		if reads == buffers {
 			fullOnce.Do(func() { close(windowFull) })
 		}
-		mu.Unlock()
-		return nil
 	}
-	written := func() {
-		mu.Lock()
-		outstanding--
-		mu.Unlock()
-	}
-	store.beforePut = func(string) error {
+	store.beforePut = func(key string) error {
 		<-release // hold every write until the window has filled
-		written()
+		mu.Lock()
+		outstanding, reads = outstanding-pieceBytes[key], reads-1
+		mu.Unlock()
 		return nil
 	}
-
-	p := NewStatePipeline(o, depth, groups)
-	defer p.Close()
 	defer releaseOnce.Do(func() { close(release) })
-	setGrads(m, 1)
-	o.BeginStep()
-	for _, g := range groups {
-		if err := p.Submit(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-windowFull:
-	case <-time.After(10 * time.Second):
-		t.Fatal("window never filled: fewer than depth reads were issued while writes were held")
-	}
-	releaseOnce.Do(func() { close(release) })
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if _, pk := p.Buffered(); pk != depth {
-		t.Fatalf("pipeline buffered peak=%d after Wait, want %d", pk, depth)
-	}
-	// Every step, not just the first, stays inside the window with the
-	// previous step's write-back trailing into it, and every Flush leaves
-	// nothing buffered.
-	for step := 2; step <= 4; step++ {
+	for step := 1; step <= 4; step++ {
+		setGroupGrads(groups, int64(step), 1)
 		o.BeginStep()
 		for _, g := range groups {
 			if err := p.Submit(g); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if step == 1 {
+			select {
+			case <-windowFull:
+			case <-time.After(10 * time.Second):
+				t.Fatal("window never filled: fewer reads than buffers were issued while writes were held")
+			}
+			releaseOnce.Do(func() { close(release) })
+		}
 		if err := p.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if _, pk := p.Buffered(); pk != depth {
-			t.Fatalf("step %d: pipeline buffered peak=%d after Wait, want %d", step, pk, depth)
+		if _, pk := p.Buffered(); pk != buffers {
+			t.Fatalf("step %d: pipeline buffered peak=%d pieces after Wait, want the window's %d", step, pk, buffers)
 		}
 		if step%2 == 1 {
 			continue // an unflushed step: the next one runs into its write-back
@@ -250,8 +432,8 @@ func TestPipelineWindowBound(t *testing.T) {
 		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if now, pk := p.Buffered(); now != 0 || pk != depth {
-			t.Fatalf("step %d: pipeline buffered now=%d peak=%d after Flush, want 0 and %d", step, now, pk, depth)
+		if now, _ := p.Buffered(); now != 0 {
+			t.Fatalf("step %d: %d pieces buffered after Flush", step, now)
 		}
 	}
 	if err := p.Flush(); err != nil {
@@ -259,14 +441,16 @@ func TestPipelineWindowBound(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if peak != depth || outstanding != 0 {
-		t.Fatalf("store saw %d groups' state outstanding at once and %d after Flush, want exactly the window %d and 0", peak, outstanding, depth)
+	if peakReads != buffers || peakBytes > bound || outstanding != 0 {
+		t.Fatalf("store saw %d pieces, %d B, outstanding at once and %d B after Flush; want the window's %d pieces, at most %d B, and 0",
+			peakReads, peakBytes, outstanding, buffers, bound)
 	}
 }
 
 // TestPipelineFaultPerStage injects a store failure into each stage — the
 // read-ahead of the first group, the read-ahead of a group mid-window with
-// later groups already read, and the write-behind — and checks the join that
+// later groups already read, and the write-behind, and the read-ahead and
+// the write-behind of a group's second piece — and checks the join that
 // owns the stage returns it: Wait for a read-ahead, and for a write-back,
 // which trails Wait, whichever comes first of Flush and the group's next
 // Submit+Wait (then failing at the read-after-write join, nothing read).
@@ -278,25 +462,34 @@ func TestPipelineFaultPerStage(t *testing.T) {
 	cases := []struct {
 		name   string
 		victim int // index of the group whose transfer fails
+		piece  int // which of the victim's pieces
 		write  bool
 		resub  bool // write only: the first join is the victim's next update
 	}{
-		{"read-ahead/first", 0, false, false},
-		{"read-ahead/mid-window", 2, false, false},
-		{"write-behind", 1, true, false},
-		{"write-behind-then-update", 1, true, true},
+		{"read-ahead/first", 0, 0, false, false},
+		{"read-ahead/mid-window", 2, 0, false, false},
+		{"write-behind", 1, 0, true, false},
+		{"write-behind-then-update", 1, 0, true, true},
+		// The victim's state is cut into pieces and its second one fails.
+		{"read-ahead/second-piece", 0, 1, false, false},
+		{"write-behind/second-piece", 0, 1, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			modelRef := buildModel(t)
-			m := buildModel(t)
-			ref := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "f")
 			store := &lockedStore{m: MemStore{}}
-			o := NewOutOfCoreAdam(store, DefaultAdam(), "f")
-			initGroups(t, ref, modelRef)
-			groups := initGroups(t, o, m)
-			victimKey := o.stateKey(groups[tc.victim].Name)
+			var ref, o *OutOfCoreAdam
+			var refGroups, groups []nn.ParamGroup
+			if tc.piece == 0 {
+				ref = NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "f")
+				o = NewOutOfCoreAdam(store, DefaultAdam(), "f")
+				refGroups, groups = initGroups(t, ref, buildModel(t)), initGroups(t, o, buildModel(t))
+			} else {
+				sizes := []int{2*adamChunkGrain + 3, adamChunkGrain + 1, 7}
+				refGroups, groups = pieceGroups(5, sizes...), pieceGroups(5, sizes...)
+				ref, o = windowed(t, MemStore{}, DefaultAdam(), 2, refGroups), windowed(t, store, DefaultAdam(), 2, groups)
+			}
+			victimKey := o.cuts[groups[tc.victim].Name][tc.piece].key
 			var victimReads atomic.Int32
 			store.beforeRead = func(key string) error {
 				if key != victimKey {
@@ -315,8 +508,8 @@ func TestPipelineFaultPerStage(t *testing.T) {
 			}
 
 			p := NewStatePipeline(o, 2, groups)
-			setGrads(modelRef, 1)
-			setGrads(m, 1)
+			setGroupGrads(refGroups, 1, 1)
+			setGroupGrads(groups, 1, 1)
 			ref.BeginStep()
 			o.BeginStep()
 			for _, g := range groups {
@@ -355,7 +548,6 @@ func TestPipelineFaultPerStage(t *testing.T) {
 			}
 			// Every other group's update went through untouched by the fault
 			// (and a write-back victim's weights were installed before it).
-			refGroups := modelRef.ParamGroups()
 			for i, g := range refGroups {
 				if i == tc.victim && !tc.write {
 					continue
@@ -436,13 +628,13 @@ func TestPipelineReadAfterWrite(t *testing.T) {
 	// Every other group's second update finishes behind the held write; the
 	// held group's waits at the read-after-write join.
 	for _, g := range groups[1:] {
-		j := p.jobs[g.Name]
-		j.applied <- <-j.applied
+		pc := &p.jobs[g.Name].pieces[0]
+		pc.applied <- <-pc.applied
 	}
 	// Nothing can say the held group's read is not about to be issued, so
 	// give a read that does not wait for the token time to happen.
 	time.Sleep(20 * time.Millisecond)
-	if len(p.jobs[groups[0].Name].applied) != 0 {
+	if len(p.jobs[groups[0].Name].pieces[0].applied) != 0 {
 		t.Fatal("the held group's second update was applied before its first write-back retired")
 	}
 	close(release)
@@ -599,7 +791,7 @@ func TestPipelineSubmitErrors(t *testing.T) {
 	if err := p.Submit(groups[0]); err != nil {
 		t.Fatal(err)
 	}
-	for len(p.jobs[groups[0].Name].applied) == 0 {
+	for len(p.jobs[groups[0].Name].pieces[0].applied) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	if err := p.Submit(groups[0]); !errors.Is(err, boom) {

@@ -32,13 +32,6 @@ func WarmupCosine(base float64, warmup, total int, floor float64) Schedule {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SetLR changes the optimizer's learning rate; the engine drives it from a
 // Schedule at the start of each step.
 func (o *OutOfCoreAdam) SetLR(lr float64) { o.cfg.LR = lr }
