@@ -152,8 +152,12 @@ type Stats struct {
 	ActBytesOffload units.Bytes
 	// ActBytesHost is activation bytes pinned in the host tier.
 	ActBytesHost units.Bytes
-	// ActBytesFetched is activation bytes restored from either tier.
-	ActBytesFetched  units.Bytes
+	// ActBytesFetched is activation bytes restored from either tier, blobs
+	// decoded from the ring slot that still held them included.
+	ActBytesFetched units.Bytes
+	// ActBytesResident is SSD-tier bytes decoded from their ring slot
+	// instead of read back.
+	ActBytesResident units.Bytes
 	RecomputedBlocks int
 	SSD              nvme.Stats
 }
@@ -404,6 +408,7 @@ func (e *Engine) Stats() Stats {
 	s.ActBytesOffload = units.Bytes(e.actOffload.Load())
 	s.ActBytesHost = units.Bytes(e.actHost.Load())
 	s.ActBytesFetched = units.Bytes(e.actFetched.Load())
+	s.ActBytesResident = units.Bytes(e.win.resident.Load())
 	s.RecomputedBlocks = int(e.recomputedN.Load())
 	s.SSD = e.array.Stats()
 	return s
@@ -461,7 +466,7 @@ func (e *Engine) trainStep(micro []Batch) (float64, error) {
 		return 0, e.optErr
 	}
 	e.model.ZeroGrads()
-	e.win.resetStepCounters()
+	e.win.startStep()
 	e.submittedN = 0
 	if !e.cfg.DelayedUpdate {
 		e.beginStep()

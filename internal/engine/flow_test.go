@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ratel/internal/agoffload"
+	"ratel/internal/nn"
 	"ratel/internal/obs"
 	"ratel/internal/units"
 )
@@ -15,45 +16,61 @@ import (
 // array: it waits out the optimizer's trailing write-back, so the Flows()
 // read after it sees the same transfers.
 func TestFlowLedgerReconcilesWithNVMe(t *testing.T) {
-	swap := map[int]Tier{0: SwapSSD, 1: SwapSSD}
-	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, Metrics: obs.NewRegistry()})
+	for _, tc := range []struct {
+		name  string
+		model nn.Config
+		swap  map[int]Tier
+	}{
+		// Both blobs are still in their ring slots when backward wants them.
+		{"two-ssd", miniConfig(), map[int]Tier{0: SwapSSD, 1: SwapSSD}},
+		// Five blobs on three slots: blocks 0 and 1 are read back.
+		{"all-ssd", miniConfigWith(5), allSSD(5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, Config{Model: tc.model, GradMode: agoffload.Optimized, Swap: tc.swap, Metrics: obs.NewRegistry()})
 
-	stats0 := e.Stats().SSD
-	flows0 := e.Flows()
-	trainK(t, e, 3)
-	stats1 := e.Stats().SSD
-	flows1 := e.Flows()
+			stats0 := e.Stats().SSD
+			flows0 := e.Flows()
+			trainK(t, e, 3)
+			stats1 := e.Stats().SSD
+			flows1 := e.Flows()
 
-	d := flows1.Sub(flows0)
-	wroteBytes := int64(stats1.BytesWritten - stats0.BytesWritten)
-	readBytes := int64(stats1.BytesRead - stats0.BytesRead)
-	if wroteBytes == 0 || readBytes == 0 {
-		t.Fatalf("window moved no NVMe bytes (wrote %d, read %d)", wroteBytes, readBytes)
-	}
-	if got := d.Edge(obs.EdgeHostNVMeWrite); got != wroteBytes {
-		t.Errorf("ledger host_nvme_write = %d, array BytesWritten delta = %d", got, wroteBytes)
-	}
-	if got := d.Edge(obs.EdgeHostNVMeRead); got != readBytes {
-		t.Errorf("ledger host_nvme_read = %d, array BytesRead delta = %d", got, readBytes)
-	}
+			d := flows1.Sub(flows0)
+			wroteBytes := int64(stats1.BytesWritten - stats0.BytesWritten)
+			readBytes := int64(stats1.BytesRead - stats0.BytesRead)
+			if wroteBytes == 0 || readBytes == 0 {
+				t.Fatalf("window moved no NVMe bytes (wrote %d, read %d)", wroteBytes, readBytes)
+			}
+			if got := d.Edge(obs.EdgeHostNVMeWrite); got != wroteBytes {
+				t.Errorf("ledger host_nvme_write = %d, array BytesWritten delta = %d", got, wroteBytes)
+			}
+			if got := d.Edge(obs.EdgeHostNVMeRead); got != readBytes {
+				t.Errorf("ledger host_nvme_read = %d, array BytesRead delta = %d", got, readBytes)
+			}
 
-	// Purpose split: swapped activations and streamed optimizer state both
-	// cross the NVMe edges under this config; nothing lands in params/grads
-	// (those edges are compute<->host only).
-	for _, p := range []obs.FlowPurpose{obs.FlowActivations, obs.FlowOptState} {
-		if d.Get(obs.EdgeHostNVMeWrite, p) <= 0 {
-			t.Errorf("no NVMe write bytes attributed to %s: %+v", p, d)
-		}
-	}
-	if d.Get(obs.EdgeHostNVMeWrite, obs.FlowGrads) != 0 {
-		t.Errorf("grads attributed to the NVMe write edge")
-	}
+			// Purpose split: swapped activations and streamed optimizer state both
+			// cross the NVMe edges under this config; nothing lands in params/grads
+			// (those edges are compute<->host only).
+			for _, p := range []obs.FlowPurpose{obs.FlowActivations, obs.FlowOptState} {
+				if d.Get(obs.EdgeHostNVMeWrite, p) <= 0 {
+					t.Errorf("no NVMe write bytes attributed to %s: %+v", p, d)
+				}
+			}
+			if d.Get(obs.EdgeHostNVMeWrite, obs.FlowGrads) != 0 {
+				t.Errorf("grads attributed to the NVMe write edge")
+			}
 
-	// The activation row reconciles against the engine's own offload
-	// accounting (every offloaded blob is one NVMe object write).
-	st := e.Stats()
-	if got := units.Bytes(d.Get(obs.EdgeHostNVMeWrite, obs.FlowActivations)); got != st.ActBytesOffload {
-		t.Errorf("ledger activation writes = %v, engine ActBytesOffload = %v", got, st.ActBytesOffload)
+			// The activation rows reconcile against the engine's own accounting:
+			// every offloaded blob is one NVMe object write, and every restored one
+			// an NVMe object read or a blob still in its ring slot.
+			st := e.Stats()
+			if got := units.Bytes(d.Get(obs.EdgeHostNVMeWrite, obs.FlowActivations)); got != st.ActBytesOffload {
+				t.Errorf("ledger activation writes = %v, engine ActBytesOffload = %v", got, st.ActBytesOffload)
+			}
+			if got := units.Bytes(d.Get(obs.EdgeHostNVMeRead, obs.FlowActivations)); got+st.ActBytesResident != st.ActBytesFetched {
+				t.Errorf("ledger activation reads = %v + ActBytesResident %v, engine ActBytesFetched = %v", got, st.ActBytesResident, st.ActBytesFetched)
+			}
+		})
 	}
 }
 

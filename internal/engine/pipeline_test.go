@@ -15,8 +15,10 @@ import (
 
 	"ratel/internal/agoffload"
 	"ratel/internal/memctl"
+	"ratel/internal/nn"
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
+	"ratel/internal/tensor"
 	"ratel/internal/units"
 )
 
@@ -195,6 +197,23 @@ func TestPipelineWriteFaultBarrier(t *testing.T) {
 		}
 	})
 
+	// Block 4 of five is the last into its slot of the three-slot ring, so
+	// backward would decode it from the slot without reading it back. Its
+	// write still fails the step, at the forward/backward barrier: the blob
+	// never reached the array.
+	t.Run("resident", func(t *testing.T) {
+		e := newEngine(t, Config{
+			Model:    miniConfigWith(5),
+			GradMode: agoffload.Serialized,
+			Swap:     allSSD(5),
+			Devices:  1,
+		})
+		err := faultedStep(t, e, boom, func() { e.Array().InjectFaultAfter(0, 4, boom) })
+		if !strings.Contains(err.Error(), "offload activations") {
+			t.Fatalf("fault surfaced as %q, want it from the offload barrier", err)
+		}
+	})
+
 	// A one-blob staging pool makes every block join its predecessor's write
 	// before reserving. Two devices, each blob one chunk on each: device 1
 	// fails at once while device 0 is slow, so block 0's failed write is
@@ -215,25 +234,28 @@ func TestPipelineWriteFaultBarrier(t *testing.T) {
 	})
 }
 
-// TestPipelineReadFaultBarrier arms the countdown past the forward's three
-// writes so a backward read-ahead fails: the first one, which backward is
-// about to block on, or the second, launched together with the third while
-// block 2's backward runs (depth 2). The fetch error must surface from
-// TrainStep at the failed block's consume, and the failure-path barrier
-// must join the read still in flight.
+// TestPipelineReadFaultBarrier arms the countdown past the forward's six
+// writes so a backward read-ahead fails. At depth 2 blocks 5, 4 and 3 are
+// still in their ring slots, so backward reads blocks 2, 1 and 0, each
+// launched when the block two above it is consumed: the fault hits the first
+// read, which backward blocks on first, or the second, whose consume finds the
+// third in flight. The fetch error must surface from TrainStep at the failed
+// block's consume, and the failure-path barrier must join the read still in
+// flight.
 func TestPipelineReadFaultBarrier(t *testing.T) {
 	boom := errors.New("uncorrectable read")
 	for _, tc := range []struct {
 		name  string
-		after int // chunk ops that succeed first: 3 writes, then reads
+		after int // chunk ops that succeed first: 6 writes, then reads
 	}{
-		{"first", 3},
-		{"mid-window", 4},
+		{"first", 6},
+		{"mid-window", 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEngine(t, Config{
+				Model:    miniConfigWith(6),
 				GradMode: agoffload.Serialized,
-				Swap:     allSSD(3),
+				Swap:     allSSD(6),
 				Devices:  1,
 				// Slow enough that the mid-window case's two reads overlap.
 				SSD: &nvme.Config{OpLatency: time.Millisecond},
@@ -243,6 +265,184 @@ func TestPipelineReadFaultBarrier(t *testing.T) {
 				t.Fatalf("fault surfaced as %q, want it from a block's fetch", err)
 			}
 		})
+	}
+}
+
+// TestPipelineResidentReadFaultNeverFires: three blocks on the default
+// three-slot ring are all still in their slots when backward wants them, so a
+// device fault armed at the first chunk op after forward's three writes —
+// where block 2 used to be read back — finds no activation read to fail. The
+// released hook disarms it at the batch's last release, block 0's backward,
+// before the Serialized update's first state read would trip it: the step
+// succeeds without reading an activation byte.
+func TestPipelineResidentReadFaultNeverFires(t *testing.T) {
+	boom := errors.New("uncorrectable read")
+	e := newEngine(t, Config{GradMode: agoffload.Serialized, Swap: allSSD(3), Devices: 1})
+	trainK(t, e, 1)
+	e.Stats() // joins the write-back: nothing touches the device before the step
+	// The batch's top, then one release per block per pass.
+	releases, last := 0, 1+2*e.cfg.Model.Layers
+	e.released = func(*tensor.Tensor) {
+		if releases++; releases == last {
+			e.Array().InjectFault(0, nil)
+		}
+	}
+	before := e.Flows()
+	e.Array().InjectFaultAfter(0, 3, boom)
+	trainFrom(t, e, 1, 1)
+	e.released = nil
+	if releases != last {
+		t.Fatalf("%d releases in the step, want %d", releases, last)
+	}
+	st := e.Stats()
+	if got := e.Flows().Sub(before).Get(obs.EdgeHostNVMeRead, obs.FlowActivations); got != 0 {
+		t.Fatalf("the step read %d activation bytes back, want 0", got)
+	}
+	if want := units.Bytes(2 * 3 * e.blobLen); st.ActBytesResident != want {
+		t.Fatalf("ActBytesResident = %v after two all-resident steps, want %v", st.ActBytesResident, want)
+	}
+	pipelineIdle(t, e)
+}
+
+// TestPipelineResidentBlocksTraceNoRead: a traced all-SSD step over five
+// blocks at depth 2 writes every blob and reads back blocks 0 and 1 only:
+// blocks 2, 3 and 4, one per ring slot, show no act-prefetch span and no
+// act/blockN nvme-read span.
+func TestPipelineResidentBlocksTraceNoRead(t *testing.T) {
+	tr := obs.NewTracer(obs.DefaultCapacity)
+	e := newEngine(t, Config{Model: miniConfigWith(5), GradMode: agoffload.Optimized, Swap: allSSD(5), Tracer: tr})
+	trainK(t, e, 1)
+	spans := map[[2]string]int{} // lane, name
+	for _, s := range tr.Spans() {
+		spans[[2]string{s.Lane, s.Name}]++
+	}
+	for i := range e.labels {
+		l := &e.labels[i]
+		reads := 1
+		if i >= 2 {
+			reads = 0
+		}
+		for _, c := range []struct {
+			lane, name string
+			want       int
+		}{
+			{obs.LaneNVMeWrite, l.actKey, 1},
+			{obs.LanePrefetch, l.prefetch, reads},
+			{obs.LaneNVMeRead, l.actKey, reads},
+		} {
+			if got := spans[[2]string{c.lane, c.name}]; got != c.want {
+				t.Errorf("%d %q spans on lane %q, want %d", got, c.name, c.lane, c.want)
+			}
+		}
+	}
+}
+
+// actStep is one optimizer step's activation bytes: the engine's counters,
+// and the array's act/ traffic as the flow ledger's activation cells on the
+// NVMe edges, which the array feeds where it counts its own bytes
+// (TestFlowLedgerReconcilesWithNVMe).
+type actStep struct{ offload, host, fetched, resident, read, write units.Bytes }
+
+// stepAct runs one optimizer step over micro and returns its activation bytes.
+func stepAct(t *testing.T, e *Engine, micro []Batch) actStep {
+	t.Helper()
+	st0, flows0 := e.Stats(), e.Flows()
+	if _, err := e.TrainStepAccum(micro); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	d := e.Flows().Sub(flows0)
+	return actStep{
+		offload:  st.ActBytesOffload - st0.ActBytesOffload,
+		host:     st.ActBytesHost - st0.ActBytesHost,
+		fetched:  st.ActBytesFetched - st0.ActBytesFetched,
+		resident: st.ActBytesResident - st0.ActBytesResident,
+		read:     units.Bytes(d.Get(obs.EdgeHostNVMeRead, obs.FlowActivations)),
+		write:    units.Bytes(d.Get(obs.EdgeHostNVMeWrite, obs.FlowActivations)),
+	}
+}
+
+// microBatches is n micro-batches of the model's shape.
+func microBatches(model nn.Config, n int) []Batch {
+	out := make([]Batch, n)
+	for i := range out {
+		out[i].Tokens, out[i].Targets = data(model, int64(i))
+	}
+	return out
+}
+
+// ssdBlocks counts the SSD-tier blocks of a placement.
+func ssdBlocks(swap map[int]Tier) int {
+	n := 0
+	for _, tier := range swap {
+		if tier == SwapSSD {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPipelineResidentSet counts the resident-set rule on four placements of
+// six blocks, at depths 1 to 3, with one and two micro-batches, on an array
+// slow enough to keep reads in flight across consumes. The rule: block i
+// offloads into ring slot i mod (depth+1), and when backward starts each slot
+// still holds the blob of the last SSD-tier block that offloaded into it — so
+// the resident blocks are one per slot the SSD blocks use, and the array reads
+// back micro × blob × (SSD blocks − resident blocks) per step. The counts
+// close: every activation byte restored is one the array read back, one a slot
+// still held or one the host tier pinned (fetched = read + resident + host,
+// exactly), and every SSD block still writes its blob once per micro-batch
+// (ActBytesOffload = the array's act/ write bytes).
+func TestPipelineResidentSet(t *testing.T) {
+	const layers = 6
+	for _, pl := range []struct {
+		name string
+		swap map[int]Tier
+	}{
+		{"all-ssd", allSSD(layers)},
+		{"ssd-host-ssd", map[int]Tier{0: SwapSSD, 1: SwapHost, 3: SwapSSD}},
+		{"ssd-recompute", map[int]Tier{0: SwapSSD, 2: SwapSSD, 4: SwapSSD}},
+		{"single-ssd", map[int]Tier{2: SwapSSD}},
+	} {
+		for depth := 1; depth <= 3; depth++ {
+			slots := map[int]bool{}
+			for i, tier := range pl.swap {
+				if tier == SwapSSD {
+					slots[i%(depth+1)] = true
+				}
+			}
+			ssd, resident := ssdBlocks(pl.swap), len(slots)
+			for micro := 1; micro <= 2; micro++ {
+				t.Run(fmt.Sprintf("%s/depth%d/micro%d", pl.name, depth, micro), func(t *testing.T) {
+					model := miniConfigWith(layers)
+					e := newEngine(t, Config{
+						Model:         model,
+						GradMode:      agoffload.Optimized,
+						Swap:          pl.swap,
+						PipelineDepth: depth,
+						SSD:           &nvme.Config{OpLatency: 200 * time.Microsecond},
+					})
+					batches := microBatches(model, micro)
+					blob := units.Bytes(e.blobLen)
+					for step := 0; step < 2; step++ {
+						got := stepAct(t, e, batches)
+						if want := units.Bytes(micro*(ssd-resident)) * blob; got.read != want {
+							t.Fatalf("step %d: read back %v of activations, want %v (%d SSD blocks, %d resident)", step, got.read, want, ssd, resident)
+						}
+						if want := units.Bytes(micro*resident) * blob; got.resident != want {
+							t.Fatalf("step %d: decoded %v from ring slots, want %v", step, got.resident, want)
+						}
+						if got.fetched != got.read+got.resident+got.host {
+							t.Fatalf("step %d: fetched %v, want read %v + resident %v + host %v", step, got.fetched, got.read, got.resident, got.host)
+						}
+						if want := units.Bytes(micro*ssd) * blob; got.offload != want || got.write != want {
+							t.Fatalf("step %d: offloaded %v and wrote %v of activations, want %v each", step, got.offload, got.write, want)
+						}
+					}
+					pipelineIdle(t, e)
+				})
+			}
+		}
 	}
 }
 
@@ -371,12 +571,14 @@ func TestHostTierRecoversAfterFailedStep(t *testing.T) {
 // past any count a shared free list would retain, and SetSwap drops exactly
 // the blobs of blocks that left the host tier.
 func TestPipelineBuffersAllocatedOnce(t *testing.T) {
-	const hostBlocks = 16
-	model := miniConfig()
-	model.Layers = hostBlocks + 2
-	swap := map[int]Tier{hostBlocks: SwapSSD, hostBlocks + 1: SwapSSD}
-	for i := 0; i < hostBlocks; i++ {
-		swap[i] = SwapHost
+	const hostBlocks, ssd, slots = 16, 4, DefaultPipelineDepth + 1
+	model := miniConfigWith(hostBlocks + ssd)
+	swap := map[int]Tier{}
+	for i := 0; i < model.Layers; i++ {
+		swap[i] = SwapSSD
+		if i < hostBlocks {
+			swap[i] = SwapHost
+		}
 	}
 	e := newEngine(t, Config{Model: model, GradMode: agoffload.Optimized, Swap: swap})
 	bases := func() []*byte {
@@ -412,8 +614,10 @@ func TestPipelineBuffersAllocatedOnce(t *testing.T) {
 		}
 	}
 	// Per step a host-tier block asks for its blob once (forward) and an SSD
-	// block for its slot three times (encode, fetch launch, consume).
-	if got, want := e.arena.blobReuses.Load(), int64(8*(hostBlocks+3*2)-model.Layers); got != want {
+	// block for its slot twice (encode, consume), plus a fetch launch for each
+	// one below the last `slots`, which backward finds still in their slots.
+	uses := hostBlocks + 2*ssd + (ssd - slots)
+	if got, want := e.arena.blobReuses.Load(), int64(8*uses-(hostBlocks+slots)); got != want {
 		t.Fatalf("blob_reuses = %d after 8 steps, want %d (every use but each buffer's first)", got, want)
 	}
 
@@ -539,10 +743,12 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 	fill := func(blob []byte) error { blob[0] = 1; return nil }
 	use := func([]byte) error { return nil }
 	failing := func([]byte) error { return boom }
-	// stored offloads block 0 and joins the write, so a fetch of it can start.
+	// stored offloads block 0, then block len(ring) into the same slot, and
+	// joins both writes: block 0 is on the array and no longer in its slot, so
+	// a prefetch of it reads the array.
 	stored := func(t *testing.T, w *actWindow) {
 		t.Helper()
-		if err := errors.Join(w.offload(0, fill), w.barrier()); err != nil {
+		if err := errors.Join(w.offload(0, fill), w.offload(len(w.ring), fill), w.barrier()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -560,7 +766,7 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 		}},
 		{"prefetch/acquire returns the last write's error", boom, func(t *testing.T, e *Engine) error {
 			e.Array().InjectFault(0, boom)
-			if err := e.win.offload(0, fill); err != nil {
+			if err := e.win.offload(len(e.win.ring), fill); err != nil { // block 0's slot, now another block's
 				t.Fatal(err)
 			}
 			return e.win.prefetch(0)

@@ -234,11 +234,12 @@ func TestFailedStepLeavesNoArenaState(t *testing.T) {
 		},
 		"fetch-fault-mid-backward": {
 			// One device and no optimizer I/O before backward ends: chunk ops
-			// 0-2 are the three blobs' writes, 3 is block 2's fetch, 4 the next.
-			Config{GradMode: agoffload.Serialized, Swap: allSSD(3), Devices: 1},
+			// 0-2 are the three blobs' writes; on the two-slot ring blocks 2
+			// and 1 are decoded from their slots, and 3 is block 0's fetch.
+			Config{GradMode: agoffload.Serialized, Swap: allSSD(3), Devices: 1, PipelineDepth: 1},
 			func(t *testing.T, e *Engine, tokens, targets [][]int) error {
 				e.Stats() // joins the trailing write-back: the countdown starts at this step
-				e.Array().InjectFaultAfter(0, 4, boom)
+				e.Array().InjectFaultAfter(0, 3, boom)
 				_, err := e.TrainStep(tokens, targets)
 				e.Array().InjectFault(0, nil)
 				if !errors.Is(err, boom) || !strings.Contains(err.Error(), "fetch block") {

@@ -139,6 +139,7 @@ var metrics = [...]metric{
 	{"engine.act_offload_bytes", gauge, func(e *Engine) float64 { return float64(e.actOffload.Load()) }},
 	{"engine.act_host_bytes", gauge, func(e *Engine) float64 { return float64(e.actHost.Load()) }},
 	{"engine.act_fetched_bytes", gauge, func(e *Engine) float64 { return float64(e.actFetched.Load()) }},
+	{"engine.act_resident_bytes", gauge, func(e *Engine) float64 { return float64(e.win.resident.Load()) }},
 	{"engine.recomputed_blocks", gauge, func(e *Engine) float64 { return float64(e.recomputedN.Load()) }},
 	{"engine.skipped_steps", gauge, func(e *Engine) float64 {
 		e.mu.Lock()

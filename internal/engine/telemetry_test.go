@@ -47,9 +47,11 @@ func TestTracingIsTransparent(t *testing.T) {
 func TestTraceCoversAllStages(t *testing.T) {
 	tr := obs.NewTracer(obs.DefaultCapacity)
 	// Block 1 recomputes. (A Recompute tier on the last block would show no
-	// recompute span: its cache is kept from forward.)
-	swap := map[int]Tier{0: SwapSSD, 2: SwapHost}
-	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, Tracer: tr})
+	// recompute span: its cache is kept from forward.) Block 3 is the last
+	// into block 0's ring slot, so backward decodes it there and reads block 0
+	// back from the array.
+	swap := map[int]Tier{0: SwapSSD, 2: SwapHost, 3: SwapSSD}
+	e := newEngine(t, Config{Model: miniConfigWith(4), GradMode: agoffload.Optimized, Swap: swap, Tracer: tr})
 	trainK(t, e, 1)
 
 	names := make(map[string]map[string]int) // lane -> name -> count
@@ -239,6 +241,7 @@ func TestEveryMetricRowRefreshed(t *testing.T) {
 			"engine.act_offload_bytes":   int64(st.ActBytesOffload),
 			"engine.act_host_bytes":      int64(st.ActBytesHost),
 			"engine.act_fetched_bytes":   int64(st.ActBytesFetched),
+			"engine.act_resident_bytes":  int64(st.ActBytesResident), // block 2, the last into slot 0
 			"engine.recomputed_blocks":   int64(st.RecomputedBlocks),
 			"nvme.read_bytes":            int64(st.SSD.BytesRead),
 			"nvme.write_bytes":           int64(st.SSD.BytesWritten),
