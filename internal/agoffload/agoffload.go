@@ -54,9 +54,10 @@ func (m Mode) String() string {
 }
 
 // Chunk is the optimizer work for one gradient tensor (typically one
-// transformer block): its parameter count determines the model-state bytes
-// its handler streams (12 bytes/param read: P32+OS32; 14 bytes/param
-// written: P32+OS32+P16) and the CPU update cost.
+// transformer block): its parameter count determines the CPU update cost
+// and, unless ReadBytes and WriteBytes say otherwise, the model-state bytes
+// its handler streams as the paper's Eqs. 1–5 count them (12 bytes/param
+// read: P32+OS32; 14 bytes/param written: P32+OS32+P16).
 type Chunk struct {
 	Label string
 	// Params is the chunk's parameter count.
@@ -65,13 +66,27 @@ type Chunk struct {
 	// chunk's gradient to main memory (the backward G2M transfer), or -1 if
 	// the gradient is already resident.
 	ArrivalDep int
+	// ReadBytes and WriteBytes, when set, are the state bytes the handler
+	// reads and writes — what a measured engine moves (calib) rather than
+	// the paper's per-parameter counts.
+	ReadBytes, WriteBytes units.Bytes
 }
 
 // StateReadBytes is the model-state bytes the handler reads from SSD.
-func (c Chunk) StateReadBytes() units.Bytes { return units.Bytes(12 * c.Params) }
+func (c Chunk) StateReadBytes() units.Bytes {
+	if c.ReadBytes > 0 {
+		return c.ReadBytes
+	}
+	return units.Bytes(12 * c.Params)
+}
 
 // StateWriteBytes is the updated-state bytes the handler writes back.
-func (c Chunk) StateWriteBytes() units.Bytes { return units.Bytes(14 * c.Params) }
+func (c Chunk) StateWriteBytes() units.Bytes {
+	if c.WriteBytes > 0 {
+		return c.WriteBytes
+	}
+	return units.Bytes(14 * c.Params)
+}
 
 // Rates carries the resource speeds the handlers run at.
 type Rates struct {

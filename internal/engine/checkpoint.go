@@ -9,15 +9,17 @@ import (
 	"slices"
 )
 
-// A checkpoint is the engine's state objects as the array stores them, behind
-// a header that says whose they are (format 2, little-endian; DESIGN §14):
+// A checkpoint is the engine's optimizer state, group by group, behind a
+// header that says whose it is (format 2, little-endian; DESIGN §14):
 //
 //	magic "RATELCKP" | format u32 | groups u32 | optimizer step u64 | model step u64
 //	per group, the table of contents: params u64 | name length u16 | name
 //	CRC-32C of the header so far
 //	per group, opt.WriteGroupTo's record: its P32 | M | V object | CRC-32C of it
 //
-// P16 = fp16(P32) is rederived on load, so a restored run is bit-identical.
+// The record is the decoded state, whatever form the array stores each piece
+// in; P16 = fp16(P32) is rederived on load, so a restored run is
+// bit-identical.
 const ckptMagic, ckptFormat = "RATELCKP", 2
 
 // SaveCheckpoint writes the engine's full training state to w, each group's
@@ -34,7 +36,7 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 		return fmt.Errorf("engine: write checkpoint: %w", err)
 	}
 	for _, g := range e.groups {
-		if _, err := e.optimizer.WriteGroupTo(w, g.Name, g.NumParams()); err != nil {
+		if _, err := e.optimizer.WriteGroupTo(w, g); err != nil {
 			return fmt.Errorf("engine: checkpoint %s: %w", g.Name, err)
 		}
 	}

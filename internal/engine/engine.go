@@ -502,7 +502,7 @@ func (e *Engine) trainStep(micro []Batch) (float64, error) {
 	}
 	if e.cfg.DelayedUpdate {
 		if err := e.applyDelayed(e.groups); err != nil {
-			return 0, err
+			return 0, e.optFailed(err)
 		}
 	}
 	drain := time.Since(drainStart)
@@ -920,7 +920,7 @@ func (e *Engine) FlushDelayed() error {
 	for _, g := range e.groups {
 		installGrads(g, e.prevGrads[g.Name])
 		if err := e.optimizer.UpdateGroup(g); err != nil {
-			return err
+			return e.optFailed(err)
 		}
 	}
 	e.prevGrads = nil

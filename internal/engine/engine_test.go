@@ -238,7 +238,7 @@ func TestMasterWeightsStayFP32(t *testing.T) {
 	e.Stats() // joins the trailing write-back: the optimizer is read raw below
 	groups := e.Model().ParamGroups()
 	g := groups[1] // block0
-	masters, err := e.optimizer.MasterWeights(g.Name, g.NumParams())
+	masters, _, _, err := e.optimizer.State(g)
 	if err != nil {
 		t.Fatal(err)
 	}

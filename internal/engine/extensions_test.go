@@ -15,7 +15,7 @@ import (
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
-	"ratel/internal/nvme"
+	"ratel/internal/opt"
 	"ratel/internal/tensor"
 	"ratel/internal/units"
 )
@@ -245,7 +245,7 @@ func TestCheckpointFormat2Fixture(t *testing.T) {
 	if err := e.LoadCheckpoint(bytes.NewReader(ck)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Array().ReadInto("states/block0/state/1", make([]byte, 12*(9772-8192))); err != nil {
+	if err := e.Array().ReadInto("states/block0/state/1", make([]byte, e.optimizer.StoredBytes("block0")[1])); err != nil {
 		t.Fatalf("block0's state is not two pieces: %v", err)
 	}
 	var again bytes.Buffer
@@ -263,9 +263,9 @@ func TestCheckpointFormat2Fixture(t *testing.T) {
 }
 
 // TestCheckpointLayout pins the format: a checkpoint is exactly the header
-// (fixed fields, table of contents, checksum) and each group's state object
-// as the array stores it followed by its CRC-32C; loading reads exactly that
-// many bytes and no more; and saving what was loaded gives the same bytes.
+// (fixed fields, table of contents, checksum) and each group's decoded state
+// (P32 | M | V) followed by its CRC-32C; loading reads exactly that many
+// bytes and no more; and saving what was loaded gives the same bytes.
 func TestCheckpointLayout(t *testing.T) {
 	cfg := Config{GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD, 1: SwapHost}}
 	e := newEngine(t, cfg)
@@ -278,9 +278,9 @@ func TestCheckpointLayout(t *testing.T) {
 	header, payload := ckptLayout(e)
 	size := ckptFixed + 4
 	for _, g := range e.groups {
-		size += (8 + 2 + len(g.Name)) + 12*g.NumParams() + 4
+		size += (8 + 2 + len(g.Name)) + opt.StateBytes(g.NumParams(), true) + 4
 	}
-	if len(ck) != size || payload[len(payload)-1]+12*e.groups[len(e.groups)-1].NumParams()+4 != size {
+	if len(ck) != size || payload[len(payload)-1]+opt.StateBytes(e.groups[len(e.groups)-1].NumParams(), true)+4 != size {
 		t.Fatalf("checkpoint is %d bytes, want header %d + Σ(entry + 12n + 4) = %d", len(ck), header, size)
 	}
 	if string(ck[:8]) != ckptMagic || binary.LittleEndian.Uint32(ck[8:]) != 2 ||
@@ -288,10 +288,10 @@ func TestCheckpointLayout(t *testing.T) {
 		t.Fatalf("fixed header % x", ck[:ckptFixed])
 	}
 	for i, g := range e.groups {
-		obj := storedState(t, e, g)
+		obj := decodedState(t, e, g)
 		at := payload[i]
 		if !bytes.Equal(ck[at:at+len(obj)], obj) {
-			t.Fatalf("%s: payload is not the stored state object", g.Name)
+			t.Fatalf("%s: payload is not the group's decoded state", g.Name)
 		}
 		if binary.LittleEndian.Uint32(ck[at+len(obj):]) != crc32.Checksum(obj, castagnoli) {
 			t.Fatalf("%s: the payload's CRC-32C is not its own", g.Name)
@@ -316,17 +316,19 @@ func TestCheckpointLayout(t *testing.T) {
 	}
 }
 
-// storedState reads back g's state from the array. Every group of the mini
-// model is smaller than one state piece can be, so its state is the one
-// piece states/<group>/state/0, and there is no second.
-func storedState(t *testing.T, e *Engine, g nn.ParamGroup) []byte {
+// decodedState is g's state as the optimizer decodes it from the array: P32 |
+// M | V as raw little-endian fp32.
+func decodedState(t *testing.T, e *Engine, g nn.ParamGroup) []byte {
 	t.Helper()
-	obj := make([]byte, 12*g.NumParams())
-	if err := e.Array().ReadInto("states/"+g.Name+"/state/0", obj); err != nil {
+	p32, m, v, err := e.optimizer.State(g)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Array().ReadInto("states/"+g.Name+"/state/1", obj); !errors.Is(err, nvme.ErrNotFound) {
-		t.Fatalf("%s: a second state piece: %v", g.Name, err)
+	var obj []byte
+	for _, plane := range [][]float32{p32, m, v} {
+		for _, x := range plane {
+			obj = binary.LittleEndian.AppendUint32(obj, math.Float32bits(x))
+		}
 	}
 	return obj
 }
@@ -682,7 +684,7 @@ func ckptLayout(e *Engine) (header int, payload []int) {
 	off := header
 	for _, g := range e.groups {
 		payload = append(payload, off)
-		off += 12*g.NumParams() + 4
+		off += opt.StateBytes(g.NumParams(), true) + 4
 	}
 	return header, payload
 }
@@ -962,4 +964,42 @@ func TestPipelineEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCorruptStatePieceLatches: a state piece the array returns with every
+// byte 0xff — an escape count far over any table's capacity — is refused by
+// the next step's Adam stage before anything is decoded: the step returns the
+// refusal, the failure latches (steps and saves refuse), and restoring a
+// checkpoint continues bit-identically to a run that never saw the piece.
+func TestCorruptStatePieceLatches(t *testing.T) {
+	cfg := Config{Model: miniConfig(), GradMode: agoffload.Optimized}
+	ref, e := newEngine(t, cfg), newEngine(t, cfg)
+	for _, x := range []*Engine{ref, e} {
+		trainK(t, x, 2)
+	}
+	var ckpt bytes.Buffer
+	if err := e.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	g := e.groups[1]
+	bad := bytes.Repeat([]byte{0xff}, e.optimizer.StoredBytes(g.Name)[0])
+	if err := e.Array().Put("states/"+g.Name+"/state/0", bad); err != nil {
+		t.Fatal(err)
+	}
+	tokens, targets := data(cfg.Model, 2)
+	if _, err := e.TrainStep(tokens, targets); err == nil || !strings.Contains(err.Error(), "states/"+g.Name+"/state/0") {
+		t.Fatalf("TrainStep over the corrupt piece = %v, want a refusal naming it", err)
+	}
+	if _, err := e.TrainStep(tokens, targets); err == nil {
+		t.Fatal("TrainStep after the refusal succeeded: the failure did not latch")
+	}
+	var torn bytes.Buffer
+	if err := e.SaveCheckpoint(&torn); err == nil || torn.Len() != 0 {
+		t.Fatalf("SaveCheckpoint after the refusal = %v with %d bytes written", err, torn.Len())
+	}
+	if err := e.LoadCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	loss, want := trainFrom(t, e, 2, 2), trainFrom(t, ref, 2, 2)
+	sameTrajectory(t, "restored", want, loss, paramsSnapshot(ref.Model()), paramsSnapshot(e.Model()))
 }

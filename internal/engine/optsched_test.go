@@ -11,6 +11,7 @@ import (
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
+	"ratel/internal/opt"
 )
 
 // inlineOracle is the reference every bit-identity matrix compares the
@@ -220,7 +221,7 @@ func TestStreamingBitIdentityPieces(t *testing.T) {
 				}
 				e := newEngine(t, cfg)
 				block := e.groups[1]
-				if err := e.Array().ReadInto("states/"+block.Name+"/state/1", make([]byte, 12*(block.NumParams()-8192))); err != nil {
+				if err := e.Array().ReadInto("states/"+block.Name+"/state/1", make([]byte, e.optimizer.StoredBytes(block.Name)[1])); err != nil {
 					t.Fatalf("%s (%d params) is not cut into a full piece and a short one: %v", block.Name, block.NumParams(), err)
 				}
 				var loss []float64
@@ -268,32 +269,33 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 	// on the issuing goroutine, so the countdown is exact. Serialized mode
 	// submits the groups in order after backward: head first.
 	base := Config{GradMode: agoffload.Serialized, Devices: 1}
-	// The pieced model's head is 8,512 params: a full 8192-param piece (24
-	// chunks) and a 320-param one (1 chunk). Its largest group is under two
-	// pieces, so window 1 is one piece buffer and the pieces go one at a time.
+	// The pieced model's head is 8,512 params: a full 8192-param piece and a
+	// 320-param one (1 chunk). Its largest group is under two pieces, so
+	// window 1 is one piece buffer and the pieces go one at a time.
 	pieced := nn.Config{Vocab: 256, Seq: 6, Hidden: 32, Heads: 2, Layers: 1, Batch: 2, Seed: 77}
-	const fullPiece = 12 * 8192 / 4096
+	fullPiece := func(e *Engine) int { return pieceChunks(e.optimizer.StoredBytes(e.groups[len(e.groups)-1].Name)[0]) }
 	cases := []struct {
 		name  string
 		model nn.Config
 		depth int
-		after func(groups []nn.ParamGroup) int // chunk ops that succeed first
+		after func(e *Engine) int // chunk ops that succeed first
 		// ops, when set, is the state reads and writes that complete in the
 		// faulted step: where the countdown landed, counted.
 		ops [2]int64
 	}{
 		// Window 1 runs one group's read → Adam → write at a time.
-		{"read-ahead", miniConfig(), 1, func([]nn.ParamGroup) int { return 0 }, [2]int64{}},
-		{"write-behind", miniConfig(), 1, func(gs []nn.ParamGroup) int { return stateChunks(gs[len(gs)-1]) }, [2]int64{}},
+		{"read-ahead", miniConfig(), 1, func(*Engine) int { return 0 }, [2]int64{}},
+		{"write-behind", miniConfig(), 1, func(e *Engine) int { return stateChunks(e, e.groups[len(e.groups)-1]) }, [2]int64{}},
 		// Window 3: the head's whole round trip and the next group's read
 		// succeed; the fault lands while up to three groups are in flight.
-		{"mid-window", miniConfig(), 3, func(gs []nn.ParamGroup) int {
-			return 2*stateChunks(gs[len(gs)-1]) + stateChunks(gs[len(gs)-2]) + 1
+		{"mid-window", miniConfig(), 3, func(e *Engine) int {
+			gs := e.groups
+			return 2*stateChunks(e, gs[len(gs)-1]) + stateChunks(e, gs[len(gs)-2]) + 1
 		}, [2]int64{}},
 		// The head's first piece makes its round trip; then its second
 		// piece's read fails, or that read succeeds and its write fails.
-		{"read-ahead/second-piece", pieced, 1, func([]nn.ParamGroup) int { return 2 * fullPiece }, [2]int64{1, 1}},
-		{"write-behind/second-piece", pieced, 1, func([]nn.ParamGroup) int { return 2*fullPiece + 1 }, [2]int64{2, 1}},
+		{"read-ahead/second-piece", pieced, 1, func(e *Engine) int { return 2 * fullPiece(e) }, [2]int64{1, 1}},
+		{"write-behind/second-piece", pieced, 1, func(e *Engine) int { return 2*fullPiece(e) + 1 }, [2]int64{2, 1}},
 	}
 	const warm = 2
 	for _, tc := range cases {
@@ -316,7 +318,7 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 			boom := errors.New("media failure")
 			tokens, targets := data(cfg.Model, warm)
 			before := e.Array().Stats()
-			e.Array().InjectFaultAfter(0, tc.after(e.groups), boom)
+			e.Array().InjectFaultAfter(0, tc.after(e), boom)
 			if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
 				t.Fatalf("TrainStep with a %s fault = %v, want %v", tc.name, err, boom)
 			}
@@ -374,8 +376,17 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 }
 
 // stateChunks is how many 4 KiB chunk operations one read, or one write, of
-// g's 12 B/param state object is.
-func stateChunks(g nn.ParamGroup) int { return (12*g.NumParams() + 4095) / 4096 }
+// g's state pieces is, in the form each is stored in now.
+func stateChunks(e *Engine, g nn.ParamGroup) int {
+	n := 0
+	for _, size := range e.optimizer.StoredBytes(g.Name) {
+		n += pieceChunks(size)
+	}
+	return n
+}
+
+// pieceChunks is how many 4 KiB chunks an object of size bytes is striped in.
+func pieceChunks(size int) int { return (size + 4095) / 4096 }
 
 // noGoroutineLeft waits for the goroutine count to fall back to baseline,
 // read before the engine was built. At most, not exactly: a goroutine of an
@@ -422,7 +433,7 @@ func TestStatePipelineFaultTrailingWrite(t *testing.T) {
 
 			ops := 0
 			for _, g := range e.groups {
-				ops += 2 * stateChunks(g)
+				ops += 2 * stateChunks(e, g)
 			}
 			e.Array().InjectFaultAfter(0, ops-1, boom)
 			tokens, targets := data(cfg.Model, warm)
@@ -615,7 +626,7 @@ func TestStatePipelineWindowBound(t *testing.T) {
 			for _, g := range e.groups {
 				largest = max(largest, g.NumParams())
 			}
-			bound := depth * 12 * largest
+			bound := depth * opt.StateBytes(largest, true)
 			buffers, bytes := e.states.Window()
 			if bytes > bound || buffers < depth {
 				t.Fatalf("%v depth %d: window of %d buffers, %d B, bound %d B", mode, depth, buffers, bytes, bound)

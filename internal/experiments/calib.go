@@ -51,24 +51,11 @@ func calibExperiment(w io.Writer) (err error) {
 	if _, err := e.TrainStep(tokens, targets); err != nil {
 		return err
 	}
-	tr.Reset()
-	var bwdSum, drainSum, adamBusy time.Duration
-	var adamParams int64
-	for s := 0; s < steps; s++ {
-		tokens, targets = loader.Next()
-		if _, err := e.TrainStep(tokens, targets); err != nil {
-			return err
-		}
-		m := e.LastStepMetrics()
-		bwdSum += m.Backward
-		drainSum += m.OptimizerDrain
-		adamBusy += m.AdamBusy
-		adamParams += m.AdamParams
+	run, err := calibMeasure(e, tr, loader, steps)
+	if err != nil {
+		return err
 	}
-	spans := tr.Spans()
-	if len(spans) == 0 {
-		return fmt.Errorf("calib: tracer recorded no spans")
-	}
+	spans := run.spans
 
 	// ---- Fold the measured timeline ----
 	// Average duration per span name, for per-chunk comparisons.
@@ -108,14 +95,17 @@ func calibExperiment(w io.Writer) (err error) {
 		sim.CPUAdam:    busyWhere(adamLane) / steps,
 		sim.SSDBus:     busyWhere(optSSD) / steps,
 	}
-	measuredSpan := (bwdSum + drainSum) / steps
+	measuredSpan := (run.bwd + run.drain) / steps
 
 	// ---- Build the simulated iteration from calibrated rates ----
-	adamRate := float64(adamParams) / adamBusy.Seconds()
-	// State-streaming bandwidth measured from this very run: the optimizer
-	// reads and writes 12 bytes/param of fp32 state per group (P32+M+V),
-	// timed by the "states/" object spans.
+	adamRate := float64(run.adamParams) / run.adamBusy.Seconds()
+	// State-streaming bandwidth measured from this very run: the state bytes
+	// the flow ledger counted each way, over the time the "states/" object
+	// spans kept each direction busy. The simulated handlers move the same
+	// bytes per parameter.
 	totalParams := int64(e.Model().NumParams())
+	readPerParam := float64(run.stateRead) / float64(totalParams*steps)
+	writePerParam := float64(run.stateWrite) / float64(totalParams*steps)
 	stateReadBusy := busyWhere(func(s obs.Span) bool {
 		return s.Lane == obs.LaneNVMeRead && strings.HasPrefix(s.Name, "states/")
 	})
@@ -124,9 +114,8 @@ func calibExperiment(w io.Writer) (err error) {
 	})
 	rates := agoffload.Rates{AdamParamsPerSec: adamRate}
 	if stateReadBusy > 0 && stateWriteBusy > 0 {
-		stateBytes := float64(12 * totalParams * steps)
-		rates.BWS2M = units.BytesPerSecond(stateBytes / stateReadBusy.Seconds())
-		rates.BWM2S = units.BytesPerSecond(stateBytes / stateWriteBusy.Seconds())
+		rates.BWS2M = units.BytesPerSecond(float64(run.stateRead) / stateReadBusy.Seconds())
+		rates.BWM2S = units.BytesPerSecond(float64(run.stateWrite) / stateWriteBusy.Seconds())
 	}
 
 	// Gradient-arrival tasks: the measured average backward (plus
@@ -155,8 +144,10 @@ func calibExperiment(w io.Writer) (err error) {
 			t.Deps = []int{prev}
 		}
 		tasks = append(tasks, t)
+		n := float64(a.group.NumParams())
 		chunks = append(chunks, agoffload.Chunk{
-			Label: a.group.Name, Params: int64(a.group.NumParams()), ArrivalDep: id,
+			Label: a.group.Name, Params: int64(n), ArrivalDep: id,
+			ReadBytes: units.Bytes(n * readPerParam), WriteBytes: units.Bytes(n * writePerParam),
 		})
 		prev = id
 		id++
@@ -173,8 +164,8 @@ func calibExperiment(w io.Writer) (err error) {
 
 	// ---- Report ----
 	fmt.Fprintf(w, "calibration: %d measured engine steps (3 blocks on SSD, optimized offloading)\n", steps)
-	fmt.Fprintf(w, "calibrated rates: adam %.3g params/s, state read %.1f MB/s, write %.1f MB/s\n\n",
-		adamRate, float64(rates.BWS2M)/1e6, float64(rates.BWM2S)/1e6)
+	fmt.Fprintf(w, "calibrated rates: adam %.3g params/s, state read %.1f MB/s, write %.1f MB/s (%.2f and %.2f B/param, from the flow ledger)\n\n",
+		adamRate, float64(rates.BWS2M)/1e6, float64(rates.BWM2S)/1e6, readPerParam, writePerParam)
 	fmt.Fprintf(w, "backward+optimizer phase   measured %10v   simulated %10v   drift %+6.1f%%\n",
 		measuredSpan.Round(time.Microsecond), simSpan.Round(time.Microsecond), drift(simSpan, measuredSpan))
 	fmt.Fprintf(w, "\n%-12s %14s %7s %14s %7s %8s\n", "resource", "measured-busy", "frac", "sim-busy", "frac", "drift")
@@ -194,7 +185,7 @@ func calibExperiment(w io.Writer) (err error) {
 		fmt.Fprintf(w, "%-12s %14v %14v %+7.1f%%\n",
 			c.Label, mDur.Round(time.Microsecond), sDur.Round(time.Microsecond), drift(sDur, mDur))
 	}
-	fmt.Fprintf(w, "\nper-resource drift bounds the rate-model error (the sim prices state writes at\n14 B/param where the engine stores 12); phase-span drift is engine work the\nschedule leaves out — gradient marshalling, cache decode, channel hand-off.\n")
+	fmt.Fprintf(w, "\nper-resource drift bounds the rate-model error; phase-span drift is engine\nwork the schedule leaves out — gradient marshalling, cache decode, channel\nhand-off.\n")
 	return calibForwardOverlap(w)
 }
 
@@ -287,6 +278,45 @@ func calibForwardOverlap(w io.Writer) (err error) {
 	fmt.Fprintf(w, "measured forward: %v (drift vs full overlap %+.1f%%) — overlap recovered %.0f%%\n",
 		fwd.Round(time.Microsecond), drift(ideal, fwd), recovered)
 	return nil
+}
+
+// calibRun is what calib measures over its window of steps: the traced
+// spans, the step metrics it sums, and the optimizer-state bytes the flow
+// ledger counted read from the array and written to it.
+type calibRun struct {
+	spans                 []obs.Span
+	bwd, drain, adamBusy  time.Duration
+	adamParams            int64
+	stateRead, stateWrite int64
+}
+
+// calibMeasure runs steps traced steps of e. Stats joins the trailing
+// write-back at both edges, so the spans and the ledger's bytes cover the
+// same window: exactly the measured steps' state traffic.
+func calibMeasure(e *engine.Engine, tr *obs.Tracer, loader *data.Loader, steps int) (calibRun, error) {
+	var run calibRun
+	e.Stats()
+	tr.Reset()
+	before := e.Flows()
+	for s := 0; s < steps; s++ {
+		tokens, targets := loader.Next()
+		if _, err := e.TrainStep(tokens, targets); err != nil {
+			return run, err
+		}
+		m := e.LastStepMetrics()
+		run.bwd += m.Backward
+		run.drain += m.OptimizerDrain
+		run.adamBusy += m.AdamBusy
+		run.adamParams += m.AdamParams
+	}
+	e.Stats()
+	d := e.Flows().Sub(before)
+	run.stateRead, run.stateWrite = d.Get(obs.EdgeHostNVMeRead, obs.FlowOptState), d.Get(obs.EdgeHostNVMeWrite, obs.FlowOptState)
+	run.spans = tr.Spans()
+	if len(run.spans) == 0 {
+		return run, fmt.Errorf("calib: tracer recorded no spans")
+	}
+	return run, nil
 }
 
 func drift(simulated, measured time.Duration) float64 {

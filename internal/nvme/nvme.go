@@ -472,17 +472,17 @@ func (a *Array) ReadIntoClass(key string, dst []byte, class Class) error {
 		return err
 	}
 	sp.End()
+	// The bytes crossed from the devices whether or not they verify: the
+	// ledger and the counters both count them, so they reconcile after a
+	// corrupt read too.
 	if o != nil {
 		o.note(key, int64(obj.size), false, time.Since(opStart))
-	}
-	if err := a.verify(key, obj, dst); err != nil {
-		return err
 	}
 	a.statMu.Lock()
 	a.bytesRead += int64(obj.size)
 	a.readOps++
 	a.statMu.Unlock()
-	return nil
+	return a.verify(key, obj, dst)
 }
 
 // delete removes key, if stored, and frees its chunks.

@@ -328,6 +328,39 @@ func TestChecksumsDetectCorruption(t *testing.T) {
 	}
 }
 
+// TestCorruptReadReconciles: a read of a checksummed file-backed object
+// whose stored byte was flipped fails with ErrCorrupt, and the flow ledger
+// and the array's counters still agree on the bytes moved — the bytes
+// crossed from the device either way, so both count them.
+func TestCorruptReadReconciles(t *testing.T) {
+	a, err := Open(Config{Devices: 1, StripeSize: 64, Checksums: true, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ledger := obs.NewFlowLedger()
+	a.SetObservers(nil, nil, ledger, nil)
+	if err := a.Put("k", bytes.Repeat([]byte{7}, 200)); err != nil {
+		t.Fatal(err)
+	}
+	f := a.devs[0].back.(fileBackend).f
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0xff}, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.ReadInto("k", make([]byte, 200)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupted ReadInto = %v, want ErrCorrupt", err)
+	}
+	flows, s := ledger.Snapshot(), a.Stats()
+	if mismatch := flows.Edge(obs.EdgeHostNVMeRead) - int64(s.BytesRead) + flows.Edge(obs.EdgeHostNVMeWrite) - int64(s.BytesWritten); mismatch != 0 || s.BytesRead != 200 {
+		t.Fatalf("ledger read %d / wrote %d B, array read %d / wrote %d B: mismatch %d",
+			flows.Edge(obs.EdgeHostNVMeRead), flows.Edge(obs.EdgeHostNVMeWrite), s.BytesRead, s.BytesWritten, mismatch)
+	}
+}
+
 // TestOpLatencyApplied: per-op latency makes many small reads measurably
 // slower than one large read of the same volume.
 func TestOpLatencyApplied(t *testing.T) {

@@ -5,9 +5,11 @@
 // the CPU optimizer that active gradient offloading (§IV-C) drives.
 //
 // The out-of-core optimizer is exactly equivalent to the in-memory one for
-// any piece size: state round-trips through storage as raw little-endian
-// float32, Adam is element-wise, per-group clipping is computed over the
-// whole group, and gradients are consumed in fp16 (G16) in both paths.
+// any piece size: the moments round-trip through storage as raw
+// little-endian float32 and each master as its exact distance from the fp16
+// working copy the host holds (P16 + Δ, or the escape table's fp32 bits),
+// Adam is element-wise, per-group clipping is computed over the whole group,
+// and gradients are consumed in fp16 (G16) in both paths.
 package opt
 
 import (
@@ -92,15 +94,6 @@ func newAdamCoef(cfg AdamConfig, t int) simd.AdamCoef {
 	}
 }
 
-// adamWireChunk runs the kernel over parameters [lo,hi) of a state object in
-// wire form: its P32, M and V planes are updated where they lie, so the object
-// is walked once and never staged. The new masters also land in p32 for the
-// fp16 install.
-func adamWireChunk(k simd.AdamCoef, wire []byte, p32, grad []float32, lo, hi int) {
-	nb := len(wire) / 3
-	simd.AdamWire(k, wire[4*lo:4*hi], wire[nb+4*lo:nb+4*hi], wire[2*nb+4*lo:2*nb+4*hi], grad[lo:hi], p32[lo:hi])
-}
-
 // Store is the storage the out-of-core optimizer streams model states
 // through; *nvme.Array satisfies it. Put must not retain data after it
 // returns and ReadInto fills dst, which must be exactly the stored object's
@@ -151,10 +144,20 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 //
 // A group's state is cut into pieces: contiguous parameter ranges of one
 // size (the last one holds the rest), each its own store object
-// "<prefix>/<group>/state/<k>" laid out P32 | M | V back to back as raw
-// little-endian fp32 (12 bytes per parameter). A piece is one striped read
-// and one striped write, and the unit StatePipeline streams; SetWindow sizes
-// it, and without it a group is one piece.
+// "<prefix>/<group>/state/<k>". A piece is one striped read and one striped
+// write, and the unit StatePipeline streams; SetWindow sizes it, and without
+// it a group is one piece. A piece of n params is stored in one of two forms
+// (StateBytes), the optimizer records which, and the install of P16 is the
+// only writer of the working weights the Δ form is relative to:
+//
+//	Δ form:    Δ (2n) | M (4n) | V (4n) | escapes: count u32 | escCap(n) × (index u32, P32 bits u32)
+//	full form: P32 (4n) | M (4n) | V (4n)
+//
+// Δ[i] = bits(P32[i]) − bits(P16[i]) as a little-endian int16 (simd's Δ
+// codec) and M, V raw little-endian fp32; a master whose Δ does not fit is in
+// the escape table, which holds 1/128 of the piece. A piece whose escapes
+// overflow the table, or one too small for the Δ form to be smaller, is
+// stored full.
 type OutOfCoreAdam struct {
 	cfg       AdamConfig
 	store     Store
@@ -165,23 +168,27 @@ type OutOfCoreAdam struct {
 	clipNorm  float64 // per-group L2 clip; 0 disables
 	piece     int     // params per state piece (SetWindow); 0 = a group is one piece
 
-	tracer     *obs.Tracer        // optional: records per-piece Adam spans
-	flows      *obs.FlowLedger    // optional: per-edge/purpose byte accounting
-	adamLabels map[string]string  // group -> "group/opt-adam", precomputed
-	cuts       map[string][]piece // group -> its pieces, precomputed
+	tracer     *obs.Tracer         // optional: records per-piece Adam spans
+	flows      *obs.FlowLedger     // optional: per-edge/purpose byte accounting
+	adamLabels map[string]string   // group -> "group/opt-adam", precomputed
+	cuts       map[string][]*piece // group -> its pieces, precomputed
 
-	// scr is the update scratch: the staged gradient, the new masters on
-	// their way to the fp16 install, and the wire buffer of the synchronous
-	// paths, sized to the largest group (the checkpoint's gather and scatter)
-	// or piece seen and reused for the optimizer's lifetime. scrMu serializes
-	// its users — UpdateGroup, the state pipeline's Adam stage and the
-	// checkpoint paths never overlap in the engine, so the lock is uncontended
-	// and exists only to keep concurrent misuse safe.
+	// scr is the update scratch, sized to the largest group (the wire buffer
+	// of the synchronous paths and the checkpoint's gather and scatter) or
+	// piece seen and reused for the optimizer's lifetime: the staged gradient
+	// (or a piece's masters, outside the Adam walk), the escapes a full-form
+	// piece lifts into the walk and those the walk or the encoder lists, and
+	// the walk's escape count per chunk. scrMu serializes its users —
+	// UpdateGroup, the state pipeline's Adam stage and the checkpoint paths
+	// never overlap in the engine, so the lock is uncontended and exists only
+	// to keep concurrent misuse safe.
 	scrMu sync.Mutex
 	scr   struct {
-		p32, grad []float32
-		wire      []byte
-		crc       [4]byte // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
+		grad          []float32
+		wire          []byte
+		escIn, escOut []byte
+		escN          []int
+		crc           [4]byte // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
 	}
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
@@ -207,11 +214,12 @@ func (o *OutOfCoreAdam) SetTracer(tr *obs.Tracer) { o.tracer = tr }
 
 // SetFlowLedger installs a byte-flow ledger: every group update credits
 // its gradient staging (fp16 wire bytes, compute→host), its fp16
-// parameter install (host→compute), and the fp32 codec traffic of the
-// state stream (3 tensors each way). The host↔NVMe bytes themselves are
+// parameter install (host→compute), and the codec traffic of the state
+// stream: each piece's stored bytes decoded, in the form it was read, and
+// encoded, in the form it is written. The host↔NVMe bytes themselves are
 // accounted by the store (nvme.Array.SetObservers), not here — the two
-// views reconcile because the optimizer streams state through the store
-// uncompressed. Call before training starts; updates are allocation-free.
+// views reconcile because the optimizer puts and reads each piece in its
+// stored form. Call before training starts; updates are allocation-free.
 func (o *OutOfCoreAdam) SetFlowLedger(l *obs.FlowLedger) { o.flows = l }
 
 // adamLabel returns the group's precomputed span label (built at InitGroup
@@ -264,35 +272,70 @@ func (o *OutOfCoreAdam) SetWindow(depth int, groups []nn.ParamGroup) {
 	o.piece = min(largest, max(adamChunkGrain, max(depth, 1)*largest/piecesPerWindow))
 }
 
-// piece is params [lo, lo+n) of a group, stored as the object key.
+// piece is params [lo, lo+n) of a group, stored as the object key in the
+// form full records. Whoever writes the piece sets full before the write —
+// the pipeline's Adam stage before it hands the piece to write-behind — and
+// its next reader reads it after joining that write.
 type piece struct {
 	key   string
 	lo, n int
+	full  bool
 }
+
+// stored is the size of the piece's object in the store.
+func (pc *piece) stored() int { return StateBytes(pc.n, pc.full) }
 
 // cut returns the n-param group's pieces in order, building and caching
 // them on first use (the hot path must not concatenate per transfer).
-func (o *OutOfCoreAdam) cut(group string, n int) []piece {
+func (o *OutOfCoreAdam) cut(group string, n int) []*piece {
 	if ps, ok := o.cuts[group]; ok {
 		return ps
 	}
 	if o.cuts == nil {
-		o.cuts = make(map[string][]piece)
+		o.cuts = make(map[string][]*piece)
 	}
 	size := n
 	if o.piece > 0 {
 		size = min(n, o.piece)
 	}
-	var ps []piece
+	var ps []*piece
 	for lo := 0; len(ps) == 0 || lo < n; lo += size {
-		ps = append(ps, piece{o.prefix + "/" + group + "/state/" + strconv.Itoa(len(ps)), lo, min(size, n-lo)})
+		pc := &piece{key: o.prefix + "/" + group + "/state/" + strconv.Itoa(len(ps)), lo: lo, n: min(size, n-lo)}
+		pc.full = !deltaPays(pc.n)
+		ps = append(ps, pc)
 	}
 	o.cuts[group] = ps
 	return ps
 }
 
-// wireBytes is the size of n params' state object: three fp32 tensors.
-func wireBytes(n int) int { return 12 * n }
+// StateBytes is the size of n params' state in either form: full, P32 | M |
+// V as three fp32 planes — which is also a checkpoint record's object and
+// what the state window is budgeted in — or Δ | M | V | escapes, 10 B/param
+// and the escape table.
+func StateBytes(n int, full bool) int {
+	if full {
+		return 12 * n
+	}
+	return 10*n + 4 + simd.EscapeBytes*escCap(n)
+}
+
+// escCap is the escape table's capacity in an n-param piece: 1/128 of it.
+func escCap(n int) int { return (n + 127) / 128 }
+
+// deltaPays reports whether an n-param piece is smaller in the Δ form; one
+// of fewer than seven params is always stored full.
+func deltaPays(n int) bool { return StateBytes(n, false) < StateBytes(n, true) }
+
+// StoredBytes reports the size of each of the group's pieces in the store,
+// in piece order, in the form each is stored in now. Call it with no update
+// in flight (after StatePipeline.Flush), for tests and inspection.
+func (o *OutOfCoreAdam) StoredBytes(group string) []int {
+	var sizes []int
+	for _, pc := range o.cuts[group] {
+		sizes = append(sizes, pc.stored())
+	}
+	return sizes
+}
 
 // overlap calls f for each of g's tensors that params [lo,hi) of the
 // group's flattened state cover: the tensor, its covered elements [a,b), and
@@ -315,10 +358,11 @@ func overlap(g nn.ParamGroup, lo, hi int, f func(p nn.Param, a, b, at int) error
 
 // InitGroup seeds the store with the group's fp32 masters (from the current
 // working weights) and zero moments, piece by piece, and rounds the working
-// weights to fp16 (the P16 copies the GPU computes with). The pieces are
-// built in the wire scratch, which initialization warms to the largest
-// group's size — the checkpoint's gather needs that much — instead of
-// allocating later.
+// weights to fp16 (the P16 copies the GPU computes with) as it encodes each
+// piece. The pieces are built in the wire scratch, which initialization
+// warms to the largest group's size — the checkpoint's gather needs that
+// much — and the other scratch to the largest piece's, instead of allocating
+// later.
 func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	if o.adamLabels == nil {
 		o.adamLabels = make(map[string]string)
@@ -328,22 +372,24 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	pieces := o.cut(g.Name, n) // precompute the store keys off the hot path
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire := scratch(&o.scr.wire, wireBytes(n))
+	wire := scratch(&o.scr.wire, StateBytes(n, true))
+	// pack warms the rest of the scratch but the lift's and the walk's chunk
+	// counts, which a full-form piece or a sharded walk would otherwise
+	// allocate in some step.
+	scratch(&o.scr.escIn, simd.EscapeBytes*pieces[0].n)
+	scratch(&o.scr.escN, (pieces[0].n+adamChunkGrain-1)/adamChunkGrain)
 	for _, pc := range pieces {
-		obj := wire[:wireBytes(pc.n)]
+		obj := wire[:StateBytes(pc.n, true)]
 		err := overlap(g, pc.lo, pc.lo+pc.n, func(p nn.Param, a, b, at int) error {
 			return tensor.ToFP32BytesInto(obj[4*at:4*(at+b-a)], p.W.Data[a:b])
 		})
 		clear(obj[4*pc.n:]) // M and V start at +0, which is four zero bytes
 		if err == nil {
-			err = o.writeState(pc.key, obj)
+			err = o.writeState(pc.key, o.pack(obj, g, pc))
 		}
 		if err != nil {
 			return fmt.Errorf("opt: init %s: %w", g.Name, err)
 		}
-	}
-	for _, p := range g.Params {
-		p.W.RoundFP16InPlace()
 	}
 	return nil
 }
@@ -353,10 +399,10 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 func (o *OutOfCoreAdam) BeginStep() { o.step++ }
 
 // UpdateGroup is the active-gradient-offloading handler body as one
-// synchronous call on the caller's goroutine: piece by piece it reads
-// P32+OS32 from the store, consumes the piece's gradients (rounded to fp16,
-// as they arrive over PCIe), applies Adam, writes the updated state back,
-// and installs the new fp16 working weights. The engine's training path
+// synchronous call on the caller's goroutine: piece by piece it reads the
+// piece's P32+OS32 from the store, consumes its gradients (rounded to fp16,
+// as they arrive over PCIe), applies Adam, installs the new fp16 working
+// weights and writes the updated state back. The engine's training path
 // streams the same pieces through a StatePipeline instead; the values are
 // identical.
 func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
@@ -367,13 +413,13 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	defer o.scrMu.Unlock()
 	clip, label := o.clipScale(g), o.adamLabel(g.Name)
 	for _, pc := range o.cut(g.Name, g.NumParams()) {
-		wire := scratch(&o.scr.wire, wireBytes(pc.n))
-		err := o.readState(pc.key, wire)
+		obj := scratch(&o.scr.wire, StateBytes(pc.n, true))[:pc.stored()]
+		err := o.readState(pc.key, obj)
 		if err == nil {
-			err = o.applyTo(wire, g, pc.lo, o.cfg, o.step, clip, label)
+			obj, err = o.applyTo(obj, g, pc, o.cfg, o.step, clip, label)
 		}
 		if err == nil {
-			err = o.writeState(pc.key, wire)
+			err = o.writeState(pc.key, obj)
 		}
 		if err != nil {
 			return err
@@ -382,19 +428,39 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	return nil
 }
 
-// applyTo is the compute of one piece's update, in place on its state in
-// wire: stage params [lo, ...) of g's gradients, walk Adam over the piece
-// at (cfg, step), install their P16. Caller holds scrMu.
-func (o *OutOfCoreAdam) applyTo(wire []byte, g nn.ParamGroup, lo int, cfg AdamConfig, step int, clip float32, label string) error {
-	grad := scratch(&o.scr.grad, len(wire)/12)
-	if err := o.stageGrads(grad, g, lo, clip); err != nil {
-		return err
+// applyTo is the compute of one piece's update, in place on the object read
+// into obj in its stored form (obj's capacity holds the full form): lift a
+// full-form piece into the Δ layout, or check the escape table of a Δ-form
+// one; stage the piece's gradients; walk Adam over it at (cfg, step), which
+// installs P16; and seal it in the form it will be written in, which it
+// records and returns the object of. Caller holds scrMu.
+func (o *OutOfCoreAdam) applyTo(obj []byte, g nn.ParamGroup, pc *piece, cfg AdamConfig, step int, clip float32, label string) ([]byte, error) {
+	if len(obj) != pc.stored() {
+		return nil, fmt.Errorf("opt: decode %s: state object is %d bytes, want %d", pc.key, len(obj), pc.stored())
 	}
-	p32, err := o.adamWire(wire, cfg, step, grad, g.Name, label)
-	if err != nil {
-		return err
+	read := len(obj)
+	obj = obj[:StateBytes(pc.n, true)]
+	var esc []byte
+	if pc.full {
+		esc = o.lift(obj, g, pc, scratch(&o.scr.escIn, simd.EscapeBytes*pc.n))
+	} else {
+		var err error
+		if esc, err = escapes(obj, pc); err != nil {
+			return nil, err
+		}
 	}
-	return o.installP16(g, lo, p32)
+	grad := scratch(&o.scr.grad, pc.n)
+	if err := o.stageGrads(grad, g, pc.lo, clip); err != nil {
+		return nil, err
+	}
+	obj = o.seal(obj, g, pc, o.adamDelta(obj, g, pc, newAdamCoef(cfg, step), grad, esc, label))
+	// The state crossed the codec in both directions inside the walk, in the
+	// form it was read and the form it is written; fresh fp16 working
+	// weights crossed back to the compute tier.
+	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(read))
+	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(len(obj)))
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*pc.n))
+	return obj, nil
 }
 
 // unscale is the factor that divides the loss scale back out of a gradient.
@@ -462,48 +528,141 @@ func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup, lo int, clip 
 	return nil
 }
 
-// adamWire is the compute stage of a piece's update on state in wire form:
-// apply Adam at (cfg, step >= 1) with grad to the P32|M|V piece in place,
-// one walk over its bytes (adamWireChunk), sharded like AdamStep. It returns
-// the scratch slice holding the new masters, valid until the next scratch
-// user, for the caller's fp16 install. Caller holds scrMu.
-func (o *OutOfCoreAdam) adamWire(wire []byte, cfg AdamConfig, step int, grad []float32, group, label string) ([]float32, error) {
-	n := len(grad)
-	if len(wire) != wireBytes(n) {
-		return nil, fmt.Errorf("opt: decode %s: state object is %d bytes, want %d", group, len(wire), wireBytes(n))
-	}
-	k := newAdamCoef(cfg, step)
-	p32 := scratch(&o.scr.p32, n)
+// adamDelta is the compute stage of a piece's update: one walk
+// (simd.AdamDelta) over the Δ|M|V planes in obj at coefficients k with grad,
+// masters escaped in esc, which decodes each master, applies Adam, installs
+// P16 into the group's working weights and encodes the result — sharded like
+// AdamStep, each chunk cut at the group's tensors. It returns the walk's
+// escapes, in order, in the scratch. Caller holds scrMu.
+func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, k simd.AdamCoef, grad []float32, esc []byte, label string) []byte {
+	n := pc.n
+	out := scratch(&o.scr.escOut, simd.EscapeBytes*n)
 	sp := o.tracer.StartSpan(obs.LaneAdam, label)
 	kernelStart := time.Now()
+	var nesc int
 	if work := adamWork(n); pool.InlineWork(work) {
-		adamWireChunk(k, wire, p32, grad, 0, n)
+		nesc = walk(obj, g, pc, k, grad, esc, out, 0, n)
 	} else {
-		pool.ForWork(n, adamChunkGrain, work, func(lo, hi int) { adamWireChunk(k, wire, p32, grad, lo, hi) })
+		// Each chunk lists its escapes where its own elements' would start, so
+		// the chunks never share a byte of out; the lists close up after.
+		chunks := (n + adamChunkGrain - 1) / adamChunkGrain
+		counts := scratch(&o.scr.escN, chunks)
+		pool.Run(chunks, func(c int) {
+			lo := c * adamChunkGrain
+			counts[c] = walk(obj, g, pc, k, grad, esc, out[simd.EscapeBytes*lo:], lo, min(n, lo+adamChunkGrain))
+		})
+		for c, e := range counts {
+			from := simd.EscapeBytes * c * adamChunkGrain
+			nesc += copy(out[simd.EscapeBytes*nesc:], out[from:from+simd.EscapeBytes*e]) / simd.EscapeBytes
+		}
 	}
 	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
 	sp.End()
 	o.kernelParams.Add(int64(n))
-	// The three fp32 state tensors still cross the codec in both directions
-	// (P32, M, V from their wire form and back), inside that one walk.
-	o.flows.Add(obs.EdgeCodecDecode, obs.FlowOptState, int64(wireBytes(n)))
-	o.flows.Add(obs.EdgeCodecEncode, obs.FlowOptState, int64(wireBytes(n)))
-	return p32, nil
+	return out[:simd.EscapeBytes*nesc]
 }
 
-// installP16 writes P16 = fp16(P32) into params [lo, lo+len(p32)) of the
-// group's working tensors through the chunked round kernel (bit-identical to
-// the scalar loop per element).
-func (o *OutOfCoreAdam) installP16(g nn.ParamGroup, lo int, p32 []float32) error {
-	err := overlap(g, lo, lo+len(p32), func(p nn.Param, a, b, at int) error {
-		return tensor.RoundFP16Into(p.W.Data[a:b], p32[at:at+b-a])
+// walk runs the Δ walk over elements [from, to) of the piece in obj, one call
+// per tensor of the group they cover, with that tensor's working weights as
+// P16, listing the escapes at out; it returns their count.
+func walk(obj []byte, g nn.ParamGroup, pc *piece, k simd.AdamCoef, grad []float32, esc, out []byte, from, to int) int {
+	n, nesc := pc.n, 0
+	d, m, v := obj[:2*n], obj[2*n:6*n], obj[6*n:10*n]
+	overlap(g, pc.lo+from, pc.lo+to, func(p nn.Param, a, b, at int) error {
+		i, j := from+at, from+at+b-a
+		esc = skipEscapes(esc, i)
+		nesc += simd.AdamDelta(k, i, d[2*i:2*j], m[4*i:4*j], v[4*i:4*j], grad[i:j], p.W.Data[a:b], esc, out[simd.EscapeBytes*nesc:])
+		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("opt: install %s: %w", g.Name, err)
+	return nesc
+}
+
+// skipEscapes drops the records of a sorted escape list below index i.
+func skipEscapes(esc []byte, i int) []byte {
+	for len(esc) >= simd.EscapeBytes && int(binary.LittleEndian.Uint32(esc)) < i {
+		esc = esc[simd.EscapeBytes:]
 	}
-	// Fresh fp16 working weights cross back to the compute tier.
-	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*len(p32)))
-	return nil
+	return esc
+}
+
+// escapes returns the escape records of the Δ-form piece in obj, refusing a
+// table whose count is over its capacity or whose indices do not rise
+// strictly within the piece: such a piece is never decoded.
+func escapes(obj []byte, pc *piece) ([]byte, error) {
+	table := obj[10*pc.n:]
+	c := int(binary.LittleEndian.Uint32(table))
+	if c > escCap(pc.n) {
+		return nil, fmt.Errorf("opt: %s: %d escapes in a table of %d", pc.key, c, escCap(pc.n))
+	}
+	esc := table[4 : 4+simd.EscapeBytes*c]
+	prev := -1
+	for e := esc; len(e) > 0; e = e[simd.EscapeBytes:] {
+		i := int(binary.LittleEndian.Uint32(e))
+		if i <= prev || i >= pc.n {
+			return nil, fmt.Errorf("opt: %s: escape index %d out of order or range (%d params)", pc.key, i, pc.n)
+		}
+		prev = i
+	}
+	return esc, nil
+}
+
+// pack stores the full-form piece in obj, installing P16 = fp16(P32): it
+// encodes the piece (lift) and seals it in the form it is written in, and
+// returns that object. Caller holds scrMu.
+func (o *OutOfCoreAdam) pack(obj []byte, g nn.ParamGroup, pc *piece) []byte {
+	return o.seal(obj, g, pc, o.lift(obj, g, pc, scratch(&o.scr.escOut, simd.EscapeBytes*pc.n)))
+}
+
+// lift turns the piece in obj from P32|M|V into Δ|M|V, installing P16 =
+// fp16(P32) into the group's working weights (which the Adam stage finds
+// there already), and returns the escapes, listed in order from out's start.
+// The masters go through the gradient scratch. Caller holds scrMu.
+func (o *OutOfCoreAdam) lift(obj []byte, g nn.ParamGroup, pc *piece, out []byte) []byte {
+	n := pc.n
+	p32 := scratch(&o.scr.grad, n)
+	_ = tensor.FromFP32Bytes(obj[:4*n], p32) // sizes are the piece's: no error
+	nesc := 0
+	overlap(g, pc.lo, pc.lo+n, func(p nn.Param, a, b, at int) error {
+		nesc += simd.DeltaEncode(obj[2*at:], p32[at:at+b-a], p.W.Data[a:b], at, out[simd.EscapeBytes*nesc:])
+		return nil
+	})
+	copy(obj[2*n:6*n], obj[4*n:8*n])
+	copy(obj[6*n:10*n], obj[8*n:12*n])
+	return out[:simd.EscapeBytes*nesc]
+}
+
+// seal finishes the Δ|M|V piece in obj whose escapes are esc: into the Δ
+// form with its escape table when they fit and that form is the smaller,
+// otherwise unpacked into the full form. It records the form and returns the
+// object. Caller holds scrMu.
+func (o *OutOfCoreAdam) seal(obj []byte, g nn.ParamGroup, pc *piece, esc []byte) []byte {
+	n := pc.n
+	pc.full = len(esc)/simd.EscapeBytes > escCap(n) || !deltaPays(n)
+	if pc.full {
+		o.unpack(obj, g, pc, esc)
+		return obj[:StateBytes(n, true)]
+	}
+	table := obj[10*n : StateBytes(n, false)]
+	binary.LittleEndian.PutUint32(table, uint32(len(esc)/simd.EscapeBytes))
+	clear(table[4+copy(table[4:], esc):])
+	return obj[:StateBytes(n, false)]
+}
+
+// unpack turns the piece in obj from Δ|M|V, escapes in esc, into P32|M|V with
+// P32 = P16 + Δ from the group's working weights. esc may lie in obj's table:
+// it is read before the planes move over it. The masters go through the
+// gradient scratch. Caller holds scrMu.
+func (o *OutOfCoreAdam) unpack(obj []byte, g nn.ParamGroup, pc *piece, esc []byte) {
+	n := pc.n
+	p32 := scratch(&o.scr.grad, n)
+	overlap(g, pc.lo, pc.lo+n, func(p nn.Param, a, b, at int) error {
+		esc = skipEscapes(esc, at)
+		simd.DeltaDecode(p32[at:at+b-a], obj[2*at:], p.W.Data[a:b], at, esc)
+		return nil
+	})
+	copy(obj[8*n:12*n], obj[6*n:10*n])
+	copy(obj[4*n:8*n], obj[2*n:6*n])
+	_ = tensor.ToFP32BytesInto(obj[:4*n], p32) // sizes are the piece's: no error
 }
 
 // scratch returns one of o.scr's slices at length n, growing its backing
@@ -540,35 +699,59 @@ func (o *OutOfCoreAdam) writeState(key string, wire []byte) error {
 	return o.store.Put(key, wire)
 }
 
-// MasterWeights returns the group's current fp32 masters (a copy of its
-// pieces' P32 planes), for tests and inspection.
-func (o *OutOfCoreAdam) MasterWeights(group string, n int) ([]float32, error) {
+// State returns a copy of the group's decoded state — its P32, M and V, as a
+// checkpoint records them — for tests and inspection.
+func (o *OutOfCoreAdam) State(g nn.ParamGroup) (p32, m, v []float32, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	p32 := make([]float32, n)
-	for _, pc := range o.cut(group, n) {
-		wire := scratch(&o.scr.wire, wireBytes(pc.n))
-		if err := o.readState(pc.key, wire); err != nil {
-			return nil, err
-		}
-		if err := tensor.FromFP32Bytes(wire[:4*pc.n], p32[pc.lo:pc.lo+pc.n]); err != nil {
-			return nil, err
-		}
+	n := g.NumParams()
+	wire, err := o.gather(g)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return p32, nil
+	state, at := make([]float32, 3*n), 0
+	err = o.planes(wire, g.Name, n, func(plane []byte) error {
+		at += len(plane) / 4
+		return tensor.FromFP32Bytes(plane, state[at-len(plane)/4:at])
+	})
+	return state[:n], state[n : 2*n], state[2*n:], err
+}
+
+// gather reads the group's pieces into the wire scratch, each where the
+// group's pieces would lie back to back in full form (piece k at
+// StateBytes(lo, true)), and unpacks every Δ-form one there. A piece whose
+// escape table is corrupt is refused. Caller holds scrMu.
+func (o *OutOfCoreAdam) gather(g nn.ParamGroup) ([]byte, error) {
+	n := g.NumParams()
+	wire := scratch(&o.scr.wire, StateBytes(n, true))
+	for _, pc := range o.cut(g.Name, n) {
+		obj := wire[StateBytes(pc.lo, true):StateBytes(pc.lo+pc.n, true)]
+		if err := o.readState(pc.key, obj[:pc.stored()]); err != nil {
+			return nil, err
+		}
+		if pc.full {
+			continue
+		}
+		esc, err := escapes(obj, pc)
+		if err != nil {
+			return nil, err
+		}
+		o.unpack(obj, g, pc, esc)
+	}
+	return wire, nil
 }
 
 // castagnoli is the CRC-32C table of a checkpoint record's checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // planes calls f for each plane of each piece of the n-param group as the
-// pieces lie back to back in wire — piece k's P32, M or V plane — in the
-// order of the group's whole P32 | M | V object: every piece's P32, then
-// every M, then every V.
+// pieces lie back to back in full form in wire — piece k's P32, M or V plane
+// — in the order of the group's whole P32 | M | V object: every piece's P32,
+// then every M, then every V.
 func (o *OutOfCoreAdam) planes(wire []byte, group string, n int, f func(plane []byte) error) error {
 	for plane := 0; plane < 3; plane++ {
 		for _, pc := range o.cut(group, n) {
-			at := wireBytes(pc.lo) + 4*pc.n*plane
+			at := StateBytes(pc.lo, true) + 4*pc.n*plane
 			if err := f(wire[at : at+4*pc.n]); err != nil {
 				return err
 			}
@@ -577,21 +760,20 @@ func (o *OutOfCoreAdam) planes(wire []byte, group string, n int, f func(plane []
 	return nil
 }
 
-// WriteGroupTo writes the n-parameter group's checkpoint record to w — its
-// state as one P32 | M | V object, gathered from the pieces as stored, then
-// the object's CRC-32C, which it returns — through the wire scratch under
-// scrMu, so a checkpoint holds one group's state at a time whatever the
-// model's size and the record does not depend on the piece size.
-func (o *OutOfCoreAdam) WriteGroupTo(w io.Writer, group string, n int) (crc uint32, err error) {
+// WriteGroupTo writes the group's checkpoint record to w — its state as one
+// P32 | M | V object, gathered from the pieces and decoded, then the object's
+// CRC-32C, which it returns — through the wire scratch under scrMu, so a
+// checkpoint holds one group's state at a time whatever the model's size and
+// the record depends on neither the piece size nor the form a piece is
+// stored in.
+func (o *OutOfCoreAdam) WriteGroupTo(w io.Writer, g nn.ParamGroup) (crc uint32, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire := scratch(&o.scr.wire, wireBytes(n))
-	for _, pc := range o.cut(group, n) {
-		if err := o.readState(pc.key, wire[wireBytes(pc.lo):wireBytes(pc.lo+pc.n)]); err != nil {
-			return 0, err
-		}
+	wire, err := o.gather(g)
+	if err != nil {
+		return 0, err
 	}
-	err = o.planes(wire, group, n, func(plane []byte) error {
+	err = o.planes(wire, g.Name, g.NumParams(), func(plane []byte) error {
 		crc = crc32.Update(crc, castagnoli, plane)
 		_, err := w.Write(plane)
 		return err
@@ -605,14 +787,15 @@ func (o *OutOfCoreAdam) WriteGroupTo(w io.Writer, group string, n int) (crc uint
 }
 
 // ImportWire restores g's state from the next WriteGroupTo record of r,
-// scattered into its pieces in the wire scratch: the pieces are stored and
-// P16 = fp16(P32) installed only if the record arrives whole and matches its
-// CRC-32C. Unless stored, the store and the model are as they were.
+// scattered into its pieces in the wire scratch: the pieces are encoded,
+// installing P16 = fp16(P32), and stored only if the record arrives whole
+// and matches its CRC-32C. Unless stored, the store and the model are as
+// they were.
 func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	n := g.NumParams()
-	wire := scratch(&o.scr.wire, wireBytes(n))
+	wire := scratch(&o.scr.wire, StateBytes(n, true))
 	var crc uint32
 	err = o.planes(wire, g.Name, n, func(plane []byte) error {
 		_, err := io.ReadFull(r, plane)
@@ -629,16 +812,12 @@ func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, e
 		return false, fmt.Errorf("opt: import %s: state object fails its checksum (CRC-32C %08x, stored %08x)", g.Name, crc, want)
 	}
 	for _, pc := range o.cut(g.Name, n) {
-		obj, p32 := wire[wireBytes(pc.lo):wireBytes(pc.lo+pc.n)], scratch(&o.scr.p32, pc.n)
-		if err := tensor.FromFP32Bytes(obj[:4*pc.n], p32); err != nil {
-			return pc.lo > 0, err
-		}
-		if err := o.writeState(pc.key, obj); err != nil {
+		obj := wire[StateBytes(pc.lo, true):StateBytes(pc.lo+pc.n, true)]
+		if err := o.writeState(pc.key, o.pack(obj, g, pc)); err != nil {
 			return true, err
 		}
-		if err := o.installP16(g, pc.lo, p32); err != nil {
-			return true, err
-		}
+		// Fresh fp16 working weights cross back to the compute tier.
+		o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*pc.n))
 	}
 	return true, nil
 }

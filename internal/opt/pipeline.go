@@ -19,17 +19,18 @@ import (
 //	          window buffer         ClassWriteback, buffer back in the window
 //
 // The unit of every stage is a state piece (OutOfCoreAdam): Submit enqueues
-// the group's pieces in order. Read-ahead issues a piece's state read as
-// soon as the window has a buffer for it; the Adam stage runs the same
-// stage-gradients → Adam walk → fp16-install path as UpdateGroup on the
-// piece, in place on that buffer; write-behind puts it back to the store and
-// returns the buffer to the window. The window is the byte budget of depth
-// whole groups — depth × the largest group's state — cut into as many
-// piece-sized buffers as fit, allocated at construction, with one read-ahead
-// and one write-behind worker per buffer so the whole window can be on the
-// device lanes in either direction. A group's last writes therefore share
-// the lanes with the next step's first reads instead of holding a whole
-// group's buffer until they retire.
+// the group's pieces in order. Read-ahead issues a piece's state read, sized
+// by the form the piece is stored in, as soon as the window has a buffer for
+// it; the Adam stage runs the same stage-gradients → Adam walk (which
+// installs P16) path as UpdateGroup on the piece, in place on that buffer,
+// and records the form it seals the piece in; write-behind puts it back to
+// the store and returns the buffer to the window. The window is the byte
+// budget of depth whole groups — depth × the largest group's state in full
+// form — cut into as many piece-sized buffers as fit, allocated at
+// construction, with one read-ahead and one write-behind worker per buffer
+// so the whole window can be on the device lanes in either direction. A
+// group's last writes therefore share the lanes with the next step's first
+// reads instead of holding a whole group's buffer until they retire.
 //
 // An update has two joins, each a one-slot token per piece whose taking is
 // the join. applied (Adam ran and the piece's P16 is installed, or the
@@ -89,10 +90,10 @@ type groupJob struct {
 
 // pieceJob is one piece's trip.
 type pieceJob struct {
-	piece
+	*piece
 	grp *groupJob
 
-	buf []byte // window buffer cut to wireBytes(n), held between read-ahead and retire
+	buf []byte // window buffer cut to the piece's stored object, held between read-ahead and retire
 	// The two join tokens (see StatePipeline), each home with the outcome of
 	// the stage it names except while an update is on its way there.
 	applied, written chan error
@@ -126,7 +127,7 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 		adamQ:    make(chan *pieceJob, buffers),
 		writeQ:   make(chan *pieceJob, buffers),
 		window:   make(chan []byte, buffers),
-		bufBytes: wireBytes(size),
+		bufBytes: StateBytes(size, true),
 		stop:     make(chan struct{}),
 		jobs:     make(map[string]*groupJob, len(groups)),
 	}
@@ -267,7 +268,7 @@ func (p *StatePipeline) readAhead() {
 		// may trail the step that submitted it, retires before this read is
 		// issued, and its failure fails this update.
 		err := <-pc.written
-		pc.buf = buf[:wireBytes(pc.n)] // exact length, as the Into codecs require
+		pc.buf = buf[:pc.stored()] // the form the last write-back recorded
 		for n := p.buffered.Add(1); ; {
 			if peak := p.peakBuffered.Load(); n <= peak || p.peakBuffered.CompareAndSwap(peak, n) {
 				break
@@ -321,10 +322,15 @@ func (p *StatePipeline) retire(pc *pieceJob, err error) {
 }
 
 // applyPiece is the Adam stage of one piece, on the optimizer's shared
-// scratch.
+// scratch: the buffer is cut to the object the piece will be written as, in
+// the form the stage has recorded.
 func (o *OutOfCoreAdam) applyPiece(pc *pieceJob) error {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	j := pc.grp
-	return o.applyTo(pc.buf, j.g, pc.lo, j.cfg, j.step, j.clip, j.label)
+	obj, err := o.applyTo(pc.buf, j.g, pc.piece, j.cfg, j.step, j.clip, j.label)
+	if err == nil {
+		pc.buf = obj
+	}
+	return err
 }

@@ -91,19 +91,13 @@ func sameParams(t *testing.T, want, got *nn.Model, what string) {
 	}
 }
 
-// sameStoredState asserts the two optimizers' stores hold byte-identical
-// state objects (P32 | M | V) for every group.
-func sameStoredState(t *testing.T, want, got *OutOfCoreAdam, groups []nn.ParamGroup) {
+// sameStoredState asserts the two optimizers hold bit-identical decoded
+// state (P32 | M | V) for every group: want's over wantGroups, got's over
+// groups, which have the same names and sizes.
+func sameStoredState(t *testing.T, want, got *OutOfCoreAdam, wantGroups, groups []nn.ParamGroup) {
 	t.Helper()
-	for _, g := range groups {
-		var a, b bytes.Buffer
-		if _, err := want.WriteGroupTo(&a, g.Name, g.NumParams()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := got.WriteGroupTo(&b, g.Name, g.NumParams()); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	for i, g := range groups {
+		if !bytes.Equal(decodedState(t, want, wantGroups[i]), decodedState(t, got, g)) {
 			t.Fatalf("stored state of %s differs", g.Name)
 		}
 	}
@@ -156,12 +150,12 @@ func windowed(t *testing.T, store Store, cfg AdamConfig, depth int, groups []nn.
 // 3P+1 params, cut into pieces of P = adamChunkGrain with tensors straddling
 // the cuts, are updated through the StatePipeline and through UpdateGroup
 // exactly as the whole-group reference — flat slices staged in one pass,
-// clipped by the whole group's norm, AdamStep — computes them: every stored
-// piece is the reference's P32 | M | V of its range, WriteGroupTo's record is
-// the reference's whole object, and the installed P16 is fp16 of the
-// reference's masters, with weight decay, static loss scaling and per-group
-// clipping each on and off (make test-procs repeats it at GOMAXPROCS 1, 2
-// and 4).
+// clipped by the whole group's norm, AdamStep — computes them: the decoded
+// state of every piece is the reference's P32 | M | V of its range,
+// WriteGroupTo's record is the reference's whole object, and the installed
+// P16 is fp16 of the reference's masters, with weight decay, static loss
+// scaling and per-group clipping each on and off (make test-procs repeats it
+// at GOMAXPROCS 1, 2 and 4).
 func TestPipelinePieceBoundariesBitIdentical(t *testing.T) {
 	const P = adamChunkGrain
 	sizes := []int{1, P - 1, P, P + 1, 3*P + 1}
@@ -243,20 +237,19 @@ func TestPipelinePieceBoundariesBitIdentical(t *testing.T) {
 				n := len(r.p)
 				for path, o := range map[string]*OutOfCoreAdam{"UpdateGroup": oUpd, "pipeline": oPipe} {
 					what := fmt.Sprintf("%+v step %d n=%d %s", v, step, n, path)
-					stored := storeUpd
 					gs := upd
 					if o == oPipe {
-						stored, gs = storePipe.m, pipe
+						gs = pipe
 					}
-					for k, lo := 0, 0; lo < n; k, lo = k+1, lo+P {
+					gotP, gotM, gotV := mustState(t, o, gs[i])
+					for lo := 0; lo < n; lo += P {
 						hi := min(n, lo+P)
-						key := fmt.Sprintf("p/%s/state/%d", gs[i].Name, k)
-						if want := encodeState(r.p[lo:hi], r.m[lo:hi], r.v[lo:hi]); !bytes.Equal(stored[key], want) {
-							t.Fatalf("%s: piece %s differs from the reference's params [%d,%d)", what, key, lo, hi)
+						if want := encodeState(r.p[lo:hi], r.m[lo:hi], r.v[lo:hi]); !bytes.Equal(encodeState(gotP[lo:hi], gotM[lo:hi], gotV[lo:hi]), want) {
+							t.Fatalf("%s: the piece of params [%d,%d) differs from the reference's", what, lo, hi)
 						}
 					}
 					var rec bytes.Buffer
-					if _, err := o.WriteGroupTo(&rec, gs[i].Name, n); err != nil {
+					if _, err := o.WriteGroupTo(&rec, gs[i]); err != nil {
 						t.Fatal(err)
 					}
 					if want := encodeState(r.p, r.m, r.v); !bytes.Equal(rec.Bytes()[:len(want)], want) {
@@ -344,7 +337,7 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		sameStoredState(t, sync, piped, groups)
+		sameStoredState(t, sync, piped, modelSync.ParamGroups(), groups)
 		if now, peak := p.Buffered(); now != 0 || peak > depth {
 			t.Fatalf("depth %d: %d buffers held after Flush, peak %d", depth, now, peak)
 		}
@@ -365,18 +358,18 @@ func TestPipelineWindowBound(t *testing.T) {
 	store := &lockedStore{m: MemStore{}}
 	groups := pieceGroups(3, 3*P+1, 2*P, P+1, 5, P-1, 2*P+7)
 	o := windowed(t, store, DefaultAdam(), depth, groups)
-	bound := depth * wireBytes(3*P+1)
-	pieceBytes := map[string]int{}
+	bound := depth * StateBytes(3*P+1, true)
+	pieceBytes := map[string]int{} // no piece's form changes: no master here escapes
 	for _, g := range groups {
 		for _, pc := range o.cut(g.Name, g.NumParams()) {
-			pieceBytes[pc.key] = wireBytes(pc.n)
+			pieceBytes[pc.key] = pc.stored()
 		}
 	}
 	p := NewStatePipeline(o, depth, groups)
 	defer p.Close()
 	buffers, windowBytes := p.Window()
-	if buffers != 6 || windowBytes != 6*wireBytes(P) || windowBytes > bound {
-		t.Fatalf("window of %d buffers, %d B: want ⌊%d B ÷ %d B⌋ = 6 piece buffers", buffers, windowBytes, bound, wireBytes(P))
+	if buffers != 6 || windowBytes != 6*StateBytes(P, true) || windowBytes > bound {
+		t.Fatalf("window of %d buffers, %d B: want ⌊%d B ÷ %d B⌋ = 6 piece buffers", buffers, windowBytes, bound, StateBytes(P, true))
 	}
 	if len(pieceBytes) <= buffers+1 {
 		t.Fatalf("need more than %d pieces, have %d", buffers+1, len(pieceBytes))
@@ -669,9 +662,9 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	largest, wireLen := 0, map[string]int{}
 	for _, g := range groups {
 		largest = max(largest, g.NumParams())
-		wireLen[o.stateKey(g.Name)] = wireBytes(g.NumParams())
+		wireLen[o.stateKey(g.Name)] = o.StoredBytes(g.Name)[0]
 	}
-	if small := wireBytes(groups[len(groups)-1].NumParams()); small == wireBytes(largest) {
+	if groups[len(groups)-1].NumParams() == largest {
 		t.Fatal("the test needs groups of different sizes")
 	}
 
@@ -681,7 +674,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	store.readBuf = func(key string, dst []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		if len(dst) != wireLen[key] || cap(dst) != wireBytes(largest) {
+		if len(dst) != wireLen[key] || cap(dst) != StateBytes(largest, true) {
 			misuse = key
 		}
 		full := dst[:cap(dst)]
@@ -719,7 +712,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	}
 	mu.Lock()
 	if misuse != "" {
-		t.Fatalf("%s was read into a buffer that is not its exact wire length cut from a largest-group buffer", misuse)
+		t.Fatalf("%s was read into a buffer that is not its stored object's length cut from a largest-group buffer", misuse)
 	}
 	if len(warm) != depth || len(buffers) != depth {
 		t.Fatalf("the pipeline read into %d buffers by step 3 and %d after it, want the window's %d", len(warm), len(buffers), depth)
@@ -731,7 +724,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	}
 	mu.Unlock()
 	sameParams(t, modelRef, m, "pipelined")
-	sameStoredState(t, ref, o, groups)
+	sameStoredState(t, ref, o, refGroups, groups)
 
 	boom := errors.New("media failure")
 	victim := o.stateKey(groups[0].Name)

@@ -24,7 +24,7 @@ func archKernels() []kernels {
 		add:       addAVX2,
 		scale:     scaleAVX2,
 		adam:      adamAVX2,
-		adamWire:  adamWireAVX2,
+		adamDelta: adamDeltaAVX2,
 	}
 	// The AVX-512 set is the AVX2 one but for the long rows of DotRow and,
 	// through the tier, the full panels of GemmTiles.
@@ -266,30 +266,33 @@ func scaleAVX2(d []float32, s float32) {
 
 // The Adam wrappers run the 4-lane float64 body over the largest
 // multiple-of-4 prefix and the reference over the rest. Little-endian fp32 is
-// the wire form, so on amd64 the planes of a state object are updated where
-// they lie; decoded slices enter the same body through a float32-typed alias
-// of its symbol, with the masters' second destination pointed at p itself.
+// the stored form of the moments, so on amd64 the Δ walk updates the planes
+// of a state piece where they lie.
 
 func adamAVX2(k AdamCoef, p, m, v, grad []float32) {
 	n := len(grad) &^ 3
 	if n > 0 {
 		_, _, _ = p[n-1], m[n-1], v[n-1]
-		adamSliceAsm(&p[0], &m[0], &v[0], &grad[0], &p[0], n, &k)
+		adamAsm(&p[0], &m[0], &v[0], &grad[0], n, &k)
 	}
 	AdamGeneric(k, p[n:], m[n:], v[n:], grad[n:])
 }
 
-func adamWireAVX2(k AdamCoef, p, m, v []byte, grad, out []float32) {
+// adamDeltaAVX2 stops where the body stops: at a group of four lanes one of
+// which holds a master whose new Δ does not fit.
+func adamDeltaAVX2(k AdamCoef, d, m, v []byte, grad, w []float32) int {
 	n := len(grad) &^ 3
 	if n > 0 {
-		_, _, _, _ = p[4*n-1], m[4*n-1], v[4*n-1], out[n-1]
-		adamAsm(&p[0], &m[0], &v[0], &grad[0], &out[0], n, &k)
+		_, _, _, _ = d[2*n-1], m[4*n-1], v[4*n-1], w[n-1]
+		if done := adamDeltaAsm(&d[0], &m[0], &v[0], &grad[0], &w[0], n, &k); done < n {
+			return done
+		}
 	}
-	AdamWireGeneric(k, p[4*n:], m[4*n:], v[4*n:], grad[n:], out[n:])
+	return n + AdamDeltaGeneric(k, d[2*n:], m[4*n:], v[4*n:], grad[n:], w[n:])
 }
 
 // Assembly bodies (kernels_amd64.s). n is always a positive multiple of 8
-// (of 4 for the Adam body).
+// (of 4 for the Adam bodies).
 
 //go:noescape
 func axpyAsm(c, b *float32, n int, a float32)
@@ -328,10 +331,10 @@ func addAsm(a, b *float32, n int)
 func scaleAsm(d *float32, n int, s float32)
 
 //go:noescape
-func adamAsm(p, m, v *byte, grad, out *float32, n int, k *AdamCoef)
+func adamAsm(p, m, v, grad *float32, n int, k *AdamCoef)
 
 //go:noescape
-func adamSliceAsm(p, m, v, grad, out *float32, n int, k *AdamCoef)
+func adamDeltaAsm(d, m, v *byte, grad, w *float32, n int, k *AdamCoef) int
 
 // fmaPeakAsm and fmaPeak512Asm run iters rounds of twelve independent FMA
 // chains on ymm and zmm registers: BenchmarkFMAPeak's measured ceiling.

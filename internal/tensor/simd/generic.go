@@ -201,20 +201,22 @@ func AdamGeneric(k AdamCoef, p, m, v, grad []float32) {
 	}
 }
 
-// AdamWireGeneric is the reference update over the three little-endian fp32
-// planes of a state object, each element loaded, updated and stored back, the
-// new master also written to out.
-func AdamWireGeneric(k AdamCoef, p, m, v []byte, grad, out []float32) {
-	// Advancing the planes instead of indexing them lets the compiler drop the
-	// per-element bounds checks.
+// AdamDeltaGeneric is the reference body of AdamDelta's walk: element by
+// element it decodes the master (P16 + Δ), applies the update and encodes the
+// result, and it stops — storing nothing for that element — at the first one
+// whose new Δ does not fit. It returns how many elements it stored.
+func AdamDeltaGeneric(k AdamCoef, d, m, v []byte, grad, w []float32) int {
 	for i, g := range grad {
-		pn, mn, vn := k.update(loadF32(p), loadF32(m), loadF32(v), float64(g))
-		storeF32(p, pn)
-		storeF32(m, mn)
-		storeF32(v, vn)
-		out[i] = pn
-		p, m, v = p[4:], m[4:], v[4:]
+		_, mn, vn, wn, dl, ok := k.deltaUpdate(decodeDelta(w[i], d[2*i:]), loadF32(m[4*i:]), loadF32(v[4*i:]), float64(g))
+		if !ok {
+			return i
+		}
+		storeF32(m[4*i:], mn)
+		storeF32(v[4*i:], vn)
+		w[i] = wn
+		binary.LittleEndian.PutUint16(d[2*i:], uint16(dl))
 	}
+	return len(grad)
 }
 
 func loadF32(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }

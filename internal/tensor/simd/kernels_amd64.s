@@ -874,10 +874,43 @@ scaleDone:
 	VZEROUPPER
 	RET
 
-// func adamAsm(p, m, v *byte, grad, out *float32, n int, k *AdamCoef)
+// ADAM_COEFS and ADAM_UPDATE are the two Adam bodies' shared parts, so both
+// transcribe AdamCoef.update once: the coefficients at k (R8) broadcast into
+// Y6-Y14 (B1, OmB1, B2, OmB2, B1c, B2c, LR, Eps, LRWD) with k.WD's bits in R10
+// (adamAsm says why); then, from p, m, v and g widened in Y0-Y3, mi in Y1, vi
+// in Y2 and pf before the decay in Y3, with Y4 as scratch.
+#define ADAM_COEFS \
+	VBROADCASTSD 0(R8), Y6; \
+	VBROADCASTSD 8(R8), Y7; \
+	VBROADCASTSD 16(R8), Y8; \
+	VBROADCASTSD 24(R8), Y9; \
+	VBROADCASTSD 32(R8), Y10; \
+	VBROADCASTSD 40(R8), Y11; \
+	VBROADCASTSD 48(R8), Y12; \
+	VBROADCASTSD 56(R8), Y13; \
+	VBROADCASTSD 72(R8), Y14; \
+	MOVQ 64(R8), R10; \
+	SHLQ $1, R10
+
+#define ADAM_UPDATE \
+	VMULPD Y6, Y1, Y1; \
+	VMULPD Y7, Y3, Y4; \
+	VADDPD Y4, Y1, Y1; \
+	VMULPD Y8, Y2, Y2; \
+	VMULPD Y9, Y3, Y4; \
+	VMULPD Y3, Y4, Y4; \
+	VADDPD Y4, Y2, Y2; \
+	VDIVPD Y10, Y1, Y3; \
+	VMULPD Y3, Y12, Y3; \
+	VDIVPD Y11, Y2, Y4; \
+	VSQRTPD Y4, Y4; \
+	VADDPD Y13, Y4, Y4; \
+	VDIVPD Y4, Y3, Y3; \
+	VSUBPD Y3, Y0, Y3
+
+// func adamAsm(p, m, v, grad *float32, n int, k *AdamCoef)
 // AdamCoef.Update for n elements, four float64 lanes at a time: p, m and v
-// are planes of little-endian fp32 updated in place, grad is read, and the
-// new masters are also stored to out. Each lane executes the reference's
+// are updated in place, grad is read. Each lane executes the reference's
 // operations in the reference's order, every one a correctly rounded IEEE
 // double operation with no fusion (VMULPD, VADDPD, VDIVPD, VSQRTPD, VSUBPD
 // are the packed forms of what the compiler emits for the scalar source),
@@ -887,25 +920,14 @@ scaleDone:
 // tested as bits with the sign shifted out, which is "!= 0" for every value
 // including NaN. (The gradient parameter is not named g: that is the
 // assembler's name for the goroutine register.)
-TEXT ·adamAsm(SB), NOSPLIT, $0-56
+TEXT ·adamAsm(SB), NOSPLIT, $0-48
 	MOVQ p+0(FP), DI
 	MOVQ m+8(FP), SI
 	MOVQ v+16(FP), DX
 	MOVQ grad+24(FP), BX
-	MOVQ out+32(FP), R9
-	MOVQ n+40(FP), CX
-	MOVQ k+48(FP), R8
-	VBROADCASTSD 0(R8), Y6    // B1
-	VBROADCASTSD 8(R8), Y7    // OmB1
-	VBROADCASTSD 16(R8), Y8   // B2
-	VBROADCASTSD 24(R8), Y9   // OmB2
-	VBROADCASTSD 32(R8), Y10  // B1c
-	VBROADCASTSD 40(R8), Y11  // B2c
-	VBROADCASTSD 48(R8), Y12  // LR
-	VBROADCASTSD 56(R8), Y13  // Eps
-	VBROADCASTSD 72(R8), Y14  // LRWD
-	MOVQ 64(R8), R10          // WD
-	SHLQ $1, R10              // zero iff WD is +0 or -0
+	MOVQ n+32(FP), CX
+	MOVQ k+40(FP), R8
+	ADAM_COEFS
 	XORQ AX, AX
 
 adam4:
@@ -913,20 +935,7 @@ adam4:
 	VCVTPS2PD (SI)(AX*4), Y1  // m
 	VCVTPS2PD (DX)(AX*4), Y2  // v
 	VCVTPS2PD (BX)(AX*4), Y3  // g
-	VMULPD Y6, Y1, Y1         // B1*m
-	VMULPD Y7, Y3, Y4         // OmB1*g
-	VADDPD Y4, Y1, Y1         // mi
-	VMULPD Y8, Y2, Y2         // B2*v
-	VMULPD Y9, Y3, Y4         // OmB2*g
-	VMULPD Y3, Y4, Y4         // (OmB2*g)*g
-	VADDPD Y4, Y2, Y2         // vi
-	VDIVPD Y10, Y1, Y3        // mi/B1c
-	VMULPD Y3, Y12, Y3        // LR*(mi/B1c)
-	VDIVPD Y11, Y2, Y4        // vi/B2c
-	VSQRTPD Y4, Y4
-	VADDPD Y13, Y4, Y4        // sqrt(vi/B2c) + Eps
-	VDIVPD Y4, Y3, Y3
-	VSUBPD Y3, Y0, Y3         // pf = p - LR*(mi/B1c)/(sqrt(vi/B2c)+Eps)
+	ADAM_UPDATE
 	TESTQ R10, R10
 	JZ   adamStore
 	VMULPD Y0, Y14, Y4        // LRWD*p
@@ -937,7 +946,6 @@ adamStore:
 	VCVTPD2PSY Y1, X1
 	VCVTPD2PSY Y2, X2
 	VMOVUPS X3, (DI)(AX*4)
-	VMOVUPS X3, (R9)(AX*4)
 	VMOVUPS X1, (SI)(AX*4)
 	VMOVUPS X2, (DX)(AX*4)
 	ADDQ $4, AX
@@ -946,11 +954,69 @@ adamStore:
 	VZEROUPPER
 	RET
 
-// func adamSliceAsm(p, m, v, grad, out *float32, n int, k *AdamCoef)
-// adamAsm under the signature the decoded-slice caller needs: the frames are
-// identical, so this is a jump.
-TEXT ·adamSliceAsm(SB), NOSPLIT, $0-56
-	JMP ·adamAsm(SB)
+// func adamDeltaAsm(d, m, v *byte, grad, w *float32, n int, k *AdamCoef) int
+// adamAsm over masters stored as their distance from P16, with the codec in
+// the walk: a lane's master is bits(w) + Δ (Δ sign-extended from the int16
+// plane d, VPADDD on the bit patterns), updated by adamAsm's operations, and
+// encoded again as P16' = fp16(p') — f16RoundAsm's conversion pair, NaN lanes
+// canonicalized to sign|0x7fc00000 — and Δ' = bits(p') - bits(P16'). m and v
+// are little-endian fp32 planes. A group of four lanes one of whose Δ' does
+// not survive saturation to 16 bits is left untouched and the walk returns
+// there, with the number of elements it stored; otherwise M', V', P16' (into
+// w) and Δ' are stored in place.
+TEXT ·adamDeltaAsm(SB), NOSPLIT, $0-64
+	MOVQ d+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ grad+24(FP), BX
+	MOVQ w+32(FP), R9
+	MOVQ n+40(FP), CX
+	MOVQ k+48(FP), R8
+	ADAM_COEFS
+	XORQ AX, AX
+
+delta4:
+	VPMOVSXWD (DI)(AX*2), X0  // Δ
+	VPADDD (R9)(AX*4), X0, X0 // bits(P16) + Δ = bits(p)
+	VCVTPS2PD X0, Y0          // p
+	VCVTPS2PD (SI)(AX*4), Y1  // m
+	VCVTPS2PD (DX)(AX*4), Y2  // v
+	VCVTPS2PD (BX)(AX*4), Y3  // g
+	ADAM_UPDATE
+	TESTQ R10, R10
+	JZ   deltaEncode
+	VMULPD Y0, Y14, Y4        // LRWD*p
+	VSUBPD Y4, Y3, Y3
+
+deltaEncode:
+	VCVTPD2PSY Y3, X3         // p'
+	VCVTPD2PSY Y1, X1         // m'
+	VCVTPD2PSY Y2, X2         // v'
+	VCVTPS2PH $0, X3, X4
+	VCVTPH2PS X4, X4          // fp16(p'), NaN lanes still to canonicalize
+	VCMPPS $3, X3, X3, X5     // NaN lanes of p'
+	VPAND rnd_sign<>(SB), X3, X0
+	VPOR  rnd_qnan<>(SB), X0, X0
+	VBLENDVPS X5, X0, X4, X4  // P16'
+	VPSUBD X4, X3, X5         // Δ' = bits(p') - bits(P16')
+	VPACKSSDW X5, X5, X0      // Δ' saturated to int16, lanes 0-3 in the low half
+	VPMOVSXWD X0, X15
+	VPCMPEQD X15, X5, X15     // lanes whose Δ' fits
+	VMOVMSKPS X15, R11
+	CMPQ R11, $15
+	JNE  deltaDone
+	VMOVUPS X1, (SI)(AX*4)
+	VMOVUPS X2, (DX)(AX*4)
+	VMOVUPS X4, (R9)(AX*4)
+	VMOVQ X0, (DI)(AX*2)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  delta4
+
+deltaDone:
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
 
 // func fmaPeakAsm(iters int)
 // func fmaPeak512Asm(iters int)

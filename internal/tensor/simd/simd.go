@@ -4,7 +4,9 @@
 // aᵀ·b against a packed panel of b; DotRow: a row of a·bᵀ in tiles of three
 // or six dot products) and the BLAS-1 pair they are defined by and fall back
 // to on ragged edges (Axpy row update, Dot product) — the fp16 pack/unpack
-// codec, the element-wise add/scale chunks, and the optimizer's Adam update.
+// codec, the element-wise add/scale chunks, and the optimizer's Adam update,
+// over decoded slices and over state stored as its distance from P16
+// (delta.go).
 // Each kernel exists at least twice:
 //
 //   - A portable pure-Go reference (the *Generic functions), which is the
@@ -34,7 +36,7 @@
 //
 // Exactness contract (DESIGN.md §11): the fp16 codec kernels (F16Encode,
 // F16Decode, F16Round, F16RoundInto), the element-wise kernels (Add, Scale)
-// and the Adam kernels (Adam, AdamWire: float64 lanes, no fusion on either
+// and the Adam kernels (Adam, AdamDelta: float64 lanes, no fusion on either
 // path) are bit-identical to their Generic references — the vector bodies
 // perform the same per-element operation with no reassociation, and the
 // assembly canonicalizes NaN results to match the software reference. The
@@ -71,7 +73,7 @@ type kernels struct {
 	add       func(a, b []float32)
 	scale     func(d []float32, s float32)
 	adam      func(k AdamCoef, p, m, v, grad []float32)
-	adamWire  func(k AdamCoef, p, m, v []byte, grad, out []float32)
+	adamDelta func(k AdamCoef, d, m, v []byte, grad, w []float32) int
 }
 
 // tier orders the kernel sets: each is the one below it with some bodies
@@ -101,7 +103,7 @@ var generic = kernels{
 	add:       AddGeneric,
 	scale:     ScaleGeneric,
 	adam:      AdamGeneric,
-	adamWire:  AdamWireGeneric,
+	adamDelta: AdamDeltaGeneric,
 }
 
 // sets holds the kernel sets this machine can run, lowest tier first:
@@ -226,12 +228,3 @@ func Scale(d []float32, s float32) { active.scale(d, s) }
 // class, not necessarily its payload). The coefficients travel by value: a
 // pointer passed through the dispatch table would escape.
 func Adam(k AdamCoef, p, m, v, grad []float32) { active.adam(k, p, m, v, grad) }
-
-// AdamWire is Adam over state in wire form: p, m and v are the three planes
-// of a state object, 4*len(grad) bytes of little-endian fp32 each, updated in
-// place, and the new masters also land in out (len(grad) values) for the
-// fp16 install. Bit-identical to AdamWireGeneric, and to Adam on the decoded
-// planes.
-func AdamWire(k AdamCoef, p, m, v []byte, grad, out []float32) {
-	active.adamWire(k, p, m, v, grad, out)
-}

@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -527,11 +528,13 @@ func sameFloat(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// TestAdamBitIdenticalToReference: on either path, over decoded slices and
-// over wire planes, whole or cut at any chunk boundary, the kernel leaves
-// exactly what AdamCoef.update leaves element by element — at lengths around
-// the 4-lane body and the optimizer's chunk grain, with and without weight
-// decay, over every value class above and, by class, over non-finite state.
+// TestAdamBitIdenticalToReference: on every level, over decoded slices and
+// over state stored as its distance from P16 (AdamDelta, decoded again after
+// the walk), whole or cut at any chunk boundary, the kernel leaves exactly
+// what AdamCoef.update leaves element by element — and P16 = fp16 of it — at
+// lengths around the 4-lane body and the optimizer's chunk grain, with and
+// without weight decay, over every value class above and, by class, over
+// non-finite state.
 // What it can catch is a wrong operand, constant, order, branch or tail: a
 // last-place float64 difference (a fused multiply-add) survives the float32
 // narrowing about once in 2^29 elements, so that the body fuses nothing rests
@@ -567,26 +570,30 @@ func TestAdamBitIdenticalToReference(t *testing.T) {
 						Adam(k, sp[:cut], sm[:cut], sv[:cut], g[:cut])
 						Adam(k, sp[cut:], sm[cut:], sv[cut:], g[cut:])
 
-						wire := make([]byte, 12*n)
-						wp, wm, wv := wire[:4*n], wire[4*n:8*n], wire[8*n:]
+						d, w, gp := make([]byte, 2*n), make([]float32, n), make([]float32, n)
+						esc, out := make([]byte, EscapeBytes*n), make([]byte, EscapeBytes*n)
+						esc = esc[:EscapeBytes*DeltaEncode(d, p, w, 0, esc)]
+						wm, wv := make([]byte, 4*n), make([]byte, 4*n)
 						for i := range p {
-							storeF32(wp[4*i:], p[i])
 							storeF32(wm[4*i:], m[i])
 							storeF32(wv[4*i:], v[i])
 						}
-						out := make([]float32, n)
-						AdamWire(k, wp[:4*cut], wm[:4*cut], wv[:4*cut], g[:cut], out[:cut])
-						AdamWire(k, wp[4*cut:], wm[4*cut:], wv[4*cut:], g[cut:], out[cut:])
+						nout := AdamDelta(k, 0, d[:2*cut], wm[:4*cut], wv[:4*cut], g[:cut], w[:cut], esc, out)
+						for len(esc) > 0 && int(binary.LittleEndian.Uint32(esc)) < cut {
+							esc = esc[EscapeBytes:]
+						}
+						nout += AdamDelta(k, cut, d[2*cut:], wm[4*cut:], wv[4*cut:], g[cut:], w[cut:], esc, out[EscapeBytes*nout:])
+						DeltaDecode(gp, d, w, 0, out[:EscapeBytes*nout])
 
 						for i := 0; i < n; i++ {
 							if !sameFloat(sp[i], wantP[i]) || !sameFloat(sm[i], wantM[i]) || !sameFloat(sv[i], wantV[i]) {
 								t.Fatalf("Adam n=%d wd=%v cut=%d: element %d (p,m,v,g = %g,%g,%g,%g) = (%g,%g,%g), reference (%g,%g,%g)",
 									n, wd, cut, i, p[i], m[i], v[i], g[i], sp[i], sm[i], sv[i], wantP[i], wantM[i], wantV[i])
 							}
-							gp, gm, gv := loadF32(wp[4*i:]), loadF32(wm[4*i:]), loadF32(wv[4*i:])
-							if !sameFloat(gp, wantP[i]) || !sameFloat(gm, wantM[i]) || !sameFloat(gv, wantV[i]) || !sameFloat(out[i], wantP[i]) {
-								t.Fatalf("AdamWire n=%d wd=%v cut=%d: element %d = (%g,%g,%g) out %g, reference (%g,%g,%g)",
-									n, wd, cut, i, gp, gm, gv, out[i], wantP[i], wantM[i], wantV[i])
+							gm, gv := loadF32(wm[4*i:]), loadF32(wv[4*i:])
+							if !sameFloat(gp[i], wantP[i]) || !sameFloat(gm, wantM[i]) || !sameFloat(gv, wantV[i]) || !sameFloat(w[i], roundHalf(wantP[i])) {
+								t.Fatalf("AdamDelta n=%d wd=%v cut=%d: element %d = (%g,%g,%g) P16 %g, reference (%g,%g,%g)",
+									n, wd, cut, i, gp[i], gm, gv, w[i], wantP[i], wantM[i], wantV[i])
 							}
 							if !nonFinite && (wantP[i] != wantP[i] || wantV[i] < 0) {
 								t.Fatalf("n=%d element %d: finite state produced p=%g v=%g", n, i, wantP[i], wantV[i])
