@@ -147,7 +147,7 @@ bench-overlap:
 	go test -run '^$$' -bench 'BenchmarkTrainStepOverlap' -benchtime=15x -benchmem -cpu 1 ./internal/engine
 
 # Transfer-scheduler benchmark: the FCFS single-lane test oracle vs the
-# production duplex/priority/coalescing lanes on a mixed
+# production duplex coalescing lanes on a mixed
 # activation+optimizer trace at Table III-shaped device throttles, at the
 # default depth and at depth 1 (BENCH_sched.json is a committed snapshot).
 .PHONY: bench-sched

@@ -226,10 +226,3 @@ func PlanFor(modelName string, batch int, srv hw.Server) (plan.Plan, error) {
 	}
 	return plan.Optimize(capacity.PlannerProfile(strategy.Ratel, cfg, batch, srv))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -53,9 +53,6 @@ import (
 // Config.PipelineDepth is zero: up to 2 blobs in flight per direction.
 const DefaultPipelineDepth = 2
 
-// EffectiveDepth reports the activation I/O window in force.
-func (e *Engine) EffectiveDepth() int { return e.depth }
-
 // ringSlot is a ring slot, and its token: the blob buffer (allocated at the
 // slot's first use, kept for the engine's lifetime) and the outcome of the
 // transfer that last used it, taken by whoever takes the slot next.
@@ -147,9 +144,7 @@ func (w *actWindow) worker() {
 			err = w.array.ReadInto(j.l.actKey, j.blob)
 			w.tracer.RecordSpan(obs.LanePrefetch, j.l.prefetch, start, w.tracer.Now())
 		} else {
-			// Write-behind is the least urgent traffic class: a whole
-			// forward+backward separates the Put from the blob's next read.
-			err = w.array.PutClass(j.l.actKey, j.blob, nvme.ClassWriteBehind)
+			err = w.array.Put(j.l.actKey, j.blob)
 			w.tracer.RecordSpan(obs.LaneOffload, j.l.write, start, w.tracer.Now())
 			w.host.Free(units.Bytes(len(j.blob)))
 		}

@@ -682,7 +682,7 @@ func TestSwapValidation(t *testing.T) {
 // matching ring and one worker per in-flight transfer.
 func TestPipelineDefaultDepth(t *testing.T) {
 	e := newEngine(t, Config{GradMode: agoffload.Optimized})
-	if e.depth != DefaultPipelineDepth || e.EffectiveDepth() != DefaultPipelineDepth {
+	if e.depth != DefaultPipelineDepth {
 		t.Fatalf("default engine: depth %d", e.depth)
 	}
 	if len(e.win.ring) != DefaultPipelineDepth+1 || cap(e.win.jobs) != len(e.win.ring) {

@@ -17,17 +17,15 @@ import (
 // state contends with the activation spill. The fcfs rows are the test
 // oracle (Config.oracleFCFS): each device serves that mix through one
 // arrival-ordered queue, so a critical fetch queues behind whatever bulk
-// writeback got there first; the production array's
-// duplex lanes dispatch the directions independently (the P5510's
-// 6.5/3.8 GB/s full-duplex shape), priorities keep critical fetches and
-// opt-reads ahead of bulk writes within a lane, and adjacent-stripe
-// coalescing pays the per-op access latency once per run instead of once
-// per stripe. The model is wider than the overlap bench (hidden 32) so
-// optimizer-state traffic rivals activation traffic — the mix under test.
-// The depth-1 pair pins the scheduler's effect on the overlap bench's
-// depth-1 pathology. All variants share one bit-identical
-// training trajectory (asserted at warm-up): the scheduler reorders I/O,
-// never data.
+// writeback got there first; the production array's duplex lanes dispatch
+// the directions independently (the P5510's 6.5/3.8 GB/s full-duplex
+// shape), each in arrival order, and adjacent-stripe coalescing pays the
+// per-op access latency once per run instead of once per stripe. The model
+// is wider than the overlap bench (hidden 32) so optimizer-state traffic
+// rivals activation traffic — the mix under test. The depth-1 pair pins the
+// scheduler's effect on the overlap bench's depth-1 pathology. All variants
+// share one bit-identical training trajectory (asserted at warm-up): the
+// scheduler orders I/O, never data.
 func schedBenchConfig(mut func(*Config)) Config {
 	cfg := Config{
 		Model:    nn.Config{Vocab: 64, Seq: 64, Hidden: 32, Heads: 2, Layers: 6, Batch: 2, Seed: 11},

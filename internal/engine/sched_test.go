@@ -66,7 +66,7 @@ func TestCacheRoundTripAllocs(t *testing.T) {
 }
 
 // TestSchedBitIdentityMatrix pins the scheduler's exactness claim: on a
-// mixed swap-tier layout, the duplex priority lanes must leave the training
+// mixed swap-tier layout, the duplex coalescing lanes must leave the training
 // trajectory bit-identical to the FCFS single-lane oracle, whether the
 // optimizer runs as the inline-sync oracle ("sync") or as the streaming
 // state pipeline ("readiness"). The scheduler reorders I/O, never data, so

@@ -155,22 +155,17 @@ var metrics = [...]metric{
 	{"engine.offload_stall_ms", gauge, func(e *Engine) float64 { return ms(e.step.OffloadStallWait) }},
 	{"engine.offload_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.OffloadQueuePeak) }},
 
-	// Read-ahead health: cumulative fetch stalls, the last step's summed
-	// fetch wait, and the pipeline depth in force.
+	// Read-ahead health: cumulative fetch stalls and the last step's summed
+	// fetch wait.
 	{"engine.fetch_stalls", counter, func(e *Engine) float64 { return float64(e.step.FetchStalls) }},
 	{"engine.fetch_stall_ms", gauge, func(e *Engine) float64 { return ms(e.step.FetchStallWait) }},
-	{"engine.pipeline_depth_effective", gauge, func(e *Engine) float64 { return float64(e.step.EffectiveDepth) }},
 
-	// NVMe transfer-scheduler per-class health: last step's summed queue
-	// wait and the cumulative queue-depth peak, one pair per traffic class.
-	{"nvme.sched_fetch_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassCriticalFetch].Wait) }},
-	{"nvme.sched_fetch_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassCriticalFetch].QueuePeak) }},
-	{"nvme.sched_opt_read_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassOptRead].Wait) }},
-	{"nvme.sched_opt_read_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassOptRead].QueuePeak) }},
-	{"nvme.sched_writeback_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassWriteback].Wait) }},
-	{"nvme.sched_writeback_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassWriteback].QueuePeak) }},
-	{"nvme.sched_write_behind_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[nvme.ClassWriteBehind].Wait) }},
-	{"nvme.sched_write_behind_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[nvme.ClassWriteBehind].QueuePeak) }},
+	// NVMe transfer-scheduler health per lane direction: last step's summed
+	// queue wait and the cumulative queue-depth peak.
+	{"nvme.sched_read_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[obs.SchedRead].Wait) }},
+	{"nvme.sched_read_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[obs.SchedRead].QueuePeak) }},
+	{"nvme.sched_write_wait_ms", gauge, func(e *Engine) float64 { return ms(e.step.Sched[obs.SchedWrite].Wait) }},
+	{"nvme.sched_write_queue_peak", gauge, func(e *Engine) float64 { return float64(e.step.Sched[obs.SchedWrite].QueuePeak) }},
 
 	// Group updates the optimizer pipeline read ahead last step (each its
 	// pieces' reads), and the state pieces — not groups, not bytes — whose
@@ -260,18 +255,13 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 	if wall > 0 {
 		m.TokensPerSec = float64(tokens) / wall.Seconds()
 	}
-	// Per-class scheduler delta vs the previous step's cumulative snapshot.
-	// QueuePeak is the class's lifetime high-water mark — a peak can't be
-	// differenced, and the lifetime value is what a postmortem wants.
+	// Per-direction scheduler delta vs the previous step's cumulative
+	// snapshot. QueuePeak is the direction's lifetime high-water mark — a
+	// peak can't be differenced, and the lifetime value is what a postmortem
+	// wants.
 	sched := e.array.SchedStats()
-	for c := range sched.PerClass {
-		cur, prev := sched.PerClass[c], e.prevSched.PerClass[c]
-		m.Sched[c] = obs.SchedClassDelta{
-			Dispatched: cur.Dispatched - prev.Dispatched,
-			Wait:       cur.Wait - prev.Wait,
-			QueuePeak:  cur.DepthPeak,
-		}
-	}
+	m.Sched[obs.SchedRead] = schedDelta(sched.Read, e.prevSched.Read)
+	m.Sched[obs.SchedWrite] = schedDelta(sched.Write, e.prevSched.Write)
 	e.prevSched = sched
 	// Fold this step's byte flow out of the cumulative ledger; the delta
 	// rides on the record, the running totals (prevFlow, from here on) feed
@@ -300,6 +290,10 @@ func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
 			h.Record(int64(v))
 		}
 	}
+}
+
+func schedDelta(cur, prev nvme.SchedLaneStats) obs.SchedDelta {
+	return obs.SchedDelta{Dispatched: cur.Dispatched - prev.Dispatched, Wait: cur.Wait - prev.Wait, QueuePeak: cur.DepthPeak}
 }
 
 // Flows returns the engine's cumulative byte-flow ledger snapshot: bytes

@@ -32,8 +32,8 @@ func init() {
 // exactly where the paper lives (one or two consumer SSDs, where the
 // array is the bottleneck) and vanishes at the 12-SSD evaluation server
 // whose array outruns the traffic. The real mini engine — whose array
-// always runs the duplex priority lanes — then runs one fine-tune at every
-// activation I/O window (the default depth, depth 1, synchronous) and diffs
+// always runs the duplex arrival-order lanes — then runs one fine-tune at
+// every activation I/O window (the default depth, depth 1, synchronous) and diffs
 // the trajectories param-for-param: the window and the scheduler move when
 // I/O happens, never data, so every row must report bit-identical. (The
 // FCFS single-lane array survives only as a test oracle;

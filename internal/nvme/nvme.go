@@ -34,7 +34,7 @@ const DefaultStripeSize = 4096
 var ErrNotFound = errors.New("nvme: object not found")
 
 // Config describes an array. The zero value (with Devices set) is the array
-// the training engine runs: duplex priority lanes, 4 KiB stripes, no
+// the training engine runs: duplex arrival-order lanes, 4 KiB stripes, no
 // throttle.
 type Config struct {
 	// Devices is the number of SSDs; must be >= 1.
@@ -57,14 +57,14 @@ type Config struct {
 	// Checksums, when true, stores a CRC-32C per object and verifies it on
 	// every read, failing with ErrCorrupt on mismatch.
 	Checksums bool
-	// FCFS is a test oracle: each device runs a single queue served in
-	// arrival order (reads behind writes, no priorities, no coalescing), the
-	// contention baseline the scheduler's tests and benchmarks compare
-	// against. Off — always, outside tests — each device has duplex lanes
-	// (reads dispatch independently of writes) that dequeue by class
-	// priority with anti-starvation aging and coalesce adjacent stripe
-	// submissions. Either way transfers complete before the API call
-	// returns, so stored data is identical in both modes.
+	// FCFS is a test oracle: each device runs a single lane for both
+	// directions (reads queue behind writes) and submits every stripe on its
+	// own, the contention baseline the scheduler's tests and benchmarks
+	// compare against. Off — always, outside tests — each device has duplex
+	// lanes (reads dispatch independently of writes) that coalesce adjacent
+	// stripe submissions. Both serve each lane in arrival order, and
+	// transfers complete before the API call returns, so stored data is
+	// identical in both modes.
 	FCFS bool
 }
 
@@ -89,14 +89,6 @@ type device struct {
 	// Duplex mode gives each direction its own lane and dispatcher; the FCFS
 	// oracle points both at one shared lane (reads queue behind writes).
 	lanes [2]*ioLane
-}
-
-// laneFor picks the dispatch lane for a transfer direction.
-func (d *device) laneFor(write bool) *ioLane {
-	if write {
-		return d.lanes[laneWrite]
-	}
-	return d.lanes[laneRead]
 }
 
 // backend is the byte-addressed storage under a device.
@@ -128,12 +120,11 @@ type Array struct {
 	objs      map[string]object
 	nextRR    int // round-robin start device for the next object
 
-	// Transfer-scheduler state: aging bound, the dispatcher join group, the
-	// recycled transfer headers and the per-class counters.
-	aging  time.Duration
+	// Transfer-scheduler state: the dispatcher join group, the recycled
+	// transfer headers and the per-direction counters (laneRead, laneWrite).
 	dispWG sync.WaitGroup
 	xpool  xferPool
-	sched  [NumClasses]schedClassCounters
+	sched  [2]schedCounters
 
 	closeOnce sync.Once
 	closeErr  error
@@ -246,7 +237,6 @@ func Open(cfg Config) (*Array, error) {
 		cfg:         cfg,
 		objs:        make(map[string]object),
 		perDevBytes: make([]int64, cfg.Devices),
-		aging:       DefaultSchedAging,
 	}
 	for i := 0; i < cfg.Devices; i++ {
 		var b backend
@@ -262,15 +252,7 @@ func Open(cfg Config) (*Array, error) {
 			}
 			b = fileBackend{f}
 		}
-		d := &device{back: b}
-		if cfg.FCFS {
-			shared := newIOLane()
-			d.lanes[laneRead] = shared
-			d.lanes[laneWrite] = shared
-		} else {
-			d.lanes[laneRead] = newIOLane()
-			d.lanes[laneWrite] = newIOLane()
-		}
+		d := &device{back: b, lanes: newLanes(cfg.FCFS)}
 		a.devs = append(a.devs, d)
 		a.devLabels = append(a.devLabels, fmt.Sprintf("ssd%d", i))
 		for li, ln := range d.lanes {
@@ -341,17 +323,7 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 // swap path, where every block's blob has a fixed size. If the in-place
 // write fails partway, the stored object's contents are undefined (with
 // Checksums enabled, subsequent reads fail with ErrCorrupt).
-//
-// Put schedules as ClassWriteback; use PutClass to tag other traffic.
 func (a *Array) Put(key string, data []byte) error {
-	return a.PutClass(key, data, ClassWriteback)
-}
-
-// PutClass is Put with an explicit scheduler traffic class.
-func (a *Array) PutClass(key string, data []byte, class Class) error {
-	if class >= NumClasses {
-		return fmt.Errorf("nvme: put %q: invalid class %d", key, class)
-	}
 	a.mu.RLock()
 	obj, ok := a.objs[key]
 	a.mu.RUnlock()
@@ -371,7 +343,7 @@ func (a *Array) PutClass(key string, data []byte, class Class) error {
 		opStart = time.Now()
 	}
 	sp := a.tracer.Load().StartSpan(obs.LaneNVMeWrite, key)
-	err := a.transfer(obj, data, true, class)
+	err := a.transfer(obj, data, true)
 	sp.End()
 	if err != nil {
 		if fresh {
@@ -441,17 +413,8 @@ func (a *Array) verify(key string, obj object, data []byte) error {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ReadInto reads key into dst, which must have the object's exact size. It
-// avoids allocation on the engine's hot swap-in path, and schedules as
-// ClassCriticalFetch; use ReadIntoClass to tag other traffic.
+// avoids allocation on the engine's hot swap-in path.
 func (a *Array) ReadInto(key string, dst []byte) error {
-	return a.ReadIntoClass(key, dst, ClassCriticalFetch)
-}
-
-// ReadIntoClass is ReadInto with an explicit scheduler traffic class.
-func (a *Array) ReadIntoClass(key string, dst []byte, class Class) error {
-	if class >= NumClasses {
-		return fmt.Errorf("nvme: read %q: invalid class %d", key, class)
-	}
 	a.mu.RLock()
 	obj, ok := a.objs[key]
 	a.mu.RUnlock()
@@ -467,7 +430,7 @@ func (a *Array) ReadIntoClass(key string, dst []byte, class Class) error {
 		opStart = time.Now()
 	}
 	sp := a.tracer.Load().StartSpan(obs.LaneNVMeRead, key)
-	if err := a.transfer(obj, dst, false, class); err != nil {
+	if err := a.transfer(obj, dst, false); err != nil {
 		sp.End()
 		return err
 	}
@@ -591,7 +554,7 @@ const inlineTransferMax = 256 << 10
 // small transfers skip the queue entirely: without bandwidth or latency
 // sleeps there is no contention to schedule, and the dispatcher round-trip
 // buys nothing below ~memcpy scale.
-func (a *Array) transfer(obj object, buf []byte, write bool, class Class) error {
+func (a *Array) transfer(obj object, buf []byte, write bool) error {
 	cur, peak := &a.readsInFlight, &a.peakReads
 	if write {
 		cur, peak = &a.writesInFlight, &a.peakWrites
@@ -629,14 +592,14 @@ func (a *Array) transfer(obj object, buf []byte, write bool, class Class) error 
 		return nil
 	}
 	x := a.xpool.get(ndevs)
-	x.a, x.obj, x.buf, x.write = a, obj, buf, write
-	x.class, x.bw, x.lane, x.tr = class, bw, lane, tr
+	x.obj, x.buf, x.write = obj, buf, write
+	x.bw, x.lane, x.tr = bw, lane, tr
 	x.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		it := &x.items[w]
 		it.x = x
 		it.w = w
-		a.enqueue(a.devs[obj.chunks[w].dev].laneFor(write), it)
+		a.enqueue(a.devs[obj.chunks[w].dev].lanes[dir(write)], it)
 	}
 	x.wg.Wait()
 	err := x.err

@@ -543,7 +543,7 @@ func TestPutThenRecycle(t *testing.T) {
 	data := []byte("spilled optimizer state bytes......")
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	if err := a.PutClass("k", buf, ClassWriteback); err != nil {
+	if err := a.Put("k", buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := range buf {

@@ -12,69 +12,47 @@ import (
 // Transfer scheduler: every throttled object transfer is split into one item
 // per device stride and enqueued on that device's I/O lane, where a
 // persistent dispatcher goroutine (started at Open, joined at Close) drains
-// items one at a time. Each device has two lanes (reads and writes dispatch
-// independently, matching the P5510's full-duplex 6.5/3.8 GB/s shape) and
-// each lane dequeues by priority class with an anti-starvation aging bound,
-// coalescing adjacent stripe chunks into one throttled submission. The
-// Config.FCFS test oracle gives the device a single lane served strictly in
-// arrival order, where a critical-path fetch queues behind bulk
-// write-behind: the baseline this package's tests and the engine's test
-// oracle compare against.
+// items one at a time in arrival order. Each device has two lanes (reads and
+// writes dispatch independently, matching the P5510's full-duplex 6.5/3.8
+// GB/s shape), and each lane coalesces adjacent stripe chunks into one
+// throttled submission. The Config.FCFS test oracle gives the device a
+// single shared lane without coalescing, where a read queues behind every
+// write issued before it: the baseline this package's tests and the
+// engine's test oracle compare against.
 //
-// The scheduler reorders only the *timing* of I/O, never its data: a
+// The scheduler orders only the *timing* of I/O, never its data: a
 // transfer still completes before Put/ReadInto returns, chunk buffers
 // are disjoint, and callers' ordering constraints (the engine's pipeline
 // barrier, the optimizer's group sequencing) are expressed as
 // completion-before-issue dependencies the scheduler cannot invert.
 
-// Class is a transfer priority class. Lower values are more urgent.
-type Class uint8
-
-// The traffic classes, in priority order: a critical-path fetch
-// stalls compute now; an optimizer-state read stalls the Adam drain; a
-// gradient/state writeback holds a pipeline slot; write-behind activation
-// offload has a whole forward+backward of slack.
-const (
-	ClassCriticalFetch Class = iota
-	ClassOptRead
-	ClassWriteback
-	ClassWriteBehind
-	// NumClasses is the number of priority classes.
-	NumClasses = 4
-)
-
-// The obs package mirrors the class count for per-class telemetry carried
-// on flight records; pin the two equal at compile time.
-var _ [obs.SchedClassCount]struct{} = [NumClasses]struct{}{}
-
-// DefaultSchedAging bounds how long a lower-priority class can sit queued
-// behind higher classes before it is served anyway. 3ms is ~20 stripe
-// transfers at the Table III per-device read bandwidth: long enough that
-// priorities bite, short enough that a flooded write-behind class still
-// drains within a training step.
-const DefaultSchedAging = 3 * time.Millisecond
-
 // coalesceMax caps how many adjacent stripe chunks merge into one throttled
 // submission (one OpLatency charge). 8 stripes keeps a coalesced run well
-// under a millisecond at Table III bandwidths, so dequeue priority is
-// re-evaluated often enough for aging to hold.
+// under a millisecond at Table III bandwidths.
 const coalesceMax = 8
 
-// Per-device lane indexes. The FCFS oracle points both at one shared lane.
+// Per-device lane indexes, which also index the per-direction scheduler
+// counters. The FCFS oracle points both lanes at one shared lane.
 const (
 	laneRead  = 0
 	laneWrite = 1
 )
 
+// dir is a transfer direction's lane index.
+func dir(write bool) int {
+	if write {
+		return laneWrite
+	}
+	return laneRead
+}
+
 // xfer is one in-flight object transfer: the shared state its per-device
 // stride items report into. Recycled through xferPool so the steady-state
 // swap path allocates nothing.
 type xfer struct {
-	a     *Array
 	obj   object
 	buf   []byte
 	write bool
-	class Class
 	bw    units.BytesPerSecond
 	lane  string
 	tr    *obs.Tracer
@@ -137,7 +115,7 @@ func (q *itemQueue) pop() *schedItem {
 type ioLane struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      [NumClasses]itemQueue
+	q      itemQueue
 	closed bool
 
 	// Dispatcher-owned; no lock.
@@ -149,6 +127,16 @@ func newIOLane() *ioLane {
 	ln := &ioLane{}
 	ln.cond = sync.NewCond(&ln.mu)
 	return ln
+}
+
+// newLanes makes a device's lanes, indexed laneRead/laneWrite: one per
+// direction, or for the FCFS oracle one shared by both.
+func newLanes(fcfs bool) [2]*ioLane {
+	if fcfs {
+		shared := newIOLane()
+		return [2]*ioLane{shared, shared}
+	}
+	return [2]*ioLane{newIOLane(), newIOLane()}
 }
 
 // xferPool recycles xfer headers. A plain mutex-guarded freelist rather
@@ -178,7 +166,6 @@ func (p *xferPool) get(ndevs int) *xfer {
 func (p *xferPool) put(x *xfer) {
 	// Drop every pointer so a recycled header cannot retain buffers, chunk
 	// slices, or tracers across transfers.
-	x.a = nil
 	x.obj = object{}
 	x.buf = nil
 	x.tr = nil
@@ -191,8 +178,8 @@ func (p *xferPool) put(x *xfer) {
 	p.mu.Unlock()
 }
 
-// schedClassCounters is one class's cumulative scheduler telemetry.
-type schedClassCounters struct {
+// schedCounters is one direction's cumulative scheduler telemetry.
+type schedCounters struct {
 	enqueued   atomic.Int64
 	dispatched atomic.Int64
 	waitNS     atomic.Int64 // summed queue wait
@@ -202,15 +189,15 @@ type schedClassCounters struct {
 	coalesced  atomic.Int64 // stripe submissions saved by coalescing
 }
 
-// SchedClassStats is one class's scheduler telemetry snapshot.
-type SchedClassStats struct {
+// SchedLaneStats is one direction's scheduler telemetry snapshot.
+type SchedLaneStats struct {
 	// Enqueued / Dispatched count stride items (one per device touched per
 	// object transfer).
 	Enqueued, Dispatched int64
 	// Wait is the summed queue wait of dispatched items; MaxWait the worst
 	// single wait.
 	Wait, MaxWait time.Duration
-	// Depth is the class's currently queued items across all device lanes;
+	// Depth is the direction's currently queued items across all devices;
 	// DepthPeak its cumulative high-water mark.
 	Depth, DepthPeak int64
 	// Coalesced counts stripe submissions merged into a predecessor (each
@@ -218,27 +205,26 @@ type SchedClassStats struct {
 	Coalesced int64
 }
 
-// SchedStats reports per-class scheduler telemetry, indexed by Class.
+// SchedStats reports the scheduler's telemetry per transfer direction.
 type SchedStats struct {
-	PerClass [NumClasses]SchedClassStats
+	Read, Write SchedLaneStats
 }
 
-// SchedStats snapshots the transfer scheduler's per-class counters.
+// SchedStats snapshots the transfer scheduler's per-direction counters.
 func (a *Array) SchedStats() SchedStats {
-	var s SchedStats
-	for c := range a.sched {
-		sc := &a.sched[c]
-		s.PerClass[c] = SchedClassStats{
-			Enqueued:   sc.enqueued.Load(),
-			Dispatched: sc.dispatched.Load(),
-			Wait:       time.Duration(sc.waitNS.Load()),
-			MaxWait:    time.Duration(sc.maxWaitNS.Load()),
-			Depth:      sc.depth.Load(),
-			DepthPeak:  sc.depthPeak.Load(),
-			Coalesced:  sc.coalesced.Load(),
-		}
+	return SchedStats{Read: a.sched[laneRead].snapshot(), Write: a.sched[laneWrite].snapshot()}
+}
+
+func (sc *schedCounters) snapshot() SchedLaneStats {
+	return SchedLaneStats{
+		Enqueued:   sc.enqueued.Load(),
+		Dispatched: sc.dispatched.Load(),
+		Wait:       time.Duration(sc.waitNS.Load()),
+		MaxWait:    time.Duration(sc.maxWaitNS.Load()),
+		Depth:      sc.depth.Load(),
+		DepthPeak:  sc.depthPeak.Load(),
+		Coalesced:  sc.coalesced.Load(),
 	}
-	return s
 }
 
 // foldMax folds v into a cumulative maximum.
@@ -253,20 +239,17 @@ func foldMax(peak *atomic.Int64, v int64) {
 
 // enqueue hands one stride item to a lane's dispatcher.
 func (a *Array) enqueue(ln *ioLane, it *schedItem) {
-	c := it.x.class
 	ln.mu.Lock()
 	if ln.closed {
 		ln.mu.Unlock()
 		it.x.done(ErrClosed)
 		return
 	}
-	// Stamped under the lane lock so arrival times are strictly consistent
-	// with queue order — FCFS dequeue compares heads across class queues.
 	it.enq = time.Now()
-	ln.q[c].push(it)
+	ln.q.push(it)
 	ln.mu.Unlock()
 	ln.cond.Signal()
-	sc := &a.sched[c]
+	sc := &a.sched[dir(it.x.write)]
 	sc.enqueued.Add(1)
 	foldMax(&sc.depthPeak, sc.depth.Add(1))
 }
@@ -276,7 +259,7 @@ func (a *Array) enqueue(ln *ioLane, it *schedItem) {
 func (a *Array) dispatch(ln *ioLane) {
 	defer a.dispWG.Done()
 	for {
-		it := a.nextItem(ln)
+		it := ln.nextItem()
 		if it == nil {
 			return
 		}
@@ -284,78 +267,24 @@ func (a *Array) dispatch(ln *ioLane) {
 	}
 }
 
-// nextItem blocks until an item is dequeued or the lane is closed and
-// drained.
-func (a *Array) nextItem(ln *ioLane) *schedItem {
+// nextItem blocks until the lane's oldest item is dequeued, or returns nil
+// once the lane is closed and drained.
+func (ln *ioLane) nextItem() *schedItem {
 	ln.mu.Lock()
-	for {
-		if it := a.pickLocked(ln); it != nil {
-			ln.mu.Unlock()
-			return it
-		}
+	defer ln.mu.Unlock()
+	for ln.q.head == nil {
 		if ln.closed {
-			ln.mu.Unlock()
 			return nil
 		}
 		ln.cond.Wait()
 	}
-}
-
-// pickLocked dequeues the next item under ln.mu, or nil if the lane is
-// empty. The FCFS oracle serves strict arrival order across all classes;
-// the duplex lanes serve the classes in priority (index) order unless some
-// queue's oldest waiter has aged past the anti-starvation bound, in which
-// case the most overdue queue is served first.
-func (a *Array) pickLocked(ln *ioLane) *schedItem {
-	if a.cfg.FCFS {
-		var best *itemQueue
-		for c := range ln.q {
-			q := &ln.q[c]
-			if q.head == nil {
-				continue
-			}
-			if best == nil || q.head.enq.Before(best.head.enq) {
-				best = q
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		return best.pop()
-	}
-	var first *itemQueue
-	for c := range ln.q {
-		if ln.q[c].head != nil {
-			first = &ln.q[c]
-			break
-		}
-	}
-	if first == nil {
-		return nil
-	}
-	if a.aging > 0 {
-		cutoff := time.Now().Add(-a.aging)
-		var overdue *itemQueue
-		for c := range ln.q {
-			q := &ln.q[c]
-			if q.head == nil || !q.head.enq.Before(cutoff) {
-				continue
-			}
-			if overdue == nil || q.head.enq.Before(overdue.head.enq) {
-				overdue = q
-			}
-		}
-		if overdue != nil {
-			return overdue.pop()
-		}
-	}
-	return first.pop()
+	return ln.q.pop()
 }
 
 // runItem accounts one dequeued item and executes its device stride.
 func (a *Array) runItem(ln *ioLane, it *schedItem) {
 	x := it.x
-	sc := &a.sched[x.class]
+	sc := &a.sched[dir(x.write)]
 	sc.depth.Add(-1)
 	sc.dispatched.Add(1)
 	wait := int64(time.Since(it.enq))
@@ -364,7 +293,7 @@ func (a *Array) runItem(ln *ioLane, it *schedItem) {
 	x.done(a.runStride(ln, it))
 }
 
-// runStride moves the chunks of one phase-stride class (indexes congruent
+// runStride moves the chunks of one device stride (indexes congruent
 // to w mod device count — all on one device) between x.buf and the backing
 // store, charging the lane throttle. On duplex lanes, runs of adjacent chunks
 // (consecutive offsets on the device, as the round-robin allocator lays
@@ -415,7 +344,7 @@ func (a *Array) flushRun(ln *ioLane, it *schedItem, runBytes, runOps int) {
 	}
 	a.throttleLane(ln, it.enq, runBytes, it.x.bw)
 	if runOps > 1 {
-		a.sched[it.x.class].coalesced.Add(int64(runOps - 1))
+		a.sched[dir(it.x.write)].coalesced.Add(int64(runOps - 1))
 	}
 }
 

@@ -12,62 +12,44 @@ import (
 	"ratel/internal/units"
 )
 
-// --- dequeue policy (white box: drives pickLocked directly) ---
+// --- dequeue order (white box: drives enqueue and nextItem directly) ---
 
-// pickArray builds an Array with just enough state to exercise pickLocked.
-func pickArray(fcfs bool, aging time.Duration) *Array {
-	return &Array{cfg: Config{FCFS: fcfs}, aging: aging}
-}
-
-func queued(ln *ioLane, c Class, age time.Duration) *schedItem {
-	it := &schedItem{x: &xfer{class: c}, enq: time.Now().Add(-age)}
-	ln.q[c].push(it)
-	return it
-}
-
-func TestPickPriorityOrder(t *testing.T) {
-	a := pickArray(false, time.Hour) // aging too long to trigger
-	ln := newIOLane()
-	wb := queued(ln, ClassWriteBehind, 50*time.Millisecond) // oldest
-	or := queued(ln, ClassOptRead, 20*time.Millisecond)
-	cf := queued(ln, ClassCriticalFetch, 0) // newest, most urgent
-	for i, want := range []*schedItem{cf, or, wb} {
-		if got := a.pickLocked(ln); got != want {
-			t.Fatalf("pick %d = class %v, want %v", i, got.x.class, want.x.class)
+// TestLaneServesArrivalOrder: reads and writes enqueued interleaved come off
+// a duplex device's lanes in arrival order per direction, and off the FCFS
+// oracle's shared lane in global arrival order, whatever the direction.
+func TestLaneServesArrivalOrder(t *testing.T) {
+	arrivals := []bool{false, true, true, false, false, true} // write?
+	for _, fcfs := range []bool{false, true} {
+		a := &Array{}
+		lanes := newLanes(fcfs)
+		for i, write := range arrivals {
+			a.enqueue(lanes[dir(write)], &schedItem{x: &xfer{write: write}, w: i})
 		}
-	}
-	if a.pickLocked(ln) != nil {
-		t.Fatal("drained lane still yields items")
-	}
-}
-
-func TestPickFCFSIgnoresClass(t *testing.T) {
-	a := pickArray(true, time.Hour)
-	ln := newIOLane()
-	wb := queued(ln, ClassWriteBehind, 50*time.Millisecond)
-	cf := queued(ln, ClassCriticalFetch, 20*time.Millisecond)
-	or := queued(ln, ClassOptRead, 0)
-	for i, want := range []*schedItem{wb, cf, or} { // strict arrival order
-		if got := a.pickLocked(ln); got != want {
-			t.Fatalf("FCFS pick %d = class %v, want %v", i, got.x.class, want.x.class)
+		var want [2][]int // per lane: the arrival indexes it must serve, in order
+		for i, write := range arrivals {
+			l := dir(write)
+			if fcfs {
+				l = laneRead
+			}
+			want[l] = append(want[l], i)
 		}
-	}
-}
-
-func TestPickAgingOverridesPriority(t *testing.T) {
-	a := pickArray(false, 5*time.Millisecond)
-	ln := newIOLane()
-	wb := queued(ln, ClassWriteBehind, 40*time.Millisecond) // starved past aging
-	or := queued(ln, ClassOptRead, 10*time.Millisecond)     // also overdue, less so
-	cf := queued(ln, ClassCriticalFetch, 0)                 // fresh
-	if got := a.pickLocked(ln); got != wb {
-		t.Fatalf("first pick = class %v, want most-overdue write-behind", got.x.class)
-	}
-	if got := a.pickLocked(ln); got != or {
-		t.Fatalf("second pick = class %v, want overdue opt-read", got.x.class)
-	}
-	if got := a.pickLocked(ln); got != cf {
-		t.Fatalf("third pick = class %v, want fetch", got.x.class)
+		for l, ln := range lanes {
+			if fcfs && l == laneWrite {
+				continue // the shared lane, drained above
+			}
+			ln.closed = true
+			var got []int
+			for it := ln.nextItem(); it != nil; it = ln.nextItem() {
+				got = append(got, it.w)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want[l]) {
+				t.Errorf("fcfs=%v lane %d served %v, want %v", fcfs, l, got, want[l])
+			}
+		}
+		st := a.SchedStats()
+		if st.Read.Enqueued != 3 || st.Write.Enqueued != 3 || st.Read.DepthPeak != 3 || st.Write.DepthPeak != 3 {
+			t.Errorf("fcfs=%v: counters %+v, want 3 enqueued and a depth peak of 3 per direction", fcfs, st)
+		}
 	}
 }
 
@@ -108,12 +90,13 @@ func TestZeroConfigIsTheEngineArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := a.SchedStats()
-	if st.PerClass[ClassWriteback].Coalesced == 0 || st.PerClass[ClassCriticalFetch].Coalesced == 0 {
-		t.Fatalf("no stripe submissions coalesced (write %d, read %d)",
-			st.PerClass[ClassWriteback].Coalesced, st.PerClass[ClassCriticalFetch].Coalesced)
+	if st.Write.Coalesced == 0 || st.Read.Coalesced == 0 {
+		t.Fatalf("no stripe submissions coalesced (write %d, read %d)", st.Write.Coalesced, st.Read.Coalesced)
 	}
 }
 
+// TestSchedRoundTripAllClasses: both transfer directions move data intact
+// and account every stride item they queue on their own counters.
 func TestSchedRoundTripAllClasses(t *testing.T) {
 	a, err := Open(schedConfig(3, 512<<20, 512<<20))
 	if err != nil {
@@ -124,34 +107,27 @@ func TestSchedRoundTripAllClasses(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	for c := Class(0); c < NumClasses; c++ {
-		key := fmt.Sprintf("k/%d", c)
-		if err := a.PutClass(key, data, c); err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]byte, len(data))
-		if err := a.ReadIntoClass(key, dst, c); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dst, data) {
-			t.Fatalf("class %v ReadIntoClass corrupted data", c)
-		}
+	if err := a.Put("k", data); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, len(data))
+	if err := a.ReadInto("k", dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, data) {
+		t.Fatal("ReadInto corrupted data")
 	}
 	st := a.SchedStats()
-	for c := Class(0); c < NumClasses; c++ {
-		s := st.PerClass[c]
-		if s.Enqueued == 0 || s.Dispatched != s.Enqueued {
-			t.Errorf("class %v: enqueued %d dispatched %d, want equal and > 0", c, s.Enqueued, s.Dispatched)
+	for name, s := range map[string]SchedLaneStats{"read": st.Read, "write": st.Write} {
+		if s.Enqueued != 3 || s.Dispatched != s.Enqueued {
+			t.Errorf("%s: enqueued %d dispatched %d, want 3 (one per device) and equal", name, s.Enqueued, s.Dispatched)
 		}
 		if s.Depth != 0 {
-			t.Errorf("class %v: residual queue depth %d after quiesce", c, s.Depth)
+			t.Errorf("%s: residual queue depth %d after quiesce", name, s.Depth)
 		}
 		if s.DepthPeak == 0 {
-			t.Errorf("class %v: depth peak never moved", c)
+			t.Errorf("%s: depth peak never moved", name)
 		}
-	}
-	if err := a.PutClass("k", data, Class(NumClasses)); err == nil {
-		t.Error("invalid class accepted")
 	}
 }
 
@@ -170,11 +146,11 @@ func TestSchedDuplexReadsBypassWrites(t *testing.T) {
 	}
 	big := make([]byte, 512<<10) // ~256ms on the write lane
 	done := make(chan error, 1)
-	go func() { done <- a.PutClass("cold", big, ClassWriteBehind) }()
+	go func() { done <- a.Put("cold", big) }()
 	time.Sleep(5 * time.Millisecond) // let the write occupy its lane
 	start := time.Now()
 	dst := make([]byte, len(small))
-	if err := a.ReadIntoClass("hot", dst, ClassCriticalFetch); err != nil {
+	if err := a.ReadInto("hot", dst); err != nil {
 		t.Fatal(err)
 	}
 	fetch := time.Since(start)
@@ -202,17 +178,17 @@ func TestSchedCoalescingMergesAdjacentStripes(t *testing.T) {
 	}
 	defer a.Close()
 	data := make([]byte, 9<<10) // 9 stripes: runs of 8 + 1
-	if err := a.PutClass("k", data, ClassWriteback); err != nil {
+	if err := a.Put("k", data); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.SchedStats().PerClass[ClassWriteback].Coalesced; got != 7 {
+	if got := a.SchedStats().Write.Coalesced; got != 7 {
 		t.Fatalf("write coalesced %d stripe submissions, want 7 (run of 8 + run of 1)", got)
 	}
 	dst := make([]byte, len(data))
-	if err := a.ReadIntoClass("k", dst, ClassOptRead); err != nil {
+	if err := a.ReadInto("k", dst); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.SchedStats().PerClass[ClassOptRead].Coalesced; got != 7 {
+	if got := a.SchedStats().Read.Coalesced; got != 7 {
 		t.Fatalf("read coalesced %d stripe submissions, want 7", got)
 	}
 }
@@ -228,13 +204,15 @@ func TestFCFSDoesNotCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.Put("k", make([]byte, 8<<10)); err != nil {
+	data := make([]byte, 8<<10)
+	if err := a.Put("k", data); err != nil {
 		t.Fatal(err)
 	}
-	for c := Class(0); c < NumClasses; c++ {
-		if got := a.SchedStats().PerClass[c].Coalesced; got != 0 {
-			t.Fatalf("FCFS coalesced %d submissions on class %v, want 0", got, c)
-		}
+	if err := a.ReadInto("k", data); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.SchedStats(); st.Read.Coalesced != 0 || st.Write.Coalesced != 0 {
+		t.Fatalf("FCFS coalesced %d read and %d write submissions, want 0", st.Read.Coalesced, st.Write.Coalesced)
 	}
 }
 
@@ -335,7 +313,7 @@ func queuedReads(t *testing.T, cfg Config, n, size int) time.Duration {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = a.ReadIntoClass(keys[i], bufs[i], ClassOptRead)
+			errs[i] = a.ReadInto(keys[i], bufs[i])
 		}(i)
 	}
 	wg.Wait()
@@ -459,7 +437,7 @@ func TestSchedCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PutClass("k", make([]byte, 4<<10), ClassWriteback); err != nil {
+	if err := a.Put("k", make([]byte, 4<<10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
@@ -468,11 +446,11 @@ func TestSchedCloseSemantics(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal("second Close:", err)
 	}
-	if err := a.PutClass("k2", make([]byte, 4<<10), ClassWriteback); !errors.Is(err, ErrClosed) {
+	if err := a.Put("k2", make([]byte, 4<<10)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
 	}
 	dst := make([]byte, 4<<10)
-	if err := a.ReadIntoClass("k", dst, ClassCriticalFetch); !errors.Is(err, ErrClosed) {
+	if err := a.ReadInto("k", dst); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ReadInto after Close = %v, want ErrClosed", err)
 	}
 }
@@ -491,7 +469,7 @@ func TestSchedCloseUnderLoad(t *testing.T) {
 			defer wg.Done()
 			buf := make([]byte, 32<<10)
 			for i := 0; i < 8; i++ {
-				err := a.PutClass(fmt.Sprintf("w%d", w), buf, ClassWriteBehind)
+				err := a.Put(fmt.Sprintf("w%d", w), buf)
 				if err != nil && !errors.Is(err, ErrClosed) {
 					t.Errorf("unexpected error under close: %v", err)
 				}
@@ -503,90 +481,4 @@ func TestSchedCloseUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-}
-
-// --- starvation soak (satellite: flooded write-behind vs critical fetch) ---
-
-func TestSchedCriticalFetchBoundedUnderFlood(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test in -short mode")
-	}
-	// Flood both lanes: bulk write-behind on the write lanes and bulk
-	// opt-read traffic on the read lanes, then measure critical-fetch
-	// latency through the storm. Priority dequeue + duplex lanes must keep
-	// the P99 bounded near one in-service bulk stride, not the queue depth.
-	a, err := Open(schedConfig(2, 64<<20, 16<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	hot := make([]byte, 8<<10)
-	if err := a.Put("hot", hot); err != nil {
-		t.Fatal(err)
-	}
-	bulk := make([]byte, 128<<10)
-	if err := a.PutClass("bulk-src", bulk, ClassWriteback); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) { // write-behind flood
-			defer wg.Done()
-			buf := make([]byte, len(bulk))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := a.PutClass(fmt.Sprintf("flood%d", w), buf, ClassWriteBehind); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() { // bulk read pressure on the fetch lanes
-		defer wg.Done()
-		buf := make([]byte, len(bulk))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := a.ReadIntoClass("bulk-src", buf, ClassOptRead); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-
-	const probes = 120
-	lat := make([]time.Duration, 0, probes)
-	dst := make([]byte, len(hot))
-	for i := 0; i < probes; i++ {
-		start := time.Now()
-		if err := a.ReadIntoClass("hot", dst, ClassCriticalFetch); err != nil {
-			t.Fatal(err)
-		}
-		lat = append(lat, time.Since(start))
-		time.Sleep(500 * time.Microsecond)
-	}
-	close(stop)
-	wg.Wait()
-
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p99 := lat[len(lat)*99/100]
-	// One in-service 64 KiB bulk stride at 32 MB/s(read, half the object on
-	// each device) is ~2ms; add the aging bound and generous CI slack. A
-	// FCFS array under the same flood queues the fetch behind the whole
-	// backlog and blows far past this.
-	if limit := 60 * time.Millisecond; p99 > limit {
-		t.Fatalf("critical-fetch P99 %v under write-behind flood, want <= %v (median %v)",
-			p99, limit, lat[len(lat)/2])
-	}
 }

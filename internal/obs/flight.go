@@ -65,9 +65,9 @@ type StepRecord struct {
 	// EffectiveDepth is the activation I/O window in force this step: the
 	// resolved static depth (Config.PipelineDepth or the default), never 0.
 	EffectiveDepth int
-	// Sched is the NVMe transfer scheduler's per-class step delta:
+	// Sched is the NVMe transfer scheduler's per-direction step delta:
 	// dispatched stride items, their summed queue wait, and the cumulative
-	// queue-depth peak, indexed per nvme class / SchedClassNames.
+	// queue-depth peak, indexed SchedRead / SchedWrite.
 	Sched SchedSample
 	// Flow is the byte-flow ledger delta over this step's wall time: bytes
 	// moved per (edge, purpose) cell (see FlowLedger). Like Sched and the

@@ -2,39 +2,32 @@ package obs
 
 import "time"
 
-// Per-class NVMe scheduler telemetry. The transfer classes live in
-// internal/nvme (Class constants); obs mirrors only the count and the
-// canonical snake_case names so the flight recorder and the metric
-// exporters can carry per-class samples without importing the storage
-// layer. nvme pins the two counts equal with a compile-time assertion.
+// Per-direction NVMe scheduler telemetry. The array (internal/nvme) runs one
+// read and one write lane per device; obs carries one row per direction so
+// the flight recorder and the metric exporters can hold scheduler samples
+// without importing the storage layer.
 
-// SchedClassCount is the number of transfer priority classes.
-const SchedClassCount = 4
+// The scheduler telemetry rows, indexing SchedSample and SchedDirNames.
+const (
+	SchedRead = iota
+	SchedWrite
+)
 
-// SchedClassNames are the canonical per-class telemetry names, indexed by
-// class value (critical-path fetch, optimizer-state read, grad/state
-// writeback, write-behind activation offload).
-var SchedClassNames = [SchedClassCount]string{"fetch", "opt_read", "writeback", "write_behind"}
+// SchedDirNames are the rows' canonical telemetry names.
+var SchedDirNames = [...]string{SchedRead: "read", SchedWrite: "write"}
 
-// SchedClassDelta is one step's scheduler activity for one class: transfers
-// dispatched, their summed queue wait, and the class's cumulative queue
+// SchedDelta is one step's scheduler activity in one direction: stride items
+// dispatched, their summed queue wait, and the direction's cumulative queue
 // depth high-water mark.
-type SchedClassDelta struct {
+type SchedDelta struct {
 	Dispatched int64
 	Wait       time.Duration
 	QueuePeak  int64
 }
 
-// SchedSample is a per-class scheduler snapshot carried on a StepRecord.
-type SchedSample [SchedClassCount]SchedClassDelta
+// SchedSample is a per-direction scheduler snapshot carried on a StepRecord.
+type SchedSample [len(SchedDirNames)]SchedDelta
 
-// Active reports whether any class saw traffic (the zero value means the
-// scheduler was off or idle, and dumps omit the block).
-func (s SchedSample) Active() bool {
-	for _, c := range s {
-		if c.Dispatched != 0 || c.Wait != 0 || c.QueuePeak != 0 {
-			return true
-		}
-	}
-	return false
-}
+// Active reports whether either direction saw traffic (the zero value means
+// the scheduler was idle, and dumps omit the block).
+func (s SchedSample) Active() bool { return s != SchedSample{} }

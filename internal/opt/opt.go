@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"ratel/internal/nn"
-	"ratel/internal/nvme"
 	"ratel/internal/obs"
 	"ratel/internal/tensor"
 	"ratel/internal/tensor/pool"
@@ -95,23 +94,12 @@ func newAdamCoef(cfg AdamConfig, t int) simd.AdamCoef {
 }
 
 // Store is the storage the out-of-core optimizer streams model states
-// through; *nvme.Array satisfies it. Put must not retain data after it
-// returns and ReadInto fills dst, which must be exactly the stored object's
-// size — the optimizer streams through buffers it owns and reuses.
+// through; *nvme.Array and MemStore satisfy it. Put must not retain data
+// after it returns and ReadInto fills dst, which must be exactly the stored
+// object's size — the optimizer streams through buffers it owns and reuses.
 type Store interface {
 	Put(key string, data []byte) error
 	ReadInto(key string, dst []byte) error
-}
-
-// classedStore is the optional traffic-classed path: a store backed by the
-// NVMe transfer scheduler (*nvme.Array) exposes it so the optimizer's state
-// streams carry their true priority — reads ahead of the Adam sweep are
-// latency-sensitive (ClassOptRead), state writebacks are not
-// (ClassWriteback). Stores without classes (MemStore) take the plain
-// Put/ReadInto; the bytes moved are identical either way.
-type classedStore interface {
-	PutClass(key string, data []byte, class nvme.Class) error
-	ReadIntoClass(key string, dst []byte, class nvme.Class) error
 }
 
 // MemStore is an in-memory Store for tests and the in-memory reference
@@ -161,7 +149,6 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 type OutOfCoreAdam struct {
 	cfg       AdamConfig
 	store     Store
-	classed   classedStore // store's optional traffic-classed path, nil if absent
 	prefix    string
 	step      int
 	gradScale float64 // loss-scale divisor; 0 or 1 means unscaled
@@ -247,9 +234,7 @@ func (o *OutOfCoreAdam) SetClipNorm(n float64) error {
 // NewOutOfCoreAdam creates an optimizer over the given store. prefix
 // namespaces its keys.
 func NewOutOfCoreAdam(store Store, cfg AdamConfig, prefix string) *OutOfCoreAdam {
-	o := &OutOfCoreAdam{cfg: cfg, store: store, prefix: prefix}
-	o.classed, _ = store.(classedStore)
-	return o
+	return &OutOfCoreAdam{cfg: cfg, store: store, prefix: prefix}
 }
 
 // Step reports the number of completed optimizer steps.
@@ -385,7 +370,7 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 		})
 		clear(obj[4*pc.n:]) // M and V start at +0, which is four zero bytes
 		if err == nil {
-			err = o.writeState(pc.key, o.pack(obj, g, pc))
+			err = o.store.Put(pc.key, o.pack(obj, g, pc))
 		}
 		if err != nil {
 			return fmt.Errorf("opt: init %s: %w", g.Name, err)
@@ -419,7 +404,7 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 			obj, err = o.applyTo(obj, g, pc, o.cfg, o.step, clip, label)
 		}
 		if err == nil {
-			err = o.writeState(pc.key, obj)
+			err = o.store.Put(pc.key, obj)
 		}
 		if err != nil {
 			return err
@@ -675,28 +660,12 @@ func scratch[T any](s *[]T, n int) []T {
 	return (*s)[:n]
 }
 
-// readState reads one of a group's state pieces into dst at the
-// optimizer-read priority.
+// readState reads one of a group's state pieces into dst.
 func (o *OutOfCoreAdam) readState(key string, dst []byte) error {
-	var err error
-	if o.classed != nil {
-		err = o.classed.ReadIntoClass(key, dst, nvme.ClassOptRead)
-	} else {
-		err = o.store.ReadInto(key, dst)
-	}
-	if err != nil {
+	if err := o.store.ReadInto(key, dst); err != nil {
 		return fmt.Errorf("opt: load %s: %w", key, err)
 	}
 	return nil
-}
-
-// writeState writes a state piece at the writeback priority. Safe on
-// reusable buffers because Store.Put must not retain its argument.
-func (o *OutOfCoreAdam) writeState(key string, wire []byte) error {
-	if o.classed != nil {
-		return o.classed.PutClass(key, wire, nvme.ClassWriteback)
-	}
-	return o.store.Put(key, wire)
 }
 
 // State returns a copy of the group's decoded state — its P32, M and V, as a
@@ -813,7 +782,7 @@ func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, e
 	}
 	for _, pc := range o.cut(g.Name, n) {
 		obj := wire[StateBytes(pc.lo, true):StateBytes(pc.lo+pc.n, true)]
-		if err := o.writeState(pc.key, o.pack(obj, g, pc)); err != nil {
+		if err := o.store.Put(pc.key, o.pack(obj, g, pc)); err != nil {
 			return true, err
 		}
 		// Fresh fp16 working weights cross back to the compute tier.

@@ -15,8 +15,8 @@ import (
 // each other as well as the backward pass (§IV-C):
 //
 //	Submit ─▶ read-ahead ─▶ Adam ─▶ applied ─▶ Wait
-//	          ClassOptRead   └────▶ write-behind ─▶ written ─▶ Flush, next read-ahead
-//	          window buffer         ClassWriteback, buffer back in the window
+//	          ReadInto       └────▶ write-behind ─▶ written ─▶ Flush, next read-ahead
+//	          window buffer         Put, buffer back in the window
 //
 // The unit of every stage is a state piece (OutOfCoreAdam): Submit enqueues
 // the group's pieces in order. Read-ahead issues a piece's state read, sized
@@ -302,7 +302,7 @@ func (p *StatePipeline) adamStage() {
 func (p *StatePipeline) writeBehind() {
 	defer p.writers.Done()
 	for pc := range p.writeQ {
-		err := p.o.writeState(pc.key, pc.buf)
+		err := p.o.store.Put(pc.key, pc.buf)
 		if err != nil {
 			err = fmt.Errorf("opt: write back %s: %w", pc.key, err)
 		}

@@ -40,7 +40,7 @@ type FlightStep struct {
 	FlowBytes    map[string]int64          `json:"flow_bytes"`
 }
 
-// FlightSchedRow is one traffic class's scheduler activity in a step:
+// FlightSchedRow is one lane direction's scheduler activity in a step:
 // transfers dispatched, total queue wait, and the lifetime queue-depth peak.
 type FlightSchedRow struct {
 	Dispatched int64 `json:"dispatched"`
@@ -75,18 +75,18 @@ func flowMap(s obs.FlowSnapshot) map[string]int64 {
 	return m
 }
 
-// schedMap flattens a scheduler sample to its active classes, keyed by the
-// canonical snake_case class names.
+// schedMap flattens a scheduler sample to its active directions, keyed by
+// the canonical direction names ("read", "write").
 func schedMap(s obs.SchedSample) map[string]FlightSchedRow {
 	if !s.Active() {
 		return nil
 	}
-	m := make(map[string]FlightSchedRow, obs.SchedClassCount)
+	m := make(map[string]FlightSchedRow, len(s))
 	for c, d := range s {
-		if d.Dispatched == 0 && d.Wait == 0 && d.QueuePeak == 0 {
+		if d == (obs.SchedDelta{}) {
 			continue
 		}
-		m[obs.SchedClassNames[c]] = FlightSchedRow{
+		m[obs.SchedDirNames[c]] = FlightSchedRow{
 			Dispatched: d.Dispatched,
 			WaitNS:     int64(d.Wait),
 			QueuePeak:  d.QueuePeak,
@@ -164,9 +164,10 @@ func WriteFlightDump(d FlightDump, w io.Writer) error {
 
 // ReadFlightDump parses a dump written by WriteFlightDump and validates
 // the invariants a loadable postmortem must satisfy: steps are in order,
-// spans are well-formed, and every flow key names a real edge/purpose
-// pair. Crash-handler output is only useful if it can actually be opened,
-// so the SIGQUIT path is tested through this reader.
+// spans are well-formed, every flow key names a real edge/purpose pair and
+// every sched key a lane direction. Crash-handler output is only useful if
+// it can actually be opened, so the SIGQUIT path is tested through this
+// reader.
 func ReadFlightDump(r io.Reader) (FlightDump, error) {
 	var d FlightDump
 	dec := json.NewDecoder(r)
@@ -179,9 +180,9 @@ func ReadFlightDump(r io.Reader) (FlightDump, error) {
 			valid[flowKey(e, p)] = true
 		}
 	}
-	classes := make(map[string]bool, obs.SchedClassCount)
-	for _, n := range obs.SchedClassNames {
-		classes[n] = true
+	dirs := make(map[string]bool, len(obs.SchedDirNames))
+	for _, n := range obs.SchedDirNames {
+		dirs[n] = true
 	}
 	for i, s := range d.Steps {
 		if i > 0 && s.Step <= d.Steps[i-1].Step {
@@ -193,8 +194,8 @@ func ReadFlightDump(r io.Reader) (FlightDump, error) {
 			}
 		}
 		for k := range s.Sched {
-			if !classes[k] {
-				return FlightDump{}, fmt.Errorf("flight dump: unknown sched class %q", k)
+			if !dirs[k] {
+				return FlightDump{}, fmt.Errorf("flight dump: unknown sched direction %q", k)
 			}
 		}
 	}

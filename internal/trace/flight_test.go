@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,10 @@ func sampleSteps() []obs.StepRecord {
 			Wall: 11 * time.Millisecond, Forward: 4 * time.Millisecond,
 			Backward: 6 * time.Millisecond, OptimizerDrain: time.Millisecond,
 			Tokens: 64, OffloadStalls: 1, OffloadStallWait: 2 * time.Millisecond, Flow: flow,
+			Sched: obs.SchedSample{
+				obs.SchedRead:  {Dispatched: 3, Wait: time.Millisecond, QueuePeak: 2},
+				obs.SchedWrite: {Dispatched: 6, Wait: 4 * time.Millisecond, QueuePeak: 5},
+			},
 		},
 	}
 }
@@ -61,6 +66,16 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	}
 	if got.Metrics["engine.steps"] != 2 {
 		t.Errorf("metrics snapshot lost: %v", got.Metrics)
+	}
+	if got.Steps[0].Sched != nil {
+		t.Errorf("idle scheduler dumped %v, want the block omitted", got.Steps[0].Sched)
+	}
+	want := map[string]FlightSchedRow{
+		"read":  {Dispatched: 3, WaitNS: int64(time.Millisecond), QueuePeak: 2},
+		"write": {Dispatched: 6, WaitNS: int64(4 * time.Millisecond), QueuePeak: 5},
+	}
+	if !maps.Equal(got.Steps[1].Sched, want) {
+		t.Errorf("sched rows = %v, want %v", got.Steps[1].Sched, want)
 	}
 }
 
@@ -117,6 +132,10 @@ func TestReadFlightDumpRejectsMalformed(t *testing.T) {
 	if _, err := ReadFlightDump(strings.NewReader(
 		`{"reason":"x","steps":[{"step":2},{"step":1}]}`)); err == nil {
 		t.Error("out-of-order steps accepted")
+	}
+	if _, err := ReadFlightDump(strings.NewReader(
+		`{"reason":"x","steps":[{"step":1,"sched":{"fetch":{"dispatched":1}}}]}`)); err == nil {
+		t.Error("a traffic-class sched row accepted where only read and write exist")
 	}
 }
 
