@@ -1,9 +1,8 @@
-// Command ratelvet runs the repo's eight domain-specific static analyzers
-// (atomicmix, errdrop, gojoin, poolcapture, simddispatch, simdet, spanpair,
-// unitsafe — see DESIGN.md §8), each a scan of the typed syntax tree.
+// Command ratelvet runs the repo's five domain-specific static analyzers
+// (errdrop, gojoin, poolcapture, simdet, unitsafe — see DESIGN.md §8), each
+// a scan of the typed syntax tree of a package's non-test sources.
 //
-// Standalone (loads test variants too, so analyzers with IncludeTests see
-// _test.go files):
+// Standalone:
 //
 //	go run ./cmd/ratelvet ./...
 //	go run ./cmd/ratelvet -json ./...
@@ -90,25 +89,6 @@ func printVersion() {
 	fmt.Printf("%s version devel buildID=%02x\n", name, sum)
 }
 
-// analyzersFor selects the analyzer subset for one loaded package. Test
-// variants run only IncludeTests analyzers (the others already covered the
-// plain build); plain packages skip IncludeTests analyzers when a test
-// variant exists (it re-checks the same sources plus the _test.go files),
-// and run everything when none does.
-func analyzersFor(pkg *analysis.Package, hasVariant map[string]bool) []*analysis.Analyzer {
-	var out []*analysis.Analyzer
-	for _, a := range registry.All() {
-		switch {
-		case pkg.ForTest && !a.IncludeTests:
-			continue
-		case !pkg.ForTest && a.IncludeTests && hasVariant[pkg.PkgPath]:
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
 // jsonFinding is one finding in -json output.
 type jsonFinding struct {
 	File       string `json:"file"`
@@ -120,19 +100,12 @@ type jsonFinding struct {
 }
 
 // runStandalone loads the given patterns (default ./...) from the current
-// directory, test variants included, and reports findings from every
-// registered analyzer.
+// directory and reports findings from every registered analyzer.
 func runStandalone(patterns []string, jsonOut bool) int {
-	pkgs, err := analysis.LoadWithTests(".", patterns...)
+	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
-	}
-	hasVariant := make(map[string]bool)
-	for _, pkg := range pkgs {
-		if pkg.ForTest {
-			hasVariant[pkg.PkgPath] = true
-		}
 	}
 	exit := 0
 	var all []jsonFinding
@@ -142,7 +115,7 @@ func runStandalone(patterns []string, jsonOut bool) int {
 			exit = 1
 			continue
 		}
-		findings, err := analysis.Run(pkg, analyzersFor(pkg, hasVariant))
+		findings, err := analysis.Run(pkg, registry.All())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -261,11 +234,12 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// runVetUnit analyzes one package as directed by a vet config file. With
-// `go vet -vettool`, test variants arrive as their own units with import
-// paths like "ratel/internal/engine [ratel/internal/engine.test]"; those
-// run only IncludeTests analyzers (the plain unit covers the rest) under
-// the base path so analyzer scopes match.
+// runVetUnit analyzes one package as directed by a vet config file. go vet
+// hands a package that has tests over as its test variant (its sources plus
+// its _test.go files, and an external _test package as a unit of its own);
+// the analyzers read non-test sources only, as the standalone loader does,
+// so the test files are dropped and a unit with nothing left writes an
+// empty vetx.
 func runVetUnit(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -277,27 +251,15 @@ func runVetUnit(cfgPath string) int {
 		fmt.Fprintf(os.Stderr, "ratelvet: parsing %s: %v\n", cfgPath, err)
 		return 1
 	}
-	if cfg.VetxOnly {
-		// Dependency package: cmd/go only wants facts, and ratelvet
-		// exports none. Diagnostics are reported when the package is a
-		// vet root.
-		return writeVetx(cfg.VetxOutput)
-	}
-
-	importPath := cfg.ImportPath
-	isVariant := false
-	if i := strings.Index(importPath, " ["); i >= 0 {
-		importPath = importPath[:i]
-		isVariant = true
-	}
-	var active []*analysis.Analyzer
-	for _, a := range registry.All() {
-		if isVariant && !a.IncludeTests {
-			continue
+	var files []string
+	for _, f := range cfg.GoFiles {
+		if !strings.HasSuffix(f, "_test.go") {
+			files = append(files, f)
 		}
-		active = append(active, a)
 	}
-	if len(active) == 0 {
+	if cfg.VetxOnly || len(files) == 0 {
+		// A dependency package (cmd/go only wants facts, and ratelvet
+		// exports none) or an external test package.
 		return writeVetx(cfg.VetxOutput)
 	}
 
@@ -314,7 +276,7 @@ func runVetUnit(cfgPath string) int {
 		}
 	}
 
-	pkg, err := analysis.CheckPackage(importPath, cfg.Dir, cfg.GoFiles, exports)
+	pkg, err := analysis.CheckPackage(cfg.ImportPath, cfg.Dir, files, exports)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ratelvet: %v\n", err)
 		return 1
@@ -327,7 +289,7 @@ func runVetUnit(cfgPath string) int {
 		return 1
 	}
 
-	findings, err := analysis.Run(pkg, active)
+	findings, err := analysis.Run(pkg, registry.All())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ratelvet: %v\n", err)
 		return 1

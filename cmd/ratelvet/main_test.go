@@ -5,50 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ratel/internal/analysis"
-	"ratel/internal/analysis/registry"
 )
-
-// TestAnalyzersForVariantSelection checks the standalone split: test
-// variants run only IncludeTests analyzers, plain packages skip those
-// exactly when a variant exists (it re-covers the same sources).
-func TestAnalyzersForVariantSelection(t *testing.T) {
-	all := registry.All()
-	withTests, without := 0, 0
-	for _, a := range all {
-		if a.IncludeTests {
-			withTests++
-		} else {
-			without++
-		}
-	}
-	if withTests == 0 {
-		t.Fatal("registry has no IncludeTests analyzer; the variant split is untested")
-	}
-
-	variant := &analysis.Package{PkgPath: "ratel/x", ForTest: true}
-	for _, a := range analyzersFor(variant, map[string]bool{"ratel/x": true}) {
-		if !a.IncludeTests {
-			t.Errorf("test variant ran %s, which does not include tests", a.Name)
-		}
-	}
-
-	base := &analysis.Package{PkgPath: "ratel/x"}
-	got := analyzersFor(base, map[string]bool{"ratel/x": true})
-	if len(got) != without {
-		t.Errorf("base-with-variant ran %d analyzers, want %d (IncludeTests ones belong to the variant)", len(got), without)
-	}
-	for _, a := range got {
-		if a.IncludeTests {
-			t.Errorf("base-with-variant ran %s twice (variant covers it)", a.Name)
-		}
-	}
-
-	if got := analyzersFor(base, map[string]bool{}); len(got) != len(all) {
-		t.Errorf("base-without-variant ran %d analyzers, want all %d", len(got), len(all))
-	}
-}
 
 // TestAuditListsSuppressions runs the audit over a synthetic tree and
 // checks it reports each suppression with its reason, skips testdata
@@ -66,12 +23,12 @@ func TestAuditListsSuppressions(t *testing.T) {
 //ratelvet:ignore gojoin worker joined by the shutdown path in close()
 var x = 1
 
-var y = 2 //ratelvet:ignore atomicmix guarded by mu, never touched concurrently
+var y = 2 //ratelvet:ignore errdrop best-effort cleanup, the caller has already failed
 `), 0o666))
 	must(os.MkdirAll(filepath.Join(dir, "testdata", "src"), 0o777))
 	must(os.WriteFile(filepath.Join(dir, "testdata", "src", "b.go"), []byte(`package b
 
-//ratelvet:ignore spanpair golden fixture, must not count
+//ratelvet:ignore unitsafe golden fixture, must not count
 var z = 3
 `), 0o666))
 
@@ -82,14 +39,14 @@ var z = 3
 	})
 	for _, want := range []string{
 		"a.go:3: gojoin: worker joined by the shutdown path in close()",
-		"a.go:6: atomicmix: guarded by mu, never touched concurrently",
+		"a.go:6: errdrop: best-effort cleanup, the caller has already failed",
 		"total: 2 suppression(s)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("audit output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "spanpair") {
+	if strings.Contains(out, "unitsafe") {
 		t.Errorf("audit counted a testdata suppression:\n%s", out)
 	}
 }

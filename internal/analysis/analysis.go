@@ -42,12 +42,6 @@ type Analyzer struct {
 	// units package that defines the helpers it steers callers toward.
 	Exclude []string
 
-	// IncludeTests runs the analyzer on the test variant of each package
-	// (_test.go files compiled into the package), not just the plain build.
-	// atomicmix needs it: a plain write in a test races the same as one in
-	// production code.
-	IncludeTests bool
-
 	// Run executes the analyzer on one package.
 	Run func(*Pass) error
 }

@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one loaded, parsed, type-checked package.
@@ -24,11 +23,6 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-
-	// ForTest marks the test variant of a package: the same sources plus
-	// in-package _test.go files, type-checked together under the base
-	// import path (so analyzer scopes match). Produced by LoadWithTests.
-	ForTest bool
 
 	// TypeError holds the first type-checking failure, if any. Analyzers
 	// still run on packages with type errors; they must tolerate partial
@@ -43,8 +37,6 @@ type listedPackage struct {
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
-	Standard   bool
-	ForTest    string
 	Error      *struct{ Err string }
 }
 
@@ -54,29 +46,11 @@ type listedPackage struct {
 // resolution `go vet` uses, so Load works offline and never re-typechecks
 // the world from source.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	return load(dir, false, patterns...)
-}
-
-// LoadWithTests is Load plus each package's internal test variant (the
-// package compiled with its in-package _test.go files), type-checked under
-// the base import path with Package.ForTest set. External _test packages
-// and generated .test mains are skipped: the protocol analyzers care about
-// code that lives inside the package, not black-box tests.
-func LoadWithTests(dir string, patterns ...string) ([]*Package, error) {
-	return load(dir, true, patterns...)
-}
-
-func load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := []string{"list", "-e", "-export", "-deps"}
-	if withTests {
-		args = append(args, "-test")
-	}
-	args = append(args,
-		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,ForTest,Error")
-	args = append(args, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -99,19 +73,9 @@ func load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
 		}
-		if lp.DepOnly {
-			continue
+		if !lp.DepOnly {
+			roots = append(roots, lp)
 		}
-		if lp.ForTest != "" {
-			// Keep only the internal variant "X [X.test]"; drop external
-			// "X_test [X.test]" packages and synthesized "X.test" mains.
-			if lp.ImportPath != lp.ForTest+" ["+lp.ForTest+".test]" {
-				continue
-			}
-		} else if strings.HasSuffix(lp.ImportPath, ".test") {
-			continue
-		}
-		roots = append(roots, lp)
 	}
 
 	var pkgs []*Package
@@ -123,15 +87,10 @@ func load(dir string, withTests bool, patterns ...string) ([]*Package, error) {
 		for _, f := range lp.GoFiles {
 			files = append(files, filepath.Join(lp.Dir, f))
 		}
-		path := lp.ImportPath
-		if lp.ForTest != "" {
-			path = lp.ForTest
-		}
-		pkg, err := CheckPackage(path, lp.Dir, files, exports)
+		pkg, err := CheckPackage(lp.ImportPath, lp.Dir, files, exports)
 		if err != nil {
 			return nil, err
 		}
-		pkg.ForTest = lp.ForTest != ""
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

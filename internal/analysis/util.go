@@ -85,24 +85,3 @@ func UsedVar(info *types.Info, e ast.Expr) *types.Var {
 	}
 	return nil
 }
-
-// ReturnsError reports whether the call's results include an error.
-func ReturnsError(info *types.Info, call *ast.CallExpr) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		if named, ok := res.At(i).Type().(*types.Named); ok {
-			if named.Obj().Name() == "error" && named.Obj().Pkg() == nil {
-				return true
-			}
-		}
-	}
-	return false
-}

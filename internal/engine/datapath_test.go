@@ -5,27 +5,52 @@ import (
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
+	"ratel/internal/obs"
 	"ratel/internal/tensor"
 )
 
 // steadyStateAllocBudget is the regression ceiling for steady-state
 // TrainStep allocations on the mixed-swap mini config: the measured value,
 // 13 at GOMAXPROCS 1, 2 and 4, on both kernel sets and under the race
-// detector, plus 5. What is left is structure, not tensors — each block
-// pass's BlockCache and AttnCache, the optimizer pipeline's bookkeeping:
-// every tensor comes from the step's arenas (240 before them, 1835 before the
-// data path's buffers had owners). The margin is deliberately smaller than one
-// leak: a kernel that hands stack scratch to the simd dispatch table's indirect
-// call costs 2 allocations per call (12 per step here), and one tensor
-// allocated past its arena costs 3.
-const steadyStateAllocBudget = 18
+// detector, traced or not, plus 2. What is left is structure, not tensors —
+// each block pass's BlockCache and AttnCache, the optimizer pipeline's
+// bookkeeping: every tensor comes from the step's arenas (240 before them,
+// 1835 before the data path's buffers had owners). The margin is deliberately
+// smaller than one leak: a kernel that hands stack scratch to the simd
+// dispatch table's indirect call costs 2 allocations per call (12 per step
+// here), one tensor allocated past its arena costs 3, and a span label built
+// per block call (fmt.Sprintf, concatenation) costs one per block, 3.
+const steadyStateAllocBudget = 15
 
 // TestTrainStepSteadyStateAllocs pins the zero-allocation claim: after
-// warm-up, a swap-mode TrainStep must stay under the regression budget.
+// warm-up, a swap-mode TrainStep must stay under the regression budget, and
+// the same step traced allocates no more: every span is recorded by
+// obs.Tracer.Do with a precomputed label, whose closure stays on the stack.
+// The mini step's blobs are small, so its transfers take the array's
+// inline path.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
+	untraced := stepAllocs(t, nil)
+	t.Logf("steady-state allocs/step = %.0f (budget %d)", untraced, steadyStateAllocBudget)
+	if untraced > steadyStateAllocBudget {
+		t.Fatalf("steady-state TrainStep allocates %.0f/step, budget %d", untraced, steadyStateAllocBudget)
+	}
+	tr := obs.NewTracer(0)
+	if traced := stepAllocs(t, tr); traced > untraced {
+		t.Errorf("traced TrainStep allocates %.0f/step, untraced %.0f", traced, untraced)
+	}
+	if total, _ := tr.Recorded(); total == 0 {
+		t.Error("the traced steps recorded no span")
+	}
+}
+
+// stepAllocs is the steady-state allocations per TrainStep of the mixed-swap
+// mini config with tracer installed.
+func stepAllocs(t *testing.T, tracer *obs.Tracer) float64 {
+	t.Helper()
 	e := newEngine(t, Config{
 		GradMode: agoffload.Optimized,
 		Swap:     map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD},
+		Tracer:   tracer,
 	})
 	tokens, targets := data(e.cfg.Model, 1)
 	// Warm-up: the first step runs on the heap and sizes the step's arenas,
@@ -36,15 +61,11 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(5, func() {
+	return testing.AllocsPerRun(5, func() {
 		if _, err := e.TrainStep(tokens, targets); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("steady-state allocs/step = %.0f (budget %d)", allocs, steadyStateAllocBudget)
-	if allocs > steadyStateAllocBudget {
-		t.Fatalf("steady-state TrainStep allocates %.0f/step, budget %d", allocs, steadyStateAllocBudget)
-	}
 }
 
 // TestDecodedCacheNeverAliasesBlob: blobArena.decode copies, never aliases —

@@ -460,8 +460,9 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 
 // trainStep is one optimizer step over micro (TrainStep is the one-batch
 // case): every micro-batch runs forward and backward, and the last one's
-// backward hands each completed group to the optimizer per GradMode.
-func (e *Engine) trainStep(micro []Batch) (float64, error) {
+// backward hands each completed group to the optimizer per GradMode. The
+// step span covers runStep.
+func (e *Engine) trainStep(micro []Batch) (loss float64, err error) {
 	if e.optErr != nil {
 		return 0, e.optErr
 	}
@@ -471,10 +472,14 @@ func (e *Engine) trainStep(micro []Batch) (float64, error) {
 	if !e.cfg.DelayedUpdate {
 		e.beginStep()
 	}
-	stepStart := time.Now()
-	stepSp := e.tracer.StartSpan(obs.LaneStep, labelStep)
-	defer stepSp.End()
+	e.tracer.Do(obs.LaneStep, labelStep, func() { loss, err = e.runStep(micro) })
+	return loss, err
+}
 
+// runStep runs trainStep's micro-batches, drains the optimizer and notes
+// the step.
+func (e *Engine) runStep(micro []Batch) (float64, error) {
+	stepStart := time.Now()
 	e.accumScale = float32(1) / float32(len(micro))
 	var totalLoss float64
 	var fwdTotal, bwdTotal time.Duration
@@ -652,9 +657,8 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 
 	// ---------- Forward ----------
 	fwdStart := time.Now()
-	sp := tr.StartSpan(obs.LaneCompute, labelEmbedFwd)
-	x, err := m.Embed(tokens)
-	sp.End()
+	var x *tensor.Tensor
+	tr.Do(obs.LaneCompute, labelEmbedFwd, func() { x, err = m.Embed(tokens) })
 	if err != nil {
 		return fail(err)
 	}
@@ -663,9 +667,9 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	h := x
 	for i, b := range m.Blocks {
 		inputs[i] = h
-		sp = tr.StartSpan(obs.LaneCompute, e.labels[i].fwd)
-		y, c, err := b.Forward(h)
-		sp.End()
+		var y *tensor.Tensor
+		var c *nn.BlockCache
+		tr.Do(obs.LaneCompute, e.labels[i].fwd, func() { y, c, err = b.Forward(h) })
 		if err != nil {
 			return fail(err)
 		}
@@ -703,15 +707,12 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		}
 		h = y
 	}
-	sp = tr.StartSpan(obs.LaneCompute, labelHeadFwd)
-	lnOut, logits, err := m.HeadForward(h)
-	sp.End()
+	var lnOut, logits, dlogits *tensor.Tensor
+	tr.Do(obs.LaneCompute, labelHeadFwd, func() { lnOut, logits, err = m.HeadForward(h) })
 	if err != nil {
 		return fail(err)
 	}
-	sp = tr.StartSpan(obs.LaneCompute, labelLoss)
-	loss, dlogits, err := m.CrossEntropy(logits, targets)
-	sp.End()
+	tr.Do(obs.LaneCompute, labelLoss, func() { loss, dlogits, err = m.CrossEntropy(logits, targets) })
 	if err != nil {
 		return fail(err)
 	}
@@ -730,9 +731,8 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 
 	// ---------- Backward with active gradient offloading ----------
 	bwdStart := time.Now()
-	sp = tr.StartSpan(obs.LaneCompute, labelHeadBwd)
-	dh, err := m.HeadBackward(h, lnOut, dlogits)
-	sp.End()
+	var dh *tensor.Tensor
+	tr.Do(obs.LaneCompute, labelHeadBwd, func() { dh, err = m.HeadBackward(h, lnOut, dlogits) })
 	if err != nil {
 		return fail(err)
 	}
@@ -799,9 +799,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 				c = lastCache // forward's own, kept across the head
 				break
 			}
-			sp = tr.StartSpan(obs.LaneCompute, e.labels[i].recompute)
-			c, err = m.Blocks[i].Recompute(inputs[i])
-			sp.End()
+			tr.Do(obs.LaneCompute, e.labels[i].recompute, func() { c, err = m.Blocks[i].Recompute(inputs[i]) })
 			if err != nil {
 				return fail(err)
 			}
@@ -812,9 +810,8 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		if err := refill(i - ahead); err != nil {
 			return fail(err)
 		}
-		sp = tr.StartSpan(obs.LaneCompute, e.labels[i].bwd)
-		dx, err := m.Blocks[i].Backward(c, dh)
-		sp.End()
+		var dx *tensor.Tensor
+		tr.Do(obs.LaneCompute, e.labels[i].bwd, func() { dx, err = m.Blocks[i].Backward(c, dh) })
 		if err != nil {
 			return fail(err)
 		}
@@ -827,9 +824,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			}
 		}
 	}
-	sp = tr.StartSpan(obs.LaneCompute, labelEmbedBwd)
-	err = m.EmbedBackward(tokens, dh)
-	sp.End()
+	tr.Do(obs.LaneCompute, labelEmbedBwd, func() { err = m.EmbedBackward(tokens, dh) })
 	if err != nil {
 		return fail(err)
 	}
@@ -857,9 +852,8 @@ func (e *Engine) releaseBlock(carried *tensor.Tensor) {
 // blob — a ring slot bound for NVMe (the array credits that write) or a
 // host-tier blob — and credits the encode and the staging through host memory.
 func (e *Engine) stashCache(blob []byte, c *nn.BlockCache, label string) error {
-	sp := e.tracer.StartSpan(obs.LaneOffload, label)
-	err := e.arena.encode(blob, c)
-	sp.End()
+	var err error
+	e.tracer.Do(obs.LaneOffload, label, func() { err = e.arena.encode(blob, c) })
 	if err != nil {
 		return err
 	}

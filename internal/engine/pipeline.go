@@ -138,14 +138,11 @@ func newActWindow(a *nvme.Array, host *memctl.Pool, tr *obs.Tracer, labels []blo
 func (w *actWindow) worker() {
 	defer w.wg.Done()
 	for j := range w.jobs {
-		start := w.tracer.Now()
 		var err error
 		if j.read {
-			err = w.array.ReadInto(j.l.actKey, j.blob)
-			w.tracer.RecordSpan(obs.LanePrefetch, j.l.prefetch, start, w.tracer.Now())
+			w.tracer.Do(obs.LanePrefetch, j.l.prefetch, func() { err = w.array.ReadInto(j.l.actKey, j.blob) })
 		} else {
-			err = w.array.Put(j.l.actKey, j.blob)
-			w.tracer.RecordSpan(obs.LaneOffload, j.l.write, start, w.tracer.Now())
+			w.tracer.Do(obs.LaneOffload, j.l.write, func() { err = w.array.Put(j.l.actKey, j.blob) })
 			w.host.Free(units.Bytes(len(j.blob)))
 		}
 		w.ring[j.slot] <- ringSlot{blob: j.blob, err: err}
@@ -170,9 +167,7 @@ func (w *actWindow) acquire(i int, stallLabel string, st *stallCount) (ringSlot,
 	case s = <-w.ring[i]:
 	default:
 		start := time.Now()
-		tstart := w.tracer.Now()
-		s = <-w.ring[i]
-		w.tracer.RecordSpan(obs.LaneStall, stallLabel, tstart, w.tracer.Now())
+		w.tracer.Do(obs.LaneStall, stallLabel, func() { s = <-w.ring[i] })
 		st.n++
 		st.wait += time.Since(start)
 	}

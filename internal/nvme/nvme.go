@@ -169,8 +169,6 @@ type Stats struct {
 	PerDeviceBytes []units.Bytes
 	// Objects is the number of stored objects.
 	Objects int
-	// StoredBytes is the logical size of all stored objects.
-	StoredBytes units.Bytes
 }
 
 // SetTracer installs a wall-clock span tracer: every Put records a span on
@@ -342,9 +340,8 @@ func (a *Array) Put(key string, data []byte) error {
 	if o != nil {
 		opStart = time.Now()
 	}
-	sp := a.tracer.Load().StartSpan(obs.LaneNVMeWrite, key)
-	err := a.transfer(obj, data, true)
-	sp.End()
+	var err error
+	a.tracer.Load().Do(obs.LaneNVMeWrite, key, func() { err = a.transfer(obj, data, true) })
 	if err != nil {
 		if fresh {
 			a.releaseChunks(obj)
@@ -429,12 +426,11 @@ func (a *Array) ReadInto(key string, dst []byte) error {
 	if o != nil {
 		opStart = time.Now()
 	}
-	sp := a.tracer.Load().StartSpan(obs.LaneNVMeRead, key)
-	if err := a.transfer(obj, dst, false); err != nil {
-		sp.End()
+	var err error
+	a.tracer.Load().Do(obs.LaneNVMeRead, key, func() { err = a.transfer(obj, dst, false) })
+	if err != nil {
 		return err
 	}
-	sp.End()
 	// The bytes crossed from the devices whether or not they verify: the
 	// ledger and the counters both count them, so they reconcile after a
 	// corrupt read too.
@@ -477,9 +473,6 @@ func (a *Array) Stats() Stats {
 	s.PeakWritesInFlight = a.peakWrites.Load()
 	a.mu.RLock()
 	s.Objects = len(a.objs)
-	for _, o := range a.objs {
-		s.StoredBytes += units.Bytes(o.size)
-	}
 	a.mu.RUnlock()
 	return s
 }
@@ -584,7 +577,9 @@ func (a *Array) transfer(obj object, buf []byte, write bool) error {
 	}
 	if bw <= 0 && a.cfg.OpLatency <= 0 && (workers == 1 || obj.size <= inlineTransferMax) {
 		for w := 0; w < workers; w++ {
-			if err := a.runStrideInline(obj, buf, write, w, lane, tr); err != nil {
+			var err error
+			tr.Do(lane, a.devLabels[obj.chunks[w].dev], func() { err = a.runStrideInline(obj, buf, write, w) })
+			if err != nil {
 				return err
 			}
 		}
@@ -613,10 +608,8 @@ func (a *Array) transfer(obj object, buf []byte, write bool) error {
 
 // runStrideInline moves one device stride synchronously on the caller's
 // goroutine — the untimed fast path, where no throttle charges apply.
-func (a *Array) runStrideInline(obj object, buf []byte, write bool, w int, lane string, tr *obs.Tracer) error {
+func (a *Array) runStrideInline(obj object, buf []byte, write bool, w int) error {
 	dev := obj.chunks[w].dev
-	devSpan := tr.StartSpan(lane, a.devLabels[dev])
-	defer devSpan.End()
 	ndevs := len(a.devs)
 	stripe := a.cfg.StripeSize
 	var devBytes int64

@@ -535,6 +535,56 @@ func TestTracerRecordsIO(t *testing.T) {
 	}
 }
 
+// TestTracerRecordsFailedIO: a Put and a ReadInto that fail on a faulty
+// device still record their object span and that device's span, whether
+// the strides run inline or through the lanes' dispatchers.
+func TestTracerRecordsFailedIO(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"inline", Config{Devices: 2, StripeSize: 64}},
+		{"queued", Config{Devices: 2, StripeSize: 64, OpLatency: time.Microsecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Open(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { a.Close() })
+			data := bytes.Repeat([]byte{7}, 200) // 4 chunks at stripe 64 -> 2 devices
+			if err := a.Put("k", data); err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTracer(256)
+			a.SetTracer(tr)
+			boom := errors.New("media error")
+			a.InjectFault(1, boom)
+			if err := a.Put("k2", data); !errors.Is(err, boom) {
+				t.Fatalf("Put on a faulty device = %v, want %v", err, boom)
+			}
+			if err := a.ReadInto("k", make([]byte, len(data))); !errors.Is(err, boom) {
+				t.Fatalf("ReadInto on a faulty device = %v, want %v", err, boom)
+			}
+			spans := tr.Spans()
+			for _, want := range []obs.Span{
+				{Lane: obs.LaneNVMeWrite, Name: "k2"}, {Lane: obs.LaneNVMeWrite, Name: "ssd1"},
+				{Lane: obs.LaneNVMeRead, Name: "k"}, {Lane: obs.LaneNVMeRead, Name: "ssd1"},
+			} {
+				n := 0
+				for _, s := range spans {
+					if s.Lane == want.Lane && s.Name == want.Name {
+						n++
+					}
+				}
+				if n != 1 {
+					t.Errorf("%s spans named %q = %d, want 1", want.Lane, want.Name, n)
+				}
+			}
+		})
+	}
+}
+
 // TestPutThenRecycle: Put only borrows its buffer, so the caller may
 // scribble on it the moment the call returns without disturbing the stored
 // bytes.

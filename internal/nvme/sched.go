@@ -183,7 +183,6 @@ type schedCounters struct {
 	enqueued   atomic.Int64
 	dispatched atomic.Int64
 	waitNS     atomic.Int64 // summed queue wait
-	maxWaitNS  atomic.Int64 // worst single queue wait
 	depth      atomic.Int64 // items queued right now, across all lanes
 	depthPeak  atomic.Int64 // high-water mark of depth
 	coalesced  atomic.Int64 // stripe submissions saved by coalescing
@@ -194,9 +193,8 @@ type SchedLaneStats struct {
 	// Enqueued / Dispatched count stride items (one per device touched per
 	// object transfer).
 	Enqueued, Dispatched int64
-	// Wait is the summed queue wait of dispatched items; MaxWait the worst
-	// single wait.
-	Wait, MaxWait time.Duration
+	// Wait is the summed queue wait of dispatched items.
+	Wait time.Duration
 	// Depth is the direction's currently queued items across all devices;
 	// DepthPeak its cumulative high-water mark.
 	Depth, DepthPeak int64
@@ -220,7 +218,6 @@ func (sc *schedCounters) snapshot() SchedLaneStats {
 		Enqueued:   sc.enqueued.Load(),
 		Dispatched: sc.dispatched.Load(),
 		Wait:       time.Duration(sc.waitNS.Load()),
-		MaxWait:    time.Duration(sc.maxWaitNS.Load()),
 		Depth:      sc.depth.Load(),
 		DepthPeak:  sc.depthPeak.Load(),
 		Coalesced:  sc.coalesced.Load(),
@@ -287,10 +284,10 @@ func (a *Array) runItem(ln *ioLane, it *schedItem) {
 	sc := &a.sched[dir(x.write)]
 	sc.depth.Add(-1)
 	sc.dispatched.Add(1)
-	wait := int64(time.Since(it.enq))
-	sc.waitNS.Add(wait)
-	foldMax(&sc.maxWaitNS, wait)
-	x.done(a.runStride(ln, it))
+	sc.waitNS.Add(int64(time.Since(it.enq)))
+	var err error
+	x.tr.Do(x.lane, a.devLabels[x.obj.chunks[it.w].dev], func() { err = a.runStride(ln, it) })
+	x.done(err)
 }
 
 // runStride moves the chunks of one device stride (indexes congruent
@@ -304,8 +301,6 @@ func (a *Array) runStride(ln *ioLane, it *schedItem) error {
 	x, w := it.x, it.w
 	obj, buf, write := x.obj, x.buf, x.write
 	dev := obj.chunks[w].dev
-	devSpan := x.tr.StartSpan(x.lane, a.devLabels[dev])
-	defer devSpan.End()
 	ndevs := len(a.devs)
 	stripe := a.cfg.StripeSize
 	var devBytes int64

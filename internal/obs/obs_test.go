@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,22 +11,23 @@ import (
 
 func TestTracerRecordsSpans(t *testing.T) {
 	tr := NewTracer(16)
-	sp := tr.StartSpan(LaneCompute, "block0/fwd")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	tr.RecordSpan(LaneAdam, "head/opt-adam", 5*time.Millisecond, 7*time.Millisecond)
+	tr.Do(LaneCompute, "block0/fwd", func() { time.Sleep(time.Millisecond) })
+	tr.Do(LaneAdam, "head/opt-adam", func() {})
 	tr.Instant(LaneStep, "forward-end")
 
 	spans := tr.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
-	// Sorted by start: the StartSpan one began at ~0.
+	// Sorted by start: the first Do began at ~0.
 	if spans[0].Name != "block0/fwd" || spans[0].Lane != LaneCompute {
 		t.Errorf("first span = %+v", spans[0])
 	}
 	if spans[0].Duration() < time.Millisecond {
 		t.Errorf("span duration %v, want >= 1ms", spans[0].Duration())
+	}
+	if spans[1].Start < spans[0].End {
+		t.Errorf("second span starts at %v, inside the first (ends %v)", spans[1].Start, spans[0].End)
 	}
 	for _, s := range spans {
 		if s.End < s.Start {
@@ -39,16 +41,22 @@ func TestTracerRecordsSpans(t *testing.T) {
 
 func TestTracerRingKeepsNewest(t *testing.T) {
 	tr := NewTracer(4)
-	for i := 0; i < 10; i++ {
-		tr.RecordSpan(LaneCompute, "s", time.Duration(i), time.Duration(i+1))
+	names := make([]string, 10)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+	}
+	for _, name := range names {
+		tr.Do(LaneCompute, name, func() {})
 	}
 	spans := tr.Spans()
 	if len(spans) != 4 {
 		t.Fatalf("ring retained %d spans, want 4", len(spans))
 	}
-	// The newest four started at offsets 6..9.
-	if spans[0].Start != 6 || spans[3].Start != 9 {
-		t.Errorf("ring kept %v..%v, want 6..9", spans[0].Start, spans[3].Start)
+	// The newest four, oldest first.
+	for i, s := range spans {
+		if want := names[6+i]; s.Name != want {
+			t.Errorf("ring slot %d holds %q, want %q", i, s.Name, want)
+		}
 	}
 	if total, dropped := tr.Recorded(); total != 10 || dropped != 6 {
 		t.Errorf("Recorded() = %d, %d; want 10, 6", total, dropped)
@@ -61,12 +69,11 @@ func TestTracerRingKeepsNewest(t *testing.T) {
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer reports enabled")
+	ran := false
+	tr.Do(LaneCompute, "x", func() { ran = true })
+	if !ran {
+		t.Error("nil tracer did not run f")
 	}
-	sp := tr.StartSpan(LaneCompute, "x")
-	sp.End()
-	tr.RecordSpan(LaneAdam, "y", 0, 1)
 	tr.Instant(LaneStep, "z")
 	tr.Reset()
 	if got := tr.Spans(); got != nil {
@@ -81,28 +88,31 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 // TestSpanPathAllocationFree pins the overhead budget: recording a span
-// allocates nothing on the steady state, enabled or disabled. This is what
-// lets instrumentation live unconditionally on engine hot paths.
+// allocates nothing on the steady state, enabled or disabled, with f
+// capturing a local the way the engine's call sites do. This is what lets
+// instrumentation live unconditionally on engine hot paths.
 func TestSpanPathAllocationFree(t *testing.T) {
 	enabled := NewTracer(1024)
 	var disabled *Tracer
 	const label = "block0/bwd"
-	if got := testing.AllocsPerRun(200, func() {
-		sp := enabled.StartSpan(LaneCompute, label)
-		sp.End()
-	}); got != 0 {
-		t.Errorf("enabled span path allocates %v per span, want 0", got)
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+	}{{"enabled", enabled}, {"disabled", disabled}} {
+		n := 0
+		if got := testing.AllocsPerRun(200, func() {
+			var err error
+			tc.tr.Do(LaneCompute, label, func() { n++; err = nil })
+			_ = err
+		}); got != 0 {
+			t.Errorf("%s span path allocates %v per span, want 0", tc.name, got)
+		}
+		if n == 0 {
+			t.Errorf("%s tracer never ran f", tc.name)
+		}
 	}
-	if got := testing.AllocsPerRun(200, func() {
-		sp := disabled.StartSpan(LaneCompute, label)
-		sp.End()
-	}); got != 0 {
-		t.Errorf("disabled span path allocates %v per span, want 0", got)
-	}
-	if got := testing.AllocsPerRun(200, func() {
-		enabled.RecordSpan(LaneAdam, label, 1, 2)
-	}); got != 0 {
-		t.Errorf("RecordSpan allocates %v per span, want 0", got)
+	if got := testing.AllocsPerRun(200, func() { enabled.Instant(LaneStep, label) }); got != 0 {
+		t.Errorf("Instant allocates %v per marker, want 0", got)
 	}
 }
 
@@ -114,8 +124,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				sp := tr.StartSpan(LaneAdam, "g")
-				sp.End()
+				tr.Do(LaneAdam, "g", func() {})
 			}
 		}()
 	}

@@ -9,13 +9,17 @@
 // Design constraints, in order:
 //
 //  1. A nil *Tracer is a valid disabled tracer: every method is nil-safe
-//     and the disabled path costs two branches and zero allocations, so
+//     and the disabled path costs one branch and zero allocations, so
 //     instrumentation can stay unconditionally wired into hot paths.
-//  2. The enabled record path is also allocation-free at steady state:
+//  2. A span closes by construction: the recording surface is Do, which
+//     runs a function and records it as one span, and Instant, a
+//     zero-length marker. No open span value exists to leak on an error
+//     path.
+//  3. The enabled record path is also allocation-free at steady state:
 //     spans land in a preallocated ring buffer and label strings are
 //     passed in (callers precompute them once), never built per span.
-//  3. The buffer is a ring: tracing a long run keeps the most recent
-//     spans rather than growing without bound; Dropped() reports loss.
+//  4. The buffer is a ring: tracing a long run keeps the most recent
+//     spans rather than growing without bound; Recorded reports loss.
 package obs
 
 import (
@@ -81,9 +85,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{epoch: time.Now(), buf: make([]Span, capacity)}
 }
 
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now is the current offset on the tracer's timeline (0 when disabled).
 func (t *Tracer) Now() time.Duration {
 	if t == nil {
@@ -92,41 +93,20 @@ func (t *Tracer) Now() time.Duration {
 	return time.Since(t.epoch)
 }
 
-// Scope is an open span returned by StartSpan; call End exactly once.
-// It is a value, not a pointer: starting a span allocates nothing.
-type Scope struct {
-	t     *Tracer
-	lane  string
-	name  string
-	start time.Duration
-}
-
-// StartSpan opens a span on lane. The lane and name strings are stored by
+// Do runs f and records it as one span on lane; on a nil tracer it only runs
+// f. There is no open span to end, so every path out of f — an error return
+// included — is recorded. f is only called, never stored, so neither it nor
+// what it captures escapes. The lane and name strings are stored by
 // reference; pass precomputed labels, not per-call concatenations, to keep
 // the path allocation-free.
-func (t *Tracer) StartSpan(lane, name string) Scope {
+func (t *Tracer) Do(lane, name string, f func()) {
 	if t == nil {
-		return Scope{}
-	}
-	return Scope{t: t, lane: lane, name: name, start: time.Since(t.epoch)}
-}
-
-// End closes the span and records it. End on a Scope from a nil tracer is
-// a no-op.
-func (s Scope) End() {
-	if s.t == nil {
+		f()
 		return
 	}
-	s.t.record(Span{Lane: s.lane, Name: s.name, Start: s.start, End: time.Since(s.t.epoch)})
-}
-
-// RecordSpan records a span whose interval the caller measured itself
-// (e.g. a goroutine timing its own work with t.Now()).
-func (t *Tracer) RecordSpan(lane, name string, start, end time.Duration) {
-	if t == nil {
-		return
-	}
-	t.record(Span{Lane: lane, Name: name, Start: start, End: end})
+	start := time.Since(t.epoch)
+	f()
+	t.record(Span{Lane: lane, Name: name, Start: start, End: time.Since(t.epoch)})
 }
 
 // Instant records a zero-duration marker (stage boundaries, step edges).

@@ -522,27 +522,27 @@ func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup, lo int, clip 
 func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, k simd.AdamCoef, grad []float32, esc []byte, label string) []byte {
 	n := pc.n
 	out := scratch(&o.scr.escOut, simd.EscapeBytes*n)
-	sp := o.tracer.StartSpan(obs.LaneAdam, label)
-	kernelStart := time.Now()
 	var nesc int
-	if work := adamWork(n); pool.InlineWork(work) {
-		nesc = walk(obj, g, pc, k, grad, esc, out, 0, n)
-	} else {
-		// Each chunk lists its escapes where its own elements' would start, so
-		// the chunks never share a byte of out; the lists close up after.
-		chunks := (n + adamChunkGrain - 1) / adamChunkGrain
-		counts := scratch(&o.scr.escN, chunks)
-		pool.Run(chunks, func(c int) {
-			lo := c * adamChunkGrain
-			counts[c] = walk(obj, g, pc, k, grad, esc, out[simd.EscapeBytes*lo:], lo, min(n, lo+adamChunkGrain))
-		})
-		for c, e := range counts {
-			from := simd.EscapeBytes * c * adamChunkGrain
-			nesc += copy(out[simd.EscapeBytes*nesc:], out[from:from+simd.EscapeBytes*e]) / simd.EscapeBytes
+	o.tracer.Do(obs.LaneAdam, label, func() {
+		kernelStart := time.Now()
+		if work := adamWork(n); pool.InlineWork(work) {
+			nesc = walk(obj, g, pc, k, grad, esc, out, 0, n)
+		} else {
+			// Each chunk lists its escapes where its own elements' would start, so
+			// the chunks never share a byte of out; the lists close up after.
+			chunks := (n + adamChunkGrain - 1) / adamChunkGrain
+			counts := scratch(&o.scr.escN, chunks)
+			pool.Run(chunks, func(c int) {
+				lo := c * adamChunkGrain
+				counts[c] = walk(obj, g, pc, k, grad, esc, out[simd.EscapeBytes*lo:], lo, min(n, lo+adamChunkGrain))
+			})
+			for c, e := range counts {
+				from := simd.EscapeBytes * c * adamChunkGrain
+				nesc += copy(out[simd.EscapeBytes*nesc:], out[from:from+simd.EscapeBytes*e]) / simd.EscapeBytes
+			}
 		}
-	}
-	o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
-	sp.End()
+		o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
+	})
 	o.kernelParams.Add(int64(n))
 	return out[:simd.EscapeBytes*nesc]
 }

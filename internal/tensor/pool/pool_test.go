@@ -12,10 +12,10 @@ func TestRunEveryChunkOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		p := New(workers)
 		for _, chunks := range []int{0, 1, 2, 3, workers, 4*workers + 3, 257} {
-			counts := make([]int32, chunks)
-			p.Run(chunks, func(c int) { atomic.AddInt32(&counts[c], 1) })
+			counts := make([]atomic.Int32, chunks)
+			p.Run(chunks, func(c int) { counts[c].Add(1) })
 			for c := range counts {
-				if got := atomic.LoadInt32(&counts[c]); got != 1 {
+				if got := counts[c].Load(); got != 1 {
 					t.Fatalf("workers=%d chunks=%d: chunk %d ran %d times", workers, chunks, c, got)
 				}
 			}
@@ -221,10 +221,10 @@ func TestSegmentedRunEveryChunkOnce(t *testing.T) {
 			if chunks < 2 {
 				continue
 			}
-			counts := make([]int32, chunks)
-			p.Run(chunks, func(c int) { atomic.AddInt32(&counts[c], 1) })
+			counts := make([]atomic.Int32, chunks)
+			p.Run(chunks, func(c int) { counts[c].Add(1) })
 			for c := range counts {
-				if got := atomic.LoadInt32(&counts[c]); got != 1 {
+				if got := counts[c].Load(); got != 1 {
 					t.Fatalf("workers=%d chunks=%d: chunk %d ran %d times", workers, chunks, c, got)
 				}
 			}
@@ -254,10 +254,10 @@ func TestSubmitterDrainsAllSegments(t *testing.T) {
 	}
 
 	const chunks = 32
-	counts := make([]int32, chunks)
-	p.Run(chunks, func(c int) { atomic.AddInt32(&counts[c], 1) })
+	counts := make([]atomic.Int32, chunks)
+	p.Run(chunks, func(c int) { counts[c].Add(1) })
 	for c := range counts {
-		if got := atomic.LoadInt32(&counts[c]); got != 1 {
+		if got := counts[c].Load(); got != 1 {
 			t.Fatalf("chunk %d ran %d times", c, got)
 		}
 	}
@@ -302,8 +302,8 @@ func TestStolenChunksConservation(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	p := New(4)
 	const chunks = 8
-	counts := make([]int32, chunks)
-	p.Run(chunks, func(c int) { atomic.AddInt32(&counts[c], 1) })
+	counts := make([]atomic.Int32, chunks)
+	p.Run(chunks, func(c int) { counts[c].Add(1) })
 
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -317,7 +317,7 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Close() // again, after the workers are gone
 
 	for c := range counts {
-		if got := atomic.LoadInt32(&counts[c]); got != 1 {
+		if got := counts[c].Load(); got != 1 {
 			t.Fatalf("chunk %d ran %d times", c, got)
 		}
 	}

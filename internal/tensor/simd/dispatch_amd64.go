@@ -111,7 +111,7 @@ func dotAVX2(a, b []float32) float32 {
 // contiguous rows of nr floats; kc >= 1 and bp holds at least kc*nr.
 func PackPanel(bp, b []float32, ldb, kc, nr int) {
 	if active.tier == tierGeneric {
-		PackPanelGeneric(bp, b, ldb, kc, nr)
+		packPanelGeneric(bp, b, ldb, kc, nr)
 		return
 	}
 	_ = b[(kc-1)*ldb+nr-1]
@@ -133,7 +133,7 @@ func PackPanel(bp, b []float32, ldb, kc, nr int) {
 // c lives between the steps — and so the levels agree with each other.
 func GemmTiles(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, nr, kc int, accumulate bool) {
 	if active.tier == tierGeneric {
-		GemmTilesGeneric(c, ldc, a, ars, aps, m, bp, nr, kc, accumulate)
+		gemmTilesGeneric(c, ldc, a, ars, aps, m, bp, nr, kc, accumulate)
 		return
 	}
 	// The three extents the assembly bodies touch.
@@ -241,7 +241,7 @@ func f16RoundAVX2(dst, src []float32) {
 		_ = dst[n-1]
 		f16RoundAsm(&dst[0], &src[0], n)
 	}
-	F16RoundIntoGeneric(dst[n:], src[n:])
+	f16RoundIntoGeneric(dst[n:], src[n:])
 }
 
 func addAVX2(a, b []float32) {
@@ -275,7 +275,7 @@ func adamAVX2(k AdamCoef, p, m, v, grad []float32) {
 		_, _, _ = p[n-1], m[n-1], v[n-1]
 		adamAsm(&p[0], &m[0], &v[0], &grad[0], n, &k)
 	}
-	AdamGeneric(k, p[n:], m[n:], v[n:], grad[n:])
+	adamGeneric(k, p[n:], m[n:], v[n:], grad[n:])
 }
 
 // adamDeltaAVX2 stops where the body stops: at a group of four lanes one of
@@ -288,7 +288,7 @@ func adamDeltaAVX2(k AdamCoef, d, m, v []byte, grad, w []float32) int {
 			return done
 		}
 	}
-	return n + AdamDeltaGeneric(k, d[2*n:], m[4*n:], v[4*n:], grad[n:], w[n:])
+	return n + adamDeltaGeneric(k, d[2*n:], m[4*n:], v[4*n:], grad[n:], w[n:])
 }
 
 // Assembly bodies (kernels_amd64.s). n is always a positive multiple of 8

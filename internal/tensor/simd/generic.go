@@ -7,10 +7,9 @@ import (
 
 // The *Generic kernels are the portable reference implementations: the
 // semantic contract the assembly kernels are tested against, and the
-// fallback selected on non-amd64 machines or under RATEL_NOSIMD=1. They
-// are exported for the equality/tolerance test matrix; production code
-// must call the dispatch entry points instead (the simddispatch analyzer
-// enforces this).
+// fallback selected on non-amd64 machines or under RATEL_NOSIMD=1. They are
+// unexported: code outside this package reaches them only through the
+// dispatch table (ForceGeneric pins it to them).
 
 // Float32ToHalf converts with round-to-nearest-even, producing the
 // binary16 bit pattern. Every NaN maps to the canonical quiet NaN
@@ -77,17 +76,17 @@ func HalfToFloat32(h uint16) float32 {
 	}
 }
 
-// AxpyGeneric is the reference row update c[j] += a*b[j]: separate
+// axpyGeneric is the reference row update c[j] += a*b[j]: separate
 // multiply and add, one element at a time, in increasing j.
-func AxpyGeneric(c, b []float32, a float32) {
+func axpyGeneric(c, b []float32, a float32) {
 	for j := range c {
 		c[j] += a * b[j]
 	}
 }
 
-// DotGeneric is the reference inner product: a single accumulator in
+// dotGeneric is the reference inner product: a single accumulator in
 // increasing index order.
-func DotGeneric(a, b []float32) float32 {
+func dotGeneric(a, b []float32) float32 {
 	var s float32
 	for p := range a {
 		s += a[p] * b[p]
@@ -95,72 +94,69 @@ func DotGeneric(a, b []float32) float32 {
 	return s
 }
 
-// PackPanelGeneric is the reference pack: kc rows of nr floats, ldb apart in
+// packPanelGeneric is the reference pack: kc rows of nr floats, ldb apart in
 // b, contiguous in bp.
-func PackPanelGeneric(bp, b []float32, ldb, kc, nr int) {
+func packPanelGeneric(bp, b []float32, ldb, kc, nr int) {
 	for p := 0; p < kc; p++ {
 		copy(bp[p*nr:(p+1)*nr], b[p*ldb:p*ldb+nr])
 	}
 }
 
-// GemmTilesGeneric is the reference tile sweep: each of the m rows is zeroed
-// (unless accumulating) and updated by AxpyGeneric once per p, in increasing
+// gemmTilesGeneric is the reference tile sweep: each of the m rows is zeroed
+// (unless accumulating) and updated by axpyGeneric once per p, in increasing
 // p, from the packed rows.
-func GemmTilesGeneric(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, nr, kc int, accumulate bool) {
+func gemmTilesGeneric(c []float32, ldc int, a []float32, ars, aps, m int, bp []float32, nr, kc int, accumulate bool) {
 	for i := 0; i < m; i++ {
 		crow := c[i*ldc : i*ldc+nr]
 		if !accumulate {
 			clear(crow)
 		}
 		for p := 0; p < kc; p++ {
-			AxpyGeneric(crow, bp[p*nr:(p+1)*nr], a[i*ars+p*aps])
+			axpyGeneric(crow, bp[p*nr:(p+1)*nr], a[i*ars+p*aps])
 		}
 	}
 }
 
-// DotRowGeneric is the reference row of a·bᵀ: one DotGeneric per cell.
-func DotRowGeneric(c, a, b []float32, ldb int) {
+// dotRowGeneric is the reference row of a·bᵀ: one dotGeneric per cell.
+func dotRowGeneric(c, a, b []float32, ldb int) {
 	for j := range c {
-		c[j] = DotGeneric(a, b[j*ldb:j*ldb+len(a)])
+		c[j] = dotGeneric(a, b[j*ldb:j*ldb+len(a)])
 	}
 }
 
-// F16EncodeGeneric packs src as little-endian binary16 into dst
+// f16EncodeGeneric packs src as little-endian binary16 into dst
 // (2*len(src) bytes), round-to-nearest-even.
-func F16EncodeGeneric(dst []byte, src []float32) {
+func f16EncodeGeneric(dst []byte, src []float32) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint16(dst[2*i:], Float32ToHalf(v))
 	}
 }
 
-// F16DecodeGeneric unpacks little-endian binary16 from src into dst
+// f16DecodeGeneric unpacks little-endian binary16 from src into dst
 // (len(src)/2 values).
-func F16DecodeGeneric(dst []float32, src []byte) {
+func f16DecodeGeneric(dst []float32, src []byte) {
 	for i := range dst {
 		dst[i] = HalfToFloat32(binary.LittleEndian.Uint16(src[2*i:]))
 	}
 }
 
-// F16RoundIntoGeneric writes every element of src, rounded through binary16,
+// f16RoundIntoGeneric writes every element of src, rounded through binary16,
 // to dst.
-func F16RoundIntoGeneric(dst, src []float32) {
+func f16RoundIntoGeneric(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = HalfToFloat32(Float32ToHalf(v))
 	}
 }
 
-// F16RoundGeneric rounds every element through binary16 in place.
-func F16RoundGeneric(d []float32) { F16RoundIntoGeneric(d, d) }
-
-// AddGeneric is the reference element-wise a[i] += b[i].
-func AddGeneric(a, b []float32) {
+// addGeneric is the reference element-wise a[i] += b[i].
+func addGeneric(a, b []float32) {
 	for i := range a {
 		a[i] += b[i]
 	}
 }
 
-// ScaleGeneric is the reference element-wise d[i] *= s.
-func ScaleGeneric(d []float32, s float32) {
+// scaleGeneric is the reference element-wise d[i] *= s.
+func scaleGeneric(d []float32, s float32) {
 	for i := range d {
 		d[i] *= s
 	}
@@ -194,18 +190,18 @@ func (k *AdamCoef) update(p, m, v float32, g float64) (float32, float32, float32
 	return float32(pf), float32(mi), float32(vi)
 }
 
-// AdamGeneric is the reference update over decoded slices.
-func AdamGeneric(k AdamCoef, p, m, v, grad []float32) {
+// adamGeneric is the reference update over decoded slices.
+func adamGeneric(k AdamCoef, p, m, v, grad []float32) {
 	for i, g := range grad {
 		p[i], m[i], v[i] = k.update(p[i], m[i], v[i], float64(g))
 	}
 }
 
-// AdamDeltaGeneric is the reference body of AdamDelta's walk: element by
+// adamDeltaGeneric is the reference body of AdamDelta's walk: element by
 // element it decodes the master (P16 + Δ), applies the update and encodes the
 // result, and it stops — storing nothing for that element — at the first one
 // whose new Δ does not fit. It returns how many elements it stored.
-func AdamDeltaGeneric(k AdamCoef, d, m, v []byte, grad, w []float32) int {
+func adamDeltaGeneric(k AdamCoef, d, m, v []byte, grad, w []float32) int {
 	for i, g := range grad {
 		_, mn, vn, wn, dl, ok := k.deltaUpdate(decodeDelta(w[i], d[2*i:]), loadF32(m[4*i:]), loadF32(v[4*i:]), float64(g))
 		if !ok {

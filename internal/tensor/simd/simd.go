@@ -9,8 +9,8 @@
 // (delta.go).
 // Each kernel exists at least twice:
 //
-//   - A portable pure-Go reference (the *Generic functions), which is the
-//     semantic contract: what the kernel computes, bit for bit.
+//   - A portable pure-Go reference (the unexported *Generic functions),
+//     which is the semantic contract: what the kernel computes, bit for bit.
 //   - An amd64 AVX2/FMA/F16C assembly implementation ("avx2-fma-f16c").
 //   - For the two bodies that are bound by FMA throughput, the GEMM tile and
 //     the dot tile of long rows, an AVX-512F implementation ("avx512": the
@@ -37,7 +37,7 @@
 // Exactness contract (DESIGN.md §11): the fp16 codec kernels (F16Encode,
 // F16Decode, F16Round, F16RoundInto), the element-wise kernels (Add, Scale)
 // and the Adam kernels (Adam, AdamDelta: float64 lanes, no fusion on either
-// path) are bit-identical to their Generic references — the vector bodies
+// path) are bit-identical to their generic references — the vector bodies
 // perform the same per-element operation with no reassociation, and the
 // assembly canonicalizes NaN results to match the software reference. The
 // matmul kernels (Axpy, Dot) use FMA and, for Dot, multiple accumulators, so
@@ -50,9 +50,10 @@
 // the same bits on every call, at any thread count, because lane assignment
 // is a pure function of element index.
 //
-// Callers outside this package must go through the dispatch entry points;
-// calling a *Generic reference directly silently bypasses the selected
-// kernel (the simddispatch ratelvet analyzer flags this).
+// Callers outside this package can only go through the dispatch entry
+// points: the references are unexported, so nothing outside the package can
+// bypass the selected kernel. A caller that wants the reference pins it with
+// ForceGeneric.
 package simd
 
 import "os"
@@ -94,16 +95,16 @@ func (t tier) String() string {
 // generic is the portable reference set.
 var generic = kernels{
 	tier:      tierGeneric,
-	axpy:      AxpyGeneric,
-	dot:       DotGeneric,
-	dotRow:    DotRowGeneric,
-	f16Encode: F16EncodeGeneric,
-	f16Decode: F16DecodeGeneric,
-	f16Round:  F16RoundIntoGeneric,
-	add:       AddGeneric,
-	scale:     ScaleGeneric,
-	adam:      AdamGeneric,
-	adamDelta: AdamDeltaGeneric,
+	axpy:      axpyGeneric,
+	dot:       dotGeneric,
+	dotRow:    dotRowGeneric,
+	f16Encode: f16EncodeGeneric,
+	f16Decode: f16DecodeGeneric,
+	f16Round:  f16RoundIntoGeneric,
+	add:       addGeneric,
+	scale:     scaleGeneric,
+	adam:      adamGeneric,
+	adamDelta: adamDeltaGeneric,
 }
 
 // sets holds the kernel sets this machine can run, lowest tier first:
@@ -198,33 +199,33 @@ const DotRowTile = 6
 func DotRow(c, a, b []float32, ldb int) { active.dotRow(c, a, b, ldb) }
 
 // F16Encode packs src as little-endian IEEE-754 binary16 into dst, which
-// must hold exactly 2*len(src) bytes. Bit-identical to F16EncodeGeneric:
+// must hold exactly 2*len(src) bytes. Bit-identical to f16EncodeGeneric:
 // round-to-nearest-even, NaNs canonicalized to sign|0x7e00.
 func F16Encode(dst []byte, src []float32) { active.f16Encode(dst, src) }
 
 // F16Decode unpacks little-endian binary16 from src into dst, which must
 // hold exactly len(src)/2 values (len(src) even). Bit-identical to
-// F16DecodeGeneric, NaN payloads preserved.
+// f16DecodeGeneric, NaN payloads preserved.
 func F16Decode(dst []float32, src []byte) { active.f16Decode(dst, src) }
 
 // F16RoundInto writes src rounded through binary16 (round-to-nearest-even) to
 // dst, which must have at least len(src) elements; the two may be the same
-// slice, not otherwise overlap. Bit-identical to F16RoundIntoGeneric.
+// slice, not otherwise overlap. Bit-identical to f16RoundIntoGeneric.
 func F16RoundInto(dst, src []float32) { active.f16Round(dst, src) }
 
 // F16Round is F16RoundInto in place.
 func F16Round(d []float32) { active.f16Round(d, d) }
 
 // Add computes a[i] += b[i]; b must have at least len(a) elements.
-// Bit-identical to AddGeneric (no reassociation).
+// Bit-identical to addGeneric (no reassociation).
 func Add(a, b []float32) { active.add(a, b) }
 
-// Scale computes d[i] *= s. Bit-identical to ScaleGeneric.
+// Scale computes d[i] *= s. Bit-identical to scaleGeneric.
 func Scale(d []float32, s float32) { active.scale(d, s) }
 
 // Adam applies one Adam update (AdamCoef.update) to every element of the
 // decoded state slices p, m and v, in place; the four slices have equal
-// length. Bit-identical to AdamGeneric on finite state (a NaN keeps its
+// length. Bit-identical to adamGeneric on finite state (a NaN keeps its
 // class, not necessarily its payload). The coefficients travel by value: a
 // pointer passed through the dispatch table would escape.
 func Adam(k AdamCoef, p, m, v, grad []float32) { active.adam(k, p, m, v, grad) }

@@ -59,7 +59,7 @@ func TestF16DecodeBitEqualAllPatterns(t *testing.T) {
 	got := make([]float32, 65536)
 	want := make([]float32, 65536)
 	F16Decode(got, src)
-	F16DecodeGeneric(want, src)
+	f16DecodeGeneric(want, src)
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("half %#04x: vector %#08x, reference %#08x",
@@ -80,7 +80,7 @@ func TestF16EncodeBitEqualEdgesAndRandom(t *testing.T) {
 	got := make([]byte, 2*len(vals))
 	want := make([]byte, 2*len(vals))
 	F16Encode(got, vals)
-	F16EncodeGeneric(want, vals)
+	f16EncodeGeneric(want, vals)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("value %#08x (index %d): vector byte %#02x, reference %#02x",
@@ -101,7 +101,7 @@ func TestF16RoundBitEqual(t *testing.T) {
 	got := append([]float32(nil), vals...)
 	want := append([]float32(nil), vals...)
 	F16Round(got)
-	F16RoundGeneric(want)
+	f16RoundIntoGeneric(want, want)
 	for i := range got {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			t.Fatalf("value %#08x: vector %#08x, reference %#08x",
@@ -130,7 +130,7 @@ func TestCodecAllAlignmentsAndTails(t *testing.T) {
 			gotB := backB[1 : 1+2*n]
 			wantB := make([]byte, 2*n)
 			F16Encode(gotB, src)
-			F16EncodeGeneric(wantB, src)
+			f16EncodeGeneric(wantB, src)
 			for i := range gotB {
 				if gotB[i] != wantB[i] {
 					t.Fatalf("encode n=%d off=%d: byte %d differs", n, off, i)
@@ -141,7 +141,7 @@ func TestCodecAllAlignmentsAndTails(t *testing.T) {
 			gotF := make([]float32, n)
 			wantF := make([]float32, n)
 			F16Decode(gotF, gotB)
-			F16DecodeGeneric(wantF, gotB)
+			f16DecodeGeneric(wantF, gotB)
 			for i := range gotF {
 				if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
 					t.Fatalf("decode n=%d off=%d: value %d differs", n, off, i)
@@ -154,7 +154,7 @@ func TestCodecAllAlignmentsAndTails(t *testing.T) {
 			wantR := append([]float32(nil), src...)
 			intoR := make([]float32, n+1)
 			F16Round(gotR)
-			F16RoundGeneric(wantR)
+			f16RoundIntoGeneric(wantR, wantR)
 			F16RoundInto(intoR[:n], src)
 			for i := range gotR {
 				if math.Float32bits(gotR[i]) != math.Float32bits(wantR[i]) || math.Float32bits(intoR[i]) != math.Float32bits(wantR[i]) {
@@ -197,14 +197,14 @@ func TestElementwiseBitEqualAllTails(t *testing.T) {
 			b[i] = rng.Float32()*2 - 1
 		}
 		Add(a1, b)
-		AddGeneric(a2, b)
+		addGeneric(a2, b)
 		for i := range a1 {
 			if math.Float32bits(a1[i]) != math.Float32bits(a2[i]) {
 				t.Fatalf("add n=%d element %d", n, i)
 			}
 		}
 		Scale(a1, -1.7)
-		ScaleGeneric(a2, -1.7)
+		scaleGeneric(a2, -1.7)
 		for i := range a1 {
 			if math.Float32bits(a1[i]) != math.Float32bits(a2[i]) {
 				t.Fatalf("scale n=%d element %d", n, i)
@@ -230,7 +230,7 @@ func TestAxpyDotToleranceAndDeterminism(t *testing.T) {
 		want := append([]float32(nil), c0...)
 		again := append([]float32(nil), c0...)
 		Axpy(got, b, 0.37)
-		AxpyGeneric(want, b, 0.37)
+		axpyGeneric(want, b, 0.37)
 		Axpy(again, b, 0.37)
 		for i := range got {
 			if d := math.Abs(float64(got[i] - want[i])); d > 1e-6 {
@@ -241,7 +241,7 @@ func TestAxpyDotToleranceAndDeterminism(t *testing.T) {
 			}
 		}
 		d1 := Dot(c0, b)
-		d2 := DotGeneric(c0, b)
+		d2 := dotGeneric(c0, b)
 		if math.Abs(float64(d1-d2)) > 1e-4*(math.Abs(float64(d2))+1) {
 			t.Fatalf("dot n=%d: %v vs %v", n, d1, d2)
 		}
