@@ -65,11 +65,10 @@ vet:
 	go vet ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/tensor/...
 
-# The five repo-specific analyzers (errdrop, gojoin, poolcapture, simdet,
-# unitsafe — see DESIGN.md §8), over each package's non-test sources,
-# followed by the suppression audit so every //ratelvet:ignore and its
-# reason is visible in the lint output. Also runs as a vet tool:
-#   go build -o bin/ratelvet ./cmd/ratelvet && go vet -vettool=bin/ratelvet ./...
+# The three repo-specific analyzers (errdrop, simdet, unitsafe — see
+# DESIGN.md §8), over each package's non-test sources, followed by the
+# suppression audit so every //ratelvet:ignore and its reason is visible in
+# the lint output.
 .PHONY: lint
 lint:
 	go run ./cmd/ratelvet $(PROGRAM_PKGS)

@@ -20,7 +20,7 @@ func TestAuditListsSuppressions(t *testing.T) {
 	}
 	must(os.WriteFile(filepath.Join(dir, "a.go"), []byte(`package a
 
-//ratelvet:ignore gojoin worker joined by the shutdown path in close()
+//ratelvet:ignore simdet wall-clock read for a progress line, not a schedule
 var x = 1
 
 var y = 2 //ratelvet:ignore errdrop best-effort cleanup, the caller has already failed
@@ -38,7 +38,7 @@ var z = 3
 		}
 	})
 	for _, want := range []string{
-		"a.go:3: gojoin: worker joined by the shutdown path in close()",
+		"a.go:3: simdet: wall-clock read for a progress line, not a schedule",
 		"a.go:6: errdrop: best-effort cleanup, the caller has already failed",
 		"total: 2 suppression(s)",
 	} {

@@ -98,8 +98,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 // CheckPackage parses and type-checks one package from source, resolving
 // imports through export data files (import path -> file). It is shared by
-// the standalone loader, the vet-tool mode (which gets the map from the vet
-// config), and the analysistest harness.
+// Load and the analysistest harness.
 func CheckPackage(pkgPath, dir string, filenames []string, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File

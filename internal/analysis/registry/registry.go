@@ -5,8 +5,6 @@ package registry
 import (
 	"ratel/internal/analysis"
 	"ratel/internal/analysis/errdrop"
-	"ratel/internal/analysis/gojoin"
-	"ratel/internal/analysis/poolcapture"
 	"ratel/internal/analysis/simdet"
 	"ratel/internal/analysis/unitsafe"
 )
@@ -15,8 +13,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		errdrop.Analyzer,
-		gojoin.Analyzer,
-		poolcapture.Analyzer,
 		simdet.Analyzer,
 		unitsafe.Analyzer,
 	}

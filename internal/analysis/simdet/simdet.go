@@ -24,7 +24,8 @@ plan, cost, strategy):
   - wall-clock reads (time.Now, Since, Sleep, After, Tick, ...)
   - the global math/rand source (rand.Intn, rand.Float64, ...); a seeded
     *rand.Rand is fine
-  - goroutine spawns (schedules must not depend on runtime interleaving)
+  - goroutine spawns, by go statement or (*join.Group).Go (schedules must
+    not depend on runtime interleaving)
   - range over an unordered map when the loop body is order-sensitive:
     it appends to a slice, assigns a variable declared outside the loop,
     accumulates floating point (float addition is not associative), or
@@ -65,7 +66,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "goroutine spawn in simulator code: schedule results must not depend on runtime interleaving")
+				reportSpawn(pass, n.Pos())
 			case *ast.RangeStmt:
 				checkMapRange(pass, f, n)
 			}
@@ -89,7 +90,15 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		if fn.Type().(*types.Signature).Recv() == nil && !seededConstructors[fn.Name()] {
 			pass.Reportf(call.Pos(), "global rand.%s in simulator code: use an explicitly seeded *rand.Rand so runs replay", fn.Name())
 		}
+	case "ratel/internal/join":
+		if fn.Name() == "Go" {
+			reportSpawn(pass, call.Pos())
+		}
 	}
+}
+
+func reportSpawn(pass *analysis.Pass, pos token.Pos) {
+	pass.Reportf(pos, "goroutine spawn in simulator code: schedule results must not depend on runtime interleaving")
 }
 
 // checkMapRange flags order-sensitive bodies of ranges over unordered maps.

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"ratel/internal/join"
 )
 
 type resource string
@@ -45,6 +47,11 @@ func seededRandIsFine(seed int64) int {
 
 func spawn(done chan struct{}) {
 	go func() { close(done) }() // want `goroutine spawn in simulator code`
+}
+
+func spawnThroughJoin(g *join.Group, done chan struct{}) {
+	g.Go(func() { close(done) }) // want `goroutine spawn in simulator code`
+	g.Wait()
 }
 
 func mapOrderAppend(m map[string]int) []int {

@@ -57,20 +57,6 @@ func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string, names ...st
 	return false
 }
 
-// NamedType reports whether t (after pointer indirection) is the named type
-// pkgPath.name.
-func NamedType(t types.Type, pkgPath, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // UsedVar resolves an expression to the variable it names, or nil.
 func UsedVar(info *types.Info, e ast.Expr) *types.Var {
 	id, ok := ast.Unparen(e).(*ast.Ident)

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ratel/internal/join"
 	"ratel/internal/memctl"
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
@@ -103,7 +104,7 @@ type actWindow struct {
 	// transfer before returning.
 	syncIO   bool
 	stopOnce sync.Once
-	wg       sync.WaitGroup
+	workers  join.Group
 
 	// Step-local accounting, owned by the engine's step goroutine. queuePeak
 	// is the deepest write-behind backlog seen.
@@ -125,9 +126,8 @@ func newActWindow(a *nvme.Array, host *memctl.Pool, tr *obs.Tracer, labels []blo
 		w.ring[i] = make(chan ringSlot, 1)
 		w.ring[i] <- ringSlot{}
 	}
-	w.wg.Add(depth)
 	for i := 0; i < depth; i++ {
-		go w.worker()
+		w.workers.Go(w.worker)
 	}
 	return w
 }
@@ -136,7 +136,6 @@ func newActWindow(a *nvme.Array, host *memctl.Pool, tr *obs.Tracer, labels []blo
 // slot — a write after freeing the staging bytes offload charged for it — no
 // matter how the transfer went: the error travels in the slot.
 func (w *actWindow) worker() {
-	defer w.wg.Done()
 	for j := range w.jobs {
 		var err error
 		if j.read {
@@ -153,7 +152,7 @@ func (w *actWindow) worker() {
 // is in flight between steps, so there is nothing to drain first.
 func (w *actWindow) close() {
 	w.stopOnce.Do(func() { close(w.jobs) })
-	w.wg.Wait()
+	w.workers.Wait()
 }
 
 // acquire takes slot i — the join: it blocks while the slot's transfer is in

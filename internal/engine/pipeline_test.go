@@ -692,7 +692,9 @@ func TestPipelineDefaultDepth(t *testing.T) {
 
 // TestStepSpawnsNoGoroutine: the activation window's workers are built with
 // the engine, so a steady-state swap step — write-behind, read-ahead and
-// the optimizer's state pipeline all busy — starts no goroutine.
+// the optimizer's state pipeline all busy — starts no goroutine; and the
+// window's close joins them: with a write in flight it returns only once
+// the write has been served and its slot is home.
 func TestStepSpawnsNoGoroutine(t *testing.T) {
 	e := newEngine(t, Config{
 		GradMode: agoffload.Optimized,
@@ -708,6 +710,15 @@ func TestStepSpawnsNoGoroutine(t *testing.T) {
 		}
 	}
 	pipelineIdle(t, e)
+	if err := e.win.offload(0, func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	e.win.close()
+	for slot, tok := range e.win.ring {
+		if len(tok) != 1 {
+			t.Fatalf("close returned with slot %d's write in flight", slot)
+		}
+	}
 }
 
 // TestSlotProtocolStaysInPipeline: the window's acquire and release — and the

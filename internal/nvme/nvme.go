@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ratel/internal/join"
 	"ratel/internal/obs"
 	"ratel/internal/units"
 )
@@ -122,9 +123,9 @@ type Array struct {
 
 	// Transfer-scheduler state: the dispatcher join group, the recycled
 	// transfer headers and the per-direction counters (laneRead, laneWrite).
-	dispWG sync.WaitGroup
-	xpool  xferPool
-	sched  [2]schedCounters
+	dispatchers join.Group
+	xpool       xferPool
+	sched       [2]schedCounters
 
 	closeOnce sync.Once
 	closeErr  error
@@ -257,8 +258,7 @@ func Open(cfg Config) (*Array, error) {
 			if li == laneWrite && ln == d.lanes[laneRead] {
 				continue // FCFS: one dispatcher drives the shared lane
 			}
-			a.dispWG.Add(1)
-			go a.dispatch(ln)
+			a.dispatchers.Go(func() { a.dispatch(ln) })
 		}
 	}
 	return a, nil
@@ -280,7 +280,7 @@ func (a *Array) Close() error {
 				ln.cond.Broadcast()
 			}
 		}
-		a.dispWG.Wait()
+		a.dispatchers.Wait()
 		for i, d := range a.devs {
 			if err := d.back.Close(); err != nil && a.closeErr == nil {
 				a.closeErr = fmt.Errorf("nvme: close device %d: %w", i, err)

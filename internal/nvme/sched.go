@@ -252,9 +252,8 @@ func (a *Array) enqueue(ln *ioLane, it *schedItem) {
 }
 
 // dispatch is a lane's persistent worker: it drains items until the lane is
-// closed and empty. Joined by Close via dispWG.
+// closed and empty. Joined by Close via dispatchers.
 func (a *Array) dispatch(ln *ioLane) {
-	defer a.dispWG.Done()
 	for {
 		it := ln.nextItem()
 		if it == nil {

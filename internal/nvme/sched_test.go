@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -432,26 +433,54 @@ func TestThrottleHostConcurrentFairness(t *testing.T) {
 
 // --- lifecycle ---
 
+// TestSchedCloseSemantics: Close returns only once the write in flight has
+// been served, is idempotent, fails later transfers with ErrClosed and
+// leaves no dispatcher behind — on the duplex lanes and on the FCFS lane.
 func TestSchedCloseSemantics(t *testing.T) {
-	a, err := Open(schedConfig(2, 64<<20, 64<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Put("k", make([]byte, 4<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal("second Close:", err)
-	}
-	if err := a.Put("k2", make([]byte, 4<<10)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Put after Close = %v, want ErrClosed", err)
-	}
-	dst := make([]byte, 4<<10)
-	if err := a.ReadInto("k", dst); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadInto after Close = %v, want ErrClosed", err)
+	for _, fcfs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fcfs=%v", fcfs), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			cfg := schedConfig(2, 64<<20, 64<<20)
+			cfg.FCFS = fcfs
+			a, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Put("k", make([]byte, 4<<10)); err != nil {
+				t.Fatal(err)
+			}
+			// ~8 ms of throttled write per device, under way at Close.
+			const big = 1 << 20
+			putErr := make(chan error, 1)
+			go func() { putErr <- a.Put("big", make([]byte, big)) }()
+			time.Sleep(2 * time.Millisecond)
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var served units.Bytes
+			for _, b := range a.Stats().PerDeviceBytes {
+				served += b
+			}
+			if err := <-putErr; err == nil && served != 4<<10+big {
+				t.Fatalf("Close returned with %v served, want %v", served, units.Bytes(4<<10+big))
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal("second Close:", err)
+			}
+			if err := a.Put("k2", make([]byte, 4<<10)); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Put after Close = %v, want ErrClosed", err)
+			}
+			dst := make([]byte, 4<<10)
+			if err := a.ReadInto("k", dst); !errors.Is(err, ErrClosed) {
+				t.Fatalf("ReadInto after Close = %v, want ErrClosed", err)
+			}
+			for i := 0; runtime.NumGoroutine() > baseline; i++ {
+				if i > 1000 {
+					t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ratel/internal/join"
 	"ratel/internal/nn"
 )
 
@@ -62,7 +63,7 @@ type StatePipeline struct {
 	bufBytes int // each window buffer's size
 	stop     chan struct{}
 
-	readers, adam, writers sync.WaitGroup
+	readers, adam, writers join.Group
 	stopOnce               sync.Once
 
 	jobs  map[string]*groupJob // the job of each registered group
@@ -140,15 +141,10 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 	}
 	for i := 0; i < buffers; i++ {
 		p.window <- make([]byte, p.bufBytes)
+		p.readers.Go(p.readAhead)
+		p.writers.Go(p.writeBehind)
 	}
-	p.readers.Add(buffers)
-	p.writers.Add(buffers)
-	for i := 0; i < buffers; i++ {
-		go p.readAhead()
-		go p.writeBehind()
-	}
-	p.adam.Add(1)
-	go p.adamStage()
+	p.adam.Go(p.adamStage)
 	return p
 }
 
@@ -247,7 +243,6 @@ func (p *StatePipeline) Close() {
 }
 
 func (p *StatePipeline) readAhead() {
-	defer p.readers.Done()
 	for {
 		// The buffer comes first, so an empty window holds jobs in the queue,
 		// not here.
@@ -287,7 +282,6 @@ func (p *StatePipeline) readAhead() {
 }
 
 func (p *StatePipeline) adamStage() {
-	defer p.adam.Done()
 	for pc := range p.adamQ {
 		if err := p.o.applyPiece(pc); err != nil {
 			p.retire(pc, nil)
@@ -300,7 +294,6 @@ func (p *StatePipeline) adamStage() {
 }
 
 func (p *StatePipeline) writeBehind() {
-	defer p.writers.Done()
 	for pc := range p.writeQ {
 		err := p.o.store.Put(pc.key, pc.buf)
 		if err != nil {

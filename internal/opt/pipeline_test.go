@@ -649,9 +649,12 @@ func TestPipelineReadAfterWrite(t *testing.T) {
 // capacity as it is handed over — an idle pipeline's readers each hold one,
 // so that is where a test can reach them); the same depth buffers serve step
 // 3 and step 8; and a Close straight after a step whose write-back failed,
-// with writes still in flight, leaves every buffer home and no goroutine.
+// with the next step's reads and writes still in flight, returns only once
+// every stage has retired what it took: every buffer home, and no goroutine
+// left.
 func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	const depth = 2
+	tensor.Parallelism() // starts the kernel pool, whose workers outlive the test
 	baseline := runtime.NumGoroutine()
 	modelRef, m := buildModel(t), buildModel(t)
 	ref := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "o")
@@ -732,6 +735,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 		if key == victim {
 			return boom
 		}
+		time.Sleep(time.Millisecond) // still writing when Close is called
 		return nil
 	}
 	o.BeginStep()
@@ -742,6 +746,17 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	}
 	if err := p.Wait(); err != nil {
 		t.Fatalf("Wait = %v with only a write-back failing", err)
+	}
+	// The next step's updates are still reading when Close is called.
+	store.beforeRead = func(string) error {
+		time.Sleep(time.Millisecond)
+		return nil
+	}
+	o.BeginStep()
+	for _, g := range groups {
+		if err := p.Submit(g); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p.Close()
 	if len(p.window) != depth {

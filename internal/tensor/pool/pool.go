@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ratel/internal/join"
 	"ratel/internal/obs"
 )
 
@@ -125,9 +126,9 @@ type Pool struct {
 
 	mu      sync.Mutex
 	spawned int // worker goroutines started so far
+	workers join.Group
 
-	// closeOnce makes Close idempotent: the jobs channel is closed at
-	// most once no matter how many owners tear the pool down.
+	// closeOnce closes jobs at most once, however many owners call Close.
 	closeOnce sync.Once
 
 	stats struct {
@@ -212,14 +213,14 @@ func (p *Pool) SetLimit(n int) {
 	}
 	p.mu.Lock()
 	for p.spawned < n-1 {
-		// Spawn-order ids give each worker a stable preferred segment
-		// ((id+1) mod the job's segment count), so worker k always starts
-		// in the same region of every job — segment affinity across jobs.
-		go func(id int) {
+		// Spawn-order ids give each worker a stable preferred segment ((id+1)
+		// mod the job's segment count): segment affinity across jobs.
+		id := p.spawned
+		p.workers.Go(func() {
 			for j := range p.jobs {
 				j.work(true, id)
 			}
-		}(p.spawned)
+		})
 		p.spawned++
 	}
 	p.mu.Unlock()
@@ -229,15 +230,13 @@ func (p *Pool) SetLimit(n int) {
 // Limit reports the current participants-per-job limit.
 func (p *Pool) Limit() int { return int(p.limit.Load()) }
 
-// Close retires the pool's workers: closing the jobs channel lets each
-// parked worker finish any queued job and exit its range loop — the join
-// edge the gojoin analyzer requires for the worker spawns in SetLimit.
-// Close is idempotent and safe to call concurrently. The pool must be
-// idle: Run after (or racing) Close panics on the closed channel. The
-// process-wide Default pool lives for the whole process and is never
-// closed.
+// Close retires the pool's workers and returns once each has drained the
+// closed jobs channel and exited. It is idempotent and safe to call
+// concurrently; a Run that dispatches after (or racing) it panics. The
+// process-wide Default pool is never closed.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() { close(p.jobs) })
+	p.workers.Wait()
 }
 
 // SetJobHistogram installs (or, with nil, removes) the histogram that
@@ -335,9 +334,6 @@ func (p *Pool) For(n, grain int, body func(lo, hi int)) {
 
 // Run is Default().Run.
 func Run(chunks int, run func(chunk int)) { Default().Run(chunks, run) }
-
-// For is Default().For.
-func For(n, grain int, body func(lo, hi int)) { Default().For(n, grain, body) }
 
 // serialCutoff is the estimated scalar-op count below which ForWork runs
 // its body inline: a job this small finishes faster than its dispatch.

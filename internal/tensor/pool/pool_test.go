@@ -1,9 +1,11 @@
 package pool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunEveryChunkOnce checks each chunk index runs exactly once across a
@@ -298,12 +300,30 @@ func TestStolenChunksConservation(t *testing.T) {
 
 // TestCloseIdempotent checks Close retires the workers exactly once: a
 // second (or concurrent) Close must not double-close the jobs channel,
-// and closed workers drain without panicking.
+// closed workers drain without panicking, Close returns only once a worker
+// still inside a job has left it, and no worker outlives the pool.
 func TestCloseIdempotent(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	p := New(4)
 	const chunks = 8
 	counts := make([]atomic.Int32, chunks)
 	p.Run(chunks, func(c int) { counts[c].Add(1) })
+
+	// Hold a worker inside a job: the submitter blocks in chunk 0, so a
+	// worker has chunk 1 when both have started.
+	var started atomic.Int32
+	release := make(chan struct{})
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		p.Run(2, func(int) {
+			started.Add(1)
+			<-release
+		})
+	}()
+	for started.Load() < 2 {
+		runtime.Gosched()
+	}
 
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -313,12 +333,27 @@ func TestCloseIdempotent(t *testing.T) {
 			p.Close()
 		}()
 	}
-	wg.Wait()
+	closed := make(chan struct{})
+	go func() { wg.Wait(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a worker was still inside a job")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	<-ran
 	p.Close() // again, after the workers are gone
 
 	for c := range counts {
 		if got := counts[c].Load(); got != 1 {
 			t.Fatalf("chunk %d ran %d times", c, got)
 		}
+	}
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i > 1000 {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
