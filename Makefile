@@ -5,10 +5,11 @@ test:
 
 # The program's packages: everything but the benchmark harness. bench/ is
 # frozen by BENCHMARK.json (a change the benchmark measures may not edit
-# it), and two of the tier-2 passes cannot run over it as committed: its
-# quick-plan test runs the four workloads concurrently over the reference
-# kernel's package-level scratch (a reported race, and > 10 min under the
-# detector), and a probe's deferred Close is an errdrop finding. Its tests
+# it), and the race pass cannot run over it as committed: its quick-plan
+# test runs the four workloads concurrently over the reference kernel's
+# package-level scratch (a reported race, and > 10 min under the detector).
+# The analyzers' exclusion of bench (a probe's deferred Close is an errdrop
+# finding) lives in the root package's TestStaticAnalysis. bench's own tests
 # run in tier-1 (`go test ./...`) and `bench-e2e-smoke` drives it for real.
 PROGRAM_PKGS = $$(go list ./... | grep -v '^ratel/bench$$')
 
@@ -65,34 +66,14 @@ vet:
 	go vet ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/tensor/...
 
-# The three repo-specific analyzers (errdrop, simdet, unitsafe — see
-# DESIGN.md §8), over each package's non-test sources, followed by the
-# suppression audit so every //ratelvet:ignore and its reason is visible in
-# the lint output.
-.PHONY: lint
-lint:
-	go run ./cmd/ratelvet $(PROGRAM_PKGS)
-	go run ./cmd/ratelvet audit
-
-# Suppression budget: the //ratelvet:ignore count may not grow past the
-# committed baseline (lint-baseline.txt). Remove suppressions freely and
-# lower the baseline; raising it requires the justification in review.
-.PHONY: suppress-gate
-suppress-gate:
-	@count=$$(go run ./cmd/ratelvet audit | tail -1 | sed 's/[^0-9]*//g'); \
-	base=$$(cat lint-baseline.txt); \
-	echo "suppress-gate: $$count suppression(s), baseline $$base"; \
-	if [ "$$count" -gt "$$base" ]; then \
-		echo "suppress-gate: count $$count exceeds the committed baseline $$base — remove the suppression or justify raising lint-baseline.txt" >&2; \
-		exit 1; \
-	fi
-
-# Tier-2 umbrella: static analysis + repo analyzers + suppression and
-# line-budget ratchets + race detector + portable-fallback pass + core-count
-# matrix + fuzz smoke + one-iteration benchmark smoke (benchmarks must at least
-# run) + the end-to-end harness's own smoke + snapshot-integrity gate.
+# Tier-2 umbrella: go vet + line-budget ratchet + race detector +
+# portable-fallback pass + core-count matrix + fuzz smoke + one-iteration
+# benchmark smoke (benchmarks must at least run) + the end-to-end harness's
+# own smoke + snapshot-integrity gate. The repo's analyzers (errdrop, simdet,
+# unitsafe) are a tier-1 test, TestStaticAnalysis, so `go test ./...` runs
+# them.
 .PHONY: check
-check: vet lint suppress-gate loc-gate race test-nosimd test-procs fuzz-smoke bench-smoke bench-e2e-smoke bench-gate
+check: vet loc-gate race test-nosimd test-procs fuzz-smoke bench-smoke bench-e2e-smoke bench-gate
 
 # Fuzz smoke: ten seconds of each of the module's fuzz targets (ROADMAP item
 # 6) — activation blobs of any length and content against blobArena.decode
@@ -165,7 +146,7 @@ bench-optimizer:
 # Line budget of the three ratcheted groups (ROADMAP items 5 and 10): the three
 # data-path packages, then the kernel stack — non-test Go lines per package
 # (for internal/tensor/simd, Go and assembly) — then the analyzers that guard
-# them (internal/analysis/... + cmd/ratelvet, testdata excluded, one figure),
+# them (internal/analysis/..., testdata excluded, one figure),
 # each group's sum against its baseline in loc-baseline.txt (one `group total`
 # line each), then — ungated — the whole module's non-test lines, so a line
 # that was moved rather than deleted shows in the same output. LOC_COUNT
@@ -174,7 +155,7 @@ LOC_PKGS = internal/engine internal/nvme internal/opt
 LOC_KERNEL_PKGS = internal/tensor internal/tensor/simd internal/tensor/pool internal/nn
 LOC_COUNT = ls $$d/*.go $$d/*.s 2>/dev/null | grep -v '_test\.go$$' | xargs cat | wc -l
 LOC_UNDER = -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
-LOC_ANALYZERS = find internal/analysis cmd/ratelvet $(LOC_UNDER)
+LOC_ANALYZERS = find internal/analysis $(LOC_UNDER)
 LOC_MODULE = find . $(LOC_UNDER)
 # LOC_GROUP prints the packages of one group ($$1 its name in
 # loc-baseline.txt, the rest its directories) and fails when their total

@@ -1,19 +1,22 @@
-// Package analysis is ratelvet's static-analysis framework: a small,
-// dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// surface the repo's analyzers need. It exists because this module builds
-// offline with no third-party dependencies; the API mirrors x/tools closely
-// enough that migrating the analyzers there later is mechanical.
+// Package analysis is the static-analysis framework of the module's three
+// analyzers (errdrop, simdet, unitsafe): a small, dependency-free
+// reimplementation of the golang.org/x/tools/go/analysis surface they need.
+// It exists because this module builds offline with no third-party
+// dependencies; the API mirrors x/tools closely enough that migrating the
+// analyzers there later is mechanical.
 //
 // The pieces:
 //
-//   - Analyzer / Pass / Diagnostic: the x/tools-shaped analyzer contract.
+//   - Analyzer / Pass: the x/tools-shaped analyzer contract.
 //   - Load (load.go): a package loader driving `go list -json -export -deps`,
 //     type-checking each package's source against toolchain export data —
 //     the same resolution scheme `go vet` itself uses.
-//   - Run (run.go): applies analyzers to loaded packages, honoring each
-//     analyzer's package scope and `//ratelvet:ignore` suppressions.
-//   - suppress.go: the suppression-comment contract (a reason is mandatory;
-//     unexplained or unknown suppressions are themselves diagnostics).
+//   - Run (run.go): applies analyzers to a loaded package, honoring each
+//     analyzer's package scope. Nothing suppresses a finding: a false
+//     positive is fixed in the rule or in the code.
+//
+// The root package's TestStaticAnalysis runs the analyzers over every
+// program package in tier-1 `go test ./...`.
 package analysis
 
 import (
@@ -24,14 +27,11 @@ import (
 	"strings"
 )
 
-// Analyzer describes one ratelvet check.
+// Analyzer describes one check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //ratelvet:ignore comments. It must be a single lower-case word.
+	// Name identifies the analyzer in findings. It must be a single
+	// lower-case word.
 	Name string
-
-	// Doc is a one-paragraph description ( `ratelvet help` prints it).
-	Doc string
 
 	// Scope restricts the analyzer to packages whose import path equals or
 	// is under one of these prefixes. nil means every package.
@@ -43,7 +43,7 @@ type Analyzer struct {
 	Exclude []string
 
 	// Run executes the analyzer on one package.
-	Run func(*Pass) error
+	Run func(*Pass)
 }
 
 // AppliesTo reports whether the analyzer's scope covers a package path.
@@ -70,24 +70,15 @@ func underPath(pkg, prefix string) bool {
 
 // Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report delivers one diagnostic. The driver installs it.
-	Report func(Diagnostic)
+	// report delivers one finding; Run installs it.
+	report func(pos token.Pos, msg string)
 }
 
-// Reportf reports a formatted diagnostic at pos.
+// Reportf reports a formatted finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Diagnostic is one finding.
-type Diagnostic struct {
-	Pos      token.Pos
-	Message  string
-	Analyzer string // filled in by the driver
+	p.report(pos, fmt.Sprintf(format, args...))
 }

@@ -1,4 +1,4 @@
-// Package analysistest runs a ratelvet analyzer over a testdata package and
+// Package analysistest runs an analyzer over a testdata package and
 // checks its diagnostics against `// want "regexp"` comments, mirroring
 // golang.org/x/tools/go/analysis/analysistest. Testdata packages live under
 // <analyzer>/testdata/src/<name> and may import real module packages (the
@@ -8,7 +8,6 @@ package analysistest
 import (
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -31,9 +30,7 @@ var moduleExports = sync.OnceValues(func() (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkgs, exports, err := listExports(root, "./...")
-	_ = pkgs
-	return exports, err
+	return analysis.Exports(root, "./...")
 })
 
 func moduleRoot() (string, error) {
@@ -51,34 +48,6 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// listExports returns the import-path -> export-file map for patterns and
-// all their dependencies.
-func listExports(dir string, patterns ...string) ([]string, map[string]string, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-f",
-		"{{.ImportPath}}\t{{.Export}}\t{{.DepOnly}}"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysistest: go list: %v", err)
-	}
-	exports := make(map[string]string)
-	var roots []string
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		parts := strings.Split(line, "\t")
-		if len(parts) != 3 {
-			continue
-		}
-		if parts[1] != "" {
-			exports[parts[0]] = parts[1]
-		}
-		if parts[2] == "false" {
-			roots = append(roots, parts[0])
-		}
-	}
-	return roots, exports, nil
 }
 
 // Run loads testdata/src/<name> (relative to the calling test's package
@@ -105,7 +74,7 @@ func Run(t *testing.T, a *analysis.Analyzer, name string) {
 	if len(files) == 0 {
 		t.Fatalf("analysistest: no Go files in %s", dir)
 	}
-	pkg, err := analysis.CheckPackage(name, dir, files, exports)
+	pkg, err := analysis.CheckPackage(name, files, exports)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +87,7 @@ func Run(t *testing.T, a *analysis.Analyzer, name string) {
 	unscoped.Scope = nil
 	unscoped.Exclude = nil
 
-	findings, err := analysis.Run(pkg, []*analysis.Analyzer{&unscoped})
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := analysis.Run(pkg, []*analysis.Analyzer{&unscoped})
 
 	type key struct {
 		file string
@@ -158,9 +124,6 @@ func Run(t *testing.T, a *analysis.Analyzer, name string) {
 		matched[k] = make([]bool, len(res))
 	}
 	for _, f := range findings {
-		if f.Suppressed {
-			continue
-		}
 		k := key{file: f.Position.Filename, line: f.Position.Line}
 		ok := false
 		for i, re := range wants[k] {

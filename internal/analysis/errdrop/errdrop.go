@@ -3,7 +3,10 @@
 // engine later reads back, and a trace.WriteChrome whose error is ignored
 // produces a truncated file that Perfetto rejects — both have bitten
 // before, so calls into those packages must consume the returned error in
-// non-test code.
+// non-test code: a call in statement position, deferred or started with go,
+// or whose error result is assigned to the blank identifier, is flagged.
+// Test files are exempt: tests drop errors on purpose when exercising
+// failure paths.
 package errdrop
 
 import (
@@ -23,16 +26,10 @@ var watchedPkgs = []string{
 // Analyzer is the errdrop check.
 var Analyzer = &analysis.Analyzer{
 	Name: "errdrop",
-	Doc: `errors from NVMe and trace write paths must not be dropped
-
-Flags statement-position calls, defers, and blank-assigned results where a
-function declared in ratel/internal/nvme or ratel/internal/trace returns an
-error that is discarded. Test files are exempt: tests drop errors on
-purpose when exercising failure paths.`,
-	Run: run,
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
@@ -53,7 +50,6 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // checkDropped reports a call whose entire result list — including an

@@ -18,15 +18,12 @@ import (
 // Package is one loaded, parsed, type-checked package.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Types   *types.Package
 	Info    *types.Info
 
-	// TypeError holds the first type-checking failure, if any. Analyzers
-	// still run on packages with type errors; they must tolerate partial
-	// type information.
+	// TypeError holds the first type-checking failure, if any. Callers
+	// report it rather than run analyzers on partial type information.
 	TypeError error
 }
 
@@ -46,9 +43,38 @@ type listedPackage struct {
 // resolution `go vet` uses, so Load works offline and never re-typechecks
 // the world from source.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+	roots, exports, err := list(dir, patterns)
+	if err != nil {
+		return nil, err
 	}
+	var pkgs []*Package
+	for _, lp := range roots {
+		if lp.Error != nil {
+			return nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		var files []string
+		for _, f := range lp.GoFiles {
+			files = append(files, filepath.Join(lp.Dir, f))
+		}
+		pkg, err := CheckPackage(lp.ImportPath, files, exports)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
+// Exports returns the import path -> export data file map of patterns and
+// all their dependencies, for CheckPackage.
+func Exports(dir string, patterns ...string) (map[string]string, error) {
+	_, exports, err := list(dir, patterns)
+	return exports, err
+}
+
+// list runs `go list -export -deps` over patterns and returns the root
+// packages and every listed package's export data file.
+func list(dir string, patterns []string) ([]listedPackage, map[string]string, error) {
 	args := append([]string{"list", "-e", "-export", "-deps",
 		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -57,7 +83,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.String())
+		return nil, nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.String())
 	}
 
 	exports := make(map[string]string) // import path -> export data file
@@ -68,7 +94,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err := dec.Decode(&lp); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
+			return nil, nil, fmt.Errorf("analysis: decoding go list output: %v", err)
 		}
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
@@ -77,29 +103,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			roots = append(roots, lp)
 		}
 	}
-
-	var pkgs []*Package
-	for _, lp := range roots {
-		if lp.Error != nil {
-			return nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		var files []string
-		for _, f := range lp.GoFiles {
-			files = append(files, filepath.Join(lp.Dir, f))
-		}
-		pkg, err := CheckPackage(lp.ImportPath, lp.Dir, files, exports)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
+	return roots, exports, nil
 }
 
 // CheckPackage parses and type-checks one package from source, resolving
 // imports through export data files (import path -> file). It is shared by
 // Load and the analysistest harness.
-func CheckPackage(pkgPath, dir string, filenames []string, exports map[string]string) (*Package, error) {
+func CheckPackage(pkgPath string, filenames []string, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, fn := range filenames {
@@ -123,27 +133,15 @@ func CheckPackage(pkgPath, dir string, filenames []string, exports map[string]st
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	var firstErr error
-	conf := types.Config{
-		Importer: imp,
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
-	}
-	tpkg, _ := conf.Check(pkgPath, fset, files, info)
+	conf := types.Config{Importer: imp}
+	_, err := conf.Check(pkgPath, fset, files, info)
 	return &Package{
 		PkgPath:   pkgPath,
-		Dir:       dir,
 		Fset:      fset,
 		Files:     files,
-		Types:     tpkg,
 		Info:      info,
-		TypeError: firstErr,
+		TypeError: err,
 	}, nil
 }

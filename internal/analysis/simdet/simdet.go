@@ -1,8 +1,22 @@
-// Package simdet enforces determinism in the simulator/planner packages:
-// the discrete-event simulator regenerates every figure in the paper, and
-// its schedules must replay bit-identically run after run. Wall-clock
-// reads, the global math/rand source, goroutine spawns, and order-sensitive
-// iteration over unordered maps all break that guarantee silently.
+// Package simdet enforces determinism in the simulator/planner packages
+// (internal/sim, itersim, plan, cost, strategy): the discrete-event
+// simulator regenerates every figure in the paper, and its schedules must
+// replay bit-identically run after run. It flags what breaks that
+// guarantee silently:
+//
+//   - wall-clock reads (time.Now, Since, Sleep, After, Tick, ...)
+//   - the global math/rand source (rand.Intn, rand.Float64, ...); a seeded
+//     *rand.Rand is fine
+//   - goroutine spawns, by go statement or (*join.Group).Go (schedules must
+//     not depend on runtime interleaving)
+//   - range over an unordered map when the loop body is order-sensitive:
+//     it appends to a slice, assigns a variable declared outside the loop,
+//     accumulates floating point (float addition is not associative), or
+//     pushes into a container/heap
+//
+// The collect-keys-then-sort idiom is recognized: a map range that only
+// appends keys into a slice which is subsequently passed to a sort call in
+// the same block is allowed.
 package simdet
 
 import (
@@ -16,24 +30,6 @@ import (
 // Analyzer is the simdet check.
 var Analyzer = &analysis.Analyzer{
 	Name: "simdet",
-	Doc: `forbid nondeterminism in simulator code
-
-Flags, inside the simulator and planner packages (internal/sim, itersim,
-plan, cost, strategy):
-
-  - wall-clock reads (time.Now, Since, Sleep, After, Tick, ...)
-  - the global math/rand source (rand.Intn, rand.Float64, ...); a seeded
-    *rand.Rand is fine
-  - goroutine spawns, by go statement or (*join.Group).Go (schedules must
-    not depend on runtime interleaving)
-  - range over an unordered map when the loop body is order-sensitive:
-    it appends to a slice, assigns a variable declared outside the loop,
-    accumulates floating point (float addition is not associative), or
-    pushes into a container/heap
-
-The collect-keys-then-sort idiom is recognized: a map range that only
-appends keys into a slice which is subsequently passed to a sort call in
-the same block is allowed.`,
 	Scope: []string{
 		"ratel/internal/sim",
 		"ratel/internal/itersim",
@@ -59,7 +55,7 @@ var seededConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -73,7 +69,6 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {

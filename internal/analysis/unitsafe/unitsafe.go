@@ -2,7 +2,19 @@
 // dimension-consistent. The planner's iteration-time model (Eqs. 1-5) and
 // the NVMe throttles are all ratios of sized quantities; once a byte count
 // is divided by a bandwidth "by hand", or scaled by a bare 1e9, the type
-// system can no longer see the unit error that follows.
+// system can no longer see the unit error that follows. It flags,
+// everywhere except the units package itself:
+//
+//   - float64(bytes) / float64(bandwidth): use units.TransferTime (or
+//     units.TransferDuration for a time.Duration)
+//   - float64(flops) / float64(throughput): use units.ComputeTime
+//   - a raw integer divided by a units bandwidth/throughput value: wrap the
+//     count in its units type and use the helper
+//   - multiplying or dividing a units-typed value by a bare magnitude
+//     constant (1e9, 1e12, 1<<20/30/40): use the accessor methods
+//     (GiBf, GBpsf, TFLOPf, Seconds.Duration, ...)
+//   - units.Bytes(len(s)) where s's elements are wider than one byte: an
+//     element count is not a byte count
 package unitsafe
 
 import (
@@ -17,21 +29,7 @@ const unitsPkg = "ratel/internal/units"
 
 // Analyzer is the unitsafe check.
 var Analyzer = &analysis.Analyzer{
-	Name: "unitsafe",
-	Doc: `flag unit arithmetic that bypasses the units helpers
-
-Flags, everywhere except the units package itself:
-
-  - float64(bytes) / float64(bandwidth): use units.TransferTime (or
-    units.TransferDuration for a time.Duration)
-  - float64(flops) / float64(throughput): use units.ComputeTime
-  - a raw integer divided by a units bandwidth/throughput value: wrap the
-    count in its units type and use the helper
-  - multiplying or dividing a units-typed value by a bare magnitude
-    constant (1e9, 1e12, 1<<20/30/40): use the accessor methods
-    (GiBf, GBpsf, TFLOPf, Seconds.Duration, ...)
-  - units.Bytes(len(s)) where s's elements are wider than one byte: an
-    element count is not a byte count`,
+	Name:    "unitsafe",
 	Exclude: []string{unitsPkg},
 	Run:     run,
 }
@@ -50,7 +48,7 @@ var ratioHelpers = []struct {
 // factors to flag.
 var magnitudes = []int64{1e9, 1e12, 1 << 20, 1 << 30, 1 << 40}
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -63,7 +61,6 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // unitsOperand resolves e to the units-package named type of the value it

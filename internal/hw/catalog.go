@@ -128,10 +128,4 @@ const (
 	// RatelHostBaseBytes is Ratel's fixed host overhead (runtime, I/O
 	// buffers, dataset staging).
 	RatelHostBaseBytes = units.Bytes(6 * units.GiB)
-
-	// CPUAdamChunkOverlap is the fraction of optimizer SSD I/O that the
-	// naive per-tensor handler fails to overlap with CPU compute (Fig. 3a
-	// serializes all three steps; the optimized schedule of Fig. 3b overlaps
-	// them fully).
-	CPUAdamChunkOverlap = 1.0
 )

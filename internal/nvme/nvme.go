@@ -49,8 +49,6 @@ type Config struct {
 	// bandwidth by sleeping, so that wall-clock behaviour matches the
 	// device model.
 	ReadBW, WriteBW units.BytesPerSecond
-	// HostCap, when non-zero, throttles the aggregate of all devices.
-	HostCap units.BytesPerSecond
 	// OpLatency, when non-zero, adds a fixed per-chunk access latency on
 	// top of the bandwidth throttle (NVMe reads cost tens of microseconds
 	// before the first byte arrives).
@@ -129,10 +127,6 @@ type Array struct {
 
 	closeOnce sync.Once
 	closeErr  error
-
-	hostMu    sync.Mutex // serializes host-link throttle accounting
-	hostSlot  time.Time  // end of the host link's last modeled busy interval
-	hostCarry float64    // sub-nanosecond remainder of host-cap charges
 
 	tracer atomic.Pointer[obs.Tracer]     // optional wall-clock span recorder
 	obsv   atomic.Pointer[arrayObservers] // optional latency/flow instruments
@@ -556,10 +550,6 @@ func (a *Array) transfer(obj object, buf []byte, write bool) error {
 	defer cur.Add(-1)
 
 	nchunks := len(obj.chunks)
-	if nchunks == 0 {
-		a.throttleHost(obj.size)
-		return nil
-	}
 	bw := a.cfg.ReadBW
 	if write {
 		bw = a.cfg.WriteBW
@@ -583,7 +573,6 @@ func (a *Array) transfer(obj object, buf []byte, write bool) error {
 				return err
 			}
 		}
-		a.throttleHost(obj.size)
 		return nil
 	}
 	x := a.xpool.get(ndevs)
@@ -599,11 +588,7 @@ func (a *Array) transfer(obj object, buf []byte, write bool) error {
 	x.wg.Wait()
 	err := x.err
 	a.xpool.put(x)
-	if err != nil {
-		return err
-	}
-	a.throttleHost(obj.size)
-	return nil
+	return err
 }
 
 // runStrideInline moves one device stride synchronously on the caller's
@@ -635,32 +620,6 @@ func inflightEnter(cur, peak *atomic.Int64) {
 		if n <= p || peak.CompareAndSwap(p, n) {
 			return
 		}
-	}
-}
-
-// throttleHost enforces the aggregate host-link cap with the same
-// slot+carry model as the device lanes: the busy interval is advanced under
-// the lock but the sleep happens outside it, so concurrent transfers pace
-// against shared accounting instead of serializing on each other's sleeps,
-// and the fractional-nanosecond carry keeps streams of tiny transfers from
-// rounding down to free.
-func (a *Array) throttleHost(n int) {
-	if a.cfg.HostCap <= 0 || n <= 0 {
-		return
-	}
-	a.hostMu.Lock()
-	total := a.hostCarry + units.TransferNanos(units.Bytes(n), a.cfg.HostCap)
-	dur := time.Duration(total)
-	a.hostCarry = total - float64(dur)
-	now := time.Now()
-	if a.hostSlot.Before(now) {
-		a.hostSlot = now
-	}
-	a.hostSlot = a.hostSlot.Add(dur)
-	wait := a.hostSlot.Sub(now)
-	a.hostMu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
 	}
 }
 

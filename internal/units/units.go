@@ -19,10 +19,7 @@ const (
 	GiB Bytes = 1 << 30
 	TiB Bytes = 1 << 40
 
-	KB Bytes = 1e3
-	MB Bytes = 1e6
 	GB Bytes = 1e9
-	TB Bytes = 1e12
 )
 
 // GiBf reports b in binary gigabytes as a float, the unit the paper's

@@ -9,6 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ratel/internal/analysis"
+	"ratel/internal/analysis/errdrop"
+	"ratel/internal/analysis/simdet"
+	"ratel/internal/analysis/unitsafe"
 )
 
 // sourceFile is one parsed .go file of the module; path is slash-separated
@@ -169,5 +174,52 @@ func TestPoolFanOutsHaveCoveringTests(t *testing.T) {
 		if dir := path.Dir(strings.Fields(site)[0]); !tests[dir+" "+test] {
 			t.Errorf("fanOutCovers: %s has no %s", dir, test)
 		}
+	}
+}
+
+// TestStaticAnalysis runs the module's three analyzers — errdrop, simdet and
+// unitsafe (DESIGN §8) — over every program package and fails on any finding
+// and on any package that does not type-check. The program packages are all
+// but ratel/bench, the benchmark harness (ROADMAP item 1a). Nothing
+// suppresses a finding: a false positive is fixed in the rule or in the
+// code.
+//
+// The package set is moduleSources' walk, and the loader's view (go list, a
+// subprocess go test cannot see into) must agree with it: go test caches a
+// pass keyed by the files and directories the test itself reads, so a new
+// package or an edited file reruns the analyzers.
+func TestStaticAnalysis(t *testing.T) {
+	_, files := moduleSources(t)
+	walked := map[string]bool{}
+	for _, s := range files {
+		if !s.isTest() {
+			walked[path.Join("ratel", path.Dir(s.path))] = true
+		}
+	}
+	delete(walked, "ratel/bench")
+
+	pkgs, err := analysis.Load(".", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzers := []*analysis.Analyzer{errdrop.Analyzer, simdet.Analyzer, unitsafe.Analyzer}
+	for _, pkg := range pkgs {
+		if pkg.PkgPath == "ratel/bench" || len(pkg.Files) == 0 { // a test-only package has no sources
+			continue
+		}
+		if !walked[pkg.PkgPath] {
+			t.Errorf("%s: go list loads it, the walk did not find it", pkg.PkgPath)
+		}
+		delete(walked, pkg.PkgPath)
+		if pkg.TypeError != nil {
+			t.Errorf("%s: %v", pkg.PkgPath, pkg.TypeError)
+			continue
+		}
+		for _, f := range analysis.Run(pkg, analyzers) {
+			t.Error(f)
+		}
+	}
+	for p := range walked {
+		t.Errorf("%s: the walk found it, go list did not load it", p)
 	}
 }
