@@ -50,11 +50,6 @@ type Options struct {
 	// LRSchedule, when non-nil, drives the learning rate per optimizer step
 	// (e.g. opt.WarmupCosine).
 	LRSchedule opt.Schedule
-	// LossScale (> 0) enables static mixed-precision loss scaling;
-	// DynamicLossScale adds overflow-driven adjustment (Serialized mode
-	// only).
-	LossScale        float64
-	DynamicLossScale bool
 	// Tracer, when non-nil, records wall-clock spans for every engine stage
 	// (export with trace.WriteEngineJSON). Metrics, when non-nil, receives
 	// per-step instrument updates (export with Registry.PublishExpvar).
@@ -80,17 +75,15 @@ func Init(opts Options) (*Session, error) {
 		return nil, fmt.Errorf("core: unknown gradient mode %v", opts.GradMode)
 	}
 	eng, err := engine.New(engine.Config{
-		Model:            opts.Model,
-		Adam:             opts.Adam,
-		GradMode:         opts.GradMode,
-		Devices:          opts.Devices,
-		Dir:              opts.Dir,
-		HostMemory:       opts.HostMemory,
-		LRSchedule:       opts.LRSchedule,
-		LossScale:        opts.LossScale,
-		DynamicLossScale: opts.DynamicLossScale,
-		Tracer:           opts.Tracer,
-		Metrics:          opts.Metrics,
+		Model:      opts.Model,
+		Adam:       opts.Adam,
+		GradMode:   opts.GradMode,
+		Devices:    opts.Devices,
+		Dir:        opts.Dir,
+		HostMemory: opts.HostMemory,
+		LRSchedule: opts.LRSchedule,
+		Tracer:     opts.Tracer,
+		Metrics:    opts.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -25,12 +25,17 @@ const ckptMagic, ckptFormat = "RATELCKP", 2
 // SaveCheckpoint writes the engine's full training state to w, each group's
 // object streamed through the optimizer's wire scratch. It joins the trailing
 // write-back first and, if that or an earlier update failed, writes nothing
-// and returns optErr: a checkpoint never holds torn state. A save that fails
-// part-way leaves a prefix in w, which LoadCheckpoint refuses. A
-// step-goroutine call.
+// and returns optErr: a checkpoint never holds torn state. Nor does it hold
+// the gradients a DelayedUpdate engine has yet to apply, so while there are
+// any it writes nothing and returns an error: FlushDelayed applies them. A
+// save that fails part-way leaves a prefix in w, which LoadCheckpoint
+// refuses. A step-goroutine call.
 func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	if e.joinWriteBack(); e.optErr != nil {
 		return e.optErr
+	}
+	if e.prevGrads != nil {
+		return fmt.Errorf("engine: a delayed update holds one step's gradients, which a checkpoint cannot carry; call FlushDelayed before SaveCheckpoint")
 	}
 	if _, err := w.Write(e.header(e.optimizer.Step(), e.model.Step())); err != nil {
 		return fmt.Errorf("engine: write checkpoint: %w", err)

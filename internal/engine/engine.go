@@ -15,7 +15,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +84,8 @@ type Config struct {
 	// update (footnote 4 of the paper): the optimizer applies iteration
 	// k-1's gradients while iteration k computes with stale parameters.
 	// Ratel rejects this because it changes the training trajectory — the
-	// engine implements it so the staleness is demonstrable.
+	// engine implements it so the staleness is demonstrable. SaveCheckpoint
+	// refuses while gradients are pending; FlushDelayed applies them.
 	DelayedUpdate bool
 	// Devices is the NVMe array width; Dir selects file backing ("" =
 	// memory).
@@ -100,20 +100,6 @@ type Config struct {
 	// LRSchedule, when non-nil, sets the learning rate at the start of
 	// every optimizer step (e.g. opt.WarmupCosine).
 	LRSchedule opt.Schedule
-	// LossScale, when > 0, amplifies the loss gradient by this factor so
-	// small gradients survive fp16 (G16); the optimizer unscales in fp32.
-	// Static scaling works with every GradMode.
-	LossScale float64
-	// DynamicLossScale adjusts the scale on overflow: a step whose
-	// gradients contain Inf/NaN is skipped and the scale halved. Requires
-	// the Serialized gradient mode — every gradient must be validated
-	// before any update is applied.
-	DynamicLossScale bool
-	// ClipGroupNorm, when > 0, clips each parameter group's gradient to
-	// this L2 norm inside its optimizer handler. Per-group rather than
-	// global: the global norm is only known after all gradients arrive,
-	// which would re-serialize the optimizer (§IV-C's whole point).
-	ClipGroupNorm float64
 	// PipelineDepth bounds the activation I/O window in each direction:
 	// forward may have up to this many write-behind offloads in flight while
 	// compute proceeds, and backward read-ahead launches the fetch for block
@@ -146,8 +132,6 @@ type Config struct {
 // Stats counts the engine's data movement.
 type Stats struct {
 	Steps int
-	// SkippedSteps counts dynamic-loss-scaling overflow skips.
-	SkippedSteps int
 	// ActBytesOffload is activation bytes written to the SSD tier.
 	ActBytesOffload units.Bytes
 	// ActBytesHost is activation bytes pinned in the host tier.
@@ -172,7 +156,6 @@ type Engine struct {
 	geom      geometry
 
 	prevGrads map[string][]float32 // pending gradients in DelayedUpdate mode
-	scaler    *opt.LossScaler      // dynamic loss scaling, nil when static/off
 
 	// groups caches ParamGroups at construction — group boundaries and the
 	// P/G tensors they reference are fixed for the model's lifetime.
@@ -323,26 +306,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Metrics != nil {
 		pool.Default().SetJobHistogram(e.ins[rowPoolJobNS].(*obs.Histogram))
 	}
-	if cfg.ClipGroupNorm > 0 {
-		if err := e.optimizer.SetClipNorm(cfg.ClipGroupNorm); err != nil {
-			return nil, errors.Join(err, a.Close())
-		}
-	}
-	if cfg.DynamicLossScale {
-		if cfg.GradMode != agoffload.Serialized {
-			err := fmt.Errorf("engine: dynamic loss scaling requires the serialized gradient mode (updates must wait for overflow validation)")
-			return nil, errors.Join(err, a.Close())
-		}
-		initial := cfg.LossScale
-		if initial == 0 {
-			initial = 1 << 16
-		}
-		scaler, err := opt.NewLossScaler(initial)
-		if err != nil {
-			return nil, errors.Join(err, a.Close())
-		}
-		e.scaler = scaler
-	}
 	e.optimizer.SetWindow(e.depth, e.groups)
 	for _, g := range e.groups {
 		if err := e.optimizer.InitGroup(g); err != nil {
@@ -361,20 +324,6 @@ func New(cfg Config) (*Engine, error) {
 	e.win.syncIO = cfg.oracleSyncIO
 	return e, nil
 }
-
-// currentScale is the active loss scale (1 = off).
-func (e *Engine) currentScale() float64 {
-	if e.scaler != nil {
-		return e.scaler.Scale()
-	}
-	if e.cfg.LossScale > 0 {
-		return e.cfg.LossScale
-	}
-	return 1
-}
-
-// LossScale reports the active loss scale (for tests and telemetry).
-func (e *Engine) LossScale() float64 { return e.currentScale() }
 
 // Close joins the optimizer's trailing write-back, stops the activation
 // window's workers and the state pipeline, and releases the NVMe array. The
@@ -451,9 +400,6 @@ func (e *Engine) TrainStepAccum(micro []Batch) (float64, error) {
 	}
 	if e.cfg.DelayedUpdate {
 		return 0, fmt.Errorf("engine: gradient accumulation with delayed update is unsupported")
-	}
-	if e.scaler != nil {
-		return 0, fmt.Errorf("engine: gradient accumulation with dynamic loss scaling is unsupported (use a static LossScale)")
 	}
 	return e.trainStep(micro)
 }
@@ -579,51 +525,24 @@ func (e *Engine) optFailed(err error) error {
 	return err
 }
 
-// finishStep drains the optimizer after backward: it joins the updates
-// already streaming, then — Serialized mode — validates the gradients
-// (dynamic loss scaling skips the whole update on overflow) and streams the
-// held-back groups through the same pipeline.
+// finishStep drains the optimizer after backward: it submits the groups
+// Serialized mode held back, then waits for every update of the step.
 func (e *Engine) finishStep() error {
-	if err := e.waitStates(); err != nil {
-		return err
-	}
 	held := e.serialized
 	e.serialized = e.serialized[:0]
-	if e.scaler != nil && gradsOverflow(held) {
-		e.scaler.OnOverflow()
-		if err := e.optimizer.CancelStep(); err != nil {
-			return err
-		}
-		e.mu.Lock()
-		e.stats.SkippedSteps++
-		e.mu.Unlock()
-		return nil
-	}
 	for _, g := range held {
 		if err := e.submitUpdate(g); err != nil {
 			return errors.Join(err, e.waitStates())
 		}
 	}
-	if err := e.waitStates(); err != nil {
-		return err
-	}
-	if e.scaler != nil {
-		e.scaler.OnGoodStep()
-	}
-	return nil
+	return e.waitStates()
 }
 
-// beginStep advances the optimizer, applies the learning-rate schedule and
-// the current gradient unscale factor.
+// beginStep advances the optimizer and applies the learning-rate schedule.
 func (e *Engine) beginStep() {
 	e.optimizer.BeginStep()
 	if e.cfg.LRSchedule != nil {
 		e.optimizer.SetLR(e.cfg.LRSchedule(e.optimizer.Step()))
-	}
-	if s := e.currentScale(); s != 1 {
-		// The scale is validated at construction; ignore the impossible
-		// error to keep the hot path clean.
-		_ = e.optimizer.SetGradScale(s)
 	}
 }
 
@@ -715,9 +634,6 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	tr.Do(obs.LaneCompute, labelLoss, func() { loss, dlogits, err = m.CrossEntropy(logits, targets) })
 	if err != nil {
 		return fail(err)
-	}
-	if s := e.currentScale(); s != 1 {
-		dlogits.Scale(float32(s))
 	}
 	// Forward's half of the step barrier: every write-behind offload joins
 	// here (head forward and the loss overlapped the tail writes), so any
@@ -929,28 +845,4 @@ func installGrads(g nn.ParamGroup, flat []float32) {
 	}
 }
 
-// gradsOverflow scans parameter-group gradients for values the fp16 (G16)
-// representation cannot carry: NaN, Inf, or magnitudes beyond the binary16
-// maximum (they would round to Inf at the offloading boundary).
-func gradsOverflow(groups []nn.ParamGroup) bool {
-	const fp16Max = 65504
-	for _, g := range groups {
-		for _, p := range g.Params {
-			for _, v := range p.G.Data {
-				f := float64(v)
-				if math.IsNaN(f) || math.Abs(f) > fp16Max {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 func actKey(block int) string { return fmt.Sprintf("act/block%d", block) }
-
-// EvalLoss computes a validation loss: forward-only, no gradients, no
-// optimizer step, dropout disabled.
-func (e *Engine) EvalLoss(tokens, targets [][]int) (float64, error) {
-	return e.model.EvalLoss(tokens, targets)
-}

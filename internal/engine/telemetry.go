@@ -71,9 +71,6 @@ type StepMetrics = obs.StepRecord
 // newest entry (zero value before the first step).
 func (e *Engine) LastStepMetrics() StepMetrics { return e.flight.Last() }
 
-// Tracer returns the engine's span tracer (nil when tracing is off).
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
-
 // metric is one /metrics instrument: its exported name, its kind, and the
 // accessor noteStep refreshes it from (nil: something else feeds it). An
 // accessor reads only what the Engine keeps between steps — the step record,
@@ -141,11 +138,6 @@ var metrics = [...]metric{
 	{"engine.act_fetched_bytes", gauge, func(e *Engine) float64 { return float64(e.actFetched.Load()) }},
 	{"engine.act_resident_bytes", gauge, func(e *Engine) float64 { return float64(e.win.resident.Load()) }},
 	{"engine.recomputed_blocks", gauge, func(e *Engine) float64 { return float64(e.recomputedN.Load()) }},
-	{"engine.skipped_steps", gauge, func(e *Engine) float64 {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return float64(e.stats.SkippedSteps)
-	}},
 
 	// Pipeline flow-control health: cumulative stalls, the last step's
 	// summed stall wait and offload-queue peak, and (below) the NVMe array's

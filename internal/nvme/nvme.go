@@ -546,7 +546,7 @@ func (a *Array) transfer(obj object, buf []byte, write bool) error {
 	if write {
 		cur, peak = &a.writesInFlight, &a.peakWrites
 	}
-	inflightEnter(cur, peak)
+	foldMax(peak, cur.Add(1))
 	defer cur.Add(-1)
 
 	nchunks := len(obj.chunks)
@@ -609,18 +609,6 @@ func (a *Array) runStrideInline(obj object, buf []byte, write bool, w int) error
 	a.perDevBytes[dev] += devBytes
 	a.statMu.Unlock()
 	return nil
-}
-
-// inflightEnter increments an in-flight counter and folds the new value
-// into its cumulative high-water mark.
-func inflightEnter(cur, peak *atomic.Int64) {
-	n := cur.Add(1)
-	for {
-		p := peak.Load()
-		if n <= p || peak.CompareAndSwap(p, n) {
-			return
-		}
-	}
 }
 
 // memBackend is a growable in-memory device.

@@ -8,8 +8,8 @@
 // any piece size: the moments round-trip through storage as raw
 // little-endian float32 and each master as its exact distance from the fp16
 // working copy the host holds (P16 + Δ, or the escape table's fp32 bits),
-// Adam is element-wise, per-group clipping is computed over the whole group,
-// and gradients are consumed in fp16 (G16) in both paths.
+// Adam is element-wise, and gradients are consumed in fp16 (G16) in both
+// paths.
 package opt
 
 import (
@@ -147,13 +147,11 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 // overflow the table, or one too small for the Δ form to be smaller, is
 // stored full.
 type OutOfCoreAdam struct {
-	cfg       AdamConfig
-	store     Store
-	prefix    string
-	step      int
-	gradScale float64 // loss-scale divisor; 0 or 1 means unscaled
-	clipNorm  float64 // per-group L2 clip; 0 disables
-	piece     int     // params per state piece (SetWindow); 0 = a group is one piece
+	cfg    AdamConfig
+	store  Store
+	prefix string
+	step   int
+	piece  int // params per state piece (SetWindow); 0 = a group is one piece
 
 	tracer     *obs.Tracer         // optional: records per-piece Adam spans
 	flows      *obs.FlowLedger     // optional: per-edge/purpose byte accounting
@@ -216,19 +214,6 @@ func (o *OutOfCoreAdam) adamLabel(group string) string {
 		return l
 	}
 	return group
-}
-
-// SetClipNorm enables per-group gradient clipping: each parameter group's
-// gradient is rescaled so its L2 norm does not exceed n. Note this is
-// per-GROUP clipping, not global-norm clipping — the global norm is only
-// known once every gradient has arrived, which is exactly the serialization
-// active gradient offloading exists to avoid.
-func (o *OutOfCoreAdam) SetClipNorm(n float64) error {
-	if n < 0 {
-		return fmt.Errorf("opt: negative clip norm %v", n)
-	}
-	o.clipNorm = n
-	return nil
 }
 
 // NewOutOfCoreAdam creates an optimizer over the given store. prefix
@@ -396,12 +381,12 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	}
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	clip, label := o.clipScale(g), o.adamLabel(g.Name)
+	label := o.adamLabel(g.Name)
 	for _, pc := range o.cut(g.Name, g.NumParams()) {
 		obj := scratch(&o.scr.wire, StateBytes(pc.n, true))[:pc.stored()]
 		err := o.readState(pc.key, obj)
 		if err == nil {
-			obj, err = o.applyTo(obj, g, pc, o.cfg, o.step, clip, label)
+			obj, err = o.applyTo(obj, g, pc, o.cfg, o.step, label)
 		}
 		if err == nil {
 			err = o.store.Put(pc.key, obj)
@@ -419,7 +404,7 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 // one; stage the piece's gradients; walk Adam over it at (cfg, step), which
 // installs P16; and seal it in the form it will be written in, which it
 // records and returns the object of. Caller holds scrMu.
-func (o *OutOfCoreAdam) applyTo(obj []byte, g nn.ParamGroup, pc *piece, cfg AdamConfig, step int, clip float32, label string) ([]byte, error) {
+func (o *OutOfCoreAdam) applyTo(obj []byte, g nn.ParamGroup, pc *piece, cfg AdamConfig, step int, label string) ([]byte, error) {
 	if len(obj) != pc.stored() {
 		return nil, fmt.Errorf("opt: decode %s: state object is %d bytes, want %d", pc.key, len(obj), pc.stored())
 	}
@@ -435,7 +420,7 @@ func (o *OutOfCoreAdam) applyTo(obj []byte, g nn.ParamGroup, pc *piece, cfg Adam
 		}
 	}
 	grad := scratch(&o.scr.grad, pc.n)
-	if err := o.stageGrads(grad, g, pc.lo, clip); err != nil {
+	if err := o.stageGrads(grad, g, pc.lo); err != nil {
 		return nil, err
 	}
 	obj = o.seal(obj, g, pc, o.adamDelta(obj, g, pc, newAdamCoef(cfg, step), grad, esc, label))
@@ -448,68 +433,18 @@ func (o *OutOfCoreAdam) applyTo(obj []byte, g nn.ParamGroup, pc *piece, cfg Adam
 	return obj, nil
 }
 
-// unscale is the factor that divides the loss scale back out of a gradient.
-func (o *OutOfCoreAdam) unscale() float64 {
-	if o.gradScale > 0 {
-		return 1 / o.gradScale
-	}
-	return 1
-}
-
-// clipScale is the factor that rescales g's staged gradient to the
-// per-group clip norm: 1 when clipping is off or the norm is within it. The
-// norm is summed over the whole group in staging order, from the values
-// stageGrads stages, so every piece of the group is scaled alike and as the
-// whole group staged at once would be.
-func (o *OutOfCoreAdam) clipScale(g nn.ParamGroup) float32 {
-	if o.clipNorm <= 0 {
-		return 1
-	}
-	inv := o.unscale()
-	var sq float64
-	for _, p := range g.Params {
-		for _, gv := range p.G.Data {
-			v := float64(float32(float64(tensor.RoundFP16(gv)) * inv))
-			sq += v * v
-		}
-	}
-	if norm := math.Sqrt(sq); norm > o.clipNorm {
-		return float32(o.clipNorm / norm)
-	}
-	return 1
-}
-
 // stageGrads fills dst with params [lo, lo+len(dst)) of the group's
 // gradients as the optimizer consumes them: rounded to fp16 (G16, the form
-// they cross PCIe in), unscaled in fp32, and scaled by the group's clip
-// factor.
-func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup, lo int, clip float32) error {
-	inv := o.unscale()
+// they cross PCIe in) by the chunked fp16 round kernel.
+func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup, lo int) error {
 	err := overlap(g, lo, lo+len(dst), func(p nn.Param, a, b, at int) error {
-		out := dst[at : at+b-a]
-		if inv == 1 {
-			// G16 boundary, unscaled: stage through the chunked fp16 round
-			// kernel (vectorized where available, bit-identical to the
-			// scalar path per element).
-			return tensor.RoundFP16Into(out, p.G.Data[a:b])
-		}
-		for i, gv := range p.G.Data[a:b] {
-			// G16 boundary: gradients cross PCIe in fp16 (at loss-scaled
-			// magnitude), then unscale in fp32. The unscale multiply is
-			// float64 — a float32 vector multiply would change bits, so
-			// the scaled path stays scalar.
-			out[i] = float32(float64(tensor.RoundFP16(gv)) * inv)
-		}
-		return nil
+		return tensor.RoundFP16Into(dst[at:at+b-a], p.G.Data[a:b])
 	})
 	if err != nil {
 		return fmt.Errorf("opt: stage grad %s: %w", g.Name, err)
 	}
 	// Gradients crossed the compute→host boundary in fp16 (G16).
 	o.flows.Add(obs.EdgeComputeHost, obs.FlowGrads, int64(2*len(dst)))
-	if clip != 1 {
-		simd.Scale(dst, clip)
-	}
 	return nil
 }
 

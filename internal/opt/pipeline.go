@@ -80,11 +80,10 @@ type groupJob struct {
 	g     nn.ParamGroup
 	label string // Adam span label, precomputed
 
-	// step, cfg and clip are the optimizer step, the hyperparameters and the
-	// group's clip factor captured at submit time.
+	// step and cfg are the optimizer step and the hyperparameters captured
+	// at submit time.
 	step int
 	cfg  AdamConfig
-	clip float32
 
 	pieces []pieceJob
 }
@@ -176,7 +175,7 @@ func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 		}
 		return fmt.Errorf("opt: Submit(%s): previous update failed: %w", g.Name, failed)
 	}
-	j.step, j.cfg, j.clip = p.o.step, p.o.cfg, p.o.clipScale(g)
+	j.step, j.cfg = p.o.step, p.o.cfg
 	for i := range j.pieces {
 		p.readQ <- &j.pieces[i]
 	}
@@ -321,7 +320,7 @@ func (o *OutOfCoreAdam) applyPiece(pc *pieceJob) error {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	j := pc.grp
-	obj, err := o.applyTo(pc.buf, j.g, pc.piece, j.cfg, j.step, j.clip, j.label)
+	obj, err := o.applyTo(pc.buf, j.g, pc.piece, j.cfg, j.step, j.label)
 	if err == nil {
 		pc.buf = obj
 	}
