@@ -40,13 +40,9 @@ type Options struct {
 	// when non-empty.
 	Devices int
 	Dir     string
-	// HostMemory caps pinned host staging (0 = unlimited).
-	HostMemory units.Bytes
 	// Rates describes the hardware the activation planner should optimize
 	// for; zero values fall back to the paper's evaluation server.
 	Rates engine.HWRates
-	// DisablePlanner skips profiling+planning (everything recomputed).
-	DisablePlanner bool
 	// LRSchedule, when non-nil, drives the learning rate per optimizer step
 	// (e.g. opt.WarmupCosine).
 	LRSchedule opt.Schedule
@@ -80,7 +76,6 @@ func Init(opts Options) (*Session, error) {
 		GradMode:   opts.GradMode,
 		Devices:    opts.Devices,
 		Dir:        opts.Dir,
-		HostMemory: opts.HostMemory,
 		LRSchedule: opts.LRSchedule,
 		Tracer:     opts.Tracer,
 		Metrics:    opts.Metrics,
@@ -89,9 +84,6 @@ func Init(opts Options) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{eng: eng, opts: opts}
-	if opts.DisablePlanner {
-		return s, nil
-	}
 
 	rates := opts.Rates
 	if rates.THPG == 0 {

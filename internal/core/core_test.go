@@ -57,16 +57,6 @@ func TestInitRunsPlanner(t *testing.T) {
 	if s.Plan().AG2M <= 0 {
 		t.Error("planner did not run at Init")
 	}
-
-	opts.DisablePlanner = true
-	s2, err := Init(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Plan().AG2M != 0 {
-		t.Error("DisablePlanner should skip planning")
-	}
 }
 
 func TestInitRejectsBadOptions(t *testing.T) {

@@ -3,10 +3,8 @@ package engine
 import (
 	"sync/atomic"
 
-	"ratel/internal/memctl"
 	"ratel/internal/nn"
 	"ratel/internal/tensor"
-	"ratel/internal/units"
 )
 
 // blobArena is the host tier of the engine's steady-state swap memory (the
@@ -25,7 +23,7 @@ type blobArena struct {
 // hostBlob is one block's SwapHost cache, written by forward and read by
 // backward on the step goroutine. The blob allocates on first use and stays
 // with the block while it is in the tier; pinned is set exactly while the
-// blob holds this step's cache and its bytes are charged to the host pool.
+// blob holds this step's cache.
 type hostBlob struct {
 	blob   []byte
 	pinned bool
@@ -45,14 +43,11 @@ func keepBlob(b *[]byte, n int, reuses *atomic.Int64) []byte {
 	return *b
 }
 
-// releaseHost frees every host-tier blob still charged to pool — the failure
-// path's half of "no host-pool charge outlives its step".
-func (ar *blobArena) releaseHost(pool *memctl.Pool) {
+// releaseHost unpins every host-tier blob — the failure path's half of "no
+// pinned cache outlives its step".
+func (ar *blobArena) releaseHost() {
 	for i := range ar.host {
-		if h := &ar.host[i]; h.pinned {
-			pool.Free(units.Bytes(len(h.blob)))
-			h.pinned = false
-		}
+		ar.host[i].pinned = false
 	}
 }
 

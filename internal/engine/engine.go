@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ratel/internal/agoffload"
-	"ratel/internal/memctl"
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
@@ -95,8 +94,6 @@ type Config struct {
 	// knobs (bandwidth per device, per-op latency, checksums); Devices and
 	// Dir above still apply, and its FCFS is replaced by oracleFCFS.
 	SSD *nvme.Config
-	// HostMemory caps the host staging pool (0 = unlimited).
-	HostMemory units.Bytes
 	// LRSchedule, when non-nil, sets the learning rate at the start of
 	// every optimizer step (e.g. opt.WarmupCosine).
 	LRSchedule opt.Schedule
@@ -152,7 +149,6 @@ type Engine struct {
 	model     *nn.Model
 	array     *nvme.Array
 	optimizer *opt.OutOfCoreAdam
-	hostPool  *memctl.Pool
 	geom      geometry
 
 	prevGrads map[string][]float32 // pending gradients in DelayedUpdate mode
@@ -274,7 +270,6 @@ func New(cfg Config) (*Engine, error) {
 		model:     m,
 		array:     a,
 		optimizer: opt.NewOutOfCoreAdam(a, cfg.Adam, "states"),
-		hostPool:  memctl.NewPool("host", cfg.HostMemory),
 		geom:      geometryOf(cfg.Model),
 		groups:    m.ParamGroups(),
 		inputs:    make([]*tensor.Tensor, len(m.Blocks)),
@@ -320,7 +315,7 @@ func New(cfg Config) (*Engine, error) {
 		// The state window reuses the activation window depth.
 		e.states = opt.NewStatePipeline(e.optimizer, e.depth, e.groups)
 	}
-	e.win = newActWindow(a, e.hostPool, cfg.Tracer, e.labels, e.blobLen, &e.arena.blobReuses, e.depth)
+	e.win = newActWindow(a, cfg.Tracer, e.labels, e.blobLen, &e.arena.blobReuses, e.depth)
 	e.win.syncIO = cfg.oracleSyncIO
 	return e, nil
 }
@@ -555,14 +550,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	m.NextStep()       // fresh dropout masks; recomputation below replays them
 	groups := e.groups // embedding, block0..N-1, head
 	fail := func(err error) (float64, time.Duration, time.Duration, error) {
-		// The step barrier holds on failure too: join every transfer in flight
-		// and free the host tier's pinned blobs, so no transfer, transfer error
-		// or host-pool charge outlives this step.
-		if derr := e.win.barrier(); derr != nil {
-			err = errors.Join(err, derr)
-		}
-		e.arena.releaseHost(e.hostPool)
-		return 0, fwdDur, bwdDur, err
+		return 0, fwdDur, bwdDur, e.abortBatch(err)
 	}
 	tr := e.tracer
 	// The batch's working set: whatever the last batch left in the arenas —
@@ -603,13 +591,9 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			e.actOffload.Add(int64(e.blobLen))
 		case SwapHost:
 			// Pin the cache in main memory until backward consumes it: the
-			// block's own blob holds the bytes, charged to the host pool for
-			// exactly that long.
+			// block's own blob holds the bytes.
 			if err := e.stashCache(e.arena.hostBuf(i, e.blobLen), c, e.labels[i].pin); err != nil {
 				return fail(err)
-			}
-			if err := e.hostPool.Alloc(units.Bytes(e.blobLen)); err != nil {
-				return fail(fmt.Errorf("engine: host tier for block %d: %w", i, err))
 			}
 			e.arena.host[i].pinned = true
 			e.actHost.Add(int64(e.blobLen))
@@ -708,7 +692,6 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			if c, err = e.reviveCache(h.blob, inputs[i]); err != nil {
 				return fail(err)
 			}
-			e.hostPool.Free(units.Bytes(len(h.blob)))
 			h.pinned = false
 		default:
 			if i == len(m.Blocks)-1 {
@@ -752,6 +735,18 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	bwdDur = time.Since(bwdStart)
 	tr.Instant(obs.LaneStep, labelBwdEnd)
 	return loss, fwdDur, bwdDur, nil
+}
+
+// abortBatch is the step barrier's failure half: it unpins the host tier's
+// blobs and joins every transfer in flight, so no pinned cache, transfer or
+// transfer error outlives a failed batch, and returns err joined with what
+// the barrier found.
+func (e *Engine) abortBatch(err error) error {
+	e.arena.releaseHost()
+	if derr := e.win.barrier(); derr != nil {
+		err = errors.Join(err, derr)
+	}
+	return err
 }
 
 // releaseBlock ends a block's scope: its cache and its temporaries are dead,

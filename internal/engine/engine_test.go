@@ -281,20 +281,6 @@ func TestSSDFaultPropagates(t *testing.T) {
 	}
 }
 
-// TestHostPoolLimit: an impossible host staging budget fails cleanly.
-func TestHostPoolLimit(t *testing.T) {
-	e := newEngine(t, Config{
-		GradMode:   agoffload.Optimized,
-		Swap:       map[int]Tier{0: SwapSSD},
-		HostMemory: 16, // bytes — absurdly small
-	})
-	cfg := e.cfg.Model
-	tokens, targets := data(cfg, 1)
-	if _, err := e.TrainStep(tokens, targets); err == nil {
-		t.Fatal("expected host staging OOM")
-	}
-}
-
 // TestBlockForwardFLOPsMatchItsProducts: what the planner charges a block is
 // two FLOPs per multiply-add of the matrix products one Block.Forward runs,
 // counted the way the kernels' drivers count their work (m·k·n, half of it for

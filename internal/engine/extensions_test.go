@@ -17,7 +17,6 @@ import (
 	"ratel/internal/nn"
 	"ratel/internal/opt"
 	"ratel/internal/tensor"
-	"ratel/internal/units"
 )
 
 // TestHostTierTransparency: pinning caches in main memory (SwapHost) is
@@ -73,25 +72,6 @@ func TestMixedTiers(t *testing.T) {
 	st := mixed.Stats()
 	if st.ActBytesHost == 0 || st.ActBytesOffload == 0 || st.RecomputedBlocks != 2 {
 		t.Errorf("mixed-tier traffic wrong: %+v", st)
-	}
-}
-
-// TestHostTierReleasesMemory: after backward, host-tier reservations are
-// freed, so a pool sized for one step suffices indefinitely.
-func TestHostTierReleasesMemory(t *testing.T) {
-	e := newEngine(t, Config{
-		GradMode:   agoffload.Optimized,
-		Swap:       map[int]Tier{0: SwapHost, 1: SwapHost, 2: SwapHost},
-		HostMemory: 64 * units.KiB, // roughly one step's caches
-	})
-	for s := 0; s < 4; s++ {
-		tokens, targets := data(e.cfg.Model, int64(s))
-		if _, err := e.TrainStep(tokens, targets); err != nil {
-			t.Fatalf("step %d: %v (host tier leaking?)", s, err)
-		}
-	}
-	if used := e.hostPool.Used(); used != 0 {
-		t.Errorf("host pool retains %v after steps", used)
 	}
 }
 

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"ratel/internal/join"
-	"ratel/internal/memctl"
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
-	"ratel/internal/units"
 )
 
 // This file is the activation I/O window (§IV-C/§IV-D, Fig. 4): the one
@@ -27,8 +25,8 @@ import (
 // runBatch reaches the ring through three methods, each taking one slot and
 // giving it up exactly once on every path — offload, prefetch, consume — and
 // barrier, which takes and returns them all at the forward/backward boundary
-// and on every failure path, so no transfer, error or host-pool charge
-// outlives its step. acquire and release have no caller outside this file
+// and on every failure path, so no transfer or error outlives its step.
+// acquire and release have no caller outside this file
 // (TestSlotProtocolStaysInPipeline).
 //
 // The ring needs no lock. Forward has at most depth writes in flight: block
@@ -45,10 +43,9 @@ import (
 // join with the block's write-behind, whose error it surfaces — and decodes
 // the bytes already there. Per slot, the resident block is the last SSD block
 // that offloaded into it. This is safe because nothing writes a held slot in
-// between: the barrier and reserveStaged give it back untouched, and the
-// read-ahead of block j lands in slot j mod (depth+1) only after every block
-// from j+depth+1 up — the slot's last offloader among them, unless that is j
-// — has been consumed.
+// between: the barrier gives it back untouched, and the read-ahead of block j
+// lands in slot j mod (depth+1) only after every block from j+depth+1 up —
+// the slot's last offloader among them, unless that is j — has been consumed.
 
 // DefaultPipelineDepth is the activation I/O window used when
 // Config.PipelineDepth is zero: up to 2 blobs in flight per direction.
@@ -84,7 +81,6 @@ type stallCount struct {
 // belongs to the engine's step goroutine.
 type actWindow struct {
 	array   *nvme.Array
-	host    *memctl.Pool
 	tracer  *obs.Tracer
 	labels  []blockLabels // the engine's, by block
 	blobLen int
@@ -115,9 +111,9 @@ type actWindow struct {
 // newActWindow builds the depth+1 ring of blobLen-byte slots and starts one
 // worker per in-flight transfer the window allows (depth): fewer would leave
 // device bandwidth idle between blob boundaries.
-func newActWindow(a *nvme.Array, host *memctl.Pool, tr *obs.Tracer, labels []blockLabels, blobLen int, reuses *atomic.Int64, depth int) *actWindow {
+func newActWindow(a *nvme.Array, tr *obs.Tracer, labels []blockLabels, blobLen int, reuses *atomic.Int64, depth int) *actWindow {
 	w := &actWindow{
-		array: a, host: host, tracer: tr, labels: labels, blobLen: blobLen, reuses: reuses,
+		array: a, tracer: tr, labels: labels, blobLen: blobLen, reuses: reuses,
 		ring:  make([]chan ringSlot, depth+1),
 		holds: make([]int, depth+1),
 		jobs:  make(chan ioJob, depth+1),
@@ -133,8 +129,7 @@ func newActWindow(a *nvme.Array, host *memctl.Pool, tr *obs.Tracer, labels []blo
 }
 
 // worker runs transfers until the window is closed. Every job returns its
-// slot — a write after freeing the staging bytes offload charged for it — no
-// matter how the transfer went: the error travels in the slot.
+// slot no matter how the transfer went: the error travels in the slot.
 func (w *actWindow) worker() {
 	for j := range w.jobs {
 		var err error
@@ -142,7 +137,6 @@ func (w *actWindow) worker() {
 			w.tracer.Do(obs.LanePrefetch, j.l.prefetch, func() { err = w.array.ReadInto(j.l.actKey, j.blob) })
 		} else {
 			w.tracer.Do(obs.LaneOffload, j.l.write, func() { err = w.array.Put(j.l.actKey, j.blob) })
-			w.host.Free(units.Bytes(len(j.blob)))
 		}
 		w.ring[j.slot] <- ringSlot{blob: j.blob, err: err}
 	}
@@ -201,19 +195,16 @@ func (w *actWindow) submit(j ioJob) {
 
 // offload is forward's write-behind of one block: fill encodes its cache into
 // the slot's blob and a worker puts the blob to the array while the next block
-// computes, its bytes charged to the host pool until the write retires. Taking
-// the slot bounds reuse (a full window stalls here) and surfaces the error of
-// the transfer that last used it; any error gives the slot back. Once the
-// write is submitted the slot holds block's blob.
+// computes. Taking the slot bounds reuse (a full window stalls here) and
+// surfaces the error of the transfer that last used it; any error gives the
+// slot back. Once the write is submitted the slot holds block's blob.
 func (w *actWindow) offload(block int, fill func(blob []byte) error) error {
 	l, i := &w.labels[block], block%len(w.ring)
 	s, err := w.acquire(i, l.stall, &w.offloadStall)
 	if err != nil {
 		err = fmt.Errorf("engine: offload activations: %w", err)
-	} else if err = fill(w.buf(&s)); err == nil {
-		if err = w.reserveStaged(block); err != nil {
-			err = fmt.Errorf("engine: host staging for block %d: %w", block, err)
-		}
+	} else {
+		err = fill(w.buf(&s))
 	}
 	if err != nil {
 		w.holds[i] = 0
@@ -280,25 +271,4 @@ func (w *actWindow) barrier() error {
 func (w *actWindow) startStep() {
 	w.offloadStall, w.fetchStall, w.queuePeak = stallCount{}, stallCount{}, 0
 	clear(w.holds)
-}
-
-// reserveStaged charges the host pool for block's encoded blob (the worker
-// frees the bytes when the write retires), treating a full pool as
-// backpressure while writes are in flight: each retired write frees its
-// bytes, so joining the oldest — the slots after block's hold the window's
-// writes from oldest to newest — and retrying makes progress. Only when none
-// is left in flight (or the error is not an OOM) does the failure surface.
-func (w *actWindow) reserveStaged(block int) error {
-	for k := 1; ; k++ {
-		err := w.host.Alloc(units.Bytes(w.blobLen))
-		if err == nil || !errors.Is(err, memctl.ErrOOM) || k == len(w.ring) {
-			return err
-		}
-		oldest := (block + k) % len(w.ring)
-		s, werr := w.acquire(oldest, w.labels[block].stall, &w.offloadStall)
-		w.release(oldest, s)
-		if werr != nil {
-			return werr
-		}
-	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ratel/internal/agoffload"
-	"ratel/internal/memctl"
 	"ratel/internal/nn"
 	"ratel/internal/nvme"
 	"ratel/internal/obs"
@@ -25,7 +24,7 @@ import (
 // pipelineIdle asserts the invariants the step barrier guarantees between
 // steps, successful or failed: every ring slot home (so no transfer in
 // flight, in either direction) with a buffer of its own, every transfer
-// error taken, no leaked host-pool reservation — staging or host tier.
+// error taken, no host-tier blob still pinned.
 func pipelineIdle(t *testing.T, e *Engine) {
 	t.Helper()
 	for slot, tok := range e.win.ring {
@@ -48,11 +47,8 @@ func pipelineIdle(t *testing.T, e *Engine) {
 	}
 	for i := range e.arena.host {
 		if e.arena.host[i].pinned {
-			t.Fatalf("block %d still holds its host-tier reservation after the step barrier", i)
+			t.Fatalf("block %d still pinned after the step barrier", i)
 		}
-	}
-	if used := e.hostPool.Used(); used != 0 {
-		t.Fatalf("host pool still holds %v after the step barrier", used)
 	}
 }
 
@@ -211,25 +207,6 @@ func TestPipelineWriteFaultBarrier(t *testing.T) {
 		err := faultedStep(t, e, boom, func() { e.Array().InjectFaultAfter(0, 4, boom) })
 		if !strings.Contains(err.Error(), "offload activations") {
 			t.Fatalf("fault surfaced as %q, want it from the offload barrier", err)
-		}
-	})
-
-	// A one-blob staging pool makes every block join its predecessor's write
-	// before reserving. Two devices, each blob one chunk on each: device 1
-	// fails at once while device 0 is slow, so block 0's failed write is
-	// still in flight when block 1 runs out of pool — the error surfaces
-	// inside the backpressure join.
-	t.Run("backpressure", func(t *testing.T) {
-		e := newEngine(t, Config{
-			GradMode:   agoffload.Serialized,
-			Swap:       allSSD(3),
-			Devices:    2,
-			HostMemory: units.Bytes(geometryOf(miniConfig()).blobBytes()),
-			SSD:        &nvme.Config{StripeSize: 2048, OpLatency: 10 * time.Millisecond},
-		})
-		err := faultedStep(t, e, boom, func() { e.Array().InjectFault(1, boom) })
-		if !strings.Contains(err.Error(), "host staging for block 1") {
-			t.Fatalf("fault surfaced as %q, want it from block 1's backpressure join", err)
 		}
 	})
 }
@@ -503,49 +480,14 @@ func TestPipelineWindowStall(t *testing.T) {
 	pipelineIdle(t, slow)
 }
 
-// TestPipelinePoolBackpressure caps the host staging pool at exactly one
-// blob: every block past the first must wait for an in-flight write to
-// release its reservation before reserving its own. The retry loop must
-// make progress (no deadlock, no spurious OOM), count its stalls, and keep
-// values bit-identical.
-func TestPipelinePoolBackpressure(t *testing.T) {
-	swap := map[int]Tier{0: SwapSSD, 1: SwapSSD, 2: SwapSSD}
-	blob := geometryOf(miniConfig()).blobBytes()
-	tight := newEngine(t, Config{
-		GradMode:   agoffload.Optimized,
-		Swap:       swap,
-		HostMemory: units.Bytes(blob), // exactly one blob in flight
-		SSD:        &nvme.Config{OpLatency: time.Millisecond},
-	})
-	ref := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, oracleSyncIO: true})
-
-	tightLoss := trainK(t, tight, 2)
-	refLoss := trainK(t, ref, 2)
-	for i := range refLoss {
-		if refLoss[i] != tightLoss[i] {
-			t.Fatalf("loss[%d] differs under pool backpressure: %v vs %v", i, refLoss[i], tightLoss[i])
-		}
-	}
-	if !floatsEqual(paramsSnapshot(ref.Model()), paramsSnapshot(tight.Model())) {
-		t.Fatal("pool backpressure changed trained parameters")
-	}
-	if m := tight.LastStepMetrics(); m.OffloadStalls == 0 {
-		t.Fatalf("one-blob staging pool over 3 slow writes recorded no stalls: %+v", m)
-	}
-	pipelineIdle(t, tight)
-}
-
 // TestHostTierRecoversAfterFailedStep: a step that fails after forward pinned
-// every host-tier blob releases their reservations with the rest of the
-// step, so a HostMemory sized exactly to the host tier — the split
-// ProfileAndPlan's MemAvail is designed for — keeps training afterwards
-// instead of failing every later step out of memory.
+// every host-tier blob unpins them with the rest of the step, and training
+// goes on afterwards.
 func TestHostTierRecoversAfterFailedStep(t *testing.T) {
 	model := miniConfig()
 	e := newEngine(t, Config{
-		GradMode:   agoffload.Optimized,
-		Swap:       map[int]Tier{0: SwapHost, 1: SwapHost, 2: SwapHost},
-		HostMemory: units.Bytes(model.Layers * geometryOf(model).blobBytes()),
+		GradMode: agoffload.Optimized,
+		Swap:     map[int]Tier{0: SwapHost, 1: SwapHost, 2: SwapHost},
 	})
 	tokens, targets := data(model, 1)
 	if _, err := e.TrainStep(tokens, targets); err != nil {
@@ -793,14 +735,6 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 		{"offload/fill fails", boom, func(t *testing.T, e *Engine) error {
 			return e.win.offload(0, failing)
 		}},
-		{"offload/staging refused with no write to join", memctl.ErrOOM, func(t *testing.T, e *Engine) error {
-			held := e.cfg.HostMemory // the host tier, say, holds the whole pool
-			if err := e.hostPool.Alloc(held); err != nil {
-				t.Fatal(err)
-			}
-			defer e.hostPool.Free(held)
-			return e.win.offload(0, fill)
-		}},
 		{"consume/use fails", boom, func(t *testing.T, e *Engine) error {
 			stored(t, e.win)
 			if err := e.win.prefetch(0); err != nil {
@@ -827,7 +761,6 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 					Swap:          allSSD(model.Layers),
 					Devices:       1,
 					PipelineDepth: depth,
-					HostMemory:    units.Bytes((depth + 1) * geometryOf(model).blobBytes()),
 				})
 				trainK(t, e, 1)
 				e.Stats() // joins the step's write-back: nothing but the window touches the device below

@@ -15,8 +15,10 @@ func init() {
 }
 
 // engineExperiment fine-tunes the same miniature model with every gradient
-// schedule and activation tier, printing the loss trajectories and the
-// bit-equality verdicts — the live version of the correctness suite.
+// schedule, activation tier and a one-deep activation I/O window, printing the
+// loss trajectories and the bit-equality verdicts — the live version of the
+// correctness suite. It fails when a row differs from the serialized
+// reference, or when the DELAYED row, the one meant to be stale, does not.
 func engineExperiment(w io.Writer) error {
 	modelCfg := nn.Config{Vocab: 48, Seq: 12, Hidden: 16, Heads: 2, Layers: 3, Batch: 4, Seed: 12}
 	const steps = 10
@@ -31,6 +33,8 @@ func engineExperiment(w io.Writer) error {
 		{"optimized handlers, recompute all", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2}},
 		{"optimized handlers, all caches on SSD", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
 			Swap: map[int]engine.Tier{0: engine.SwapSSD, 1: engine.SwapSSD, 2: engine.SwapSSD}}},
+		{"optimized handlers, all caches on SSD, depth 1", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
+			Swap: map[int]engine.Tier{0: engine.SwapSSD, 1: engine.SwapSSD, 2: engine.SwapSSD}, PipelineDepth: 1}},
 		{"optimized handlers, host tier", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
 			Swap: map[int]engine.Tier{0: engine.SwapHost, 1: engine.SwapHost, 2: engine.SwapHost}}},
 		{"one-step DELAYED update (footnote 4)", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2,
@@ -74,7 +78,7 @@ func engineExperiment(w io.Writer) error {
 			return err
 		}
 
-		fmt.Fprintf(w, "%-42s loss %.4f -> %.4f", v.name, losses[0], losses[len(losses)-1])
+		fmt.Fprintf(w, "%-48s loss %.4f -> %.4f", v.name, losses[0], losses[len(losses)-1])
 		if vi == 0 {
 			ref = flat
 			fmt.Fprintln(w, "  [reference]")
@@ -92,7 +96,11 @@ func engineExperiment(w io.Writer) error {
 			fmt.Fprintf(w, "  != %d/%d parameters differ (stale)\n", diff, len(flat))
 		}
 		if st.ActBytesOffload+st.ActBytesHost > 0 {
-			fmt.Fprintf(w, "%-42s activation traffic: ssd %v, host %v\n", "", st.ActBytesOffload, st.ActBytesHost)
+			fmt.Fprintf(w, "%-48s activation traffic: ssd %v, host %v\n", "", st.ActBytesOffload, st.ActBytesHost)
+		}
+		// Only the last row, the DELAYED update, is meant to be stale.
+		if stale := diff != 0; stale != (vi == len(variants)-1) {
+			return fmt.Errorf("engine: %s: %d/%d parameters differ from the serialized reference", v.name, diff, len(flat))
 		}
 	}
 	return nil

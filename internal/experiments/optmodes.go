@@ -5,25 +5,22 @@ import (
 	"io"
 
 	"ratel/internal/agoffload"
-	"ratel/internal/data"
-	"ratel/internal/engine"
 	"ratel/internal/hw"
 	"ratel/internal/itersim"
 	"ratel/internal/model"
-	"ratel/internal/nn"
 	"ratel/internal/strategy"
 	"ratel/internal/units"
 )
 
 func init() {
-	register("optmodes", "Optimizer scheduling modes: simulated iteration comparison + real mini-engine exactness", optmodesExperiment)
+	register("optmodes", "Optimizer scheduling modes: simulated iteration comparison", optmodesExperiment)
 }
 
-// optmodesExperiment compares the optimizer scheduling modes twice over:
-// the discrete-event simulator prices a paper-scale iteration under each
-// agoffload schedule (the mode-comparison figure data), and the real mini
-// engine runs the same fine-tune under a serialized optimizer stage and the
-// default streaming state pipeline to report that the two are bit-identical.
+// optmodesExperiment compares the optimizer scheduling modes on the
+// discrete-event simulator, which prices a paper-scale iteration under each
+// agoffload schedule (the mode-comparison figure data). That the streaming
+// state pipeline is bit-identical to a serialized optimizer stage is the
+// engine experiment's reference row and the optsched tests.
 func optmodesExperiment(w io.Writer) error {
 	// ---- Simulated mode comparison (13B on the evaluation server) ----
 	cfg, err := model.ByName("13B")
@@ -61,69 +58,5 @@ func optmodesExperiment(w io.Writer) error {
 			v.name, float64(rep.Makespan), float64(rep.OptimizerTail),
 			float64(baseline)/float64(rep.Makespan))
 	}
-
-	// ---- Real mini-engine exactness ----
-	modelCfg := nn.Config{Vocab: 48, Seq: 12, Hidden: 16, Heads: 2, Layers: 3, Batch: 4, Seed: 12}
-	const steps = 12
-	type engVariant struct {
-		name string
-		cfg  engine.Config
-	}
-	engVariants := []engVariant{
-		{"serialized optimizer stage", engine.Config{Model: modelCfg, GradMode: agoffload.Serialized, Devices: 2}},
-		{"streaming pipeline (default)", engine.Config{Model: modelCfg, GradMode: agoffload.Optimized, Devices: 2}},
-	}
-	fmt.Fprintln(w)
-	var ref []float32
-	for vi, v := range engVariants {
-		e, err := engine.New(v.cfg)
-		if err != nil {
-			return err
-		}
-		loader, err := data.NewLoader(data.Progression, modelCfg.Batch, modelCfg.Seq, modelCfg.Vocab, 99)
-		if err != nil {
-			e.Close()
-			return err
-		}
-		var first, last float64
-		for s := 0; s < steps; s++ {
-			tokens, targets := loader.Next()
-			loss, err := e.TrainStep(tokens, targets)
-			if err != nil {
-				e.Close()
-				return err
-			}
-			if s == 0 {
-				first = loss
-			}
-			last = loss
-		}
-		var flat []float32
-		for _, p := range e.Model().Params() {
-			flat = append(flat, p.W.Data...)
-		}
-		// The last step's optimizer write-back reports at Close.
-		if err := e.Close(); err != nil {
-			return err
-		}
-
-		fmt.Fprintf(w, "%-28s loss %.4f -> %.4f", v.name, first, last)
-		if vi == 0 {
-			ref = flat
-			fmt.Fprintln(w, "  [reference]")
-			continue
-		}
-		diff := 0
-		for i := range flat {
-			if flat[i] != ref[i] {
-				diff++
-			}
-		}
-		if diff != 0 {
-			return fmt.Errorf("optmodes: %s: %d/%d params differ from the serialized optimizer stage", v.name, diff, len(flat))
-		}
-		fmt.Fprintln(w, "  == bit-identical to serialized")
-	}
-	fmt.Fprintf(w, "\nthe streaming pipeline moves when state is read and written (read-ahead, write-behind), never what an update computes: bit-exact.\n")
 	return nil
 }

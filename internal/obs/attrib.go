@@ -42,7 +42,7 @@ type Attribution struct {
 
 	// Stall time from LaneStall spans, split by what the loop waited for:
 	// fetch stalls (readahead missed its deadline) vs offload stalls
-	// (write-behind window full / staging pool exhausted).
+	// (write-behind window full).
 	FetchStall   time.Duration
 	OffloadStall time.Duration
 

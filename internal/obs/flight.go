@@ -49,8 +49,8 @@ type StepRecord struct {
 	AdamParams int64
 	AdamBusy   time.Duration
 	// OffloadStalls counts times this step's compute loop blocked on
-	// pipeline flow control (write-behind window full, or host staging pool
-	// waiting on an in-flight write); OffloadStallWait is the summed wait.
+	// pipeline flow control (write-behind window full); OffloadStallWait is
+	// the summed wait.
 	// Zero means the pipeline fully hid the activation offload I/O.
 	OffloadStalls    int
 	OffloadStallWait time.Duration

@@ -44,9 +44,9 @@ const (
 	LaneStep      = "step"       // whole-iteration markers
 	// LaneStall records time the compute loop spent blocked on pipeline flow
 	// control: the write-behind window was full (every ring slot in flight)
-	// or the host staging pool could not admit another blob until an
-	// in-flight write retired. Stall spans are backpressure made visible —
-	// an empty lane means the pipeline fully hid the offload I/O.
+	// or a read-ahead had not landed by its consume. Stall spans are
+	// backpressure made visible — an empty lane means the pipeline fully hid
+	// the activation I/O.
 	LaneStall = "stall"
 )
 

@@ -5,7 +5,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ratel/internal/sim"
@@ -93,24 +92,4 @@ func FormatStageUtilization(res sim.Result, w StageWindows) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// BusiestTasks lists the n longest tasks, most expensive first — the quick
-// answer to "what bounds this iteration?".
-func BusiestTasks(res sim.Result, n int) []sim.Span {
-	spans := make([]sim.Span, 0, len(res.Spans))
-	for _, s := range res.Spans {
-		spans = append(spans, s)
-	}
-	sort.Slice(spans, func(i, j int) bool {
-		di, dj := spans[i].End-spans[i].Start, spans[j].End-spans[j].Start
-		if di != dj {
-			return di > dj
-		}
-		return spans[i].Task.ID < spans[j].Task.ID
-	})
-	if n > len(spans) {
-		n = len(spans)
-	}
-	return spans[:n]
 }

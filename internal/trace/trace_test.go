@@ -66,21 +66,6 @@ func TestStageUtilization(t *testing.T) {
 	}
 }
 
-func TestBusiestTasks(t *testing.T) {
-	res := timeline(t)
-	top := BusiestTasks(res, 2)
-	if len(top) != 2 {
-		t.Fatalf("got %d tasks, want 2", len(top))
-	}
-	if top[0].Task.Label != "bwd" {
-		t.Errorf("busiest = %q, want bwd", top[0].Task.Label)
-	}
-	// Asking for more than exists returns all.
-	if got := BusiestTasks(res, 99); len(got) != 4 {
-		t.Errorf("BusiestTasks(99) = %d, want 4", len(got))
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	var buf strings.Builder
 	if err := WriteCSV(timeline(t), &buf); err != nil {
