@@ -134,11 +134,11 @@ bench-overlap:
 bench-sched:
 	go test -run '^$$' -bench 'BenchmarkTrainStepSched' -benchtime=30x -benchmem ./internal/engine
 
-# Optimizer scheduling benchmark: the inline-sync test oracle vs the
-# production streaming state pipeline under the same Table III-shaped
-# device throttles, on one core; the timed loop starts and ends at a join, so
-# the write-back that trails each step is inside it (BENCH_optimizer.json is
-# a committed snapshot).
+# Optimizer scheduling benchmark: the state pipeline under each gradient
+# schedule — streaming (Optimized, overlapping backward), naive and
+# serialized — at the same Table III-shaped device throttles, on one core;
+# the timed loop starts and ends at a join, so the write-back that trails
+# each step is inside it (BENCH_optimizer.json is a committed snapshot).
 .PHONY: bench-optimizer
 bench-optimizer:
 	go test -run '^$$' -bench 'BenchmarkTrainStepOptSchedule' -benchtime=15x -benchmem -cpu 1 ./internal/engine

@@ -34,7 +34,7 @@ func (e *Engine) SaveCheckpoint(w io.Writer) error {
 	if e.joinWriteBack(); e.optErr != nil {
 		return e.optErr
 	}
-	if e.prevGrads != nil {
+	if e.pending {
 		return fmt.Errorf("engine: a delayed update holds one step's gradients, which a checkpoint cannot carry; call FlushDelayed before SaveCheckpoint")
 	}
 	if _, err := w.Write(e.header(e.optimizer.Step(), e.model.Step())); err != nil {
@@ -102,7 +102,7 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 		return e.optFailed(err)
 	}
 	e.model.SetStep(modelStep)
-	e.prevGrads = nil
+	e.pending = false
 	e.optErr = nil // every group's state was just rewritten whole
 	return nil
 }

@@ -29,13 +29,13 @@ const steadyStateAllocBudget = 15
 // The mini step's blobs are small, so its transfers take the array's
 // inline path.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
-	untraced := stepAllocs(t, nil)
+	untraced := mixedSwapAllocs(t, nil)
 	t.Logf("steady-state allocs/step = %.0f (budget %d)", untraced, steadyStateAllocBudget)
 	if untraced > steadyStateAllocBudget {
 		t.Fatalf("steady-state TrainStep allocates %.0f/step, budget %d", untraced, steadyStateAllocBudget)
 	}
 	tr := obs.NewTracer(0)
-	if traced := stepAllocs(t, tr); traced > untraced {
+	if traced := mixedSwapAllocs(t, tr); traced > untraced {
 		t.Errorf("traced TrainStep allocates %.0f/step, untraced %.0f", traced, untraced)
 	}
 	if total, _ := tr.Recorded(); total == 0 {
@@ -43,29 +43,10 @@ func TestTrainStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// stepAllocs is the steady-state allocations per TrainStep of the mixed-swap
-// mini config with tracer installed.
-func stepAllocs(t *testing.T, tracer *obs.Tracer) float64 {
-	t.Helper()
-	e := newEngine(t, Config{
-		GradMode: agoffload.Optimized,
-		Swap:     map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD},
-		Tracer:   tracer,
-	})
-	tokens, targets := data(e.cfg.Model, 1)
-	// Warm-up: the first step runs on the heap and sizes the step's arenas,
-	// and the first steps populate the blob arena and the optimizer's store
-	// objects.
-	for i := 0; i < 3; i++ {
-		if _, err := e.TrainStep(tokens, targets); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return testing.AllocsPerRun(5, func() {
-		if _, err := e.TrainStep(tokens, targets); err != nil {
-			t.Fatal(err)
-		}
-	})
+// mixedSwapAllocs is stepAllocs for the mixed-swap mini config with tracer
+// installed.
+func mixedSwapAllocs(t *testing.T, tracer *obs.Tracer) float64 {
+	return stepAllocs(t, Config{GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}, Tracer: tracer}, false)
 }
 
 // TestDecodedCacheNeverAliasesBlob: blobArena.decode copies, never aliases —

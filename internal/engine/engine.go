@@ -83,8 +83,10 @@ type Config struct {
 	// update (footnote 4 of the paper): the optimizer applies iteration
 	// k-1's gradients while iteration k computes with stale parameters.
 	// Ratel rejects this because it changes the training trajectory — the
-	// engine implements it so the staleness is demonstrable. SaveCheckpoint
-	// refuses while gradients are pending; FlushDelayed applies them.
+	// engine implements it so the staleness is demonstrable. The late update
+	// runs through the state pipeline like any other, LRSchedule included.
+	// SaveCheckpoint refuses while gradients are pending; FlushDelayed
+	// applies them.
 	DelayedUpdate bool
 	// Devices is the NVMe array width; Dir selects file backing ("" =
 	// memory).
@@ -114,16 +116,14 @@ type Config struct {
 	Metrics *obs.Registry
 
 	// Test oracles, settable only from this package's tests: the baselines
-	// the bit-identity matrices and the BENCH_sched / BENCH_optimizer /
-	// BENCH_overlap rows compare the one production path against. oracleFCFS
-	// opens the array with a single arrival-ordered lane per device;
-	// oracleInlineOpt runs every group update as a synchronous UpdateGroup on
-	// the step goroutine instead of through the state pipeline; oracleSyncIO
-	// runs the activation window with no overlap — every transfer is joined
-	// as soon as it is submitted and every fetch is launched at its consume.
-	oracleFCFS      bool
-	oracleInlineOpt bool
-	oracleSyncIO    bool
+	// the bit-identity matrices and the BENCH_sched / BENCH_overlap rows
+	// compare the one production path against. oracleFCFS opens the array
+	// with a single arrival-ordered lane per device; oracleSyncIO runs the
+	// activation window with no overlap — every transfer is joined as soon as
+	// it is submitted and every fetch is launched at its consume. Every
+	// optimizer update goes through the state pipeline either way.
+	oracleFCFS   bool
+	oracleSyncIO bool
 }
 
 // Stats counts the engine's data movement.
@@ -151,7 +151,12 @@ type Engine struct {
 	optimizer *opt.OutOfCoreAdam
 	geom      geometry
 
-	prevGrads map[string][]float32 // pending gradients in DelayedUpdate mode
+	// twins is DelayedUpdate's second gradient buffer per parameter, in
+	// e.groups order, allocated once: each step swaps it with the
+	// parameter's G.Data, so the twins hold the step's gradients until the
+	// next step applies them. pending says they are yet to be applied.
+	twins   [][]float32
+	pending bool
 
 	// groups caches ParamGroups at construction — group boundaries and the
 	// P/G tensors they reference are fixed for the model's lifetime.
@@ -179,16 +184,16 @@ type Engine struct {
 	// SwapSSD blobs between it and the array in both directions (pipeline.go).
 	depth int
 	win   *actWindow
-	// states is the optimizer state pipeline (opt.StatePipeline): every
-	// group update of a training step streams through its read-ahead → Adam
-	// → write-behind stages, and GradMode only decides when the step
-	// goroutine submits to it and waits on it. nil under the inline-sync test
-	// oracle. serialized collects the groups a Serialized step updates after
-	// backward; accumScale is the gradient-averaging factor of the step in
-	// progress; one backs TrainStep's single micro-batch. optErr latches the
-	// first failed optimizer update, write-back or restore: the stored state
-	// matches no step, so steps and checkpoints are refused until a checkpoint
-	// is restored whole.
+	// states is the optimizer state pipeline (opt.StatePipeline), the
+	// engine's only optimizer path: every group update streams through its
+	// read-ahead → Adam → write-behind stages, and GradMode only decides when
+	// the step goroutine submits to it and waits on it (DelayedUpdate: one
+	// step late). serialized collects the groups a Serialized step updates
+	// after backward; accumScale is the gradient-averaging factor of the step
+	// in progress; one backs TrainStep's single micro-batch. optErr latches
+	// the first failed optimizer update, write-back or restore: the stored
+	// state matches no step, so steps and checkpoints are refused until a
+	// checkpoint is restored whole.
 	states     *opt.StatePipeline
 	serialized []nn.ParamGroup
 	accumScale float32
@@ -311,10 +316,15 @@ func New(cfg Config) (*Engine, error) {
 	// pipeline) start last so no construction-error path has to stop them:
 	// every earlier failure closes just the array.
 	e.serialized = make([]nn.ParamGroup, 0, len(e.groups))
-	if !cfg.oracleInlineOpt {
-		// The state window reuses the activation window depth.
-		e.states = opt.NewStatePipeline(e.optimizer, e.depth, e.groups)
+	if cfg.DelayedUpdate {
+		for _, g := range e.groups {
+			for _, p := range g.Params {
+				e.twins = append(e.twins, make([]float32, p.G.Numel()))
+			}
+		}
 	}
+	// The state window reuses the activation window depth.
+	e.states = opt.NewStatePipeline(e.optimizer, e.depth, e.groups)
 	e.win = newActWindow(a, cfg.Tracer, e.labels, e.blobLen, &e.arena.blobReuses, e.depth)
 	e.win.syncIO = cfg.oracleSyncIO
 	return e, nil
@@ -426,7 +436,8 @@ func (e *Engine) runStep(micro []Batch) (float64, error) {
 	var fwdTotal, bwdTotal time.Duration
 	tokenCount := 0
 	for i, b := range micro {
-		loss, fwdDur, bwdDur, err := e.runBatch(b.Tokens, b.Targets, i == len(micro)-1)
+		// A delayed update hands the optimizer nothing during backward.
+		loss, fwdDur, bwdDur, err := e.runBatch(b.Tokens, b.Targets, i == len(micro)-1 && !e.cfg.DelayedUpdate)
 		if err != nil {
 			// Don't apply a partial serialized update for a failed step; the
 			// updates already streaming are joined either way.
@@ -443,13 +454,11 @@ func (e *Engine) runStep(micro []Batch) (float64, error) {
 	}
 
 	drainStart := time.Now()
+	if e.cfg.DelayedUpdate {
+		e.delayGrads(true)
+	}
 	if err := e.finishStep(); err != nil {
 		return 0, err
-	}
-	if e.cfg.DelayedUpdate {
-		if err := e.applyDelayed(e.groups); err != nil {
-			return 0, e.optFailed(err)
-		}
 	}
 	drain := time.Since(drainStart)
 	e.noteStep(fwdTotal, bwdTotal, drain, time.Since(stepStart), tokenCount)
@@ -462,9 +471,6 @@ func (e *Engine) runStep(micro []Batch) (float64, error) {
 // Optimized submits now and waits at the end of the step, Naive submits and
 // waits here, Serialized holds the group back until finishStep.
 func (e *Engine) gradsReady(g nn.ParamGroup) error {
-	if e.cfg.DelayedUpdate {
-		return nil // handled after backward, one step late
-	}
 	if e.accumScale != 1 {
 		for _, p := range g.Params {
 			p.G.Scale(e.accumScale)
@@ -484,12 +490,8 @@ func (e *Engine) gradsReady(g nn.ParamGroup) error {
 	}
 }
 
-// submitUpdate starts g's optimizer update on the state pipeline; under the
-// inline-sync oracle it runs the whole update here instead.
+// submitUpdate starts g's optimizer update on the state pipeline.
 func (e *Engine) submitUpdate(g nn.ParamGroup) error {
-	if e.states == nil {
-		return e.optFailed(e.optimizer.UpdateGroup(g))
-	}
 	e.submittedN++
 	return e.states.Submit(g)
 }
@@ -497,9 +499,6 @@ func (e *Engine) submitUpdate(g nn.ParamGroup) error {
 // waitStates is the optimizer half of the step barrier: every submitted
 // update is joined on "Adam applied, P16 installed"; its write-back trails.
 func (e *Engine) waitStates() error {
-	if e.states == nil {
-		return nil
-	}
 	return e.optFailed(e.states.Wait())
 }
 
@@ -507,9 +506,7 @@ func (e *Engine) waitStates() error {
 // latches. Every method that reads stored state or array counters starts
 // with it, so no caller has a flush precondition.
 func (e *Engine) joinWriteBack() {
-	if e.states != nil {
-		e.optFailed(e.states.Flush())
-	}
+	e.optFailed(e.states.Flush())
 }
 
 // optFailed latches the first optimizer failure (see optErr) and returns err.
@@ -789,55 +786,36 @@ func (e *Engine) reviveCache(blob []byte, input *tensor.Tensor) (*nn.BlockCache,
 	return c, nil
 }
 
-// applyDelayed implements the one-step delayed update: apply last
-// iteration's pending gradients, then stash this iteration's for the next
-// call. The current iteration therefore computed with parameters one update
+// delayGrads is the one-step delayed update's half of a step: it swaps every
+// gradient with its twin, so the twins hold the step's gradients and the
+// parameters the ones the step before left there, and if those are pending
+// it begins an optimizer step and holds every group for finishStep to
+// update, as a Serialized step does. hold says whether the twins' gradients
+// are pending now. A step that runs it computed with parameters one update
 // behind — the staleness footnote 4 warns about.
-func (e *Engine) applyDelayed(groups []nn.ParamGroup) error {
-	current := make(map[string][]float32, len(groups))
-	for _, g := range groups {
-		flat := make([]float32, 0, g.NumParams())
+func (e *Engine) delayGrads(hold bool) {
+	k := 0
+	for _, g := range e.groups {
 		for _, p := range g.Params {
-			flat = append(flat, p.G.Data...)
-		}
-		current[g.Name] = flat
-	}
-	if e.prevGrads != nil {
-		e.optimizer.BeginStep()
-		for _, g := range groups {
-			installGrads(g, e.prevGrads[g.Name])
-			if err := e.optimizer.UpdateGroup(g); err != nil {
-				return err
-			}
+			p.G.Data, e.twins[k] = e.twins[k], p.G.Data
+			k++
 		}
 	}
-	e.prevGrads = current
-	return nil
+	if e.pending {
+		e.beginStep()
+		e.serialized = append(e.serialized[:0], e.groups...)
+	}
+	e.pending = hold
 }
 
 // FlushDelayed applies the pending gradients of DelayedUpdate mode (e.g. at
 // the end of training). A no-op otherwise.
 func (e *Engine) FlushDelayed() error {
-	if !e.cfg.DelayedUpdate || e.prevGrads == nil {
+	if !e.pending {
 		return nil
 	}
-	e.optimizer.BeginStep()
-	for _, g := range e.groups {
-		installGrads(g, e.prevGrads[g.Name])
-		if err := e.optimizer.UpdateGroup(g); err != nil {
-			return e.optFailed(err)
-		}
-	}
-	e.prevGrads = nil
-	return nil
-}
-
-func installGrads(g nn.ParamGroup, flat []float32) {
-	off := 0
-	for _, p := range g.Params {
-		copy(p.G.Data, flat[off:off+p.G.Numel()])
-		off += p.G.Numel()
-	}
+	e.delayGrads(false)
+	return e.finishStep()
 }
 
 func actKey(block int) string { return fmt.Sprintf("act/block%d", block) }

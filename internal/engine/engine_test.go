@@ -8,7 +8,6 @@ import (
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
-	"ratel/internal/opt"
 	"ratel/internal/tensor"
 	"ratel/internal/tensor/simd"
 	"ratel/internal/units"
@@ -426,49 +425,14 @@ func sumNumel(ts [9]*tensor.Tensor) int {
 }
 
 // TestEngineMatchesPlainModel: the engine's first step equals a plain
-// nn.ForwardBackward + out-of-core Adam applied manually (the engine adds
-// data movement, not different math).
+// nn.ForwardBackward + out-of-core Adam applied by hand (the plain
+// reference): the engine adds data movement, not different math.
 func TestEngineMatchesPlainModel(t *testing.T) {
-	cfgM := miniConfig()
-	tokens, targets := data(cfgM, 9)
-
-	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: map[int]Tier{1: SwapSSD}})
-	engineLoss, err := e.TrainStep(tokens, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := nn.NewModel(cfgM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ooc := opt.NewOutOfCoreAdam(opt.MemStore{}, opt.DefaultAdam(), "ref")
-	for _, g := range ref.ParamGroups() {
-		if err := ooc.InitGroup(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref.ZeroGrads()
-	refLoss, err := ref.ForwardBackward(tokens, targets, map[int]bool{0: true, 1: true, 2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ooc.BeginStep()
-	for _, g := range ref.ParamGroups() {
-		if err := ooc.UpdateGroup(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if engineLoss != refLoss {
-		t.Fatalf("engine loss %v != reference loss %v", engineLoss, refLoss)
-	}
-	a, b := paramsSnapshot(e.Model()), paramsSnapshot(ref)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("engine parameters diverged from plain model + optimizer")
-		}
-	}
+	cfg := Config{GradMode: agoffload.Optimized, Swap: map[int]Tier{1: SwapSSD}}
+	e, ref := newEngine(t, cfg), newPlainRef(t, cfg)
+	b := batchesAt(e.cfg.Model, 9, false)
+	loss, refLoss := stepOn(t, e, b), ref.step(b...)
+	sameTrajectory(t, "first step", []float64{refLoss}, []float64{loss}, paramsSnapshot(ref.model), paramsSnapshot(e.Model()))
 }
 
 // miniConfigWith returns the standard test config with a different layer

@@ -105,6 +105,44 @@ func TestDelayedUpdateStaleness(t *testing.T) {
 	}
 }
 
+// TestDelayedUpdateMatchesPlainReference pins the delayed trajectory
+// exactly: over a mixed swap layout, six steps and FlushDelayed, a
+// DelayedUpdate engine's losses and parameters are the plain reference's
+// where step k applies step k-1's gradients — at a constant learning rate
+// and under a schedule, which the delayed update applies at its own step.
+func TestDelayedUpdateMatchesPlainReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sched opt.Schedule
+	}{
+		{"constant-lr", nil},
+		{"warmup-cosine", opt.WarmupCosine(opt.DefaultAdam().LR, 2, 6, 1e-5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{GradMode: agoffload.Optimized, DelayedUpdate: true, LRSchedule: tc.sched,
+				Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}}
+			e, ref := newEngine(t, cfg), newPlainRef(t, cfg)
+			var loss, refLoss []float64
+			for s := 0; s < 6; s++ {
+				b := batchesAt(e.cfg.Model, s, false)
+				l, err := e.TrainStep(b[0].Tokens, b[0].Targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loss, refLoss = append(loss, l), append(refLoss, ref.delayedStep(b[0]))
+			}
+			if err := e.FlushDelayed(); err != nil {
+				t.Fatal(err)
+			}
+			ref.flush()
+			sameTrajectory(t, tc.name, refLoss, loss, paramsSnapshot(ref.model), paramsSnapshot(e.Model()))
+			if e.optimizer.Step() != ref.opt.Step() || e.optimizer.LR() != ref.opt.LR() {
+				t.Fatalf("optimizer at step %d, lr %v; reference at step %d, lr %v", e.optimizer.Step(), e.optimizer.LR(), ref.opt.Step(), ref.opt.LR())
+			}
+		})
+	}
+}
+
 // TestDelayedUpdateStillLearns: staleness changes the trajectory but the
 // loss still decreases on a fixed batch (why ZeRO-Offload ships it as an
 // option).

@@ -12,14 +12,13 @@ import (
 // state streaming (BENCH_optimizer.json): a wide-ish model over a short
 // sequence, everything recomputed so the only SSD traffic is the 26 B/param
 // state round-trip, on a Table III-shaped throttled array (same 1/200
-// scaling argument as BENCH_overlap.json). The inline-sync oracle
-// serializes each group's read->adam->write on the step goroutine at
-// gradient arrival; the streaming pipeline overlaps the three stages with
-// each other and with backward.
-func optimizerBenchConfig(mut func(*Config)) Config {
+// scaling argument as BENCH_overlap.json). Every variant streams the state
+// through the pipeline, whose read -> Adam -> write stages overlap each
+// other; GradMode decides whether they also overlap backward.
+func optimizerBenchConfig(mode agoffload.Mode) Config {
 	cfg := Config{
 		Model:    nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 21},
-		GradMode: agoffload.Optimized,
+		GradMode: mode,
 		Devices:  3,
 		SSD: &nvme.Config{
 			ReadBW:     overlapReadBW,
@@ -27,25 +26,29 @@ func optimizerBenchConfig(mut func(*Config)) Config {
 			StripeSize: 1 << 16,
 		},
 	}
-	mut(&cfg)
 	return cfg
 }
 
-// BenchmarkTrainStepOptSchedule compares the optimizer schedule with its
-// oracle on the state-streaming-bound step: sync (the inline-sync test
-// oracle, the baseline drain) and streaming (the production state pipeline,
-// bit-identical to it).
+// optimizerBenchVariants are the gradient schedules the optimizer benchmark
+// times, all bit-identical: streaming (Optimized: each group's update is
+// submitted at gradient arrival and overlaps backward), naive (submitted and
+// waited for at arrival) and serialized (submitted after backward, the
+// ZeRO-Offload order).
+var optimizerBenchVariants = []struct {
+	name string
+	mode agoffload.Mode
+}{
+	{"streaming", agoffload.Optimized},
+	{"naive", agoffload.Naive},
+	{"serialized", agoffload.Serialized},
+}
+
+// BenchmarkTrainStepOptSchedule times the state-streaming-bound step under
+// each gradient schedule.
 func BenchmarkTrainStepOptSchedule(b *testing.B) {
-	variants := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"sync", func(c *Config) { c.oracleInlineOpt = true }},
-		{"streaming", func(c *Config) {}},
-	}
-	for _, v := range variants {
+	for _, v := range optimizerBenchVariants {
 		b.Run(v.name, func(b *testing.B) {
-			e, err := New(optimizerBenchConfig(v.mut))
+			e, err := New(optimizerBenchConfig(v.mode))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -76,34 +79,25 @@ func BenchmarkTrainStepOptSchedule(b *testing.B) {
 }
 
 // TestOptimizerBenchValues pins the benchmark's comparability claim: on the
-// throttled bench config, the streaming variant follows the sync oracle's
+// throttled bench config, every variant follows the plain reference's
 // trajectory bit-for-bit.
 func TestOptimizerBenchValues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throttled-array training in -short mode")
 	}
-	run := func(mut func(*Config)) []float64 {
-		e, err := New(optimizerBenchConfig(mut))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e.Close() })
-		tokens, targets := data(e.cfg.Model, 9)
+	cfg := optimizerBenchConfig(agoffload.Optimized)
+	ref := newPlainRef(t, cfg)
+	tokens, targets := data(cfg.Model, 9)
+	var refLoss []float64
+	for i := 0; i < 3; i++ {
+		refLoss = append(refLoss, ref.step(Batch{Tokens: tokens, Targets: targets}))
+	}
+	for _, v := range optimizerBenchVariants {
+		e := newEngine(t, optimizerBenchConfig(v.mode))
 		var losses []float64
 		for i := 0; i < 3; i++ {
-			loss, err := e.TrainStep(tokens, targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			losses = append(losses, loss)
+			losses = append(losses, stepOn(t, e, []Batch{{Tokens: tokens, Targets: targets}}))
 		}
-		return losses
-	}
-	syncLoss := run(func(c *Config) { c.oracleInlineOpt = true })
-	streamLoss := run(func(c *Config) {})
-	for i := range syncLoss {
-		if syncLoss[i] != streamLoss[i] {
-			t.Fatalf("streaming loss[%d] = %v differs from sync %v", i, streamLoss[i], syncLoss[i])
-		}
+		sameTrajectory(t, v.name, refLoss, losses, paramsSnapshot(ref.model), paramsSnapshot(e.Model()))
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -14,27 +15,16 @@ import (
 	"ratel/internal/opt"
 )
 
-// inlineOracle is the reference every bit-identity matrix compares the
-// streaming state pipeline against: a Serialized optimizer stage whose
-// group updates run one at a time as synchronous UpdateGroup calls on the
-// step goroutine, over the FCFS single-lane array.
-func inlineOracle(cfg Config) Config {
-	cfg.GradMode = agoffload.Serialized
-	cfg.oracleInlineOpt = true
-	cfg.oracleFCFS = true
-	return cfg
-}
-
 func sameTrajectory(t *testing.T, what string, refLoss, loss []float64, refSnap, snap []float32) {
 	t.Helper()
 	for i := range refLoss {
 		if refLoss[i] != loss[i] {
-			t.Fatalf("%s: loss[%d] = %v, oracle %v", what, i, loss[i], refLoss[i])
+			t.Fatalf("%s: loss[%d] = %v, reference %v", what, i, loss[i], refLoss[i])
 		}
 	}
 	for i := range refSnap {
 		if refSnap[i] != snap[i] {
-			t.Fatalf("%s: parameter %d differs from the oracle", what, i)
+			t.Fatalf("%s: parameter %d differs from the reference", what, i)
 		}
 	}
 }
@@ -42,8 +32,8 @@ func sameTrajectory(t *testing.T, what string, refLoss, loss []float64, refSnap,
 // TestReadinessBitIdenticalMatrix is the state pipeline's exactness claim:
 // for every gradient-offloading schedule and a mixed swap tier, training
 // with state read ahead at gradient arrival and written behind is
-// bit-identical to the Serialized inline-sync oracle — same losses, same
-// parameters, only the timing of the state I/O differs.
+// bit-identical to the plain reference — same losses, same parameters, same
+// checkpoint bytes; only the timing of the state I/O differs.
 func TestReadinessBitIdenticalMatrix(t *testing.T) {
 	cases := []struct {
 		name string
@@ -57,18 +47,14 @@ func TestReadinessBitIdenticalMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			oracle := newEngine(t, inlineOracle(tc.cfg))
-			refLoss := trainK(t, oracle, 4)
-			if oracle.states != nil {
-				t.Fatal("inline-sync oracle built a state pipeline")
-			}
-
 			piped := newEngine(t, tc.cfg)
+			ref := newPlainRef(t, piped.cfg)
 			loss := trainK(t, piped, 4)
-			sameTrajectory(t, tc.name, refLoss, loss, paramsSnapshot(oracle.Model()), paramsSnapshot(piped.Model()))
+			sameTrajectory(t, tc.name, ref.train(0, 4), loss, paramsSnapshot(ref.model), paramsSnapshot(piped.Model()))
 			if m := piped.LastStepMetrics(); m.PrefetchedReads != len(piped.groups) {
 				t.Errorf("pipeline read ahead %d groups' state in the last step, want %d", m.PrefetchedReads, len(piped.groups))
 			}
+			sameCheckpoint(t, tc.name, piped, ref)
 		})
 	}
 }
@@ -84,8 +70,9 @@ func throttledSSD() *nvme.Config {
 // checkpoint: {all-SSD, mixed, recompute-only} × {TrainStep,
 // TrainStepAccum} × {FCFS oracle lanes, duplex lanes, throttled duplex lanes
 // — where every step starts behind the previous one's write-back}, each
-// compared with the inline-sync oracle step for step and then saved, loaded
-// into a fresh engine and continued.
+// compared with the plain reference step for step, its checkpoint with the
+// reference's bytes at the same step, and that checkpoint loaded into a
+// fresh engine and continued.
 func TestStreamingBitIdentityMatrix(t *testing.T) {
 	tiers := []struct {
 		name string
@@ -98,29 +85,17 @@ func TestStreamingBitIdentityMatrix(t *testing.T) {
 	const steps, resumeAt = 4, 2
 	for _, tier := range tiers {
 		for _, accum := range []bool{false, true} {
-			step := func(e *Engine, s int) float64 {
-				t.Helper()
-				var loss float64
-				var err error
-				tokens, targets := data(e.cfg.Model, int64(s))
-				if accum {
-					t2, g2 := data(e.cfg.Model, int64(100+s))
-					loss, err = e.TrainStepAccum([]Batch{{Tokens: tokens, Targets: targets}, {Tokens: t2, Targets: g2}})
-				} else {
-					loss, err = e.TrainStep(tokens, targets)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return loss
-			}
-			base := Config{GradMode: agoffload.Optimized, Swap: tier.swap}
-			oracle := newEngine(t, inlineOracle(base))
+			base := Config{Model: miniConfig(), GradMode: agoffload.Optimized, Swap: tier.swap}
+			ref := newPlainRef(t, base)
 			var refLoss []float64
+			var refCkpt []byte
 			for s := 0; s < steps; s++ {
-				refLoss = append(refLoss, step(oracle, s))
+				if s == resumeAt {
+					refCkpt = ref.checkpoint()
+				}
+				refLoss = append(refLoss, ref.step(batchesAt(base.Model, s, accum)...))
 			}
-			refSnap := paramsSnapshot(oracle.Model())
+			refSnap := paramsSnapshot(ref.model)
 
 			for _, lanes := range []string{"fcfs", "duplex", "throttled"} {
 				name := tier.name + map[bool]string{false: "/step", true: "/accum"}[accum] + "/" + lanes
@@ -144,8 +119,11 @@ func TestStreamingBitIdentityMatrix(t *testing.T) {
 							if now, _ := e.states.Buffered(); now != 0 {
 								t.Fatalf("%d state buffers in flight after SaveCheckpoint", now)
 							}
+							if !bytes.Equal(ckpt.Bytes(), refCkpt) {
+								t.Fatal("checkpoint differs from the reference's")
+							}
 						}
-						loss = append(loss, step(e, s))
+						loss = append(loss, stepOn(t, e, batchesAt(cfg.Model, s, accum)))
 						if _, peak := e.states.Buffered(); peak > e.depth {
 							t.Fatalf("step %d: %d state buffers held at once, window %d", s, peak, e.depth)
 						}
@@ -158,7 +136,7 @@ func TestStreamingBitIdentityMatrix(t *testing.T) {
 					}
 					loss = loss[:resumeAt]
 					for s := resumeAt; s < steps; s++ {
-						loss = append(loss, step(resumed, s))
+						loss = append(loss, stepOn(t, resumed, batchesAt(cfg.Model, s, accum)))
 					}
 					sameTrajectory(t, name+" resumed", refLoss, loss, refSnap, paramsSnapshot(resumed.Model()))
 				})
@@ -177,41 +155,23 @@ func piecedConfig() nn.Config {
 // TestStreamingBitIdentityPieces is TestStreamingBitIdentityMatrix's row for
 // a model whose largest group is not a multiple of the piece: over
 // {TrainStep, TrainStepAccum} × {duplex, throttled duplex} the pipeline
-// trains step for step like the inline-sync oracle, whose UpdateGroup walks
-// the same pieces one at a time; a checkpoint it saves is the oracle's bytes
+// trains step for step like the plain reference, whose UpdateGroup walks the
+// same pieces one at a time; a checkpoint it saves is the reference's bytes
 // at the same step, and loaded into a fresh engine it continues the same.
 func TestStreamingBitIdentityPieces(t *testing.T) {
 	const steps, resumeAt = 3, 1
 	for _, accum := range []bool{false, true} {
-		step := func(e *Engine, s int) float64 {
-			t.Helper()
-			tokens, targets := data(e.cfg.Model, int64(s))
-			var loss float64
-			var err error
-			if accum {
-				t2, g2 := data(e.cfg.Model, int64(100+s))
-				loss, err = e.TrainStepAccum([]Batch{{Tokens: tokens, Targets: targets}, {Tokens: t2, Targets: g2}})
-			} else {
-				loss, err = e.TrainStep(tokens, targets)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return loss
-		}
 		base := Config{Model: piecedConfig(), GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD}}
-		oracle := newEngine(t, inlineOracle(base))
+		ref := newPlainRef(t, base)
 		var refLoss []float64
-		var refCkpt bytes.Buffer
+		var refCkpt []byte
 		for s := 0; s < steps; s++ {
 			if s == resumeAt {
-				if err := oracle.SaveCheckpoint(&refCkpt); err != nil {
-					t.Fatal(err)
-				}
+				refCkpt = ref.checkpoint()
 			}
-			refLoss = append(refLoss, step(oracle, s))
+			refLoss = append(refLoss, ref.step(batchesAt(base.Model, s, accum)...))
 		}
-		refSnap := paramsSnapshot(oracle.Model())
+		refSnap := paramsSnapshot(ref.model)
 		for _, lanes := range []string{"duplex", "throttled"} {
 			name := map[bool]string{false: "step", true: "accum"}[accum] + "/" + lanes
 			t.Run(name, func(t *testing.T) {
@@ -231,11 +191,11 @@ func TestStreamingBitIdentityPieces(t *testing.T) {
 						if err := e.SaveCheckpoint(&ckpt); err != nil {
 							t.Fatal(err)
 						}
-						if !bytes.Equal(ckpt.Bytes(), refCkpt.Bytes()) {
-							t.Fatal("checkpoint differs from the inline oracle's")
+						if !bytes.Equal(ckpt.Bytes(), refCkpt) {
+							t.Fatal("checkpoint differs from the reference's")
 						}
 					}
-					loss = append(loss, step(e, s))
+					loss = append(loss, stepOn(t, e, batchesAt(cfg.Model, s, accum)))
 				}
 				sameTrajectory(t, name, refLoss, loss, refSnap, paramsSnapshot(e.Model()))
 
@@ -245,7 +205,7 @@ func TestStreamingBitIdentityPieces(t *testing.T) {
 				}
 				loss = loss[:resumeAt]
 				for s := resumeAt; s < steps; s++ {
-					loss = append(loss, step(resumed, s))
+					loss = append(loss, stepOn(t, resumed, batchesAt(cfg.Model, s, accum)))
 				}
 				sameTrajectory(t, name+" resumed", refLoss, loss, refSnap, paramsSnapshot(resumed.Model()))
 			})
@@ -516,11 +476,11 @@ func TestStatePipelineFaultTrailingWrite(t *testing.T) {
 // on a throttled, checksummed array, a group's state is still never read —
 // by the next step's read-ahead or by a checkpoint — before its previous
 // write retired: 30 steps with a checkpoint every 5 see no ErrCorrupt, and
-// every checkpoint holds exactly the state the inline-sync oracle stored at
-// the same step. The window is wider than the model has groups: a narrower
-// one, held through the write, would by itself keep a step's reads behind
-// the previous step's writes as long as the lanes retire them in order, and
-// the test would pass without the per-group token.
+// every checkpoint holds exactly the state the plain reference holds at the
+// same step. The window is wider than the model has groups: a narrower one,
+// held through the write, would by itself keep a step's reads behind the
+// previous step's writes as long as the lanes retire them in order, and the
+// test would pass without the per-group token.
 func TestStatePipelineReadAfterWriteOrder(t *testing.T) {
 	ssd := throttledSSD()
 	ssd.Checksums = true
@@ -528,26 +488,16 @@ func TestStatePipelineReadAfterWriteOrder(t *testing.T) {
 	if len(e.groups) >= e.depth {
 		t.Fatalf("%d groups do not fit the window %d", len(e.groups), e.depth)
 	}
-	oracle := newEngine(t, inlineOracle(Config{}))
+	ref := newPlainRef(t, e.cfg)
 	trailed := 0
 	for s := 0; s < 30; s++ {
 		trainFrom(t, e, s, 1)
-		trainFrom(t, oracle, s, 1)
+		ref.train(s, 1)
 		if now, _ := e.states.Buffered(); now > 0 {
 			trailed++
 		}
-		if (s+1)%5 != 0 {
-			continue
-		}
-		var got, want bytes.Buffer
-		if err := e.SaveCheckpoint(&got); err != nil {
-			t.Fatalf("checkpoint after step %d: %v", s, err)
-		}
-		if err := oracle.SaveCheckpoint(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("checkpoint after step %d differs from the oracle's", s)
+		if (s+1)%5 == 0 {
+			sameCheckpoint(t, fmt.Sprintf("after step %d", s), e, ref)
 		}
 	}
 	if trailed == 0 {
@@ -665,40 +615,55 @@ func TestStatePipelineWindowBound(t *testing.T) {
 	}
 }
 
-// TestStatePipelineAddsNoAllocs: a steady-state step through the state
-// pipeline allocates no more than the same step under the inline-sync
-// oracle — the pipeline has no per-step channel, goroutine or closure.
-// Exact and machine-independent; make test-procs reruns it at GOMAXPROCS
-// 1, 2 and 4.
-func TestStatePipelineAddsNoAllocs(t *testing.T) {
-	allocs := func(cfg Config, accum bool) float64 {
-		e := newEngine(t, cfg)
-		tokens, targets := data(e.cfg.Model, 1)
-		step := func() {
-			var err error
-			if accum {
-				_, err = e.TrainStepAccum([]Batch{{Tokens: tokens, Targets: targets}, {Tokens: tokens, Targets: targets}})
-			} else {
-				_, err = e.TrainStep(tokens, targets)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 3; i++ {
-			step()
-		}
-		return testing.AllocsPerRun(5, step)
+// stepAllocs is what a steady-state step of an engine built from cfg
+// allocates: TrainStep, or under accum TrainStepAccum over two batches.
+func stepAllocs(t *testing.T, cfg Config, accum bool) float64 {
+	t.Helper()
+	e := newEngine(t, cfg)
+	tokens, targets := data(e.cfg.Model, 1)
+	micro := []Batch{{Tokens: tokens, Targets: targets}}
+	if accum {
+		micro = append(micro, micro[0])
 	}
-	for _, accum := range []bool{false, true} {
-		base := Config{GradMode: agoffload.Optimized}
-		oracle := base
-		oracle.oracleInlineOpt = true
-		piped, inline := allocs(base, accum), allocs(oracle, accum)
-		t.Logf("accum=%v GOMAXPROCS=%d: pipeline %.0f allocs/step, inline oracle %.0f", accum, runtime.GOMAXPROCS(0), piped, inline)
-		if piped > inline {
-			t.Fatalf("accum=%v: the state pipeline allocates %.0f/step, the inline oracle %.0f", accum, piped, inline)
+	step := func() { stepOn(t, e, micro) }
+	// Warm-up: the first step runs on the heap and sizes the step's arenas,
+	// and the first steps populate the blob arena and the optimizer's store
+	// objects.
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	return testing.AllocsPerRun(5, step)
+}
+
+// TestStatePipelineAddsNoAllocs pins what a steady-state step through the
+// state pipeline allocates, exactly, from both step entry points: the
+// pipeline has no per-step channel, goroutine or closure, so the figure is
+// the step's own and the same on every core count. make test-procs reruns
+// it at GOMAXPROCS 1, 2 and 4.
+func TestStatePipelineAddsNoAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		accum bool
+		want  float64
+	}{{false, 19}, {true, 37}} {
+		got := stepAllocs(t, Config{GradMode: agoffload.Optimized}, tc.accum)
+		t.Logf("accum=%v GOMAXPROCS=%d: %.0f allocs/step", tc.accum, runtime.GOMAXPROCS(0), got)
+		if got != tc.want {
+			t.Fatalf("accum=%v: a step allocates %.0f, want %.0f", tc.accum, got, tc.want)
 		}
+	}
+}
+
+// TestDelayedUpdateAllocsLikeSync: a DelayedUpdate step allocates exactly
+// what a step that applies its own gradients does — the held gradients live
+// in twin buffers allocated once, and the delayed update streams through the
+// same state pipeline. make test-procs reruns it at GOMAXPROCS 1, 2 and 4.
+func TestDelayedUpdateAllocsLikeSync(t *testing.T) {
+	swap := map[int]Tier{0: SwapSSD, 1: SwapHost}
+	sync := stepAllocs(t, Config{GradMode: agoffload.Optimized, Swap: swap}, false)
+	delayed := stepAllocs(t, Config{GradMode: agoffload.Optimized, Swap: swap, DelayedUpdate: true}, false)
+	t.Logf("GOMAXPROCS=%d: delayed %.0f allocs/step, sync %.0f", runtime.GOMAXPROCS(0), delayed, sync)
+	if delayed != sync {
+		t.Fatalf("a delayed step allocates %.0f, a step without the delay %.0f", delayed, sync)
 	}
 }
 
@@ -710,19 +675,7 @@ func TestStatePipelineAddsNoAllocs(t *testing.T) {
 // 2 and 4.
 func TestOptSchedSteadyStateAllocs(t *testing.T) {
 	t.Run("readiness", func(t *testing.T) {
-		e := newEngine(t, Config{GradMode: agoffload.Optimized,
-			Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}})
-		tokens, targets := data(e.cfg.Model, 1)
-		for i := 0; i < 3; i++ {
-			if _, err := e.TrainStep(tokens, targets); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := e.TrainStep(tokens, targets); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs := mixedSwapAllocs(t, nil)
 		t.Logf("steady-state allocs/step = %.0f (budget %d)", allocs, steadyStateAllocBudget)
 		if allocs > steadyStateAllocBudget {
 			t.Fatalf("TrainStep allocates %.0f/step, budget %d", allocs, steadyStateAllocBudget)

@@ -88,8 +88,8 @@ func cacheRoundTripAllocs(t *testing.T, tracer *obs.Tracer) float64 {
 // TestSchedBitIdentityMatrix pins the scheduler's exactness claim: on a
 // mixed swap-tier layout, the duplex coalescing lanes must leave the training
 // trajectory bit-identical to the FCFS single-lane oracle, whether the
-// optimizer runs as the inline-sync oracle ("sync") or as the streaming
-// state pipeline ("readiness"). The scheduler reorders I/O, never data, so
+// optimizer's updates are submitted to the state pipeline after backward
+// ("serialized") or at gradient arrival ("readiness"). The scheduler reorders I/O, never data, so
 // all four cells share one trajectory.
 func TestSchedBitIdentityMatrix(t *testing.T) {
 	if testing.Short() {
@@ -111,7 +111,7 @@ func TestSchedBitIdentityMatrix(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"sync", func(c *Config) { c.oracleInlineOpt = true }},
+		{"serialized", func(c *Config) { c.GradMode = agoffload.Serialized }},
 		{"readiness", func(c *Config) {}},
 	}
 	arrays := []struct {
@@ -143,7 +143,7 @@ func TestSchedBitIdentityMatrix(t *testing.T) {
 		}
 		return losses, flat
 	}
-	// The first cell (sync × fcfs) is the oracle every other cell must
+	// The first cell (serialized × fcfs) is the oracle every other cell must
 	// reproduce.
 	var refLoss []float64
 	var refFlat []float32

@@ -164,9 +164,6 @@ var metrics = [...]metric{
 	// write-back was still in flight when it returned.
 	{"engine.opt_prefetched_reads", gauge, func(e *Engine) float64 { return float64(e.step.PrefetchedReads) }},
 	{"engine.opt_writeback_inflight", gauge, func(e *Engine) float64 {
-		if e.states == nil {
-			return 0
-		}
 		live, _ := e.states.Buffered()
 		return float64(live)
 	}},

@@ -194,8 +194,10 @@ func goldenMetricNames(t *testing.T) []string {
 // metrics table, so a row with the wrong accessor is the bug left to make.
 // On a throttled mixed-swap engine that stalls in both directions every
 // instrument in the golden list moves, bar the few that are zero here by
-// construction; and under the inline-sync oracle, where no write-back trails
-// the step, the byte gauges equal Stats() and Flows() exactly.
+// construction, and the byte gauges equal exactly the counters noteStep
+// snapshotted for the step: the array's (e.ssd), the flow ledger's
+// (e.prevFlow) and the engine's atomics. The write-back trailing the step
+// still moves the live array and ledger, which Stats and Flows join.
 func TestEveryMetricRowRefreshed(t *testing.T) {
 	zeroHere := map[string]bool{
 		"engine.offload_queue_peak": true, // two SSD blocks never queue behind each other; TestPipelineWindowStall
@@ -203,62 +205,56 @@ func TestEveryMetricRowRefreshed(t *testing.T) {
 		"pool.jobs": true, "pool.job_ns": true, "pool.stolen_chunks": true,
 		"pool.submitter_chunks": true, "pool.worker_chunks": true,
 	}
-	for _, inline := range []bool{false, true} {
-		reg := obs.NewRegistry()
-		e := newEngine(t, Config{
-			Model:           miniConfigWith(4),
-			GradMode:        agoffload.Optimized,
-			Swap:            map[int]Tier{0: SwapSSD, 2: SwapSSD, 3: SwapHost}, // block 1 recomputes
-			PipelineDepth:   1,
-			SSD:             &nvme.Config{OpLatency: time.Millisecond},
-			Metrics:         reg,
-			oracleInlineOpt: inline,
-		})
-		trainK(t, e, 3)
-		snap := reg.Snapshot()
-		if !inline {
-			for _, name := range goldenMetricNames(t) {
-				v, isGauge := snap[name]
-				if !isGauge {
-					v = snap[name+".count"]
-				}
-				if v == 0 && !zeroHere[name] {
-					t.Errorf("%s = 0 after 3 steps: its row is not refreshed", name)
-				}
-			}
-			ps := pool.DefaultStats()
-			for name, want := range map[string]int64{"pool.jobs": ps.Jobs, "pool.inline_runs": ps.InlineRuns,
-				"pool.submitter_chunks": ps.SubmitterChunks, "pool.worker_chunks": ps.WorkerChunks, "pool.stolen_chunks": ps.StolenChunks} {
-				if snap[name] != float64(want) {
-					t.Errorf("%s = %v, pool counter %d", name, snap[name], want)
-				}
-			}
-			continue
+	reg := obs.NewRegistry()
+	e := newEngine(t, Config{
+		Model:         miniConfigWith(4),
+		GradMode:      agoffload.Optimized,
+		Swap:          map[int]Tier{0: SwapSSD, 2: SwapSSD, 3: SwapHost}, // block 1 recomputes
+		PipelineDepth: 1,
+		SSD:           &nvme.Config{OpLatency: time.Millisecond},
+		Metrics:       reg,
+	})
+	trainK(t, e, 3)
+	snap := reg.Snapshot()
+	for _, name := range goldenMetricNames(t) {
+		v, isGauge := snap[name]
+		if !isGauge {
+			v = snap[name+".count"]
 		}
-		st, flows := e.Stats(), e.Flows()
-		for name, want := range map[string]int64{
-			"engine.act_offload_bytes":   int64(st.ActBytesOffload),
-			"engine.act_host_bytes":      int64(st.ActBytesHost),
-			"engine.act_fetched_bytes":   int64(st.ActBytesFetched),
-			"engine.act_resident_bytes":  int64(st.ActBytesResident), // block 2, the last into slot 0
-			"engine.recomputed_blocks":   int64(st.RecomputedBlocks),
-			"nvme.read_bytes":            int64(st.SSD.BytesRead),
-			"nvme.write_bytes":           int64(st.SSD.BytesWritten),
-			"nvme.read_ops":              st.SSD.ReadOps,
-			"nvme.write_ops":             st.SSD.WriteOps,
-			"flow.compute_host_bytes":    flows.Edge(obs.EdgeComputeHost),
-			"flow.host_nvme_read_bytes":  flows.Edge(obs.EdgeHostNVMeRead),
-			"flow.host_nvme_write_bytes": flows.Edge(obs.EdgeHostNVMeWrite),
-			"flow.codec_encode_bytes":    flows.Edge(obs.EdgeCodecEncode),
-			"flow.codec_decode_bytes":    flows.Edge(obs.EdgeCodecDecode),
-			"flow.activations_bytes":     flows.Purpose(obs.FlowActivations),
-			"flow.params_bytes":          flows.Purpose(obs.FlowParams),
-			"flow.grads_bytes":           flows.Purpose(obs.FlowGrads),
-			"flow.opt_state_bytes":       flows.Purpose(obs.FlowOptState),
-		} {
-			if snap[name] != float64(want) || want == 0 {
-				t.Errorf("%s = %v, engine counter %d (want equal and non-zero)", name, snap[name], want)
-			}
+		if v == 0 && !zeroHere[name] {
+			t.Errorf("%s = 0 after 3 steps: its row is not refreshed", name)
+		}
+	}
+	ps := pool.DefaultStats()
+	for name, want := range map[string]int64{"pool.jobs": ps.Jobs, "pool.inline_runs": ps.InlineRuns,
+		"pool.submitter_chunks": ps.SubmitterChunks, "pool.worker_chunks": ps.WorkerChunks, "pool.stolen_chunks": ps.StolenChunks} {
+		if snap[name] != float64(want) {
+			t.Errorf("%s = %v, pool counter %d", name, snap[name], want)
+		}
+	}
+	ssd, flows := e.ssd, e.prevFlow
+	for name, want := range map[string]int64{
+		"engine.act_offload_bytes":   e.actOffload.Load(),
+		"engine.act_host_bytes":      e.actHost.Load(),
+		"engine.act_fetched_bytes":   e.actFetched.Load(),
+		"engine.act_resident_bytes":  e.win.resident.Load(), // block 2, the last into slot 0
+		"engine.recomputed_blocks":   e.recomputedN.Load(),
+		"nvme.read_bytes":            int64(ssd.BytesRead),
+		"nvme.write_bytes":           int64(ssd.BytesWritten),
+		"nvme.read_ops":              ssd.ReadOps,
+		"nvme.write_ops":             ssd.WriteOps,
+		"flow.compute_host_bytes":    flows.Edge(obs.EdgeComputeHost),
+		"flow.host_nvme_read_bytes":  flows.Edge(obs.EdgeHostNVMeRead),
+		"flow.host_nvme_write_bytes": flows.Edge(obs.EdgeHostNVMeWrite),
+		"flow.codec_encode_bytes":    flows.Edge(obs.EdgeCodecEncode),
+		"flow.codec_decode_bytes":    flows.Edge(obs.EdgeCodecDecode),
+		"flow.activations_bytes":     flows.Purpose(obs.FlowActivations),
+		"flow.params_bytes":          flows.Purpose(obs.FlowParams),
+		"flow.grads_bytes":           flows.Purpose(obs.FlowGrads),
+		"flow.opt_state_bytes":       flows.Purpose(obs.FlowOptState),
+	} {
+		if snap[name] != float64(want) || want == 0 {
+			t.Errorf("%s = %v, the step's snapshot %d (want equal and non-zero)", name, snap[name], want)
 		}
 	}
 }

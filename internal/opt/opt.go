@@ -372,9 +372,11 @@ func (o *OutOfCoreAdam) BeginStep() { o.step++ }
 // synchronous call on the caller's goroutine: piece by piece it reads the
 // piece's P32+OS32 from the store, consumes its gradients (rounded to fp16,
 // as they arrive over PCIe), applies Adam, installs the new fp16 working
-// weights and writes the updated state back. The engine's training path
-// streams the same pieces through a StatePipeline instead; the values are
-// identical.
+// weights and writes the updated state back. The engine never calls it: its
+// every update streams the same pieces through a StatePipeline, with the
+// same values. It stays as the synchronous reference — this package's tests
+// check the pipeline against it, the engine's tests train a plain model with
+// it — and the benchmark's probe times it.
 func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	if o.step < 1 {
 		return fmt.Errorf("opt: UpdateGroup(%s) before BeginStep", g.Name)
