@@ -126,13 +126,15 @@ func validSwap(swap map[int]Tier, layers int) error {
 	return nil
 }
 
-// SetSwap installs a block placement chosen by ProfileAndPlan, between
-// steps. Blocks that left the host tier give their blob up.
+// SetSwap installs a block placement chosen by ProfileAndPlan, and the step
+// plan for it, between steps. Blocks that left the host tier give their blob
+// up.
 func (e *Engine) SetSwap(swap map[int]Tier) error {
 	if err := validSwap(swap, len(e.arena.host)); err != nil {
 		return err
 	}
 	e.cfg.Swap = swap
+	e.replan()
 	for i := range e.arena.host {
 		if swap[i] != SwapHost {
 			e.arena.host[i].blob = nil

@@ -166,7 +166,7 @@ func TestBlobArenaRingSlots(t *testing.T) {
 		}
 		bufs := make([]*byte, 2*nslots)
 		for i := range bufs {
-			if err := e.win.consume(i, func(blob []byte) error { bufs[i] = &blob[0]; return nil }); err != nil {
+			if err := e.win.consume(i, false, func(blob []byte) error { bufs[i] = &blob[0]; return nil }); err != nil {
 				t.Fatal(err)
 			}
 			for j := max(0, i-nslots+1); j < i; j++ {

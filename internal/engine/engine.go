@@ -182,8 +182,10 @@ type Engine struct {
 	released              func(carried *tensor.Tensor)
 	// depth is the resolved activation I/O window; win owns the ring and moves
 	// SwapSSD blobs between it and the array in both directions (pipeline.go).
+	// plan is the step's schedule for Config.Swap at that depth (plan.go).
 	depth int
 	win   *actWindow
+	plan  []cell
 	// states is the optimizer state pipeline (opt.StatePipeline), the
 	// engine's only optimizer path: every group update streams through its
 	// read-ahead → Adam → write-behind stages, and GradMode only decides when
@@ -289,6 +291,7 @@ func New(cfg Config) (*Engine, error) {
 	if e.depth == 0 {
 		e.depth = DefaultPipelineDepth
 	}
+	e.replan()
 	e.arena.host = make([]hostBlob, len(m.Blocks))
 	a.SetTracer(cfg.Tracer)
 	e.optimizer.SetTracer(cfg.Tracer)
@@ -538,17 +541,14 @@ func (e *Engine) beginStep() {
 	}
 }
 
-// runBatch executes one forward/backward pass, accumulating gradients.
-// When apply is set (the step's last micro-batch) each completed group is
-// handed to the optimizer in gradient-arrival order. The returned durations
-// are the forward and backward stage wall times.
+// runBatch executes one forward/backward pass, accumulating gradients: it
+// runs the step plan (plan.go) cell by cell, and any cell's failure ends the
+// batch at abortBatch. When apply is set (the step's last micro-batch) each
+// completed group is handed to the optimizer in gradient-arrival order. The
+// returned durations are the forward and backward stage wall times.
 func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fwdDur, bwdDur time.Duration, err error) {
 	m := e.model
-	m.NextStep()       // fresh dropout masks; recomputation below replays them
-	groups := e.groups // embedding, block0..N-1, head
-	fail := func(err error) (float64, time.Duration, time.Duration, error) {
-		return 0, fwdDur, bwdDur, e.abortBatch(err)
-	}
+	m.NextStep() // fresh dropout masks; recomputation below replays them
 	tr := e.tracer
 	// The batch's working set: whatever the last batch left in the arenas —
 	// finished or failed, a kept cache included — is dead here (releaseBlock(nil)
@@ -559,174 +559,85 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	m.SetArena(&e.stepArena, &e.blockArena)
 	defer m.SetArena(nil, nil)
 
-	// ---------- Forward ----------
+	// h is what flows between cells: a block's input in forward, the gradient
+	// of its output in backward. c is the cache of the block in progress.
+	var h, lnOut, logits, dlogits *tensor.Tensor
+	var c *nn.BlockCache
 	fwdStart := time.Now()
-	var x *tensor.Tensor
-	tr.Do(obs.LaneCompute, labelEmbedFwd, func() { x, err = m.Embed(tokens) })
-	if err != nil {
-		return fail(err)
-	}
-	inputs := e.inputs
-	var lastCache *nn.BlockCache
-	h := x
-	for i, b := range m.Blocks {
-		inputs[i] = h
-		var y *tensor.Tensor
-		var c *nn.BlockCache
-		tr.Do(obs.LaneCompute, e.labels[i].fwd, func() { y, c, err = b.Forward(h) })
-		if err != nil {
-			return fail(err)
-		}
-		switch e.cfg.Swap[i] {
-		case SwapSSD:
-			// Write-behind offload: encode into block i's ring slot; block i+1
-			// computes while one of the window's workers puts the blob.
+	bwdStart := fwdStart
+	for _, step := range e.plan {
+		i := step.block
+		switch step.op {
+		case opEmbed:
+			tr.Do(obs.LaneCompute, labelEmbedFwd, func() { h, err = m.Embed(tokens) })
+		case opForward:
+			e.inputs[i] = h
+			tr.Do(obs.LaneCompute, e.labels[i].fwd, func() { h, c, err = m.Blocks[i].Forward(h) })
+		case opOffload:
+			// Write-behind: block i+1 computes while a worker puts the blob.
 			stash := func(blob []byte) error { return e.stashCache(blob, c, e.labels[i].offload) }
-			if err := e.win.offload(i, stash); err != nil {
-				return fail(err)
+			if err = e.win.offload(i, stash); err == nil {
+				e.actOffload.Add(int64(e.blobLen))
 			}
-			e.actOffload.Add(int64(e.blobLen))
-		case SwapHost:
-			// Pin the cache in main memory until backward consumes it: the
-			// block's own blob holds the bytes.
-			if err := e.stashCache(e.arena.hostBuf(i, e.blobLen), c, e.labels[i].pin); err != nil {
-				return fail(err)
+		case opPin:
+			if err = e.stashCache(e.arena.hostBuf(i, e.blobLen), c, e.labels[i].pin); err == nil {
+				e.arena.host[i].pinned = true
+				e.actHost.Add(int64(e.blobLen))
 			}
-			e.arena.host[i].pinned = true
-			e.actHost.Add(int64(e.blobLen))
-		}
-		// The live cache is dropped either way: swapped blocks restore it
-		// from their tier, the rest recompute from the saved block input. But
-		// not the last block's, which backward wants a head forward from now
-		// with no other cache live: recomputing that one lowers no peak, so its
-		// scope simply stays open until its backward has run.
-		if i == len(m.Blocks)-1 && e.cfg.Swap[i] == Recompute {
-			lastCache = c
-		} else {
-			e.releaseBlock(y)
-		}
-		h = y
-	}
-	var lnOut, logits, dlogits *tensor.Tensor
-	tr.Do(obs.LaneCompute, labelHeadFwd, func() { lnOut, logits, err = m.HeadForward(h) })
-	if err != nil {
-		return fail(err)
-	}
-	tr.Do(obs.LaneCompute, labelLoss, func() { loss, dlogits, err = m.CrossEntropy(logits, targets) })
-	if err != nil {
-		return fail(err)
-	}
-	// Forward's half of the step barrier: every write-behind offload joins
-	// here (head forward and the loss overlapped the tail writes), so any
-	// write error surfaces before backward and backward starts with all ring
-	// slots free for read-ahead.
-	if err := e.win.barrier(); err != nil {
-		return fail(fmt.Errorf("engine: offload activations: %w", err))
-	}
-	fwdDur = time.Since(fwdStart)
-	tr.Instant(obs.LaneStep, labelFwdEnd)
-
-	// ---------- Backward with active gradient offloading ----------
-	bwdStart := time.Now()
-	var dh *tensor.Tensor
-	tr.Do(obs.LaneCompute, labelHeadBwd, func() { dh, err = m.HeadBackward(h, lnOut, dlogits) })
-	if err != nil {
-		return fail(err)
-	}
-	dh.RoundFP16InPlace()
-	// The head group's gradients are complete: its handler fires first
-	// (gradients arrive with decreasing block index, §IV-C).
-	if apply {
-		if err := e.gradsReady(groups[len(groups)-1]); err != nil {
-			return fail(err)
-		}
-	}
-
-	// Depth-k read-ahead (the Ratel_hook prefetching of Fig. 4): the SSD fetch
-	// for block i-depth launches when block i is consumed. It changes only
-	// timing, never values, and is staggered instead of issued all at once:
-	// concurrent reads fair-queue on each device's read lane, so a full-depth
-	// burst delays the one fetch backward is about to block on by the whole
-	// batch. A block's consume launches only a fetch nothing has launched yet
-	// (the first-needed one), and the window refills after each consume —
-	// in-flight reads still reach depth during block compute, but the head of
-	// the queue is never contended.
-	ahead := e.depth
-	if e.cfg.oracleSyncIO {
-		ahead = 0
-	}
-	nextFetch := len(m.Blocks) - 1
-	refill := func(lo int) error {
-		for ; nextFetch >= lo && nextFetch >= 0; nextFetch-- {
-			if e.cfg.Swap[nextFetch] == SwapSSD {
-				if err := e.win.prefetch(nextFetch); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		var c *nn.BlockCache
-		switch e.cfg.Swap[i] {
-		case SwapSSD:
-			if err := refill(i); err != nil {
-				return fail(err)
-			}
-			revive := func(blob []byte) (err error) {
-				c, err = e.reviveCache(blob, inputs[i])
-				return err
-			}
-			if err := e.win.consume(i, revive); err != nil {
-				return fail(err)
-			}
-		case SwapHost:
-			h := &e.arena.host[i]
-			if !h.pinned {
-				return fail(fmt.Errorf("engine: block %d host-tier cache missing", i))
-			}
-			if c, err = e.reviveCache(h.blob, inputs[i]); err != nil {
-				return fail(err)
-			}
-			h.pinned = false
-		default:
-			if i == len(m.Blocks)-1 {
-				c = lastCache // forward's own, kept across the head
+		case opRelease:
+			e.releaseBlock(h)
+		case opHead:
+			tr.Do(obs.LaneCompute, labelHeadFwd, func() { lnOut, logits, err = m.HeadForward(h) })
+		case opLoss:
+			tr.Do(obs.LaneCompute, labelLoss, func() { loss, dlogits, err = m.CrossEntropy(logits, targets) })
+		case opBarrier:
+			// Head forward and the loss overlapped the tail writes; any write
+			// error surfaces here, and backward starts with every slot free.
+			if err = e.win.barrier(); err != nil {
+				err = fmt.Errorf("engine: offload activations: %w", err)
 				break
 			}
-			tr.Do(obs.LaneCompute, e.labels[i].recompute, func() { c, err = m.Blocks[i].Recompute(inputs[i]) })
-			if err != nil {
-				return fail(err)
+			fwdDur = time.Since(fwdStart)
+			tr.Instant(obs.LaneStep, labelFwdEnd)
+			bwdStart = time.Now()
+		case opHeadBackward:
+			tr.Do(obs.LaneCompute, labelHeadBwd, func() { h, err = m.HeadBackward(h, lnOut, dlogits) })
+			if err == nil {
+				h.RoundFP16InPlace()
 			}
-			e.recomputedN.Add(1)
+		case opFetch:
+			err = e.win.prefetch(i)
+		case opConsume:
+			err = e.win.consume(i, step.resident, func(blob []byte) (err error) {
+				c, err = e.reviveCache(blob, e.inputs[i])
+				return err
+			})
+		case opRevive:
+			hb := &e.arena.host[i]
+			if !hb.pinned {
+				err = fmt.Errorf("engine: block %d host-tier cache missing", i)
+			} else if c, err = e.reviveCache(hb.blob, e.inputs[i]); err == nil {
+				hb.pinned = false
+			}
+		case opRecompute:
+			tr.Do(obs.LaneCompute, e.labels[i].recompute, func() { c, err = m.Blocks[i].Recompute(e.inputs[i]) })
+			if err == nil {
+				e.recomputedN.Add(1)
+			}
+		case opBackward:
+			tr.Do(obs.LaneCompute, e.labels[i].bwd, func() { h, err = m.Blocks[i].Backward(c, h) })
+			if err == nil {
+				h.RoundFP16InPlace()
+			}
+		case opEmbedBackward:
+			tr.Do(obs.LaneCompute, labelEmbedBwd, func() { err = m.EmbedBackward(tokens, h) })
+		case opGrads:
+			if apply {
+				err = e.gradsReady(e.groups[i+1])
+			}
 		}
-		// Refill the read-ahead window now that block i's slot is consumed;
-		// these fetches overlap block i's backward compute.
-		if err := refill(i - ahead); err != nil {
-			return fail(err)
-		}
-		var dx *tensor.Tensor
-		tr.Do(obs.LaneCompute, e.labels[i].bwd, func() { dx, err = m.Blocks[i].Backward(c, dh) })
 		if err != nil {
-			return fail(err)
-		}
-		dx.RoundFP16InPlace()
-		dh = dx
-		e.releaseBlock(dh)
-		if apply {
-			if err := e.gradsReady(groups[i+1]); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	tr.Do(obs.LaneCompute, labelEmbedBwd, func() { err = m.EmbedBackward(tokens, dh) })
-	if err != nil {
-		return fail(err)
-	}
-	if apply {
-		if err := e.gradsReady(groups[0]); err != nil {
-			return fail(err)
+			return 0, fwdDur, bwdDur, e.abortBatch(err)
 		}
 	}
 	bwdDur = time.Since(bwdStart)

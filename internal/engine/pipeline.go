@@ -27,25 +27,16 @@ import (
 // barrier, which takes and returns them all at the forward/backward boundary
 // and on every failure path, so no transfer or error outlives its step.
 // acquire and release have no caller outside this file
-// (TestSlotProtocolStaysInPipeline).
+// (TestSlotProtocolStaysInPipeline). When each is called is the step plan's
+// business (plan.go), and so is which blocks need no fetch: a written slot
+// keeps its encoded blob (the worker only reads it), so consume of a resident
+// block takes the slot as always — the join with its write-behind, whose
+// error it surfaces — and decodes the bytes already there.
 //
 // The ring needs no lock. Forward has at most depth writes in flight: block
 // i+len(ring) waits on block i's slot (a recorded stall when the window is
-// full) and every write drains at the barrier. Backward launches the fetch
-// for block i-depth when block i is consumed, so launched-but-unconsumed
-// fetches span depth+1 consecutive blocks, which map to distinct slots.
-//
-// The ring is also a cache. A written slot keeps its encoded blob (the worker
-// only reads it), and the window records which block each slot still holds:
-// offload sets the record; a read submitted into the slot, consume, a failed
-// offload and the start of every step clear it. prefetch of a block its slot
-// still holds launches nothing, and consume takes the slot as always — the
-// join with the block's write-behind, whose error it surfaces — and decodes
-// the bytes already there. Per slot, the resident block is the last SSD block
-// that offloaded into it. This is safe because nothing writes a held slot in
-// between: the barrier gives it back untouched, and the read-ahead of block j
-// lands in slot j mod (depth+1) only after every block from j+depth+1 up —
-// the slot's last offloader among them, unless that is j — has been consumed.
+// full) and every write drains at the barrier. Backward's launched but
+// unconsumed fetches span at most depth+1 consecutive blocks: distinct slots.
 
 // DefaultPipelineDepth is the activation I/O window used when
 // Config.PipelineDepth is zero: up to 2 blobs in flight per direction.
@@ -87,11 +78,9 @@ type actWindow struct {
 	reuses  *atomic.Int64 // engine.blob_reuses, shared with the host tier
 
 	// ring holds each slot while nobody owns it (see the file comment).
-	ring []chan ringSlot
-	// holds[i] is 1 + the block whose encoded blob slot i's buffer still
-	// holds, 0 for none; the step goroutine's. resident counts the bytes
-	// consume decoded straight from a slot (Stats.ActBytesResident).
-	holds    []int
+	// resident counts the bytes consume decoded straight from a slot
+	// (Stats.ActBytesResident).
+	ring     []chan ringSlot
 	resident atomic.Int64
 	// jobs is the transfer queue, one place per slot: a submission carries its
 	// slot, so a send never blocks and flow control happens at acquire.
@@ -114,9 +103,8 @@ type actWindow struct {
 func newActWindow(a *nvme.Array, tr *obs.Tracer, labels []blockLabels, blobLen int, reuses *atomic.Int64, depth int) *actWindow {
 	w := &actWindow{
 		array: a, tracer: tr, labels: labels, blobLen: blobLen, reuses: reuses,
-		ring:  make([]chan ringSlot, depth+1),
-		holds: make([]int, depth+1),
-		jobs:  make(chan ioJob, depth+1),
+		ring: make([]chan ringSlot, depth+1),
+		jobs: make(chan ioJob, depth+1),
 	}
 	for i := range w.ring {
 		w.ring[i] = make(chan ringSlot, 1)
@@ -197,7 +185,7 @@ func (w *actWindow) submit(j ioJob) {
 // the slot's blob and a worker puts the blob to the array while the next block
 // computes. Taking the slot bounds reuse (a full window stalls here) and
 // surfaces the error of the transfer that last used it; any error gives the
-// slot back. Once the write is submitted the slot holds block's blob.
+// slot back. The submitted slot keeps block's blob until it is reused.
 func (w *actWindow) offload(block int, fill func(blob []byte) error) error {
 	l, i := &w.labels[block], block%len(w.ring)
 	s, err := w.acquire(i, l.stall, &w.offloadStall)
@@ -207,42 +195,33 @@ func (w *actWindow) offload(block int, fill func(blob []byte) error) error {
 		err = fill(w.buf(&s))
 	}
 	if err != nil {
-		w.holds[i] = 0
 		w.release(i, s)
 		return err
 	}
-	w.holds[i] = block + 1
 	w.submit(ioJob{slot: i, l: l, blob: s.blob})
 	return nil
 }
 
-// prefetch launches backward's read-ahead of one block into its slot, unless
-// the slot still holds the block's blob.
+// prefetch launches backward's read-ahead of one block into its slot.
 func (w *actWindow) prefetch(block int) error {
 	l, i := &w.labels[block], block%len(w.ring)
-	if w.holds[i] == block+1 {
-		return nil
-	}
 	s, err := w.acquire(i, l.fetchStall, &w.fetchStall)
 	if err != nil {
 		w.release(i, s)
 		return err
 	}
-	w.holds[i] = 0
 	w.submit(ioJob{slot: i, read: true, l: l, blob: w.buf(&s)})
 	return nil
 }
 
-// consume joins block's fetch — or, for a block its slot still holds, the
-// block's write-behind — lends the blob to use and gives the slot back.
-// Finding the slot home means read-ahead won; blocking means it missed its
-// deadline, and the wait lands on the stall lane so bottleneck attribution can
-// tell "stalled-on-readahead" from plain NVMe-read occupancy.
-func (w *actWindow) consume(block int, use func(blob []byte) error) error {
+// consume joins block's fetch — or, for a resident block (its slot still
+// holds its blob), the block's write-behind — lends the blob to use and gives
+// the slot back. Finding the slot home means read-ahead won; blocking means it
+// missed its deadline, and the wait lands on the stall lane so bottleneck
+// attribution can tell "stalled-on-readahead" from plain NVMe-read occupancy.
+func (w *actWindow) consume(block int, resident bool, use func(blob []byte) error) error {
 	l, i := &w.labels[block], block%len(w.ring)
 	s, err := w.acquire(i, l.fetchStall, &w.fetchStall)
-	resident := w.holds[i] == block+1
-	w.holds[i] = 0
 	if err != nil {
 		err = fmt.Errorf("engine: fetch block %d activations: %w", block, err)
 	} else if err = use(w.buf(&s)); err == nil && resident {
@@ -265,10 +244,8 @@ func (w *actWindow) barrier() error {
 	return joined
 }
 
-// startStep zeroes the per-step stall accounting and forgets what the slots
-// hold: between steps a buffer's bytes are no step's. trainStep calls it once
+// startStep zeroes the per-step stall accounting. trainStep calls it once
 // per optimizer step.
 func (w *actWindow) startStep() {
 	w.offloadStall, w.fetchStall, w.queuePeak = stallCount{}, stallCount{}, 0
-	clear(w.holds)
 }

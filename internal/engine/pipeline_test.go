@@ -698,7 +698,7 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 	failing := func([]byte) error { return boom }
 	// stored offloads block 0, then block len(ring) into the same slot, and
 	// joins both writes: block 0 is on the array and no longer in its slot, so
-	// a prefetch of it reads the array.
+	// its consume must follow a prefetch that reads the array.
 	stored := func(t *testing.T, w *actWindow) {
 		t.Helper()
 		if err := errors.Join(w.offload(0, fill), w.offload(len(w.ring), fill), w.barrier()); err != nil {
@@ -730,7 +730,7 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 			if err := e.win.prefetch(0); err != nil {
 				t.Fatal(err)
 			}
-			return e.win.consume(0, use)
+			return e.win.consume(0, false, use)
 		}},
 		{"offload/fill fails", boom, func(t *testing.T, e *Engine) error {
 			return e.win.offload(0, failing)
@@ -740,7 +740,7 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 			if err := e.win.prefetch(0); err != nil {
 				t.Fatal(err)
 			}
-			return e.win.consume(0, failing)
+			return e.win.consume(0, false, failing)
 		}},
 		{"device fault mid-window", boom, func(t *testing.T, e *Engine) error {
 			e.Array().InjectFaultAfter(0, 1, boom) // the second write of a full ring

@@ -26,7 +26,7 @@ type blockLabels struct {
 	pin        string // "blockN/act-pin"       lane offload (host tier)
 	prefetch   string // "blockN/act-prefetch"  lane prefetch
 	write      string // "blockN/act-write"     lane offload (async Put wall)
-	stall      string // "blockN/offload-stall" lane stall (window/pool full)
+	stall      string // "blockN/offload-stall" lane stall (window full)
 	fetchStall string // "blockN/fetch-stall"   lane stall (read-ahead missed)
 	actKey     string // "act/blockN"           NVMe object key, not a span
 }

@@ -61,8 +61,8 @@ func (a Attribution) StallFraction() float64 {
 }
 
 // fetchStallSuffix matches the engine's backward read-ahead wait labels
-// ("block3/fetch-stall"); every other LaneStall span is offload-side
-// backpressure ("block3/offload-stall", staging-pool waits).
+// ("block3/fetch-stall"); every other LaneStall span is the activation
+// window's write-behind backpressure ("block3/offload-stall").
 const fetchStallSuffix = "/fetch-stall"
 
 // Attribute folds the spans inside [from, to) into an Attribution.
