@@ -38,13 +38,15 @@ test-nosimd:
 # element-wise ones never do (TestElementwiseKernelsNeverDispatch) and the step
 # arena's tests (every test named *Arena*: the allocator's own, the poisoned,
 # failed-step, lifetime and bound tests, the four workload shapes on arena
-# tensors under every level with the heads fanned out) under GOMAXPROCS 1, 2
-# and 4, uncached.
+# tensors under every level with the heads fanned out) and the array's batch
+# tests (every test named *ArrayBatch*: a batch's layout, a fault mid-batch,
+# every object in flight, and the engine's checkpoint round trip through
+# batched state I/O) under GOMAXPROCS 1, 2 and 4, uncached.
 # A pin that holds on one core count only (the seed's
 # TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
 # matches any test fails the target instead of silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena
-TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/tensor/... ./internal/nn
+TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch
+TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/nvme ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:
 	@for pat in $(TEST_PROCS_PATTERNS); do \

@@ -15,6 +15,7 @@ import (
 
 	"ratel/internal/agoffload"
 	"ratel/internal/nn"
+	"ratel/internal/nvme"
 	"ratel/internal/opt"
 	"ratel/internal/tensor"
 )
@@ -216,6 +217,40 @@ func TestCheckpointResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointArrayBatchRoundTrip: on the benchmark's opt_stream model and
+// throttled array, where New, SaveCheckpoint and LoadCheckpoint each move a
+// group's state pieces as one batch on the lanes, every checkpoint is the
+// plain reference's bytes, and a save → load → train round trip is
+// bit-identical to training straight through.
+func TestCheckpointArrayBatchRoundTrip(t *testing.T) {
+	cfg := Config{Model: nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 1},
+		GradMode: agoffload.Optimized, SSD: &nvme.Config{ReadBW: 33 << 20, WriteBW: 19 << 20, StripeSize: 64 << 10}}
+	first, ref := newEngine(t, cfg), newPlainRef(t, cfg)
+	pieces := 0
+	for _, g := range first.groups {
+		pieces = max(pieces, len(first.optimizer.StoredBytes(g.Name)))
+	}
+	if peak := first.Array().Stats().PeakWritesInFlight; pieces < 2 || peak != int64(pieces) {
+		t.Fatalf("New had %d state writes in flight at most, want every piece of the largest group's %d", peak, pieces)
+	}
+	trainK(t, first, 2)
+	ref.train(0, 2)
+	var ck bytes.Buffer
+	if err := first.SaveCheckpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ck.Bytes(), ref.checkpoint()) {
+		t.Fatal("the saved checkpoint differs from the reference's")
+	}
+	resumed := newEngine(t, cfg)
+	if err := resumed.LoadCheckpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	sameCheckpoint(t, "restored", resumed, ref)
+	sameTrajectory(t, "resumed", ref.train(2, 2), trainFrom(t, resumed, 2, 2), paramsSnapshot(ref.model), paramsSnapshot(resumed.Model()))
+	sameCheckpoint(t, "trained after the restore", resumed, ref)
 }
 
 // TestCheckpointErrors covers the failure paths that are not a spoiled

@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,29 +132,25 @@ type Array struct {
 	tracer atomic.Pointer[obs.Tracer]     // optional wall-clock span recorder
 	obsv   atomic.Pointer[arrayObservers] // optional latency/flow instruments
 
-	statMu       sync.Mutex
-	bytesRead    int64
-	bytesWritten int64
-	readOps      int64
-	writeOps     int64
-	perDevBytes  []int64
+	// Cumulative traffic: bytes and object operations per direction
+	// (laneRead, laneWrite), and total bytes per device.
+	statMu      sync.Mutex
+	bytes, ops  [2]int64
+	perDevBytes []int64
 
-	// Per-direction in-flight object transfers (reads: ReadInto; writes:
-	// Put) and their cumulative high-water marks. The peaks expose
-	// the depth the engine's write-behind queue and read-ahead window
-	// actually reached on the array.
-	readsInFlight  atomic.Int64
-	writesInFlight atomic.Int64
-	peakReads      atomic.Int64
-	peakWrites     atomic.Int64
+	// Per-direction object transfers in flight — submitted and not yet
+	// joined, or running inline — and their cumulative high-water marks. The
+	// peaks expose the depth the engine's write-behind queue and read-ahead
+	// window, and a batch, actually reached on the array.
+	inFlight, peakInFlight [2]atomic.Int64
 }
 
 // Stats reports cumulative traffic through the array.
 type Stats struct {
 	BytesRead    units.Bytes
 	BytesWritten units.Bytes
-	// ReadOps / WriteOps count completed object-level operations (ReadInto;
-	// Put).
+	// ReadOps / WriteOps count completed object transfers (an object of
+	// ReadInto / ReadAllInto; of Put / PutAll).
 	ReadOps, WriteOps int64
 	// PeakReadsInFlight / PeakWritesInFlight are the cumulative high-water
 	// marks of object transfers in progress — the concurrency the caller's
@@ -166,11 +163,11 @@ type Stats struct {
 	Objects int
 }
 
-// SetTracer installs a wall-clock span tracer: every Put records a span on
-// obs.LaneNVMeWrite and every ReadInto on obs.LaneNVMeRead (named by
-// object key), plus one per-device span per transfer (named "ssdN") so the
-// stripe parallelism is visible on the timeline. A nil tracer disables
-// tracing. Safe to call concurrently with I/O.
+// SetTracer installs a wall-clock span tracer: every Put or PutAll records a
+// span on obs.LaneNVMeWrite and every ReadInto or ReadAllInto one on
+// obs.LaneNVMeRead (named by its first object key), plus one per-device span
+// per object transfer (named "ssdN") so the stripe parallelism is visible on
+// the timeline. A nil tracer disables tracing. Safe to call concurrently.
 func (a *Array) SetTracer(tr *obs.Tracer) {
 	a.tracer.Store(tr)
 	// devLabel strings are preallocated at Open; nothing else to do.
@@ -316,43 +313,156 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 // write fails partway, the stored object's contents are undefined (with
 // Checksums enabled, subsequent reads fail with ErrCorrupt).
 func (a *Array) Put(key string, data []byte) error {
+	return a.PutAll([]string{key}, [][]byte{data})
+}
+
+// PutAll stores data[i] under keys[i], each as Put would, with every
+// object's device strides on the lanes before any of them is joined: a batch
+// of k objects keeps k transfers in flight where k Puts keep one. Fresh
+// objects are laid out in argument order, the layout the same Puts in a row
+// give. Every transfer is joined before PutAll returns; the error joins the
+// failed objects' errors, and a failed fresh object is not stored. The keys
+// must be distinct. The batch is one span, named after its first key.
+func (a *Array) PutAll(keys []string, data [][]byte) error {
+	for i, k := range keys {
+		if slices.Contains(keys[:i], k) {
+			return fmt.Errorf("nvme: PutAll: key %q twice in one batch", k)
+		}
+	}
+	return a.batch(keys, data, true)
+}
+
+// batch moves bufs[i] to or from the object keys[i] for every i: it submits
+// every object's transfer in argument order, then joins them in the same
+// order, settling each object as it joins.
+func (a *Array) batch(keys []string, bufs [][]byte, write bool) error {
+	if len(keys) != len(bufs) {
+		return fmt.Errorf("nvme: batch of %d keys and %d buffers", len(keys), len(bufs))
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	o := a.obsv.Load()
+	var start time.Time
+	if o != nil {
+		start = time.Now()
+	}
+	var err error
+	a.tracer.Load().Do(spanLanes[dir(write)], keys[0], func() {
+		var head *xfer
+		for i, tail := 0, &head; i < len(keys); i++ {
+			x := a.submit(keys[i], bufs[i], write)
+			*tail, tail = x, &x.next
+		}
+		for x := head; x != nil; {
+			next := x.next
+			err = errors.Join(err, a.settle(x, o, start))
+			x = next
+		}
+	})
+	return err
+}
+
+// spanLanes are the directions' span lanes, indexed laneRead/laneWrite.
+var spanLanes = [2]string{obs.LaneNVMeRead, obs.LaneNVMeWrite}
+
+// submit looks up (or, for a write whose object is missing or of another
+// size, lays out afresh) the object key and starts moving buf to or from it:
+// an untimed small transfer runs inline before submit returns, anything else
+// is one stride item per device on the device lanes. A read of a missing
+// object or into a buffer of the wrong size moves nothing and carries its
+// error. settle joins the transfer.
+func (a *Array) submit(key string, buf []byte, write bool) *xfer {
+	x := a.xpool.get(len(a.devs))
+	x.key, x.buf, x.write, x.lane, x.tr = key, buf, write, spanLanes[dir(write)], a.tracer.Load()
 	a.mu.RLock()
 	obj, ok := a.objs[key]
 	a.mu.RUnlock()
-	// A same-size overwrite keeps the object's chunks (the steady state of
-	// every training step); anything else is stored on fresh ones.
-	fresh := !ok || obj.size != len(data)
-	if fresh {
-		a.delete(key)
-		obj = a.allocObject(len(data))
+	switch {
+	case write:
+		// A same-size overwrite keeps the object's chunks (the steady state of
+		// every training step); anything else is stored on fresh ones.
+		if x.fresh = !ok || obj.size != len(buf); x.fresh {
+			a.delete(key)
+			obj = a.allocObject(len(buf))
+		}
+		if a.cfg.Checksums {
+			obj.crc = crc32.Checksum(buf, crcTable)
+		}
+	case !ok:
+		x.err = fmt.Errorf("%w: %q", ErrNotFound, key)
+		return x
+	case len(buf) != obj.size:
+		x.err = fmt.Errorf("nvme: ReadInto %q: dst %d bytes, object %d", key, len(buf), obj.size)
+		return x
 	}
-	if a.cfg.Checksums {
-		obj.crc = crc32.Checksum(data, crcTable)
+	x.obj, x.bw = obj, a.cfg.ReadBW
+	if write {
+		x.bw = a.cfg.WriteBW
 	}
-	o := a.obsv.Load()
-	var opStart time.Time
-	if o != nil {
-		opStart = time.Now()
+	foldMax(&a.peakInFlight[dir(write)], a.inFlight[dir(write)].Add(1))
+
+	// Chunks are allocated round-robin, so chunk indexes congruent mod the
+	// device count share a device: stride w covers indexes w, w+D, w+2D, ...
+	// and touches exactly one device. Timed transfers split into one stride
+	// item per device, enqueued on the device's dispatch lane and executed by
+	// its persistent dispatcher (see sched.go), so the steady-state path
+	// allocates nothing. Untimed small transfers skip the queue: without
+	// bandwidth or latency sleeps there is no contention to schedule, and the
+	// dispatcher round-trip buys nothing below ~memcpy scale.
+	workers := min(len(a.devs), len(obj.chunks))
+	if x.queued = x.bw > 0 || a.cfg.OpLatency > 0 || (workers > 1 && obj.size > inlineTransferMax); x.queued {
+		x.wg.Add(workers)
 	}
-	var err error
-	a.tracer.Load().Do(obs.LaneNVMeWrite, key, func() { err = a.transfer(obj, data, true) })
-	if err != nil {
-		if fresh {
+	for w := range workers {
+		it := &x.items[w]
+		it.x, it.w = x, w
+		if x.queued {
+			a.enqueue(a.devs[obj.chunks[w].dev].lanes[dir(write)], it)
+		} else if x.err == nil {
+			x.tr.Do(x.lane, a.devLabels[obj.chunks[w].dev], func() { x.err = a.runStride(nil, it) })
+		}
+	}
+	if !x.queued {
+		a.inFlight[dir(write)].Add(-1)
+	}
+	return x
+}
+
+// settle joins x's transfer and settles its object: a write that succeeded
+// is stored, a fresh one that failed is released; a read that arrived is
+// verified. The counters and observers count every object that moved, read
+// bytes whether or not they verify, so the ledger and the counters reconcile
+// after a corrupt read too. x goes back to the pool.
+func (a *Array) settle(x *xfer, o *arrayObservers, start time.Time) error {
+	x.wg.Wait()
+	key, obj, write, err := x.key, x.obj, x.write, x.err
+	if x.queued {
+		a.inFlight[dir(write)].Add(-1)
+	}
+	switch {
+	case err != nil:
+		if write && x.fresh {
 			a.releaseChunks(obj)
 		}
+		a.xpool.put(x)
 		return err
+	case write:
+		a.mu.Lock()
+		a.objs[key] = obj
+		a.mu.Unlock()
+	default:
+		err = a.verify(key, obj, x.buf)
 	}
 	if o != nil {
-		o.note(key, int64(len(data)), true, time.Since(opStart))
+		o.note(key, int64(obj.size), write, time.Since(start))
 	}
-	a.mu.Lock()
-	a.objs[key] = obj
-	a.mu.Unlock()
 	a.statMu.Lock()
-	a.bytesWritten += int64(len(data))
-	a.writeOps++
+	a.bytes[dir(write)] += int64(obj.size)
+	a.ops[dir(write)]++
 	a.statMu.Unlock()
-	return nil
+	a.xpool.put(x)
+	return err
 }
 
 // allocObject lays out a new object of size bytes: stripe-sized chunks
@@ -406,36 +516,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ReadInto reads key into dst, which must have the object's exact size. It
 // avoids allocation on the engine's hot swap-in path.
 func (a *Array) ReadInto(key string, dst []byte) error {
-	a.mu.RLock()
-	obj, ok := a.objs[key]
-	a.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	if len(dst) != obj.size {
-		return fmt.Errorf("nvme: ReadInto %q: dst %d bytes, object %d", key, len(dst), obj.size)
-	}
-	o := a.obsv.Load()
-	var opStart time.Time
-	if o != nil {
-		opStart = time.Now()
-	}
-	var err error
-	a.tracer.Load().Do(obs.LaneNVMeRead, key, func() { err = a.transfer(obj, dst, false) })
-	if err != nil {
-		return err
-	}
-	// The bytes crossed from the devices whether or not they verify: the
-	// ledger and the counters both count them, so they reconcile after a
-	// corrupt read too.
-	if o != nil {
-		o.note(key, int64(obj.size), false, time.Since(opStart))
-	}
-	a.statMu.Lock()
-	a.bytesRead += int64(obj.size)
-	a.readOps++
-	a.statMu.Unlock()
-	return a.verify(key, obj, dst)
+	return a.ReadAllInto([]string{key}, [][]byte{dst})
+}
+
+// ReadAllInto reads each object keys[i] into dst[i], as ReadInto would, with
+// every object's device strides on the lanes before any of them is joined.
+// Every transfer is joined before it returns; the error joins the failed
+// objects' errors. The batch is one span, named after its first key.
+func (a *Array) ReadAllInto(keys []string, dst [][]byte) error {
+	return a.batch(keys, dst, false)
 }
 
 // delete removes key, if stored, and frees its chunks.
@@ -453,18 +542,18 @@ func (a *Array) delete(key string) {
 func (a *Array) Stats() Stats {
 	a.statMu.Lock()
 	s := Stats{
-		BytesRead:      units.Bytes(a.bytesRead),
-		BytesWritten:   units.Bytes(a.bytesWritten),
-		ReadOps:        a.readOps,
-		WriteOps:       a.writeOps,
+		BytesRead:      units.Bytes(a.bytes[laneRead]),
+		BytesWritten:   units.Bytes(a.bytes[laneWrite]),
+		ReadOps:        a.ops[laneRead],
+		WriteOps:       a.ops[laneWrite],
 		PerDeviceBytes: make([]units.Bytes, len(a.perDevBytes)),
 	}
 	for i, b := range a.perDevBytes {
 		s.PerDeviceBytes[i] = units.Bytes(b)
 	}
 	a.statMu.Unlock()
-	s.PeakReadsInFlight = a.peakReads.Load()
-	s.PeakWritesInFlight = a.peakWrites.Load()
+	s.PeakReadsInFlight = a.peakInFlight[laneRead].Load()
+	s.PeakWritesInFlight = a.peakInFlight[laneWrite].Load()
 	a.mu.RLock()
 	s.Objects = len(a.objs)
 	a.mu.RUnlock()
@@ -528,88 +617,6 @@ func (a *Array) chunkIO(dev int, off int64, p []byte, write bool) error {
 // inlineTransferMax is the largest untimed object moved without goroutine
 // fan-out; above it, parallel memcpy across devices is worth the spawns.
 const inlineTransferMax = 256 << 10
-
-// transfer moves all chunks of obj between buf and the devices, applying
-// the configured throttles.
-//
-// Chunks are allocated round-robin, so chunk indexes congruent mod the
-// device count share a device: stride w covers indexes w, w+D, w+2D, ...
-// and touches exactly one device. Timed transfers split into one stride
-// item per device, enqueued on the device's dispatch lane and executed by
-// its persistent dispatcher (see sched.go) — replacing the old per-call
-// goroutine spawn, so the steady-state path allocates nothing. Untimed
-// small transfers skip the queue entirely: without bandwidth or latency
-// sleeps there is no contention to schedule, and the dispatcher round-trip
-// buys nothing below ~memcpy scale.
-func (a *Array) transfer(obj object, buf []byte, write bool) error {
-	cur, peak := &a.readsInFlight, &a.peakReads
-	if write {
-		cur, peak = &a.writesInFlight, &a.peakWrites
-	}
-	foldMax(peak, cur.Add(1))
-	defer cur.Add(-1)
-
-	nchunks := len(obj.chunks)
-	bw := a.cfg.ReadBW
-	if write {
-		bw = a.cfg.WriteBW
-	}
-
-	tr := a.tracer.Load()
-	lane := obs.LaneNVMeRead
-	if write {
-		lane = obs.LaneNVMeWrite
-	}
-	ndevs := len(a.devs)
-	workers := ndevs
-	if nchunks < workers {
-		workers = nchunks
-	}
-	if bw <= 0 && a.cfg.OpLatency <= 0 && (workers == 1 || obj.size <= inlineTransferMax) {
-		for w := 0; w < workers; w++ {
-			var err error
-			tr.Do(lane, a.devLabels[obj.chunks[w].dev], func() { err = a.runStrideInline(obj, buf, write, w) })
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	x := a.xpool.get(ndevs)
-	x.obj, x.buf, x.write = obj, buf, write
-	x.bw, x.lane, x.tr = bw, lane, tr
-	x.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		it := &x.items[w]
-		it.x = x
-		it.w = w
-		a.enqueue(a.devs[obj.chunks[w].dev].lanes[dir(write)], it)
-	}
-	x.wg.Wait()
-	err := x.err
-	a.xpool.put(x)
-	return err
-}
-
-// runStrideInline moves one device stride synchronously on the caller's
-// goroutine — the untimed fast path, where no throttle charges apply.
-func (a *Array) runStrideInline(obj object, buf []byte, write bool, w int) error {
-	dev := obj.chunks[w].dev
-	ndevs := len(a.devs)
-	stripe := a.cfg.StripeSize
-	var devBytes int64
-	for i := w; i < len(obj.chunks); i += ndevs {
-		c := obj.chunks[i]
-		if err := a.chunkIO(c.dev, c.off, buf[i*stripe:i*stripe+c.n], write); err != nil {
-			return err
-		}
-		devBytes += int64(c.n)
-	}
-	a.statMu.Lock()
-	a.perDevBytes[dev] += devBytes
-	a.statMu.Unlock()
-	return nil
-}
 
 // memBackend is a growable in-memory device.
 type memBackend struct {

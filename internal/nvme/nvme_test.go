@@ -654,3 +654,144 @@ func TestPutSameSizeReusesChunks(t *testing.T) {
 		t.Fatalf("resize overwrite: %v", err)
 	}
 }
+
+// batchOf is k distinct objects of size bytes each and their keys.
+func batchOf(k, size int) (keys []string, data [][]byte) {
+	for i := 0; i < k; i++ {
+		keys = append(keys, fmt.Sprintf("obj%d", i))
+		data = append(data, bytes.Repeat([]byte{byte(i + 1)}, size))
+	}
+	return keys, data
+}
+
+// TestArrayBatchLayoutMatchesPuts: PutAll lays its fresh objects out in
+// argument order, so its chunks and per-device traffic are exactly those of
+// the same Puts in a row — for new keys, for a key stored at another size
+// (laid out afresh over the chunks it frees) and for one stored at its own
+// size (overwritten in place).
+func TestArrayBatchLayoutMatchesPuts(t *testing.T) {
+	keys := []string{"a", "b", "c", "d", "e"}
+	var data [][]byte
+	for i, size := range []int{300, 64, 1000, 129, 5} {
+		data = append(data, bytes.Repeat([]byte{byte(i + 1)}, size))
+	}
+	batch, seq := openMem(t, 3), openMem(t, 3)
+	for _, a := range []*Array{batch, seq} {
+		if err := a.Put("b", make([]byte, 700)); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Put("d", make([]byte, 129)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := batch.PutAll(keys, data); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if err := seq.Put(k, data[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, s := batch.Stats(), seq.Stats(); fmt.Sprint(b) != fmt.Sprint(s) {
+		t.Fatalf("after the batch: stats %+v, after the Puts %+v", b, s)
+	}
+	for i, k := range keys {
+		if b, s := batch.objs[k].chunks, seq.objs[k].chunks; fmt.Sprint(b) != fmt.Sprint(s) {
+			t.Fatalf("%s: batch chunks %v, sequential Puts' %v", k, b, s)
+		}
+		if got, err := get(batch, k); err != nil || !bytes.Equal(got, data[i]) {
+			t.Fatalf("%s: read back %v", k, err)
+		}
+	}
+	if err := batch.PutAll([]string{"x", "y", "x"}, data[:3]); err == nil || batch.objs["y"].chunks != nil {
+		t.Fatalf("PutAll with a key twice = %v, stored %v; want a refusal that stores nothing", err, batch.objs["y"])
+	}
+}
+
+// TestArrayBatchFaultJoinsEveryTransfer: a device fault armed to strike
+// mid-batch fails exactly the objects whose stride reaches it after the
+// armed count. PutAll returns its error only once every transfer has joined
+// — no stride queued, none in flight — with the failed fresh objects absent
+// and their chunks released, the others stored whole, and the flow ledger
+// equal to the array's counters. ReadAllInto over all the keys then reads
+// the stored objects and reports the absent ones.
+func TestArrayBatchFaultJoinsEveryTransfer(t *testing.T) {
+	const k, stored, size = 5, 2, 3 << 10
+	a, err := Open(schedConfig(3, 64<<20, 64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	ledger := obs.NewFlowLedger()
+	a.SetObservers(nil, nil, ledger, nil)
+	keys, data := batchOf(k, size) // three 1 KiB stripes each: one per device
+	boom := errors.New("media error")
+	a.InjectFaultAfter(0, stored, boom) // device 0's lane serves the objects in order
+	if err := a.PutAll(keys, data); !errors.Is(err, boom) {
+		t.Fatalf("PutAll over a fault = %v, want %v", err, boom)
+	}
+	if d, n := a.SchedStats().Write.Depth, a.inFlight[laneWrite].Load(); d != 0 || n != 0 {
+		t.Fatalf("PutAll returned with %d strides queued and %d objects in flight", d, n)
+	}
+	free := 0
+	for _, d := range a.devs {
+		free += len(d.free)
+	}
+	s := a.Stats()
+	if s.Objects != stored || s.WriteOps != stored || s.BytesWritten != stored*size || free != 3*(k-stored) {
+		t.Fatalf("%d objects, %d writes, %d B stored and %d chunks free; want %d, %d, %d and %d",
+			s.Objects, s.WriteOps, s.BytesWritten, free, stored, stored, stored*size, 3*(k-stored))
+	}
+	a.InjectFault(0, nil)
+	dst := make([][]byte, k)
+	for i := range dst {
+		dst[i] = make([]byte, size)
+	}
+	if err := a.ReadAllInto(keys, dst); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadAllInto over absent objects = %v, want ErrNotFound", err)
+	}
+	for i := range keys[:stored] {
+		if !bytes.Equal(dst[i], data[i]) {
+			t.Fatalf("%s: read back other bytes than stored", keys[i])
+		}
+	}
+	flows, s := ledger.Snapshot(), a.Stats()
+	if flows.Edge(obs.EdgeHostNVMeWrite) != int64(s.BytesWritten) || flows.Edge(obs.EdgeHostNVMeRead) != int64(s.BytesRead) || s.BytesRead != stored*size {
+		t.Fatalf("ledger wrote %d / read %d B, array wrote %d / read %d B",
+			flows.Edge(obs.EdgeHostNVMeWrite), flows.Edge(obs.EdgeHostNVMeRead), s.BytesWritten, s.BytesRead)
+	}
+}
+
+// TestArrayBatchKeepsEveryObjectInFlight: on a throttled array a batch of k
+// objects has all k transfers in flight at once, in either direction, where
+// the same Puts and ReadIntos in a row have one.
+func TestArrayBatchKeepsEveryObjectInFlight(t *testing.T) {
+	const k = 4
+	keys, data := batchOf(k, 3<<10)
+	for _, batched := range []bool{false, true} {
+		a, err := Open(schedConfig(3, 64<<20, 64<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batched {
+			err = errors.Join(a.PutAll(keys, data), a.ReadAllInto(keys, data))
+		} else {
+			for i, key := range keys {
+				err = errors.Join(err, a.Put(key, data[i]), a.ReadInto(key, data[i]))
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1)
+		if batched {
+			want = k
+		}
+		if s := a.Stats(); s.PeakWritesInFlight != want || s.PeakReadsInFlight != want {
+			t.Errorf("batched %v: %d writes and %d reads in flight at the peak, want %d", batched, s.PeakWritesInFlight, s.PeakReadsInFlight, want)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -21,7 +21,8 @@ import (
 // engine's test oracle compare against.
 //
 // The scheduler orders only the *timing* of I/O, never its data: a
-// transfer still completes before Put/ReadInto returns, chunk buffers
+// transfer still completes before the call that submitted it (Put, PutAll,
+// ReadInto, ReadAllInto) returns, chunk buffers
 // are disjoint, and callers' ordering constraints (the engine's pipeline
 // barrier, the optimizer's group sequencing) are expressed as
 // completion-before-issue dependencies the scheduler cannot invert.
@@ -46,16 +47,20 @@ func dir(write bool) int {
 	return laneRead
 }
 
-// xfer is one in-flight object transfer: the shared state its per-device
-// stride items report into. Recycled through xferPool so the steady-state
-// swap path allocates nothing.
+// xfer is one in-flight object transfer: the object and what settling it
+// needs, and the shared state its per-device stride items report into.
+// Recycled through xferPool so the steady-state swap path allocates nothing.
 type xfer struct {
-	obj   object
-	buf   []byte
-	write bool
-	bw    units.BytesPerSecond
-	lane  string
-	tr    *obs.Tracer
+	key    string
+	obj    object
+	fresh  bool // a write laid out on fresh chunks, released if it fails
+	buf    []byte
+	write  bool
+	queued bool // on the device lanes, not run inline
+	bw     units.BytesPerSecond
+	lane   string
+	tr     *obs.Tracer
+	next   *xfer // the batch's next transfer
 
 	wg  sync.WaitGroup
 	mu  sync.Mutex
@@ -166,10 +171,8 @@ func (p *xferPool) get(ndevs int) *xfer {
 func (p *xferPool) put(x *xfer) {
 	// Drop every pointer so a recycled header cannot retain buffers, chunk
 	// slices, or tracers across transfers.
-	x.obj = object{}
-	x.buf = nil
-	x.tr = nil
-	x.err = nil
+	x.key, x.obj, x.buf, x.tr, x.next = "", object{}, nil, nil, nil
+	x.fresh, x.queued, x.err = false, false, nil
 	for i := range x.items {
 		x.items[i] = schedItem{}
 	}
@@ -291,7 +294,8 @@ func (a *Array) runItem(ln *ioLane, it *schedItem) {
 
 // runStride moves the chunks of one device stride (indexes congruent
 // to w mod device count — all on one device) between x.buf and the backing
-// store, charging the lane throttle. On duplex lanes, runs of adjacent chunks
+// store, charging the lane throttle; a nil lane is an untimed transfer's,
+// run inline on the caller's goroutine, which charges nothing. On duplex lanes, runs of adjacent chunks
 // (consecutive offsets on the device, as the round-robin allocator lays
 // them out) are coalesced into one throttled submission: the bandwidth
 // charge is the run's byte sum but the per-op access latency is paid once,
@@ -337,7 +341,7 @@ func (a *Array) flushRun(ln *ioLane, it *schedItem, runBytes, runOps int) {
 		return
 	}
 	a.throttleLane(ln, it.enq, runBytes, it.x.bw)
-	if runOps > 1 {
+	if runOps > 1 && ln != nil {
 		a.sched[dir(it.x.write)].coalesced.Add(int64(runOps - 1))
 	}
 }

@@ -32,18 +32,18 @@ func TestEscapeTableRefused(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		for _, path := range []string{"UpdateGroup", "pipeline", "WriteGroupTo"} {
-			store := &lockedStore{m: MemStore{}}
+			store := MemStore{}
 			o := NewOutOfCoreAdam(store, DefaultAdam(), "e")
 			g := pieceGroups(3, n)[0]
 			if err := o.InitGroup(g); err != nil {
 				t.Fatal(err)
 			}
 			key := o.stateKey(g.Name)
-			if len(store.m[key]) != StateBytes(n, false) {
-				t.Fatalf("the piece is %d bytes, not in Δ form", len(store.m[key]))
+			if len(store[key]) != StateBytes(n, false) {
+				t.Fatalf("the piece is %d bytes, not in Δ form", len(store[key]))
 			}
-			corrupt(store.m[key][10*n:])
-			before, w := append([]byte(nil), store.m[key]...), append([]float32(nil), g.Params[0].W.Data...)
+			corrupt(store[key][10*n:])
+			before, w := append([]byte(nil), store[key]...), append([]float32(nil), g.Params[0].W.Data...)
 			setGroupGrads([]nn.ParamGroup{g}, 1, 1)
 			o.BeginStep()
 			var err error
@@ -65,7 +65,7 @@ func TestEscapeTableRefused(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), key) {
 				t.Fatalf("%s via %s: err = %v, want a refusal naming %s", name, path, err, key)
 			}
-			if !bytes.Equal(store.m[key], before) || !floatsBitEqual(g.Params[0].W.Data, w) {
+			if !bytes.Equal(store[key], before) || !floatsBitEqual(g.Params[0].W.Data, w) {
 				t.Fatalf("%s via %s: the refused piece was decoded: the store or the weights changed", name, path)
 			}
 		}
@@ -106,7 +106,7 @@ func TestFullFormFallback(t *testing.T) {
 	gUpd, gPipe, gRef := build(), build(), build()
 	cfg := DefaultAdam()
 	cfg.LR = 1e-6
-	oUpd, oPipe := windowed(t, MemStore{}, cfg, 2, []nn.ParamGroup{gUpd}), windowed(t, &lockedStore{m: MemStore{}}, cfg, 2, []nn.ParamGroup{gPipe})
+	oUpd, oPipe := windowed(t, MemStore{}, cfg, 2, []nn.ParamGroup{gUpd}), windowed(t, MemStore{}, cfg, 2, []nn.ParamGroup{gPipe})
 	p := NewStatePipeline(oPipe, 2, []nn.ParamGroup{gPipe})
 	defer p.Close()
 	ref := struct{ p, m, v []float32 }{make([]float32, 0, P+P/2), make([]float32, P+P/2), make([]float32, P+P/2)}

@@ -14,6 +14,7 @@ package opt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -94,20 +95,33 @@ func newAdamCoef(cfg AdamConfig, t int) simd.AdamCoef {
 }
 
 // Store is the storage the out-of-core optimizer streams model states
-// through; *nvme.Array and MemStore satisfy it. Put must not retain data
-// after it returns and ReadInto fills dst, which must be exactly the stored
-// object's size — the optimizer streams through buffers it owns and reuses.
+// through; *nvme.Array and MemStore satisfy it. It must be safe for
+// concurrent use: the state pipeline's stages call it from their own
+// goroutines. Put must not retain data after it returns and ReadInto fills
+// dst, which must be exactly the stored object's size — the optimizer
+// streams through buffers it owns and reuses. PutAll and ReadAllInto are
+// the same for a batch of objects, keys[i] with the i-th buffer, all of it
+// moving at once: every object is attempted, and the error joins the failed
+// ones'.
 type Store interface {
 	Put(key string, data []byte) error
 	ReadInto(key string, dst []byte) error
+	PutAll(keys []string, data [][]byte) error
+	ReadAllInto(keys []string, dst [][]byte) error
 }
 
 // MemStore is an in-memory Store for tests and the in-memory reference
-// optimizer.
+// optimizer. Its methods hold memMu, which makes it safe for concurrent use.
 type MemStore map[string][]byte
+
+// memMu is every MemStore's lock: MemStore is a bare map, so the zero value
+// MemStore{} is ready to use, and there is no field to keep a lock in.
+var memMu sync.Mutex
 
 // Put stores a copy of data.
 func (s MemStore) Put(key string, data []byte) error {
+	memMu.Lock()
+	defer memMu.Unlock()
 	s[key] = append([]byte(nil), data...)
 	return nil
 }
@@ -115,6 +129,8 @@ func (s MemStore) Put(key string, data []byte) error {
 // ReadInto copies the stored bytes into dst, which must have the object's
 // exact size.
 func (s MemStore) ReadInto(key string, dst []byte) error {
+	memMu.Lock()
+	defer memMu.Unlock()
 	b, ok := s[key]
 	if !ok {
 		return fmt.Errorf("opt: memstore: missing %q", key)
@@ -124,6 +140,23 @@ func (s MemStore) ReadInto(key string, dst []byte) error {
 	}
 	copy(dst, b)
 	return nil
+}
+
+// PutAll and ReadAllInto move the batch object by object.
+func (s MemStore) PutAll(keys []string, data [][]byte) error { return eachObject(keys, data, s.Put) }
+
+func (s MemStore) ReadAllInto(keys []string, dst [][]byte) error {
+	return eachObject(keys, dst, s.ReadInto)
+}
+
+// eachObject is a Store batch for a store that moves one object at a time:
+// it moves keys[i] with bufs[i] for every i and joins the failures.
+func eachObject(keys []string, bufs [][]byte, move func(key string, buf []byte) error) error {
+	var err error
+	for i, k := range keys {
+		err = errors.Join(err, move(k, bufs[i]))
+	}
+	return err
 }
 
 // OutOfCoreAdam keeps fp32 master weights and Adam moments in a Store and
@@ -173,6 +206,8 @@ type OutOfCoreAdam struct {
 		wire          []byte
 		escIn, escOut []byte
 		escN          []int
+		keys          []string // a batch's keys and objects (batch)
+		objs          [][]byte
 		crc           [4]byte // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
 	}
 
@@ -327,12 +362,12 @@ func overlap(g nn.ParamGroup, lo, hi int, f func(p nn.Param, a, b, at int) error
 }
 
 // InitGroup seeds the store with the group's fp32 masters (from the current
-// working weights) and zero moments, piece by piece, and rounds the working
-// weights to fp16 (the P16 copies the GPU computes with) as it encodes each
-// piece. The pieces are built in the wire scratch, which initialization
-// warms to the largest group's size — the checkpoint's gather needs that
-// much — and the other scratch to the largest piece's, instead of allocating
-// later.
+// working weights) and zero moments, and rounds the working weights to fp16
+// (the P16 copies the GPU computes with) as it encodes each piece. The
+// pieces are built each in its own region of the wire scratch and stored in
+// one batch. Initialization so warms the wire scratch to the largest group's
+// size — the checkpoint's gather needs that much — and the other scratch to
+// the largest piece's, instead of allocating later.
 func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	if o.adamLabels == nil {
 		o.adamLabels = make(map[string]string)
@@ -342,26 +377,39 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	pieces := o.cut(g.Name, n) // precompute the store keys off the hot path
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	wire := scratch(&o.scr.wire, StateBytes(n, true))
+	keys, objs := o.batch(pieces, scratch(&o.scr.wire, StateBytes(n, true)))
 	// pack warms the rest of the scratch but the lift's and the walk's chunk
 	// counts, which a full-form piece or a sharded walk would otherwise
 	// allocate in some step.
 	scratch(&o.scr.escIn, simd.EscapeBytes*pieces[0].n)
 	scratch(&o.scr.escN, (pieces[0].n+adamChunkGrain-1)/adamChunkGrain)
-	for _, pc := range pieces {
-		obj := wire[:StateBytes(pc.n, true)]
+	for i, pc := range pieces {
+		obj := objs[i]
 		err := overlap(g, pc.lo, pc.lo+pc.n, func(p nn.Param, a, b, at int) error {
 			return tensor.ToFP32BytesInto(obj[4*at:4*(at+b-a)], p.W.Data[a:b])
 		})
-		clear(obj[4*pc.n:]) // M and V start at +0, which is four zero bytes
-		if err == nil {
-			err = o.store.Put(pc.key, o.pack(obj, g, pc))
-		}
 		if err != nil {
 			return fmt.Errorf("opt: init %s: %w", g.Name, err)
 		}
+		clear(obj[4*pc.n:]) // M and V start at +0, which is four zero bytes
+		objs[i] = o.pack(obj, g, pc)
+	}
+	if err := o.store.PutAll(keys, objs); err != nil {
+		return fmt.Errorf("opt: init %s: %w", g.Name, err)
 	}
 	return nil
+}
+
+// batch returns one store batch of a group's pieces, in the scratch: their
+// keys, and each piece's region of the group-sized wire, where the pieces lie
+// back to back in full form (piece k at StateBytes(lo, true)). Caller holds
+// scrMu.
+func (o *OutOfCoreAdam) batch(pieces []*piece, wire []byte) (keys []string, objs [][]byte) {
+	keys, objs = scratch(&o.scr.keys, len(pieces)), scratch(&o.scr.objs, len(pieces))
+	for i, pc := range pieces {
+		keys[i], objs[i] = pc.key, wire[StateBytes(pc.lo, true):StateBytes(pc.lo+pc.n, true)]
+	}
+	return keys, objs
 }
 
 // BeginStep advances the optimizer step counter; call once per training
@@ -623,21 +671,25 @@ func (o *OutOfCoreAdam) State(g nn.ParamGroup) (p32, m, v []float32, err error) 
 	return state[:n], state[n : 2*n], state[2*n:], err
 }
 
-// gather reads the group's pieces into the wire scratch, each where the
-// group's pieces would lie back to back in full form (piece k at
-// StateBytes(lo, true)), and unpacks every Δ-form one there. A piece whose
-// escape table is corrupt is refused. Caller holds scrMu.
+// gather reads the group's pieces into the wire scratch in one batch, each
+// where the group's pieces would lie back to back in full form (batch), and
+// unpacks every Δ-form one there. A piece whose escape table is corrupt is
+// refused. Caller holds scrMu.
 func (o *OutOfCoreAdam) gather(g nn.ParamGroup) ([]byte, error) {
 	n := g.NumParams()
-	wire := scratch(&o.scr.wire, StateBytes(n, true))
-	for _, pc := range o.cut(g.Name, n) {
-		obj := wire[StateBytes(pc.lo, true):StateBytes(pc.lo+pc.n, true)]
-		if err := o.readState(pc.key, obj[:pc.stored()]); err != nil {
-			return nil, err
-		}
+	pieces, wire := o.cut(g.Name, n), scratch(&o.scr.wire, StateBytes(n, true))
+	keys, objs := o.batch(pieces, wire)
+	for i, pc := range pieces {
+		objs[i] = objs[i][:pc.stored()]
+	}
+	if err := o.store.ReadAllInto(keys, objs); err != nil {
+		return nil, fmt.Errorf("opt: load %s: %w", g.Name, err)
+	}
+	for i, pc := range pieces {
 		if pc.full {
 			continue
 		}
+		obj := objs[i][:StateBytes(pc.n, true)]
 		esc, err := escapes(obj, pc)
 		if err != nil {
 			return nil, err
@@ -694,14 +746,14 @@ func (o *OutOfCoreAdam) WriteGroupTo(w io.Writer, g nn.ParamGroup) (crc uint32, 
 
 // ImportWire restores g's state from the next WriteGroupTo record of r,
 // scattered into its pieces in the wire scratch: the pieces are encoded,
-// installing P16 = fp16(P32), and stored only if the record arrives whole
-// and matches its CRC-32C. Unless stored, the store and the model are as
+// installing P16 = fp16(P32), and stored in one batch only if the record
+// arrives whole and matches its CRC-32C. Unless stored, the store and the model are as
 // they were.
 func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	n := g.NumParams()
-	wire := scratch(&o.scr.wire, StateBytes(n, true))
+	pieces, wire := o.cut(g.Name, n), scratch(&o.scr.wire, StateBytes(n, true))
 	var crc uint32
 	err = o.planes(wire, g.Name, n, func(plane []byte) error {
 		_, err := io.ReadFull(r, plane)
@@ -717,14 +769,15 @@ func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, e
 	if want := binary.LittleEndian.Uint32(o.scr.crc[:]); crc != want {
 		return false, fmt.Errorf("opt: import %s: state object fails its checksum (CRC-32C %08x, stored %08x)", g.Name, crc, want)
 	}
-	for _, pc := range o.cut(g.Name, n) {
-		obj := wire[StateBytes(pc.lo, true):StateBytes(pc.lo+pc.n, true)]
-		if err := o.store.Put(pc.key, o.pack(obj, g, pc)); err != nil {
-			return true, err
-		}
-		// Fresh fp16 working weights cross back to the compute tier.
-		o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*pc.n))
+	keys, objs := o.batch(pieces, wire)
+	for i, pc := range pieces {
+		objs[i] = o.pack(objs[i], g, pc)
 	}
+	if err := o.store.PutAll(keys, objs); err != nil {
+		return true, err
+	}
+	// Fresh fp16 working weights cross back to the compute tier.
+	o.flows.Add(obs.EdgeComputeHost, obs.FlowParams, int64(2*n))
 	return true, nil
 }
 

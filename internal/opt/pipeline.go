@@ -45,8 +45,8 @@ import (
 // UpdateGroup's: same bytes, later durability.
 //
 // Submit, Wait, Flush and Close belong to one goroutine (the engine's step
-// goroutine). The optimizer's Store must be safe for concurrent use —
-// nvme.Array is; the bare MemStore map is not.
+// goroutine). The optimizer's Store must be safe for concurrent use, as
+// nvme.Array and MemStore are.
 type StatePipeline struct {
 	o *OutOfCoreAdam
 

@@ -17,34 +17,29 @@ import (
 	"ratel/internal/tensor"
 )
 
-// lockedStore guards a MemStore with a mutex for the pipeline tests: the
-// stages require a concurrency-safe Store (nvme.Array in the engine), and
-// the bare test map is not one. Its hooks let a test fail or hold a
-// transfer at a chosen point.
-type lockedStore struct {
-	mu sync.Mutex
-	m  MemStore
+// hookStore is a MemStore whose hooks let a test fail or hold a transfer at
+// a chosen point.
+type hookStore struct {
+	MemStore
 
 	// beforeRead / beforePut, when set, run at the start of every ReadInto /
-	// Put outside the lock; a non-nil error fails the transfer.
+	// Put; a non-nil error fails the transfer.
 	beforeRead, beforePut func(key string) error
 	// readBuf, when set, sees the buffer of every ReadInto before it is
 	// filled.
 	readBuf func(key string, dst []byte)
 }
 
-func (s *lockedStore) Put(key string, data []byte) error {
+func (s *hookStore) Put(key string, data []byte) error {
 	if s.beforePut != nil {
 		if err := s.beforePut(key); err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Put(key, data)
+	return s.MemStore.Put(key, data)
 }
 
-func (s *lockedStore) ReadInto(key string, dst []byte) error {
+func (s *hookStore) ReadInto(key string, dst []byte) error {
 	if s.readBuf != nil {
 		s.readBuf(key, dst)
 	}
@@ -53,15 +48,16 @@ func (s *lockedStore) ReadInto(key string, dst []byte) error {
 			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.ReadInto(key, dst)
+	return s.MemStore.ReadInto(key, dst)
 }
 
-func (s *lockedStore) drop(key string) {
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
+// PutAll and ReadAllInto run the hooks object by object.
+func (s *hookStore) PutAll(keys []string, data [][]byte) error {
+	return eachObject(keys, data, s.Put)
+}
+
+func (s *hookStore) ReadAllInto(keys []string, dst [][]byte) error {
+	return eachObject(keys, dst, s.ReadInto)
 }
 
 // stateKey is the store key of the group's first state piece: its whole
@@ -174,7 +170,7 @@ func TestPipelinePieceBoundariesBitIdentical(t *testing.T) {
 				ref[i].p = append(ref[i].p, p.W.Data...)
 			}
 		}
-		storeUpd, storePipe := MemStore{}, &lockedStore{m: MemStore{}}
+		storeUpd, storePipe := MemStore{}, MemStore{}
 		upd, pipe := pieceGroups(7, sizes...), pieceGroups(7, sizes...)
 		oUpd, oPipe := windowed(t, storeUpd, cfg, 2, upd), windowed(t, storePipe, cfg, 2, pipe)
 		if oUpd.piece != P {
@@ -280,7 +276,7 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 		modelSync := buildModel(t)
 		modelPipe := buildModel(t)
 		sync := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "s")
-		piped := NewOutOfCoreAdam(&lockedStore{m: MemStore{}}, DefaultAdam(), "s")
+		piped := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "s")
 		initGroups(t, sync, modelSync)
 		groups := initGroups(t, piped, modelPipe)
 		p := NewStatePipeline(piped, depth, groups)
@@ -331,7 +327,7 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 // leaves the write-back in flight.)
 func TestPipelineWindowBound(t *testing.T) {
 	const depth, P = 2, adamChunkGrain
-	store := &lockedStore{m: MemStore{}}
+	store := &hookStore{MemStore: MemStore{}}
 	groups := pieceGroups(3, 3*P+1, 2*P, P+1, 5, P-1, 2*P+7)
 	o := windowed(t, store, DefaultAdam(), depth, groups)
 	bound := depth * StateBytes(3*P+1, true)
@@ -446,7 +442,7 @@ func TestPipelineFaultPerStage(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			store := &lockedStore{m: MemStore{}}
+			store := &hookStore{MemStore: MemStore{}}
 			var ref, o *OutOfCoreAdam
 			var refGroups, groups []nn.ParamGroup
 			if tc.piece == 0 {
@@ -550,7 +546,7 @@ func TestPipelineFaultPerStage(t *testing.T) {
 // write has retired. Without the token the second read races the write.
 func TestPipelineReadAfterWrite(t *testing.T) {
 	m := buildModel(t)
-	store := &lockedStore{m: MemStore{}}
+	store := &hookStore{MemStore: MemStore{}}
 	o := NewOutOfCoreAdam(store, DefaultAdam(), "r")
 	groups := initGroups(t, o, m)
 	heldKey := o.stateKey(groups[0].Name)
@@ -634,7 +630,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	modelRef, m := buildModel(t), buildModel(t)
 	ref := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "o")
-	store := &lockedStore{m: MemStore{}}
+	store := &hookStore{MemStore: MemStore{}}
 	o := NewOutOfCoreAdam(store, DefaultAdam(), "o")
 	refGroups := initGroups(t, ref, modelRef)
 	groups := initGroups(t, o, m)
@@ -744,7 +740,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 // TestPipelineSubmitErrors: misuse fails at Submit, not inside a stage.
 func TestPipelineSubmitErrors(t *testing.T) {
 	m := buildModel(t)
-	store := &lockedStore{m: MemStore{}}
+	store := &hookStore{MemStore: MemStore{}}
 	o := NewOutOfCoreAdam(store, DefaultAdam(), "x")
 	groups := initGroups(t, o, m)
 	p := NewStatePipeline(o, 1, groups[:1])
@@ -816,8 +812,8 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// inPlaceStore is a concurrency-safe Store that overwrites same-size
-// objects in place, so steady-state Puts allocate nothing.
+// inPlaceStore is a Store that overwrites same-size objects in place, so
+// steady-state Puts allocate nothing.
 type inPlaceStore struct {
 	mu sync.Mutex
 	m  map[string][]byte
@@ -838,4 +834,12 @@ func (s *inPlaceStore) ReadInto(key string, dst []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return MemStore(s.m).ReadInto(key, dst)
+}
+
+func (s *inPlaceStore) PutAll(keys []string, data [][]byte) error {
+	return eachObject(keys, data, s.Put)
+}
+
+func (s *inPlaceStore) ReadAllInto(keys []string, dst [][]byte) error {
+	return eachObject(keys, dst, s.ReadInto)
 }
