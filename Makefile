@@ -41,11 +41,14 @@ test-nosimd:
 # tensors under every level with the heads fanned out) and the array's batch
 # tests (every test named *ArrayBatch*: a batch's layout, a fault mid-batch,
 # every object in flight, and the engine's checkpoint round trip through
-# batched state I/O) under GOMAXPROCS 1, 2 and 4, uncached.
+# batched state I/O) and the resident-set tests (every test named *Resident*:
+# the state window's resident pieces — which pieces, their load, write-back
+# and restore — and the activation ring's resident blocks) under GOMAXPROCS
+# 1, 2 and 4, uncached.
 # A pin that holds on one core count only (the seed's
 # TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
 # matches any test fails the target instead of silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch
+TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/nvme ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:

@@ -24,7 +24,8 @@ const ckptMagic, ckptFormat = "RATELCKP", 2
 
 // SaveCheckpoint writes the engine's full training state to w, each group's
 // object streamed through the optimizer's wire scratch. It joins the trailing
-// write-back first and, if that or an earlier update failed, writes nothing
+// write-back first, the resident state's included, and, if that or an
+// earlier update failed, writes nothing
 // and returns optErr: a checkpoint never holds torn state. Nor does it hold
 // the gradients a DelayedUpdate engine has yet to apply, so while there are
 // any it writes nothing and returns an error: FlushDelayed applies them. A
@@ -67,8 +68,9 @@ func (e *Engine) header(step int, modelStep uint64) []byte {
 // Another format or model, a corrupt header, or a first group that is short
 // or fails its checksum leaves the engine as it was; a failure after the
 // first group's write latches optErr until a restore completes. It joins the
-// trailing write-back first, so none lands on the restored state. A
-// step-goroutine call.
+// trailing write-back first, so none lands on the restored state, and then
+// drops the optimizer's resident state, so no copy older than the restore
+// outlives it. A step-goroutine call.
 func (e *Engine) LoadCheckpoint(r io.Reader) error {
 	// The header is read into the scratch beside the one this model writes,
 	// and must be the same bytes once its steps are written into that one.
@@ -89,6 +91,7 @@ func (e *Engine) LoadCheckpoint(r io.Reader) error {
 		return fmt.Errorf("engine: checkpoint header is not this model's (%d groups), or is corrupt", len(e.groups))
 	}
 	e.joinWriteBack()
+	e.states.Drop()
 	for i, g := range e.groups {
 		if stored, err := e.optimizer.ImportWire(g, r); err != nil {
 			err = fmt.Errorf("engine: restore %s: %w", g.Name, err)

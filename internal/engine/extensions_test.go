@@ -110,18 +110,22 @@ func TestDelayedUpdateStaleness(t *testing.T) {
 // exactly: over a mixed swap layout, six steps and FlushDelayed, a
 // DelayedUpdate engine's losses and parameters are the plain reference's
 // where step k applies step k-1's gradients — at a constant learning rate
-// and under a schedule, which the delayed update applies at its own step.
+// and under a schedule, which the delayed update applies at its own step,
+// and on a model with a resident set, whose late update submits the resident
+// pieces first.
 func TestDelayedUpdateMatchesPlainReference(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		sched opt.Schedule
+		model nn.Config
+		swap  map[int]Tier
 	}{
-		{"constant-lr", nil},
-		{"warmup-cosine", opt.WarmupCosine(opt.DefaultAdam().LR, 2, 6, 1e-5)},
+		{"constant-lr", nil, miniConfig(), map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}},
+		{"warmup-cosine", opt.WarmupCosine(opt.DefaultAdam().LR, 2, 6, 1e-5), miniConfig(), map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}},
+		{"resident", nil, residentConfig(), map[int]Tier{0: SwapSSD, 1: SwapHost}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{GradMode: agoffload.Optimized, DelayedUpdate: true, LRSchedule: tc.sched,
-				Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}}
+			cfg := Config{Model: tc.model, GradMode: agoffload.Optimized, DelayedUpdate: true, LRSchedule: tc.sched, Swap: tc.swap}
 			e, ref := newEngine(t, cfg), newPlainRef(t, cfg)
 			var loss, refLoss []float64
 			for s := 0; s < 6; s++ {
@@ -172,12 +176,22 @@ func TestDelayedUpdateStillLearns(t *testing.T) {
 	}
 }
 
+// optStreamModel is the benchmark's opt_stream model, whose state window
+// holds five of its twelve buffers resident.
+func optStreamModel() nn.Config {
+	return nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 1}
+}
+
 // TestCheckpointResume: save after 3 steps, restore into a fresh engine,
 // continue — bit-identical to an uninterrupted run, in every gradient mode
-// and with activations swapped to both tiers. A delayed update holds one
-// step's gradients, which a checkpoint has no place for, so its save is
-// refused and writes nothing.
+// and with activations swapped to both tiers, and on a model with a
+// resident set. A delayed update holds one step's gradients, which a
+// checkpoint has no place for, so its save is refused and writes nothing.
+// An older checkpoint restored into an engine whose resident pieces hold
+// later, unflushed updates replaces them: the engine then saves the
+// checkpoint's bytes, and trains and saves like the uninterrupted run.
 func TestCheckpointResume(t *testing.T) {
+	swapped := map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}
 	for _, c := range []struct {
 		name string
 		cfg  Config
@@ -185,11 +199,16 @@ func TestCheckpointResume(t *testing.T) {
 		{"serialized", Config{GradMode: agoffload.Serialized}},
 		{"naive", Config{GradMode: agoffload.Naive}},
 		{"optimized", Config{GradMode: agoffload.Optimized}},
-		{"optimized swapped", Config{GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapSSD, 1: SwapHost, 2: SwapSSD}, PipelineDepth: 1}},
+		{"optimized swapped", Config{GradMode: agoffload.Optimized, Swap: swapped, PipelineDepth: 1}},
 		{"delayed update", Config{GradMode: agoffload.Optimized, DelayedUpdate: true}},
+		{"resident", Config{Model: optStreamModel(), GradMode: agoffload.Optimized}},
+		{"resident swapped", Config{Model: optStreamModel(), GradMode: agoffload.Optimized, Swap: swapped}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			first := newEngine(t, c.cfg)
+			if _, resident, _ := first.states.Window(); (resident > 0) != strings.HasPrefix(c.name, "resident") {
+				t.Fatalf("%d resident state buffers", resident)
+			}
 			trainK(t, first, 3)
 			var buf bytes.Buffer
 			err := first.SaveCheckpoint(&buf)
@@ -217,6 +236,44 @@ func TestCheckpointResume(t *testing.T) {
 			}
 		})
 	}
+	t.Run("older checkpoint over dirty resident state", func(t *testing.T) {
+		cfg := Config{Model: optStreamModel(), GradMode: agoffload.Optimized,
+			SSD: &nvme.Config{ReadBW: 33 << 20, WriteBW: 19 << 20, StripeSize: 64 << 10}}
+		e, straight := newEngine(t, cfg), newEngine(t, cfg)
+		want := trainK(t, straight, 4)
+		var older, wantCkpt bytes.Buffer
+		if err := straight.SaveCheckpoint(&wantCkpt); err != nil {
+			t.Fatal(err)
+		}
+		trainK(t, e, 2)
+		if err := e.SaveCheckpoint(&older); err != nil {
+			t.Fatal(err)
+		}
+		// Steps 3 to 5 leave their resident updates unflushed: only a join
+		// writes them back, and none has run since.
+		trainFrom(t, e, 2, 3)
+		if e.states.ResidentBytes() == 0 {
+			t.Fatal("nothing resident: the restore replaces no resident state")
+		}
+		if err := e.LoadCheckpoint(bytes.NewReader(older.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := e.SaveCheckpoint(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), older.Bytes()) {
+			t.Fatal("the engine restored over dirty resident state does not save the checkpoint it loaded")
+		}
+		sameTrajectory(t, "restored over dirty resident state", want[2:], trainFrom(t, e, 2, 2), paramsSnapshot(straight.Model()), paramsSnapshot(e.Model()))
+		var got bytes.Buffer
+		if err := e.SaveCheckpoint(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), wantCkpt.Bytes()) {
+			t.Fatal("two steps after the restore, the checkpoint differs from the uninterrupted run's")
+		}
+	})
 }
 
 // TestCheckpointArrayBatchRoundTrip: on the benchmark's opt_stream model and
@@ -225,8 +282,8 @@ func TestCheckpointResume(t *testing.T) {
 // plain reference's bytes, and a save → load → train round trip is
 // bit-identical to training straight through.
 func TestCheckpointArrayBatchRoundTrip(t *testing.T) {
-	cfg := Config{Model: nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 1},
-		GradMode: agoffload.Optimized, SSD: &nvme.Config{ReadBW: 33 << 20, WriteBW: 19 << 20, StripeSize: 64 << 10}}
+	cfg := Config{Model: optStreamModel(), GradMode: agoffload.Optimized,
+		SSD: &nvme.Config{ReadBW: 33 << 20, WriteBW: 19 << 20, StripeSize: 64 << 10}}
 	first, ref := newEngine(t, cfg), newPlainRef(t, cfg)
 	pieces := 0
 	for _, g := range first.groups {

@@ -152,6 +152,14 @@ func piecedConfig() nn.Config {
 	return nn.Config{Vocab: 13, Seq: 6, Hidden: 32, Heads: 2, Layers: 2, Batch: 2, Seed: 77}
 }
 
+// residentConfig is a model whose state window has buffers beyond its
+// stream: its blocks' groups are 28,272 params, four pieces of 8192 at depth
+// 2, so ⌊2 × 28,272 ÷ 8192⌋ = 6 buffers hold a stream of 4 and two resident
+// pieces — the embedding's one and block 0's first.
+func residentConfig() nn.Config {
+	return nn.Config{Vocab: 16, Seq: 8, Hidden: 48, Heads: 2, Layers: 2, Batch: 2, Seed: 78}
+}
+
 // TestStreamingBitIdentityPieces is TestStreamingBitIdentityMatrix's row for
 // a model whose largest group is not a multiple of the piece: over
 // {TrainStep, TrainStepAccum} × {duplex, throttled duplex} the pipeline
@@ -221,8 +229,11 @@ func TestStreamingBitIdentityPieces(t *testing.T) {
 // stays out of the pool, the engine refuses to train on the half-updated
 // state until a checkpoint is restored, the restored run continues
 // bit-identically to one that never faulted, and Close leaves no goroutine
-// behind. The cross-step stage — a write-back that fails after its step
-// returned — is TestStatePipelineFaultTrailingWrite.
+// behind. A resident piece is never read by a step, only loaded: its row is
+// a model whose every piece is resident, restored before the fault, so that
+// the step's only state I/O is the resident set's reload. The cross-step
+// stage — a write-back that fails after its step returned, the resident
+// set's at a join included — is TestStatePipelineFaultTrailingWrite.
 func TestStatePipelineFaultPerStage(t *testing.T) {
 	// One device and recompute-only tiers: the step's only chunk operations
 	// are the optimizer's, all on device 0 and — untimed and small — inline
@@ -242,20 +253,25 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 		// ops, when set, is the state reads and writes that complete in the
 		// faulted step: where the countdown landed, counted.
 		ops [2]int64
+		// reload restores the engine from its checkpoint before the fault is
+		// armed, which drops the resident set.
+		reload bool
 	}{
 		// Window 1 runs one group's read → Adam → write at a time.
-		{"read-ahead", miniConfig(), 1, func(*Engine) int { return 0 }, [2]int64{}},
-		{"write-behind", miniConfig(), 1, func(e *Engine) int { return stateChunks(e, e.groups[len(e.groups)-1]) }, [2]int64{}},
+		{"read-ahead", miniConfig(), 1, func(*Engine) int { return 0 }, [2]int64{}, false},
+		{"write-behind", miniConfig(), 1, func(e *Engine) int { return stateChunks(e, e.groups[len(e.groups)-1]) }, [2]int64{}, false},
 		// Window 3: the head's whole round trip and the next group's read
 		// succeed; the fault lands while up to three groups are in flight.
 		{"mid-window", miniConfig(), 3, func(e *Engine) int {
 			gs := e.groups
 			return 2*stateChunks(e, gs[len(gs)-1]) + stateChunks(e, gs[len(gs)-2]) + 1
-		}, [2]int64{}},
+		}, [2]int64{}, false},
 		// The head's first piece makes its round trip; then its second
 		// piece's read fails, or that read succeeds and its write fails.
-		{"read-ahead/second-piece", pieced, 1, func(e *Engine) int { return 2 * fullPiece(e) }, [2]int64{1, 1}},
-		{"write-behind/second-piece", pieced, 1, func(e *Engine) int { return 2*fullPiece(e) + 1 }, [2]int64{2, 1}},
+		{"read-ahead/second-piece", pieced, 1, func(e *Engine) int { return 2 * fullPiece(e) }, [2]int64{1, 1}, false},
+		{"write-behind/second-piece", pieced, 1, func(e *Engine) int { return 2*fullPiece(e) + 1 }, [2]int64{2, 1}, false},
+		// Window 5 of the resident model holds every piece resident.
+		{"resident/first-load", residentConfig(), allResidentDepth, func(*Engine) int { return 0 }, [2]int64{}, true},
 	}
 	const warm = 2
 	for _, tc := range cases {
@@ -274,6 +290,12 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 				t.Fatal(err)
 			}
 			saved := ckpt.Bytes()
+			if tc.reload {
+				allResident(t, e)
+				if err := e.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
+					t.Fatal(err)
+				}
+			}
 
 			boom := errors.New("media failure")
 			tokens, targets := data(cfg.Model, warm)
@@ -286,10 +308,11 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 			if after := e.Array().Stats(); tc.ops != [2]int64{} && [2]int64{after.ReadOps - before.ReadOps, after.WriteOps - before.WriteOps} != tc.ops {
 				t.Fatalf("the faulted step completed %d state reads and %d writes, want %v", after.ReadOps-before.ReadOps, after.WriteOps-before.WriteOps, tc.ops)
 			}
-			buffers, _ := e.states.Window()
-			if now, peak := e.states.Buffered(); now != 0 || peak > buffers {
-				t.Fatalf("after the failed step %d wire buffers are still out (peak %d, window %d)", now, peak, buffers)
+			stream, _, _ := e.states.Window()
+			if now, peak := e.states.Buffered(); now != 0 || peak > stream {
+				t.Fatalf("after the failed step %d wire buffers are still out (peak %d, stream %d)", now, peak, stream)
 			}
+			pipelineIdle(t, e)
 			e.Array().InjectFault(0, nil)
 			if _, err := e.TrainStep(tokens, targets); err == nil || !errors.Is(err, boom) {
 				t.Fatalf("TrainStep on half-updated optimizer state = %v, want a refusal naming the fault", err)
@@ -335,6 +358,24 @@ func TestStatePipelineFaultPerStage(t *testing.T) {
 	}
 }
 
+// allResidentDepth is the window depth at which residentConfig's every
+// state piece is resident: ⌊5 × 28,272 ÷ 8835⌋ = 16 buffers, a stream of 6
+// and ten pieces.
+const allResidentDepth = 5
+
+// allResident fails the test unless every one of e's state pieces is
+// resident, so that a step's only state I/O is the resident set's load.
+func allResident(t *testing.T, e *Engine) {
+	t.Helper()
+	pieces := 0
+	for _, g := range e.groups {
+		pieces += len(e.optimizer.StoredBytes(g.Name))
+	}
+	if _, resident, _ := e.states.Window(); resident != pieces {
+		t.Fatalf("%d of %d state pieces resident, want all", resident, pieces)
+	}
+}
+
 // stateChunks is how many 4 KiB chunk operations one read, or one write, of
 // g's state pieces is, in the form each is stored in now.
 func stateChunks(e *Engine, g nn.ParamGroup) int {
@@ -370,106 +411,133 @@ func noGoroutineLeft(t *testing.T, baseline int) {
 // error latches (later steps and checkpoints refused), a failed
 // SaveCheckpoint wrote nothing, no wire buffer or goroutine leaks, and
 // LoadCheckpoint into the same engine continues bit-identically to a run
-// that never faulted.
+// that never faulted. The resident rows fail the write-back no step makes:
+// the resident set's, which every join but a step's issues — on a model
+// whose every piece is resident, the device fails from the step's end on.
 func TestStatePipelineFaultTrailingWrite(t *testing.T) {
-	const warm = 2
 	boom := errors.New("media failure")
-	for _, join := range []string{"next-step", "save-checkpoint", "stats-then-step", "close"} {
-		t.Run(join, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			// One device, recompute-only: a step's chunk operations are its
-			// groups' state reads and writes and nothing else.
-			cfg := Config{Model: miniConfig(), GradMode: agoffload.Optimized, Devices: 1, SSD: throttledSSD()}
-			e, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, resident := range []bool{false, true} {
+		for _, join := range []string{"next-step", "save-checkpoint", "stats-then-step", "close"} {
+			if resident && join == "next-step" {
+				continue // a step never writes a resident piece
 			}
-			trainK(t, e, warm)
-			var ckpt bytes.Buffer
-			if err := e.SaveCheckpoint(&ckpt); err != nil { // joins: the countdown starts at a quiet array
-				t.Fatal(err)
-			}
-			saved := ckpt.Bytes()
-
-			ops := 0
-			for _, g := range e.groups {
-				ops += 2 * stateChunks(e, g)
-			}
-			e.Array().InjectFaultAfter(0, ops-1, boom)
-			tokens, targets := data(cfg.Model, warm)
-			if _, err := e.TrainStep(tokens, targets); err != nil {
-				t.Fatalf("TrainStep whose write-back fails later = %v, want a clean step", err)
-			}
-			if now, _ := e.states.Buffered(); now == 0 {
-				t.Fatal("no write-back in flight when the step returned: the fault did not trail it")
-			}
-			switch join {
-			case "next-step":
-				// Let the failed write retire without joining it, then clear the
-				// fault: only the stored outcome can produce the error now.
-				for i := 0; ; i++ {
-					if now, _ := e.states.Buffered(); now == 0 {
-						break
-					}
-					if i > 5000 {
-						t.Fatal("write-back never retired")
-					}
-					time.Sleep(time.Millisecond)
-				}
-				e.Array().InjectFault(0, nil)
-				if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
-					t.Fatalf("next TrainStep = %v, want %v", err, boom)
-				}
-			case "save-checkpoint":
-				var torn bytes.Buffer
-				if err := e.SaveCheckpoint(&torn); !errors.Is(err, boom) {
-					t.Fatalf("SaveCheckpoint = %v, want %v", err, boom)
-				}
-				if torn.Len() != 0 || e.LoadCheckpoint(&torn) == nil {
-					t.Fatalf("the failed SaveCheckpoint wrote %d bytes (or LoadCheckpoint accepted them)", torn.Len())
-				}
-				e.Array().InjectFault(0, nil)
-			case "stats-then-step":
-				e.Stats()
-				e.Array().InjectFault(0, nil)
-				if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
-					t.Fatalf("TrainStep after Stats = %v, want %v", err, boom)
-				}
-			case "close":
-				if err := e.Close(); !errors.Is(err, boom) {
-					t.Fatalf("Close = %v, want %v", err, boom)
-				}
-			}
-			if join != "close" {
-				// Latched: reported again by every step and checkpoint until a
-				// restore, which continues like a run that never faulted.
-				if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
-					t.Fatalf("TrainStep on the latched failure = %v, want a refusal naming it", err)
-				}
-				if err := e.SaveCheckpoint(new(bytes.Buffer)); !errors.Is(err, boom) {
-					t.Fatalf("SaveCheckpoint on the latched failure = %v, want a refusal naming it", err)
-				}
-				if err := e.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
-					t.Fatal(err)
-				}
-				clean := newEngine(t, cfg)
-				if err := clean.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
-					t.Fatal(err)
-				}
-				loss, refLoss := trainFrom(t, e, warm, 2), trainFrom(t, clean, warm, 2)
-				sameTrajectory(t, join, refLoss, loss, paramsSnapshot(clean.Model()), paramsSnapshot(e.Model()))
-				if err := errors.Join(clean.Close(), e.Close()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Every cell ends closed. A wire buffer the failure had leaked would
-			// still be counted, and its window token missed by the steps above.
-			if now, peak := e.states.Buffered(); now != 0 || peak > e.depth {
-				t.Fatalf("%d wire buffers still out after Close (peak %d, window %d)", now, peak, e.depth)
-			}
-			noGoroutineLeft(t, baseline)
-		})
+			t.Run(map[bool]string{false: "", true: "resident/"}[resident]+join, func(t *testing.T) {
+				trailingWriteFault(t, resident, join, boom)
+			})
+		}
 	}
+}
+
+// trailingWriteFault is one cell of TestStatePipelineFaultTrailingWrite.
+func trailingWriteFault(t *testing.T, resident bool, join string, boom error) {
+	const warm = 2
+	baseline := runtime.NumGoroutine()
+	// One device, recompute-only: a step's chunk operations are its
+	// groups' state reads and writes and nothing else.
+	cfg := Config{Model: miniConfig(), GradMode: agoffload.Optimized, Devices: 1, SSD: throttledSSD()}
+	if resident {
+		cfg.Model, cfg.PipelineDepth = residentConfig(), allResidentDepth
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainK(t, e, warm)
+	var ckpt bytes.Buffer
+	if err := e.SaveCheckpoint(&ckpt); err != nil { // joins: the countdown starts at a quiet array
+		t.Fatal(err)
+	}
+	saved := ckpt.Bytes()
+
+	tokens, targets := data(cfg.Model, warm)
+	if resident {
+		allResident(t, e)
+		if _, err := e.TrainStep(tokens, targets); err != nil {
+			t.Fatal(err)
+		}
+		if e.states.ResidentBytes() == 0 {
+			t.Fatal("nothing resident after the step: there is no write-back to fail")
+		}
+		e.Array().InjectFault(0, boom)
+	} else {
+		ops := 0
+		for _, g := range e.groups {
+			ops += 2 * stateChunks(e, g)
+		}
+		e.Array().InjectFaultAfter(0, ops-1, boom)
+		if _, err := e.TrainStep(tokens, targets); err != nil {
+			t.Fatalf("TrainStep whose write-back fails later = %v, want a clean step", err)
+		}
+		if now, _ := e.states.Buffered(); now == 0 {
+			t.Fatal("no write-back in flight when the step returned: the fault did not trail it")
+		}
+	}
+	switch join {
+	case "next-step":
+		// Let the failed write retire without joining it, then clear the
+		// fault: only the stored outcome can produce the error now.
+		for i := 0; ; i++ {
+			if now, _ := e.states.Buffered(); now == 0 {
+				break
+			}
+			if i > 5000 {
+				t.Fatal("write-back never retired")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		e.Array().InjectFault(0, nil)
+		if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
+			t.Fatalf("next TrainStep = %v, want %v", err, boom)
+		}
+	case "save-checkpoint":
+		var torn bytes.Buffer
+		if err := e.SaveCheckpoint(&torn); !errors.Is(err, boom) {
+			t.Fatalf("SaveCheckpoint = %v, want %v", err, boom)
+		}
+		if torn.Len() != 0 || e.LoadCheckpoint(&torn) == nil {
+			t.Fatalf("the failed SaveCheckpoint wrote %d bytes (or LoadCheckpoint accepted them)", torn.Len())
+		}
+		e.Array().InjectFault(0, nil)
+	case "stats-then-step":
+		e.Stats()
+		e.Array().InjectFault(0, nil)
+		if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
+			t.Fatalf("TrainStep after Stats = %v, want %v", err, boom)
+		}
+	case "close":
+		if err := e.Close(); !errors.Is(err, boom) {
+			t.Fatalf("Close = %v, want %v", err, boom)
+		}
+	}
+	if join != "close" {
+		// Latched: reported again by every step and checkpoint until a
+		// restore, which continues like a run that never faulted.
+		if _, err := e.TrainStep(tokens, targets); !errors.Is(err, boom) {
+			t.Fatalf("TrainStep on the latched failure = %v, want a refusal naming it", err)
+		}
+		if err := e.SaveCheckpoint(new(bytes.Buffer)); !errors.Is(err, boom) {
+			t.Fatalf("SaveCheckpoint on the latched failure = %v, want a refusal naming it", err)
+		}
+		if err := e.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
+			t.Fatal(err)
+		}
+		clean := newEngine(t, cfg)
+		if err := clean.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
+			t.Fatal(err)
+		}
+		loss, refLoss := trainFrom(t, e, warm, 2), trainFrom(t, clean, warm, 2)
+		sameTrajectory(t, join, refLoss, loss, paramsSnapshot(clean.Model()), paramsSnapshot(e.Model()))
+		if err := errors.Join(clean.Close(), e.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every cell ends closed. A wire buffer the failure had leaked would
+	// still be counted, and its window token missed by the steps above.
+	if now, peak := e.states.Buffered(); now != 0 || peak > e.depth {
+		t.Fatalf("%d wire buffers still out after Close (peak %d, window %d)", now, peak, e.depth)
+	}
+	pipelineIdle(t, e)
+	noGoroutineLeft(t, baseline)
 }
 
 // TestStatePipelineReadAfterWriteOrder: with write-back trailing every step
@@ -555,17 +623,19 @@ func TestStatePipelineRestoreOverWriteBack(t *testing.T) {
 }
 
 // TestStatePipelineWindowBound: whatever the gradient schedule, the
-// optimizer state buffered at once — each step's write-back trailing into
-// the next included — is at most depth × 12 B × the largest group, counted
-// in bytes: the window's piece buffers hold no more, and the pieces holding
-// one never outnumber them. None is buffered after a join (Stats). The
-// pieced model's window is cut from the same bytes into more, smaller
-// buffers than there are groups in it.
+// optimizer state held at once — each step's write-back trailing into the
+// next included, and the resident set — is at most depth × 12 B × the
+// largest group, counted in bytes: the window's piece buffers hold no more,
+// and the pieces holding a stream buffer never outnumber them. None is
+// streaming after a join (Stats). The pieced model's window is cut from the
+// same bytes into more, smaller buffers than there are groups in it; the
+// resident model's window has buffers to spare beyond the stream, and its
+// first pieces live in them.
 func TestStatePipelineWindowBound(t *testing.T) {
 	cases := []struct {
 		model nn.Config
 		depth int
-	}{{miniConfig(), 1}, {miniConfig(), 2}, {miniConfig(), 3}, {piecedConfig(), 2}}
+	}{{miniConfig(), 1}, {miniConfig(), 2}, {miniConfig(), 3}, {piecedConfig(), 2}, {residentConfig(), 2}}
 	for _, tc := range cases {
 		for _, mode := range []agoffload.Mode{agoffload.Serialized, agoffload.Optimized} {
 			depth := tc.depth
@@ -577,9 +647,10 @@ func TestStatePipelineWindowBound(t *testing.T) {
 				largest = max(largest, g.NumParams())
 			}
 			bound := depth * opt.StateBytes(largest, true)
-			buffers, bytes := e.states.Window()
-			if bytes > bound || buffers < depth {
-				t.Fatalf("%v depth %d: window of %d buffers, %d B, bound %d B", mode, depth, buffers, bytes, bound)
+			stream, resident, bytes := e.states.Window()
+			buffers := stream + resident
+			if bytes > bound || stream < min(depth+1, buffers) {
+				t.Fatalf("%v depth %d: window of %d stream and %d resident buffers, %d B, bound %d B", mode, depth, stream, resident, bytes, bound)
 			}
 			trailed := false
 			for s := 0; s < 4; s++ {
@@ -588,13 +659,16 @@ func TestStatePipelineWindowBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				now, peak := e.states.Buffered()
-				if peak < 1 || peak > buffers || peak*bytes/buffers > bound {
-					t.Fatalf("%v depth %d step %d: peak %d pieces of %d B held, bound %d B", mode, depth, s, peak, bytes/buffers, bound)
+				if peak < 1 || peak > stream || (peak+resident)*bytes/buffers > bound {
+					t.Fatalf("%v depth %d step %d: peak %d pieces of %d B streaming beside %d resident, bound %d B", mode, depth, s, peak, bytes/buffers, resident, bound)
 				}
 				// The gauge is the same count as the step returned; write-back
 				// only retires between then and now.
-				if live := int(reg.Snapshot()["engine.opt_writeback_inflight"]); live < now || live > buffers {
-					t.Fatalf("%v depth %d step %d: engine.opt_writeback_inflight = %d with %d in flight after it, window %d", mode, depth, s, live, now, buffers)
+				if live := int(reg.Snapshot()["engine.opt_writeback_inflight"]); live < now || live > stream {
+					t.Fatalf("%v depth %d step %d: engine.opt_writeback_inflight = %d with %d in flight after it, stream %d", mode, depth, s, live, now, stream)
+				}
+				if held := int(reg.Snapshot()["opt.resident_bytes"]); held != e.states.ResidentBytes() || held > resident*bytes/buffers || (held == 0) != (resident == 0) {
+					t.Fatalf("%v depth %d step %d: opt.resident_bytes = %d with %d resident buffers of %d B", mode, depth, s, held, resident, bytes/buffers)
 				}
 				trailed = trailed || now > 0
 				if s%2 == 0 {
@@ -610,6 +684,9 @@ func TestStatePipelineWindowBound(t *testing.T) {
 			}
 			if tc.model == piecedConfig() && buffers <= depth {
 				t.Fatalf("the pieced model's window is %d buffers at depth %d: its state was not cut", buffers, depth)
+			}
+			if (tc.model == residentConfig()) != (resident > 0) {
+				t.Fatalf("%+v depth %d: %d resident buffers", tc.model, depth, resident)
 			}
 		}
 	}

@@ -167,6 +167,9 @@ var metrics = [...]metric{
 		live, _ := e.states.Buffered()
 		return float64(live)
 	}},
+	// The optimizer state the window's resident set holds, which steps
+	// neither read nor write.
+	{"opt.resident_bytes", gauge, func(e *Engine) float64 { return float64(e.states.ResidentBytes()) }},
 
 	{"nvme.read_bytes", gauge, func(e *Engine) float64 { return float64(e.ssd.BytesRead) }},
 	{"nvme.write_bytes", gauge, func(e *Engine) float64 { return float64(e.ssd.BytesWritten) }},

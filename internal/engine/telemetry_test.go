@@ -201,6 +201,10 @@ func goldenMetricNames(t *testing.T) []string {
 func TestEveryMetricRowRefreshed(t *testing.T) {
 	zeroHere := map[string]bool{
 		"engine.offload_queue_peak": true, // two SSD blocks never queue behind each other; TestPipelineWindowStall
+		// One-piece groups leave no state buffer beyond the stream: nothing is
+		// resident. TestStatePipelineWindowBound reads it on a model that has
+		// a resident set.
+		"opt.resident_bytes": true,
 		// The mini model's kernels all run inline on the step goroutine.
 		"pool.jobs": true, "pool.job_ns": true, "pool.stolen_chunks": true,
 		"pool.submitter_chunks": true, "pool.worker_chunks": true,

@@ -319,12 +319,14 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 }
 
 // TestPipelineWindowBound: with writes held at the store, exactly the
-// window's buffers' worth of piece reads is issued and no more — the state
-// buffered at once, seen from the store's side (bytes of reads started minus
-// writes finished) and from the pipeline's own high-water mark, stays within
-// depth × 12 B × the largest group after every Wait, each step's write-back
-// trailing into the next included — and none once Flush returns. (Wait alone
-// leaves the write-back in flight.)
+// window's buffers' worth of piece reads is issued and no more — the
+// stream's reads and the resident set's one load — and the state held at
+// once, seen from the store's side (bytes of reads started minus streamed
+// writes finished: a resident piece stays held) and from the pipeline's own
+// high-water mark, stays within depth × 12 B × the largest group after every
+// Wait, each step's write-back trailing into the next included; once Flush
+// returns only the resident set is held. (Wait alone leaves the write-back
+// in flight.)
 func TestPipelineWindowBound(t *testing.T) {
 	const depth, P = 2, adamChunkGrain
 	store := &hookStore{MemStore: MemStore{}}
@@ -339,9 +341,16 @@ func TestPipelineWindowBound(t *testing.T) {
 	}
 	p := NewStatePipeline(o, depth, groups)
 	defer p.Close()
-	buffers, windowBytes := p.Window()
-	if buffers != 6 || windowBytes != 6*StateBytes(P, true) || windowBytes > bound {
-		t.Fatalf("window of %d buffers, %d B: want ⌊%d B ÷ %d B⌋ = 6 piece buffers", buffers, windowBytes, bound, StateBytes(P, true))
+	// ⌊2 × (3P+1) ÷ P⌋ = 6 buffers: a stream of max(depth+1, ⌈(3P+1) ÷ P⌉) = 4
+	// and the first two pieces, both g0's, resident.
+	stream, resident, windowBytes := p.Window()
+	buffers := stream + resident
+	if stream != 4 || resident != 2 || windowBytes != 6*StateBytes(P, true) || windowBytes > bound {
+		t.Fatalf("window of %d stream and %d resident buffers, %d B: want ⌊%d B ÷ %d B⌋ = 6 piece buffers, 4 streaming", stream, resident, windowBytes, bound, StateBytes(P, true))
+	}
+	residentKey := map[string]bool{}
+	for _, pc := range p.resident {
+		residentKey[pc.key] = true
 	}
 	if len(pieceBytes) <= buffers+1 {
 		t.Fatalf("need more than %d pieces, have %d", buffers+1, len(pieceBytes))
@@ -363,6 +372,9 @@ func TestPipelineWindowBound(t *testing.T) {
 	}
 	store.beforePut = func(key string) error {
 		<-release // hold every write until the window has filled
+		if residentKey[key] {
+			return nil // Flush's write-back: the piece stays resident
+		}
 		mu.Lock()
 		outstanding, reads = outstanding-pieceBytes[key], reads-1
 		mu.Unlock()
@@ -388,8 +400,8 @@ func TestPipelineWindowBound(t *testing.T) {
 		if err := p.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if _, pk := p.Buffered(); pk != buffers {
-			t.Fatalf("step %d: pipeline buffered peak=%d pieces after Wait, want the window's %d", step, pk, buffers)
+		if _, pk := p.Buffered(); pk != stream {
+			t.Fatalf("step %d: pipeline buffered peak=%d pieces after Wait, want the stream's %d", step, pk, stream)
 		}
 		if step%2 == 1 {
 			continue // an unflushed step: the next one runs into its write-back
@@ -406,9 +418,9 @@ func TestPipelineWindowBound(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if peakReads != buffers || peakBytes > bound || outstanding != 0 {
-		t.Fatalf("store saw %d pieces, %d B, outstanding at once and %d B after Flush; want the window's %d pieces, at most %d B, and 0",
-			peakReads, peakBytes, outstanding, buffers, bound)
+	if held := p.ResidentBytes(); peakReads != buffers || peakBytes > bound || outstanding != held || held != 2*pieceBytes[p.resident[0].key] {
+		t.Fatalf("store saw %d pieces, %d B, outstanding at once and %d B after Flush; want the window's %d pieces, at most %d B, and the resident set's %d B",
+			peakReads, peakBytes, outstanding, buffers, bound, held)
 	}
 }
 
@@ -421,23 +433,29 @@ func TestPipelineWindowBound(t *testing.T) {
 // Submit+Wait (then failing at the read-after-write join, nothing read).
 // Either way it is reported once, every wire buffer went back to the window,
 // the groups that did not fail were still updated exactly, and Close leaves
-// no goroutine.
+// no goroutine. A resident piece fails at its stages instead: the resident
+// set's first load, which Wait reports, and its write-back, which Flush
+// reports and the next Flush retries, landing the update.
 func TestPipelineFaultPerStage(t *testing.T) {
 	boom := errors.New("media failure")
 	cases := []struct {
-		name   string
-		victim int // index of the group whose transfer fails
-		piece  int // which of the victim's pieces
-		write  bool
-		resub  bool // write only: the first join is the victim's next update
+		name     string
+		victim   int // index of the group whose transfer fails
+		piece    int // which of the victim's pieces
+		write    bool
+		resub    bool // write only: the first join is the victim's next update
+		resident bool // the victim is the first piece of a window with a resident set
 	}{
-		{"read-ahead/first", 0, 0, false, false},
-		{"read-ahead/mid-window", 2, 0, false, false},
-		{"write-behind", 1, 0, true, false},
-		{"write-behind-then-update", 1, 0, true, true},
+		{"read-ahead/first", 0, 0, false, false, false},
+		{"read-ahead/mid-window", 2, 0, false, false, false},
+		{"write-behind", 1, 0, true, false, false},
+		{"write-behind-then-update", 1, 0, true, true, false},
 		// The victim's state is cut into pieces and its second one fails.
-		{"read-ahead/second-piece", 0, 1, false, false},
-		{"write-behind/second-piece", 0, 1, true, false},
+		{"read-ahead/second-piece", 0, 1, false, false, false},
+		{"write-behind/second-piece", 0, 1, true, false, false},
+		// The window's fourth buffer is the home of g0's first piece.
+		{"resident/first-load", 0, 0, false, false, true},
+		{"resident/write-back", 0, 0, true, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -445,7 +463,7 @@ func TestPipelineFaultPerStage(t *testing.T) {
 			store := &hookStore{MemStore: MemStore{}}
 			var ref, o *OutOfCoreAdam
 			var refGroups, groups []nn.ParamGroup
-			if tc.piece == 0 {
+			if tc.piece == 0 && !tc.resident {
 				ref = NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "f")
 				o = NewOutOfCoreAdam(store, DefaultAdam(), "f")
 				refGroups, groups = initGroups(t, ref, buildModel(t)), initGroups(t, o, buildModel(t))
@@ -473,6 +491,9 @@ func TestPipelineFaultPerStage(t *testing.T) {
 			}
 
 			p := NewStatePipeline(o, 2, groups)
+			if home := p.jobs[groups[tc.victim].Name].pieces[tc.piece].home; (home != nil) != tc.resident {
+				t.Fatalf("the victim has a home buffer: %v, want %v", home != nil, tc.resident)
+			}
 			setGroupGrads(refGroups, 1, 1)
 			setGroupGrads(groups, 1, 1)
 			ref.BeginStep()
@@ -505,6 +526,9 @@ func TestPipelineFaultPerStage(t *testing.T) {
 			if !errors.Is(err, boom) {
 				t.Fatalf("first join = %v, want %v", err, boom)
 			}
+			if tc.resident && tc.write {
+				store.beforePut = nil // the piece stayed dirty: this Flush writes it
+			}
 			if err := p.Flush(); err != nil {
 				t.Fatalf("Flush after the failure was reported = %v, want it reported once", err)
 			}
@@ -527,6 +551,9 @@ func TestPipelineFaultPerStage(t *testing.T) {
 						}
 					}
 				}
+			}
+			if tc.resident && tc.write {
+				sameStoredState(t, ref, o, refGroups[:1], groups[:1])
 			}
 			// The joins left the pipeline reusable: the next ones are clean.
 			store.beforeRead, store.beforePut = nil, nil
@@ -842,4 +869,182 @@ func (s *inPlaceStore) PutAll(keys []string, data [][]byte) error {
 
 func (s *inPlaceStore) ReadAllInto(keys []string, dst [][]byte) error {
 	return eachObject(keys, dst, s.ReadInto)
+}
+
+// sameWeights asserts the groups' working weights are bit-identical.
+func sameWeights(t *testing.T, want, got []nn.ParamGroup, what string) {
+	t.Helper()
+	for i, g := range want {
+		for pi, p := range g.Params {
+			for k, w := range p.W.Data {
+				if v := got[i].Params[pi].W.Data[k]; math.Float32bits(v) != math.Float32bits(w) {
+					t.Fatalf("%s: %s param %d[%d] = %v, want %v", what, g.Name, pi, k, v, w)
+				}
+			}
+		}
+	}
+}
+
+// TestStateResidentSet: the window's buffers beyond the stream are the
+// homes of the first-registered pieces (of the last-registered ones under
+// the sweep's control). Over seven steps submitted in backward order — a
+// Flush after some, two Flushes in a row, and a restore: every group's
+// record of step 2 imported behind the pipeline after Drop — the pipeline
+// trains bit-identically to UpdateGroup on a twin restored the same way. The
+// store sees a resident piece read only by a load, once after construction
+// and once after the Drop, and written only by a Flush that follows an
+// update of it; it sees a streamed piece read and written once a step.
+// ResidentBytes is the resident pieces' stored bytes while loaded, zero
+// after Drop.
+func TestStateResidentSet(t *testing.T) {
+	const depth, P = 2, adamChunkGrain
+	// ⌊2 × (3P+1) ÷ P⌋ = 6 buffers, a stream of max(depth+1, ⌈(3P+1) ÷ P⌉) = 4
+	// and two resident pieces: g0's two, or g3's one and g2's last.
+	sizes := []int{P + 5, 3*P + 1, 2 * P, 9}
+	for _, last := range []bool{false, true} {
+		t.Run(map[bool]string{false: "first", true: "last"}[last], func(t *testing.T) {
+			sweep.last = last
+			defer func() { sweep.last = false }()
+			refGroups, groups := pieceGroups(11, sizes...), pieceGroups(11, sizes...)
+			ref := windowed(t, MemStore{}, DefaultAdam(), depth, refGroups)
+			store := &hookStore{MemStore: MemStore{}}
+			o := windowed(t, store, DefaultAdam(), depth, groups)
+			p := NewStatePipeline(o, depth, groups)
+			defer p.Close()
+
+			want := []string{"p/g0/state/0", "p/g0/state/1"}
+			if last {
+				want = []string{"p/g2/state/1", "p/g3/state/0"}
+			}
+			var got []string
+			resident := map[string]bool{}
+			for _, pc := range p.resident {
+				got, resident[pc.key] = append(got, pc.key), true
+			}
+			if stream, n, _ := p.Window(); stream != 4 || n != 2 || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("window of %d stream buffers and resident %v, want 4 and %v", stream, got, want)
+			}
+			// The store counts the pipeline's transfers; quiet stops it for the
+			// test's own reads and writes.
+			var mu sync.Mutex
+			reads, writes := map[string]int{}, map[string]int{}
+			var muted atomic.Bool
+			tally := func(n map[string]int) func(string) error {
+				return func(key string) error {
+					if !muted.Load() {
+						mu.Lock()
+						n[key]++
+						mu.Unlock()
+					}
+					return nil
+				}
+			}
+			store.beforeRead, store.beforePut = tally(reads), tally(writes)
+			quiet := func(f func()) { muted.Store(true); f(); muted.Store(false) }
+			// counts checks every piece's reads and writes so far: a resident
+			// piece's are given, a streamed piece's are one a step.
+			counts := func(what string, steps, residentReads, residentWrites int) {
+				t.Helper()
+				mu.Lock()
+				defer mu.Unlock()
+				for _, pc := range p.order {
+					r, w := steps, steps
+					if resident[pc.key] {
+						r, w = residentReads, residentWrites
+					}
+					if reads[pc.key] != r || writes[pc.key] != w {
+						t.Fatalf("%s: %s read %d and written %d times, want %d and %d", what, pc.key, reads[pc.key], writes[pc.key], r, w)
+					}
+				}
+			}
+			residentBytes := func() int {
+				n := 0
+				for _, pc := range p.resident {
+					n += pc.stored()
+				}
+				return n
+			}
+
+			// The steps by their gradients' seed: 1–4, then 3 and 4 again from
+			// the record of step 2, and 5.
+			var record bytes.Buffer
+			for i, seed := range []int{1, 2, 3, 4, 3, 4, 5} {
+				setGroupGrads(refGroups, int64(seed), 1)
+				setGroupGrads(groups, int64(seed), 1)
+				ref.BeginStep()
+				o.BeginStep()
+				for k := len(groups) - 1; k >= 0; k-- {
+					if err := ref.UpdateGroup(refGroups[k]); err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Submit(groups[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := p.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("step %d (gradients %d)", i+1, seed)
+				sameWeights(t, refGroups, groups, what)
+				if held := p.ResidentBytes(); held != residentBytes() {
+					t.Fatalf("%s: ResidentBytes = %d, the resident pieces store %d", what, held, residentBytes())
+				}
+				switch i + 1 {
+				case 2: // step 1 was not flushed: this writes back two updates as one
+					if err := p.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					counts(what, 2, 1, 1)
+					quiet(func() {
+						sameStoredState(t, ref, o, refGroups, groups)
+						for _, g := range groups {
+							if _, err := o.WriteGroupTo(&record, g); err != nil {
+								t.Fatal(err)
+							}
+						}
+					})
+				case 3:
+					for range 2 { // the second writes nothing: no piece is dirty
+						if err := p.Flush(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					counts(what, 3, 1, 2)
+				case 4:
+					// A restore: the store is rewritten behind the pipeline, whose
+					// resident copies hold step 4's state.
+					if err := p.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					p.Drop()
+					if held := p.ResidentBytes(); held != 0 {
+						t.Fatalf("ResidentBytes = %d after Drop", held)
+					}
+					counts(what, 4, 1, 3)
+					quiet(func() {
+						for _, twin := range []struct {
+							o  *OutOfCoreAdam
+							gs []nn.ParamGroup
+						}{{ref, refGroups}, {o, groups}} {
+							r := bytes.NewReader(record.Bytes())
+							for _, g := range twin.gs {
+								if _, err := twin.o.ImportWire(g, r); err != nil {
+									t.Fatal(err)
+								}
+							}
+							if err := twin.o.SetStep(2); err != nil {
+								t.Fatal(err)
+							}
+						}
+					})
+				case 7:
+					if err := p.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					counts(what, 7, 2, 4)
+					quiet(func() { sameStoredState(t, ref, o, refGroups, groups) })
+				}
+			}
+		})
+	}
 }
