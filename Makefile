@@ -41,14 +41,16 @@ test-nosimd:
 # tensors under every level with the heads fanned out) and the array's batch
 # tests (every test named *ArrayBatch*: a batch's layout, a fault mid-batch,
 # every object in flight, and the engine's checkpoint round trip through
-# batched state I/O) and the resident-set tests (every test named *Resident*:
+# batched state I/O), the resident-set tests (every test named *Resident*:
 # the state window's resident pieces — which pieces, their load, write-back
-# and restore — and the activation ring's resident blocks) under GOMAXPROCS
-# 1, 2 and 4, uncached.
+# and restore — and the activation ring's resident blocks) and the narrow
+# moments' tests (the codec against its reference on every level, every
+# change of a piece's form against AdamStep, an array overwrite that keeps
+# its stripes) under GOMAXPROCS 1, 2 and 4, uncached.
 # A pin that holds on one core count only (the seed's
 # TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
 # matches any test fails the target instead of silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident
+TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident Narrow FormFallback OverwriteKeepsStripes
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/nvme ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:
@@ -85,8 +87,11 @@ check: vet loc-gate race test-nosimd test-procs fuzz-smoke bench-smoke bench-e2e
 # into arena tensors between guard words, checkpoint streams against
 # LoadCheckpoint on one engine (an accepted one saves back to its bytes, a
 # refused one left the engine as its twin or latched it until the good
-# checkpoint is loaded), and postmortem documents of any content against
-# trace.ReadFlightDump, which must round-trip what it accepts — on one worker;
+# checkpoint is loaded), postmortem documents of any content against
+# trace.ReadFlightDump, which must round-trip what it accepts, and state
+# pieces of any content in any form against the optimizer's gather and
+# update, which decode or refuse them the same whatever lies past them — on
+# one worker;
 # the committed corpus is their f.Add seeds and runs in tier-1. A failing input lands in the package's testdata/fuzz and fails
 # `go test` from then on. Minimizing each coverage-widening input is capped at
 # a second: at the default minute the first one found eats the whole smoke (19
@@ -97,6 +102,7 @@ fuzz-smoke:
 	$(FUZZ_SMOKE) -fuzz '^FuzzDecodeTensors$$' ./internal/engine
 	$(FUZZ_SMOKE) -fuzz '^FuzzLoadCheckpoint$$' ./internal/engine
 	$(FUZZ_SMOKE) -fuzz '^FuzzReadFlightDump$$' ./internal/trace
+	$(FUZZ_SMOKE) -fuzz '^FuzzStatePiece$$' ./internal/opt
 
 # Snapshot-integrity gate: every committed BENCH_*.json must parse and
 # self-diff clean at zero tolerance, so the diff tool and the snapshot

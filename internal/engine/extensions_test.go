@@ -402,9 +402,9 @@ func TestCheckpointLayout(t *testing.T) {
 	header, payload := ckptLayout(e)
 	size := ckptFixed + 4
 	for _, g := range e.groups {
-		size += (8 + 2 + len(g.Name)) + opt.StateBytes(g.NumParams(), true) + 4
+		size += (8 + 2 + len(g.Name)) + opt.StateBytes(g.NumParams(), opt.Full) + 4
 	}
-	if len(ck) != size || payload[len(payload)-1]+opt.StateBytes(e.groups[len(e.groups)-1].NumParams(), true)+4 != size {
+	if len(ck) != size || payload[len(payload)-1]+opt.StateBytes(e.groups[len(e.groups)-1].NumParams(), opt.Full)+4 != size {
 		t.Fatalf("checkpoint is %d bytes, want header %d + Σ(entry + 12n + 4) = %d", len(ck), header, size)
 	}
 	if string(ck[:8]) != ckptMagic || binary.LittleEndian.Uint32(ck[8:]) != 2 ||
@@ -808,7 +808,7 @@ func ckptLayout(e *Engine) (header int, payload []int) {
 	off := header
 	for _, g := range e.groups {
 		payload = append(payload, off)
-		off += opt.StateBytes(g.NumParams(), true) + 4
+		off += opt.StateBytes(g.NumParams(), opt.Full) + 4
 	}
 	return header, payload
 }
@@ -973,13 +973,73 @@ func TestPipelineEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestCorruptStatePieceLatches: a state piece the array returns with every
-// byte 0xff — an escape count far over any table's capacity — is refused by
-// the next step's Adam stage before anything is decoded: the step returns the
-// refusal, the failure latches (steps and saves refuse), and restoring a
-// checkpoint continues bit-identically to a run that never saw the piece.
+// TestCorruptStatePieceLatches: a state piece the array returns corrupt —
+// every byte 0xff, an escape count far over any table's capacity, or, in the
+// narrow form, one of its M or V tables with a count over its capacity,
+// indices that do not rise or leave the piece, or a base whose window leaves
+// the byte — is refused by the next step's Adam stage before anything is
+// decoded: the step returns the refusal naming the piece, the failure
+// latches (steps and saves refuse), and restoring a checkpoint continues
+// bit-identically to a run that never saw the piece.
 func TestCorruptStatePieceLatches(t *testing.T) {
 	cfg := Config{Model: miniConfig(), GradMode: agoffload.Optimized}
+	// The narrow form's tables end the object: Δ's (count, records), then M's
+	// and V's (count, base, records), each with room for ⌈n/128⌉ records.
+	type table struct{ count, base, recs int }
+	narrowTables := func(size, n int) map[string]table {
+		c := (n + 127) / 128
+		v := size - (8 + 8*c)
+		m := v - (8 + 8*c)
+		return map[string]table{"M": {m, m + 4, m + 8}, "V": {v, v + 4, v + 8}}
+	}
+	cases := map[string]func(obj []byte, tb table, plane string, n int){
+		"every byte 0xff": func(obj []byte, _ table, _ string, _ int) {
+			for i := range obj {
+				obj[i] = 0xff
+			}
+		},
+		"count over capacity": func(obj []byte, tb table, _ string, n int) {
+			binary.LittleEndian.PutUint32(obj[tb.count:], uint32((n+127)/128+1))
+		},
+		"indices not rising": func(obj []byte, tb table, _ string, _ int) {
+			binary.LittleEndian.PutUint32(obj[tb.count:], 2)
+			binary.LittleEndian.PutUint32(obj[tb.recs:], 3)
+			binary.LittleEndian.PutUint32(obj[tb.recs+8:], 3)
+		},
+		"index past the piece": func(obj []byte, tb table, _ string, n int) {
+			binary.LittleEndian.PutUint32(obj[tb.count:], 1)
+			binary.LittleEndian.PutUint32(obj[tb.recs:], uint32(n))
+		},
+		"base past the byte": func(obj []byte, tb table, plane string, _ int) {
+			binary.LittleEndian.PutUint32(obj[tb.base:], map[string]uint32{"M": 0x7a, "V": 0xf2}[plane])
+		},
+	}
+	for name, corrupt := range cases {
+		for _, plane := range []string{"M", "V"} {
+			sub := name + "/" + plane
+			if name == "every byte 0xff" {
+				if plane == "V" {
+					continue
+				}
+				sub = name
+			}
+			t.Run(sub, func(t *testing.T) {
+				corruptStatePiece(t, cfg, func(obj []byte, n int) {
+					if name != "every byte 0xff" && len(obj) != opt.StateBytes(n, 0) {
+						t.Fatalf("the piece is %d bytes, not in the narrow form's %d", len(obj), opt.StateBytes(n, 0))
+					}
+					corrupt(obj, narrowTables(len(obj), n)[plane], plane, n)
+				})
+			})
+		}
+	}
+}
+
+// corruptStatePiece trains two engines of cfg two steps, corrupts the stored
+// state of the second's head with corrupt (its object and params), and
+// checks that the next step refuses it by name, the failure latches, and a
+// restore continues as the first engine does.
+func corruptStatePiece(t *testing.T, cfg Config, corrupt func(obj []byte, n int)) {
 	ref, e := newEngine(t, cfg), newEngine(t, cfg)
 	for _, x := range []*Engine{ref, e} {
 		trainK(t, x, 2)
@@ -988,13 +1048,18 @@ func TestCorruptStatePieceLatches(t *testing.T) {
 	if err := e.SaveCheckpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	g := e.groups[1]
-	bad := bytes.Repeat([]byte{0xff}, e.optimizer.StoredBytes(g.Name)[0])
-	if err := e.Array().Put("states/"+g.Name+"/state/0", bad); err != nil {
+	g := e.groups[len(e.groups)-1] // the head: one piece, stored narrow
+	key := "states/" + g.Name + "/state/0"
+	obj := make([]byte, e.optimizer.StoredBytes(g.Name)[0])
+	if err := e.Array().ReadInto(key, obj); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(obj, g.NumParams())
+	if err := e.Array().Put(key, obj); err != nil {
 		t.Fatal(err)
 	}
 	tokens, targets := data(cfg.Model, 2)
-	if _, err := e.TrainStep(tokens, targets); err == nil || !strings.Contains(err.Error(), "states/"+g.Name+"/state/0") {
+	if _, err := e.TrainStep(tokens, targets); err == nil || !strings.Contains(err.Error(), key) {
 		t.Fatalf("TrainStep over the corrupt piece = %v, want a refusal naming it", err)
 	}
 	if _, err := e.TrainStep(tokens, targets); err == nil {

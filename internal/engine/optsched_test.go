@@ -646,7 +646,7 @@ func TestStatePipelineWindowBound(t *testing.T) {
 			for _, g := range e.groups {
 				largest = max(largest, g.NumParams())
 			}
-			bound := depth * opt.StateBytes(largest, true)
+			bound := depth * opt.StateBytes(largest, opt.Full)
 			stream, resident, bytes := e.states.Window()
 			buffers := stream + resident
 			if bytes > bound || stream < min(depth+1, buffers) {
@@ -758,4 +758,49 @@ func TestOptSchedSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("TrainStep allocates %.0f/step, budget %d", allocs, steadyStateAllocBudget)
 		}
 	})
+}
+
+// TestStateBytesAreStoredForms: on the opt_stream model, a step reads and
+// writes exactly the state its streamed pieces are stored as — the sum of
+// opt.StateBytes over the form each piece holds when read, and the form it
+// is sealed in when written — and Stats' write-back adds the resident set's
+// sizes, in whatever forms the pieces are. The ledger's NVMe edges count the
+// same bytes as the array.
+func TestStateBytesAreStoredForms(t *testing.T) {
+	e := newEngine(t, Config{Model: optStreamModel(), GradMode: agoffload.Optimized})
+	_, resident, _ := e.states.Window()
+	sizes := func() (streamed, res int64) {
+		k := 0
+		for _, g := range e.groups {
+			for _, size := range e.optimizer.StoredBytes(g.Name) {
+				if k < resident {
+					res += int64(size)
+				} else {
+					streamed += int64(size)
+				}
+				k++
+			}
+		}
+		return streamed, res
+	}
+	trainK(t, e, 1) // loads the resident set
+	e.Stats()
+	for s := 1; s < 6; s++ {
+		read, _ := sizes()
+		before := e.Array().Stats()
+		trainFrom(t, e, s, 1)
+		e.Stats()
+		after := e.Array().Stats()
+		written, res := sizes()
+		if got := int64(after.BytesRead - before.BytesRead); got != read {
+			t.Fatalf("step %d read %d B of state, want the streamed pieces' stored %d", s, got, read)
+		}
+		if got := int64(after.BytesWritten - before.BytesWritten); got != written+res {
+			t.Fatalf("step %d wrote %d B of state, want the streamed pieces' %d and the resident set's %d", s, got, written, res)
+		}
+	}
+	flows, ssd := e.Flows(), e.Array().Stats()
+	if r, w := flows.Edge(obs.EdgeHostNVMeRead), flows.Edge(obs.EdgeHostNVMeWrite); r != int64(ssd.BytesRead) || w != int64(ssd.BytesWritten) {
+		t.Fatalf("the ledger counts %d B read and %d written, the array %d and %d", r, w, ssd.BytesRead, ssd.BytesWritten)
+	}
 }

@@ -170,6 +170,9 @@ var metrics = [...]metric{
 	// The optimizer state the window's resident set holds, which steps
 	// neither read nor write.
 	{"opt.resident_bytes", gauge, func(e *Engine) float64 { return float64(e.states.ResidentBytes()) }},
+	// State planes (M, V) stored as raw fp32 because their escapes overflowed
+	// the narrow code's table.
+	{"opt.wide_planes", gauge, func(e *Engine) float64 { return float64(e.optimizer.WidePlanes()) }},
 
 	{"nvme.read_bytes", gauge, func(e *Engine) float64 { return float64(e.ssd.BytesRead) }},
 	{"nvme.write_bytes", gauge, func(e *Engine) float64 { return float64(e.ssd.BytesWritten) }},

@@ -98,11 +98,11 @@ type backend interface {
 	Close() error
 }
 
-// chunkRef locates one stripe chunk.
+// chunkRef locates one stripe chunk. Chunk i of an object holds its bytes
+// [i × stripe, min((i+1) × stripe, size)).
 type chunkRef struct {
 	dev int
 	off int64
-	n   int
 }
 
 type object struct {
@@ -380,12 +380,15 @@ func (a *Array) submit(key string, buf []byte, write bool) *xfer {
 	a.mu.RUnlock()
 	switch {
 	case write:
-		// A same-size overwrite keeps the object's chunks (the steady state of
-		// every training step); anything else is stored on fresh ones.
-		if x.fresh = !ok || obj.size != len(buf); x.fresh {
+		// An overwrite of as many stripes keeps the object's chunks (the steady
+		// state of every training step, whatever form a state piece takes);
+		// anything else is stored on fresh ones, listed where the old ones were
+		// if they fit.
+		if x.fresh = !ok || a.stripes(obj.size) != a.stripes(len(buf)); x.fresh {
 			a.delete(key)
-			obj = a.allocObject(len(buf))
+			obj = a.allocObject(len(buf), obj.chunks)
 		}
+		obj.size = len(buf)
 		if a.cfg.Checksums {
 			obj.crc = crc32.Checksum(buf, crcTable)
 		}
@@ -465,17 +468,22 @@ func (a *Array) settle(x *xfer, o *arrayObservers, start time.Time) error {
 	return err
 }
 
-// allocObject lays out a new object of size bytes: stripe-sized chunks
+// allocObject lays out a new object of size bytes, listing its chunks in
+// chunks' array when it has room, else in a new one with room for half as
+// many again — so a state piece whose planes turn raw, up to 1.5× the bytes,
+// is laid out again without allocating: stripe-sized chunks
 // allocated round-robin across the devices, so striping yields real
 // parallel bandwidth. The next object starts the smallest step of at least n
 // devices on that is coprime with the device count, so a run of equal
 // objects puts their short last chunks on every device in turn: stepping by
 // n itself would land all of them on the same few when n shares a factor
 // with the device count.
-func (a *Array) allocObject(size int) object {
-	stripe := a.cfg.StripeSize
-	n := (size + stripe - 1) / stripe
-	obj := object{size: size, chunks: make([]chunkRef, 0, n)}
+func (a *Array) allocObject(size int, chunks []chunkRef) object {
+	stripe, n := a.cfg.StripeSize, a.stripes(size)
+	if cap(chunks) < n {
+		chunks = make([]chunkRef, n, n+n/2)
+	}
+	obj := object{size: size, chunks: chunks[:n]}
 
 	step := n
 	for gcd(step, len(a.devs)) != 1 {
@@ -486,12 +494,15 @@ func (a *Array) allocObject(size int) object {
 	a.nextRR = (a.nextRR + step) % len(a.devs)
 	a.mu.Unlock()
 
-	for i := 0; i < n; i++ {
+	for i := range obj.chunks {
 		dev := (start + i) % len(a.devs)
-		obj.chunks = append(obj.chunks, chunkRef{dev: dev, off: a.devs[dev].alloc(stripe), n: min(stripe, size-i*stripe)})
+		obj.chunks[i] = chunkRef{dev: dev, off: a.devs[dev].alloc(stripe)}
 	}
 	return obj
 }
+
+// stripes is how many chunks an object of size bytes is laid out on.
+func (a *Array) stripes(size int) int { return (size + a.cfg.StripeSize - 1) / a.cfg.StripeSize }
 
 func gcd(a, b int) int {
 	for b != 0 {

@@ -95,6 +95,42 @@ func TestOverwriteReplaces(t *testing.T) {
 	}
 }
 
+// TestOverwriteKeepsStripes: an overwrite of another size on as many
+// stripes — a state piece that changes form — keeps the object's chunks,
+// allocates nothing and reads back whole at its new size; one on more
+// stripes, up to half as many again, is laid out afresh in the old chunk
+// list, so a piece that changes form back and forth allocates nothing.
+func TestOverwriteKeepsStripes(t *testing.T) {
+	a := openMem(t, 3)
+	stripe := a.cfg.StripeSize
+	bufs := map[int][]byte{}
+	for _, n := range []int{2*stripe + 10, 3 * stripe, 2*stripe + 1, 3*stripe - 7, 4 * stripe} {
+		bufs[n] = bytes.Repeat([]byte{byte(n)}, n)
+	}
+	put := func(n int) {
+		if err := a.Put("k", bufs[n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(2*stripe + 10)
+	chunks := a.objs["k"].chunks
+	if allocs := testing.AllocsPerRun(5, func() { put(3 * stripe); put(2*stripe + 1); put(3*stripe - 7) }); allocs != 0 {
+		t.Errorf("overwrites on as many stripes allocate %.1f times, want 0", allocs)
+	}
+	if got, err := get(a, "k"); err != nil || !bytes.Equal(got, bufs[3*stripe-7]) || &a.objs["k"].chunks[0] != &chunks[0] {
+		t.Fatalf("after overwrites on 3 stripes: %d bytes, %v; chunks kept %v", len(got), err, &a.objs["k"].chunks[0] == &chunks[0])
+	}
+	put(4 * stripe)
+	if got, err := get(a, "k"); err != nil || !bytes.Equal(got, bufs[4*stripe]) || len(a.objs["k"].chunks) != 4 {
+		t.Fatalf("after an overwrite on 4 stripes: %d bytes, %v, %d chunks", len(got), err, len(a.objs["k"].chunks))
+	}
+	// Back and forth between the two: the chunks are laid out afresh, listed
+	// in the same array, so nothing is allocated.
+	if allocs := testing.AllocsPerRun(5, func() { put(3 * stripe); put(4 * stripe) }); allocs != 0 {
+		t.Errorf("overwrites between 3 and 4 stripes allocate %.1f times, want 0", allocs)
+	}
+}
+
 func TestDeleteAndChunkReuse(t *testing.T) {
 	a := openMem(t, 2)
 	if err := a.Put("k", make([]byte, 640)); err != nil {

@@ -310,21 +310,21 @@ func (a *Array) runStride(ln *ioLane, it *schedItem) error {
 	runBytes, runOps := 0, 0
 	runEndOff := int64(-1)
 	for i := w; i < len(obj.chunks); i += ndevs {
-		c := obj.chunks[i]
-		if err := a.chunkIO(c.dev, c.off, buf[i*stripe:i*stripe+c.n], write); err != nil {
+		c, n := obj.chunks[i], min(stripe, obj.size-i*stripe)
+		if err := a.chunkIO(c.dev, c.off, buf[i*stripe:i*stripe+n], write); err != nil {
 			return err
 		}
-		devBytes += int64(c.n)
+		devBytes += int64(n)
 		if a.cfg.FCFS {
-			a.throttleLane(ln, it.enq, c.n, x.bw)
+			a.throttleLane(ln, it.enq, n, x.bw)
 			continue
 		}
 		if runOps > 0 && c.off == runEndOff && runOps < coalesceMax {
-			runBytes += c.n
+			runBytes += n
 			runOps++
 		} else {
 			a.flushRun(ln, it, runBytes, runOps)
-			runBytes, runOps = c.n, 1
+			runBytes, runOps = n, 1
 		}
 		runEndOff = c.off + int64(stripe)
 	}

@@ -43,9 +43,10 @@ func BenchmarkAdamStep_1M(b *testing.B) {
 
 // BenchmarkAdamWire measures a piece update on stored state at each
 // BENCHMARK.json workload's largest group (one block: 12h²+13h parameters,
-// one piece), on one thread: the single Δ walk (adamDelta: decode, Adam,
-// encode, P16 install) against the staged form (decode the three fp32
-// planes, AdamStep, encode, install).
+// one piece), on one thread: the Adam stage in place on the stored object
+// (applyTo: its tables checked, the fp16 gradients staged, the one walk that
+// decodes, updates, encodes and installs P16, the seal) against the staged
+// form (decode the three fp32 planes, AdamStep, encode, install).
 func BenchmarkAdamWire(b *testing.B) {
 	old := tensor.Parallelism()
 	defer tensor.SetParallelism(old)
@@ -67,21 +68,20 @@ func BenchmarkAdamWire(b *testing.B) {
 			b.Fatal(err)
 		}
 		pc := o.cuts[g.Name][0]
-		obj := append(make([]byte, 0, StateBytes(n, true)), store[pc.key]...)
-		esc, err := escapes(obj, pc)
-		if err != nil {
-			b.Fatal(err)
-		}
+		obj := append(make([]byte, 0, StateBytes(n, Full)), store[pc.key]...)
 		mparams := func(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mparams/s")
 		}
 		b.Run(fmt.Sprintf("%s/%d/adamWire", w.name, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				o.adamDelta(obj, g, pc, newAdamCoef(o.cfg, i+1), gt.Data, esc, "g/opt-adam")
+				var err error
+				if obj, err = o.applyTo(obj, g, pc, o.cfg, i+1, "g/opt-adam"); err != nil {
+					b.Fatal(err)
+				}
 			}
 			mparams(b)
 		})
-		wire := make([]byte, StateBytes(n, true))
+		wire := make([]byte, StateBytes(n, Full))
 		p32, m, v := make([]float32, n), make([]float32, n), make([]float32, n)
 		b.Run(fmt.Sprintf("%s/%d/staged", w.name, n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -5,11 +5,12 @@
 // the CPU optimizer that active gradient offloading (§IV-C) drives.
 //
 // The out-of-core optimizer is exactly equivalent to the in-memory one for
-// any piece size: the moments round-trip through storage as raw
-// little-endian float32 and each master as its exact distance from the fp16
-// working copy the host holds (P16 + Δ, or the escape table's fp32 bits),
-// Adam is element-wise, and gradients are consumed in fp16 (G16) in both
-// paths.
+// any piece size: each master round-trips through storage as its exact
+// distance from the fp16 working copy the host holds (P16 + Δ, or the escape
+// table's fp32 bits) and each moment as its low three bytes and a 4-bit code
+// of its top byte (or the escape table's bits, or raw little-endian float32
+// where the codes do not fit), Adam is element-wise, and gradients are
+// consumed in fp16 (G16) in both paths.
 package opt
 
 import (
@@ -167,18 +168,24 @@ func eachObject(keys []string, bufs [][]byte, move func(key string, buf []byte) 
 // size (the last one holds the rest), each its own store object
 // "<prefix>/<group>/state/<k>". A piece is one striped read and one striped
 // write, and the unit StatePipeline streams; SetWindow sizes it, and without
-// it a group is one piece. A piece of n params is stored in one of two forms
-// (StateBytes), the optimizer records which, and the install of P16 is the
-// only writer of the working weights the Δ form is relative to:
+// it a group is one piece. A piece of n params is stored as three planes and
+// the escape tables of the compact ones, each plane in one of two encodings,
+// and the optimizer records the piece's Form (StateBytes has the sizes):
 //
-//	Δ form:    Δ (2n) | M (4n) | V (4n) | escapes: count u32 | escCap(n) × (index u32, P32 bits u32)
-//	full form: P32 (4n) | M (4n) | V (4n)
+//	master:  Δ (2n), or P32 (4n) in a FullP form
+//	M, V:    lo (3n) | codes (⌈n/2⌉), or raw fp32 (4n) in a WideM / WideV form
+//	tables:  Δ's: count u32 | escCap(n) × (index u32, P32 bits u32)
+//	         M's, then V's: count u32 | base u32 | escCap(n) × (index u32, bits u32)
 //
 // Δ[i] = bits(P32[i]) − bits(P16[i]) as a little-endian int16 (simd's Δ
-// codec) and M, V raw little-endian fp32; a master whose Δ does not fit is in
-// the escape table, which holds 1/128 of the piece. A piece whose escapes
-// overflow the table, or one too small for the Δ form to be smaller, is
-// stored full.
+// codec), and the install of P16 is the only writer of the working weights it
+// is relative to; a narrow moment plane holds each little-endian fp32 value's
+// low three bytes and its top byte as a 4-bit code from the plane's base
+// (simd's narrow codec: signed for M, not for V). A value the compact
+// encoding cannot hold is in its plane's table, which holds 1/128 of the
+// piece. A plane whose escapes overflow the table, or one too small for the
+// compact encoding to be smaller, is stored raw; the other planes stay
+// compact.
 type OutOfCoreAdam struct {
 	cfg    AdamConfig
 	store  Store
@@ -194,25 +201,31 @@ type OutOfCoreAdam struct {
 	// scr is the update scratch, sized to the largest group (the wire buffer
 	// of the synchronous paths and the checkpoint's gather and scatter) or
 	// piece seen and reused for the optimizer's lifetime: the staged gradient
-	// (or a piece's masters, outside the Adam walk), the escapes a full-form
-	// piece lifts into the walk and those the walk or the encoder lists, and
-	// the walk's escape count per chunk. scrMu serializes its users —
+	// (or a piece's masters, outside the Adam walk), the escapes a FullP
+	// piece lifts into the walk and those the walk or the encoders list per
+	// plane, the walk's counts per chunk and its staging blocks, and the
+	// moment planes a piece changes the encoding of. scrMu serializes its users —
 	// UpdateGroup, the state pipeline's Adam stage and the checkpoint paths
 	// never overlap in the engine, so the lock is uncontended and exists only
 	// to keep concurrent misuse safe.
 	scrMu sync.Mutex
 	scr   struct {
-		grad          []float32
-		wire          []byte
-		escIn, escOut []byte
-		escN          []int
-		keys          []string // a batch's keys and objects (batch)
-		objs          [][]byte
-		crc           [4]byte // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
+		grad   []float32
+		wire   []byte
+		escIn  []byte
+		out    [3][]byte // escapes the walk or an encoder lists: Δ's, M's, V's
+		chunks [][3]int
+		stage  []byte
+		planes []byte   // a changed M plane, then a changed V plane (relayout)
+		hist   [256]int // a moment plane's top bytes, sampled (seal)
+		keys   []string // a batch's keys and objects (batch)
+		objs   [][]byte
+		crc    [4]byte // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
 	}
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
 	kernelNanos  atomic.Int64 // wall-clock spent inside the Adam kernel
+	widePlanes   atomic.Int64 // moment planes stored raw where narrow would pay
 }
 
 // KernelStats reports cumulative CPU-optimizer kernel work: parameters
@@ -278,17 +291,28 @@ func (o *OutOfCoreAdam) SetWindow(depth int, groups []nn.ParamGroup) {
 }
 
 // piece is params [lo, lo+n) of a group, stored as the object key in the
-// form full records. Whoever writes the piece sets full before the write —
-// the pipeline's Adam stage before it hands the piece to write-behind — and
-// its next reader reads it after joining that write.
+// form it records. Whoever writes the piece sets form before the write — the
+// pipeline's Adam stage before it hands the piece to write-behind — and its
+// next reader reads it after joining that write. codes are the narrow codes
+// the next update encodes M and V in (the Adam stage's, as the form).
 type piece struct {
 	key   string
 	lo, n int
-	full  bool
+	form  Form
+	codes [2]simd.Narrow
 }
 
 // stored is the size of the piece's object in the store.
-func (pc *piece) stored() int { return StateBytes(pc.n, pc.full) }
+func (pc *piece) stored() int { return StateBytes(pc.n, pc.form) }
+
+// wide is how many of the piece's moment planes are stored raw though the
+// narrow encoding would be smaller: the opt.wide_planes gauge's share.
+func (pc *piece) wide() int64 {
+	if !narrowPays(pc.n) {
+		return 0
+	}
+	return int64(pc.form>>1&1 + pc.form>>2&1)
+}
 
 // cut returns the n-param group's pieces in order, building and caching
 // them on first use (the hot path must not concatenate per transfer).
@@ -305,31 +329,84 @@ func (o *OutOfCoreAdam) cut(group string, n int) []*piece {
 	}
 	var ps []*piece
 	for lo := 0; len(ps) == 0 || lo < n; lo += size {
-		pc := &piece{key: o.prefix + "/" + group + "/state/" + strconv.Itoa(len(ps)), lo: lo, n: min(size, n-lo)}
-		pc.full = !deltaPays(pc.n)
+		pc := &piece{key: o.prefix + "/" + group + "/state/" + strconv.Itoa(len(ps)), lo: lo, n: min(size, n-lo), codes: firstCodes}
+		if !deltaPays(pc.n) {
+			pc.form |= FullP
+		}
+		if !narrowPays(pc.n) {
+			pc.form |= WideM | WideV
+		}
 		ps = append(ps, pc)
 	}
 	o.cuts[group] = ps
 	return ps
 }
 
-// StateBytes is the size of n params' state in either form: full, P32 | M |
-// V as three fp32 planes — which is also a checkpoint record's object and
-// what the state window is budgeted in — or Δ | M | V | escapes, 10 B/param
-// and the escape table.
-func StateBytes(n int, full bool) int {
-	if full {
-		return 12 * n
+// firstCodes are the codes a fresh piece's first update encodes M and V in,
+// before seal has seen its moments: the windows the benchmark's four
+// workloads fit after their first step (EXPERIMENTS.md, "M and V travel as
+// 4-bit codes").
+var firstCodes = [2]simd.Narrow{{Signed: true, Base: 0x34}, {Base: 0x25}}
+
+// Form is the encoding of a piece's three planes: the zero Form is the
+// narrow one — Δ, narrow M, narrow V, each with its escape table — and each
+// bit stores one plane raw instead.
+type Form uint8
+
+const (
+	FullP Form = 1 << iota // the masters as P32, not Δ
+	WideM                  // M as raw fp32, not narrow
+	WideV                  // V as raw fp32, not narrow
+
+	// Full is P32 | M | V, three raw fp32 planes: a checkpoint record's
+	// object, the largest form, and what the state window is budgeted in.
+	Full = FullP | WideM | WideV
+)
+
+// pieceLayout is where an n-param piece's planes and tables lie in form f:
+// M at m, V at v, the planes' end at end, the tables present at dtab, mtab
+// and vtab (Δ's, M's, V's), and the object's size.
+type pieceLayout struct{ m, v, end, dtab, mtab, vtab, size int }
+
+func layout(n int, f Form) (l pieceLayout) {
+	plane := func(raw Form) int {
+		if f&raw != 0 {
+			return 4 * n
+		}
+		return simd.NarrowBytes(n)
 	}
-	return 10*n + 4 + simd.EscapeBytes*escCap(n)
+	l.m = 2 * n
+	if f&FullP != 0 {
+		l.m = 4 * n
+	}
+	l.v = l.m + plane(WideM)
+	l.end = l.v + plane(WideV)
+	l.size = l.end
+	if f&FullP == 0 {
+		l.dtab, l.size = l.size, l.size+4+simd.EscapeBytes*escCap(n)
+	}
+	if f&WideM == 0 {
+		l.mtab, l.size = l.size, l.size+8+simd.EscapeBytes*escCap(n)
+	}
+	if f&WideV == 0 {
+		l.vtab, l.size = l.size, l.size+8+simd.EscapeBytes*escCap(n)
+	}
+	return l
 }
 
-// escCap is the escape table's capacity in an n-param piece: 1/128 of it.
+// StateBytes is the size of n params' state in form f: 12 B/param in Full,
+// about 9.2 in the narrow form.
+func StateBytes(n int, f Form) int { return layout(n, f).size }
+
+// escCap is each escape table's capacity in an n-param piece: 1/128 of it.
 func escCap(n int) int { return (n + 127) / 128 }
 
-// deltaPays reports whether an n-param piece is smaller in the Δ form; one
-// of fewer than seven params is always stored full.
-func deltaPays(n int) bool { return StateBytes(n, false) < StateBytes(n, true) }
+// deltaPays reports whether an n-param piece's masters are smaller as Δ; a
+// piece of fewer than seven params always stores them P32.
+func deltaPays(n int) bool { return StateBytes(n, WideM|WideV) < StateBytes(n, Full) }
+
+// narrowPays is the same for a moment plane: from 33 params on.
+func narrowPays(n int) bool { return StateBytes(n, FullP|WideV) < StateBytes(n, Full) }
 
 // StoredBytes reports the size of each of the group's pieces in the store,
 // in piece order, in the form each is stored in now. Call it with no update
@@ -341,6 +418,11 @@ func (o *OutOfCoreAdam) StoredBytes(group string) []int {
 	}
 	return sizes
 }
+
+// WidePlanes reports how many moment planes the store holds raw because
+// their escapes overflowed the table: the opt.wide_planes gauge. A plane too
+// small for the narrow encoding to pay is not counted.
+func (o *OutOfCoreAdam) WidePlanes() int { return int(o.widePlanes.Load()) }
 
 // overlap calls f for each of g's tensors that params [lo,hi) of the
 // group's flattened state cover: the tensor, its covered elements [a,b), and
@@ -377,12 +459,14 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	pieces := o.cut(g.Name, n) // precompute the store keys off the hot path
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	keys, objs := o.batch(pieces, scratch(&o.scr.wire, StateBytes(n, true)))
-	// pack warms the rest of the scratch but the lift's and the walk's chunk
-	// counts, which a full-form piece or a sharded walk would otherwise
-	// allocate in some step.
+	keys, objs := o.batch(pieces, scratch(&o.scr.wire, StateBytes(n, Full)))
+	// pack warms the rest of the scratch but the lift's escapes and the
+	// walk's per-chunk scratch, which a FullP piece or a sharded walk would
+	// otherwise allocate in some step.
 	scratch(&o.scr.escIn, simd.EscapeBytes*pieces[0].n)
-	scratch(&o.scr.escN, (pieces[0].n+adamChunkGrain-1)/adamChunkGrain)
+	chunks := chunksOf(pieces[0].n)
+	scratch(&o.scr.chunks, chunks)
+	scratch(&o.scr.stage, chunks*stageBytes)
 	for i, pc := range pieces {
 		obj := objs[i]
 		err := overlap(g, pc.lo, pc.lo+pc.n, func(p nn.Param, a, b, at int) error {
@@ -402,12 +486,12 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 
 // batch returns one store batch of a group's pieces, in the scratch: their
 // keys, and each piece's region of the group-sized wire, where the pieces lie
-// back to back in full form (piece k at StateBytes(lo, true)). Caller holds
+// back to back in Full form (piece k at StateBytes(lo, Full)). Caller holds
 // scrMu.
 func (o *OutOfCoreAdam) batch(pieces []*piece, wire []byte) (keys []string, objs [][]byte) {
 	keys, objs = scratch(&o.scr.keys, len(pieces)), scratch(&o.scr.objs, len(pieces))
 	for i, pc := range pieces {
-		keys[i], objs[i] = pc.key, wire[StateBytes(pc.lo, true):StateBytes(pc.lo+pc.n, true)]
+		keys[i], objs[i] = pc.key, wire[StateBytes(pc.lo, Full):StateBytes(pc.lo+pc.n, Full)]
 	}
 	return keys, objs
 }
@@ -433,7 +517,7 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	defer o.scrMu.Unlock()
 	label := o.adamLabel(g.Name)
 	for _, pc := range o.cut(g.Name, g.NumParams()) {
-		obj := scratch(&o.scr.wire, StateBytes(pc.n, true))[:pc.stored()]
+		obj := scratch(&o.scr.wire, StateBytes(pc.n, Full))[:pc.stored()]
 		err := o.readState(pc.key, obj)
 		if err == nil {
 			obj, err = o.applyTo(obj, g, pc, o.cfg, o.step, label)
@@ -449,31 +533,31 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 }
 
 // applyTo is the compute of one piece's update, in place on the object read
-// into obj in its stored form (obj's capacity holds the full form): lift a
-// full-form piece into the Δ layout, or check the escape table of a Δ-form
-// one; stage the piece's gradients; walk Adam over it at (cfg, step), which
-// installs P16; and seal it in the form it will be written in, which it
-// records and returns the object of. Caller holds scrMu.
+// into obj in its stored form (obj's capacity holds the Full form): check
+// its escape tables, and lift a FullP piece's masters into Δ; stage the
+// piece's gradients; walk Adam over it at (cfg, step), which installs P16;
+// and seal it in the form it will be written in, which it records and
+// returns the object of. Caller holds scrMu.
 func (o *OutOfCoreAdam) applyTo(obj []byte, g nn.ParamGroup, pc *piece, cfg AdamConfig, step int, label string) ([]byte, error) {
 	if len(obj) != pc.stored() {
 		return nil, fmt.Errorf("opt: decode %s: state object is %d bytes, want %d", pc.key, len(obj), pc.stored())
 	}
 	read := len(obj)
-	obj = obj[:StateBytes(pc.n, true)]
-	var esc []byte
-	if pc.full {
-		esc = o.lift(obj, g, pc, scratch(&o.scr.escIn, simd.EscapeBytes*pc.n))
-	} else {
-		var err error
-		if esc, err = escapes(obj, pc); err != nil {
-			return nil, err
-		}
+	in, err := tables(obj, pc)
+	if err != nil {
+		return nil, err
+	}
+	obj = obj[:StateBytes(pc.n, Full)]
+	if pc.form&FullP != 0 {
+		in.esc[0] = o.lift(obj, g, pc, pc.form, scratch(&o.scr.escIn, simd.EscapeBytes*pc.n))
 	}
 	grad := scratch(&o.scr.grad, pc.n)
 	if err := o.stageGrads(grad, g, pc.lo); err != nil {
 		return nil, err
 	}
-	obj = o.seal(obj, g, pc, o.adamDelta(obj, g, pc, newAdamCoef(cfg, step), grad, esc, label))
+	walked := pc.form &^ FullP
+	out := o.adamDelta(obj, g, pc, walked, newAdamCoef(cfg, step), grad, in, label)
+	obj = o.seal(obj, g, pc, walked, &out)
 	// The state crossed the codec in both directions inside the walk, in the
 	// form it was read and the form it is written; fresh fp16 working
 	// weights crossed back to the compute tier.
@@ -498,52 +582,116 @@ func (o *OutOfCoreAdam) stageGrads(dst []float32, g nn.ParamGroup, lo int) error
 	return nil
 }
 
-// adamDelta is the compute stage of a piece's update: one walk
-// (simd.AdamDelta) over the Δ|M|V planes in obj at coefficients k with grad,
-// masters escaped in esc, which decodes each master, applies Adam, installs
-// P16 into the group's working weights and encodes the result — sharded like
-// AdamStep, each chunk cut at the group's tensors. It returns the walk's
-// escapes, in order, in the scratch. Caller holds scrMu.
-func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, k simd.AdamCoef, grad []float32, esc []byte, label string) []byte {
+// recs are a piece's escape records by plane — Δ's, M's, V's, each sorted
+// by index — and the narrow codes its moment planes are in.
+type recs struct {
+	esc   [3][]byte
+	codes [2]simd.Narrow
+}
+
+// stageLen is the params of a walk's staging block: a narrow plane's block is
+// decoded into it, walked there and encoded back, so the codec runs in the
+// walk's chunk loop on data in L1 and never as a pass over the piece.
+// stageBytes is a chunk's staging: one block of each moment plane.
+const (
+	stageLen   = 512
+	stageBytes = 2 * 4 * stageLen
+)
+
+// samples is about how many of a moment plane's top bytes seal samples to
+// fit the next update's code to.
+const samples = 1024
+
+// chunksOf is the number of chunks a walk over n params is cut into.
+func chunksOf(n int) int { return max(1, (n+adamChunkGrain-1)/adamChunkGrain) }
+
+// adamDelta is the compute stage of a piece's update: one walk over its
+// planes in obj, laid out in form f (masters as Δ), at coefficients k with
+// grad, the records of the piece as read in in, which decodes each master,
+// applies Adam, installs P16 into the group's working weights and encodes
+// the result, M and V in the piece's codes — sharded like AdamStep, each
+// chunk cut at the group's tensors. It returns the walk's escapes per plane,
+// in order, in the scratch, and the codes it encoded in.
+// Caller holds scrMu.
+func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, f Form, k simd.AdamCoef, grad []float32, in recs, label string) recs {
 	n := pc.n
-	out := scratch(&o.scr.escOut, simd.EscapeBytes*n)
-	var nesc int
+	var out [3][]byte
+	for p := range out {
+		out[p] = scratch(&o.scr.out[p], simd.EscapeBytes*n)
+	}
+	chunks, inline := chunksOf(n), pool.InlineWork(adamWork(n))
+	if inline {
+		chunks = 1
+	}
+	res, stage := scratch(&o.scr.chunks, chunks), scratch(&o.scr.stage, chunks*stageBytes)
 	o.tracer.Do(obs.LaneAdam, label, func() {
 		kernelStart := time.Now()
-		if work := adamWork(n); pool.InlineWork(work) {
-			nesc = walk(obj, g, pc, k, grad, esc, out, 0, n)
+		if inline {
+			res[0] = walk(obj, g, pc, f, k, grad, in, out, stage, 0, n)
 		} else {
 			// Each chunk lists its escapes where its own elements' would start, so
 			// the chunks never share a byte of out; the lists close up after.
-			chunks := (n + adamChunkGrain - 1) / adamChunkGrain
-			counts := scratch(&o.scr.escN, chunks)
 			pool.Run(chunks, func(c int) {
 				lo := c * adamChunkGrain
-				counts[c] = walk(obj, g, pc, k, grad, esc, out[simd.EscapeBytes*lo:], lo, min(n, lo+adamChunkGrain))
+				var at [3][]byte
+				for p := range at {
+					at[p] = out[p][simd.EscapeBytes*lo:]
+				}
+				res[c] = walk(obj, g, pc, f, k, grad, in, at, stage[c*stageBytes:(c+1)*stageBytes], lo, min(n, lo+adamChunkGrain))
 			})
-			for c, e := range counts {
-				from := simd.EscapeBytes * c * adamChunkGrain
-				nesc += copy(out[simd.EscapeBytes*nesc:], out[from:from+simd.EscapeBytes*e]) / simd.EscapeBytes
-			}
 		}
 		o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
 	})
 	o.kernelParams.Add(int64(n))
-	return out[:simd.EscapeBytes*nesc]
+	r := recs{codes: pc.codes}
+	var nesc [3]int
+	for c, ch := range res {
+		for p := range out {
+			from := simd.EscapeBytes * c * adamChunkGrain
+			nesc[p] += copy(out[p][simd.EscapeBytes*nesc[p]:], out[p][from:from+simd.EscapeBytes*ch[p]]) / simd.EscapeBytes
+		}
+	}
+	for p := range out {
+		r.esc[p] = out[p][:simd.EscapeBytes*nesc[p]]
+	}
+	return r
 }
 
-// walk runs the Δ walk over elements [from, to) of the piece in obj, one call
-// per tensor of the group they cover, with that tensor's working weights as
-// P16, listing the escapes at out; it returns their count.
-func walk(obj []byte, g nn.ParamGroup, pc *piece, k simd.AdamCoef, grad []float32, esc, out []byte, from, to int) int {
-	n, nesc := pc.n, 0
-	d, m, v := obj[:2*n], obj[2*n:6*n], obj[6*n:10*n]
-	overlap(g, pc.lo+from, pc.lo+to, func(p nn.Param, a, b, at int) error {
-		i, j := from+at, from+at+b-a
-		esc = skipEscapes(esc, i)
-		nesc += simd.AdamDelta(k, i, d[2*i:2*j], m[4*i:4*j], v[4*i:4*j], grad[i:j], p.W.Data[a:b], esc, out[simd.EscapeBytes*nesc:])
-		return nil
-	})
+// walk runs the Δ walk over elements [from, to) of the piece in obj, laid out
+// in form f, listing the escapes at out, and returns their counts. It goes a
+// staging block at a time: a narrow moment plane's block is decoded into
+// stage (in its codes, in.codes) and encoded back after the walk (in the
+// piece's); a raw one is walked where it lies. Each block's walk is one
+// simd.AdamDelta per tensor of the group it covers, with that tensor's
+// working weights as P16. from is even, so a block's codes are whole bytes.
+func walk(obj []byte, g nn.ParamGroup, pc *piece, f Form, k simd.AdamCoef, grad []float32, in recs, out [3][]byte, stage []byte, from, to int) (nesc [3]int) {
+	n, l := pc.n, layout(pc.n, f)
+	d, planes := obj[:2*n], [2][]byte{obj[l.m:l.v], obj[l.v:l.end]}
+	esc := in.esc
+	for i := from; i < to; i += stageLen {
+		j := min(to, i+stageLen)
+		var blk [2][]byte
+		for p, plane := range planes {
+			if f&(WideM<<p) != 0 {
+				blk[p] = plane[4*i : 4*j]
+				continue
+			}
+			blk[p] = stage[4*stageLen*p : 4*stageLen*p+4*(j-i)]
+			esc[1+p] = skipEscapes(esc[1+p], i)
+			simd.NarrowDecode(blk[p], plane[3*i:3*j], plane[3*n+i/2:3*n+(j+1)/2], in.codes[p], i, esc[1+p])
+		}
+		overlap(g, pc.lo+i, pc.lo+j, func(p nn.Param, a, b, at int) error {
+			s, e := at, at+b-a
+			esc[0] = skipEscapes(esc[0], i+s)
+			nesc[0] += simd.AdamDelta(k, i+s, d[2*(i+s):2*(i+e)], blk[0][4*s:4*e], blk[1][4*s:4*e], grad[i+s:i+e], p.W.Data[a:b], esc[0], out[0][simd.EscapeBytes*nesc[0]:])
+			return nil
+		})
+		for p, plane := range planes {
+			if f&(WideM<<p) == 0 {
+				nesc[1+p] += simd.NarrowEncode(plane[3*i:3*j], plane[3*n+i/2:3*n+(j+1)/2], blk[p], pc.codes[p], i, out[1+p][simd.EscapeBytes*nesc[1+p]:])
+			}
+		}
+	}
 	return nesc
 }
 
@@ -555,16 +703,42 @@ func skipEscapes(esc []byte, i int) []byte {
 	return esc
 }
 
-// escapes returns the escape records of the Δ-form piece in obj, refusing a
-// table whose count is over its capacity or whose indices do not rise
-// strictly within the piece: such a piece is never decoded.
-func escapes(obj []byte, pc *piece) ([]byte, error) {
-	table := obj[10*pc.n:]
-	c := int(binary.LittleEndian.Uint32(table))
+// tables returns the escape records of the piece in obj, stored in its form,
+// and the codes of its narrow planes, refusing a table whose count is over
+// its capacity or whose indices do not rise strictly within the piece, and a
+// base whose window leaves the byte: such a piece is never decoded.
+func tables(obj []byte, pc *piece) (r recs, err error) {
+	l := layout(pc.n, pc.form)
+	if pc.form&FullP == 0 {
+		if r.esc[0], err = records(obj[l.dtab:], obj[l.dtab+4:], pc); err != nil {
+			return r, err
+		}
+	}
+	for p, at := range [2]int{l.mtab, l.vtab} {
+		if pc.form&(WideM<<p) != 0 {
+			continue
+		}
+		base := binary.LittleEndian.Uint32(obj[at+4:])
+		r.codes[p] = simd.Narrow{Signed: p == 0, Base: uint8(base)}
+		if base > 0xff || !r.codes[p].Valid() {
+			return r, fmt.Errorf("opt: %s: %s base %d leaves the byte", pc.key, "MV"[p:p+1], base)
+		}
+		if r.esc[1+p], err = records(obj[at:], obj[at+8:], pc); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+// records returns the records of an escape table whose count is at count's
+// start and whose records start at table's. A count over the capacity, or
+// indices that do not rise strictly within the piece, are an error.
+func records(count, table []byte, pc *piece) ([]byte, error) {
+	c := int(binary.LittleEndian.Uint32(count))
 	if c > escCap(pc.n) {
 		return nil, fmt.Errorf("opt: %s: %d escapes in a table of %d", pc.key, c, escCap(pc.n))
 	}
-	esc := table[4 : 4+simd.EscapeBytes*c]
+	esc := table[:simd.EscapeBytes*c]
 	prev := -1
 	for e := esc; len(e) > 0; e = e[simd.EscapeBytes:] {
 		i := int(binary.LittleEndian.Uint32(e))
@@ -576,18 +750,21 @@ func escapes(obj []byte, pc *piece) ([]byte, error) {
 	return esc, nil
 }
 
-// pack stores the full-form piece in obj, installing P16 = fp16(P32): it
-// encodes the piece (lift) and seals it in the form it is written in, and
-// returns that object. Caller holds scrMu.
+// pack stores the Full-form piece in obj, installing P16 = fp16(P32): it
+// lifts the masters into Δ and seals the piece in the form it is written in,
+// and returns that object. Caller holds scrMu.
 func (o *OutOfCoreAdam) pack(obj []byte, g nn.ParamGroup, pc *piece) []byte {
-	return o.seal(obj, g, pc, o.lift(obj, g, pc, scratch(&o.scr.escOut, simd.EscapeBytes*pc.n)))
+	w := recs{esc: [3][]byte{o.lift(obj, g, pc, Full, scratch(&o.scr.out[0], simd.EscapeBytes*pc.n))}}
+	return o.seal(obj, g, pc, WideM|WideV, &w)
 }
 
-// lift turns the piece in obj from P32|M|V into Δ|M|V, installing P16 =
-// fp16(P32) into the group's working weights (which the Adam stage finds
-// there already), and returns the escapes, listed in order from out's start.
-// The masters go through the gradient scratch. Caller holds scrMu.
-func (o *OutOfCoreAdam) lift(obj []byte, g nn.ParamGroup, pc *piece, out []byte) []byte {
+// lift turns the piece in obj, in FullP form f, into the same form with its
+// masters as Δ, installing P16 = fp16(P32) into the group's working weights
+// (which the Adam stage finds there already), and returns the escapes, listed
+// in order from out's start. The masters go through the gradient scratch,
+// and the moment planes move down over the P32 plane's second half; the
+// tables stay where they were. Caller holds scrMu.
+func (o *OutOfCoreAdam) lift(obj []byte, g nn.ParamGroup, pc *piece, f Form, out []byte) []byte {
 	n := pc.n
 	p32 := scratch(&o.scr.grad, n)
 	_ = tensor.FromFP32Bytes(obj[:4*n], p32) // sizes are the piece's: no error
@@ -596,43 +773,126 @@ func (o *OutOfCoreAdam) lift(obj []byte, g nn.ParamGroup, pc *piece, out []byte)
 		nesc += simd.DeltaEncode(obj[2*at:], p32[at:at+b-a], p.W.Data[a:b], at, out[simd.EscapeBytes*nesc:])
 		return nil
 	})
-	copy(obj[2*n:6*n], obj[4*n:8*n])
-	copy(obj[6*n:10*n], obj[8*n:12*n])
+	copy(obj[2*n:], obj[4*n:layout(n, f).end])
 	return out[:simd.EscapeBytes*nesc]
 }
 
-// seal finishes the Δ|M|V piece in obj whose escapes are esc: into the Δ
-// form with its escape table when they fit and that form is the smaller,
-// otherwise unpacked into the full form. It records the form and returns the
-// object. Caller holds scrMu.
-func (o *OutOfCoreAdam) seal(obj []byte, g nn.ParamGroup, pc *piece, esc []byte) []byte {
-	n := pc.n
-	pc.full = len(esc)/simd.EscapeBytes > escCap(n) || !deltaPays(n)
-	if pc.full {
-		o.unpack(obj, g, pc, esc)
-		return obj[:StateBytes(n, true)]
+// seal finishes the piece in obj, walked in form f (masters as Δ) with the
+// walk's records w, in the smallest form its escapes allow: the masters
+// unpacked to P32 if Δ's overflow or do not pay, a narrow moment plane whose
+// escapes overflow written again in the code that fits it and stored raw if
+// they overflow that too, and a raw one tried narrow — into the
+// scratch, in the code that fits a sample of it — and stored so if they
+// fit with a margin. It writes the tables, records the form and the codes the next update
+// encodes in, each the one whose window holds the most of a sample of the
+// plane and its escapes, and returns the object. Caller holds scrMu.
+func (o *OutOfCoreAdam) seal(obj []byte, g nn.ParamGroup, pc *piece, f Form, w *recs) []byte {
+	n, to := pc.n, f
+	if len(w.esc[0])/simd.EscapeBytes > escCap(n) || !deltaPays(n) {
+		to |= FullP
 	}
-	table := obj[10*n : StateBytes(n, false)]
-	binary.LittleEndian.PutUint32(table, uint32(len(esc)/simd.EscapeBytes))
-	clear(table[4+copy(table[4:], esc):])
-	return obj[:StateBytes(n, false)]
+	l := layout(n, f)
+	planes := [2][]byte{obj[l.m:l.v], obj[l.v:l.end]}
+	hist, every := &o.scr.hist, max(1, n/samples)
+	for p, plane := range planes {
+		clear(hist[:])
+		switch raw := WideM << p; {
+		case f&raw == 0:
+			w.codes[p].Tally(hist, plane[3*n:], n, every)
+			for e := w.esc[1+p]; len(e) > 0; e = e[simd.EscapeBytes:] {
+				hist[e[simd.EscapeBytes-1]]++
+			}
+			pc.codes[p] = w.codes[p].Fit(hist)
+			if len(w.esc[1+p])/simd.EscapeBytes <= escCap(n) {
+				continue
+			}
+			// The plane has left the window it was written in: it is written
+			// again in the one that fits it, through the scratch, and stored raw
+			// only if that overflows too.
+			values, list := scratch(&o.scr.planes, 8*n)[4*n*p:4*n*(p+1)], scratch(&o.scr.out[1+p], simd.EscapeBytes*n)
+			simd.NarrowDecode(values, plane[:3*n], plane[3*n:], w.codes[p], 0, w.esc[1+p])
+			e := simd.NarrowEncode(plane[:3*n], plane[3*n:], values, pc.codes[p], 0, list)
+			if w.esc[1+p], w.codes[p] = list[:simd.EscapeBytes*e], pc.codes[p]; e > escCap(n) {
+				to |= raw
+			}
+		case narrowPays(n):
+			for i := 0; i < n; i += every {
+				hist[plane[4*i+3]] += every
+			}
+			c, tried, list := pc.codes[p].Fit(hist), scratch(&o.scr.planes, 8*n)[4*n*p:], scratch(&o.scr.out[1+p], simd.EscapeBytes*n)
+			e := simd.NarrowEncode(tried[:3*n], tried[3*n:simd.NarrowBytes(n)], plane, c, 0, list)
+			w.esc[1+p], w.codes[p], pc.codes[p] = list[:simd.EscapeBytes*e], c, c
+			if e <= escCap(n)*3/4 { // a margin, so a plane at the capacity does not flip every step
+				to &^= raw
+			}
+		}
+	}
+	if to != f {
+		o.relayout(obj, g, pc, f, to, w)
+	}
+	l = layout(n, to)
+	if to&FullP == 0 {
+		table(obj[l.dtab:], obj[l.dtab+4:l.dtab+4+simd.EscapeBytes*escCap(n)], w.esc[0])
+	}
+	for p, at := range [2]int{l.mtab, l.vtab} {
+		if to&(WideM<<p) == 0 {
+			binary.LittleEndian.PutUint32(obj[at+4:], uint32(w.codes[p].Base))
+			table(obj[at:], obj[at+8:at+8+simd.EscapeBytes*escCap(n)], w.esc[1+p])
+		}
+	}
+	before := pc.wide()
+	pc.form = to
+	o.widePlanes.Add(pc.wide() - before)
+	return obj[:l.size]
 }
 
-// unpack turns the piece in obj from Δ|M|V, escapes in esc, into P32|M|V with
-// P32 = P16 + Δ from the group's working weights. esc may lie in obj's table:
-// it is read before the planes move over it. The masters go through the
-// gradient scratch. Caller holds scrMu.
-func (o *OutOfCoreAdam) unpack(obj []byte, g nn.ParamGroup, pc *piece, esc []byte) {
+// table writes an escape table: the count of records esc at count's start,
+// the records at the start of recs and zeros after them.
+func table(count, recs, esc []byte) {
+	binary.LittleEndian.PutUint32(count, uint32(len(esc)/simd.EscapeBytes))
+	clear(recs[copy(recs, esc):])
+}
+
+// relayout rewrites the piece in obj from form from, whose records are w,
+// into form to: the masters unpacked from Δ to P32 (from the group's working
+// weights) through the gradient scratch, a narrow moment plane decoded into
+// the planes scratch, where seal leaves a plane it narrows, and the planes
+// that keep their encoding moved to where to has them. It never turns P32
+// into Δ (lift does). Caller holds scrMu.
+func (o *OutOfCoreAdam) relayout(obj []byte, g nn.ParamGroup, pc *piece, from, to Form, w *recs) {
 	n := pc.n
-	p32 := scratch(&o.scr.grad, n)
-	overlap(g, pc.lo, pc.lo+n, func(p nn.Param, a, b, at int) error {
-		esc = skipEscapes(esc, at)
-		simd.DeltaDecode(p32[at:at+b-a], obj[2*at:], p.W.Data[a:b], at, esc)
-		return nil
-	})
-	copy(obj[8*n:12*n], obj[6*n:10*n])
-	copy(obj[4*n:8*n], obj[2*n:6*n])
-	_ = tensor.ToFP32BytesInto(obj[:4*n], p32) // sizes are the piece's: no error
+	lf, lt := layout(n, from), layout(n, to)
+	var p32 []float32
+	if from&FullP == 0 && to&FullP != 0 {
+		p32 = scratch(&o.scr.grad, n)
+		esc := w.esc[0]
+		overlap(g, pc.lo, pc.lo+n, func(p nn.Param, a, b, at int) error {
+			esc = skipEscapes(esc, at)
+			simd.DeltaDecode(p32[at:at+b-a], obj[2*at:], p.W.Data[a:b], at, esc)
+			return nil
+		})
+	}
+	scr := scratch(&o.scr.planes, 8*n)
+	src, dst := [2][]byte{obj[lf.m:lf.v], obj[lf.v:lf.end]}, [2][]byte{obj[lt.m:lt.v], obj[lt.v:lt.end]}
+	changed := func(p int) bool { return (from^to)&(WideM<<p) != 0 }
+	for p := range 2 {
+		if changed(p) && to&(WideM<<p) != 0 {
+			simd.NarrowDecode(scr[4*n*p:4*n*(p+1)], src[p][:3*n], src[p][3*n:], w.codes[p], 0, w.esc[1+p])
+		}
+	}
+	for p := 1; p >= 0; p-- { // the planes move the same way, and V lies above M
+		if !changed(p) {
+			copy(dst[p], src[p])
+		}
+	}
+	for p := range 2 {
+		if changed(p) {
+			copy(dst[p], scr[4*n*p:])
+		}
+	}
+	if p32 != nil {
+		_ = tensor.ToFP32BytesInto(obj[:4*n], p32) // sizes are the piece's: no error
+	}
 }
 
 // scratch returns one of o.scr's slices at length n, growing its backing
@@ -672,12 +932,12 @@ func (o *OutOfCoreAdam) State(g nn.ParamGroup) (p32, m, v []float32, err error) 
 }
 
 // gather reads the group's pieces into the wire scratch in one batch, each
-// where the group's pieces would lie back to back in full form (batch), and
-// unpacks every Δ-form one there. A piece whose escape table is corrupt is
-// refused. Caller holds scrMu.
+// where the group's pieces would lie back to back in Full form (batch), and
+// turns every other one into Full form there. A piece whose escape tables
+// are corrupt is refused. Caller holds scrMu.
 func (o *OutOfCoreAdam) gather(g nn.ParamGroup) ([]byte, error) {
 	n := g.NumParams()
-	pieces, wire := o.cut(g.Name, n), scratch(&o.scr.wire, StateBytes(n, true))
+	pieces, wire := o.cut(g.Name, n), scratch(&o.scr.wire, StateBytes(n, Full))
 	keys, objs := o.batch(pieces, wire)
 	for i, pc := range pieces {
 		objs[i] = objs[i][:pc.stored()]
@@ -686,15 +946,15 @@ func (o *OutOfCoreAdam) gather(g nn.ParamGroup) ([]byte, error) {
 		return nil, fmt.Errorf("opt: load %s: %w", g.Name, err)
 	}
 	for i, pc := range pieces {
-		if pc.full {
+		if pc.form == Full {
 			continue
 		}
-		obj := objs[i][:StateBytes(pc.n, true)]
-		esc, err := escapes(obj, pc)
+		obj := objs[i][:StateBytes(pc.n, Full)]
+		in, err := tables(obj, pc)
 		if err != nil {
 			return nil, err
 		}
-		o.unpack(obj, g, pc, esc)
+		o.relayout(obj, g, pc, pc.form, Full, &in)
 	}
 	return wire, nil
 }
@@ -703,13 +963,13 @@ func (o *OutOfCoreAdam) gather(g nn.ParamGroup) ([]byte, error) {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // planes calls f for each plane of each piece of the n-param group as the
-// pieces lie back to back in full form in wire — piece k's P32, M or V plane
+// pieces lie back to back in Full form in wire — piece k's P32, M or V plane
 // — in the order of the group's whole P32 | M | V object: every piece's P32,
 // then every M, then every V.
 func (o *OutOfCoreAdam) planes(wire []byte, group string, n int, f func(plane []byte) error) error {
 	for plane := 0; plane < 3; plane++ {
 		for _, pc := range o.cut(group, n) {
-			at := StateBytes(pc.lo, true) + 4*pc.n*plane
+			at := StateBytes(pc.lo, Full) + 4*pc.n*plane
 			if err := f(wire[at : at+4*pc.n]); err != nil {
 				return err
 			}
@@ -753,7 +1013,7 @@ func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, e
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
 	n := g.NumParams()
-	pieces, wire := o.cut(g.Name, n), scratch(&o.scr.wire, StateBytes(n, true))
+	pieces, wire := o.cut(g.Name, n), scratch(&o.scr.wire, StateBytes(n, Full))
 	var crc uint32
 	err = o.planes(wire, g.Name, n, func(plane []byte) error {
 		_, err := io.ReadFull(r, plane)

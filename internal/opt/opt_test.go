@@ -382,7 +382,7 @@ func TestImportWireValidatesSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, w0 := append([]byte(nil), store[ooc.stateKey(g.Name)]...), g.Params[0].W.Data[0]
-	obj := bytes.Repeat([]byte{0x3c}, StateBytes(g.NumParams(), true))
+	obj := bytes.Repeat([]byte{0x3c}, StateBytes(g.NumParams(), Full))
 	good := binary.LittleEndian.AppendUint32(append([]byte(nil), obj...), crc32.Checksum(obj, castagnoli))
 	for name, rec := range map[string][]byte{
 		"empty":         nil,
@@ -479,9 +479,9 @@ func stagedAdamWire(wire []byte, cfg AdamConfig, step int, p32, m, v, grad []flo
 // grain and one of many chunks, with weight decay on and off, serial and
 // sharded (make test-procs repeats it at GOMAXPROCS 1, 2 and 4). Every 200th master — every 50th with weight decay
 // — lies deep in fp16's subnormal range and gets no gradient, so most of them
-// stay escapes: the pieces are in Δ form with escapes in every chunk, or, at
-// one in 50, overflow the table and are stored whole, as the smallest always
-// are.
+// stay escapes: the pieces store their masters as Δ with escapes in every
+// chunk, or, at one in 50, overflow the table and store them as P32, as the
+// smallest always do; M and V take whichever form their escapes allow.
 func TestAdamWireBitIdenticalToStaged(t *testing.T) {
 	old := tensor.Parallelism()
 	defer tensor.SetParallelism(old)
@@ -530,7 +530,7 @@ func TestAdamWireBitIdenticalToStaged(t *testing.T) {
 						t.Fatalf("n=%d decay=%v threads=%d step %d: state differs from the staged update", n, decay, threads, step)
 					}
 					wantFull := !deltaPays(n) || (n+escapeEvery-1)/escapeEvery > escCap(n)
-					if full := o.cuts[g.Name][0].full; full != wantFull {
+					if full := o.cuts[g.Name][0].form&FullP != 0; full != wantFull {
 						t.Fatalf("n=%d decay=%v step %d: stored full %v, want %v", n, decay, step, full, wantFull)
 					}
 					for i := range p32 {

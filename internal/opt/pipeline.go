@@ -31,7 +31,7 @@ import (
 // holding a whole group's buffer until they retire.
 //
 // The window is the byte budget of depth whole groups — depth × the largest
-// group's state in full form — cut into as many piece-sized buffers as fit,
+// group's state in Full form — cut into as many piece-sized buffers as fit,
 // allocated at construction. The stream keeps S = max(depth+1, ⌈largest
 // group ÷ piece⌉) of them (or all): one whole group on the lanes, never fewer
 // than the activation ring's depth+1, with one read-ahead and one
@@ -164,7 +164,7 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 		adamQ:    make(chan *pieceJob, buffers),
 		writeQ:   make(chan *pieceJob, stream),
 		window:   make(chan []byte, stream),
-		bufBytes: StateBytes(size, true),
+		bufBytes: StateBytes(size, Full),
 		stop:     make(chan struct{}),
 		jobs:     make(map[string]*groupJob, len(groups)),
 	}

@@ -332,12 +332,10 @@ func TestPipelineWindowBound(t *testing.T) {
 	store := &hookStore{MemStore: MemStore{}}
 	groups := pieceGroups(3, 3*P+1, 2*P, P+1, 5, P-1, 2*P+7)
 	o := windowed(t, store, DefaultAdam(), depth, groups)
-	bound := depth * StateBytes(3*P+1, true)
-	pieceBytes := map[string]int{} // no piece's form changes: no master here escapes
+	bound := depth * StateBytes(3*P+1, Full)
+	pieces := 0
 	for _, g := range groups {
-		for _, pc := range o.cut(g.Name, g.NumParams()) {
-			pieceBytes[pc.key] = pc.stored()
-		}
+		pieces += len(o.cut(g.Name, g.NumParams()))
 	}
 	p := NewStatePipeline(o, depth, groups)
 	defer p.Close()
@@ -345,25 +343,27 @@ func TestPipelineWindowBound(t *testing.T) {
 	// and the first two pieces, both g0's, resident.
 	stream, resident, windowBytes := p.Window()
 	buffers := stream + resident
-	if stream != 4 || resident != 2 || windowBytes != 6*StateBytes(P, true) || windowBytes > bound {
-		t.Fatalf("window of %d stream and %d resident buffers, %d B: want ⌊%d B ÷ %d B⌋ = 6 piece buffers, 4 streaming", stream, resident, windowBytes, bound, StateBytes(P, true))
+	if stream != 4 || resident != 2 || windowBytes != 6*StateBytes(P, Full) || windowBytes > bound {
+		t.Fatalf("window of %d stream and %d resident buffers, %d B: want ⌊%d B ÷ %d B⌋ = 6 piece buffers, 4 streaming", stream, resident, windowBytes, bound, StateBytes(P, Full))
 	}
 	residentKey := map[string]bool{}
 	for _, pc := range p.resident {
 		residentKey[pc.key] = true
 	}
-	if len(pieceBytes) <= buffers+1 {
-		t.Fatalf("need more than %d pieces, have %d", buffers+1, len(pieceBytes))
+	if pieces <= buffers+1 {
+		t.Fatalf("need more than %d pieces, have %d", buffers+1, pieces)
 	}
 
 	var mu sync.Mutex
 	outstanding, reads, peakBytes, peakReads := 0, 0, 0, 0
+	readBytes := map[string]int{} // a piece's last read: a write-back releases that much
 	windowFull := make(chan struct{})
 	release := make(chan struct{})
 	var fullOnce, releaseOnce sync.Once
-	store.readBuf = func(_ string, dst []byte) {
+	store.readBuf = func(key string, dst []byte) {
 		mu.Lock()
 		defer mu.Unlock()
+		readBytes[key] = len(dst)
 		outstanding, reads = outstanding+len(dst), reads+1
 		peakBytes, peakReads = max(peakBytes, outstanding), max(peakReads, reads)
 		if reads == buffers {
@@ -376,7 +376,7 @@ func TestPipelineWindowBound(t *testing.T) {
 			return nil // Flush's write-back: the piece stays resident
 		}
 		mu.Lock()
-		outstanding, reads = outstanding-pieceBytes[key], reads-1
+		outstanding, reads = outstanding-readBytes[key], reads-1
 		mu.Unlock()
 		return nil
 	}
@@ -418,7 +418,7 @@ func TestPipelineWindowBound(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if held := p.ResidentBytes(); peakReads != buffers || peakBytes > bound || outstanding != held || held != 2*pieceBytes[p.resident[0].key] {
+	if held := p.ResidentBytes(); peakReads != buffers || peakBytes > bound || outstanding != held || held != p.resident[0].stored()+p.resident[1].stored() {
 		t.Fatalf("store saw %d pieces, %d B, outstanding at once and %d B after Flush; want the window's %d pieces, at most %d B, and the resident set's %d B",
 			peakReads, peakBytes, outstanding, buffers, bound, held)
 	}
@@ -661,10 +661,10 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	o := NewOutOfCoreAdam(store, DefaultAdam(), "o")
 	refGroups := initGroups(t, ref, modelRef)
 	groups := initGroups(t, o, m)
-	largest, wireLen := 0, map[string]int{}
+	largest, pieceOf := 0, map[string]*piece{}
 	for _, g := range groups {
 		largest = max(largest, g.NumParams())
-		wireLen[o.stateKey(g.Name)] = o.StoredBytes(g.Name)[0]
+		pieceOf[o.stateKey(g.Name)] = o.cuts[g.Name][0]
 	}
 	if groups[len(groups)-1].NumParams() == largest {
 		t.Fatal("the test needs groups of different sizes")
@@ -676,7 +676,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	store.readBuf = func(key string, dst []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		if len(dst) != wireLen[key] || cap(dst) != StateBytes(largest, true) {
+		if len(dst) != pieceOf[key].stored() || cap(dst) != StateBytes(largest, Full) { // read-ahead's goroutine, past the written join
 			misuse = key
 		}
 		full := dst[:cap(dst)]

@@ -25,6 +25,8 @@ func archKernels() []kernels {
 		scale:     scaleAVX2,
 		adam:      adamAVX2,
 		adamDelta: adamDeltaAVX2,
+		narrowEnc: narrowEncAVX2,
+		narrowDec: narrowDecAVX2,
 	}
 	// The AVX-512 set is the AVX2 one but for the long rows of DotRow and,
 	// through the tier, the full panels of GemmTiles.
@@ -291,6 +293,29 @@ func adamDeltaAVX2(k AdamCoef, d, m, v []byte, grad, w []float32) int {
 	return n + adamDeltaGeneric(k, d[2*n:], m[4*n:], v[4*n:], grad[n:], w[n:])
 }
 
+// The narrow codec's wrappers run the assembly over the largest multiple of
+// 32 elements and the reference over the rest; an even prefix keeps the
+// reference's code bytes whole.
+
+func narrowEncAVX2(lo, codes, src []byte, c Narrow, base int, out []byte) int {
+	n, nesc := len(src)/4&^31, 0
+	if n > 0 {
+		span, mask := c.span()
+		_, _, _, _ = lo[3*n-1], codes[n/2-1], src[4*n-1], out[EscapeBytes*n-1]
+		nesc = narrowEncAsm(&lo[0], &codes[0], &src[0], n, base, &out[0], int(mask)|int(c.Base)<<8|(span-1)<<16)
+	}
+	return nesc + narrowEncGeneric(lo[3*n:], codes[n/2:], src[4*n:], c, base+n, out[EscapeBytes*nesc:])
+}
+
+func narrowDecAVX2(dst, lo, codes []byte, lut [16]byte) {
+	n := len(dst) / 4 &^ 31
+	if n > 0 {
+		_, _, _ = dst[4*n-1], lo[3*n-1], codes[n/2-1]
+		narrowDecAsm(&dst[0], &lo[0], &codes[0], n, &lut)
+	}
+	narrowDecGeneric(dst[4*n:], lo[3*n:], codes[n/2:], lut)
+}
+
 // Assembly bodies (kernels_amd64.s). n is always a positive multiple of 8
 // (of 4 for the Adam bodies).
 
@@ -335,6 +360,12 @@ func adamAsm(p, m, v, grad *float32, n int, k *AdamCoef)
 
 //go:noescape
 func adamDeltaAsm(d, m, v *byte, grad, w *float32, n int, k *AdamCoef) int
+
+//go:noescape
+func narrowEncAsm(lo, codes, src *byte, n, base int, out *byte, c int) (nesc int)
+
+//go:noescape
+func narrowDecAsm(dst, lo, codes *byte, n int, lut *[16]byte)
 
 // fmaPeakAsm and fmaPeak512Asm run iters rounds of twelve independent FMA
 // chains on ymm and zmm registers: BenchmarkFMAPeak's measured ceiling.

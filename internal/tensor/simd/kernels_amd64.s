@@ -1018,6 +1018,196 @@ deltaDone:
 	VZEROUPPER
 	RET
 
+// Narrow codec constants: the decoder's spread of three low bytes per
+// element into a dword (top byte zero), per 128-bit lane — lane 0 reads the
+// group's bytes 0-15, lane 1 its bytes 8-23 — and the encoder's gather of
+// them back, the top bytes into each lane's last dword; VPERMD orders for
+// those gathers; the nibble and word masks.
+DATA nar_spread<>+0(SB)/8, $0x8005040380020100
+DATA nar_spread<>+8(SB)/8, $0x800b0a0980080706
+DATA nar_spread<>+16(SB)/8, $0x8009080780060504
+DATA nar_spread<>+24(SB)/8, $0x800f0e0d800c0b0a
+GLOBL nar_spread<>(SB), RODATA|NOPTR, $32
+DATA nar_gather<>+0(SB)/8, $0x0908060504020100
+DATA nar_gather<>+8(SB)/8, $0x0f0b07030e0d0c0a
+DATA nar_gather<>+16(SB)/8, $0x0908060504020100
+DATA nar_gather<>+24(SB)/8, $0x0f0b07030e0d0c0a
+GLOBL nar_gather<>(SB), RODATA|NOPTR, $32
+DATA nar_lows<>+0(SB)/8, $0x0000000100000000
+DATA nar_lows<>+8(SB)/8, $0x0000000400000002
+DATA nar_lows<>+16(SB)/8, $0x0000000600000005
+DATA nar_lows<>+24(SB)/8, $0x0000000700000003
+GLOBL nar_lows<>(SB), RODATA|NOPTR, $32
+DATA nar_tops<>+0(SB)/8, $0x0000000400000000
+DATA nar_tops<>+8(SB)/8, $0x0000000500000001
+DATA nar_tops<>+16(SB)/8, $0x0000000600000002
+DATA nar_tops<>+24(SB)/8, $0x0000000700000003
+GLOBL nar_tops<>(SB), RODATA|NOPTR, $32
+DATA nar_nib<>+0(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA nar_nib<>+8(SB)/8, $0x0f0f0f0f0f0f0f0f
+GLOBL nar_nib<>(SB), RODATA|NOPTR, $16
+DATA nar_word<>+0(SB)/8, $0x00ff00ff00ff00ff
+DATA nar_word<>+8(SB)/8, $0x00ff00ff00ff00ff
+DATA nar_word<>+16(SB)/8, $0x00ff00ff00ff00ff
+DATA nar_word<>+24(SB)/8, $0x00ff00ff00ff00ff
+GLOBL nar_word<>(SB), RODATA|NOPTR, $32
+DATA nar_ones<>+0(SB)/8, $0xffffffffffffffff
+DATA nar_ones<>+8(SB)/8, $0xffffffffffffffff
+DATA nar_ones<>+16(SB)/8, $0xffffffffffffffff
+DATA nar_ones<>+24(SB)/8, $0xffffffffffffffff
+GLOBL nar_ones<>(SB), RODATA|NOPTR, $32
+
+// NAR_DEC8 decodes into out(DI) the eight elements whose low bytes are at
+// lo(SI) and whose top bytes are the low eight bytes of tops.
+#define NAR_DEC8(tops, lo, out) \
+	VMOVDQU lo(SI), X4; \
+	VINSERTI128 $1, lo+8(SI), Y4, Y4; \
+	VPSHUFB nar_spread<>(SB), Y4, Y4; \
+	VPMOVZXBD tops, Y5; \
+	VPSLLD $24, Y5, Y5; \
+	VPOR Y5, Y4, Y4; \
+	VMOVDQU Y4, out(DI)
+
+// func narrowDecAsm(dst, lo, codes *byte, n int, lut *[16]byte)
+// The narrow decoder, 32 elements at a time: sixteen code bytes split into
+// their nibbles, interleaved back into element order and looked up in the
+// table (VPSHUFB) for the 32 top bytes, each shifted above its element's
+// three low bytes. A prefetch past the plane is harmless.
+TEXT ·narrowDecAsm(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ lo+8(FP), SI
+	MOVQ codes+16(FP), CX
+	MOVQ n+24(FP), DX
+	MOVQ lut+32(FP), R8
+	VMOVDQU (R8), X7
+	VMOVDQU nar_nib<>(SB), X6
+
+narDec32:
+	PREFETCHT0 1536(SI)       // the next 512 values' low bytes: a walk decoding
+	PREFETCHT0 1600(SI)       // a block of 512 at a time finds its next cached
+	VMOVDQU (CX), X0
+	VPSRLW $4, X0, X1
+	VPAND X6, X0, X0          // even elements' codes
+	VPAND X6, X1, X1          // odd elements'
+	VPUNPCKLBW X1, X0, X2     // elements 0-15
+	VPUNPCKHBW X1, X0, X3     // elements 16-31
+	VPSHUFB X2, X7, X2        // their top bytes
+	VPSHUFB X3, X7, X3
+	NAR_DEC8(X2, 0, 0)
+	VPSRLDQ $8, X2, X2
+	NAR_DEC8(X2, 24, 32)
+	NAR_DEC8(X3, 48, 64)
+	VPSRLDQ $8, X3, X3
+	NAR_DEC8(X3, 72, 96)
+	ADDQ $16, CX
+	ADDQ $96, SI
+	ADDQ $128, DI
+	SUBQ $32, DX
+	JNZ  narDec32
+	VZEROUPPER
+	RET
+
+// NAR_LOWS stores the three low bytes of each of the eight elements in y (x
+// its low half) at off(DI), 24 bytes.
+#define NAR_LOWS(y, x, off) \
+	VPSHUFB nar_gather<>(SB), y, y; \
+	VPERMD y, Y14, y; \
+	VMOVDQU x, off(DI); \
+	VEXTRACTI128 $1, y, X11; \
+	VMOVQ X11, off+16(DI)
+
+// func narrowEncAsm(lo, codes, src *byte, n, base int, out *byte, c int) (nesc int)
+// The narrow encoder, 32 elements at a time. c packs the code's bytes, each
+// broadcast: the magnitude mask (0x7f signed, 0xff not; its complement is
+// the sign mask), the window's base and its width less one. A top byte b has
+// magnitude a = b & mask and fits when a is 0 or a - base <= width-1
+// (unsigned); its code is (b &^ mask) >> 4 | (a == 0 ? 0 : a - base + 1), or
+// 0 when it does not fit, and then the element's index base+i and bits are
+// appended at out — a scalar loop over the group's misfits.
+TEXT ·narrowEncAsm(SB), NOSPLIT, $0-64
+	MOVQ lo+0(FP), DI
+	MOVQ codes+8(FP), CX
+	MOVQ src+16(FP), SI
+	MOVQ n+24(FP), DX
+	MOVQ base+32(FP), R10
+	MOVQ out+40(FP), R8
+	MOVQ c+48(FP), R11
+	VMOVD R11, X10
+	VPBROADCASTB X10, Y10     // mask
+	SHRQ $8, R11
+	VMOVD R11, X12
+	VPBROADCASTB X12, Y12     // base
+	SHRQ $8, R11
+	VMOVD R11, X13
+	VPBROADCASTB X13, Y13     // width - 1
+	XORQ R9, R9               // records written
+	XORQ AX, AX               // element
+	VMOVDQU nar_lows<>(SB), Y14
+	VMOVDQU nar_tops<>(SB), Y15
+
+narEnc32:
+	VMOVDQU (SI)(AX*4), Y0
+	VMOVDQU 32(SI)(AX*4), Y1
+	VMOVDQU 64(SI)(AX*4), Y2
+	VMOVDQU 96(SI)(AX*4), Y3
+	VPSRLD $24, Y0, Y4
+	VPSRLD $24, Y1, Y5
+	VPSRLD $24, Y2, Y6
+	VPSRLD $24, Y3, Y7
+	VPACKUSDW Y5, Y4, Y4
+	VPACKUSDW Y7, Y6, Y6
+	VPACKUSWB Y6, Y4, Y4
+	VPERMD Y4, Y15, Y4        // the 32 top bytes b, in order
+	VPAND Y10, Y4, Y5         // a
+	VPXOR Y6, Y6, Y6
+	VPCMPEQB Y6, Y5, Y6       // a == 0
+	VPSUBB Y12, Y5, Y7        // a - base
+	VPMINUB Y13, Y7, Y8
+	VPCMPEQB Y8, Y7, Y8       // in the window
+	VPOR Y6, Y8, Y8           // fits
+	VPSUBB nar_ones<>(SB), Y7, Y7
+	VPANDN Y7, Y6, Y7         // a - base + 1, or 0 for a zero a
+	VPANDN Y4, Y10, Y9
+	VPSRLW $4, Y9, Y9         // the sign's code bit
+	VPOR Y9, Y7, Y7
+	VPAND Y8, Y7, Y7          // codes, 0 for a misfit
+	VPSRLW $4, Y7, Y9
+	VPOR Y9, Y7, Y7
+	VPAND nar_word<>(SB), Y7, Y7
+	VPACKUSWB Y7, Y7, Y7
+	VPERMQ $0x08, Y7, Y7      // the 16 packed code bytes
+	VMOVDQU X7, (CX)
+	NAR_LOWS(Y0, X0, 0)
+	NAR_LOWS(Y1, X1, 24)
+	NAR_LOWS(Y2, X2, 48)
+	NAR_LOWS(Y3, X3, 72)
+	VPMOVMSKB Y8, R11
+	NOTL R11
+	TESTL R11, R11
+	JZ   narEncNext
+
+narEncEsc:
+	BSFL R11, R12
+	ADDQ AX, R12              // the misfit's element
+	MOVL (SI)(R12*4), R13
+	ADDQ R10, R12
+	MOVL R12, (R8)(R9*8)
+	MOVL R13, 4(R8)(R9*8)
+	INCQ R9
+	LEAL -1(R11), R12
+	ANDL R12, R11
+	JNZ  narEncEsc
+
+narEncNext:
+	ADDQ $16, CX
+	ADDQ $96, DI
+	ADDQ $32, AX
+	CMPQ AX, DX
+	JLT  narEnc32
+	MOVQ R9, nesc+56(FP)
+	VZEROUPPER
+	RET
+
 // func fmaPeakAsm(iters int)
 // func fmaPeak512Asm(iters int)
 // The FMA ceiling the tiles are read against: twelve independent

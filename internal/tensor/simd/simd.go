@@ -4,9 +4,9 @@
 // aᵀ·b against a packed panel of b; DotRow: a row of a·bᵀ in tiles of three
 // or six dot products) and the BLAS-1 pair they are defined by and fall back
 // to on ragged edges (Axpy row update, Dot product) — the fp16 pack/unpack
-// codec, the element-wise add/scale chunks, and the optimizer's Adam update,
+// codec, the element-wise add/scale chunks, the optimizer's Adam update,
 // over decoded slices and over state stored as its distance from P16
-// (delta.go).
+// (delta.go), and the 4-bit code of the moments' top bytes (narrow.go).
 // Each kernel exists at least twice:
 //
 //   - A portable pure-Go reference (the unexported *Generic functions),
@@ -75,6 +75,8 @@ type kernels struct {
 	scale     func(d []float32, s float32)
 	adam      func(k AdamCoef, p, m, v, grad []float32)
 	adamDelta func(k AdamCoef, d, m, v []byte, grad, w []float32) int
+	narrowEnc func(lo, codes, src []byte, c Narrow, base int, out []byte) int
+	narrowDec func(dst, lo, codes []byte, lut [16]byte)
 }
 
 // tier orders the kernel sets: each is the one below it with some bodies
@@ -105,6 +107,8 @@ var generic = kernels{
 	scale:     scaleGeneric,
 	adam:      adamGeneric,
 	adamDelta: adamDeltaGeneric,
+	narrowEnc: narrowEncGeneric,
+	narrowDec: narrowDecGeneric,
 }
 
 // sets holds the kernel sets this machine can run, lowest tier first:
