@@ -29,7 +29,9 @@ test-nosimd:
 # Into paths, cache round trip, step pins, the matmuls' packed-panel pin
 # TestMatMulIntoAllocs, the GELU lookup's TestGELUAllocs, the checkpoint's
 # TestSaveCheckpointAllocs: save and load independent of model size), the optimizer state
-# pipeline's tests, the Adam wire walk's and the Adam kernel's equivalence
+# pipeline's tests, the array's ticket tests (every test named *Ticket*:
+# Start/Wait against Put/ReadInto, a fault at Wait, a span that ends with the
+# transfer, a ticket across Close), the Adam wire walk's and the Adam kernel's equivalence
 # tests, the causal-attention equivalence tests (the view products against
 # the contiguous full products, attention against its full-square reference),
 # the tier-against-tier tests (tiles, whole matmuls and a loss trace under
@@ -50,7 +52,7 @@ test-nosimd:
 # A pin that holds on one core count only (the seed's
 # TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
 # matches any test fails the target instead of silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident Narrow FormFallback OverwriteKeepsStripes
+TEST_PROCS_PATTERNS = Alloc Pipeline Ticket Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident Narrow FormFallback OverwriteKeepsStripes
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/nvme ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:

@@ -1,17 +1,17 @@
 // Package errdrop flags dropped errors from the NVMe and trace write
-// paths. An nvme.Put that fails silently corrupts the offload state the
-// engine later reads back, and a trace.WriteChrome whose error is ignored
-// produces a truncated file that Perfetto rejects — both have bitten
-// before, so calls into those packages must consume the returned error in
-// non-test code: a call in statement position, deferred or started with go,
-// or whose error result is assigned to the blank identifier, is flagged.
-// Test files are exempt: tests drop errors on purpose when exercising
-// failure paths.
+// paths. An nvme.Put — or any Ticket's Wait, where a transfer's error
+// reaches its caller — that fails silently corrupts the state the engine
+// later reads back, and an ignored trace.WriteChrome error leaves a file
+// Perfetto rejects, so those calls must consume the error in non-test code:
+// a call in statement position, deferred or started with go, or whose error
+// result is assigned to the blank identifier, is flagged. Test files are
+// exempt: tests drop errors on purpose when exercising failure paths.
 package errdrop
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"ratel/internal/analysis"
@@ -82,22 +82,16 @@ func checkBlankAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 }
 
 // watchedErrCall resolves call's callee; if it is declared in a watched
-// package and returns an error, it and the error's result index are
-// returned. Otherwise (nil, -1).
+// package or is a Ticket's Wait, and returns an error, it and the error's
+// result index are returned. Otherwise (nil, -1).
 func watchedErrCall(pass *analysis.Pass, call *ast.CallExpr) (*types.Func, int) {
 	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return nil, -1
 	}
 	path := analysis.FuncPkgPath(fn)
-	watched := false
-	for _, p := range watchedPkgs {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			watched = true
-			break
-		}
-	}
-	if !watched {
+	watched := slices.ContainsFunc(watchedPkgs, func(p string) bool { return path == p || strings.HasPrefix(path, p+"/") })
+	if !watched && !strings.HasSuffix(fn.FullName(), "Ticket).Wait") {
 		return nil, -1
 	}
 	sig, ok := fn.Type().(*types.Signature)

@@ -7,12 +7,22 @@ import (
 	"io"
 
 	"ratel/internal/nvme"
+	"ratel/internal/opt"
 	"ratel/internal/sim"
 	"ratel/internal/trace"
 )
 
 func statementDrop(a *nvme.Array, data []byte) {
 	a.Put("weights", data) // want `call drops the error returned by nvme.Put`
+}
+
+func ticketDrop(a *nvme.Array, data []byte) {
+	a.Start("weights", data, true).Wait() // want `call drops the error returned by nvme.Wait`
+}
+
+func storeTicketDrop(s opt.Store, data []byte) {
+	t := s.Start("weights", data, true)
+	_ = t.Wait() // want `error returned by opt.Wait assigned to blank identifier`
 }
 
 func deferDrop(a *nvme.Array) {
@@ -33,6 +43,14 @@ func checkedIsFine(a *nvme.Array, data []byte) error {
 		return err
 	}
 	return a.Close()
+}
+
+func ticketCheckedIsFine(s opt.Store, data []byte) error {
+	t := s.Start("weights", data, true)
+	if t.Done() {
+		return t.Wait()
+	}
+	return t.Wait()
 }
 
 func deferClosureIsFine(a *nvme.Array) (err error) {

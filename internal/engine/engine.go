@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ratel/internal/agoffload"
@@ -187,10 +185,9 @@ type Engine struct {
 	win   *actWindow
 	plan  []cell
 	// states is the optimizer state pipeline (opt.StatePipeline), the
-	// engine's only optimizer path: every group update streams through its
-	// read-ahead → Adam → write-behind stages, and GradMode only decides when
-	// the step goroutine submits to it and waits on it (DelayedUpdate: one
-	// step late). serialized collects the groups a Serialized step updates
+	// engine's only optimizer path: GradMode only decides when the step
+	// goroutine submits to it and waits on it (DelayedUpdate: one step
+	// late). serialized collects the groups a Serialized step updates
 	// after backward; accumScale is the gradient-averaging factor of the step
 	// in progress; one backs TrainStep's single micro-batch. optErr latches
 	// the first failed optimizer update, write-back or restore: the stored
@@ -203,9 +200,8 @@ type Engine struct {
 	optErr     error
 	ckptScr    []byte // checkpoint headers on their way to or from a stream
 
-	// submittedN counts the updates this step handed to the state pipeline
-	// (one read-ahead of its state pieces each), folded into the step record
-	// at noteStep.
+	// submittedN counts the updates this step handed to the state pipeline,
+	// folded into the step record at noteStep.
 	submittedN int
 
 	// Telemetry (see telemetry.go). tracer may be nil; ins holds one registry
@@ -227,18 +223,8 @@ type Engine struct {
 	ssd, prevSSD     nvme.Stats
 	prevSched        nvme.SchedStats
 
-	// Per-block data-movement counters, updated inside the hot
-	// forward/backward loops. Atomics rather than e.mu: the loops run once
-	// per block per step, and the offload counter in particular is bumped
-	// while writer goroutines are concurrently active — a mutex here would
-	// serialize the hot path against every Stats() reader. Folded into
-	// Stats() snapshots.
-	actOffload  atomic.Int64
-	actHost     atomic.Int64
-	actFetched  atomic.Int64
-	recomputedN atomic.Int64
-
-	mu    sync.Mutex
+	// stats is the engine's counters, the step goroutine's like the rest: the
+	// step counts into it, and Stats copies it with the array's.
 	stats Stats
 }
 
@@ -276,7 +262,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:       cfg,
 		model:     m,
 		array:     a,
-		optimizer: opt.NewOutOfCoreAdam(a, cfg.Adam, "states"),
+		optimizer: opt.NewOutOfCoreAdam(stateStore{a}, cfg.Adam, "states"),
 		geom:      geometryOf(cfg.Model),
 		groups:    m.ParamGroups(),
 		inputs:    make([]*tensor.Tensor, len(m.Blocks)),
@@ -315,9 +301,9 @@ func New(cfg Config) (*Engine, error) {
 			return nil, errors.Join(err, a.Close())
 		}
 	}
-	// Background goroutines (activation window workers, optimizer state
-	// pipeline) start last so no construction-error path has to stop them:
-	// every earlier failure closes just the array.
+	// The state pipeline's stage goroutine starts last so no
+	// construction-error path has to stop it: every earlier failure closes
+	// just the array.
 	e.serialized = make([]nn.ParamGroup, 0, len(e.groups))
 	if cfg.DelayedUpdate {
 		for _, g := range e.groups {
@@ -328,20 +314,29 @@ func New(cfg Config) (*Engine, error) {
 	}
 	// The state window reuses the activation window depth.
 	e.states = opt.NewStatePipeline(e.optimizer, e.depth, e.groups)
-	e.win = newActWindow(a, cfg.Tracer, e.labels, e.blobLen, &e.arena.blobReuses, e.depth)
-	e.win.syncIO = cfg.oracleSyncIO
+	e.win = &actWindow{array: a, tracer: cfg.Tracer, labels: e.labels, blobLen: e.blobLen, reuses: &e.arena.blobReuses,
+		ring: make([]ringSlot, e.depth+1), syncIO: cfg.oracleSyncIO}
 	return e, nil
 }
 
-// Close joins the optimizer's trailing write-back, stops the activation
-// window's workers and the state pipeline, and releases the NVMe array. The
-// last step's write-back reports here: the result is the latched optimizer
-// failure (optErr) joined with the array's. A step-goroutine call.
+// Close joins the optimizer's trailing write-back and any activation
+// transfer still in flight, stops the state pipeline, and releases the NVMe
+// array. The last step's write-back reports here: the result is the latched
+// optimizer failure (optErr) joined with the activation window's and the
+// array's. A step-goroutine call.
 func (e *Engine) Close() error {
 	e.joinWriteBack()
-	e.win.close()
+	err := e.win.barrier()
 	e.states.Close()
-	return errors.Join(e.optErr, e.array.Close())
+	return errors.Join(e.optErr, err, e.array.Close())
+}
+
+// stateStore is the array as the optimizer's opt.Store: its transfers'
+// tickets as opt.Tickets.
+type stateStore struct{ *nvme.Array }
+
+func (s stateStore) Start(key string, buf []byte, write bool) opt.Ticket {
+	return s.Array.Start(key, buf, write)
 }
 
 // Model exposes the underlying model (its weights are the P16 working
@@ -352,22 +347,14 @@ func (e *Engine) Model() *nn.Model { return e.model }
 // access can see write-back still in flight; Stats().SSD is the joined view.
 func (e *Engine) Array() *nvme.Array { return e.array }
 
-// Stats returns a snapshot of the engine's counters. The per-block
-// data-movement counts live in atomics (the hot loops never take e.mu) and
-// are folded into the snapshot here. It joins the trailing write-back first,
-// so Stats then Flows reconcile exactly: a step-goroutine call, unlike the
-// never-blocking LastStepMetrics, FlightRecords and metrics registry.
+// Stats returns a snapshot of the engine's counters. It joins the trailing
+// write-back first, so Stats then Flows reconcile exactly: a step-goroutine
+// call, unlike the never-blocking LastStepMetrics, FlightRecords and metrics
+// registry.
 func (e *Engine) Stats() Stats {
 	e.joinWriteBack()
-	e.mu.Lock()
 	s := e.stats
-	e.mu.Unlock()
-	s.ActBytesOffload = units.Bytes(e.actOffload.Load())
-	s.ActBytesHost = units.Bytes(e.actHost.Load())
-	s.ActBytesFetched = units.Bytes(e.actFetched.Load())
-	s.ActBytesResident = units.Bytes(e.win.resident.Load())
-	s.RecomputedBlocks = int(e.recomputedN.Load())
-	s.SSD = e.array.Stats()
+	s.ActBytesResident, s.SSD = e.win.resident, e.array.Stats()
 	return s
 }
 
@@ -574,15 +561,15 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			e.inputs[i] = h
 			tr.Do(obs.LaneCompute, e.labels[i].fwd, func() { h, c, err = m.Blocks[i].Forward(h) })
 		case opOffload:
-			// Write-behind: block i+1 computes while a worker puts the blob.
+			// Write-behind: block i+1 computes while the array puts the blob.
 			stash := func(blob []byte) error { return e.stashCache(blob, c, e.labels[i].offload) }
 			if err = e.win.offload(i, stash); err == nil {
-				e.actOffload.Add(int64(e.blobLen))
+				e.stats.ActBytesOffload += units.Bytes(e.blobLen)
 			}
 		case opPin:
 			if err = e.stashCache(e.arena.hostBuf(i, e.blobLen), c, e.labels[i].pin); err == nil {
 				e.arena.host[i].pinned = true
-				e.actHost.Add(int64(e.blobLen))
+				e.stats.ActBytesHost += units.Bytes(e.blobLen)
 			}
 		case opRelease:
 			e.releaseBlock(h)
@@ -622,7 +609,7 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		case opRecompute:
 			tr.Do(obs.LaneCompute, e.labels[i].recompute, func() { c, err = m.Blocks[i].Recompute(e.inputs[i]) })
 			if err == nil {
-				e.recomputedN.Add(1)
+				e.stats.RecomputedBlocks++
 			}
 		case opBackward:
 			tr.Do(obs.LaneCompute, e.labels[i].bwd, func() { h, err = m.Blocks[i].Backward(c, h) })
@@ -691,7 +678,7 @@ func (e *Engine) reviveCache(blob []byte, input *tensor.Tensor) (*nn.BlockCache,
 	if err := e.arena.decode(c, blob, input); err != nil {
 		return nil, err
 	}
-	e.actFetched.Add(int64(len(blob)))
+	e.stats.ActBytesFetched += units.Bytes(len(blob))
 	e.flows.Add(obs.EdgeCodecDecode, obs.FlowActivations, int64(len(blob)))
 	e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(len(blob)))
 	return c, nil

@@ -22,20 +22,15 @@ import (
 )
 
 // pipelineIdle asserts the invariants the step barrier guarantees between
-// steps, successful or failed: every ring slot home (so no transfer in
-// flight, in either direction) with a buffer of its own, every transfer
-// error taken, no host-tier blob still pinned.
+// steps, successful or failed: no ring slot holds a ticket (so no transfer
+// in flight, in either direction, and every transfer error taken), each
+// slot has a buffer of its own, no host-tier blob is still pinned.
 func pipelineIdle(t *testing.T, e *Engine) {
 	t.Helper()
-	for slot, tok := range e.win.ring {
-		if len(tok) != 1 {
-			t.Fatalf("ring-slot %d not home after the step barrier", slot)
-		}
-	}
 	owner := map[*byte]int{}
-	for slot, s := range ringSlots(e.win) {
-		if s.err != nil {
-			t.Fatalf("ring-slot %d still carries %v after the step barrier", slot, s.err)
+	for slot, s := range e.win.ring {
+		if s.t != nil {
+			t.Fatalf("ring-slot %d still holds a ticket after the step barrier", slot)
 		}
 		if s.blob == nil {
 			continue
@@ -78,24 +73,13 @@ func poisonArena(e *Engine) int {
 			b[i] = 0xAB
 		}
 	}
-	for _, s := range ringSlots(e.win) {
+	for _, s := range e.win.ring {
 		poison(s.blob)
 	}
 	for i := range e.arena.host {
 		poison(e.arena.host[i].blob)
 	}
 	return n
-}
-
-// ringSlots peeks at the ring's slots (blob nil: never used). Call between
-// steps, when every slot is home.
-func ringSlots(w *actWindow) []ringSlot {
-	out := make([]ringSlot, len(w.ring))
-	for i, tok := range w.ring {
-		out[i] = <-tok
-		tok <- out[i]
-	}
-	return out
 }
 
 // faultedStep is the fault tests' common harness: one clean step (so every
@@ -535,7 +519,7 @@ func TestPipelineBuffersAllocatedOnce(t *testing.T) {
 		for i := range e.arena.host {
 			base(e.arena.host[i].blob)
 		}
-		for _, s := range ringSlots(e.win) {
+		for _, s := range e.win.ring {
 			base(s.blob)
 		}
 		return out
@@ -620,23 +604,21 @@ func TestSwapValidation(t *testing.T) {
 	}
 }
 
-// TestPipelineDefaultDepth: the zero Config gets DefaultPipelineDepth, a
-// matching ring and one worker per in-flight transfer.
+// TestPipelineDefaultDepth: the zero Config gets DefaultPipelineDepth and a
+// matching ring, and the window starts no goroutine of its own: New starts
+// the array's lane dispatchers and the state pipeline's stage, nothing else.
 func TestPipelineDefaultDepth(t *testing.T) {
 	e := newEngine(t, Config{GradMode: agoffload.Optimized})
-	if e.depth != DefaultPipelineDepth {
-		t.Fatalf("default engine: depth %d", e.depth)
-	}
-	if len(e.win.ring) != DefaultPipelineDepth+1 || cap(e.win.jobs) != len(e.win.ring) {
-		t.Fatalf("ring has %d slots and room for %d jobs, want depth+1 = %d", len(e.win.ring), cap(e.win.jobs), DefaultPipelineDepth+1)
+	if e.depth != DefaultPipelineDepth || len(e.win.ring) != DefaultPipelineDepth+1 {
+		t.Fatalf("default engine: depth %d, %d ring slots, want %d and depth+1", e.depth, len(e.win.ring), DefaultPipelineDepth)
 	}
 }
 
-// TestStepSpawnsNoGoroutine: the activation window's workers are built with
-// the engine, so a steady-state swap step — write-behind, read-ahead and
-// the optimizer's state pipeline all busy — starts no goroutine; and the
-// window's close joins them: with a write in flight it returns only once
-// the write has been served and its slot is home.
+// TestStepSpawnsNoGoroutine: a steady-state swap step — write-behind,
+// read-ahead and the optimizer's state pipeline all busy — starts no
+// goroutine; and Close joins the activation transfers: with a write in
+// flight it returns only once the write has been served and its ticket
+// waited on.
 func TestStepSpawnsNoGoroutine(t *testing.T) {
 	e := newEngine(t, Config{
 		GradMode: agoffload.Optimized,
@@ -652,13 +634,51 @@ func TestStepSpawnsNoGoroutine(t *testing.T) {
 		}
 	}
 	pipelineIdle(t, e)
+	writes := e.Stats().SSD.WriteOps // joins the state write-back
 	if err := e.win.offload(0, func([]byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	e.win.close()
-	for slot, tok := range e.win.ring {
-		if len(tok) != 1 {
-			t.Fatalf("close returned with slot %d's write in flight", slot)
+	if e.win.ring[0].t == nil || e.win.ring[0].t.Done() {
+		t.Fatal("the write finished before Close: the test holds nothing in flight")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Array().Stats().WriteOps; got != writes+1 || e.win.ring[0].t != nil {
+		t.Fatalf("Close returned with %d of %d writes waited on, slot 0's ticket %v", got-writes, 1, e.win.ring[0].t)
+	}
+}
+
+// TestNewStartsDispatchersAndOneStage counts the goroutines of an engine:
+// New starts the array's lane dispatchers — two per device, one per device
+// under the FCFS oracle — and the state pipeline's stage, and nothing else,
+// on each of the benchmark's workload shapes at its array width; Close joins
+// every one.
+func TestNewStartsDispatchersAndOneStage(t *testing.T) {
+	tensor.Parallelism() // starts the kernel pool, whose workers outlive the test
+	devices := map[string]int{"io_mixed": 3, "opt_stream": 3, "compute": 4, "accum_ckpt_file": 4}
+	for name, cfg := range workloadShapes() {
+		for _, fcfs := range []bool{false, true} {
+			cfg.Devices, cfg.oracleFCFS = devices[name], fcfs
+			if name == "accum_ckpt_file" {
+				cfg.Dir = t.TempDir()
+			}
+			want := 2*cfg.Devices + 1
+			if fcfs {
+				want = cfg.Devices + 1
+			}
+			base := runtime.NumGoroutine()
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := runtime.NumGoroutine() - base; got != want {
+				t.Errorf("%s (fcfs %v): New started %d goroutines, want %d", name, fcfs, got, want)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			goroutinesBack(t, base)
 		}
 	}
 }
@@ -767,11 +787,6 @@ func TestWindowProtocolUnderFailure(t *testing.T) {
 				base := runtime.NumGoroutine()
 				if err := tc.run(t, e); !errors.Is(err, tc.want) {
 					t.Fatalf("got %v, want %v", err, tc.want)
-				}
-				for slot, tok := range e.win.ring { // every transfer above was joined: nothing to wait for
-					if len(tok) != 1 {
-						t.Fatalf("slot %d was taken and not given up", slot)
-					}
 				}
 				if err := e.win.barrier(); err != nil {
 					t.Fatalf("the failure-path barrier found %v: reported twice, or left in a slot", err)

@@ -303,6 +303,28 @@ func failBadTarget(t *testing.T, e *Engine, tokens, targets [][]int) error {
 	return err
 }
 
+// workloadShapes are the benchmark's four workloads as engine configs: their
+// models and placements, on the tests' default array.
+func workloadShapes() map[string]Config {
+	return map[string]Config{
+		"io_mixed": {
+			Model: nn.Config{Vocab: 64, Seq: 64, Hidden: 32, Heads: 2, Layers: 6, Batch: 2, Seed: 1},
+			Swap:  allSSD(6),
+		},
+		"opt_stream": {
+			Model: nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 1},
+		},
+		"compute": {
+			Model: nn.Config{Vocab: 256, Seq: 128, Hidden: 256, Heads: 8, Layers: 4, Batch: 2, Seed: 1},
+			Swap:  map[int]Tier{0: SwapHost, 2: SwapHost},
+		},
+		"accum_ckpt_file": {
+			Model: nn.Config{Vocab: 128, Seq: 64, Hidden: 128, Heads: 4, Layers: 4, Batch: 2, Seed: 1},
+			Swap:  map[int]Tier{0: SwapSSD, 1: SwapHost, 3: SwapSSD},
+		},
+	}
+}
+
 // TestWorkloadShapesArenaBitIdentical: at the four benchmark workloads'
 // geometries and placements, three steps — the second and third inside the
 // arenas — trace the same loss bits under every vector level the machine has,
@@ -319,23 +341,7 @@ func TestWorkloadShapesArenaBitIdentical(t *testing.T) {
 	if len(levels) > 1 {
 		levels = levels[1:]
 	}
-	for name, cfg := range map[string]Config{
-		"io_mixed": {
-			Model: nn.Config{Vocab: 64, Seq: 64, Hidden: 32, Heads: 2, Layers: 6, Batch: 2, Seed: 1},
-			Swap:  allSSD(6),
-		},
-		"opt_stream": {
-			Model: nn.Config{Vocab: 32, Seq: 64, Hidden: 64, Heads: 4, Layers: 4, Batch: 2, Seed: 1},
-		},
-		"compute": {
-			Model: nn.Config{Vocab: 256, Seq: 128, Hidden: 256, Heads: 8, Layers: 4, Batch: 2, Seed: 1},
-			Swap:  map[int]Tier{0: SwapHost, 2: SwapHost},
-		},
-		"accum_ckpt_file": {
-			Model: nn.Config{Vocab: 128, Seq: 64, Hidden: 128, Heads: 4, Layers: 4, Batch: 2, Seed: 1},
-			Swap:  map[int]Tier{0: SwapSSD, 1: SwapHost, 3: SwapSSD},
-		},
-	} {
+	for name, cfg := range workloadShapes() {
 		cfg.GradMode = agoffload.Optimized
 		var want []float64
 		for _, level := range levels {

@@ -133,11 +133,11 @@ var metrics = [...]metric{
 	{"engine.step_ms", gauge, func(e *Engine) float64 { return ms(e.step.Wall) }},
 	{"engine.adam_params_per_sec", gauge, func(e *Engine) float64 { return e.step.AdamParamsPerSec() }},
 
-	{"engine.act_offload_bytes", gauge, func(e *Engine) float64 { return float64(e.actOffload.Load()) }},
-	{"engine.act_host_bytes", gauge, func(e *Engine) float64 { return float64(e.actHost.Load()) }},
-	{"engine.act_fetched_bytes", gauge, func(e *Engine) float64 { return float64(e.actFetched.Load()) }},
-	{"engine.act_resident_bytes", gauge, func(e *Engine) float64 { return float64(e.win.resident.Load()) }},
-	{"engine.recomputed_blocks", gauge, func(e *Engine) float64 { return float64(e.recomputedN.Load()) }},
+	{"engine.act_offload_bytes", gauge, func(e *Engine) float64 { return float64(e.stats.ActBytesOffload) }},
+	{"engine.act_host_bytes", gauge, func(e *Engine) float64 { return float64(e.stats.ActBytesHost) }},
+	{"engine.act_fetched_bytes", gauge, func(e *Engine) float64 { return float64(e.stats.ActBytesFetched) }},
+	{"engine.act_resident_bytes", gauge, func(e *Engine) float64 { return float64(e.win.resident) }},
+	{"engine.recomputed_blocks", gauge, func(e *Engine) float64 { return float64(e.stats.RecomputedBlocks) }},
 
 	// Pipeline flow-control health: cumulative stalls, the last step's
 	// summed stall wait and offload-queue peak, and (below) the NVMe array's
@@ -161,7 +161,7 @@ var metrics = [...]metric{
 
 	// Group updates the optimizer pipeline read ahead last step (each its
 	// pieces' reads), and the state pieces — not groups, not bytes — whose
-	// write-back was still in flight when it returned.
+	// write-back the stage had not yet waited on when it returned.
 	{"engine.opt_prefetched_reads", gauge, func(e *Engine) float64 { return float64(e.step.PrefetchedReads) }},
 	{"engine.opt_writeback_inflight", gauge, func(e *Engine) float64 {
 		live, _ := e.states.Buffered()
@@ -218,10 +218,8 @@ var metrics = [...]metric{
 // builds its record once — the flight ring's entry, LastStepMetrics and the
 // accessors' source are that one value — and refreshes the metrics registry.
 func (e *Engine) noteStep(fwd, bwd, drain, wall time.Duration, tokens int) {
-	e.mu.Lock()
 	e.stats.Steps++
 	ordinal := e.stats.Steps
-	e.mu.Unlock()
 	kp, kb := e.optimizer.KernelStats()
 	// Offsets are on the tracer timeline when available (so dumps join
 	// records to spans).

@@ -238,11 +238,11 @@ func TestEveryMetricRowRefreshed(t *testing.T) {
 	}
 	ssd, flows := e.ssd, e.prevFlow
 	for name, want := range map[string]int64{
-		"engine.act_offload_bytes":   e.actOffload.Load(),
-		"engine.act_host_bytes":      e.actHost.Load(),
-		"engine.act_fetched_bytes":   e.actFetched.Load(),
-		"engine.act_resident_bytes":  e.win.resident.Load(), // block 2, the last into slot 0
-		"engine.recomputed_blocks":   e.recomputedN.Load(),
+		"engine.act_offload_bytes":   int64(e.stats.ActBytesOffload),
+		"engine.act_host_bytes":      int64(e.stats.ActBytesHost),
+		"engine.act_fetched_bytes":   int64(e.stats.ActBytesFetched),
+		"engine.act_resident_bytes":  int64(e.win.resident), // block 2, the last into slot 0
+		"engine.recomputed_blocks":   int64(e.stats.RecomputedBlocks),
 		"nvme.read_bytes":            int64(ssd.BytesRead),
 		"nvme.write_bytes":           int64(ssd.BytesWritten),
 		"nvme.read_ops":              ssd.ReadOps,

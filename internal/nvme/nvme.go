@@ -62,9 +62,9 @@ type Config struct {
 	// own, the contention baseline the scheduler's tests and benchmarks
 	// compare against. Off — always, outside tests — each device has duplex
 	// lanes (reads dispatch independently of writes) that coalesce adjacent
-	// stripe submissions. Both serve each lane in arrival order, and
-	// transfers complete before the API call returns, so stored data is
-	// identical in both modes.
+	// stripe submissions. Both serve each lane in arrival order, and a
+	// transfer's object settles at its Wait, so stored data is identical in
+	// both modes.
 	FCFS bool
 }
 
@@ -133,15 +133,16 @@ type Array struct {
 	obsv   atomic.Pointer[arrayObservers] // optional latency/flow instruments
 
 	// Cumulative traffic: bytes and object operations per direction
-	// (laneRead, laneWrite), and total bytes per device.
+	// (laneRead, laneWrite), and total bytes per device (the stripe balance,
+	// which this package's tests check).
 	statMu      sync.Mutex
 	bytes, ops  [2]int64
 	perDevBytes []int64
 
-	// Per-direction object transfers in flight — submitted and not yet
-	// joined, or running inline — and their cumulative high-water marks. The
-	// peaks expose the depth the engine's write-behind queue and read-ahead
-	// window, and a batch, actually reached on the array.
+	// Per-direction object transfers started and not yet waited on, or
+	// running inline, and their cumulative high-water marks. The
+	// peaks expose the depth the engine's ring and state window, and a batch,
+	// actually reached on the array.
 	inFlight, peakInFlight [2]atomic.Int64
 }
 
@@ -150,24 +151,22 @@ type Stats struct {
 	BytesRead    units.Bytes
 	BytesWritten units.Bytes
 	// ReadOps / WriteOps count completed object transfers (an object of
-	// ReadInto / ReadAllInto; of Put / PutAll).
+	// ReadInto / ReadAllInto; of Put / PutAll), each counted at its Wait.
 	ReadOps, WriteOps int64
 	// PeakReadsInFlight / PeakWritesInFlight are the cumulative high-water
-	// marks of object transfers in progress — the concurrency the caller's
-	// I/O pipeline actually achieved per direction.
+	// marks of object transfers started and not yet waited on — the
+	// concurrency the caller's I/O pipeline actually achieved per direction.
 	PeakReadsInFlight, PeakWritesInFlight int64
-	// PerDeviceBytes is total traffic (read+write) per device, exposing the
-	// stripe balance.
-	PerDeviceBytes []units.Bytes
 	// Objects is the number of stored objects.
 	Objects int
 }
 
-// SetTracer installs a wall-clock span tracer: every Put or PutAll records a
-// span on obs.LaneNVMeWrite and every ReadInto or ReadAllInto one on
-// obs.LaneNVMeRead (named by its first object key), plus one per-device span
-// per object transfer (named "ssdN") so the stripe parallelism is visible on
-// the timeline. A nil tracer disables tracing. Safe to call concurrently.
+// SetTracer installs a wall-clock span tracer: every object written records
+// a span on obs.LaneNVMeWrite and every object read one on obs.LaneNVMeRead,
+// named by its key and running from Start to its last stride's finish, plus
+// one per-device span per object transfer (named "ssdN") so the stripe
+// parallelism is visible on the timeline. A nil tracer disables tracing.
+// Safe to call concurrently.
 func (a *Array) SetTracer(tr *obs.Tracer) {
 	a.tracer.Store(tr)
 	// devLabel strings are preallocated at Open; nothing else to do.
@@ -188,8 +187,8 @@ type arrayObservers struct {
 // and a byte-flow ledger crediting host↔NVMe traffic to the purpose
 // classify assigns each key (nil classify files everything under
 // obs.FlowOther). Any instrument may be nil. The per-op overhead when
-// installed is two time stamps and a few atomic adds — no allocation —
-// and zero when never called. Safe to call concurrently with I/O.
+// installed is a few atomic adds — no allocation — on the two time stamps
+// every ticket takes. Safe to call concurrently with I/O.
 func (a *Array) SetObservers(readLat, writeLat *obs.Histogram, ledger *obs.FlowLedger, classify func(key string) obs.FlowPurpose) {
 	a.obsv.Store(&arrayObservers{readLat: readLat, writeLat: writeLat, ledger: ledger, classify: classify})
 }
@@ -303,17 +302,13 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 	d.mu.Unlock()
 }
 
-// Put stores data under key, replacing any previous object. data is
-// borrowed only for the duration of the call and never retained, so callers
-// may recycle it immediately after Put returns.
-//
-// Overwriting a key with an object of the same size reuses the existing
-// chunk layout in place — no chunk free/realloc churn on the steady-state
-// swap path, where every block's blob has a fixed size. If the in-place
-// write fails partway, the stored object's contents are undefined (with
-// Checksums enabled, subsequent reads fail with ErrCorrupt).
+// Put stores data under key, replacing any previous object: Start then
+// Wait, so data may be reused as soon as Put returns. An overwrite of as many
+// stripes reuses the object's chunks in place; if it fails partway, the
+// stored object's contents are undefined (with Checksums enabled, later
+// reads fail with ErrCorrupt).
 func (a *Array) Put(key string, data []byte) error {
-	return a.PutAll([]string{key}, [][]byte{data})
+	return a.Start(key, data, true).Wait()
 }
 
 // PutAll stores data[i] under keys[i], each as Put would, with every
@@ -322,7 +317,7 @@ func (a *Array) Put(key string, data []byte) error {
 // objects are laid out in argument order, the layout the same Puts in a row
 // give. Every transfer is joined before PutAll returns; the error joins the
 // failed objects' errors, and a failed fresh object is not stored. The keys
-// must be distinct. The batch is one span, named after its first key.
+// must be distinct.
 func (a *Array) PutAll(keys []string, data [][]byte) error {
 	for i, k := range keys {
 		if slices.Contains(keys[:i], k) {
@@ -332,49 +327,40 @@ func (a *Array) PutAll(keys []string, data [][]byte) error {
 	return a.batch(keys, data, true)
 }
 
-// batch moves bufs[i] to or from the object keys[i] for every i: it submits
-// every object's transfer in argument order, then joins them in the same
-// order, settling each object as it joins.
+// batch starts the transfer of bufs[i] to or from keys[i] for every i, in
+// argument order, then waits on them in the same order.
 func (a *Array) batch(keys []string, bufs [][]byte, write bool) error {
 	if len(keys) != len(bufs) {
 		return fmt.Errorf("nvme: batch of %d keys and %d buffers", len(keys), len(bufs))
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	o := a.obsv.Load()
-	var start time.Time
-	if o != nil {
-		start = time.Now()
+	var head *Ticket
+	for i, tail := 0, &head; i < len(keys); i++ {
+		x := a.Start(keys[i], bufs[i], write)
+		*tail, tail = x, &x.next
 	}
 	var err error
-	a.tracer.Load().Do(spanLanes[dir(write)], keys[0], func() {
-		var head *xfer
-		for i, tail := 0, &head; i < len(keys); i++ {
-			x := a.submit(keys[i], bufs[i], write)
-			*tail, tail = x, &x.next
-		}
-		for x := head; x != nil; {
-			next := x.next
-			err = errors.Join(err, a.settle(x, o, start))
-			x = next
-		}
-	})
+	for x := head; x != nil; {
+		next := x.next
+		err = errors.Join(err, x.Wait())
+		x = next
+	}
 	return err
 }
 
 // spanLanes are the directions' span lanes, indexed laneRead/laneWrite.
 var spanLanes = [2]string{obs.LaneNVMeRead, obs.LaneNVMeWrite}
 
-// submit looks up (or, for a write whose object is missing or of another
-// size, lays out afresh) the object key and starts moving buf to or from it:
-// an untimed small transfer runs inline before submit returns, anything else
-// is one stride item per device on the device lanes. A read of a missing
-// object or into a buffer of the wrong size moves nothing and carries its
-// error. settle joins the transfer.
-func (a *Array) submit(key string, buf []byte, write bool) *xfer {
+// Start begins moving buf to (write) or from the object key and returns its
+// ticket. A write lays the object out afresh if it is missing or of another
+// size, and is stored — visible to a later Start — once waited on; a read of
+// a missing object or into a buffer of another size moves nothing and fails
+// at Wait. An untimed small transfer runs inline; anything else is one stride
+// per device on the lanes. buf is the transfer's until Wait returns, and a
+// key must not be written while another transfer of it is in flight.
+func (a *Array) Start(key string, buf []byte, write bool) *Ticket {
 	x := a.xpool.get(len(a.devs))
-	x.key, x.buf, x.write, x.lane, x.tr = key, buf, write, spanLanes[dir(write)], a.tracer.Load()
+	x.a, x.key, x.buf, x.write, x.lane = a, key, buf, write, spanLanes[dir(write)]
+	x.tr, x.o, x.start = a.tracer.Load(), a.obsv.Load(), time.Now()
 	a.mu.RLock()
 	obj, ok := a.objs[key]
 	a.mu.RUnlock()
@@ -394,9 +380,12 @@ func (a *Array) submit(key string, buf []byte, write bool) *xfer {
 		}
 	case !ok:
 		x.err = fmt.Errorf("%w: %q", ErrNotFound, key)
-		return x
 	case len(buf) != obj.size:
 		x.err = fmt.Errorf("nvme: ReadInto %q: dst %d bytes, object %d", key, len(buf), obj.size)
+	}
+	if x.err != nil { // nothing to move
+		x.left.Store(1)
+		x.done(nil)
 		return x
 	}
 	x.obj, x.bw = obj, a.cfg.ReadBW
@@ -405,41 +394,52 @@ func (a *Array) submit(key string, buf []byte, write bool) *xfer {
 	}
 	foldMax(&a.peakInFlight[dir(write)], a.inFlight[dir(write)].Add(1))
 
-	// Chunks are allocated round-robin, so chunk indexes congruent mod the
-	// device count share a device: stride w covers indexes w, w+D, w+2D, ...
-	// and touches exactly one device. Timed transfers split into one stride
-	// item per device, enqueued on the device's dispatch lane and executed by
-	// its persistent dispatcher (see sched.go), so the steady-state path
-	// allocates nothing. Untimed small transfers skip the queue: without
-	// bandwidth or latency sleeps there is no contention to schedule, and the
-	// dispatcher round-trip buys nothing below ~memcpy scale.
+	// Chunks are allocated round-robin, so stride w — chunk indexes w, w+D,
+	// w+2D, ... — touches exactly one device. Timed transfers are one stride
+	// item per device on its dispatch lane (sched.go), allocating nothing,
+	// and so are file-backed ones: a stride is a system call the caller need
+	// not wait out. Untimed small ones in memory skip the queue: there is
+	// nothing to schedule, and the dispatcher round-trip buys nothing below
+	// ~memcpy scale.
 	workers := min(len(a.devs), len(obj.chunks))
-	if x.queued = x.bw > 0 || a.cfg.OpLatency > 0 || (workers > 1 && obj.size > inlineTransferMax); x.queued {
-		x.wg.Add(workers)
-	}
+	x.queued = x.bw > 0 || a.cfg.OpLatency > 0 || a.cfg.Dir != "" || (workers > 1 && obj.size > inlineTransferMax)
+	x.left.Store(int32(workers) + 1)
 	for w := range workers {
 		it := &x.items[w]
 		it.x, it.w = x, w
 		if x.queued {
 			a.enqueue(a.devs[obj.chunks[w].dev].lanes[dir(write)], it)
-		} else if x.err == nil {
-			x.tr.Do(x.lane, a.devLabels[obj.chunks[w].dev], func() { x.err = a.runStride(nil, it) })
+			continue
 		}
+		var err error
+		if x.err == nil { // an inline stride that failed ends the transfer
+			x.tr.Do(x.lane, a.devLabels[obj.chunks[w].dev], func() { err = a.runStride(nil, it) })
+		}
+		x.done(err)
 	}
 	if !x.queued {
 		a.inFlight[dir(write)].Add(-1)
 	}
+	x.done(nil)
 	return x
 }
 
-// settle joins x's transfer and settles its object: a write that succeeded
-// is stored, a fresh one that failed is released; a read that arrived is
-// verified. The counters and observers count every object that moved, read
-// bytes whether or not they verify, so the ledger and the counters reconcile
-// after a corrupt read too. x goes back to the pool.
-func (a *Array) settle(x *xfer, o *arrayObservers, start time.Time) error {
-	x.wg.Wait()
-	key, obj, write, err := x.key, x.obj, x.write, x.err
+// Wait blocks until the transfer has finished and settles it once — a write
+// that succeeded is stored, a fresh one that failed is released, a read
+// that arrived is verified — and returns its error, which names the key
+// and, for a device fault, the device. Its span and latency end at the last
+// stride's finish, not at Wait. The counters and observers count every
+// object that moved, read bytes whether or not they verify, so the ledger
+// and the counters reconcile after a corrupt read too. x is recycled.
+func (x *Ticket) Wait() error {
+	<-x.fin
+	a, key, obj, write, err := x.a, x.key, x.obj, x.write, x.err
+	if x.tr != nil {
+		x.tr.Interval(x.lane, key, x.start, x.end)
+		if x.alsoLane != "" {
+			x.tr.Interval(x.alsoLane, x.alsoName, x.start, x.end)
+		}
+	}
 	if x.queued {
 		a.inFlight[dir(write)].Add(-1)
 	}
@@ -457,8 +457,8 @@ func (a *Array) settle(x *xfer, o *arrayObservers, start time.Time) error {
 	default:
 		err = a.verify(key, obj, x.buf)
 	}
-	if o != nil {
-		o.note(key, int64(obj.size), write, time.Since(start))
+	if x.o != nil {
+		x.o.note(key, int64(obj.size), write, x.end.Sub(x.start))
 	}
 	a.statMu.Lock()
 	a.bytes[dir(write)] += int64(obj.size)
@@ -524,16 +524,16 @@ func (a *Array) verify(key string, obj object, data []byte) error {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ReadInto reads key into dst, which must have the object's exact size. It
-// avoids allocation on the engine's hot swap-in path.
+// ReadInto reads key into dst, which must have the object's exact size:
+// Start then Wait.
 func (a *Array) ReadInto(key string, dst []byte) error {
-	return a.ReadAllInto([]string{key}, [][]byte{dst})
+	return a.Start(key, dst, false).Wait()
 }
 
 // ReadAllInto reads each object keys[i] into dst[i], as ReadInto would, with
 // every object's device strides on the lanes before any of them is joined.
 // Every transfer is joined before it returns; the error joins the failed
-// objects' errors. The batch is one span, named after its first key.
+// objects' errors.
 func (a *Array) ReadAllInto(keys []string, dst [][]byte) error {
 	return a.batch(keys, dst, false)
 }
@@ -549,18 +549,14 @@ func (a *Array) delete(key string) {
 	}
 }
 
-// Stats reports cumulative traffic.
+// Stats reports cumulative traffic, without allocating: a step samples it.
 func (a *Array) Stats() Stats {
 	a.statMu.Lock()
 	s := Stats{
-		BytesRead:      units.Bytes(a.bytes[laneRead]),
-		BytesWritten:   units.Bytes(a.bytes[laneWrite]),
-		ReadOps:        a.ops[laneRead],
-		WriteOps:       a.ops[laneWrite],
-		PerDeviceBytes: make([]units.Bytes, len(a.perDevBytes)),
-	}
-	for i, b := range a.perDevBytes {
-		s.PerDeviceBytes[i] = units.Bytes(b)
+		BytesRead:    units.Bytes(a.bytes[laneRead]),
+		BytesWritten: units.Bytes(a.bytes[laneWrite]),
+		ReadOps:      a.ops[laneRead],
+		WriteOps:     a.ops[laneWrite],
 	}
 	a.statMu.Unlock()
 	s.PeakReadsInFlight = a.peakInFlight[laneRead].Load()
@@ -599,7 +595,8 @@ func (d *device) release(off int64) {
 	d.mu.Unlock()
 }
 
-// chunkIO performs one chunk's read or write on a device, honoring faults.
+// chunkIO performs one chunk's read or write on a device, honoring faults;
+// runStride names the key and the device in its error.
 func (a *Array) chunkIO(dev int, off int64, p []byte, write bool) error {
 	d := a.devs[dev]
 	d.mu.Lock()
@@ -619,14 +616,11 @@ func (a *Array) chunkIO(dev int, off int64, p []byte, write bool) error {
 		}
 	}
 	d.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("nvme: device %d: %w", dev, err)
-	}
-	return nil
+	return err
 }
 
-// inlineTransferMax is the largest untimed object moved without goroutine
-// fan-out; above it, parallel memcpy across devices is worth the spawns.
+// inlineTransferMax is the largest untimed in-memory object moved inline on
+// the caller; above it, parallel memcpy across devices is worth the lanes.
 const inlineTransferMax = 256 << 10
 
 // memBackend is a growable in-memory device.

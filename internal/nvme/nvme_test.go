@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -22,6 +23,17 @@ func openMem(t *testing.T, devices int) *Array {
 	}
 	t.Cleanup(func() { a.Close() })
 	return a
+}
+
+// deviceBytes is each device's traffic, read and write: the stripe balance.
+func deviceBytes(a *Array) []units.Bytes {
+	a.statMu.Lock()
+	defer a.statMu.Unlock()
+	out := make([]units.Bytes, len(a.perDevBytes))
+	for i, b := range a.perDevBytes {
+		out[i] = units.Bytes(b)
+	}
+	return out
 }
 
 // get reads the object stored under key back whole through ReadInto.
@@ -160,7 +172,7 @@ func TestStripingBalancesDevices(t *testing.T) {
 		}
 	}
 	st := a.Stats()
-	for i, b := range st.PerDeviceBytes {
+	for i, b := range deviceBytes(a) {
 		if b == 0 {
 			t.Errorf("device %d received no traffic", i)
 		}
@@ -182,13 +194,10 @@ func TestShortTailChunksSpread(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := a.Stats()
-	lo, hi := st.PerDeviceBytes[0], st.PerDeviceBytes[0]
-	for _, b := range st.PerDeviceBytes {
-		lo, hi = min(lo, b), max(hi, b)
-	}
+	per := deviceBytes(a)
+	lo, hi := slices.Min(per), slices.Max(per)
 	if hi-lo > 64 {
-		t.Fatalf("per-device bytes %v: spread %d, more than one 64 B stripe", st.PerDeviceBytes, hi-lo)
+		t.Fatalf("per-device bytes %v: spread %d, more than one 64 B stripe", per, hi-lo)
 	}
 }
 
@@ -509,7 +518,7 @@ func TestStatsUnderConcurrency(t *testing.T) {
 		t.Errorf("ReadOps = %d, want %d", s.ReadOps, base.ReadOps+readers*iterations)
 	}
 	var perDev units.Bytes
-	for _, b := range s.PerDeviceBytes {
+	for _, b := range deviceBytes(a) {
 		perDev += b
 	}
 	if want := s.BytesRead + s.BytesWritten; perDev != want {

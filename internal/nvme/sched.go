@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,12 +21,12 @@ import (
 // write issued before it: the baseline this package's tests and the
 // engine's test oracle compare against.
 //
-// The scheduler orders only the *timing* of I/O, never its data: a
-// transfer still completes before the call that submitted it (Put, PutAll,
-// ReadInto, ReadAllInto) returns, chunk buffers
-// are disjoint, and callers' ordering constraints (the engine's pipeline
-// barrier, the optimizer's group sequencing) are expressed as
-// completion-before-issue dependencies the scheduler cannot invert.
+// The scheduler orders only the *timing* of I/O, never its data: Start
+// returns once a transfer's strides are on the lanes (or, untimed and small,
+// moved inline), and callers' ordering constraints (the engine's ring slots
+// and step barrier, the optimizer's read-after-write per state piece) are a
+// Wait on one ticket before the dependent Start, which the scheduler cannot
+// invert. Chunk buffers are disjoint.
 
 // coalesceMax caps how many adjacent stripe chunks merge into one throttled
 // submission (one OpLatency charge). 8 stripes keeps a coalesced run well
@@ -47,10 +48,12 @@ func dir(write bool) int {
 	return laneRead
 }
 
-// xfer is one in-flight object transfer: the object and what settling it
-// needs, and the shared state its per-device stride items report into.
-// Recycled through xferPool so the steady-state swap path allocates nothing.
-type xfer struct {
+// Ticket is one object transfer, from Start until its Wait returns: the
+// object and what settling it needs, and the state its stride items report
+// into. Recycled through xferPool so the steady-state swap path allocates
+// nothing: wait on a ticket exactly once, and not touch it after.
+type Ticket struct {
+	a      *Array
 	key    string
 	obj    object
 	fresh  bool // a write laid out on fresh chunks, released if it fails
@@ -60,30 +63,69 @@ type xfer struct {
 	bw     units.BytesPerSecond
 	lane   string
 	tr     *obs.Tracer
-	next   *xfer // the batch's next transfer
+	o      *arrayObservers
+	next   *Ticket // the batch's next transfer
 
-	wg  sync.WaitGroup
-	mu  sync.Mutex
-	err error // first stride error
+	// start and end bracket the transfer; also is the caller's span of it.
+	start, end         time.Time
+	alsoLane, alsoName string
+
+	// left counts the strides not yet finished, plus Start's share; the one
+	// that takes it to zero sends on fin, for Wait, and on notify.
+	left   atomic.Int32
+	fin    chan struct{}
+	mu     sync.Mutex
+	err    error // first stride error
+	notify chan<- struct{}
 
 	items []schedItem // one per device stride, preallocated to len(devs)
 }
 
-// done reports one stride's completion.
-func (x *xfer) done(err error) {
-	if err != nil {
-		x.mu.Lock()
-		if x.err == nil {
-			x.err = err
-		}
-		x.mu.Unlock()
+// done reports one stride's completion, or Start's.
+func (x *Ticket) done(err error) {
+	x.mu.Lock()
+	if x.err == nil {
+		x.err = err
 	}
-	x.wg.Done()
+	x.mu.Unlock()
+	if x.left.Add(-1) == 0 {
+		x.end = time.Now()
+		x.mu.Lock()
+		c := x.notify
+		x.mu.Unlock()
+		x.fin <- struct{}{} // the last touch: from here on Wait may recycle x
+		wake(c)
+	}
 }
 
-// schedItem is one device stride of an xfer, linkable into a lane queue.
+// wake sends on c, if any, unless a send is already pending there.
+func wake(c chan<- struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// Done reports, without blocking, whether the transfer has finished.
+func (x *Ticket) Done() bool { return x.left.Load() == 0 }
+
+// Notify has the transfer send on c when it finishes, or now if it has,
+// unless a send is already pending there: whoever owns many tickets can wait
+// for any of them on one channel, then ask each Done.
+func (x *Ticket) Notify(c chan<- struct{}) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.notify = c; x.Done() {
+		wake(c)
+	}
+}
+
+// Trace records the transfer's span a second time, on lane as name.
+func (x *Ticket) Trace(lane, name string) { x.alsoLane, x.alsoName = lane, name }
+
+// schedItem is one device stride of a Ticket, linkable into a lane queue.
 type schedItem struct {
-	x    *xfer
+	x    *Ticket
 	w    int // stride index: chunks w, w+D, w+2D, ... (one device)
 	enq  time.Time
 	next *schedItem
@@ -144,18 +186,18 @@ func newLanes(fcfs bool) [2]*ioLane {
 	return [2]*ioLane{newIOLane(), newIOLane()}
 }
 
-// xferPool recycles xfer headers. A plain mutex-guarded freelist rather
+// xferPool recycles tickets. A plain mutex-guarded freelist rather
 // than sync.Pool: the working set is bounded by transfer concurrency (a few
 // dozen), and freelist reuse is deterministic, which keeps allocation pins
 // in benchmarks exact.
 type xferPool struct {
 	mu   sync.Mutex
-	free []*xfer
+	free []*Ticket
 }
 
-func (p *xferPool) get(ndevs int) *xfer {
+func (p *xferPool) get(ndevs int) *Ticket {
 	p.mu.Lock()
-	var x *xfer
+	var x *Ticket
 	if n := len(p.free); n > 0 {
 		x = p.free[n-1]
 		p.free[n-1] = nil
@@ -163,19 +205,16 @@ func (p *xferPool) get(ndevs int) *xfer {
 	}
 	p.mu.Unlock()
 	if x == nil {
-		x = &xfer{items: make([]schedItem, ndevs)}
+		x = &Ticket{items: make([]schedItem, ndevs), fin: make(chan struct{}, 1)}
 	}
 	return x
 }
 
-func (p *xferPool) put(x *xfer) {
-	// Drop every pointer so a recycled header cannot retain buffers, chunk
+func (p *xferPool) put(x *Ticket) {
+	// Drop every pointer so a recycled ticket cannot retain buffers, chunk
 	// slices, or tracers across transfers.
-	x.key, x.obj, x.buf, x.tr, x.next = "", object{}, nil, nil, nil
-	x.fresh, x.queued, x.err = false, false, nil
-	for i := range x.items {
-		x.items[i] = schedItem{}
-	}
+	clear(x.items)
+	*x = Ticket{items: x.items, fin: x.fin}
 	p.mu.Lock()
 	p.free = append(p.free, x)
 	p.mu.Unlock()
@@ -312,7 +351,7 @@ func (a *Array) runStride(ln *ioLane, it *schedItem) error {
 	for i := w; i < len(obj.chunks); i += ndevs {
 		c, n := obj.chunks[i], min(stripe, obj.size-i*stripe)
 		if err := a.chunkIO(c.dev, c.off, buf[i*stripe:i*stripe+n], write); err != nil {
-			return err
+			return fmt.Errorf("%s %q on device %d: %w", x.lane, x.key, c.dev, err)
 		}
 		devBytes += int64(n)
 		if a.cfg.FCFS {

@@ -23,7 +23,7 @@ func TestLaneServesArrivalOrder(t *testing.T) {
 		a := &Array{}
 		lanes := newLanes(fcfs)
 		for i, write := range arrivals {
-			a.enqueue(lanes[dir(write)], &schedItem{x: &xfer{write: write}, w: i})
+			a.enqueue(lanes[dir(write)], &schedItem{x: &Ticket{write: write}, w: i})
 		}
 		var want [2][]int // per lane: the arrival indexes it must serve, in order
 		for i, write := range arrivals {
@@ -378,7 +378,7 @@ func TestSchedCloseSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			var served units.Bytes
-			for _, b := range a.Stats().PerDeviceBytes {
+			for _, b := range deviceBytes(a) {
 				served += b
 			}
 			if err := <-putErr; err == nil && served != 4<<10+big {

@@ -12,9 +12,10 @@
 //     and the disabled path costs one branch and zero allocations, so
 //     instrumentation can stay unconditionally wired into hot paths.
 //  2. A span closes by construction: the recording surface is Do, which
-//     runs a function and records it as one span, and Instant, a
-//     zero-length marker. No open span value exists to leak on an error
-//     path.
+//     runs a function and records it as one span, Instant, a zero-length
+//     marker, and Interval, both ends of an interval stamped elsewhere (an
+//     NVMe transfer that finished on a dispatcher goroutine). No open span
+//     value exists to leak on an error path.
 //  3. The enabled record path is also allocation-free at steady state:
 //     spans land in a preallocated ring buffer and label strings are
 //     passed in (callers precompute them once), never built per span.
@@ -107,6 +108,15 @@ func (t *Tracer) Do(lane, name string, f func()) {
 	start := time.Since(t.epoch)
 	f()
 	t.record(Span{Lane: lane, Name: name, Start: start, End: time.Since(t.epoch)})
+}
+
+// Interval records the span from start to end, two wall-clock stamps taken
+// by the caller, on lane.
+func (t *Tracer) Interval(lane, name string, start, end time.Time) {
+	if t == nil {
+		return
+	}
+	t.record(Span{Lane: lane, Name: name, Start: start.Sub(t.epoch), End: end.Sub(t.epoch)})
 }
 
 // Instant records a zero-duration marker (stage boundaries, step edges).

@@ -19,7 +19,7 @@ func SetStreamSweep(stream int, last bool) (restore func()) {
 func (o *OutOfCoreAdam) PlaneStats(group string) (esc [2]int, fill [2]float64, wide [2]int, params int, err error) {
 	for _, pc := range o.cuts[group] {
 		obj := make([]byte, pc.stored())
-		if err = o.store.ReadInto(pc.key, obj); err != nil {
+		if err = o.store.Start(pc.key, obj, false).Wait(); err != nil {
 			return
 		}
 		in, err := tables(obj, pc)

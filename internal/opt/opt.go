@@ -95,67 +95,95 @@ func newAdamCoef(cfg AdamConfig, t int) simd.AdamCoef {
 	}
 }
 
+// Ticket is a transfer a Store has started. Wait blocks until it has
+// finished, settles it and returns its error: call it exactly once. Done
+// reports whether it has finished, and Notify has it send on c when it does
+// (now, if it has), unless a send is already pending there, so one goroutine
+// can wait on many tickets. *nvme.Ticket is one.
+type Ticket interface {
+	Wait() error
+	Done() bool
+	Notify(c chan<- struct{})
+}
+
 // Store is the storage the out-of-core optimizer streams model states
-// through; *nvme.Array and MemStore satisfy it. It must be safe for
-// concurrent use: the state pipeline's stages call it from their own
-// goroutines. Put must not retain data after it returns and ReadInto fills
-// dst, which must be exactly the stored object's size — the optimizer
-// streams through buffers it owns and reuses. PutAll and ReadAllInto are
-// the same for a batch of objects, keys[i] with the i-th buffer, all of it
-// moving at once: every object is attempted, and the error joins the failed
-// ones'.
+// through; MemStore and the engine's *nvme.Array satisfy it, safe for
+// concurrent use. Start moves buf to (write) or from the object key: buf is
+// the transfer's until its Wait returns, a read's is exactly the object's
+// size, and a write is visible to a later Start once waited on. PutAll and
+// ReadAllInto move a batch, keys[i] with the i-th buffer, all of it at once,
+// and return when it has moved; the error joins every failed object's.
 type Store interface {
-	Put(key string, data []byte) error
-	ReadInto(key string, dst []byte) error
+	Start(key string, buf []byte, write bool) Ticket
 	PutAll(keys []string, data [][]byte) error
 	ReadAllInto(keys []string, dst [][]byte) error
 }
 
-// MemStore is an in-memory Store for tests and the in-memory reference
-// optimizer. Its methods hold memMu, which makes it safe for concurrent use.
-type MemStore map[string][]byte
+// settled is the ticket of a transfer that finished before Start returned;
+// moved makes one, sharing the successful one, which allocates nothing.
+type settled struct{ err error }
 
-// memMu is every MemStore's lock: MemStore is a bare map, so the zero value
-// MemStore{} is ready to use, and there is no field to keep a lock in.
-var memMu sync.Mutex
+var movedOK = &settled{}
 
-// Put stores a copy of data.
-func (s MemStore) Put(key string, data []byte) error {
-	memMu.Lock()
-	defer memMu.Unlock()
-	s[key] = append([]byte(nil), data...)
-	return nil
+func moved(err error) Ticket {
+	if err == nil {
+		return movedOK
+	}
+	return &settled{err}
 }
 
-// ReadInto copies the stored bytes into dst, which must have the object's
-// exact size.
-func (s MemStore) ReadInto(key string, dst []byte) error {
+func (t *settled) Wait() error              { return t.err }
+func (t *settled) Done() bool               { return true }
+func (t *settled) Notify(c chan<- struct{}) { signal(c) }
+
+// signal sends on c unless a send is already pending there.
+func signal(c chan<- struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// MemStore is an in-memory Store for tests and the in-memory reference
+// optimizer. Its methods hold memMu, every MemStore's lock: a bare map has
+// no field to keep one in, so the zero value MemStore{} is ready to use.
+type MemStore map[string][]byte
+
+var memMu sync.Mutex
+
+// Start moves the object at once — a write stores a copy of buf — and
+// returns a settled ticket.
+func (s MemStore) Start(key string, buf []byte, write bool) Ticket {
 	memMu.Lock()
 	defer memMu.Unlock()
+	if write {
+		s[key] = append([]byte(nil), buf...)
+		return moved(nil)
+	}
 	b, ok := s[key]
 	if !ok {
-		return fmt.Errorf("opt: memstore: missing %q", key)
+		return moved(fmt.Errorf("opt: memstore: missing %q", key))
 	}
-	if len(dst) != len(b) {
-		return fmt.Errorf("opt: memstore: ReadInto %q: dst %d bytes, object %d", key, len(dst), len(b))
+	if len(buf) != len(b) {
+		return moved(fmt.Errorf("opt: memstore: read %q: dst %d bytes, object %d", key, len(buf), len(b)))
 	}
-	copy(dst, b)
-	return nil
+	copy(buf, b)
+	return moved(nil)
 }
 
 // PutAll and ReadAllInto move the batch object by object.
-func (s MemStore) PutAll(keys []string, data [][]byte) error { return eachObject(keys, data, s.Put) }
+func (s MemStore) PutAll(keys []string, data [][]byte) error { return eachObject(s, keys, data, true) }
 
 func (s MemStore) ReadAllInto(keys []string, dst [][]byte) error {
-	return eachObject(keys, dst, s.ReadInto)
+	return eachObject(s, keys, dst, false)
 }
 
-// eachObject is a Store batch for a store that moves one object at a time:
+// eachObject is the batch of a store that moves each object at its Start:
 // it moves keys[i] with bufs[i] for every i and joins the failures.
-func eachObject(keys []string, bufs [][]byte, move func(key string, buf []byte) error) error {
+func eachObject(s Store, keys []string, bufs [][]byte, write bool) error {
 	var err error
 	for i, k := range keys {
-		err = errors.Join(err, move(k, bufs[i]))
+		err = errors.Join(err, s.Start(k, bufs[i], write).Wait())
 	}
 	return err
 }
@@ -292,8 +320,8 @@ func (o *OutOfCoreAdam) SetWindow(depth int, groups []nn.ParamGroup) {
 
 // piece is params [lo, lo+n) of a group, stored as the object key in the
 // form it records. Whoever writes the piece sets form before the write — the
-// pipeline's Adam stage before it hands the piece to write-behind — and its
-// next reader reads it after joining that write. codes are the narrow codes
+// pipeline's Adam stage before it starts the write-back — and its next
+// reader reads it after waiting on that write. codes are the narrow codes
 // the next update encodes M and V in (the Adam stage's, as the form).
 type piece struct {
 	key   string
@@ -518,12 +546,12 @@ func (o *OutOfCoreAdam) UpdateGroup(g nn.ParamGroup) error {
 	label := o.adamLabel(g.Name)
 	for _, pc := range o.cut(g.Name, g.NumParams()) {
 		obj := scratch(&o.scr.wire, StateBytes(pc.n, Full))[:pc.stored()]
-		err := o.readState(pc.key, obj)
+		err := loaded(pc.key, o.store.Start(pc.key, obj, false).Wait())
 		if err == nil {
 			obj, err = o.applyTo(obj, g, pc, o.cfg, o.step, label)
 		}
 		if err == nil {
-			err = o.store.Put(pc.key, obj)
+			err = o.store.Start(pc.key, obj, true).Wait()
 		}
 		if err != nil {
 			return err
@@ -905,9 +933,9 @@ func scratch[T any](s *[]T, n int) []T {
 	return (*s)[:n]
 }
 
-// readState reads one of a group's state pieces into dst.
-func (o *OutOfCoreAdam) readState(key string, dst []byte) error {
-	if err := o.store.ReadInto(key, dst); err != nil {
+// loaded is the outcome of a read of the state piece key.
+func loaded(key string, err error) error {
+	if err != nil {
 		return fmt.Errorf("opt: load %s: %w", key, err)
 	}
 	return nil

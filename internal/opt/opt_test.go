@@ -151,6 +151,13 @@ func TestOutOfCoreEqualsInMemory(t *testing.T) {
 	}
 }
 
+// arrayStore is the array as a Store, its tickets as Tickets.
+type arrayStore struct{ *nvme.Array }
+
+func (s arrayStore) Start(key string, buf []byte, write bool) Ticket {
+	return s.Array.Start(key, buf, write)
+}
+
 // TestOutOfCoreOverNVMe: the same optimizer runs over the real striped
 // array backend.
 func TestOutOfCoreOverNVMe(t *testing.T) {
@@ -161,7 +168,7 @@ func TestOutOfCoreOverNVMe(t *testing.T) {
 	defer a.Close()
 
 	m := buildModel(t)
-	ooc := NewOutOfCoreAdam(a, DefaultAdam(), "model")
+	ooc := NewOutOfCoreAdam(arrayStore{a}, DefaultAdam(), "model")
 	for _, g := range m.ParamGroups() {
 		if err := ooc.InitGroup(g); err != nil {
 			t.Fatal(err)

@@ -4,93 +4,88 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"ratel/internal/join"
 	"ratel/internal/nn"
 )
 
-// StatePipeline streams group updates through three persistent stages, so
+// StatePipeline streams group updates through one goroutine, the Adam stage,
+// which moves every state piece (OutOfCoreAdam) as a ticket on the store, so
 // the SSD reads, the CPU Adam and the SSD writes of the model states overlap
-// each other as well as the backward pass (§IV-C):
+// each other and the backward pass (§IV-C):
 //
-//	Submit ─▶ read-ahead ─▶ Adam ─▶ applied ─▶ Wait
-//	  │       ReadInto       ▲ └──▶ write-behind ─▶ written ─▶ Flush, next read-ahead
-//	  │       stream buffer  │      Put, buffer back to the stream
-//	  └──── resident piece ──┘      stays in its buffer; Flush writes it back
+//	Submit ─▶ stage: Start read ─▶ Adam ─▶ Start write ─▶ applied ─▶ Wait
+//	          stream buffer, held until the write is waited on ─▶ Flush
+//	          resident piece: Adam in its home; Flush writes it back
 //
-// The unit of every stage is a state piece (OutOfCoreAdam): Submit enqueues
-// the group's pieces in order. Read-ahead issues a piece's state read, sized
-// by the form the piece is stored in, as soon as the stream has a buffer for
-// it; the Adam stage runs the same stage-gradients → Adam walk (which
-// installs P16) path as UpdateGroup on the piece, in place on that buffer,
-// and records the form it seals the piece in; write-behind puts it back to
-// the store and returns the buffer to the stream. A group's last writes
-// therefore share the lanes with the next step's first reads instead of
-// holding a whole group's buffer until they retire.
+// The stage starts a piece's read, sized by its stored form, as soon as the
+// stream has a buffer for it; when the read has finished it runs
+// UpdateGroup's stage-gradients → Adam walk (which installs P16) in place on
+// the buffer and starts the write-back, which keeps the buffer until another
+// read wants it or Flush, so a group's last writes share the lanes with the
+// next step's first reads. Every ticket sends on wake when it finishes, and
+// the stage, out of work, waits there, never on one ticket.
 //
 // The window is the byte budget of depth whole groups — depth × the largest
-// group's state in Full form — cut into as many piece-sized buffers as fit,
-// allocated at construction. The stream keeps S = max(depth+1, ⌈largest
-// group ÷ piece⌉) of them (or all): one whole group on the lanes, never fewer
-// than the activation ring's depth+1, with one read-ahead and one
-// write-behind worker each. Every other buffer is the home of one piece for
-// good, in registration order — the embedding's, then block 0's: the last
-// gradients of a step. Submit hands a resident piece straight to the Adam
-// stage, which loads the resident set in one batch if the homes do not hold
-// it and updates the piece in place, dirty; steps never read or write it.
-// Flush writes the dirty ones back, and Drop discards the copies.
+// group's state in Full form — cut into piece-sized buffers at construction.
+// The stream keeps S = max(depth+1, ⌈largest group ÷ piece⌉) of them (or
+// all): one group on the lanes, never fewer than the activation ring's
+// depth+1. Every other buffer is the home of one piece for good, in
+// registration order — the embedding's, then block 0's: a step's last
+// gradients. The stage updates a resident piece in its home as it arrives,
+// loading the set in one batch if the homes do not hold it, and leaves it
+// dirty; steps never read or write it. Flush writes the dirty ones back, and
+// Drop discards the copies.
 //
-// An update has two joins, each a one-slot token per piece whose taking is
-// the join. applied (Adam ran and the piece's P16 is installed, or the
-// update failed) is what Wait, the step barrier, takes: the next forward
-// needs the weights, not the state back in the store. written holds the
-// outcome of the piece's last write-back and is home when none is in
-// flight; read-ahead takes it before reading the piece again —
-// read-after-write per piece under any lane order, and an update over a
-// failed write fails with its error instead of reading torn state — and
-// Flush takes and returns every piece's. Values are bit-identical to
-// UpdateGroup's: same bytes, later durability.
+// An update has two joins. applied, a one-slot token per piece whose taking
+// is the join (Adam ran and P16 is installed, or the update failed), is what
+// Wait, the step barrier, takes: the next forward needs the weights, not the
+// state back in the store. written, the ticket of the piece's write-back, is
+// waited on before the piece's next read — read-after-write under any lane
+// order, and an update over a failed write fails with its error instead of
+// reading torn state — or at Flush. Values are UpdateGroup's, bit for bit.
 //
 // Submit, Wait, Flush, Drop and Close belong to one goroutine (the engine's
-// step goroutine). The optimizer's Store must be safe for concurrent use, as
-// nvme.Array and MemStore are.
+// step goroutine).
 type StatePipeline struct {
 	o *OutOfCoreAdam
 
-	// readQ holds every registered piece, so submitting never blocks the
-	// backward pass.
-	readQ chan *pieceJob
-	// adamQ and writeQ hold at most the window, so a stage never blocks
-	// handing a job on.
-	adamQ, writeQ chan *pieceJob
-	// window holds the stream's wire buffers, each the largest piece's wire
-	// size, and a buffer is its own token: read-ahead receives one before it
-	// picks a job, retire sends it back. Whoever holds the buffer may touch
-	// it.
-	window   chan []byte
-	bufBytes int // each window buffer's size, the resident ones' too
-	stop     chan struct{}
+	// submitted carries Submit's pieces to the stage (room for all, so it
+	// never blocks the backward pass) and Flush's nil; Close closes it. wake
+	// is where they, and every ticket the stage starts, signal the stage, and
+	// flush the stage's reply to Flush.
+	submitted   chan *pieceJob
+	wake, flush chan struct{}
+	stage       join.Group
+	closed      bool
+
+	// The stage's own: the stream's buffers, the piece holding each (nil:
+	// free), and the streamed pieces waiting for a read, in order.
+	bufs     [][]byte
+	holder   []*pieceJob
+	waiting  []*pieceJob
+	bufBytes int // each buffer's size, the largest piece's Full form
 
 	// resident are the pieces with a buffer of their own (pieceJob.home), in
 	// registration order, and resKeys and resBufs their batch. residentBytes
-	// is their stored bytes while the homes hold them, else 0. The Adam stage
+	// is their stored bytes while the homes hold them, else 0. The stage
 	// loads them; Flush and Drop touch them once Wait has joined it.
 	resident      []*pieceJob
 	resKeys       []string
 	resBufs       [][]byte
 	residentBytes atomic.Int64
 
-	readers, adam, writers join.Group
-	stopOnce               sync.Once
-
 	jobs  map[string]*groupJob // the job of each registered group
 	order []*pieceJob          // every group's pieces in registration order, for the joins
 
-	buffered     atomic.Int64 // wire buffers held right now
+	buffered     atomic.Int64 // stream buffers held right now
 	peakBuffered atomic.Int64
 }
+
+// errClosed fails the updates a Close leaves unstarted.
+var errClosed = errors.New("opt: state pipeline closed")
 
 // sweep overrides the window's split for the stream-size sweep
 // (EXPERIMENTS.md, "The state window is a cache"): stream, when non-zero, is
@@ -122,22 +117,25 @@ type pieceJob struct {
 	*piece
 	grp *groupJob
 
-	buf []byte // window buffer cut to the piece's stored object, held between read-ahead and retire
+	buf []byte // the stream buffer held from its read's Start to its write-back's Wait
 	// home is a resident piece's own buffer (nil for a streamed one), and
 	// dirty says it holds an update the store does not.
 	home  []byte
 	dirty bool
-	// The two join tokens (see StatePipeline), each home with the outcome of
-	// the stage it names except while an update is on its way there.
-	applied, written chan error
+	// applied is the join token Wait takes, home with the outcome of the
+	// piece's last update except while one is on its way. read and written
+	// are the tickets of its transfers until the stage waits on them, and
+	// wrote the failure of its last write-back until its next read or Flush.
+	applied       chan error
+	read, written Ticket
+	wrote         error
 }
 
-// NewStatePipeline starts the stage goroutines for the given groups, whose
-// state o has cut into pieces. depth is the window in whole groups (minimum
-// 1): it holds ⌊depth × largest group ÷ piece⌋ piece buffers, the stream's
-// with one read-ahead and one write-behind worker each, the rest resident.
+// NewStatePipeline starts the Adam stage for the given groups, whose state o
+// has cut into pieces. depth is the window in whole groups (minimum 1): it
+// holds ⌊depth × largest group ÷ piece⌋ piece buffers, the stream's and the
+// resident set's.
 func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *StatePipeline {
-	home := func() chan error { c := make(chan error, 1); c <- nil; return c }
 	// size is the largest piece: every group's first.
 	largest, size, pieces := 0, 0, 0
 	jobs := make([]groupJob, len(groups))
@@ -147,7 +145,9 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 		j := &jobs[i]
 		j.g, j.label = g, o.adamLabel(g.Name)
 		for _, pc := range cut {
-			j.pieces = append(j.pieces, pieceJob{piece: pc, grp: j, applied: home(), written: home()})
+			applied := make(chan error, 1)
+			applied <- nil
+			j.pieces = append(j.pieces, pieceJob{piece: pc, grp: j, applied: applied})
 		}
 	}
 	buffers, stream := max(depth, 1), max(depth, 1)+1
@@ -159,14 +159,14 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 	}
 	stream = min(stream, buffers)
 	p := &StatePipeline{
-		o:        o,
-		readQ:    make(chan *pieceJob, pieces),
-		adamQ:    make(chan *pieceJob, buffers),
-		writeQ:   make(chan *pieceJob, stream),
-		window:   make(chan []byte, stream),
-		bufBytes: StateBytes(size, Full),
-		stop:     make(chan struct{}),
-		jobs:     make(map[string]*groupJob, len(groups)),
+		o:         o,
+		submitted: make(chan *pieceJob, pieces+1),
+		wake:      make(chan struct{}, 1),
+		flush:     make(chan struct{}),
+		holder:    make([]*pieceJob, stream),
+		waiting:   make([]*pieceJob, 0, pieces),
+		bufBytes:  StateBytes(size, Full),
+		jobs:      make(map[string]*groupJob, len(groups)),
 	}
 	for i := range jobs {
 		j := &jobs[i]
@@ -183,19 +183,17 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 		pc.home = make([]byte, p.bufBytes)
 	}
 	p.resKeys, p.resBufs = make([]string, 0, len(p.resident)), make([][]byte, 0, len(p.resident))
-	for i := 0; i < stream; i++ {
-		p.window <- make([]byte, p.bufBytes)
-		p.readers.Go(p.readAhead)
-		p.writers.Go(p.writeBehind)
+	for range stream {
+		p.bufs = append(p.bufs, make([]byte, p.bufBytes))
 	}
-	p.adam.Go(p.adamStage)
+	p.stage.Go(p.run)
 	return p
 }
 
-// Submit enqueues the group's update for the current optimizer step, piece
-// by piece in order, taking every piece's applied token. It never blocks;
-// each read is issued as soon as the window has a buffer and the piece's
-// previous write-back has retired.
+// Submit hands the group's update for the current optimizer step to the
+// stage, piece by piece in order, taking every piece's applied token. It
+// never blocks; each read starts as soon as the window has a buffer and the
+// piece's previous write-back has been waited on.
 func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 	j := p.jobs[g.Name]
 	switch {
@@ -203,6 +201,8 @@ func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 		return fmt.Errorf("opt: Submit(%s): group not registered with the pipeline", g.Name)
 	case p.o.step < 1:
 		return fmt.Errorf("opt: Submit(%s) before BeginStep", g.Name)
+	case p.closed:
+		return fmt.Errorf("opt: Submit(%s): %w", g.Name, errClosed)
 	}
 	// Only this goroutine takes applied tokens, so ones home now stay home.
 	for i := range j.pieces {
@@ -222,13 +222,10 @@ func (p *StatePipeline) Submit(g nn.ParamGroup) error {
 	}
 	j.step, j.cfg = p.o.step, p.o.cfg
 	for i := range j.pieces {
-		if pc := &j.pieces[i]; pc.home != nil {
-			p.adamQ <- pc // nothing to read: at most the window is in adamQ
-		} else {
-			p.readQ <- pc
-		}
+		p.submitted <- &j.pieces[i]
 	}
-	// Hand the CPU to read-ahead now: the backward pass never blocks between
+	signal(p.wake)
+	// Hand the CPU to the stage now: the backward pass never blocks between
 	// submissions, so on a fully loaded host (GOMAXPROCS=1) the reads would
 	// otherwise not reach the device until the next preemption tick.
 	runtime.Gosched()
@@ -246,16 +243,22 @@ func (p *StatePipeline) Wait() error {
 	return joined
 }
 
-// Flush is Wait plus the same join on written, then the write-back of the
-// dirty resident pieces in one batch: nothing is in flight when it returns,
-// the store holds every piece's last update, and the failures — of
-// write-backs that trailed an earlier Wait too — are returned joined, once.
-// A resident piece whose write-back failed stays dirty.
+// Flush is Wait, then the stage's wait on every write-back ticket still
+// open, then the write-back of the dirty resident pieces in one batch:
+// nothing is in flight when it returns, the store holds every piece's last
+// update, and the failures — of write-backs that trailed an earlier Wait
+// too — are returned joined, once. A resident piece whose write-back failed
+// stays dirty.
 func (p *StatePipeline) Flush() error {
 	joined := p.Wait()
+	if !p.closed { // a closed stage waited on them all before it returned
+		p.submitted <- nil
+		signal(p.wake)
+		<-p.flush
+	}
 	for _, pc := range p.order {
-		joined = errors.Join(joined, <-pc.written)
-		pc.written <- nil
+		joined = errors.Join(joined, pc.wrote)
+		pc.wrote = nil
 	}
 	keys, bufs := p.resKeys[:0], p.resBufs[:0]
 	for _, pc := range p.resident {
@@ -298,7 +301,7 @@ func (p *StatePipeline) Buffered() (now, peak int) {
 // largest group: a piece holds its bytes in one buffer, so the state held at
 // once is at most (peak + resident) × bytes/(stream + resident).
 func (p *StatePipeline) Window() (stream, resident, bytes int) {
-	return cap(p.window), len(p.resident), (cap(p.window) + len(p.resident)) * p.bufBytes
+	return len(p.bufs), len(p.resident), (len(p.bufs) + len(p.resident)) * p.bufBytes
 }
 
 // ResidentBytes reports the state the resident set holds now, in the form
@@ -306,98 +309,141 @@ func (p *StatePipeline) Window() (stream, resident, bytes int) {
 // update loads the set, and after Drop.
 func (p *StatePipeline) ResidentBytes() int { return int(p.residentBytes.Load()) }
 
-// Close joins the stage goroutines, stage by stage, so every job already
-// past read-ahead still retires (its buffer recycled, its tokens home).
-// Call Flush first: jobs still queued for read-ahead are abandoned, and only
-// Flush reports a write-back's failure. Idempotent and nil-safe.
+// Close stops the stage and joins it. The stage first updates the pieces
+// whose reads are in flight and waits on every write-back, so every buffer
+// is free and every ticket settled; an update still waiting for its read
+// fails. Call Flush first: only Flush reports a write-back's failure.
+// Idempotent and nil-safe.
 func (p *StatePipeline) Close() {
-	if p == nil {
+	if p == nil || p.closed {
 		return
 	}
-	p.stopOnce.Do(func() {
-		close(p.stop)
-		p.readers.Wait()
-		close(p.adamQ)
-		p.adam.Wait()
-		close(p.writeQ)
-		p.writers.Wait()
-	})
+	p.closed = true
+	close(p.submitted)
+	signal(p.wake)
+	p.stage.Wait()
 }
 
-func (p *StatePipeline) readAhead() {
+// run is the Adam stage. It takes what has been sent on submitted — a
+// resident piece it updates at once, a streamed one waits for a read,
+// Flush's nil has every write-back waited on — then does all else that needs
+// no wait, then waits on wake.
+func (p *StatePipeline) run() {
 	for {
-		// The buffer comes first, so an empty window holds jobs in the queue,
-		// not here.
-		var buf []byte
 		select {
-		case buf = <-p.window:
-		case <-p.stop:
-			return
-		}
-		var pc *pieceJob
-		select {
-		case pc = <-p.readQ:
-		case <-p.stop:
-			p.window <- buf
-			return
-		}
-		// The read-after-write join: the piece's previous write-back, which
-		// may trail the step that submitted it, retires before this read is
-		// issued, and its failure fails this update.
-		err := <-pc.written
-		pc.buf = buf[:pc.stored()] // the form the last write-back recorded
-		for n := p.buffered.Add(1); ; {
-			if peak := p.peakBuffered.Load(); n <= peak || p.peakBuffered.CompareAndSwap(peak, n) {
-				break
+		case pc, ok := <-p.submitted:
+			switch {
+			case !ok: // Close: reads in flight still update, waiting pieces fail
+				for _, pc := range p.holder {
+					if pc != nil && pc.read != nil {
+						p.update(pc)
+					}
+				}
+				for _, pc := range p.waiting {
+					pc.applied <- errClosed
+				}
+				p.settleAll()
+				return
+			case pc == nil:
+				p.settleAll()
+				p.flush <- struct{}{}
+			case pc.home != nil:
+				pc.applied <- p.applyResident(pc)
+			default:
+				p.waiting = append(p.waiting, pc)
+			}
+		default:
+			if !p.advance() {
+				<-p.wake
 			}
 		}
-		if err == nil {
-			err = p.o.readState(pc.key, pc.buf)
-		}
-		if err != nil {
-			p.retire(pc, nil)
-			pc.applied <- err
-			continue
-		}
-		p.adamQ <- pc
 	}
 }
 
-func (p *StatePipeline) adamStage() {
-	for pc := range p.adamQ {
-		if pc.home != nil {
-			pc.applied <- p.applyResident(pc)
+// advance updates every piece whose read has finished and starts the read
+// of every waiting piece, in order, that waits on nothing — not on its own
+// write-back (the read-after-write join), and not for a buffer: a free one,
+// else one whose write-back has finished — and reports whether it did
+// either.
+func (p *StatePipeline) advance() (moved bool) {
+	for _, pc := range p.holder {
+		if pc != nil && pc.read != nil && pc.read.Done() {
+			p.update(pc)
+			moved = true
+		}
+	}
+	for len(p.waiting) > 0 {
+		pc := p.waiting[0]
+		if pc.written != nil {
+			if !pc.written.Done() {
+				break
+			}
+			p.settle(pc)
+		}
+		i := slices.Index(p.holder, nil)
+		if i < 0 {
+			i = slices.IndexFunc(p.holder, func(h *pieceJob) bool { return h.written != nil && h.written.Done() })
+			if i < 0 {
+				break
+			}
+			p.settle(p.holder[i])
+		}
+		p.waiting, moved = slices.Delete(p.waiting, 0, 1), true
+		if pc.wrote != nil {
+			pc.applied <- pc.wrote
+			pc.wrote = nil
 			continue
 		}
-		if err := p.o.applyPiece(pc); err != nil {
-			p.retire(pc, nil)
-			pc.applied <- err
-			continue
+		p.holder[i], pc.buf = pc, p.bufs[i][:pc.stored()] // the form the last write-back recorded
+		if n := p.buffered.Add(1); n > p.peakBuffered.Load() {
+			p.peakBuffered.Store(n) // the stage is the only writer
 		}
-		p.writeQ <- pc
-		pc.applied <- nil
+		pc.read = p.o.store.Start(pc.key, pc.buf, false)
+		pc.read.Notify(p.wake)
+	}
+	return moved
+}
+
+// update is one streamed piece's Adam: the wait on its read, the walk in
+// place on its buffer, and the start of its write-back.
+func (p *StatePipeline) update(pc *pieceJob) {
+	err := loaded(pc.key, pc.read.Wait())
+	pc.read = nil
+	if err == nil {
+		err = p.o.applyPiece(pc)
+	}
+	if err == nil {
+		pc.written = p.o.store.Start(pc.key, pc.buf, true)
+		pc.written.Notify(p.wake)
+	} else {
+		p.release(pc)
+	}
+	pc.applied <- err
+}
+
+// settle waits on pc's write-back, keeps its failure for the piece's next
+// read or Flush, and frees its buffer.
+func (p *StatePipeline) settle(pc *pieceJob) {
+	if err := pc.written.Wait(); err != nil {
+		pc.wrote = fmt.Errorf("opt: write back %s: %w", pc.key, err)
+	}
+	pc.written = nil
+	p.release(pc)
+}
+
+// settleAll waits on every write-back in flight.
+func (p *StatePipeline) settleAll() {
+	for _, pc := range p.holder {
+		if pc != nil && pc.written != nil {
+			p.settle(pc)
+		}
 	}
 }
 
-func (p *StatePipeline) writeBehind() {
-	for pc := range p.writeQ {
-		err := p.o.store.Put(pc.key, pc.buf)
-		if err != nil {
-			err = fmt.Errorf("opt: write back %s: %w", pc.key, err)
-		}
-		p.retire(pc, err)
-	}
-}
-
-// retire ends a piece's trip, however far it got: the wire buffer goes back
-// to the window and the written token goes home carrying the write-back's
-// outcome (nil when the update failed before it).
-func (p *StatePipeline) retire(pc *pieceJob, err error) {
-	buf := pc.buf[:cap(pc.buf)]
-	pc.buf = nil
+// release frees pc's stream buffer.
+func (p *StatePipeline) release(pc *pieceJob) {
+	p.holder[slices.Index(p.holder, pc)], pc.buf = nil, nil
 	p.buffered.Add(-1)
-	p.window <- buf
-	pc.written <- err
 }
 
 // applyResident is a resident piece's trip: the Adam stage in place on its

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,46 +19,111 @@ import (
 )
 
 // hookStore is a MemStore whose hooks let a test fail or hold a transfer at
-// a chosen point.
+// a chosen point. With async set, every transfer runs on a goroutine of its
+// own and its ticket finishes when that returns, so a hook can hold one
+// transfer while the pipeline goes on; otherwise Start moves the object
+// before it returns, as MemStore's does.
 type hookStore struct {
 	MemStore
+	async bool
 
-	// beforeRead / beforePut, when set, run at the start of every ReadInto /
-	// Put; a non-nil error fails the transfer.
+	// beforeRead / beforePut, when set, run at the start of every read /
+	// write; a non-nil error fails the transfer.
 	beforeRead, beforePut func(key string) error
-	// readBuf, when set, sees the buffer of every ReadInto before it is
-	// filled.
+	// readBuf, when set, sees the buffer of every read before it is filled.
 	readBuf func(key string, dst []byte)
+	// started, when set, sees every Start before the transfer begins; polled
+	// every Done and waiting every Wait on an async ticket, as it is entered.
+	started, polled, waiting func(key string, write bool)
 }
 
-func (s *hookStore) Put(key string, data []byte) error {
-	if s.beforePut != nil {
-		if err := s.beforePut(key); err != nil {
+func (s *hookStore) Start(key string, buf []byte, write bool) Ticket {
+	if s.started != nil {
+		s.started(key, write)
+	}
+	if !s.async {
+		return moved(s.move(key, buf, write))
+	}
+	t := &hookTicket{s: s, key: key, write: write, done: make(chan struct{})}
+	go func() { t.finish(s.move(key, buf, write)) }()
+	return t
+}
+
+// move runs the hooks, then the MemStore transfer.
+func (s *hookStore) move(key string, buf []byte, write bool) error {
+	before := s.beforePut
+	if !write {
+		if s.readBuf != nil {
+			s.readBuf(key, buf)
+		}
+		before = s.beforeRead
+	}
+	if before != nil {
+		if err := before(key); err != nil {
 			return err
 		}
 	}
-	return s.MemStore.Put(key, data)
-}
-
-func (s *hookStore) ReadInto(key string, dst []byte) error {
-	if s.readBuf != nil {
-		s.readBuf(key, dst)
-	}
-	if s.beforeRead != nil {
-		if err := s.beforeRead(key); err != nil {
-			return err
-		}
-	}
-	return s.MemStore.ReadInto(key, dst)
+	return s.MemStore.Start(key, buf, write).Wait()
 }
 
 // PutAll and ReadAllInto run the hooks object by object.
 func (s *hookStore) PutAll(keys []string, data [][]byte) error {
-	return eachObject(keys, data, s.Put)
+	return eachObject(s, keys, data, true)
 }
 
 func (s *hookStore) ReadAllInto(keys []string, dst [][]byte) error {
-	return eachObject(keys, dst, s.ReadInto)
+	return eachObject(s, keys, dst, false)
+}
+
+// hookTicket is an async hookStore transfer.
+type hookTicket struct {
+	s      *hookStore
+	key    string
+	write  bool
+	done   chan struct{}
+	err    error
+	mu     sync.Mutex
+	notify chan<- struct{}
+}
+
+// finish settles the transfer with err and sends on the notify channel.
+func (t *hookTicket) finish(err error) {
+	t.err = err
+	close(t.done)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.notify != nil {
+		signal(t.notify)
+	}
+}
+
+func (t *hookTicket) Notify(c chan<- struct{}) {
+	t.mu.Lock()
+	t.notify = c
+	t.mu.Unlock()
+	if t.Done() {
+		signal(c)
+	}
+}
+
+func (t *hookTicket) Wait() error {
+	if t.s.waiting != nil {
+		t.s.waiting(t.key, t.write)
+	}
+	<-t.done
+	return t.err
+}
+
+func (t *hookTicket) Done() bool {
+	if t.s.polled != nil {
+		t.s.polled(t.key, t.write)
+	}
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // stateKey is the store key of the group's first state piece: its whole
@@ -329,7 +395,7 @@ func TestPrefetcherBitIdentity(t *testing.T) {
 // in flight.)
 func TestPipelineWindowBound(t *testing.T) {
 	const depth, P = 2, adamChunkGrain
-	store := &hookStore{MemStore: MemStore{}}
+	store := &hookStore{MemStore: MemStore{}, async: true}
 	groups := pieceGroups(3, 3*P+1, 2*P, P+1, 5, P-1, 2*P+7)
 	o := windowed(t, store, DefaultAdam(), depth, groups)
 	bound := depth * StateBytes(3*P+1, Full)
@@ -566,40 +632,54 @@ func TestPipelineFaultPerStage(t *testing.T) {
 	}
 }
 
-// TestPipelineReadAfterWrite is the per-group order the written token keeps
+// TestPipelineReadAfterWrite is the per-piece order the written ticket keeps
 // once write-back trails the barrier: with one group's write-back held at
-// the store, Wait returns, the next step's updates of every other group run
-// to completion, and the held group's state is not read again until its
-// write has retired. Without the token the second read races the write.
+// the store, Wait returns, and the next step's read of the held group is not
+// started before the stage has waited on that write. The held group is
+// written last in the first step and submitted first in the second, so the
+// first thing the stage does in the second step is ask the held write
+// whether it has finished — or, if it skipped the ticket, start the read
+// while the write is held.
 func TestPipelineReadAfterWrite(t *testing.T) {
 	m := buildModel(t)
-	store := &hookStore{MemStore: MemStore{}}
+	store := &hookStore{MemStore: MemStore{}, async: true}
 	o := NewOutOfCoreAdam(store, DefaultAdam(), "r")
 	groups := initGroups(t, o, m)
 	heldKey := o.stateKey(groups[0].Name)
 
-	release := make(chan struct{})
-	var writing, readDuringWrite atomic.Bool
+	release, asked, readEarly := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var writeStarted, holding, waited atomic.Bool
+	var askOnce, earlyOnce, releaseOnce sync.Once
 	store.beforePut = func(key string) error {
-		if key == heldKey && writing.CompareAndSwap(false, true) {
+		if key == heldKey && holding.CompareAndSwap(false, true) {
 			<-release
-			writing.Store(false)
 		}
 		return nil
 	}
-	store.beforeRead = func(key string) error {
-		if key == heldKey && writing.Load() {
-			readDuringWrite.Store(true)
+	store.polled = func(key string, write bool) {
+		if key == heldKey && write {
+			askOnce.Do(func() { close(asked) })
 		}
-		return nil
+	}
+	store.waiting = func(key string, write bool) {
+		if key == heldKey && write {
+			waited.Store(true)
+		}
+	}
+	store.started = func(key string, write bool) {
+		switch {
+		case key != heldKey:
+		case write:
+			writeStarted.Store(true)
+		case writeStarted.Load() && !waited.Load():
+			earlyOnce.Do(func() { close(readEarly) })
+		}
 	}
 
 	p := NewStatePipeline(o, 2, groups)
 	defer p.Close()
-	// The held group is submitted last: an update waiting at the join keeps
-	// its window token, so one submitted first would hold the others back too.
-	order := append(append([]nn.ParamGroup(nil), groups[1:]...), groups[0])
-	step := func() {
+	defer releaseOnce.Do(func() { close(release) }) // before Close, which waits on the held write
+	step := func(order []nn.ParamGroup) {
 		t.Helper()
 		setGrads(m, int64(o.Step()+1))
 		o.BeginStep()
@@ -609,32 +689,30 @@ func TestPipelineReadAfterWrite(t *testing.T) {
 			}
 		}
 	}
-	step()
+	step(append(append([]nn.ParamGroup(nil), groups[1:]...), groups[0]))
 	if err := p.Wait(); err != nil { // applied everywhere; group 0's write is held
 		t.Fatal(err)
 	}
-	if now, _ := p.Buffered(); now < 1 {
-		t.Fatal("no write-back in flight after Wait: the test holds nothing")
+	if now, _ := p.Buffered(); now < 1 || !writeStarted.Load() {
+		t.Fatal("no write-back held after Wait: the test holds nothing")
 	}
-	step()
-	// Every other group's second update finishes behind the held write; the
-	// held group's waits at the read-after-write join.
-	for _, g := range groups[1:] {
-		pc := &p.jobs[g.Name].pieces[0]
-		pc.applied <- <-pc.applied
+	step(groups)
+	select {
+	case <-asked:
+	case <-readEarly:
+		t.Fatal("the held group's state was read while its previous write-back was in flight")
 	}
-	// Nothing can say the held group's read is not about to be issued, so
-	// give a read that does not wait for the token time to happen.
-	time.Sleep(20 * time.Millisecond)
 	if len(p.jobs[groups[0].Name].pieces[0].applied) != 0 {
-		t.Fatal("the held group's second update was applied before its first write-back retired")
+		t.Fatal("the held group's second update was applied before its first write-back was waited on")
 	}
-	close(release)
+	releaseOnce.Do(func() { close(release) })
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if readDuringWrite.Load() {
-		t.Fatal("a group's state was read while its previous write-back was in flight")
+	select {
+	case <-readEarly:
+		t.Fatal("the held group's state was read before the stage waited on its previous write-back")
+	default:
 	}
 	if now, _ := p.Buffered(); now != 0 {
 		t.Fatalf("%d buffers held after Flush", now)
@@ -645,19 +723,17 @@ func TestPipelineReadAfterWrite(t *testing.T) {
 // construction and nothing else. Groups of different sizes share them, each
 // through a slice of exactly its own wire length; what a previous owner left
 // in a buffer reaches no value (the store poisons every buffer's full
-// capacity as it is handed over — an idle pipeline's readers each hold one,
-// so that is where a test can reach them); the same depth buffers serve step
-// 3 and step 8; and a Close straight after a step whose write-back failed,
-// with the next step's reads and writes still in flight, returns only once
-// every stage has retired what it took: every buffer home, and no goroutine
-// left.
+// capacity as a read is handed it); the same depth buffers serve step 3 and
+// step 8; and a Close straight after a step whose write-back failed, with the
+// next step's reads and writes still in flight, returns only once the stage
+// has settled every ticket: every buffer free, and no goroutine left.
 func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 	const depth = 2
 	tensor.Parallelism() // starts the kernel pool, whose workers outlive the test
 	baseline := runtime.NumGoroutine()
 	modelRef, m := buildModel(t), buildModel(t)
 	ref := NewOutOfCoreAdam(MemStore{}, DefaultAdam(), "o")
-	store := &hookStore{MemStore: MemStore{}}
+	store := &hookStore{MemStore: MemStore{}, async: true}
 	o := NewOutOfCoreAdam(store, DefaultAdam(), "o")
 	refGroups := initGroups(t, ref, modelRef)
 	groups := initGroups(t, o, m)
@@ -758,8 +834,8 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 		}
 	}
 	p.Close()
-	if len(p.window) != depth {
-		t.Fatalf("%d of %d buffers home after Close", len(p.window), depth)
+	if slices.ContainsFunc(p.holder, func(pc *pieceJob) bool { return pc != nil }) {
+		t.Fatalf("buffers still held after Close: %v", p.holder)
 	}
 	goroutinesBack(t, baseline)
 }
@@ -811,7 +887,7 @@ func TestPipelineSubmitErrors(t *testing.T) {
 
 // TestPipelineSteadyStateAllocs: a step through the pipeline allocates
 // nothing — no per-step channel, goroutine or closure — at any GOMAXPROCS
-// (make test-procs runs this at 1, 2 and 4). MemStore.Put copies, so the
+// (make test-procs runs this at 1, 2 and 4). A MemStore write copies, so the
 // store here recycles its objects in place.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	m := buildModel(t)
@@ -840,35 +916,32 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 }
 
 // inPlaceStore is a Store that overwrites same-size objects in place, so
-// steady-state Puts allocate nothing.
+// steady-state writes allocate nothing.
 type inPlaceStore struct {
 	mu sync.Mutex
 	m  map[string][]byte
 }
 
-func (s *inPlaceStore) Put(key string, data []byte) error {
+func (s *inPlaceStore) Start(key string, buf []byte, write bool) Ticket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b := s.m[key]; len(b) == len(data) {
-		copy(b, data)
-		return nil
+	if !write {
+		return MemStore(s.m).Start(key, buf, false)
 	}
-	s.m[key] = append([]byte(nil), data...)
-	return nil
-}
-
-func (s *inPlaceStore) ReadInto(key string, dst []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return MemStore(s.m).ReadInto(key, dst)
+	if b := s.m[key]; len(b) == len(buf) {
+		copy(b, buf)
+	} else {
+		s.m[key] = append([]byte(nil), buf...)
+	}
+	return moved(nil)
 }
 
 func (s *inPlaceStore) PutAll(keys []string, data [][]byte) error {
-	return eachObject(keys, data, s.Put)
+	return eachObject(s, keys, data, true)
 }
 
 func (s *inPlaceStore) ReadAllInto(keys []string, dst [][]byte) error {
-	return eachObject(keys, dst, s.ReadInto)
+	return eachObject(s, keys, dst, false)
 }
 
 // sameWeights asserts the groups' working weights are bit-identical.
