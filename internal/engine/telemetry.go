@@ -296,5 +296,5 @@ func (e *Engine) Flows() obs.FlowSnapshot { return e.flows.Snapshot() }
 
 // FlightRecords returns the flight recorder's retained step records,
 // oldest first — the last K steps' timing, stall, and flow profiles kept
-// for postmortem dumps (see trace.WriteFlightJSON).
+// for postmortem dumps (see trace.BuildFlightDump and WriteFlightDump).
 func (e *Engine) FlightRecords() []obs.StepRecord { return e.flight.Records() }

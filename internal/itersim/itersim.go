@@ -463,26 +463,3 @@ func (b *builder) add(res sim.ResourceID, label string, dur units.Seconds, deps 
 	b.tasks = append(b.tasks, sim.Task{ID: id, Label: label, Resource: res, Duration: dur, Deps: clean})
 	return id
 }
-
-// StageUtilization reports, per stage, the busy fraction of each resource
-// within the stage window — the Fig. 1 annotation data.
-func (r Report) StageUtilization() map[string]map[sim.ResourceID]float64 {
-	windows := map[string][2]units.Seconds{
-		"forward":   {0, r.ForwardEnd},
-		"backward":  {r.ForwardEnd, r.BackwardEnd},
-		"optimizer": {r.BackwardEnd, r.Makespan},
-	}
-	resources := []sim.ResourceID{sim.GPUCompute, sim.PCIeM2G, sim.PCIeG2M, sim.SSDBus, sim.CPUAdam}
-	out := make(map[string]map[sim.ResourceID]float64, len(windows))
-	for stage, w := range windows {
-		span := w[1] - w[0]
-		m := make(map[sim.ResourceID]float64, len(resources))
-		for _, res := range resources {
-			if span > 0 {
-				m[res] = float64(r.Result.WindowBusy(res, w[0], w[1])) / float64(span)
-			}
-		}
-		out[stage] = m
-	}
-	return out
-}

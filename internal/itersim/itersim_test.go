@@ -11,6 +11,7 @@ import (
 	"ratel/internal/plan"
 	"ratel/internal/sim"
 	"ratel/internal/strategy"
+	"ratel/internal/trace"
 	"ratel/internal/units"
 )
 
@@ -493,7 +494,7 @@ func TestAnalyticalModelFitsSimulation(t *testing.T) {
 
 func TestReportStageUtilization(t *testing.T) {
 	rep := mustSim(t, strategy.Ratel, "13B", 32)
-	util := rep.StageUtilization()
+	util := trace.StageUtilization(rep.Result, trace.StageWindows{ForwardEnd: rep.ForwardEnd, BackwardEnd: rep.BackwardEnd, End: rep.Makespan})
 	if got := util["forward"][sim.GPUCompute]; got < 0.8 {
 		t.Errorf("forward GPU utilization = %.2f, want high", got)
 	}

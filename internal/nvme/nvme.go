@@ -18,7 +18,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,7 +140,7 @@ type Array struct {
 
 	// Per-direction object transfers started and not yet waited on, or
 	// running inline, and their cumulative high-water marks. The
-	// peaks expose the depth the engine's ring and state window, and a batch,
+	// peaks expose the depth the engine's ring and the optimizer's tickets
 	// actually reached on the array.
 	inFlight, peakInFlight [2]atomic.Int64
 }
@@ -150,8 +149,8 @@ type Array struct {
 type Stats struct {
 	BytesRead    units.Bytes
 	BytesWritten units.Bytes
-	// ReadOps / WriteOps count completed object transfers (an object of
-	// ReadInto / ReadAllInto; of Put / PutAll), each counted at its Wait.
+	// ReadOps / WriteOps count completed object transfers, reads and
+	// writes, each counted at its Wait.
 	ReadOps, WriteOps int64
 	// PeakReadsInFlight / PeakWritesInFlight are the cumulative high-water
 	// marks of object transfers started and not yet waited on — the
@@ -309,42 +308,6 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 // reads fail with ErrCorrupt).
 func (a *Array) Put(key string, data []byte) error {
 	return a.Start(key, data, true).Wait()
-}
-
-// PutAll stores data[i] under keys[i], each as Put would, with every
-// object's device strides on the lanes before any of them is joined: a batch
-// of k objects keeps k transfers in flight where k Puts keep one. Fresh
-// objects are laid out in argument order, the layout the same Puts in a row
-// give. Every transfer is joined before PutAll returns; the error joins the
-// failed objects' errors, and a failed fresh object is not stored. The keys
-// must be distinct.
-func (a *Array) PutAll(keys []string, data [][]byte) error {
-	for i, k := range keys {
-		if slices.Contains(keys[:i], k) {
-			return fmt.Errorf("nvme: PutAll: key %q twice in one batch", k)
-		}
-	}
-	return a.batch(keys, data, true)
-}
-
-// batch starts the transfer of bufs[i] to or from keys[i] for every i, in
-// argument order, then waits on them in the same order.
-func (a *Array) batch(keys []string, bufs [][]byte, write bool) error {
-	if len(keys) != len(bufs) {
-		return fmt.Errorf("nvme: batch of %d keys and %d buffers", len(keys), len(bufs))
-	}
-	var head *Ticket
-	for i, tail := 0, &head; i < len(keys); i++ {
-		x := a.Start(keys[i], bufs[i], write)
-		*tail, tail = x, &x.next
-	}
-	var err error
-	for x := head; x != nil; {
-		next := x.next
-		err = errors.Join(err, x.Wait())
-		x = next
-	}
-	return err
 }
 
 // spanLanes are the directions' span lanes, indexed laneRead/laneWrite.
@@ -528,14 +491,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Start then Wait.
 func (a *Array) ReadInto(key string, dst []byte) error {
 	return a.Start(key, dst, false).Wait()
-}
-
-// ReadAllInto reads each object keys[i] into dst[i], as ReadInto would, with
-// every object's device strides on the lanes before any of them is joined.
-// Every transfer is joined before it returns; the error joins the failed
-// objects' errors.
-func (a *Array) ReadAllInto(keys []string, dst [][]byte) error {
-	return a.batch(keys, dst, false)
 }
 
 // delete removes key, if stored, and frees its chunks.

@@ -709,9 +709,24 @@ func batchOf(k, size int) (keys []string, data [][]byte) {
 	return keys, data
 }
 
-// TestArrayBatchLayoutMatchesPuts: PutAll lays its fresh objects out in
-// argument order, so its chunks and per-device traffic are exactly those of
-// the same Puts in a row — for new keys, for a key stored at another size
+// startAll moves bufs[i] to (write) or from keys[i] for every i as a batch:
+// it starts every transfer in order, then waits on each in the same order,
+// and joins the failures.
+func startAll(a *Array, keys []string, bufs [][]byte, write bool) error {
+	tickets := make([]*Ticket, len(keys))
+	for i, k := range keys {
+		tickets[i] = a.Start(k, bufs[i], write)
+	}
+	var err error
+	for _, x := range tickets {
+		err = errors.Join(err, x.Wait())
+	}
+	return err
+}
+
+// TestArrayBatchLayoutMatchesPuts: a batch of Starts lays its fresh objects
+// out in Start order, so its chunks and per-device traffic are exactly those
+// of the same Puts in a row — for new keys, for a key stored at another size
 // (laid out afresh over the chunks it frees) and for one stored at its own
 // size (overwritten in place).
 func TestArrayBatchLayoutMatchesPuts(t *testing.T) {
@@ -729,7 +744,7 @@ func TestArrayBatchLayoutMatchesPuts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batch.PutAll(keys, data); err != nil {
+	if err := startAll(batch, keys, data, true); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
@@ -737,8 +752,8 @@ func TestArrayBatchLayoutMatchesPuts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b, s := batch.Stats(), seq.Stats(); fmt.Sprint(b) != fmt.Sprint(s) {
-		t.Fatalf("after the batch: stats %+v, after the Puts %+v", b, s)
+	if b, s := batch.Stats(), seq.Stats(); fmt.Sprint(b) != fmt.Sprint(s) || fmt.Sprint(deviceBytes(batch)) != fmt.Sprint(deviceBytes(seq)) {
+		t.Fatalf("after the batch: stats %+v, devices %v; after the Puts %+v, %v", b, deviceBytes(batch), s, deviceBytes(seq))
 	}
 	for i, k := range keys {
 		if b, s := batch.objs[k].chunks, seq.objs[k].chunks; fmt.Sprint(b) != fmt.Sprint(s) {
@@ -748,18 +763,15 @@ func TestArrayBatchLayoutMatchesPuts(t *testing.T) {
 			t.Fatalf("%s: read back %v", k, err)
 		}
 	}
-	if err := batch.PutAll([]string{"x", "y", "x"}, data[:3]); err == nil || batch.objs["y"].chunks != nil {
-		t.Fatalf("PutAll with a key twice = %v, stored %v; want a refusal that stores nothing", err, batch.objs["y"])
-	}
 }
 
 // TestArrayBatchFaultJoinsEveryTransfer: a device fault armed to strike
 // mid-batch fails exactly the objects whose stride reaches it after the
-// armed count. PutAll returns its error only once every transfer has joined
-// — no stride queued, none in flight — with the failed fresh objects absent
-// and their chunks released, the others stored whole, and the flow ledger
-// equal to the array's counters. ReadAllInto over all the keys then reads
-// the stored objects and reports the absent ones.
+// armed count. Once every ticket has been waited on, no stride is queued and
+// none is in flight, the failed fresh objects are absent and their chunks
+// released, the others are stored whole, and the flow ledger equals the
+// array's counters. A batch of reads over all the keys then reads the stored
+// objects and reports the absent ones.
 func TestArrayBatchFaultJoinsEveryTransfer(t *testing.T) {
 	const k, stored, size = 5, 2, 3 << 10
 	a, err := Open(schedConfig(3, 64<<20, 64<<20))
@@ -772,11 +784,11 @@ func TestArrayBatchFaultJoinsEveryTransfer(t *testing.T) {
 	keys, data := batchOf(k, size) // three 1 KiB stripes each: one per device
 	boom := errors.New("media error")
 	a.InjectFaultAfter(0, stored, boom) // device 0's lane serves the objects in order
-	if err := a.PutAll(keys, data); !errors.Is(err, boom) {
-		t.Fatalf("PutAll over a fault = %v, want %v", err, boom)
+	if err := startAll(a, keys, data, true); !errors.Is(err, boom) {
+		t.Fatalf("a batch of writes over a fault = %v, want %v", err, boom)
 	}
 	if d, n := a.SchedStats().Write.Depth, a.inFlight[laneWrite].Load(); d != 0 || n != 0 {
-		t.Fatalf("PutAll returned with %d strides queued and %d objects in flight", d, n)
+		t.Fatalf("the batch was waited on with %d strides queued and %d objects in flight", d, n)
 	}
 	free := 0
 	for _, d := range a.devs {
@@ -792,8 +804,8 @@ func TestArrayBatchFaultJoinsEveryTransfer(t *testing.T) {
 	for i := range dst {
 		dst[i] = make([]byte, size)
 	}
-	if err := a.ReadAllInto(keys, dst); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ReadAllInto over absent objects = %v, want ErrNotFound", err)
+	if err := startAll(a, keys, dst, false); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("a batch of reads over absent objects = %v, want ErrNotFound", err)
 	}
 	for i := range keys[:stored] {
 		if !bytes.Equal(dst[i], data[i]) {
@@ -807,9 +819,9 @@ func TestArrayBatchFaultJoinsEveryTransfer(t *testing.T) {
 	}
 }
 
-// TestArrayBatchKeepsEveryObjectInFlight: on a throttled array a batch of k
-// objects has all k transfers in flight at once, in either direction, where
-// the same Puts and ReadIntos in a row have one.
+// TestArrayBatchKeepsEveryObjectInFlight: on a throttled array k objects
+// started before any is waited on are all in flight at once, in either
+// direction, where the same Puts and ReadIntos in a row have one.
 func TestArrayBatchKeepsEveryObjectInFlight(t *testing.T) {
 	const k = 4
 	keys, data := batchOf(k, 3<<10)
@@ -819,7 +831,7 @@ func TestArrayBatchKeepsEveryObjectInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		if batched {
-			err = errors.Join(a.PutAll(keys, data), a.ReadAllInto(keys, data))
+			err = errors.Join(startAll(a, keys, data, true), startAll(a, keys, data, false))
 		} else {
 			for i, key := range keys {
 				err = errors.Join(err, a.Put(key, data[i]), a.ReadInto(key, data[i]))

@@ -64,7 +64,6 @@ type Ticket struct {
 	lane   string
 	tr     *obs.Tracer
 	o      *arrayObservers
-	next   *Ticket // the batch's next transfer
 
 	// start and end bracket the transfer; also is the caller's span of it.
 	start, end         time.Time
@@ -284,13 +283,14 @@ func (a *Array) enqueue(ln *ioLane, it *schedItem) {
 		it.x.done(ErrClosed)
 		return
 	}
+	// Counted before the push: a dispatcher may take the item at the unlock.
 	it.enq = time.Now()
-	ln.q.push(it)
-	ln.mu.Unlock()
-	ln.cond.Signal()
 	sc := &a.sched[dir(it.x.write)]
 	sc.enqueued.Add(1)
 	foldMax(&sc.depthPeak, sc.depth.Add(1))
+	ln.q.push(it)
+	ln.mu.Unlock()
+	ln.cond.Signal()
 }
 
 // dispatch is a lane's persistent worker: it drains items until the lane is

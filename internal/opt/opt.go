@@ -110,13 +110,10 @@ type Ticket interface {
 // through; MemStore and the engine's *nvme.Array satisfy it, safe for
 // concurrent use. Start moves buf to (write) or from the object key: buf is
 // the transfer's until its Wait returns, a read's is exactly the object's
-// size, and a write is visible to a later Start once waited on. PutAll and
-// ReadAllInto move a batch, keys[i] with the i-th buffer, all of it at once,
-// and return when it has moved; the error joins every failed object's.
+// size, and a write is visible to a later Start once waited on. Every
+// transfer is a ticket: a batch is tickets started before any is waited on.
 type Store interface {
 	Start(key string, buf []byte, write bool) Ticket
-	PutAll(keys []string, data [][]byte) error
-	ReadAllInto(keys []string, dst [][]byte) error
 }
 
 // settled is the ticket of a transfer that finished before Start returned;
@@ -171,23 +168,6 @@ func (s MemStore) Start(key string, buf []byte, write bool) Ticket {
 	return moved(nil)
 }
 
-// PutAll and ReadAllInto move the batch object by object.
-func (s MemStore) PutAll(keys []string, data [][]byte) error { return eachObject(s, keys, data, true) }
-
-func (s MemStore) ReadAllInto(keys []string, dst [][]byte) error {
-	return eachObject(s, keys, dst, false)
-}
-
-// eachObject is the batch of a store that moves each object at its Start:
-// it moves keys[i] with bufs[i] for every i and joins the failures.
-func eachObject(s Store, keys []string, bufs [][]byte, write bool) error {
-	var err error
-	for i, k := range keys {
-		err = errors.Join(err, s.Start(k, bufs[i], write).Wait())
-	}
-	return err
-}
-
 // OutOfCoreAdam keeps fp32 master weights and Adam moments in a Store and
 // updates one parameter group at a time — the paper's CPU optimizer
 // operating on model states homed on NVMe.
@@ -238,17 +218,16 @@ type OutOfCoreAdam struct {
 	// to keep concurrent misuse safe.
 	scrMu sync.Mutex
 	scr   struct {
-		grad   []float32
-		wire   []byte
-		escIn  []byte
-		out    [3][]byte // escapes the walk or an encoder lists: Δ's, M's, V's
-		chunks [][3]int
-		stage  []byte
-		planes []byte   // a changed M plane, then a changed V plane (relayout)
-		hist   [256]int // a moment plane's top bytes, sampled (seal)
-		keys   []string // a batch's keys and objects (batch)
-		objs   [][]byte
-		crc    [4]byte // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
+		grad    []float32
+		wire    []byte
+		escIn   []byte
+		out     [3][]byte // escapes the walk or an encoder lists: Δ's, M's, V's
+		chunks  [][3]int
+		stage   []byte
+		planes  []byte   // a changed M plane, then a changed V plane (relayout)
+		hist    [256]int // a moment plane's top bytes, sampled (seal)
+		tickets []Ticket // a group's transfers in flight (move)
+		crc     [4]byte  // a checkpoint record's CRC-32C (WriteGroupTo, ImportWire)
 	}
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
@@ -474,10 +453,11 @@ func overlap(g nn.ParamGroup, lo, hi int, f func(p nn.Param, a, b, at int) error
 // InitGroup seeds the store with the group's fp32 masters (from the current
 // working weights) and zero moments, and rounds the working weights to fp16
 // (the P16 copies the GPU computes with) as it encodes each piece. The
-// pieces are built each in its own region of the wire scratch and stored in
-// one batch. Initialization so warms the wire scratch to the largest group's
-// size — the checkpoint's gather needs that much — and the other scratch to
-// the largest piece's, instead of allocating later.
+// pieces are built each in its own region of the wire scratch and stored
+// with every write in flight at once (move). Initialization so warms the
+// wire scratch to the largest group's size — the checkpoint's gather needs
+// that much — and the other scratch to the largest piece's, instead of
+// allocating later.
 func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	if o.adamLabels == nil {
 		o.adamLabels = make(map[string]string)
@@ -487,7 +467,7 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	pieces := o.cut(g.Name, n) // precompute the store keys off the hot path
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
-	keys, objs := o.batch(pieces, scratch(&o.scr.wire, StateBytes(n, Full)))
+	wire := scratch(&o.scr.wire, StateBytes(n, Full))
 	// pack warms the rest of the scratch but the lift's escapes and the
 	// walk's per-chunk scratch, which a FullP piece or a sharded walk would
 	// otherwise allocate in some step.
@@ -495,8 +475,8 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 	chunks := chunksOf(pieces[0].n)
 	scratch(&o.scr.chunks, chunks)
 	scratch(&o.scr.stage, chunks*stageBytes)
-	for i, pc := range pieces {
-		obj := objs[i]
+	for _, pc := range pieces {
+		obj := region(wire, pc)
 		err := overlap(g, pc.lo, pc.lo+pc.n, func(p nn.Param, a, b, at int) error {
 			return tensor.ToFP32BytesInto(obj[4*at:4*(at+b-a)], p.W.Data[a:b])
 		})
@@ -504,24 +484,35 @@ func (o *OutOfCoreAdam) InitGroup(g nn.ParamGroup) error {
 			return fmt.Errorf("opt: init %s: %w", g.Name, err)
 		}
 		clear(obj[4*pc.n:]) // M and V start at +0, which is four zero bytes
-		objs[i] = o.pack(obj, g, pc)
+		o.pack(obj, g, pc)
 	}
-	if err := o.store.PutAll(keys, objs); err != nil {
+	if err := o.move(pieces, wire, true); err != nil {
 		return fmt.Errorf("opt: init %s: %w", g.Name, err)
 	}
 	return nil
 }
 
-// batch returns one store batch of a group's pieces, in the scratch: their
-// keys, and each piece's region of the group-sized wire, where the pieces lie
-// back to back in Full form (piece k at StateBytes(lo, Full)). Caller holds
-// scrMu.
-func (o *OutOfCoreAdam) batch(pieces []*piece, wire []byte) (keys []string, objs [][]byte) {
-	keys, objs = scratch(&o.scr.keys, len(pieces)), scratch(&o.scr.objs, len(pieces))
+// region is the piece's region of the group-sized wire, where the pieces lie
+// back to back in Full form (piece k at StateBytes(lo, Full)).
+func region(wire []byte, pc *piece) []byte {
+	return wire[StateBytes(pc.lo, Full):][:StateBytes(pc.n, Full)]
+}
+
+// move stores (write) or loads the group's pieces in their regions of the
+// wire, each in the form it records: it starts every piece's transfer, in
+// order, before it waits on any, then waits on each in the same order — on
+// every one, whatever failed — and returns the failures joined. The tickets
+// live in the scratch. Caller holds scrMu.
+func (o *OutOfCoreAdam) move(pieces []*piece, wire []byte, write bool) error {
+	tickets := scratch(&o.scr.tickets, len(pieces))
 	for i, pc := range pieces {
-		keys[i], objs[i] = pc.key, wire[StateBytes(pc.lo, Full):StateBytes(pc.lo+pc.n, Full)]
+		tickets[i] = o.store.Start(pc.key, region(wire, pc)[:pc.stored()], write)
 	}
-	return keys, objs
+	var err error
+	for _, t := range tickets {
+		err = errors.Join(err, t.Wait())
+	}
+	return err
 }
 
 // BeginStep advances the optimizer step counter; call once per training
@@ -778,12 +769,12 @@ func records(count, table []byte, pc *piece) ([]byte, error) {
 	return esc, nil
 }
 
-// pack stores the Full-form piece in obj, installing P16 = fp16(P32): it
-// lifts the masters into Δ and seals the piece in the form it is written in,
-// and returns that object. Caller holds scrMu.
-func (o *OutOfCoreAdam) pack(obj []byte, g nn.ParamGroup, pc *piece) []byte {
+// pack encodes the Full-form piece in obj, installing P16 = fp16(P32): it
+// lifts the masters into Δ and seals the piece, at obj's start, in the form
+// it is written in. Caller holds scrMu.
+func (o *OutOfCoreAdam) pack(obj []byte, g nn.ParamGroup, pc *piece) {
 	w := recs{esc: [3][]byte{o.lift(obj, g, pc, Full, scratch(&o.scr.out[0], simd.EscapeBytes*pc.n))}}
-	return o.seal(obj, g, pc, WideM|WideV, &w)
+	o.seal(obj, g, pc, WideM|WideV, &w)
 }
 
 // lift turns the piece in obj, in FullP form f, into the same form with its
@@ -959,25 +950,21 @@ func (o *OutOfCoreAdam) State(g nn.ParamGroup) (p32, m, v []float32, err error) 
 	return state[:n], state[n : 2*n], state[2*n:], err
 }
 
-// gather reads the group's pieces into the wire scratch in one batch, each
-// where the group's pieces would lie back to back in Full form (batch), and
-// turns every other one into Full form there. A piece whose escape tables
-// are corrupt is refused. Caller holds scrMu.
+// gather reads the group's pieces into the wire scratch, every read in
+// flight at once, each in its region, and turns every other one into Full
+// form there. A piece whose escape tables are corrupt is refused. Caller
+// holds scrMu.
 func (o *OutOfCoreAdam) gather(g nn.ParamGroup) ([]byte, error) {
 	n := g.NumParams()
 	pieces, wire := o.cut(g.Name, n), scratch(&o.scr.wire, StateBytes(n, Full))
-	keys, objs := o.batch(pieces, wire)
-	for i, pc := range pieces {
-		objs[i] = objs[i][:pc.stored()]
-	}
-	if err := o.store.ReadAllInto(keys, objs); err != nil {
+	if err := o.move(pieces, wire, false); err != nil {
 		return nil, fmt.Errorf("opt: load %s: %w", g.Name, err)
 	}
-	for i, pc := range pieces {
+	for _, pc := range pieces {
 		if pc.form == Full {
 			continue
 		}
-		obj := objs[i][:StateBytes(pc.n, Full)]
+		obj := region(wire, pc)
 		in, err := tables(obj, pc)
 		if err != nil {
 			return nil, err
@@ -1034,9 +1021,9 @@ func (o *OutOfCoreAdam) WriteGroupTo(w io.Writer, g nn.ParamGroup) (crc uint32, 
 
 // ImportWire restores g's state from the next WriteGroupTo record of r,
 // scattered into its pieces in the wire scratch: the pieces are encoded,
-// installing P16 = fp16(P32), and stored in one batch only if the record
-// arrives whole and matches its CRC-32C. Unless stored, the store and the model are as
-// they were.
+// installing P16 = fp16(P32), and stored, every write in flight at once,
+// only if the record arrives whole and matches its CRC-32C. Unless stored,
+// the store and the model are as they were.
 func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, err error) {
 	o.scrMu.Lock()
 	defer o.scrMu.Unlock()
@@ -1057,11 +1044,10 @@ func (o *OutOfCoreAdam) ImportWire(g nn.ParamGroup, r io.Reader) (stored bool, e
 	if want := binary.LittleEndian.Uint32(o.scr.crc[:]); crc != want {
 		return false, fmt.Errorf("opt: import %s: state object fails its checksum (CRC-32C %08x, stored %08x)", g.Name, crc, want)
 	}
-	keys, objs := o.batch(pieces, wire)
-	for i, pc := range pieces {
-		objs[i] = o.pack(objs[i], g, pc)
+	for _, pc := range pieces {
+		o.pack(region(wire, pc), g, pc)
 	}
-	if err := o.store.PutAll(keys, objs); err != nil {
+	if err := o.move(pieces, wire, true); err != nil {
 		return true, err
 	}
 	// Fresh fp16 working weights cross back to the compute tier.

@@ -12,13 +12,14 @@ import (
 )
 
 // StatePipeline streams group updates through one goroutine, the Adam stage,
-// which moves every state piece (OutOfCoreAdam) as a ticket on the store, so
-// the SSD reads, the CPU Adam and the SSD writes of the model states overlap
-// each other and the backward pass (§IV-C):
+// which owns every state transfer the pipeline makes: it moves each state
+// piece (OutOfCoreAdam) as a ticket on the store, so the SSD reads, the CPU
+// Adam and the SSD writes of the model states overlap each other and the
+// backward pass (§IV-C):
 //
 //	Submit ─▶ stage: Start read ─▶ Adam ─▶ Start write ─▶ applied ─▶ Wait
 //	          stream buffer, held until the write is waited on ─▶ Flush
-//	          resident piece: Adam in its home; Flush writes it back
+//	          resident piece: its home, read only if empty ─▶ Flush writes
 //
 // The stage starts a piece's read, sized by its stored form, as soon as the
 // stream has a buffer for it; when the read has finished it runs
@@ -34,10 +35,12 @@ import (
 // all): one group on the lanes, never fewer than the activation ring's
 // depth+1. Every other buffer is the home of one piece for good, in
 // registration order — the embedding's, then block 0's: a step's last
-// gradients. The stage updates a resident piece in its home as it arrives,
-// loading the set in one batch if the homes do not hold it, and leaves it
-// dirty; steps never read or write it. Flush writes the dirty ones back, and
-// Drop discards the copies.
+// gradients. A resident piece is a streamed one whose buffer is its home:
+// the stage starts its read only when the home does not hold it, updates it
+// there when the read is done (at once, when no read was needed) and leaves
+// it dirty; a step never writes it back. Flush has the stage start the
+// dirty ones' write-backs and wait on them with the stream's, and Drop
+// discards the copies.
 //
 // An update has two joins. applied, a one-slot token per piece whose taking
 // is the join (Adam ran and P16 is installed, or the update failed), is what
@@ -61,20 +64,19 @@ type StatePipeline struct {
 	stage       join.Group
 	closed      bool
 
-	// The stage's own: the stream's buffers, the piece holding each (nil:
-	// free), and the streamed pieces waiting for a read, in order.
+	// The stage's own: the stream's buffers; the piece holding each (nil:
+	// free), then the resident pieces, each holding its home for good; and
+	// the streamed pieces waiting for a read, in order.
 	bufs     [][]byte
 	holder   []*pieceJob
 	waiting  []*pieceJob
 	bufBytes int // each buffer's size, the largest piece's Full form
 
 	// resident are the pieces with a buffer of their own (pieceJob.home), in
-	// registration order, and resKeys and resBufs their batch. residentBytes
-	// is their stored bytes while the homes hold them, else 0. The stage
-	// loads them; Flush and Drop touch them once Wait has joined it.
+	// registration order: holder past the stream's. residentBytes is the
+	// stored bytes their homes hold. Drop touches them once Flush has joined
+	// the stage.
 	resident      []*pieceJob
-	resKeys       []string
-	resBufs       [][]byte
 	residentBytes atomic.Int64
 
 	jobs  map[string]*groupJob // the job of each registered group
@@ -117,9 +119,11 @@ type pieceJob struct {
 	*piece
 	grp *groupJob
 
-	buf []byte // the stream buffer held from its read's Start to its write-back's Wait
-	// home is a resident piece's own buffer (nil for a streamed one), and
-	// dirty says it holds an update the store does not.
+	// buf is the stream buffer held from its read's Start to its write-back's
+	// Wait, or a resident piece's home from its read's Start while the home
+	// holds it. home is a resident piece's own buffer (nil for a streamed
+	// one), and dirty says it holds an update the store does not.
+	buf   []byte
 	home  []byte
 	dirty bool
 	// applied is the join token Wait takes, home with the outcome of the
@@ -175,14 +179,15 @@ func NewStatePipeline(o *OutOfCoreAdam, depth int, groups []nn.ParamGroup) *Stat
 			p.order = append(p.order, &j.pieces[k])
 		}
 	}
-	p.resident = p.order[:min(buffers-stream, pieces)]
+	resident := p.order[:min(buffers-stream, pieces)]
 	if sweep.last {
-		p.resident = p.order[pieces-len(p.resident):]
+		resident = p.order[pieces-len(resident):]
 	}
+	p.holder = append(p.holder, resident...)
+	p.resident = p.holder[stream:]
 	for _, pc := range p.resident {
 		pc.home = make([]byte, p.bufBytes)
 	}
-	p.resKeys, p.resBufs = make([]string, 0, len(p.resident)), make([][]byte, 0, len(p.resident))
 	for range stream {
 		p.bufs = append(p.bufs, make([]byte, p.bufBytes))
 	}
@@ -243,8 +248,8 @@ func (p *StatePipeline) Wait() error {
 	return joined
 }
 
-// Flush is Wait, then the stage's wait on every write-back ticket still
-// open, then the write-back of the dirty resident pieces in one batch:
+// Flush is Wait, then the stage's start of the dirty resident pieces'
+// write-backs and its wait on them and every other write-back still open:
 // nothing is in flight when it returns, the store holds every piece's last
 // update, and the failures — of write-backs that trailed an earlier Wait
 // too — are returned joined, once. A resident piece whose write-back failed
@@ -260,21 +265,6 @@ func (p *StatePipeline) Flush() error {
 		joined = errors.Join(joined, pc.wrote)
 		pc.wrote = nil
 	}
-	keys, bufs := p.resKeys[:0], p.resBufs[:0]
-	for _, pc := range p.resident {
-		if pc.dirty {
-			keys, bufs = append(keys, pc.key), append(bufs, pc.home[:pc.stored()])
-		}
-	}
-	if len(keys) == 0 {
-		return joined
-	}
-	if err := p.o.store.PutAll(keys, bufs); err != nil {
-		return errors.Join(joined, fmt.Errorf("opt: write back the resident state: %w", err))
-	}
-	for _, pc := range p.resident {
-		pc.dirty = false
-	}
 	return joined
 }
 
@@ -284,7 +274,7 @@ func (p *StatePipeline) Flush() error {
 // so no stale copy outlives that.
 func (p *StatePipeline) Drop() {
 	for _, pc := range p.resident {
-		pc.dirty = false
+		pc.dirty, pc.buf = false, nil
 	}
 	p.residentBytes.Store(0)
 }
@@ -306,14 +296,14 @@ func (p *StatePipeline) Window() (stream, resident, bytes int) {
 
 // ResidentBytes reports the state the resident set holds now, in the form
 // each piece is stored in: what a step does not read or write. Zero until an
-// update loads the set, and after Drop.
+// update loads a resident piece, and after Drop.
 func (p *StatePipeline) ResidentBytes() int { return int(p.residentBytes.Load()) }
 
-// Close stops the stage and joins it. The stage first updates the pieces
-// whose reads are in flight and waits on every write-back, so every buffer
-// is free and every ticket settled; an update still waiting for its read
-// fails. Call Flush first: only Flush reports a write-back's failure.
-// Idempotent and nil-safe.
+// Close stops the stage and joins it. The stage first updates the pieces,
+// resident ones too, whose reads are in flight and waits on every
+// write-back, so every stream buffer is free and every ticket settled; an
+// update still waiting for its read fails. Call Flush first: only Flush
+// reports a write-back's failure. Idempotent and nil-safe.
 func (p *StatePipeline) Close() {
 	if p == nil || p.closed {
 		return
@@ -325,9 +315,10 @@ func (p *StatePipeline) Close() {
 }
 
 // run is the Adam stage. It takes what has been sent on submitted — a
-// resident piece it updates at once, a streamed one waits for a read,
-// Flush's nil has every write-back waited on — then does all else that needs
-// no wait, then waits on wake.
+// resident piece it updates at once if its home holds it, else it starts the
+// piece's read; a streamed one waits for a read; Flush's nil starts the dirty
+// resident pieces' write-backs and has every write-back waited on — then
+// does all else that needs no wait, then waits on wake.
 func (p *StatePipeline) run() {
 	for {
 		select {
@@ -345,12 +336,20 @@ func (p *StatePipeline) run() {
 				p.settleAll()
 				return
 			case pc == nil:
+				for _, r := range p.resident {
+					if r.dirty {
+						r.written = p.start(r, true)
+					}
+				}
 				p.settleAll()
 				p.flush <- struct{}{}
-			case pc.home != nil:
-				pc.applied <- p.applyResident(pc)
-			default:
+			case pc.home == nil:
 				p.waiting = append(p.waiting, pc)
+			case pc.buf != nil: // its home holds it
+				p.update(pc)
+			default:
+				pc.buf = pc.home[:pc.stored()]
+				pc.read = p.start(pc, false)
 			}
 		default:
 			if !p.advance() {
@@ -362,9 +361,9 @@ func (p *StatePipeline) run() {
 
 // advance updates every piece whose read has finished and starts the read
 // of every waiting piece, in order, that waits on nothing — not on its own
-// write-back (the read-after-write join), and not for a buffer: a free one,
-// else one whose write-back has finished — and reports whether it did
-// either.
+// write-back (the read-after-write join), and not for a stream buffer: a
+// free one, else one whose write-back has finished — and reports whether it
+// did either.
 func (p *StatePipeline) advance() (moved bool) {
 	for _, pc := range p.holder {
 		if pc != nil && pc.read != nil && pc.read.Done() {
@@ -372,6 +371,7 @@ func (p *StatePipeline) advance() (moved bool) {
 			moved = true
 		}
 	}
+	stream := p.holder[:len(p.bufs)]
 	for len(p.waiting) > 0 {
 		pc := p.waiting[0]
 		if pc.written != nil {
@@ -380,13 +380,13 @@ func (p *StatePipeline) advance() (moved bool) {
 			}
 			p.settle(pc)
 		}
-		i := slices.Index(p.holder, nil)
+		i := slices.Index(stream, nil)
 		if i < 0 {
-			i = slices.IndexFunc(p.holder, func(h *pieceJob) bool { return h.written != nil && h.written.Done() })
+			i = slices.IndexFunc(stream, func(h *pieceJob) bool { return h.written != nil && h.written.Done() })
 			if i < 0 {
 				break
 			}
-			p.settle(p.holder[i])
+			p.settle(stream[i])
 		}
 		p.waiting, moved = slices.Delete(p.waiting, 0, 1), true
 		if pc.wrote != nil {
@@ -398,40 +398,67 @@ func (p *StatePipeline) advance() (moved bool) {
 		if n := p.buffered.Add(1); n > p.peakBuffered.Load() {
 			p.peakBuffered.Store(n) // the stage is the only writer
 		}
-		pc.read = p.o.store.Start(pc.key, pc.buf, false)
-		pc.read.Notify(p.wake)
+		pc.read = p.start(pc, false)
 	}
 	return moved
 }
 
-// update is one streamed piece's Adam: the wait on its read, the walk in
-// place on its buffer, and the start of its write-back.
+// start starts the transfer of pc's buffer to (write) or from the store as a
+// ticket that wakes the stage when it finishes.
+func (p *StatePipeline) start(pc *pieceJob, write bool) Ticket {
+	t := p.o.store.Start(pc.key, pc.buf, write)
+	t.Notify(p.wake)
+	return t
+}
+
+// update is one piece's Adam: the wait on its read, if it had one, and the
+// walk in place on its buffer; then a streamed piece's write-back starts,
+// and a resident one stays in its home, dirty.
 func (p *StatePipeline) update(pc *pieceJob) {
-	err := loaded(pc.key, pc.read.Wait())
-	pc.read = nil
-	if err == nil {
-		err = p.o.applyPiece(pc)
+	if pc.read != nil {
+		err := loaded(pc.key, pc.read.Wait())
+		pc.read = nil
+		if err != nil {
+			p.release(pc)
+			pc.applied <- err
+			return
+		}
+		if pc.home != nil {
+			p.residentBytes.Add(int64(len(pc.buf))) // the home holds it now
+		}
 	}
-	if err == nil {
-		pc.written = p.o.store.Start(pc.key, pc.buf, true)
-		pc.written.Notify(p.wake)
-	} else {
+	was := len(pc.buf)
+	err := p.o.applyPiece(pc)
+	switch {
+	case pc.home != nil:
+		if err == nil {
+			pc.dirty = true
+			p.residentBytes.Add(int64(len(pc.buf) - was))
+		}
+	case err != nil:
 		p.release(pc)
+	default:
+		pc.written = p.start(pc, true)
 	}
 	pc.applied <- err
 }
 
-// settle waits on pc's write-back, keeps its failure for the piece's next
-// read or Flush, and frees its buffer.
+// settle waits on pc's write-back and keeps its failure for the piece's next
+// read or Flush; it frees a streamed piece's buffer, and leaves a resident
+// piece dirty only if the write failed.
 func (p *StatePipeline) settle(pc *pieceJob) {
-	if err := pc.written.Wait(); err != nil {
+	err := pc.written.Wait()
+	if pc.written = nil; err != nil {
 		pc.wrote = fmt.Errorf("opt: write back %s: %w", pc.key, err)
 	}
-	pc.written = nil
+	if pc.home != nil {
+		pc.dirty = err != nil
+		return
+	}
 	p.release(pc)
 }
 
-// settleAll waits on every write-back in flight.
+// settleAll waits on every write-back in flight, the resident pieces' too.
 func (p *StatePipeline) settleAll() {
 	for _, pc := range p.holder {
 		if pc != nil && pc.written != nil {
@@ -440,36 +467,13 @@ func (p *StatePipeline) settleAll() {
 	}
 }
 
-// release frees pc's stream buffer.
+// release frees pc's stream buffer, or marks a resident piece's home as not
+// holding it.
 func (p *StatePipeline) release(pc *pieceJob) {
-	p.holder[slices.Index(p.holder, pc)], pc.buf = nil, nil
-	p.buffered.Add(-1)
-}
-
-// applyResident is a resident piece's trip: the Adam stage in place on its
-// home, loading the resident set first if the homes do not hold it, and the
-// piece left dirty there for Flush.
-func (p *StatePipeline) applyResident(pc *pieceJob) error {
-	if p.residentBytes.Load() == 0 {
-		keys, bufs, n := p.resKeys[:0], p.resBufs[:0], 0
-		for _, r := range p.resident {
-			keys, bufs, n = append(keys, r.key), append(bufs, r.home[:r.stored()]), n+r.stored()
-		}
-		if err := p.o.store.ReadAllInto(keys, bufs); err != nil {
-			return fmt.Errorf("opt: load the resident state: %w", err)
-		}
-		p.residentBytes.Store(int64(n))
+	if pc.buf = nil; pc.home == nil {
+		p.holder[slices.Index(p.holder, pc)] = nil
+		p.buffered.Add(-1)
 	}
-	was := pc.stored()
-	pc.buf = pc.home[:was]
-	err := p.o.applyPiece(pc)
-	pc.buf = nil
-	if err != nil {
-		return err
-	}
-	pc.dirty = true
-	p.residentBytes.Add(int64(pc.stored() - was))
-	return nil
 }
 
 // applyPiece is the Adam stage of one piece, on the optimizer's shared

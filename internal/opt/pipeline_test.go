@@ -21,11 +21,13 @@ import (
 // hookStore is a MemStore whose hooks let a test fail or hold a transfer at
 // a chosen point. With async set, every transfer runs on a goroutine of its
 // own and its ticket finishes when that returns, so a hook can hold one
-// transfer while the pipeline goes on; otherwise Start moves the object
-// before it returns, as MemStore's does.
+// transfer while the pipeline goes on, and flight, when set, counts the
+// transfers in flight; otherwise Start moves the object before it returns,
+// as MemStore's does.
 type hookStore struct {
 	MemStore
-	async bool
+	async  bool
+	flight *flight
 
 	// beforeRead / beforePut, when set, run at the start of every read /
 	// write; a non-nil error fails the transfer.
@@ -45,8 +47,47 @@ func (s *hookStore) Start(key string, buf []byte, write bool) Ticket {
 		return moved(s.move(key, buf, write))
 	}
 	t := &hookTicket{s: s, key: key, write: write, done: make(chan struct{})}
+	s.flight.add(key, 1)
 	go func() { t.finish(s.move(key, buf, write)) }()
 	return t
+}
+
+// flight counts an async hookStore's transfers of the keys it tracks that
+// have started and have not been waited on: now, and at the most.
+type flight struct {
+	mu        sync.Mutex
+	keys      map[string]bool
+	now, peak int
+}
+
+// add counts one transfer of key in (1) or out (-1), if key is tracked.
+func (f *flight) add(key string, n int) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.keys[key] {
+		f.now += n
+		f.peak = max(f.peak, f.now)
+	}
+}
+
+// track has f count the transfers of keys only, from a peak of zero.
+func (f *flight) track(keys ...string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.keys, f.now, f.peak = map[string]bool{}, 0, 0
+	for _, k := range keys {
+		f.keys[k] = true
+	}
+}
+
+// counts reports the tracked transfers in flight now and at the most.
+func (f *flight) counts() (now, peak int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now, f.peak
 }
 
 // move runs the hooks, then the MemStore transfer.
@@ -64,15 +105,6 @@ func (s *hookStore) move(key string, buf []byte, write bool) error {
 		}
 	}
 	return s.MemStore.Start(key, buf, write).Wait()
-}
-
-// PutAll and ReadAllInto run the hooks object by object.
-func (s *hookStore) PutAll(keys []string, data [][]byte) error {
-	return eachObject(s, keys, data, true)
-}
-
-func (s *hookStore) ReadAllInto(keys []string, dst [][]byte) error {
-	return eachObject(s, keys, dst, false)
 }
 
 // hookTicket is an async hookStore transfer.
@@ -111,6 +143,7 @@ func (t *hookTicket) Wait() error {
 		t.s.waiting(t.key, t.write)
 	}
 	<-t.done
+	t.s.flight.add(t.key, -1)
 	return t.err
 }
 
@@ -525,6 +558,7 @@ func TestPipelineFaultPerStage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			tensor.Parallelism() // starts the kernel pool, whose workers outlive the test
 			baseline := runtime.NumGoroutine()
 			store := &hookStore{MemStore: MemStore{}}
 			var ref, o *OutOfCoreAdam
@@ -834,7 +868,7 @@ func TestPipelineWindowOwnsItsBuffers(t *testing.T) {
 		}
 	}
 	p.Close()
-	if slices.ContainsFunc(p.holder, func(pc *pieceJob) bool { return pc != nil }) {
+	if slices.ContainsFunc(p.holder[:len(p.bufs)], func(pc *pieceJob) bool { return pc != nil }) {
 		t.Fatalf("buffers still held after Close: %v", p.holder)
 	}
 	goroutinesBack(t, baseline)
@@ -934,14 +968,6 @@ func (s *inPlaceStore) Start(key string, buf []byte, write bool) Ticket {
 		s.m[key] = append([]byte(nil), buf...)
 	}
 	return moved(nil)
-}
-
-func (s *inPlaceStore) PutAll(keys []string, data [][]byte) error {
-	return eachObject(s, keys, data, true)
-}
-
-func (s *inPlaceStore) ReadAllInto(keys []string, dst [][]byte) error {
-	return eachObject(s, keys, dst, false)
 }
 
 // sameWeights asserts the groups' working weights are bit-identical.
@@ -1119,5 +1145,120 @@ func TestStateResidentSet(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPieceTransfersAllInFlight: every batch of state transfers has all of
+// its objects in flight at once on an async store — the pieces of a group
+// that InitGroup stores, WriteGroupTo reads and ImportWire stores, the
+// resident set's load (its reads held at the store until every one has
+// started) and the resident set's write-back at Flush. A batch that waited
+// on each ticket before it started the next would have one.
+func TestPieceTransfersAllInFlight(t *testing.T) {
+	const depth, P = 2, adamChunkGrain
+	// g0 is four pieces; ⌊2 × (3P+1) ÷ P⌋ = 6 buffers make a stream of 4 and
+	// g0's first two pieces resident.
+	groups := pieceGroups(13, 3*P+1, 2*P, P+5, 9)
+	store := &hookStore{MemStore: MemStore{}, async: true, flight: &flight{}}
+	o := NewOutOfCoreAdam(store, DefaultAdam(), "p")
+	o.SetWindow(depth, groups)
+	var keys []string
+	for _, pc := range o.cut(groups[0].Name, groups[0].NumParams()) {
+		keys = append(keys, pc.key)
+	}
+	// peak is the most transfers of the keys in of that f had in flight at once.
+	peak := func(what string, of []string, f func() error) int {
+		t.Helper()
+		store.flight.track(of...)
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		now, peak := store.flight.counts()
+		if now != 0 {
+			t.Fatalf("%s returned with %d transfers not waited on", what, now)
+		}
+		return peak
+	}
+	var record bytes.Buffer
+	for _, c := range []struct {
+		what string
+		f    func() error
+	}{
+		{"InitGroup", func() error {
+			for _, g := range groups {
+				if err := o.InitGroup(g); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"WriteGroupTo", func() error { _, err := o.WriteGroupTo(&record, groups[0]); return err }},
+		{"ImportWire", func() error { _, err := o.ImportWire(groups[0], &record); return err }},
+	} {
+		if n := peak(c.what, keys, c.f); n != len(keys) {
+			t.Errorf("%s had %d of the group's %d pieces in flight at the peak", c.what, n, len(keys))
+		}
+	}
+
+	p := NewStatePipeline(o, depth, groups)
+	defer p.Close()
+	var resident []string
+	for _, pc := range p.resident {
+		resident = append(resident, pc.key)
+	}
+	if len(resident) != 2 {
+		t.Fatalf("resident %v, want two pieces", resident)
+	}
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+	store.beforeRead = func(key string) error {
+		if slices.Contains(resident, key) {
+			<-release
+		}
+		return nil
+	}
+	load := func() error {
+		setGroupGrads(groups, 1, 1)
+		o.BeginStep()
+		for k := len(groups) - 1; k >= 0; k-- {
+			if err := p.Submit(groups[k]); err != nil {
+				return err
+			}
+		}
+		for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
+			if now, _ := store.flight.counts(); now == len(resident) {
+				break
+			}
+		}
+		releaseOnce.Do(func() { close(release) })
+		return p.Wait()
+	}
+	if n := peak("the resident load", resident, load); n != len(resident) {
+		t.Errorf("the resident load had %d of %d pieces in flight at the peak", n, len(resident))
+	}
+	if n := peak("the resident write-back", resident, p.Flush); n != len(resident) {
+		t.Errorf("Flush had %d of %d resident write-backs in flight at the peak", n, len(resident))
+	}
+
+	// A Close with the resident set's reads in flight still updates the
+	// pieces, leaving no ticket unsettled.
+	p.Drop()
+	store.beforeRead = func(string) error {
+		time.Sleep(time.Millisecond)
+		return nil
+	}
+	o.BeginStep()
+	if err := p.Submit(groups[0]); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	for _, pc := range p.order {
+		if pc.read != nil || pc.written != nil || len(pc.applied) != 1 {
+			t.Fatalf("%s after Close: read %v, write-back %v, %d applied tokens home", pc.key, pc.read, pc.written, len(pc.applied))
+		}
+	}
+	if now, _ := store.flight.counts(); now != 0 {
+		t.Fatalf("%d resident reads not waited on after Close", now)
 	}
 }
