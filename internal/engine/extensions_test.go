@@ -18,6 +18,7 @@ import (
 	"ratel/internal/nvme"
 	"ratel/internal/opt"
 	"ratel/internal/tensor"
+	"ratel/internal/tensor/simd"
 )
 
 // TestHostTierTransparency: pinning caches in main memory (SwapHost) is
@@ -974,23 +975,35 @@ func TestPipelineEquivalenceMatrix(t *testing.T) {
 }
 
 // TestCorruptStatePieceLatches: a state piece the array returns corrupt —
-// every byte 0xff, an escape count far over any table's capacity, or, in the
-// narrow form, one of its M or V tables with a count over its capacity,
-// indices that do not rise or leave the piece, or a base whose window leaves
-// the byte — is refused by the next step's Adam stage before anything is
-// decoded: the step returns the refusal naming the piece, the failure
-// latches (steps and saves refuse), and restoring a checkpoint continues
-// bit-identically to a run that never saw the piece.
+// every byte 0xff, or, in the compact form, one of its M or V tables with a
+// count over the records it holds, indices that do not rise or leave the
+// piece, or a base whose window leaves the byte — is refused by the next
+// step's Adam stage before anything is decoded: the step returns the
+// refusal naming the piece, the failure latches (steps and saves refuse), and
+// restoring a checkpoint continues bit-identically to a run that never saw
+// the piece. So that the tables hold records, both runs restore a checkpoint
+// of their second step in which three of the head's moments lie far below
+// the rest.
 func TestCorruptStatePieceLatches(t *testing.T) {
 	cfg := Config{Model: miniConfig(), GradMode: agoffload.Optimized}
-	// The narrow form's tables end the object: Δ's (count, records), then M's
-	// and V's (count, base, records), each with room for ⌈n/128⌉ records.
-	type table struct{ count, base, recs int }
-	narrowTables := func(size, n int) map[string]table {
-		c := (n + 127) / 128
-		v := size - (8 + 8*c)
-		m := v - (8 + 8*c)
-		return map[string]table{"M": {m, m + 4, m + 8}, "V": {v, v + 4, v + 8}}
+	// The compact form's tables end the object: Δ's (count, records), then
+	// M's and V's (count, base, records), each as long as its records.
+	type table struct{ count, base, recs, n int }
+	compactTables := func(t *testing.T, obj []byte, n int) map[string]table {
+		tabs, at := map[string]table{}, simd.DeltaBytes(n)+2*simd.NarrowBytes(n)
+		for _, plane := range []string{"Δ", "M", "V"} {
+			header := map[bool]int{true: 4, false: 8}[plane == "Δ"]
+			if at+header > len(obj) {
+				break
+			}
+			c := int(binary.LittleEndian.Uint32(obj[at:]))
+			tabs[plane] = table{at, at + 4, at + header, c}
+			at += header + 8*c
+		}
+		if at != len(obj) || tabs["M"].n < 2 || tabs["V"].n < 2 {
+			t.Fatalf("the piece is %d bytes, its tables %v: want the compact form with records in M's and V's", len(obj), tabs)
+		}
+		return tabs
 	}
 	cases := map[string]func(obj []byte, tb table, plane string, n int){
 		"every byte 0xff": func(obj []byte, _ table, _ string, _ int) {
@@ -998,16 +1011,13 @@ func TestCorruptStatePieceLatches(t *testing.T) {
 				obj[i] = 0xff
 			}
 		},
-		"count over capacity": func(obj []byte, tb table, _ string, n int) {
-			binary.LittleEndian.PutUint32(obj[tb.count:], uint32((n+127)/128+1))
+		"count over capacity": func(obj []byte, tb table, _ string, _ int) {
+			binary.LittleEndian.PutUint32(obj[tb.count:], uint32(tb.n+1))
 		},
 		"indices not rising": func(obj []byte, tb table, _ string, _ int) {
-			binary.LittleEndian.PutUint32(obj[tb.count:], 2)
-			binary.LittleEndian.PutUint32(obj[tb.recs:], 3)
-			binary.LittleEndian.PutUint32(obj[tb.recs+8:], 3)
+			copy(obj[tb.recs+8:], obj[tb.recs:tb.recs+4])
 		},
 		"index past the piece": func(obj []byte, tb table, _ string, n int) {
-			binary.LittleEndian.PutUint32(obj[tb.count:], 1)
 			binary.LittleEndian.PutUint32(obj[tb.recs:], uint32(n))
 		},
 		"base past the byte": func(obj []byte, tb table, plane string, _ int) {
@@ -1025,20 +1035,23 @@ func TestCorruptStatePieceLatches(t *testing.T) {
 			}
 			t.Run(sub, func(t *testing.T) {
 				corruptStatePiece(t, cfg, func(obj []byte, n int) {
-					if name != "every byte 0xff" && len(obj) != opt.StateBytes(n, 0) {
-						t.Fatalf("the piece is %d bytes, not in the narrow form's %d", len(obj), opt.StateBytes(n, 0))
+					if name != "every byte 0xff" {
+						corrupt(obj, compactTables(t, obj, n)[plane], plane, n)
+						return
 					}
-					corrupt(obj, narrowTables(len(obj), n)[plane], plane, n)
+					corrupt(obj, table{}, plane, n)
 				})
 			})
 		}
 	}
 }
 
-// corruptStatePiece trains two engines of cfg two steps, corrupts the stored
-// state of the second's head with corrupt (its object and params), and
-// checks that the next step refuses it by name, the failure latches, and a
-// restore continues as the first engine does.
+// corruptStatePiece trains two engines of cfg two steps, restores both from
+// the first's checkpoint with three of the head's M and V values set to
+// 1e-30, far below the narrow codes' windows, corrupts the stored state of
+// the second's head with corrupt (its object and params), and checks that
+// the next step refuses it by name, the failure latches, and a restore
+// continues as the first engine does.
 func corruptStatePiece(t *testing.T, cfg Config, corrupt func(obj []byte, n int)) {
 	ref, e := newEngine(t, cfg), newEngine(t, cfg)
 	for _, x := range []*Engine{ref, e} {
@@ -1048,13 +1061,27 @@ func corruptStatePiece(t *testing.T, cfg Config, corrupt func(obj []byte, n int)
 	if err := e.SaveCheckpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	g := e.groups[len(e.groups)-1] // the head: one piece, stored narrow
+	g := e.groups[len(e.groups)-1] // the head: one piece, stored compact
+	n, ck := g.NumParams(), ckpt.Bytes()
+	_, payload := ckptLayout(e)
+	head := ck[payload[len(payload)-1]:][:opt.StateBytes(n, opt.Full)+4]
+	for _, i := range []int{3, n / 2, n - 1} {
+		for plane := 1; plane <= 2; plane++ {
+			binary.LittleEndian.PutUint32(head[4*(plane*n+i):], math.Float32bits(1e-30))
+		}
+	}
+	binary.LittleEndian.PutUint32(head[len(head)-4:], crc32.Checksum(head[:len(head)-4], castagnoli))
+	for _, x := range []*Engine{ref, e} {
+		if err := x.LoadCheckpoint(bytes.NewReader(ck)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	key := "states/" + g.Name + "/state/0"
 	obj := make([]byte, e.optimizer.StoredBytes(g.Name)[0])
 	if err := e.Array().ReadInto(key, obj); err != nil {
 		t.Fatal(err)
 	}
-	corrupt(obj, g.NumParams())
+	corrupt(obj, n)
 	if err := e.Array().Put(key, obj); err != nil {
 		t.Fatal(err)
 	}
@@ -1069,7 +1096,7 @@ func corruptStatePiece(t *testing.T, cfg Config, corrupt func(obj []byte, n int)
 	if err := e.SaveCheckpoint(&torn); err == nil || torn.Len() != 0 {
 		t.Fatalf("SaveCheckpoint after the refusal = %v with %d bytes written", err, torn.Len())
 	}
-	if err := e.LoadCheckpoint(&ckpt); err != nil {
+	if err := e.LoadCheckpoint(bytes.NewReader(ck)); err != nil {
 		t.Fatal(err)
 	}
 	loss, want := trainFrom(t, e, 2, 2), trainFrom(t, ref, 2, 2)

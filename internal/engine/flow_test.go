@@ -79,7 +79,12 @@ func TestFlowLedgerReconcilesWithNVMe(t *testing.T) {
 // step's delta counts the write-back that retired during it, so the
 // identity that holds exactly is over a window closed by a join: N
 // steady-state steps move N times one step's bytes, and the per-step deltas
-// add up to that give or take the write-back in flight at either end.
+// add up to that give or take the write-back in flight at either end. The
+// optimizer state's pieces change size with their escapes, so its cells are
+// held to the sizes the pieces are stored in: a step reads the streamed
+// pieces as they are before it, decodes every piece so and encodes every
+// piece as it is after it, and the window writes each step's streamed pieces
+// and, at its closing join, the resident set.
 func TestStepMetricsFlowDelta(t *testing.T) {
 	swap := map[int]Tier{0: SwapSSD}
 	e := newEngine(t, Config{GradMode: agoffload.Optimized, Swap: swap, Metrics: obs.NewRegistry()})
@@ -108,26 +113,45 @@ func TestStepMetricsFlowDelta(t *testing.T) {
 	perStep := flows1.Sub(flows0)
 
 	const n = 3
-	var sum obs.FlowSnapshot
+	var sum, states obs.FlowSnapshot
+	_, resident, _ := e.states.Window()
 	for s := 0; s < n; s++ {
+		var state obs.FlowSnapshot
+		all, streamed := storedState(e, resident)
+		state.Cells[obs.EdgeHostNVMeRead][obs.FlowOptState] = streamed
+		state.Cells[obs.EdgeCodecDecode][obs.FlowOptState] = all
 		trainK(t, e, 1)
+		all, streamed = storedState(e, resident)
+		state.Cells[obs.EdgeCodecEncode][obs.FlowOptState] = all
+		state.Cells[obs.EdgeHostNVMeWrite][obs.FlowOptState] = streamed
 		d := e.LastStepMetrics().Flow
 		for _, edge := range obs.FlowEdges() {
 			for _, p := range obs.FlowPurposes() {
 				sum.Cells[edge][p] += d.Get(edge, p)
+				states.Cells[edge][p] += state.Get(edge, p)
+				want := perStep.Get(edge, p)
+				if p == obs.FlowOptState {
+					want = state.Get(edge, p)
+				}
 				// Every cell but the trailing one is per-step exactly.
 				trailing := edge == obs.EdgeHostNVMeWrite && p == obs.FlowOptState
-				if got, want := d.Get(edge, p), perStep.Get(edge, p); !trailing && got != want {
-					t.Errorf("step %d: %s/%s delta = %d, want %d every step", s, edge, p, got, want)
+				if got := d.Get(edge, p); !trailing && got != want {
+					t.Errorf("step %d: %s/%s delta = %d, want %d", s, edge, p, got, want)
 				}
 			}
 		}
 	}
 	e.Stats()
+	all, streamed := storedState(e, resident)
+	states.Cells[obs.EdgeHostNVMeWrite][obs.FlowOptState] += all - streamed
 	window := e.Flows().Sub(flows1)
 	for _, edge := range obs.FlowEdges() {
 		for _, p := range obs.FlowPurposes() {
-			if got, want := window.Get(edge, p), n*perStep.Get(edge, p); got != want {
+			want := n * perStep.Get(edge, p)
+			if p == obs.FlowOptState {
+				want = states.Get(edge, p)
+			}
+			if got := window.Get(edge, p); got != want {
 				t.Errorf("%s/%s over %d joined steps = %d, want %d", edge, p, n, got, want)
 			}
 		}
@@ -139,6 +163,21 @@ func TestStepMetricsFlowDelta(t *testing.T) {
 	if off := sum.Get(obs.EdgeHostNVMeWrite, obs.FlowOptState) - n*writeBack; off < -writeBack || off > writeBack {
 		t.Errorf("the per-step deltas are %d write-back bytes off the joined window, want within one step's %d", off, writeBack)
 	}
+}
+
+// storedState is the bytes every state piece of e is stored in now, and those
+// of the pieces past the first resident, the ones a step streams.
+func storedState(e *Engine, resident int) (all, streamed int64) {
+	k := 0
+	for _, g := range e.groups {
+		for _, size := range e.optimizer.StoredBytes(g.Name) {
+			if all += int64(size); k >= resident {
+				streamed += int64(size)
+			}
+			k++
+		}
+	}
+	return all, streamed
 }
 
 // TestFlightRecorderAlwaysOn: the crash ring fills during normal training

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"ratel/internal/obs"
 	"ratel/internal/opt"
 	"ratel/internal/tensor"
+	"ratel/internal/tensor/simd"
 )
 
 func sameTrajectory(t *testing.T, what string, refLoss, loss []float64, refSnap, snap []float32) {
@@ -388,6 +390,10 @@ func stateChunks(e *Engine, g nn.ParamGroup) int {
 	return n
 }
 
+// layoutSteps is TestComputeShapeStateLayouts' warm-up and steady steps;
+// race_test.go shortens them.
+var layoutSteps = [2]int{20, 200}
+
 // pieceChunks is how many 4 KiB chunks an object of size bytes is striped in.
 func pieceChunks(size int) int { return (size + 4095) / 4096 }
 
@@ -463,9 +469,23 @@ func trailingWriteFault(t *testing.T, resident bool, join string, boom error) {
 		}
 		e.Array().InjectFault(0, boom)
 	} else {
+		// The step reads its pieces at their sizes now and writes them at the
+		// sizes it seals them in, which a twin's same step shows.
+		twin, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainK(t, twin, warm)
+		if _, err := twin.TrainStep(tokens, targets); err != nil {
+			t.Fatal(err)
+		}
+		twin.Stats()
 		ops := 0
 		for _, g := range e.groups {
-			ops += 2 * stateChunks(e, g)
+			ops += stateChunks(e, g) + stateChunks(twin, g)
+		}
+		if err := twin.Close(); err != nil {
+			t.Fatal(err)
 		}
 		e.Array().InjectFaultAfter(0, ops-1, boom)
 		if _, err := e.TrainStep(tokens, targets); err != nil {
@@ -802,4 +822,50 @@ func TestStateBytesAreStoredForms(t *testing.T) {
 	if r, w := flows.Edge(obs.EdgeHostNVMeRead), flows.Edge(obs.EdgeHostNVMeWrite); r != int64(ssd.BytesRead) || w != int64(ssd.BytesWritten) {
 		t.Fatalf("the ledger counts %d B read and %d written, the array %d and %d", r, w, ssd.BytesRead, ssd.BytesWritten)
 	}
+}
+
+// TestComputeShapeStateLayouts: at the benchmark's compute shape, over 220
+// steps, the array lays a state piece out on new chunks only when the piece
+// outgrows every size it has been stored in: a piece whose size moves with
+// its escapes keeps its chunks, and a shrink and regrowth within them costs
+// nothing. The steps after the first 20 are the steady state; the pieces'
+// M tails still grow there (moments of parameters the batches leave without
+// gradient decay out of their windows), so some layouts remain, and the
+// test counts them rather than assuming none. Under the race detector and
+// on the generic kernels (make test-nosimd) it runs 12 steps: the rule, at
+// the reference kernels' speed, not the steady state.
+func TestComputeShapeStateLayouts(t *testing.T) {
+	warm, steps := layoutSteps[0], layoutSteps[1]
+	if simd.Level() == "generic" {
+		warm, steps = 2, 10
+	}
+	model := nn.Config{Vocab: 256, Seq: 128, Hidden: 256, Heads: 8, Layers: 4, Batch: 2, Seed: 1}
+	e := newEngine(t, Config{Model: model, GradMode: agoffload.Optimized, Swap: map[int]Tier{0: SwapHost, 2: SwapHost}, Devices: 4})
+	most := map[string]int{} // each piece's most stripes so far, by group and index
+	grown := func() (n int64) {
+		for _, g := range e.groups {
+			for k, size := range e.optimizer.StoredBytes(g.Name) {
+				key := g.Name + "/" + strconv.Itoa(k)
+				if c := pieceChunks(size); c > most[key] {
+					most[key], n = c, n+1
+				}
+			}
+		}
+		return n
+	}
+	grown() // the sizes New stored the pieces in
+	layouts, steady := e.Array().Stats().Layouts, int64(0)
+	for s := 0; s < warm+steps; s++ {
+		trainFrom(t, e, s%8, 1)
+		e.Stats()
+		want, now := grown(), e.Array().Stats().Layouts
+		if now-layouts != want {
+			t.Fatalf("step %d: %d layouts, want the %d pieces that outgrew every size they had", s, now-layouts, want)
+		}
+		if s >= warm {
+			steady += want
+		}
+		layouts = now
+	}
+	t.Logf("%d layouts in the %d steady steps", steady, steps)
 }

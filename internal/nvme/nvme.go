@@ -98,7 +98,7 @@ type backend interface {
 }
 
 // chunkRef locates one stripe chunk. Chunk i of an object holds its bytes
-// [i × stripe, min((i+1) × stripe, size)).
+// [i × stripe, min((i+1) × stripe, size)) if its size reaches that far.
 type chunkRef struct {
 	dev int
 	off int64
@@ -132,10 +132,12 @@ type Array struct {
 	obsv   atomic.Pointer[arrayObservers] // optional latency/flow instruments
 
 	// Cumulative traffic: bytes and object operations per direction
-	// (laneRead, laneWrite), and total bytes per device (the stripe balance,
-	// which this package's tests check).
+	// (laneRead, laneWrite), the writes that laid an object out on new
+	// chunks, and total bytes per device (the stripe balance, which this
+	// package's tests check).
 	statMu      sync.Mutex
 	bytes, ops  [2]int64
+	layouts     int64
 	perDevBytes []int64
 
 	// Per-direction object transfers started and not yet waited on, or
@@ -158,6 +160,9 @@ type Stats struct {
 	PeakReadsInFlight, PeakWritesInFlight int64
 	// Objects is the number of stored objects.
 	Objects int
+	// Layouts counts the writes that put an object on chunks it did not
+	// hold: a new object, or one that outgrew its chunks.
+	Layouts int64
 }
 
 // SetTracer installs a wall-clock span tracer: every object written records
@@ -302,10 +307,10 @@ func (a *Array) InjectFaultAfter(dev, ops int, err error) {
 }
 
 // Put stores data under key, replacing any previous object: Start then
-// Wait, so data may be reused as soon as Put returns. An overwrite of as many
-// stripes reuses the object's chunks in place; if it fails partway, the
-// stored object's contents are undefined (with Checksums enabled, later
-// reads fail with ErrCorrupt).
+// Wait, so data may be reused as soon as Put returns. An overwrite reuses the
+// object's chunks in place, and more after them if it outgrows them; if it
+// fails partway, the stored object's contents are undefined (with Checksums
+// enabled, later reads fail with ErrCorrupt).
 func (a *Array) Put(key string, data []byte) error {
 	return a.Start(key, data, true).Wait()
 }
@@ -314,12 +319,13 @@ func (a *Array) Put(key string, data []byte) error {
 var spanLanes = [2]string{obs.LaneNVMeRead, obs.LaneNVMeWrite}
 
 // Start begins moving buf to (write) or from the object key and returns its
-// ticket. A write lays the object out afresh if it is missing or of another
-// size, and is stored — visible to a later Start — once waited on; a read of
-// a missing object or into a buffer of another size moves nothing and fails
-// at Wait. An untimed small transfer runs inline; anything else is one stride
-// per device on the lanes. buf is the transfer's until Wait returns, and a
-// key must not be written while another transfer of it is in flight.
+// ticket. A write lays a missing object out afresh and keeps a stored one's
+// chunks, adding some after them if it outgrows them, and is stored —
+// visible to a later Start — once waited on; a read of a missing object or
+// into a buffer of another size moves nothing and fails at Wait. An untimed
+// small transfer runs inline; anything else is one stride per device on the
+// lanes. buf is the transfer's until Wait returns, and a key must not be
+// written while another transfer of it is in flight.
 func (a *Array) Start(key string, buf []byte, write bool) *Ticket {
 	x := a.xpool.get(len(a.devs))
 	x.a, x.key, x.buf, x.write, x.lane = a, key, buf, write, spanLanes[dir(write)]
@@ -329,13 +335,11 @@ func (a *Array) Start(key string, buf []byte, write bool) *Ticket {
 	a.mu.RUnlock()
 	switch {
 	case write:
-		// An overwrite of as many stripes keeps the object's chunks (the steady
-		// state of every training step, whatever form a state piece takes);
-		// anything else is stored on fresh ones, listed where the old ones were
-		// if they fit.
-		if x.fresh = !ok || a.stripes(obj.size) != a.stripes(len(buf)); x.fresh {
-			a.delete(key)
-			obj = a.allocObject(len(buf), obj.chunks)
+		// An overwrite keeps the object's chunks while they suffice: a state
+		// piece's size moves with its escapes every step, and it is laid out
+		// again only when it outgrows every size it has had.
+		if x.kept = len(obj.chunks); a.stripes(len(buf)) > x.kept {
+			obj.chunks = a.grow(obj.chunks, a.stripes(len(buf)))
 		}
 		obj.size = len(buf)
 		if a.cfg.Checksums {
@@ -364,7 +368,7 @@ func (a *Array) Start(key string, buf []byte, write bool) *Ticket {
 	// not wait out. Untimed small ones in memory skip the queue: there is
 	// nothing to schedule, and the dispatcher round-trip buys nothing below
 	// ~memcpy scale.
-	workers := min(len(a.devs), len(obj.chunks))
+	workers := min(len(a.devs), a.stripes(obj.size))
 	x.queued = x.bw > 0 || a.cfg.OpLatency > 0 || a.cfg.Dir != "" || (workers > 1 && obj.size > inlineTransferMax)
 	x.left.Store(int32(workers) + 1)
 	for w := range workers {
@@ -388,12 +392,13 @@ func (a *Array) Start(key string, buf []byte, write bool) *Ticket {
 }
 
 // Wait blocks until the transfer has finished and settles it once — a write
-// that succeeded is stored, a fresh one that failed is released, a read
-// that arrived is verified — and returns its error, which names the key
-// and, for a device fault, the device. Its span and latency end at the last
-// stride's finish, not at Wait. The counters and observers count every
-// object that moved, read bytes whether or not they verify, so the ledger
-// and the counters reconcile after a corrupt read too. x is recycled.
+// that succeeded is stored, the chunks a failed one added are released (a
+// failed new object is not stored), a read that arrived is verified — and
+// returns its error, which names the key and, for a device fault, the
+// device. Its span and latency end at the last stride's finish, not at
+// Wait. The counters and observers count every object that moved, read
+// bytes whether or not they verify, so the ledger and the counters
+// reconcile after a corrupt read too. x is recycled.
 func (x *Ticket) Wait() error {
 	<-x.fin
 	a, key, obj, write, err := x.a, x.key, x.obj, x.write, x.err
@@ -408,8 +413,8 @@ func (x *Ticket) Wait() error {
 	}
 	switch {
 	case err != nil:
-		if write && x.fresh {
-			a.releaseChunks(obj)
+		if write {
+			a.releaseChunks(obj.chunks[x.kept:])
 		}
 		a.xpool.put(x)
 		return err
@@ -426,42 +431,44 @@ func (x *Ticket) Wait() error {
 	a.statMu.Lock()
 	a.bytes[dir(write)] += int64(obj.size)
 	a.ops[dir(write)]++
+	if write && len(obj.chunks) > x.kept {
+		a.layouts++
+	}
 	a.statMu.Unlock()
 	a.xpool.put(x)
 	return err
 }
 
-// allocObject lays out a new object of size bytes, listing its chunks in
-// chunks' array when it has room, else in a new one with room for half as
-// many again — so a state piece whose planes turn raw, up to 1.5× the bytes,
-// is laid out again without allocating: stripe-sized chunks
-// allocated round-robin across the devices, so striping yields real
-// parallel bandwidth. The next object starts the smallest step of at least n
-// devices on that is coprime with the device count, so a run of equal
-// objects puts their short last chunks on every device in turn: stepping by
-// n itself would land all of them on the same few when n shares a factor
-// with the device count.
-func (a *Array) allocObject(size int, chunks []chunkRef) object {
-	stripe, n := a.cfg.StripeSize, a.stripes(size)
+// grow lists n chunks in all: chunks, then fresh stripe-sized ones after
+// them, in chunks' array when it has room, else in a new one with room for
+// half as many again — so a state piece whose planes turn raw, up to 1.5×
+// the bytes, grows without allocating. Chunk i lies on device (first + i)
+// mod the device count, first being chunk 0's: stride w is one device. A
+// new object starts the smallest step of at least n devices on from the
+// last one that is coprime with the device count, so a run of equal objects
+// puts their short last chunks on every device in turn: stepping by n would
+// land all of them on the same few when n shares a factor with the count.
+func (a *Array) grow(chunks []chunkRef, n int) []chunkRef {
 	if cap(chunks) < n {
-		chunks = make([]chunkRef, n, n+n/2)
+		chunks = append(make([]chunkRef, 0, n+n/2), chunks...)
 	}
-	obj := object{size: size, chunks: chunks[:n]}
-
-	step := n
-	for gcd(step, len(a.devs)) != 1 {
-		step++
+	first := 0
+	if len(chunks) > 0 {
+		first = chunks[0].dev
+	} else {
+		step := n
+		for gcd(step, len(a.devs)) != 1 {
+			step++
+		}
+		a.mu.Lock()
+		first, a.nextRR = a.nextRR, (a.nextRR+step)%len(a.devs)
+		a.mu.Unlock()
 	}
-	a.mu.Lock()
-	start := a.nextRR
-	a.nextRR = (a.nextRR + step) % len(a.devs)
-	a.mu.Unlock()
-
-	for i := range obj.chunks {
-		dev := (start + i) % len(a.devs)
-		obj.chunks[i] = chunkRef{dev: dev, off: a.devs[dev].alloc(stripe)}
+	for i := len(chunks); i < n; i++ {
+		dev := (first + i) % len(a.devs)
+		chunks = append(chunks, chunkRef{dev: dev, off: a.devs[dev].alloc(a.cfg.StripeSize)})
 	}
-	return obj
+	return chunks
 }
 
 // stripes is how many chunks an object of size bytes is laid out on.
@@ -500,7 +507,7 @@ func (a *Array) delete(key string) {
 	delete(a.objs, key)
 	a.mu.Unlock()
 	if ok {
-		a.releaseChunks(obj)
+		a.releaseChunks(obj.chunks)
 	}
 }
 
@@ -512,6 +519,7 @@ func (a *Array) Stats() Stats {
 		BytesWritten: units.Bytes(a.bytes[laneWrite]),
 		ReadOps:      a.ops[laneRead],
 		WriteOps:     a.ops[laneWrite],
+		Layouts:      a.layouts,
 	}
 	a.statMu.Unlock()
 	s.PeakReadsInFlight = a.peakInFlight[laneRead].Load()
@@ -522,8 +530,8 @@ func (a *Array) Stats() Stats {
 	return s
 }
 
-func (a *Array) releaseChunks(obj object) {
-	for _, c := range obj.chunks {
+func (a *Array) releaseChunks(chunks []chunkRef) {
+	for _, c := range chunks {
 		a.devs[c.dev].release(c.off)
 	}
 }

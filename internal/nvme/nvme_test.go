@@ -107,16 +107,21 @@ func TestOverwriteReplaces(t *testing.T) {
 	}
 }
 
-// TestOverwriteKeepsStripes: an overwrite of another size on as many
-// stripes — a state piece that changes form — keeps the object's chunks,
-// allocates nothing and reads back whole at its new size; one on more
-// stripes, up to half as many again, is laid out afresh in the old chunk
-// list, so a piece that changes form back and forth allocates nothing.
+// TestOverwriteKeepsStripes: an overwrite keeps the object's chunks
+// whenever they suffice — a state piece whose size moves with its escapes,
+// or that changes form. Another size on as many stripes, a shrink to one
+// stripe and the regrowth to three all keep the same chunk list, allocate
+// nothing, lay nothing out and read back whole at the new size. An
+// overwrite on more stripes adds chunks after the kept ones, in the list's
+// array while it has room (half as many again), so a piece that changes form
+// back and forth allocates nothing; past that room it moves the list to a
+// new array, still starting with the kept chunks. Every chunk i lies on
+// device (first + i) mod 3, so a stride still touches one device.
 func TestOverwriteKeepsStripes(t *testing.T) {
 	a := openMem(t, 3)
 	stripe := a.cfg.StripeSize
 	bufs := map[int][]byte{}
-	for _, n := range []int{2*stripe + 10, 3 * stripe, 2*stripe + 1, 3*stripe - 7, 4 * stripe} {
+	for _, n := range []int{2*stripe + 10, 3 * stripe, 2*stripe + 1, 3*stripe - 7, stripe, 4 * stripe, 6*stripe + 1} {
 		bufs[n] = bytes.Repeat([]byte{byte(n)}, n)
 	}
 	put := func(n int) {
@@ -124,22 +129,67 @@ func TestOverwriteKeepsStripes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	check := func(what string, n int, kept []chunkRef, layouts int64) {
+		t.Helper()
+		chunks := a.objs["k"].chunks
+		if got, err := get(a, "k"); err != nil || !bytes.Equal(got, bufs[n]) {
+			t.Fatalf("%s: read back %d bytes, %v; want %d", what, len(got), err, n)
+		}
+		if !slices.Equal(chunks[:len(kept)], kept) || a.Stats().Layouts != layouts {
+			t.Fatalf("%s: chunks %v, %d layouts; want them to start with %v after %d layouts", what, chunks, a.Stats().Layouts, kept, layouts)
+		}
+		for i, c := range chunks {
+			if c.dev != (chunks[0].dev+i)%3 {
+				t.Fatalf("%s: chunk %d on device %d, chunk 0 on %d", what, i, c.dev, chunks[0].dev)
+			}
+		}
+	}
 	put(2*stripe + 10)
-	chunks := a.objs["k"].chunks
+	three, list := slices.Clone(a.objs["k"].chunks), &a.objs["k"].chunks[0]
 	if allocs := testing.AllocsPerRun(5, func() { put(3 * stripe); put(2*stripe + 1); put(3*stripe - 7) }); allocs != 0 {
 		t.Errorf("overwrites on as many stripes allocate %.1f times, want 0", allocs)
 	}
-	if got, err := get(a, "k"); err != nil || !bytes.Equal(got, bufs[3*stripe-7]) || &a.objs["k"].chunks[0] != &chunks[0] {
-		t.Fatalf("after overwrites on 3 stripes: %d bytes, %v; chunks kept %v", len(got), err, &a.objs["k"].chunks[0] == &chunks[0])
+	check("overwrites on 3 stripes", 3*stripe-7, three, 1)
+	if allocs := testing.AllocsPerRun(5, func() { put(stripe); put(3 * stripe) }); allocs != 0 {
+		t.Errorf("a shrink to 1 stripe and the regrowth to 3 allocate %.1f times, want 0", allocs)
 	}
+	put(stripe)
+	check("a shrink to 1 stripe", stripe, three, 1)
+	if len(a.objs["k"].chunks) != 3 {
+		t.Fatalf("the shrunk object holds %d chunks, want the 3 it had", len(a.objs["k"].chunks))
+	}
+	put(3 * stripe)
+	check("the regrowth to 3 stripes", 3*stripe, three, 1)
 	put(4 * stripe)
-	if got, err := get(a, "k"); err != nil || !bytes.Equal(got, bufs[4*stripe]) || len(a.objs["k"].chunks) != 4 {
-		t.Fatalf("after an overwrite on 4 stripes: %d bytes, %v, %d chunks", len(got), err, len(a.objs["k"].chunks))
+	check("an overwrite on 4 stripes", 4*stripe, three, 2)
+	four := slices.Clone(a.objs["k"].chunks)
+	if &a.objs["k"].chunks[0] != list || len(four) != 4 {
+		t.Fatalf("the object holds %d chunks, listed in the same array %v", len(four), &a.objs["k"].chunks[0] == list)
 	}
-	// Back and forth between the two: the chunks are laid out afresh, listed
-	// in the same array, so nothing is allocated.
 	if allocs := testing.AllocsPerRun(5, func() { put(3 * stripe); put(4 * stripe) }); allocs != 0 {
 		t.Errorf("overwrites between 3 and 4 stripes allocate %.1f times, want 0", allocs)
+	}
+	check("overwrites between 3 and 4 stripes", 4*stripe, four, 2)
+	put(6*stripe + 1)
+	check("an overwrite on 7 stripes", 6*stripe+1, four, 3)
+	if &a.objs["k"].chunks[0] == list {
+		t.Fatal("7 chunks listed in an array with room for 4")
+	}
+	put(stripe)
+	check("a shrink to 1 stripe of 7", stripe, four, 3)
+	// A failed overwrite that outgrew them releases the chunks it added and
+	// leaves the object on its own.
+	a.InjectFault(0, errors.New("media error"))
+	if err := a.Put("k", make([]byte, 9*stripe)); err == nil {
+		t.Fatal("an overwrite over a failed device succeeded")
+	}
+	a.InjectFault(0, nil)
+	free := 0
+	for _, d := range a.devs {
+		free += len(d.free)
+	}
+	if obj := a.objs["k"]; len(obj.chunks) != 7 || obj.size != stripe || free != 2 || a.Stats().Layouts != 3 {
+		t.Fatalf("after a failed overwrite on 9 stripes: %d chunks, %d bytes, %d chunks free, %d layouts; want 7, %d, 2, 3", len(obj.chunks), obj.size, free, a.Stats().Layouts, stripe)
 	}
 }
 
@@ -654,8 +704,7 @@ func TestPutThenRecycle(t *testing.T) {
 }
 
 // TestPutSameSizeReusesChunks pins the overwrite fast path: a same-size Put
-// keeps the exact chunk layout (no free/realloc churn), while a different
-// size reallocates.
+// keeps the exact chunk layout (no free/realloc churn).
 func TestPutSameSizeReusesChunks(t *testing.T) {
 	a, err := Open(Config{Devices: 3, StripeSize: 64, Checksums: true})
 	if err != nil {
@@ -724,11 +773,10 @@ func startAll(a *Array, keys []string, bufs [][]byte, write bool) error {
 	return err
 }
 
-// TestArrayBatchLayoutMatchesPuts: a batch of Starts lays its fresh objects
+// TestArrayBatchLayoutMatchesPuts: a batch of Starts lays its new objects
 // out in Start order, so its chunks and per-device traffic are exactly those
-// of the same Puts in a row — for new keys, for a key stored at another size
-// (laid out afresh over the chunks it frees) and for one stored at its own
-// size (overwritten in place).
+// of the same Puts in a row — for new keys, for a key stored larger (kept on
+// its chunks) and for one stored at its own size (overwritten in place).
 func TestArrayBatchLayoutMatchesPuts(t *testing.T) {
 	keys := []string{"a", "b", "c", "d", "e"}
 	var data [][]byte

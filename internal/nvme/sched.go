@@ -56,7 +56,7 @@ type Ticket struct {
 	a      *Array
 	key    string
 	obj    object
-	fresh  bool // a write laid out on fresh chunks, released if it fails
+	kept   int // a write's chunks the object held before; those after it are released if it fails
 	buf    []byte
 	write  bool
 	queued bool // on the device lanes, not run inline
@@ -348,7 +348,7 @@ func (a *Array) runStride(ln *ioLane, it *schedItem) error {
 	var devBytes int64
 	runBytes, runOps := 0, 0
 	runEndOff := int64(-1)
-	for i := w; i < len(obj.chunks); i += ndevs {
+	for i := w; i < a.stripes(obj.size); i += ndevs {
 		c, n := obj.chunks[i], min(stripe, obj.size-i*stripe)
 		if err := a.chunkIO(c.dev, c.off, buf[i*stripe:i*stripe+n], write); err != nil {
 			return fmt.Errorf("%s %q on device %d: %w", x.lane, x.key, c.dev, err)

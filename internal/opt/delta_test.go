@@ -4,68 +4,90 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"math/bits"
 	"strings"
 	"testing"
 
 	"ratel/internal/nn"
 	"ratel/internal/tensor"
+	"ratel/internal/tensor/simd"
 )
 
 // TestEscapeTableRefused: a piece one of whose escape tables — Δ's, M's or
-// V's — has a count above its capacity, or indices that leave the piece or
-// do not rise, or a moment table whose base puts the window past the byte,
-// is refused by an update — through UpdateGroup and through the pipeline —
-// and by the checkpoint's gather, before anything is decoded: the error
-// names the piece, and the working weights and the stored object stay as
-// they were.
+// V's — counts more or fewer records than the piece records, or has indices
+// that leave the piece or do not rise, or a moment table whose base puts the
+// window past the byte, is refused by an update — through UpdateGroup and
+// through the pipeline — and by the checkpoint's gather, before anything is
+// decoded: the error names the piece, and the working weights and the stored
+// object stay as they were. The piece holds records in all three tables:
+// every 40th master lies in fp16's subnormal range with no gradient, and
+// every 50th gradient is 2^20 times the rest.
 func TestEscapeTableRefused(t *testing.T) {
 	const n = 1000
-	l := layout(n, 0)
-	type table struct{ count, recs, base int }
-	tables := map[string]table{"Δ": {l.dtab, l.dtab + 4, -1}, "M": {l.mtab, l.mtab + 8, l.mtab + 4}, "V": {l.vtab, l.vtab + 8, l.vtab + 4}}
-	cases := map[string]func(obj []byte, tb table, plane string) bool{
-		"count over capacity": func(obj []byte, tb table, _ string) bool {
-			binary.LittleEndian.PutUint32(obj[tb.count:], uint32(escCap(n)+1))
+	build := func() (*OutOfCoreAdam, MemStore, nn.ParamGroup, *piece) {
+		store := MemStore{}
+		o := NewOutOfCoreAdam(store, DefaultAdam(), "e")
+		g := pieceGroups(3, n)[0]
+		w := g.Params[0].W.Data
+		for i := 0; i < n; i += 40 {
+			w[i] = 1e-6 * float32(1+i%7)
+		}
+		if err := o.InitGroup(g); err != nil {
+			t.Fatal(err)
+		}
+		setGroupGrads([]nn.ParamGroup{g}, 1, 1)
+		for i, gr := range g.Params[0].G.Data {
+			switch {
+			case i%40 == 0:
+				g.Params[0].G.Data[i] = 0
+			case i%50 == 1:
+				g.Params[0].G.Data[i] = gr * (1 << 20)
+			}
+		}
+		o.BeginStep()
+		if err := o.UpdateGroup(g); err != nil {
+			t.Fatal(err)
+		}
+		pc := o.cuts[g.Name][0]
+		if pc.form != 0 || pc.esc[0] == 0 || pc.esc[1] == 0 || pc.esc[2] == 0 || len(store[pc.key]) != pc.stored() {
+			t.Fatalf("the piece is stored in form %03b with %v escapes in %d bytes: want the compact form with records in every table", pc.form, pc.esc, len(store[pc.key]))
+		}
+		return o, store, g, pc
+	}
+	cases := map[string]func(obj, table []byte, plane int) bool{
+		"count above the record": func(_, table []byte, _ int) bool {
+			binary.LittleEndian.PutUint32(table, binary.LittleEndian.Uint32(table)+1)
 			return true
 		},
-		"index out of range": func(obj []byte, tb table, _ string) bool {
-			binary.LittleEndian.PutUint32(obj[tb.count:], 1)
-			binary.LittleEndian.PutUint32(obj[tb.recs:], n)
+		"count below the record": func(_, table []byte, _ int) bool {
+			binary.LittleEndian.PutUint32(table, binary.LittleEndian.Uint32(table)-1)
 			return true
 		},
-		"indices not rising": func(obj []byte, tb table, _ string) bool {
-			binary.LittleEndian.PutUint32(obj[tb.count:], 2)
-			binary.LittleEndian.PutUint32(obj[tb.recs:], 5)
-			binary.LittleEndian.PutUint32(obj[tb.recs+8:], 5)
+		"index out of range": func(_, table []byte, plane int) bool {
+			binary.LittleEndian.PutUint32(table[tableHeader[plane]:], n)
 			return true
 		},
-		"base past the byte": func(obj []byte, tb table, plane string) bool {
-			if tb.base < 0 {
+		"indices not rising": func(_, table []byte, plane int) bool {
+			recs := table[tableHeader[plane]:]
+			copy(recs[simd.EscapeBytes:], recs[:4])
+			return true
+		},
+		"base past the byte": func(_, table []byte, plane int) bool {
+			if plane == 0 {
 				return false
 			}
-			binary.LittleEndian.PutUint32(obj[tb.base:], map[string]uint32{"M": 0x7a, "V": 0xf2}[plane])
+			binary.LittleEndian.PutUint32(table[4:], [3]uint32{1: 0x7a, 2: 0xf2}[plane])
 			return true
 		},
 	}
 	for name, corrupt := range cases {
-		for plane, tb := range tables {
+		for plane := range 3 {
 			for _, path := range []string{"UpdateGroup", "pipeline", "WriteGroupTo"} {
-				store := MemStore{}
-				o := NewOutOfCoreAdam(store, DefaultAdam(), "e")
-				g := pieceGroups(3, n)[0]
-				if err := o.InitGroup(g); err != nil {
-					t.Fatal(err)
-				}
-				key := o.stateKey(g.Name)
-				if len(store[key]) != StateBytes(n, 0) {
-					t.Fatalf("the piece is %d bytes, not in the narrow form", len(store[key]))
-				}
-				if !corrupt(store[key], tb, plane) {
+				o, store, g, pc := build()
+				obj := store[pc.key]
+				if !corrupt(obj, obj[layout(n, pc.form, pc.esc).tab[plane]:], plane) {
 					continue
 				}
-				before, w := append([]byte(nil), store[key]...), append([]float32(nil), g.Params[0].W.Data...)
-				setGroupGrads([]nn.ParamGroup{g}, 1, 1)
+				before, w := append([]byte(nil), obj...), append([]float32(nil), g.Params[0].W.Data...)
 				o.BeginStep()
 				var err error
 				switch path {
@@ -80,14 +102,14 @@ func TestEscapeTableRefused(t *testing.T) {
 				default:
 					var rec bytes.Buffer
 					if _, err = o.WriteGroupTo(&rec, g); rec.Len() != 0 {
-						t.Fatalf("%s of %s: WriteGroupTo wrote %d bytes of a refused piece", name, plane, rec.Len())
+						t.Fatalf("%s of %s: WriteGroupTo wrote %d bytes of a refused piece", name, planeNames[plane], rec.Len())
 					}
 				}
-				if err == nil || !strings.Contains(err.Error(), key) {
-					t.Fatalf("%s of %s via %s: err = %v, want a refusal naming %s", name, plane, path, err, key)
+				if err == nil || !strings.Contains(err.Error(), pc.key) {
+					t.Fatalf("%s of %s via %s: err = %v, want a refusal naming %s", name, planeNames[plane], path, err, pc.key)
 				}
-				if !bytes.Equal(store[key], before) || !floatsBitEqual(g.Params[0].W.Data, w) {
-					t.Fatalf("%s of %s via %s: the refused piece was decoded: the store or the weights changed", name, plane, path)
+				if !bytes.Equal(store[pc.key], before) || !floatsBitEqual(g.Params[0].W.Data, w) {
+					t.Fatalf("%s of %s via %s: the refused piece was decoded: the store or the weights changed", name, planeNames[plane], path)
 				}
 			}
 		}
@@ -110,18 +132,18 @@ func floatsBitEqual(a, b []float32) bool {
 // TestFullFormFallback drives a group of two pieces through every change of
 // form. Its first piece is zero-initialized at a learning rate of 1e-6, so
 // that its masters sit far below fp16's normal range where almost none is
-// within 16 bits of its P16: that piece's Δ escapes overflow and it stores
-// P32 (FullP) while the second, randomly initialized, stores Δ; at 1e-3 the
-// masters leave that range and the first piece returns to Δ. At step 5 the
-// second piece's M window is moved where its moments are not: the walk's M
-// escapes overflow and M is written again in a window that fits, staying
-// narrow. At step 6 half of that piece's gradients jump 2^12-fold, so no
-// window holds both halves of M: M alone is stored raw; at step 7 the other
-// half follows and M is narrow again. Through UpdateGroup and through the
-// pipeline, every step's decoded state and working weights are
-// bit-identical to in-memory AdamStep's, and a checkpoint of the mixed forms
-// restores, in the same forms, into a fresh optimizer that continues
-// identically.
+// within 13 bits of its P16: that piece's Δ table would make Δ larger than
+// P32 and it stores P32 (FullP) while the second, randomly initialized,
+// stores Δ; at 1e-3 the masters leave that range and the first piece returns
+// to Δ. At step 5 the second piece's M window is moved where its moments are
+// not: the walk's M escapes make narrow M larger than raw, and M is written
+// again in a window that fits, staying narrow. At step 6 half of that
+// piece's gradients jump 2^12-fold, so no window holds both halves of M: M
+// alone is stored raw; at step 7 the other half follows and M is narrow
+// again. Through UpdateGroup and through the pipeline, every step's decoded
+// state and working weights are bit-identical to in-memory AdamStep's, and a
+// checkpoint of the mixed forms restores, in the same forms, into a fresh
+// optimizer that continues identically.
 func TestFullFormFallback(t *testing.T) {
 	const P = adamChunkGrain
 	build := func() nn.ParamGroup {
@@ -197,12 +219,8 @@ func TestFullFormFallback(t *testing.T) {
 		for path, o := range map[string]*OutOfCoreAdam{"UpdateGroup": oUpd, "pipeline": oPipe} {
 			g := map[string]nn.ParamGroup{"UpdateGroup": gUpd, "pipeline": gPipe}[path]
 			forms := [2]Form{o.cuts[g.Name][0].form, o.cuts[g.Name][1].form}
-			wide := bits.OnesCount8(uint8(forms[0]&^FullP)) + bits.OnesCount8(uint8(forms[1]&^FullP))
-			if step == 1 { // the first update's moments may leave the first codes' windows
-				forms[0], forms[1] = forms[0]&FullP, forms[1]&FullP
-			}
-			if forms != want[step] || o.WidePlanes() != wide {
-				t.Fatalf("step %d %s: pieces stored in forms %03b and %03b with %d wide planes, want %03b", step, path, forms[0], forms[1], o.WidePlanes(), want[step])
+			if forms != want[step] {
+				t.Fatalf("step %d %s: pieces stored in forms %03b and %03b, want %03b", step, path, forms[0], forms[1], want[step])
 			}
 			if !bytes.Equal(decodedState(t, o, g), encodeState(ref.p, ref.m, ref.v)) {
 				t.Fatalf("step %d %s: state differs from AdamStep's", step, path)
@@ -232,8 +250,8 @@ func TestFullFormFallback(t *testing.T) {
 	if ok, err := oRes.ImportWire(gRes, &ckpt); err != nil || !ok {
 		t.Fatalf("ImportWire = %v, %v", ok, err)
 	}
-	if sizes := oRes.StoredBytes(gRes.Name); sizes[0] != StateBytes(P, FullP) || sizes[1] != StateBytes(P/2, 0) {
-		t.Fatalf("restored pieces stored as %v B, want the first FullP and the second narrow", sizes)
+	if pcs := oRes.cuts[gRes.Name]; pcs[0].form != FullP || pcs[1].form != 0 {
+		t.Fatalf("restored pieces stored in forms %03b and %03b, want the first FullP and the second compact", pcs[0].form, pcs[1].form)
 	}
 	if err := oRes.SetStep(3); err != nil {
 		t.Fatal(err)
@@ -257,7 +275,7 @@ func TestFullFormFallback(t *testing.T) {
 	if !bytes.Equal(decodedState(t, oRes, gRes), decodedState(t, oTwin, gTwin)) || !floatsBitEqual(gRes.Params[0].W.Data, gTwin.Params[0].W.Data) {
 		t.Fatal("the restored run differs a step after the restore")
 	}
-	if got := oRes.StoredBytes(gRes.Name)[0]; got != StateBytes(P, 0) {
-		t.Fatalf("the first piece is %d B a step after the restore, want the narrow form's %d", got, StateBytes(P, 0))
+	if pc := oRes.cuts[gRes.Name][0]; pc.form != 0 || pc.stored() != oRes.StoredBytes(gRes.Name)[0] {
+		t.Fatalf("the first piece is stored in form %03b a step after the restore, want the compact one", pc.form)
 	}
 }

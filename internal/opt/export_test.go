@@ -11,36 +11,35 @@ func SetStreamSweep(stream int, last bool) (restore func()) {
 	return func() { sweep.stream, sweep.last = 0, false }
 }
 
-// PlaneStats reads the group's pieces as stored and reports, for M and V, the
-// escapes of their planes — a narrow plane's table, or what the narrow code
-// the next update tries a wide plane in would list — the fullest narrow
-// table's share of its capacity, and the planes stored wide where narrow
-// would pay, and the params they cover.
-func (o *OutOfCoreAdam) PlaneStats(group string) (esc [2]int, fill [2]float64, wide [2]int, params int, err error) {
+// PlaneStats reads the group's pieces as stored and reports, for each plane
+// — the masters, M, V — its stored bytes, its escape table's included; its
+// escapes, which for a moment plane stored raw are what the narrow code the
+// next update tries it in would list; and the planes stored raw. params is
+// the params the pieces cover.
+func (o *OutOfCoreAdam) PlaneStats(group string) (bytes, esc, raw [3]int, params int, err error) {
 	for _, pc := range o.cuts[group] {
 		obj := make([]byte, pc.stored())
 		if err = o.store.Start(pc.key, obj, false).Wait(); err != nil {
 			return
 		}
-		in, err := tables(obj, pc)
-		if err != nil {
-			return esc, fill, wide, params, err
+		if _, err = tables(obj, pc); err != nil {
+			return
 		}
-		l := layout(pc.n, pc.form)
-		for p, plane := range [2][]byte{obj[l.m:l.v], obj[l.v:l.end]} {
-			if pc.form&(WideM<<p) == 0 {
-				e := len(in.esc[1+p]) / simd.EscapeBytes
-				esc[p], fill[p] = esc[p]+e, max(fill[p], float64(e)/float64(escCap(pc.n)))
+		n, l := pc.n, layout(pc.n, pc.form, pc.esc)
+		ends := [4]int{0, l.m, l.v, l.end}
+		for p := range 3 {
+			bytes[p] += ends[p+1] - ends[p]
+			if pc.form&(FullP<<p) == 0 {
+				bytes[p] += tableHeader[p] + simd.EscapeBytes*pc.esc[p]
+				esc[p] += pc.esc[p]
 				continue
 			}
-			n := pc.n
-			e := simd.NarrowEncode(make([]byte, 3*n), make([]byte, (n+1)/2), plane, pc.codes[p], 0, make([]byte, simd.EscapeBytes*n))
-			esc[p] += e
-			if narrowPays(n) {
-				wide[p]++
+			raw[p]++
+			if p > 0 {
+				esc[p] += simd.NarrowEncode(make([]byte, 3*n), make([]byte, (n+1)/2), obj[ends[p]:ends[p+1]], pc.codes[p-1], 0, make([]byte, simd.EscapeBytes*n))
 			}
 		}
-		params += pc.n
+		params += n
 	}
-	return esc, fill, wide, params, nil
+	return
 }

@@ -6,11 +6,11 @@
 //
 // The out-of-core optimizer is exactly equivalent to the in-memory one for
 // any piece size: each master round-trips through storage as its exact
-// distance from the fp16 working copy the host holds (P16 + Δ, or the escape
-// table's fp32 bits) and each moment as its low three bytes and a 4-bit code
-// of its top byte (or the escape table's bits, or raw little-endian float32
-// where the codes do not fit), Adam is element-wise, and gradients are
-// consumed in fp16 (G16) in both paths.
+// distance from the fp16 working copy the host holds (P16 + a 13-bit Δ, or
+// the escape table's fp32 bits) and each moment as its low three bytes and a
+// 4-bit code of its top byte (or the escape table's bits, or raw
+// little-endian float32 where that is smaller), Adam is element-wise, and
+// gradients are consumed in fp16 (G16) in both paths.
 package opt
 
 import (
@@ -178,22 +178,22 @@ func (s MemStore) Start(key string, buf []byte, write bool) Ticket {
 // write, and the unit StatePipeline streams; SetWindow sizes it, and without
 // it a group is one piece. A piece of n params is stored as three planes and
 // the escape tables of the compact ones, each plane in one of two encodings,
-// and the optimizer records the piece's Form (StateBytes has the sizes):
+// and the optimizer records the piece's Form and its tables' record counts
+// eΔ, eM, eV (layout has the sizes):
 //
-//	master:  Δ (2n), or P32 (4n) in a FullP form
+//	master:  Δ (⌈13n/8⌉), or P32 (4n) in a FullP form
 //	M, V:    lo (3n) | codes (⌈n/2⌉), or raw fp32 (4n) in a WideM / WideV form
-//	tables:  Δ's: count u32 | escCap(n) × (index u32, P32 bits u32)
-//	         M's, then V's: count u32 | base u32 | escCap(n) × (index u32, bits u32)
+//	tables:  Δ's: count u32 | eΔ × (index u32, P32 bits u32)
+//	         M's, then V's: count u32 | base u32 | eM (eV) × (index u32, bits u32)
 //
-// Δ[i] = bits(P32[i]) − bits(P16[i]) as a little-endian int16 (simd's Δ
-// codec), and the install of P16 is the only writer of the working weights it
-// is relative to; a narrow moment plane holds each little-endian fp32 value's
-// low three bytes and its top byte as a 4-bit code from the plane's base
-// (simd's narrow codec: signed for M, not for V). A value the compact
-// encoding cannot hold is in its plane's table, which holds 1/128 of the
-// piece. A plane whose escapes overflow the table, or one too small for the
-// compact encoding to be smaller, is stored raw; the other planes stay
-// compact.
+// Δ[i] = bits(P32[i]) − bits(P16[i]) in 13 bits (simd's Δ codec), and the
+// install of P16 is the only writer of the working weights it is relative
+// to; a narrow moment plane holds each little-endian fp32 value's low three
+// bytes and its top byte as a 4-bit code from the plane's base (simd's
+// narrow codec: signed for M, not for V). A value the compact encoding
+// cannot hold is in its plane's table, which is as long as its records. A
+// plane is stored raw only where that is smaller than its compact encoding
+// and its table.
 type OutOfCoreAdam struct {
 	cfg    AdamConfig
 	store  Store
@@ -219,6 +219,7 @@ type OutOfCoreAdam struct {
 	scrMu sync.Mutex
 	scr   struct {
 		grad    []float32
+		delta   []byte // a piece's Δs as int16 (lift, relayout)
 		wire    []byte
 		escIn   []byte
 		out     [3][]byte // escapes the walk or an encoder lists: Δ's, M's, V's
@@ -232,7 +233,6 @@ type OutOfCoreAdam struct {
 
 	kernelParams atomic.Int64 // params the Adam kernel has updated
 	kernelNanos  atomic.Int64 // wall-clock spent inside the Adam kernel
-	widePlanes   atomic.Int64 // moment planes stored raw where narrow would pay
 }
 
 // KernelStats reports cumulative CPU-optimizer kernel work: parameters
@@ -298,28 +298,21 @@ func (o *OutOfCoreAdam) SetWindow(depth int, groups []nn.ParamGroup) {
 }
 
 // piece is params [lo, lo+n) of a group, stored as the object key in the
-// form it records. Whoever writes the piece sets form before the write — the
-// pipeline's Adam stage before it starts the write-back — and its next
-// reader reads it after waiting on that write. codes are the narrow codes
-// the next update encodes M and V in (the Adam stage's, as the form).
+// form and with the escape tables' record counts it records. Whoever writes
+// the piece sets them before the write — the pipeline's Adam stage before it
+// starts the write-back — and its next reader reads it after waiting on that
+// write. codes are the narrow codes the next update encodes M and V in (the
+// Adam stage's, as the form).
 type piece struct {
 	key   string
 	lo, n int
 	form  Form
+	esc   [3]int // records in the Δ, M and V tables (0 for a raw plane)
 	codes [2]simd.Narrow
 }
 
 // stored is the size of the piece's object in the store.
-func (pc *piece) stored() int { return StateBytes(pc.n, pc.form) }
-
-// wide is how many of the piece's moment planes are stored raw though the
-// narrow encoding would be smaller: the opt.wide_planes gauge's share.
-func (pc *piece) wide() int64 {
-	if !narrowPays(pc.n) {
-		return 0
-	}
-	return int64(pc.form>>1&1 + pc.form>>2&1)
-}
+func (pc *piece) stored() int { return layout(pc.n, pc.form, pc.esc).size }
 
 // cut returns the n-param group's pieces in order, building and caching
 // them on first use (the hot path must not concatenate per transfer).
@@ -336,14 +329,7 @@ func (o *OutOfCoreAdam) cut(group string, n int) []*piece {
 	}
 	var ps []*piece
 	for lo := 0; len(ps) == 0 || lo < n; lo += size {
-		pc := &piece{key: o.prefix + "/" + group + "/state/" + strconv.Itoa(len(ps)), lo: lo, n: min(size, n-lo), codes: firstCodes}
-		if !deltaPays(pc.n) {
-			pc.form |= FullP
-		}
-		if !narrowPays(pc.n) {
-			pc.form |= WideM | WideV
-		}
-		ps = append(ps, pc)
+		ps = append(ps, &piece{key: o.prefix + "/" + group + "/state/" + strconv.Itoa(len(ps)), lo: lo, n: min(size, n-lo), form: Full, codes: firstCodes})
 	}
 	o.cuts[group] = ps
 	return ps
@@ -356,8 +342,8 @@ func (o *OutOfCoreAdam) cut(group string, n int) []*piece {
 var firstCodes = [2]simd.Narrow{{Signed: true, Base: 0x34}, {Base: 0x25}}
 
 // Form is the encoding of a piece's three planes: the zero Form is the
-// narrow one — Δ, narrow M, narrow V, each with its escape table — and each
-// bit stores one plane raw instead.
+// compact one — Δ, narrow M, narrow V, each with its escape table — and each
+// bit stores one plane raw instead: plane p (the masters, M, V) is FullP<<p.
 type Form uint8
 
 const (
@@ -370,50 +356,55 @@ const (
 	Full = FullP | WideM | WideV
 )
 
-// pieceLayout is where an n-param piece's planes and tables lie in form f:
-// M at m, V at v, the planes' end at end, the tables present at dtab, mtab
-// and vtab (Δ's, M's, V's), and the object's size.
-type pieceLayout struct{ m, v, end, dtab, mtab, vtab, size int }
+// pieceLayout is where an n-param piece's planes and tables lie in form f
+// with tables of esc records: M at m, V at v, the planes' end at end, the
+// tables present at tab (Δ's, M's, V's), and the object's size. Where the
+// planes lie depends on the form alone.
+type pieceLayout struct {
+	m, v, end int
+	tab       [3]int
+	size      int
+}
 
-func layout(n int, f Form) (l pieceLayout) {
-	plane := func(raw Form) int {
-		if f&raw != 0 {
+// tableHeader is the size of each table's header: its count, and a moment
+// table's base.
+var tableHeader = [3]int{4, 8, 8}
+
+func layout(n int, f Form, esc [3]int) (l pieceLayout) {
+	plane := func(p int) int {
+		switch {
+		case f&(FullP<<p) != 0:
 			return 4 * n
+		case p == 0:
+			return simd.DeltaBytes(n)
 		}
 		return simd.NarrowBytes(n)
 	}
-	l.m = 2 * n
-	if f&FullP != 0 {
-		l.m = 4 * n
-	}
-	l.v = l.m + plane(WideM)
-	l.end = l.v + plane(WideV)
+	l.m = plane(0)
+	l.v = l.m + plane(1)
+	l.end = l.v + plane(2)
 	l.size = l.end
-	if f&FullP == 0 {
-		l.dtab, l.size = l.size, l.size+4+simd.EscapeBytes*escCap(n)
-	}
-	if f&WideM == 0 {
-		l.mtab, l.size = l.size, l.size+8+simd.EscapeBytes*escCap(n)
-	}
-	if f&WideV == 0 {
-		l.vtab, l.size = l.size, l.size+8+simd.EscapeBytes*escCap(n)
+	for p := range l.tab {
+		if f&(FullP<<p) == 0 {
+			l.tab[p], l.size = l.size, l.size+tableHeader[p]+simd.EscapeBytes*esc[p]
+		}
 	}
 	return l
 }
 
-// StateBytes is the size of n params' state in form f: 12 B/param in Full,
-// about 9.2 in the narrow form.
-func StateBytes(n int, f Form) int { return layout(n, f).size }
+// StateBytes is the size of n params' state in form f with empty escape
+// tables: 12 B/param in Full, about 8.6 in the compact form.
+func StateBytes(n int, f Form) int { return layout(n, f, [3]int{}).size }
 
-// escCap is each escape table's capacity in an n-param piece: 1/128 of it.
-func escCap(n int) int { return (n + 127) / 128 }
-
-// deltaPays reports whether an n-param piece's masters are smaller as Δ; a
-// piece of fewer than seven params always stores them P32.
-func deltaPays(n int) bool { return StateBytes(n, WideM|WideV) < StateBytes(n, Full) }
-
-// narrowPays is the same for a moment plane: from 33 params on.
-func narrowPays(n int) bool { return StateBytes(n, FullP|WideV) < StateBytes(n, Full) }
+// compact reports whether plane p (the masters, M, V) of an n-param piece
+// with e escapes is smaller in its compact encoding, table included, than
+// raw: the rule a piece's form follows. The masters are from three params
+// on, a moment plane from 18 (with no escapes).
+func compact(n, p, e int) bool {
+	var esc [3]int
+	esc[p] = e
+	return layout(n, Full&^(FullP<<p), esc).size < StateBytes(n, Full)
+}
 
 // StoredBytes reports the size of each of the group's pieces in the store,
 // in piece order, in the form each is stored in now. Call it with no update
@@ -425,11 +416,6 @@ func (o *OutOfCoreAdam) StoredBytes(group string) []int {
 	}
 	return sizes
 }
-
-// WidePlanes reports how many moment planes the store holds raw because
-// their escapes overflowed the table: the opt.wide_planes gauge. A plane too
-// small for the narrow encoding to pay is not counted.
-func (o *OutOfCoreAdam) WidePlanes() int { return int(o.widePlanes.Load()) }
 
 // overlap calls f for each of g's tensors that params [lo,hi) of the
 // group's flattened state cover: the tensor, its covered elements [a,b), and
@@ -608,13 +594,14 @@ type recs struct {
 	codes [2]simd.Narrow
 }
 
-// stageLen is the params of a walk's staging block: a narrow plane's block is
-// decoded into it, walked there and encoded back, so the codec runs in the
-// walk's chunk loop on data in L1 and never as a pass over the piece.
-// stageBytes is a chunk's staging: one block of each moment plane.
+// stageLen is the params of a walk's staging block: a block of the Δ plane
+// and of each narrow moment plane is decoded into it, walked there and
+// encoded back, so the codecs run in the walk's chunk loop on data in L1 and
+// never as a pass over the piece. stageBytes is a chunk's staging: one block
+// of each moment plane as fp32 and one of Δ as int16.
 const (
 	stageLen   = 512
-	stageBytes = 2 * 4 * stageLen
+	stageBytes = (2*4 + 2) * stageLen
 )
 
 // samples is about how many of a moment plane's top bytes seal samples to
@@ -678,17 +665,20 @@ func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, f Form
 
 // walk runs the Δ walk over elements [from, to) of the piece in obj, laid out
 // in form f, listing the escapes at out, and returns their counts. It goes a
-// staging block at a time: a narrow moment plane's block is decoded into
-// stage (in its codes, in.codes) and encoded back after the walk (in the
-// piece's); a raw one is walked where it lies. Each block's walk is one
-// simd.AdamDelta per tensor of the group it covers, with that tensor's
-// working weights as P16. from is even, so a block's codes are whole bytes.
+// staging block at a time: the block's Δs are unpacked into stage and packed
+// back after the walk; a narrow moment plane's block is decoded into stage
+// (in its codes, in.codes) and encoded back (in the piece's); a raw one is
+// walked where it lies. Each block's walk is one simd.AdamDelta per tensor
+// of the group it covers, with that tensor's working weights as P16. from is
+// a multiple of 8, so a block's Δs and codes are whole bytes.
 func walk(obj []byte, g nn.ParamGroup, pc *piece, f Form, k simd.AdamCoef, grad []float32, in recs, out [3][]byte, stage []byte, from, to int) (nesc [3]int) {
-	n, l := pc.n, layout(pc.n, f)
-	d, planes := obj[:2*n], [2][]byte{obj[l.m:l.v], obj[l.v:l.end]}
+	n, l := pc.n, layout(pc.n, f, pc.esc)
+	planes := [2][]byte{obj[l.m:l.v], obj[l.v:l.end]}
 	esc := in.esc
 	for i := from; i < to; i += stageLen {
 		j := min(to, i+stageLen)
+		packed, d := obj[simd.DeltaBytes(i):l.m], stage[8*stageLen:8*stageLen+2*(j-i)]
+		simd.UnpackDelta(d, packed)
 		var blk [2][]byte
 		for p, plane := range planes {
 			if f&(WideM<<p) != 0 {
@@ -702,9 +692,10 @@ func walk(obj []byte, g nn.ParamGroup, pc *piece, f Form, k simd.AdamCoef, grad 
 		overlap(g, pc.lo+i, pc.lo+j, func(p nn.Param, a, b, at int) error {
 			s, e := at, at+b-a
 			esc[0] = skipEscapes(esc[0], i+s)
-			nesc[0] += simd.AdamDelta(k, i+s, d[2*(i+s):2*(i+e)], blk[0][4*s:4*e], blk[1][4*s:4*e], grad[i+s:i+e], p.W.Data[a:b], esc[0], out[0][simd.EscapeBytes*nesc[0]:])
+			nesc[0] += simd.AdamDelta(k, i+s, d[2*s:2*e], blk[0][4*s:4*e], blk[1][4*s:4*e], grad[i+s:i+e], p.W.Data[a:b], esc[0], out[0][simd.EscapeBytes*nesc[0]:])
 			return nil
 		})
+		simd.PackDelta(packed, d)
 		for p, plane := range planes {
 			if f&(WideM<<p) == 0 {
 				nesc[1+p] += simd.NarrowEncode(plane[3*i:3*j], plane[3*n+i/2:3*n+(j+1)/2], blk[p], pc.codes[p], i, out[1+p][simd.EscapeBytes*nesc[1+p]:])
@@ -722,42 +713,42 @@ func skipEscapes(esc []byte, i int) []byte {
 	return esc
 }
 
+// planeNames name a piece's planes in errors: the masters, M, V.
+var planeNames = [3]string{"Δ", "M", "V"}
+
 // tables returns the escape records of the piece in obj, stored in its form,
-// and the codes of its narrow planes, refusing a table whose count is over
-// its capacity or whose indices do not rise strictly within the piece, and a
-// base whose window leaves the byte: such a piece is never decoded.
+// and the codes of its narrow planes, refusing a table whose count is not
+// the one the piece records or whose indices do not rise strictly within
+// the piece, and a base whose window leaves the byte: such a piece is never
+// decoded. It reads nothing past the piece's size.
 func tables(obj []byte, pc *piece) (r recs, err error) {
-	l := layout(pc.n, pc.form)
-	if pc.form&FullP == 0 {
-		if r.esc[0], err = records(obj[l.dtab:], obj[l.dtab+4:], pc); err != nil {
-			return r, err
-		}
-	}
-	for p, at := range [2]int{l.mtab, l.vtab} {
-		if pc.form&(WideM<<p) != 0 {
+	l := layout(pc.n, pc.form, pc.esc)
+	for p, at := range l.tab {
+		if pc.form&(FullP<<p) != 0 {
 			continue
 		}
-		base := binary.LittleEndian.Uint32(obj[at+4:])
-		r.codes[p] = simd.Narrow{Signed: p == 0, Base: uint8(base)}
-		if base > 0xff || !r.codes[p].Valid() {
-			return r, fmt.Errorf("opt: %s: %s base %d leaves the byte", pc.key, "MV"[p:p+1], base)
+		if p > 0 {
+			base := binary.LittleEndian.Uint32(obj[at+4:])
+			r.codes[p-1] = simd.Narrow{Signed: p == 1, Base: uint8(base)}
+			if base > 0xff || !r.codes[p-1].Valid() {
+				return r, fmt.Errorf("opt: %s: %s base %d leaves the byte", pc.key, planeNames[p], base)
+			}
 		}
-		if r.esc[1+p], err = records(obj[at:], obj[at+8:], pc); err != nil {
+		if r.esc[p], err = records(obj[at:at+tableHeader[p]+simd.EscapeBytes*pc.esc[p]], p, pc); err != nil {
 			return r, err
 		}
 	}
 	return r, nil
 }
 
-// records returns the records of an escape table whose count is at count's
-// start and whose records start at table's. A count over the capacity, or
-// indices that do not rise strictly within the piece, are an error.
-func records(count, table []byte, pc *piece) ([]byte, error) {
-	c := int(binary.LittleEndian.Uint32(count))
-	if c > escCap(pc.n) {
-		return nil, fmt.Errorf("opt: %s: %d escapes in a table of %d", pc.key, c, escCap(pc.n))
+// records returns the records of plane p's escape table, which is table. A
+// count other than the piece's, or indices that do not rise strictly within
+// the piece, are an error.
+func records(table []byte, p int, pc *piece) ([]byte, error) {
+	if c := int(binary.LittleEndian.Uint32(table)); c != pc.esc[p] {
+		return nil, fmt.Errorf("opt: %s: the %s table counts %d escapes, the piece records %d", pc.key, planeNames[p], c, pc.esc[p])
 	}
-	esc := table[:simd.EscapeBytes*c]
+	esc := table[tableHeader[p]:]
 	prev := -1
 	for e := esc; len(e) > 0; e = e[simd.EscapeBytes:] {
 		i := int(binary.LittleEndian.Uint32(e))
@@ -780,37 +771,41 @@ func (o *OutOfCoreAdam) pack(obj []byte, g nn.ParamGroup, pc *piece) {
 // lift turns the piece in obj, in FullP form f, into the same form with its
 // masters as Δ, installing P16 = fp16(P32) into the group's working weights
 // (which the Adam stage finds there already), and returns the escapes, listed
-// in order from out's start. The masters go through the gradient scratch,
-// and the moment planes move down over the P32 plane's second half; the
-// tables stay where they were. Caller holds scrMu.
+// in order from out's start. The masters go through the gradient scratch and
+// their Δs through the delta scratch, and the moment planes move down to
+// where the packed Δs end; the tables stay where they were. Caller holds
+// scrMu.
 func (o *OutOfCoreAdam) lift(obj []byte, g nn.ParamGroup, pc *piece, f Form, out []byte) []byte {
 	n := pc.n
-	p32 := scratch(&o.scr.grad, n)
+	p32, d := scratch(&o.scr.grad, n), scratch(&o.scr.delta, 2*n)
 	_ = tensor.FromFP32Bytes(obj[:4*n], p32) // sizes are the piece's: no error
 	nesc := 0
 	overlap(g, pc.lo, pc.lo+n, func(p nn.Param, a, b, at int) error {
-		nesc += simd.DeltaEncode(obj[2*at:], p32[at:at+b-a], p.W.Data[a:b], at, out[simd.EscapeBytes*nesc:])
+		nesc += simd.DeltaEncode(d[2*at:2*(at+b-a)], p32[at:at+b-a], p.W.Data[a:b], at, out[simd.EscapeBytes*nesc:])
 		return nil
 	})
-	copy(obj[2*n:], obj[4*n:layout(n, f).end])
+	m := simd.DeltaBytes(n)
+	simd.PackDelta(obj[:m], d)
+	copy(obj[m:], obj[4*n:layout(n, f, pc.esc).end])
 	return out[:simd.EscapeBytes*nesc]
 }
 
 // seal finishes the piece in obj, walked in form f (masters as Δ) with the
-// walk's records w, in the smallest form its escapes allow: the masters
-// unpacked to P32 if Δ's overflow or do not pay, a narrow moment plane whose
-// escapes overflow written again in the code that fits it and stored raw if
-// they overflow that too, and a raw one tried narrow — into the
-// scratch, in the code that fits a sample of it — and stored so if they
-// fit with a margin. It writes the tables, records the form and the codes the next update
-// encodes in, each the one whose window holds the most of a sample of the
-// plane and its escapes, and returns the object. Caller holds scrMu.
+// walk's records w, in the smallest form its escapes allow: each plane
+// compact where that, its table included, is smaller than raw (compact) —
+// the masters unpacked to P32 otherwise; a narrow moment plane that is not
+// smaller written again in the code that fits it and decoded to raw if that
+// is not smaller either; and a raw one tried narrow, into the scratch, in the
+// code that fits a sample of it. It writes the tables, records the form, the
+// counts and the codes the next update encodes in, each the one whose window
+// holds the most of a sample of the plane and its escapes, and returns the
+// object. Caller holds scrMu.
 func (o *OutOfCoreAdam) seal(obj []byte, g nn.ParamGroup, pc *piece, f Form, w *recs) []byte {
 	n, to := pc.n, f
-	if len(w.esc[0])/simd.EscapeBytes > escCap(n) || !deltaPays(n) {
+	if !compact(n, 0, len(w.esc[0])/simd.EscapeBytes) {
 		to |= FullP
 	}
-	l := layout(n, f)
+	l := layout(n, f, pc.esc)
 	planes := [2][]byte{obj[l.m:l.v], obj[l.v:l.end]}
 	hist, every := &o.scr.hist, max(1, n/samples)
 	for p, plane := range planes {
@@ -822,26 +817,26 @@ func (o *OutOfCoreAdam) seal(obj []byte, g nn.ParamGroup, pc *piece, f Form, w *
 				hist[e[simd.EscapeBytes-1]]++
 			}
 			pc.codes[p] = w.codes[p].Fit(hist)
-			if len(w.esc[1+p])/simd.EscapeBytes <= escCap(n) {
+			if compact(n, 1+p, len(w.esc[1+p])/simd.EscapeBytes) {
 				continue
 			}
 			// The plane has left the window it was written in: it is written
 			// again in the one that fits it, through the scratch, and stored raw
-			// only if that overflows too.
+			// only if that is not smaller either.
 			values, list := scratch(&o.scr.planes, 8*n)[4*n*p:4*n*(p+1)], scratch(&o.scr.out[1+p], simd.EscapeBytes*n)
 			simd.NarrowDecode(values, plane[:3*n], plane[3*n:], w.codes[p], 0, w.esc[1+p])
 			e := simd.NarrowEncode(plane[:3*n], plane[3*n:], values, pc.codes[p], 0, list)
-			if w.esc[1+p], w.codes[p] = list[:simd.EscapeBytes*e], pc.codes[p]; e > escCap(n) {
+			if w.esc[1+p], w.codes[p] = list[:simd.EscapeBytes*e], pc.codes[p]; !compact(n, 1+p, e) {
 				to |= raw
 			}
-		case narrowPays(n):
+		case compact(n, 1+p, 0):
 			for i := 0; i < n; i += every {
 				hist[plane[4*i+3]] += every
 			}
 			c, tried, list := pc.codes[p].Fit(hist), scratch(&o.scr.planes, 8*n)[4*n*p:], scratch(&o.scr.out[1+p], simd.EscapeBytes*n)
 			e := simd.NarrowEncode(tried[:3*n], tried[3*n:simd.NarrowBytes(n)], plane, c, 0, list)
 			w.esc[1+p], w.codes[p], pc.codes[p] = list[:simd.EscapeBytes*e], c, c
-			if e <= escCap(n)*3/4 { // a margin, so a plane at the capacity does not flip every step
+			if compact(n, 1+p, e) {
 				to &^= raw
 			}
 		}
@@ -849,45 +844,45 @@ func (o *OutOfCoreAdam) seal(obj []byte, g nn.ParamGroup, pc *piece, f Form, w *
 	if to != f {
 		o.relayout(obj, g, pc, f, to, w)
 	}
-	l = layout(n, to)
-	if to&FullP == 0 {
-		table(obj[l.dtab:], obj[l.dtab+4:l.dtab+4+simd.EscapeBytes*escCap(n)], w.esc[0])
-	}
-	for p, at := range [2]int{l.mtab, l.vtab} {
-		if to&(WideM<<p) == 0 {
-			binary.LittleEndian.PutUint32(obj[at+4:], uint32(w.codes[p].Base))
-			table(obj[at:], obj[at+8:at+8+simd.EscapeBytes*escCap(n)], w.esc[1+p])
+	for p := range pc.esc {
+		pc.esc[p] = 0
+		if to&(FullP<<p) == 0 {
+			pc.esc[p] = len(w.esc[p]) / simd.EscapeBytes
 		}
 	}
-	before := pc.wide()
+	l = layout(n, to, pc.esc)
+	for p, at := range l.tab {
+		if to&(FullP<<p) != 0 {
+			continue
+		}
+		binary.LittleEndian.PutUint32(obj[at:], uint32(pc.esc[p]))
+		if p > 0 {
+			binary.LittleEndian.PutUint32(obj[at+4:], uint32(w.codes[p-1].Base))
+		}
+		copy(obj[at+tableHeader[p]:], w.esc[p])
+	}
 	pc.form = to
-	o.widePlanes.Add(pc.wide() - before)
 	return obj[:l.size]
-}
-
-// table writes an escape table: the count of records esc at count's start,
-// the records at the start of recs and zeros after them.
-func table(count, recs, esc []byte) {
-	binary.LittleEndian.PutUint32(count, uint32(len(esc)/simd.EscapeBytes))
-	clear(recs[copy(recs, esc):])
 }
 
 // relayout rewrites the piece in obj from form from, whose records are w,
 // into form to: the masters unpacked from Δ to P32 (from the group's working
-// weights) through the gradient scratch, a narrow moment plane decoded into
-// the planes scratch, where seal leaves a plane it narrows, and the planes
-// that keep their encoding moved to where to has them. It never turns P32
-// into Δ (lift does). Caller holds scrMu.
+// weights) through the gradient and delta scratch, a narrow moment plane
+// decoded into the planes scratch, where seal leaves a plane it narrows, and
+// the planes that keep their encoding moved to where to has them. It reads
+// every record before it moves a plane, and never turns P32 into Δ (lift
+// does). Caller holds scrMu.
 func (o *OutOfCoreAdam) relayout(obj []byte, g nn.ParamGroup, pc *piece, from, to Form, w *recs) {
 	n := pc.n
-	lf, lt := layout(n, from), layout(n, to)
+	lf, lt := layout(n, from, pc.esc), layout(n, to, pc.esc)
 	var p32 []float32
 	if from&FullP == 0 && to&FullP != 0 {
 		p32 = scratch(&o.scr.grad, n)
-		esc := w.esc[0]
+		d, esc := scratch(&o.scr.delta, 2*n), w.esc[0]
+		simd.UnpackDelta(d, obj[:lf.m])
 		overlap(g, pc.lo, pc.lo+n, func(p nn.Param, a, b, at int) error {
 			esc = skipEscapes(esc, at)
-			simd.DeltaDecode(p32[at:at+b-a], obj[2*at:], p.W.Data[a:b], at, esc)
+			simd.DeltaDecode(p32[at:at+b-a], d[2*at:], p.W.Data[a:b], at, esc)
 			return nil
 		})
 	}

@@ -484,11 +484,12 @@ func stagedAdamWire(wire []byte, cfg AdamConfig, step int, p32, m, v, grad []flo
 // stored piece leaves the decoded state and the installed fp16 weights
 // bit-identical to decode → AdamStep → encode, at sizes around the chunk
 // grain and one of many chunks, with weight decay on and off, serial and
-// sharded (make test-procs repeats it at GOMAXPROCS 1, 2 and 4). Every 200th master — every 50th with weight decay
-// — lies deep in fp16's subnormal range and gets no gradient, so most of them
-// stay escapes: the pieces store their masters as Δ with escapes in every
-// chunk, or, at one in 50, overflow the table and store them as P32, as the
-// smallest always do; M and V take whichever form their escapes allow.
+// sharded (make test-procs repeats it at GOMAXPROCS 1, 2 and 4). Every 200th
+// master — every 3rd with weight decay — lies deep in fp16's subnormal range
+// and gets no gradient, so most of them stay escapes: the pieces store their
+// masters as Δ with escapes in every chunk, or, at one in 3, where the table
+// would make Δ larger than P32, as P32, as the smallest always do; M and V
+// take whichever form their escapes allow.
 func TestAdamWireBitIdenticalToStaged(t *testing.T) {
 	old := tensor.Parallelism()
 	defer tensor.SetParallelism(old)
@@ -507,7 +508,7 @@ func TestAdamWireBitIdenticalToStaged(t *testing.T) {
 				w.RandInit(rng, 0.5)
 				escapeEvery := 200
 				if decay {
-					escapeEvery = 50
+					escapeEvery = 3
 				}
 				for i := 0; i < n; i += escapeEvery {
 					w.Data[i] = 1e-6 * float32(1+i%7)
@@ -536,7 +537,7 @@ func TestAdamWireBitIdenticalToStaged(t *testing.T) {
 					if !bytes.Equal(decodedState(t, o, g), want) {
 						t.Fatalf("n=%d decay=%v threads=%d step %d: state differs from the staged update", n, decay, threads, step)
 					}
-					wantFull := !deltaPays(n) || (n+escapeEvery-1)/escapeEvery > escCap(n)
+					wantFull := !compact(n, 0, (n+escapeEvery-1)/escapeEvery)
 					if full := o.cuts[g.Name][0].form&FullP != 0; full != wantFull {
 						t.Fatalf("n=%d decay=%v step %d: stored full %v, want %v", n, decay, step, full, wantFull)
 					}
@@ -559,9 +560,9 @@ func TestAdamWireRejectsShortObject(t *testing.T) {
 	if err := o.InitGroup(g); err != nil {
 		t.Fatal(err)
 	}
-	for _, nb := range []int{0, 35, 37} {
+	for _, nb := range []int{0, 32, 34} {
 		_, err := o.applyTo(make([]byte, nb, 64), g, o.cuts[g.Name][0], o.cfg, 1, "g/opt-adam")
-		if want := fmt.Sprintf("opt: decode w/g/state/0: state object is %d bytes, want 36", nb); err == nil || err.Error() != want {
+		if want := fmt.Sprintf("opt: decode w/g/state/0: state object is %d bytes, want 33", nb); err == nil || err.Error() != want {
 			t.Errorf("%d-byte object: err = %v, want %q", nb, err, want)
 		}
 	}

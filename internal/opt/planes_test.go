@@ -14,15 +14,16 @@ import (
 var planesFull = flag.Bool("planes.full", false, "run the plane-statistics measurement: 4 shapes × seeds 1-2 × 20/200/600/2,000 steps")
 
 // BenchmarkStatePlanes is the plane-statistics measurement of EXPERIMENTS.md
-// ("M and V in 4-bit codes"): it trains each of the benchmark's workload
-// shapes as plain models — ForwardBackward on random tokens, each group
-// updated by UpdateGroup over a MemStore, pieces cut at the engine's window —
-// and at each horizon reads every stored piece and logs, for M and V, the
-// escapes per param, the fullest table's fill and the planes stored wide.
-// Without -planes.full it is a smoke of two steps of each shape on seed 1.
-// The measurement:
-//
-//	go test ./internal/opt -run '^$' -bench StatePlanes -benchtime 1x -timeout 2h -v -args -planes.full
+// ("The state piece carries no slack"): it trains each of the benchmark's
+// workload shapes as plain models — ForwardBackward on random tokens, each
+// group updated by UpdateGroup over a MemStore, pieces cut at the engine's
+// window — and at each horizon reads every stored piece and logs, for the
+// masters, M and V, the stored bytes per param (each plane's escape table
+// included), the escapes per param and the planes stored raw; the state's
+// bytes per param in all; and the Adam walk's wall-clock per param over the
+// steps so far (KernelStats: the walk with its codecs, on the test's
+// threads). Without -planes.full it is a smoke of two steps of each shape on
+// seed 1. The measurement:
 func BenchmarkStatePlanes(b *testing.B) {
 	horizons, seeds := []int{20, 200, 600, 2000}, []int64{1, 2}
 	if !*planesFull {
@@ -89,21 +90,22 @@ func planeStats(b *testing.B, sh sweepShape, seed int64, horizons []int) {
 			continue
 		}
 		horizons = horizons[1:]
-		var esc, wide [2]int
-		var fill [2]float64
+		var bytes, esc, raw [3]int
 		params := 0
 		for _, g := range groups {
-			e, f, w, n, err := o.PlaneStats(g.Name)
+			by, e, r, n, err := o.PlaneStats(g.Name)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for p := range 2 {
-				esc[p], fill[p], wide[p] = esc[p]+e[p], max(fill[p], f[p]), wide[p]+w[p]
+			for p := range 3 {
+				bytes[p], esc[p], raw[p] = bytes[p]+by[p], esc[p]+e[p], raw[p]+r[p]
 			}
 			params += n
 		}
-		b.Logf("%-16s seed %d %5d steps | M %6.3f %% escapes, fullest table %5.1f %%, %2d wide | V %6.3f %% escapes, fullest table %5.1f %%, %2d wide | %d params, %d wide planes",
-			sh.name, seed, step, 100*float64(esc[0])/float64(params), 100*fill[0], wide[0],
-			100*float64(esc[1])/float64(params), 100*fill[1], wide[1], params, o.WidePlanes())
+		perParam := func(x int) float64 { return float64(x) / float64(params) }
+		walked, busy := o.KernelStats()
+		b.Logf("%-16s seed %d %5d steps | Δ %.3f B/param, %.3f %% escapes, %d raw | M %.3f, %.3f %%, %d | V %.3f, %.3f %%, %d | %.3f B/param, %d params | walk %.2f ns/param",
+			sh.name, seed, step, perParam(bytes[0]), 100*perParam(esc[0]), raw[0], perParam(bytes[1]), 100*perParam(esc[1]), raw[1],
+			perParam(bytes[2]), 100*perParam(esc[2]), raw[2], perParam(bytes[0]+bytes[1]+bytes[2]), params, float64(busy.Nanoseconds())/float64(walked))
 	}
 }

@@ -6,26 +6,93 @@ import (
 )
 
 // The Δ codec stores an fp32 master weight as its distance from P16, the
-// fp16 copy of it the host already holds: Δ = bits(P32) − bits(fp16(P32)),
-// as a little-endian int16. Across fp16's normal range the two patterns are
-// at most 4,096 apart, so P32 = P16 + Δ is exact; a master whose distance
-// does not fit 16 bits — an fp16-subnormal magnitude, a finite value that
-// rounds to Inf, most NaN payloads — is an escape: its Δ is stored as 0 and
-// its bits travel in an escape record instead.
+// fp16 copy of it the host already holds: Δ = bits(P32) − bits(fp16(P32)).
+// fp16 keeps 10 of fp32's 23 mantissa bits, so across fp16's normal range Δ
+// is the 13 low bits P16 zeroes, read as a signed number, and P32 = P16 + Δ is
+// exact. A Δ is stored in 13 bits, [−4096, 4095]: a master whose distance
+// does not fit — the tie Δ = +4096, an fp16-subnormal magnitude, a finite
+// value that rounds to Inf, most NaN payloads — is an escape: its Δ is stored
+// as 0 and its bits travel in an escape record instead.
+//
+// The walk and the encoders work on a plane of little-endian int16 Δs; a
+// stored plane packs them 13 bits each, element i at bits [13i, 13i+13) of
+// the little-endian bit stream (PackDelta, UnpackDelta).
 
 // EscapeBytes is the size of one escape record: the element's index and the
 // master's fp32 bits, each a little-endian uint32. A list of records is
 // sorted by index.
 const EscapeBytes = 8
 
-// deltaOf is Δ = bits(p) − bits(w) and whether it fits in 16 bits; Δ is 0
+// deltaOf is Δ = bits(p) − bits(w) and whether it fits in 13 bits; Δ is 0
 // when it does not.
 func deltaOf(p, w float32) (int16, bool) {
 	d := int32(math.Float32bits(p) - math.Float32bits(w))
-	if d != int32(int16(d)) {
+	if d != d<<19>>19 {
 		return 0, false
 	}
 	return int16(d), true
+}
+
+// DeltaBytes is the size of an n-element plane of 13-bit Δs.
+func DeltaBytes(n int) int { return (13*n + 7) / 8 }
+
+// PackDelta stores the n = len(src)/2 little-endian int16 Δs of src, each in
+// [−4096, 4095], 13 bits each into dst (DeltaBytes(n) bytes; the last byte's
+// bits past the plane are 0). dst and src must not overlap.
+func PackDelta(dst, src []byte) { active.deltaPack(dst, src) }
+
+// UnpackDelta is its inverse: the n = len(dst)/2 Δs of the packed plane src,
+// sign-extended into dst as little-endian int16.
+func UnpackDelta(dst, src []byte) { active.deltaUnpack(dst, src) }
+
+// packDeltaGeneric is the reference packer. Eight Δs are 13 bytes, a uint64
+// and the 40 bits after it, built from the group's two uint64s of four
+// int16s each.
+func packDeltaGeneric(dst, src []byte) {
+	const f = 0x1fff
+	n, i, at := len(src)/2, 0, 0
+	for ; i+8 <= n; i, at = i+8, at+13 {
+		s, d := src[2*i:2*i+16], dst[at:at+13]
+		a, b := binary.LittleEndian.Uint64(s), binary.LittleEndian.Uint64(s[8:])
+		lo := a&f | a>>16&f<<13 | a>>32&f<<26 | a>>48&f<<39 | b&f<<52
+		hi := b&f>>12 | b>>16&f<<1 | b>>32&f<<14 | b>>48&f<<27
+		binary.LittleEndian.PutUint64(d, lo)
+		binary.LittleEndian.PutUint32(d[8:], uint32(hi))
+		d[12] = byte(hi >> 32)
+	}
+	acc, bits := uint32(0), 0
+	for ; i < n; i++ {
+		acc |= uint32(binary.LittleEndian.Uint16(src[2*i:])&f) << bits
+		for bits += 13; bits >= 8; bits -= 8 {
+			dst[at], acc, at = byte(acc), acc>>8, at+1
+		}
+	}
+	if bits > 0 {
+		dst[at] = byte(acc)
+	}
+}
+
+// unpackDeltaGeneric is the reference unpacker.
+func unpackDeltaGeneric(dst, src []byte) {
+	// ext sign-extends the 13-bit field at bit k of x into a 16-bit lane.
+	ext := func(x uint64, k uint) uint64 { return (x>>k&0x1fff ^ 0x1000 - 0x1000) & 0xffff }
+	n, i, at := len(dst)/2, 0, 0
+	for ; i+8 <= n; i, at = i+8, at+13 {
+		s, d := src[at:at+13], dst[2*i:2*i+16]
+		lo := binary.LittleEndian.Uint64(s)
+		hi := uint64(binary.LittleEndian.Uint32(s[8:])) | uint64(s[12])<<32
+		mid := lo>>52 | hi<<12
+		binary.LittleEndian.PutUint64(d, ext(lo, 0)|ext(lo, 13)<<16|ext(lo, 26)<<32|ext(lo, 39)<<48)
+		binary.LittleEndian.PutUint64(d[8:], ext(mid, 0)|ext(hi, 1)<<16|ext(hi, 14)<<32|ext(hi, 27)<<48)
+	}
+	acc, bits := uint32(0), 0
+	for ; i < n; i++ {
+		for ; bits < 13; bits += 8 {
+			acc, at = acc|uint32(src[at])<<bits, at+1
+		}
+		binary.LittleEndian.PutUint16(dst[2*i:], uint16(int16(acc<<3)>>3))
+		acc, bits = acc>>13, bits-13
+	}
 }
 
 // decodeDelta is the master whose bits are bits(w) plus the int16 Δ at d.

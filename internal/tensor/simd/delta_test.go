@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -17,11 +18,11 @@ var deltaSweepStride uint64 = 1
 // TestDeltaCodecAllPatterns runs every one of the 2^32 fp32 bit patterns
 // through the codec as masters, with P16 = fp16 of each: the installed P16 is
 // the reference rounding's, exactly the patterns whose distance from it does
-// not fit 16 bits are escapes (each recorded once, in order, with its bits),
-// every other pattern's Δ is that distance, and decoding gives back every
-// pattern bit for bit — NaN payloads, signaling NaNs and fp32 subnormals
-// included. Under -short (and the race detector) it runs every 4099th
-// pattern.
+// not fit 13 bits are escapes (each recorded once, in order, with its bits),
+// every other pattern's Δ is that distance, and decoding the plane packed
+// 13 bits a Δ and unpacked gives back every pattern bit for bit — NaN
+// payloads, signaling NaNs and fp32 subnormals included. Under -short (and
+// the race detector) it runs every 4099th pattern.
 func TestDeltaCodecAllPatterns(t *testing.T) {
 	const batch = 1 << 16
 	stride := deltaSweepStride
@@ -37,7 +38,7 @@ func TestDeltaCodecAllPatterns(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			p, w, q := make([]float32, batch), make([]float32, batch), make([]float32, batch)
-			d, out := make([]byte, 2*batch), make([]byte, EscapeBytes*batch)
+			d, out, packed := make([]byte, 2*batch), make([]byte, EscapeBytes*batch), make([]byte, DeltaBytes(batch))
 			for b := next.Add(1) - 1; b < batches; b = next.Add(1) - 1 {
 				n := int(min(batch, total-b*batch))
 				for i := range n {
@@ -53,7 +54,7 @@ func TestDeltaCodecAllPatterns(t *testing.T) {
 						return
 					}
 					dl, stored := int32(math.Float32bits(x)-h), int16(uint16(d[2*i])|uint16(d[2*i+1])<<8)
-					if dl == int32(int16(dl)) {
+					if -4096 <= dl && dl <= 4095 {
 						if stored != int16(dl) {
 							t.Errorf("master %#08x: Δ %d stored as %d", math.Float32bits(x), dl, stored)
 							return
@@ -70,6 +71,9 @@ func TestDeltaCodecAllPatterns(t *testing.T) {
 					t.Errorf("batch %d: %d escape records for masters that fit", b, len(rec)/EscapeBytes)
 					return
 				}
+				PackDelta(packed, d[:2*n])
+				clear(d)
+				UnpackDelta(d[:2*n], packed[:DeltaBytes(n)])
 				DeltaDecode(q[:n], d, w, 0, out[:EscapeBytes*nesc])
 				for i := range n {
 					if math.Float32bits(q[i]) != math.Float32bits(p[i]) {
@@ -177,6 +181,100 @@ func TestAdamDeltaLevelsMatchReference(t *testing.T) {
 				}
 				if len(rec) != 0 {
 					t.Fatalf("n=%d lr=%g: %d escape records left over", n, lr, len(rec)/EscapeBytes)
+				}
+			}
+		}
+	})
+}
+
+// TestDelta13FitAndRoundTrip pins the 13-bit Δ on every level. The vector
+// body's fit range is the reference's: four lanes whose master lies every
+// int16 distance from its P16 are stored by the level's walk body exactly
+// when that distance is in [−4096, 4095]. And through the whole walk
+// (AdamDelta at learning rate 0, which leaves every master where it is) and
+// the stored plane (PackDelta, UnpackDelta, at every start mod 8 and tail),
+// each master either round-trips through P16 + Δ13 or escapes with its bits:
+// every int16 distance, both ±4096 ties in fp16's normal range, fp16 binade
+// edges, fp16- and fp32-subnormal masters, ±Inf and NaNs. The level's
+// packer and unpacker are the reference's byte for byte, at every length to
+// 80 and a few past the vector bodies' blocks, over random Δs and, for the
+// unpacker, random bytes.
+func TestDelta13FitAndRoundTrip(t *testing.T) {
+	// h is an fp16 subnormal, 96 × 2^-24, whose neighbours lie 2^17 fp32 ulps
+	// away: h plus any int16 distance rounds back to h.
+	const h = 0x36c00000
+	masters := []uint32{
+		0x3f801000, 0x3f7ff000, 0x3f803000, 0x3f805000, // ±4096 from 1.0 (even) and 1+2^-10 (odd): ties
+		0x3fffefff, 0x3ffff000, 0x3ffff001, 0x40000000, 0x477fe000, 0x477fefff, 0x477ff000, // binade edges, the top, past it
+		0x387fe000, 0x387ff000, 0x38800000, 0x38801000, 0x337fffff, 0x33800000, 0x00000001, 0x807fffff, // fp16 and fp32 subnormals
+		0x7f800000, 0xff800000, 0x7fc00000, 0xffc00001, 0x7fa00000, 0x00000000, 0x80000000,
+	}
+	for d := math.MinInt16; d <= math.MaxInt16; d++ {
+		masters = append(masters, uint32(h+d))
+	}
+	onEveryLevel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		for n := 0; n <= 1000; n += 1 + n/80*117 {
+			src, got, want := make([]byte, 2*n), make([]byte, DeltaBytes(n)), make([]byte, DeltaBytes(n))
+			for i := range n {
+				binary.LittleEndian.PutUint16(src[2*i:], uint16(rng.Intn(8192)-4096))
+			}
+			PackDelta(got, src)
+			packDeltaGeneric(want, src)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d: packed %x, reference %x", n, got, want)
+			}
+			back, ref := make([]byte, 2*n), make([]byte, 2*n)
+			if UnpackDelta(back, got); !bytes.Equal(back, src) {
+				t.Fatalf("n=%d: unpacked %x, packed %x", n, back, src)
+			}
+			rng.Read(got)
+			UnpackDelta(back, got)
+			unpackDeltaGeneric(ref, got)
+			if !bytes.Equal(back, ref) {
+				t.Fatalf("n=%d: random bytes unpack to %x, reference %x", n, back, ref)
+			}
+		}
+		k := adamTestCoef(1, 0)
+		k.LR = 0
+		var dp [8]byte
+		var m, v [16]byte
+		var g, w [4]float32
+		for d := math.MinInt16; d <= math.MaxInt16; d++ {
+			for i := range w {
+				w[i] = math.Float32frombits(h)
+				binary.LittleEndian.PutUint16(dp[2*i:], uint16(int16(d)))
+			}
+			if got, want := active.adamDelta(k, dp[:], m[:], v[:], g[:], w[:]), map[bool]int{true: 4}[-4096 <= d && d <= 4095]; got != want {
+				t.Fatalf("four lanes at Δ %d: the walk body stored %d, want %d", d, got, want)
+			}
+		}
+		for _, lead := range []int{0, 1, 5, 7} {
+			n := lead + len(masters)
+			p, w, q, grad := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+			for i, x := range masters {
+				p[lead+i] = math.Float32frombits(x)
+			}
+			d, packed, mv := make([]byte, 2*n), make([]byte, DeltaBytes(n)), make([]byte, 4*n)
+			esc, out := make([]byte, EscapeBytes*n), make([]byte, EscapeBytes*n)
+			esc = esc[:EscapeBytes*DeltaEncode(d, p, w, 0, esc)]
+			out = out[:EscapeBytes*AdamDelta(k, 0, d, mv, append([]byte(nil), mv...), grad, w, esc, out)]
+			PackDelta(packed, d)
+			clear(d)
+			UnpackDelta(d, packed)
+			DeltaDecode(q, d, w, 0, out)
+			rec := out
+			for i, x := range p {
+				dl := int64(math.Float32bits(x)) - int64(math.Float32bits(w[i]))
+				escaped := len(rec) > 0 && int(binary.LittleEndian.Uint32(rec)) == i
+				if escaped {
+					rec = rec[EscapeBytes:]
+				}
+				if fits := -4096 <= dl && dl <= 4095; escaped == fits && x == x {
+					t.Fatalf("lead %d: master %#08x (Δ %d from P16 %#08x): escaped %v", lead, math.Float32bits(x), dl, math.Float32bits(w[i]), escaped)
+				}
+				if !sameFloat(q[i], x) || x == x && math.Float32bits(q[i]) != math.Float32bits(x) {
+					t.Fatalf("lead %d: master %#08x decodes to %#08x", lead, math.Float32bits(x), math.Float32bits(q[i]))
 				}
 			}
 		}

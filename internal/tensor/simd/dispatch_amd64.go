@@ -14,19 +14,21 @@ func archKernels() []kernels {
 		xcr0, _ = xgetbv()
 	}
 	avx2 := kernels{
-		tier:      tierAVX2,
-		axpy:      axpyAVX2,
-		dot:       dotAVX2,
-		dotRow:    dotRowAVX2,
-		f16Encode: f16EncodeAVX2,
-		f16Decode: f16DecodeAVX2,
-		f16Round:  f16RoundAVX2,
-		add:       addAVX2,
-		scale:     scaleAVX2,
-		adam:      adamAVX2,
-		adamDelta: adamDeltaAVX2,
-		narrowEnc: narrowEncAVX2,
-		narrowDec: narrowDecAVX2,
+		tier:        tierAVX2,
+		axpy:        axpyAVX2,
+		dot:         dotAVX2,
+		dotRow:      dotRowAVX2,
+		f16Encode:   f16EncodeAVX2,
+		f16Decode:   f16DecodeAVX2,
+		f16Round:    f16RoundAVX2,
+		add:         addAVX2,
+		scale:       scaleAVX2,
+		adam:        adamAVX2,
+		adamDelta:   adamDeltaAVX2,
+		narrowEnc:   narrowEncAVX2,
+		narrowDec:   narrowDecAVX2,
+		deltaPack:   deltaPackAVX2,
+		deltaUnpack: deltaUnpackAVX2,
 	}
 	// The AVX-512 set is the AVX2 one but for the long rows of DotRow and,
 	// through the tier, the full panels of GemmTiles.
@@ -316,6 +318,29 @@ func narrowDecAVX2(dst, lo, codes []byte, lut [16]byte) {
 	narrowDecGeneric(dst[4*n:], lo[3*n:], codes[n/2:], lut)
 }
 
+// The Δ plane's packers run the assembly over 16 elements at a time — 26
+// packed bytes, of which it reads (unpacking) or writes (packing) 29 — while
+// at least 8 elements follow to hold the 3 bytes past them, and the
+// reference over the rest.
+
+func deltaPackAVX2(dst, src []byte) {
+	n := max(0, len(src)/2-8) &^ 15
+	if n > 0 {
+		_, _ = dst[13*n/8+2], src[2*n-1]
+		deltaPackAsm(&dst[0], &src[0], n)
+	}
+	packDeltaGeneric(dst[13*n/8:], src[2*n:])
+}
+
+func deltaUnpackAVX2(dst, src []byte) {
+	n := max(0, len(dst)/2-8) &^ 15
+	if n > 0 {
+		_, _ = dst[2*n-1], src[13*n/8+2]
+		deltaUnpackAsm(&dst[0], &src[0], n)
+	}
+	unpackDeltaGeneric(dst[2*n:], src[13*n/8:])
+}
+
 // Assembly bodies (kernels_amd64.s). n is always a positive multiple of 8
 // (of 4 for the Adam bodies).
 
@@ -366,6 +391,12 @@ func narrowEncAsm(lo, codes, src *byte, n, base int, out *byte, c int) (nesc int
 
 //go:noescape
 func narrowDecAsm(dst, lo, codes *byte, n int, lut *[16]byte)
+
+//go:noescape
+func deltaPackAsm(dst, src *byte, n int)
+
+//go:noescape
+func deltaUnpackAsm(dst, src *byte, n int)
 
 // fmaPeakAsm and fmaPeak512Asm run iters rounds of twelve independent FMA
 // chains on ymm and zmm registers: BenchmarkFMAPeak's measured ceiling.

@@ -961,7 +961,7 @@ adamStore:
 // encoded again as P16' = fp16(p') — f16RoundAsm's conversion pair, NaN lanes
 // canonicalized to sign|0x7fc00000 — and Δ' = bits(p') - bits(P16'). m and v
 // are little-endian fp32 planes. A group of four lanes one of whose Δ' does
-// not survive saturation to 16 bits is left untouched and the walk returns
+// not fit 13 bits, [-4096, 4095], is left untouched and the walk returns
 // there, with the number of elements it stored; otherwise M', V', P16' (into
 // w) and Δ' are stored in place.
 TEXT ·adamDeltaAsm(SB), NOSPLIT, $0-64
@@ -999,12 +999,13 @@ deltaEncode:
 	VPOR  rnd_qnan<>(SB), X0, X0
 	VBLENDVPS X5, X0, X4, X4  // P16'
 	VPSUBD X4, X3, X5         // Δ' = bits(p') - bits(P16')
-	VPACKSSDW X5, X5, X0      // Δ' saturated to int16, lanes 0-3 in the low half
-	VPMOVSXWD X0, X15
-	VPCMPEQD X15, X5, X15     // lanes whose Δ' fits
+	VPSLLD $19, X5, X0
+	VPSRAD $19, X0, X15       // Δ' sign-extended from its low 13 bits
+	VPCMPEQD X15, X5, X15     // lanes whose Δ' fits 13 bits
 	VMOVMSKPS X15, R11
 	CMPQ R11, $15
 	JNE  deltaDone
+	VPACKSSDW X5, X5, X0      // Δ' as int16, lanes 0-3 in the low half
 	VMOVUPS X1, (SI)(AX*4)
 	VMOVUPS X2, (DX)(AX*4)
 	VMOVUPS X4, (R9)(AX*4)
@@ -1205,6 +1206,112 @@ narEncNext:
 	CMPQ AX, DX
 	JLT  narEnc32
 	MOVQ R9, nesc+56(FP)
+	VZEROUPPER
+	RET
+
+// Δ plane constants: the unpacker's gathers of the four bytes that hold each
+// of a group's elements 0-3 and 4-7 into a dword (per 128-bit lane, a group
+// each) and the shifts that bring the element's 13 bits down; the packer's
+// 13-bit field mask and the VPMADDWD weights that join two fields.
+DATA d13_shufA<>+0(SB)/8, $0x0403020103020100
+DATA d13_shufA<>+8(SB)/8, $0x0706050406050403
+DATA d13_shufA<>+16(SB)/8, $0x0403020103020100
+DATA d13_shufA<>+24(SB)/8, $0x0706050406050403
+GLOBL d13_shufA<>(SB), RODATA|NOPTR, $32
+DATA d13_shufB<>+0(SB)/8, $0x0b0a090809080706
+DATA d13_shufB<>+8(SB)/8, $0x0e0d0c0b0c0b0a09
+DATA d13_shufB<>+16(SB)/8, $0x0b0a090809080706
+DATA d13_shufB<>+24(SB)/8, $0x0e0d0c0b0c0b0a09
+GLOBL d13_shufB<>(SB), RODATA|NOPTR, $32
+DATA d13_shiftA<>+0(SB)/8, $0x0000000500000000
+DATA d13_shiftA<>+8(SB)/8, $0x0000000700000002
+DATA d13_shiftA<>+16(SB)/8, $0x0000000500000000
+DATA d13_shiftA<>+24(SB)/8, $0x0000000700000002
+GLOBL d13_shiftA<>(SB), RODATA|NOPTR, $32
+DATA d13_shiftB<>+0(SB)/8, $0x0000000100000004
+DATA d13_shiftB<>+8(SB)/8, $0x0000000300000006
+DATA d13_shiftB<>+16(SB)/8, $0x0000000100000004
+DATA d13_shiftB<>+24(SB)/8, $0x0000000300000006
+GLOBL d13_shiftB<>(SB), RODATA|NOPTR, $32
+DATA d13_field<>+0(SB)/8, $0x1fff1fff1fff1fff
+DATA d13_field<>+8(SB)/8, $0x1fff1fff1fff1fff
+DATA d13_field<>+16(SB)/8, $0x1fff1fff1fff1fff
+DATA d13_field<>+24(SB)/8, $0x1fff1fff1fff1fff
+GLOBL d13_field<>(SB), RODATA|NOPTR, $32
+DATA d13_madd<>+0(SB)/8, $0x2000000120000001
+DATA d13_madd<>+8(SB)/8, $0x2000000120000001
+DATA d13_madd<>+16(SB)/8, $0x2000000120000001
+DATA d13_madd<>+24(SB)/8, $0x2000000120000001
+GLOBL d13_madd<>(SB), RODATA|NOPTR, $32
+
+// func deltaUnpackAsm(dst, src *byte, n int)
+// The Δ unpacker, 16 elements — two groups of 8 in 13 bytes each — at a
+// time: each group in its own 128-bit lane, each element's four bytes
+// gathered into a dword (VPSHUFB), shifted right by its bit offset (VPSRLVD),
+// sign-extended from 13 bits and packed to int16 in element order. It reads
+// 3 bytes past the 26 it unpacks; a prefetch past the plane is harmless.
+TEXT ·deltaUnpackAsm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VMOVDQU d13_shufA<>(SB), Y4
+	VMOVDQU d13_shufB<>(SB), Y5
+	VMOVDQU d13_shiftA<>(SB), Y6
+	VMOVDQU d13_shiftB<>(SB), Y7
+
+d13Unpack16:
+	PREFETCHT0 832(SI)             // the next 512 Δs: a walk unpacks a block at a time
+	VMOVDQU (SI), X0
+	VINSERTI128 $1, 13(SI), Y0, Y0 // a group in each lane
+	VPSHUFB Y4, Y0, Y1             // elements 0-3 of each group, a dword each
+	VPSHUFB Y5, Y0, Y2             // elements 4-7
+	VPSRLVD Y6, Y1, Y1
+	VPSRLVD Y7, Y2, Y2
+	VPSLLD $19, Y1, Y1
+	VPSLLD $19, Y2, Y2
+	VPSRAD $19, Y1, Y1             // sign-extended from 13 bits
+	VPSRAD $19, Y2, Y2
+	VPACKSSDW Y2, Y1, Y1           // per lane: elements 0-3, then 4-7
+	VMOVDQU Y1, (DI)
+	ADDQ $26, SI
+	ADDQ $32, DI
+	SUBQ $16, CX
+	JNZ  d13Unpack16
+	VZEROUPPER
+	RET
+
+// func deltaPackAsm(dst, src *byte, n int)
+// The Δ packer, 16 elements at a time: the 13-bit fields joined in pairs
+// (VPMADDWD by 1 and 2^13), the pairs in fours (a qword of 52 bits), and the
+// two fours of each lane into its group's 13 bytes, stored a lane at a time.
+// It writes 3 bytes past the 26 it packs, all 0.
+TEXT ·deltaPackAsm(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VMOVDQU d13_field<>(SB), Y4
+	VMOVDQU d13_madd<>(SB), Y5
+	VPXOR Y6, Y6, Y6
+
+d13Pack16:
+	VPAND (SI), Y4, Y0             // 16 fields, a word each
+	VPMADDWD Y5, Y0, Y0            // dword k: field 2k | field 2k+1 << 13
+	VPSRLQ $32, Y0, Y1
+	VPSLLQ $26, Y1, Y1             // each odd dword, at bit 26 of its qword
+	VPBLENDD $0xaa, Y6, Y0, Y0     // each even dword alone
+	VPOR Y1, Y0, Y0                // a qword per four fields: [q0, q1] per lane
+	VPSLLQ $52, Y0, Y1
+	VPSRLQ $12, Y0, Y2
+	VPSRLDQ $8, Y1, Y1             // [q1 << 52, 0]
+	VPBLENDD $0xcc, Y2, Y0, Y0     // [q0, q1 >> 12]
+	VPOR Y1, Y0, Y0                // the group's 13 bytes, then 3 zero bytes
+	VMOVDQU X0, (DI)
+	VEXTRACTI128 $1, Y0, X1
+	VMOVDQU X1, 13(DI)
+	ADDQ $32, SI
+	ADDQ $26, DI
+	SUBQ $16, CX
+	JNZ  d13Pack16
 	VZEROUPPER
 	RET
 

@@ -64,19 +64,21 @@ import "os"
 // left pinned (or unpinned) by a hand-kept list. PackPanel and GemmTiles follow
 // the table through its tier.
 type kernels struct {
-	tier      tier
-	axpy      func(c, b []float32, a float32)
-	dot       func(a, b []float32) float32
-	dotRow    func(c, a, b []float32, ldb int)
-	f16Encode func(dst []byte, src []float32)
-	f16Decode func(dst []float32, src []byte)
-	f16Round  func(dst, src []float32)
-	add       func(a, b []float32)
-	scale     func(d []float32, s float32)
-	adam      func(k AdamCoef, p, m, v, grad []float32)
-	adamDelta func(k AdamCoef, d, m, v []byte, grad, w []float32) int
-	narrowEnc func(lo, codes, src []byte, c Narrow, base int, out []byte) int
-	narrowDec func(dst, lo, codes []byte, lut [16]byte)
+	tier        tier
+	axpy        func(c, b []float32, a float32)
+	dot         func(a, b []float32) float32
+	dotRow      func(c, a, b []float32, ldb int)
+	f16Encode   func(dst []byte, src []float32)
+	f16Decode   func(dst []float32, src []byte)
+	f16Round    func(dst, src []float32)
+	add         func(a, b []float32)
+	scale       func(d []float32, s float32)
+	adam        func(k AdamCoef, p, m, v, grad []float32)
+	adamDelta   func(k AdamCoef, d, m, v []byte, grad, w []float32) int
+	narrowEnc   func(lo, codes, src []byte, c Narrow, base int, out []byte) int
+	narrowDec   func(dst, lo, codes []byte, lut [16]byte)
+	deltaPack   func(dst, src []byte)
+	deltaUnpack func(dst, src []byte)
 }
 
 // tier orders the kernel sets: each is the one below it with some bodies
@@ -96,19 +98,21 @@ func (t tier) String() string {
 
 // generic is the portable reference set.
 var generic = kernels{
-	tier:      tierGeneric,
-	axpy:      axpyGeneric,
-	dot:       dotGeneric,
-	dotRow:    dotRowGeneric,
-	f16Encode: f16EncodeGeneric,
-	f16Decode: f16DecodeGeneric,
-	f16Round:  f16RoundIntoGeneric,
-	add:       addGeneric,
-	scale:     scaleGeneric,
-	adam:      adamGeneric,
-	adamDelta: adamDeltaGeneric,
-	narrowEnc: narrowEncGeneric,
-	narrowDec: narrowDecGeneric,
+	tier:        tierGeneric,
+	axpy:        axpyGeneric,
+	dot:         dotGeneric,
+	dotRow:      dotRowGeneric,
+	f16Encode:   f16EncodeGeneric,
+	f16Decode:   f16DecodeGeneric,
+	f16Round:    f16RoundIntoGeneric,
+	add:         addGeneric,
+	scale:       scaleGeneric,
+	adam:        adamGeneric,
+	adamDelta:   adamDeltaGeneric,
+	narrowEnc:   narrowEncGeneric,
+	narrowDec:   narrowDecGeneric,
+	deltaPack:   packDeltaGeneric,
+	deltaUnpack: unpackDeltaGeneric,
 }
 
 // sets holds the kernel sets this machine can run, lowest tier first:
