@@ -49,12 +49,16 @@ test-nosimd:
 # moments' tests (the codec against its reference on every level, every
 # change of a piece's form against AdamStep, an array overwrite that keeps
 # its stripes) and the 13-bit Δ's (every int16 distance through each level's
-# walk body, the packers against their reference) under GOMAXPROCS 1, 2 and
-# 4, uncached.
+# walk body, the packers against their reference) and the worker pool's own
+# tests (every index once at limits up to 21, the partition, nested and
+# concurrent For, the counters, a saturated pool, Close; one pattern per test,
+# as no word is common to their names and `Pool` also matches an engine
+# test) under GOMAXPROCS 1, 2 and 4, uncached.
 # A pin that holds on one core count only (the seed's
 # TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
 # matches any test fails the target instead of silently shrinking the matrix.
-TEST_PROCS_PATTERNS = Alloc Pipeline Ticket Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident Narrow FormFallback OverwriteKeepsStripes Delta13
+TEST_PROCS_PATTERNS = Alloc Pipeline Ticket Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident Narrow FormFallback OverwriteKeepsStripes Delta13 \
+	EveryChunkOnce ForCovers ForPartition SetLimit NestedRun ConcurrentSubmitters StatsCo ForWorkCounts SaturatedPool CloseIdempotent
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/nvme ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:

@@ -66,10 +66,6 @@ type Session struct {
 // the hooks (the Ratel_init + Ratel_hook + Ratel_Optimizer sequence of
 // Fig. 4).
 func Init(opts Options) (*Session, error) {
-	if opts.GradMode != agoffload.Serialized && opts.GradMode != agoffload.Naive &&
-		opts.GradMode != agoffload.Optimized {
-		return nil, fmt.Errorf("core: unknown gradient mode %v", opts.GradMode)
-	}
 	eng, err := engine.New(engine.Config{
 		Model:      opts.Model,
 		Adam:       opts.Adam,

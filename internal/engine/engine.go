@@ -73,7 +73,7 @@ type Config struct {
 	Adam  opt.AdamConfig
 	// GradMode selects how the optimizer consumes gradients: Serialized
 	// (after backward, ZeRO-style), Naive (inline per-tensor handlers), or
-	// Optimized (pipelined handlers overlapping backward).
+	// Optimized (pipelined handlers overlapping backward); New refuses others.
 	GradMode agoffload.Mode
 	// Swap places each block's activation cache; absent blocks recompute.
 	Swap map[int]Tier
@@ -236,6 +236,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.PipelineDepth < 0 {
 		return nil, fmt.Errorf("engine: negative PipelineDepth %d", cfg.PipelineDepth)
+	}
+	if err := validGradMode(cfg.GradMode); err != nil {
+		return nil, err
 	}
 	m, err := nn.NewModel(cfg.Model)
 	if err != nil {
@@ -453,6 +456,14 @@ func (e *Engine) runStep(micro []Batch) (float64, error) {
 	drain := time.Since(drainStart)
 	e.noteStep(fwdTotal, bwdTotal, drain, time.Since(stepStart), tokenCount)
 	return totalLoss / float64(len(micro)), nil
+}
+
+// validGradMode refuses any mode but the three gradsReady schedules.
+func validGradMode(m agoffload.Mode) error {
+	if m != agoffload.Serialized && m != agoffload.Naive && m != agoffload.Optimized {
+		return fmt.Errorf("engine: gradient mode %v is not one the engine runs", m)
+	}
+	return nil
 }
 
 // gradsReady hands one group's completed gradients (averaged over the

@@ -568,6 +568,22 @@ func TestPipelineDepthValidation(t *testing.T) {
 	}
 }
 
+// TestGradModeValidation: a gradient mode the engine has no schedule for —
+// the simulator's Readiness, or no mode at all — is refused by New, naming
+// the mode; it used to train as Serialized.
+func TestGradModeValidation(t *testing.T) {
+	for _, mode := range []agoffload.Mode{agoffload.Readiness, 99} {
+		e, err := New(Config{Model: miniConfig(), GradMode: mode})
+		if err == nil {
+			e.Close()
+			t.Fatalf("New accepted gradient mode %v", mode)
+		}
+		if !strings.Contains(err.Error(), mode.String()) {
+			t.Errorf("New's error for mode %v does not name it: %v", mode, err)
+		}
+	}
+}
+
 // TestSwapValidation: a placement naming a block the model lacks or a tier
 // that does not exist is refused by New and by SetSwap, which keeps the
 // placement it had; it used to train under some other placement.

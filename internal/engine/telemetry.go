@@ -188,7 +188,6 @@ var metrics = [...]metric{
 	{"pool.inline_runs", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().InlineRuns) }},
 	{"pool.submitter_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().SubmitterChunks) }},
 	{"pool.worker_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().WorkerChunks) }},
-	{"pool.stolen_chunks", gauge, func(*Engine) float64 { return float64(pool.DefaultStats().StolenChunks) }},
 
 	// Buffer-reuse health: every blob buffer is allocated once, so a steady
 	// state shows the reuse count climbing by a constant per step; and the

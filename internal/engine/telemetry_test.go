@@ -206,7 +206,7 @@ func TestEveryMetricRowRefreshed(t *testing.T) {
 		// a resident set.
 		"opt.resident_bytes": true,
 		// The mini model's kernels all run inline on the step goroutine.
-		"pool.jobs": true, "pool.job_ns": true, "pool.stolen_chunks": true,
+		"pool.jobs": true, "pool.job_ns": true,
 		"pool.submitter_chunks": true, "pool.worker_chunks": true,
 	}
 	reg := obs.NewRegistry()
@@ -231,7 +231,7 @@ func TestEveryMetricRowRefreshed(t *testing.T) {
 	}
 	ps := pool.DefaultStats()
 	for name, want := range map[string]int64{"pool.jobs": ps.Jobs, "pool.inline_runs": ps.InlineRuns,
-		"pool.submitter_chunks": ps.SubmitterChunks, "pool.worker_chunks": ps.WorkerChunks, "pool.stolen_chunks": ps.StolenChunks} {
+		"pool.submitter_chunks": ps.SubmitterChunks, "pool.worker_chunks": ps.WorkerChunks} {
 		if snap[name] != float64(want) {
 			t.Errorf("%s = %v, pool counter %d", name, snap[name], want)
 		}

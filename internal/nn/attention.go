@@ -219,8 +219,10 @@ func (a *Attention) forEachHead(batch, seq int, fn func(bi, h int) error) error 
 		return nil
 	}
 	errs := make([]error, tasks)
-	pool.Run(tasks, func(t int) {
-		errs[t] = fn(t/a.Heads, t%a.Heads)
+	pool.For(tasks, 1, func(lo, hi int) {
+		for t := lo; t < hi; t++ {
+			errs[t] = fn(t/a.Heads, t%a.Heads)
+		}
 	})
 	for _, e := range errs {
 		if e != nil {

@@ -500,17 +500,6 @@ func (a *Array) ReadInto(key string, dst []byte) error {
 	return a.Start(key, dst, false).Wait()
 }
 
-// delete removes key, if stored, and frees its chunks.
-func (a *Array) delete(key string) {
-	a.mu.Lock()
-	obj, ok := a.objs[key]
-	delete(a.objs, key)
-	a.mu.Unlock()
-	if ok {
-		a.releaseChunks(obj.chunks)
-	}
-}
-
 // Stats reports cumulative traffic, without allocating: a step samples it.
 func (a *Array) Stats() Stats {
 	a.statMu.Lock()

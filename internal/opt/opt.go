@@ -64,12 +64,11 @@ func AdamStep(cfg AdamConfig, t int, p32, m, v, grad []float32) error {
 		return fmt.Errorf("opt: step %d, want >= 1", t)
 	}
 	k := newAdamCoef(cfg, t)
-	work := adamWork(len(p32))
-	if pool.InlineWork(work) {
+	if pool.InlineWork(adamWork(len(p32))) {
 		simd.Adam(k, p32, m, v, grad)
 		return nil
 	}
-	pool.ForWork(len(p32), adamChunkGrain, work, func(lo, hi int) {
+	pool.For(len(p32), adamChunkGrain, func(lo, hi int) {
 		simd.Adam(k, p32[lo:hi], m[lo:hi], v[lo:hi], grad[lo:hi])
 	})
 	return nil
@@ -637,13 +636,15 @@ func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, f Form
 		} else {
 			// Each chunk lists its escapes where its own elements' would start, so
 			// the chunks never share a byte of out; the lists close up after.
-			pool.Run(chunks, func(c int) {
-				lo := c * adamChunkGrain
+			pool.For(chunks, 1, func(c0, c1 int) {
 				var at [3][]byte
-				for p := range at {
-					at[p] = out[p][simd.EscapeBytes*lo:]
+				for c := c0; c < c1; c++ {
+					lo := c * adamChunkGrain
+					for p := range at {
+						at[p] = out[p][simd.EscapeBytes*lo:]
+					}
+					res[c] = walk(obj, g, pc, f, k, grad, in, at, stage[c*stageBytes:(c+1)*stageBytes], lo, min(n, lo+adamChunkGrain))
 				}
-				res[c] = walk(obj, g, pc, f, k, grad, in, at, stage[c*stageBytes:(c+1)*stageBytes], lo, min(n, lo+adamChunkGrain))
 			})
 		}
 		o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())

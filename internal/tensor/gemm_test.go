@@ -211,8 +211,9 @@ func TestMatMulTiersBitIdentical(t *testing.T) {
 // TestMatMulIntoAllocs pins the Into matmuls at zero allocations per call
 // on the serial path — the packed panel is a stack buffer — at a shape with
 // ragged rows, ragged columns and more than one k-block, and pins the
-// parallel path at what dispatching any job to the pool costs: packing
-// adds nothing to it. In make test-procs, so it is checked at GOMAXPROCS
+// parallel path at what dispatching any job to the pool costs: a bare For
+// allocates its job and nothing else, and a kernel adds only its closure —
+// packing adds nothing. In make test-procs, so it is checked at GOMAXPROCS
 // 1, 2 and 4.
 func TestMatMulIntoAllocs(t *testing.T) {
 	old := Parallelism()
@@ -238,13 +239,14 @@ func TestMatMulIntoAllocs(t *testing.T) {
 	}
 
 	SetParallelism(4)
-	work := int64(m) * int64(k) * int64(n)
-	dispatch := testing.AllocsPerRun(20, func() { pool.ForWork(n, 1, work, func(lo, hi int) {}) })
+	if allocs := testing.AllocsPerRun(20, func() { pool.For(n, 1, func(lo, hi int) {}) }); allocs != 1 {
+		t.Errorf("a bare For at parallelism 4: %v allocs/op, want 1 (its job)", allocs)
+	}
 	for _, kn := range kernels {
 		// One more than the empty job: the kernel's closure captures its
 		// operands, the empty one captures nothing.
-		if allocs := testing.AllocsPerRun(20, kn.run); allocs > dispatch+1 {
-			t.Errorf("%s: %v allocs/op at parallelism 4, a bare pool dispatch is %v", kn.name, allocs, dispatch)
+		if allocs := testing.AllocsPerRun(20, kn.run); allocs > 2 {
+			t.Errorf("%s: %v allocs/op at parallelism 4, want at most 2 (job and closure)", kn.name, allocs)
 		}
 	}
 }

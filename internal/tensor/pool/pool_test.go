@@ -8,20 +8,26 @@ import (
 	"time"
 )
 
-// TestRunEveryChunkOnce checks each chunk index runs exactly once across a
-// spread of limits and chunk counts, including more chunks than workers.
+// TestRunEveryChunkOnce checks each index runs exactly once across a
+// spread of limits and ranges, including more chunks than participants and
+// limits of 17 and 21.
 func TestRunEveryChunkOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 7} {
+	for _, workers := range []int{1, 2, 4, 7, 17, 21} {
 		p := New(workers)
-		for _, chunks := range []int{0, 1, 2, 3, workers, 4*workers + 3, 257} {
-			counts := make([]atomic.Int32, chunks)
-			p.Run(chunks, func(c int) { counts[c].Add(1) })
-			for c := range counts {
-				if got := counts[c].Load(); got != 1 {
-					t.Fatalf("workers=%d chunks=%d: chunk %d ran %d times", workers, chunks, c, got)
+		for _, n := range []int{0, 1, 2, 3, 16, workers, 4*workers + 3, 257, 1000} {
+			counts := make([]atomic.Int32, n)
+			p.For(n, 1, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					counts[i].Add(1)
+				}
+			})
+			for i := range counts {
+				if got := counts[i].Load(); got != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
 				}
 			}
 		}
+		p.Close()
 	}
 }
 
@@ -94,9 +100,9 @@ func TestSetLimitGrowsAndClamps(t *testing.T) {
 		t.Fatalf("Limit() = %d, want 8", got)
 	}
 	var n atomic.Int64
-	p.Run(64, func(int) { n.Add(1) })
+	p.For(64, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
 	if n.Load() != 64 {
-		t.Fatalf("ran %d chunks, want 64", n.Load())
+		t.Fatalf("ran %d indices, want 64", n.Load())
 	}
 }
 
@@ -105,8 +111,10 @@ func TestSetLimitGrowsAndClamps(t *testing.T) {
 func TestNestedRun(t *testing.T) {
 	p := New(4)
 	var n atomic.Int64
-	p.Run(8, func(int) {
-		p.Run(16, func(int) { n.Add(1) })
+	p.For(8, 1, func(lo, hi int) {
+		for range hi - lo {
+			p.For(16, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
+		}
 	})
 	if n.Load() != 8*16 {
 		t.Fatalf("nested chunks ran %d times, want %d", n.Load(), 8*16)
@@ -123,42 +131,50 @@ func TestConcurrentSubmitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var n atomic.Int64
-			p.Run(100, func(int) { n.Add(1) })
+			p.For(100, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
 			if n.Load() != 100 {
-				t.Errorf("submitter saw %d chunks, want 100", n.Load())
+				t.Errorf("submitter saw %d indices, want 100", n.Load())
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// TestStatsCountChunks checks the scheduling counters: every chunk of a
-// parallel job is credited to exactly one of submitter/workers, inline
-// invocations are counted, and ResetStats zeroes everything.
+// TestStatsCountChunks checks the scheduling counters: once the pool is idle,
+// every chunk of a parallel job is credited to exactly one of
+// submitter/workers; inline invocations are counted, and ResetStats zeroes
+// everything. A worker credits its chunks after its last claim fails, which
+// can be after For has returned, so the counts are read after Close. How the
+// chunks split is scheduling: idle workers may claim all of them before the
+// submitter's first claim (TestSaturatedPoolSubmitterRunsAll checks the
+// submitter's part).
 func TestStatsCountChunks(t *testing.T) {
 	p := New(4)
 	p.ResetStats()
 
-	const chunks = 64
-	p.Run(chunks, func(int) {})
+	// 64 indices at limit 4 are 16 chunks of 4.
+	const chunks = 16
+	var ran atomic.Int64
+	p.For(64, 1, func(int, int) { ran.Add(1) })
+	p.Close()
 	st := p.Stats()
+	if ran.Load() != chunks {
+		t.Errorf("ran %d chunks, want %d", ran.Load(), chunks)
+	}
 	if st.Jobs != 1 {
 		t.Errorf("Jobs = %d, want 1", st.Jobs)
 	}
 	if got := st.SubmitterChunks + st.WorkerChunks; got != chunks {
 		t.Errorf("submitter+worker chunks = %d, want %d", got, chunks)
 	}
-	if st.SubmitterChunks == 0 {
-		t.Error("submitter claimed no chunks; it must always participate")
-	}
 	if st.InlineRuns != 0 {
 		t.Errorf("InlineRuns = %d, want 0", st.InlineRuns)
 	}
 
 	// Single-chunk and limit-1 invocations run inline.
-	p.Run(1, func(int) {})
+	p.For(1, 1, func(int, int) {})
 	one := New(1)
-	one.Run(8, func(int) {})
+	one.For(8, 1, func(int, int) {})
 	if got := p.Stats().InlineRuns; got != 1 {
 		t.Errorf("single-chunk InlineRuns = %d, want 1", got)
 	}
@@ -175,11 +191,14 @@ func TestStatsCountChunks(t *testing.T) {
 	}
 }
 
-// TestForWorkCountsInline checks the serial-cutoff path is visible in the
-// default pool's counters (ForWork always routes through Default()).
+// TestForWorkCountsInline checks work under the serial cutoff is visible in
+// the default pool's counters: InlineWork sends it down the caller's serial
+// path and counts it as an inline run.
 func TestForWorkCountsInline(t *testing.T) {
 	before := DefaultStats()
-	ForWork(100, 1, 10 /* far under serialCutoff */, func(lo, hi int) {})
+	if !InlineWork(10 /* far under serialCutoff */) {
+		t.Fatal("InlineWork(10) = false, want the serial path")
+	}
 	after := DefaultStats()
 	if after.InlineRuns != before.InlineRuns+1 {
 		t.Errorf("InlineRuns went %d -> %d, want +1", before.InlineRuns, after.InlineRuns)
@@ -190,20 +209,22 @@ func TestForWorkCountsInline(t *testing.T) {
 }
 
 // TestStatsConcurrent hammers the counters from many submitters so the
-// race detector can vet them, then checks conservation of chunk counts.
+// race detector can vet them, then checks conservation of chunk counts once
+// Close has retired the workers.
 func TestStatsConcurrent(t *testing.T) {
 	p := New(4)
 	p.ResetStats()
 	var wg sync.WaitGroup
-	const submitters, chunks = 8, 32
+	const submitters, chunks = 8, 16 // 32 indices at limit 4 are 16 chunks of 2
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Run(chunks, func(int) {})
+			p.For(32, 1, func(int, int) {})
 		}()
 	}
 	wg.Wait()
+	p.Close()
 	st := p.Stats()
 	if st.Jobs != submitters {
 		t.Errorf("Jobs = %d, want %d", st.Jobs, submitters)
@@ -213,88 +234,50 @@ func TestStatsConcurrent(t *testing.T) {
 	}
 }
 
-// TestSegmentedRunEveryChunkOnce targets the segment carve specifically:
-// chunk counts that leave the last segment short or entirely empty
-// (segs*segLen > chunks), limits above maxSegs, and one-chunk segments.
-func TestSegmentedRunEveryChunkOnce(t *testing.T) {
-	for _, workers := range []int{2, 3, 8, maxSegs, maxSegs + 5} {
-		p := New(workers)
-		for _, chunks := range []int{2, workers - 1, workers, workers + 1, 9, maxSegs + 1, 2*maxSegs + 3, 1000} {
-			if chunks < 2 {
-				continue
-			}
-			counts := make([]atomic.Int32, chunks)
-			p.Run(chunks, func(c int) { counts[c].Add(1) })
-			for c := range counts {
-				if got := counts[c].Load(); got != 1 {
-					t.Fatalf("workers=%d chunks=%d: chunk %d ran %d times", workers, chunks, c, got)
-				}
-			}
-		}
-	}
-}
-
-// TestSubmitterDrainsAllSegments checks stealing keeps a caller live on a
-// pool whose workers never pick the job up: with every offer rejected the
-// submitter must walk all segments itself, and those cross-segment claims
-// show up in StolenChunks.
-func TestSubmitterDrainsAllSegments(t *testing.T) {
+// TestSaturatedPoolSubmitterRunsAll checks a busy pool never blocks a
+// caller: with every worker inside another job and the job channel full,
+// For's offers all fail and the submitter runs every chunk itself.
+func TestSaturatedPoolSubmitterRunsAll(t *testing.T) {
 	p := New(4)
+	defer p.Close()
+
+	// Hold each of a job's four participants inside one of its four chunks:
+	// the three workers are then busy until release.
+	var started atomic.Int32
+	release, held := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(held)
+		p.For(4, 1, func(int, int) {
+			started.Add(1)
+			<-release
+		})
+	}()
+	for started.Load() < 4 {
+		runtime.Gosched()
+	}
+	// Fill the channel with an empty job, which a worker finishes at once.
+	for len(p.jobs) < cap(p.jobs) {
+		p.jobs <- &job{}
+	}
+
 	p.ResetStats()
-
-	// Saturate the job channel with an already-finished job so Run's
-	// non-blocking offers fail and no worker joins.
-	dead := &job{chunks: 1, segs: 1, segLen: 1, run: func(int) {}, fin: make(chan struct{}), pool: p}
-	dead.cursors[0].c.Store(1)
-	dead.done.Store(1)
-	for i := 0; i < cap(p.jobs); i++ {
-		select {
-		case p.jobs <- dead:
-		default:
-			t.Fatal("could not saturate job channel")
+	const n, chunks = 32, 16
+	counts := make([]atomic.Int32, n)
+	p.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			counts[i].Add(1)
 		}
-	}
-
-	const chunks = 32
-	counts := make([]atomic.Int32, chunks)
-	p.Run(chunks, func(c int) { counts[c].Add(1) })
-	for c := range counts {
-		if got := counts[c].Load(); got != 1 {
-			t.Fatalf("chunk %d ran %d times", c, got)
-		}
-	}
+	})
 	st := p.Stats()
-	if st.SubmitterChunks != chunks {
-		t.Errorf("SubmitterChunks = %d, want %d (no worker should have joined)", st.SubmitterChunks, chunks)
-	}
-	// The submitter owns segment 0; all other segments' chunks are steals.
-	if st.StolenChunks == 0 {
-		t.Error("StolenChunks = 0, want >0: the solo submitter must steal the other segments")
-	}
-
-	// Drain what is left of the saturation. The pool's own workers have been
-	// receiving the dead jobs all along (each is a no-op for them), so the
-	// channel may hold fewer than were sent: a blocking receive per job sent
-	// hung this test about one run in ten.
-	for len(p.jobs) > 0 {
-		select {
-		case <-p.jobs:
-		default:
+	close(release)
+	<-held
+	for i := range counts {
+		if got := counts[i].Load(); got != 1 {
+			t.Fatalf("index %d ran %d times", i, got)
 		}
 	}
-}
-
-// TestStolenChunksConservation checks the stolen counter never exceeds the
-// claimed total and that an idle-pool parallel run records the job.
-func TestStolenChunksConservation(t *testing.T) {
-	p := New(4)
-	p.ResetStats()
-	for i := 0; i < 50; i++ {
-		p.Run(64, func(int) {})
-	}
-	st := p.Stats()
-	if total := st.SubmitterChunks + st.WorkerChunks; st.StolenChunks > total {
-		t.Errorf("StolenChunks %d exceeds total claimed %d", st.StolenChunks, total)
+	if st.SubmitterChunks != chunks || st.WorkerChunks != 0 {
+		t.Errorf("submitter ran %d chunks and the workers %d; want %d and 0", st.SubmitterChunks, st.WorkerChunks, chunks)
 	}
 }
 
@@ -305,9 +288,13 @@ func TestStolenChunksConservation(t *testing.T) {
 func TestCloseIdempotent(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	p := New(4)
-	const chunks = 8
-	counts := make([]atomic.Int32, chunks)
-	p.Run(chunks, func(c int) { counts[c].Add(1) })
+	const n = 8
+	counts := make([]atomic.Int32, n)
+	p.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			counts[i].Add(1)
+		}
+	})
 
 	// Hold a worker inside a job: the submitter blocks in chunk 0, so a
 	// worker has chunk 1 when both have started.
@@ -316,7 +303,7 @@ func TestCloseIdempotent(t *testing.T) {
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
-		p.Run(2, func(int) {
+		p.For(2, 1, func(int, int) {
 			started.Add(1)
 			<-release
 		})
@@ -345,9 +332,9 @@ func TestCloseIdempotent(t *testing.T) {
 	<-ran
 	p.Close() // again, after the workers are gone
 
-	for c := range counts {
-		if got := counts[c].Load(); got != 1 {
-			t.Fatalf("chunk %d ran %d times", c, got)
+	for i := range counts {
+		if got := counts[i].Load(); got != 1 {
+			t.Fatalf("index %d ran %d times", i, got)
 		}
 	}
 	for i := 0; runtime.NumGoroutine() > baseline; i++ {

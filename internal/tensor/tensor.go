@@ -325,13 +325,12 @@ const (
 // each element still has one owner and one chain, so the result is
 // bit-identical at any thread count.
 func gemm(g product, cd, ad, bd []float32) {
-	work := g.work()
-	if pool.InlineWork(work) {
+	if pool.InlineWork(g.work()) {
 		gemmCols(g, cd, ad, bd, 0, g.n)
 		return
 	}
 	panels := (g.n + simd.GemmNR - 1) / simd.GemmNR
-	pool.ForWork(panels, 1, work, func(lo, hi int) {
+	pool.For(panels, 1, func(lo, hi int) {
 		gemmCols(g, cd, ad, bd, lo*simd.GemmNR, min(hi*simd.GemmNR, g.n))
 	})
 }
@@ -469,12 +468,11 @@ func MatMulTInto(c, a, b *Tensor) error {
 // c = a·bᵀ it computes is one simd.Dot of a row of a and a row of b, and the
 // rows of c are sharded across the pool.
 func dotRows(g product, cd, ad, bd []float32) {
-	work := g.work()
-	if pool.InlineWork(work) {
+	if pool.InlineWork(g.work()) {
 		dotPanel(g, cd, ad, bd, 0, g.m)
 		return
 	}
-	pool.ForWork(g.m, 1, work, func(lo, hi int) { dotPanel(g, cd, ad, bd, lo, hi) })
+	pool.For(g.m, 1, func(lo, hi int) { dotPanel(g, cd, ad, bd, lo, hi) })
 }
 
 // dotPanelFloats is how much of b dotPanel keeps hot: the rows of b one
