@@ -184,23 +184,41 @@ func TestOverwriteKeepsStripes(t *testing.T) {
 		t.Fatal("an overwrite over a failed device succeeded")
 	}
 	a.InjectFault(0, nil)
-	space := func() (free int, high int64) {
-		for _, d := range a.devs {
-			free, high = free+len(d.free), high+d.next
-		}
-		return free, high
+	free := 0
+	for _, d := range a.devs {
+		free += len(d.free)
 	}
-	free, high := space()
 	if obj := a.objs["k"]; len(obj.chunks) != 7 || obj.size != stripe || free != 2 || a.Stats().Layouts != 3 {
 		t.Fatalf("after a failed overwrite on 9 stripes: %d chunks, %d bytes, %d chunks free, %d layouts; want 7, %d, 2, 3", len(obj.chunks), obj.size, free, a.Stats().Layouts, stripe)
 	}
-	// A later object takes the freed chunks before any device grows: of its
-	// three, one per device, only the one with no free chunk is fresh.
-	if err := a.Put("k2", make([]byte, 3*stripe)); err != nil {
+}
+
+// TestDeleteAndChunkReuse: a failed write of a new object leaves it unstored
+// and frees every chunk it was laid out on, and a later object takes those
+// chunks before any device's high-water mark grows.
+func TestDeleteAndChunkReuse(t *testing.T) {
+	a := openMem(t, 2)
+	a.InjectFault(0, errors.New("media error"))
+	if err := a.Put("k", make([]byte, 640)); err == nil {
+		t.Fatal("a write over a failed device succeeded")
+	}
+	a.InjectFault(0, nil)
+	if _, ok := a.objs["k"]; ok {
+		t.Error("object stored after a failed write")
+	}
+	if st := a.Stats(); st.Objects != 0 {
+		t.Errorf("objects = %d, want 0", st.Objects)
+	}
+	// Freed chunks are reused: the high-water marks do not grow.
+	before := a.devs[0].next + a.devs[1].next
+	if err := a.Put("k2", make([]byte, 640)); err != nil {
 		t.Fatal(err)
 	}
-	if free2, high2 := space(); free2 != 0 || high2 != high+int64(stripe) {
-		t.Fatalf("a 3-stripe object after the failed overwrite: %d chunks free, high-water marks grew %d B; want 0, %d", free2, high2-high, stripe)
+	if after := a.devs[0].next + a.devs[1].next; after != before {
+		t.Errorf("chunk reuse failed: high-water %d -> %d", before, after)
+	}
+	if free := len(a.devs[0].free) + len(a.devs[1].free); free != 0 {
+		t.Errorf("%d chunks left free after an object of the same size, want 0", free)
 	}
 }
 

@@ -98,7 +98,8 @@ type Stats struct {
 }
 
 // Stats reads the pool's counters atomically enough for monitoring: each
-// field is an atomic load, so sums are consistent once the pool is idle.
+// field is an atomic load, so sums are consistent once every For has
+// returned.
 func (p *Pool) Stats() Stats {
 	return Stats{
 		Jobs:            p.stats.jobs.Load(),
@@ -149,9 +150,7 @@ func (p *Pool) SetLimit(n int) {
 	for p.spawned < n-1 {
 		p.workers.Go(func() {
 			for j := range p.jobs {
-				if c := j.work(); c > 0 {
-					p.stats.workerChunks.Add(c)
-				}
+				j.work()
 			}
 		})
 		p.spawned++
@@ -217,8 +216,12 @@ func (p *Pool) For(n, grain int, body func(lo, hi int)) {
 			// this one alone rather than blocking.
 		}
 	}
-	p.stats.submitterChunks.Add(j.work())
+	own := j.work()
 	j.wg.Wait()
+	// The submitter credits the workers' chunks too, so the counts are
+	// whole once For returns: a worker's own credit could land after it.
+	p.stats.submitterChunks.Add(own)
+	p.stats.workerChunks.Add(int64(chunks) - own)
 	if lat != nil {
 		lat.RecordDuration(time.Since(latStart))
 	}

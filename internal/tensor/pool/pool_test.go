@@ -9,12 +9,37 @@ import (
 )
 
 // TestRunEveryChunkOnce checks each index runs exactly once across a
-// spread of limits and ranges, including more chunks than participants and
-// limits of 17 and 21.
+// spread of limits and ranges, including more chunks than participants.
 func TestRunEveryChunkOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 7, 17, 21} {
+	for _, workers := range []int{1, 2, 4, 7} {
 		p := New(workers)
-		for _, n := range []int{0, 1, 2, 3, 16, workers, 4*workers + 3, 257, 1000} {
+		for _, n := range []int{0, 1, 2, 3, workers, 4*workers + 3, 257} {
+			counts := make([]atomic.Int32, n)
+			p.For(n, 1, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					counts[i].Add(1)
+				}
+			})
+			for i := range counts {
+				if got := counts[i].Load(); got != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestSegmentedRunEveryChunkOnce targets the range carve's edges: ranges
+// that leave the last chunk short, ranges just around the limit, limits of
+// 16 and above (the old scheduler's segment cap was 16) and one-index chunks.
+func TestSegmentedRunEveryChunkOnce(t *testing.T) {
+	for _, workers := range []int{2, 3, 8, 16, 21} {
+		p := New(workers)
+		for _, n := range []int{2, workers - 1, workers, workers + 1, 9, 17, 35, 1000} {
+			if n < 2 {
+				continue
+			}
 			counts := make([]atomic.Int32, n)
 			p.For(n, 1, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -140,23 +165,22 @@ func TestConcurrentSubmitters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStatsCountChunks checks the scheduling counters: once the pool is idle,
-// every chunk of a parallel job is credited to exactly one of
-// submitter/workers; inline invocations are counted, and ResetStats zeroes
-// everything. A worker credits its chunks after its last claim fails, which
-// can be after For has returned, so the counts are read after Close. How the
-// chunks split is scheduling: idle workers may claim all of them before the
-// submitter's first claim (TestSaturatedPoolSubmitterRunsAll checks the
-// submitter's part).
+// TestStatsCountChunks checks the scheduling counters: as soon as For
+// returns, every chunk of its parallel job is credited to exactly one of
+// submitter/workers, with no worker left to credit later; inline invocations
+// are counted, and ResetStats zeroes everything. How the chunks split is
+// scheduling: idle workers may claim all of them before the submitter's
+// first claim (TestSaturatedPoolSubmitterRunsAll checks the submitter's
+// part).
 func TestStatsCountChunks(t *testing.T) {
 	p := New(4)
+	defer p.Close()
 	p.ResetStats()
 
 	// 64 indices at limit 4 are 16 chunks of 4.
 	const chunks = 16
 	var ran atomic.Int64
 	p.For(64, 1, func(int, int) { ran.Add(1) })
-	p.Close()
 	st := p.Stats()
 	if ran.Load() != chunks {
 		t.Errorf("ran %d chunks, want %d", ran.Load(), chunks)
@@ -210,9 +234,10 @@ func TestForWorkCountsInline(t *testing.T) {
 
 // TestStatsConcurrent hammers the counters from many submitters so the
 // race detector can vet them, then checks conservation of chunk counts once
-// Close has retired the workers.
+// every For has returned.
 func TestStatsConcurrent(t *testing.T) {
 	p := New(4)
+	defer p.Close()
 	p.ResetStats()
 	var wg sync.WaitGroup
 	const submitters, chunks = 8, 16 // 32 indices at limit 4 are 16 chunks of 2
@@ -224,7 +249,6 @@ func TestStatsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	p.Close()
 	st := p.Stats()
 	if st.Jobs != submitters {
 		t.Errorf("Jobs = %d, want %d", st.Jobs, submitters)
