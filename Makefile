@@ -26,7 +26,9 @@ test-nosimd:
 	RATEL_NOSIMD=1 go test -count=1 ./internal/tensor/... ./internal/nn ./internal/opt ./internal/engine
 
 # Core-count matrix: the allocation pins (every test named *Alloc*: codec
-# Into paths, cache round trip, step pins, the matmuls' packed-panel pin
+# Into paths, cache round trip, step pins — TestStepAllocsIndependentOfDepth:
+# zero at L and 2L layers on every tier, fanned out past the inline cutoff —
+# the matmuls' packed-panel pin
 # TestMatMulIntoAllocs, the GELU lookup's TestGELUAllocs, the checkpoint's
 # TestSaveCheckpointAllocs: save and load independent of model size), the optimizer state
 # pipeline's tests, the array's ticket tests (every test named *Ticket*:
@@ -51,14 +53,15 @@ test-nosimd:
 # its stripes) and the 13-bit Δ's (every int16 distance through each level's
 # walk body, the packers against their reference) and the worker pool's own
 # tests (every index once at limits up to 21, the partition, nested and
-# concurrent For, the counters, a saturated pool, Close; one pattern per test,
+# concurrent For, the counters, a saturated pool, a stale offer refused by a
+# reused record, Close; one pattern per test,
 # as no word is common to their names and `Pool` also matches an engine
 # test) under GOMAXPROCS 1, 2 and 4, uncached.
 # A pin that holds on one core count only (the seed's
 # TestCacheRoundTripAllocs did) is not a pin. A pattern that no longer
 # matches any test fails the target instead of silently shrinking the matrix.
 TEST_PROCS_PATTERNS = Alloc Pipeline Ticket Prefetcher ReadinessBitIdentical StreamingBitIdentity AdamWire AdamBitIdentical ViewProducts AttentionBitIdentical TiersBitIdentical AcrossThreads ParallelKernelParity NeverDispatch Arena ArrayBatch Resident Narrow FormFallback OverwriteKeepsStripes Delta13 \
-	EveryChunkOnce ForCovers ForPartition SetLimit NestedRun ConcurrentSubmitters StatsCo ForWorkCounts SaturatedPool CloseIdempotent
+	EveryChunkOnce ForCovers ForPartition SetLimit NestedRun ConcurrentSubmitters StatsCo ForWorkCounts SaturatedPool StaleOffer CloseIdempotent
 TEST_PROCS_PKGS = ./internal/opt ./internal/engine ./internal/nvme ./internal/tensor/... ./internal/nn
 .PHONY: test-procs
 test-procs:

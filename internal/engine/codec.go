@@ -39,9 +39,6 @@ func (g geometry) blobBytes() int {
 // alone: X is installed per decode, Y is never serialized.
 func (g geometry) shapeCache(c *nn.BlockCache, a *tensor.Arena) {
 	n := g.batch * g.seq
-	if c.Attn == nil {
-		c.Attn = new(nn.AttnCache)
-	}
 	c.LN1Out = a.New(n, g.hidden)
 	c.Attn.QKV = a.New(n, 3*g.hidden)
 	c.Attn.Probs = a.New(g.batch*g.heads*g.seq, g.seq)

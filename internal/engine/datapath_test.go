@@ -9,18 +9,18 @@ import (
 	"ratel/internal/tensor"
 )
 
-// steadyStateAllocBudget is the regression ceiling for steady-state
-// TrainStep allocations on the mixed-swap mini config: the measured value,
-// 13 at GOMAXPROCS 1, 2 and 4, on both kernel sets and under the race
-// detector, traced or not, plus 2. What is left is structure, not tensors —
-// each block pass's BlockCache and AttnCache, the optimizer pipeline's
-// bookkeeping: every tensor comes from the step's arenas (240 before them,
-// 1835 before the data path's buffers had owners). The margin is deliberately
-// smaller than one leak: a kernel that hands stack scratch to the simd
-// dispatch table's indirect call costs 2 allocations per call (12 per step
-// here), one tensor allocated past its arena costs 3, and a span label built
-// per block call (fmt.Sprintf, concatenation) costs one per block, 3.
-const steadyStateAllocBudget = 15
+// steadyStateAllocBudget is the steady-state TrainStep allocation ceiling on
+// the mixed-swap mini config: zero, at GOMAXPROCS 1, 2 and 4, on both kernel
+// sets and under the race detector, traced or not. Every tensor comes from the
+// step's arenas (240 allocations before them, 1835 before the data path's
+// buffers had owners), every block refills its own cache, and every fan-out
+// runs on a record its pool.Site reuses (13 before those). A leak of any kind
+// fails it: a kernel that hands stack scratch to the simd dispatch table's
+// indirect call costs 2 allocations per call, one tensor allocated past its
+// arena costs 3, a span label built per block call (fmt.Sprintf,
+// concatenation) one per block, and a capturing closure handed to the pool
+// one per call.
+const steadyStateAllocBudget = 0
 
 // TestTrainStepSteadyStateAllocs pins the zero-allocation claim: after
 // warm-up, a swap-mode TrainStep must stay under the regression budget, and

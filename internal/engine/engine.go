@@ -167,8 +167,8 @@ type Engine struct {
 	// tensor a micro-batch's forward and backward produce comes from one of
 	// them — stepArena what lives until the batch ends (block inputs and
 	// outputs, the gradients between blocks, embedding, head and loss),
-	// blockArena what lives for one block's pass (its cache — computed, or
-	// decoded into revived — and its temporaries; releaseBlock). runBatch
+	// blockArena what lives for one block's pass (its cache's tensors —
+	// computed, or decoded — and its temporaries; releaseBlock). runBatch
 	// resets both and installs them on the model for its own duration, so
 	// between steps (EvalLoss, ProfileAndPlan, Generate) the model allocates
 	// on the heap. inputs[i] is block i's input in the batch in progress.
@@ -176,7 +176,6 @@ type Engine struct {
 	// the tensor on its way to the next block (nil at the top of a batch).
 	stepArena, blockArena tensor.Arena
 	inputs                []*tensor.Tensor
-	revived               nn.BlockCache
 	released              func(carried *tensor.Tensor)
 	// depth is the resolved activation I/O window; win owns the ring and moves
 	// SwapSSD blobs between it and the array in both directions (pipeline.go).
@@ -558,9 +557,10 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 	defer m.SetArena(nil, nil)
 
 	// h is what flows between cells: a block's input in forward, the gradient
-	// of its output in backward. c is the cache of the block in progress.
+	// of its output in backward. A block's cache is its own (Block.Cache):
+	// forward, recompute or revive fills it, and offload, pin and backward
+	// read it.
 	var h, lnOut, logits, dlogits *tensor.Tensor
-	var c *nn.BlockCache
 	fwdStart := time.Now()
 	bwdStart := fwdStart
 	for _, step := range e.plan {
@@ -570,15 +570,15 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 			tr.Do(obs.LaneCompute, labelEmbedFwd, func() { h, err = m.Embed(tokens) })
 		case opForward:
 			e.inputs[i] = h
-			tr.Do(obs.LaneCompute, e.labels[i].fwd, func() { h, c, err = m.Blocks[i].Forward(h) })
+			tr.Do(obs.LaneCompute, e.labels[i].fwd, func() { h, _, err = m.Blocks[i].Forward(h) })
 		case opOffload:
 			// Write-behind: block i+1 computes while the array puts the blob.
-			stash := func(blob []byte) error { return e.stashCache(blob, c, e.labels[i].offload) }
+			stash := func(blob []byte) error { return e.stashCache(blob, m.Blocks[i].Cache(), e.labels[i].offload) }
 			if err = e.win.offload(i, stash); err == nil {
 				e.stats.ActBytesOffload += units.Bytes(e.blobLen)
 			}
 		case opPin:
-			if err = e.stashCache(e.arena.hostBuf(i, e.blobLen), c, e.labels[i].pin); err == nil {
+			if err = e.stashCache(e.arena.hostBuf(i, e.blobLen), m.Blocks[i].Cache(), e.labels[i].pin); err == nil {
 				e.arena.host[i].pinned = true
 				e.stats.ActBytesHost += units.Bytes(e.blobLen)
 			}
@@ -606,24 +606,21 @@ func (e *Engine) runBatch(tokens, targets [][]int, apply bool) (loss float64, fw
 		case opFetch:
 			err = e.win.prefetch(i)
 		case opConsume:
-			err = e.win.consume(i, step.resident, func(blob []byte) (err error) {
-				c, err = e.reviveCache(blob, e.inputs[i])
-				return err
-			})
+			err = e.win.consume(i, step.resident, func(blob []byte) error { return e.reviveCache(blob, i) })
 		case opRevive:
 			hb := &e.arena.host[i]
 			if !hb.pinned {
 				err = fmt.Errorf("engine: block %d host-tier cache missing", i)
-			} else if c, err = e.reviveCache(hb.blob, e.inputs[i]); err == nil {
+			} else if err = e.reviveCache(hb.blob, i); err == nil {
 				hb.pinned = false
 			}
 		case opRecompute:
-			tr.Do(obs.LaneCompute, e.labels[i].recompute, func() { c, err = m.Blocks[i].Recompute(e.inputs[i]) })
+			tr.Do(obs.LaneCompute, e.labels[i].recompute, func() { _, err = m.Blocks[i].Recompute(e.inputs[i]) })
 			if err == nil {
 				e.stats.RecomputedBlocks++
 			}
 		case opBackward:
-			tr.Do(obs.LaneCompute, e.labels[i].bwd, func() { h, err = m.Blocks[i].Backward(c, h) })
+			tr.Do(obs.LaneCompute, e.labels[i].bwd, func() { h, err = m.Blocks[i].Backward(m.Blocks[i].Cache(), h) })
 			if err == nil {
 				h.RoundFP16InPlace()
 			}
@@ -680,19 +677,19 @@ func (e *Engine) stashCache(blob []byte, c *nn.BlockCache, label string) error {
 }
 
 // reviveCache is the shared backward half: it decodes blob, from either
-// tier, into tensors of the block's scope with input installed, and credits
-// it. The cache lives where a recomputed or a kept one does, until the block's
-// backward has run; revived is the one BlockCache they are all revived in.
-func (e *Engine) reviveCache(blob []byte, input *tensor.Tensor) (*nn.BlockCache, error) {
-	c := &e.revived
+// tier, into block i's cache, on tensors of the block's scope with its input
+// installed, and credits it. The cache lives where a recomputed or a kept one
+// does, until the block's backward has run.
+func (e *Engine) reviveCache(blob []byte, i int) error {
+	c := e.model.Blocks[i].Cache()
 	e.geom.shapeCache(c, &e.blockArena)
-	if err := e.arena.decode(c, blob, input); err != nil {
-		return nil, err
+	if err := e.arena.decode(c, blob, e.inputs[i]); err != nil {
+		return err
 	}
 	e.stats.ActBytesFetched += units.Bytes(len(blob))
 	e.flows.Add(obs.EdgeCodecDecode, obs.FlowActivations, int64(len(blob)))
 	e.flows.Add(obs.EdgeComputeHost, obs.FlowActivations, int64(len(blob)))
-	return c, nil
+	return nil
 }
 
 // delayGrads is the one-step delayed update's half of a step: it swaps every

@@ -15,6 +15,7 @@ import (
 	"ratel/internal/obs"
 	"ratel/internal/opt"
 	"ratel/internal/tensor"
+	"ratel/internal/tensor/pool"
 	"ratel/internal/tensor/simd"
 )
 
@@ -732,20 +733,75 @@ func stepAllocs(t *testing.T, cfg Config, accum bool) float64 {
 }
 
 // TestStatePipelineAddsNoAllocs pins what a steady-state step through the
-// state pipeline allocates, exactly, from both step entry points: the
-// pipeline has no per-step channel, goroutine or closure, so the figure is
-// the step's own and the same on every core count. make test-procs reruns
-// it at GOMAXPROCS 1, 2 and 4.
+// state pipeline allocates, exactly, from both step entry points: nothing.
+// The pipeline has no per-step channel, goroutine or closure, and the step
+// none of its own, on every core count. make test-procs reruns it at
+// GOMAXPROCS 1, 2 and 4.
 func TestStatePipelineAddsNoAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		accum bool
 		want  float64
-	}{{false, 18}, {true, 36}} {
+	}{{false, 0}, {true, 0}} {
 		got := stepAllocs(t, Config{GradMode: agoffload.Optimized}, tc.accum)
 		t.Logf("accum=%v GOMAXPROCS=%d: %.0f allocs/step", tc.accum, runtime.GOMAXPROCS(0), got)
 		if got != tc.want {
 			t.Fatalf("accum=%v: a step allocates %.0f, want %.0f", tc.accum, got, tc.want)
 		}
+	}
+}
+
+// TestStepAllocsIndependentOfDepth: a steady-state step allocates nothing at
+// L layers and at 2L, whatever tier its blocks' activations take and from
+// either step entry point. A per-layer allocation shows here as a slope
+// between the two depths, which a budget measured on one depth cannot see.
+// The fanout row is a shape past the pool's inline cutoff at 2 threads or
+// more, so its kernels and attention heads really dispatch: the pool's job
+// count must grow, or the row would pin nothing. make test-procs reruns it at
+// GOMAXPROCS 1, 2 and 4.
+func TestStepAllocsIndependentOfDepth(t *testing.T) {
+	old := tensor.Parallelism()
+	defer tensor.SetParallelism(old)
+	all := func(tier Tier) func(int) Tier { return func(int) Tier { return tier } }
+	mixed := func(i int) Tier { return Tier(i % 3) } // Recompute, SwapHost, SwapSSD
+	for _, c := range []struct {
+		name   string
+		model  nn.Config
+		tier   func(block int) Tier
+		accum  bool
+		fanout bool
+	}{
+		{"recompute", miniConfig(), all(Recompute), false, false},
+		{"host", miniConfig(), all(SwapHost), false, false},
+		{"ssd", miniConfig(), all(SwapSSD), false, false},
+		{"mixed", miniConfig(), mixed, false, false},
+		{"mixed/accum", miniConfig(), mixed, true, false},
+		{"fanout", optStreamModel(), mixed, false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tensor.SetParallelism(old)
+			if c.fanout {
+				tensor.SetParallelism(max(2, old))
+			}
+			const layers = 3
+			var got [2]float64
+			for k, depth := range []int{layers, 2 * layers} {
+				model := c.model
+				model.Layers = depth
+				swap := map[int]Tier{}
+				for i := range depth {
+					swap[i] = c.tier(i)
+				}
+				jobs := pool.DefaultStats().Jobs
+				got[k] = stepAllocs(t, Config{Model: model, GradMode: agoffload.Optimized, Swap: swap}, c.accum)
+				if c.fanout && pool.DefaultStats().Jobs == jobs {
+					t.Fatalf("%d layers at %d threads: no step dispatched a fan-out", depth, tensor.Parallelism())
+				}
+			}
+			t.Logf("GOMAXPROCS=%d threads=%d: %v allocs/step at %d and %d layers", runtime.GOMAXPROCS(0), tensor.Parallelism(), got, layers, 2*layers)
+			if got != [2]float64{} {
+				t.Fatalf("a step allocates %v at %d and %d layers, want 0 at both", got, layers, 2*layers)
+			}
+		})
 	}
 }
 

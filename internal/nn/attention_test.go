@@ -165,8 +165,8 @@ func TestAttentionBitIdenticalToFullSquare(t *testing.T) {
 				for pass, threads := range []int{1, 3, 1, 3} {
 					tensor.SetParallelism(threads)
 					where := fmt.Sprintf("seq %d dh %d pass %d", seq, dh, pass)
-					cache, err := a.attend(qkv, batch, seq)
-					must(t, err)
+					var cache AttnCache
+					must(t, a.attend(&cache, qkv, batch, seq))
 					requireBits(t, where+": Ctx", cache.Ctx, wantCtx)
 					for bi := range wantProbs {
 						for h := range wantProbs[bi] {
@@ -174,7 +174,7 @@ func TestAttentionBitIdenticalToFullSquare(t *testing.T) {
 							requireBits(t, where+": Probs", &tensor.Tensor{Data: got.Data[:seq*seq]}, wantProbs[bi][h])
 						}
 					}
-					dqkv, err := a.attendBackward(cache, dctx, batch, seq)
+					dqkv, err := a.attendBackward(&cache, dctx, batch, seq)
 					must(t, err)
 					requireBits(t, where+": dqkv", dqkv, wantDqkv)
 					// The heap served pass 0 (and pass 1, the arena's first: it
@@ -230,8 +230,8 @@ func TestAttentionNonFiniteReachesLaterRows(t *testing.T) {
 	for j := 0; j < dh; j++ {
 		qkv.Data[p*3*d+2*d+h*dh+j] = nan // V of head h at position p
 	}
-	cache, err := a.attend(qkv, batch, seq)
-	must(t, err)
+	var cache AttnCache
+	must(t, a.attend(&cache, qkv, batch, seq))
 	for s := 0; s < seq; s++ {
 		if got := rowIsNaN(cache.Ctx, s, h*dh); s >= p && !got {
 			t.Errorf("Ctx row %d of the poisoned head is finite: V's NaN at %d was skipped", s, p)
@@ -249,7 +249,7 @@ func TestAttentionNonFiniteReachesLaterRows(t *testing.T) {
 			t.Errorf("attention output row %d is finite", s)
 		}
 	}
-	dqkv, err := a.attendBackward(cache, dctx, batch, seq)
+	dqkv, err := a.attendBackward(&cache, dctx, batch, seq)
 	must(t, err)
 	for s := p; s < seq; s++ {
 		if !rowIsNaN(dqkv, s, h*dh) {
@@ -259,12 +259,11 @@ func TestAttentionNonFiniteReachesLaterRows(t *testing.T) {
 
 	// A clean forward, then a NaN in the context gradient at p.
 	a, qkv, dctx = attentionCase(rng, batch, seq, dh, heads)
-	cache, err = a.attend(qkv, batch, seq)
-	must(t, err)
+	must(t, a.attend(&cache, qkv, batch, seq))
 	for j := 0; j < dh; j++ {
 		dctx.Data[p*d+h*dh+j] = nan
 	}
-	dqkv, err = a.attendBackward(cache, dctx, batch, seq)
+	dqkv, err = a.attendBackward(&cache, dctx, batch, seq)
 	must(t, err)
 	if !rowIsNaN(dqkv, p, h*dh) {
 		t.Errorf("dQ row %d is finite with a NaN in dO at %d", p, p)

@@ -55,13 +55,13 @@ func benchmarkAttention(b *testing.B, level string, batch, seq, hidden, heads in
 	x.RandInit(rng, 1)
 	x.RoundFP16InPlace()
 	dy.RandInit(rng, 0.01)
+	var cache AttnCache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, cache, err := a.Forward(x, batch, seq)
-		if err != nil {
+		if _, err := a.Forward(&cache, x, batch, seq); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := a.Backward(x, cache, dy, batch, seq); err != nil {
+		if _, err := a.Backward(x, &cache, dy, batch, seq); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,6 +27,8 @@ type Block struct {
 	// Backward's dx — and scope where everything else it produces does, the
 	// layers' results included (Model.SetArena; nil is the heap).
 	step, scope *tensor.Arena
+	// cache is the block's one cache (Cache): Forward and Recompute refill it.
+	cache BlockCache
 }
 
 // NewBlock builds a block for fixed batch/sequence geometry.
@@ -49,11 +51,13 @@ func NewBlock(name string, dim, heads, batch, seq int, rng *rand.Rand) (*Block, 
 // BlockCache holds the intermediates the block saves for backward. The
 // engine may discard it (keeping only the block input) and rebuild it via
 // Recompute — bit-identically, since every tensor is on the fp16 grid and
-// all kernels are deterministic.
+// all kernels are deterministic. Each block owns one (Block.Cache), which
+// every Forward and Recompute of the block refills and returns: a cache is
+// valid until the block's next pass.
 type BlockCache struct {
 	X       *tensor.Tensor // block input
 	LN1Out  *tensor.Tensor
-	Attn    *AttnCache
+	Attn    AttnCache
 	AttnY   *tensor.Tensor // attention projection output
 	Res1    *tensor.Tensor // x + attnY
 	LN2Out  *tensor.Tensor
@@ -68,10 +72,7 @@ func (c *BlockCache) ActivationBytes() int64 {
 	if c == nil {
 		return 0
 	}
-	ts := []*tensor.Tensor{c.X, c.LN1Out, c.AttnY, c.Res1, c.LN2Out, c.FC1Out, c.GeluOut}
-	if c.Attn != nil {
-		ts = append(ts, c.Attn.QKV, c.Attn.Probs, c.Attn.Ctx)
-	}
+	ts := []*tensor.Tensor{c.X, c.LN1Out, c.AttnY, c.Res1, c.LN2Out, c.FC1Out, c.GeluOut, c.Attn.QKV, c.Attn.Probs, c.Attn.Ctx}
 	n := int64(0)
 	for _, t := range ts {
 		if t != nil {
@@ -106,12 +107,13 @@ func (b *Block) Forward(x *tensor.Tensor) (*tensor.Tensor, *BlockCache, error) {
 // only Y, which a recomputed cache leaves nil. Dropout is counter-based, so
 // stopping before site+1 leaves no generator state behind.
 func (b *Block) Recompute(x *tensor.Tensor) (*BlockCache, error) {
-	c := &BlockCache{X: x}
+	c := &b.cache
+	*c = BlockCache{X: x}
 	var err error
 	if c.LN1Out, err = b.LN1.Forward(x); err != nil {
 		return nil, err
 	}
-	if c.AttnY, c.Attn, err = b.Attn.Forward(c.LN1Out, b.batch, b.seq); err != nil {
+	if c.AttnY, err = b.Attn.Forward(&c.Attn, c.LN1Out, b.batch, b.seq); err != nil {
 		return nil, err
 	}
 	b.Drop.Apply(c.AttnY, b.site)
@@ -168,7 +170,7 @@ func (b *Block) Backward(c *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 		dattnY = b.scope.Clone(dres1)
 		b.Drop.Backward(dattnY, b.site)
 	}
-	dln1, err := b.Attn.Backward(c.LN1Out, c.Attn, dattnY, b.batch, b.seq)
+	dln1, err := b.Attn.Backward(c.LN1Out, &c.Attn, dattnY, b.batch, b.seq)
 	if err != nil {
 		return nil, err
 	}
@@ -181,6 +183,10 @@ func (b *Block) Backward(c *BlockCache, dy *tensor.Tensor) (*tensor.Tensor, erro
 	}
 	return dx, nil
 }
+
+// Cache is the block's one cache, the one Forward and Recompute return: a
+// caller that revives a cache from elsewhere decodes it here.
+func (b *Block) Cache() *BlockCache { return &b.cache }
 
 // Params lists all block parameters in a stable order.
 func (b *Block) Params() []Param {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ratel/internal/tensor"
@@ -166,6 +167,18 @@ func TestRecomputeStopsWhereBackwardStopsReading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	read := func(c *BlockCache) map[string]*tensor.Tensor {
+		return map[string]*tensor.Tensor{
+			"X": c.X, "LN1Out": c.LN1Out, "Attn.QKV": c.Attn.QKV, "Attn.Ctx": c.Attn.Ctx, "Attn.Probs": c.Attn.Probs,
+			"Res1": c.Res1, "LN2Out": c.LN2Out, "FC1Out": c.FC1Out, "GeluOut": c.GeluOut,
+		}
+	}
+	// The block refills its one cache on every pass: copy what forward saved
+	// before Recompute overwrites it.
+	saved := map[string][]float32{}
+	for name, tt := range read(fwd) {
+		saved[name] = slices.Clone(tt.Data)
+	}
 	rec, err := b.Recompute(x)
 	if err != nil {
 		t.Fatal(err)
@@ -173,19 +186,13 @@ func TestRecomputeStopsWhereBackwardStopsReading(t *testing.T) {
 	if rec.Y != nil {
 		t.Error("recomputed cache carries a block output")
 	}
-	pairs := map[string][2]*tensor.Tensor{
-		"X": {fwd.X, rec.X}, "LN1Out": {fwd.LN1Out, rec.LN1Out},
-		"Attn.QKV": {fwd.Attn.QKV, rec.Attn.QKV}, "Attn.Ctx": {fwd.Attn.Ctx, rec.Attn.Ctx},
-		"Attn.Probs": {fwd.Attn.Probs, rec.Attn.Probs},
-		"Res1":       {fwd.Res1, rec.Res1}, "LN2Out": {fwd.LN2Out, rec.LN2Out},
-		"FC1Out": {fwd.FC1Out, rec.FC1Out}, "GeluOut": {fwd.GeluOut, rec.GeluOut},
-	}
-	for name, pr := range pairs {
-		if len(pr[0].Data) == 0 || len(pr[0].Data) != len(pr[1].Data) {
-			t.Fatalf("%s: %d vs %d elements", name, len(pr[0].Data), len(pr[1].Data))
+	for name, tt := range read(rec) {
+		want := saved[name]
+		if len(want) == 0 || len(want) != len(tt.Data) {
+			t.Fatalf("%s: %d vs %d elements", name, len(want), len(tt.Data))
 		}
-		for i := range pr[0].Data {
-			if math.Float32bits(pr[0].Data[i]) != math.Float32bits(pr[1].Data[i]) {
+		for i := range want {
+			if math.Float32bits(want[i]) != math.Float32bits(tt.Data[i]) {
 				t.Fatalf("%s[%d] differs between forward and recomputed cache", name, i)
 			}
 		}

@@ -63,16 +63,20 @@ func AdamStep(cfg AdamConfig, t int, p32, m, v, grad []float32) error {
 	if t < 1 {
 		return fmt.Errorf("opt: step %d, want >= 1", t)
 	}
-	k := newAdamCoef(cfg, t)
-	if pool.InlineWork(adamWork(len(p32))) {
-		simd.Adam(k, p32, m, v, grad)
-		return nil
-	}
-	pool.For(len(p32), adamChunkGrain, func(lo, hi int) {
-		simd.Adam(k, p32[lo:hi], m[lo:hi], v[lo:hi], grad[lo:hi])
-	})
+	pool.Run(adamSite, adamWork(len(p32)), len(p32), adamChunkGrain, adamOp{newAdamCoef(cfg, t), p32, m, v, grad})
 	return nil
 }
+
+// adamOp is one AdamStep's operand: its coefficients and slices.
+type adamOp struct {
+	k               simd.AdamCoef
+	p32, m, v, grad []float32
+}
+
+// adamSite updates elements [lo,hi) of an AdamStep.
+var adamSite = pool.NewSite(func(op adamOp, lo, hi int) {
+	simd.Adam(op.k, op.p32[lo:hi], op.m[lo:hi], op.v[lo:hi], op.grad[lo:hi])
+})
 
 // adamChunkGrain is the minimum parameters per pool chunk: small enough to
 // load-balance, large enough that chunk dispatch is noise next to the
@@ -624,29 +628,11 @@ func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, f Form
 	for p := range out {
 		out[p] = scratch(&o.scr.out[p], simd.EscapeBytes*n)
 	}
-	chunks, inline := chunksOf(n), pool.InlineWork(adamWork(n))
-	if inline {
-		chunks = 1
-	}
+	chunks := chunksOf(n)
 	res, stage := scratch(&o.scr.chunks, chunks), scratch(&o.scr.stage, chunks*stageBytes)
 	o.tracer.Do(obs.LaneAdam, label, func() {
 		kernelStart := time.Now()
-		if inline {
-			res[0] = walk(obj, g, pc, f, k, grad, in, out, stage, 0, n)
-		} else {
-			// Each chunk lists its escapes where its own elements' would start, so
-			// the chunks never share a byte of out; the lists close up after.
-			pool.For(chunks, 1, func(c0, c1 int) {
-				var at [3][]byte
-				for c := c0; c < c1; c++ {
-					lo := c * adamChunkGrain
-					for p := range at {
-						at[p] = out[p][simd.EscapeBytes*lo:]
-					}
-					res[c] = walk(obj, g, pc, f, k, grad, in, at, stage[c*stageBytes:(c+1)*stageBytes], lo, min(n, lo+adamChunkGrain))
-				}
-			})
-		}
+		pool.Run(deltaSite, adamWork(n), chunks, 1, deltaOp{obj, g, pc, f, k, grad, in, out, res, stage})
 		o.kernelNanos.Add(time.Since(kernelStart).Nanoseconds())
 	})
 	o.kernelParams.Add(int64(n))
@@ -663,6 +649,35 @@ func (o *OutOfCoreAdam) adamDelta(obj []byte, g nn.ParamGroup, pc *piece, f Form
 	}
 	return r
 }
+
+// deltaOp is one adamDelta's operand: walk's arguments, and the scratch its
+// chunks list their escapes and counts in and stage their blocks in.
+type deltaOp struct {
+	obj   []byte
+	g     nn.ParamGroup
+	pc    *piece
+	f     Form
+	k     simd.AdamCoef
+	grad  []float32
+	in    recs
+	out   [3][]byte
+	res   [][3]int
+	stage []byte
+}
+
+// deltaSite walks chunks [c0,c1) of an adamDelta as one range, in the staging
+// block of its first chunk. It lists the range's escapes where its first
+// element's would start and counts them as that chunk's, so calls never share
+// a byte of out; adamDelta closes the lists up after.
+var deltaSite = pool.NewSite(func(op deltaOp, c0, c1 int) {
+	lo := c0 * adamChunkGrain
+	var at [3][]byte
+	for p := range at {
+		at[p] = op.out[p][simd.EscapeBytes*lo:]
+	}
+	op.res[c0] = walk(op.obj, op.g, op.pc, op.f, op.k, op.grad, op.in, at, op.stage[c0*stageBytes:(c0+1)*stageBytes], lo, min(op.pc.n, c1*adamChunkGrain))
+	clear(op.res[c0+1 : c1])
+})
 
 // walk runs the Δ walk over elements [from, to) of the piece in obj, laid out
 // in form f, listing the escapes at out, and returns their counts. It goes a

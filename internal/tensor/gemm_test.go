@@ -238,15 +238,15 @@ func TestMatMulIntoAllocs(t *testing.T) {
 		}
 	}
 
+	// Dispatched, a run takes a record its site reuses and an operand passed
+	// by value: neither the pool nor the kernel allocates.
 	SetParallelism(4)
-	if allocs := testing.AllocsPerRun(20, func() { pool.For(n, 1, func(lo, hi int) {}) }); allocs != 1 {
-		t.Errorf("a bare For at parallelism 4: %v allocs/op, want 1 (its job)", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { pool.For(n, 1, func(lo, hi int) {}) }); allocs != 0 {
+		t.Errorf("a bare For at parallelism 4: %v allocs/op, want 0", allocs)
 	}
 	for _, kn := range kernels {
-		// One more than the empty job: the kernel's closure captures its
-		// operands, the empty one captures nothing.
-		if allocs := testing.AllocsPerRun(20, kn.run); allocs > 2 {
-			t.Errorf("%s: %v allocs/op at parallelism 4, want at most 2 (job and closure)", kn.name, allocs)
+		if allocs := testing.AllocsPerRun(20, kn.run); allocs != 0 {
+			t.Errorf("%s: %v allocs/op at parallelism 4, want 0", kn.name, allocs)
 		}
 	}
 }

@@ -279,9 +279,10 @@ func TestSaturatedPoolSubmitterRunsAll(t *testing.T) {
 	for started.Load() < 4 {
 		runtime.Gosched()
 	}
-	// Fill the channel with an empty job, which a worker finishes at once.
+	// Fill the channel with offers of an empty job, which a worker finishes
+	// at once.
 	for len(p.jobs) < cap(p.jobs) {
-		p.jobs <- &job{}
+		p.jobs <- offer{j: new(job)}
 	}
 
 	p.ResetStats()
@@ -302,6 +303,57 @@ func TestSaturatedPoolSubmitterRunsAll(t *testing.T) {
 	}
 	if st.SubmitterChunks != chunks || st.WorkerChunks != 0 {
 		t.Errorf("submitter ran %d chunks and the workers %d; want %d and 0", st.SubmitterChunks, st.WorkerChunks, chunks)
+	}
+}
+
+// TestStaleOfferJoinsNoLaterRun checks a record is reused safely: a run's
+// offers can outlive it — queued while every worker is busy, the submitter
+// runs every chunk itself and returns — and the site's next run reuses the
+// record. An offer of the ended run is refused: it neither claims from the
+// record's cursor nor counts as a participant of a later run.
+func TestStaleOfferJoinsNoLaterRun(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	var started atomic.Int32
+	release, held := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(held)
+		p.For(4, 1, func(int, int) {
+			started.Add(1)
+			<-release
+		})
+	}()
+	for started.Load() < 4 {
+		runtime.Gosched()
+	}
+
+	const n = 32
+	counts := make([]atomic.Int32, n)
+	site := NewSite(func(c []atomic.Int32, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c[i].Add(1)
+		}
+	})
+	run(p, site, n, 1, counts)
+	stale := <-p.jobs // one of the ended run's offers, queued behind the busy workers
+	run(p, site, n, 1, counts)
+	if len(site.free) != 1 || &site.free[0].job != stale.j {
+		t.Fatalf("site holds %d records; want the one record both runs used", len(site.free))
+	}
+	next, state := stale.j.next.Load(), stale.j.state.Load()
+	stale.j.join(stale.gen)
+	if got := stale.j.next.Load(); got != next {
+		t.Errorf("a stale offer claimed from the record's cursor: %d -> %d", next, got)
+	}
+	if got := stale.j.state.Load(); got != state || uint32(got) != 0 {
+		t.Errorf("record state %#x after a stale offer, was %#x; want no participant", got, state)
+	}
+	close(release)
+	<-held
+	for i := range counts {
+		if got := counts[i].Load(); got != 2 {
+			t.Fatalf("index %d ran %d times over two runs", i, got)
+		}
 	}
 }
 

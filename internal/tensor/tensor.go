@@ -325,19 +325,22 @@ const (
 // each element still has one owner and one chain, so the result is
 // bit-identical at any thread count.
 func gemm(g product, cd, ad, bd []float32) {
-	if pool.InlineWork(g.work()) {
-		gemmCols(g, cd, ad, bd, 0, g.n)
-		return
-	}
-	panels := (g.n + simd.GemmNR - 1) / simd.GemmNR
-	pool.For(panels, 1, func(lo, hi int) {
-		gemmCols(g, cd, ad, bd, lo*simd.GemmNR, min(hi*simd.GemmNR, g.n))
-	})
+	pool.Run(gemmSite, g.work(), (g.n+simd.GemmNR-1)/simd.GemmNR, 1, operands{g, cd, ad, bd})
 }
 
+// operands is a product's geometry and data, the operand of its fan-out.
+type operands struct {
+	g          product
+	cd, ad, bd []float32
+}
+
+// gemmSite computes column panels [lo,hi) of a gemm.
+var gemmSite = pool.NewSite(func(op operands, lo, hi int) {
+	gemmCols(op.g, op.cd, op.ad, op.bd, lo*simd.GemmNR, min(hi*simd.GemmNR, op.g.n))
+})
+
 // gemmCols computes columns [j0,j1) of c: tiles where rows and columns fill
-// them (whole panels, then at most one half panel), edges elsewhere. Named rather than a closure so the serial path
-// allocates nothing.
+// them (whole panels, then at most one half panel), edges elsewhere.
 func gemmCols(g product, cd, ad, bd []float32, j0, j1 int) {
 	mt, jt := 0, j0 // tiles cover rows [0,mt) of columns [j0,jt)
 	if simd.Active() && g.m >= simd.GemmMR && g.k > 0 {
@@ -468,12 +471,11 @@ func MatMulTInto(c, a, b *Tensor) error {
 // c = a·bᵀ it computes is one simd.Dot of a row of a and a row of b, and the
 // rows of c are sharded across the pool.
 func dotRows(g product, cd, ad, bd []float32) {
-	if pool.InlineWork(g.work()) {
-		dotPanel(g, cd, ad, bd, 0, g.m)
-		return
-	}
-	pool.For(g.m, 1, func(lo, hi int) { dotPanel(g, cd, ad, bd, lo, hi) })
+	pool.Run(dotSite, g.work(), g.m, 1, operands{g, cd, ad, bd})
 }
+
+// dotSite computes rows [lo,hi) of a dotRows product.
+var dotSite = pool.NewSite(func(op operands, lo, hi int) { dotPanel(op.g, op.cd, op.ad, op.bd, lo, hi) })
 
 // dotPanelFloats is how much of b dotPanel keeps hot: the rows of b one
 // sweep of a's rows reuses add up to at most 24 KiB, so they stay in L1

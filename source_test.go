@@ -120,8 +120,8 @@ func TestGoStatementsOnlyInJoin(t *testing.T) {
 }
 
 // fanOutCovers names, for every pool fan-out in the module's non-test code
-// (a pool.For call outside the pool package, keyed by its file and
-// enclosing function), the test in the same package that runs the
+// (a pool.Run or pool.For call outside the pool package, keyed by its file
+// and enclosing function), the test in the same package that runs the
 // fanned-out body on worker goroutines: it pins
 // tensor.SetParallelism to at least 2 at a size past the inline cutoff. A
 // body that writes a captured variable is then a race `make race` reports.
@@ -156,7 +156,7 @@ func TestPoolFanOutsHaveCoveringTests(t *testing.T) {
 				continue
 			}
 			qualifiedCalls(fn.Body, name, func(call *ast.CallExpr, sel string) {
-				if sel != "For" {
+				if sel != "Run" && sel != "For" {
 					return
 				}
 				site := s.path + " " + fn.Name.Name
